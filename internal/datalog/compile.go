@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -512,20 +513,12 @@ func (p *CompiledPlan) EvalParallelUnsortedWith(db *storage.Database, args []str
 // context-aware entry points. On a tripped guard the partial rows are
 // meaningless; callers must consult gs.failure() first.
 func (p *CompiledPlan) evalUnsorted(db *storage.Database, args []string, workers int, gs *guardState) []storage.Tuple {
-	base := p.baseFrame(args)
 	// Single-component fast path (the common case): emit head tuples
 	// straight from the frame, one allocation per distinct answer.
 	if !p.empty && len(p.components) == 1 && len(p.components[0].headSlots) > 0 {
-		c := &p.components[0]
-		rows := p.enumerateComponent(c, p.resolve(db, c), workers, base,
-			func(frame []string) []string { return p.headTuple(frame) }, gs)
-		out := make([]storage.Tuple, len(rows))
-		for i, r := range rows {
-			out[i] = r
-		}
-		return out
+		return p.enumerateComponent(db, &p.components[0], args, true, workers, gs)
 	}
-	parts, ok := p.componentRows(db, workers, base, gs)
+	parts, ok := p.componentRows(db, args, workers, gs)
 	if !ok || gs.failure() != nil {
 		return nil
 	}
@@ -543,7 +536,7 @@ func (p *CompiledPlan) evalUnsorted(db *storage.Database, args []string, workers
 			}
 		}
 	}
-	return p.combineComponents(parts, base, gs)
+	return p.combineComponents(parts, p.baseFrame(args), gs)
 }
 
 // combineComponents combines the per-component distinct projections into
@@ -584,13 +577,20 @@ func (p *CompiledPlan) combineComponents(parts [][][]string, base []string, gs *
 	return out
 }
 
+// checkArgs panics unless args binds every parameter of the plan: an arity
+// mismatch is a programming error, like a call with the wrong number of
+// arguments.
+func (p *CompiledPlan) checkArgs(args []string) {
+	if len(args) != len(p.paramSlots) {
+		panic(fmt.Sprintf("datalog: plan takes %d parameter(s), got %d", len(p.paramSlots), len(args)))
+	}
+}
+
 // baseFrame builds the initial register frame of one execution: zero values
 // everywhere except the parameter slots, which hold args. A nil frame means
 // no slots at all.
 func (p *CompiledPlan) baseFrame(args []string) []string {
-	if len(args) != len(p.paramSlots) {
-		panic(fmt.Sprintf("datalog: plan takes %d parameter(s), got %d", len(p.paramSlots), len(args)))
-	}
+	p.checkArgs(args)
 	if p.numSlots == 0 {
 		return nil
 	}
@@ -611,7 +611,7 @@ func (p *CompiledPlan) Count(db *storage.Database) int {
 
 // CountWith is Count under an argument binding (EvalWith).
 func (p *CompiledPlan) CountWith(db *storage.Database, args []string) int {
-	parts, ok := p.componentRows(db, 1, p.baseFrame(args), nil)
+	parts, ok := p.componentRows(db, args, 1, nil)
 	if !ok {
 		return 0
 	}
@@ -628,6 +628,12 @@ func (p *CompiledPlan) CountWith(db *storage.Database, args []string) int {
 // whose probe index is built, the resolved column index.
 func (p *CompiledPlan) resolve(db *storage.Database, c *compiledComponent) []stepSrc {
 	srcs := make([]stepSrc, len(c.steps))
+	resolveInto(db, c, srcs)
+	return srcs
+}
+
+// resolveInto is resolve into srcs, one zeroed entry per step.
+func resolveInto(db *storage.Database, c *compiledComponent, srcs []stepSrc) {
 	for j := range c.steps {
 		s := &c.steps[j]
 		rel := db.Relation(s.pred)
@@ -641,11 +647,10 @@ func (p *CompiledPlan) resolve(db *storage.Database, c *compiledComponent) []ste
 			}
 		}
 	}
-	return srcs
 }
 
-// projectRows returns the projection of a frame onto the component's head
-// slots, for combining per-component results.
+// projectRow returns the projection of a frame onto the component's head
+// slots (the sharded executor's row shape).
 func (c *compiledComponent) projectRow(frame []string) []string {
 	row := make([]string, len(c.headSlots))
 	for j, s := range c.headSlots {
@@ -658,20 +663,17 @@ func (c *compiledComponent) projectRow(frame []string) []string {
 // projections onto its head slots (nil rows for existence-only
 // components). ok=false means some component has no match — the query has
 // no answers at all.
-func (p *CompiledPlan) componentRows(db *storage.Database, workers int, base []string, gs *guardState) ([][][]string, bool) {
+func (p *CompiledPlan) componentRows(db *storage.Database, args []string, workers int, gs *guardState) ([][][]string, bool) {
 	if p.empty {
 		return nil, false
 	}
 	parts := make([][][]string, len(p.components))
 	for i := range p.components {
 		c := &p.components[i]
-		srcs := p.resolve(db, c)
 		if len(c.headSlots) == 0 {
 			// Pure existence check: one witness suffices.
 			found := false
-			frame := make([]string, p.numSlots)
-			copy(frame, base)
-			joinSteps(c, srcs, 0, frame, gs.child(), func([]string) bool {
+			joinSteps(c, p.resolve(db, c), 0, p.baseFrame(args), gs.child(), func([]string) bool {
 				found = true
 				return false
 			})
@@ -680,61 +682,54 @@ func (p *CompiledPlan) componentRows(db *storage.Database, workers int, base []s
 			}
 			continue
 		}
-		rows := p.enumerateComponent(c, srcs, workers, base, c.projectRow, gs)
+		rows := p.enumerateComponent(db, c, args, false, workers, gs)
 		if len(rows) == 0 {
 			return nil, false
 		}
-		parts[i] = rows
+		parts[i] = make([][]string, len(rows))
+		for j, r := range rows {
+			parts[i][j] = r
+		}
 	}
 	return parts, true
 }
 
-// enumerateComponent collects the component's distinct projections under
-// the given projection function, sharding the root candidate loop across
-// workers when profitable. base is the initial frame (parameter slots
-// filled; see baseFrame).
-func (p *CompiledPlan) enumerateComponent(c *compiledComponent, srcs []stepSrc, workers int, base []string, project func([]string) []string, gs *guardState) [][]string {
-	root := &c.steps[0]
-	tuples := srcs[0].tuples
-	// Resolve the root candidate set once. At depth 0 the only bound slots
-	// are parameters, so a root probe is fed by a constant or a parameter.
-	var positions []int
-	usePositions := false
-	if srcs[0].idx != nil {
-		val := root.probeConst
-		if root.probeSlot >= 0 {
-			val = base[root.probeSlot]
-		}
-		positions, usePositions = srcs[0].idx[val], true
-	}
-	n := len(tuples)
-	if usePositions {
-		n = len(positions)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || root.existential {
-		return p.runShard(c, srcs, tuples, positions, usePositions, 0, 1, base, project, gs.child())
+// enumerateComponent collects the component's distinct rows — head tuples
+// of the plan when head is set (the plan's only component), else
+// projections onto the component's head slots — sharding the root candidate
+// loop across workers when profitable.
+func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledComponent, args []string, head bool, workers int, gs *guardState) []storage.Tuple {
+	sc := p.newRun(db, c, args, head, gs)
+	stride := min(workers, sc.candidates())
+	if stride <= 1 || c.steps[0].existential {
+		rows := sc.run(0, 1)
+		sc.release()
+		return rows
 	}
 
-	// Shard the root loop round-robin; each worker dedups its own shard,
-	// the merge below dedups across shards.
-	shards := make([][][]string, workers)
+	// Shard the root loop round-robin; each worker runs on a scratch of its
+	// own and dedups its own shard, the merge below dedups across shards.
+	runs := make([]*runScratch, stride)
+	runs[0] = sc
+	for w := 1; w < stride; w++ {
+		runs[w] = sc.fork(gs)
+	}
+	shards := make([][]storage.Tuple, stride)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w, run := range runs {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			shards[w] = p.runShard(c, srcs, tuples, positions, usePositions, w, workers, base, project, gs.child())
-		}(w)
+			shards[w] = run.run(w, stride)
+			run.release()
+		}()
 	}
 	wg.Wait()
-	var rows [][]string
+	var rows []storage.Tuple
 	seen := make(map[string]bool)
 	for _, shard := range shards {
 		for _, row := range shard {
-			k := storage.Tuple(row).Key()
+			k := row.Key()
 			if !seen[k] {
 				seen[k] = true
 				rows = append(rows, row)
@@ -744,47 +739,190 @@ func (p *CompiledPlan) enumerateComponent(c *compiledComponent, srcs []stepSrc, 
 	return rows
 }
 
-// runShard enumerates root candidates offset, offset+stride, ... through
-// the shared stepLoop and returns the distinct projections found below
-// them.
-func (p *CompiledPlan) runShard(c *compiledComponent, srcs []stepSrc, tuples []storage.Tuple, positions []int, usePositions bool, offset, stride int, base []string, project func([]string) []string, g *evalGuard) [][]string {
-	frame := make([]string, p.numSlots)
-	copy(frame, base)
-	var rows [][]string
-	seen := make(map[string]bool)
-	var keyBuf []byte
-	emit := func(frame []string) bool {
-		// Head tuples are injective in the head-slot values, so the frame
-		// key decides newness before the projection is materialised. The
-		// key is assembled in a reused buffer: the map lookup on
-		// string(keyBuf) does not allocate, only inserting a new key does.
-		keyBuf = keyBuf[:0]
-		for _, s := range c.headSlots {
-			keyBuf = append(keyBuf, frame[s]...)
-			keyBuf = append(keyBuf, 0x1f)
+// linearDedupRows is the result size up to which a run finds duplicate rows
+// by comparing against the rows emitted so far; past it the rows are
+// indexed in a set. Most served lookups return a handful of rows, and a
+// handful of string compares is cheaper than hashing a key per row.
+const linearDedupRows = 8
+
+// maxPooledSeen is the dedup-set size above which a scratch drops its set
+// instead of keeping the buckets alive in the pool.
+const maxPooledSeen = 1 << 10
+
+// runScratch is the state of one sequential run over a component's root
+// candidates (all of them, or one worker's stride): register frame,
+// resolved step sources, root candidate set, dedup key buffer and set, and
+// the emit closure bound to it once. Between runs it lives in scratchPool,
+// zeroed: it holds no reference into any database or plan. The result rows
+// are never pooled.
+type runScratch struct {
+	p         *CompiledPlan
+	c         *compiledComponent
+	head      bool // rows are the plan's head tuples, not projections onto c.headSlots
+	width     int  // columns per row
+	guard     evalGuard
+	g         *evalGuard // &guard, or nil when the run is unguarded
+	frame     []string
+	srcs      []stepSrc
+	positions []int // root candidates as positions into srcs[0].tuples, when probed
+	probed    bool
+	keyBuf    []byte
+	seen      map[string]struct{}
+	rows      []storage.Tuple
+	emit      func([]string) bool
+}
+
+// scratchPool is shared by all plans — a scratch is resized to the plan it
+// serves — so the memory it holds follows the number of concurrent runs,
+// not the number of cached plans.
+var scratchPool = sync.Pool{New: func() any {
+	sc := &runScratch{seen: make(map[string]struct{})}
+	sc.emit = sc.emitRow
+	return sc
+}}
+
+// newRun takes a scratch for one execution of component c: parameter slots
+// bound to args, steps resolved against db, and the root candidate set
+// resolved once. At depth 0 the only bound slots are parameters, so a root
+// probe is fed by a constant or a parameter.
+func (p *CompiledPlan) newRun(db *storage.Database, c *compiledComponent, args []string, head bool, gs *guardState) *runScratch {
+	p.checkArgs(args)
+	sc := scratchPool.Get().(*runScratch)
+	sc.bind(p, c, head, gs)
+	sc.frame = slices.Grow(sc.frame, p.numSlots)[:p.numSlots]
+	for i, s := range p.paramSlots {
+		sc.frame[s] = args[i]
+	}
+	sc.srcs = slices.Grow(sc.srcs, len(c.steps))[:len(c.steps)]
+	resolveInto(db, c, sc.srcs)
+	if root, src := &c.steps[0], &sc.srcs[0]; src.idx != nil {
+		val := root.probeConst
+		if root.probeSlot >= 0 {
+			val = sc.frame[root.probeSlot]
 		}
-		if !seen[string(keyBuf)] {
-			seen[string(keyBuf)] = true
-			rows = append(rows, project(frame))
-			if g.emitRow() {
-				return false
+		sc.positions, sc.probed = src.idx[val], true
+	}
+	return sc
+}
+
+// fork takes a second scratch on the same execution, for another worker.
+// It must not run concurrently with sc: it copies sc's frame.
+func (sc *runScratch) fork(gs *guardState) *runScratch {
+	f := scratchPool.Get().(*runScratch)
+	f.bind(sc.p, sc.c, sc.head, gs)
+	f.frame = append(f.frame, sc.frame...)
+	f.srcs = append(f.srcs, sc.srcs...)
+	f.positions, f.probed = sc.positions, sc.probed
+	return f
+}
+
+func (sc *runScratch) bind(p *CompiledPlan, c *compiledComponent, head bool, gs *guardState) {
+	sc.p, sc.c, sc.head, sc.width = p, c, head, len(c.headSlots)
+	if head {
+		sc.width = len(p.head)
+	}
+	if gs != nil {
+		sc.guard = gs.guard()
+		sc.g = &sc.guard
+	}
+}
+
+// release zeroes the scratch and returns it to the pool.
+func (sc *runScratch) release() {
+	clear(sc.frame)
+	clear(sc.srcs)
+	if len(sc.seen) > maxPooledSeen {
+		sc.seen = make(map[string]struct{})
+	} else {
+		clear(sc.seen)
+	}
+	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], keyBuf: sc.keyBuf[:0], seen: sc.seen, emit: sc.emit}
+	scratchPool.Put(sc)
+}
+
+// candidates is the size of the root candidate set.
+func (sc *runScratch) candidates() int {
+	if sc.probed {
+		return len(sc.positions)
+	}
+	return len(sc.srcs[0].tuples)
+}
+
+// run enumerates root candidates offset, offset+stride, ... through the
+// shared stepLoop and returns the distinct rows found below them.
+func (sc *runScratch) run(offset, stride int) []storage.Tuple {
+	if len(sc.c.steps) == 1 {
+		// One step: the root candidates bound the result.
+		sc.rows = make([]storage.Tuple, 0, min((sc.candidates()+stride-1)/stride, linearDedupRows))
+	}
+	stepLoop(sc.c, sc.srcs, 0, sc.frame, sc.g, sc.emit, sc.srcs[0].tuples, sc.positions, sc.probed, offset, stride)
+	return sc.rows
+}
+
+// column is column i of the row a complete frame yields.
+func (sc *runScratch) column(frame []string, i int) string {
+	if sc.head {
+		return sc.p.head[i].value(frame)
+	}
+	return frame[sc.c.headSlots[i]]
+}
+
+// emitRow appends the row of a complete frame unless it was emitted before.
+// Head tuples are injective in the head-slot values, so either row shape
+// decides newness. It reports false when the row budget says to stop.
+func (sc *runScratch) emitRow(frame []string) bool {
+	if len(sc.rows) < linearDedupRows {
+	rows:
+		for _, row := range sc.rows {
+			for i, v := range row {
+				if sc.column(frame, i) != v {
+					continue rows
+				}
+			}
+			return true
+		}
+	} else {
+		if len(sc.seen) == 0 { // first row past the linear range: index the others
+			for _, row := range sc.rows {
+				sc.keyBuf = sc.keyBuf[:0]
+				for _, v := range row {
+					sc.keyBuf = append(append(sc.keyBuf, v...), 0x1f)
+				}
+				sc.seen[string(sc.keyBuf)] = struct{}{}
 			}
 		}
-		return true
+		// The lookup on string(keyBuf) does not allocate; only inserting a
+		// new key does.
+		sc.keyBuf = sc.keyBuf[:0]
+		for i := 0; i < sc.width; i++ {
+			sc.keyBuf = append(append(sc.keyBuf, sc.column(frame, i)...), 0x1f)
+		}
+		if _, dup := sc.seen[string(sc.keyBuf)]; dup {
+			return true
+		}
+		sc.seen[string(sc.keyBuf)] = struct{}{}
 	}
-	stepLoop(c, srcs, 0, frame, g, emit, tuples, positions, usePositions, offset, stride)
-	return rows
+	row := make(storage.Tuple, sc.width)
+	for i := range row {
+		row[i] = sc.column(frame, i)
+	}
+	sc.rows = append(sc.rows, row)
+	return !sc.g.emitRow()
+}
+
+// value is the head column's value under a frame.
+func (h headOp) value(frame []string) string {
+	if h.slot >= 0 {
+		return frame[h.slot]
+	}
+	return h.constVal
 }
 
 // headTuple builds the answer tuple for a complete frame.
 func (p *CompiledPlan) headTuple(frame []string) storage.Tuple {
 	t := make(storage.Tuple, len(p.head))
 	for i, h := range p.head {
-		if h.slot >= 0 {
-			t[i] = frame[h.slot]
-		} else {
-			t[i] = h.constVal
-		}
+		t[i] = h.value(frame)
 	}
 	return t
 }

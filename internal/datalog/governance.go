@@ -124,7 +124,13 @@ func (gs *guardState) child() *evalGuard {
 	if gs == nil {
 		return nil
 	}
-	return &evalGuard{s: gs, n: guardInterval, maxRows: gs.maxRows}
+	g := gs.guard()
+	return &g
+}
+
+// guard is child by value, for callers that own the storage (gs != nil).
+func (gs *guardState) guard() evalGuard {
+	return evalGuard{s: gs, n: guardInterval, maxRows: gs.maxRows}
 }
 
 // evalGuard is one worker's amortized cancellation checker.

@@ -656,18 +656,19 @@ func (e *Engine) Database() *storage.Database {
 }
 
 // snapshot returns the database an evaluation should read, its partitioned
-// twin (nil unless Options.Shards > 1), and a release function, nil when no
-// release is needed. Live engines pin the active side under its read lock:
-// the update path only mutates a side — flat and partitioned twin alike —
-// under the corresponding write lock, so the pinned pair is torn-free and
-// mutually consistent for the whole evaluation.
-func (e *Engine) snapshot() (*storage.Database, *storage.PartitionedDatabase, func()) {
+// twin (nil unless Options.Shards > 1), and the read lock the caller must
+// RUnlock when done, nil when none is held. Live engines pin the active side
+// under its read lock: the update path only mutates a side — flat and
+// partitioned twin alike — under the corresponding write lock, so the pinned
+// pair is torn-free and mutually consistent for the whole evaluation.
+func (e *Engine) snapshot() (*storage.Database, *storage.PartitionedDatabase, *sync.RWMutex) {
 	if e.live == nil {
 		return e.db, e.pdb, nil
 	}
 	i := e.live.active.Load()
-	e.live.locks[i].RLock()
-	return e.live.sides[i], e.live.psides[i], e.live.locks[i].RUnlock
+	lock := &e.live.locks[i]
+	lock.RLock()
+	return e.live.sides[i], e.live.psides[i], lock
 }
 
 // Partitioned returns the hash-partitioned twin of the serving database, or

@@ -489,9 +489,9 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, b Budge
 		defer cancel()
 	}
 	start := time.Now()
-	db, pdb, release := e.snapshot()
-	if release != nil {
-		defer release()
+	db, pdb, pinned := e.snapshot()
+	if pinned != nil {
+		defer pinned.RUnlock()
 	}
 	answers, err = e.evalPlanCtx(ctx, db, pdb, p, args, b.limits())
 	if err != nil {

@@ -20,7 +20,7 @@ package server
 //	invalid_query     400
 //	unknown_namespace 404
 //	unknown_handle    404
-//	bad_request       400
+//	bad_request       400  (413 when the body exceeds maxBodyBytes)
 //	shutting_down     503
 
 import (
@@ -45,7 +45,8 @@ const (
 	// CodeUnknownHandle: the prepared-query handle is not (or no longer) in
 	// the namespace's session table; the client should re-prepare.
 	CodeUnknownHandle = "unknown_handle"
-	// CodeBadRequest: malformed JSON or a missing required field.
+	// CodeBadRequest: malformed JSON, a member of the wrong type, a missing
+	// required field, or a body over the size limit.
 	CodeBadRequest = "bad_request"
 	// CodeShuttingDown: the server is draining and refuses new requests.
 	CodeShuttingDown = "shutting_down"

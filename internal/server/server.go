@@ -29,10 +29,8 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -41,8 +39,9 @@ import (
 	"repro/internal/storage"
 )
 
-// maxBodyBytes bounds request bodies (batches included).
-const maxBodyBytes = 64 << 20
+// maxBodyBytes bounds request bodies (batches included); a longer body is
+// refused with 413. It is a variable only so that tests can lower it.
+var maxBodyBytes int64 = 64 << 20
 
 // Server routes requests to namespaces. Build with New, serve the value
 // returned by Handler, and call Drain before shutting the listener down.
@@ -124,28 +123,6 @@ func (b *budgetSpec) merge(def engine.Budget) engine.Budget {
 	return out
 }
 
-// decode reads a JSON request body. Unknown fields are rejected rather
-// than silently dropped: a client sending a field this server does not
-// understand — "deletes" to a build that predates mixed batches, say —
-// must get an error, not a quietly wrong answer. Those requests are
-// well-formed JSON expressing an operation this server cannot honor, so
-// they map to the invalid_query envelope; syntactically broken bodies stay
-// bad_request.
-func decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		if strings.Contains(err.Error(), "unknown field") {
-			writeErrorCode(w, http.StatusBadRequest, CodeInvalidQuery, fmt.Sprintf("unsupported request field: %v", err))
-			return false
-		}
-		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
 // resolve picks the request's namespace: the {ns} path segment when the
 // route has one, else the body field, else the default.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request, bodyNS string) (*Namespace, bool) {
@@ -201,8 +178,11 @@ type prepareResponse struct {
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
+	st := acquireWire()
+	defer st.release()
 	var req prepareRequest
-	if !decode(w, r, &req) {
+	if err := st.decode(r, members{namespace: &req.Namespace, query: &req.Query}); err != nil {
+		writeRequestError(w, err)
 		return
 	}
 	ns, ok := s.resolve(w, r, req.Namespace)
@@ -235,40 +215,38 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 
 // ---- /v1/exec ----
 
-type execRequest struct {
-	Namespace string      `json:"namespace,omitempty"`
-	Handle    string      `json:"handle"`
-	Args      Row         `json:"args"`
-	Budget    *budgetSpec `json:"budget,omitempty"`
-}
-
-// answersResponse is the result of exec and query.
-type answersResponse struct {
-	Answers Rows `json:"answers"`
-	Count   int  `json:"count"`
-}
-
+// handleExec takes {"namespace", "handle", "args", "budget"}. The body is
+// decoded into locals, not a struct: handle and args alias the pooled
+// wireState, so the session lookup costs no string.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	var req execRequest
-	if !decode(w, r, &req) {
+	st := acquireWire()
+	defer st.release()
+	var (
+		namespace string
+		handle    []byte
+		args      Row
+		budget    *budgetSpec
+	)
+	if err := st.decode(r, members{namespace: &namespace, handle: &handle, args: &args, budget: &budget}); err != nil {
+		writeRequestError(w, err)
 		return
 	}
-	ns, ok := s.resolve(w, r, req.Namespace)
+	ns, ok := s.resolve(w, r, namespace)
 	if !ok {
 		return
 	}
-	pq, ok := ns.sessions.get(req.Handle)
+	pq, ok := ns.sessions.get(handle)
 	if !ok {
 		writeErrorCode(w, http.StatusNotFound, CodeUnknownHandle,
-			fmt.Sprintf("unknown or expired handle %q; re-prepare", req.Handle))
+			fmt.Sprintf("unknown or expired handle %q; re-prepare", handle))
 		return
 	}
-	answers, err := pq.ExecBudget(r.Context(), req.Budget.merge(ns.Budget), req.Args...)
+	answers, err := pq.ExecBudget(r.Context(), budget.merge(ns.Budget), args...)
 	if err != nil {
 		writeEngineError(w, err, http.StatusInternalServerError, engine.CodeInternal)
 		return
 	}
-	writeJSON(w, http.StatusOK, answersResponse{Answers: answers, Count: len(answers)})
+	st.writeAnswers(w, answers)
 }
 
 // ---- /v1/query ----
@@ -280,8 +258,11 @@ type queryRequest struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	st := acquireWire()
+	defer st.release()
 	var req queryRequest
-	if !decode(w, r, &req) {
+	if err := st.decode(r, members{namespace: &req.Namespace, query: &req.Query, budget: &req.Budget}); err != nil {
+		writeRequestError(w, err)
 		return
 	}
 	ns, ok := s.resolve(w, r, req.Namespace)
@@ -298,7 +279,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err, http.StatusBadRequest, CodeInvalidQuery)
 		return
 	}
-	writeJSON(w, http.StatusOK, answersResponse{Answers: answers, Count: len(answers)})
+	st.writeAnswers(w, answers)
 }
 
 // ---- /v1/batch ----
@@ -324,8 +305,11 @@ type batchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	st := acquireWire()
+	defer st.release()
 	var req batchRequest
-	if !decode(w, r, &req) {
+	if err := st.decode(r, members{namespace: &req.Namespace, updates: &req.Updates, deletes: &req.Deletes, budget: &req.Budget}); err != nil {
+		writeRequestError(w, err)
 		return
 	}
 	ns, ok := s.resolve(w, r, req.Namespace)
@@ -355,7 +339,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err, http.StatusBadRequest, CodeBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Applied: true, Predicates: len(preds), Tuples: tuples, Deleted: deleted})
+	st.writeBatchAck(w, batchResponse{Applied: true, Predicates: len(preds), Tuples: tuples, Deleted: deleted})
 }
 
 // ---- /v1/stats ----

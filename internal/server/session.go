@@ -100,12 +100,14 @@ func (t *sessionTable) put(handle string, pq *engine.PreparedQuery) bool {
 }
 
 // get returns the prepared query for a handle, refreshing its recency; ok
-// is false when the handle is unknown or its entry expired.
-func (t *sessionTable) get(handle string) (*engine.PreparedQuery, bool) {
+// is false when the handle is unknown or its entry expired. The handle comes
+// as the bytes the request decoder found it in: indexing the map with
+// string(handle) does not allocate.
+func (t *sessionTable) get(handle []byte) (*engine.PreparedQuery, bool) {
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s, ok := t.m[handle]
+	s, ok := t.m[string(handle)]
 	if ok && now.Sub(s.lastUsed) > t.ttl {
 		t.dropLocked(s)
 		t.stats.EvictedTTL++

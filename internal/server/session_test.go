@@ -23,16 +23,16 @@ func TestSessionTableLRUEviction(t *testing.T) {
 	if !tbl.put("a", nil) || !tbl.put("b", nil) {
 		t.Fatal("fresh puts should be new")
 	}
-	if _, ok := tbl.get("a"); !ok { // refresh a; b is now the LRU victim
+	if _, ok := tbl.get([]byte("a")); !ok { // refresh a; b is now the LRU victim
 		t.Fatal("a missing")
 	}
 	if !tbl.put("c", nil) {
 		t.Fatal("c should be new")
 	}
-	if _, ok := tbl.get("b"); ok {
+	if _, ok := tbl.get([]byte("b")); ok {
 		t.Fatal("b should have been LRU-evicted")
 	}
-	if _, ok := tbl.get("a"); !ok {
+	if _, ok := tbl.get([]byte("a")); !ok {
 		t.Fatal("a should have survived")
 	}
 	st := tbl.snapshot()
@@ -45,12 +45,12 @@ func TestSessionTableTTLExpiry(t *testing.T) {
 	tbl, clk := newClockedTable(8, time.Minute)
 	tbl.put("a", nil)
 	clk.advance(30 * time.Second)
-	if _, ok := tbl.get("a"); !ok {
+	if _, ok := tbl.get([]byte("a")); !ok {
 		t.Fatal("a expired early")
 	}
 	// The get refreshed the entry; another 61s pushes it past the TTL.
 	clk.advance(61 * time.Second)
-	if _, ok := tbl.get("a"); ok {
+	if _, ok := tbl.get([]byte("a")); ok {
 		t.Fatal("a should have TTL-expired")
 	}
 	st := tbl.snapshot()
