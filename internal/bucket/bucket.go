@@ -13,6 +13,7 @@ package bucket
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/containment"
 	"repro/internal/core"
@@ -71,6 +72,11 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 		}
 	}
 
+	// One search serves every containment test of the run; q is the
+	// containing query of all of them.
+	var search containment.Search
+	pq := containment.Prepare(q)
+
 	result := &cq.Union{}
 	tried := make(map[string]bool) // raw candidates already processed
 	seen := make(map[string]bool)  // members already in the result
@@ -85,7 +91,7 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 			key := cand.CanonicalString()
 			if !tried[key] {
 				tried[key] = true
-				for _, kept := range tightenAndCheck(q, cand, vs, &st) {
+				for _, kept := range tightenAndCheck(pq, cand, vs, &search, &st) {
 					kkey := kept.CanonicalString()
 					if !seen[kkey] {
 						seen[kkey] = true
@@ -109,7 +115,7 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 		}
 	}
 	if !opt.SkipMinimizeUnion {
-		result = containment.MinimizeUnion(result)
+		result = search.MinimizeUnion(result)
 	}
 	return result, st, nil
 }
@@ -125,14 +131,15 @@ const tightenMappingCap = 4
 // candidate "can be made contained by equating variables": homomorphisms
 // from the candidate's unfolding onto the query (head fixed) propose the
 // equations; each tightened candidate is verified exactly.
-func tightenAndCheck(q, cand *cq.Query, vs *core.ViewSet, st *Stats) []*cq.Query {
+func tightenAndCheck(pq *containment.Prepared, cand *cq.Query, vs *core.ViewSet, search *containment.Search, st *Stats) []*cq.Query {
+	q := pq.Query()
 	exp, err := core.Expand(cand, vs)
 	if err != nil {
 		return nil
 	}
 	// Fast path: the raw candidate is already contained.
 	st.ContainmentTests++
-	if containment.Contained(exp, q) {
+	if search.Contained(containment.Prepare(exp), pq) {
 		return []*cq.Query{cand}
 	}
 	candVars := make(map[string]bool)
@@ -141,6 +148,8 @@ func tightenAndCheck(q, cand *cq.Query, vs *core.ViewSet, st *Stats) []*cq.Query
 	}
 	var kept []*cq.Query
 	tried := 0
+	// The enumeration runs on a search of its own: the callback tests
+	// containment, and a Search must not be re-entered from its yield.
 	containment.FindAllMappings(exp, q, func(h containment.Mapping) bool {
 		tried++
 		sigma := cq.NewSubst()
@@ -150,11 +159,11 @@ func tightenAndCheck(q, cand *cq.Query, vs *core.ViewSet, st *Stats) []*cq.Query
 			}
 		}
 		tight := sigma.ApplyQuery(cand)
-		if tight.Validate() == nil {
+		if tight.Valid() {
 			texp, err := core.Expand(tight, vs)
 			if err == nil {
 				st.ContainmentTests++
-				if containment.Contained(texp, q) {
+				if search.Contained(containment.Prepare(texp), pq) {
 					kept = append(kept, tight)
 				}
 			}
@@ -177,19 +186,18 @@ func Buckets(q *cq.Query, vs *core.ViewSet) [][]Entry {
 	for gi, g := range q.Body {
 		var bucket []Entry
 		dedup := make(map[string]bool)
-		for _, v := range vs.Views() {
-			for ai := range v.Body {
-				atom, ok := tryCover(q, g, v, ai, headVars, gi)
-				if !ok {
-					continue
-				}
-				key := atom.String()
-				if dedup[key] {
-					continue
-				}
-				dedup[key] = true
-				bucket = append(bucket, Entry{View: v, Atom: atom, ViewAtomIndex: ai})
+		for _, occ := range vs.Occurrences(g.Pred, len(g.Args)) {
+			v := vs.View(occ.View)
+			atom, ok := tryCover(q, g, v, occ.Atom, headVars, gi)
+			if !ok {
+				continue
 			}
+			key := atom.String()
+			if dedup[key] {
+				continue
+			}
+			dedup[key] = true
+			bucket = append(bucket, Entry{View: v.Query, Atom: atom, ViewAtomIndex: occ.Atom})
 		}
 		buckets[gi] = bucket
 	}
@@ -197,30 +205,30 @@ func Buckets(q *cq.Query, vs *core.ViewSet) [][]Entry {
 }
 
 // tryCover attempts to unify query subgoal g with the ai-th body atom of
-// view v and, if the bucket conditions hold, returns the rewriting subgoal.
+// view v, which has g's predicate and arity, and, if the bucket conditions
+// hold, returns the rewriting subgoal.
 //
 // Bucket conditions: a query head variable in g must land on a distinguished
 // variable of the view (otherwise the rewriting could not output it), and a
 // constant in g must land on a distinguished variable or the same constant
 // (an existential would lose the filter).
-func tryCover(q *cq.Query, g cq.Atom, v *cq.Query, ai int, headVars map[string]bool, gi int) (cq.Atom, bool) {
+func tryCover(q *cq.Query, g cq.Atom, v *core.View, ai int, headVars map[string]bool, gi int) (cq.Atom, bool) {
+	// The view's variables take the names renaming it apart from q would
+	// give them, by id; a distinguished variable the unifier leaves free
+	// shows up in the candidate under that name.
 	fresh := cq.NewFreshener(fmt.Sprintf("B%d_", gi))
 	fresh.Reserve(q)
-	rv, _ := fresh.RenameApart(v)
-	a := rv.Body[ai]
-	if a.Pred != g.Pred || len(a.Args) != len(g.Args) {
-		return cq.Atom{}, false
+	names := make([]cq.Term, v.NumVars())
+	for id := range names {
+		names[id] = fresh.Fresh()
 	}
-	distinguished := make(map[string]bool)
-	for _, t := range rv.Head.Args {
-		if t.IsVar() {
-			distinguished[t.Lex] = true
+	renamed := func(id int32, t cq.Term) cq.Term {
+		if id == cq.ConstArg {
+			return t
 		}
+		return names[id]
 	}
-	isViewVar := make(map[string]bool)
-	for _, t := range rv.Vars() {
-		isViewVar[t.Lex] = true
-	}
+	a, ids := v.Query.Body[ai], v.Atom(ai)
 
 	// Unification binds the most replaceable variable: view variables
 	// first (the subgoal is rendered over query terms), then query
@@ -231,7 +239,7 @@ func tryCover(q *cq.Query, g cq.Atom, v *cq.Query, ai int, headVars map[string]b
 		switch {
 		case t.IsConst():
 			return 3
-		case isViewVar[t.Lex]:
+		case slices.Contains(names, t):
 			return 0
 		case headVars[t.Lex]:
 			return 2
@@ -254,7 +262,7 @@ func tryCover(q *cq.Query, g cq.Atom, v *cq.Query, ai int, headVars map[string]b
 		return true
 	}
 	for i := range g.Args {
-		if !unify(a.Args[i], g.Args[i]) {
+		if !unify(renamed(ids[i], a.Args[i]), g.Args[i]) {
 			return cq.Atom{}, false
 		}
 	}
@@ -264,13 +272,13 @@ func tryCover(q *cq.Query, g cq.Atom, v *cq.Query, ai int, headVars map[string]b
 	// original terms: an existential view variable enforces nothing in the
 	// rewriting, so it may cover neither a query constant nor a query head
 	// variable; a view constant cannot produce a query head variable.
-	for i := range g.Args {
-		qt, vt := g.Args[i], a.Args[i]
-		vtExistential := vt.IsVar() && !distinguished[vt.Lex]
+	for i, qt := range g.Args {
+		vtConst := ids[i] == cq.ConstArg
+		vtExistential := !vtConst && v.Existential(ids[i])
 		switch {
 		case qt.IsConst() && vtExistential:
 			return cq.Atom{}, false
-		case qt.IsVar() && headVars[qt.Lex] && (vt.IsConst() || vtExistential):
+		case qt.IsVar() && headVars[qt.Lex] && (vtConst || vtExistential):
 			return cq.Atom{}, false
 		}
 	}
@@ -278,7 +286,11 @@ func tryCover(q *cq.Query, g cq.Atom, v *cq.Query, ai int, headVars map[string]b
 	// Build the rewriting subgoal: the view head under the unifier. View
 	// variables that stayed unbound keep their fresh names (they act as
 	// fresh variables of the candidate).
-	atom := resolved.ApplyAtom(cq.Atom{Pred: rv.Name(), Args: rv.Head.Args})
+	head := v.Query.Head
+	atom := cq.Atom{Pred: head.Pred, Args: make([]cq.Term, len(head.Args))}
+	for pos, id := range v.Head() {
+		atom.Args[pos] = resolved.ApplyTerm(renamed(id, head.Args[pos]))
+	}
 	return atom, true
 }
 
@@ -295,19 +307,14 @@ func buildCandidate(q *cq.Query, buckets [][]Entry, choice []int, opt Options) *
 	}
 	cand := &cq.Query{Head: q.Head, Body: body}
 	if opt.KeepComparisons {
-		exposed := make(map[cq.Term]bool)
-		for _, a := range body {
-			for _, t := range a.Args {
-				exposed[t] = true
-			}
-		}
+		exposed := func(t cq.Term) bool { return t.IsConst() || cand.InBody(t) }
 		for _, c := range q.Comparisons {
-			if (c.Left.IsConst() || exposed[c.Left]) && (c.Right.IsConst() || exposed[c.Right]) {
+			if exposed(c.Left) && exposed(c.Right) {
 				cand.Comparisons = append(cand.Comparisons, c)
 			}
 		}
 	}
-	if cand.Validate() != nil {
+	if !cand.Valid() {
 		return nil
 	}
 	return cand

@@ -12,10 +12,38 @@ import (
 // terms, per the paper's lower bound — see ContainedSound for the fast
 // incomplete variant).
 func Contained(q2, q1 *cq.Query) bool {
+	var s Search
+	return s.contained(q2, Prepare(q1))
+}
+
+// Contained reports q2 ⊑ q1 like the package-level Contained, consulting and
+// populating s.Memo when there is one.
+func (s *Search) Contained(q2, q1 *Prepared) bool {
+	m := s.Memo
+	if m == nil {
+		return s.contained(q2.q, q1)
+	}
+	key := memoKey{sub: q2.fingerprint(), sup: q1.fingerprint()}
+	if v, ok := m.lookup(key); ok {
+		return v
+	}
+	v := s.contained(q2.q, q1)
+	m.store(key, v)
+	return v
+}
+
+// Equivalent reports q1 ≡ q2 by two Contained tests.
+func (s *Search) Equivalent(q1, q2 *Prepared) bool {
+	return s.Contained(q1, q2) && s.Contained(q2, q1)
+}
+
+// contained is the unmemoised test for q2 ⊑ p1. Only the containing query is
+// a mapping source, so only it is ever numbered.
+func (s *Search) contained(q2 *cq.Query, p1 *Prepared) bool {
+	q1 := p1.q
 	if len(q1.Comparisons) == 0 {
 		if len(q2.Comparisons) == 0 {
-			_, ok := FindMapping(q1, q2)
-			return ok
+			return s.exists(p1, q2)
 		}
 		// q1 is comparison-free, so q2's comparisons matter only through
 		// the equalities they force and their satisfiability: merge
@@ -25,17 +53,16 @@ func Contained(q2, q1 *cq.Query) bool {
 		if !sat {
 			return true
 		}
-		_, ok := FindMapping(q1, norm)
-		return ok
+		return s.exists(p1, norm)
 	}
 	if SemiInterval(q1) {
 		// Klug's tractable case: when the containing query's comparisons
 		// are all variable-vs-constant (semi-interval), the single-mapping
 		// test is complete — the incompleteness witnesses all need
 		// variable-to-variable comparisons in the container.
-		return ContainedSound(q2, q1)
+		return s.containedSound(q2, p1)
 	}
-	return ContainedComplete(q2, q1)
+	return s.containedComplete(q2, p1)
 }
 
 // SemiInterval reports whether every comparison of q compares a variable
@@ -91,12 +118,18 @@ func mergeForcedEqualities(q *cq.Query) (*cq.Query, bool) {
 // correct; false may be a false negative (the complete test may still
 // succeed by combining different mappings on different linearisations).
 func ContainedSound(q2, q1 *cq.Query) bool {
+	var s Search
+	return s.containedSound(q2, Prepare(q1))
+}
+
+func (s *Search) containedSound(q2 *cq.Query, p1 *Prepared) bool {
+	q1 := p1.q
 	c2 := constraints.NewSet(q2.Comparisons)
 	if !c2.Satisfiable() {
 		return true // q2 is empty on every database
 	}
 	found := false
-	FindAllMappings(q1, q2, func(m Mapping) bool {
+	s.mappings(p1, q2, func(m Mapping) bool {
 		ext := c2.Clone()
 		ok := true
 		for _, c := range q1.Comparisons {
@@ -122,13 +155,18 @@ func ContainedSound(q2, q1 *cq.Query) bool {
 // linearisations is exponential in the number of terms; the paper shows
 // this is unavoidable in general (Π₂ᵖ-hardness of containment).
 func ContainedComplete(q2, q1 *cq.Query) bool {
+	var s Search
+	return s.containedComplete(q2, Prepare(q1))
+}
+
+func (s *Search) containedComplete(q2 *cq.Query, p1 *Prepared) bool {
+	q1 := p1.q
 	base := constraints.NewSet(q2.Comparisons)
 	if !base.Satisfiable() {
 		return true
 	}
 	if len(q1.Comparisons) == 0 && len(q2.Comparisons) == 0 {
-		_, ok := FindMapping(q1, q2)
-		return ok
+		return s.exists(p1, q2)
 	}
 	// The linearisation domain: q2's variables and constants plus the
 	// constants of q1 (mappings send q1's comparison terms into this set).
@@ -145,7 +183,7 @@ func ContainedComplete(q2, q1 *cq.Query) bool {
 		// mapping search must target the merged query.
 		merged := l.MergeSubst().ApplyQuery(q2)
 		okForThis := false
-		FindAllMappings(q1, merged, func(m Mapping) bool {
+		s.mappings(p1, merged, func(m Mapping) bool {
 			for _, c := range q1.Comparisons {
 				if !lam.Implies(m.ApplyComparison(c)) {
 					return true // try next mapping
@@ -165,13 +203,15 @@ func ContainedComplete(q2, q1 *cq.Query) bool {
 
 // Equivalent reports whether q1 ≡ q2 (mutual containment, exact test).
 func Equivalent(q1, q2 *cq.Query) bool {
-	return Contained(q1, q2) && Contained(q2, q1)
+	var s Search
+	return s.Equivalent(Prepare(q1), Prepare(q2))
 }
 
 // EquivalentSound is the fast, sound-but-incomplete equivalence test for
 // queries with comparisons.
 func EquivalentSound(q1, q2 *cq.Query) bool {
-	return ContainedSound(q1, q2) && ContainedSound(q2, q1)
+	var s Search
+	return s.containedSound(q1, Prepare(q2)) && s.containedSound(q2, Prepare(q1))
 }
 
 // Minimize returns an equivalent query with a minimal body (the core): no
@@ -180,23 +220,32 @@ func EquivalentSound(q1, q2 *cq.Query) bool {
 // By Chandra–Merlin the result is unique up to variable renaming for pure
 // conjunctive queries.
 func Minimize(q *cq.Query) *cq.Query {
+	var s Search
+	return s.Minimize(q)
+}
+
+// Minimize is the package-level Minimize on s's scratch. It never consults
+// the memo.
+func (s *Search) Minimize(q *cq.Query) *cq.Query {
 	cur := q.Clone()
 	// Drop redundant body atoms one at a time. Removing an atom weakens
 	// the query (cur ⊑ candidate always holds), so the atom is redundant
-	// iff candidate ⊑ cur.
+	// iff candidate ⊑ cur. The candidate is assembled in s.cut, so an atom
+	// that has to stay costs no allocation.
 	for changed := true; changed; {
 		changed = false
+		p := Prepared{q: cur}
 		for i := range cur.Body {
 			if len(cur.Body) == 1 {
 				break // keep safety: at least one subgoal
 			}
-			cand := cur.Clone()
-			cand.Body = append(cand.Body[:i], cand.Body[i+1:]...)
-			if cand.Validate() != nil {
+			s.cut.Head, s.cut.Comparisons = cur.Head, cur.Comparisons
+			s.cut.Body = append(append(s.cut.Body[:0], cur.Body[:i]...), cur.Body[i+1:]...)
+			if !s.cut.Valid() {
 				continue // removal would make the query unsafe
 			}
-			if Contained(cand, cur) {
-				cur = cand
+			if s.contained(&s.cut, &p) {
+				cur.Body = append(cur.Body[:i], cur.Body[i+1:]...)
 				changed = true
 				break
 			}

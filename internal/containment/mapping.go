@@ -10,6 +10,8 @@
 package containment
 
 import (
+	"maps"
+
 	"repro/internal/cq"
 )
 
@@ -17,6 +19,289 @@ import (
 // variables. It maps the source head to the target head positionally and
 // every source body atom to some target body atom.
 type Mapping = cq.Subst
+
+// Search is the one mapping search every test of this package runs on. A
+// rewriting call owns one and reuses it for all its containment tests, so
+// the substitution, the trail and the candidate lists are allocated once per
+// call and not once per test. The substitution is a slice indexed by the
+// source query's variable ids (cq.Numbered); a cq.Subst is built only for a
+// mapping handed to a caller.
+//
+// The zero value is ready to use. A Search is not safe for concurrent use,
+// and a yield callback must not start another enumeration on the Search that
+// is calling it.
+type Search struct {
+	// Memo, when non-nil, memoises Contained and Equivalent by canonical
+	// fingerprint. Minimize and MinimizeUnion never consult it.
+	Memo *Memo
+
+	src *cq.Numbered
+	dst *cq.Query
+	// order lists the source body atoms in search order; the targets with
+	// the predicate of source atom i are cand[candOff[i]:candOff[i+1]].
+	order   []int32
+	cand    []int32
+	candOff []int32
+	// sub[v] is the image of source variable v where set[v]; trail lists the
+	// variables bound so far, in binding order.
+	sub   []cq.Term
+	set   []bool
+	trail []int32
+	// yield is called for each mapping found; nil stops at the first one,
+	// which found records.
+	yield func() bool
+	found bool
+
+	used, bound []bool   // scratch of arrange
+	cut         cq.Query // scratch of Minimize: the query less one body atom
+}
+
+// Prepared is a query readied for repeated tests by one Search: its
+// numbering and its memo fingerprint are computed at most once, on first
+// need. It belongs to the goroutine that made it.
+type Prepared struct {
+	q  *cq.Query
+	n  cq.Numbered // set once n.Query is
+	fp string
+}
+
+// Prepare wraps q for use with a Search. The query must not change while the
+// result is in use.
+func Prepare(q *cq.Query) *Prepared { return &Prepared{q: q} }
+
+// Query returns the query p was made from.
+func (p *Prepared) Query() *cq.Query { return p.q }
+
+func (p *Prepared) num() *cq.Numbered {
+	if p.n.Query == nil {
+		p.n = cq.Number(p.q)
+	}
+	return &p.n
+}
+
+func (p *Prepared) fingerprint() string {
+	if p.fp == "" {
+		p.fp = cq.Fingerprint(p.q)
+	}
+	return p.fp
+}
+
+// resize returns s with length n and every element zero, reusing its array
+// when that is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// candidates lists, for every body atom of from, the body atoms of to with
+// the same predicate. It reports false when some atom has none: then no
+// mapping exists, and nothing else has been set up.
+func (s *Search) candidates(from, to *cq.Query) bool {
+	s.cand = s.cand[:0]
+	s.candOff = resize(s.candOff, len(from.Body)+1)
+	for i, a := range from.Body {
+		s.candOff[i] = int32(len(s.cand))
+		for j, b := range to.Body {
+			if a.Pred == b.Pred {
+				s.cand = append(s.cand, int32(j))
+			}
+		}
+		if int(s.candOff[i]) == len(s.cand) {
+			return false
+		}
+	}
+	s.candOff[len(from.Body)] = int32(len(s.cand))
+	return true
+}
+
+// arrange readies the search for mappings from src's body into dst's body,
+// after candidates(src.Query, dst) succeeded: an empty substitution and the
+// source atoms ordered connectivity-first — repeatedly the atom with the
+// most variables already bound by earlier atoms, ties broken by the smaller
+// candidate set. This keeps the backtracking search from enumerating
+// cartesian products of unconnected subgoals (critical on clique-shaped
+// patterns, the paper's NP-hardness regime).
+func (s *Search) arrange(src *cq.Numbered, dst *cq.Query) {
+	s.src, s.dst = src, dst
+	nv := src.NumVars()
+	s.sub = resize(s.sub, nv)
+	s.trail = s.trail[:0]
+	n := len(src.Query.Body)
+	s.order = s.order[:0]
+	s.used = resize(s.used, n)
+	s.set = resize(s.set, nv)
+	s.bound = resize(s.bound, nv)
+	for len(s.order) < n {
+		best, bestBound, bestCand := -1, -1, int32(0)
+		for i := 0; i < n; i++ {
+			if s.used[i] {
+				continue
+			}
+			nb := 0
+			for _, v := range src.Atom(i) {
+				if v == cq.ConstArg || s.bound[v] {
+					nb++
+				}
+			}
+			cand := s.candOff[i+1] - s.candOff[i]
+			if best == -1 || nb > bestBound || nb == bestBound && cand < bestCand {
+				best, bestBound, bestCand = i, nb, cand
+			}
+		}
+		s.used[best] = true
+		s.order = append(s.order, int32(best))
+		for _, v := range src.Atom(best) {
+			if v != cq.ConstArg {
+				s.bound[v] = true
+			}
+		}
+	}
+}
+
+// bind sets the image of source variable v, or checks it against the image
+// v already has.
+func (s *Search) bind(v int32, t cq.Term) bool {
+	if s.set[v] {
+		return s.sub[v] == t
+	}
+	s.set[v], s.sub[v] = true, t
+	s.trail = append(s.trail, v)
+	return true
+}
+
+// undo unbinds the variables bound since the trail had length mark.
+func (s *Search) undo(mark int) {
+	for _, v := range s.trail[mark:] {
+		s.set[v] = false
+	}
+	s.trail = s.trail[:mark]
+}
+
+// match extends the substitution so that it maps pattern, whose argument ids
+// are ids, onto target. On failure the bindings it made are undone.
+func (s *Search) match(pattern cq.Atom, ids []int32, target cq.Atom) bool {
+	if len(pattern.Args) != len(target.Args) {
+		return false
+	}
+	mark := len(s.trail)
+	for i, v := range ids {
+		ok := false
+		if v == cq.ConstArg {
+			ok = pattern.Args[i] == target.Args[i]
+		} else {
+			ok = s.bind(v, target.Args[i])
+		}
+		if !ok {
+			s.undo(mark)
+			return false
+		}
+	}
+	return true
+}
+
+// step backtracks over the source atoms from position k of the order. It
+// reports false when the enumeration was stopped.
+func (s *Search) step(k int) bool {
+	if k == len(s.order) {
+		if s.yield == nil {
+			s.found = true
+			return false
+		}
+		return s.yield()
+	}
+	i := s.order[k]
+	atom, ids := s.src.Query.Body[i], s.src.Atom(int(i))
+	for _, j := range s.cand[s.candOff[i]:s.candOff[i+1]] {
+		mark := len(s.trail)
+		if !s.match(atom, ids, s.dst.Body[j]) {
+			continue
+		}
+		if !s.step(k + 1) {
+			return false
+		}
+		s.undo(mark)
+	}
+	return true
+}
+
+// begin readies the search for containment mappings from p onto dst — head
+// onto head positionally, every body atom onto some body atom — and reports
+// whether any can exist.
+func (s *Search) begin(p *Prepared, dst *cq.Query) bool {
+	if len(p.q.Head.Args) != len(dst.Head.Args) || !s.candidates(p.q, dst) {
+		return false
+	}
+	s.arrange(p.num(), dst)
+	from, to := p.q.Head, dst.Head
+	return s.match(cq.Atom{Args: from.Args}, s.src.Head(), cq.Atom{Args: to.Args})
+}
+
+// exists reports whether a containment mapping from p onto dst exists.
+func (s *Search) exists(p *Prepared, dst *cq.Query) bool {
+	if !s.begin(p, dst) {
+		return false
+	}
+	s.yield, s.found = nil, false
+	s.step(0)
+	return s.found
+}
+
+// mappings enumerates the containment mappings from p onto dst, handing each
+// to yield as a cq.Subst that is reused between calls.
+func (s *Search) mappings(p *Prepared, dst *cq.Query, yield func(Mapping) bool) {
+	if !s.begin(p, dst) {
+		return
+	}
+	m := cq.NewSubst()
+	s.yield = func() bool {
+		clear(m)
+		s.fill(m)
+		return yield(m)
+	}
+	s.step(0)
+}
+
+// fill adds the current bindings to m.
+func (s *Search) fill(m cq.Subst) {
+	for _, v := range s.trail {
+		m[s.src.Names[v]] = s.sub[v]
+	}
+}
+
+// BodyMappings enumerates the substitutions over src's variables that map
+// every body atom of src onto some body atom of dst and extend the initial
+// bindings (which may be nil); heads are ignored. This is the primitive of
+// the rewriting search, where view bodies are mapped into query bodies.
+// Inside yield, Image and Mapping describe the current substitution;
+// enumeration stops when yield returns false.
+func (s *Search) BodyMappings(src *cq.Numbered, dst *cq.Query, initial cq.Subst, yield func() bool) {
+	if !s.candidates(src.Query, dst) {
+		return
+	}
+	s.arrange(src, dst)
+	for name, img := range initial {
+		if v := src.ID(name); v >= 0 {
+			s.bind(v, img)
+		}
+	}
+	s.yield = yield
+	s.step(0)
+}
+
+// Image returns the current image of source variable v. Valid inside a
+// BodyMappings yield, where every variable of the source body is bound.
+func (s *Search) Image(v int32) (cq.Term, bool) { return s.sub[v], s.set[v] }
+
+// Mapping returns the current substitution as a new cq.Subst.
+func (s *Search) Mapping() Mapping {
+	m := make(cq.Subst, len(s.trail))
+	s.fill(m)
+	return m
+}
 
 // FindMapping returns a containment mapping from `from` onto `to`, or
 // ok=false if none exists. Head predicate names are ignored; head arities
@@ -35,147 +320,24 @@ func FindMapping(from, to *cq.Query) (Mapping, bool) {
 // false. The substitution passed to yield is reused across calls; clone it
 // if it must outlive the callback.
 func FindAllMappings(from, to *cq.Query, yield func(Mapping) bool) {
-	if len(from.Head.Args) != len(to.Head.Args) {
-		return
-	}
-	s := cq.NewSubst()
-	// Bind head arguments positionally.
-	for i, ft := range from.Head.Args {
-		tt := to.Head.Args[i]
-		if ft.IsVar() {
-			if !s.Bind(ft.Lex, tt) {
-				return
-			}
-		} else if ft != tt {
-			return
-		}
-	}
-	srch := newSearch(from, to)
-	srch.run(s, yield)
+	var s Search
+	s.mappings(Prepare(from), to, yield)
 }
 
 // FindBodyMappings enumerates substitutions over `from`'s variables that map
 // every body atom of `from` to some body atom of `to`, starting from the
-// given initial bindings (which may be nil). Heads are ignored entirely —
-// this is the primitive used by the rewriting engine, where view bodies are
-// mapped into query bodies.
+// given initial bindings (which may be nil). Heads are ignored entirely.
+// The substitution passed to yield is reused across calls.
 func FindBodyMappings(from, to *cq.Query, initial cq.Subst, yield func(Mapping) bool) {
-	s := cq.NewSubst()
-	for k, v := range initial {
-		s[k] = v
-	}
-	srch := newSearch(from, to)
-	srch.run(s, yield)
-}
-
-// search holds the prepared state for one mapping enumeration.
-type search struct {
-	atoms   []cq.Atom            // source atoms in search order
-	targets map[string][]cq.Atom // target atoms by predicate
-}
-
-func newSearch(from, to *cq.Query) *search {
-	targets := make(map[string][]cq.Atom)
-	for _, a := range to.Body {
-		targets[a.Pred] = append(targets[a.Pred], a)
-	}
-	// Order source atoms connectivity-first: repeatedly pick the atom with
-	// the most variables already bound by earlier atoms, breaking ties by
-	// smaller candidate set. This keeps the backtracking search from
-	// enumerating cartesian products of unconnected subgoals (critical on
-	// clique-shaped patterns, the paper's NP-hardness regime).
-	n := len(from.Body)
-	atoms := make([]cq.Atom, 0, n)
-	used := make([]bool, n)
-	bound := make(map[string]bool)
-	for len(atoms) < n {
-		best, bestBound, bestCand := -1, -1, 0
-		for i, a := range from.Body {
-			if used[i] {
-				continue
-			}
-			nb := 0
-			for _, t := range a.Args {
-				if t.IsConst() || bound[t.Lex] {
-					nb++
-				}
-			}
-			cand := len(targets[a.Pred])
-			if best == -1 || nb > bestBound || nb == bestBound && cand < bestCand {
-				best, bestBound, bestCand = i, nb, cand
-			}
-		}
-		used[best] = true
-		atoms = append(atoms, from.Body[best])
-		for _, t := range from.Body[best].Args {
-			if t.IsVar() {
-				bound[t.Lex] = true
-			}
-		}
-	}
-	return &search{atoms: atoms, targets: targets}
-}
-
-// run backtracks over the source atoms. It reports false if yield asked to
-// stop.
-func (s *search) run(subst cq.Subst, yield func(Mapping) bool) bool {
-	return s.step(0, subst, yield)
-}
-
-func (s *search) step(i int, subst cq.Subst, yield func(Mapping) bool) bool {
-	if i == len(s.atoms) {
-		return yield(subst)
-	}
-	atom := s.atoms[i]
-	for _, target := range s.targets[atom.Pred] {
-		trail := matchWithTrail(subst, atom, target)
-		if trail == nil {
-			continue
-		}
-		if !s.step(i+1, subst, yield) {
-			return false
-		}
-		undo(subst, trail)
-	}
-	return true
-}
-
-// matchWithTrail extends subst so that subst(pattern) == target, recording
-// newly bound variables. It returns nil on failure (after undoing any
-// partial bindings) and the trail of added variable names on success. A
-// successful match of an atom with no new bindings returns a non-nil empty
-// trail.
-func matchWithTrail(subst cq.Subst, pattern, target cq.Atom) []string {
-	if pattern.Pred != target.Pred || len(pattern.Args) != len(target.Args) {
-		return nil
-	}
-	trail := make([]string, 0, len(pattern.Args))
-	for i := range pattern.Args {
-		pt, tt := pattern.Args[i], target.Args[i]
-		if pt.IsVar() {
-			if old, ok := subst[pt.Lex]; ok {
-				if old != tt {
-					undo(subst, trail)
-					return nil
-				}
-				continue
-			}
-			subst[pt.Lex] = tt
-			trail = append(trail, pt.Lex)
-			continue
-		}
-		if pt != tt {
-			undo(subst, trail)
-			return nil
-		}
-	}
-	return trail
-}
-
-func undo(subst cq.Subst, trail []string) {
-	for _, v := range trail {
-		delete(subst, v)
-	}
+	var s Search
+	n := cq.Number(from)
+	m := cq.NewSubst()
+	s.BodyMappings(&n, to, initial, func() bool {
+		clear(m)
+		maps.Copy(m, initial) // bindings of variables from does not have are carried along
+		s.fill(m)
+		return yield(m)
+	})
 }
 
 // CountMappings returns the number of containment mappings from `from` onto

@@ -33,28 +33,35 @@ func NewMemo() *Memo {
 
 // Contained reports q2 ⊑ q1, consulting and populating the memo.
 func (m *Memo) Contained(q2, q1 *cq.Query) bool {
-	if m == nil {
-		return Contained(q2, q1)
-	}
-	key := memoKey{sub: cq.Fingerprint(q2), sup: cq.Fingerprint(q1)}
-	m.mu.Lock()
-	if v, ok := m.contained[key]; ok {
-		m.hits++
-		m.mu.Unlock()
-		return v
-	}
-	m.mu.Unlock()
-	v := Contained(q2, q1)
-	m.mu.Lock()
-	m.contained[key] = v
-	m.misses++
-	m.mu.Unlock()
-	return v
+	s := Search{Memo: m}
+	return s.Contained(Prepare(q2), Prepare(q1))
 }
 
 // Equivalent reports q1 ≡ q2 via two memoised containment checks.
 func (m *Memo) Equivalent(q1, q2 *cq.Query) bool {
-	return m.Contained(q1, q2) && m.Contained(q2, q1)
+	s := Search{Memo: m}
+	return s.Equivalent(Prepare(q1), Prepare(q2))
+}
+
+// lookup returns the cached decision for key, counting a hit when there is
+// one.
+func (m *Memo) lookup(key memoKey) (v, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok = m.contained[key]
+	if ok {
+		m.hits++
+	}
+	return v, ok
+}
+
+// store records a decision computed after a failed lookup, counting the
+// miss.
+func (m *Memo) store(key memoKey, v bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.contained[key] = v
+	m.misses++
 }
 
 // Stats returns the hit and miss counts accumulated so far.

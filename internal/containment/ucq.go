@@ -22,8 +22,9 @@ func ContainedInUnion(q *cq.Query, u *cq.Union) bool {
 		}
 	}
 	if pure {
+		var s Search
 		for _, m := range u.Queries {
-			if Contained(q, m) {
+			if s.contained(q, Prepare(m)) {
 				return true
 			}
 		}
@@ -46,13 +47,18 @@ func containedInUnionComplete(q *cq.Query, u *cq.Union) bool {
 	for _, m := range u.Queries {
 		domain = append(domain, m.Constants()...)
 	}
+	var s Search
+	members := make([]*Prepared, len(u.Queries)) // each a mapping source for every linearisation
+	for i, m := range u.Queries {
+		members[i] = Prepare(m)
+	}
 	covered := true
 	constraints.EnumerateLinearizations(domain, base, func(l constraints.Linearization) bool {
 		lam := l.Set()
 		merged := l.MergeSubst().ApplyQuery(q)
 		okForThis := false
-		for _, m := range u.Queries {
-			FindAllMappings(m, merged, func(mp Mapping) bool {
+		for i, m := range u.Queries {
+			s.mappings(members[i], merged, func(mp Mapping) bool {
 				for _, c := range m.Comparisons {
 					if !lam.Implies(mp.ApplyComparison(c)) {
 						return true
@@ -77,8 +83,10 @@ func containedInUnionComplete(q *cq.Query, u *cq.Union) bool {
 // UnionContained reports whether u ⊑ q: every member of the union is
 // contained in q.
 func UnionContained(u *cq.Union, q *cq.Query) bool {
+	var s Search
+	p := Prepare(q)
 	for _, m := range u.Queries {
-		if !Contained(m, q) {
+		if !s.contained(m, p) {
 			return false
 		}
 	}
@@ -103,28 +111,37 @@ func UnionEquivalent(u *cq.Union, q *cq.Query) bool {
 // MinimizeUnion removes members subsumed by other members and minimises
 // each surviving member. The result is equivalent to the input.
 func MinimizeUnion(u *cq.Union) *cq.Union {
+	var s Search
+	return s.MinimizeUnion(u)
+}
+
+// MinimizeUnion is the package-level MinimizeUnion on s's scratch: every
+// member is numbered at most once however many pairs it is tested in, and a
+// pair whose members share no predicate is rejected before anything is set
+// up. It never consults the memo.
+func (s *Search) MinimizeUnion(u *cq.Union) *cq.Union {
 	out := &cq.Union{}
-	kept := make([]*cq.Query, 0, u.Len())
-	for _, m := range u.Queries {
-		kept = append(kept, Minimize(m))
+	kept := make([]Prepared, u.Len())
+	for i, m := range u.Queries {
+		kept[i].q = s.Minimize(m)
 	}
-	for i, m := range kept {
+	for i := range kept {
 		subsumed := false
-		for j, other := range kept {
+		for j := range kept {
 			if i == j {
 				continue
 			}
-			if Contained(m, other) {
+			if s.contained(kept[i].q, &kept[j]) {
 				// Break ties deterministically: drop the later of two
 				// mutually contained members.
-				if !Contained(other, m) || j < i {
+				if !s.contained(kept[j].q, &kept[i]) || j < i {
 					subsumed = true
 					break
 				}
 			}
 		}
 		if !subsumed {
-			out.Add(m)
+			out.Add(kept[i].q)
 		}
 	}
 	return out

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"repro/internal/containment"
 	"repro/internal/cq"
@@ -32,28 +30,28 @@ type Application struct {
 	Reason string
 }
 
-// Key identifies the application up to the parts that matter for candidate
-// generation (the rewriting atom and the covered set).
-func (ap Application) Key() string {
-	parts := make([]string, 0, len(ap.Covers)+1)
-	parts = append(parts, ap.Atom.String())
-	for _, c := range ap.Covers {
-		parts = append(parts, strconv.Itoa(c))
-	}
-	return strings.Join(parts, "|")
+// same reports whether two applications of one view agree on the parts that
+// matter for candidate generation: the rewriting atom and the covered set.
+func (ap Application) same(other Application) bool {
+	return ap.Atom.Equal(other.Atom) && slices.Equal(ap.Covers, other.Covers)
 }
 
 // Applications enumerates the applications of view v to query q. The query
 // should normally be minimised first (see Rewriter); the enumeration is
 // deterministic.
 func Applications(v, q *cq.Query) []Application {
+	var s containment.Search
+	return applications(newView(v), q, &s)
+}
+
+// applications enumerates the applications of v to q on the caller's search,
+// one per distinct rewriting atom and covered set.
+func applications(v *View, q *cq.Query, s *containment.Search) []Application {
 	var out []Application
-	seen := make(map[string]bool)
-	containment.FindBodyMappings(v, q, nil, func(m containment.Mapping) bool {
-		ap := buildApplication(v, q, m)
-		k := ap.Key()
-		if !seen[k] {
-			seen[k] = true
+	s.BodyMappings(&v.Numbered, q, nil, func() bool {
+		ap := buildApplication(v, q, s)
+		if !slices.ContainsFunc(out, ap.same) {
+			ap.Phi = s.Mapping()
 			out = append(out, ap)
 		}
 		return true
@@ -61,76 +59,85 @@ func Applications(v, q *cq.Query) []Application {
 	return out
 }
 
-func buildApplication(v, q *cq.Query, m containment.Mapping) Application {
-	phi := m.Clone()
+// buildApplication describes the mapping s is currently yielding as an
+// application of v to q. Phi is left for the caller to fill in.
+func buildApplication(v *View, q *cq.Query, s *containment.Search) Application {
+	image := func(id int32, t cq.Term) cq.Term {
+		if id == cq.ConstArg {
+			return t
+		}
+		img, _ := s.Image(id)
+		return img
+	}
 	// Covered atoms: indices of q body atoms equal to the image of some
 	// view body atom.
-	covered := make(map[int]bool)
-	for _, va := range v.Body {
-		img := phi.ApplyAtom(va)
-		for i, qa := range q.Body {
-			if qa.Equal(img) {
-				covered[i] = true
+	var covers []int
+	for i, qa := range q.Body {
+		for j, va := range v.Query.Body {
+			if va.Pred != qa.Pred || len(va.Args) != len(qa.Args) {
+				continue
+			}
+			equal := true
+			for k, id := range v.Atom(j) {
+				if image(id, va.Args[k]) != qa.Args[k] {
+					equal = false
+					break
+				}
+			}
+			if equal {
+				covers = append(covers, i)
+				break
 			}
 		}
 	}
-	covers := make([]int, 0, len(covered))
-	for i := range covered {
-		covers = append(covers, i)
+	head := v.Query.Head
+	atom := cq.Atom{Pred: head.Pred, Args: make([]cq.Term, len(head.Args))}
+	for pos, id := range v.Head() {
+		atom.Args[pos] = image(id, head.Args[pos])
 	}
-	sort.Ints(covers)
-
-	atom := phi.ApplyAtom(cq.Atom{Pred: v.Name(), Args: v.Head.Args})
-	ap := Application{View: v, Phi: phi, Atom: atom, Covers: covers, Valid: true}
-	ap.Valid, ap.Reason = checkApplication(v, q, phi, covered)
+	ap := Application{View: v.Query, Atom: atom, Covers: covers}
+	ap.Valid, ap.Reason = checkApplication(v, q, s, covers)
 	return ap
 }
 
 // checkApplication enforces the distinguished-variable conditions described
 // on Application.
-func checkApplication(v, q *cq.Query, phi cq.Subst, covered map[int]bool) (bool, string) {
-	distinguished := make(map[string]bool)
-	for _, t := range v.Head.Args {
-		if t.IsVar() {
-			distinguished[t.Lex] = true
-		}
-	}
+func checkApplication(v *View, q *cq.Query, s *containment.Search, covers []int) (bool, string) {
 	// Needed terms of q: head terms and terms of uncovered atoms. Terms
 	// appearing only in comparisons are deliberately not "needed" here —
 	// a view may satisfy a comparison internally without exposing the
 	// compared column; the final equivalence verification decides.
-	needed := make(map[cq.Term]bool)
-	for _, t := range q.Head.Args {
-		needed[t] = true
+	needed := func(t cq.Term) bool {
+		if slices.Contains(q.Head.Args, t) {
+			return true
+		}
+		for i, a := range q.Body {
+			if !slices.Contains(covers, i) && slices.Contains(a.Args, t) {
+				return true
+			}
+		}
+		return false
 	}
-	for i, a := range q.Body {
-		if covered[i] {
+	for x := int32(0); x < int32(v.NumVars()); x++ {
+		if !v.Existential(x) {
 			continue
 		}
-		for _, t := range a.Args {
-			needed[t] = true
-		}
-	}
-
-	imageOf := make(map[cq.Term]string) // q term -> existential view var landing on it
-	for _, x := range v.Vars() {
-		if distinguished[x.Lex] {
-			continue
-		}
-		img, bound := phi[x.Lex]
+		img, bound := s.Image(x)
 		if !bound {
 			continue // view variable only in comparisons with no body occurrence cannot happen for safe views
 		}
+		name := v.Names[x]
 		if img.IsConst() {
-			return false, "existential " + x.Lex + " lands on constant " + img.String()
+			return false, "existential " + name + " lands on constant " + img.String()
 		}
-		if needed[img] {
-			return false, "existential " + x.Lex + " lands on needed term " + img.String()
+		if needed(img) {
+			return false, "existential " + name + " lands on needed term " + img.String()
 		}
-		if prev, dup := imageOf[img]; dup && prev != x.Lex {
-			return false, "existentials " + prev + " and " + x.Lex + " collapse onto " + img.String()
+		for y := int32(0); y < x; y++ {
+			if other, ok := s.Image(y); ok && v.Existential(y) && other == img {
+				return false, "existentials " + v.Names[y] + " and " + name + " collapse onto " + img.String()
+			}
 		}
-		imageOf[img] = x.Lex
 	}
 	// Distinct distinguished variables may collapse (the view atom then has
 	// a repeated argument) — allowed; the equivalence test decides.
@@ -144,15 +151,12 @@ func checkApplication(v, q *cq.Query, phi cq.Subst, covered map[int]bool) (bool,
 // size of the view (R3); this implementation backtracks over body mappings
 // and stops at the first valid application.
 func Usable(v, q *cq.Query) bool {
-	qm := containment.Minimize(q)
+	var s containment.Search
+	iv, qm := newView(v), s.Minimize(q)
 	found := false
-	containment.FindBodyMappings(v, qm, nil, func(m containment.Mapping) bool {
-		ap := buildApplication(v, qm, m)
-		if ap.Valid {
-			found = true
-			return false
-		}
-		return true
+	s.BodyMappings(&iv.Numbered, qm, nil, func() bool {
+		found = buildApplication(iv, qm, &s).Valid
+		return !found
 	})
 	return found
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/containment"
@@ -82,30 +83,35 @@ func (r *Rewriter) Rewrite(q *cq.Query) ([]*Rewriting, Stats) {
 		limit = 1
 	}
 
+	// One search serves the minimisation, every view's applications and
+	// every candidate's verification.
+	s := &containment.Search{Memo: r.Memo}
 	qm := q
 	if !r.Opt.SkipMinimize {
-		qm = containment.Minimize(q)
+		qm = s.Minimize(q)
 	}
 	st.MinimizedBodyAtoms = len(qm.Body)
+	pqm := containment.Prepare(qm)
 
-	apps := r.collectApplications(qm, &st)
+	apps := r.collectApplications(qm, s, &st)
 	if len(apps) == 0 {
 		return nil, st
 	}
 
 	// Index applications by lowest covered atom for the cover search.
 	n := len(qm.Body)
-	byAtom := make([][]Application, n)
-	for _, ap := range apps {
-		for _, c := range ap.Covers {
-			byAtom[c] = append(byAtom[c], ap)
+	byAtom := make([][]*Application, n)
+	for i := range apps {
+		for _, c := range apps[i].Covers {
+			byAtom[c] = append(byAtom[c], &apps[i])
 		}
 	}
 
 	var results []*Rewriting
 	seen := make(map[string]bool)
-	var selected []Application
+	var selected []*Application
 
+	var newlyCovered []int // a stack: each level of the search undoes what it covered
 	var search func(nextUncovered int, covered []bool, coveredCount int) bool
 	search = func(nextUncovered int, covered []bool, coveredCount int) bool {
 		for nextUncovered < n && covered[nextUncovered] {
@@ -122,7 +128,7 @@ func (r *Rewriter) Rewrite(q *cq.Query) ([]*Rewriting, Stats) {
 			}
 			seen[key] = true
 			st.CandidatesTried++
-			if rw := r.verify(qm, cand, &st); rw != nil {
+			if rw := r.verify(pqm, cand, s, &st); rw != nil {
 				results = append(results, rw)
 				if len(results) >= limit {
 					return false
@@ -134,7 +140,7 @@ func (r *Rewriter) Rewrite(q *cq.Query) ([]*Rewriting, Stats) {
 			return true // R2 bound: no rewriting needs more than n subgoals
 		}
 		for _, ap := range byAtom[nextUncovered] {
-			newlyCovered := make([]int, 0, len(ap.Covers))
+			mark := len(newlyCovered)
 			for _, c := range ap.Covers {
 				if !covered[c] {
 					covered[c] = true
@@ -142,11 +148,12 @@ func (r *Rewriter) Rewrite(q *cq.Query) ([]*Rewriting, Stats) {
 				}
 			}
 			selected = append(selected, ap)
-			cont := search(nextUncovered+1, covered, coveredCount+len(newlyCovered))
+			cont := search(nextUncovered+1, covered, coveredCount+len(newlyCovered)-mark)
 			selected = selected[:len(selected)-1]
-			for _, c := range newlyCovered {
+			for _, c := range newlyCovered[mark:] {
 				covered[c] = false
 			}
+			newlyCovered = newlyCovered[:mark]
 			if !cont {
 				return false
 			}
@@ -181,10 +188,20 @@ func (r *Rewriter) Exists(q *cq.Query) bool {
 	return r.RewriteOne(q) != nil
 }
 
-func (r *Rewriter) collectApplications(qm *cq.Query, st *Stats) []Application {
+// collectApplications enumerates the valid applications of every view whose
+// body predicates all occur in qm; a view with a predicate qm lacks has no
+// homomorphism into it.
+func (r *Rewriter) collectApplications(qm *cq.Query, s *containment.Search, st *Stats) []Application {
+	occurs := func(pred string) bool {
+		return slices.ContainsFunc(qm.Body, func(a cq.Atom) bool { return a.Pred == pred })
+	}
 	var apps []Application
-	for _, v := range r.Views.Views() {
-		for _, ap := range Applications(v, qm) {
+	for i := 0; i < r.Views.Len(); i++ {
+		v := r.Views.View(i)
+		if slices.ContainsFunc(v.Preds, func(p string) bool { return !occurs(p) }) {
+			continue
+		}
+		for _, ap := range applications(v, qm, s) {
 			st.Applications++
 			if ap.Valid {
 				st.ValidApplications++
@@ -204,16 +221,13 @@ func (r *Rewriter) collectApplications(qm *cq.Query, st *Stats) []Application {
 // buildCandidate assembles the rewriting query from selected applications.
 // It returns nil when the candidate is structurally hopeless (unsafe head,
 // or no view atom at all).
-func (r *Rewriter) buildCandidate(qm *cq.Query, selected []Application) *cq.Query {
+func (r *Rewriter) buildCandidate(qm *cq.Query, selected []*Application) *cq.Query {
 	body := make([]cq.Atom, 0, len(selected))
 	usesView := false
-	seen := make(map[string]bool)
 	for _, ap := range selected {
-		k := ap.Atom.Key()
-		if seen[k] {
+		if slices.ContainsFunc(body, ap.Atom.Equal) {
 			continue
 		}
-		seen[k] = true
 		body = append(body, ap.Atom)
 		if ap.View != nil {
 			usesView = true
@@ -224,40 +238,27 @@ func (r *Rewriter) buildCandidate(qm *cq.Query, selected []Application) *cq.Quer
 	}
 	cand := &cq.Query{Head: qm.Head, Body: body}
 	if r.Opt.KeepComparisons {
-		exposed := make(map[cq.Term]bool)
-		for _, a := range body {
-			for _, t := range a.Args {
-				exposed[t] = true
-			}
-		}
+		exposed := func(t cq.Term) bool { return t.IsConst() || cand.InBody(t) }
 		for _, c := range qm.Comparisons {
-			leftOK := c.Left.IsConst() || exposed[c.Left]
-			rightOK := c.Right.IsConst() || exposed[c.Right]
-			if leftOK && rightOK {
+			if exposed(c.Left) && exposed(c.Right) {
 				cand.Comparisons = append(cand.Comparisons, c)
 			}
 		}
 	}
-	if cand.Validate() != nil {
+	if !cand.Valid() {
 		return nil
 	}
 	return cand
 }
 
 // verify unfolds the candidate and checks equivalence with the query.
-func (r *Rewriter) verify(qm, cand *cq.Query, st *Stats) *Rewriting {
+func (r *Rewriter) verify(qm *containment.Prepared, cand *cq.Query, s *containment.Search, st *Stats) *Rewriting {
 	exp, err := Expand(cand, r.Views)
 	if err != nil {
 		return nil
 	}
 	st.EquivalenceChecks++
-	equivalent := false
-	if r.Memo != nil {
-		equivalent = r.Memo.Equivalent(exp, qm)
-	} else {
-		equivalent = containment.Equivalent(exp, qm)
-	}
-	if !equivalent {
+	if !s.Equivalent(containment.Prepare(exp), qm) {
 		return nil
 	}
 	complete := true

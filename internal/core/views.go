@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cq"
 )
@@ -22,14 +23,56 @@ import (
 // queries over base predicates; view definitions may not reference other
 // views. Names must be distinct and must not collide with base predicates
 // used in any view body.
+//
+// Add also indexes each view for planning (View, Occurrences), so a ViewSet
+// that is no longer being added to can be planned against from any number of
+// goroutines without a lock.
 type ViewSet struct {
-	views  []*cq.Query
-	byName map[string]*cq.Query
+	views  []*View
+	byName map[string]*View
+	byPred map[predArity][]Occurrence
+}
+
+// View is one view definition together with what every rewriting algorithm
+// needs to know about it, worked out once by ViewSet.Add. Its variables live
+// in the id space of the embedded numbering, apart from any query's, so
+// planning never renames a view apart: an argument position is a constant, a
+// distinguished variable (HeadPos gives the head position whose argument
+// stands for it in an unfolding) or an existential one (which takes a fresh
+// name there).
+type View struct {
+	// Numbered numbers the definition's variables; Numbered.Query is the
+	// definition itself.
+	cq.Numbered
+	// HeadPos[v] is the first head position holding variable v, or -1 when
+	// v is existential.
+	HeadPos []int32
+	// Preds lists the distinct body predicates in first-occurrence order.
+	Preds []string
+}
+
+// Existential reports whether the variable with the given id does not occur
+// in the view's head.
+func (v *View) Existential(id int32) bool { return v.HeadPos[id] < 0 }
+
+// Occurrence names one body atom of one view of a ViewSet.
+type Occurrence struct {
+	// View is the view's position in insertion order; Atom is the index of
+	// the body atom within it.
+	View, Atom int
+}
+
+type predArity struct {
+	pred  string
+	arity int
 }
 
 // NewViewSet validates and indexes a set of view definitions.
 func NewViewSet(views ...*cq.Query) (*ViewSet, error) {
-	vs := &ViewSet{byName: make(map[string]*cq.Query, len(views))}
+	vs := &ViewSet{
+		byName: make(map[string]*View, len(views)),
+		byPred: make(map[predArity][]Occurrence),
+	}
 	for _, v := range views {
 		if err := vs.Add(v); err != nil {
 			return nil, err
@@ -47,7 +90,8 @@ func MustNewViewSet(views ...*cq.Query) *ViewSet {
 	return vs
 }
 
-// Add validates and inserts one view definition.
+// Add validates, inserts and indexes one view definition. The definition
+// must not be modified afterwards.
 func (vs *ViewSet) Add(v *cq.Query) error {
 	if err := v.Validate(); err != nil {
 		return fmt.Errorf("core: invalid view: %w", err)
@@ -62,19 +106,44 @@ func (vs *ViewSet) Add(v *cq.Query) error {
 		}
 	}
 	for _, existing := range vs.views {
-		for _, a := range existing.Body {
-			if a.Pred == name {
-				return fmt.Errorf("core: view %s is used as a base predicate by view %s", name, existing.Name())
-			}
+		if slices.Contains(existing.Preds, name) {
+			return fmt.Errorf("core: view %s is used as a base predicate by view %s", name, existing.Query.Name())
 		}
 	}
-	vs.views = append(vs.views, v)
-	vs.byName[name] = v
+	iv := newView(v)
+	for ai, a := range v.Body {
+		key := predArity{a.Pred, len(a.Args)}
+		vs.byPred[key] = append(vs.byPred[key], Occurrence{View: len(vs.views), Atom: ai})
+	}
+	vs.views = append(vs.views, iv)
+	vs.byName[name] = iv
 	return nil
+}
+
+// newView indexes one validated view definition.
+func newView(def *cq.Query) *View {
+	v := &View{Numbered: cq.Number(def), Preds: def.Predicates()}
+	v.HeadPos = make([]int32, v.NumVars())
+	for i := range v.HeadPos {
+		v.HeadPos[i] = -1
+	}
+	for pos, id := range v.Head() {
+		if id != cq.ConstArg && v.HeadPos[id] < 0 {
+			v.HeadPos[id] = int32(pos)
+		}
+	}
+	return v
 }
 
 // Lookup returns the view with the given name, or nil.
 func (vs *ViewSet) Lookup(name string) *cq.Query {
+	if v := vs.view(name); v != nil {
+		return v.Query
+	}
+	return nil
+}
+
+func (vs *ViewSet) view(name string) *View {
 	if vs == nil {
 		return nil
 	}
@@ -84,18 +153,31 @@ func (vs *ViewSet) Lookup(name string) *cq.Query {
 // Views returns the view definitions in insertion order.
 func (vs *ViewSet) Views() []*cq.Query {
 	out := make([]*cq.Query, len(vs.views))
-	copy(out, vs.views)
+	for i, v := range vs.views {
+		out[i] = v.Query
+	}
 	return out
 }
 
 // Len returns the number of views.
 func (vs *ViewSet) Len() int { return len(vs.views) }
 
+// View returns the i-th view in insertion order with its index.
+func (vs *ViewSet) View(i int) *View { return vs.views[i] }
+
+// Occurrences returns the view body atoms with the given predicate and
+// arity — the only atoms a subgoal over that predicate can be covered by —
+// ordered by view insertion order, then atom position. The slice is shared:
+// do not modify it.
+func (vs *ViewSet) Occurrences(pred string, arity int) []Occurrence {
+	return vs.byPred[predArity{pred, arity}]
+}
+
 // Names returns the view names in insertion order.
 func (vs *ViewSet) Names() []string {
 	out := make([]string, len(vs.views))
 	for i, v := range vs.views {
-		out[i] = v.Name()
+		out[i] = v.Query.Name()
 	}
 	return out
 }

@@ -162,35 +162,76 @@ func (q *Query) Predicates() []string {
 //   - every comparison variable occurs in a relational subgoal,
 //   - predicate arities are used consistently within the query.
 func (q *Query) Validate() error {
-	if len(q.Body) == 0 {
+	switch kind, name, a, b := q.flaw(); kind {
+	case emptyBody:
 		return fmt.Errorf("cq: query %s has an empty body", q.Head.Pred)
+	case mixedArity:
+		return fmt.Errorf("cq: predicate %s used with arities %d and %d", name, a, b)
+	case unsafeHead:
+		return fmt.Errorf("cq: unsafe query %s: head variable %s does not occur in the body", q.Head.Pred, name)
+	case unsafeComparison:
+		return fmt.Errorf("cq: unsafe query %s: comparison variable %s does not occur in a relational subgoal", q.Head.Pred, name)
 	}
-	bodyVars := make(map[string]bool)
-	arity := make(map[string]int)
-	for _, a := range q.Body {
-		if prev, ok := arity[a.Pred]; ok && prev != len(a.Args) {
-			return fmt.Errorf("cq: predicate %s used with arities %d and %d", a.Pred, prev, len(a.Args))
-		}
-		arity[a.Pred] = len(a.Args)
-		for _, t := range a.Args {
-			if t.IsVar() {
-				bodyVars[t.Lex] = true
+	return nil
+}
+
+// Valid reports whether Validate would return nil. It allocates nothing,
+// which matters to the rewriting searches: they test every candidate.
+func (q *Query) Valid() bool {
+	kind, _, _, _ := q.flaw()
+	return kind == wellFormed
+}
+
+const (
+	wellFormed = iota
+	emptyBody
+	mixedArity
+	unsafeHead
+	unsafeComparison
+)
+
+// flaw finds the first thing Validate objects to: its kind, the predicate or
+// variable concerned and, for mixedArity, the two arities. It scans instead
+// of building sets, since bodies are short.
+func (q *Query) flaw() (kind int, name string, a, b int) {
+	if len(q.Body) == 0 {
+		return emptyBody, "", 0, 0
+	}
+	for i, at := range q.Body {
+		for j := i - 1; j >= 0; j-- {
+			if prev := q.Body[j]; prev.Pred == at.Pred {
+				if len(prev.Args) != len(at.Args) {
+					return mixedArity, at.Pred, len(prev.Args), len(at.Args)
+				}
+				break // earlier uses were checked against prev
 			}
 		}
 	}
 	for _, t := range q.Head.Args {
-		if t.IsVar() && !bodyVars[t.Lex] {
-			return fmt.Errorf("cq: unsafe query %s: head variable %s does not occur in the body", q.Head.Pred, t.Lex)
+		if t.IsVar() && !q.InBody(t) {
+			return unsafeHead, t.Lex, 0, 0
 		}
 	}
 	for _, c := range q.Comparisons {
-		for _, t := range []Term{c.Left, c.Right} {
-			if t.IsVar() && !bodyVars[t.Lex] {
-				return fmt.Errorf("cq: unsafe query %s: comparison variable %s does not occur in a relational subgoal", q.Head.Pred, t.Lex)
+		for _, t := range [2]Term{c.Left, c.Right} {
+			if t.IsVar() && !q.InBody(t) {
+				return unsafeComparison, t.Lex, 0, 0
 			}
 		}
 	}
-	return nil
+	return wellFormed, "", 0, 0
+}
+
+// InBody reports whether t is an argument of some body atom.
+func (q *Query) InBody(t Term) bool {
+	for _, a := range q.Body {
+		for _, u := range a.Args {
+			if u == t {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // String renders the query in surface syntax, e.g.

@@ -1,8 +1,9 @@
 package cq
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -193,44 +194,64 @@ func (s Subst) MatchAtom(pattern, target Atom) bool {
 type Freshener struct {
 	prefix string
 	n      int
-	taken  map[string]bool
+	// taken holds the numbers k for which prefix+k is reserved. Generated
+	// names need no entry: the counter never goes back.
+	taken []int
 }
 
 // NewFreshener returns a Freshener producing names prefix0, prefix1, ...
 // skipping any name registered via Reserve.
 func NewFreshener(prefix string) *Freshener {
-	return &Freshener{prefix: prefix, taken: make(map[string]bool)}
+	return &Freshener{prefix: prefix}
 }
 
 // Reserve marks every variable of q as taken.
 func (f *Freshener) Reserve(q *Query) {
-	for _, v := range q.Vars() {
-		f.taken[v.Lex] = true
+	reserve := func(t Term) {
+		if t.IsVar() {
+			f.ReserveName(t.Lex)
+		}
+	}
+	for _, t := range q.Head.Args {
+		reserve(t)
+	}
+	for _, a := range q.Body {
+		for _, t := range a.Args {
+			reserve(t)
+		}
+	}
+	for _, c := range q.Comparisons {
+		reserve(c.Left)
+		reserve(c.Right)
 	}
 }
 
-// ReserveName marks one name as taken.
-func (f *Freshener) ReserveName(name string) { f.taken[name] = true }
+// ReserveName marks one name as taken. Only a name this Freshener could
+// generate — the prefix followed by a decimal number as strconv writes it —
+// needs remembering.
+func (f *Freshener) ReserveName(name string) {
+	digits, ok := strings.CutPrefix(name, f.prefix)
+	if !ok {
+		return
+	}
+	if k, err := strconv.Atoi(digits); err == nil && k >= 0 && strconv.Itoa(k) == digits {
+		f.taken = append(f.taken, k)
+	}
+}
+
+// Skip uses up the number Fresh would have used next without building the
+// name. A caller that renames a whole query apart but needs only some of the
+// new names keeps the numbering of the rest this way.
+func (f *Freshener) Skip() {
+	for slices.Contains(f.taken, f.n) {
+		f.n++
+	}
+	f.n++
+}
 
 // Fresh returns a new variable distinct from all reserved and previously
 // generated names.
 func (f *Freshener) Fresh() Term {
-	for {
-		name := fmt.Sprintf("%s%d", f.prefix, f.n)
-		f.n++
-		if !f.taken[name] {
-			f.taken[name] = true
-			return Var(name)
-		}
-	}
-}
-
-// RenameApart returns a copy of q whose variables are all renamed to fresh
-// names drawn from f, together with the renaming used.
-func (f *Freshener) RenameApart(q *Query) (*Query, Subst) {
-	s := NewSubst()
-	for _, v := range q.Vars() {
-		s[v.Lex] = f.Fresh()
-	}
-	return s.ApplyQuery(q), s
+	f.Skip()
+	return Var(f.prefix + strconv.Itoa(f.n-1))
 }

@@ -164,3 +164,49 @@ func BenchmarkPreparedExec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanMiss is the one-line repro of a plan-cache miss: Prepare
+// alternates two templates against a one-entry LRU, so every call plans —
+// canonicalise, equivalent search, MiniCon (the second template reaches a
+// relation only a filtered view exposes), cost, compile. Run with -benchmem:
+// allocs/op is what the repo benchmark's adhoc_plan gates.
+func BenchmarkPlanMiss(b *testing.B) {
+	base := storage.NewDatabase()
+	var viewSrc string
+	for i := 1; i <= 4; i++ {
+		for k := 0; k < 8; k++ {
+			if err := base.Insert(fmt.Sprintf("p%d", i), storage.Tuple{fmt.Sprintf("c%d", k), fmt.Sprintf("c%d", k+1)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		viewSrc += fmt.Sprintf("u%d(A,B) :- p%d(A,B).\n", i, i)
+	}
+	if err := base.Insert("flag", storage.Tuple{"c0"}); err != nil {
+		b.Fatal(err)
+	}
+	viewSrc += "u5(A,B) :- p5(A,B), flag(A).\n"
+	viewSrc += "w0(A,C) :- p1(A,B), p2(B,C).\nw1(A,B,C) :- p2(A,B), p3(B,C).\nw2(A) :- p3(A,B), p4(B,C).\n"
+	views, err := cq.ParseViews(viewSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewFromBase(base, views, Options{Strategy: Auto, CacheSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	templates := []*cq.Query{
+		cq.MustParseQuery("q(X3) :- p1(c0,X1), p2(X1,X2), p3(X2,X3)"),
+		cq.MustParseQuery("q(X3) :- p4(c0,X1), p5(X1,X2), p1(X2,X3)"),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Prepare(templates[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := e.Stats(); st.Hits != 0 {
+		b.Fatalf("%d plan-cache hits: the benchmark must miss every time", st.Hits)
+	}
+}

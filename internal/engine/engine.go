@@ -887,45 +887,53 @@ func (e *Engine) Prepare(q *cq.Query) (*PreparedQuery, error) {
 	}
 	tmpl := e.template(q)
 	fp := tmpl.Fingerprint()
+	plan, err := e.cachedPlan(fp, func() (*Plan, error) { return e.buildPlan(tmpl, fp) })
+	if err != nil {
+		return nil, err
+	}
+	return &PreparedQuery{eng: e, plan: plan, args: tmpl.Args}, nil
+}
 
+// cachedPlan returns the plan cached under fp, building it with build on a
+// miss; concurrent callers that miss on the same fp share one build.
+//
+// However the build ends — a panic included, which becomes an
+// *InternalError counted in Stats.Panics — the flight is retired and its
+// waiters are answered: a flight left registered would block every later
+// request for the template forever.
+func (e *Engine) cachedPlan(fp string, build func() (*Plan, error)) (plan *Plan, err error) {
 	e.mu.Lock()
 	if p, ok := e.cache.get(fp); ok {
 		e.hits++
 		e.strategyAggLocked(p.Chosen).Hits++
 		e.mu.Unlock()
-		return &PreparedQuery{eng: e, plan: p, args: tmpl.Args}, nil
+		return p, nil
 	}
 	if fl, ok := e.inflight[fp]; ok {
 		e.coalesced++
 		e.mu.Unlock()
 		<-fl.done
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		return &PreparedQuery{eng: e, plan: fl.plan, args: tmpl.Args}, nil
+		return fl.plan, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
 	e.inflight[fp] = fl
 	e.misses++
 	e.mu.Unlock()
 
-	plan, err := e.buildPlan(tmpl, fp)
-
-	e.mu.Lock()
-	if err == nil {
-		if e.cache.add(fp, plan) {
-			e.evictions++
+	defer func() {
+		e.mu.Lock()
+		if err == nil {
+			if e.cache.add(fp, plan) {
+				e.evictions++
+			}
 		}
-	}
-	delete(e.inflight, fp)
-	e.mu.Unlock()
-
-	fl.plan, fl.err = plan, err
-	close(fl.done)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedQuery{eng: e, plan: plan, args: tmpl.Args}, nil
+		delete(e.inflight, fp)
+		e.mu.Unlock()
+		fl.plan, fl.err = plan, err
+		close(fl.done)
+	}()
+	defer e.recoverInternal(&err) // runs first: the block above sees its err
+	return build()
 }
 
 // template canonicalises q for the plan cache: the constant-abstracted

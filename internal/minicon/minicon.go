@@ -13,6 +13,8 @@ package minicon
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,106 +24,155 @@ import (
 	"repro/internal/cq"
 )
 
+// A view term, as an MCD stores it: a variable id of the view (>= 0), or ^k
+// for constant k of the former's table. unmapped marks a query variable the
+// MCD says nothing about.
+const unmapped = math.MinInt32
+
 // MCD is a MiniCon Description: one way of using a view to cover a set of
-// query subgoals, satisfying the MiniCon property.
+// query subgoals, satisfying the MiniCon property. Its tables are indexed by
+// variable ids — the query's (cq.Numbered) and the view's own (core.View) —
+// so the two can never collide and the view is never renamed apart.
 type MCD struct {
-	// View is the original view definition.
+	// View is the view definition.
 	View *cq.Query
-	// view is the fresh-renamed working copy used by this MCD.
-	view *cq.Query
-	// viewSub equates view variables (the head homomorphism h), binding
-	// variables to other view variables or constants.
-	viewSub cq.Subst
-	// phi maps query variable names to view terms (of the working copy).
-	phi map[string]cq.Term
+	view *core.View
+	// f is what the MCDs of one FormMCDs call share.
+	f *former
+	// phi maps a query variable id to the view term it lands on.
+	phi []int32
+	// parent is a union-find over the view's variables (the head
+	// homomorphism h): v is a root where parent[v] == v, merged into another
+	// variable where parent[v] >= 0, bound to a constant where it is ^k.
+	parent []int32
+	// exposed[v] is 1 where root v is distinguished.
+	exposed []int32
 	// covers is the sorted set of covered query subgoal indices.
-	covers []int
-	// exposedRoots marks view variable roots that are distinguished.
-	exposedRoots map[string]bool
+	covers []int32
+	// table is the one array phi, parent, exposed and covers are cut from.
+	table []int32
+	// sig is the closed MCD up to the names of view variables, for
+	// deduplication: per query variable unmapped, a constant, or which
+	// query variables share its image and whether that image is exposed.
+	sig []int32
 }
 
 // Covers returns the covered subgoal indices (sorted).
 func (m *MCD) Covers() []int {
 	out := make([]int, len(m.covers))
-	copy(out, m.covers)
+	for i, c := range m.covers {
+		out[i] = int(c)
+	}
 	return out
 }
 
-// clone deep-copies the MCD's mutable state (the working view copy is
-// shared — it is never mutated after renaming).
+// clone copies the MCD and its tables.
 func (m *MCD) clone() *MCD {
-	c := &MCD{
-		View:         m.View,
-		view:         m.view,
-		viewSub:      m.viewSub.Clone(),
-		phi:          make(map[string]cq.Term, len(m.phi)),
-		exposedRoots: make(map[string]bool, len(m.exposedRoots)),
+	c := *m
+	c.carve(slices.Clone(m.table), len(m.covers))
+	return &c
+}
+
+// carve cuts the MCD's tables from one array of nq + 2*nv + len(q.Body)
+// entries, of which covers uses the first `covered` of its share.
+func (m *MCD) carve(table []int32, covered int) {
+	nq, nv := m.f.nq.NumVars(), m.view.NumVars()
+	m.table = table
+	m.phi = table[:nq]
+	m.parent = table[nq : nq+nv]
+	m.exposed = table[nq+nv : nq+2*nv]
+	m.covers = table[nq+2*nv : nq+2*nv+covered]
+}
+
+// find resolves a view term to its class: a root variable or a constant.
+func (m *MCD) find(t int32) int32 {
+	for t >= 0 && m.parent[t] != t {
+		t = m.parent[t]
 	}
-	for k, v := range m.phi {
-		c.phi[k] = v
+	return t
+}
+
+// isExposed reports whether a view term is visible in the rewriting: a
+// constant or a class whose root is marked distinguished.
+func (m *MCD) isExposed(t int32) bool {
+	t = m.find(t)
+	return t < 0 || m.exposed[t] != 0
+}
+
+// equate merges two view terms, maintaining exposure marks. It fails on two
+// distinct constants.
+func (m *MCD) equate(a, b int32) bool {
+	a, b = m.find(a), m.find(b)
+	switch {
+	case a == b:
+		return true
+	case a >= 0:
+		m.parent[a] = b
+		if m.exposed[a] != 0 && b >= 0 {
+			m.exposed[b] = 1
+		}
+		return true
+	case b >= 0:
+		m.parent[b] = a // a is a constant: exposure preserved trivially
+		return true
+	default:
+		return false
 	}
-	for k, v := range m.exposedRoots {
-		c.exposedRoots[k] = v
+}
+
+// covered reports whether subgoal gi is in the cover.
+func (m *MCD) covered(gi int) bool {
+	_, ok := slices.BinarySearch(m.covers, int32(gi))
+	return ok
+}
+
+// image returns the view term query variable name maps to, resolved: a
+// constant, or the view's own variable at the root of the class.
+func (m *MCD) image(name string) (cq.Term, bool) {
+	x := m.f.nq.ID(name)
+	if x < 0 || m.phi[x] == unmapped {
+		return cq.Term{}, false
 	}
-	return c
+	if r := m.find(m.phi[x]); r >= 0 {
+		return cq.Var(m.view.Names[r]), true
+	} else {
+		return m.f.consts[^r], true
+	}
 }
 
 // String renders the MCD for diagnostics.
 func (m *MCD) String() string {
 	parts := make([]string, 0, len(m.phi))
-	for x, t := range m.phi {
-		parts = append(parts, x+"->"+m.viewSub.Walk(t).String())
+	for _, x := range m.f.nq.Names {
+		if t, ok := m.image(x); ok {
+			parts = append(parts, x+"->"+t.String())
+		}
 	}
 	sort.Strings(parts)
 	covs := make([]string, len(m.covers))
 	for i, c := range m.covers {
-		covs[i] = strconv.Itoa(c)
+		covs[i] = strconv.Itoa(int(c))
 	}
 	return fmt.Sprintf("MCD(%s covers {%s} via {%s})", m.View.Name(), strings.Join(covs, ","), strings.Join(parts, ", "))
 }
 
-// key canonically identifies an MCD for deduplication.
-func (m *MCD) key() string {
-	var sb strings.Builder
-	sb.WriteString(m.View.Name())
-	sb.WriteByte('|')
-	for _, c := range m.covers {
-		sb.WriteString(strconv.Itoa(c))
-		sb.WriteByte(',')
-	}
-	sb.WriteByte('|')
-	// Render phi images canonically: constants and exposure classes.
-	var binds []string
+// sign computes sig.
+func (m *MCD) sign() {
+	m.sig = make([]int32, len(m.phi))
 	for x, t := range m.phi {
-		r := m.viewSub.Walk(t)
-		tag := r.String()
-		if r.IsVar() {
-			// Variable names are fresh per working copy; canonicalise by
-			// exposure and by grouping query vars that share an image.
-			tag = "*"
-			if m.exposedRoots[r.Lex] {
-				tag = "+"
-			}
-			tag += groupOf(m, r)
+		if t == unmapped {
+			m.sig[x] = unmapped
+			continue
 		}
-		binds = append(binds, x+":"+tag)
-	}
-	sort.Strings(binds)
-	sb.WriteString(strings.Join(binds, ";"))
-	return sb.String()
-}
-
-// groupOf returns a canonical group label: the sorted query vars sharing
-// this view root.
-func groupOf(m *MCD, root cq.Term) string {
-	var xs []string
-	for x, t := range m.phi {
-		if m.viewSub.Walk(t) == root {
-			xs = append(xs, x)
+		r := m.find(t)
+		if r < 0 {
+			m.sig[x] = r
+			continue
 		}
+		// The lowest query variable with the same image names the group.
+		group := slices.IndexFunc(m.phi, func(u int32) bool { return u != unmapped && m.find(u) == r })
+		m.sig[x] = int32(group)<<1 | m.exposed[r]
 	}
-	sort.Strings(xs)
-	return strings.Join(xs, "~")
 }
 
 // Stats reports the work done by one run.
@@ -155,8 +206,14 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 	if err := q.Validate(); err != nil {
 		return nil, st, err
 	}
-	mcds := FormMCDs(q, vs)
+	f := newFormer(q, vs)
+	mcds := f.form()
 	st.MCDs = len(mcds)
+
+	// One search serves every candidate's verification and the union's
+	// minimisation; q is the containing query of every test.
+	var search containment.Search
+	pq := containment.Prepare(q)
 
 	result := &cq.Union{}
 	seen := make(map[string]bool)
@@ -178,7 +235,7 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 			if opt.MaxCombinations > 0 && st.Combinations > opt.MaxCombinations {
 				return false
 			}
-			cand := buildCandidate(q, selected, opt)
+			cand := f.candidate(selected, opt)
 			if cand == nil {
 				return true
 			}
@@ -190,7 +247,7 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 			if opt.VerifyCandidates {
 				exp, err := core.Expand(cand, vs)
 				st.ContainmentTests++
-				if err != nil || !containment.Contained(exp, q) {
+				if err != nil || !search.Contained(containment.Prepare(exp), pq) {
 					return true
 				}
 			}
@@ -230,276 +287,325 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 	combine(0)
 
 	if !opt.SkipMinimizeUnion {
-		result = containment.MinimizeUnion(result)
+		result = search.MinimizeUnion(result)
 	}
 	return result, st, nil
 }
 
-// FormMCDs enumerates the minimal MCDs of every view against q.
-func FormMCDs(q *cq.Query, vs *core.ViewSet) []*MCD {
-	headVars := make(map[string]bool)
-	for _, t := range q.Head.Args {
-		if t.IsVar() {
-			headVars[t.Lex] = true
-		}
-	}
-	// varGoals[x] = indices of subgoals containing variable x.
-	varGoals := make(map[string][]int)
-	for i, a := range q.Body {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				varGoals[t.Lex] = append(varGoals[t.Lex], i)
-			}
-		}
-	}
+// former holds what the MCDs of one query share: the numbered query, the
+// constants their tables refer to, and the scratch candidates are assembled
+// in.
+type former struct {
+	q  *cq.Query
+	vs *core.ViewSet
+	nq cq.Numbered
+	// head[x] reports whether query variable x is distinguished.
+	head []bool
+	// consts interns the constants MCD tables mention as ^k.
+	consts []cq.Term
+	out    []*MCD
 
-	var out []*MCD
-	dedup := make(map[string]bool)
-	counter := 0
-	for gi := range q.Body {
-		for _, v := range vs.Views() {
-			for ai := range v.Body {
-				counter++
-				fresh := cq.NewFreshener(fmt.Sprintf("M%d_", counter))
-				fresh.Reserve(q)
-				rv, _ := fresh.RenameApart(v)
-				m := &MCD{
-					View:         v,
-					view:         rv,
-					viewSub:      cq.NewSubst(),
-					phi:          make(map[string]cq.Term),
-					exposedRoots: make(map[string]bool),
-				}
-				for _, t := range rv.Head.Args {
-					if t.IsVar() {
-						m.exposedRoots[t.Lex] = true
-					}
-				}
-				coveredSet := map[int]bool{}
-				if !mapAtoms(m, q, gi, ai, headVars, coveredSet) {
-					continue
-				}
-				for _, closed := range closeAll(m, q, headVars, varGoals, coveredSet) {
-					k := closed.key()
-					if !dedup[k] {
-						dedup[k] = true
-						out = append(out, closed)
-					}
-				}
-			}
-		}
-	}
-	return out
+	// Scratch of candidate. eq is a union-find over the query's variables:
+	// eq[x] is x while x is free, another variable once merged, ^k once
+	// bound to a constant. codes holds the candidate's atoms flattened, an
+	// argument being a query variable id, ^k, or nq+j for fresh name j.
+	eq    []int32
+	codes []int32
+	group []int32
+	names *cq.Freshener
+	fresh []cq.Term
 }
 
-// mapAtoms extends the MCD so that query subgoal gi is covered by view atom
-// ai. It records the coverage and reports failure when the MiniCon
-// conditions are violated.
-func mapAtoms(m *MCD, q *cq.Query, gi, ai int, headVars map[string]bool, covered map[int]bool) bool {
-	g := q.Body[gi]
-	a := m.view.Body[ai]
-	if g.Pred != a.Pred || len(g.Args) != len(a.Args) {
-		return false
+func newFormer(q *cq.Query, vs *core.ViewSet) *former {
+	f := &former{q: q, vs: vs, nq: cq.Number(q)}
+	f.head = make([]bool, f.nq.NumVars())
+	for _, x := range f.nq.Head() {
+		if x != cq.ConstArg {
+			f.head[x] = true
+		}
 	}
-	for i := range g.Args {
-		qt, vt := g.Args[i], a.Args[i]
-		vimg := m.viewSub.Walk(vt)
-		if qt.IsConst() {
+	return f
+}
+
+// constant interns t and returns its view-term code.
+func (f *former) constant(t cq.Term) int32 {
+	k := slices.Index(f.consts, t)
+	if k < 0 {
+		k = len(f.consts)
+		f.consts = append(f.consts, t)
+	}
+	return ^int32(k)
+}
+
+// FormMCDs enumerates the minimal MCDs of every view against q. The order is
+// fixed — by seed subgoal, then view in insertion order, then view atom,
+// then, within one seed's closure, lowest unresolved query variable first —
+// so that the union Rewrite builds from them comes out member for member the
+// same on every call.
+func FormMCDs(q *cq.Query, vs *core.ViewSet) []*MCD {
+	return newFormer(q, vs).form()
+}
+
+func (f *former) form() []*MCD {
+	for gi, g := range f.q.Body {
+		for _, occ := range f.vs.Occurrences(g.Pred, len(g.Args)) {
+			v := f.vs.View(occ.View)
+			m := &MCD{View: v.Query, view: v, f: f}
+			m.carve(make([]int32, f.nq.NumVars()+2*v.NumVars()+len(f.q.Body)), 0)
+			for x := range m.phi {
+				m.phi[x] = unmapped
+			}
+			for id := range m.parent {
+				m.parent[id] = int32(id)
+				if !v.Existential(int32(id)) {
+					m.exposed[id] = 1
+				}
+			}
+			if f.cover(m, gi, occ.Atom) {
+				f.close(m)
+			}
+		}
+	}
+	return f.out
+}
+
+// cover extends the MCD so that query subgoal gi is covered by view atom ai,
+// which has gi's predicate and arity. It records the coverage and reports
+// failure when the MiniCon conditions are violated.
+func (f *former) cover(m *MCD, gi, ai int) bool {
+	g, a := f.q.Body[gi], m.view.Query.Body[ai]
+	vids := m.view.Atom(ai)
+	for i, x := range f.nq.Atom(gi) {
+		vt := vids[i]
+		if vt == cq.ConstArg {
+			vt = f.constant(a.Args[i])
+		}
+		vimg := m.find(vt)
+		if x == cq.ConstArg {
+			c := f.constant(g.Args[i])
 			switch {
-			case vimg.IsConst():
-				if vimg != qt {
+			case vimg < 0:
+				if vimg != c {
 					return false
 				}
-			case m.exposed(vimg):
-				// Bind the distinguished variable to the constant.
-				if !m.equate(vimg, qt) {
-					return false
-				}
+			case m.exposed[vimg] != 0:
+				m.equate(vimg, c) // bind the distinguished variable to the constant
 			default:
 				return false // existential cannot enforce a constant
 			}
 			continue
 		}
-		// qt is a query variable.
-		if prev, ok := m.phi[qt.Lex]; ok {
-			if !m.equate(m.viewSub.Walk(prev), vimg) {
+		if prev := m.phi[x]; prev != unmapped {
+			if !m.equate(prev, vimg) {
 				return false
 			}
 		} else {
-			m.phi[qt.Lex] = vimg
+			m.phi[x] = vimg
 		}
 	}
-	covered[gi] = true
+	at, _ := slices.BinarySearch(m.covers, int32(gi))
+	m.covers = slices.Insert(m.covers, at, int32(gi))
 	return true
 }
 
-// exposed reports whether a view term is visible in the rewriting: a
-// constant or a (root) variable marked distinguished.
-func (m *MCD) exposed(t cq.Term) bool {
-	t = m.viewSub.Walk(t)
-	return t.IsConst() || m.exposedRoots[t.Lex]
-}
-
-// equate merges two view terms under viewSub, maintaining exposure marks.
-func (m *MCD) equate(a, b cq.Term) bool {
-	a, b = m.viewSub.Walk(a), m.viewSub.Walk(b)
-	if a == b {
-		return true
-	}
-	switch {
-	case a.IsVar():
-		m.viewSub[a.Lex] = b
-		if m.exposedRoots[a.Lex] && b.IsVar() {
-			m.exposedRoots[b.Lex] = true
-		}
-		return true
-	case b.IsVar():
-		m.viewSub[b.Lex] = a
-		if m.exposedRoots[b.Lex] {
-			// a is a constant: exposure preserved trivially.
-		}
-		return true
-	default:
-		return false // two distinct constants
-	}
-}
-
-// closeAll enforces the MiniCon property exhaustively: every query
-// variable mapped to a non-exposed view term must have all its subgoals
-// covered by this MCD, and a query head variable must map to an exposed
-// term. When a forced subgoal can be covered by several view atoms, every
-// choice is explored (the choices lead to different — all minimal — MCDs).
-// Duplicate closures are pruned by FormMCDs' key dedup.
-func closeAll(m *MCD, q *cq.Query, headVars map[string]bool, varGoals map[string][]int, covered map[int]bool) []*MCD {
-	// Find one violated obligation; if none, the MCD is closed.
-	forcedGoal := -1
+// close enforces the MiniCon property exhaustively: every query variable
+// mapped to a non-exposed view term must have all its subgoals covered by
+// this MCD, and a query head variable must map to an exposed term. When a
+// forced subgoal can be covered by several view atoms, every choice is
+// explored (the choices lead to different — all minimal — MCDs). The
+// obligation taken up is always that of the lowest such variable, which is
+// what makes the enumeration order a function of the inputs. Closed MCDs are
+// added to f.out unless an equal one is there.
+func (f *former) close(m *MCD) {
+	forced := -1
 	for x, t := range m.phi {
-		if m.exposed(t) {
+		if t == unmapped || m.isExposed(t) {
 			continue
 		}
-		if headVars[x] {
-			return nil // unfixable: head variable on an existential
+		if f.head[x] {
+			return // unfixable: head variable on an existential
 		}
-		for _, gi := range varGoals[x] {
-			if !covered[gi] {
-				forcedGoal = gi
-				break
-			}
-		}
-		if forcedGoal >= 0 {
+		forced = f.uncovered(m, int32(x))
+		if forced >= 0 {
 			break
 		}
 	}
-	if forcedGoal < 0 {
-		closed := m.clone()
-		closed.covers = sortedKeys(covered)
-		return []*MCD{closed}
+	if forced < 0 {
+		m.sign()
+		same := func(o *MCD) bool {
+			return o.view == m.view && slices.Equal(o.covers, m.covers) && slices.Equal(o.sig, m.sig)
+		}
+		if !slices.ContainsFunc(f.out, same) {
+			f.out = append(f.out, m)
+		}
+		return
 	}
 	// Branch over every view atom that can cover the forced subgoal.
-	var out []*MCD
-	for ai := range m.view.Body {
-		if m.view.Body[ai].Pred != q.Body[forcedGoal].Pred {
+	g := f.q.Body[forced]
+	for ai, a := range m.view.Query.Body {
+		if a.Pred != g.Pred || len(a.Args) != len(g.Args) {
 			continue
 		}
-		branch := m.clone()
-		branchCovered := make(map[int]bool, len(covered)+1)
-		for k, v := range covered {
-			branchCovered[k] = v
+		if branch := m.clone(); f.cover(branch, forced, ai) {
+			f.close(branch)
 		}
-		if !mapAtoms(branch, q, forcedGoal, ai, headVars, branchCovered) {
-			continue
-		}
-		out = append(out, closeAll(branch, q, headVars, varGoals, branchCovered)...)
 	}
-	return out
 }
 
-// buildCandidate assembles a rewriting from a set of disjoint MCDs.
-func buildCandidate(q *cq.Query, mcds []*MCD, opt Options) *cq.Query {
-	fresh := cq.NewFreshener("F")
-	fresh.Reserve(q)
+// uncovered returns the first subgoal mentioning query variable x that m
+// does not cover, or -1.
+func (f *former) uncovered(m *MCD, x int32) int {
+	for gi := range f.q.Body {
+		if slices.Contains(f.nq.Atom(gi), x) && !m.covered(gi) {
+			return gi
+		}
+	}
+	return -1
+}
+
+// walk resolves a query variable through eq: to a free variable's id or to
+// ^k.
+func (f *former) walk(x int32) int32 {
+	for x >= 0 && f.eq[x] != x {
+		x = f.eq[x]
+	}
+	return x
+}
+
+// unify merges query variable x with y, a query variable or ^k. It fails on
+// two distinct constants.
+func (f *former) unify(x, y int32) bool {
+	x, y = f.walk(x), f.walk(y)
+	switch {
+	case x == y:
+		return true
+	case x >= 0:
+		f.eq[x] = y
+		return true
+	case y >= 0:
+		f.eq[y] = x
+		return true
+	default:
+		return false
+	}
+}
+
+// freshName returns the j-th name of the sequence F0, F1, ... less the names
+// the query uses. Every candidate counts from the start of it.
+func (f *former) freshName(j int) cq.Term {
+	if f.names == nil {
+		f.names = cq.NewFreshener("F")
+		f.names.Reserve(f.q)
+	}
+	for len(f.fresh) <= j {
+		f.fresh = append(f.fresh, f.names.Fresh())
+	}
+	return f.fresh[j]
+}
+
+// candidate assembles a rewriting from a set of disjoint MCDs, or returns nil
+// when their bindings conflict or the result would not be a safe query.
+func (f *former) candidate(mcds []*MCD, opt Options) *cq.Query {
+	nq := int32(f.nq.NumVars())
 	// eq accumulates equalities forced on query variables (shared view
 	// images and constant bindings).
-	eq := cq.NewSubst()
-	body := make([]cq.Atom, 0, len(mcds))
+	f.eq = f.eq[:0]
+	for x := int32(0); x < nq; x++ {
+		f.eq = append(f.eq, x)
+	}
+	f.codes = f.codes[:0]
+	fresh := 0
 	for _, m := range mcds {
-		// inverse: view root -> query variables sharing it.
-		inverse := make(map[cq.Term][]string)
 		for x, t := range m.phi {
-			r := m.viewSub.Walk(t)
-			if r.IsVar() {
-				inverse[r] = append(inverse[r], x)
+			if t == unmapped {
+				continue
+			}
+			if r := m.find(t); r < 0 && !f.unify(int32(x), r) {
+				return nil // query variable bound to two constants
+			}
+		}
+		start := len(f.codes)
+		for i, h := range m.view.Head() {
+			var r int32
+			if h == cq.ConstArg {
+				r = f.constant(m.View.Head.Args[i])
 			} else {
-				// Query variable bound to a constant.
-				if !eq.UnifyTerms(cq.Var(x), r) {
+				r = m.find(h)
+			}
+			if r < 0 {
+				f.codes = append(f.codes, r)
+				continue
+			}
+			// A class met at an earlier head position keeps the term it
+			// got there.
+			if j := slices.IndexFunc(m.view.Head()[:i], func(e int32) bool { return e != cq.ConstArg && m.find(e) == r }); j >= 0 {
+				f.codes = append(f.codes, f.codes[start+j])
+				continue
+			}
+			// The query variables landing on this class: the first by name
+			// stands for all of them.
+			f.group = f.group[:0]
+			for x, t := range m.phi {
+				if t != unmapped && m.find(t) == r {
+					f.group = append(f.group, int32(x))
+				}
+			}
+			if len(f.group) == 0 {
+				f.codes = append(f.codes, nq+int32(fresh))
+				fresh++
+				continue
+			}
+			slices.SortFunc(f.group, func(a, b int32) int { return strings.Compare(f.nq.Names[a], f.nq.Names[b]) })
+			for _, other := range f.group[1:] {
+				if !f.unify(other, f.group[0]) {
 					return nil
 				}
 			}
+			f.codes = append(f.codes, f.group[0])
 		}
-		for _, xs := range inverse {
-			sort.Strings(xs)
-		}
-		args := make([]cq.Term, len(m.view.Head.Args))
-		memo := make(map[cq.Term]cq.Term)
-		for i, h := range m.view.Head.Args {
-			r := m.viewSub.Walk(h)
-			if r.IsConst() {
-				args[i] = r
-				continue
-			}
-			if t, ok := memo[r]; ok {
-				args[i] = t
-				continue
-			}
-			if xs := inverse[r]; len(xs) > 0 {
-				rep := cq.Var(xs[0])
-				for _, other := range xs[1:] {
-					if !eq.UnifyTerms(cq.Var(other), rep) {
-						return nil
-					}
-				}
-				memo[r] = rep
-				args[i] = rep
-				continue
-			}
-			f := fresh.Fresh()
-			memo[r] = f
-			args[i] = f
-		}
-		body = append(body, cq.Atom{Pred: m.View.Name(), Args: args})
 	}
-	cand := &cq.Query{Head: q.Head, Body: body}
-	if opt.KeepComparisons {
-		cand.Comparisons = append(cand.Comparisons, q.Comparisons...)
+
+	term := func(code int32) cq.Term {
+		if code >= nq {
+			return f.freshName(int(code - nq))
+		}
+		if code = f.walk(code); code < 0 {
+			return f.consts[^code]
+		}
+		return cq.Var(f.nq.Names[code])
 	}
-	cand = eq.Resolved().ApplyQuery(cand)
+	resolved := func(id int32, t cq.Term) cq.Term {
+		if id == cq.ConstArg {
+			return t
+		}
+		return term(id)
+	}
+	cand := &cq.Query{Head: cq.Atom{Pred: f.q.Head.Pred, Args: make([]cq.Term, len(f.q.Head.Args))}, Body: make([]cq.Atom, len(mcds))}
+	for i, id := range f.nq.Head() {
+		cand.Head.Args[i] = resolved(id, f.q.Head.Args[i])
+	}
+	codes := f.codes
+	for i, m := range mcds {
+		args := make([]cq.Term, len(m.View.Head.Args))
+		for j := range args {
+			args[j] = term(codes[j])
+		}
+		codes = codes[len(args):]
+		cand.Body[i] = cq.Atom{Pred: m.View.Name(), Args: args}
+	}
 	if opt.KeepComparisons {
 		// Keep only comparisons whose terms are exposed in the body.
-		exposedT := make(map[cq.Term]bool)
-		for _, a := range cand.Body {
-			for _, t := range a.Args {
-				exposedT[t] = true
+		exposed := func(t cq.Term) bool { return t.IsConst() || cand.InBody(t) }
+		for i, c := range f.q.Comparisons {
+			l, r := f.nq.Comparison(i)
+			c.Left, c.Right = resolved(l, c.Left), resolved(r, c.Right)
+			if exposed(c.Left) && exposed(c.Right) {
+				cand.Comparisons = append(cand.Comparisons, c)
 			}
 		}
-		kept := cand.Comparisons[:0]
-		for _, c := range cand.Comparisons {
-			if (c.Left.IsConst() || exposedT[c.Left]) && (c.Right.IsConst() || exposedT[c.Right]) {
-				kept = append(kept, c)
-			}
-		}
-		cand.Comparisons = kept
 	}
-	if cand.Validate() != nil {
+	if !cand.Valid() {
 		return nil
 	}
 	return cand
-}
-
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

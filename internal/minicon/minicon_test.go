@@ -108,7 +108,7 @@ func TestFormMCDsBranchingClosure(t *testing.T) {
 		if len(m.Covers()) != 3 {
 			continue // e.g. the standalone t-cover with W bound to 1
 		}
-		img := m.viewSub.Walk(m.phi["W"])
+		img, _ := m.image("W")
 		if img.IsConst() {
 			constVariant = true
 		} else {
