@@ -58,11 +58,11 @@ func TestFingerprintAlphaEquivalence(t *testing.T) {
 func TestFingerprintSeparatesDifferentQueries(t *testing.T) {
 	distinct := []string{
 		"q(X,Y) :- r(X,Z), s(Z,Y)",
-		"q(X,Y) :- r(X,Z), s(Y,Z)",   // different join pattern
-		"q(Y,X) :- r(X,Z), s(Z,Y)",   // head swapped
-		"p(X,Y) :- r(X,Z), s(Z,Y)",   // different head predicate
+		"q(X,Y) :- r(X,Z), s(Y,Z)", // different join pattern
+		"q(Y,X) :- r(X,Z), s(Z,Y)", // head swapped
+		"p(X,Y) :- r(X,Z), s(Z,Y)", // different head predicate
 		"q(X,Y) :- r(X,Z), s(Z,Y), Z < 5",
-		"q(X,X) :- r(X,Z), s(Z,X)",   // head repetition
+		"q(X,X) :- r(X,Z), s(Z,X)", // head repetition
 		"q(X,Y) :- r(X,Z), s(Z,Y), r(X,X)",
 	}
 	seen := make(map[string]string)

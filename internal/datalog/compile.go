@@ -496,15 +496,9 @@ func (p *CompiledPlan) EvalParallelWith(db *storage.Database, args []string, wor
 	return storage.SortTuples(p.EvalParallelUnsortedWith(db, args, workers))
 }
 
-// EvalParallelUnsorted is EvalParallel without the final sort: the
+// EvalParallelUnsortedWith is EvalParallelWith without the final sort: the
 // distinct answers in discovery order. Callers that merge several plans'
 // results (the engine's union evaluation) dedup first and sort once.
-func (p *CompiledPlan) EvalParallelUnsorted(db *storage.Database, workers int) []storage.Tuple {
-	return p.EvalParallelUnsortedWith(db, nil, workers)
-}
-
-// EvalParallelUnsortedWith is EvalParallelUnsorted under an argument
-// binding (EvalWith).
 func (p *CompiledPlan) EvalParallelUnsortedWith(db *storage.Database, args []string, workers int) []storage.Tuple {
 	return p.evalUnsorted(db, args, workers, nil)
 }

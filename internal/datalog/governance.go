@@ -299,28 +299,10 @@ func (cp *CompiledProgram) EvalRelationShardedCtx(ctx context.Context, pdb *stor
 	return cp.evalRelationSharded(pdb, pred, workers, fixpointGuard(ctx, lim), lim)
 }
 
-// MaintainDeltaCtx is MaintainDeltaParallel under a context and limits.
-// On error db holds a partially propagated state: the caller must either
-// discard it or roll back (ivm.Maintainer does the latter).
-func (cp *CompiledProgram) MaintainDeltaCtx(ctx context.Context, db *storage.Database, delta map[string][]storage.Tuple, workers int, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FixpointStats{}, ErrCanceled
-	}
-	return cp.maintainDelta(db, delta, workers, fixpointGuard(ctx, lim), lim)
-}
-
-// MaintainDeltaShardedCtx is MaintainDeltaSharded under a context and
-// limits, with the same partial-state caveat as MaintainDeltaCtx.
-func (cp *CompiledProgram) MaintainDeltaShardedCtx(ctx context.Context, pdb *storage.PartitionedDatabase, delta map[string][]storage.Tuple, workers int, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FixpointStats{}, ErrCanceled
-	}
-	return cp.maintainDeltaSharded(pdb, delta, workers, fixpointGuard(ctx, lim), lim)
-}
-
 // ApplyInsertsCtx is ApplyInserts under a context and limits. Validation
 // errors still leave db unchanged; cancellation or budget errors leave it
-// partially updated, with the same roll-back caveat as MaintainDeltaCtx.
+// partially updated: the caller must either discard it or roll back
+// (ivm.Maintainer does the latter).
 func (cp *CompiledProgram) ApplyInsertsCtx(ctx context.Context, db *storage.Database, updates map[string][]storage.Tuple, workers int, lim Limits) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, FixpointStats{}, ErrCanceled

@@ -31,8 +31,7 @@ import (
 //     goroutines exactly like fixpoint rounds.
 //
 // Work per batch is therefore proportional to the consequences of the
-// delta, not to the size of the database — the acceptance criterion the
-// BENCH_eval.json "ivm" section tracks against full re-materialization.
+// delta, not to the size of the database.
 
 // ErrNotMaintenance reports a MaintainDelta call on a program compiled
 // without EDB delta variants.
@@ -65,7 +64,7 @@ func (cp *CompiledProgram) MaintainDeltaParallel(db *storage.Database, delta map
 }
 
 // maintainDelta is the shared implementation behind MaintainDeltaParallel
-// and MaintainDeltaCtx. On a guard or budget failure the database holds a
+// and applyInserts. On a guard or budget failure the database holds a
 // partially propagated state — callers wanting atomicity (ivm.Maintainer)
 // snapshot and roll back around it.
 func (cp *CompiledProgram) maintainDelta(db *storage.Database, delta map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {

@@ -526,7 +526,7 @@ func mergeSortedRows(runs [][][]string) [][]string {
 		return nil
 	}
 	for len(runs) > 1 {
-		next := runs[:0:len(runs)/2+1]
+		next := runs[: 0 : len(runs)/2+1]
 		for i := 0; i+1 < len(runs); i += 2 {
 			next = append(next, mergeTwoRows(runs[i], runs[i+1]))
 		}
@@ -577,11 +577,6 @@ func (p *CompiledPlan) EvalSharded(pdb *storage.PartitionedDatabase, workers int
 // partition column routes the whole execution to one owner shard.
 func (p *CompiledPlan) EvalShardedWith(pdb *storage.PartitionedDatabase, args []string, workers int) []storage.Tuple {
 	return storage.SortTuples(p.EvalShardedUnsortedWith(pdb, args, workers))
-}
-
-// EvalShardedUnsorted is EvalSharded without the final sort.
-func (p *CompiledPlan) EvalShardedUnsorted(pdb *storage.PartitionedDatabase, workers int) []storage.Tuple {
-	return p.EvalShardedUnsortedWith(pdb, nil, workers)
 }
 
 // EvalShardedUnsortedWith is EvalShardedWith without the final sort.

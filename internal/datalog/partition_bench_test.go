@@ -10,9 +10,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Shard-count scaling benchmarks for the sharded executor. CI runs these at
-// -benchtime=1x as a smoke test; cmd/aqvbench -scaling produces the curve
-// BENCH_eval.json tracks.
+// Shard-count scaling benchmarks for the sharded executor: the flat route
+// against every shard count in one process. CI runs these at -benchtime=1x
+// as a smoke test.
 
 func benchShardCounts() []int {
 	// Shards beyond the core count still pay off on one core: they shrink the
@@ -30,20 +30,8 @@ func benchShardCounts() []int {
 }
 
 func BenchmarkShardedServeJoin(b *testing.B) {
-	// A one-tenth-scale copy of aqvbench's serve_join workload: guarded
-	// fan-out join where the flat evaluator's time goes to candidate-list
-	// walks over p3 and the head carries the routing slot (disjoint tasks).
-	rng := rand.New(rand.NewSource(91))
-	db := storage.NewDatabase()
-	for i := 0; i < 40000; i++ {
-		db.Insert("p1", storage.Tuple{"w" + fmt.Sprint(rng.Intn(100000)), "x" + fmt.Sprint(rng.Intn(30000))})
-	}
-	for i := 0; i < 15000; i++ {
-		db.Insert("p2", storage.Tuple{"x" + fmt.Sprint(rng.Intn(30000)), "k" + fmt.Sprint(rng.Intn(10000))})
-	}
-	for i := 0; i < 200000; i++ {
-		db.Insert("p3", storage.Tuple{"k" + fmt.Sprint(rng.Intn(10000)), "z" + fmt.Sprint(rng.Intn(500000))})
-	}
+	// A reduced copy of BenchmarkGuardOverhead's serve_join workload.
+	db := serveJoinDB(40000, 15000, 200000)
 	q := mustQ("q(Y,Z) :- p1(W,X), p2(X,Y), p3(Y,Z)")
 	db.BuildIndexes()
 	cat := cost.NewCatalog(db)
@@ -73,16 +61,7 @@ func BenchmarkShardedServeJoin(b *testing.B) {
 }
 
 func BenchmarkShardedFixpointTC(b *testing.B) {
-	rng := rand.New(rand.NewSource(93))
-	edges := storage.NewDatabase()
-	const chain = 400
-	for i := 0; i < chain; i++ {
-		edges.Insert("e", storage.Tuple{fmt.Sprint(i), fmt.Sprint(i + 1)})
-	}
-	for i := 0; i < 200; i++ {
-		from := rng.Intn(chain)
-		edges.Insert("e", storage.Tuple{fmt.Sprint(from), fmt.Sprint(from + 1 + rng.Intn(6))})
-	}
+	edges := tcChainDB()
 	prog := NewProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
@@ -119,4 +98,40 @@ func BenchmarkShardedFixpointTC(b *testing.B) {
 			}
 		})
 	}
+}
+
+// serveJoinDB builds the join-heavy serving workload q(Y,Z) :- p1(W,X),
+// p2(X,Y), p3(Y,Z) with n1, n2 and n3 tuples: a guarded fan-out join where
+// the flat evaluator's time goes to candidate-list walks over p3 and the
+// head carries the routing slot (disjoint tasks).
+func serveJoinDB(n1, n2, n3 int) *storage.Database {
+	rng := rand.New(rand.NewSource(91))
+	w, x, k, z := n1*5/2, n1*3/4, n1/4, n3*5/2
+	db := storage.NewDatabase()
+	for i := 0; i < n1; i++ {
+		db.Insert("p1", storage.Tuple{"w" + fmt.Sprint(rng.Intn(w)), "x" + fmt.Sprint(rng.Intn(x))})
+	}
+	for i := 0; i < n2; i++ {
+		db.Insert("p2", storage.Tuple{"x" + fmt.Sprint(rng.Intn(x)), "k" + fmt.Sprint(rng.Intn(k))})
+	}
+	for i := 0; i < n3; i++ {
+		db.Insert("p3", storage.Tuple{"k" + fmt.Sprint(rng.Intn(k)), "z" + fmt.Sprint(rng.Intn(z))})
+	}
+	return db
+}
+
+// tcChainDB builds the recursive fixpoint workload: a 400-node chain with
+// 200 random skip edges, closed by tc.
+func tcChainDB() *storage.Database {
+	rng := rand.New(rand.NewSource(93))
+	edges := storage.NewDatabase()
+	const chain = 400
+	for i := 0; i < chain; i++ {
+		edges.Insert("e", storage.Tuple{fmt.Sprint(i), fmt.Sprint(i + 1)})
+	}
+	for i := 0; i < 200; i++ {
+		from := rng.Intn(chain)
+		edges.Insert("e", storage.Tuple{fmt.Sprint(from), fmt.Sprint(from + 1 + rng.Intn(6))})
+	}
+	return edges
 }

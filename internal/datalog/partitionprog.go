@@ -371,7 +371,7 @@ func (cp *CompiledProgram) evalRelationSharded(pdb *storage.PartitionedDatabase,
 	return nil, stats, nil
 }
 
-// MaintainDeltaSharded propagates a batch of inserts through the program's
+// maintainDeltaSharded propagates a batch of inserts through the program's
 // delta variants over a partitioned database, updating its derived
 // relations in place — the sharded form of MaintainDeltaParallel. The
 // rounds run per-shard: the batch is split by each relation's partition
@@ -379,15 +379,9 @@ func (cp *CompiledProgram) evalRelationSharded(pdb *storage.PartitionedDatabase,
 // derivations are routed to their owner shards at the round barrier. Like
 // the unpartitioned path, db must already contain the delta tuples and the
 // accumulated derived relations; it returns the newly derived tuples per
-// predicate.
-func (cp *CompiledProgram) MaintainDeltaSharded(pdb *storage.PartitionedDatabase, delta map[string][]storage.Tuple, workers int) (map[string][]storage.Tuple, FixpointStats, error) {
-	return cp.maintainDeltaSharded(pdb, delta, workers, nil, Limits{})
-}
-
-// maintainDeltaSharded is the shared implementation behind
-// MaintainDeltaSharded and MaintainDeltaShardedCtx. On a guard or budget
-// failure the database holds a partially propagated state — callers wanting
-// atomicity (ivm.Maintainer) snapshot and roll back around it.
+// predicate. On a guard or budget failure the database holds a partially
+// propagated state — callers wanting atomicity (ivm.Maintainer) snapshot
+// and roll back around it.
 func (cp *CompiledProgram) maintainDeltaSharded(pdb *storage.PartitionedDatabase, delta map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {
 	var stats FixpointStats
 	if !cp.ivm {
@@ -531,7 +525,7 @@ func (cp *CompiledProgram) maintVariantSharded(pdb *storage.PartitionedDatabase,
 // ApplyInsertsSharded is ApplyInserts over a partitioned database: it
 // validates the updates, inserts the facts (routing each to its owner
 // shard, creating missing relations partitioned by column 0), and
-// propagates the new ones through MaintainDeltaSharded.
+// propagates the new ones through maintainDeltaSharded.
 func (cp *CompiledProgram) ApplyInsertsSharded(pdb *storage.PartitionedDatabase, updates map[string][]storage.Tuple, workers int) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
 	return cp.applyInsertsSharded(pdb, updates, workers, nil, Limits{})
 }

@@ -57,7 +57,7 @@ type Options struct {
 }
 
 const (
-	currentFile = "CURRENT"
+	currentFile  = "CURRENT"
 	manifestFile = "MANIFEST.json"
 	walFile      = "wal.log"
 )

@@ -381,9 +381,9 @@ type Engine struct {
 	// pdb is the hash-partitioned twin of db when Options.Shards > 1 on a
 	// frozen (non-live) engine; live engines keep per-side twins instead
 	// (liveState.psides).
-	pdb *storage.PartitionedDatabase
-	opt Options
-	memo     *containment.Memo
+	pdb  *storage.PartitionedDatabase
+	opt  Options
+	memo *containment.Memo
 	// catalog holds the construction-time database statistics, used to
 	// order joins and pick probe columns when compiling physical plans.
 	// Live updates let it drift: statistics only steer plan shape, never
@@ -619,7 +619,7 @@ func newLiveFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Quer
 	}
 	inner := opt
 	inner.LiveUpdates = false
-	inner.Shards = 0 // live engines partition per serving side, not e.pdb
+	inner.Shards = 0                // live engines partition per serving side, not e.pdb
 	e, err := New(vs, side0, inner) // indexes side0
 	if err != nil {
 		return nil, err

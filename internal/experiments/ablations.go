@@ -22,7 +22,7 @@ func T6SemiInterval() Table {
 		Title:   "Semi-interval dispatch: polynomial complete test for var-vs-const comparisons",
 		Columns: []string{"chain", "comparisons", "dispatch_us", "linearise_us", "saving", "agree"},
 	}
-	for _, k := range []int{1, 2, 3, 4} {
+	for _, k := range []int{1, 2, 3} {
 		q1 := workload.ChainQuery(k+1, true)
 		for i := 0; i <= k; i++ {
 			q1.Comparisons = append(q1.Comparisons, cq.NewComparison(
@@ -68,7 +68,7 @@ func F7EvaluatorAblation() Table {
 	var instances []instance
 
 	// Shape 1: disconnected member (cross product without decomposition).
-	for _, rows := range []int{200, 800} {
+	for _, rows := range []int{100, 200} {
 		db := storage.NewDatabase()
 		for i := 0; i < rows; i++ {
 			db.Insert("v1", storage.Tuple{fmt.Sprint(rng.Intn(rows))})
@@ -82,7 +82,7 @@ func F7EvaluatorAblation() Table {
 		})
 	}
 	// Shape 2: connected chain with don't-care columns (projection).
-	for _, rows := range []int{200, 800} {
+	for _, rows := range []int{150, 300} {
 		db := storage.NewDatabase()
 		for i := 0; i < rows; i++ {
 			db.Insert("v", storage.Tuple{

@@ -1,15 +1,10 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/cq"
 )
-
-type queryT = cq.Query
-
-func mustParse(src string) *queryT { return cq.MustParseQuery(src) }
 
 func TestTableRender(t *testing.T) {
 	tbl := Table{
@@ -96,7 +91,7 @@ func TestF1RowsComplete(t *testing.T) {
 		t.Skip("full experiment; skipped with -short")
 	}
 	tbl := F1ChainViews()
-	if len(tbl.Rows) != 5 {
+	if len(tbl.Rows) != 4 {
 		t.Fatalf("F1 rows = %d", len(tbl.Rows))
 	}
 	for _, row := range tbl.Rows {
@@ -119,7 +114,9 @@ func TestF4Agreement(t *testing.T) {
 }
 
 // TestAblationSuite runs the ablation experiments (T6 semi-interval
-// dispatch, F6 minimisation, F7 evaluator optimisations). Like the other
+// dispatch, F6 minimisation, F7 evaluator optimisations) and checks the
+// claim each table's verdict column makes: the two containment tests of T6
+// and the two evaluators of F7 must agree on every row. Like the other
 // slow experiment tables it is gated behind -short so the fast suite stays
 // fast while full runs keep coverage.
 func TestAblationSuite(t *testing.T) {
@@ -127,12 +124,13 @@ func TestAblationSuite(t *testing.T) {
 		t.Skip("full ablation suite; skipped with -short")
 	}
 	for _, tc := range []struct {
-		id  string
-		run func() Table
+		id      string
+		run     func() Table
+		verdict string // column that must read "true" on every row, if any
 	}{
-		{"T6", T6SemiInterval},
-		{"F6", F6Minimization},
-		{"F7", F7EvaluatorAblation},
+		{"T6", T6SemiInterval, "agree"},
+		{"F6", F6Minimization, ""},
+		{"F7", F7EvaluatorAblation, "answers_equal"},
 	} {
 		tbl := tc.run()
 		if tbl.ID != tc.id {
@@ -141,27 +139,17 @@ func TestAblationSuite(t *testing.T) {
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s: no rows", tc.id)
 		}
+		verdict := slices.Index(tbl.Columns, tc.verdict)
+		if tc.verdict != "" && verdict < 0 {
+			t.Fatalf("%s: no %q column in %v", tc.id, tc.verdict, tbl.Columns)
+		}
 		for _, row := range tbl.Rows {
 			if len(row) != len(tbl.Columns) {
 				t.Fatalf("%s: ragged row %v", tc.id, row)
 			}
+			if verdict >= 0 && row[verdict] != "true" {
+				t.Fatalf("%s: %s is not true in row %v", tc.id, tc.verdict, row)
+			}
 		}
-	}
-}
-
-func TestRaceOne(t *testing.T) {
-	q := mustParse("q(X,Y) :- r(X,Z), s(Z,Y)")
-	vq := []string{"v1(A,B) :- r(A,B)", "v2(A,B) :- s(A,B)"}
-	var vs []*queryT
-	for _, s := range vq {
-		vs = append(vs, mustParse(s))
-	}
-	for _, algo := range []string{"bucket", "minicon", "equivalent"} {
-		if err := RaceOne(q, vs, algo); err != nil {
-			t.Fatalf("RaceOne(%s): %v", algo, err)
-		}
-	}
-	if err := RaceOne(q, vs, "nope"); err == nil {
-		t.Fatal("unknown algorithm accepted")
 	}
 }

@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction experiment suite defined
-// in DESIGN.md Section 5. Every experiment returns a Table that cmd/aqvbench
-// prints and EXPERIMENTS.md records; the same workloads back the testing.B
-// benchmarks in bench_test.go. All randomness is seeded, so tables are
-// reproducible run-to-run (timings vary with the machine, shapes do not).
+// in DESIGN.md Section 6. Every experiment returns a Table that cmd/aqvbench
+// prints and this package's tests assert on. Instances are sized so the
+// whole suite runs in seconds while every table keeps at least two sizes
+// per shape. All randomness is seeded, so tables are reproducible
+// run-to-run (timings vary with the machine, shapes do not).
 package experiments
 
 import (

@@ -58,17 +58,17 @@ type Maintainer struct {
 	viewNames map[string]bool
 	cp        *datalog.CompiledProgram
 	st        *datalog.MaintState
-	db        *storage.Database // base relations + maintained extents
+	db        *storage.Database            // base relations + maintained extents
 	pdb       *storage.PartitionedDatabase // hash-partitioned twin of db when Options.Shards > 1
 	opt       Options
 
-	batches       uint64
-	baseInserted  uint64
-	baseDeleted   uint64
-	derived       uint64
-	retracted     uint64
-	rounds        uint64
-	maintainTime  time.Duration
+	batches      uint64
+	baseInserted uint64
+	baseDeleted  uint64
+	derived      uint64
+	retracted    uint64
+	rounds       uint64
+	maintainTime time.Duration
 }
 
 // BatchResult reports one applied update batch.

@@ -370,11 +370,13 @@ func TestOverload429RetryAfter(t *testing.T) {
 	}()
 	defer wg.Wait()
 
+	admitted := uint64(1) // the heavy query holds the slot whenever a probe is shed
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		resp := postJSON(t, ts.URL+"/v1/query", queryRequest{Query: "q(X) :- r(k1,X)."})
 		if resp.StatusCode != http.StatusTooManyRequests {
 			readBody(t, resp) // probe won the slot; retry until shed
+			admitted++
 			time.Sleep(time.Millisecond)
 			continue
 		}
@@ -386,6 +388,17 @@ func TestOverload429RetryAfter(t *testing.T) {
 		}
 		if env.RetryAfterS < 1 || env.RetryAfterS != secs {
 			t.Fatalf("envelope retry_after_s = %d, header = %d", env.RetryAfterS, secs)
+		}
+		// The server's admission counters equal what the clients saw: one
+		// admission per answered request, one shed per 429.
+		resp, err = http.Get(ts.URL + "/v1/ns/default/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st namespaceStats
+		decodeInto(t, resp, &st)
+		if adm := st.Engine.Admission; adm.Admitted != admitted || adm.Shed != 1 {
+			t.Fatalf("admission counters = %+v, clients saw %d admitted and 1 shed", adm, admitted)
 		}
 		return
 	}
