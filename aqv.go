@@ -210,14 +210,6 @@ type (
 	Relation = storage.Relation
 	// Tuple is a row of constant values.
 	Tuple = storage.Tuple
-	// PartitionedDatabase is a database whose relations are hash-partitioned
-	// into shards — the physical layout the sharded evaluator runs over
-	// (CompiledPlan.EvalSharded, CompiledProgram.EvalSharded, and the engine
-	// under EngineOptions.Shards).
-	PartitionedDatabase = storage.PartitionedDatabase
-	// PartitionedRelation is a named tuple set hash-partitioned by one
-	// column into independent shards.
-	PartitionedRelation = storage.PartitionedRelation
 )
 
 var (
@@ -248,13 +240,6 @@ var (
 	CertainAnswers = datalog.CertainAnswers
 	// Explain returns the execution plan EvalQuery would use.
 	Explain = datalog.Explain
-	// PartitionDatabase re-buckets a database into a hash-partitioned one
-	// under a partition-column policy (Catalog.PartitionColumns is the
-	// usual source); freeze with BuildIndexes before concurrent reads.
-	PartitionDatabase = storage.Partition
-	// ShardOf routes a column value to its owning shard — the single hash
-	// router every layer of the sharded evaluator agrees on.
-	ShardOf = storage.ShardOf
 )
 
 // Plan describes a query execution plan (see Explain).

@@ -93,7 +93,6 @@ func run(args []string, out *os.File) error {
 	explain := fs.Bool("explain", false, "print the compiled execution plan (equivalent: the chosen rewriting, needs -data; inverse: the compiled program)")
 	cacheSize := fs.Int("cache", 128, "plan-cache capacity in batch mode")
 	workers := fs.Int("workers", 1, "batch mode: goroutines each evaluation fans its outer join loop across (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "batch/stream mode: hash-partition the serving database into this many shards and evaluate shard-locally (0 or 1 = flat)")
 	timeout := fs.Duration("timeout", 0, "batch/stream mode: per-request deadline; a query or update batch exceeding it fails with a canceled error (0 = none)")
 	maxDerived := fs.Int("max-derived", 0, "batch/stream mode: cap on derived tuples per fixpoint or update propagation (0 = unlimited)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "batch/stream mode: admission-control cap on concurrently executing requests; excess requests queue and overflow is shed (0 = no admission control)")
@@ -138,10 +137,10 @@ func run(args []string, out *os.File) error {
 		}
 	}
 	if *queriesPath != "" {
-		return runBatch(out, *queriesPath, views, base, *algo, *dataDir, *cacheSize, *workers, *shards, gov, *partial, *prepare, *stats)
+		return runBatch(out, *queriesPath, views, base, *algo, *dataDir, *cacheSize, *workers, gov, *partial, *prepare, *stats)
 	}
 	if *streamPath != "" {
-		return runStream(out, *streamPath, views, base, *algo, *dataDir, *cacheSize, *workers, *shards, gov, *partial, *stats)
+		return runStream(out, *streamPath, views, base, *algo, *dataDir, *cacheSize, *workers, gov, *partial, *stats)
 	}
 	if *dataDir != "" {
 		return fmt.Errorf("-datadir applies to -queries and -stream modes only")
@@ -365,7 +364,7 @@ func printGovStats(out *os.File, g govOpts, st aqv.EngineStats) {
 // preparing each query against the template cache and executing it under
 // its own constants. Without -data only the plans are printed; with -data
 // each query's answers follow its plan.
-func runBatch(out *os.File, path string, views []*aqv.Query, base *aqv.Database, algo, dataDir string, cacheSize, workers, shards int, gov govOpts, partial, prepare, stats bool) error {
+func runBatch(out *os.File, path string, views []*aqv.Query, base *aqv.Database, algo, dataDir string, cacheSize, workers int, gov govOpts, partial, prepare, stats bool) error {
 	queries, err := loadQueries(path)
 	if err != nil {
 		return err
@@ -384,7 +383,6 @@ func runBatch(out *os.File, path string, views []*aqv.Query, base *aqv.Database,
 		AllowPartial:    partial,
 		KeepComparisons: true,
 		EvalWorkers:     workers,
-		Shards:          shards,
 		Budget:          gov.budget(),
 		MaxConcurrent:   gov.maxConcurrent,
 		DataDir:         dataDir,
@@ -440,7 +438,7 @@ func runBatch(out *os.File, path string, views []*aqv.Query, base *aqv.Database,
 // applies the batch atomically (deletions first, every extent maintained
 // incrementally) and then answers over the updated snapshot. One statement
 // per line; trailing facts are applied at end of stream.
-func runStream(out *os.File, path string, views []*aqv.Query, base *aqv.Database, algo, dataDir string, cacheSize, workers, shards int, gov govOpts, partial, stats bool) error {
+func runStream(out *os.File, path string, views []*aqv.Query, base *aqv.Database, algo, dataDir string, cacheSize, workers int, gov govOpts, partial, stats bool) error {
 	strategy, err := aqv.ParseStrategy(algo)
 	if err != nil {
 		return err
@@ -454,7 +452,6 @@ func runStream(out *os.File, path string, views []*aqv.Query, base *aqv.Database
 		AllowPartial:    partial,
 		KeepComparisons: true,
 		EvalWorkers:     workers,
-		Shards:          shards,
 		LiveUpdates:     true,
 		Budget:          gov.budget(),
 		MaxConcurrent:   gov.maxConcurrent,

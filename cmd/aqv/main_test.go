@@ -205,6 +205,23 @@ func TestRunBatchFlagErrors(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: -shards was removed with the hash-partitioned layout
+// (PR 22) and must be rejected as an undefined flag, not ignored.
+func TestRunBadFlag(t *testing.T) {
+	dir := t.TempDir()
+	vf := writeFile(t, dir, "v.dl", "v(A) :- r(A).")
+	qf := writeFile(t, dir, "q.dl", "q(X) :- r(X).")
+	for _, args := range [][]string{
+		{"-nope"},
+		{"-queries", qf, "-views", vf, "-shards", "4"},
+	} {
+		err := run(args, os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("run(%v) = %v, want an undefined-flag error", args, err)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	qf := writeFile(t, dir, "q.dl", "q(X) :- r(X).")

@@ -192,49 +192,6 @@ func EstimateQueryWith(c *Catalog, q *cq.Query, boundVars []string) Estimate {
 	return est
 }
 
-// PartitionColumn picks the column a relation should be hash-partitioned
-// by. probeCols, when given, is an ordered preference list (compiled plans
-// emit their primary probe or join column first — see
-// datalog.CompiledPlan.PartitionHints): the first in-range candidate wins,
-// because partitioning on the column the plan probes next is what keeps
-// probes shard-local and spares the executor an exchange. Without probe
-// information the catalog falls back to statistics: the most distinct
-// column, which spreads tuples evenly across shards. Ties break toward the
-// lower column for determinism; unknown relations partition by column 0.
-func (c *Catalog) PartitionColumn(pred string, probeCols []int) int {
-	d, ok := c.distinct[pred]
-	if !ok || len(d) == 0 {
-		if len(probeCols) > 0 {
-			return probeCols[0]
-		}
-		return 0
-	}
-	for _, col := range probeCols {
-		if col >= 0 && col < len(d) {
-			return col
-		}
-	}
-	best, bestDistinct := 0, -1.0
-	for col := range d {
-		if d[col] > bestDistinct {
-			best, bestDistinct = col, d[col]
-		}
-	}
-	return best
-}
-
-// PartitionColumns applies PartitionColumn to every known relation,
-// returning the partition-column policy storage.Partition consumes.
-// probeCols, when non-nil, restricts each relation's candidates to the
-// columns some plan actually probes.
-func (c *Catalog) PartitionColumns(probeCols map[string][]int) map[string]int {
-	out := make(map[string]int, len(c.rows))
-	for pred := range c.rows {
-		out[pred] = c.PartitionColumn(pred, probeCols[pred])
-	}
-	return out
-}
-
 // RowsSafe is Rows guarded against zero.
 func (c *Catalog) RowsSafe(pred string) float64 {
 	return math.Max(1, c.Rows(pred))

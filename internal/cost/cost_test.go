@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cq"
@@ -163,35 +162,5 @@ func TestChooseEmpty(t *testing.T) {
 	best, ests := Choose(c, nil)
 	if best != -1 || len(ests) != 0 {
 		t.Fatalf("Choose on empty = %d, %v", best, ests)
-	}
-}
-
-func TestPartitionColumnPolicy(t *testing.T) {
-	db := storage.NewDatabase()
-	for i := 0; i < 100; i++ {
-		// col 0: 100 distinct, col 1: 5 distinct.
-		db.Insert("r", storage.Tuple{fmt.Sprint(i), fmt.Sprint(i % 5)})
-	}
-	c := NewCatalog(db)
-	if got := c.PartitionColumn("r", nil); got != 0 {
-		t.Fatalf("PartitionColumn(r) = %d, want the most-distinct column 0", got)
-	}
-	// Restricted to probed columns, the policy must stay inside them.
-	if got := c.PartitionColumn("r", []int{1}); got != 1 {
-		t.Fatalf("PartitionColumn(r, probe=[1]) = %d, want 1", got)
-	}
-	if got := c.PartitionColumn("unknown", nil); got != 0 {
-		t.Fatalf("PartitionColumn(unknown) = %d, want 0", got)
-	}
-	if got := c.PartitionColumn("unknown", []int{2}); got != 2 {
-		t.Fatalf("PartitionColumn(unknown, probe=[2]) = %d, want 2", got)
-	}
-	cols := c.PartitionColumns(map[string][]int{"r": {0, 1}})
-	if cols["r"] != 0 {
-		t.Fatalf("PartitionColumns[r] = %d, want 0", cols["r"])
-	}
-	// Out-of-range probe columns are ignored, not chosen.
-	if got := c.PartitionColumn("r", []int{9}); got != 0 {
-		t.Fatalf("PartitionColumn(r, probe=[9]) = %d, want fallback 0", got)
 	}
 }

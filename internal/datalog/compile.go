@@ -643,16 +643,6 @@ func resolveInto(db *storage.Database, c *compiledComponent, srcs []stepSrc) {
 	}
 }
 
-// projectRow returns the projection of a frame onto the component's head
-// slots (the sharded executor's row shape).
-func (c *compiledComponent) projectRow(frame []string) []string {
-	row := make([]string, len(c.headSlots))
-	for j, s := range c.headSlots {
-		row[j] = frame[s]
-	}
-	return row
-}
-
 // componentRows evaluates every component, returning its distinct
 // projections onto its head slots (nil rows for existence-only
 // components). ok=false means some component has no match — the query has

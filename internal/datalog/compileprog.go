@@ -552,11 +552,12 @@ func (cp *CompiledProgram) runRound(edb *storage.Database, idb map[string]*idbRe
 }
 
 // runTaskSet executes n independent task bodies across up to workers
-// goroutines, collecting each body's derivation buffer. Bodies only read
-// round-stable state, so the fan-out needs no locks; the fixpoint rounds
-// and the maintenance rounds (MaintainDelta) share it.
-func runTaskSet(n, workers int, run func(int) ([]derivedTuple, error)) ([][]derivedTuple, error) {
-	bufs := make([][]derivedTuple, n)
+// goroutines, collecting each body's result (a derivation buffer, or a
+// counted-tuple map on the counting path). Bodies only read round-stable
+// state, so the fan-out needs no locks; the fixpoint rounds and the
+// maintenance rounds (MaintainDelta, ApplyUpdates) share it.
+func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
+	bufs := make([]T, n)
 	if workers > n {
 		workers = n
 	}

@@ -462,19 +462,15 @@ func (cp *CompiledProgram) runCountVariants(db *storage.Database, batch map[stri
 			batchKeys[pred] = ks
 		}
 	}
-	results := make([]map[string]*countedTuple, len(tasks))
-	errs := make([]error, len(tasks))
-	runTasks(len(tasks), workers, func(i int) {
+	results, err := runTaskSet(len(tasks), workers, func(i int) (map[string]*countedTuple, error) {
 		t := tasks[i]
-		results[i], errs[i] = cp.countVariantRun(db, t.v, t.delta, batchKeys, gs.child())
+		return cp.countVariantRun(db, t.v, t.delta, batchKeys, gs.child())
 	})
-	if err := gs.failure(); err != nil {
-		return nil, err
+	if gerr := gs.failure(); gerr != nil {
+		return nil, gerr
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	merged := make(map[string]map[string]*countedTuple)
 	for i, res := range results {

@@ -11,15 +11,14 @@ import (
 )
 
 // Resource governance for the compiled executors. Every hot loop in this
-// package — the plan candidate loops (compile.go, partition.go), the
-// semi-naive fixpoint rounds (compileprog.go, partitionprog.go) and the IVM
-// maintenance rounds (ivm.go) — can run under an evalGuard: a per-goroutine
-// view of a shared guardState that amortizes cancellation checks to one
-// atomic load every guardInterval candidate rows, so a context-aware
-// execution costs the same as a plain one to within noise. Budgets
-// (Limits) bound result rows, derived tuples and fixpoint rounds; fixpoint
-// budgets are checked at round barriers, where partial-progress stats are
-// already consistent.
+// package — the plan candidate loops (compile.go), the semi-naive fixpoint
+// rounds (compileprog.go) and the IVM maintenance rounds (ivm.go, delete.go)
+// — can run under an evalGuard: a per-goroutine view of a shared guardState
+// that amortizes cancellation checks to one atomic load every guardInterval
+// candidate rows, so a context-aware execution costs the same as a plain
+// one to within noise. Budgets (Limits) bound result rows, derived tuples
+// and fixpoint rounds; fixpoint budgets are checked at round barriers,
+// where partial-progress stats are already consistent.
 //
 // The legacy entry points pass a nil guard everywhere, which compiles to a
 // single pointer test per candidate row — the pre-governance fast path is
@@ -224,26 +223,6 @@ func (p *CompiledPlan) EvalParallelUnsortedCtx(ctx context.Context, db *storage.
 	return finishRows(rows, gs, lim)
 }
 
-// EvalShardedCtx is EvalShardedWith under a context and limits.
-func (p *CompiledPlan) EvalShardedCtx(ctx context.Context, pdb *storage.PartitionedDatabase, args []string, workers int, lim Limits) ([]storage.Tuple, error) {
-	rows, err := p.EvalShardedUnsortedCtx(ctx, pdb, args, workers, lim)
-	if err != nil {
-		return nil, err
-	}
-	return storage.SortTuples(rows), nil
-}
-
-// EvalShardedUnsortedCtx is EvalShardedUnsortedWith under a context and
-// limits.
-func (p *CompiledPlan) EvalShardedUnsortedCtx(ctx context.Context, pdb *storage.PartitionedDatabase, args []string, workers int, lim Limits) ([]storage.Tuple, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, ErrCanceled
-	}
-	gs := newGuardState(ctx, lim.MaxRows)
-	rows := p.evalShardedUnsorted(pdb, args, workers, gs)
-	return finishRows(rows, gs, lim)
-}
-
 // finishRows applies the shared post-checks of the ctx entry points: a
 // tripped guard wins, then the exact MaxRows check over the combined
 // result.
@@ -291,14 +270,6 @@ func (cp *CompiledProgram) EvalRelationCtx(ctx context.Context, edb *storage.Dat
 	return cp.evalRelation(edb, pred, workers, fixpointGuard(ctx, lim), lim)
 }
 
-// EvalRelationShardedCtx is EvalRelationSharded under a context and limits.
-func (cp *CompiledProgram) EvalRelationShardedCtx(ctx context.Context, pdb *storage.PartitionedDatabase, pred string, workers int, lim Limits) ([]storage.Tuple, FixpointStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FixpointStats{}, ErrCanceled
-	}
-	return cp.evalRelationSharded(pdb, pred, workers, fixpointGuard(ctx, lim), lim)
-}
-
 // ApplyInsertsCtx is ApplyInserts under a context and limits. Validation
 // errors still leave db unchanged; cancellation or budget errors leave it
 // partially updated: the caller must either discard it or roll back
@@ -308,12 +279,4 @@ func (cp *CompiledProgram) ApplyInsertsCtx(ctx context.Context, db *storage.Data
 		return nil, nil, FixpointStats{}, ErrCanceled
 	}
 	return cp.applyInserts(db, updates, workers, fixpointGuard(ctx, lim), lim)
-}
-
-// ApplyInsertsShardedCtx is ApplyInsertsSharded under a context and limits.
-func (cp *CompiledProgram) ApplyInsertsShardedCtx(ctx context.Context, pdb *storage.PartitionedDatabase, updates map[string][]storage.Tuple, workers int, lim Limits) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, FixpointStats{}, ErrCanceled
-	}
-	return cp.applyInsertsSharded(pdb, updates, workers, fixpointGuard(ctx, lim), lim)
 }

@@ -53,15 +53,6 @@ func TestEvalCtxParity(t *testing.T) {
 	if !storage.TuplesEqual(got, want) {
 		t.Fatalf("EvalCtx = %v want %v", got, want)
 	}
-	pdb := storage.Partition(db, 4, nil)
-	pdb.BuildIndexes()
-	got, err = plan.EvalShardedCtx(context.Background(), pdb, nil, 2, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !storage.TuplesEqual(got, want) {
-		t.Fatalf("EvalShardedCtx = %v want %v", got, want)
-	}
 }
 
 func TestEvalCtxPreCanceled(t *testing.T) {
@@ -123,11 +114,6 @@ func TestEvalCtxRowBudget(t *testing.T) {
 	}
 	if len(rows) != 100*100 {
 		t.Fatalf("rows = %d", len(rows))
-	}
-	pdb := storage.Partition(db, 4, nil)
-	pdb.BuildIndexes()
-	if _, err := plan.EvalShardedCtx(context.Background(), pdb, nil, 2, Limits{MaxRows: 500}); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("sharded err = %v, want ErrBudgetExceeded", err)
 	}
 }
 
@@ -196,18 +182,17 @@ func TestFixpointCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-func TestFixpointShardedCtxCancel(t *testing.T) {
+func TestFixpointCtxPreCanceled(t *testing.T) {
 	db := chainEdgeDB(400)
-	pdb := storage.Partition(db, 4, nil)
-	pdb.BuildIndexes()
+	db.BuildIndexes()
 	cp := tcClosureProgram(t, db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := cp.EvalRelationShardedCtx(ctx, pdb, "tc", 2, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, _, err := cp.EvalRelationCtx(ctx, db, "tc", 2, Limits{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	// Budget path on the sharded fixpoint.
-	_, stats, err := cp.EvalRelationShardedCtx(context.Background(), pdb, "tc", 2, Limits{MaxRounds: 3})
+	// Budget path with two workers.
+	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "tc", 2, Limits{MaxRounds: 3})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}

@@ -2,12 +2,15 @@ package datalog
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/storage"
 )
 
 // BenchmarkGuardOverhead measures what the cancellation guard costs: each
@@ -87,4 +90,40 @@ func guardOverhead(b *testing.B, legacy, governed func() error) {
 	}
 	sort.Float64s(ratios)
 	b.ReportMetric((ratios[len(ratios)/2]-1)*100, "overhead_pct")
+}
+
+// serveJoinDB builds the join-heavy serving workload q(Y,Z) :- p1(W,X),
+// p2(X,Y), p3(Y,Z) with n1, n2 and n3 tuples: a guarded fan-out join where
+// the flat evaluator's time goes to candidate-list walks over p3 and the
+// head carries the routing slot (disjoint tasks).
+func serveJoinDB(n1, n2, n3 int) *storage.Database {
+	rng := rand.New(rand.NewSource(91))
+	w, x, k, z := n1*5/2, n1*3/4, n1/4, n3*5/2
+	db := storage.NewDatabase()
+	for i := 0; i < n1; i++ {
+		db.Insert("p1", storage.Tuple{"w" + fmt.Sprint(rng.Intn(w)), "x" + fmt.Sprint(rng.Intn(x))})
+	}
+	for i := 0; i < n2; i++ {
+		db.Insert("p2", storage.Tuple{"x" + fmt.Sprint(rng.Intn(x)), "k" + fmt.Sprint(rng.Intn(k))})
+	}
+	for i := 0; i < n3; i++ {
+		db.Insert("p3", storage.Tuple{"k" + fmt.Sprint(rng.Intn(k)), "z" + fmt.Sprint(rng.Intn(z))})
+	}
+	return db
+}
+
+// tcChainDB builds the recursive fixpoint workload: a 400-node chain with
+// 200 random skip edges, closed by tc.
+func tcChainDB() *storage.Database {
+	rng := rand.New(rand.NewSource(93))
+	edges := storage.NewDatabase()
+	const chain = 400
+	for i := 0; i < chain; i++ {
+		edges.Insert("e", storage.Tuple{fmt.Sprint(i), fmt.Sprint(i + 1)})
+	}
+	for i := 0; i < 200; i++ {
+		from := rng.Intn(chain)
+		edges.Insert("e", storage.Tuple{fmt.Sprint(from), fmt.Sprint(from + 1 + rng.Intn(6))})
+	}
+	return edges
 }

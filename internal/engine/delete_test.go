@@ -95,7 +95,7 @@ func TestEngineDeleteBasics(t *testing.T) {
 
 // TestEngineUpdateDifferential drives randomized mixed insert/delete
 // streams — including delete-heavy batches — through live engines across
-// every strategy, shard count and worker count, and cross-checks every
+// every strategy and worker count, and cross-checks every
 // answer and every extent against an engine rebuilt from the surviving
 // base.
 func TestEngineUpdateDifferential(t *testing.T) {
@@ -113,15 +113,10 @@ func TestEngineUpdateDifferential(t *testing.T) {
 			base.Insert("r", storage.Tuple{fmt.Sprintf("a%d", rng.Intn(8)), fmt.Sprintf("m%d", rng.Intn(8))})
 			base.Insert("s", storage.Tuple{fmt.Sprintf("m%d", rng.Intn(8)), fmt.Sprintf("x%d", rng.Intn(8))})
 		}
-		shards := 0
-		if trial%2 == 1 {
-			shards = 2 + rng.Intn(3)
-		}
 		strat := strategies[trial%len(strategies)]
 		live, err := NewFromBase(base, views, Options{
 			Strategy:    strat,
 			LiveUpdates: true,
-			Shards:      shards,
 			EvalWorkers: 1 + rng.Intn(3),
 		})
 		if err != nil {
@@ -181,8 +176,8 @@ func TestEngineUpdateDifferential(t *testing.T) {
 				t.Fatalf("trial %d (%s) batch %d: fresh: %v", trial, strat, batch, err)
 			}
 			if !storage.TuplesEqual(got, want) {
-				t.Fatalf("trial %d (%s) batch %d (shards=%d): live diverges from re-materialization\n  live:  %v\n  fresh: %v",
-					trial, strat, batch, shards, got, want)
+				t.Fatalf("trial %d (%s) batch %d: live diverges from re-materialization\n  live:  %v\n  fresh: %v",
+					trial, strat, batch, got, want)
 			}
 			for _, v := range views {
 				lr, fr := live.Database().Relation(v.Name()), fresh.Database().Relation(v.Name())
@@ -251,72 +246,70 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 		return -1
 	}
 
-	for _, shards := range []int{0, 3} {
-		e, err := NewFromBase(base, views, Options{LiveUpdates: true, Shards: shards, EvalWorkers: 4})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if ans, err := e.Answer(q); err != nil || matchesState(ans) != 0 {
-			t.Fatalf("shards=%d: initial answer %v (err %v)", shards, ans, err)
-		}
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					got, err := e.Answer(q)
-					if err != nil {
-						t.Errorf("shards=%d reader %d: %v", shards, g, err)
-						return
-					}
-					if matchesState(got) < 0 {
-						t.Errorf("shards=%d reader %d: torn answer set (%d tuples): %v", shards, g, len(got), got)
-						return
-					}
+	e, err := NewFromBase(base, views, Options{LiveUpdates: true, EvalWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans, err := e.Answer(q); err != nil || matchesState(ans) != 0 {
+		t.Fatalf("initial answer %v (err %v)", ans, err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}(g)
-		}
-		// Grow to the full grid, then shrink back down with atomic
-		// delete-pair batches: every intermediate state is a legal grid.
-		for k := 1; k <= nBatches; k++ {
-			err := e.ApplyBatch(map[string][]storage.Tuple{
-				"r": {{fmt.Sprintf("x%d", k), "k"}},
-				"s": {{"k", fmt.Sprintf("y%d", k)}},
-			})
-			if err != nil {
-				t.Errorf("shards=%d grow %d: %v", shards, k, err)
-				break
+				got, err := e.Answer(q)
+				if err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
+				}
+				if matchesState(got) < 0 {
+					t.Errorf("reader %d: torn answer set (%d tuples): %v", g, len(got), got)
+					return
+				}
 			}
-		}
-		for k := nBatches; k >= 1; k-- {
-			err := e.ApplyUpdate(nil, map[string][]storage.Tuple{
-				"r": {{fmt.Sprintf("x%d", k), "k"}},
-				"s": {{"k", fmt.Sprintf("y%d", k)}},
-			})
-			if err != nil {
-				t.Errorf("shards=%d shrink %d: %v", shards, k, err)
-				break
-			}
-		}
-		close(stop)
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-		final, err := e.Answer(q)
+		}(g)
+	}
+	// Grow to the full grid, then shrink back down with atomic
+	// delete-pair batches: every intermediate state is a legal grid.
+	for k := 1; k <= nBatches; k++ {
+		err := e.ApplyBatch(map[string][]storage.Tuple{
+			"r": {{fmt.Sprintf("x%d", k), "k"}},
+			"s": {{"k", fmt.Sprintf("y%d", k)}},
+		})
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("grow %d: %v", k, err)
+			break
 		}
-		if matchesState(final) != 0 {
-			t.Fatalf("shards=%d: final state %v, want state 0", shards, final)
+	}
+	for k := nBatches; k >= 1; k-- {
+		err := e.ApplyUpdate(nil, map[string][]storage.Tuple{
+			"r": {{fmt.Sprintf("x%d", k), "k"}},
+			"s": {{"k", fmt.Sprintf("y%d", k)}},
+		})
+		if err != nil {
+			t.Errorf("shrink %d: %v", k, err)
+			break
 		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	final, err := e.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if matchesState(final) != 0 {
+		t.Fatalf("final state %v, want state 0", final)
 	}
 }
 
@@ -340,15 +333,10 @@ func TestEngineDeleteFaultInjection(t *testing.T) {
 			base.Insert("r", storage.Tuple{fmt.Sprintf("a%d", rng.Intn(8)), fmt.Sprintf("m%d", rng.Intn(8))})
 			base.Insert("s", storage.Tuple{fmt.Sprintf("m%d", rng.Intn(8)), fmt.Sprintf("x%d", rng.Intn(8))})
 		}
-		shards := 0
-		if trial%3 == 1 {
-			shards = 2 + rng.Intn(3)
-		}
 		strat := strategies[trial%len(strategies)]
 		live, err := NewFromBase(base, views, Options{
 			Strategy:    strat,
 			LiveUpdates: true,
-			Shards:      shards,
 			EvalWorkers: 1 + rng.Intn(3),
 		})
 		if err != nil {
@@ -427,8 +415,8 @@ func TestEngineDeleteFaultInjection(t *testing.T) {
 				t.Fatalf("trial %d (%s): live answer: %v", trial, strat, err)
 			}
 			if !storage.TuplesEqual(gotRows, wantRows) {
-				t.Fatalf("trial %d (%s) batch %d (shards=%d): live diverges after fault\n  live:  %v\n  fresh: %v",
-					trial, strat, batch, shards, gotRows, wantRows)
+				t.Fatalf("trial %d (%s) batch %d: live diverges after fault\n  live:  %v\n  fresh: %v",
+					trial, strat, batch, gotRows, wantRows)
 			}
 			for _, v := range views {
 				lr, fr := live.Database().Relation(v.Name()), fresh.Database().Relation(v.Name())

@@ -147,7 +147,7 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 		ds.threshold = defaultSnapshotWALBytes
 	}
 	start := time.Now()
-	ivmOpt := ivm.Options{Workers: evalWorkers(opt), Shards: opt.Shards}
+	ivmOpt := ivm.Options{Workers: evalWorkers(opt)}
 	var m *ivm.Maintainer
 	if man := store.Manifest(); man != nil {
 		if man.ViewsFingerprint == ds.fp {

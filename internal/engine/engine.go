@@ -143,16 +143,6 @@ type Options struct {
 	// cores already; set it explicitly (e.g. to GOMAXPROCS) when single
 	// large queries should use idle cores.
 	EvalWorkers int
-	// Shards hash-partitions every serving snapshot into this many shards
-	// (storage.Partition, partition columns picked by the catalog's
-	// probe-column statistics) and routes compiled plan executions through
-	// the sharded evaluator: consecutive joins probing a partition column
-	// stay inside one shard, join-key changes exchange intermediate frames
-	// between shards, and inverse-rules fixpoints run per-shard with deltas
-	// merged at round barriers. 0 or 1 serves from the flat database. On a
-	// live engine both serving sides keep partitioned twins, updated under
-	// the same side locks, and the maintainer propagates per-shard too.
-	Shards int
 	// LiveUpdates enables the mutation path: Insert/InsertBatch/ApplyBatch
 	// apply base facts and delta-maintain every view extent instead of the
 	// database being frozen forever at construction. Requires NewFromBase
@@ -378,12 +368,8 @@ type Engine struct {
 	views    *core.ViewSet
 	viewDefs []*cq.Query
 	db       *storage.Database
-	// pdb is the hash-partitioned twin of db when Options.Shards > 1 on a
-	// frozen (non-live) engine; live engines keep per-side twins instead
-	// (liveState.psides).
-	pdb  *storage.PartitionedDatabase
-	opt  Options
-	memo *containment.Memo
+	opt      Options
+	memo     *containment.Memo
 	// catalog holds the construction-time database statistics, used to
 	// order joins and pick probe columns when compiling physical plans.
 	// Live updates let it drift: statistics only steer plan shape, never
@@ -451,14 +437,6 @@ type liveState struct {
 	sides    [2]*storage.Database
 	locks    [2]sync.RWMutex
 	active   atomic.Int32
-
-	// psides are the hash-partitioned twins of sides when Options.Shards > 1
-	// (nil otherwise). Each is mutated only under the matching side lock, so
-	// a pinned snapshot's flat and partitioned views agree. partCols is the
-	// construction-time partition-column policy, reused when a batch
-	// introduces a predicate the sides have not seen.
-	psides   [2]*storage.PartitionedDatabase
-	partCols map[string]int
 }
 
 // flight is one in-progress plan construction other callers can wait on.
@@ -509,10 +487,6 @@ func New(vs *core.ViewSet, db *storage.Database, opt Options) (*Engine, error) {
 		perStrategy: make(map[Strategy]*StrategyStats),
 	}
 	e.admit = newAdmitter(opt, e.retryHint)
-	if opt.Shards > 1 {
-		e.pdb = storage.Partition(db, opt.Shards, e.catalog.PartitionColumns(nil))
-		e.pdb.BuildIndexes()
-	}
 	return e, nil
 }
 
@@ -567,7 +541,7 @@ func NewFromBase(base *storage.Database, views []*cq.Query, opt Options) (*Engin
 // two serving copies of its database (left-right), all materialised from
 // base exactly once.
 func newLive(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt Options) (*Engine, error) {
-	m, err := ivm.New(base, views, ivm.Options{Workers: evalWorkers(opt), Shards: opt.Shards})
+	m, err := ivm.New(base, views, ivm.Options{Workers: evalWorkers(opt)})
 	if err != nil {
 		return nil, err
 	}
@@ -602,8 +576,7 @@ func extentsOnly(m *ivm.Maintainer, views []*cq.Query) (*storage.Database, error
 
 // newLiveFromMaintainer finishes live-engine construction around an
 // existing maintainer (freshly materialized, or recovered from a durable
-// snapshot): the left-right serving pair is cloned from its database and
-// the partitioned twins are built.
+// snapshot): the left-right serving pair is cloned from its database.
 func newLiveFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, opt Options) (*Engine, error) {
 	var side0 *storage.Database
 	var err error
@@ -619,25 +592,16 @@ func newLiveFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Quer
 	}
 	inner := opt
 	inner.LiveUpdates = false
-	inner.Shards = 0                // live engines partition per serving side, not e.pdb
 	e, err := New(vs, side0, inner) // indexes side0
 	if err != nil {
 		return nil, err
 	}
 	e.opt.LiveUpdates = true
-	e.opt.Shards = opt.Shards
 	side1 := side0.Clone()
 	side1.BuildIndexes()
 	e.live = &liveState{maint: m, servesBase: opt.Strategy != InverseRules}
 	e.live.sides[0] = side0
 	e.live.sides[1] = side1
-	if opt.Shards > 1 {
-		e.live.partCols = e.catalog.PartitionColumns(nil)
-		for i, side := range e.live.sides {
-			e.live.psides[i] = storage.Partition(side, opt.Shards, e.live.partCols)
-			e.live.psides[i].BuildIndexes()
-		}
-	}
 	return e, nil
 }
 
@@ -655,30 +619,19 @@ func (e *Engine) Database() *storage.Database {
 	return e.db
 }
 
-// snapshot returns the database an evaluation should read, its partitioned
-// twin (nil unless Options.Shards > 1), and the read lock the caller must
-// RUnlock when done, nil when none is held. Live engines pin the active side
-// under its read lock: the update path only mutates a side — flat and
-// partitioned twin alike — under the corresponding write lock, so the pinned
-// pair is torn-free and mutually consistent for the whole evaluation.
-func (e *Engine) snapshot() (*storage.Database, *storage.PartitionedDatabase, *sync.RWMutex) {
+// snapshot returns the database an evaluation should read and the read lock
+// the caller must RUnlock when done, nil when none is held. Live engines pin
+// the active side under its read lock: the update path only mutates a side
+// under the corresponding write lock, so the pinned database is torn-free
+// for the whole evaluation.
+func (e *Engine) snapshot() (*storage.Database, *sync.RWMutex) {
 	if e.live == nil {
-		return e.db, e.pdb, nil
+		return e.db, nil
 	}
 	i := e.live.active.Load()
 	lock := &e.live.locks[i]
 	lock.RLock()
-	return e.live.sides[i], e.live.psides[i], lock
-}
-
-// Partitioned returns the hash-partitioned twin of the serving database, or
-// nil when Options.Shards <= 1. On a live engine this is the currently
-// active side's twin; like Database, use Answer for concurrent reads.
-func (e *Engine) Partitioned() *storage.PartitionedDatabase {
-	if e.live != nil {
-		return e.live.psides[e.live.active.Load()]
-	}
-	return e.pdb
+	return e.live.sides[i], lock
 }
 
 // Insert applies one base fact, delta-maintaining every extent.
@@ -727,49 +680,34 @@ func (e *Engine) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) error 
 	return e.ApplyUpdateCtx(context.Background(), inserts, deletes)
 }
 
-// applySide applies one batch's removals and deltas to serving side i —
-// the flat database and, when the engine is sharded, its partitioned twin,
-// both under the side's write lock so snapshots stay mutually consistent.
-// Removals replay before insertions: a tuple deleted and re-derived in the
-// same batch appears in both BatchResult maps, and the opposite order
-// would retract it from the serving side after re-inserting it. Every
-// successful removal is journaled into the publish undo log so a failed
-// publish can re-insert it.
+// applySide applies one batch's removals and deltas to serving side i under
+// the side's write lock. Removals replay before insertions: a tuple deleted
+// and re-derived in the same batch appears in both BatchResult maps, and
+// the opposite order would retract it from the serving side after
+// re-inserting it. Every successful removal is journaled into the publish
+// undo log so a failed publish can re-insert it.
 func (l *liveState) applySide(i int32, res *ivm.BatchResult, u *sideUndo) error {
 	l.locks[i].Lock()
 	defer l.locks[i].Unlock()
 	db := l.sides[i]
-	pdb := l.psides[i]
 	if l.servesBase {
-		removeDelta(db, pdb, res.BaseDeleted, u, i)
+		removeDelta(db, res.BaseDeleted, u, i)
 	}
-	removeDelta(db, pdb, res.ExtentRetracted, u, i)
+	removeDelta(db, res.ExtentRetracted, u, i)
 	if l.servesBase {
 		if err := appendDelta(db, res.BaseInserted); err != nil {
 			return err
 		}
 	}
-	if err := appendDelta(db, res.ExtentDelta); err != nil {
-		return err
-	}
-	if pdb != nil {
-		if l.servesBase {
-			if err := appendDeltaSharded(pdb, l.partCols, res.BaseInserted); err != nil {
-				return err
-			}
-		}
-		return appendDeltaSharded(pdb, l.partCols, res.ExtentDelta)
-	}
-	return nil
+	return appendDelta(db, res.ExtentDelta)
 }
 
-// removeDelta removes retracted tuples from a serving side and its
-// partitioned twin, journaling each removal (once — the twins hold
-// identical contents) so restoreSides can re-insert it. Missing relations
-// and absent tuples are skipped: the maintainer only reports removals that
-// were present in its database, which the sides mirror, so a miss here
-// would mean a divergence this function must not widen.
-func removeDelta(db *storage.Database, pdb *storage.PartitionedDatabase, delta map[string][]storage.Tuple, u *sideUndo, side int32) {
+// removeDelta removes retracted tuples from a serving side, journaling each
+// removal so restoreSides can re-insert it. Missing relations and absent
+// tuples are skipped: the maintainer only reports removals that were
+// present in its database, which the sides mirror, so a miss here would
+// mean a divergence this function must not widen.
+func removeDelta(db *storage.Database, delta map[string][]storage.Tuple, u *sideUndo, side int32) {
 	for pred, tuples := range delta {
 		rel := db.Relation(pred)
 		if rel == nil {
@@ -778,11 +716,6 @@ func removeDelta(db *storage.Database, pdb *storage.PartitionedDatabase, delta m
 		for _, t := range tuples {
 			if rel.Remove(t) {
 				u.removed[side] = append(u.removed[side], sideRemoval{pred: pred, t: t})
-			}
-			if pdb != nil {
-				if pr := pdb.Relation(pred); pr != nil {
-					pr.Remove(t)
-				}
 			}
 		}
 	}
@@ -805,29 +738,6 @@ func appendDelta(db *storage.Database, delta map[string][]storage.Tuple) error {
 		}
 		if !rel.Frozen() {
 			rel.BuildIndexes()
-		}
-	}
-	return nil
-}
-
-// appendDeltaSharded routes delta tuples into a partitioned serving twin,
-// creating relations under the engine's partition-column policy for
-// predicates the twin has not seen. Shard-local indexes are maintained
-// incrementally on frozen shards, exactly like appendDelta.
-func appendDeltaSharded(pdb *storage.PartitionedDatabase, partCols map[string]int, delta map[string][]storage.Tuple) error {
-	for pred, tuples := range delta {
-		if len(tuples) == 0 {
-			continue
-		}
-		pr, err := pdb.Ensure(pred, len(tuples[0]), partCols[pred])
-		if err != nil {
-			return err // unreachable: the maintainer validated arities
-		}
-		for _, t := range tuples {
-			pr.Insert(t)
-		}
-		if !pr.Frozen() {
-			pr.BuildIndexes()
 		}
 	}
 	return nil

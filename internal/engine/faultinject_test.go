@@ -35,15 +35,10 @@ func TestFaultInjectionDifferential(t *testing.T) {
 			base.Insert("r", storage.Tuple{fmt.Sprintf("a%d", rng.Intn(8)), fmt.Sprintf("m%d", rng.Intn(8))})
 			base.Insert("s", storage.Tuple{fmt.Sprintf("m%d", rng.Intn(8)), fmt.Sprintf("x%d", rng.Intn(8))})
 		}
-		shards := 0
-		if trial%3 == 1 {
-			shards = 2 + rng.Intn(3)
-		}
 		strat := strategies[trial%len(strategies)]
 		live, err := NewFromBase(base, views, Options{
 			Strategy:    strat,
 			LiveUpdates: true,
-			Shards:      shards,
 			EvalWorkers: 1 + rng.Intn(3),
 		})
 		if err != nil {
@@ -125,8 +120,8 @@ func TestFaultInjectionDifferential(t *testing.T) {
 				}
 			}
 			if !storage.TuplesEqual(gotRows, wantRows) {
-				t.Fatalf("trial %d (%s) batch %d (shards=%d): live diverges from re-materialization\n  live:  %v\n  fresh: %v",
-					trial, strat, batch, shards, gotRows, wantRows)
+				t.Fatalf("trial %d (%s) batch %d: live diverges from re-materialization\n  live:  %v\n  fresh: %v",
+					trial, strat, batch, gotRows, wantRows)
 			}
 		}
 	}

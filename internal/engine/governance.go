@@ -489,11 +489,11 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, b Budge
 		defer cancel()
 	}
 	start := time.Now()
-	db, pdb, pinned := e.snapshot()
+	db, pinned := e.snapshot()
 	if pinned != nil {
 		defer pinned.RUnlock()
 	}
-	answers, err = e.evalPlanCtx(ctx, db, pdb, p, args, b.limits())
+	answers, err = e.evalPlanCtx(ctx, db, p, args, b.limits())
 	if err != nil {
 		return nil, err
 	}
@@ -601,7 +601,7 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 }
 
 // sideRemoval is one journaled serving-side retraction: the tuple applySide
-// removed from a side's flat database (and its partitioned twin).
+// removed from a side's database.
 type sideRemoval struct {
 	pred string
 	t    storage.Tuple
@@ -613,8 +613,7 @@ type sideRemoval struct {
 // past the appended deltas, then re-insert the journaled removals.
 type sideUndo struct {
 	active  int32
-	flat    [2]map[string]int
-	part    [2]map[string][]int
+	lens    [2]map[string]int
 	removed [2][]sideRemoval
 }
 
@@ -624,21 +623,10 @@ type sideUndo struct {
 func (l *liveState) snapshotSides() sideUndo {
 	u := sideUndo{active: l.active.Load()}
 	for i := 0; i < 2; i++ {
-		u.flat[i] = make(map[string]int)
+		u.lens[i] = make(map[string]int)
 		db := l.sides[i]
 		for _, pred := range db.Predicates() {
-			u.flat[i][pred] = db.Relation(pred).Len()
-		}
-		if pdb := l.psides[i]; pdb != nil {
-			u.part[i] = make(map[string][]int)
-			for _, pred := range pdb.Predicates() {
-				pr := pdb.Relation(pred)
-				ns := make([]int, pr.NumShards())
-				for s := range ns {
-					ns[s] = pr.Shard(s).Len()
-				}
-				u.part[i][pred] = ns
-			}
+			u.lens[i][pred] = db.Relation(pred).Len()
 		}
 	}
 	return u
@@ -662,49 +650,16 @@ func (l *liveState) restoreSides(u sideUndo) {
 			removed[r.pred]++
 		}
 		for _, pred := range db.Predicates() {
-			n, ok := u.flat[i][pred]
+			n, ok := u.lens[i][pred]
 			if !ok {
 				db.Drop(pred)
 				continue
 			}
 			db.Relation(pred).TruncateTo(n - removed[pred])
 		}
-		pdb := l.psides[i]
-		if pdb != nil {
-			for _, pred := range pdb.Predicates() {
-				ns, ok := u.part[i][pred]
-				if !ok {
-					pdb.Drop(pred)
-					continue
-				}
-				pr := pdb.Relation(pred)
-				shardRemoved := make([]int, pr.NumShards())
-				if removed[pred] > 0 {
-					col := pr.PartitionColumn()
-					for _, r := range u.removed[i] {
-						if r.pred != pred {
-							continue
-						}
-						s := 0
-						if pr.Arity() > 0 {
-							s = storage.ShardOf(r.t[col], pr.NumShards())
-						}
-						shardRemoved[s]++
-					}
-				}
-				for s, n := range ns {
-					pr.Shard(s).TruncateTo(n - shardRemoved[s])
-				}
-			}
-		}
 		for j := len(u.removed[i]) - 1; j >= 0; j-- {
 			r := u.removed[i][j]
 			db.Relation(r.pred).Insert(r.t)
-			if pdb != nil {
-				if pr := pdb.Relation(r.pred); pr != nil {
-					pr.Insert(r.t)
-				}
-			}
 		}
 		l.locks[i].Unlock()
 	}
@@ -743,7 +698,7 @@ func (e *Engine) publish(res *ivm.BatchResult) error {
 // typed errors, and fixpoint failures carry their partial-progress stats in
 // a QueryError. With a never-firing context and zero limits the guards are
 // nil and the evaluation is bit-for-bit the ungoverned one.
-func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, pdb *storage.PartitionedDatabase, p *Plan, args []string, lim datalog.Limits) ([]storage.Tuple, error) {
+func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan, args []string, lim datalog.Limits) ([]storage.Tuple, error) {
 	workers := e.opt.EvalWorkers
 	if workers <= 0 {
 		workers = 1
@@ -756,9 +711,6 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, pdb *sto
 			}
 			return datalog.EvalQuery(db, p.Rewriting.Query), nil
 		}
-		if pdb != nil {
-			return p.Compiled.EvalShardedCtx(ctx, pdb, args, workers, lim)
-		}
 		return p.Compiled.EvalParallelCtx(ctx, db, args, workers, lim)
 	case PlanMaxContained:
 		if p.CompiledUnion == nil {
@@ -770,15 +722,7 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, pdb *sto
 		var out []storage.Tuple
 		seen := make(map[string]bool)
 		for _, cp := range p.CompiledUnion {
-			var (
-				tuples []storage.Tuple
-				err    error
-			)
-			if pdb != nil {
-				tuples, err = cp.EvalShardedUnsortedCtx(ctx, pdb, args, workers, lim)
-			} else {
-				tuples, err = cp.EvalParallelUnsortedCtx(ctx, db, args, workers, lim)
-			}
+			tuples, err := cp.EvalParallelUnsortedCtx(ctx, db, args, workers, lim)
 			if err != nil {
 				return nil, err
 			}
@@ -799,16 +743,7 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, pdb *sto
 	case PlanInverseProgram:
 		var derived []storage.Tuple
 		if p.CompiledProgram != nil {
-			var (
-				tuples []storage.Tuple
-				fst    datalog.FixpointStats
-				err    error
-			)
-			if pdb != nil {
-				tuples, fst, err = p.CompiledProgram.EvalRelationShardedCtx(ctx, pdb, p.AnswerPred, workers, lim)
-			} else {
-				tuples, fst, err = p.CompiledProgram.EvalRelationCtx(ctx, db, p.AnswerPred, workers, lim)
-			}
+			tuples, fst, err := p.CompiledProgram.EvalRelationCtx(ctx, db, p.AnswerPred, workers, lim)
 			e.fixpointRuns.Add(1)
 			e.fixpointIters.Add(uint64(fst.Iterations))
 			e.fixpointDrvd.Add(uint64(fst.Derived))

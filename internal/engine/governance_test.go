@@ -379,55 +379,53 @@ func TestEngineShedsWhenSaturated(t *testing.T) {
 // sides exactly as they were — answers unchanged — and the batch retries
 // cleanly.
 func TestApplyBatchCtxAtomicOnLiveEngine(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		base, views := testBase(t)
-		e, err := NewFromBase(base, views, Options{LiveUpdates: true, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
-		before, err := e.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := map[string][]storage.Tuple{
-			"r": {{"c", "n"}},
-			"s": {{"n", "zz"}},
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if err := e.ApplyBatchCtx(ctx, batch); !errors.Is(err, ErrCanceled) {
-			t.Fatalf("shards=%d: err = %v, want ErrCanceled", shards, err)
-		}
-		mid, err := e.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !storage.TuplesEqual(mid, before) {
-			t.Fatalf("shards=%d: canceled batch changed answers: %v -> %v", shards, before, mid)
-		}
-		// Retry applies; the new join rows appear.
-		if err := e.ApplyBatch(batch); err != nil {
-			t.Fatalf("shards=%d: retry: %v", shards, err)
-		}
-		after, err := e.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// r(c,n)⋈{s(n,y), s(n,zz)} plus the existing r(b,n)⋈s(n,zz).
-		if len(after) != len(before)+3 {
-			t.Fatalf("shards=%d: post-retry answers = %v", shards, after)
-		}
+	base, views := testBase(t)
+	e, err := NewFromBase(base, views, Options{LiveUpdates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
+	before, err := e.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := map[string][]storage.Tuple{
+		"r": {{"c", "n"}},
+		"s": {{"n", "zz"}},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := e.ApplyBatchCtx(ctx, batch); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	mid, err := e.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !storage.TuplesEqual(mid, before) {
+		t.Fatalf("canceled batch changed answers: %v -> %v", before, mid)
+	}
+	// Retry applies; the new join rows appear.
+	if err := e.ApplyBatch(batch); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	after, err := e.Answer(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// r(c,n)⋈{s(n,y), s(n,zz)} plus the existing r(b,n)⋈s(n,zz).
+	if len(after) != len(before)+3 {
+		t.Fatalf("post-retry answers = %v", after)
 	}
 }
 
-// TestCancelUnderConcurrentReaders runs 4-worker sharded evaluations and
+// TestCancelUnderConcurrentReaders runs 4-worker evaluations and
 // repeatedly canceled update batches at the same time (run with -race):
 // readers must never see a torn snapshot — every answer equals the
 // pre-batch or post-batch result — and no goroutines may leak.
 func TestCancelUnderConcurrentReaders(t *testing.T) {
 	base, views := testBase(t)
-	e, err := NewFromBase(base, views, Options{LiveUpdates: true, Shards: 4, EvalWorkers: 4})
+	e, err := NewFromBase(base, views, Options{LiveUpdates: true, EvalWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +487,7 @@ func TestCancelUnderConcurrentReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Mid-sharded-eval cancellation with the same engine: a deadline on a
+	// Mid-eval cancellation with the same engine: a deadline on a
 	// 4-worker evaluation must not strand worker goroutines.
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)

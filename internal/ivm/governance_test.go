@@ -28,47 +28,33 @@ func dbFingerprint(db *storage.Database) string {
 	return b.String()
 }
 
-func pdbFingerprint(pdb *storage.PartitionedDatabase) string {
-	if pdb == nil {
-		return ""
-	}
-	return dbFingerprint(pdb.Flatten())
-}
-
-func maintainerFingerprint(m *Maintainer) (string, string) {
-	return dbFingerprint(m.Database()), pdbFingerprint(m.Partitioned())
-}
-
 func TestApplyBatchCtxCanceledRollsBack(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		base, views := testViews(t)
-		m, err := New(base, views, Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flatBefore, partBefore := maintainerFingerprint(m)
+	base, views := testViews(t)
+	m, err := New(base, views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dbFingerprint(m.Database())
 
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err = m.ApplyBatchCtx(ctx, map[string][]storage.Tuple{
-			"s": {{"n", "9"}},
-		}, datalog.Limits{})
-		if !errors.Is(err, datalog.ErrCanceled) {
-			t.Fatalf("shards=%d: err = %v, want ErrCanceled", shards, err)
-		}
-		flatAfter, partAfter := maintainerFingerprint(m)
-		if flatAfter != flatBefore || partAfter != partBefore {
-			t.Fatalf("shards=%d: canceled batch left residue", shards)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = m.ApplyBatchCtx(ctx, map[string][]storage.Tuple{
+		"s": {{"n", "9"}},
+	}, datalog.Limits{})
+	if !errors.Is(err, datalog.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if dbFingerprint(m.Database()) != before {
+		t.Fatal("canceled batch left residue")
+	}
 
-		// The same batch retried without the cancel applies cleanly.
-		res, err := m.ApplyBatch(map[string][]storage.Tuple{"s": {{"n", "9"}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.BaseInserted["s"]) != 1 || len(res.ExtentDelta["v"]) != 1 {
-			t.Fatalf("shards=%d: retry result = %+v", shards, res)
-		}
+	// The same batch retried without the cancel applies cleanly.
+	res, err := m.ApplyBatch(map[string][]storage.Tuple{"s": {{"n", "9"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.BaseInserted["s"]) != 1 || len(res.ExtentDelta["v"]) != 1 {
+		t.Fatalf("retry result = %+v", res)
 	}
 }
 
@@ -78,7 +64,7 @@ func TestApplyBatchCtxBudgetRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatBefore, _ := maintainerFingerprint(m)
+	flatBefore := dbFingerprint(m.Database())
 
 	// MaxRounds 0 is unlimited; 1 round cannot finish even the seed round's
 	// consequences here? The seed round itself is round 1, so force failure
@@ -94,7 +80,7 @@ func TestApplyBatchCtxBudgetRollsBack(t *testing.T) {
 	if !errors.Is(err, datalog.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	flatAfter, _ := maintainerFingerprint(m)
+	flatAfter := dbFingerprint(m.Database())
 	if flatAfter != flatBefore {
 		t.Fatal("budget-tripped batch left residue")
 	}
@@ -106,7 +92,7 @@ func TestApplyBatchCtxValidationUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := maintainerFingerprint(m)
+	before := dbFingerprint(m.Database())
 	// Inserting into a view predicate is rejected up front.
 	if _, err := m.ApplyBatchCtx(context.Background(), map[string][]storage.Tuple{
 		"v": {{"a", "b"}},
@@ -121,7 +107,7 @@ func TestApplyBatchCtxValidationUnchanged(t *testing.T) {
 	if !errors.As(err, &ae) {
 		t.Fatalf("err = %T (%v), want *storage.ArityError", err, err)
 	}
-	after, _ := maintainerFingerprint(m)
+	after := dbFingerprint(m.Database())
 	if after != before {
 		t.Fatal("rejected batch mutated the database")
 	}
@@ -166,8 +152,8 @@ func TestApplyBatchCtxRepeatedCancelConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _ := maintainerFingerprint(m)
-	want, _ := maintainerFingerprint(ref)
+	got := dbFingerprint(m.Database())
+	want := dbFingerprint(ref.Database())
 	if got != want {
 		t.Fatalf("state diverged from reference:\ngot:\n%s\nwant:\n%s", got, want)
 	}

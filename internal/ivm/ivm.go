@@ -41,14 +41,6 @@ type Options struct {
 	// Workers fans each propagation round's delta-plan executions across
 	// goroutines; 0 or 1 propagates sequentially.
 	Workers int
-	// Shards hash-partitions the maintained database into this many shards
-	// and runs every propagation round per-shard (datalog.ApplyInsertsSharded):
-	// each task joins one shard's slice of the delta, probes on partition
-	// columns stay shard-local, and new derivations are routed to their
-	// owner shards at round barriers. 0 or 1 maintains the flat database
-	// directly. The flat database (Database) remains the source of truth
-	// for reads either way.
-	Shards int
 }
 
 // Maintainer delta-maintains the extents of a view set over a base
@@ -58,8 +50,7 @@ type Maintainer struct {
 	viewNames map[string]bool
 	cp        *datalog.CompiledProgram
 	st        *datalog.MaintState
-	db        *storage.Database            // base relations + maintained extents
-	pdb       *storage.PartitionedDatabase // hash-partitioned twin of db when Options.Shards > 1
+	db        *storage.Database // base relations + maintained extents
 	opt       Options
 
 	batches      uint64
@@ -144,15 +135,7 @@ func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, e
 		return nil, fmt.Errorf("ivm: materialize: %w", err)
 	}
 	db.BuildIndexes()
-	m := &Maintainer{views: views, viewNames: names, cp: cp, st: st, db: db, opt: opt}
-	if opt.Shards > 1 {
-		// Partition the materialized state (base + extents) under the
-		// catalog's probe-column policy; the mirror is the propagation
-		// state from here on, the flat db is kept in sync by inserts.
-		m.pdb = storage.Partition(db, opt.Shards, cost.NewCatalog(db).PartitionColumns(nil))
-		m.pdb.BuildIndexes()
-	}
-	return m, nil
+	return &Maintainer{views: views, viewNames: names, cp: cp, st: st, db: db, opt: opt}, nil
 }
 
 // NewFromMaterialized rebuilds a Maintainer around an already-materialized
@@ -192,12 +175,7 @@ func NewFromMaterialized(db *storage.Database, views []*cq.Query, baseline map[s
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
 	db.BuildIndexes()
-	m := &Maintainer{views: views, viewNames: names, cp: cp, st: cp.RestoreMaintState(baseline), db: db, opt: opt}
-	if opt.Shards > 1 {
-		m.pdb = storage.Partition(db, opt.Shards, cost.NewCatalog(db).PartitionColumns(nil))
-		m.pdb.BuildIndexes()
-	}
-	return m, nil
+	return &Maintainer{views: views, viewNames: names, cp: cp, st: cp.RestoreMaintState(baseline), db: db, opt: opt}, nil
 }
 
 // BaselineKeys exports the maintainer's deletion baseline for persistence;
@@ -217,12 +195,6 @@ func (m *Maintainer) IsView(pred string) bool { return m.viewNames[pred] }
 // concurrently with ApplyBatch.
 func (m *Maintainer) Database() *storage.Database { return m.db }
 
-// Partitioned returns the hash-partitioned twin of the maintained database,
-// or nil when Options.Shards <= 1. When present it holds exactly the same
-// tuples as Database (both are updated by every batch) and carries the same
-// read/mutation restrictions.
-func (m *Maintainer) Partitioned() *storage.PartitionedDatabase { return m.pdb }
-
 // ApplyBatch inserts base facts — across any number of predicates — and
 // delta-maintains every extent. Inserts into view predicates are rejected,
 // and the batch is validated before anything is mutated. Tuples already
@@ -233,69 +205,42 @@ func (m *Maintainer) ApplyBatch(updates map[string][]storage.Tuple) (*BatchResul
 
 // ApplyUpdate applies a mixed batch: deletes are removed (and their extent
 // consequences retracted) first, then inserts propagate as in ApplyBatch.
-// The batch is atomic — on any error both representations are exactly
-// their pre-batch state. Deleting absent tuples is a no-op; view
+// The batch is atomic — on any error the maintained database is exactly
+// its pre-batch state. Deleting absent tuples is a no-op; view
 // predicates are rejected on both sides.
 func (m *Maintainer) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) (*BatchResult, error) {
 	return m.ApplyUpdateCtx(context.Background(), inserts, deletes, datalog.Limits{})
 }
 
-// undoLog records every relation's pre-batch tuple count (per shard for the
-// partitioned mirror). It backs the monotone insert path only: those
-// batches never remove tuples, so truncating each relation back to its
-// recorded length — and dropping relations the batch created — restores
-// the exact pre-batch state. Deletion batches are instead journaled inside
-// datalog.ApplyUpdates, which removes before it appends.
-type undoLog struct {
-	flat map[string]int
-	part map[string][]int
-}
+// undoLog records every relation's pre-batch tuple count. It backs the
+// monotone insert path only: those batches never remove tuples, so
+// truncating each relation back to its recorded length — and dropping
+// relations the batch created — restores the exact pre-batch state.
+// Deletion batches are instead journaled inside datalog.ApplyUpdates, which
+// removes before it appends.
+type undoLog map[string]int
 
-// snapshot captures the pre-batch sizes of both representations. O(number
-// of relations), no tuple copying.
+// snapshot captures the pre-batch relation sizes. O(number of relations),
+// no tuple copying.
 func (m *Maintainer) snapshot() undoLog {
-	u := undoLog{flat: make(map[string]int)}
+	u := make(undoLog)
 	for _, pred := range m.db.Predicates() {
-		u.flat[pred] = m.db.Relation(pred).Len()
-	}
-	if m.pdb != nil {
-		u.part = make(map[string][]int)
-		for _, pred := range m.pdb.Predicates() {
-			pr := m.pdb.Relation(pred)
-			ns := make([]int, pr.NumShards())
-			for i := range ns {
-				ns[i] = pr.Shard(i).Len()
-			}
-			u.part[pred] = ns
-		}
+		u[pred] = m.db.Relation(pred).Len()
 	}
 	return u
 }
 
-// restore rolls both representations back to the undo log: relations the
-// batch created are dropped, the rest are truncated to their pre-batch
-// lengths (index postings are unwound with the tuples).
+// restore rolls the database back to the undo log: relations the batch
+// created are dropped, the rest are truncated to their pre-batch lengths
+// (index postings are unwound with the tuples).
 func (m *Maintainer) restore(u undoLog) {
 	for _, pred := range m.db.Predicates() {
-		n, ok := u.flat[pred]
+		n, ok := u[pred]
 		if !ok {
 			m.db.Drop(pred)
 			continue
 		}
 		m.db.Relation(pred).TruncateTo(n)
-	}
-	if m.pdb != nil {
-		for _, pred := range m.pdb.Predicates() {
-			ns, ok := u.part[pred]
-			if !ok {
-				m.pdb.Drop(pred)
-				continue
-			}
-			pr := m.pdb.Relation(pred)
-			for i, n := range ns {
-				pr.Shard(i).TruncateTo(n)
-			}
-		}
 	}
 }
 
@@ -313,9 +258,9 @@ func (m *Maintainer) ApplyBatchCtx(ctx context.Context, updates map[string][]sto
 // ApplyUpdateCtx is ApplyUpdate under a cancellation context and evaluation
 // limits, with the same atomicity contract as ApplyBatchCtx: cancellation
 // or a tripped budget mid-retraction rolls the whole batch back. Insert-only
-// batches keep the monotone propagation path (sharded when configured)
-// until the first deletion builds the derivation counts; from then on every
-// batch flows through the counting path so the counts stay exact.
+// batches keep the monotone propagation path until the first deletion
+// builds the derivation counts; from then on every batch flows through the
+// counting path so the counts stay exact.
 func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
 	start := time.Now()
 	hasDeletes := false
@@ -354,9 +299,8 @@ func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[st
 	return res, nil
 }
 
-// applyMonotone is the insert-only path: sharded propagation on the mirror
-// (replaying net effects into the flat database) when configured, flat
-// propagation otherwise, with a length-snapshot undo log for atomicity.
+// applyMonotone is the insert-only path: delta propagation with a
+// length-snapshot undo log for atomicity.
 func (m *Maintainer) applyMonotone(ctx context.Context, updates map[string][]storage.Tuple, lim datalog.Limits) (res *BatchResult, err error) {
 	undo := m.snapshot()
 	defer func() {
@@ -368,45 +312,19 @@ func (m *Maintainer) applyMonotone(ctx context.Context, updates map[string][]sto
 			m.restore(undo)
 		}
 	}()
-	var (
-		fresh, derived map[string][]storage.Tuple
-		stats          datalog.FixpointStats
-	)
-	if m.pdb != nil {
-		// Propagate per-shard on the partitioned mirror, then replay the
-		// batch's net effect (fresh base facts + derived extent tuples)
-		// into the flat database — plain inserts, no second propagation.
-		fresh, derived, stats, err = m.cp.ApplyInsertsShardedCtx(ctx, m.pdb, updates, m.opt.Workers, lim)
-		if err == nil {
-			err = m.replayFlat(fresh, derived)
-		}
-	} else {
-		fresh, derived, stats, err = m.cp.ApplyInsertsCtx(ctx, m.db, updates, m.opt.Workers, lim)
-	}
+	fresh, derived, stats, err := m.cp.ApplyInsertsCtx(ctx, m.db, updates, m.opt.Workers, lim)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
 	return &BatchResult{BaseInserted: fresh, ExtentDelta: derived, Stats: stats}, nil
 }
 
-// applyNonMonotone is the deletion-capable path: the counting update runs
-// on the flat database (datalog.ApplyUpdates journals and rolls back
-// internally, so no snapshot is needed here), then the batch's net effect
-// is replayed into the partitioned mirror — retractions routed to their
-// owner shards first, then insertions.
+// applyNonMonotone is the deletion-capable path: datalog.ApplyUpdates
+// journals and rolls back internally, so no snapshot is needed here.
 func (m *Maintainer) applyNonMonotone(ctx context.Context, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
 	ures, err := m.cp.ApplyUpdatesCtx(ctx, m.db, m.st, inserts, deletes, m.opt.Workers, lim)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
-	}
-	if m.pdb != nil {
-		if err := m.replayNet(ures); err != nil {
-			// Unreachable unless the mirror diverged from the flat
-			// database; the flat update is already committed and correct,
-			// so rebuild the mirror from it rather than guess at repairs.
-			m.pdb = storage.Partition(m.db, m.opt.Shards, cost.NewCatalog(m.db).PartitionColumns(nil))
-			m.pdb.BuildIndexes()
-		}
 	}
 	return &BatchResult{
 		BaseInserted:    ures.BaseInserted,
@@ -415,61 +333,6 @@ func (m *Maintainer) applyNonMonotone(ctx context.Context, inserts, deletes map[
 		ExtentRetracted: ures.Retracted,
 		Stats:           ures.Stats,
 	}, nil
-}
-
-// replayNet mirrors a committed flat update into the partitioned twin:
-// removals first (each routed to its owner shard, index postings repaired
-// in place), then insertions — the order a mixed batch requires, since an
-// insert may re-derive a tuple the delete phase retracted.
-func (m *Maintainer) replayNet(ures *datalog.UpdateResult) error {
-	for _, batch := range []map[string][]storage.Tuple{ures.BaseDeleted, ures.Retracted} {
-		for pred, tuples := range batch {
-			pr := m.pdb.Relation(pred)
-			if pr == nil {
-				continue
-			}
-			for _, t := range tuples {
-				pr.Remove(t)
-			}
-		}
-	}
-	for _, batch := range []map[string][]storage.Tuple{ures.BaseInserted, ures.Derived} {
-		for pred, tuples := range batch {
-			if len(tuples) == 0 {
-				continue
-			}
-			pr, err := m.pdb.Ensure(pred, len(tuples[0]), 0)
-			if err != nil {
-				return err
-			}
-			for _, t := range tuples {
-				pr.Insert(t)
-			}
-		}
-	}
-	return nil
-}
-
-// replayFlat inserts a sharded batch's new base and extent tuples into the
-// flat database, keeping the two representations tuple-identical. The
-// sharded propagation already computed the consequences, so this is pure
-// insertion work; frozen relations maintain their indexes incrementally.
-func (m *Maintainer) replayFlat(batches ...map[string][]storage.Tuple) error {
-	for _, batch := range batches {
-		for pred, tuples := range batch {
-			if len(tuples) == 0 {
-				continue
-			}
-			rel, err := m.db.Ensure(pred, len(tuples[0]))
-			if err != nil {
-				return err
-			}
-			for _, t := range tuples {
-				rel.Insert(t)
-			}
-		}
-	}
-	return nil
 }
 
 // Stats snapshots the maintainer's lifetime counters.

@@ -28,8 +28,8 @@ import (
 const DefaultNamespace = "default"
 
 // Config configures one namespace's engine and session table. The zero
-// value serves: equivalent-first strategy, no sharding, frozen base, no
-// admission control, unlimited budget.
+// value serves: equivalent-first strategy, frozen base, no admission
+// control, unlimited budget.
 type Config struct {
 	// Strategy is the engine planning strategy ("equivalent-first",
 	// "bucket", "minicon", "inverse-rules", "auto"; CLI aliases accepted).
@@ -40,8 +40,6 @@ type Config struct {
 	CacheSize int `json:"cache_size,omitempty"`
 	// EvalWorkers fans a single evaluation across goroutines.
 	EvalWorkers int `json:"eval_workers,omitempty"`
-	// Shards hash-partitions the serving snapshots.
-	Shards int `json:"shards,omitempty"`
 	// LiveUpdates enables /v1/batch (insert batches with incremental view
 	// maintenance).
 	LiveUpdates bool `json:"live_updates,omitempty"`
@@ -91,7 +89,6 @@ func (c Config) options() (engine.Options, error) {
 		MaxResults:    c.MaxResults,
 		CacheSize:     c.CacheSize,
 		EvalWorkers:   c.EvalWorkers,
-		Shards:        c.Shards,
 		LiveUpdates:   c.LiveUpdates,
 		Budget:        c.budget(),
 		MaxConcurrent: c.MaxConcurrent,

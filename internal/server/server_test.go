@@ -7,8 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -514,4 +517,32 @@ func TestDrainRefusesNewRequests(t *testing.T) {
 	wantError(t, resp, http.StatusServiceUnavailable, CodeShuttingDown)
 	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: "q(X,Y) :- r(X,Z), s(Z,Y)."})
 	wantError(t, resp, http.StatusServiceUnavailable, CodeShuttingDown)
+}
+
+// TestLoadDirRejectsRemovedShardsKey: the "shards" config key was removed
+// with the hash-partitioned layout (PR 22); a deployment that still sets it
+// must refuse to boot, naming the key and the file.
+func TestLoadDirRejectsRemovedShardsKey(t *testing.T) {
+	dir := t.TempDir()
+	nsDir := filepath.Join(dir, "alpha")
+	if err := os.Mkdir(nsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string]string{
+		"views.dl":    "v(A,B) :- r(A,C), s(C,B).\n",
+		"config.json": `{"live_updates": true, "shards": 4}`,
+	} {
+		if err := os.WriteFile(filepath.Join(nsDir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := LoadDir(dir)
+	if err == nil {
+		t.Fatal(`config.json with "shards" accepted`)
+	}
+	for _, want := range []string{`"shards"`, "config.json"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to name %s", err, want)
+		}
+	}
 }

@@ -28,21 +28,6 @@ func TestCheckedInsertArity(t *testing.T) {
 	}
 }
 
-func TestPartitionedCheckedInsertArity(t *testing.T) {
-	pr := NewPartitionedRelation("r", 2, 0, 4)
-	if ok, err := pr.CheckedInsert(Tuple{"a", "b"}); err != nil || !ok {
-		t.Fatalf("CheckedInsert = %v, %v", ok, err)
-	}
-	_, err := pr.CheckedInsert(Tuple{"a", "b", "c"})
-	var ae *ArityError
-	if !errors.As(err, &ae) {
-		t.Fatalf("err = %T (%v), want *ArityError", err, err)
-	}
-	if pr.Len() != 1 {
-		t.Fatalf("failed insert mutated the relation: Len = %d", pr.Len())
-	}
-}
-
 func TestEnsureReturnsArityError(t *testing.T) {
 	db := NewDatabase()
 	if _, err := db.Ensure("r", 2); err != nil {
@@ -51,14 +36,6 @@ func TestEnsureReturnsArityError(t *testing.T) {
 	_, err := db.Ensure("r", 3)
 	if !errors.As(err, new(*ArityError)) {
 		t.Fatalf("flat Ensure err = %T (%v)", err, err)
-	}
-	pdb := NewPartitionedDatabase(2)
-	if _, err := pdb.Ensure("r", 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	_, err = pdb.Ensure("r", 3, 0)
-	if !errors.As(err, new(*ArityError)) {
-		t.Fatalf("partitioned Ensure err = %T (%v)", err, err)
 	}
 	// Message text is unchanged from the pre-typed error.
 	want := "storage: relation r has arity 2, requested 3"
@@ -73,12 +50,6 @@ func TestDrop(t *testing.T) {
 	db.Drop("r")
 	if db.Relation("r") != nil {
 		t.Fatal("flat Drop left the relation")
-	}
-	pdb := NewPartitionedDatabase(2)
-	pdb.Insert("r", Tuple{"a"})
-	pdb.Drop("r")
-	if pdb.Relation("r") != nil {
-		t.Fatal("partitioned Drop left the relation")
 	}
 }
 

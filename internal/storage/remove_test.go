@@ -178,38 +178,6 @@ func TestTruncateToAfterRemove(t *testing.T) {
 	checkConsistent(t, r)
 }
 
-func TestPartitionedRemoveRoutesToOwner(t *testing.T) {
-	pr := NewPartitionedRelation("r", 2, 0, 4)
-	rows := []Tuple{{"a", "1"}, {"b", "2"}, {"c", "3"}, {"d", "4"}, {"e", "5"}}
-	for _, tu := range rows {
-		pr.Insert(tu)
-	}
-	pr.BuildIndexes()
-	if !pr.Remove(Tuple{"c", "3"}) {
-		t.Fatal("Remove reported absent")
-	}
-	if pr.Contains(Tuple{"c", "3"}) || pr.Len() != 4 {
-		t.Fatal("partitioned Remove left wrong contents")
-	}
-	if !pr.Frozen() {
-		t.Fatal("non-owner shards must stay frozen; owner maintains in place")
-	}
-	// Only the owner shard may have been touched.
-	owner := pr.Owner(Tuple{"c", "3"})
-	for i := 0; i < pr.NumShards(); i++ {
-		checkConsistent(t, pr.Shard(i))
-		if pr.Shard(i) != owner && pr.Shard(i).Contains(Tuple{"c", "3"}) {
-			t.Fatal("tuple survives in non-owner shard")
-		}
-	}
-	if pr.Remove(Tuple{"c", "3"}) {
-		t.Fatal("second Remove reported present")
-	}
-	if _, err := pr.CheckedRemove(Tuple{"x"}); err == nil {
-		t.Fatal("CheckedRemove of wrong-width tuple should error")
-	}
-}
-
 func TestDatabaseRemove(t *testing.T) {
 	db := NewDatabase()
 	db.Insert("r", Tuple{"a", "1"})

@@ -264,3 +264,25 @@ func TestInsertUnindexedStaysUnindexed(t *testing.T) {
 		t.Fatalf("Lookup after lazy build = %v", got)
 	}
 }
+
+func TestCloneKeepsFrozenState(t *testing.T) {
+	db := NewDatabase()
+	db.Insert("r", Tuple{"a", "b"})
+	db.Insert("s", Tuple{"c"})
+	db.Relation("r").BuildIndexes()
+	clone := db.Clone()
+	if !clone.Relation("r").Frozen() {
+		t.Fatal("clone of frozen relation must be frozen")
+	}
+	if clone.Relation("s").Frozen() {
+		t.Fatal("clone of unfrozen relation must stay unfrozen")
+	}
+	// The clone is independent: inserting into it leaves the source alone.
+	clone.Insert("r", Tuple{"x", "y"})
+	if db.Relation("r").Len() != 1 {
+		t.Fatal("clone shares storage with source")
+	}
+	if pos, ok := clone.Relation("r").LookupPositions(0, "x"); !ok || len(pos) != 1 {
+		t.Fatal("cloned frozen relation must serve maintained index probes")
+	}
+}
