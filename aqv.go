@@ -35,9 +35,8 @@
 // cost estimate, and with MaxResults > 1 it keeps the cheapest of several
 // equivalent rewritings instead of the first found.
 //
-// With EngineOptions.LiveUpdates the engine additionally accepts base-fact
-// inserts (Engine.Insert/InsertBatch/ApplyBatch), deletions
-// (Engine.Delete/DeleteBatch) and mixed batches (Engine.ApplyUpdate),
+// With EngineOptions.LiveUpdates the engine additionally accepts batches of
+// base-fact inserts and deletions (Engine.ApplyUpdate, either side nil),
 // incrementally maintaining every view extent per batch instead of
 // freezing the database at construction — multiplicity counting for flat
 // view sets, delete-rederive for recursive programs; cached plans survive
@@ -238,12 +237,7 @@ var (
 	// CertainAnswers drops tuples containing Skolem values and sorts the
 	// rest — the certain-answer set of an inverse-rules answer relation.
 	CertainAnswers = datalog.CertainAnswers
-	// Explain returns the execution plan EvalQuery would use.
-	Explain = datalog.Explain
 )
-
-// Plan describes a query execution plan (see Explain).
-type Plan = datalog.Plan
 
 // CompiledPlan is an immutable slot-based physical plan: compile a query
 // once with CompileQuery, then Eval / EvalParallel it any number of times
@@ -265,8 +259,8 @@ type FixpointStats = datalog.FixpointStats
 var CompileProgram = datalog.CompileProgram
 
 // CompileProgramIVM is CompileProgram plus one delta plan per EDB body
-// occurrence, enabling CompiledProgram.MaintainDelta/ApplyInserts: base
-// inserts propagate into already materialized derived relations without
+// occurrence, enabling CompiledProgram.ApplyUpdates: base inserts and
+// deletes propagate into already materialized derived relations without
 // re-running the fixpoint.
 var CompileProgramIVM = datalog.CompileProgramIVM
 
@@ -289,13 +283,12 @@ type (
 )
 
 // NewMaintainer materializes the views over base once and returns a
-// Maintainer that keeps the extents fresh under ApplyBatch (inserts) and
-// ApplyUpdate (mixed insert/delete batches).
+// Maintainer that keeps the extents fresh under ApplyUpdate (batches of
+// inserts and deletes, either side nil).
 var NewMaintainer = ivm.New
 
-// ErrEngineNotLive reports a mutation (Insert/InsertBatch/ApplyBatch,
-// Delete/DeleteBatch/ApplyUpdate) on an engine built without
-// EngineOptions.LiveUpdates.
+// ErrEngineNotLive reports a mutation (Engine.ApplyUpdate) on an engine
+// built without EngineOptions.LiveUpdates.
 var ErrEngineNotLive = engine.ErrNotLive
 
 // Resource governance (see internal/engine and internal/datalog): typed
@@ -306,7 +299,7 @@ type (
 	// EngineBudget bounds one request: a wall-clock deadline plus caps on
 	// result rows, derived tuples and fixpoint rounds. Set a default in
 	// EngineOptions.Budget or pass one per call (AnswerBudget, ExecBudget,
-	// ApplyBatchBudget).
+	// ApplyUpdateBudget).
 	EngineBudget = engine.Budget
 	// AdmissionStats counts admission-control outcomes (EngineStats.Admission).
 	AdmissionStats = engine.AdmissionStats

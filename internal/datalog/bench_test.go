@@ -14,20 +14,13 @@ import (
 
 // Warm-path evaluation benchmarks: the query is fixed, the database is
 // frozen, and the plan (for the compiled routes) is built once outside the
-// loop — the serving engine's steady state. "interp" is the retained
-// tuple-at-a-time interpreter, the baseline the compiled executor replaces.
+// loop — the serving engine's steady state.
 
 func benchEvalRoutes(b *testing.B, db *storage.Database, q *cq.Query) {
 	b.Helper()
 	db.BuildIndexes()
 	plan := Compile(q, cost.NewCatalog(db))
 	workers := runtime.GOMAXPROCS(0)
-	b.Run("interp", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			EvalQueryInterp(db, q)
-		}
-	})
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -25,7 +25,7 @@ import (
 //     sides are bound, pruning partial bindings instead of filtering leaves;
 //   - don't-care columns (singleton variables reaching neither head nor
 //     comparisons) are skipped entirely, with per-step dedup of the bound
-//     columns standing in for the interpreter's materialised projections;
+//     columns as the projection pushdown;
 //   - a step that binds no new slots is existential: its first matching
 //     tuple decides the whole candidate loop.
 //
@@ -223,6 +223,24 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 		}
 	}
 	return p
+}
+
+// neededVars collects the variables of the head and comparisons.
+func neededVars(q *cq.Query) map[string]bool {
+	needed := make(map[string]bool)
+	for _, t := range q.Head.Args {
+		if t.IsVar() {
+			needed[t.Lex] = true
+		}
+	}
+	for _, c := range q.Comparisons {
+		for _, t := range []cq.Term{c.Left, c.Right} {
+			if t.IsVar() {
+				needed[t.Lex] = true
+			}
+		}
+	}
+	return needed
 }
 
 // chooseNext picks the next atom to join: most bound argument positions
@@ -626,21 +644,26 @@ func (p *CompiledPlan) resolve(db *storage.Database, c *compiledComponent) []ste
 	return srcs
 }
 
-// resolveInto is resolve into srcs, one zeroed entry per step.
+// resolveInto is resolve into srcs, one entry per step.
 func resolveInto(db *storage.Database, c *compiledComponent, srcs []stepSrc) {
 	for j := range c.steps {
-		s := &c.steps[j]
-		rel := db.Relation(s.pred)
-		if rel == nil {
-			continue // missing predicate: empty relation
-		}
-		srcs[j].tuples = rel.Tuples()
-		if s.probeCol >= 0 {
-			if idx, ok := rel.ColumnIndex(s.probeCol); ok {
-				srcs[j].idx = idx
-			}
-		}
+		srcs[j] = resolveStep(db, &c.steps[j])
 	}
+}
+
+// resolveStep binds one step to its relation in db: the tuple slice plus
+// the probe column's index when it is built at the current version. A
+// missing predicate is the empty relation.
+func resolveStep(db *storage.Database, s *compiledStep) stepSrc {
+	rel := db.Relation(s.pred)
+	if rel == nil {
+		return stepSrc{}
+	}
+	src := stepSrc{tuples: rel.Tuples()}
+	if s.probeCol >= 0 {
+		src.idx, _ = rel.ColumnIndex(s.probeCol)
+	}
+	return src
 }
 
 // componentRows evaluates every component, returning its distinct

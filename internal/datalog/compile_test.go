@@ -29,9 +29,6 @@ func checkAgreement(t *testing.T, db *storage.Database, q *cq.Query, label strin
 	if got := EvalQuery(db, q); !storage.TuplesEqual(got, want) {
 		t.Fatalf("%s: EvalQuery disagrees with naive\nquery: %s\ngot %v\nwant %v", label, q, got, want)
 	}
-	if got := EvalQueryInterp(db, q); !storage.TuplesEqual(got, want) {
-		t.Fatalf("%s: interpreter disagrees with naive\nquery: %s\ngot %v\nwant %v", label, q, got, want)
-	}
 	if got := CountQuery(db, q); got != len(want) {
 		t.Fatalf("%s: CountQuery = %d, want %d\nquery: %s", label, got, len(want), q)
 	}
@@ -163,8 +160,7 @@ func TestCompiledComparisonDepth(t *testing.T) {
 }
 
 // TestCompiledDontCareDedup checks that don't-care columns do not multiply
-// the join work: the step-level dedup stands in for the interpreter's
-// materialised projections.
+// the join work: the step-level dedup is the projection pushdown.
 func TestCompiledDontCareDedup(t *testing.T) {
 	db := storage.NewDatabase()
 	for i := 0; i < 50; i++ {

@@ -80,8 +80,8 @@ type compiledRule struct {
 	full     ruleVariant
 	deltas   []ruleVariant
 	// edbDeltas are per-EDB-occurrence delta variants, compiled only for
-	// maintenance programs (CompileProgramIVM): they seed a MaintainDelta
-	// round from a batch of base-relation inserts, exactly as the IDB
+	// maintenance programs (CompileProgramIVM): they seed a maintenance
+	// round from a batch of base-relation changes, exactly as the IDB
 	// variants in deltas continue it from derived tuples.
 	edbDeltas []ruleVariant
 	src       Rule // retained for Describe
@@ -109,7 +109,7 @@ type CompiledProgram struct {
 	// incrementally.
 	idbProbeCols map[string][]int
 	// ivm marks programs compiled with per-EDB-occurrence delta variants
-	// (CompileProgramIVM); only those support MaintainDelta.
+	// (CompileProgramIVM); only those support ApplyUpdates.
 	ivm bool
 	// flat marks IVM programs whose rule bodies reference no derived
 	// predicate (non-recursive, single-level view sets): deletions maintain
@@ -140,8 +140,8 @@ func CompileProgram(p *Program, cat *cost.Catalog) (*CompiledProgram, error) {
 
 // CompileProgramIVM is CompileProgram for incremental view maintenance: in
 // addition to the per-IDB-occurrence delta variants it lowers one delta
-// variant per EDB body occurrence, so MaintainDelta can seed a semi-naive
-// propagation round directly from a batch of base-relation inserts instead
+// variant per EDB body occurrence, so ApplyUpdates can seed a semi-naive
+// propagation round directly from a batch of base-relation changes instead
 // of re-running the fixpoint from scratch.
 func CompileProgramIVM(p *Program, cat *cost.Catalog) (*CompiledProgram, error) {
 	return compileProgram(p, cat, true)
@@ -165,18 +165,18 @@ func compileProgram(p *Program, cat *cost.Catalog, ivm bool) (*CompiledProgram, 
 	probeCols := make(map[string]map[int]bool)
 	for _, r := range p.Rules {
 		cr := compiledRule{headPred: r.HeadPred, arity: len(r.Head), src: r}
-		cr.full = compileRuleVariant(r, -1, cat)
+		cr.full, _ = compileRuleVariant(r, -1, cat, false)
 		collectProbeCols(cp.idbArity, probeCols, cr.full.steps)
 		for pos, a := range r.Body {
 			_, idb := cp.idbArity[a.Pred]
-			switch {
-			case idb:
-				v := compileRuleVariant(r, pos, cat)
-				collectProbeCols(cp.idbArity, probeCols, v.steps)
+			if !idb && !ivm {
+				continue
+			}
+			v, _ := compileRuleVariant(r, pos, cat, false)
+			collectProbeCols(cp.idbArity, probeCols, v.steps)
+			if idb {
 				cr.deltas = append(cr.deltas, v)
-			case ivm:
-				v := compileRuleVariant(r, pos, cat)
-				collectProbeCols(cp.idbArity, probeCols, v.steps)
+			} else {
 				cr.edbDeltas = append(cr.edbDeltas, v)
 			}
 		}
@@ -218,7 +218,10 @@ func collectProbeCols(idb map[string]int, out map[string]map[int]bool, steps []c
 // that body atom to the root of the join order (it will read the delta
 // relation at execution time); the remaining atoms are ordered by the same
 // bound-columns-first, catalog-estimated policy single-query plans use.
-func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
+// keepAll gives every body variable a slot — the counting form, where one
+// emission must be one distinct body assignment (delete.go). The variable →
+// slot assignment is returned alongside the variant.
+func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog, keepAll bool) (ruleVariant, map[string]int) {
 	v := ruleVariant{deltaPos: deltaPos}
 	if deltaPos >= 0 {
 		v.deltaPred = r.Body[deltaPos].Pred
@@ -262,7 +265,7 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 		}
 		return s
 	}
-	keep := func(t cq.Term) bool { return needed[t.Lex] || occ[t.Lex] > 1 }
+	keep := func(t cq.Term) bool { return keepAll || needed[t.Lex] || occ[t.Lex] > 1 }
 
 	var pending []cq.Comparison
 	for _, c := range r.Comparisons {
@@ -333,7 +336,7 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 			v.head[i] = ruleHeadOp{slot: slots[h.Term.Lex]}
 		}
 	}
-	return v
+	return v, slots
 }
 
 // idbRel is a per-Eval derived relation: a growing tuple set with hash
@@ -382,11 +385,37 @@ func (r *idbRel) insertKeyed(d derivedTuple) bool {
 	return true
 }
 
-// fixTask is one rule-variant execution scheduled in a round.
-type fixTask struct {
+// variantTask is one rule-variant execution scheduled in a fixpoint or
+// maintenance round: the variant plus the tuple batch feeding its root.
+type variantTask struct {
 	rule  *compiledRule
 	v     *ruleVariant
 	delta []storage.Tuple // nil for full variants
+}
+
+// deltaTasks appends one task per non-empty delta variant whose predicate
+// has tuples in cur. edb adds the per-EDB-occurrence variants of maintenance
+// programs, which seed a round from base-relation changes.
+func (cp *CompiledProgram) deltaTasks(tasks []variantTask, cur map[string][]storage.Tuple, edb bool) []variantTask {
+	for i := range cp.rules {
+		r := &cp.rules[i]
+		sets := [2][]ruleVariant{nil, r.deltas}
+		if edb {
+			sets[0] = r.edbDeltas
+		}
+		for _, variants := range sets {
+			for j := range variants {
+				v := &variants[j]
+				if v.empty {
+					continue
+				}
+				if d := cur[v.deltaPred]; len(d) > 0 {
+					tasks = append(tasks, variantTask{rule: r, v: v, delta: d})
+				}
+			}
+		}
+	}
+	return tasks
 }
 
 // Eval runs the compiled fixpoint over edb and returns a database containing
@@ -479,11 +508,11 @@ func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardStat
 		idb[pred] = ir
 	}
 
-	var tasks []fixTask
+	var tasks []variantTask
 	for i := range cp.rules {
 		r := &cp.rules[i]
 		if !r.full.empty {
-			tasks = append(tasks, fixTask{rule: r, v: &r.full})
+			tasks = append(tasks, variantTask{rule: r, v: &r.full})
 		}
 	}
 	for len(tasks) > 0 {
@@ -494,7 +523,17 @@ func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardStat
 			return nil, stats, err
 		}
 		stats.Iterations++
-		bufs, err := cp.runRound(edb, idb, tasks, workers, gs)
+		// With workers > 1 the tasks run concurrently: they read the
+		// round-stable relations and the (read-only until merge) dedup sets,
+		// and write nothing shared. round is captured by value; tasks, which
+		// the loop reassigns, would be moved to the heap.
+		round := tasks
+		bufs, err := runTaskSet(len(round), workers, func(i int) ([]derivedTuple, error) {
+			t := round[i]
+			accum := idb[t.rule.headPred]
+			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, edb, idb), gs.child(),
+				func(k string) bool { return !accum.seen[k] })
+		})
 		if err != nil {
 			return nil, stats, err
 		}
@@ -508,19 +547,7 @@ func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardStat
 				}
 			}
 		}
-		tasks = tasks[:0]
-		for i := range cp.rules {
-			r := &cp.rules[i]
-			for j := range r.deltas {
-				v := &r.deltas[j]
-				if v.empty {
-					continue
-				}
-				if d := delta[v.deltaPred]; len(d) > 0 {
-					tasks = append(tasks, fixTask{rule: r, v: v, delta: d})
-				}
-			}
-		}
+		tasks = cp.deltaTasks(tasks[:0], delta, false)
 	}
 	if err := gs.failure(); err != nil {
 		return nil, stats, err
@@ -541,21 +568,11 @@ func checkFixpointBudget(stats FixpointStats, lim Limits) error {
 	return nil
 }
 
-// runRound executes one round's tasks, each into its own buffer. With
-// workers > 1 the tasks run concurrently: they read the round-stable
-// relations and the (read-only until merge) dedup sets, and write nothing
-// shared.
-func (cp *CompiledProgram) runRound(edb *storage.Database, idb map[string]*idbRel, tasks []fixTask, workers int, gs *guardState) ([][]derivedTuple, error) {
-	return runTaskSet(len(tasks), workers, func(i int) ([]derivedTuple, error) {
-		return cp.runVariant(edb, idb, tasks[i], gs.child())
-	})
-}
-
 // runTaskSet executes n independent task bodies across up to workers
 // goroutines, collecting each body's result (a derivation buffer, or a
 // counted-tuple map on the counting path). Bodies only read round-stable
 // state, so the fan-out needs no locks; the fixpoint rounds and the
-// maintenance rounds (MaintainDelta, ApplyUpdates) share it.
+// maintenance rounds (ApplyUpdates) share it.
 func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
 	bufs := make([]T, n)
 	if workers > n {
@@ -595,14 +612,14 @@ func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
 	return bufs, nil
 }
 
-// runVariant enumerates one variant's body matches and buffers the derived
-// head tuples, deduplicated against both the buffer and the accumulated
-// relation (reads only — inserts happen at the merge).
-func (cp *CompiledProgram) runVariant(edb *storage.Database, idb map[string]*idbRel, t fixTask, g *evalGuard) ([]derivedTuple, error) {
-	v := t.v
-	srcs := cp.resolveVariant(edb, idb, t)
+// emitVariant enumerates one variant's body matches over srcs and buffers
+// the derived head tuples accept admits, deduplicated within the buffer. It
+// only reads — inserts happen at the caller's merge — and is the one
+// executor behind the fixpoint rounds and every set-semantics maintenance
+// round (propagation, over-deletion, re-derivation); what differs between
+// them is accept, the test of a head key against the state being maintained.
+func emitVariant(v *ruleVariant, srcs []stepSrc, g *evalGuard, accept func(key string) bool) ([]derivedTuple, error) {
 	comp := compiledComponent{steps: v.steps}
-	accum := idb[t.rule.headPred]
 	frame := make([]string, v.numSlots)
 	var buf []derivedTuple
 	var bufSeen map[string]bool
@@ -614,7 +631,7 @@ func (cp *CompiledProgram) runVariant(edb *storage.Database, idb map[string]*idb
 		}
 		tuple := buildHeadTuple(v.head, frame)
 		k := tuple.Key()
-		if accum.seen[k] || bufSeen[k] {
+		if bufSeen[k] || !accept(k) {
 			return true
 		}
 		if bufSeen == nil {
@@ -625,42 +642,29 @@ func (cp *CompiledProgram) runVariant(edb *storage.Database, idb map[string]*idb
 		// Intra-round backstop for the derivation budget: the authoritative
 		// check runs at the round barrier, but a single variant exploding
 		// past the whole budget stops here instead of finishing the round.
-		if g.emitRow() {
-			return false
-		}
-		return true
+		return !g.emitRow()
 	})
 	return buf, evalErr
 }
 
-// resolveVariant binds a variant's steps to their candidate sources: the
-// delta slice for the delta-root step, the per-call IDB relation (tuples
-// plus maintained probe index) for derived predicates, and the EDB relation
-// (with its frozen column index when built) otherwise.
-func (cp *CompiledProgram) resolveVariant(edb *storage.Database, idb map[string]*idbRel, t fixTask) []stepSrc {
-	srcs := make([]stepSrc, len(t.v.steps))
-	for j := range t.v.steps {
-		s := &t.v.steps[j]
-		if j == 0 && t.delta != nil {
-			srcs[j].tuples = t.delta // deltas are scanned: they are the small side
-			continue
-		}
-		if ir, ok := idb[s.pred]; ok {
+// resolveSteps binds a variant's steps to their candidate sources: the
+// delta slice for the delta-root step (scanned: it is the small side), the
+// per-call IDB relation (tuples plus maintained probe index) for predicates
+// in idb — nil on the maintenance paths, where derived relations live in db
+// — and the database relation otherwise.
+func resolveSteps(steps []compiledStep, delta []storage.Tuple, db *storage.Database, idb map[string]*idbRel) []stepSrc {
+	srcs := make([]stepSrc, len(steps))
+	for j := range steps {
+		s := &steps[j]
+		if j == 0 && delta != nil {
+			srcs[j].tuples = delta
+		} else if ir := idb[s.pred]; ir != nil {
 			srcs[j].tuples = ir.tuples
 			if s.probeCol >= 0 {
 				srcs[j].idx = ir.idx[s.probeCol]
 			}
-			continue
-		}
-		rel := edb.Relation(s.pred)
-		if rel == nil {
-			continue // missing predicate: empty relation
-		}
-		srcs[j].tuples = rel.Tuples()
-		if s.probeCol >= 0 {
-			if idx, ok := rel.ColumnIndex(s.probeCol); ok {
-				srcs[j].idx = idx
-			}
+		} else {
+			srcs[j] = resolveStep(db, s)
 		}
 	}
 	return srcs

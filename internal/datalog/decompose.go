@@ -1,9 +1,6 @@
 package datalog
 
-import (
-	"repro/internal/cq"
-	"repro/internal/storage"
-)
+import "repro/internal/cq"
 
 // Connected-component decomposition. A conjunctive query whose join graph
 // is disconnected would otherwise evaluate as a cross product of its
@@ -116,76 +113,4 @@ func splitComponents(q *cq.Query) []component {
 		out = append(out, *groups[root])
 	}
 	return out
-}
-
-// evalDecomposed evaluates the query by components and invokes yield with
-// complete head-variable bindings. It reports false if yield asked to stop.
-func evalDecomposed(db relSource, comps []component, yield func(Bindings) bool) bool {
-	// Evaluate each component, projecting onto its head variables.
-	type projected struct {
-		vars []string
-		rows [][]string
-	}
-	parts := make([]projected, 0, len(comps))
-	for _, c := range comps {
-		p := projected{vars: c.headVars}
-		dedup := make(map[string]bool)
-		nonEmpty := false
-		needed := make(map[string]bool, len(c.headVars))
-		for _, v := range c.headVars {
-			needed[v] = true
-		}
-		for _, cmp := range c.comps {
-			for _, t := range []cq.Term{cmp.Left, cmp.Right} {
-				if t.IsVar() {
-					needed[t.Lex] = true
-				}
-			}
-		}
-		atoms, src := projectBody(db, c.atoms, needed)
-		joinBody(src, atoms, c.comps, make(Bindings), func(b Bindings) bool {
-			nonEmpty = true
-			if len(p.vars) == 0 {
-				return false // pure existence check: one witness suffices
-			}
-			row := make([]string, len(p.vars))
-			for i, v := range p.vars {
-				row[i] = b[v]
-			}
-			key := storage.Tuple(row).Key()
-			if !dedup[key] {
-				dedup[key] = true
-				p.rows = append(p.rows, row)
-			}
-			return true
-		})
-		if !nonEmpty {
-			return true // some component has no match: no answers at all
-		}
-		if len(p.vars) > 0 {
-			parts = append(parts, p)
-		}
-	}
-	// Combine the projected rows (cross product over distinct projections,
-	// which is exactly the answer set's structure).
-	b := make(Bindings)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(parts) {
-			return yield(b)
-		}
-		for _, row := range parts[i].rows {
-			for j, v := range parts[i].vars {
-				b[v] = row[j]
-			}
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		for _, v := range parts[i].vars {
-			delete(b, v)
-		}
-		return true
-	}
-	return rec(0)
 }

@@ -3,6 +3,7 @@ package datalog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
@@ -31,7 +32,7 @@ import (
 //   - DRed (delete-and-rederive), for everything else (recursive programs,
 //     multi-level rules such as inverse-rules output, and programs whose
 //     derived predicates coincide with base relations): an over-deletion
-//     fixpoint runs the same delta variants MaintainDelta uses, over the
+//     fixpoint runs the same delta variants insert propagation uses, over the
 //     still-intact pre-delete database, marking everything that *might*
 //     have lost support; the marked tuples are physically removed; then a
 //     bounded semi-naive pass re-derives the survivors — round 0 runs each
@@ -40,9 +41,10 @@ import (
 //     variants until quiescence.
 //
 // ApplyUpdates is the single entry point: a mixed batch (deletes applied
-// before inserts) that is atomic — every mutation is recorded in an
-// operation journal and rolled back on error or panic, so a canceled or
-// budget-tripped batch leaves the database exactly as it was.
+// before inserts, either side possibly empty) that is atomic — every
+// mutation is covered by a storage.Journal and rolled back on error or
+// panic, so a canceled or budget-tripped batch leaves the database exactly
+// as it was.
 
 // UpdateResult reports one applied mixed batch: what actually changed in
 // the base relations and in the derived extents. Replaying the result into
@@ -227,22 +229,16 @@ type occRecipe struct {
 	cols []recipeCol
 }
 
-// countVariant is a rule compiled for derivation counting: like ruleVariant
-// but with every body variable kept, so the executor emits once per
-// distinct body assignment — no don't-care elision, no existential
-// early-exit pruning, no step dedup. prior holds the rebuild recipes of the
-// body occurrences strictly before deltaPos (in body order): the
-// first-changed-occurrence filter rejects a match whose earlier occurrence
-// already used a changed tuple, making the batch delta an exact multiset.
+// countVariant is a rule compiled for derivation counting: a ruleVariant
+// with every body variable kept (compileRuleVariant's keepAll), so the
+// executor emits once per distinct body assignment — no don't-care elision,
+// no step dedup. prior holds the rebuild recipes of the body occurrences
+// strictly before deltaPos (in body order): the first-changed-occurrence
+// filter rejects a match whose earlier occurrence already used a changed
+// tuple, making the batch delta an exact multiset.
 type countVariant struct {
-	deltaPos  int
-	deltaPred string
-	steps     []compiledStep
-	head      []ruleHeadOp
-	numSlots  int
-	unsafeVar string
-	empty     bool
-	prior     []occRecipe
+	ruleVariant
+	prior []occRecipe
 }
 
 // supportVariant is a rule compiled for DRed re-derivation: the rule rooted
@@ -285,91 +281,12 @@ func (cp *CompiledProgram) compileDeletionSupport(p *Program, cat *cost.Catalog)
 	}
 }
 
-// compileCountVariant lowers one rule into a counting variant: the same
-// join-order and access-path machinery as compileRuleVariant, with every
-// body variable kept in the frame.
+// compileCountVariant lowers one rule into a counting variant: the rule
+// variant with every body variable in the frame, plus the recipes that
+// rebuild the occurrences before deltaPos from it.
 func compileCountVariant(r Rule, deltaPos int, cat *cost.Catalog) countVariant {
-	v := countVariant{deltaPos: deltaPos}
-	if deltaPos >= 0 {
-		v.deltaPred = r.Body[deltaPos].Pred
-	}
-	slots := make(map[string]int)
-	slotOf := func(name string) int {
-		s, ok := slots[name]
-		if !ok {
-			s = v.numSlots
-			slots[name] = s
-			v.numSlots++
-		}
-		return s
-	}
-	keep := func(cq.Term) bool { return true }
-
-	var pending []cq.Comparison
-	for _, c := range r.Comparisons {
-		if c.Left.IsConst() && c.Right.IsConst() {
-			if !c.Op.EvalConst(c.Left, c.Right) {
-				v.empty = true
-			}
-			continue
-		}
-		pending = append(pending, c)
-	}
-
-	bound := make(map[string]bool)
-	remaining := make([]int, 0, len(r.Body))
-	for i := range r.Body {
-		if i != deltaPos {
-			remaining = append(remaining, i)
-		}
-	}
-	lower := func(idx int) {
-		step := lowerAtom(r.Body[idx], bound, slotOf, keep, cat)
-		pending = attachComparisons(&step, pending, bound, slots)
-		v.steps = append(v.steps, step)
-	}
-	if deltaPos >= 0 {
-		lower(deltaPos)
-	}
-	for len(remaining) > 0 {
-		next := chooseNext(r.Body, remaining, bound, cat)
-		lower(next)
-		remaining = removeIdx(remaining, next)
-	}
-	if len(pending) > 0 {
-		v.empty = true
-	}
-
-	markUnsafe := func(name string) {
-		if v.unsafeVar == "" {
-			v.unsafeVar = name
-		}
-	}
-	v.head = make([]ruleHeadOp, len(r.Head))
-	for i, h := range r.Head {
-		switch {
-		case h.Skolem != nil:
-			cs := &compiledSkolem{name: h.Skolem.Name, argSlots: make([]int, len(h.Skolem.Args))}
-			for j, a := range h.Skolem.Args {
-				if !bound[a] {
-					markUnsafe(a)
-					continue
-				}
-				cs.argSlots[j] = slots[a]
-			}
-			v.head[i] = ruleHeadOp{skolem: cs, slot: -1}
-		case h.Term.IsConst():
-			v.head[i] = ruleHeadOp{slot: -1, constVal: h.Term.Lex}
-		default:
-			if !bound[h.Term.Lex] {
-				markUnsafe(h.Term.Lex)
-				v.head[i] = ruleHeadOp{slot: -1}
-				continue
-			}
-			v.head[i] = ruleHeadOp{slot: slots[h.Term.Lex]}
-		}
-	}
-
+	rv, slots := compileRuleVariant(r, deltaPos, cat, true)
+	v := countVariant{ruleVariant: rv}
 	for pos := 0; pos < deltaPos; pos++ {
 		a := r.Body[pos]
 		rc := occRecipe{pred: a.Pred, cols: make([]recipeCol, len(a.Args))}
@@ -403,7 +320,8 @@ func compileSupportVariant(r Rule, cat *cost.Catalog) supportVariant {
 		Body:        append([]cq.Atom{{Pred: r.HeadPred, Args: args}}, r.Body...),
 		Comparisons: r.Comparisons,
 	}
-	return supportVariant{rooted: true, v: compileRuleVariant(sr, 0, cat)}
+	v, _ := compileRuleVariant(sr, 0, cat, false)
+	return supportVariant{rooted: true, v: v}
 }
 
 // ---- counting execution ----
@@ -496,24 +414,7 @@ func (cp *CompiledProgram) runCountVariants(db *storage.Database, batch map[stri
 // countVariantRun enumerates one counting variant's matches, returning the
 // per-tuple derivation counts it attributes.
 func (cp *CompiledProgram) countVariantRun(db *storage.Database, v *countVariant, delta []storage.Tuple, batchKeys map[string]map[string]bool, g *evalGuard) (map[string]*countedTuple, error) {
-	srcs := make([]stepSrc, len(v.steps))
-	for j := range v.steps {
-		s := &v.steps[j]
-		if j == 0 && delta != nil {
-			srcs[j].tuples = delta
-			continue
-		}
-		rel := db.Relation(s.pred)
-		if rel == nil {
-			continue
-		}
-		srcs[j].tuples = rel.Tuples()
-		if s.probeCol >= 0 {
-			if idx, ok := rel.ColumnIndex(s.probeCol); ok {
-				srcs[j].idx = idx
-			}
-		}
-	}
+	srcs := resolveSteps(v.steps, delta, db, nil)
 	// Only earlier occurrences of predicates actually in the batch can
 	// steal attribution; resolve those checks once.
 	type priorCheck struct {
@@ -564,66 +465,15 @@ func (cp *CompiledProgram) countVariantRun(db *storage.Database, v *countVariant
 	return out, evalErr
 }
 
-// ---- the update journal ----
-
-// updateJournal is the rollback log of one mixed batch. The delete phase
-// records each successful removal; the insert phase — always last, and
-// insert-only — is covered by one length snapshot per relation
-// (markInserts), since swap-filled removals never happen after it.
-// rollback restores the database exactly: truncate the inserts, drop
-// batch-created relations, re-insert the removals.
-type updateJournal struct {
-	db      *storage.Database
-	removed []journalRemoval
-	marks   map[string]int
-}
-
-type journalRemoval struct {
-	pred string
-	t    storage.Tuple
-}
-
-func (j *updateJournal) remove(rel *storage.Relation, pred string, t storage.Tuple) bool {
-	if rel == nil || !rel.Remove(t) {
-		return false
-	}
-	j.removed = append(j.removed, journalRemoval{pred: pred, t: t})
-	return true
-}
-
-// markInserts snapshots every relation's length at the start of the
-// insert-only tail of the batch.
-func (j *updateJournal) markInserts() {
-	j.marks = make(map[string]int)
-	for _, pred := range j.db.Predicates() {
-		j.marks[pred] = j.db.Relation(pred).Len()
-	}
-}
-
-func (j *updateJournal) rollback() {
-	if j.marks != nil {
-		for _, pred := range j.db.Predicates() {
-			if n, ok := j.marks[pred]; ok {
-				j.db.Relation(pred).TruncateTo(n)
-			} else {
-				j.db.Drop(pred)
-			}
-		}
-	}
-	for i := len(j.removed) - 1; i >= 0; i-- {
-		op := j.removed[i]
-		if rel := j.db.Relation(op.pred); rel != nil {
-			rel.Insert(op.t)
-		}
-	}
-}
-
 // ---- mixed batch application ----
 
-// ApplyUpdates applies a mixed batch — deletions, then insertions — to a
-// maintained database, keeping every derived extent exact: counting for
-// flat programs, DRed for the rest (see the package comment above). The
-// batch is atomic: on any error the database is rolled back to its
+// ApplyUpdates applies a mixed batch — deletions, then insertions, either
+// possibly nil — to a maintained database, keeping every derived extent
+// exact: counting for flat programs, DRed for the rest (see the package
+// comment above). db must hold the accumulated derived relations alongside
+// the base relations (the database CompiledProgram.Eval returns, or one
+// maintained by earlier calls). The batch is validated before anything is
+// mutated and is atomic: on any error the database is rolled back to its
 // pre-batch state (a panic rolls back, then re-panics). Predicates derived
 // by the program are rejected on both sides; deletions of absent tuples
 // and insertions of present ones are no-ops. st carries the deletion state
@@ -633,10 +483,9 @@ func (cp *CompiledProgram) ApplyUpdates(db *storage.Database, st *MaintState, in
 	return cp.applyUpdates(db, st, inserts, deletes, workers, nil, Limits{})
 }
 
-// ApplyUpdatesCtx is ApplyUpdates under a context and limits. Unlike the
-// insert-only Ctx entry points, cancellation or a tripped budget never
-// leaves a partial state: the journal rolls the batch back before the
-// error returns.
+// ApplyUpdatesCtx is ApplyUpdates under a context and limits. Cancellation
+// or a tripped budget never leaves a partial state: the journal rolls the
+// batch back before the error returns.
 func (cp *CompiledProgram) ApplyUpdatesCtx(ctx context.Context, db *storage.Database, st *MaintState, inserts, deletes map[string][]storage.Tuple, workers int, lim Limits) (*UpdateResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ErrCanceled
@@ -673,37 +522,31 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, st *MaintState, in
 		}
 	}
 
-	j := &updateJournal{db: db}
+	j := storage.NewJournal(db)
 	defer func() {
 		if r := recover(); r != nil {
-			j.rollback()
+			j.Rollback()
 			panic(r)
 		}
 	}()
-
-	// Once counts exist they must be maintained by every batch; before the
-	// first deletion, insert-only batches keep the plain monotone path.
-	counting := cp.flat && (st.CountsReady() || len(delEff) > 0)
-	if !counting && len(delEff) == 0 {
-		j.markInserts()
-		fresh, derived, stats, err := cp.applyInserts(db, inserts, workers, gs, lim)
-		if err != nil {
-			j.rollback()
-			return nil, err
+	switch {
+	case len(delEff) == 0 && !(cp.flat && st.CountsReady()):
+		// Nothing to retract and no derivation counts to keep exact (they
+		// are built by the first deletion and maintained by every batch
+		// after it): the batch is its insert phase.
+		res = &UpdateResult{}
+		j.MarkInserts()
+		res.BaseInserted, res.Derived, res.Stats, err = cp.applyInserts(db, inserts, workers, gs, lim)
+	case cp.flat:
+		if st == nil {
+			st = &MaintState{}
 		}
-		return &UpdateResult{BaseInserted: fresh, Derived: derived, Stats: stats}, nil
-	}
-
-	if st == nil {
-		st = &MaintState{}
-	}
-	if cp.flat {
 		res, err = cp.applyCounting(db, st, j, inserts, delEff, workers, gs, lim)
-	} else {
+	default:
 		res, err = cp.applyDRed(db, st, j, inserts, delEff, workers, gs, lim)
 	}
 	if err != nil {
-		j.rollback()
+		j.Rollback()
 		return nil, err
 	}
 	res.BaseDeleted = delEff
@@ -730,8 +573,9 @@ func (cp *CompiledProgram) validateDeletes(db *storage.Database, deletes map[str
 	return nil
 }
 
-// validateInserts is the schema validation applyInserts performs, shared so
-// mixed batches can validate both sides before the delete phase mutates.
+// validateInserts rejects insertions into derived relations and tuples
+// whose width disagrees with the relation (or, for a new relation, with the
+// batch's first tuple) — before anything is mutated.
 func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[string][]storage.Tuple) error {
 	for pred, tuples := range updates {
 		if _, idb := cp.idbArity[pred]; idb {
@@ -757,7 +601,7 @@ func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[str
 // pre-delete database, retraction at count zero, then insertion and exact
 // increments over the post-insert database. Counts are committed only
 // after every mutation succeeded, so a rolled-back batch never skews them.
-func (cp *CompiledProgram) applyCounting(db *storage.Database, st *MaintState, j *updateJournal, inserts, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (*UpdateResult, error) {
+func (cp *CompiledProgram) applyCounting(db *storage.Database, st *MaintState, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (*UpdateResult, error) {
 	res := &UpdateResult{
 		Derived:   make(map[string][]storage.Tuple),
 		Retracted: make(map[string][]storage.Tuple),
@@ -776,42 +620,28 @@ func (cp *CompiledProgram) applyCounting(db *storage.Database, st *MaintState, j
 		}
 		res.Stats.Iterations++
 		for pred, tuples := range delEff {
-			rel := db.Relation(pred)
 			for _, t := range tuples {
-				j.remove(rel, pred, t)
+				j.Remove(pred, t)
 			}
 		}
 		for pred, m := range decs {
-			rel := db.Relation(pred)
 			for key, ct := range m {
 				if st.counts[pred][key]-ct.n <= 0 && !st.isBaseline(pred, key) {
-					if j.remove(rel, pred, ct.t) {
+					if j.Remove(pred, ct.t) {
 						res.Retracted[pred] = append(res.Retracted[pred], ct.t)
 					}
 				}
 			}
 		}
 	}
-	j.markInserts()
-	fresh := make(map[string][]storage.Tuple)
-	for pred, tuples := range inserts {
-		if len(tuples) == 0 {
-			continue
-		}
-		rel, err := db.Ensure(pred, len(tuples[0]))
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range tuples {
-			if rel.Insert(t) {
-				fresh[pred] = append(fresh[pred], t)
-			}
-		}
+	j.MarkInserts()
+	fresh, err := insertBase(db, inserts)
+	if err != nil {
+		return nil, err
 	}
 	res.BaseInserted = fresh
 	var incs map[string]map[string]*countedTuple
 	if len(fresh) > 0 {
-		var err error
 		incs, err = cp.runCountVariants(db, fresh, workers, gs)
 		if err != nil {
 			return nil, err
@@ -840,27 +670,24 @@ func (cp *CompiledProgram) applyCounting(db *storage.Database, st *MaintState, j
 
 // applyDRed is the non-flat batch path: over-delete via the delta variants
 // over the intact pre-delete database, remove, re-derive survivors with a
-// bounded semi-naive pass, then propagate the insertions through the
-// ordinary monotone machinery.
-func (cp *CompiledProgram) applyDRed(db *storage.Database, st *MaintState, j *updateJournal, inserts, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (*UpdateResult, error) {
+// bounded semi-naive pass, then run the insert phase (applyInserts).
+func (cp *CompiledProgram) applyDRed(db *storage.Database, st *MaintState, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (*UpdateResult, error) {
 	res := &UpdateResult{Retracted: make(map[string][]storage.Tuple)}
 	od, err := cp.overDelete(db, st, delEff, workers, gs, lim, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
 	for pred, tuples := range delEff {
-		rel := db.Relation(pred)
 		for _, t := range tuples {
-			j.remove(rel, pred, t)
+			j.Remove(pred, t)
 		}
 	}
 	for pred, m := range od {
-		rel := db.Relation(pred)
 		for _, t := range m {
-			j.remove(rel, pred, t)
+			j.Remove(pred, t)
 		}
 	}
-	j.markInserts()
+	j.MarkInserts()
 	if err := cp.rederive(db, od, workers, gs, lim, &res.Stats); err != nil {
 		return nil, err
 	}
@@ -888,23 +715,10 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, st *MaintState, j *up
 // relation itself, and deletions into derived predicates are rejected.
 func (cp *CompiledProgram) overDelete(db *storage.Database, st *MaintState, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits, stats *FixpointStats) (map[string]map[string]storage.Tuple, error) {
 	od := make(map[string]map[string]storage.Tuple)
+	var tasks []variantTask
 	cur := delEff
 	for len(cur) > 0 {
-		var tasks []maintTask
-		for i := range cp.rules {
-			r := &cp.rules[i]
-			for _, variants := range [2][]ruleVariant{r.edbDeltas, r.deltas} {
-				for j := range variants {
-					v := &variants[j]
-					if v.empty {
-						continue
-					}
-					if d := cur[v.deltaPred]; len(d) > 0 {
-						tasks = append(tasks, maintTask{rule: r, v: v, delta: d})
-					}
-				}
-			}
-		}
+		tasks = cp.deltaTasks(tasks[:0], cur, true)
 		if len(tasks) == 0 {
 			break
 		}
@@ -915,13 +729,25 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, st *MaintState, delE
 			return nil, err
 		}
 		stats.Iterations++
+		// Matches feed from the round's delta and every other atom reads the
+		// intact database; an emitted head counts only if it is currently
+		// materialized, not yet over-deleted, and not a baseline fact.
 		bufs, err := runTaskSet(len(tasks), workers, func(i int) ([]derivedTuple, error) {
-			return cp.overDeleteVariant(db, st, od, tasks[i], gs.child())
+			t := tasks[i]
+			pred := t.rule.headPred
+			headRel, dead := db.Relation(pred), od[pred]
+			if headRel == nil {
+				return nil, nil
+			}
+			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(), func(k string) bool {
+				_, gone := dead[k]
+				return headRel.ContainsKey(k) && !gone && !st.isBaseline(pred, k)
+			})
 		})
 		if err != nil {
 			return nil, err
 		}
-		next := make(map[string][]storage.Tuple)
+		cur = make(map[string][]storage.Tuple)
 		for i, buf := range bufs {
 			pred := tasks[i].rule.headPred
 			m := od[pred]
@@ -934,81 +760,15 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, st *MaintState, delE
 					continue
 				}
 				m[d.key] = d.t
-				next[pred] = append(next[pred], d.t)
+				cur[pred] = append(cur[pred], d.t)
 				stats.Derived++
 			}
 		}
-		cur = next
 	}
 	if err := gs.failure(); err != nil {
 		return nil, err
 	}
 	return od, nil
-}
-
-// overDeleteVariant enumerates one delta variant for the over-deletion
-// fixpoint: matches feed from the round's delta, every other atom reads
-// the intact database, and an emitted head counts only if it is currently
-// materialized, not yet over-deleted, and not a baseline fact.
-func (cp *CompiledProgram) overDeleteVariant(db *storage.Database, st *MaintState, od map[string]map[string]storage.Tuple, t maintTask, g *evalGuard) ([]derivedTuple, error) {
-	headRel := db.Relation(t.rule.headPred)
-	if headRel == nil {
-		return nil, nil
-	}
-	v := t.v
-	srcs := make([]stepSrc, len(v.steps))
-	for j := range v.steps {
-		s := &v.steps[j]
-		if j == 0 {
-			srcs[j].tuples = t.delta
-			continue
-		}
-		rel := db.Relation(s.pred)
-		if rel == nil {
-			continue
-		}
-		srcs[j].tuples = rel.Tuples()
-		if s.probeCol >= 0 {
-			if idx, ok := rel.ColumnIndex(s.probeCol); ok {
-				srcs[j].idx = idx
-			}
-		}
-	}
-	odSet := od[t.rule.headPred]
-	comp := compiledComponent{steps: v.steps}
-	frame := make([]string, v.numSlots)
-	var buf []derivedTuple
-	var bufSeen map[string]bool
-	var evalErr error
-	joinSteps(&comp, srcs, 0, frame, g, func(frame []string) bool {
-		if v.unsafeVar != "" {
-			evalErr = fmt.Errorf("datalog: unbound head variable %s", v.unsafeVar)
-			return false
-		}
-		tuple := buildHeadTuple(v.head, frame)
-		k := tuple.Key()
-		if !headRel.ContainsKey(k) || bufSeen[k] {
-			return true
-		}
-		if odSet != nil {
-			if _, dead := odSet[k]; dead {
-				return true
-			}
-		}
-		if st.isBaseline(t.rule.headPred, k) {
-			return true
-		}
-		if bufSeen == nil {
-			bufSeen = make(map[string]bool)
-		}
-		bufSeen[k] = true
-		buf = append(buf, derivedTuple{t: tuple, key: k})
-		if g.emitRow() {
-			return false
-		}
-		return true
-	})
-	return buf, evalErr
 }
 
 // rederive restores the over-deleted tuples that still have a derivation in
@@ -1019,42 +779,7 @@ func (cp *CompiledProgram) overDeleteVariant(db *storage.Database, st *MaintStat
 // missing — re-inserted tuples cannot derive anything genuinely new,
 // because the pre-batch database was already a fixpoint over a superset.
 func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]map[string]storage.Tuple, workers int, gs *guardState, lim Limits, stats *FixpointStats) error {
-	type redTask struct {
-		rule  *compiledRule
-		v     *ruleVariant
-		delta []storage.Tuple
-	}
-	runRound := func(tasks []redTask, cur map[string][]storage.Tuple) error {
-		if err := gs.barrier(); err != nil {
-			return err
-		}
-		if err := checkFixpointBudget(*stats, lim); err != nil {
-			return err
-		}
-		stats.Iterations++
-		bufs, err := runTaskSet(len(tasks), workers, func(i int) ([]derivedTuple, error) {
-			return cp.rederiveVariant(db, od[tasks[i].rule.headPred], tasks[i].v, tasks[i].delta, gs.child())
-		})
-		if err != nil {
-			return err
-		}
-		for i, buf := range bufs {
-			pred := tasks[i].rule.headPred
-			rel, err := db.Ensure(pred, tasks[i].rule.arity)
-			if err != nil {
-				return err
-			}
-			for _, d := range buf {
-				if rel.Insert(d.t) {
-					delete(od[pred], d.key)
-					cur[pred] = append(cur[pred], d.t)
-				}
-			}
-		}
-		return nil
-	}
-
-	var tasks []redTask
+	var tasks []variantTask
 	for i := range cp.rules {
 		r := &cp.rules[i]
 		if len(od[r.headPred]) == 0 {
@@ -1069,93 +794,47 @@ func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]map[stri
 			for _, t := range od[r.headPred] {
 				feed = append(feed, t)
 			}
-			tasks = append(tasks, redTask{rule: r, v: &sv.v, delta: feed})
+			tasks = append(tasks, variantTask{rule: r, v: &sv.v, delta: feed})
 		} else if !r.full.empty {
-			tasks = append(tasks, redTask{rule: r, v: &r.full})
+			tasks = append(tasks, variantTask{rule: r, v: &r.full})
 		}
 	}
-	cur := make(map[string][]storage.Tuple)
-	if len(tasks) > 0 {
-		if err := runRound(tasks, cur); err != nil {
+	for len(tasks) > 0 {
+		if err := gs.barrier(); err != nil {
 			return err
 		}
-	}
-	for len(cur) > 0 {
-		prev := cur
-		cur = make(map[string][]storage.Tuple)
-		tasks = tasks[:0]
-		for i := range cp.rules {
-			r := &cp.rules[i]
-			if len(od[r.headPred]) == 0 {
-				continue
-			}
-			for j := range r.deltas {
-				v := &r.deltas[j]
-				if v.empty {
-					continue
-				}
-				if d := prev[v.deltaPred]; len(d) > 0 {
-					tasks = append(tasks, redTask{rule: r, v: v, delta: d})
-				}
-			}
-		}
-		if len(tasks) == 0 {
-			break
-		}
-		if err := runRound(tasks, cur); err != nil {
+		if err := checkFixpointBudget(*stats, lim); err != nil {
 			return err
 		}
+		stats.Iterations++
+		bufs, err := runTaskSet(len(tasks), workers, func(i int) ([]derivedTuple, error) {
+			t := tasks[i]
+			missing := od[t.rule.headPred]
+			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(), func(k string) bool {
+				_, want := missing[k]
+				return want
+			})
+		})
+		if err != nil {
+			return err
+		}
+		cur := make(map[string][]storage.Tuple)
+		for i, buf := range bufs {
+			pred := tasks[i].rule.headPred
+			rel, err := db.Ensure(pred, tasks[i].rule.arity)
+			if err != nil {
+				return err
+			}
+			for _, d := range buf {
+				if rel.Insert(d.t) {
+					delete(od[pred], d.key)
+					cur[pred] = append(cur[pred], d.t)
+				}
+			}
+		}
+		tasks = slices.DeleteFunc(cp.deltaTasks(tasks[:0], cur, false), func(t variantTask) bool {
+			return len(od[t.rule.headPred]) == 0
+		})
 	}
 	return gs.failure()
-}
-
-// rederiveVariant enumerates one re-derivation plan — a support variant fed
-// by the over-deleted set, an IDB delta variant fed by re-insertions, or a
-// filtered full variant (delta == nil) — accepting only heads still in the
-// missing set.
-func (cp *CompiledProgram) rederiveVariant(db *storage.Database, missing map[string]storage.Tuple, v *ruleVariant, delta []storage.Tuple, g *evalGuard) ([]derivedTuple, error) {
-	srcs := make([]stepSrc, len(v.steps))
-	for j := range v.steps {
-		s := &v.steps[j]
-		if j == 0 && delta != nil {
-			srcs[j].tuples = delta
-			continue
-		}
-		rel := db.Relation(s.pred)
-		if rel == nil {
-			continue
-		}
-		srcs[j].tuples = rel.Tuples()
-		if s.probeCol >= 0 {
-			if idx, ok := rel.ColumnIndex(s.probeCol); ok {
-				srcs[j].idx = idx
-			}
-		}
-	}
-	comp := compiledComponent{steps: v.steps}
-	frame := make([]string, v.numSlots)
-	var buf []derivedTuple
-	var bufSeen map[string]bool
-	var evalErr error
-	joinSteps(&comp, srcs, 0, frame, g, func(frame []string) bool {
-		if v.unsafeVar != "" {
-			evalErr = fmt.Errorf("datalog: unbound head variable %s", v.unsafeVar)
-			return false
-		}
-		tuple := buildHeadTuple(v.head, frame)
-		k := tuple.Key()
-		if _, want := missing[k]; !want || bufSeen[k] {
-			return true
-		}
-		if bufSeen == nil {
-			bufSeen = make(map[string]bool)
-		}
-		bufSeen[k] = true
-		buf = append(buf, derivedTuple{t: tuple, key: k})
-		if g.emitRow() {
-			return false
-		}
-		return true
-	})
-	return buf, evalErr
 }

@@ -19,25 +19,6 @@ import (
 // Bindings maps variable names to data values during evaluation.
 type Bindings map[string]string
 
-// relSource resolves predicate names to relations. *storage.Database
-// satisfies it; the projection layer wraps one database over another.
-type relSource interface {
-	Relation(pred string) *storage.Relation
-}
-
-// layered resolves from the scratch database first, then the base.
-type layered struct {
-	scratch *storage.Database
-	base    relSource
-}
-
-func (l layered) Relation(pred string) *storage.Relation {
-	if r := l.scratch.Relation(pred); r != nil {
-		return r
-	}
-	return l.base.Relation(pred)
-}
-
 // EvalQuery evaluates a conjunctive query over the database and returns the
 // distinct head tuples in deterministic (sorted) order. Predicates missing
 // from the database are treated as empty relations.
@@ -77,35 +58,11 @@ func (p *CompiledPlan) freeze(db *storage.Database) {
 	}
 }
 
-// EvalQueryInterp is the retained tuple-at-a-time interpreter (map-based
-// bindings, per-call greedy join ordering, connected-component
-// decomposition with materialised projection pushdown). It computes the
-// same answers as EvalQuery and serves as the baseline the compiled
-// executor is benchmarked against.
-func EvalQueryInterp(db *storage.Database, q *cq.Query) []storage.Tuple {
-	var out []storage.Tuple
-	seen := make(map[string]bool)
-	collect := func(b Bindings) bool {
-		t := headTuple(q.Head, b)
-		k := t.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, t)
-		}
-		return true
-	}
-	if comps := splitComponents(q); len(comps) > 1 {
-		evalDecomposed(db, comps, collect)
-	} else {
-		atoms, src := projectBody(db, q.Body, neededVars(q))
-		joinBody(src, atoms, q.Comparisons, make(Bindings), collect)
-	}
-	return storage.SortTuples(out)
-}
-
-// EvalQueryNaive evaluates without connected-component decomposition or
-// projection pushdown — the unoptimised reference used by the F7 ablation
-// experiment. Results are identical to EvalQuery.
+// EvalQueryNaive is the oracle: a tuple-at-a-time interpreter (map-based
+// bindings, per-call greedy join ordering) without connected-component
+// decomposition or projection pushdown. Every differential test, the
+// benchmark's reply check and the F7 ablation experiment compare against
+// it. Results are identical to EvalQuery.
 func EvalQueryNaive(db *storage.Database, q *cq.Query) []storage.Tuple {
 	var out []storage.Tuple
 	seen := make(map[string]bool)
@@ -150,14 +107,14 @@ func headTuple(head cq.Atom, b Bindings) storage.Tuple {
 
 // joinBody enumerates bindings satisfying all atoms and comparisons,
 // invoking yield for each; enumeration stops if yield returns false.
-func joinBody(db relSource, atoms []cq.Atom, comps []cq.Comparison, b Bindings, yield func(Bindings) bool) bool {
+func joinBody(db *storage.Database, atoms []cq.Atom, comps []cq.Comparison, b Bindings, yield func(Bindings) bool) bool {
 	order := planOrder(db, atoms, b)
 	return joinStep(db, atoms, order, 0, comps, b, yield)
 }
 
 // planOrder chooses a join order: repeatedly pick the atom with the most
 // already-bound argument positions, breaking ties by smaller relation.
-func planOrder(db relSource, atoms []cq.Atom, initial Bindings) []int {
+func planOrder(db *storage.Database, atoms []cq.Atom, initial Bindings) []int {
 	bound := make(map[string]bool, len(initial))
 	for v := range initial {
 		bound[v] = true
@@ -195,7 +152,7 @@ func planOrder(db relSource, atoms []cq.Atom, initial Bindings) []int {
 	return order
 }
 
-func joinStep(db relSource, atoms []cq.Atom, order []int, depth int, comps []cq.Comparison, b Bindings, yield func(Bindings) bool) bool {
+func joinStep(db *storage.Database, atoms []cq.Atom, order []int, depth int, comps []cq.Comparison, b Bindings, yield func(Bindings) bool) bool {
 	if depth == len(order) {
 		if !checkComparisons(comps, b) {
 			return true

@@ -269,14 +269,3 @@ func (cp *CompiledProgram) EvalRelationCtx(ctx context.Context, edb *storage.Dat
 	}
 	return cp.evalRelation(edb, pred, workers, fixpointGuard(ctx, lim), lim)
 }
-
-// ApplyInsertsCtx is ApplyInserts under a context and limits. Validation
-// errors still leave db unchanged; cancellation or budget errors leave it
-// partially updated: the caller must either discard it or roll back
-// (ivm.Maintainer does the latter).
-func (cp *CompiledProgram) ApplyInsertsCtx(ctx context.Context, db *storage.Database, updates map[string][]storage.Tuple, workers int, lim Limits) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, FixpointStats{}, ErrCanceled
-	}
-	return cp.applyInserts(db, updates, workers, fixpointGuard(ctx, lim), lim)
-}

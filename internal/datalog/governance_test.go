@@ -219,19 +219,21 @@ func TestMaintainCtxBudgetsAndCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := cp.ApplyInsertsCtx(ctx, mat, map[string][]storage.Tuple{"e": {{"n80", "n81"}}}, 1, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, err := cp.ApplyUpdatesCtx(ctx, mat, nil, map[string][]storage.Tuple{"e": {{"n80", "n81"}}}, nil, 1, Limits{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 
 	// A new edge closing the chain into place derives ~n tuples per round;
-	// a tiny round budget trips mid-propagation.
-	_, _, stats, err := cp.ApplyInsertsCtx(context.Background(), mat,
-		map[string][]storage.Tuple{"e": {{"n81", "n0"}}}, 1, Limits{MaxRounds: 2})
+	// a tiny round budget trips mid-propagation, and the batch — the base
+	// insert included — is rolled back.
+	before := mat.TotalTuples()
+	_, err = cp.ApplyUpdatesCtx(context.Background(), mat, nil,
+		map[string][]storage.Tuple{"e": {{"n81", "n0"}}}, nil, 1, Limits{MaxRounds: 2})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	if stats.Iterations != 2 {
-		t.Fatalf("Iterations = %d, want 2", stats.Iterations)
+	if after := mat.TotalTuples(); after != before {
+		t.Fatalf("budget-tripped batch left %d tuple(s) behind", after-before)
 	}
 }
 

@@ -68,10 +68,11 @@ func TestMaintainDeltaDifferential(t *testing.T) {
 		for batch := 0; batch < batches; batch++ {
 			upd := randomUpdate(rng)
 			workers := 1 + rng.Intn(4)
-			fresh, derived, stats, err := cp.ApplyInserts(maintained, upd, workers)
+			res, err := cp.ApplyUpdates(maintained, nil, upd, nil, workers)
 			if err != nil {
 				t.Fatalf("stream %d batch %d: maintain: %v\n%s", stream, batch, err, prog)
 			}
+			fresh, derived, stats := res.BaseInserted, res.Derived, res.Stats
 			for pred, tuples := range upd {
 				for _, tup := range tuples {
 					if err := shadow.Insert(pred, tup); err != nil {
@@ -126,27 +127,27 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	}
 
 	// Batch 1: a new r tuple joining an existing s tuple.
-	_, derived, stats, err := cp.ApplyInserts(db, map[string][]storage.Tuple{"r": {{"b", "m"}}}, 1)
+	res, err := cp.ApplyUpdates(db, nil, map[string][]storage.Tuple{"r": {{"b", "m"}}}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"b", "x"}).Key() {
+	if derived := res.Derived; len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"b", "x"}).Key() {
 		t.Fatalf("batch 1 derived %v, want v(b,x)", derived)
 	}
-	if stats.Iterations != 1 {
-		t.Fatalf("batch 1 iterations = %d", stats.Iterations)
+	if res.Stats.Iterations != 1 {
+		t.Fatalf("batch 1 iterations = %d", res.Stats.Iterations)
 	}
 
 	// Batch 2: both halves of a fresh join arrive in one batch, plus a
 	// duplicate base fact that must not derive anything.
-	_, derived, _, err = cp.ApplyInserts(db, map[string][]storage.Tuple{
+	res, err = cp.ApplyUpdates(db, nil, map[string][]storage.Tuple{
 		"r": {{"c", "n"}, {"a", "m"}},
 		"s": {{"n", "y"}},
-	}, 1)
+	}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"c", "y"}).Key() {
+	if derived := res.Derived; len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"c", "y"}).Key() {
 		t.Fatalf("batch 2 derived %v, want exactly v(c,y)", derived)
 	}
 	if !db.Relation("v").Frozen() {
@@ -177,10 +178,11 @@ func TestMaintainDeltaRecursive(t *testing.T) {
 	db.BuildIndexes()
 	before := db.Relation("tc").Len()
 
-	_, derived, _, err := cp.ApplyInserts(db, map[string][]storage.Tuple{"e": {{"10", "11"}}}, 2)
+	res, err := cp.ApplyUpdates(db, nil, map[string][]storage.Tuple{"e": {{"10", "11"}}}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	derived := res.Derived
 	// The new edge closes 0..10 → 11: eleven new tc tuples.
 	if len(derived["tc"]) != 11 {
 		t.Fatalf("derived %d tc tuples, want 11: %v", len(derived["tc"]), derived["tc"])
@@ -204,11 +206,8 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := storage.NewDatabase()
-	if _, _, err := plain.MaintainDelta(db, nil); err != ErrNotMaintenance {
+	if _, err := plain.ApplyUpdates(db, nil, nil, nil, 1); err != ErrNotMaintenance {
 		t.Fatalf("non-IVM program: err = %v, want ErrNotMaintenance", err)
-	}
-	if _, _, _, err := plain.ApplyInserts(db, nil, 1); err != ErrNotMaintenance {
-		t.Fatalf("non-IVM ApplyInserts: err = %v, want ErrNotMaintenance", err)
 	}
 
 	cp, err := CompileProgramIVM(prog, nil)
@@ -221,25 +220,25 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inserting into the derived relation is rejected.
-	if _, _, _, err := cp.ApplyInserts(mdb, map[string][]storage.Tuple{"v": {{"z"}}}, 1); err == nil {
+	if _, err := cp.ApplyUpdates(mdb, nil, map[string][]storage.Tuple{"v": {{"z"}}}, nil, 1); err == nil {
 		t.Fatal("insert into derived relation accepted")
 	}
 	// Arity mismatches are rejected before anything is mutated.
-	if _, _, _, err := cp.ApplyInserts(mdb, map[string][]storage.Tuple{
+	if _, err := cp.ApplyUpdates(mdb, nil, map[string][]storage.Tuple{
 		"r":     {{"c", "d"}},
 		"wrong": {{"1"}, {"1", "2"}},
-	}, 1); err == nil {
+	}, nil, 1); err == nil {
 		t.Fatal("mixed-arity batch accepted")
 	}
 	if mdb.Relation("r").Len() != 1 || mdb.Relation("wrong") != nil {
 		t.Fatal("failed batch mutated the database")
 	}
 	// An empty batch is a no-op.
-	fresh, derived, stats, err := cp.ApplyInserts(mdb, nil, 1)
+	res, err := cp.ApplyUpdates(mdb, nil, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh) != 0 || len(derived) != 0 || stats.Iterations != 0 || stats.Derived != 0 {
-		t.Fatalf("empty batch did work: %v %v %+v", fresh, derived, stats)
+	if len(res.BaseInserted) != 0 || len(res.Derived) != 0 || res.Stats.Iterations != 0 || res.Stats.Derived != 0 {
+		t.Fatalf("empty batch did work: %+v", res)
 	}
 }

@@ -8,44 +8,55 @@ import (
 	"repro/internal/storage"
 )
 
+// Projection pushdown in the compiled plan: a don't-care position — an
+// existential variable occurring once and reaching neither the head nor a
+// comparison — gets no column op, and a step that still binds something
+// dedups on its bound columns instead of enumerating the dropped ones.
+
+// stepOf returns the compiled step reading pred.
+func stepOf(t *testing.T, p *CompiledPlan, pred string) *compiledStep {
+	t.Helper()
+	for i := range p.components {
+		for j := range p.components[i].steps {
+			if s := &p.components[i].steps[j]; s.pred == pred {
+				return s
+			}
+		}
+	}
+	t.Fatalf("no step reads %s:\n%s", pred, p.Describe())
+	return nil
+}
+
 func TestProjectBodyDropsDontCares(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Insert("r", storage.Tuple{"a", "x1"})
 	db.Insert("r", storage.Tuple{"a", "x2"})
 	db.Insert("r", storage.Tuple{"b", "x3"})
 	q := mustQ("q(X) :- r(X,F)")
-	atoms, src := projectBody(db, q.Body, neededVars(q))
-	if atoms[0].Pred == "r" {
-		t.Fatal("atom not projected")
+	s := stepOf(t, Compile(q, nil), "r")
+	if len(s.ops) != 1 || s.ops[0].col != 0 || !s.dedup {
+		t.Fatalf("don't-care column not dropped: %+v", s)
 	}
-	rel := src.Relation(atoms[0].Pred)
-	if rel == nil || rel.Arity() != 1 || rel.Len() != 2 {
-		t.Fatalf("projected relation wrong: %+v", rel)
+	if got := EvalQuery(db, q); len(got) != 2 {
+		t.Fatalf("projected answers = %v, want a and b", got)
 	}
 }
 
 func TestProjectBodyKeepsJoinVars(t *testing.T) {
-	db := storage.NewDatabase()
-	db.Insert("r", storage.Tuple{"a", "j"})
-	db.Insert("s", storage.Tuple{"j", "z"})
-	q := mustQ("q(X) :- r(X,J), s(J,F)")
-	atoms, _ := projectBody(db, q.Body, neededVars(q))
+	p := Compile(mustQ("q(X) :- r(X,J), s(J,F)"), nil)
 	// r keeps both columns (X head, J join); s drops F only.
-	if len(atoms[0].Args) != 2 {
-		t.Fatalf("r projected wrongly: %v", atoms[0])
+	if s := stepOf(t, p, "r"); len(s.ops) != 2 {
+		t.Fatalf("r projected wrongly: %+v", s)
 	}
-	if len(atoms[1].Args) != 1 {
-		t.Fatalf("s should keep only J: %v", atoms[1])
+	if s := stepOf(t, p, "s"); len(s.ops) != 1 || s.ops[0].col != 0 {
+		t.Fatalf("s should keep only J: %+v", s)
 	}
 }
 
 func TestProjectBodyKeepsComparisonVars(t *testing.T) {
-	db := storage.NewDatabase()
-	db.Insert("r", storage.Tuple{"a", "5"})
-	q := mustQ("q(X) :- r(X,Y), Y > 3")
-	atoms, _ := projectBody(db, q.Body, neededVars(q))
-	if len(atoms[0].Args) != 2 {
-		t.Fatalf("comparison variable dropped: %v", atoms[0])
+	p := Compile(mustQ("q(X) :- r(X,Y), Y > 3"), nil)
+	if s := stepOf(t, p, "r"); len(s.ops) != 2 {
+		t.Fatalf("comparison variable dropped: %+v", s)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestEngineDeleteBasics(t *testing.T) {
 	}
 
 	// Deleting r(a,m) starves v(a,x) and vr(a,m).
-	if err := e.Delete("r", storage.Tuple{"a", "m"}); err != nil {
+	if err := e.ApplyUpdate(nil, map[string][]storage.Tuple{"r": {{"a", "m"}}}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := e.Answer(q)
@@ -67,11 +67,11 @@ func TestEngineDeleteBasics(t *testing.T) {
 	}
 
 	// Deleting an absent tuple is a no-op, not an error.
-	if err := e.DeleteBatch("r", []storage.Tuple{{"zz", "zz"}}); err != nil {
+	if err := e.ApplyUpdate(nil, map[string][]storage.Tuple{"r": {{"zz", "zz"}}}); err != nil {
 		t.Fatal(err)
 	}
 	// Deleting from a view extent is rejected.
-	if err := e.Delete("v", storage.Tuple{"a", "x"}); err == nil {
+	if err := e.ApplyUpdate(nil, map[string][]storage.Tuple{"v": {{"a", "x"}}}); err == nil {
 		t.Fatal("delete from view extent accepted")
 	}
 
@@ -88,7 +88,7 @@ func TestEngineDeleteBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := static.Delete("r", storage.Tuple{"a", "m"}); err != ErrNotLive {
+	if err := static.ApplyUpdate(nil, map[string][]storage.Tuple{"r": {{"a", "m"}}}); err != ErrNotLive {
 		t.Fatalf("static delete err = %v, want ErrNotLive", err)
 	}
 }
@@ -280,10 +280,10 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 	// Grow to the full grid, then shrink back down with atomic
 	// delete-pair batches: every intermediate state is a legal grid.
 	for k := 1; k <= nBatches; k++ {
-		err := e.ApplyBatch(map[string][]storage.Tuple{
+		err := e.ApplyUpdate(map[string][]storage.Tuple{
 			"r": {{fmt.Sprintf("x%d", k), "k"}},
 			"s": {{"k", fmt.Sprintf("y%d", k)}},
-		})
+		}, nil)
 		if err != nil {
 			t.Errorf("grow %d: %v", k, err)
 			break

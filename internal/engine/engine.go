@@ -57,10 +57,11 @@ import (
 // Options.LiveUpdates.
 var ErrNotLive = errors.New("engine: built without Options.LiveUpdates; base facts are frozen")
 
-// errParamsNotCompiled guards the uncompiled-payload fallbacks: a
-// parameterized plan's logical payload is in planning form (placeholder
-// columns in the head) and cannot be evaluated directly.
-var errParamsNotCompiled = errors.New("engine: parameterized plan has no compiled form; its logical payload is in planning form and cannot be evaluated directly")
+// ErrPlanNotCompiled reports the evaluation of a Plan that carries no
+// compiled form. Only the engine builds executable plans (Plan, Prepare):
+// the logical payloads are in planning form and are never evaluated
+// directly. Match with errors.Is.
+var ErrPlanNotCompiled = errors.New("engine: plan has no compiled form; obtain plans from Engine.Plan or Engine.Prepare")
 
 // Strategy selects the rewriting algorithm an Engine plans with.
 type Strategy string
@@ -143,8 +144,8 @@ type Options struct {
 	// cores already; set it explicitly (e.g. to GOMAXPROCS) when single
 	// large queries should use idle cores.
 	EvalWorkers int
-	// LiveUpdates enables the mutation path: Insert/InsertBatch/ApplyBatch
-	// apply base facts and delta-maintain every view extent instead of the
+	// LiveUpdates enables the mutation path: ApplyUpdate applies base-fact
+	// inserts and deletes and delta-maintains every view extent instead of the
 	// database being frozen forever at construction. Requires NewFromBase
 	// (the engine must see the base relations to maintain extents).
 	// Cached plans survive updates — rewritings depend only on the view
@@ -152,7 +153,7 @@ type Options struct {
 	LiveUpdates bool
 	// Budget is the default per-request resource budget (deadline, result
 	// rows, derived tuples, fixpoint rounds) applied to every Answer, Exec
-	// and ApplyBatch. The zero value means unlimited; the *Budget entry
+	// and ApplyUpdate. The zero value means unlimited; the *Budget entry
 	// points override it per call.
 	Budget Budget
 	// MaxConcurrent caps concurrently executing requests (admission
@@ -360,10 +361,9 @@ type Stats struct {
 // Engine answers conjunctive queries over materialised views. It is safe
 // for concurrent use. Without Options.LiveUpdates the database it serves
 // from is frozen (indexed) at construction and must not be mutated
-// afterwards; with LiveUpdates, Insert/InsertBatch/ApplyBatch apply base
-// facts, Delete/DeleteBatch retract them, and ApplyUpdate applies a mixed
-// batch — every extent is incrementally maintained (counting or DRed on
-// the delete side) while answers keep flowing.
+// afterwards; with LiveUpdates, ApplyUpdate applies a batch of base-fact
+// inserts and deletes — every extent is incrementally maintained (counting
+// or DRed on the delete side) while answers keep flowing.
 type Engine struct {
 	views    *core.ViewSet
 	viewDefs []*cq.Query
@@ -610,7 +610,7 @@ func (e *Engine) Views() *core.ViewSet { return e.views }
 
 // Database returns the database the engine evaluates over. For a live
 // engine this is the currently active serving snapshot: do not mutate it,
-// and do not read it concurrently with ApplyBatch — use Answer, which
+// and do not read it concurrently with ApplyUpdate — use Answer, which
 // locks a snapshot, for concurrent reads.
 func (e *Engine) Database() *storage.Database {
 	if e.live != nil {
@@ -634,48 +634,20 @@ func (e *Engine) snapshot() (*storage.Database, *sync.RWMutex) {
 	return e.live.sides[i], lock
 }
 
-// Insert applies one base fact, delta-maintaining every extent.
-func (e *Engine) Insert(pred string, t storage.Tuple) error {
-	return e.ApplyBatch(map[string][]storage.Tuple{pred: {t}})
-}
-
-// InsertBatch applies a batch of base facts under one predicate,
-// delta-maintaining every extent in a single propagation.
-func (e *Engine) InsertBatch(pred string, tuples []storage.Tuple) error {
-	return e.ApplyBatch(map[string][]storage.Tuple{pred: tuples})
-}
-
-// ApplyBatch applies base-fact inserts across any number of predicates and
-// delta-maintains every view extent — one semi-naive propagation per batch
-// instead of a full re-materialization. Batches from concurrent callers
-// are serialized; answers keep flowing from the active serving snapshot
+// ApplyUpdate applies a batch of base-fact changes — deletions then
+// insertions, any number of predicates each, either side possibly nil — and
+// delta-maintains every view extent: one propagation per batch instead of a
+// full re-materialization, retracting every extent tuple that loses its
+// last derivation (counting for flat view sets, DRed for recursive programs
+// — see internal/datalog's ApplyUpdates). The batch is one atomic unit:
+// either every retraction and every insertion lands, left-right published
+// to both serving sides, or none do. Batches from concurrent callers are
+// serialized; answers keep flowing from the active serving snapshot
 // throughout, and every cached plan stays valid (rewritings depend only on
-// the view definitions). Inserting into a view predicate is an error, as
-// is calling this on an engine built without Options.LiveUpdates.
-func (e *Engine) ApplyBatch(updates map[string][]storage.Tuple) error {
-	return e.ApplyBatchCtx(context.Background(), updates)
-}
-
-// Delete retracts one base fact, retracting every extent tuple that loses
-// its last derivation (counting for flat view sets, DRed for recursive
-// programs — see internal/datalog's ApplyUpdates).
-func (e *Engine) Delete(pred string, t storage.Tuple) error {
-	return e.ApplyUpdate(nil, map[string][]storage.Tuple{pred: {t}})
-}
-
-// DeleteBatch retracts a batch of base facts under one predicate in a
-// single propagation.
-func (e *Engine) DeleteBatch(pred string, tuples []storage.Tuple) error {
-	return e.ApplyUpdate(nil, map[string][]storage.Tuple{pred: tuples})
-}
-
-// ApplyUpdate applies a mixed batch — deletions then insertions, any
-// number of predicates each — as one atomic, undo-logged unit: either
-// every retraction and every insertion lands, left-right published to
-// both serving sides, or none do. Deleting from (or inserting into) a
-// view predicate is an error, as is calling this on an engine built
-// without Options.LiveUpdates. Deleting a tuple that is not present is a
-// no-op, not an error.
+// the view definitions). Deleting from (or inserting into) a view predicate
+// is an error, as is calling this on an engine built without
+// Options.LiveUpdates. Deleting a tuple that is not present, or inserting
+// one that is, is a no-op, not an error.
 func (e *Engine) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) error {
 	return e.ApplyUpdateCtx(context.Background(), inserts, deletes)
 }
@@ -684,16 +656,17 @@ func (e *Engine) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) error 
 // the side's write lock. Removals replay before insertions: a tuple deleted
 // and re-derived in the same batch appears in both BatchResult maps, and
 // the opposite order would retract it from the serving side after
-// re-inserting it. Every successful removal is journaled into the publish
-// undo log so a failed publish can re-insert it.
-func (l *liveState) applySide(i int32, res *ivm.BatchResult, u *sideUndo) error {
+// re-inserting it. Everything goes through the side's journal so a failed
+// publish can undo it.
+func (l *liveState) applySide(i int32, res *ivm.BatchResult, j *storage.Journal) error {
 	l.locks[i].Lock()
 	defer l.locks[i].Unlock()
 	db := l.sides[i]
 	if l.servesBase {
-		removeDelta(db, res.BaseDeleted, u, i)
+		removeDelta(j, res.BaseDeleted)
 	}
-	removeDelta(db, res.ExtentRetracted, u, i)
+	removeDelta(j, res.ExtentRetracted)
+	j.MarkInserts()
 	if l.servesBase {
 		if err := appendDelta(db, res.BaseInserted); err != nil {
 			return err
@@ -702,21 +675,15 @@ func (l *liveState) applySide(i int32, res *ivm.BatchResult, u *sideUndo) error 
 	return appendDelta(db, res.ExtentDelta)
 }
 
-// removeDelta removes retracted tuples from a serving side, journaling each
-// removal so restoreSides can re-insert it. Missing relations and absent
-// tuples are skipped: the maintainer only reports removals that were
-// present in its database, which the sides mirror, so a miss here would
-// mean a divergence this function must not widen.
-func removeDelta(db *storage.Database, delta map[string][]storage.Tuple, u *sideUndo, side int32) {
+// removeDelta removes retracted tuples from a serving side through its
+// journal. Missing relations and absent tuples are skipped: the maintainer
+// only reports removals that were present in its database, which the sides
+// mirror, so a miss here would mean a divergence this function must not
+// widen.
+func removeDelta(j *storage.Journal, delta map[string][]storage.Tuple) {
 	for pred, tuples := range delta {
-		rel := db.Relation(pred)
-		if rel == nil {
-			continue
-		}
 		for _, t := range tuples {
-			if rel.Remove(t) {
-				u.removed[side] = append(u.removed[side], sideRemoval{pred: pred, t: t})
-			}
+			j.Remove(pred, t)
 		}
 	}
 }

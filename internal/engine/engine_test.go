@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -348,6 +349,34 @@ func TestEngineErrors(t *testing.T) {
 	}
 	if _, err := ParseStrategy("inverse"); err != nil {
 		t.Fatal("CLI alias 'inverse' rejected")
+	}
+}
+
+// TestEvalHandBuiltPlan: only the engine compiles plans, so a Plan assembled
+// by a caller — whatever kind it claims, with or without its logical payload
+// — is refused with ErrPlanNotCompiled instead of being interpreted (or
+// dereferenced).
+func TestEvalHandBuiltPlan(t *testing.T) {
+	base, views := testBase(t)
+	e, err := NewFromBase(base, views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := e.Plan(cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Plan{
+		{Kind: PlanEquivalent, Rewriting: built.Rewriting},
+		{Kind: PlanMaxContained},
+		{Kind: PlanInverseProgram, AnswerPred: "q"},
+	} {
+		if _, err := e.Eval(p); !errors.Is(err, ErrPlanNotCompiled) {
+			t.Fatalf("%s plan without a compiled form: err = %v, want ErrPlanNotCompiled", p.Kind, err)
+		}
+	}
+	if _, err := e.Eval(built); err != nil {
+		t.Fatalf("engine-built plan: %v", err)
 	}
 }
 

@@ -107,7 +107,7 @@ func TestErrorCodeLiveEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = e.Insert("r", storage.Tuple{"x", "y"})
+		err = e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"x", "y"}}}, nil)
 		if code := ErrorCode(err); code != CodeNotLive {
 			t.Fatalf("frozen insert: code %q (err %v), want %q", code, err, CodeNotLive)
 		}

@@ -75,7 +75,7 @@ func TestFaultInjectionDifferential(t *testing.T) {
 				}
 			case 3: // no fault — the batch commits
 			}
-			err := live.ApplyBatchBudget(ctx, upd, b)
+			err := live.ApplyUpdateBudget(ctx, upd, nil, b)
 			if cancel != nil {
 				cancel()
 			}

@@ -502,35 +502,23 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, b Budge
 	return answers, nil
 }
 
-// ApplyBatchCtx is ApplyBatch under a context: the propagation observes
+// ApplyUpdateCtx is ApplyUpdate under a context: the propagation observes
 // cancellation within one guard interval or round barrier, and a canceled
-// batch is atomic — the maintainer rolls its database back and neither
-// serving side is touched, so the engine keeps answering from the exact
-// pre-batch state and the batch can simply be retried. The engine-wide
-// Options.Budget applies (deadline, MaxDerivedTuples, MaxFixpointRounds;
-// MaxResultRows does not apply to updates).
-func (e *Engine) ApplyBatchCtx(ctx context.Context, updates map[string][]storage.Tuple) error {
-	return e.ApplyUpdateBudget(ctx, updates, nil, e.opt.Budget)
-}
-
-// ApplyBatchBudget is ApplyBatch under a context and an explicit per-call
-// budget, with the same atomicity guarantee as ApplyBatchCtx.
-func (e *Engine) ApplyBatchBudget(ctx context.Context, updates map[string][]storage.Tuple, b Budget) error {
-	return e.ApplyUpdateBudget(ctx, updates, nil, b)
-}
-
-// ApplyUpdateCtx is ApplyUpdate under a context, with the same atomicity
-// guarantee as ApplyBatchCtx: a canceled or budget-tripped batch — even
-// one caught mid-retraction — rolls the maintainer back and never touches
-// the serving sides. The engine-wide Options.Budget applies.
+// or budget-tripped batch — even one caught mid-retraction — is atomic: the
+// maintainer rolls its database back and neither serving side is touched,
+// so the engine keeps answering from the exact pre-batch state and the
+// batch can simply be retried. The engine-wide Options.Budget applies
+// (deadline, MaxDerivedTuples, MaxFixpointRounds; MaxResultRows does not
+// apply to updates).
 func (e *Engine) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string][]storage.Tuple) error {
 	return e.ApplyUpdateBudget(ctx, inserts, deletes, e.opt.Budget)
 }
 
-// ApplyUpdateBudget is the mixed-batch execution path every mutation entry
-// point funnels through: panic isolation, admission (updates weigh 2),
-// deadline attachment, the maintainer's atomic propagation, and the
-// left-right publish of removals and deltas.
+// ApplyUpdateBudget is ApplyUpdate under a context and an explicit per-call
+// budget overriding Options.Budget — the execution path every mutation
+// funnels through: panic isolation, admission (updates weigh 2), deadline
+// attachment, the maintainer's atomic propagation, and the left-right
+// publish of removals and deltas.
 func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[string][]storage.Tuple, b Budget) (err error) {
 	if e.live == nil {
 		return ErrNotLive
@@ -600,97 +588,39 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 	return nil
 }
 
-// sideRemoval is one journaled serving-side retraction: the tuple applySide
-// removed from a side's database.
-type sideRemoval struct {
-	pred string
-	t    storage.Tuple
-}
-
-// sideUndo records both serving sides' pre-publish relation sizes plus the
-// active pointer, and accumulates the removals applySide performs, so a
-// failed or panicking publish can restore the pair: truncate each relation
-// past the appended deltas, then re-insert the journaled removals.
-type sideUndo struct {
-	active  int32
-	lens    [2]map[string]int
-	removed [2][]sideRemoval
-}
-
-// snapshotSides captures the publish undo log. Called under updateMu — the
-// sides are only mutated by the (single) writer, so lock-free length reads
-// are safe.
-func (l *liveState) snapshotSides() sideUndo {
-	u := sideUndo{active: l.active.Load()}
-	for i := 0; i < 2; i++ {
-		u.lens[i] = make(map[string]int)
-		db := l.sides[i]
-		for _, pred := range db.Predicates() {
-			u.lens[i][pred] = db.Relation(pred).Len()
-		}
-	}
-	return u
-}
-
-// restoreSides rolls both serving sides back to the undo log under their
-// write locks and restores the active pointer — the pair is mutually
-// consistent (both pre-batch) again even if publish failed halfway.
-// Removals replayed before the appends shrank each relation below its
-// snapshot length, so the truncation target is the snapshot minus the
-// journaled removal count; re-inserting the journaled tuples afterwards
-// restores the pre-batch tuple set exactly (intra-relation order may
-// permute — Remove backfills from the tail — which snapshots never
-// observe).
-func (l *liveState) restoreSides(u sideUndo) {
-	for i := 0; i < 2; i++ {
-		l.locks[i].Lock()
-		db := l.sides[i]
-		removed := make(map[string]int, len(u.removed[i]))
-		for _, r := range u.removed[i] {
-			removed[r.pred]++
-		}
-		for _, pred := range db.Predicates() {
-			n, ok := u.lens[i][pred]
-			if !ok {
-				db.Drop(pred)
-				continue
-			}
-			db.Relation(pred).TruncateTo(n - removed[pred])
-		}
-		for j := len(u.removed[i]) - 1; j >= 0; j-- {
-			r := u.removed[i][j]
-			db.Relation(r.pred).Insert(r.t)
-		}
-		l.locks[i].Unlock()
-	}
-	l.active.Store(u.active)
-}
-
 // publish replays a batch's removals and deltas onto both serving sides
-// with the usual left-right flip. On an error or panic partway through,
-// both sides are rolled back to their pre-batch state and the active
-// pointer restored, so the serving pair never stays torn; a panic is
-// re-raised to the entry point's recover guard after the rollback.
-func (e *Engine) publish(res *ivm.BatchResult) error {
+// with the usual left-right flip, each side under its own storage.Journal.
+// On an error or panic partway through, both journals are rolled back under
+// the sides' write locks and the active pointer restored, so the serving
+// pair never stays torn (intra-relation order may permute — Remove
+// backfills from the tail — which snapshots never observe); a panic is
+// re-raised to the entry point's recover guard after the rollback. Called
+// under updateMu.
+func (e *Engine) publish(res *ivm.BatchResult) (err error) {
 	l := e.live
-	undo := l.snapshotSides()
+	active := l.active.Load()
+	journals := [2]*storage.Journal{storage.NewJournal(l.sides[0]), storage.NewJournal(l.sides[1])}
 	defer func() {
-		if r := recover(); r != nil {
-			l.restoreSides(undo)
+		r := recover()
+		if r == nil && err == nil {
+			return
+		}
+		for i := range journals {
+			l.locks[i].Lock()
+			journals[i].Rollback()
+			l.locks[i].Unlock()
+		}
+		l.active.Store(active)
+		if r != nil {
 			panic(r)
 		}
 	}()
-	i := 1 - undo.active
-	if err := l.applySide(i, res, &undo); err != nil {
-		l.restoreSides(undo)
+	i := 1 - active
+	if err := l.applySide(i, res, journals[i]); err != nil {
 		return err
 	}
 	l.active.Store(i)
-	if err := l.applySide(1-i, res, &undo); err != nil {
-		l.restoreSides(undo)
-		return err
-	}
-	return nil
+	return l.applySide(1-i, res, journals[1-i])
 }
 
 // evalPlanCtx is evalPlan under a context and limits: the compiled
@@ -703,22 +633,13 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan,
 	if workers <= 0 {
 		workers = 1
 	}
+	if p.Compiled == nil && p.CompiledUnion == nil && p.CompiledProgram == nil {
+		return nil, ErrPlanNotCompiled // plan built outside the engine
+	}
 	switch p.Kind {
 	case PlanEquivalent:
-		if p.Compiled == nil { // plan built outside the engine
-			if len(p.Params) > 0 {
-				return nil, errParamsNotCompiled
-			}
-			return datalog.EvalQuery(db, p.Rewriting.Query), nil
-		}
 		return p.Compiled.EvalParallelCtx(ctx, db, args, workers, lim)
 	case PlanMaxContained:
-		if p.CompiledUnion == nil {
-			if len(p.Params) > 0 {
-				return nil, errParamsNotCompiled
-			}
-			return datalog.EvalUnion(db, p.Union), nil
-		}
 		var out []storage.Tuple
 		seen := make(map[string]bool)
 		for _, cp := range p.CompiledUnion {
@@ -741,24 +662,12 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan,
 		}
 		return storage.SortTuples(out), nil
 	case PlanInverseProgram:
-		var derived []storage.Tuple
-		if p.CompiledProgram != nil {
-			tuples, fst, err := p.CompiledProgram.EvalRelationCtx(ctx, db, p.AnswerPred, workers, lim)
-			e.fixpointRuns.Add(1)
-			e.fixpointIters.Add(uint64(fst.Iterations))
-			e.fixpointDrvd.Add(uint64(fst.Derived))
-			if err != nil {
-				return nil, &QueryError{Err: err, Stats: fst}
-			}
-			derived = tuples
-		} else { // plan built outside the engine
-			out, err := p.Program.Eval(db)
-			if err != nil {
-				return nil, err
-			}
-			if rel := out.Relation(p.AnswerPred); rel != nil {
-				derived = rel.Tuples()
-			}
+		derived, fst, err := p.CompiledProgram.EvalRelationCtx(ctx, db, p.AnswerPred, workers, lim)
+		e.fixpointRuns.Add(1)
+		e.fixpointIters.Add(uint64(fst.Iterations))
+		e.fixpointDrvd.Add(uint64(fst.Derived))
+		if err != nil {
+			return nil, &QueryError{Err: err, Stats: fst}
 		}
 		// A parameterized program derives the answer relation with the
 		// placeholder columns appended to the head: select the rows

@@ -395,7 +395,7 @@ func TestApplyBatchCtxAtomicOnLiveEngine(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := e.ApplyBatchCtx(ctx, batch); !errors.Is(err, ErrCanceled) {
+	if err := e.ApplyUpdateCtx(ctx, batch, nil); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	mid, err := e.Answer(q)
@@ -406,7 +406,7 @@ func TestApplyBatchCtxAtomicOnLiveEngine(t *testing.T) {
 		t.Fatalf("canceled batch changed answers: %v -> %v", before, mid)
 	}
 	// Retry applies; the new join rows appear.
-	if err := e.ApplyBatch(batch); err != nil {
+	if err := e.ApplyUpdate(batch, nil); err != nil {
 		t.Fatalf("retry: %v", err)
 	}
 	after, err := e.Answer(q)
@@ -470,12 +470,12 @@ func TestCancelUnderConcurrentReaders(t *testing.T) {
 		if i%2 == 1 {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if err := e.ApplyBatchCtx(ctx, batch); !errors.Is(err, ErrCanceled) {
+			if err := e.ApplyUpdateCtx(ctx, batch, nil); !errors.Is(err, ErrCanceled) {
 				t.Fatalf("round %d: err = %v", i, err)
 			}
 			continue
 		}
-		if err := e.ApplyBatch(batch); err != nil {
+		if err := e.ApplyUpdate(batch, nil); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 		for pred, tuples := range batch {

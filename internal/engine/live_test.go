@@ -30,7 +30,7 @@ func TestLiveEngineBasics(t *testing.T) {
 	}
 
 	// r(c,n) joins the existing s(n,y).
-	if err := e.Insert("r", storage.Tuple{"c", "n"}); err != nil {
+	if err := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"c", "n"}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	after, err := e.Answer(q)
@@ -46,10 +46,10 @@ func TestLiveEngineBasics(t *testing.T) {
 	}
 
 	// A multi-predicate batch whose join halves arrive together.
-	err = e.ApplyBatch(map[string][]storage.Tuple{
+	err = e.ApplyUpdate(map[string][]storage.Tuple{
 		"r": {{"d", "o"}},
 		"s": {{"o", "z"}, {"n", "y"}}, // second tuple is a duplicate
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLiveEngineBasics(t *testing.T) {
 	}
 
 	// Inserting into a view extent is rejected.
-	if err := e.Insert("v", storage.Tuple{"x", "y"}); err == nil {
+	if err := e.ApplyUpdate(map[string][]storage.Tuple{"v": {{"x", "y"}}}, nil); err == nil {
 		t.Fatal("insert into view extent accepted")
 	}
 }
@@ -102,7 +102,7 @@ func TestLiveEngineAllStrategies(t *testing.T) {
 		}
 		shadow := base.Clone()
 		for bi, batch := range batches {
-			if err := live.ApplyBatch(batch); err != nil {
+			if err := live.ApplyUpdate(batch, nil); err != nil {
 				t.Fatalf("%s batch %d: %v", strat, bi, err)
 			}
 			for pred, tuples := range batch {
@@ -142,7 +142,7 @@ func TestLiveEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := static.Insert("r", storage.Tuple{"z", "z"}); err != ErrNotLive {
+	if err := static.ApplyUpdate(map[string][]storage.Tuple{"r": {{"z", "z"}}}, nil); err != ErrNotLive {
 		t.Fatalf("static insert err = %v, want ErrNotLive", err)
 	}
 	vs := static.Views()
@@ -154,7 +154,7 @@ func TestLiveEngineErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Arity mismatch leaves everything unchanged.
-	if err := live.InsertBatch("r", []storage.Tuple{{"only-one"}}); err == nil {
+	if err := live.ApplyUpdate(map[string][]storage.Tuple{"r": {{"only-one"}}}, nil); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 	if got, _ := live.Answer(cq.MustParseQuery("q3(X,Y) :- r(X,Y)")); len(got) != 2 {
@@ -195,7 +195,7 @@ func TestLiveEngineDifferential(t *testing.T) {
 				upd[pred] = append(upd[pred], tup)
 				shadow.Insert(pred, tup)
 			}
-			if err := live.ApplyBatch(upd); err != nil {
+			if err := live.ApplyUpdate(upd, nil); err != nil {
 				t.Fatalf("trial %d (%s) batch %d: %v", trial, strat, batch, err)
 			}
 			fresh, err := NewFromBase(shadow, views, Options{Strategy: strat})
@@ -226,7 +226,7 @@ func TestLiveEngineDifferential(t *testing.T) {
 }
 
 // TestLiveEngineSnapshotRace runs concurrent Answer calls (EvalWorkers=4)
-// against a stream of InsertBatch updates. The query is disconnected —
+// against a stream of insert-only ApplyUpdate batches. The query is disconnected —
 // its answer is the cross product of two separately updated relations —
 // so a torn read (one relation pre-batch, the other post-batch) would
 // produce an answer set matching no consistent state. Run under -race in
@@ -309,10 +309,10 @@ func TestLiveEngineSnapshotRace(t *testing.T) {
 			}(g)
 		}
 		for k := 1; k <= nBatches; k++ {
-			err := e.ApplyBatch(map[string][]storage.Tuple{
+			err := e.ApplyUpdate(map[string][]storage.Tuple{
 				"r": {{fmt.Sprintf("x%d", k), "k"}},
 				"s": {{"k", fmt.Sprintf("y%d", k)}},
-			})
+			}, nil)
 			if err != nil {
 				t.Errorf("%s batch %d: %v", strat, k, err)
 				break

@@ -531,7 +531,7 @@ func TestPreparedLiveUpdates(t *testing.T) {
 	if len(before) != 0 {
 		t.Fatalf("unexpected answers before insert: %v", before)
 	}
-	if err := e.ApplyBatch(map[string][]storage.Tuple{"r": {{"k999", "m3"}}}); err != nil {
+	if err := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"k999", "m3"}}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	after, err := pq.Exec("k999")

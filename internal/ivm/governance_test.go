@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cq"
 	"repro/internal/datalog"
 	"repro/internal/storage"
 )
@@ -38,9 +39,9 @@ func TestApplyBatchCtxCanceledRollsBack(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = m.ApplyBatchCtx(ctx, map[string][]storage.Tuple{
+	_, err = m.ApplyUpdateCtx(ctx, map[string][]storage.Tuple{
 		"s": {{"n", "9"}},
-	}, datalog.Limits{})
+	}, nil, datalog.Limits{})
 	if !errors.Is(err, datalog.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -49,7 +50,7 @@ func TestApplyBatchCtxCanceledRollsBack(t *testing.T) {
 	}
 
 	// The same batch retried without the cancel applies cleanly.
-	res, err := m.ApplyBatch(map[string][]storage.Tuple{"s": {{"n", "9"}}})
+	res, err := m.ApplyUpdate(map[string][]storage.Tuple{"s": {{"n", "9"}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +75,9 @@ func TestApplyBatchCtxBudgetRollsBack(t *testing.T) {
 	// seed round derived tuples and a second round is still needed. If the
 	// budget happens not to trip, the test detects it and uses a stricter
 	// check below.
-	_, err = m.ApplyBatchCtx(context.Background(), map[string][]storage.Tuple{
+	_, err = m.ApplyUpdateCtx(context.Background(), map[string][]storage.Tuple{
 		"s": {{"n", "9"}, {"q", "8"}, {"z", "7"}},
-	}, datalog.Limits{MaxDerived: 1})
+	}, nil, datalog.Limits{MaxDerived: 1})
 	if !errors.Is(err, datalog.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -94,15 +95,15 @@ func TestApplyBatchCtxValidationUnchanged(t *testing.T) {
 	}
 	before := dbFingerprint(m.Database())
 	// Inserting into a view predicate is rejected up front.
-	if _, err := m.ApplyBatchCtx(context.Background(), map[string][]storage.Tuple{
+	if _, err := m.ApplyUpdateCtx(context.Background(), map[string][]storage.Tuple{
 		"v": {{"a", "b"}},
-	}, datalog.Limits{}); err == nil {
+	}, nil, datalog.Limits{}); err == nil {
 		t.Fatal("insert into view predicate should fail")
 	}
 	// Arity mismatch is a typed error now.
-	_, err = m.ApplyBatchCtx(context.Background(), map[string][]storage.Tuple{
+	_, err = m.ApplyUpdateCtx(context.Background(), map[string][]storage.Tuple{
 		"r": {{"only-one"}},
-	}, datalog.Limits{})
+	}, nil, datalog.Limits{})
 	var ae *storage.ArityError
 	if !errors.As(err, &ae) {
 		t.Fatalf("err = %T (%v), want *storage.ArityError", err, err)
@@ -133,12 +134,12 @@ func TestApplyBatchCtxRepeatedCancelConverges(t *testing.T) {
 		if i%2 == 0 {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := m.ApplyBatchCtx(ctx, b, datalog.Limits{}); !errors.Is(err, datalog.ErrCanceled) {
+			if _, err := m.ApplyUpdateCtx(ctx, b, nil, datalog.Limits{}); !errors.Is(err, datalog.ErrCanceled) {
 				t.Fatalf("batch %d: err = %v", i, err)
 			}
 			continue
 		}
-		if _, err := m.ApplyBatch(b); err != nil {
+		if _, err := m.ApplyUpdate(b, nil); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		applied = append(applied, b)
@@ -148,7 +149,7 @@ func TestApplyBatchCtxRepeatedCancelConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range applied {
-		if _, err := ref.ApplyBatch(b); err != nil {
+		if _, err := ref.ApplyUpdate(b, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,5 +157,57 @@ func TestApplyBatchCtxRepeatedCancelConverges(t *testing.T) {
 	want := dbFingerprint(ref.Database())
 	if got != want {
 		t.Fatalf("state diverged from reference:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestApplyUpdatePanicRollsBack covers the one rollback trigger the
+// cancellation and budget tests cannot reach: a panic in the middle of an
+// insert-only propagation. The base declares t with one column while a
+// view reads two, so a t fact passes validation, is inserted, and blows up
+// the delta plan that reads its second column — after the batch's base
+// inserts have already landed. The maintainer must be back at its
+// pre-batch state when the panic reaches the caller.
+func TestApplyUpdatePanicRollsBack(t *testing.T) {
+	base, views := testViews(t)
+	if _, err := base.Ensure("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	wide, err := cq.ParseViews(`w(A,B) :- r(A,C), t(C,B).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(base, append(views, wide...), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dbFingerprint(m.Database())
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("propagation over a too-narrow tuple did not panic")
+			}
+		}()
+		m.ApplyUpdate(map[string][]storage.Tuple{
+			"r": {{"c", "q"}},
+			"s": {{"q", "9"}},
+			"t": {{"m"}},
+		}, nil)
+	}()
+	if after := dbFingerprint(m.Database()); after != before {
+		t.Fatalf("panicked batch left residue:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if st := m.Stats(); st.Batches != 0 {
+		t.Fatalf("panicked batch was counted: %+v", st)
+	}
+
+	// The maintainer keeps working: the batch without the poisoned fact
+	// applies and derives.
+	res, err := m.ApplyUpdate(map[string][]storage.Tuple{"r": {{"c", "q"}}, "s": {{"q", "9"}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ExtentDelta["v"]) != 1 || len(res.ExtentDelta["big"]) != 1 {
+		t.Fatalf("retry result = %+v", res)
 	}
 }

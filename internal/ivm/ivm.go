@@ -7,22 +7,23 @@
 // re-materializing any extent — work is proportional to the consequences
 // of the batch, not to the size of the database.
 //
-// Inserts propagate monotonically. Deletions are non-monotone and take the
-// datalog counting/DRed machinery (ApplyUpdates): view sets are flat, so
-// the compiled program tracks exact per-derived-tuple derivation counts —
-// built lazily on the first deletion — and retracts an extent tuple
-// exactly when its count reaches zero. Batches mixing deletions and
-// insertions apply deletions first and are atomic either way.
+// There is one write verb, ApplyUpdate (ApplyUpdateCtx under a context and
+// limits), and it is datalog.ApplyUpdates over the maintainer's database:
+// inserts propagate monotonically; deletions are non-monotone and take the
+// counting machinery — view sets are flat, so the compiled program tracks
+// exact per-derived-tuple derivation counts, built lazily on the first
+// deletion, and retracts an extent tuple exactly when its count reaches
+// zero. A batch applies its deletions first and is atomic whatever it
+// holds.
 //
-// The Maintainer is the engine's mutation path: Engine.InsertBatch and
-// Engine.DeleteBatch apply a batch here, then forward the returned base
-// and extent deltas to the serving snapshots. It is equally usable
-// standalone for applications that keep extents fresh without the serving
-// layer.
+// The Maintainer is the engine's mutation path: Engine.ApplyUpdate applies
+// a batch here, then forwards the returned base and extent deltas to the
+// serving snapshots. It is equally usable standalone for applications that
+// keep extents fresh without the serving layer.
 //
-// A Maintainer is single-writer: calls to ApplyBatch must be serialized by
+// A Maintainer is single-writer: calls to ApplyUpdate must be serialized by
 // the caller (the engine holds an update mutex). Reads of the maintained
-// database may not overlap an ApplyBatch call.
+// database may not overlap an ApplyUpdate call.
 package ivm
 
 import (
@@ -87,7 +88,7 @@ type BatchResult struct {
 
 // Stats aggregates a Maintainer's lifetime work.
 type Stats struct {
-	// Batches is the number of ApplyBatch/ApplyUpdate calls that succeeded.
+	// Batches is the number of ApplyUpdate calls that succeeded.
 	Batches uint64
 	// BaseInserted counts base tuples that were new across all batches.
 	BaseInserted uint64
@@ -103,22 +104,32 @@ type Stats struct {
 	MaintainTime time.Duration
 }
 
-// New builds a Maintainer: it materializes every view over base once (the
-// last full evaluation the system ever pays for these views) and freezes
-// the result for indexed delta propagation. base is not retained or
-// mutated.
-func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, error) {
+// viewProgram validates a view set and turns it into the datalog program —
+// one rule per view — the maintainer compiles, plus the set of view names.
+func viewProgram(views []*cq.Query) (*datalog.Program, map[string]bool, error) {
 	if len(views) == 0 {
-		return nil, fmt.Errorf("ivm: empty view set")
+		return nil, nil, fmt.Errorf("ivm: empty view set")
 	}
 	prog := &datalog.Program{}
 	names := make(map[string]bool, len(views))
 	for _, v := range views {
 		if err := v.Validate(); err != nil {
-			return nil, fmt.Errorf("ivm: view %s: %w", v.Name(), err)
+			return nil, nil, fmt.Errorf("ivm: view %s: %w", v.Name(), err)
 		}
 		names[v.Name()] = true
 		prog.Rules = append(prog.Rules, datalog.RuleFromQuery(v))
+	}
+	return prog, names, nil
+}
+
+// New builds a Maintainer: it materializes every view over base once (the
+// last full evaluation the system ever pays for these views) and freezes
+// the result for indexed delta propagation. base is not retained or
+// mutated.
+func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, error) {
+	prog, names, err := viewProgram(views)
+	if err != nil {
+		return nil, err
 	}
 	if base == nil {
 		base = storage.NewDatabase()
@@ -145,17 +156,9 @@ func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, e
 // produced db (nil when no view-named base facts existed). db is adopted
 // as the maintenance state: the caller must not mutate it afterwards.
 func NewFromMaterialized(db *storage.Database, views []*cq.Query, baseline map[string][]string, opt Options) (*Maintainer, error) {
-	if len(views) == 0 {
-		return nil, fmt.Errorf("ivm: empty view set")
-	}
-	prog := &datalog.Program{}
-	names := make(map[string]bool, len(views))
-	for _, v := range views {
-		if err := v.Validate(); err != nil {
-			return nil, fmt.Errorf("ivm: view %s: %w", v.Name(), err)
-		}
-		names[v.Name()] = true
-		prog.Rules = append(prog.Rules, datalog.RuleFromQuery(v))
+	prog, names, err := viewProgram(views)
+	if err != nil {
+		return nil, err
 	}
 	if db == nil {
 		db = storage.NewDatabase()
@@ -192,97 +195,41 @@ func (m *Maintainer) IsView(pred string) bool { return m.viewNames[pred] }
 // Database returns the maintained database: base relations plus every view
 // extent, frozen, with indexes maintained across batches. It is the live
 // maintenance state — callers must not mutate it, and must not read it
-// concurrently with ApplyBatch.
+// concurrently with ApplyUpdate.
 func (m *Maintainer) Database() *storage.Database { return m.db }
 
-// ApplyBatch inserts base facts — across any number of predicates — and
-// delta-maintains every extent. Inserts into view predicates are rejected,
-// and the batch is validated before anything is mutated. Tuples already
-// present count as duplicates and propagate nothing.
-func (m *Maintainer) ApplyBatch(updates map[string][]storage.Tuple) (*BatchResult, error) {
-	return m.ApplyBatchCtx(context.Background(), updates, datalog.Limits{})
-}
-
-// ApplyUpdate applies a mixed batch: deletes are removed (and their extent
-// consequences retracted) first, then inserts propagate as in ApplyBatch.
-// The batch is atomic — on any error the maintained database is exactly
-// its pre-batch state. Deleting absent tuples is a no-op; view
-// predicates are rejected on both sides.
+// ApplyUpdate applies a batch of base-fact changes — deletes and inserts,
+// each across any number of predicates, either possibly nil — and
+// delta-maintains every extent: deletes are removed (and their extent
+// consequences retracted) first, then inserts propagate. The batch is
+// validated before anything is mutated, and view predicates are rejected
+// on both sides. Deleting absent tuples and inserting present ones are
+// no-ops that propagate nothing.
 func (m *Maintainer) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) (*BatchResult, error) {
 	return m.ApplyUpdateCtx(context.Background(), inserts, deletes, datalog.Limits{})
 }
 
-// undoLog records every relation's pre-batch tuple count. It backs the
-// monotone insert path only: those batches never remove tuples, so
-// truncating each relation back to its recorded length — and dropping
-// relations the batch created — restores the exact pre-batch state.
-// Deletion batches are instead journaled inside datalog.ApplyUpdates, which
-// removes before it appends.
-type undoLog map[string]int
-
-// snapshot captures the pre-batch relation sizes. O(number of relations),
-// no tuple copying.
-func (m *Maintainer) snapshot() undoLog {
-	u := make(undoLog)
-	for _, pred := range m.db.Predicates() {
-		u[pred] = m.db.Relation(pred).Len()
-	}
-	return u
-}
-
-// restore rolls the database back to the undo log: relations the batch
-// created are dropped, the rest are truncated to their pre-batch lengths
-// (index postings are unwound with the tuples).
-func (m *Maintainer) restore(u undoLog) {
-	for _, pred := range m.db.Predicates() {
-		n, ok := u[pred]
-		if !ok {
-			m.db.Drop(pred)
-			continue
-		}
-		m.db.Relation(pred).TruncateTo(n)
-	}
-}
-
-// ApplyBatchCtx is ApplyBatch under a cancellation context and evaluation
-// limits. The batch is atomic: on any error — validation, cancellation
-// (datalog.ErrCanceled), or a budget trip (datalog.ErrBudgetExceeded) —
-// every partially propagated tuple is rolled back and the maintained
-// database is exactly its pre-batch state, so an aborted batch can simply
-// be retried. A panic during propagation also rolls back before being
-// re-raised to the caller's recover guard.
-func (m *Maintainer) ApplyBatchCtx(ctx context.Context, updates map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
-	return m.ApplyUpdateCtx(ctx, updates, nil, lim)
-}
-
 // ApplyUpdateCtx is ApplyUpdate under a cancellation context and evaluation
-// limits, with the same atomicity contract as ApplyBatchCtx: cancellation
-// or a tripped budget mid-retraction rolls the whole batch back. Insert-only
-// batches keep the monotone propagation path until the first deletion
-// builds the derivation counts; from then on every batch flows through the
-// counting path so the counts stay exact.
+// limits. The batch is atomic: on any error — validation, cancellation
+// (datalog.ErrCanceled), or a budget trip (datalog.ErrBudgetExceeded), even
+// mid-retraction — datalog.ApplyUpdates rolls its journal back and the
+// maintained database is exactly its pre-batch state, so an aborted batch
+// can simply be retried. A panic during propagation also rolls back before
+// being re-raised to the caller's recover guard.
 func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
 	start := time.Now()
-	hasDeletes := false
-	for _, tuples := range deletes {
-		if len(tuples) > 0 {
-			hasDeletes = true
-			break
-		}
-	}
-	var (
-		res *BatchResult
-		err error
-	)
-	if hasDeletes || m.st.CountsReady() {
-		res, err = m.applyNonMonotone(ctx, inserts, deletes, lim)
-	} else {
-		res, err = m.applyMonotone(ctx, inserts, lim)
-	}
+	ures, err := m.cp.ApplyUpdatesCtx(ctx, m.db, m.st, inserts, deletes, m.opt.Workers, lim)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ivm: %w", err)
 	}
-	res.Duration = time.Since(start)
+	res := &BatchResult{
+		BaseInserted:    ures.BaseInserted,
+		BaseDeleted:     ures.BaseDeleted,
+		ExtentDelta:     ures.Derived,
+		ExtentRetracted: ures.Retracted,
+		Stats:           ures.Stats,
+		Duration:        time.Since(start),
+	}
 	m.batches++
 	for _, tuples := range res.BaseInserted {
 		m.baseInserted += uint64(len(tuples))
@@ -297,42 +244,6 @@ func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[st
 	m.rounds += uint64(res.Stats.Iterations)
 	m.maintainTime += res.Duration
 	return res, nil
-}
-
-// applyMonotone is the insert-only path: delta propagation with a
-// length-snapshot undo log for atomicity.
-func (m *Maintainer) applyMonotone(ctx context.Context, updates map[string][]storage.Tuple, lim datalog.Limits) (res *BatchResult, err error) {
-	undo := m.snapshot()
-	defer func() {
-		if r := recover(); r != nil {
-			m.restore(undo)
-			panic(r)
-		}
-		if err != nil {
-			m.restore(undo)
-		}
-	}()
-	fresh, derived, stats, err := m.cp.ApplyInsertsCtx(ctx, m.db, updates, m.opt.Workers, lim)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: %w", err)
-	}
-	return &BatchResult{BaseInserted: fresh, ExtentDelta: derived, Stats: stats}, nil
-}
-
-// applyNonMonotone is the deletion-capable path: datalog.ApplyUpdates
-// journals and rolls back internally, so no snapshot is needed here.
-func (m *Maintainer) applyNonMonotone(ctx context.Context, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
-	ures, err := m.cp.ApplyUpdatesCtx(ctx, m.db, m.st, inserts, deletes, m.opt.Workers, lim)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: %w", err)
-	}
-	return &BatchResult{
-		BaseInserted:    ures.BaseInserted,
-		BaseDeleted:     ures.BaseDeleted,
-		ExtentDelta:     ures.Derived,
-		ExtentRetracted: ures.Retracted,
-		Stats:           ures.Stats,
-	}, nil
 }
 
 // Stats snapshots the maintainer's lifetime counters.

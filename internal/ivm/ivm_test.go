@@ -45,9 +45,9 @@ func TestMaintainerBasics(t *testing.T) {
 		t.Fatalf("initial big extent = %d, want 1", got)
 	}
 
-	res, err := m.ApplyBatch(map[string][]storage.Tuple{
+	res, err := m.ApplyUpdate(map[string][]storage.Tuple{
 		"s": {{"n", "9"}, {"m", "x"}}, // one new join partner, one duplicate
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMaintainerBasics(t *testing.T) {
 	}
 
 	// Inserting into a view predicate is rejected and mutates nothing.
-	if _, err := m.ApplyBatch(map[string][]storage.Tuple{"v": {{"z", "z"}}}); err == nil {
+	if _, err := m.ApplyUpdate(map[string][]storage.Tuple{"v": {{"z", "z"}}}, nil); err == nil {
 		t.Fatal("insert into view extent accepted")
 	}
 
@@ -82,6 +82,46 @@ func TestMaintainerBasics(t *testing.T) {
 func TestMaintainerEmptyViewSet(t *testing.T) {
 	if _, err := New(storage.NewDatabase(), nil, Options{}); err == nil {
 		t.Fatal("empty view set accepted")
+	}
+}
+
+// TestConstructorsValidate: both constructors refuse an empty, unsafe or
+// arity-conflicting view set, accept a nil database as the empty one, and
+// NewFromMaterialized supplies the extents a snapshot left out because they
+// were empty.
+func TestConstructorsValidate(t *testing.T) {
+	unsafe := []*cq.Query{{Head: cq.NewAtom("v", cq.Var("X")), Body: []cq.Atom{cq.NewAtom("r", cq.Var("Y"))}}}
+	clash, err := cq.ParseViews("v(A) :- r(A,B). v(A,B) :- r(A,B).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, views := range map[string][]*cq.Query{"empty": nil, "unsafe": unsafe, "arity clash": clash} {
+		if _, err := New(storage.NewDatabase(), views, Options{}); err == nil {
+			t.Errorf("New accepted the %s view set", name)
+		}
+		if _, err := NewFromMaterialized(storage.NewDatabase(), views, nil, Options{}); err == nil {
+			t.Errorf("NewFromMaterialized accepted the %s view set", name)
+		}
+	}
+
+	_, views := testViews(t)
+	fresh, err := New(nil, views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := NewFromMaterialized(nil, views, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := map[string][]storage.Tuple{"r": {{"a", "m"}}, "s": {{"m", "9"}}}
+	for name, m := range map[string]*Maintainer{"New": fresh, "NewFromMaterialized": recovered} {
+		res, err := m.ApplyUpdate(batch, nil)
+		if err != nil {
+			t.Fatalf("%s over a nil database: %v", name, err)
+		}
+		if len(res.ExtentDelta["v"]) != 1 || len(res.ExtentDelta["vr"]) != 1 || len(res.ExtentDelta["big"]) != 1 {
+			t.Fatalf("%s over a nil database derived %v", name, res.ExtentDelta)
+		}
 	}
 }
 
@@ -117,7 +157,7 @@ func TestMaintainerDifferential(t *testing.T) {
 				upd[p] = append(upd[p], tup)
 				shadow.Insert(p, tup)
 			}
-			if _, err := m.ApplyBatch(upd); err != nil {
+			if _, err := m.ApplyUpdate(upd, nil); err != nil {
 				t.Fatalf("trial %d batch %d: %v", trial, batch, err)
 			}
 			want, err := datalog.MaterializeViews(shadow, views)

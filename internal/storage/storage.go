@@ -231,9 +231,9 @@ func repointPosting(idx map[string][]int, val string, from, to int) {
 
 // TruncateTo discards every tuple from position n onward, restoring the
 // relation to the state it had when Len() was n — the rollback primitive
-// for atomic insert-only batch application (batches containing removals
-// roll back through an operation journal instead, because removals
-// swap-fill positions and a length snapshot no longer identifies them).
+// for the insert-only tail of a batch (Journal.MarkInserts; removals are
+// journaled one by one instead, because they swap-fill positions and a
+// length snapshot no longer identifies them).
 // Dedup keys of the removed tuples are forgotten, and maintained column
 // indexes are repaired in place by deleting the removed positions from the
 // affected posting lists; stale indexes are simply discarded. It carries
