@@ -118,6 +118,20 @@ func BenchmarkEvalDisconnected(b *testing.B) {
 	benchEvalRoutes(b, db, cq.MustParseQuery("q(X) :- v1(X), v2(A), v3(B)"))
 }
 
+// BenchmarkServeJoin is the join-heavy serving workload with the root loop
+// split over two workers: the sharded executor and the merge of its
+// workers' row sets.
+func BenchmarkServeJoin(b *testing.B) {
+	db := serveJoinDB(40000, 15000, 200000)
+	db.BuildIndexes()
+	plan := Compile(mustQ("q(Y,Z) :- p1(W,X), p2(X,Y), p3(Y,Z)"), cost.NewCatalog(db))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan.EvalParallel(db, 2)
+	}
+}
+
 // Fixpoint benchmarks: interpretive Program.EvalInterp vs the compiled
 // semi-naive executor on recursive workloads. "warm" reuses a precompiled
 // CompiledProgram (the engine's steady state); "cold" pays compilation per

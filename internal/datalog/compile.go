@@ -526,7 +526,8 @@ func (p *CompiledPlan) EvalParallelUnsortedWith(db *storage.Database, args []str
 // meaningless; callers must consult gs.failure() first.
 func (p *CompiledPlan) evalUnsorted(db *storage.Database, args []string, workers int, gs *guardState) []storage.Tuple {
 	// Single-component fast path (the common case): emit head tuples
-	// straight from the frame, one allocation per distinct answer.
+	// straight from the frame into the run's row set, two allocations for
+	// the whole answer.
 	if !p.empty && len(p.components) == 1 && len(p.components[0].headSlots) > 0 {
 		return p.enumerateComponent(db, &p.components[0], args, true, workers, gs)
 	}
@@ -709,73 +710,57 @@ func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledCompo
 	sc := p.newRun(db, c, args, head, gs)
 	stride := min(workers, sc.candidates())
 	if stride <= 1 || c.steps[0].existential {
-		rows := sc.run(0, 1)
+		sc.run(0, 1)
+		rows := sc.set.Rows()
 		sc.release()
 		return rows
 	}
 
 	// Shard the root loop round-robin; each worker runs on a scratch of its
-	// own and dedups its own shard, the merge below dedups across shards.
+	// own and dedups its own shard into its own row set, and the merge
+	// below adds the other workers' rows to the first worker's set.
 	runs := make([]*runScratch, stride)
 	runs[0] = sc
 	for w := 1; w < stride; w++ {
 		runs[w] = sc.fork(gs)
 	}
-	shards := make([][]storage.Tuple, stride)
 	var wg sync.WaitGroup
 	for w, run := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			shards[w] = run.run(w, stride)
-			run.release()
+			run.run(w, stride)
 		}()
 	}
 	wg.Wait()
-	var rows []storage.Tuple
-	seen := make(map[string]bool)
-	for _, shard := range shards {
-		for _, row := range shard {
-			k := row.Key()
-			if !seen[k] {
-				seen[k] = true
-				rows = append(rows, row)
-			}
+	for _, run := range runs[1:] {
+		for i := 0; i < run.set.n; i++ {
+			sc.set.Add(run.set.row(i))
 		}
+		run.release()
 	}
+	rows := sc.set.Rows()
+	sc.release()
 	return rows
 }
 
-// linearDedupRows is the result size up to which a run finds duplicate rows
-// by comparing against the rows emitted so far; past it the rows are
-// indexed in a set. Most served lookups return a handful of rows, and a
-// handful of string compares is cheaper than hashing a key per row.
-const linearDedupRows = 8
-
-// maxPooledSeen is the dedup-set size above which a scratch drops its set
-// instead of keeping the buckets alive in the pool.
-const maxPooledSeen = 1 << 10
-
 // runScratch is the state of one sequential run over a component's root
 // candidates (all of them, or one worker's stride): register frame,
-// resolved step sources, root candidate set, dedup key buffer and set, and
-// the emit closure bound to it once. Between runs it lives in scratchPool,
-// zeroed: it holds no reference into any database or plan. The result rows
-// are never pooled.
+// resolved step sources, root candidate set, the row set the run emits
+// into, and the emit closure bound to it once. Between runs it lives in
+// scratchPool, emptied: it holds no reference into any database or plan.
+// The result rows are copied out of the set and never pooled.
 type runScratch struct {
 	p         *CompiledPlan
 	c         *compiledComponent
 	head      bool // rows are the plan's head tuples, not projections onto c.headSlots
-	width     int  // columns per row
 	guard     evalGuard
 	g         *evalGuard // &guard, or nil when the run is unguarded
 	frame     []string
 	srcs      []stepSrc
 	positions []int // root candidates as positions into srcs[0].tuples, when probed
 	probed    bool
-	keyBuf    []byte
-	seen      map[string]struct{}
-	rows      []storage.Tuple
+	set       RowSet
 	emit      func([]string) bool
 }
 
@@ -783,7 +768,7 @@ type runScratch struct {
 // serves — so the memory it holds follows the number of concurrent runs,
 // not the number of cached plans.
 var scratchPool = sync.Pool{New: func() any {
-	sc := &runScratch{seen: make(map[string]struct{})}
+	sc := &runScratch{}
 	sc.emit = sc.emitRow
 	return sc
 }}
@@ -824,9 +809,9 @@ func (sc *runScratch) fork(gs *guardState) *runScratch {
 }
 
 func (sc *runScratch) bind(p *CompiledPlan, c *compiledComponent, head bool, gs *guardState) {
-	sc.p, sc.c, sc.head, sc.width = p, c, head, len(c.headSlots)
+	sc.p, sc.c, sc.head, sc.set.width = p, c, head, len(c.headSlots)
 	if head {
-		sc.width = len(p.head)
+		sc.set.width = len(p.head)
 	}
 	if gs != nil {
 		sc.guard = gs.guard()
@@ -834,16 +819,12 @@ func (sc *runScratch) bind(p *CompiledPlan, c *compiledComponent, head bool, gs 
 	}
 }
 
-// release zeroes the scratch and returns it to the pool.
+// release empties the scratch and returns it to the pool.
 func (sc *runScratch) release() {
 	clear(sc.frame)
 	clear(sc.srcs)
-	if len(sc.seen) > maxPooledSeen {
-		sc.seen = make(map[string]struct{})
-	} else {
-		clear(sc.seen)
-	}
-	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], keyBuf: sc.keyBuf[:0], seen: sc.seen, emit: sc.emit}
+	sc.set.reset()
+	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], set: sc.set, emit: sc.emit}
 	scratchPool.Put(sc)
 }
 
@@ -856,14 +837,9 @@ func (sc *runScratch) candidates() int {
 }
 
 // run enumerates root candidates offset, offset+stride, ... through the
-// shared stepLoop and returns the distinct rows found below them.
-func (sc *runScratch) run(offset, stride int) []storage.Tuple {
-	if len(sc.c.steps) == 1 {
-		// One step: the root candidates bound the result.
-		sc.rows = make([]storage.Tuple, 0, min((sc.candidates()+stride-1)/stride, linearDedupRows))
-	}
+// shared stepLoop, collecting the distinct rows found below them in sc.set.
+func (sc *runScratch) run(offset, stride int) {
 	stepLoop(sc.c, sc.srcs, 0, sc.frame, sc.g, sc.emit, sc.srcs[0].tuples, sc.positions, sc.probed, offset, stride)
-	return sc.rows
 }
 
 // column is column i of the row a complete frame yields.
@@ -874,46 +850,18 @@ func (sc *runScratch) column(frame []string, i int) string {
 	return frame[sc.c.headSlots[i]]
 }
 
-// emitRow appends the row of a complete frame unless it was emitted before.
-// Head tuples are injective in the head-slot values, so either row shape
-// decides newness. It reports false when the row budget says to stop.
+// emitRow writes the row of a complete frame into the set's arena, where it
+// stays only if it was not emitted before. Head tuples are injective in the
+// head-slot values, so either row shape decides newness. It reports false
+// when the row budget says to stop.
 func (sc *runScratch) emitRow(frame []string) bool {
-	if len(sc.rows) < linearDedupRows {
-	rows:
-		for _, row := range sc.rows {
-			for i, v := range row {
-				if sc.column(frame, i) != v {
-					continue rows
-				}
-			}
-			return true
-		}
-	} else {
-		if len(sc.seen) == 0 { // first row past the linear range: index the others
-			for _, row := range sc.rows {
-				sc.keyBuf = sc.keyBuf[:0]
-				for _, v := range row {
-					sc.keyBuf = append(append(sc.keyBuf, v...), 0x1f)
-				}
-				sc.seen[string(sc.keyBuf)] = struct{}{}
-			}
-		}
-		// The lookup on string(keyBuf) does not allocate; only inserting a
-		// new key does.
-		sc.keyBuf = sc.keyBuf[:0]
-		for i := 0; i < sc.width; i++ {
-			sc.keyBuf = append(append(sc.keyBuf, sc.column(frame, i)...), 0x1f)
-		}
-		if _, dup := sc.seen[string(sc.keyBuf)]; dup {
-			return true
-		}
-		sc.seen[string(sc.keyBuf)] = struct{}{}
+	s := &sc.set
+	for i := 0; i < s.width; i++ {
+		s.vals = append(s.vals, sc.column(frame, i))
 	}
-	row := make(storage.Tuple, sc.width)
-	for i := range row {
-		row[i] = sc.column(frame, i)
+	if !s.addTail() {
+		return true
 	}
-	sc.rows = append(sc.rows, row)
 	return !sc.g.emitRow()
 }
 

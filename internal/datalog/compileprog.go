@@ -19,8 +19,9 @@ import (
 //   - each rule body becomes a sequence of compiledSteps — the same
 //     integer-slot frames, catalog-ordered joins, index-probe access paths
 //     and earliest-bound-depth comparisons the single-query compiler emits —
-//     followed by a head-emission step that writes Skolem, constant and slot
-//     columns directly into the derived tuple;
+//     followed by a head-emission step that writes the derived tuple's key —
+//     Skolem, constant and slot columns — into a scratch buffer and builds
+//     the tuple only when the key is accepted;
 //   - every rule occurrence of an IDB predicate gets its own delta variant:
 //     a plan with that atom forced to the root of the join order, fed by the
 //     previous round's delta instead of the full relation. Rounds after the
@@ -532,7 +533,7 @@ func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardStat
 			t := round[i]
 			accum := idb[t.rule.headPred]
 			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, edb, idb), gs.child(),
-				func(k string) bool { return !accum.seen[k] })
+				func(k []byte) bool { return !accum.seen[string(k)] })
 		})
 		if err != nil {
 			return nil, stats, err
@@ -618,9 +619,12 @@ func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
 // executor behind the fixpoint rounds and every set-semantics maintenance
 // round (propagation, over-deletion, re-derivation); what differs between
 // them is accept, the test of a head key against the state being maintained.
-func emitVariant(v *ruleVariant, srcs []stepSrc, g *evalGuard, accept func(key string) bool) ([]derivedTuple, error) {
+// Each match's key is built in a scratch buffer and tested there, so only an
+// accepted derivation allocates: its key and its tuple.
+func emitVariant(v *ruleVariant, srcs []stepSrc, g *evalGuard, accept func(key []byte) bool) ([]derivedTuple, error) {
 	comp := compiledComponent{steps: v.steps}
 	frame := make([]string, v.numSlots)
+	var ks keyScratch
 	var buf []derivedTuple
 	var bufSeen map[string]bool
 	var evalErr error
@@ -629,16 +633,16 @@ func emitVariant(v *ruleVariant, srcs []stepSrc, g *evalGuard, accept func(key s
 			evalErr = fmt.Errorf("datalog: unbound head variable %s", v.unsafeVar)
 			return false
 		}
-		tuple := buildHeadTuple(v.head, frame)
-		k := tuple.Key()
-		if bufSeen[k] || !accept(k) {
+		kb := ks.key(v.head, frame)
+		if bufSeen[string(kb)] || !accept(kb) {
 			return true
 		}
 		if bufSeen == nil {
 			bufSeen = make(map[string]bool)
 		}
+		k := string(kb)
 		bufSeen[k] = true
-		buf = append(buf, derivedTuple{t: tuple, key: k})
+		buf = append(buf, derivedTuple{t: ks.tuple(v.head, frame, k), key: k})
 		// Intra-round backstop for the derivation budget: the authoritative
 		// check runs at the round barrier, but a single variant exploding
 		// past the whole budget stops here instead of finishing the round.
@@ -670,22 +674,57 @@ func resolveSteps(steps []compiledStep, delta []storage.Tuple, db *storage.Datab
 	return srcs
 }
 
-// buildHeadTuple emits the derived tuple for a complete frame.
-func buildHeadTuple(head []ruleHeadOp, frame []string) storage.Tuple {
+// keyScratch builds head keys without allocating: key writes the key of
+// the head tuple a complete frame derives — byte for byte its Tuple.Key,
+// Skolem values written inline by appendSkolem — into a reused buffer and
+// records where each column ends; tuple then builds the tuple of an
+// accepted key.
+type keyScratch struct {
+	buf  []byte
+	ends []int    // ends[i] is the offset in buf just past column i
+	args []string // one Skolem application's argument values
+}
+
+// key returns the head key of frame. The slice is valid until the next
+// call.
+func (ks *keyScratch) key(head []ruleHeadOp, frame []string) []byte {
+	ks.buf, ks.ends = ks.buf[:0], ks.ends[:0]
+	for i, h := range head {
+		if i > 0 {
+			ks.buf = append(ks.buf, 0x1f)
+		}
+		switch {
+		case h.skolem != nil:
+			ks.args = ks.args[:0]
+			for _, s := range h.skolem.argSlots {
+				ks.args = append(ks.args, frame[s])
+			}
+			ks.buf = appendSkolem(ks.buf, h.skolem.name, ks.args)
+		case h.slot >= 0:
+			ks.buf = append(ks.buf, frame[h.slot]...)
+		default:
+			ks.buf = append(ks.buf, h.constVal...)
+		}
+		ks.ends = append(ks.ends, len(ks.buf))
+	}
+	return ks.buf
+}
+
+// tuple builds the head tuple of the last key, given that key as the string
+// k: plain columns come from the frame, Skolem columns are sub-strings of k.
+func (ks *keyScratch) tuple(head []ruleHeadOp, frame []string, k string) storage.Tuple {
 	t := make(storage.Tuple, len(head))
+	start := 0
 	for i, h := range head {
 		switch {
 		case h.skolem != nil:
-			parts := make([]string, len(h.skolem.argSlots))
-			for j, s := range h.skolem.argSlots {
-				parts[j] = frame[s]
-			}
-			t[i] = skolemValue(h.skolem.name, parts)
+			t[i] = k[start:ks.ends[i]]
 		case h.slot >= 0:
 			t[i] = frame[h.slot]
 		default:
 			t[i] = h.constVal
 		}
+		start = ks.ends[i] + 1
 	}
 	return t
 }

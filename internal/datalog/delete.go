@@ -149,11 +149,13 @@ func (cp *CompiledProgram) RestoreMaintState(keys map[string][]string) *MaintSta
 	return st
 }
 
-func (st *MaintState) isBaseline(pred, key string) bool {
-	if st == nil || st.baseline == nil {
-		return false
+// baselineOf is the baseline key set of one derived predicate, nil when it
+// has none.
+func (st *MaintState) baselineOf(pred string) map[string]bool {
+	if st == nil {
+		return nil
 	}
-	return st.baseline[pred][key]
+	return st.baseline[pred]
 }
 
 // initCounts builds the exact derivation counts by one counting enumeration
@@ -431,6 +433,7 @@ func (cp *CompiledProgram) countVariantRun(db *storage.Database, v *countVariant
 	frame := make([]string, v.numSlots)
 	out := make(map[string]*countedTuple)
 	var keyBuf []byte
+	var ks keyScratch
 	var evalErr error
 	joinSteps(&comp, srcs, 0, frame, g, func(frame []string) bool {
 		if v.unsafeVar != "" {
@@ -453,13 +456,15 @@ func (cp *CompiledProgram) countVariantRun(db *storage.Database, v *countVariant
 				return true // counted at the earlier changed occurrence
 			}
 		}
-		tuple := buildHeadTuple(v.head, frame)
-		k := tuple.Key()
-		if ct := out[k]; ct != nil {
+		// Only the first derivation of a tuple allocates its key and tuple;
+		// every further one is a count on the scratch key.
+		kb := ks.key(v.head, frame)
+		if ct := out[string(kb)]; ct != nil {
 			ct.n++
-		} else {
-			out[k] = &countedTuple{t: tuple, n: 1}
+			return true
 		}
+		k := string(kb)
+		out[k] = &countedTuple{t: ks.tuple(v.head, frame, k), n: 1}
 		return true
 	})
 	return out, evalErr
@@ -626,7 +631,7 @@ func (cp *CompiledProgram) applyCounting(db *storage.Database, st *MaintState, j
 		}
 		for pred, m := range decs {
 			for key, ct := range m {
-				if st.counts[pred][key]-ct.n <= 0 && !st.isBaseline(pred, key) {
+				if st.counts[pred][key]-ct.n <= 0 && !st.baselineOf(pred)[key] {
 					if j.Remove(pred, ct.t) {
 						res.Retracted[pred] = append(res.Retracted[pred], ct.t)
 					}
@@ -735,13 +740,13 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, st *MaintState, delE
 		bufs, err := runTaskSet(len(tasks), workers, func(i int) ([]derivedTuple, error) {
 			t := tasks[i]
 			pred := t.rule.headPred
-			headRel, dead := db.Relation(pred), od[pred]
+			headRel, dead, baseline := db.Relation(pred), od[pred], st.baselineOf(pred)
 			if headRel == nil {
 				return nil, nil
 			}
-			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(), func(k string) bool {
-				_, gone := dead[k]
-				return headRel.ContainsKey(k) && !gone && !st.isBaseline(pred, k)
+			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(), func(k []byte) bool {
+				_, gone := dead[string(k)]
+				return headRel.ContainsKeyBytes(k) && !gone && !baseline[string(k)]
 			})
 		})
 		if err != nil {
@@ -810,8 +815,8 @@ func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]map[stri
 		bufs, err := runTaskSet(len(tasks), workers, func(i int) ([]derivedTuple, error) {
 			t := tasks[i]
 			missing := od[t.rule.headPred]
-			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(), func(k string) bool {
-				_, want := missing[k]
+			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(), func(k []byte) bool {
+				_, want := missing[string(k)]
 				return want
 			})
 		})

@@ -78,19 +78,15 @@ func EvalQueryNaive(db *storage.Database, q *cq.Query) []storage.Tuple {
 }
 
 // EvalUnion evaluates a union of conjunctive queries, returning distinct
-// tuples in sorted order.
+// tuples in sorted order. The members must share the head arity.
 func EvalUnion(db *storage.Database, u *cq.Union) []storage.Tuple {
-	var out []storage.Tuple
-	seen := make(map[string]bool)
+	var out RowSet
 	for _, q := range u.Queries {
 		for _, t := range EvalQuery(db, q) {
-			if k := t.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, t)
-			}
+			out.Add(t)
 		}
 	}
-	return storage.SortTuples(out)
+	return storage.SortTuples(out.Rows())
 }
 
 func headTuple(head cq.Atom, b Bindings) storage.Tuple {

@@ -94,7 +94,7 @@ func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]st
 			t := tasks[i]
 			headRel := db.Relation(t.rule.headPred)
 			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(),
-				func(k string) bool { return headRel == nil || !headRel.ContainsKey(k) })
+				func(k []byte) bool { return headRel == nil || !headRel.ContainsKeyBytes(k) })
 		})
 		if err != nil {
 			return nil, stats, err

@@ -36,11 +36,27 @@ func (s Skolem) Value(b Bindings) (string, bool) {
 	return skolemValue(s.Name, parts), true
 }
 
-// skolemValue builds the tagged data value of a Skolem application. The
-// interpreter (Skolem.Value) and the compiled head emitter share it so the
-// two evaluators always construct identical values.
+// skolemValue builds the tagged data value of a Skolem application — the
+// interpreter's (Skolem.Value) form of appendSkolem.
 func skolemValue(name string, parts []string) string {
-	return "⟨" + name + ":" + strings.Join(parts, "\x1f") + "⟩"
+	return string(appendSkolem(nil, name, parts))
+}
+
+// appendSkolem appends the tagged data value of a Skolem application,
+// "⟨name:arg1␟arg2…⟩", to buf. It is the one encoder of Skolem values: the
+// interpreter and the compiled head-key appender (keyScratch) both call it,
+// so the two evaluators always construct identical values.
+func appendSkolem(buf []byte, name string, args []string) []byte {
+	buf = append(buf, "⟨"...)
+	buf = append(buf, name...)
+	buf = append(buf, ':')
+	for i, a := range args {
+		if i > 0 {
+			buf = append(buf, 0x1f)
+		}
+		buf = append(buf, a...)
+	}
+	return append(buf, "⟩"...)
 }
 
 // IsSkolemValue reports whether a data value was constructed by a Skolem

@@ -1,0 +1,190 @@
+package datalog
+
+import (
+	"fmt"
+	"hash/maphash"
+	"slices"
+
+	"repro/internal/storage"
+)
+
+// RowSet is a set of equal-width rows of values stored flat in one value
+// arena: row i is vals[i*width : (i+1)*width]. A candidate row is appended
+// to the arena first and kept or truncated away once its newness is known,
+// so adding a row allocates nothing beyond arena and table growth. Newness
+// is decided by comparing columns: against every stored row while there are
+// at most linearDedupRows of them, past that through an open-addressing
+// table of row numbers keyed by a maphash of the columns — a hash collision
+// costs a compare, never an answer.
+//
+// Every answer path deduplicates through it: a plan run's emitted rows, the
+// merge of a sharded run, EvalUnion and the engine's union of contained
+// rewritings. The zero value is an empty set whose width the first Add
+// fixes.
+type RowSet struct {
+	width int
+	n     int      // rows stored
+	vals  []string // the arena
+	// table is valid once n reached linearDedupRows: per slot, the row's
+	// hash in the high 32 bits and its number plus one in the low 32; zero
+	// is an empty slot. Its length is a power of two at least twice n.
+	table  []uint64
+	hashed bool
+}
+
+// linearDedupRows is the row count up to which a set finds repeats by
+// comparing against the rows stored so far. Most served lookups return a
+// handful of rows, and a handful of string compares is cheaper than hashing
+// every row.
+const linearDedupRows = 8
+
+// maxPooledVals and maxPooledSlots bound the arena and table a pooled set
+// keeps between runs; a run that grew past them drops its storage instead,
+// so one large answer does not stay resident in the pool.
+const (
+	maxPooledVals  = 1 << 13
+	maxPooledSlots = 1 << 13
+)
+
+// rowSeed keys the row hash; it is fixed for the life of the process.
+var rowSeed = maphash.MakeSeed()
+
+// hashRow hashes a row's values, order-sensitively, to 32 bits.
+func hashRow(row []string) uint32 {
+	h := uint64(len(row))
+	for _, v := range row {
+		h = (h ^ maphash.String(rowSeed, v)) * 0x9e3779b97f4a7c15
+	}
+	return uint32(h >> 32)
+}
+
+// Len is the number of rows in the set.
+func (s *RowSet) Len() int { return s.n }
+
+// Add inserts row unless an equal row is already in the set, reporting
+// whether it was new. The values are copied into the arena; row itself is
+// not retained. It panics when row's width differs from the rows already
+// in the set — a set holds the answers of one query.
+func (s *RowSet) Add(row []string) bool {
+	if s.n == 0 {
+		s.width = len(row)
+	} else if len(row) != s.width {
+		panic(fmt.Sprintf("datalog: adding a row of width %d to a set of width %d", len(row), s.width))
+	}
+	s.vals = append(s.vals, row...)
+	return s.addTail()
+}
+
+// Rows returns the set's rows in insertion order, in two exact-size
+// allocations: one backing array of values and one slice of tuples that are
+// capacity-limited windows onto it, so appending to one row never writes
+// into the next. The rows share nothing with the set.
+func (s *RowSet) Rows() []storage.Tuple {
+	if s.n == 0 {
+		return nil
+	}
+	w := s.width
+	backing := make([]string, s.n*w)
+	copy(backing, s.vals)
+	rows := make([]storage.Tuple, s.n)
+	for i := range rows {
+		rows[i] = backing[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+// row is stored row i.
+func (s *RowSet) row(i int) []string { return s.vals[i*s.width : (i+1)*s.width] }
+
+// addTail decides whether the width values at the arena's tail, just
+// appended, form a new row: a new row is kept, a repeat is truncated away.
+func (s *RowSet) addTail() bool {
+	tail := s.vals[s.n*s.width:]
+	if s.n < linearDedupRows {
+		for i := 0; i < s.n; i++ {
+			if slices.Equal(s.row(i), tail) {
+				s.vals = s.vals[:s.n*s.width]
+				return false
+			}
+		}
+		s.n++
+		return true
+	}
+	if !s.hashed {
+		s.index()
+	}
+	if 2*(s.n+1) > len(s.table) {
+		s.grow()
+	}
+	h := hashRow(tail)
+	mask := len(s.table) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		e := s.table[i]
+		if e == 0 {
+			s.table[i] = uint64(h)<<32 | uint64(s.n+1)
+			s.n++
+			return true
+		}
+		if uint32(e>>32) == h && slices.Equal(s.row(int(uint32(e))-1), tail) {
+			s.vals = s.vals[:s.n*s.width]
+			return false
+		}
+	}
+}
+
+// index builds the table over the rows stored so far, the first time the
+// set outgrows the linear range. A pooled table is already zeroed.
+func (s *RowSet) index() {
+	size := 4 * linearDedupRows
+	for size < 2*(s.n+1) {
+		size <<= 1
+	}
+	if len(s.table) < size {
+		s.table = make([]uint64, size)
+	}
+	mask := len(s.table) - 1
+	for r := 0; r < s.n; r++ {
+		h := hashRow(s.row(r))
+		i := int(h) & mask
+		for s.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.table[i] = uint64(h)<<32 | uint64(r+1)
+	}
+	s.hashed = true
+}
+
+// grow doubles the table, re-placing every entry by its stored hash.
+func (s *RowSet) grow() {
+	old := s.table
+	s.table = make([]uint64, 2*len(old))
+	mask := len(s.table) - 1
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := int(uint32(e>>32)) & mask
+		for s.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.table[i] = e
+	}
+}
+
+// reset empties the set for reuse by a pooled run: the arena is cleared to
+// its full capacity, so no value it ever held — truncated repeats included —
+// stays reachable, and storage grown past the pooling bounds is dropped.
+func (s *RowSet) reset() {
+	if cap(s.vals) > maxPooledVals {
+		s.vals = nil
+	} else {
+		clear(s.vals[:cap(s.vals)])
+		s.vals = s.vals[:0]
+	}
+	if len(s.table) > maxPooledSlots {
+		s.table = nil
+	} else if s.hashed {
+		clear(s.table)
+	}
+	s.width, s.n, s.hashed = 0, 0, false
+}

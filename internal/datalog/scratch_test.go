@@ -37,12 +37,14 @@ func probeDB(keys, fan int, dup bool) *storage.Database {
 var raceEnabled bool
 
 // TestProbeAllocs is the allocation guard of the executor under the serving
-// path: a two-row index probe costs the result slice and its two tuples,
-// nothing per run for frame, step sources, dedup or the emit closure. A
+// path: a run returns its rows in two exact-size allocations — one backing
+// array of values, one slice of tuples — and pays nothing per run for
+// frame, step sources, row set or the emit closure, and nothing per row. A
 // worker count the root candidates clamp back to one takes the same path.
-// The budgets are the measured counts plus two.
+// The budgets are the measured counts plus two; a two-step join returning
+// 200 rows costs exactly what one returning 20 rows costs.
 func TestProbeAllocs(t *testing.T) {
-	for _, tc := range []struct{ fan, workers, measured int }{{2, 1, 3}, {1, 4, 2}} {
+	for _, tc := range []struct{ fan, workers, measured int }{{2, 1, 2}, {1, 4, 2}} {
 		db := probeDB(100, tc.fan, false)
 		plan := CompileParams(cq.MustParseQuery("q(Y) :- v(K,Y)"), []string{"K"}, cost.NewCatalog(db))
 		args := []string{"k42"}
@@ -62,21 +64,66 @@ func TestProbeAllocs(t *testing.T) {
 			t.Fatalf("%d-row probe, %d worker(s): %.0f allocs/op, budget %d", tc.fan, tc.workers, n, tc.measured+2)
 		}
 	}
+
+	const measured = 2
+	allocs := make(map[int]float64)
+	for _, fan := range []int{20, 200} {
+		db := joinDB(4, fan)
+		plan := CompileParams(cq.MustParseQuery("q(Y,W) :- v(K,Y), w(Y,W)"), []string{"K"}, cost.NewCatalog(db))
+		args := []string{"k2"}
+		rows, err := plan.EvalParallelCtx(context.Background(), db, args, 1, Limits{})
+		if err != nil || len(rows) != fan {
+			t.Fatalf("%d-row join: %d rows, err = %v", fan, len(rows), err)
+		}
+		if raceEnabled {
+			continue
+		}
+		allocs[fan] = testing.AllocsPerRun(200, func() {
+			if _, err := plan.EvalParallelCtx(context.Background(), db, args, 1, Limits{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs[fan] > measured+2 {
+			t.Fatalf("%d-row join: %.0f allocs/op, budget %d", fan, allocs[fan], measured+2)
+		}
+	}
+	if allocs[20] != allocs[200] {
+		t.Fatalf("join allocations grow with the rows: 20 rows %.0f allocs/op, 200 rows %.0f", allocs[20], allocs[200])
+	}
 }
 
-// TestDedupAcrossTheLinearRange: duplicates are dropped on both
-// sides of linearDedupRows and at the switch from comparing to hashing.
+// joinDB holds v(K,Y) with fan rows per key and w(Y,W) with one row per Y.
+func joinDB(keys, fan int) *storage.Database {
+	db := probeDB(keys, fan, false)
+	for i := 0; i < keys; i++ {
+		for j := 0; j < fan; j++ {
+			y := fmt.Sprintf("y%d_%d", i, j)
+			db.Insert("w", storage.Tuple{y, "w" + y})
+		}
+	}
+	db.BuildIndexes()
+	return db
+}
+
+// TestDedupAcrossTheLinearRange: duplicates are dropped on both sides of
+// linearDedupRows, at the switch from comparing to hashing, across the row
+// set's table growth points, and past the size a pooled set keeps.
 func TestDedupAcrossTheLinearRange(t *testing.T) {
-	for _, fan := range []int{1, linearDedupRows - 1, linearDedupRows, linearDedupRows + 1, 3 * linearDedupRows} {
+	const l = linearDedupRows
+	for _, fan := range []int{1, l - 1, l, l + 1, 3 * l, 2 * l, 2*l + 1, 4 * l, 4*l + 1, 8*l + 1, maxPooledVals/2 + 1} {
 		db := probeDB(3, fan, true)
-		// Z is a don't-care column: every answer is derived twice.
-		q := cq.MustParseQuery("q(Y,K) :- v(K,Y,Z)")
+		db.Insert("c", storage.Tuple{"a"})
+		db.Insert("c", storage.Tuple{"b"})
+		db.BuildIndexes()
+		// Z joins c, so no step drops it as a don't-care: every answer
+		// reaches the row set twice, once through each Z.
+		q := cq.MustParseQuery("q(Y,K) :- v(K,Y,Z), c(Z)")
 		plan := CompileParams(q, []string{"K"}, cost.NewCatalog(db))
 		for run := 0; run < 3; run++ { // reuse the pooled scratch
 			got := plan.EvalWith(db, []string{"k1"})
 			want := EvalQueryNaive(db, instantiate(q, []string{"K"}, []string{"k1"}))
 			if len(got) != fan || !storage.TuplesEqual(got, want) {
-				t.Fatalf("fan %d run %d: got %v want %v", fan, run, got, want)
+				t.Fatalf("fan %d run %d: got %d rows, want %d", fan, run, len(got), len(want))
 			}
 		}
 	}

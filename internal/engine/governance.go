@@ -640,27 +640,23 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan,
 	case PlanEquivalent:
 		return p.Compiled.EvalParallelCtx(ctx, db, args, workers, lim)
 	case PlanMaxContained:
-		var out []storage.Tuple
-		seen := make(map[string]bool)
+		var out datalog.RowSet
 		for _, cp := range p.CompiledUnion {
 			tuples, err := cp.EvalParallelUnsortedCtx(ctx, db, args, workers, lim)
 			if err != nil {
 				return nil, err
 			}
 			for _, t := range tuples {
-				if k := t.Key(); !seen[k] {
-					seen[k] = true
-					out = append(out, t)
-				}
+				out.Add(t)
 			}
 			// Per-member guards bound each member; the union can still
 			// exceed the row budget across members, so re-check exactly.
-			if lim.MaxRows > 0 && len(out) > lim.MaxRows {
+			if lim.MaxRows > 0 && out.Len() > lim.MaxRows {
 				return nil, fmt.Errorf("engine: union result has %d row(s), budget is %d: %w",
-					len(out), lim.MaxRows, ErrBudgetExceeded)
+					out.Len(), lim.MaxRows, ErrBudgetExceeded)
 			}
 		}
-		return storage.SortTuples(out), nil
+		return storage.SortTuples(out.Rows()), nil
 	case PlanInverseProgram:
 		derived, fst, err := p.CompiledProgram.EvalRelationCtx(ctx, db, p.AnswerPred, workers, lim)
 		e.fixpointRuns.Add(1)

@@ -276,6 +276,14 @@ func (r *Relation) ContainsKey(k string) bool {
 	return ok
 }
 
+// ContainsKeyBytes is ContainsKey for a key held in a byte buffer: the
+// lookup does not copy the key, so a loop testing keys it builds in a
+// reused buffer allocates nothing per test.
+func (r *Relation) ContainsKeyBytes(k []byte) bool {
+	_, ok := r.seen[string(k)]
+	return ok
+}
+
 // Tuples returns the tuples in insertion order. The slice is shared; do not
 // modify.
 func (r *Relation) Tuples() []Tuple { return r.tuples }

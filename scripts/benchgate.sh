@@ -3,6 +3,9 @@
 # BENCHMARK.json workload once (--seed 1 --seconds 16 --trace 0) on <base-ref>
 # and on this checkout, and fails when a run is incorrect, an operation
 # failed, or this checkout is worse than the base beyond a metric's bound.
+# It also runs every workload traced (--seconds 2 --trace 1) on this checkout
+# and fails when a traced run exits non-zero twice in a row: the trace's
+# self-check trips when a handler outruns the benchmark's twin of it.
 set -euo pipefail
 base=${1:?usage: scripts/benchgate.sh <base-ref>}
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -22,7 +25,18 @@ for w in $workloads; do
       tail -n 1 >"$tmp/$side.$w.json" || true
   done
 done
-python3 - "$root/BENCHMARK.json" "$tmp" <<'EOF2'
+trace_bad=
+for w in $workloads; do
+  for try in 1 2; do
+    if bash "$root/bench/run.sh" --workload "$w" --seed 1 --seconds 2 --trace 1 |
+      tail -n 1 >"$tmp/trace.$w.json"; then
+      continue 2
+    fi
+  done
+  trace_bad="$trace_bad $w"
+done
+status=0
+python3 - "$root/BENCHMARK.json" "$tmp" <<'EOF2' || status=1
 import json, sys
 spec, tmp = json.load(open(sys.argv[1])), sys.argv[2]
 # setup_s is printed, not gated: its bound is inside a shared runner's noise.
@@ -47,3 +61,8 @@ for line in bad:
     print("FAIL", line)
 sys.exit(1 if bad else 0)
 EOF2
+for w in $trace_bad; do
+  echo "FAIL $w head --trace 1: non-zero exit twice; last line: $(cat "$tmp/trace.$w.json")"
+  status=1
+done
+exit $status
