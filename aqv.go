@@ -228,7 +228,8 @@ var (
 	// (CompiledPlan.EvalWith), so one plan serves every constant binding.
 	CompileQueryParams = datalog.CompileParams
 	// MaterializeViews evaluates views over a base database into a
-	// view-extent database.
+	// view-extent database, one query evaluation per view. It is a one-shot
+	// helper: engines build their state through NewMaintainer instead.
 	MaterializeViews = datalog.MaterializeViews
 	// TuplesEqual compares answer sets regardless of order.
 	TuplesEqual = storage.TuplesEqual
@@ -284,7 +285,10 @@ type (
 
 // NewMaintainer materializes the views over base once and returns a
 // Maintainer that keeps the extents fresh under ApplyUpdate (batches of
-// inserts and deletes, either side nil).
+// inserts and deletes, either side nil). It indexes the columns the view
+// plans probe on its own copy of base, never on base itself, and it is the
+// function every engine builds its served state with: Maintainer.Database
+// is base plus extents, exactly what NewEngineFromBase serves.
 var NewMaintainer = ivm.New
 
 // ErrEngineNotLive reports a mutation (Engine.ApplyUpdate) on an engine
@@ -416,8 +420,11 @@ const (
 var (
 	// NewEngine builds an Engine over a view set and view-extent database.
 	NewEngine = engine.New
-	// NewEngineFromBase materialises the views over base data and builds
-	// an Engine serving from the result.
+	// NewEngineFromBase materialises the views over base data through
+	// NewMaintainer (or recovers them under EngineOptions.DataDir) and
+	// builds an Engine serving from the result; base is only read. Static,
+	// live and durable engines serve the same database: base plus extents,
+	// or the extents alone under StrategyInverseRules.
 	NewEngineFromBase = engine.NewFromBase
 	// ParseStrategy resolves a strategy name (CLI aliases accepted).
 	ParseStrategy = engine.ParseStrategy

@@ -67,7 +67,6 @@ import (
 
 	aqv "repro"
 	"repro/internal/cq"
-	"repro/internal/datalog"
 )
 
 func main() {
@@ -241,17 +240,16 @@ func runEquivalent(out *os.File, q *aqv.Query, views []*aqv.Query, vs *aqv.ViewS
 			st.Applications, st.ValidApplications, st.CandidatesTried, st.EquivalenceChecks)
 	}
 	if base != nil && len(results) > 0 {
-		// Build the execution database: view extents plus base relations
-		// (partial rewritings read both).
-		merged := base.Clone()
-		for _, v := range views {
-			if err := datalog.MaterializeView(base, v, merged); err != nil {
-				return err
-			}
+		// The execution database is the one the engine serves: view
+		// extents plus base relations (partial rewritings read both),
+		// materialised and indexed by the maintainer.
+		m, err := aqv.NewMaintainer(base, views, aqv.MaintainerOptions{})
+		if err != nil {
+			return err
 		}
+		merged := m.Database()
 		// Choose the cheapest rewriting under the catalog statistics, then
 		// compile it once: Describe and Eval see the same physical plan.
-		merged.BuildIndexes()
 		catalog := aqv.NewCatalog(merged)
 		candidates := make([]*aqv.Query, len(results))
 		for i, rw := range results {

@@ -432,15 +432,21 @@ func (cp *CompiledProgram) Eval(edb *storage.Database) (*storage.Database, error
 // buffers are merged sequentially between rounds, so results are identical
 // to the sequential evaluation.
 func (cp *CompiledProgram) EvalParallel(edb *storage.Database, workers int) (*storage.Database, error) {
-	idb, _, err := cp.run(edb, workers, nil, Limits{})
+	return cp.evalDB(edb, workers, nil, Limits{})
+}
+
+// evalDB is the whole-database fixpoint behind Eval, EvalParallel, EvalCtx
+// and Program.Eval: it clones edb, builds on the clone exactly the column
+// indexes the compiled probes ask for (so an unindexed input is joined by
+// probes, not nested scans), runs the fixpoint over the clone and inserts
+// the derived relations into it. edb is only read.
+func (cp *CompiledProgram) evalDB(edb *storage.Database, workers int, gs *guardState, lim Limits) (*storage.Database, error) {
+	db := edb.Clone()
+	cp.freeze(db)
+	idb, _, err := cp.run(db, workers, gs, lim)
 	if err != nil {
 		return nil, err
 	}
-	return materializeIDB(edb.Clone(), idb)
-}
-
-// materializeIDB inserts the derived relations into db and returns it.
-func materializeIDB(db *storage.Database, idb map[string]*idbRel) (*storage.Database, error) {
 	for pred, ir := range idb {
 		rel, err := db.Ensure(pred, ir.arity)
 		if err != nil {
@@ -730,10 +736,10 @@ func (ks *keyScratch) tuple(head []ruleHeadOp, frame []string, k string) storage
 }
 
 // freeze builds exactly the EDB column indexes the program's probes need, so
-// one-shot evaluation gets index candidates instead of scan fallbacks. Like
-// CompiledPlan.freeze it mutates edb and carries the same single-writer
-// requirement; the serving engine freezes its database at construction and
-// never calls this.
+// a whole-database fixpoint gets index candidates instead of scan fallbacks.
+// It mutates edb, so evalDB calls it only on its private clone — the clone
+// ivm.New materializes served state on, whatever indexes the caller's base
+// carries.
 func (cp *CompiledProgram) freeze(edb *storage.Database) {
 	for i := range cp.rules {
 		r := &cp.rules[i]
@@ -795,25 +801,15 @@ func describeVariant(sb *strings.Builder, label string, v *ruleVariant) {
 
 // Eval computes the fixpoint of the program over the EDB and returns a
 // database containing the EDB relations plus all derived (IDB) relations.
-// The input database is not modified: like the interpretive EvalInterp it
-// evaluates over a private clone, on which it builds exactly the column
-// indexes the compiled probes need.
+// The input database is not modified.
 //
-// Since the introduction of compiled programs this is a thin wrapper: it
-// compiles the rules to slot-plan form (CompileProgram) and runs the
-// compiled semi-naive loop once. Applications evaluating the same program
-// repeatedly should CompileProgram once and reuse it — the serving engine
-// caches the compiled program in its plan LRU.
+// It is CompileProgram followed by CompiledProgram.Eval. Applications
+// evaluating the same program repeatedly should CompileProgram once and
+// reuse it — the serving engine caches the compiled program in its plan LRU.
 func (p *Program) Eval(edb *storage.Database) (*storage.Database, error) {
 	cp, err := CompileProgram(p, cost.NewRowCatalog(edb))
 	if err != nil {
 		return nil, err
 	}
-	db := edb.Clone()
-	cp.freeze(db)
-	idb, _, err := cp.run(db, 1, nil, Limits{})
-	if err != nil {
-		return nil, err
-	}
-	return materializeIDB(db, idb)
+	return cp.Eval(edb)
 }

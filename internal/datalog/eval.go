@@ -253,27 +253,21 @@ func CountQuery(db *storage.Database, q *cq.Query) int {
 	return p.Count(db)
 }
 
-// MaterializeView evaluates a view definition and stores its extent in dst
-// under the view's name.
-func MaterializeView(src *storage.Database, view *cq.Query, dst *storage.Database) error {
-	rel, err := dst.Ensure(view.Name(), view.Arity())
-	if err != nil {
-		return err
-	}
-	for _, t := range EvalQuery(src, view) {
-		rel.Insert(t)
-	}
-	return nil
-}
-
-// MaterializeViews evaluates every view over base and returns a database
-// holding only the view extents (the data-integration setting: the query
-// processor sees view relations, not base relations).
+// MaterializeViews evaluates every view over base, one EvalQuery each, and
+// returns a database holding only the view extents (the data-integration
+// setting: the query processor sees view relations, not base relations).
+// Like EvalQuery it indexes the base columns it probes. It is the one-shot
+// library helper and the tests' independent reference; served state is built
+// by ivm.New instead.
 func MaterializeViews(base *storage.Database, views []*cq.Query) (*storage.Database, error) {
 	out := storage.NewDatabase()
 	for _, v := range views {
-		if err := MaterializeView(base, v, out); err != nil {
+		rel, err := out.Ensure(v.Name(), v.Arity())
+		if err != nil {
 			return nil, err
+		}
+		for _, t := range EvalQuery(base, v) {
+			rel.Insert(t)
 		}
 	}
 	return out, nil

@@ -253,11 +253,7 @@ func (cp *CompiledProgram) EvalCtx(ctx context.Context, edb *storage.Database, w
 	if err := ctx.Err(); err != nil {
 		return nil, ErrCanceled
 	}
-	idb, _, err := cp.run(edb, workers, fixpointGuard(ctx, lim), lim)
-	if err != nil {
-		return nil, err
-	}
-	return materializeIDB(edb.Clone(), idb)
+	return cp.evalDB(edb, workers, fixpointGuard(ctx, lim), lim)
 }
 
 // EvalRelationCtx is EvalRelation under a context and limits. On error the

@@ -204,20 +204,7 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 	}
 	ds.coldStart = time.Since(start)
 
-	var e *Engine
-	if opt.LiveUpdates {
-		e, err = newLiveFromMaintainer(vs, m, views, opt)
-	} else {
-		var db *storage.Database
-		if opt.Strategy == InverseRules {
-			db, err = extentsOnly(m, views)
-		} else {
-			db = m.Database()
-		}
-		if err == nil {
-			e, err = New(vs, db, opt)
-		}
-	}
+	e, err := newFromMaintainer(vs, m, views, opt)
 	if err != nil {
 		return nil, err
 	}

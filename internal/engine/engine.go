@@ -502,13 +502,9 @@ func viewsHaveConstants(views []*cq.Query) bool {
 }
 
 // NewFromBase builds an Engine straight from base data: it materialises the
-// views over base, keeps the base relations alongside the extents (so
-// partial rewritings keep working), and serves from the merged database.
-//
-// Under the InverseRules strategy the engine serves from the view extents
-// alone — inverse rules reconstruct the base relations from the extents,
-// and keeping the originals would let the compiled program read base facts
-// directly, answering more than the views logically expose.
+// views over base with ivm.New (or, under Options.DataDir, recovers the
+// materialised state from disk) and serves the result as newFromMaintainer
+// lays it out. base is only read.
 func NewFromBase(base *storage.Database, views []*cq.Query, opt Options) (*Engine, error) {
 	vs, err := core.NewViewSet(views...)
 	if err != nil {
@@ -517,35 +513,11 @@ func NewFromBase(base *storage.Database, views []*cq.Query, opt Options) (*Engin
 	if opt.DataDir != "" {
 		return newDurable(vs, base, views, opt)
 	}
-	if opt.LiveUpdates {
-		return newLive(vs, base, views, opt)
-	}
-	var db *storage.Database
-	if opt.Strategy == InverseRules {
-		db, err = datalog.MaterializeViews(base, views)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		db = base.Clone()
-		for _, v := range views {
-			if err := datalog.MaterializeView(base, v, db); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return New(vs, db, opt)
-}
-
-// newLive builds the live-update engine: one incremental maintainer plus
-// two serving copies of its database (left-right), all materialised from
-// base exactly once.
-func newLive(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt Options) (*Engine, error) {
 	m, err := ivm.New(base, views, ivm.Options{Workers: evalWorkers(opt)})
 	if err != nil {
 		return nil, err
 	}
-	return newLiveFromMaintainer(vs, m, views, opt)
+	return newFromMaintainer(vs, m, views, opt)
 }
 
 // evalWorkers normalizes Options.EvalWorkers for the maintainer.
@@ -574,34 +546,41 @@ func extentsOnly(m *ivm.Maintainer, views []*cq.Query) (*storage.Database, error
 	return db, nil
 }
 
-// newLiveFromMaintainer finishes live-engine construction around an
-// existing maintainer (freshly materialized, or recovered from a durable
-// snapshot): the left-right serving pair is cloned from its database.
-func newLiveFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, opt Options) (*Engine, error) {
-	var side0 *storage.Database
-	var err error
-	if opt.Strategy == InverseRules {
-		// Inverse rules reconstruct the base from the extents; serving the
-		// base relations too would answer more than the views expose.
-		side0, err = extentsOnly(m, views)
-		if err != nil {
+// newFromMaintainer builds the engine around a maintainer — freshly
+// materialised by ivm.New, or recovered from a durable snapshot — and is
+// the one place the serving layout is decided. Under InverseRules the
+// engine serves the view extents alone: inverse rules reconstruct the base
+// relations from the extents, and serving the originals too would let the
+// compiled program read base facts directly, answering more than the views
+// expose. Every other strategy serves the maintainer's database, base
+// relations included, so partial rewritings keep working. A static engine
+// serves that layout as is; a live one keeps the maintainer and serves a
+// left-right pair of copies of it.
+func newFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, opt Options) (*Engine, error) {
+	servesBase := opt.Strategy != InverseRules
+	db := m.Database()
+	if !servesBase {
+		var err error
+		if db, err = extentsOnly(m, views); err != nil {
 			return nil, err
 		}
-	} else {
-		side0 = m.Database().Clone()
+	} else if opt.LiveUpdates {
+		db = db.Clone()
 	}
 	inner := opt
 	inner.LiveUpdates = false
-	e, err := New(vs, side0, inner) // indexes side0
+	e, err := New(vs, db, inner) // indexes db
 	if err != nil {
 		return nil, err
 	}
+	if !opt.LiveUpdates {
+		return e, nil
+	}
 	e.opt.LiveUpdates = true
-	side1 := side0.Clone()
+	side1 := db.Clone()
 	side1.BuildIndexes()
-	e.live = &liveState{maint: m, servesBase: opt.Strategy != InverseRules}
-	e.live.sides[0] = side0
-	e.live.sides[1] = side1
+	e.live = &liveState{maint: m, servesBase: servesBase}
+	e.live.sides = [2]*storage.Database{db, side1}
 	return e, nil
 }
 

@@ -325,6 +325,109 @@ func TestInverseRulesServesExtentsOnly(t *testing.T) {
 	if !storage.TuplesEqual(got, want) {
 		t.Fatalf("certain answers %v, want %v", got, want)
 	}
+
+	// One construction, one served state: for every strategy the static,
+	// live, durable (first boot) and durable (recovered from that boot's
+	// snapshot) engines serve the same database and the same answers. The
+	// rows add a view-named base fact, which the maintainer keeps as
+	// baseline of the view's extent, and a view whose extent is empty.
+	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
+	for _, row := range []struct {
+		name  string
+		vFact storage.Tuple // base fact of the view predicate v added to testBase
+		views string        // views added to testBase's
+	}{
+		{name: "testBase"},
+		{name: "view-named base fact", vFact: storage.Tuple{"c", "z"}},
+		{name: "empty extent", views: "ve(A) :- r(A,A)."},
+	} {
+		for _, strat := range Strategies() {
+			base, views := testBase(t)
+			if row.vFact != nil {
+				if err := base.Insert("v", row.vFact); err != nil {
+					t.Fatal(err)
+				}
+			}
+			extra, err := cq.ParseViews(row.views)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views = append(views, extra...)
+			dir := t.TempDir()
+			var served *storage.Database
+			var answers []storage.Tuple
+			for _, mode := range []struct {
+				name string
+				base *storage.Database
+				opt  Options
+			}{
+				{"static", base, Options{Strategy: strat}},
+				{"live", base, Options{Strategy: strat, LiveUpdates: true}},
+				{"durable", base, Options{Strategy: strat, DataDir: dir, WALNoSync: true}},
+				{"durable recovered", nil, Options{Strategy: strat, LiveUpdates: true, DataDir: dir, WALNoSync: true}},
+			} {
+				where := row.name + "/" + string(strat) + "/" + mode.name
+				e, err := NewFromBase(mode.base, views, mode.opt)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				db := e.Database()
+				if strat == InverseRules && db.Relation("r") != nil {
+					t.Fatalf("%s: inverse-rules engine must not hold base relations", where)
+				}
+				got := mustAnswer(t, e, q)
+				if served == nil {
+					served, answers = db, got
+					if row.vFact != nil && !db.Relation("v").Contains(row.vFact) {
+						t.Fatalf("%s: view-named base fact v%v not served in v's extent", where, row.vFact)
+					}
+					for _, v := range extra {
+						if rel := db.Relation(v.Name()); rel == nil || rel.Len() != 0 {
+							t.Fatalf("%s: extent of %s should be served, empty", where, v.Name())
+						}
+					}
+				} else if !db.Equal(served) {
+					t.Fatalf("%s: served database differs from the static engine's:\n%s\nvs\n%s", where, db.Summary(), served.Summary())
+				} else if !storage.TuplesEqual(got, answers) {
+					t.Fatalf("%s: answers %v, static engine %v", where, got, answers)
+				}
+				if err := e.Close(); err != nil {
+					t.Fatalf("%s: close: %v", where, err)
+				}
+			}
+		}
+	}
+}
+
+// TestNewFromBaseLeavesBaseUnindexed: construction only reads the caller's
+// base, so engines built concurrently from one base never write the same
+// index maps. An unindexed base stays unindexed whatever the mode and the
+// serving layout.
+func TestNewFromBaseLeavesBaseUnindexed(t *testing.T) {
+	for _, mode := range []string{"static", "live", "durable"} {
+		for _, strat := range []Strategy{EquivalentFirst, InverseRules} {
+			base, views := testBase(t)
+			opt := Options{Strategy: strat, LiveUpdates: mode != "static"}
+			if mode == "durable" {
+				opt.DataDir, opt.WALNoSync = t.TempDir(), true
+			}
+			e, err := NewFromBase(base, views, opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", mode, strat, err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatalf("%s/%s: close: %v", mode, strat, err)
+			}
+			for _, pred := range base.Predicates() {
+				rel := base.Relation(pred)
+				for c := 0; c < rel.Arity(); c++ {
+					if _, ok := rel.ColumnIndex(c); ok {
+						t.Errorf("%s/%s: construction indexed column %d of the caller's %s", mode, strat, c, pred)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestEngineErrors(t *testing.T) {

@@ -124,8 +124,11 @@ func viewProgram(views []*cq.Query) (*datalog.Program, map[string]bool, error) {
 
 // New builds a Maintainer: it materializes every view over base once (the
 // last full evaluation the system ever pays for these views) and freezes
-// the result for indexed delta propagation. base is not retained or
-// mutated.
+// the result for indexed delta propagation. The materialization runs on a
+// private copy of base that first gets the column indexes the compiled view
+// plans probe, so an unindexed base is joined by index probes, not nested
+// scans. base is not retained or mutated. It is the one way the engine
+// first builds served state.
 func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, error) {
 	prog, names, err := viewProgram(views)
 	if err != nil {
