@@ -78,8 +78,8 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 	pq := containment.Prepare(q)
 
 	result := &cq.Union{}
-	tried := make(map[string]bool) // raw candidates already processed
-	seen := make(map[string]bool)  // members already in the result
+	var tried cq.QuerySet // raw candidates already processed
+	var seen cq.QuerySet  // members already in the result
 	choice := make([]int, len(buckets))
 	for {
 		st.Combinations++
@@ -88,13 +88,9 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 		}
 		cand := buildCandidate(q, buckets, choice, opt)
 		if cand != nil {
-			key := cand.CanonicalString()
-			if !tried[key] {
-				tried[key] = true
+			if tried.Add(cand) {
 				for _, kept := range tightenAndCheck(pq, cand, vs, &search, &st) {
-					kkey := kept.CanonicalString()
-					if !seen[kkey] {
-						seen[kkey] = true
+					if seen.Add(kept) {
 						result.Add(kept)
 						st.Kept++
 					}
@@ -296,12 +292,8 @@ func tryCover(q *cq.Query, g cq.Atom, v *core.View, ai int, headVars map[string]
 
 func buildCandidate(q *cq.Query, buckets [][]Entry, choice []int, opt Options) *cq.Query {
 	body := make([]cq.Atom, 0, len(choice))
-	seen := make(map[string]bool)
 	for i, c := range choice {
-		a := buckets[i][c].Atom
-		k := a.Key()
-		if !seen[k] {
-			seen[k] = true
+		if a := buckets[i][c].Atom; !slices.ContainsFunc(body, a.Equal) {
 			body = append(body, a)
 		}
 	}

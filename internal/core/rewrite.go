@@ -108,7 +108,7 @@ func (r *Rewriter) Rewrite(q *cq.Query) ([]*Rewriting, Stats) {
 	}
 
 	var results []*Rewriting
-	seen := make(map[string]bool)
+	var seen cq.QuerySet
 	var selected []*Application
 
 	var newlyCovered []int // a stack: each level of the search undoes what it covered
@@ -122,11 +122,9 @@ func (r *Rewriter) Rewrite(q *cq.Query) ([]*Rewriting, Stats) {
 			if cand == nil {
 				return true
 			}
-			key := cand.CanonicalString()
-			if seen[key] {
+			if !seen.Add(cand) {
 				return true
 			}
-			seen[key] = true
 			st.CandidatesTried++
 			if rw := r.verify(pqm, cand, s, &st); rw != nil {
 				results = append(results, rw)

@@ -115,3 +115,22 @@ func TestCanonicalizeUnion(t *testing.T) {
 		t.Fatal("nil union should canonicalise to empty")
 	}
 }
+
+// TestCanonicalAllocs holds the canonicaliser to its allocation budgets. A
+// fingerprint allocates its key and nothing else: the scratch is pooled and
+// the canonical query is written as bytes, never built. A template
+// allocates the query it returns (one array for every argument), its
+// binding and its key. The string-building canonicaliser made 46 and 60.
+func TestCanonicalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	q := MustParseQuery("q(X,Y) :- r(X,Z), s(Z,W), t(W,Y)")
+	if got := testing.AllocsPerRun(100, func() { Fingerprint(q) }); got > 1 {
+		t.Errorf("Fingerprint: %.0f allocs, budget 1", got)
+	}
+	tq := MustParseQuery("q(X3) :- p7(c0,X1), p8(X1,X2), p1(X2,X3)")
+	if got := testing.AllocsPerRun(100, func() { CanonicalizeTemplate(tq).Fingerprint() }); got > 12 {
+		t.Errorf("CanonicalizeTemplate(q).Fingerprint(): %.0f allocs, budget 12", got)
+	}
+}

@@ -262,7 +262,9 @@ func (q *Query) String() string {
 // CanonicalString renders the query with body atoms and comparisons sorted,
 // so that queries that differ only in subgoal order render identically.
 // Variable names are not canonicalised; use containment.Equivalent for a
-// semantic comparison.
+// semantic comparison. It is for display and tests only: no planning path
+// calls it, the rewriting searches deduplicate candidates with a QuerySet,
+// which decides the same identity without rendering.
 func (q *Query) CanonicalString() string {
 	body := make([]string, len(q.Body))
 	for i, a := range q.Body {

@@ -1,12 +1,6 @@
 package cq
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // Query templates. A template is the canonical form of a query with its
 // constants abstracted to placeholders, so that a stream of point lookups
@@ -39,13 +33,6 @@ import (
 // template fingerprints strictly generalise the α-equivalence fingerprints:
 // plans cached per template subsume the old per-fingerprint cache.
 
-// tmplPrefix marks the transient placeholder variables CanonicalizeTemplate
-// substitutes for constants before canonicalising. The NUL byte cannot
-// appear in parsed variable names, so the names cannot collide with the
-// query's own variables; they never escape — canonicalisation renames them
-// to ordinary V<i> names.
-const tmplPrefix = "\x00$"
-
 // Template is a parameterized query template: the canonical query with
 // abstracted constants replaced by placeholder variables.
 type Template struct {
@@ -60,6 +47,8 @@ type Template struct {
 	// binding under which Query instantiates back to (an α-variant of)
 	// the source query.
 	Args []string
+	// fp caches the key when the canonicaliser made the template.
+	fp string
 }
 
 // CanonicalizeTemplate abstracts q's constants to placeholders and returns
@@ -68,86 +57,88 @@ type Template struct {
 // values of their body constants share the same template (and fingerprint);
 // their Args differ.
 func CanonicalizeTemplate(q *Query) *Template {
-	abstractable := bodyConstants(q)
-	if len(abstractable) == 0 {
-		return &Template{Query: Canonicalize(q)}
-	}
-
-	// Substitute every head and body occurrence of each abstractable
-	// constant with a reserved placeholder variable, one per constant
-	// value. Comparison occurrences are deliberately left concrete.
-	sub := func(t Term) Term {
-		if t.IsConst() && abstractable[t.Lex] {
-			return Term{Kind: Variable, Lex: tmplPrefix + t.Lex}
-		}
-		return t
-	}
-	g := q.Clone()
-	for i, t := range g.Head.Args {
-		g.Head.Args[i] = sub(t)
-	}
-	for ai := range g.Body {
-		for i, t := range g.Body[ai].Args {
-			g.Body[ai].Args[i] = sub(t)
+	s := canonicalise(q, true)
+	defer s.release()
+	t := &Template{Query: s.query()}
+	// Binding order: ascending canonical variable index, which is the order
+	// of the naming trail. The canonical form is α-invariant, so every
+	// α-variant of every instantiation of the template derives the same
+	// order.
+	n := 0
+	for _, id := range s.trail {
+		if s.placeholder(id) {
+			n++
 		}
 	}
-
-	ct, ren := canonicalizeRen(g)
-	tmpl := &Template{Query: ct}
-	for c := range abstractable {
-		tmpl.Params = append(tmpl.Params, ren[tmplPrefix+c])
-		tmpl.Args = append(tmpl.Args, c)
-	}
-	// Binding order: ascending canonical variable index. The canonical
-	// form is α-invariant, so every α-variant of every instantiation of
-	// the template derives the same order.
-	sort.Sort(&byCanonIndex{tmpl.Params, tmpl.Args})
-	return tmpl
-}
-
-// bodyConstants returns the set of constants occurring in at least one
-// relational body atom of q — the abstractable ones.
-func bodyConstants(q *Query) map[string]bool {
-	set := make(map[string]bool)
-	for _, a := range q.Body {
-		for _, t := range a.Args {
-			if t.IsConst() {
-				set[t.Lex] = true
+	if n > 0 {
+		names := make([]string, 0, 2*n)
+		for k, id := range s.trail {
+			if s.placeholder(id) {
+				names = append(names, canonVarName(k))
 			}
 		}
+		for _, id := range s.trail {
+			if s.placeholder(id) {
+				names = append(names, s.terms[id].Lex)
+			}
+		}
+		t.Params, t.Args = names[:n:n], names[n:]
 	}
-	return set
+	t.fp = s.templateKey()
+	return t
 }
 
-// byCanonIndex sorts Params (canonical names "V<i>") by ascending index,
-// carrying Args along.
-type byCanonIndex struct {
-	params []string
-	args   []string
+// ConcreteTemplate returns the template of q with every constant kept
+// concrete: q's canonical form, no placeholders. Its key is the one a
+// Template{Query: Canonicalize(q)} reports, computed without rendering.
+func ConcreteTemplate(q *Query) *Template {
+	s := canonicalise(q, false)
+	defer s.release()
+	return &Template{Query: s.query(), fp: s.templateKey()}
 }
 
-func (s *byCanonIndex) Len() int { return len(s.params) }
-func (s *byCanonIndex) Less(i, j int) bool {
-	return canonIndex(s.params[i]) < canonIndex(s.params[j])
-}
-func (s *byCanonIndex) Swap(i, j int) {
-	s.params[i], s.params[j] = s.params[j], s.params[i]
-	s.args[i], s.args[j] = s.args[j], s.args[i]
-}
+// placeholder reports whether id stands for an abstracted constant.
+func (s *canonState) placeholder(id int32) bool { return s.terms[id].IsConst() }
 
-// canonIndex parses the numeric index of a canonical variable name V<i>.
-func canonIndex(name string) int {
-	n, _ := strconv.Atoi(strings.TrimPrefix(name, "V"))
-	return n
+// templateKey is the key of the template s canonicalised: the canonical
+// bytes, a NUL byte and the placeholders' names in binding order joined by
+// commas, hashed.
+func (s *canonState) templateKey() string {
+	b := append(s.appendQuery(s.buf[:0]), 0)
+	sep := false
+	for k, id := range s.trail {
+		if s.placeholder(id) {
+			if sep {
+				b = append(b, ',')
+			}
+			sep = true
+			b = append(b, 'V')
+			b = strconv.AppendInt(b, int64(k), 10)
+		}
+	}
+	s.buf = b
+	return hexKey(b)
 }
 
 // Fingerprint returns the template's cache key: queries sharing a template
 // share the key. The placeholder set is part of the identity — a query
 // selecting on a constant and one joining a plain variable in the same
 // position canonicalise to the same query text but are different templates.
+// The key hashes the canonical query text, a NUL byte and the placeholder
+// names joined by commas; it names client-held prepared handles, so those
+// bytes never change.
 func (t *Template) Fingerprint() string {
-	sum := sha256.Sum256([]byte(t.Query.String() + "\x00" + strings.Join(t.Params, ",")))
-	return hex.EncodeToString(sum[:16])
+	if t.fp != "" {
+		return t.fp
+	}
+	b := append([]byte(t.Query.String()), 0)
+	for i, p := range t.Params {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, p...)
+	}
+	return hexKey(b)
 }
 
 // NumParams returns the number of placeholders.
@@ -172,7 +163,9 @@ func (t *Template) PlanQuery() *Query {
 }
 
 // TemplateFingerprint returns the template cache key of q directly:
-// CanonicalizeTemplate(q).Fingerprint().
+// CanonicalizeTemplate(q).Fingerprint(), without building the template.
 func TemplateFingerprint(q *Query) string {
-	return CanonicalizeTemplate(q).Fingerprint()
+	s := canonicalise(q, true)
+	defer s.release()
+	return s.templateKey()
 }

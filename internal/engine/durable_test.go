@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -390,4 +391,32 @@ func testBaseDB(t *testing.T) *storage.Database {
 	t.Helper()
 	db, _ := testBase(t)
 	return db
+}
+
+// TestViewsFingerprintGolden pins the view-set fingerprint every data
+// directory stores: a change would send each existing directory through the
+// stale-view rebuild on its next boot. The view set and its key are the
+// "view" and "views" lines of the cq package's fingerprint golden file.
+func TestViewsFingerprintGolden(t *testing.T) {
+	data, err := os.ReadFile("../cq/testdata/fingerprints.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views []*cq.Query
+	want := ""
+	for _, line := range strings.Split(string(data), "\n") {
+		kind, rest, _ := strings.Cut(line, "\t")
+		switch kind {
+		case "view":
+			views = append(views, cq.MustParseQuery(rest))
+		case "views":
+			want = rest
+		}
+	}
+	if len(views) == 0 || want == "" {
+		t.Fatal("golden file has no view set")
+	}
+	if got := viewsFingerprint(views); got != want {
+		t.Fatalf("viewsFingerprint = %s, golden %s", got, want)
+	}
 }

@@ -802,7 +802,7 @@ func (e *Engine) cachedPlan(fp string, build func() (*Plan, error)) (plan *Plan,
 // lookups; per-text plans keep the old behaviour.
 func (e *Engine) template(q *cq.Query) *cq.Template {
 	if e.constViews || e.opt.Strategy == InverseRules {
-		return &cq.Template{Query: cq.Canonicalize(q)}
+		return cq.ConcreteTemplate(q)
 	}
 	return cq.CanonicalizeTemplate(q)
 }

@@ -216,7 +216,7 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 	pq := containment.Prepare(q)
 
 	result := &cq.Union{}
-	seen := make(map[string]bool)
+	var seen cq.QuerySet
 	n := len(q.Body)
 	byFirst := make([][]*MCD, n)
 	for _, m := range mcds {
@@ -239,11 +239,9 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 			if cand == nil {
 				return true
 			}
-			key := cand.CanonicalString()
-			if seen[key] {
+			if !seen.Add(cand) {
 				return true
 			}
-			seen[key] = true
 			if opt.VerifyCandidates {
 				exp, err := core.Expand(cand, vs)
 				st.ContainmentTests++
