@@ -262,8 +262,12 @@ func TestRunInverseExplainAndStats(t *testing.T) {
 	vf := writeFile(t, dir, "v.dl", "vr(A,B) :- r(A,B).\nvs(A,B) :- s(A,B).")
 	df := writeFile(t, dir, "d.dl", "r(a,m). s(m,x).")
 	out := capture(t, []string{"-query", qf, "-views", vf, "-data", df, "-algo", "inverse", "-explain", "-stats"})
-	if !strings.Contains(out, "compiled program:") || !strings.Contains(out, "full") {
-		t.Fatalf("compiled program plan missing:\n%s", out)
+	// The inverse rules are stratum 0; the query rule reads them and is
+	// stratum 1.
+	for _, want := range []string{"compiled program:", "(stratum 0): r(A,B) :- vr(A,B).", "(stratum 1): q(X,Y) :- r(X,Z), s(Z,Y).", "full"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("compiled program plan missing %q:\n%s", want, out)
+		}
 	}
 	if !strings.Contains(out, "fixpoint: iterations=") {
 		t.Fatalf("fixpoint stats missing:\n%s", out)

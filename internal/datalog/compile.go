@@ -245,24 +245,29 @@ func neededVars(q *cq.Query) map[string]bool {
 
 // chooseNext picks the next atom to join: most bound argument positions
 // first (each bound column is an index restriction), then the smallest
-// estimated candidate count under the catalog, then body order. With a
+// estimated candidate count under the catalog, then an atom with a bound
+// variable over one bound by constants alone, then body order. With a
 // rows-only catalog the estimate is the relation cardinality, reproducing
 // the interpreter's smaller-relation tie-break; with full statistics bound
-// columns are discounted by their distinct counts.
+// columns are discounted by their distinct counts. Estimates tie where
+// statistics are missing, as for derived predicates; there, probing a
+// constant-bound atom before the atom that joins it to the bound ones
+// would enumerate a cross product.
 func chooseNext(atoms []cq.Atom, remaining []int, bound map[string]bool, cat *cost.Catalog) int {
-	best, bestScore, bestEst := -1, -1, 0.0
+	best, bestScore, bestEst, bestJoined := -1, -1, 0.0, false
 	for _, idx := range remaining {
 		a := atoms[idx]
-		score := 0
+		score, joined := 0, false
 		est := cat.Rows(a.Pred)
 		for col, t := range a.Args {
 			if t.IsConst() || t.IsVar() && bound[t.Lex] {
 				score++
 				est /= cat.Distinct(a.Pred, col)
+				joined = joined || t.IsVar()
 			}
 		}
-		if best == -1 || score > bestScore || score == bestScore && est < bestEst {
-			best, bestScore, bestEst = idx, score, est
+		if best == -1 || score > bestScore || score == bestScore && (est < bestEst || est == bestEst && joined && !bestJoined) {
+			best, bestScore, bestEst, bestJoined = idx, score, est, joined
 		}
 	}
 	return best

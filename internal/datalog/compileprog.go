@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,21 +13,31 @@ import (
 )
 
 // Compiled datalog programs. CompileProgram lowers every rule of a Program
-// to slot-plan form once; CompiledProgram.Eval then runs a proper semi-naive
-// fixpoint over the compiled rules with none of the interpretive overhead of
-// Program.EvalInterp:
+// to slot-plan form once; CompiledProgram.Eval then runs a stratified
+// semi-naive fixpoint over the compiled rules with none of the interpretive
+// overhead of Program.EvalInterp:
 //
 //   - each rule body becomes a sequence of compiledSteps — the same
 //     integer-slot frames, catalog-ordered joins, index-probe access paths
 //     and earliest-bound-depth comparisons the single-query compiler emits —
 //     followed by a head-emission step that writes the derived tuple's key —
 //     Skolem, constant and slot columns — into a scratch buffer and builds
-//     the tuple only when the key is accepted;
-//   - every rule occurrence of an IDB predicate gets its own delta variant:
-//     a plan with that atom forced to the root of the join order, fed by the
-//     previous round's delta instead of the full relation. Rounds after the
-//     first run only delta variants, so work is proportional to what the
-//     last round derived, not to the accumulated fixpoint;
+//     the tuple, in a chunk of a tuple arena the variant's execution
+//     owns, only when the key is accepted;
+//   - rules are grouped into strata at compile time: the strongly connected
+//     components of the derived-predicate dependency graph, each one stratum
+//     above the highest component it reads. A run evaluates the strata in
+//     order, so every rule fires only once all its inputs from lower strata
+//     are final;
+//   - within a stratum, each rule fires its full plan once; after that, only
+//     delta variants run: a plan with one body occurrence of a same-stratum
+//     (recursive) predicate forced to the root of the join order, fed by the
+//     previous round's delta instead of the full relation. Work is therefore
+//     proportional to what the last round derived, not to the accumulated
+//     fixpoint, and a non-recursive stratum is a single round. Occurrences
+//     of lower-stratum predicates get no delta variant in a plain program;
+//     maintenance programs (CompileProgramIVM) compile those too, because
+//     an update batch changes every stratum at once;
 //   - derived (IDB) relations are private to the Eval call and maintain
 //     their probe-column hash indexes incrementally as tuples are inserted,
 //     instead of the interpreter's discard-and-rebuild on every insert;
@@ -55,13 +66,18 @@ type compiledSkolem struct {
 }
 
 // ruleVariant is one executable form of a rule: the full plan (fired once,
-// in round 0) or a delta variant (fired whenever its delta predicate gained
-// tuples in the previous round, with the delta atom at the join root).
+// in the first round of the rule's stratum) or a delta variant (fired
+// whenever its delta predicate gained tuples in the previous round, with the
+// delta atom at the join root).
 type ruleVariant struct {
 	// deltaPos is the body position the variant restricts to the delta;
 	// -1 for the full variant.
 	deltaPos  int
 	deltaPred string
+	// recursive marks a delta variant whose delta predicate lies in the
+	// head's own stratum, the only kind a fixpoint run fires; the others
+	// exist in maintenance programs alone, and Describe marks them.
+	recursive bool
 	steps     []compiledStep
 	head      []ruleHeadOp
 	numSlots  int
@@ -79,6 +95,7 @@ type ruleVariant struct {
 type compiledRule struct {
 	headPred string
 	arity    int
+	stratum  int
 	full     ruleVariant
 	deltas   []ruleVariant
 	// edbDeltas are per-EDB-occurrence delta variants, compiled only for
@@ -91,8 +108,8 @@ type compiledRule struct {
 
 // FixpointStats reports the work of one semi-naive evaluation.
 type FixpointStats struct {
-	// Iterations is the number of semi-naive rounds executed, including
-	// round 0 (the full-plan round).
+	// Iterations is the number of semi-naive rounds executed, summed over
+	// the strata, each stratum's full-plan round included.
 	Iterations int
 	// Derived is the number of distinct IDB tuples derived beyond the EDB.
 	Derived int
@@ -103,7 +120,11 @@ type FixpointStats struct {
 // evaluated concurrently by any number of goroutines: all fixpoint state
 // lives in per-call structures.
 type CompiledProgram struct {
+	// rules are in evaluation order: sorted by stratum, each stratum's
+	// rules in program order.
 	rules []compiledRule
+	// strata partitions rules: strata[s] is the sub-slice of stratum s.
+	strata [][]compiledRule
 	// idbArity maps every derived predicate to its arity.
 	idbArity map[string]int
 	// idbProbeCols lists, per IDB predicate, the columns some compiled step
@@ -141,10 +162,11 @@ func CompileProgram(p *Program, cat *cost.Catalog) (*CompiledProgram, error) {
 }
 
 // CompileProgramIVM is CompileProgram for incremental view maintenance: in
-// addition to the per-IDB-occurrence delta variants it lowers one delta
-// variant per EDB body occurrence, so ApplyUpdates can seed a semi-naive
-// propagation round directly from a batch of base-relation changes instead
-// of re-running the fixpoint from scratch.
+// addition to the recursive delta variants it lowers one delta variant per
+// lower-stratum IDB body occurrence and one per EDB body occurrence, so
+// ApplyUpdates can seed a semi-naive propagation round directly from a
+// batch of base-relation changes, and carry it across strata, instead of
+// re-running the fixpoint from scratch.
 func CompileProgramIVM(p *Program, cat *cost.Catalog) (*CompiledProgram, error) {
 	return compileProgram(p, cat, true)
 }
@@ -164,17 +186,22 @@ func compileProgram(p *Program, cat *cost.Catalog, ivm bool) (*CompiledProgram, 
 		}
 		cp.idbArity[r.HeadPred] = len(r.Head)
 	}
+	stratum := stratify(p.Rules, cp.idbArity)
+	rules := slices.Clone(p.Rules)
+	slices.SortStableFunc(rules, func(a, b Rule) int { return stratum[a.HeadPred] - stratum[b.HeadPred] })
 	probeCols := make(map[string]map[int]bool)
-	for _, r := range p.Rules {
-		cr := compiledRule{headPred: r.HeadPred, arity: len(r.Head), src: r}
+	for _, r := range rules {
+		cr := compiledRule{headPred: r.HeadPred, arity: len(r.Head), stratum: stratum[r.HeadPred], src: r}
 		cr.full, _ = compileRuleVariant(r, -1, cat, false)
 		collectProbeCols(cp.idbArity, probeCols, cr.full.steps)
 		for pos, a := range r.Body {
-			_, idb := cp.idbArity[a.Pred]
-			if !idb && !ivm {
+			s, idb := stratum[a.Pred]
+			recursive := idb && s == cr.stratum
+			if !recursive && !ivm {
 				continue
 			}
 			v, _ := compileRuleVariant(r, pos, cat, false)
+			v.recursive = recursive
 			collectProbeCols(cp.idbArity, probeCols, v.steps)
 			if idb {
 				cr.deltas = append(cr.deltas, v)
@@ -184,6 +211,14 @@ func compileProgram(p *Program, cat *cost.Catalog, ivm bool) (*CompiledProgram, 
 		}
 		cp.rules = append(cp.rules, cr)
 	}
+	for lo := 0; lo < len(cp.rules); {
+		hi := lo + 1
+		for hi < len(cp.rules) && cp.rules[hi].stratum == cp.rules[lo].stratum {
+			hi++
+		}
+		cp.strata = append(cp.strata, cp.rules[lo:hi])
+		lo = hi
+	}
 	for pred, cols := range probeCols {
 		for col := range cols {
 			cp.idbProbeCols[pred] = append(cp.idbProbeCols[pred], col)
@@ -191,9 +226,75 @@ func compileProgram(p *Program, cat *cost.Catalog, ivm bool) (*CompiledProgram, 
 		sort.Ints(cp.idbProbeCols[pred])
 	}
 	if ivm {
-		cp.compileDeletionSupport(p, cat)
+		cp.compileDeletionSupport(cat)
 	}
 	return cp, nil
+}
+
+// stratify assigns every derived predicate its stratum. The strata are the
+// strongly connected components of the dependency graph, in which a rule's
+// head depends on each derived predicate of its body; a component's stratum
+// is one more than the highest stratum of any other component it reads, 0
+// when it reads none. Components are found by Tarjan's algorithm, which
+// completes a component only after every component it reads, so those
+// strata are known when it is numbered.
+func stratify(rules []Rule, idb map[string]int) map[string]int {
+	deps := make(map[string][]string, len(idb))
+	for _, r := range rules {
+		for _, a := range r.Body {
+			if _, ok := idb[a.Pred]; ok {
+				deps[r.HeadPred] = append(deps[r.HeadPred], a.Pred)
+			}
+		}
+	}
+	stratum := make(map[string]int, len(idb))
+	index := make(map[string]int, len(idb)) // visit order
+	low := make(map[string]int, len(idb))   // lowest index reachable on the stack
+	onStack := make(map[string]bool, len(idb))
+	var stack []string
+	var visit func(p string)
+	visit = func(p string) {
+		index[p], low[p] = len(index), len(index)
+		stack = append(stack, p)
+		onStack[p] = true
+		for _, d := range deps[p] {
+			if _, seen := index[d]; !seen {
+				visit(d)
+				low[p] = min(low[p], low[d])
+			} else if onStack[d] {
+				low[p] = min(low[p], index[d])
+			}
+		}
+		if low[p] != index[p] {
+			return
+		}
+		i := len(stack) - 1
+		for stack[i] != p {
+			i--
+		}
+		comp := stack[i:]
+		stack = stack[:i]
+		// Members of comp have no stratum yet; every other predicate they
+		// read belongs to a completed component.
+		s := 0
+		for _, c := range comp {
+			onStack[c] = false
+			for _, d := range deps[c] {
+				if ds, done := stratum[d]; done {
+					s = max(s, ds+1)
+				}
+			}
+		}
+		for _, c := range comp {
+			stratum[c] = s
+		}
+	}
+	for _, r := range rules {
+		if _, seen := index[r.HeadPred]; !seen {
+			visit(r.HeadPred)
+		}
+	}
+	return stratum
 }
 
 // collectProbeCols records which IDB columns the steps probe. The delta-root
@@ -395,12 +496,12 @@ type variantTask struct {
 	delta []storage.Tuple // nil for full variants
 }
 
-// deltaTasks appends one task per non-empty delta variant whose predicate
-// has tuples in cur. edb adds the per-EDB-occurrence variants of maintenance
-// programs, which seed a round from base-relation changes.
-func (cp *CompiledProgram) deltaTasks(tasks []variantTask, cur map[string][]storage.Tuple, edb bool) []variantTask {
-	for i := range cp.rules {
-		r := &cp.rules[i]
+// deltaTasks appends, over rules, one task per non-empty delta variant whose
+// predicate has tuples in cur. edb adds the per-EDB-occurrence variants of
+// maintenance programs, which seed a round from base-relation changes.
+func deltaTasks(tasks []variantTask, rules []compiledRule, cur map[string][]storage.Tuple, edb bool) []variantTask {
+	for i := range rules {
+		r := &rules[i]
 		sets := [2][]ruleVariant{nil, r.deltas}
 		if edb {
 			sets[0] = r.edbDeltas
@@ -474,16 +575,21 @@ func (cp *CompiledProgram) evalRelation(edb *storage.Database, pred string, work
 	return nil, stats, nil
 }
 
-// run executes the semi-naive loop: round 0 fires every rule's full plan;
-// each later round fires only the delta variants whose predicate gained
-// tuples, with the delta at the join root. New tuples are buffered during a
+// run evaluates the strata in order, each to its own semi-naive fixpoint:
+// the stratum's first round fires its rules' full plans, over lower strata
+// that are already final; each later round fires only the stratum's delta
+// variants whose predicate gained tuples in the round before, with the delta
+// at the join root. A round's delta holds only predicates of the stratum
+// being evaluated, so delta variants rooted at a lower stratum (present in
+// maintenance programs) never fire here. New tuples are buffered during a
 // round and merged (with dedup against the accumulated relation) after it,
 // so relations are immutable while any variant is executing.
 //
 // gs and lim are the governance hooks (nil/zero for unbounded runs):
 // cancellation is polled inside the variant loops and at every round
-// barrier, and the round/derivation budgets are checked where the stats are
-// consistent — so an aborted run returns its partial stats with the error.
+// barrier, stratum boundaries included, and the round/derivation budgets
+// are checked where the stats are consistent — so an aborted run returns
+// its partial stats with the error.
 func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardState, lim Limits) (map[string]*idbRel, FixpointStats, error) {
 	var stats FixpointStats
 	idb := make(map[string]*idbRel, len(cp.idbArity))
@@ -504,45 +610,47 @@ func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardStat
 	}
 
 	var tasks []variantTask
-	for i := range cp.rules {
-		r := &cp.rules[i]
-		if !r.full.empty {
-			tasks = append(tasks, variantTask{rule: r, v: &r.full})
-		}
-	}
-	for len(tasks) > 0 {
-		if err := gs.barrier(); err != nil {
-			return nil, stats, err
-		}
-		if err := checkFixpointBudget(stats, lim); err != nil {
-			return nil, stats, err
-		}
-		stats.Iterations++
-		// With workers > 1 the tasks run concurrently: they read the
-		// round-stable relations and the (read-only until merge) dedup sets,
-		// and write nothing shared. round is captured by value; tasks, which
-		// the loop reassigns, would be moved to the heap.
-		round := tasks
-		bufs, err := runTaskSet(len(round), workers, func(i int) ([]derivedTuple, error) {
-			t := round[i]
-			accum := idb[t.rule.headPred]
-			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, edb, idb), gs.child(),
-				func(k []byte) bool { return !accum.seen[string(k)] })
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-		delta := make(map[string][]storage.Tuple)
-		for i, buf := range bufs {
-			ir := idb[tasks[i].rule.headPred]
-			for _, d := range buf {
-				if ir.insertKeyed(d) {
-					delta[tasks[i].rule.headPred] = append(delta[tasks[i].rule.headPred], d.t)
-					stats.Derived++
-				}
+	for _, rules := range cp.strata {
+		tasks = tasks[:0]
+		for i := range rules {
+			if r := &rules[i]; !r.full.empty {
+				tasks = append(tasks, variantTask{rule: r, v: &r.full})
 			}
 		}
-		tasks = cp.deltaTasks(tasks[:0], delta, false)
+		for len(tasks) > 0 {
+			if err := gs.barrier(); err != nil {
+				return nil, stats, err
+			}
+			if err := checkFixpointBudget(stats, lim); err != nil {
+				return nil, stats, err
+			}
+			stats.Iterations++
+			// With workers > 1 the tasks run concurrently: they read the
+			// round-stable relations and the (read-only until merge) dedup
+			// sets, and write nothing shared. round is captured by value;
+			// tasks, which the loop reassigns, would be moved to the heap.
+			round := tasks
+			bufs, err := runTaskSet(len(round), workers, func(i int) ([]derivedTuple, error) {
+				t := round[i]
+				accum := idb[t.rule.headPred]
+				return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, edb, idb), gs.child(),
+					func(k []byte) bool { return !accum.seen[string(k)] })
+			})
+			if err != nil {
+				return nil, stats, err
+			}
+			delta := make(map[string][]storage.Tuple)
+			for i, buf := range bufs {
+				ir := idb[tasks[i].rule.headPred]
+				for _, d := range buf {
+					if ir.insertKeyed(d) {
+						delta[tasks[i].rule.headPred] = append(delta[tasks[i].rule.headPred], d.t)
+						stats.Derived++
+					}
+				}
+			}
+			tasks = deltaTasks(tasks[:0], rules, delta, false)
+		}
 	}
 	if err := gs.failure(); err != nil {
 		return nil, stats, err
@@ -672,12 +780,28 @@ func resolveSteps(steps []compiledStep, delta []storage.Tuple, db *storage.Datab
 // the head tuple a complete frame derives — byte for byte its Tuple.Key,
 // Skolem values written inline by appendSkolem — into a reused buffer and
 // records where each column ends; tuple then builds the tuple of an
-// accepted key.
+// accepted key in the execution's tuple arena.
 type keyScratch struct {
 	buf  []byte
 	ends []int    // ends[i] is the offset in buf just past column i
 	args []string // one Skolem application's argument values
+	// arena is the current chunk accepted tuples are carved from, as
+	// capacity-limited windows (appending to one tuple never writes into
+	// the next). A full chunk is left to the tuples already carved from it.
+	arena []string
 }
+
+// Tuple-arena chunk sizes, in rows: a variant execution's first chunk holds
+// minArenaRows tuples and each later one twice its predecessor, up to
+// maxArenaRows — a maintenance variant deriving a handful of tuples does
+// not pay for a large chunk, and a fixpoint deriving thousands pays one
+// allocation per maxArenaRows of them. A chunk stays reachable while any
+// tuple carved from it does; no database keeps one, because
+// storage.Relation.Insert clones what it stores.
+const (
+	minArenaRows = 8
+	maxArenaRows = 256
+)
 
 // key returns the head key of frame. The slice is valid until the next
 // call.
@@ -707,7 +831,14 @@ func (ks *keyScratch) key(head []ruleHeadOp, frame []string) []byte {
 // tuple builds the head tuple of the last key, given that key as the string
 // k: plain columns come from the frame, Skolem columns are sub-strings of k.
 func (ks *keyScratch) tuple(head []ruleHeadOp, frame []string, k string) storage.Tuple {
-	t := make(storage.Tuple, len(head))
+	n := len(head)
+	if cap(ks.arena)-len(ks.arena) < n {
+		rows := min(max(2*cap(ks.arena)/n, minArenaRows), maxArenaRows)
+		ks.arena = make([]string, 0, rows*n)
+	}
+	at := len(ks.arena)
+	ks.arena = ks.arena[:at+n]
+	t := storage.Tuple(ks.arena[at : at+n : at+n])
 	start := 0
 	for i, h := range head {
 		switch {
@@ -752,17 +883,23 @@ func (cp *CompiledProgram) freeze(edb *storage.Database) {
 	}
 }
 
-// Describe renders the compiled program for humans: every rule with its full
-// plan and delta variants, one join step per line.
+// Describe renders the compiled program for humans: every rule, in
+// evaluation order, with its stratum, its full plan and its delta variants,
+// one join step per line. Delta variants rooted at a lower stratum, which
+// only maintenance runs fire, are marked cross-stratum.
 func (cp *CompiledProgram) Describe() string {
 	var sb strings.Builder
 	for i := range cp.rules {
 		r := &cp.rules[i]
-		fmt.Fprintf(&sb, "rule %d: %s\n", i, r.src.String())
+		fmt.Fprintf(&sb, "rule %d (stratum %d): %s\n", i, r.stratum, r.src.String())
 		describeVariant(&sb, "full", &r.full)
 		for j := range r.deltas {
 			v := &r.deltas[j]
-			describeVariant(&sb, fmt.Sprintf("Δ%s@%d", v.deltaPred, v.deltaPos), v)
+			label := fmt.Sprintf("Δ%s@%d", v.deltaPred, v.deltaPos)
+			if !v.recursive {
+				label += " (cross-stratum)"
+			}
+			describeVariant(&sb, label, v)
 		}
 		for j := range r.edbDeltas {
 			v := &r.edbDeltas[j]

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -302,9 +303,78 @@ func TestCompiledProgramDescribe(t *testing.T) {
 	)
 	cp := mustCompileProgram(t, p, db)
 	d := cp.Describe()
-	for _, want := range []string{"rule 0", "full", "Δtc@0", "delta"} {
+	for _, want := range []string{"rule 0 (stratum 0)", "full", "Δtc@0", "delta"} {
 		if !strings.Contains(d, want) {
 			t.Fatalf("Describe missing %q:\n%s", want, d)
+		}
+	}
+}
+
+// TestCompiledProgramRoundsPerStratum pins the stratified evaluation: a
+// non-recursive stratum is one round of full plans, and a plain program
+// compiles no delta variant rooted at a lower stratum (its relation is
+// final before the stratum that reads it starts).
+func TestCompiledProgramRoundsPerStratum(t *testing.T) {
+	f := &Skolem{Name: "f", Args: []string{"X", "Y"}}
+	cases := []struct {
+		name   string
+		rules  []Rule
+		answer string
+		rounds int
+	}{
+		{
+			// The inverse-rules shape: Skolem-headed inverse rules over the
+			// view relations, then the query rule over their heads.
+			name: "inverse rules",
+			rules: []Rule{
+				{HeadPred: "r", Head: []HeadTerm{{Term: cq.Var("X")}, {Skolem: f}}, Body: []cq.Atom{cq.NewAtom("v1", cq.Var("X"), cq.Var("Y"))}},
+				{HeadPred: "s", Head: []HeadTerm{{Skolem: f}, {Term: cq.Var("Y")}}, Body: []cq.Atom{cq.NewAtom("v1", cq.Var("X"), cq.Var("Y"))}},
+				RuleFromQuery(mustQ("r(X,Z) :- v2(X,Z)")),
+				RuleFromQuery(mustQ("s(Z,Y) :- v3(Z,Y)")),
+				RuleFromQuery(mustQ("grp(X,G) :- v4(X,G)")),
+				RuleFromQuery(mustQ("q(X,Y) :- grp(X,g0), r(X,Z), s(Z,Y)")),
+			},
+			answer: "q",
+			rounds: 2,
+		},
+		{
+			name: "three-level chain",
+			rules: []Rule{
+				RuleFromQuery(mustQ("c(X) :- b(X,Y), v1(Y,Z)")),
+				RuleFromQuery(mustQ("b(X,Y) :- a(X,Y)")),
+				RuleFromQuery(mustQ("a(X,Y) :- v2(X,Y)")),
+			},
+			answer: "c",
+			rounds: 3,
+		},
+	}
+	db := storage.NewDatabase()
+	for i := 0; i < 6; i++ {
+		x, z := fmt.Sprintf("x%d", i), fmt.Sprintf("z%d", i%3)
+		db.Insert("v1", storage.Tuple{z, fmt.Sprintf("y%d", i)})
+		db.Insert("v2", storage.Tuple{x, z})
+		db.Insert("v3", storage.Tuple{z, x})
+		db.Insert("v4", storage.Tuple{x, fmt.Sprintf("g%d", i%2)})
+	}
+	for _, c := range cases {
+		p := NewProgram(c.rules...)
+		cp := mustCompileProgram(t, p, db)
+		if d := cp.Describe(); strings.Contains(d, "Δ") {
+			t.Errorf("%s: non-recursive program compiled delta variants:\n%s", c.name, d)
+		}
+		got, stats, err := cp.EvalRelation(db, c.answer, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Iterations != c.rounds {
+			t.Errorf("%s: %d rounds, want %d", c.name, stats.Iterations, c.rounds)
+		}
+		want, err := p.EvalInterp(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || !storage.TuplesEqual(got, want.Relation(c.answer).Tuples()) {
+			t.Errorf("%s: %s = %v want %v", c.name, c.answer, got, want.Relation(c.answer).Tuples())
 		}
 	}
 }

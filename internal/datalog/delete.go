@@ -252,22 +252,23 @@ type supportVariant struct {
 	v      ruleVariant
 }
 
-// compileDeletionSupport lowers the deletion-side plans of an IVM program:
-// counting variants for flat programs, head-rooted support variants for the
-// DRed re-derivation pass otherwise.
-func (cp *CompiledProgram) compileDeletionSupport(p *Program, cat *cost.Catalog) {
+// compileDeletionSupport lowers the deletion-side plans of an IVM program,
+// indexed like cp.rules: counting variants for flat programs, head-rooted
+// support variants for the DRed re-derivation pass otherwise.
+func (cp *CompiledProgram) compileDeletionSupport(cat *cost.Catalog) {
 	cp.flat = true
-	for _, r := range p.Rules {
-		for _, a := range r.Body {
+	for i := range cp.rules {
+		for _, a := range cp.rules[i].src.Body {
 			if _, idb := cp.idbArity[a.Pred]; idb {
 				cp.flat = false
 			}
 		}
 	}
 	if cp.flat {
-		cp.countFull = make([]countVariant, len(p.Rules))
-		cp.countDeltas = make([][]countVariant, len(p.Rules))
-		for i, r := range p.Rules {
+		cp.countFull = make([]countVariant, len(cp.rules))
+		cp.countDeltas = make([][]countVariant, len(cp.rules))
+		for i := range cp.rules {
+			r := cp.rules[i].src
 			cp.countFull[i] = compileCountVariant(r, -1, cat)
 			cvs := make([]countVariant, len(r.Body))
 			for pos := range r.Body {
@@ -277,9 +278,9 @@ func (cp *CompiledProgram) compileDeletionSupport(p *Program, cat *cost.Catalog)
 		}
 		return
 	}
-	cp.supports = make([]supportVariant, len(p.Rules))
-	for i, r := range p.Rules {
-		cp.supports[i] = compileSupportVariant(r, cat)
+	cp.supports = make([]supportVariant, len(cp.rules))
+	for i := range cp.rules {
+		cp.supports[i] = compileSupportVariant(cp.rules[i].src, cat)
 	}
 }
 
@@ -723,7 +724,7 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, st *MaintState, delE
 	var tasks []variantTask
 	cur := delEff
 	for len(cur) > 0 {
-		tasks = cp.deltaTasks(tasks[:0], cur, true)
+		tasks = deltaTasks(tasks[:0], cp.rules, cur, true)
 		if len(tasks) == 0 {
 			break
 		}
@@ -837,7 +838,7 @@ func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]map[stri
 				}
 			}
 		}
-		tasks = slices.DeleteFunc(cp.deltaTasks(tasks[:0], cur, false), func(t variantTask) bool {
+		tasks = slices.DeleteFunc(deltaTasks(tasks[:0], cp.rules, cur, false), func(t variantTask) bool {
 			return len(od[t.rule.headPred]) == 0
 		})
 	}

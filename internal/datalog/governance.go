@@ -45,7 +45,10 @@ type Limits struct {
 	// overshoot by at most one round of derivations before stopping).
 	MaxDerived int
 	// MaxRounds bounds the number of semi-naive rounds of a fixpoint or
-	// maintenance run.
+	// maintenance run. A stratified fixpoint counts its rounds across
+	// strata, each stratum's full-plan round included, so the budget
+	// trips at the first round barrier — within a stratum or between
+	// two — once that many rounds have run.
 	MaxRounds int
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/cq"
 	"repro/internal/storage"
 )
 
@@ -198,6 +199,62 @@ func TestFixpointCtxPreCanceled(t *testing.T) {
 	}
 	if stats.Iterations != 3 {
 		t.Fatalf("Iterations = %d, want 3", stats.Iterations)
+	}
+}
+
+// TestFixpointCtxStrataBarriers checks that rounds are counted across strata
+// and that the budgets and cancellation are enforced at the barrier between
+// two strata. The program has three: a(1 round), tc over a (the 4-edge
+// chain closes in 5 rounds: the full round, three deriving delta rounds and
+// one that derives nothing), top over tc (1 round).
+func TestFixpointCtxStrataBarriers(t *testing.T) {
+	db := chainEdgeDB(4)
+	db.Insert("u", storage.Tuple{"n4"})
+	p := NewProgram(
+		RuleFromQuery(mustQ("top(X) :- tc(X,Y), u(Y)")),
+		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), a(Y,Z)")),
+		RuleFromQuery(mustQ("tc(X,Y) :- a(X,Y)")),
+		RuleFromQuery(mustQ("a(X,Y) :- e(X,Y)")),
+	)
+	cp := mustCompileProgram(t, p, db)
+	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "top", 1, Limits{})
+	if err != nil || stats.Iterations != 7 || stats.Derived != 4+10+4 {
+		t.Fatalf("unbounded run: stats %+v, err %v; want 7 rounds deriving 18", stats, err)
+	}
+	// MaxRounds: k trips at the barrier before round k+1 — here the
+	// barriers that open the second and the third stratum.
+	for _, c := range []struct{ rounds, derived int }{{1, 4}, {6, 14}} {
+		_, stats, err := cp.EvalRelationCtx(context.Background(), db, "top", 1, Limits{MaxRounds: c.rounds})
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("MaxRounds %d: err = %v, want ErrBudgetExceeded", c.rounds, err)
+		}
+		if stats.Iterations != c.rounds || stats.Derived != c.derived {
+			t.Fatalf("MaxRounds %d: partial stats %+v, want %d rounds deriving %d", c.rounds, stats, c.rounds, c.derived)
+		}
+	}
+
+	// A cancel landing inside a slow first stratum stops its round at the
+	// next guard poll; the barrier that would open the second stratum
+	// reports it, so exactly one round ran.
+	n := 1000
+	if testing.Short() {
+		n = 500
+	}
+	slow := crossDB(n)
+	q := mustQ("same(X) :- r(X), s(Y)")
+	q.AddComparison(cq.NewComparison(cq.Var("X"), cq.Eq, cq.Var("Y")))
+	cp = mustCompileProgram(t, NewProgram(RuleFromQuery(q), RuleFromQuery(mustQ("out(X) :- same(X), r(X)"))), slow)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	_, stats, err = cp.EvalRelationCtx(ctx, slow, "out", 1, Limits{})
+	if err == nil {
+		t.Skip("machine finished the first stratum before the deadline")
+	}
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if stats.Iterations != 1 {
+		t.Fatalf("canceled run: %d rounds, want 1 (stopped at the stratum barrier)", stats.Iterations)
 	}
 }
 

@@ -7,10 +7,11 @@ import (
 )
 
 // Incremental view maintenance. A program compiled with CompileProgramIVM
-// carries one delta variant per EDB body occurrence in addition to the
-// per-IDB-occurrence variants the semi-naive fixpoint uses. ApplyUpdates
-// (delete.go) is the one write entry point; the insert side of every batch
-// propagates here, through those variants, without re-running the fixpoint:
+// carries one delta variant per body occurrence: EDB occurrences, and IDB
+// occurrences of lower strata as well as of the head's own (the stratified
+// fixpoint fires only the last kind). ApplyUpdates (delete.go) is the one
+// write entry point; the insert side of every batch propagates here,
+// through those variants, without re-running the fixpoint:
 //
 //   - the database itself is the maintenance state: it holds the base
 //     relations and the accumulated derived relations side by side (the
@@ -79,7 +80,7 @@ func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]st
 	var tasks []variantTask
 	cur := delta
 	for {
-		tasks = cp.deltaTasks(tasks[:0], cur, true)
+		tasks = deltaTasks(tasks[:0], cp.rules, cur, true)
 		if len(tasks) == 0 {
 			return derived, stats, gs.failure()
 		}

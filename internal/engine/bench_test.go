@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cq"
@@ -208,5 +209,98 @@ func BenchmarkPlanMiss(b *testing.B) {
 	b.StopTimer()
 	if st := e.Stats(); st.Hits != 0 {
 		b.Fatalf("%d plan-cache hits: the benchmark must miss every time", st.Hits)
+	}
+}
+
+// inverseExecSetup prepares the inverse-rules request path in the shape of
+// the repo benchmark's inverse_exec workload: four views that cover
+// q(X,Y) :- r(X,Z), s(Z,Y), grp(X,g0) only where Z is in a or in b (v1 hides
+// Z, so Skolem terms join r and s), 160 X values in two groups and 80 Z
+// values. There is no equivalent rewriting, so every Exec runs the
+// inverse-rules fixpoint.
+func inverseExecSetup(tb testing.TB) *PreparedQuery {
+	tb.Helper()
+	const nX, nZ = 160, 80
+	base := storage.NewDatabase()
+	shape := rand.New(rand.NewSource(1995))
+	insert := func(pred string, cols ...string) {
+		if err := base.Insert(pred, storage.Tuple(cols)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < nX; i++ {
+		x := fmt.Sprintf("x%d", i)
+		z := shape.Intn(nZ)
+		insert("r", x, fmt.Sprintf("z%d", z))
+		insert("r", x, fmt.Sprintf("z%d", (z+1+shape.Intn(nZ-1))%nZ))
+		insert("grp", x, fmt.Sprintf("g%d", i%2))
+	}
+	for j := 0; j < nZ; j++ {
+		z := fmt.Sprintf("z%d", j)
+		y := shape.Intn(nZ)
+		insert("s", z, fmt.Sprintf("y%d", y))
+		insert("s", z, fmt.Sprintf("y%d", y+1))
+		switch j % 3 {
+		case 0:
+			insert("a", z)
+		case 1:
+			insert("b", z)
+		}
+	}
+	views, err := cq.ParseViews(`
+		v1(X,Y) :- r(X,Z), s(Z,Y), a(Z).
+		v2(X,Z) :- r(X,Z), b(Z).
+		v3(Z,Y) :- s(Z,Y), b(Z).
+		v4(X,G) :- grp(X,G).`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := NewFromBase(base, views, Options{Strategy: InverseRules})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pq, err := e.Prepare(cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y), grp(X,g0)"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if pq.Plan().Kind != PlanInverseProgram {
+		tb.Fatalf("plan kind %v, want the inverse-rules program", pq.Plan().Kind)
+	}
+	return pq
+}
+
+// BenchmarkInverseExec is the one-line repro of the inverse-rules request
+// path: one prepared Exec, which evaluates the compiled inverse-rules
+// program to its fixpoint and filters the certain answers. Run with
+// -benchmem: allocs/op is what the repo benchmark's inverse_exec gates.
+func BenchmarkInverseExec(b *testing.B) {
+	pq := inverseExecSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pq.Exec(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestInverseExecAllocs guards what one inverse-rules Exec allocates. Before
+// the fixpoint was stratified and derived tuples came from an arena the
+// count was 4 691; the budget is the count measured since, 2 381, plus a
+// tenth.
+func TestInverseExecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	pq := inverseExecSetup(t)
+	rows, err := pq.Exec()
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("Exec: %d rows, err %v", len(rows), err)
+	}
+	if n := testing.AllocsPerRun(20, func() { pq.Exec() }); n > 2620 {
+		t.Fatalf("inverse-rules Exec: %.0f allocs/op, budget 2620", n)
 	}
 }

@@ -134,7 +134,8 @@ type Budget struct {
 	// fixpoints and update-batch propagation.
 	MaxDerivedTuples int
 	// MaxFixpointRounds bounds the number of semi-naive rounds of a
-	// fixpoint or propagation.
+	// fixpoint or propagation. A fixpoint counts its rounds across its
+	// strata: an inverse-rules program of a conjunctive query takes two.
 	MaxFixpointRounds int
 }
 

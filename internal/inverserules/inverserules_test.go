@@ -185,3 +185,33 @@ func TestAnswerEmptyViewDB(t *testing.T) {
 		t.Fatalf("answers = %v", got)
 	}
 }
+
+// TestInverseExecJoinOrder pins the join order of the maintenance plans of
+// an inverse-rules program whose query subgoals tie on every statistic (the
+// derived predicates have none): the variant rooted at s(V2,V1) must join r
+// through the bound V2 before it probes grp by its constant, not enumerate
+// grp(_,g0) × r. The body order is the engine's canonical one.
+func TestInverseExecJoinOrder(t *testing.T) {
+	views := []*cq.Query{
+		mustQ("v1(X,Y) :- r(X,Z), s(Z,Y), a(Z)"),
+		mustQ("v2(X,Z) :- r(X,Z), b(Z)"),
+		mustQ("v3(Z,Y) :- s(Z,Y), b(Z)"),
+		mustQ("v4(X,G) :- grp(X,G)"),
+	}
+	p, err := Program(mustQ("q(V0,V1) :- grp(V0,g0), r(V0,V2), s(V2,V1)"), views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := datalog.CompileProgramIVM(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `  Δs@2 (cross-stratum)
+    1. s  delta
+    2. r  index(col=1 <- slot 0)
+    3. grp  index(col=0 <- slot 2)  existential
+`
+	if d := cp.Describe(); !strings.Contains(d, want) {
+		t.Fatalf("Δs variant of the query rule is not\n%s\nprogram:\n%s", want, d)
+	}
+}
