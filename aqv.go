@@ -289,7 +289,8 @@ type (
 // inserts and deletes, either side nil). It indexes the columns the view
 // plans probe on its own copy of base, never on base itself, and it is the
 // function every engine builds its served state with: Maintainer.Database
-// is base plus extents, exactly what NewEngineFromBase serves.
+// is base plus extents, exactly what NewEngineFromBase serves when it can
+// plan partial rewritings (the extents alone otherwise).
 var NewMaintainer = ivm.New
 
 // ErrEngineNotLive reports a mutation (Engine.ApplyUpdate) on an engine
@@ -424,8 +425,10 @@ var (
 	// NewEngineFromBase materialises the views over base data through
 	// NewMaintainer (or recovers them under EngineOptions.DataDir) and
 	// builds an Engine serving from the result; base is only read. Static,
-	// live and durable engines serve the same database: base plus extents,
-	// or the extents alone under StrategyInverseRules.
+	// live and durable engines serve the same database, whatever the
+	// strategy: the view extents alone, or base plus extents under
+	// EngineOptions.AllowPartial with StrategyEquivalentFirst or
+	// StrategyAuto, the strategies that plan partial rewritings.
 	NewEngineFromBase = engine.NewFromBase
 	// ParseStrategy resolves a strategy name (CLI aliases accepted).
 	ParseStrategy = engine.ParseStrategy

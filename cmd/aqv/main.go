@@ -217,9 +217,9 @@ func runEquivalent(out *os.File, q *aqv.Query, views []*aqv.Query, vs *aqv.ViewS
 			st.Applications, st.ValidApplications, st.CandidatesTried, st.EquivalenceChecks)
 	}
 	if base != nil && len(results) > 0 {
-		// The execution database is the one the engine serves: view
-		// extents plus base relations (partial rewritings read both),
-		// materialised and indexed by the maintainer.
+		// The execution database is the one an AllowPartial engine
+		// serves: view extents plus base relations (partial rewritings
+		// read both), materialised and indexed by the maintainer.
 		m, err := aqv.NewMaintainer(base, views, aqv.MaintainerOptions{})
 		if err != nil {
 			return err

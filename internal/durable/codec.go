@@ -330,8 +330,8 @@ type Manifest struct {
 }
 
 // LayoutFull marks a snapshot holding the base relations and every view
-// extent — the maintainer's full state, from which any serving layout
-// (base+extents, or extents-only for inverse rules) is derivable.
+// extent — the maintainer's full state, from which either serving layout
+// (the extents alone, or base+extents for partial rewritings) is derivable.
 const LayoutFull = "full"
 
 // RelationMeta describes one relation segment in a snapshot.

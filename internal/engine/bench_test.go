@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cq"
@@ -286,6 +287,51 @@ func BenchmarkInverseExec(b *testing.B) {
 
 // raceEnabled is set by race_test.go when the race detector is on.
 var raceEnabled bool
+
+// TestLiveEngineFootprint guards the heap a live engine keeps in the shape
+// of the repo benchmark's point_exec workload: 20 000 r tuples, 20 000 s
+// tuples and one join view. The maintainer holds base plus extent; the two
+// serving sides hold the extent alone. When both sides also held the base
+// relations the engine kept 50.6 MiB; the budget is the footprint measured
+// since, 32.7 MiB, plus a tenth.
+func TestLiveEngineFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap footprints are not meaningful under the race detector")
+	}
+	const nR, nZ = 20000, 10000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := func() *Engine {
+		base := storage.NewDatabase()
+		shape := rand.New(rand.NewSource(1995))
+		for i := 0; i < nR; i++ {
+			base.Insert("r", storage.Tuple{fmt.Sprintf("k%d", i), fmt.Sprintf("z%d", shape.Intn(nZ))})
+		}
+		for j := 0; j < nZ; j++ {
+			y := shape.Intn(nZ)
+			base.Insert("s", storage.Tuple{fmt.Sprintf("z%d", j), fmt.Sprintf("y%d", y)})
+			base.Insert("s", storage.Tuple{fmt.Sprintf("z%d", j), fmt.Sprintf("y%d", y+1)})
+		}
+		views, err := cq.ParseViews("v(K,Y) :- r(K,Z), s(Z,Y).")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewFromBase(base, views, Options{Strategy: Auto, LiveUpdates: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	mib := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
+	runtime.KeepAlive(e)
+	t.Logf("live engine footprint: %.2f MiB", mib)
+	if mib > 36 {
+		t.Fatalf("live engine keeps %.2f MiB, budget 36", mib)
+	}
+}
 
 // TestInverseExecAllocs guards what one inverse-rules Exec allocates. Before
 // the fixpoint was stratified and derived tuples came from an arena the

@@ -22,8 +22,9 @@ import (
 // the mutation funnel into a log-then-publish commit protocol, and Close
 // into a checkpoint. The engine always snapshots the maintainer's *full*
 // state — base relations plus every extent — regardless of serving
-// strategy, so the same snapshot can boot any strategy and a stale
-// snapshot still yields its base facts for re-materialization.
+// layout, so the same snapshot can boot any strategy with or without
+// AllowPartial and a stale snapshot still yields its base facts for
+// re-materialization.
 
 // defaultSnapshotWALBytes is the WAL size that triggers a background
 // checkpoint when Options.SnapshotWALBytes is zero.
@@ -163,10 +164,17 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 				return nil, err
 			}
 			// Planning statistics come from the manifest instead of a scan
-			// over the loaded database. Replay drifts them slightly, which
-			// is fine: statistics steer plan shape, never correctness.
+			// over the loaded database, and cover exactly the relations
+			// newFromMaintainer serves — as a fresh engine's catalog does —
+			// so a restart never changes a plan. Replay drifts them
+			// slightly, which is fine: statistics steer plan shape, never
+			// correctness.
 			cat := cost.NewCatalog(storage.NewDatabase())
+			withBase := servesBase(opt)
 			for _, rm := range man.Relations {
+				if !rm.Extent && !withBase {
+					continue
+				}
 				rows := 0.0
 				if rel := db.Relation(rm.Name); rel != nil {
 					rows = float64(rel.Len())

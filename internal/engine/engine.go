@@ -4,7 +4,8 @@
 // behind one prepared-query interface.
 //
 // An Engine is built once from a view set and a database of materialised
-// view extents (plus any base relations partial rewritings may read). Each
+// view extents — plus the base relations, only when Options.AllowPartial
+// lets partial rewritings (EquivalentFirst or Auto) read them. Each
 // incoming query is canonicalised to a *template* (cq.CanonicalizeTemplate):
 // the canonical α-renamed form with its constants abstracted to ordered
 // placeholders. Rewriting plans are cached per template in a bounded LRU —
@@ -129,8 +130,14 @@ type Options struct {
 	// CacheSize bounds the plan LRU; default 128. Minimum 1.
 	CacheSize int
 	// AllowPartial admits equivalent rewritings that keep base subgoals
-	// (EquivalentFirst only); the database must then hold those base
-	// relations alongside the view extents.
+	// (EquivalentFirst and Auto, both of which search for equivalent
+	// rewritings first); the database must then hold those base relations
+	// alongside the view extents, and NewFromBase serves them under those
+	// two strategies. Every other engine built by NewFromBase serves the
+	// view extents alone: Bucket, MiniCon and InverseRules ignore
+	// AllowPartial. Auto under AllowPartial never falls back to inverse
+	// rules, whose program would read the served base facts alongside the
+	// ones it reconstructs; it takes MiniCon's union instead.
 	AllowPartial bool
 	// EvalWorkers is the number of goroutines a single evaluation fans
 	// its outermost join loop (or a fixpoint round's rule variants)
@@ -424,8 +431,8 @@ type Engine struct {
 type liveState struct {
 	maint *ivm.Maintainer
 	// servesBase: the serving sides hold the base relations alongside the
-	// extents (every strategy but inverse-rules, which serves extents
-	// only).
+	// extents (servesBase(opt); every other engine serves the extents
+	// alone), so base deltas are replayed onto them too.
 	servesBase bool
 
 	updateMu sync.Mutex
@@ -442,9 +449,11 @@ type flight struct {
 }
 
 // New builds an Engine over a view set and a database holding the view
-// extents (plus any base relations needed by partial rewritings or by the
-// fallback evaluation). The database is indexed and frozen for concurrent
-// reads; do not insert into it afterwards.
+// extents, plus the base relations partial rewritings read when
+// Options.AllowPartial is set. Every plan reads the database as given: a
+// base relation held without AllowPartial is read by inverse-rules programs
+// as if the views exposed it. The database is indexed and frozen for
+// concurrent reads; do not insert into it afterwards.
 func New(vs *core.ViewSet, db *storage.Database, opt Options) (*Engine, error) {
 	if vs == nil || vs.Len() == 0 {
 		return nil, errors.New("engine: empty view set")
@@ -523,9 +532,8 @@ func evalWorkers(opt Options) int {
 	return opt.EvalWorkers
 }
 
-// extentsOnly copies just the view extents out of a maintainer's database
-// — the serving layout under InverseRules, which reconstructs the base
-// from the extents and must not read base facts directly.
+// extentsOnly copies just the view extents out of a maintainer's database:
+// the serving layout of every engine without Options.AllowPartial.
 func extentsOnly(m *ivm.Maintainer, views []*cq.Query) (*storage.Database, error) {
 	db := storage.NewDatabase()
 	for _, v := range views {
@@ -541,20 +549,37 @@ func extentsOnly(m *ivm.Maintainer, views []*cq.Query) (*storage.Database, error
 	return db, nil
 }
 
+// servesBase is the one serving-layout rule: an engine serves the base
+// relations alongside the view extents only when it can plan partial
+// rewritings, which keep base subgoals — Options.AllowPartial under a
+// strategy that searches for equivalent rewritings (EquivalentFirst, the
+// default, or Auto). Every other engine serves the view extents alone.
+func servesBase(opt Options) bool {
+	if !opt.AllowPartial {
+		return false
+	}
+	switch opt.Strategy {
+	case "", EquivalentFirst, Auto:
+		return true
+	}
+	return false
+}
+
 // newFromMaintainer builds the engine around a maintainer — freshly
 // materialised by ivm.New, or recovered from a durable snapshot — and is
-// the one place the serving layout is decided. Under InverseRules the
-// engine serves the view extents alone: inverse rules reconstruct the base
-// relations from the extents, and serving the originals too would let the
-// compiled program read base facts directly, answering more than the views
-// expose. Every other strategy serves the maintainer's database, base
-// relations included, so partial rewritings keep working. A static engine
-// serves that layout as is; a live one keeps the maintainer and serves a
-// left-right pair of copies of it.
+// where the serving layout (servesBase) is applied. A rewriting is a query
+// over the views, so by default the engine serves the view extents alone,
+// for every strategy: serving the base relations too would let an
+// inverse-rules program (under InverseRules or Auto) read base facts
+// directly, answering more than the views expose. Only an engine that can
+// plan partial rewritings serves the maintainer's database, base relations
+// included. A static engine serves its layout and drops the maintainer; a
+// live one keeps the maintainer and serves a left-right pair of copies of
+// the layout.
 func newFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, opt Options) (*Engine, error) {
-	servesBase := opt.Strategy != InverseRules
+	withBase := servesBase(opt)
 	db := m.Database()
-	if !servesBase {
+	if !withBase {
 		var err error
 		if db, err = extentsOnly(m, views); err != nil {
 			return nil, err
@@ -574,7 +599,7 @@ func newFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, o
 	e.opt.LiveUpdates = true
 	side1 := db.Clone()
 	side1.BuildIndexes()
-	e.live = &liveState{maint: m, servesBase: servesBase}
+	e.live = &liveState{maint: m, servesBase: withBase}
 	e.live.sides = [2]*storage.Database{db, side1}
 	return e, nil
 }
@@ -1105,6 +1130,8 @@ func (e *Engine) planInverse(p *Plan, qc *cq.Query) error {
 // only when the MCR is empty: a parameterized program derives the answer
 // relation for every binding and filters per execution, so whenever
 // MiniCon can answer at all it wins regardless of the one-round estimate.
+// Under AllowPartial, where the engine serves the base, the inverse route
+// is never taken.
 func (e *Engine) planAuto(p *Plan, qc *cq.Query) error {
 	if e.planEquivalent(p, qc) {
 		return nil
@@ -1114,8 +1141,11 @@ func (e *Engine) planAuto(p *Plan, qc *cq.Query) error {
 	if err := e.planMiniCon(&mc, qc); err != nil {
 		return err
 	}
-	if mc.Union.Len() > 0 && len(p.Params) > 0 {
-		// MiniCon wins outright: don't build a program just to discard it.
+	// MiniCon wins outright — don't build a program just to discard it —
+	// for a parameterized template it can answer, and whenever the engine
+	// serves the base: a program there would read the base facts alongside
+	// the ones it reconstructs, answering more than the views expose.
+	if (mc.Union.Len() > 0 && len(p.Params) > 0) || servesBase(e.opt) {
 		p.Kind, p.Union, p.Estimate = mc.Kind, mc.Union, mc.Estimate
 		p.Chosen = MiniCon
 		return nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -315,7 +316,15 @@ func TestEquivalentFirstFallsBackToMiniCon(t *testing.T) {
 	}
 }
 
-func TestInverseRulesServesExtentsOnly(t *testing.T) {
+// TestServesExtentsOnly: a rewriting is a query over the views, so without
+// Options.AllowPartial no engine serves a base relation — whatever the
+// strategy, and whether it is static, live, durable or recovered from a
+// durable snapshot — and inverse rules answer the certain answers from the
+// extents alone. Under AllowPartial the strategies that plan partial
+// rewritings (EquivalentFirst, Auto) serve the base relations too, and a
+// partial rewriting reads them before and after a batch; the others still
+// serve the extents alone.
+func TestServesExtentsOnly(t *testing.T) {
 	base, views := testBase(t)
 	e, err := NewFromBase(base, views, Options{Strategy: InverseRules})
 	if err != nil {
@@ -337,16 +346,20 @@ func TestInverseRulesServesExtentsOnly(t *testing.T) {
 	// live, durable (first boot) and durable (recovered from that boot's
 	// snapshot) engines serve the same database and the same answers. The
 	// rows add a view-named base fact, which the maintainer keeps as
-	// baseline of the view's extent, and a view whose extent is empty.
+	// baseline of the view's extent, a view whose extent is empty, and
+	// AllowPartial with a base relation u no view covers.
 	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
+	qp := cq.MustParseQuery("qp(X,Y) :- r(X,Z), s(Z,Y), u(Y)")
 	for _, row := range []struct {
-		name  string
-		vFact storage.Tuple // base fact of the view predicate v added to testBase
-		views string        // views added to testBase's
+		name    string
+		vFact   storage.Tuple // base fact of the view predicate v added to testBase
+		views   string        // views added to testBase's
+		partial bool          // Options.AllowPartial, with base fact u(x) added
 	}{
 		{name: "testBase"},
 		{name: "view-named base fact", vFact: storage.Tuple{"c", "z"}},
 		{name: "empty extent", views: "ve(A) :- r(A,A)."},
+		{name: "AllowPartial", partial: true},
 	} {
 		for _, strat := range Strategies() {
 			base, views := testBase(t)
@@ -355,11 +368,28 @@ func TestInverseRulesServesExtentsOnly(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// The batch the live modes apply: r(a,m) out, r(c,m) in, and
+			// u(y) in where u exists.
+			ins := map[string][]storage.Tuple{"r": {{"c", "m"}}}
+			del := map[string][]storage.Tuple{"r": {{"a", "m"}}}
+			if row.partial {
+				if err := base.Insert("u", storage.Tuple{"x"}); err != nil {
+					t.Fatal(err)
+				}
+				ins["u"] = []storage.Tuple{{"y"}}
+			}
 			extra, err := cq.ParseViews(row.views)
 			if err != nil {
 				t.Fatal(err)
 			}
 			views = append(views, extra...)
+			isView := make(map[string]bool)
+			for _, v := range views {
+				isView[v.Name()] = true
+			}
+			// Only the strategies that plan partial rewritings serve the
+			// base under AllowPartial.
+			withBase := row.partial && (strat == EquivalentFirst || strat == Auto)
 			dir := t.TempDir()
 			var served *storage.Database
 			var answers []storage.Tuple
@@ -368,20 +398,30 @@ func TestInverseRulesServesExtentsOnly(t *testing.T) {
 				base *storage.Database
 				opt  Options
 			}{
-				{"static", base, Options{Strategy: strat}},
-				{"live", base, Options{Strategy: strat, LiveUpdates: true}},
-				{"durable", base, Options{Strategy: strat, DataDir: dir, WALNoSync: true}},
-				{"durable recovered", nil, Options{Strategy: strat, LiveUpdates: true, DataDir: dir, WALNoSync: true}},
+				{"static", base, Options{}},
+				{"live", base, Options{LiveUpdates: true}},
+				{"durable", base, Options{DataDir: dir, WALNoSync: true}},
+				{"durable recovered", nil, Options{LiveUpdates: true, DataDir: dir, WALNoSync: true}},
 			} {
 				where := row.name + "/" + string(strat) + "/" + mode.name
+				mode.opt.Strategy, mode.opt.AllowPartial = strat, row.partial
 				e, err := NewFromBase(mode.base, views, mode.opt)
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
 				db := e.Database()
-				if strat == InverseRules && db.Relation("r") != nil {
-					t.Fatalf("%s: inverse-rules engine must not hold base relations", where)
+				checkLayout := func(when string) {
+					t.Helper()
+					for _, pred := range base.Predicates() {
+						if isView[pred] {
+							continue
+						}
+						if rel := e.Database().Relation(pred); (rel != nil) != withBase {
+							t.Fatalf("%s%s: base relation %s served = %v, want %v", where, when, pred, rel != nil, withBase)
+						}
+					}
 				}
+				checkLayout("")
 				got := mustAnswer(t, e, q)
 				if served == nil {
 					served, answers = db, got
@@ -398,9 +438,113 @@ func TestInverseRulesServesExtentsOnly(t *testing.T) {
 				} else if !storage.TuplesEqual(got, answers) {
 					t.Fatalf("%s: answers %v, static engine %v", where, got, answers)
 				}
+				shadow := base
+				checkPartial := func(when string) {
+					t.Helper()
+					if !withBase {
+						return
+					}
+					p, err := e.Plan(qp)
+					if err != nil {
+						t.Fatalf("%s%s: %v", where, when, err)
+					}
+					if p.Kind != PlanEquivalent || p.Rewriting.Complete {
+						t.Fatalf("%s%s: plan %v (complete=%v), want a partial rewriting", where, when, p.Kind, p.Rewriting != nil && p.Rewriting.Complete)
+					}
+					if got, want := mustAnswer(t, e, qp), datalog.EvalQuery(shadow, qp); !storage.TuplesEqual(got, want) {
+						t.Fatalf("%s%s: partial rewriting answers %v, want %v", where, when, got, want)
+					}
+				}
+				checkPartial("")
+				if mode.opt.LiveUpdates {
+					if err := e.ApplyUpdate(ins, del); err != nil {
+						t.Fatalf("%s: batch: %v", where, err)
+					}
+					shadow = base.Clone()
+					for pred, tuples := range del {
+						for _, tup := range tuples {
+							shadow.Remove(pred, tup)
+						}
+					}
+					for pred, tuples := range ins {
+						for _, tup := range tuples {
+							if err := shadow.Insert(pred, tup); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					checkLayout(" after a batch")
+					checkPartial(" after a batch")
+				}
 				if err := e.Close(); err != nil {
 					t.Fatalf("%s: close: %v", where, err)
 				}
+			}
+		}
+	}
+}
+
+// TestAutoInverseReadsOnlyExtents: when Auto falls back to inverse rules,
+// the program reconstructs the base from the extents and must not also read
+// the base facts the views hide. The view hides r's second column, so
+// q(X,Z) :- r(X,Z) has no certain answer (MiniCon's union is empty and the
+// reconstructed r(a, f(a,x)) carries a Skolem term), on every construction
+// path. InverseRules under AllowPartial, which it ignores, answers the same,
+// and so does Auto under AllowPartial, which plans with MiniCon instead.
+func TestAutoInverseReadsOnlyExtents(t *testing.T) {
+	base := storage.NewDatabase()
+	for _, f := range []struct {
+		pred string
+		tup  storage.Tuple
+	}{{"r", storage.Tuple{"a", "m"}}, {"s", storage.Tuple{"m", "x"}}} {
+		if err := base.Insert(f.pred, f.tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views, err := cq.ParseViews("v1(X,Y) :- r(X,Z), s(Z,Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := cq.MustParseQuery("q(X,Z) :- r(X,Z)")
+	for _, cfg := range []struct {
+		Options
+		chosen Strategy
+	}{
+		{Options{Strategy: Auto}, InverseRules},
+		{Options{Strategy: InverseRules, AllowPartial: true}, InverseRules},
+		// Auto serves the base under AllowPartial, so it must not take the
+		// inverse route, whose program would read the served r.
+		{Options{Strategy: Auto, AllowPartial: true}, MiniCon},
+	} {
+		dir := t.TempDir()
+		for _, mode := range []struct {
+			name string
+			base *storage.Database
+			opt  Options
+		}{
+			{"static", base, Options{}},
+			{"live", base, Options{LiveUpdates: true}},
+			{"durable", base, Options{DataDir: dir, WALNoSync: true}},
+			{"durable recovered", nil, Options{LiveUpdates: true, DataDir: dir, WALNoSync: true}},
+		} {
+			where := fmt.Sprintf("%s partial=%v/%s", cfg.Strategy, cfg.AllowPartial, mode.name)
+			mode.opt.Strategy, mode.opt.AllowPartial = cfg.Strategy, cfg.AllowPartial
+			e, err := NewFromBase(mode.base, views, mode.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			p, err := e.Plan(q)
+			if err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			if p.Chosen != cfg.chosen {
+				t.Fatalf("%s: planned with %s, want %s", where, p.Chosen, cfg.chosen)
+			}
+			if got := mustAnswer(t, e, q); len(got) != 0 {
+				t.Fatalf("%s: answered %v from base facts the views hide, want none", where, got)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatalf("%s: close: %v", where, err)
 			}
 		}
 	}

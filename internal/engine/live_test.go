@@ -128,9 +128,9 @@ func TestLiveEngineAllStrategies(t *testing.T) {
 				t.Fatalf("%s batch %d: live %v, rebuilt %v", strat, bi, got, want)
 			}
 		}
-		if strat == InverseRules {
-			if live.Database().Relation("r") != nil {
-				t.Fatal("live inverse-rules engine must not serve base relations")
+		for _, pred := range []string{"r", "s", "t"} {
+			if live.Database().Relation(pred) != nil {
+				t.Fatalf("%s: live engine serves base relation %s without AllowPartial", strat, pred)
 			}
 		}
 	}

@@ -141,24 +141,7 @@ func bindFirst(q *cq.Query) *cq.Query {
 // the two public rewriting entry points over the template's plan query.
 func renderPlans(t *testing.T, c planCase) string {
 	t.Helper()
-	rng := rand.New(rand.NewSource(42))
-	preds := map[string]bool{}
-	base := storage.NewDatabase()
-	for _, v := range c.views {
-		for _, a := range v.Body {
-			if preds[a.Pred] {
-				continue
-			}
-			preds[a.Pred] = true
-			for i := 0; i < 40; i++ {
-				tu := make(storage.Tuple, len(a.Args))
-				for j := range tu {
-					tu[j] = fmt.Sprintf("c%d", rng.Intn(12))
-				}
-				_ = base.Insert(a.Pred, tu)
-			}
-		}
-	}
+	base := goldenBase(c)
 	var sb strings.Builder
 	for _, v := range c.views {
 		fmt.Fprintf(&sb, "view %s\n", v)
@@ -215,6 +198,31 @@ func renderPlans(t *testing.T, c planCase) string {
 		writeMembers(&sb, raw.Queries, 4)
 	}
 	return sb.String()
+}
+
+// goldenBase draws the base facts the engines of a golden case are built
+// over: 40 random tuples over 12 constants for every predicate its views
+// mention.
+func goldenBase(c planCase) *storage.Database {
+	rng := rand.New(rand.NewSource(42))
+	preds := map[string]bool{}
+	base := storage.NewDatabase()
+	for _, v := range c.views {
+		for _, a := range v.Body {
+			if preds[a.Pred] {
+				continue
+			}
+			preds[a.Pred] = true
+			for i := 0; i < 40; i++ {
+				tu := make(storage.Tuple, len(a.Args))
+				for j := range tu {
+					tu[j] = fmt.Sprintf("c%d", rng.Intn(12))
+				}
+				_ = base.Insert(a.Pred, tu)
+			}
+		}
+	}
+	return base
 }
 
 // writeMembers renders a list of rewritings in order. Lists longer than
