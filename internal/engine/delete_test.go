@@ -153,6 +153,7 @@ func TestEngineUpdateDifferential(t *testing.T) {
 			if err := live.ApplyUpdate(ins, del); err != nil {
 				t.Fatalf("trial %d (%s) batch %d: %v", trial, strat, batch, err)
 			}
+			checkSides(t, live)
 			for pred, tuples := range del {
 				for _, tup := range tuples {
 					shadow.Remove(pred, tup)

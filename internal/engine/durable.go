@@ -18,13 +18,16 @@ import (
 )
 
 // Durable storage wiring: Options.DataDir turns construction into
-// recovery (newest valid snapshot + WAL replay through the maintainer),
-// the mutation funnel into a log-then-publish commit protocol, and Close
-// into a checkpoint. The engine always snapshots the maintainer's *full*
-// state — base relations plus every extent — regardless of serving
-// layout, so the same snapshot can boot any strategy with or without
-// AllowPartial and a stale snapshot still yields its base facts for
-// re-materialization.
+// recovery (newest valid snapshot + WAL replay through the maintainer,
+// before any serving side exists, so recovery copies nothing but the one
+// clone that becomes side 1), the mutation funnel into a log-then-publish
+// commit protocol (the batch is logged while its side is still locked and
+// inactive), and Close into a checkpoint. The engine always snapshots the
+// maintainer's *full* state — its private base relations plus the extents
+// of the side it is bound to, which are current between batches —
+// regardless of serving layout, so the same snapshot can boot any strategy
+// with or without AllowPartial and a stale snapshot still yields its base
+// facts for re-materialization.
 
 // defaultSnapshotWALBytes is the WAL size that triggers a background
 // checkpoint when Options.SnapshotWALBytes is zero.
@@ -234,7 +237,9 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 
 // checkpoint writes a snapshot of the maintainer's full state. The caller
 // must hold whatever excludes concurrent batches (the update mutex, or
-// construction-time exclusivity).
+// construction-time exclusivity). On a live engine the maintainer's extents
+// are the relations of the active serving side; the snapshot only reads
+// them, alongside the readers.
 func (ds *durableState) checkpoint(m *ivm.Maintainer) error {
 	db := m.Database()
 	cat := cost.NewCatalog(db)
@@ -316,8 +321,9 @@ func (e *Engine) Close() error {
 
 // logBatch appends one applied batch to the WAL — the effective batch (the
 // tuples that actually changed), which replays to the identical state.
-// Called under the update mutex, after the maintainer committed and before
-// the publish. An empty effective batch logs nothing.
+// Called under the update mutex, after the maintainer committed the batch
+// onto the inactive serving side and before that side is flipped active.
+// An empty effective batch logs nothing.
 func (ds *durableState) logBatch(res *ivm.BatchResult) error {
 	if len(res.BaseDeleted) == 0 && len(res.BaseInserted) == 0 {
 		return nil

@@ -266,23 +266,47 @@ func TestDurableFailStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mustAnswer(t, e, cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
+	sides := [2]*storage.Database{e.live.sides[0].Clone(), e.live.sides[1].Clone()}
 
 	// Sabotage the log: closing the store underneath the engine makes every
 	// later append fail, which must surface as ErrDurability and leave the
-	// read path serving the last published state.
+	// read path serving the last published state. The batch retracts
+	// r(a,m)'s extent tuples and derives r(zz,m)'s on the side it
+	// maintains; the failed append must undo both there.
 	if err := e.dur.store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	uerr := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"zz", "zz"}}}, nil)
+	batch := map[string][]storage.Tuple{"r": {{"zz", "m"}}}
+	del := map[string][]storage.Tuple{"r": {{"a", "m"}}}
+	uerr := e.ApplyUpdate(batch, del)
 	if !errors.Is(uerr, ErrDurability) {
 		t.Fatalf("update after WAL failure returned %v, want ErrDurability", uerr)
 	}
 	if code := ErrorCode(uerr); code != CodeDurability {
 		t.Fatalf("ErrorCode = %q, want %q", code, CodeDurability)
 	}
+	for i, side := range e.live.sides {
+		if !side.Equal(sides[i]) {
+			t.Fatalf("side %d changed by an unlogged batch:\n%s\nvs\n%s", i, side.Summary(), sides[i].Summary())
+		}
+	}
+	if r := e.live.maint.Database().Relation("r"); r.Contains(storage.Tuple{"zz", "m"}) || !r.Contains(storage.Tuple{"a", "m"}) {
+		t.Fatal("maintainer kept the base changes of an unlogged batch")
+	}
 	got := mustAnswer(t, e, cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
 	if !storage.TuplesEqual(got, want) {
 		t.Fatalf("reads changed after failed update: %v vs %v", got, want)
+	}
+	// The engine is wedged: the next batch is refused without touching
+	// either side.
+	if err := e.ApplyUpdate(batch, del); !errors.Is(err, ErrDurability) {
+		t.Fatalf("batch after a WAL failure returned %v, want ErrDurability", err)
+	}
+	checkSides(t, e)
+	for i, side := range e.live.sides {
+		if !side.Equal(sides[i]) {
+			t.Fatalf("side %d changed by a refused batch", i)
+		}
 	}
 }
 

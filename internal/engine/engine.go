@@ -416,17 +416,21 @@ type Engine struct {
 }
 
 // liveState is the engine's mutation machinery: the incremental maintainer
-// that turns base inserts into extent deltas, and a left-right pair of
-// serving databases giving readers torn-free snapshots without blocking
-// them behind maintenance.
+// and a left-right pair of serving databases giving readers torn-free
+// snapshots without blocking them behind maintenance. Every served relation
+// exists in exactly two physical copies, one per side; the maintainer keeps
+// privately only what no side serves — the base relations, unless
+// servesBase — and maintains the sides' own relations.
 //
 // Readers snapshot the active side under its RLock. A writer (one at a
-// time, under updateMu) first computes the batch's extent deltas on the
-// maintainer's private database, then appends the deltas to the inactive
-// side under its write lock, publishes that side as active, and finally
-// appends to the formerly active side once its readers drain. Every
-// mutation of a serving side happens under that side's write lock, so a
-// reader sees either the pre-batch or the post-batch database — never a
+// time, under updateMu) binds the maintainer's database to the inactive
+// side's relations and maintains that side in place under its write lock,
+// which it holds through the WAL append and the flip that makes the side
+// active: no reader, not even a straggler that loaded the inactive index
+// before the previous flip, sees a batch that is not logged. The writer then
+// replays the batch onto the formerly active side once its readers drain.
+// Every mutation of a serving side happens under that side's write lock, so
+// a reader sees either the pre-batch or the post-batch database — never a
 // torn mix — while reads on the active side proceed during maintenance.
 type liveState struct {
 	maint *ivm.Maintainer
@@ -439,6 +443,11 @@ type liveState struct {
 	sides    [2]*storage.Database
 	locks    [2]sync.RWMutex
 	active   atomic.Int32
+	// failed wedges mutations once a batch could not be logged or replayed
+	// onto the standby side: no later batch may be maintained onto a side
+	// that missed one. Reads keep serving the active side. Guarded by
+	// updateMu.
+	failed error
 }
 
 // flight is one in-progress plan construction other callers can wait on.
@@ -532,20 +541,19 @@ func evalWorkers(opt Options) int {
 	return opt.EvalWorkers
 }
 
-// extentsOnly copies just the view extents out of a maintainer's database:
-// the serving layout of every engine without Options.AllowPartial.
+// extentsOnly selects the view extents of a maintainer's database without
+// copying them: a database of its own holding the maintainer's extent
+// relations themselves.
 func extentsOnly(m *ivm.Maintainer, views []*cq.Query) (*storage.Database, error) {
-	db := storage.NewDatabase()
-	for _, v := range views {
-		src := m.Database().Relation(v.Name())
-		rel, err := db.Ensure(v.Name(), src.Arity())
-		if err != nil {
+	names := make([]string, len(views))
+	for i, v := range views {
+		if _, err := m.Database().Ensure(v.Name(), v.Arity()); err != nil {
 			return nil, err
 		}
-		for _, t := range src.Tuples() {
-			rel.Insert(t)
-		}
+		names[i] = v.Name()
 	}
+	db := storage.NewDatabase()
+	db.Bind(m.Database(), names...)
 	return db, nil
 }
 
@@ -572,20 +580,20 @@ func servesBase(opt Options) bool {
 // for every strategy: serving the base relations too would let an
 // inverse-rules program (under InverseRules or Auto) read base facts
 // directly, answering more than the views expose. Only an engine that can
-// plan partial rewritings serves the maintainer's database, base relations
-// included. A static engine serves its layout and drops the maintainer; a
-// live one keeps the maintainer and serves a left-right pair of copies of
-// the layout.
+// plan partial rewritings serves the base relations too. The layout is a
+// selection of the maintainer's own relations, not a copy: a static engine
+// serves it and drops the maintainer (and with it, the base relations it
+// does not serve); a live one keeps the maintainer, serves the selection as
+// side 0 and one clone of it as side 1, and from then on the maintainer
+// shares whichever side it maintains (liveState).
 func newFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, opt Options) (*Engine, error) {
 	withBase := servesBase(opt)
-	db := m.Database()
-	if !withBase {
-		var err error
-		if db, err = extentsOnly(m, views); err != nil {
-			return nil, err
-		}
-	} else if opt.LiveUpdates {
-		db = db.Clone()
+	db, err := extentsOnly(m, views)
+	if err != nil {
+		return nil, err
+	}
+	if withBase {
+		db.Bind(m.Database())
 	}
 	inner := opt
 	inner.LiveUpdates = false
@@ -597,10 +605,7 @@ func newFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, o
 		return e, nil
 	}
 	e.opt.LiveUpdates = true
-	side1 := db.Clone()
-	side1.BuildIndexes()
-	e.live = &liveState{maint: m, servesBase: withBase}
-	e.live.sides = [2]*storage.Database{db, side1}
+	e.live = &liveState{maint: m, servesBase: withBase, sides: [2]*storage.Database{db, db.Clone()}}
 	return e, nil
 }
 
@@ -651,27 +656,71 @@ func (e *Engine) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) error 
 	return e.ApplyUpdateCtx(context.Background(), inserts, deletes)
 }
 
-// applySide applies one batch's removals and deltas to serving side i under
-// the side's write lock. Removals replay before insertions: a tuple deleted
-// and re-derived in the same batch appears in both BatchResult maps, and
-// the opposite order would retract it from the serving side after
-// re-inserting it. Everything goes through the side's journal so a failed
-// publish can undo it.
-func (l *liveState) applySide(i int32, res *ivm.BatchResult, j *storage.Journal) error {
+// applySide replays a batch the maintainer committed on the other side onto
+// serving side i, under the side's write lock and through a journal. On an
+// error or panic the side is rolled back to its pre-batch state before the
+// lock is released, so a straggler reading it never sees a torn mix, and
+// mutations are wedged: the side missed a committed batch and must never
+// be maintained again. A panic is re-raised after that. Called under
+// updateMu.
+func (l *liveState) applySide(i int32, res *ivm.BatchResult) (err error) {
 	l.locks[i].Lock()
 	defer l.locks[i].Unlock()
 	db := l.sides[i]
-	if l.servesBase {
+	j := storage.NewJournal(db)
+	defer func() {
+		r := recover()
+		if r == nil && err == nil {
+			return
+		}
+		j.Rollback()
+		cause := err
+		if r != nil {
+			cause = fmt.Errorf("panic: %v", r)
+		}
+		l.failed = fmt.Errorf("%w: a committed batch could not be replayed onto the standby serving side; refusing further mutations (reads keep serving): %v", ErrInternal, cause)
+		if r != nil {
+			panic(r)
+		}
+		err = l.failed
+	}()
+	return replayBatch(db, j, res, l.servesBase)
+}
+
+// replayBatch applies one batch's removals and then its insertions to db —
+// the base relations' too when withBase. Removals go first: a tuple deleted
+// and re-derived in the same batch appears in both BatchResult maps, and
+// the opposite order would retract it after re-inserting it. Removals go
+// through j, which the insertions extend, so j.Rollback undoes the replay.
+func replayBatch(db *storage.Database, j *storage.Journal, res *ivm.BatchResult, withBase bool) error {
+	if withBase {
 		removeDelta(j, res.BaseDeleted)
 	}
 	removeDelta(j, res.ExtentRetracted)
 	j.MarkInserts()
-	if l.servesBase {
+	if withBase {
 		if err := appendDelta(db, res.BaseInserted); err != nil {
 			return err
 		}
 	}
 	return appendDelta(db, res.ExtentDelta)
+}
+
+// undoBatch reverts a committed batch on the database the maintainer
+// applied it to — the base relations and the extents of the side it is
+// bound to — by replaying the inverse batch: its insertions removed, then
+// its removals re-inserted. Tuple sets are exactly the pre-batch ones; the
+// maintainer's derivation counts are not, so the caller must wedge
+// mutations.
+func undoBatch(db *storage.Database, res *ivm.BatchResult) {
+	inv := &ivm.BatchResult{
+		BaseInserted:    res.BaseDeleted,
+		BaseDeleted:     res.BaseInserted,
+		ExtentDelta:     res.ExtentRetracted,
+		ExtentRetracted: res.ExtentDelta,
+	}
+	// Cannot fail: every relation it inserts into exists, at its arity.
+	_ = replayBatch(db, storage.NewJournal(db), inv, true)
 }
 
 // removeDelta removes retracted tuples from a serving side through its

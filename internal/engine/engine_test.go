@@ -347,7 +347,9 @@ func TestServesExtentsOnly(t *testing.T) {
 	// snapshot) engines serve the same database and the same answers. The
 	// rows add a view-named base fact, which the maintainer keeps as
 	// baseline of the view's extent, a view whose extent is empty, and
-	// AllowPartial with a base relation u no view covers.
+	// AllowPartial with a base relation u no view covers — held from the
+	// start, or first created by the batch, which must then land on both
+	// serving sides of the engines that serve the base.
 	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
 	qp := cq.MustParseQuery("qp(X,Y) :- r(X,Z), s(Z,Y), u(Y)")
 	for _, row := range []struct {
@@ -355,11 +357,13 @@ func TestServesExtentsOnly(t *testing.T) {
 		vFact   storage.Tuple // base fact of the view predicate v added to testBase
 		views   string        // views added to testBase's
 		partial bool          // Options.AllowPartial, with base fact u(x) added
+		newPred bool          // under partial: u(x) is left out, so the batch creates u
 	}{
 		{name: "testBase"},
 		{name: "view-named base fact", vFact: storage.Tuple{"c", "z"}},
 		{name: "empty extent", views: "ve(A) :- r(A,A)."},
 		{name: "AllowPartial", partial: true},
+		{name: "AllowPartial, new base predicate", partial: true, newPred: true},
 	} {
 		for _, strat := range Strategies() {
 			base, views := testBase(t)
@@ -373,8 +377,10 @@ func TestServesExtentsOnly(t *testing.T) {
 			ins := map[string][]storage.Tuple{"r": {{"c", "m"}}}
 			del := map[string][]storage.Tuple{"r": {{"a", "m"}}}
 			if row.partial {
-				if err := base.Insert("u", storage.Tuple{"x"}); err != nil {
-					t.Fatal(err)
+				if !row.newPred {
+					if err := base.Insert("u", storage.Tuple{"x"}); err != nil {
+						t.Fatal(err)
+					}
 				}
 				ins["u"] = []storage.Tuple{{"y"}}
 			}
@@ -474,6 +480,12 @@ func TestServesExtentsOnly(t *testing.T) {
 						}
 					}
 					checkLayout(" after a batch")
+					checkSides(t, e)
+					for i, side := range e.live.sides {
+						if rel := side.Relation("u"); (rel != nil) != withBase {
+							t.Fatalf("%s: after a batch, side %d serves u = %v, want %v", where, i, rel != nil, withBase)
+						}
+					}
 					checkPartial(" after a batch")
 				}
 				if err := e.Close(); err != nil {

@@ -92,6 +92,7 @@ func TestFaultInjectionDifferential(t *testing.T) {
 			default:
 				t.Fatalf("trial %d (%s) batch %d: unexpected error type: %v", trial, strat, batch, err)
 			}
+			checkSides(t, live)
 
 			// Differential check, itself sometimes under an injected fault
 			// on the query path.

@@ -499,11 +499,11 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, lim dat
 // ApplyUpdateCtx is ApplyUpdate under a context: the propagation observes
 // cancellation within one guard interval or round barrier, and a canceled
 // or budget-tripped batch — even one caught mid-retraction — is atomic: the
-// maintainer rolls its database back and neither serving side is touched,
-// so the engine keeps answering from the exact pre-batch state and the
-// batch can simply be retried. The engine-wide Options.Budget applies
-// (deadline, MaxDerivedTuples, MaxFixpointRounds; MaxResultRows does not
-// apply to updates).
+// maintainer rolls back the inactive serving side it was maintaining in
+// place before any reader can see it, so the engine keeps answering from
+// the exact pre-batch state and the batch can simply be retried. The
+// engine-wide Options.Budget applies (deadline, MaxDerivedTuples,
+// MaxFixpointRounds; MaxResultRows does not apply to updates).
 func (e *Engine) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string][]storage.Tuple) error {
 	return e.ApplyUpdateBudget(ctx, inserts, deletes, e.opt.Budget)
 }
@@ -511,8 +511,10 @@ func (e *Engine) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string
 // ApplyUpdateBudget is ApplyUpdate under a context and an explicit per-call
 // budget overriding Options.Budget — the execution path every mutation
 // funnels through: panic isolation, deadline attachment, admission (updates
-// weigh 2), the maintainer's atomic propagation, and the left-right publish
-// of removals and deltas.
+// weigh 2), the maintainer's atomic propagation onto the inactive serving
+// side, the WAL append, the flip, and the replay onto the other side. Once
+// a batch could not be logged or replayed, every later call is refused
+// with that error (ErrDurability or ErrInternal) while reads keep serving.
 func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[string][]storage.Tuple, b Budget) (err error) {
 	if e.live == nil {
 		return ErrNotLive
@@ -529,6 +531,9 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 	l := e.live
 	l.updateMu.Lock()
 	defer l.updateMu.Unlock()
+	if l.failed != nil {
+		return l.failed
+	}
 	if e.dur != nil {
 		if derr := e.dur.store.Err(); derr != nil {
 			// Fail-stop: an earlier WAL write failed; accepting this batch
@@ -537,27 +542,14 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 		}
 	}
 	start := time.Now()
-	res, err := l.maint.ApplyUpdateCtx(ctx, inserts, deletes, b.limits())
+	active := l.active.Load()
+	res, err := e.commit(ctx, 1-active, inserts, deletes, b.limits())
 	if err != nil {
-		// The maintainer rolled back; the serving sides were never touched.
 		return err
 	}
-	// Commit protocol with durability on: the batch is fsynced to the WAL
-	// after the maintainer accepted it (so a canceled or budget-tripped
-	// batch is never logged) and before it publishes (so recovery replays
-	// exactly the batches callers were acknowledged for). If the append
-	// fails, the batch is not published and the engine wedges mutations:
-	// the maintainer is one unacknowledged batch ahead of the sides, which
-	// is invisible to readers and absent after restart.
-	if e.dur != nil {
-		if derr := e.dur.logBatch(res); derr != nil {
-			return derr
-		}
-	}
-	// A batch that finishes propagation before the deadline publishes: the
-	// publish step replays already-computed removals and deltas and is not
-	// a cancellation point — aborting it would tear the left-right pair.
-	if err := e.publish(res); err != nil {
+	// The batch is logged and served. Replaying it onto the formerly active
+	// side is not a cancellation point; a failed replay wedges mutations.
+	if err := l.applySide(active, res); err != nil {
 		return err
 	}
 	if e.dur != nil {
@@ -582,39 +574,44 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 	return nil
 }
 
-// publish replays a batch's removals and deltas onto both serving sides
-// with the usual left-right flip, each side under its own storage.Journal.
-// On an error or panic partway through, both journals are rolled back under
-// the sides' write locks and the active pointer restored, so the serving
-// pair never stays torn (intra-relation order may permute — Remove
-// backfills from the tail — which snapshots never observe); a panic is
-// re-raised to the entry point's recover guard after the rollback. Called
-// under updateMu.
-func (e *Engine) publish(res *ivm.BatchResult) (err error) {
+// commit maintains serving side i — the inactive one — in place and makes
+// it active. Under the side's write lock, held throughout, the maintainer's
+// database is bound to the side's relations, the maintainer applies the
+// batch (datalog.ApplyUpdates journals it and rolls it back on any error or
+// panic, leaving the side untouched), the batch is fsynced to the WAL, and
+// the side is flipped active. A batch is therefore logged before any
+// reader sees it, and a canceled or budget-tripped batch is never logged.
+// If the append fails, the batch is undone on the side before the lock is
+// released and mutations are wedged. Called under updateMu.
+func (e *Engine) commit(ctx context.Context, i int32, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*ivm.BatchResult, error) {
 	l := e.live
-	active := l.active.Load()
-	journals := [2]*storage.Journal{storage.NewJournal(l.sides[0]), storage.NewJournal(l.sides[1])}
-	defer func() {
-		r := recover()
-		if r == nil && err == nil {
-			return
+	side, db := l.sides[i], l.maint.Database()
+	l.locks[i].Lock()
+	defer l.locks[i].Unlock()
+	db.Bind(side)
+	res, err := l.maint.ApplyUpdateCtx(ctx, inserts, deletes, lim)
+	if err != nil {
+		return nil, err
+	}
+	if e.dur != nil {
+		if err := e.dur.logBatch(res); err != nil {
+			undoBatch(db, res)
+			l.failed = err
+			return nil, err
 		}
-		for i := range journals {
-			l.locks[i].Lock()
-			journals[i].Rollback()
-			l.locks[i].Unlock()
+	}
+	if l.servesBase {
+		// A base relation the batch created lands on the side it was
+		// written for, frozen like every served relation.
+		for pred := range res.BaseInserted {
+			if rel := db.Relation(pred); !rel.Frozen() {
+				rel.BuildIndexes()
+			}
 		}
-		l.active.Store(active)
-		if r != nil {
-			panic(r)
-		}
-	}()
-	i := 1 - active
-	if err := l.applySide(i, res, journals[i]); err != nil {
-		return err
+		side.Bind(db)
 	}
 	l.active.Store(i)
-	return l.applySide(1-i, res, journals[1-i])
+	return res, nil
 }
 
 // evalPlanCtx is evalPlan under a context and limits: the compiled

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/cq"
+	"repro/internal/ivm"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -198,6 +200,7 @@ func TestLiveEngineDifferential(t *testing.T) {
 			if err := live.ApplyUpdate(upd, nil); err != nil {
 				t.Fatalf("trial %d (%s) batch %d: %v", trial, strat, batch, err)
 			}
+			checkSides(t, live)
 			fresh, err := NewFromBase(shadow, views, Options{Strategy: strat})
 			if err != nil {
 				t.Fatalf("trial %d (%s) batch %d: rebuild: %v", trial, strat, batch, err)
@@ -225,12 +228,103 @@ func TestLiveEngineDifferential(t *testing.T) {
 	}
 }
 
+// checkSides pins the left-right invariant of a live engine between
+// batches, committed or rolled back: both serving sides hold equal tuple
+// sets for every relation, they share no relation, and every relation a
+// side serves is, in the maintainer's database, one of the two sides' own
+// relations — the served state exists in two physical copies, not three.
+func checkSides(t *testing.T, e *Engine) {
+	t.Helper()
+	l := e.live
+	l.updateMu.Lock()
+	defer l.updateMu.Unlock()
+	if !l.sides[0].Equal(l.sides[1]) {
+		t.Fatalf("serving sides diverge:\n%s\nvs\n%s", l.sides[0].Summary(), l.sides[1].Summary())
+	}
+	maint := l.maint.Database()
+	for _, pred := range l.sides[0].Predicates() {
+		s0, s1 := l.sides[0].Relation(pred), l.sides[1].Relation(pred)
+		if s0 == s1 {
+			t.Fatalf("serving sides share relation %s", pred)
+		}
+		if m := maint.Relation(pred); m != s0 && m != s1 {
+			t.Fatalf("maintainer's relation %s is neither side's: a third copy", pred)
+		}
+	}
+}
+
+// TestReplayFailureWedges: a committed batch that cannot be replayed onto
+// the standby side — an error or a panic partway through — leaves that side
+// rolled back to its pre-batch state and wedges mutations, since no batch
+// may be maintained onto a side that missed one, while reads keep serving
+// the active side.
+func TestReplayFailureWedges(t *testing.T) {
+	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
+	for _, tc := range []struct {
+		name string
+		bad  func(v storage.Tuple) *ivm.BatchResult
+	}{
+		// One genuine retraction, then an insertion of the wrong arity.
+		{"error", func(v storage.Tuple) *ivm.BatchResult {
+			return &ivm.BatchResult{
+				ExtentRetracted: map[string][]storage.Tuple{"v": {v}},
+				ExtentDelta:     map[string][]storage.Tuple{"v": {{"only-one"}}},
+			}
+		}},
+		// A retraction of the wrong arity panics in storage.
+		{"panic", func(v storage.Tuple) *ivm.BatchResult {
+			return &ivm.BatchResult{
+				ExtentRetracted: map[string][]storage.Tuple{"v": {{"only-one"}}},
+			}
+		}},
+	} {
+		base, views := testBase(t)
+		e, err := NewFromBase(base, views, Options{LiveUpdates: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"c", "n"}}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := mustAnswer(t, e, q)
+		l := e.live
+		standby := 1 - l.active.Load()
+		before := l.sides[standby].Clone()
+		bad := tc.bad(l.sides[standby].Relation("v").Tuples()[0].Clone())
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != (tc.name == "panic") {
+					t.Fatalf("%s: recovered %v", tc.name, r)
+				}
+			}()
+			l.updateMu.Lock()
+			defer l.updateMu.Unlock()
+			if err := l.applySide(standby, bad); !errors.Is(err, ErrInternal) {
+				t.Fatalf("%s: replay returned %v, want ErrInternal", tc.name, err)
+			}
+		}()
+		if !l.sides[standby].Equal(before) {
+			t.Fatalf("%s: failed replay left the standby side torn:\n%s\nvs\n%s", tc.name, l.sides[standby].Summary(), before.Summary())
+		}
+		uerr := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"d", "n"}}}, nil)
+		if !errors.Is(uerr, ErrInternal) || ErrorCode(uerr) != CodeInternal {
+			t.Fatalf("%s: batch after a failed replay returned %v, want a refusal matching ErrInternal", tc.name, uerr)
+		}
+		checkSides(t, e)
+		if got := mustAnswer(t, e, q); !storage.TuplesEqual(got, want) {
+			t.Fatalf("%s: reads changed after the refusal: %v vs %v", tc.name, got, want)
+		}
+	}
+}
+
 // TestLiveEngineSnapshotRace runs concurrent Answer calls (EvalWorkers=4)
 // against a stream of insert-only ApplyUpdate batches. The query is disconnected —
 // its answer is the cross product of two separately updated relations —
 // so a torn read (one relation pre-batch, the other post-batch) would
-// produce an answer set matching no consistent state. Run under -race in
-// CI, this also checks the snapshot locking itself.
+// produce an answer set matching no consistent state. A durable engine,
+// whose writer holds the maintained side's lock through the WAL append,
+// runs the same stream. Run under -race in CI, this also checks the
+// snapshot locking itself.
 func TestLiveEngineSnapshotRace(t *testing.T) {
 	base := storage.NewDatabase()
 	base.Insert("r", storage.Tuple{"x0", "k"})
@@ -275,8 +369,17 @@ func TestLiveEngineSnapshotRace(t *testing.T) {
 		return -1
 	}
 
-	for _, strat := range []Strategy{EquivalentFirst, InverseRules} {
-		e, err := NewFromBase(base, views, Options{Strategy: strat, LiveUpdates: true, EvalWorkers: 4})
+	for _, opt := range []Options{
+		{Strategy: EquivalentFirst},
+		{Strategy: InverseRules},
+		{Strategy: EquivalentFirst, DataDir: t.TempDir(), WALNoSync: true},
+	} {
+		strat := string(opt.Strategy)
+		if opt.DataDir != "" {
+			strat += "/durable"
+		}
+		opt.LiveUpdates, opt.EvalWorkers = true, 4
+		e, err := NewFromBase(base, views, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -330,6 +433,9 @@ func TestLiveEngineSnapshotRace(t *testing.T) {
 		}
 		if matchesState(final) != nBatches {
 			t.Fatalf("%s: final state %v, want state %d", strat, final, nBatches)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

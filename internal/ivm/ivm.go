@@ -1,7 +1,7 @@
 // Package ivm incrementally maintains materialized view extents under
 // base-fact inserts, deletions, and mixed update batches. A Maintainer
-// owns a private database holding the base relations and every view
-// extent; each view definition is compiled once into per-EDB-occurrence
+// maintains one database holding the base relations and every view extent
+// (Database); each view definition is compiled once into per-EDB-occurrence
 // delta plans (datalog.CompileProgramIVM), and an update batch runs one
 // semi-naive propagation round per affected occurrence instead of
 // re-materializing any extent — work is proportional to the consequences
@@ -16,10 +16,13 @@
 // zero. A batch applies its deletions first and is atomic whatever it
 // holds.
 //
-// The Maintainer is the engine's mutation path: Engine.ApplyUpdate applies
-// a batch here, then forwards the returned base and extent deltas to the
-// serving snapshots. It is equally usable standalone for applications that
-// keep extents fresh without the serving layer.
+// The Maintainer is the engine's mutation path. The engine does not give it
+// extents of its own: before each batch it binds the maintained database to
+// the relations of its inactive serving side (storage.Database.Bind), so
+// Engine.ApplyUpdate maintains that side in place, and forwards the
+// returned deltas to the other side only. The maintainer keeps privately
+// just the relations no side serves. It is equally usable standalone for
+// applications that keep extents fresh without the serving layer.
 //
 // A Maintainer is single-writer: calls to ApplyUpdate must be serialized by
 // the caller (the engine holds an update mutex). Reads of the maintained
@@ -51,7 +54,7 @@ type Maintainer struct {
 	viewNames map[string]bool
 	cp        *datalog.CompiledProgram
 	st        *datalog.MaintState
-	db        *storage.Database // base relations + maintained extents
+	db        *storage.Database // base relations + maintained extents; see Database
 	opt       Options
 
 	batches      uint64
@@ -197,8 +200,10 @@ func (m *Maintainer) IsView(pred string) bool { return m.viewNames[pred] }
 
 // Database returns the maintained database: base relations plus every view
 // extent, frozen, with indexes maintained across batches. It is the live
-// maintenance state — callers must not mutate it, and must not read it
-// concurrently with ApplyUpdate.
+// maintenance state — callers must not read it concurrently with
+// ApplyUpdate, and may change it only by binding relations of equal
+// contents into it (storage.Database.Bind), which the next batch then
+// maintains in place: the engine binds it to a serving side that way.
 func (m *Maintainer) Database() *storage.Database { return m.db }
 
 // ApplyUpdate applies a batch of base-fact changes — deletes and inserts,

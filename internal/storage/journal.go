@@ -2,7 +2,8 @@ package storage
 
 // Journal is the rollback log of one atomic batch against a Database — the
 // single undo mechanism behind datalog.ApplyUpdates (the maintained
-// database) and the engine's left-right publish (each serving side).
+// database, which in a live engine holds the relations of the serving side
+// being written) and the engine's replay onto the other serving side.
 //
 // A batch has two phases. The delete phase removes tuples through Remove,
 // which records each successful removal: removals swap-fill positions, so

@@ -10,6 +10,7 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -410,6 +411,23 @@ func (db *Database) Ensure(pred string, arity int) (*Relation, error) {
 // Drop removes the relation for pred, if present — the rollback companion
 // to TruncateTo for relations a failed batch created.
 func (db *Database) Drop(pred string) { delete(db.rels, pred) }
+
+// Bind makes db hold relations of src themselves, not copies: each named
+// relation of src — every one when preds is empty — replaces db's relation
+// of that name, so a write through either database reaches both. Relations
+// of db that src does not name are kept; a named relation src lacks is
+// skipped. Binding allocates nothing once db has seen every name.
+func (db *Database) Bind(src *Database, preds ...string) {
+	if len(preds) == 0 {
+		maps.Copy(db.rels, src.rels)
+		return
+	}
+	for _, p := range preds {
+		if r := src.rels[p]; r != nil {
+			db.rels[p] = r
+		}
+	}
+}
 
 // Insert adds a tuple under pred, creating the relation on first use.
 func (db *Database) Insert(pred string, t Tuple) error {

@@ -154,6 +154,31 @@ func TestDatabaseClone(t *testing.T) {
 	}
 }
 
+// TestDatabaseBind: a bound database holds the source's relations
+// themselves — writes through either reach both — keeps the relations the
+// source does not name, and skips names the source lacks.
+func TestDatabaseBind(t *testing.T) {
+	src := NewDatabase()
+	src.Insert("r", Tuple{"a"})
+	src.Insert("s", Tuple{"b"})
+	sel := NewDatabase()
+	sel.Bind(src, "r", "missing")
+	if sel.Relation("r") != src.Relation("r") || sel.Relation("s") != nil || sel.Relation("missing") != nil {
+		t.Fatalf("selection holds %s", sel.Summary())
+	}
+	sel.Relation("r").Insert(Tuple{"c"})
+	if src.Relation("r").Len() != 2 {
+		t.Fatal("a write through the selection did not reach the source")
+	}
+	dst := NewDatabase()
+	dst.Insert("r", Tuple{"old"})
+	dst.Insert("own", Tuple{"x"})
+	dst.Bind(src)
+	if dst.Relation("r") != src.Relation("r") || dst.Relation("s") != src.Relation("s") || dst.Relation("own").Len() != 1 {
+		t.Fatalf("bound database holds %s", dst.Summary())
+	}
+}
+
 func TestSortAndEqual(t *testing.T) {
 	a := []Tuple{{"b"}, {"a"}}
 	SortTuples(a)
