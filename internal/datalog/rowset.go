@@ -13,9 +13,9 @@ import (
 // to the arena first and kept or truncated away once its newness is known,
 // so adding a row allocates nothing beyond arena and table growth. Newness
 // is decided by comparing columns: against every stored row while there are
-// at most linearDedupRows of them, past that through an open-addressing
-// table of row numbers keyed by a maphash of the columns — a hash collision
-// costs a compare, never an answer.
+// at most linearDedupRows of them, past that through a storage.PosTable of
+// row numbers keyed by a maphash of the columns — a hash collision costs a
+// compare, never an answer.
 //
 // Every answer path deduplicates through it: a plan run's emitted rows, the
 // merge of a sharded run, EvalUnion and the engine's union of contained
@@ -25,11 +25,9 @@ type RowSet struct {
 	width int
 	n     int      // rows stored
 	vals  []string // the arena
-	// table is valid once n reached linearDedupRows: per slot, the row's
-	// hash in the high 32 bits and its number plus one in the low 32; zero
-	// is an empty slot. Its length is a power of two at least twice n.
-	table  []uint64
-	hashed bool
+	// table indexes every row once n reached linearDedupRows, and is empty
+	// before.
+	table storage.PosTable
 }
 
 // linearDedupRows is the row count up to which a set finds repeats by
@@ -110,64 +108,29 @@ func (s *RowSet) addTail() bool {
 		s.n++
 		return true
 	}
-	if !s.hashed {
+	if s.table.Len() == 0 {
 		s.index()
 	}
-	if 2*(s.n+1) > len(s.table) {
-		s.grow()
-	}
 	h := hashRow(tail)
-	mask := len(s.table) - 1
-	for i := int(h) & mask; ; i = (i + 1) & mask {
-		e := s.table[i]
-		if e == 0 {
-			s.table[i] = uint64(h)<<32 | uint64(s.n+1)
-			s.n++
-			return true
-		}
-		if uint32(e>>32) == h && slices.Equal(s.row(int(uint32(e))-1), tail) {
+	p := s.table.Probe(h)
+	for r := p.Next(); r >= 0; r = p.Next() {
+		if slices.Equal(s.row(r), tail) {
 			s.vals = s.vals[:s.n*s.width]
 			return false
 		}
 	}
+	s.table.Place(h, s.n)
+	s.n++
+	return true
 }
 
-// index builds the table over the rows stored so far, the first time the
-// set outgrows the linear range. A pooled table is already zeroed.
+// index places the rows stored so far, the first time the set outgrows the
+// linear range, in a table of at least 4*linearDedupRows slots. A pooled
+// table is already empty.
 func (s *RowSet) index() {
-	size := 4 * linearDedupRows
-	for size < 2*(s.n+1) {
-		size <<= 1
-	}
-	if len(s.table) < size {
-		s.table = make([]uint64, size)
-	}
-	mask := len(s.table) - 1
+	s.table.Reserve(2 * linearDedupRows)
 	for r := 0; r < s.n; r++ {
-		h := hashRow(s.row(r))
-		i := int(h) & mask
-		for s.table[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.table[i] = uint64(h)<<32 | uint64(r+1)
-	}
-	s.hashed = true
-}
-
-// grow doubles the table, re-placing every entry by its stored hash.
-func (s *RowSet) grow() {
-	old := s.table
-	s.table = make([]uint64, 2*len(old))
-	mask := len(s.table) - 1
-	for _, e := range old {
-		if e == 0 {
-			continue
-		}
-		i := int(uint32(e>>32)) & mask
-		for s.table[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.table[i] = e
+		s.table.Place(hashRow(s.row(r)), r)
 	}
 }
 
@@ -181,10 +144,10 @@ func (s *RowSet) reset() {
 		clear(s.vals[:cap(s.vals)])
 		s.vals = s.vals[:0]
 	}
-	if len(s.table) > maxPooledSlots {
-		s.table = nil
-	} else if s.hashed {
-		clear(s.table)
+	if s.table.Cap() > maxPooledSlots {
+		s.table = storage.PosTable{}
+	} else {
+		s.table.Clear()
 	}
-	s.width, s.n, s.hashed = 0, 0, false
+	s.width, s.n = 0, 0
 }

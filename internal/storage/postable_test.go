@@ -1,0 +1,219 @@
+package storage
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// TestKeyCollidingTuplesBothKept: two tuples with the same canonical key —
+// a value may hold the 0x1f separator — are different tuples. The relation
+// keeps both and answers for each on its own through every operation; by
+// key it answers for either.
+func TestKeyCollidingTuplesBothKept(t *testing.T) {
+	a, b := Tuple{"a\x1fb", "c"}, Tuple{"a", "b\x1fc"}
+	if a.Key() != b.Key() {
+		t.Fatal("the pair no longer shares a key")
+	}
+	r := NewRelation("r", 2)
+	if !r.Insert(a) || !r.Insert(b) || r.Len() != 2 {
+		t.Fatalf("both tuples must be new: Len = %d", r.Len())
+	}
+	if r.Insert(a) || r.Insert(b) {
+		t.Fatal("a repeat of either tuple reported new")
+	}
+	checkConsistent(t, r)
+	if !r.ContainsKey(a.Key()) || !r.ContainsKeyBytes([]byte(b.Key())) {
+		t.Fatal("the shared key is not contained")
+	}
+
+	cl := NewDatabase()
+	cl.rels["r"] = r
+	c := cl.Clone().Relation("r")
+	checkConsistent(t, c)
+	if !c.Contains(a) || !c.Contains(b) || c.Len() != 2 {
+		t.Fatal("the clone lost one of the pair")
+	}
+
+	if !r.Remove(a) || !r.Contains(b) || r.Contains(a) || r.Len() != 1 {
+		t.Fatal("removing one of the pair disturbed the other")
+	}
+	checkConsistent(t, r)
+	if !r.ContainsKey(b.Key()) {
+		t.Fatal("the remaining tuple's key is not contained")
+	}
+	r.Insert(a)
+	r.TruncateTo(1)
+	if !r.Contains(b) || r.Contains(a) || r.Len() != 1 {
+		t.Fatal("truncating one of the pair disturbed the other")
+	}
+	checkConsistent(t, r)
+	if !r.Remove(b) || r.ContainsKey(b.Key()) {
+		t.Fatal("the key is still contained with both tuples gone")
+	}
+	if !c.Contains(a) || !c.Contains(b) {
+		t.Fatal("the clone shares state with its source")
+	}
+}
+
+// TestSetIndexWrapsAround fills a relation's set index to its half-full
+// limit of 16 slots with tuples whose home slots are the last few, so their
+// probe chains run off the end of the table and wrap to its start, then
+// deletes them in several orders: backward-shift deletion must move entries
+// across the wrap and leave every chain unbroken.
+func TestSetIndexWrapsAround(t *testing.T) {
+	const slots = 16
+	var wrap []Tuple
+	for i := 0; len(wrap) < slots/2; i++ {
+		tu := Tuple{fmt.Sprint("w", i), "x"}
+		if hashTuple(tu)%slots >= slots-3 {
+			wrap = append(wrap, tu)
+		}
+	}
+	orders := [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {7, 6, 5, 4, 3, 2, 1, 0}, {3, 0, 6, 1, 7, 2, 5, 4}}
+	for _, order := range orders {
+		r := NewRelation("r", 2)
+		for _, tu := range wrap {
+			r.Insert(tu)
+		}
+		if r.set.Cap() != slots {
+			t.Fatalf("set index has %d slots, want %d", r.set.Cap(), slots)
+		}
+		if r.set.slots[0] == 0 {
+			t.Fatal("no probe chain wrapped to the first slot")
+		}
+		checkConsistent(t, r)
+		for k, i := range order {
+			if !r.Remove(wrap[i]) {
+				t.Fatalf("order %v: Remove(%v) reported absent", order, wrap[i])
+			}
+			checkConsistent(t, r)
+			for _, j := range order[k+1:] {
+				if !r.Contains(wrap[j]) {
+					t.Fatalf("order %v: %v lost after removing %v", order, wrap[j], wrap[i])
+				}
+			}
+		}
+	}
+}
+
+// fuzzValues is the value alphabet of FuzzRelationOps: the separator alone,
+// values that hold it at either end, and Skolem-shaped values that hold it
+// inside, so distinct tuples of equal canonical key are common.
+var fuzzValues = []string{"", "a", "b", "\x1f", "a\x1f", "\x1fb", "⟨f:a\x1fb⟩", "⟨f:a⟩"}
+
+// FuzzRelationOps decodes its input into a stream of interleaved relation
+// operations over a 2-column relation and checks each step against a map
+// of tuples, with the relation's invariants checked after every step. The
+// relation never holds more than 64 tuples, so an input is cut at
+// maxFuzzOps operations: longer ones only slow the search down.
+func FuzzRelationOps(f *testing.F) {
+	const maxFuzzOps = 128
+	f.Add([]byte{0, 1, 4, 0, 2, 5, 0, 4, 2, 3, 0, 0, 0, 1, 4, 2, 5, 2, 4, 1, 2, 5, 6, 1, 4})
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 3, 0, 3, 3, 1, 0, 0, 4, 0, 2, 2, 1, 0, 0, 7, 6, 6})
+	f.Add([]byte{0, 4, 1, 0, 0, 5, 3, 0, 6, 7, 0, 7, 6, 2, 1, 1, 4, 1, 0, 5, 5, 4, 6, 6, 5, 0, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db := NewDatabase()
+		r, _ := db.Ensure("r", 2)
+		if len(data) > 3*maxFuzzOps {
+			data = data[:3*maxFuzzOps]
+		}
+		model := make(map[[2]string]bool)
+		hasKey := func(k string) bool {
+			for m := range model {
+				if (Tuple{m[0], m[1]}).Key() == k {
+					return true
+				}
+			}
+			return false
+		}
+		for len(data) >= 3 {
+			op, x, y := data[0]%8, int(data[1]), int(data[2])
+			data = data[3:]
+			tu := Tuple{fuzzValues[x%len(fuzzValues)], fuzzValues[y%len(fuzzValues)]}
+			m := [2]string{tu[0], tu[1]}
+			switch op {
+			case 0:
+				if got := r.Insert(tu); got == model[m] {
+					t.Fatalf("Insert(%q) = %v with the tuple present=%v", tu, got, model[m])
+				}
+				model[m] = true
+			case 1:
+				if got := r.Remove(tu); got != model[m] {
+					t.Fatalf("Remove(%q) = %v with the tuple present=%v", tu, got, model[m])
+				}
+				delete(model, m)
+			case 2:
+				n := x % (r.Len() + 1)
+				for _, s := range r.Tuples()[n:] {
+					delete(model, [2]string{s[0], s[1]})
+				}
+				r.TruncateTo(n)
+			case 3:
+				r.BuildIndexes()
+			case 4:
+				old := r
+				db = db.Clone()
+				r = db.Relation("r")
+				checkConsistent(t, old)
+			case 5:
+				if got := r.Contains(tu); got != model[m] {
+					t.Fatalf("Contains(%q) = %v, want %v", tu, got, model[m])
+				}
+			case 6:
+				if got, want := r.ContainsKey(tu.Key()), hasKey(tu.Key()); got != want {
+					t.Fatalf("ContainsKey(%q) = %v, want %v", tu.Key(), got, want)
+				}
+			case 7:
+				if got, want := r.ContainsKeyBytes([]byte(tu.Key())), hasKey(tu.Key()); got != want {
+					t.Fatalf("ContainsKeyBytes(%q) = %v, want %v", tu.Key(), got, want)
+				}
+			}
+			if r.Len() != len(model) {
+				t.Fatalf("after op %d: Len = %d, model holds %d", op, r.Len(), len(model))
+			}
+			checkConsistent(t, r)
+		}
+	})
+}
+
+// TestRelationAllocs pins what the set index costs on a frozen relation of
+// 100 000 tuples: membership tests and removals allocate nothing, and an
+// insert allocates only the stored clone of its tuple. Every value of a
+// removed and re-inserted tuple stays indexed through other tuples, so the
+// posting lists and the tuple slice keep room for it. With the index keyed
+// by Tuple.Key strings these counts were 1, 2 and 2.
+func TestRelationAllocs(t *testing.T) {
+	const n, runs = 100000, 100
+	r := NewRelation("r", 2)
+	for i := 0; i < n; i++ {
+		r.Insert(Tuple{fmt.Sprint("a", i%1000), fmt.Sprint("b", i/1000)})
+	}
+	long := Tuple{strings.Repeat("x", 40), strings.Repeat("y", 40)} // a key past any stack buffer
+	r.Insert(long)
+	r.BuildIndexes()
+	victims := make([]Tuple, runs+1)
+	for i := range victims {
+		victims[i] = r.Tuples()[i*(n/len(victims))].Clone()
+	}
+	present, absent := victims[0], Tuple{"a1", "b-none"}
+	if got := testing.AllocsPerRun(runs, func() { r.Contains(present); r.Contains(absent) }); got != 0 {
+		t.Errorf("Contains: %.0f allocs, want 0", got)
+	}
+	key, keyBytes := long.Key(), []byte(long.Key())
+	if got := testing.AllocsPerRun(runs, func() { r.ContainsKey(key); r.ContainsKeyBytes(keyBytes) }); got != 0 {
+		t.Errorf("ContainsKey and ContainsKeyBytes: %.0f allocs, want 0", got)
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() { r.Remove(victims[next]); next++ }); got != 0 {
+		t.Errorf("Remove: %.0f allocs, want 0", got)
+	}
+	next = 0
+	if got := testing.AllocsPerRun(runs, func() { r.Insert(victims[next]); next++ }); got != 1 {
+		t.Errorf("Insert: %.0f allocs, want 1", got)
+	}
+	if r.Len() != n+1 || !r.Frozen() {
+		t.Fatalf("Len = %d, Frozen = %v after re-inserting every removed tuple", r.Len(), r.Frozen())
+	}
+	checkConsistent(t, r)
+}

@@ -6,16 +6,38 @@ import (
 )
 
 // checkConsistent verifies the relation's invariants after a mutation
-// sequence: the dedup map mirrors the tuple store position by position, and
-// every built posting list holds exactly the positions of its value.
+// sequence: the set index holds exactly one slot per stored tuple, at most
+// half full, and finds each tuple at its own position, by tuple and by
+// canonical key; every built posting list holds exactly the positions of
+// its value.
 func checkConsistent(t *testing.T, r *Relation) {
 	t.Helper()
-	if len(r.seen) != len(r.tuples) {
-		t.Fatalf("seen has %d keys, store has %d tuples", len(r.seen), len(r.tuples))
+	occupied := 0
+	for _, e := range r.set.slots {
+		if e != 0 {
+			occupied++
+		}
+	}
+	if occupied != len(r.tuples) || r.set.Len() != len(r.tuples) {
+		t.Fatalf("set index has %d occupied slots (Len %d), store has %d tuples", occupied, r.set.Len(), len(r.tuples))
+	}
+	if 2*len(r.tuples) > r.set.Cap() {
+		t.Fatalf("set index is %d/%d full, more than half", len(r.tuples), r.set.Cap())
 	}
 	for i, tup := range r.tuples {
-		if pos, ok := r.seen[tup.Key()]; !ok || pos != i {
-			t.Fatalf("tuple %v at position %d recorded at %d (present=%v)", tup, i, pos, ok)
+		p := r.set.Probe(hashTuple(tup))
+		pos := p.Next()
+		for pos >= 0 && pos != i {
+			pos = p.Next()
+		}
+		if pos != i {
+			t.Fatalf("tuple %q at position %d not found there by its hash", tup, i)
+		}
+		if r.find(hashTuple(tup), tup) != i {
+			t.Fatalf("tuple %q at position %d found at %d", tup, i, r.find(hashTuple(tup), tup))
+		}
+		if k := tup.Key(); !r.ContainsKey(k) || !r.ContainsKeyBytes([]byte(k)) {
+			t.Fatalf("stored tuple %q: its key %q is not contained", tup, k)
 		}
 	}
 	if r.indexes == nil || r.indexed != r.version {

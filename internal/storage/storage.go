@@ -3,6 +3,13 @@
 // set semantics, lazily built per-column hash indexes, and a database
 // keyed by predicate name.
 //
+// A relation deduplicates by position, not by key string: its set index is
+// a PosTable of tuple positions hashed by the tuple's canonical key
+// (Tuple.Key), streamed from the columns so no key is ever built, and a
+// hash hit is confirmed by comparing columns. The index therefore keeps no
+// second copy of the tuples, and two tuples whose keys coincide — a value
+// may contain the separator — are both kept.
+//
 // Values are constant lexemes (see cq.Term); Skolem values produced by the
 // inverse-rules algorithm live in the same domain as tagged strings and
 // join by ordinary equality.
@@ -10,6 +17,7 @@ package storage
 
 import (
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"slices"
 	"sort"
@@ -35,7 +43,9 @@ func (e *ArityError) Error() string {
 // Tuple is a row of constant values.
 type Tuple []string
 
-// Key returns a canonical encoding of the tuple for set membership.
+// Key returns a canonical encoding of the tuple: its columns joined by
+// 0x1f. Distinct tuples share a key when a value holds that byte, so a
+// relation confirms membership by comparing columns.
 func (t Tuple) Key() string { return strings.Join(t, "\x1f") }
 
 // Clone returns a copy of the tuple.
@@ -71,14 +81,52 @@ func (t Tuple) Compare(o Tuple) int {
 // Less reports t < o under Compare.
 func (t Tuple) Less(o Tuple) bool { return t.Compare(o) < 0 }
 
+// keySeed keys the tuple hash; it is fixed for the life of the process, so
+// a cloned relation's table stays valid.
+var keySeed = maphash.MakeSeed()
+
+// hashTuple hashes t's canonical key to 32 bits, streaming the columns and
+// separators instead of building the key: hashTuple(t) equals
+// uint32(maphash.String(keySeed, t.Key())), the hash ContainsKey takes.
+func hashTuple(t Tuple) uint32 {
+	var h maphash.Hash
+	h.SetSeed(keySeed)
+	for i, v := range t {
+		if i > 0 {
+			h.WriteByte(0x1f)
+		}
+		h.WriteString(v)
+	}
+	return uint32(h.Sum64())
+}
+
+// hasKey reports whether t's canonical key is k, reading k column by
+// column. It never splits k on 0x1f: Skolem values contain that byte.
+func hasKey[K string | []byte](t Tuple, k K) bool {
+	for i, v := range t {
+		if i > 0 {
+			if len(k) == 0 || k[0] != 0x1f {
+				return false
+			}
+			k = k[1:]
+		}
+		if len(k) < len(v) || string(k[:len(v)]) != v {
+			return false
+		}
+		k = k[len(v):]
+	}
+	return len(k) == 0
+}
+
 // Relation is a named set of tuples of a fixed arity. Insertion order is
 // preserved for deterministic iteration until the first Remove, which
-// swap-fills the vacated position; duplicates are ignored.
+// swap-fills the vacated position; duplicates — tuples equal column by
+// column — are ignored.
 type Relation struct {
 	name   string
 	arity  int
 	tuples []Tuple
-	seen   map[string]int // key -> position in tuples
+	set    PosTable // hashTuple -> position in tuples
 
 	indexes map[int]map[string][]int // column -> value -> tuple positions
 	version int                      // bumped on insert; invalidates indexes
@@ -87,7 +135,7 @@ type Relation struct {
 
 // NewRelation creates an empty relation.
 func NewRelation(name string, arity int) *Relation {
-	return &Relation{name: name, arity: arity, seen: make(map[string]int)}
+	return &Relation{name: name, arity: arity}
 }
 
 // Name returns the relation name.
@@ -100,7 +148,10 @@ func (r *Relation) Arity() int { return r.arity }
 func (r *Relation) Len() int { return len(r.tuples) }
 
 // Insert adds a tuple, reporting whether it was new. It panics on an arity
-// mismatch — callers validate arity at the Database boundary.
+// mismatch — callers validate arity at the Database boundary. Newness is
+// decided by hashing the tuple and comparing columns along the set index's
+// probe chain; the only allocation is the stored clone of t (plus growth
+// of the tuple slice and the table).
 //
 // When the column indexes are current at the time of the insert (the
 // relation was frozen with BuildIndexes, or lazily indexed and not stale),
@@ -113,13 +164,13 @@ func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: relation %s/%d: inserting tuple of width %d", r.name, r.arity, len(t)))
 	}
-	k := t.Key()
-	if _, dup := r.seen[k]; dup {
+	h := hashTuple(t)
+	if r.find(h, t) >= 0 {
 		return false
 	}
 	maintained := r.indexes != nil && r.indexed == r.version
 	pos := len(r.tuples)
-	r.seen[k] = pos
+	r.set.Place(h, pos)
 	r.tuples = append(r.tuples, t.Clone())
 	r.version++
 	if maintained {
@@ -147,7 +198,9 @@ func (r *Relation) CheckedInsert(t Tuple) (bool, error) {
 // boundary.
 //
 // The vacated position is filled by swapping the last tuple down, so a
-// removal is O(1) in the tuple store. When the column indexes are current
+// removal is O(1) in the tuple store and allocates nothing: the set index
+// empties the removed tuple's slot by backward-shift deletion and repoints
+// the swapped tuple's slot. When the column indexes are current
 // they are maintained incrementally in O(arity) amortized, the same way
 // Insert appends: the removed position is deleted from each built posting
 // list and the swapped tuple's entries are repointed, so the relation stays
@@ -157,9 +210,9 @@ func (r *Relation) Remove(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: relation %s/%d: removing tuple of width %d", r.name, r.arity, len(t)))
 	}
-	k := t.Key()
-	pos, ok := r.seen[k]
-	if !ok {
+	h := hashTuple(t)
+	pos := r.find(h, t)
+	if pos < 0 {
 		return false
 	}
 	maintained := r.indexes != nil && r.indexed == r.version
@@ -169,6 +222,7 @@ func (r *Relation) Remove(t Tuple) bool {
 			removePosting(idx, r.tuples[pos][col], pos)
 		}
 	}
+	r.set.Vacate(h, pos)
 	if pos != last {
 		moved := r.tuples[last]
 		if maintained {
@@ -177,11 +231,10 @@ func (r *Relation) Remove(t Tuple) bool {
 			}
 		}
 		r.tuples[pos] = moved
-		r.seen[moved.Key()] = pos
+		r.set.Repoint(hashTuple(moved), last, pos)
 	}
 	r.tuples[last] = nil
 	r.tuples = r.tuples[:last]
-	delete(r.seen, k)
 	r.version++
 	if maintained {
 		r.indexed = r.version
@@ -235,10 +288,10 @@ func repointPosting(idx map[string][]int, val string, from, to int) {
 // for the insert-only tail of a batch (Journal.MarkInserts; removals are
 // journaled one by one instead, because they swap-fill positions and a
 // length snapshot no longer identifies them).
-// Dedup keys of the removed tuples are forgotten, and maintained column
-// indexes are repaired in place by deleting the removed positions from the
-// affected posting lists; stale indexes are simply discarded. It carries
-// the same single-writer requirement as Insert.
+// The removed tuples' slots in the set index are emptied, and maintained
+// column indexes are repaired in place by deleting the removed positions
+// from the affected posting lists; stale indexes are simply discarded. It
+// carries the same single-writer requirement as Insert.
 func (r *Relation) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
@@ -249,7 +302,7 @@ func (r *Relation) TruncateTo(n int) {
 	removed := r.tuples[n:]
 	maintained := r.indexes != nil && r.indexed == r.version
 	for off, t := range removed {
-		delete(r.seen, t.Key())
+		r.set.Vacate(hashTuple(t), n+off)
 		if maintained {
 			for col, idx := range r.indexes {
 				removePosting(idx, t[col], n+off)
@@ -263,26 +316,49 @@ func (r *Relation) TruncateTo(n int) {
 	}
 }
 
-// Contains reports whether the relation holds the tuple.
-func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.seen[t.Key()]
-	return ok
+// find returns the position of t, whose hash is h, or -1 when the
+// relation does not hold it.
+func (r *Relation) find(h uint32, t Tuple) int {
+	p := r.set.Probe(h)
+	for pos := p.Next(); pos >= 0; pos = p.Next() {
+		if slices.Equal(r.tuples[pos], t) {
+			return pos
+		}
+	}
+	return -1
 }
 
-// ContainsKey reports whether the relation holds a tuple with the given
-// canonical key (Tuple.Key). Hot loops that already computed the key for
-// their own dedup avoid re-encoding the tuple.
+// Contains reports whether the relation holds the tuple. It allocates
+// nothing.
+func (r *Relation) Contains(t Tuple) bool {
+	return r.find(hashTuple(t), t) >= 0
+}
+
+// ContainsKey reports whether some stored tuple has the canonical key k
+// (Tuple.Key). Hot loops that already computed the key for their own dedup
+// avoid re-encoding the tuple. The key is hashed whole and compared
+// against each candidate's columns, never split; it allocates nothing.
 func (r *Relation) ContainsKey(k string) bool {
-	_, ok := r.seen[k]
-	return ok
+	return containsKey(r, uint32(maphash.String(keySeed, k)), k)
 }
 
 // ContainsKeyBytes is ContainsKey for a key held in a byte buffer: the
 // lookup does not copy the key, so a loop testing keys it builds in a
 // reused buffer allocates nothing per test.
 func (r *Relation) ContainsKeyBytes(k []byte) bool {
-	_, ok := r.seen[string(k)]
-	return ok
+	return containsKey(r, uint32(maphash.Bytes(keySeed, k)), k)
+}
+
+// containsKey reports whether a stored tuple, probed under hash h, has the
+// canonical key k.
+func containsKey[K string | []byte](r *Relation, h uint32, k K) bool {
+	p := r.set.Probe(h)
+	for pos := p.Next(); pos >= 0; pos = p.Next() {
+		if hasKey(r.tuples[pos], k) {
+			return true
+		}
+	}
+	return false
 }
 
 // Tuples returns the tuples in insertion order. The slice is shared; do not
@@ -490,15 +566,17 @@ func (db *Database) BuildIndexes() {
 	}
 }
 
-// Clone returns a deep copy of the database. Relations that were frozen
-// are re-frozen in the copy, so cloning a serving database never silently
+// Clone returns a deep copy of the database. Each relation's tuples are
+// copied at their positions, so its set index is copied as it is rather
+// than rebuilt by re-hashing every tuple. Relations that were frozen are
+// re-frozen in the copy, so cloning a serving database never silently
 // demotes indexed probes back to scans.
 func (db *Database) Clone() *Database {
 	out := NewDatabase()
 	for p, r := range db.rels {
-		nr := NewRelation(p, r.arity)
-		for _, t := range r.tuples {
-			nr.Insert(t)
+		nr := &Relation{name: p, arity: r.arity, tuples: make([]Tuple, len(r.tuples)), set: r.set.Clone()}
+		for i, t := range r.tuples {
+			nr.tuples[i] = t.Clone()
 		}
 		if r.Frozen() {
 			nr.BuildIndexes()
