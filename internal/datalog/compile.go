@@ -30,10 +30,10 @@ import (
 //     tuple decides the whole candidate loop.
 //
 // The executor never mutates the relations it reads: candidate sets come
-// from Relation.LookupPositions (a shared []int, no []Tuple materialised)
-// with a scan fallback when indexes are stale. A run may therefore shard the
-// outermost candidate loop across goroutines over a frozen database, merging
-// per-worker results at the end.
+// from a column's storage.ColIndex (a walk along a chain of positions, no
+// []Tuple materialised) with a scan fallback when the column is not
+// indexed. A run may therefore shard the outermost candidate loop across
+// goroutines over a frozen database, merging per-worker results at the end.
 
 // colAction says how one column of a step's candidate tuple is used.
 type colAction uint8
@@ -413,14 +413,21 @@ func appendBindKey(buf []byte, step *compiledStep, t storage.Tuple) []byte {
 }
 
 // stepSrc is one step's per-call execution source: the relation's tuple
-// slice and, when the probe index is built at the current version, the
-// probe column's hash index resolved once — one map hop per probe instead
-// of two, and no staleness re-check in the loop. A missing predicate
-// leaves tuples empty. The executor never mutates the relation: stale
-// indexes simply leave idx nil and the step scans.
+// slice and, when the probe column is indexed, its index resolved once, so
+// the loop re-checks nothing per probe. A missing predicate leaves tuples
+// empty. The executor never mutates the relation: an unbuilt index simply
+// leaves idx nil and the step scans.
 type stepSrc struct {
 	tuples []storage.Tuple
-	idx    map[string][]int
+	idx    *storage.ColIndex
+}
+
+// probeValue is the value a probing step looks up under frame.
+func (s *compiledStep) probeValue(frame []string) string {
+	if s.probeSlot >= 0 {
+		return frame[s.probeSlot]
+	}
+	return s.probeConst
 }
 
 // joinSteps enumerates the component's matches from the given depth,
@@ -430,40 +437,62 @@ func joinSteps(c *compiledComponent, srcs []stepSrc, depth int, frame []string, 
 	if depth == len(c.steps) {
 		return yield(frame)
 	}
-	step := &c.steps[depth]
 	src := &srcs[depth]
+	cur := cursor{end: len(src.tuples), stride: 1}
 	if src.idx != nil {
-		val := step.probeConst
-		if step.probeSlot >= 0 {
-			val = frame[step.probeSlot]
-		}
-		return stepLoop(c, srcs, depth, frame, g, yield, src.tuples, src.idx[val], true, 0, 1)
+		cur = cursor{chain: src.idx, at: src.idx.First(src.tuples, c.steps[depth].probeValue(frame)), probed: true}
 	}
-	return stepLoop(c, srcs, depth, frame, g, yield, src.tuples, nil, false, 0, 1)
+	return stepLoop(c, srcs, depth, frame, g, yield, cur)
 }
 
-// stepLoop runs one step's candidate loop over either an index position
-// list or a full scan, visiting candidates offset, offset+stride, ... —
-// inner depths always run the full loop (0, 1); parallel shards stride
-// the root. It reports false iff yield asked to stop or the guard tripped.
-func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g *evalGuard, yield func([]string) bool, tuples []storage.Tuple, positions []int, usePositions bool, offset, stride int) bool {
+// cursor walks one step's candidates, as positions into its tuples: a
+// probe's chain through a column index, whole, or — from offset at by
+// stride, below end — a root's copied probe positions or a scan. Inner
+// depths walk a chain or scan everything; parallel shards stride the root.
+type cursor struct {
+	chain     *storage.ColIndex // walk the chain from position at
+	positions []int             // a probed root's candidates, read from index at
+	probed    bool              // every candidate holds the probed value
+	at, end   int
+	stride    int
+}
+
+// next returns the next candidate's position, or -1 when there is none.
+func (c *cursor) next() int {
+	if c.chain != nil {
+		pos := c.at
+		if pos >= 0 {
+			c.at = c.chain.Next(pos)
+		}
+		return pos
+	}
+	i := c.at
+	if i >= c.end {
+		return -1
+	}
+	c.at += c.stride
+	if c.probed {
+		return c.positions[i]
+	}
+	return i
+}
+
+// stepLoop runs one step's candidate loop over cur. It reports false iff
+// yield asked to stop or the guard tripped.
+func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g *evalGuard, yield func([]string) bool, cur cursor) bool {
 	step := &c.steps[depth]
+	tuples := srcs[depth].tuples
 	var seen map[string]bool
 	var keyBuf []byte
 	ops := step.ops
-	n := len(tuples)
-	if usePositions {
-		n = len(positions)
+	if cur.probed {
 		ops = step.opsIndexed
 	}
-	for i := offset; i < n; i += stride {
+	for pos := cur.next(); pos >= 0; pos = cur.next() {
 		if g != nil && g.tick() {
 			return false
 		}
-		t := tuples[i]
-		if usePositions {
-			t = tuples[positions[i]]
-		}
+		t := tuples[pos]
 		if !applyStep(step, ops, t, frame) {
 			continue
 		}
@@ -496,7 +525,7 @@ func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g
 // round-robin across up to workers goroutines, each with its own frame and
 // dedup set; workers <= 1 runs sequentially. The executor never mutates
 // db, and db must not be mutated during the call; it does not need to be
-// frozen — stale indexes degrade to scans — but only frozen relations
+// frozen — unindexed columns degrade to scans — but only frozen relations
 // (BuildIndexes) give the probes their index candidates.
 func (p *CompiledPlan) EvalParallelUnsortedWith(db *storage.Database, args []string, workers int) []storage.Tuple {
 	return p.evalUnsorted(db, args, workers, nil)
@@ -614,7 +643,7 @@ func (p *CompiledPlan) count(db *storage.Database) int {
 }
 
 // resolve binds the component's steps to db: tuple slices plus, for steps
-// whose probe index is built, the resolved column index.
+// whose probe column is indexed, the resolved column index.
 func (p *CompiledPlan) resolve(db *storage.Database, c *compiledComponent) []stepSrc {
 	srcs := make([]stepSrc, len(c.steps))
 	resolveInto(db, c, srcs)
@@ -629,8 +658,8 @@ func resolveInto(db *storage.Database, c *compiledComponent, srcs []stepSrc) {
 }
 
 // resolveStep binds one step to its relation in db: the tuple slice plus
-// the probe column's index when it is built at the current version. A
-// missing predicate is the empty relation.
+// the probe column's index when it is built. A missing predicate is the
+// empty relation.
 func resolveStep(db *storage.Database, s *compiledStep) stepSrc {
 	rel := db.Relation(s.pred)
 	if rel == nil {
@@ -727,18 +756,25 @@ func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledCompo
 // scratchPool, emptied: it holds no reference into any database or plan.
 // The result rows are copied out of the set and never pooled.
 type runScratch struct {
-	p         *CompiledPlan
-	c         *compiledComponent
-	head      bool // rows are the plan's head tuples, not projections onto c.headSlots
-	guard     evalGuard
-	g         *evalGuard // &guard, or nil when the run is unguarded
-	frame     []string
-	srcs      []stepSrc
-	positions []int // root candidates as positions into srcs[0].tuples, when probed
+	p     *CompiledPlan
+	c     *compiledComponent
+	head  bool // rows are the plan's head tuples, not projections onto c.headSlots
+	guard evalGuard
+	g     *evalGuard // &guard, or nil when the run is unguarded
+	frame []string
+	srcs  []stepSrc
+	// positions holds a probed root's candidates, copied off the index's
+	// chain so that workers can stride them. Each scratch owns its buffer:
+	// a fork copies it, because both return theirs to the pool.
+	positions []int
 	probed    bool
 	set       RowSet
 	emit      func([]string) bool
 }
+
+// maxPooledPositions bounds the root candidate buffer a pooled scratch
+// keeps, as maxPooledVals bounds a row set's arena.
+const maxPooledPositions = 1 << 13
 
 // scratchPool is shared by all plans — a scratch is resized to the plan it
 // serves — so the memory it holds follows the number of concurrent runs,
@@ -763,12 +799,11 @@ func (p *CompiledPlan) newRun(db *storage.Database, c *compiledComponent, args [
 	}
 	sc.srcs = slices.Grow(sc.srcs, len(c.steps))[:len(c.steps)]
 	resolveInto(db, c, sc.srcs)
-	if root, src := &c.steps[0], &sc.srcs[0]; src.idx != nil {
-		val := root.probeConst
-		if root.probeSlot >= 0 {
-			val = sc.frame[root.probeSlot]
+	if src := &sc.srcs[0]; src.idx != nil {
+		for pos := src.idx.First(src.tuples, c.steps[0].probeValue(sc.frame)); pos >= 0; pos = src.idx.Next(pos) {
+			sc.positions = append(sc.positions, pos)
 		}
-		sc.positions, sc.probed = src.idx[val], true
+		sc.probed = true
 	}
 	return sc
 }
@@ -780,7 +815,7 @@ func (sc *runScratch) fork(gs *guardState) *runScratch {
 	f.bind(sc.p, sc.c, sc.head, gs)
 	f.frame = append(f.frame, sc.frame...)
 	f.srcs = append(f.srcs, sc.srcs...)
-	f.positions, f.probed = sc.positions, sc.probed
+	f.positions, f.probed = append(f.positions, sc.positions...), sc.probed
 	return f
 }
 
@@ -800,7 +835,11 @@ func (sc *runScratch) release() {
 	clear(sc.frame)
 	clear(sc.srcs)
 	sc.set.reset()
-	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], set: sc.set, emit: sc.emit}
+	positions := sc.positions[:0]
+	if cap(positions) > maxPooledPositions {
+		positions = nil
+	}
+	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], positions: positions, set: sc.set, emit: sc.emit}
 	scratchPool.Put(sc)
 }
 
@@ -815,7 +854,7 @@ func (sc *runScratch) candidates() int {
 // run enumerates root candidates offset, offset+stride, ... through the
 // shared stepLoop, collecting the distinct rows found below them in sc.set.
 func (sc *runScratch) run(offset, stride int) {
-	stepLoop(sc.c, sc.srcs, 0, sc.frame, sc.g, sc.emit, sc.srcs[0].tuples, sc.positions, sc.probed, offset, stride)
+	stepLoop(sc.c, sc.srcs, 0, sc.frame, sc.g, sc.emit, cursor{positions: sc.positions, probed: sc.probed, at: offset, end: sc.candidates(), stride: stride})
 }
 
 // column is column i of the row a complete frame yields.

@@ -442,20 +442,20 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog, keepAll bool) (
 	return v, slots
 }
 
-// idbRel is a per-Eval derived relation: a growing tuple set with hash
-// indexes on the plan's probe columns, maintained incrementally on insert
-// (the interpreter instead invalidates and rebuilds indexes every round).
+// idbRel is a per-Eval derived relation: a growing tuple set with column
+// indexes on the plan's probe columns, the same storage.ColIndex a
+// relation keeps, maintained incrementally on insert.
 type idbRel struct {
 	arity  int
 	tuples []storage.Tuple
 	seen   map[string]bool
-	idx    map[int]map[string][]int
+	idx    []*storage.ColIndex // by column, nil where no plan probes
 }
 
 func newIDBRel(arity int, probeCols []int) *idbRel {
-	r := &idbRel{arity: arity, seen: make(map[string]bool), idx: make(map[int]map[string][]int, len(probeCols))}
+	r := &idbRel{arity: arity, seen: make(map[string]bool), idx: make([]*storage.ColIndex, arity)}
 	for _, col := range probeCols {
-		r.idx[col] = make(map[string][]int)
+		r.idx[col] = storage.NewColIndex(col)
 	}
 	return r
 }
@@ -480,10 +480,11 @@ func (r *idbRel) insertKeyed(d derivedTuple) bool {
 		return false
 	}
 	r.seen[d.key] = true
-	pos := len(r.tuples)
 	r.tuples = append(r.tuples, d.t)
-	for col, m := range r.idx {
-		m[d.t[col]] = append(m[d.t[col]], pos)
+	for _, x := range r.idx {
+		if x != nil {
+			x.Insert(r.tuples)
+		}
 	}
 	return true
 }

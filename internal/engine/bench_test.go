@@ -293,10 +293,12 @@ var raceEnabled bool
 // tuples and one join view. The maintainer holds the base privately; the
 // two serving sides hold the extent, and the maintainer shares the side it
 // maintains instead of keeping a third copy. Each relation deduplicates
-// through a table of tuple positions, not a map of key strings. With that
-// map the engine kept 25.2 MiB (32.7 MiB with a third extent copy, 50.6 MiB
+// through a table of tuple positions, not a map of key strings, and its
+// column indexes chain positions instead of keeping a map of values to
+// position slices. With those value maps the engine kept 21.1 MiB (25.2 MiB
+// with the key-string map too, 32.7 MiB with a third extent copy, 50.6 MiB
 // when both sides also held the base relations); the budget is the
-// footprint measured since, 21.1 MiB, plus a tenth.
+// footprint measured since, 14.2 MiB, plus a tenth.
 func TestLiveEngineFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap footprints are not meaningful under the race detector")
@@ -331,8 +333,8 @@ func TestLiveEngineFootprint(t *testing.T) {
 	mib := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
 	runtime.KeepAlive(e)
 	t.Logf("live engine footprint: %.2f MiB", mib)
-	if mib > 23.2 {
-		t.Fatalf("live engine keeps %.2f MiB, budget 23.2", mib)
+	if mib > 15.6 {
+		t.Fatalf("live engine keeps %.2f MiB, budget 15.6", mib)
 	}
 }
 

@@ -116,3 +116,20 @@ func TestTruncateToNoop(t *testing.T) {
 		t.Fatal("oversized truncate changed the relation")
 	}
 }
+
+// TestTruncateToReleasesTail: a rollback must not keep the discarded
+// tuples alive through the tuple slice's backing array, which the next
+// appends may not overwrite for a long time.
+func TestTruncateToReleasesTail(t *testing.T) {
+	r := NewRelation("r", 1)
+	for i := 0; i < 10; i++ {
+		r.Insert(Tuple{fmt.Sprintf("v%d", i)})
+	}
+	r.BuildIndexes()
+	r.TruncateTo(4)
+	for i, tu := range r.tuples[4:10] {
+		if tu != nil {
+			t.Fatalf("position %d still references truncated tuple %q", 4+i, tu)
+		}
+	}
+}

@@ -3,13 +3,15 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
 
 // dbState captures what a rollback must restore: per relation, the sorted
 // tuple keys and, for every built column index, the sorted keys Lookup
-// returns per value.
+// returns per stored value. checkConsistent pins that an index holds no
+// other value.
 func dbState(db *Database) string {
 	var out []string
 	for _, pred := range db.Predicates() {
@@ -21,16 +23,15 @@ func dbState(db *Database) string {
 		sort.Strings(keys)
 		out = append(out, fmt.Sprintf("%s/%d frozen=%v %q", pred, rel.Arity(), rel.Frozen(), keys))
 		for col := 0; col < rel.Arity(); col++ {
-			idx, ok := rel.ColumnIndex(col)
-			if !ok {
+			if _, ok := rel.ColumnIndex(col); !ok {
 				continue
 			}
-			vals := make([]string, 0, len(idx))
-			for v := range idx {
-				vals = append(vals, v)
+			var vals []string
+			for _, t := range rel.Tuples() {
+				vals = append(vals, t[col])
 			}
 			sort.Strings(vals)
-			for _, v := range vals {
+			for _, v := range slices.Compact(vals) {
 				var hits []string
 				for _, t := range rel.Lookup(col, v) {
 					hits = append(hits, t.Key())

@@ -117,7 +117,11 @@ func (t *PosTable) slot(h uint32, pos int) int {
 // between the hole and itself moves back into the hole, so every chain
 // stays unbroken and no tombstone is left behind.
 func (t *PosTable) Vacate(h uint32, pos int) {
-	i := t.slot(h, pos)
+	t.vacateSlot(t.slot(h, pos))
+}
+
+// vacateSlot empties slot i by backward-shift deletion (Vacate).
+func (t *PosTable) vacateSlot(i int) {
 	mask := len(t.slots) - 1
 	for j := (i + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
 		home := int(uint32(t.slots[j]>>32)) & mask
@@ -133,7 +137,12 @@ func (t *PosTable) Vacate(h uint32, pos int) {
 // Repoint moves the entry for position from, stored under hash h, to
 // position to — the table half of a swap-fill.
 func (t *PosTable) Repoint(h uint32, from, to int) {
-	t.slots[t.slot(h, from)] = uint64(h)<<32 | uint64(to+1)
+	t.put(t.slot(h, from), h, to)
+}
+
+// put overwrites slot i with position pos under hash h.
+func (t *PosTable) put(i int, h uint32, pos int) {
+	t.slots[i] = uint64(h)<<32 | uint64(pos+1)
 }
 
 // Clear empties the table, keeping its slots for reuse.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -8,17 +9,12 @@ import (
 // checkConsistent verifies the relation's invariants after a mutation
 // sequence: the set index holds exactly one slot per stored tuple, at most
 // half full, and finds each tuple at its own position, by tuple and by
-// canonical key; every built posting list holds exactly the positions of
-// its value.
+// canonical key. Every built column index holds one head per distinct
+// value, at most half full, one link per tuple, and the chain walked from
+// each value's head visits exactly that value's positions, each once.
 func checkConsistent(t *testing.T, r *Relation) {
 	t.Helper()
-	occupied := 0
-	for _, e := range r.set.slots {
-		if e != 0 {
-			occupied++
-		}
-	}
-	if occupied != len(r.tuples) || r.set.Len() != len(r.tuples) {
+	if occupied := countSlots(&r.set); occupied != len(r.tuples) || r.set.Len() != len(r.tuples) {
 		t.Fatalf("set index has %d occupied slots (Len %d), store has %d tuples", occupied, r.set.Len(), len(r.tuples))
 	}
 	if 2*len(r.tuples) > r.set.Cap() {
@@ -40,30 +36,54 @@ func checkConsistent(t *testing.T, r *Relation) {
 			t.Fatalf("stored tuple %q: its key %q is not contained", tup, k)
 		}
 	}
-	if r.indexes == nil || r.indexed != r.version {
-		return // stale or absent: nothing more to check
+	if r.indexes != nil && len(r.indexes) != r.arity {
+		t.Fatalf("%d column index entries for arity %d", len(r.indexes), r.arity)
 	}
-	for col, idx := range r.indexes {
+	for col, x := range r.indexes {
+		if x == nil {
+			continue
+		}
+		if x.col != col {
+			t.Fatalf("index of column %d says column %d", col, x.col)
+		}
 		want := make(map[string][]int)
 		for i, tup := range r.tuples {
 			want[tup[col]] = append(want[tup[col]], i)
 		}
-		if len(idx) != len(want) {
-			t.Fatalf("col %d: index has %d values, want %d", col, len(idx), len(want))
+		if occupied := countSlots(&x.heads); x.heads.Len() != len(want) || occupied != len(want) {
+			t.Fatalf("col %d: %d heads (%d occupied slots), want %d distinct values", col, x.heads.Len(), occupied, len(want))
 		}
-		for v, ps := range idx {
-			got := append([]int(nil), ps...)
-			sort.Ints(got)
-			if len(got) != len(want[v]) {
-				t.Fatalf("col %d value %q: postings %v, want %v", col, v, got, want[v])
-			}
-			for i := range got {
-				if got[i] != want[v][i] {
-					t.Fatalf("col %d value %q: postings %v, want %v", col, v, got, want[v])
+		if 2*x.heads.Len() > x.heads.Cap() {
+			t.Fatalf("col %d: heads are %d/%d full, more than half", col, x.heads.Len(), x.heads.Cap())
+		}
+		if len(x.next) != len(r.tuples) {
+			t.Fatalf("col %d: %d chain links for %d tuples", col, len(x.next), len(r.tuples))
+		}
+		for v, ps := range want {
+			var got []int
+			for pos := x.First(r.tuples, v); pos >= 0; pos = x.Next(pos) {
+				if len(got) == len(ps) {
+					t.Fatalf("col %d value %q: chain runs past its %d positions (a cycle or a foreign link): %v then %d", col, v, len(ps), got, pos)
 				}
+				got = append(got, pos)
+			}
+			sort.Ints(got)
+			if !slices.Equal(got, ps) {
+				t.Fatalf("col %d value %q: chain visits %v, want %v", col, v, got, ps)
 			}
 		}
 	}
+}
+
+// countSlots counts a table's occupied slots.
+func countSlots(t *PosTable) int {
+	n := 0
+	for _, e := range t.slots {
+		if e != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestRemoveFrozenMaintainsIndexes(t *testing.T) {
@@ -90,7 +110,7 @@ func TestRemoveFrozenMaintainsIndexes(t *testing.T) {
 	}
 	checkConsistent(t, r)
 	// The swapped-down tuple (the former tail) must still be probeable.
-	ps, ok := r.LookupPositions(0, "b")
+	ps, ok := probe(r, 0, "b")
 	if !ok || len(ps) != 1 || r.tuples[ps[0]].Key() != (Tuple{"b", "1"}).Key() {
 		t.Fatalf("probe for swapped tuple failed: ps=%v ok=%v", ps, ok)
 	}
@@ -123,7 +143,7 @@ func TestRemovePartiallyIndexed(t *testing.T) {
 	if _, ok := r.ColumnIndex(1); !ok {
 		t.Fatal("built column index should survive a maintained Remove")
 	}
-	ps, ok := r.LookupPositions(1, "y")
+	ps, ok := probe(r, 1, "y")
 	if !ok || len(ps) != 2 {
 		t.Fatalf("col-1 probe after Remove: ps=%v ok=%v", ps, ok)
 	}
@@ -149,10 +169,9 @@ func TestRemoveStaleIndexInvalidates(t *testing.T) {
 	r := NewRelation("r", 2)
 	r.Insert(Tuple{"a", "1"})
 	r.BuildIndexes()
-	// Make the index stale the same way a stale Insert does: index, then
-	// bump the version by an unmaintained mutation path. Here: remove then
-	// re-add after dropping freshness via a direct version change is not
-	// possible from outside, so emulate by building only after an insert.
+	// No mutation path leaves a built index stale: an insert after
+	// BuildIndexes is maintained, and a Remove after it repairs the
+	// maintained indexes.
 	r2 := NewRelation("s", 2)
 	r2.Insert(Tuple{"a", "1"})
 	r2.BuildIndexes()
@@ -179,8 +198,8 @@ func TestCheckedRemoveArity(t *testing.T) {
 }
 
 func TestTruncateToAfterRemove(t *testing.T) {
-	// After a swap-remove, posting lists are no longer position-sorted:
-	// TruncateTo must still repair them (the old tail-pop shortcut breaks).
+	// After a swap-remove, chains are no longer in position order:
+	// TruncateTo must still unlink the truncated positions wherever they sit.
 	r := NewRelation("r", 2)
 	for _, tu := range []Tuple{{"a", "1"}, {"b", "1"}, {"c", "1"}, {"d", "1"}} {
 		r.Insert(tu)

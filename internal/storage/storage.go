@@ -3,12 +3,15 @@
 // set semantics, lazily built per-column hash indexes, and a database
 // keyed by predicate name.
 //
-// A relation deduplicates by position, not by key string: its set index is
-// a PosTable of tuple positions hashed by the tuple's canonical key
+// A relation's indexes hold positions, not values. Its set index is a
+// PosTable of tuple positions hashed by the tuple's canonical key
 // (Tuple.Key), streamed from the columns so no key is ever built, and a
-// hash hit is confirmed by comparing columns. The index therefore keeps no
-// second copy of the tuples, and two tuples whose keys coincide — a value
-// may contain the separator — are both kept.
+// hash hit is confirmed by comparing columns; two tuples whose keys
+// coincide — a value may contain the separator — are both kept. Each built
+// column has a ColIndex: a PosTable of one position per distinct value,
+// hashed by the value, from which a chain of positions links every tuple
+// holding it. Neither keeps a copy of a tuple or of a value, and a copy of
+// a relation copies both as they are, because positions do not change.
 //
 // Values are constant lexemes (see cq.Term); Skolem values produced by the
 // inverse-rules algorithm live in the same domain as tagged strings and
@@ -121,16 +124,14 @@ func hasKey[K string | []byte](t Tuple, k K) bool {
 // Relation is a named set of tuples of a fixed arity. Insertion order is
 // preserved for deterministic iteration until the first Remove, which
 // swap-fills the vacated position; duplicates — tuples equal column by
-// column — are ignored.
+// column — are ignored. A column's index, once built, is maintained by
+// every mutation until the relation is dropped.
 type Relation struct {
-	name   string
-	arity  int
-	tuples []Tuple
-	set    PosTable // hashTuple -> position in tuples
-
-	indexes map[int]map[string][]int // column -> value -> tuple positions
-	version int                      // bumped on insert; invalidates indexes
-	indexed int                      // version at which indexes were built
+	name    string
+	arity   int
+	tuples  []Tuple
+	set     PosTable    // hashTuple -> position in tuples
+	indexes []*ColIndex // by column; nil where a column is not built, and nil until one is
 }
 
 // NewRelation creates an empty relation.
@@ -151,15 +152,13 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // mismatch — callers validate arity at the Database boundary. Newness is
 // decided by hashing the tuple and comparing columns along the set index's
 // probe chain; the only allocation is the stored clone of t (plus growth
-// of the tuple slice and the table).
+// of the tuple slice and the tables).
 //
-// When the column indexes are current at the time of the insert (the
-// relation was frozen with BuildIndexes, or lazily indexed and not stale),
-// they are maintained incrementally: the new tuple's position is appended
-// to each built index in O(built columns) and the relation stays Frozen.
-// Only an insert over already-stale indexes leaves them invalidated. Like
-// every mutation this carries the single-writer requirement — the live
-// engine serializes inserts behind its update lock.
+// Each built column index is maintained in place: the new position is
+// prepended to its value's chain, or starts one, allocating nothing beyond
+// amortised growth, and a frozen relation stays Frozen. Like every
+// mutation this carries the single-writer requirement — the live engine
+// serializes inserts behind its update lock.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: relation %s/%d: inserting tuple of width %d", r.name, r.arity, len(t)))
@@ -168,16 +167,12 @@ func (r *Relation) Insert(t Tuple) bool {
 	if r.find(h, t) >= 0 {
 		return false
 	}
-	maintained := r.indexes != nil && r.indexed == r.version
-	pos := len(r.tuples)
-	r.set.Place(h, pos)
+	r.set.Place(h, len(r.tuples))
 	r.tuples = append(r.tuples, t.Clone())
-	r.version++
-	if maintained {
-		for col, idx := range r.indexes {
-			idx[t[col]] = append(idx[t[col]], pos)
+	for _, x := range r.indexes {
+		if x != nil {
+			x.Insert(r.tuples)
 		}
-		r.indexed = r.version
 	}
 	return true
 }
@@ -200,12 +195,11 @@ func (r *Relation) CheckedInsert(t Tuple) (bool, error) {
 // The vacated position is filled by swapping the last tuple down, so a
 // removal is O(1) in the tuple store and allocates nothing: the set index
 // empties the removed tuple's slot by backward-shift deletion and repoints
-// the swapped tuple's slot. When the column indexes are current
-// they are maintained incrementally in O(arity) amortized, the same way
-// Insert appends: the removed position is deleted from each built posting
-// list and the swapped tuple's entries are repointed, so the relation stays
-// Frozen across removals. Over stale indexes the version bump invalidates
-// them as usual. Single-writer, like every mutation.
+// the swapped tuple's slot. Each built column index unlinks the removed
+// position from its value's chain and puts the swapped tuple's new
+// position where its old one was on its own chain — a walk of one chain
+// each — so a frozen relation stays Frozen. Single-writer, like every
+// mutation.
 func (r *Relation) Remove(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: relation %s/%d: removing tuple of width %d", r.name, r.arity, len(t)))
@@ -215,30 +209,20 @@ func (r *Relation) Remove(t Tuple) bool {
 	if pos < 0 {
 		return false
 	}
-	maintained := r.indexes != nil && r.indexed == r.version
-	last := len(r.tuples) - 1
-	if maintained {
-		for col, idx := range r.indexes {
-			removePosting(idx, r.tuples[pos][col], pos)
+	for _, x := range r.indexes {
+		if x != nil {
+			x.remove(r.tuples, pos)
 		}
 	}
+	last := len(r.tuples) - 1
 	r.set.Vacate(h, pos)
 	if pos != last {
 		moved := r.tuples[last]
-		if maintained {
-			for col, idx := range r.indexes {
-				repointPosting(idx, moved[col], last, pos)
-			}
-		}
 		r.tuples[pos] = moved
 		r.set.Repoint(hashTuple(moved), last, pos)
 	}
 	r.tuples[last] = nil
 	r.tuples = r.tuples[:last]
-	r.version++
-	if maintained {
-		r.indexed = r.version
-	}
 	return true
 }
 
@@ -252,46 +236,16 @@ func (r *Relation) CheckedRemove(t Tuple) (bool, error) {
 	return r.Remove(t), nil
 }
 
-// removePosting deletes position pos from the posting list of val,
-// searching by value (posting lists lose their sorted-by-position shape
-// after the first swap-remove, so tail-popping is not an option).
-func removePosting(idx map[string][]int, val string, pos int) {
-	ps := idx[val]
-	for i, p := range ps {
-		if p == pos {
-			ps[i] = ps[len(ps)-1]
-			ps = ps[:len(ps)-1]
-			if len(ps) == 0 {
-				delete(idx, val)
-			} else {
-				idx[val] = ps
-			}
-			return
-		}
-	}
-}
-
-// repointPosting rewrites one occurrence of position from to position to in
-// the posting list of val — the index half of a swap-fill.
-func repointPosting(idx map[string][]int, val string, from, to int) {
-	ps := idx[val]
-	for i, p := range ps {
-		if p == from {
-			ps[i] = to
-			return
-		}
-	}
-}
-
 // TruncateTo discards every tuple from position n onward, restoring the
 // relation to the state it had when Len() was n — the rollback primitive
 // for the insert-only tail of a batch (Journal.MarkInserts; removals are
 // journaled one by one instead, because they swap-fill positions and a
 // length snapshot no longer identifies them).
-// The removed tuples' slots in the set index are emptied, and maintained
-// column indexes are repaired in place by deleting the removed positions
-// from the affected posting lists; stale indexes are simply discarded. It
-// carries the same single-writer requirement as Insert.
+// The removed tuples' slots in the set index are emptied, each built
+// column index unlinks the removed positions from their chains, and the
+// vacated tail of the tuple slice is cleared so it keeps none of the
+// removed tuples alive. It carries the same single-writer requirement as
+// Insert.
 func (r *Relation) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
@@ -299,21 +253,16 @@ func (r *Relation) TruncateTo(n int) {
 	if n >= len(r.tuples) {
 		return
 	}
-	removed := r.tuples[n:]
-	maintained := r.indexes != nil && r.indexed == r.version
-	for off, t := range removed {
-		r.set.Vacate(hashTuple(t), n+off)
-		if maintained {
-			for col, idx := range r.indexes {
-				removePosting(idx, t[col], n+off)
-			}
+	for _, x := range r.indexes {
+		if x != nil {
+			x.truncate(r.tuples, n)
 		}
 	}
-	r.tuples = r.tuples[:n]
-	r.version++
-	if maintained {
-		r.indexed = r.version
+	for off, t := range r.tuples[n:] {
+		r.set.Vacate(hashTuple(t), n+off)
 	}
+	clear(r.tuples[n:])
+	r.tuples = r.tuples[:n]
 }
 
 // find returns the position of t, whose hash is h, or -1 when the
@@ -365,93 +314,74 @@ func containsKey[K string | []byte](r *Relation, h uint32, k K) bool {
 // modify.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
-// BuildIndexes eagerly builds the hash index for every column at the
-// current version. After it returns — and as long as no further inserts
-// happen — Lookup never mutates the relation, so any number of goroutines
+// BuildIndexes eagerly builds the hash index of every column. After it
+// returns Lookup never mutates the relation, so any number of goroutines
 // may read it concurrently. The serving engine calls this once at
-// construction to freeze its database for parallel evaluation. Inserts
-// after BuildIndexes maintain the indexes incrementally (see Insert), so
-// the relation stays frozen across live updates; an insert still mutates,
-// so updates and reads must be externally serialized.
+// construction to freeze its database for parallel evaluation. Every
+// mutation after BuildIndexes maintains the indexes in place (see Insert),
+// so the relation stays frozen across live updates; a mutation still
+// writes, so updates and reads must be externally serialized.
 func (r *Relation) BuildIndexes() {
 	for col := 0; col < r.arity; col++ {
 		r.BuildColumnIndex(col)
 	}
 }
 
-// BuildColumnIndex builds the hash index of a single column at the current
-// version, discarding stale indexes first. Like Lookup's lazy build it
-// mutates the relation, so it carries the same single-writer requirement;
-// one-shot evaluation uses it to index only the columns a plan probes.
+// BuildColumnIndex builds the hash index of a single column, unless it is
+// built already. Like Lookup's lazy build it mutates the relation, so it
+// carries the same single-writer requirement; one-shot evaluation uses it
+// to index only the columns a plan probes.
 func (r *Relation) BuildColumnIndex(col int) {
 	if col < 0 || col >= r.arity {
 		return
 	}
-	if r.indexes == nil || r.indexed != r.version {
-		r.indexes = make(map[int]map[string][]int, r.arity)
-		r.indexed = r.version
+	if r.indexes == nil {
+		r.indexes = make([]*ColIndex, r.arity)
 	}
-	if _, ok := r.indexes[col]; ok {
-		return
+	if r.indexes[col] == nil {
+		r.indexes[col] = buildColIndex(r.tuples, col)
 	}
-	idx := make(map[string][]int)
-	for i, t := range r.tuples {
-		idx[t[col]] = append(idx[t[col]], i)
-	}
-	r.indexes[col] = idx
 }
 
-// Frozen reports whether every column index is built at the current
-// version. A frozen relation is safe for concurrent readers: Lookup and
-// LookupPositions never mutate it, and Insert maintains the indexes in
-// place, so a relation stays frozen across maintained inserts.
+// Frozen reports whether every column index is built. A frozen relation is
+// safe for concurrent readers: Lookup never mutates it, and every mutation
+// maintains the indexes in place, so a relation stays frozen until it is
+// dropped.
 func (r *Relation) Frozen() bool {
-	return r.indexes != nil && r.indexed == r.version && len(r.indexes) == r.arity
+	return r.indexes != nil && !slices.Contains(r.indexes, nil)
 }
 
-// LookupPositions returns the positions (indexes into Tuples()) of the
-// tuples whose column col equals val. Unlike Lookup it never builds or
-// repairs indexes: when the index for col is stale or absent it reports
-// ok=false and the caller must scan instead. The returned slice is shared
-// with the index; do not modify. Because it never mutates the relation it
-// is safe to call from any number of goroutines once the relation is
-// frozen (BuildIndexes), and — returning positions rather than a fresh
-// []Tuple — it allocates nothing.
-func (r *Relation) LookupPositions(col int, val string) (positions []int, ok bool) {
-	idx, ok := r.ColumnIndex(col)
-	if !ok {
+// ColumnIndex returns the hash index of one column when it is built,
+// without ever building it, so it never mutates the relation and is safe
+// from any number of goroutines once the relation is frozen. Probe it with
+// the relation's tuples:
+//
+//	tuples := r.Tuples()
+//	for pos := idx.First(tuples, val); pos >= 0; pos = idx.Next(pos) { ... }
+//
+// The index is shared; it stays valid until the relation is next mutated.
+func (r *Relation) ColumnIndex(col int) (*ColIndex, bool) {
+	if col < 0 || col >= r.arity || r.indexes == nil {
 		return nil, false
 	}
-	return idx[val], true
-}
-
-// ColumnIndex returns the hash index of one column (value → tuple
-// positions) when it is built at the current version, without ever
-// building it. Hot loops that probe the same column many times resolve
-// the index once through this accessor instead of paying two map hops per
-// LookupPositions call. The returned map is shared; do not modify.
-func (r *Relation) ColumnIndex(col int) (map[string][]int, bool) {
-	if col < 0 || col >= r.arity || r.indexes == nil || r.indexed != r.version {
-		return nil, false
-	}
-	idx, ok := r.indexes[col]
-	return idx, ok
+	x := r.indexes[col]
+	return x, x != nil
 }
 
 // Lookup returns the tuples whose column col equals val, using a lazily
 // built hash index. Building the index mutates the relation, so concurrent
 // readers must freeze it first (BuildIndexes); race-sensitive callers
-// should prefer LookupPositions, which falls back to reporting ok=false
-// instead of mutating.
+// should probe ColumnIndex instead, which reports ok=false rather than
+// mutating, and allocates nothing.
 func (r *Relation) Lookup(col int, val string) []Tuple {
 	if col < 0 || col >= r.arity {
 		return nil
 	}
 	r.BuildColumnIndex(col)
-	positions := r.indexes[col][val]
-	out := make([]Tuple, len(positions))
-	for i, p := range positions {
-		out[i] = r.tuples[p]
+	x := r.indexes[col]
+	var out []Tuple
+	for pos := x.First(r.tuples, val); pos >= 0; pos = x.Next(pos) {
+		out = append(out, r.tuples[pos])
 	}
 	return out
 }
@@ -567,9 +497,9 @@ func (db *Database) BuildIndexes() {
 }
 
 // Clone returns a deep copy of the database. Each relation's tuples are
-// copied at their positions, so its set index is copied as it is rather
-// than rebuilt by re-hashing every tuple. Relations that were frozen are
-// re-frozen in the copy, so cloning a serving database never silently
+// copied at their positions, so its set index and every built column index
+// are copied as they are rather than rebuilt by re-hashing every tuple: a
+// frozen relation's copy is frozen, and cloning a serving database never
 // demotes indexed probes back to scans.
 func (db *Database) Clone() *Database {
 	out := NewDatabase()
@@ -578,8 +508,13 @@ func (db *Database) Clone() *Database {
 		for i, t := range r.tuples {
 			nr.tuples[i] = t.Clone()
 		}
-		if r.Frozen() {
-			nr.BuildIndexes()
+		if r.indexes != nil {
+			nr.indexes = make([]*ColIndex, len(r.indexes))
+			for col, x := range r.indexes {
+				if x != nil {
+					nr.indexes[col] = x.clone()
+				}
+			}
 		}
 		out.rels[p] = nr
 	}

@@ -242,9 +242,9 @@ func TestInsertMaintainsFrozenIndexes(t *testing.T) {
 	}
 	// Both old and new tuples must be reachable through the maintained
 	// index, without any rebuild.
-	pos, ok := r.LookupPositions(0, "a")
+	pos, ok := probe(r, 0, "a")
 	if !ok || len(pos) != 2 {
-		t.Fatalf("LookupPositions(0,a) = %v, %v; want 2 positions", pos, ok)
+		t.Fatalf("probe(0,a) = %v, %v; want 2 positions", pos, ok)
 	}
 	if got := r.Lookup(1, "3"); len(got) != 1 || got[0][0] != "a" {
 		t.Fatalf("Lookup(1,3) = %v", got)
@@ -253,7 +253,7 @@ func TestInsertMaintainsFrozenIndexes(t *testing.T) {
 	if r.Insert(Tuple{"a", "3"}) {
 		t.Fatal("duplicate reported new")
 	}
-	if pos, _ := r.LookupPositions(0, "a"); len(pos) != 2 {
+	if pos, _ := probe(r, 0, "a"); len(pos) != 2 {
 		t.Fatalf("duplicate insert changed index: %v", pos)
 	}
 }
@@ -270,12 +270,12 @@ func TestInsertMaintainsPartialIndexes(t *testing.T) {
 		t.Fatal("partially indexed relation reported frozen")
 	}
 	r.Insert(Tuple{"b", "2"})
-	if pos, ok := r.LookupPositions(0, "b"); !ok || len(pos) != 1 {
+	if pos, ok := probe(r, 0, "b"); !ok || len(pos) != 1 {
 		t.Fatalf("maintained partial index lost the insert: %v, %v", pos, ok)
 	}
 	// Column 1 was never built; building it now must include every tuple.
 	r.BuildColumnIndex(1)
-	if pos, ok := r.LookupPositions(1, "1"); !ok || len(pos) != 1 {
+	if pos, ok := probe(r, 1, "1"); !ok || len(pos) != 1 {
 		t.Fatalf("late-built index incomplete: %v, %v", pos, ok)
 	}
 	if !r.Frozen() {
@@ -289,7 +289,7 @@ func TestInsertMaintainsPartialIndexes(t *testing.T) {
 func TestInsertUnindexedStaysUnindexed(t *testing.T) {
 	r := NewRelation("r", 1)
 	r.Insert(Tuple{"x"})
-	if _, ok := r.LookupPositions(0, "x"); ok {
+	if _, ok := probe(r, 0, "x"); ok {
 		t.Fatal("unindexed relation reported positions")
 	}
 	r.Insert(Tuple{"y"})
@@ -318,7 +318,21 @@ func TestCloneKeepsFrozenState(t *testing.T) {
 	if db.Relation("r").Len() != 1 {
 		t.Fatal("clone shares storage with source")
 	}
-	if pos, ok := clone.Relation("r").LookupPositions(0, "x"); !ok || len(pos) != 1 {
+	if pos, ok := probe(clone.Relation("r"), 0, "x"); !ok || len(pos) != 1 {
 		t.Fatal("cloned frozen relation must serve maintained index probes")
 	}
+}
+
+// probe returns the positions column col's index chains for val, and
+// whether that column is indexed; unlike Lookup it never builds an index.
+func probe(r *Relation, col int, val string) ([]int, bool) {
+	x, ok := r.ColumnIndex(col)
+	if !ok {
+		return nil, false
+	}
+	var ps []int
+	for pos := x.First(r.Tuples(), val); pos >= 0; pos = x.Next(pos) {
+		ps = append(ps, pos)
+	}
+	return ps, true
 }
