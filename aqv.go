@@ -448,7 +448,9 @@ type (
 )
 
 var (
-	// NewCatalog derives statistics from a database.
+	// NewCatalog derives statistics from a database: row counts, and
+	// distinct counts read off its column indexes (built once per column
+	// that has none, so index the database first to make it cheap).
 	NewCatalog = cost.NewCatalog
 	// NewRowCatalog derives cardinalities only (cheap; no distinct counts).
 	NewRowCatalog = cost.NewRowCatalog

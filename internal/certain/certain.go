@@ -80,13 +80,16 @@ func Compare(q *cq.Query, views []*cq.Query, base *storage.Database) (Report, er
 	return rep, nil
 }
 
+// subset reports whether every tuple of a is in b. Membership is decided
+// by comparing columns, so tuples whose keys coincide (Tuple.Key) stay
+// apart: a tuple of a that the set of b's tuples takes as new is missing.
 func subset(a, b []storage.Tuple) bool {
-	in := make(map[string]bool, len(b))
+	var in datalog.RowSet
 	for _, t := range b {
-		in[t.Key()] = true
+		in.Add(t)
 	}
 	for _, t := range a {
-		if !in[t.Key()] {
+		if in.Add(t) {
 			return false
 		}
 	}

@@ -117,3 +117,15 @@ func TestViaMiniConInvalidViews(t *testing.T) {
 		t.Fatal("duplicate view names accepted")
 	}
 }
+
+// TestSubsetComparesColumns pins that subset tests membership by columns:
+// two tuples whose Tuple.Key coincide are not taken for each other.
+func TestSubsetComparesColumns(t *testing.T) {
+	a, b := []storage.Tuple{{"a\x1fb", "c"}}, []storage.Tuple{{"a", "b\x1fc"}}
+	if subset(a, b) || subset(b, a) {
+		t.Fatal("subset confuses two tuples with the same key")
+	}
+	if !subset(a, append(b, a[0])) || !subset(nil, b) || subset(a, nil) {
+		t.Fatal("subset wrong on plain membership")
+	}
+}

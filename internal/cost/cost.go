@@ -22,7 +22,10 @@ type Catalog struct {
 }
 
 // NewCatalog builds statistics from a database: relation cardinalities and
-// per-column distinct-value counts.
+// per-column distinct-value counts. The counts are read off the relations'
+// column indexes (Relation.Distinct), so over a database whose indexes are
+// built (BuildIndexes) it costs O(relations × columns) and scans nothing;
+// a column without an index is indexed once, on the side, to be counted.
 func NewCatalog(db *storage.Database) *Catalog {
 	c := &Catalog{
 		rows:     make(map[string]float64),
@@ -32,12 +35,8 @@ func NewCatalog(db *storage.Database) *Catalog {
 		rel := db.Relation(pred)
 		c.rows[pred] = float64(rel.Len())
 		d := make([]float64, rel.Arity())
-		for col := 0; col < rel.Arity(); col++ {
-			seen := make(map[string]bool)
-			for _, t := range rel.Tuples() {
-				seen[t[col]] = true
-			}
-			d[col] = math.Max(1, float64(len(seen)))
+		for col := range d {
+			d[col] = math.Max(1, float64(rel.Distinct(col)))
 		}
 		c.distinct[pred] = d
 	}

@@ -64,17 +64,12 @@ func (p *CompiledPlan) freeze(db *storage.Database) {
 // benchmark's reply check and the F7 ablation experiment compare against
 // it. Results are identical to EvalQuery.
 func EvalQueryNaive(db *storage.Database, q *cq.Query) []storage.Tuple {
-	var out []storage.Tuple
-	seen := make(map[string]bool)
+	var out RowSet
 	joinBody(db, q.Body, q.Comparisons, make(Bindings), func(b Bindings) bool {
-		t := headTuple(q.Head, b)
-		if k := t.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, t)
-		}
+		out.Add(headTuple(q.Head, b))
 		return true
 	})
-	return storage.SortTuples(out)
+	return storage.SortTuples(out.Rows())
 }
 
 // EvalUnion evaluates a union of conjunctive queries, returning distinct

@@ -100,6 +100,24 @@ func TestEvalQueryDeduplicates(t *testing.T) {
 	}
 }
 
+// TestEvalQueryNaiveKeepsCollidingTuples pins that the oracle dedups by
+// columns: two answers whose Tuple.Key coincide are both returned.
+func TestEvalQueryNaiveKeepsCollidingTuples(t *testing.T) {
+	db := storage.NewDatabase()
+	rows := []storage.Tuple{{"a\x1fb", "c"}, {"a", "b\x1fc"}}
+	for _, r := range rows {
+		db.Insert("r", r)
+	}
+	q := mustQ("q(X,Y) :- r(X,Y)")
+	got := EvalQueryNaive(db, q)
+	if !storage.TuplesEqual(got, rows) {
+		t.Fatalf("EvalQueryNaive = %q, want %q", got, rows)
+	}
+	if want := EvalQuery(db, q); !storage.TuplesEqual(got, want) {
+		t.Fatalf("EvalQueryNaive = %q, EvalQuery = %q", got, want)
+	}
+}
+
 func TestEvalUnion(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Insert("r", storage.Tuple{"1"})

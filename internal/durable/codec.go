@@ -312,7 +312,10 @@ func decodeSegment(data []byte, wantArity, wantRows int) ([]storage.Tuple, int, 
 
 // Manifest describes one snapshot: the format version, the log position it
 // captures, the view definitions it was materialized under, and every
-// relation segment with its checksum and statistics.
+// relation segment with its row count and checksum. It keeps no planning
+// statistics; manifests that carry them (a "distinct" array per relation,
+// written before the engine read its statistics off the column indexes)
+// still decode, the key ignored.
 type Manifest struct {
 	Format        int    `json:"format"`
 	LSN           uint64 `json:"lsn"`
@@ -340,14 +343,10 @@ type RelationMeta struct {
 	Arity int    `json:"arity"`
 	Rows  int    `json:"rows"`
 	// Extent marks materialized view extents (vs base relations).
-	Extent bool `json:"extent,omitempty"`
-	// Distinct is the per-column distinct-value count captured from the
-	// cost catalog, so a recovered engine plans with real statistics
-	// without re-scanning every relation.
-	Distinct []float64 `json:"distinct,omitempty"`
-	File     string    `json:"file"`
-	Bytes    int64     `json:"bytes"`
-	CRC      uint32    `json:"crc32c"`
+	Extent bool   `json:"extent,omitempty"`
+	File   string `json:"file"`
+	Bytes  int64  `json:"bytes"`
+	CRC    uint32 `json:"crc32c"`
 }
 
 var segFileName = regexp.MustCompile(`^seg-\d{4}\.col$`)
@@ -381,9 +380,6 @@ func decodeManifest(data []byte) (*Manifest, error) {
 		}
 		if r.Rows < 0 {
 			return nil, fmt.Errorf("durable: manifest relation %s: negative row count", r.Name)
-		}
-		if len(r.Distinct) != 0 && len(r.Distinct) != r.Arity {
-			return nil, fmt.Errorf("durable: manifest relation %s: %d distinct counts for arity %d", r.Name, len(r.Distinct), r.Arity)
 		}
 		if !segFileName.MatchString(r.File) {
 			return nil, fmt.Errorf("durable: manifest relation %s: bad segment file name %q", r.Name, r.File)

@@ -16,7 +16,6 @@ func TestDecodeManifestRejects(t *testing.T) {
 		"duplicate name":  `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 1, "file": "seg-0000.col"}, {"name": "r", "arity": 1, "file": "seg-0001.col"}]}`,
 		"zero arity":      `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 0, "file": "seg-0000.col"}]}`,
 		"negative rows":   `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 1, "rows": -1, "file": "seg-0000.col"}]}`,
-		"distinct arity":  `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 2, "file": "seg-0000.col", "distinct": [1]}]}`,
 		"bad file name":   `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 1, "file": "../escape"}]}`,
 		"duplicate file":  `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 1, "file": "seg-0000.col"}, {"name": "s", "arity": 1, "file": "seg-0000.col"}]}`,
 		"negative bytes":  `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 1, "file": "seg-0000.col", "bytes": -1}]}`,
@@ -27,6 +26,20 @@ func TestDecodeManifestRejects(t *testing.T) {
 		if _, err := decodeManifest([]byte(in)); err == nil {
 			t.Errorf("%s: decodeManifest accepted %s", name, in)
 		}
+	}
+}
+
+// TestDecodeManifestIgnoresDistinct: manifests written while the engine
+// persisted its planning statistics carry a "distinct" array per relation
+// (the committed FuzzDecodeManifest seed does); they still decode.
+func TestDecodeManifestIgnoresDistinct(t *testing.T) {
+	in := `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 2, "rows": 3, "distinct": [3, 2], "file": "seg-0000.col"}, {"name": "v", "arity": 1, "distinct": [7, 7], "extent": true, "file": "seg-0001.col"}]}`
+	m, err := decodeManifest([]byte(in))
+	if err != nil {
+		t.Fatalf("decodeManifest: %v", err)
+	}
+	if len(m.Relations) != 2 || m.Relations[0].Rows != 3 || !m.Relations[1].Extent {
+		t.Fatalf("decoded %+v", m.Relations)
 	}
 }
 

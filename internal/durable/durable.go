@@ -6,11 +6,12 @@
 //     checksummed segment file per relation (base relations and
 //     materialized extents alike) plus a JSON manifest recording the
 //     format version, the log position (LSN), the view-definition
-//     fingerprint, per-relation statistics for the cost catalog, and the
-//     maintainer's deletion baseline. Snapshots are written to a temp
-//     directory, fsynced, renamed into place, and published by atomically
-//     rewriting a CURRENT pointer file — a crash at any instant leaves the
-//     previous snapshot intact.
+//     fingerprint, each relation's arity and row count, and the
+//     maintainer's deletion baseline. No planning statistic is stored:
+//     the engine reads them off the column indexes it rebuilds. Snapshots
+//     are written to a temp directory, fsynced, renamed into place, and
+//     published by atomically rewriting a CURRENT pointer file — a crash
+//     at any instant leaves the previous snapshot intact.
 //
 //   - An append-only WAL whose record unit is exactly one ApplyUpdate
 //     batch (deletes + inserts). Records are length-prefixed and CRC32C

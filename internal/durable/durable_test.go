@@ -47,7 +47,6 @@ func testMeta() SnapshotMeta {
 		ViewsFingerprint: "fp-1",
 		Extents:          map[string]bool{"v": true},
 		Baseline:         map[string][]string{"v": {"a\x1fx"}},
-		Distinct:         map[string][]float64{"r": {3, 3}, "s": {2, 2}, "v": {2, 2}},
 	}
 }
 

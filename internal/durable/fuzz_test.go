@@ -47,7 +47,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		ViewsFingerprint: "fp",
 		Layout:           LayoutFull,
 		Relations: []RelationMeta{
-			{Name: "r", Arity: 2, Rows: 10, File: "seg-0000.col", Bytes: 100, CRC: 1, Distinct: []float64{3, 4}},
+			{Name: "r", Arity: 2, Rows: 10, File: "seg-0000.col", Bytes: 100, CRC: 1},
 			{Name: "v", Arity: 2, Rows: 5, Extent: true, File: "seg-0001.col", Bytes: 50, CRC: 2},
 		},
 		Baseline: map[string][]string{"v": {"a\x1fb"}},

@@ -24,10 +24,6 @@ type SnapshotMeta struct {
 	// Baseline is the maintainer's deletion baseline (per derived
 	// predicate, the keys of facts that pre-existed as base facts).
 	Baseline map[string][]string
-	// Distinct carries per-relation, per-column distinct-value counts from
-	// the cost catalog so recovery can rebuild planning statistics without
-	// scanning.
-	Distinct map[string][]float64
 }
 
 // WriteSnapshot checkpoints db — base relations and view extents alike —
@@ -80,14 +76,13 @@ func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 			return err
 		}
 		man.Relations = append(man.Relations, RelationMeta{
-			Name:     pred,
-			Arity:    rel.Arity(),
-			Rows:     rel.Len(),
-			Extent:   meta.Extents[pred],
-			Distinct: meta.Distinct[pred],
-			File:     file,
-			Bytes:    int64(len(data)),
-			CRC:      crc32.Checksum(data, castagnoli),
+			Name:   pred,
+			Arity:  rel.Arity(),
+			Rows:   rel.Len(),
+			Extent: meta.Extents[pred],
+			File:   file,
+			Bytes:  int64(len(data)),
+			CRC:    crc32.Checksum(data, castagnoli),
 		})
 		total += int64(len(data))
 	}
@@ -142,7 +137,8 @@ func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 // segment is checksum-verified, decoded, and bulk-inserted. Column hash
 // indexes are rebuilt by the caller (BuildIndexes), not persisted — the
 // rebuild is a linear scan, and re-deriving them keeps the on-disk format
-// independent of the index representation.
+// independent of the index representation. The planner's distinct counts
+// are read off those indexes, so they are not persisted either.
 func (s *Store) LoadSnapshot() (*storage.Database, error) {
 	s.mu.Lock()
 	man, snapDir := s.man, s.snapDir

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/cq"
 	"repro/internal/durable"
 	"repro/internal/ivm"
@@ -166,27 +165,6 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 			if err != nil {
 				return nil, err
 			}
-			// Planning statistics come from the manifest instead of a scan
-			// over the loaded database, and cover exactly the relations
-			// newFromMaintainer serves — as a fresh engine's catalog does —
-			// so a restart never changes a plan. Replay drifts them
-			// slightly, which is fine: statistics steer plan shape, never
-			// correctness.
-			cat := cost.NewCatalog(storage.NewDatabase())
-			withBase := servesBase(opt)
-			for _, rm := range man.Relations {
-				if !rm.Extent && !withBase {
-					continue
-				}
-				rows := 0.0
-				if rel := db.Relation(rm.Name); rel != nil {
-					rows = float64(rel.Len())
-				}
-				if len(rm.Distinct) == rm.Arity {
-					cat.SetRelation(rm.Name, rows, rm.Distinct)
-				}
-			}
-			opt.snapCatalog = cat
 			replayStart := time.Now()
 			n, err := store.Replay(func(rec durable.Record) error {
 				_, err := m.ApplyUpdate(rec.Inserts, rec.Deletes)
@@ -242,25 +220,16 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 // them, alongside the readers.
 func (ds *durableState) checkpoint(m *ivm.Maintainer) error {
 	db := m.Database()
-	cat := cost.NewCatalog(db)
 	extents := make(map[string]bool)
-	distinct := make(map[string][]float64)
 	for _, pred := range db.Predicates() {
 		if m.IsView(pred) {
 			extents[pred] = true
 		}
-		rel := db.Relation(pred)
-		d := make([]float64, rel.Arity())
-		for c := range d {
-			d[c] = cat.Distinct(pred, c)
-		}
-		distinct[pred] = d
 	}
 	return ds.store.WriteSnapshot(db, durable.SnapshotMeta{
 		ViewsFingerprint: ds.fp,
 		Extents:          extents,
 		Baseline:         m.BaselineKeys(),
-		Distinct:         distinct,
 	})
 }
 

@@ -197,11 +197,6 @@ type Options struct {
 	// background checkpoint failures, fail-stop transitions). nil
 	// discards them.
 	Logf func(format string, args ...any)
-
-	// snapCatalog carries planning statistics recovered from a snapshot
-	// manifest; set only by the durable boot path so construction can skip
-	// the catalog scan over the loaded database.
-	snapCatalog *cost.Catalog
 }
 
 // PlanKind discriminates what a cached plan holds.
@@ -483,17 +478,13 @@ func New(vs *core.ViewSet, db *storage.Database, opt Options) (*Engine, error) {
 		db = storage.NewDatabase()
 	}
 	db.BuildIndexes()
-	catalog := opt.snapCatalog
-	if catalog == nil {
-		catalog = cost.NewCatalog(db)
-	}
 	e := &Engine{
 		views:       vs,
 		viewDefs:    vs.Views(),
 		db:          db,
 		opt:         opt,
 		memo:        containment.NewMemo(),
-		catalog:     catalog,
+		catalog:     cost.NewCatalog(db),
 		constViews:  viewsHaveConstants(vs.Views()),
 		cache:       newLRU(opt.CacheSize),
 		inflight:    make(map[string]*flight),

@@ -179,11 +179,11 @@ func NewFromMaterialized(db *storage.Database, views []*cq.Query, baseline map[s
 			}
 		}
 	}
+	db.BuildIndexes()
 	cp, err := datalog.CompileProgramIVM(prog, cost.NewCatalog(db))
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
-	db.BuildIndexes()
 	return &Maintainer{views: views, viewNames: names, cp: cp, st: cp.RestoreMaintState(baseline), db: db, opt: opt}, nil
 }
 

@@ -9,7 +9,8 @@ import "hash/maphash"
 // every other tuple with the same value from there, -1 ending a chain. A
 // hash hit is confirmed by comparing the stored tuple's column, so no value
 // string and no per-value slice is kept; an index costs a slot or two per
-// distinct value and four bytes per tuple.
+// distinct value and four bytes per tuple, and the count of heads is the
+// column's distinct count, the planner's statistic (Distinct).
 //
 // Probing allocates nothing:
 //
@@ -52,6 +53,10 @@ func (x *ColIndex) First(tuples []Tuple, val string) int {
 
 // Next returns the position after pos on pos's chain, or -1 at its end.
 func (x *ColIndex) Next(pos int) int { return int(x.next[pos]) }
+
+// Distinct returns the number of distinct values in the column: one heads
+// slot is kept per value, so the count is read, not computed.
+func (x *ColIndex) Distinct() int { return x.heads.Len() }
 
 // Insert indexes the last tuple of tuples, which the caller has just
 // appended to the store the index covers. It allocates nothing beyond the

@@ -186,6 +186,13 @@ func FuzzRelationOps(f *testing.F) {
 			}
 			checkConsistent(t, r)
 			for col := 0; col < 2; col++ {
+				vals := make(map[string]bool)
+				for m := range model {
+					vals[m[col]] = true
+				}
+				if got := r.Distinct(col); got != len(vals) {
+					t.Fatalf("after op %d: Distinct(%d) = %d, model holds %d values", op, col, got, len(vals))
+				}
 				if _, ok := r.ColumnIndex(col); !ok {
 					continue // Lookup would build it
 				}

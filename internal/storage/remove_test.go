@@ -39,6 +39,19 @@ func checkConsistent(t *testing.T, r *Relation) {
 	if r.indexes != nil && len(r.indexes) != r.arity {
 		t.Fatalf("%d column index entries for arity %d", len(r.indexes), r.arity)
 	}
+	for col := 0; col < r.arity; col++ {
+		vals := make(map[string]bool)
+		for _, tup := range r.tuples {
+			vals[tup[col]] = true
+		}
+		_, built := r.ColumnIndex(col)
+		if got := r.Distinct(col); got != len(vals) {
+			t.Fatalf("col %d (built %v): Distinct = %d, want %d", col, built, got, len(vals))
+		}
+		if _, after := r.ColumnIndex(col); after != built {
+			t.Fatalf("col %d: Distinct changed whether the column is built (%v -> %v)", col, built, after)
+		}
+	}
 	for col, x := range r.indexes {
 		if x == nil {
 			continue

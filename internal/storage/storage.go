@@ -125,7 +125,8 @@ func hasKey[K string | []byte](t Tuple, k K) bool {
 // preserved for deterministic iteration until the first Remove, which
 // swap-fills the vacated position; duplicates — tuples equal column by
 // column — are ignored. A column's index, once built, is maintained by
-// every mutation until the relation is dropped.
+// every mutation until the relation is dropped, and is the one source of
+// the column's distinct count (Distinct).
 type Relation struct {
 	name    string
 	arity   int
@@ -368,6 +369,20 @@ func (r *Relation) ColumnIndex(col int) (*ColIndex, bool) {
 	return x, x != nil
 }
 
+// Distinct returns the number of distinct values in column col. It reads
+// the column's built index, or builds a throwaway one for a column that has
+// none, leaving the relation as it was; either way the count is the
+// index's, so there is no second way of counting.
+func (r *Relation) Distinct(col int) int {
+	if x, ok := r.ColumnIndex(col); ok {
+		return x.Distinct()
+	}
+	if col < 0 || col >= r.arity {
+		return 0
+	}
+	return buildColIndex(r.tuples, col).Distinct()
+}
+
 // Lookup returns the tuples whose column col equals val, using a lazily
 // built hash index. Building the index mutates the relation, so concurrent
 // readers must freeze it first (BuildIndexes); race-sensitive callers
@@ -538,20 +553,13 @@ func SortTuples(ts []Tuple) []Tuple {
 }
 
 // TuplesEqual reports whether two tuple sets are equal regardless of order.
+// It sorts copies of both slices and compares them column by column, so
+// tuples whose keys coincide (Tuple.Key) are never confused.
 func TuplesEqual(a, b []Tuple) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	seen := make(map[string]int, len(a))
-	for _, t := range a {
-		seen[t.Key()]++
-	}
-	for _, t := range b {
-		k := t.Key()
-		seen[k]--
-		if seen[k] < 0 {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(SortTuples(slices.Clone(a)), SortTuples(slices.Clone(b)), func(x, y Tuple) bool {
+		return x.Compare(y) == 0
+	})
 }

@@ -194,6 +194,14 @@ func TestSortAndEqual(t *testing.T) {
 	if TuplesEqual([]Tuple{{"x"}}, []Tuple{{"x"}, {"x"}}) {
 		t.Fatal("TuplesEqual length-insensitive")
 	}
+	// Two tuples sharing a Tuple.Key: the separator sits inside a value.
+	x, y := Tuple{"a\x1fb", "c"}, Tuple{"a", "b\x1fc"}
+	if x.Key() != y.Key() {
+		t.Fatal("the colliding pair no longer collides")
+	}
+	if TuplesEqual([]Tuple{x}, []Tuple{y}) {
+		t.Fatal("TuplesEqual confuses two tuples with the same key")
+	}
 }
 
 func TestQuickInsertLookupConsistent(t *testing.T) {
