@@ -38,8 +38,8 @@
 // With EngineOptions.LiveUpdates the engine additionally accepts batches of
 // base-fact inserts and deletions (Engine.ApplyUpdate, either side nil),
 // incrementally maintaining every view extent per batch instead of
-// freezing the database at construction — multiplicity counting for flat
-// view sets, delete-rederive for recursive programs; cached plans survive
+// freezing the database at construction — deletions by delete-rederive,
+// for flat view sets and recursive programs alike; cached plans survive
 // updates, and concurrent readers see torn-free snapshots.
 //
 // See examples/ for complete programs and DESIGN.md for the system map.
@@ -269,8 +269,7 @@ var CompileProgramIVM = datalog.CompileProgramIVM
 // Incremental view maintenance (see internal/ivm). A Maintainer keeps
 // materialized view extents consistent under base-fact inserts, deletions
 // and mixed batches by running compiled delta plans — insertions propagate
-// monotonically, deletions through per-tuple multiplicity counting (flat
-// view sets) or delete-rederive (recursive programs) — instead of
+// monotonically, deletions through delete-rederive — instead of
 // re-materializing. The live engine (EngineOptions.LiveUpdates) embeds
 // one; use it directly to maintain extents without the serving layer.
 type (

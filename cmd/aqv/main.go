@@ -35,7 +35,7 @@
 // "-" retracts its facts (so an update is a "-" line plus a plain line in
 // the same batch), and each query rule first applies the pending batch
 // atomically — deletions before insertions, every view extent maintained
-// through the engine's incremental counting/delete-rederive path, no
+// through the engine's incremental delete-rederive path, no
 // re-materialization — then answers over the updated extents. With -stats
 // the engine's update counters (batches, inserted and deleted tuples,
 // derived and retracted extent tuples, maintenance time) are printed too.

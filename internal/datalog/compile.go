@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -402,11 +403,13 @@ func applyStep(step *compiledStep, ops []colOp, t storage.Tuple, frame []string)
 // appendBindKey appends the dedup key of a candidate tuple at a step — its
 // bound-column values — to buf. Checked columns are equal across all
 // candidates that reach this point, so binds alone determine the subtree.
+// Each value is prefixed by its length, so no value's bytes can be read as
+// a boundary and two keys are equal exactly when the bindings are.
 func appendBindKey(buf []byte, step *compiledStep, t storage.Tuple) []byte {
 	for _, op := range step.ops {
 		if op.action == colBind {
+			buf = binary.AppendUvarint(buf, uint64(len(t[op.col])))
 			buf = append(buf, t[op.col]...)
-			buf = append(buf, 0x1f)
 		}
 	}
 	return buf
@@ -653,15 +656,14 @@ func (p *CompiledPlan) resolve(db *storage.Database, c *compiledComponent) []ste
 // resolveInto is resolve into srcs, one entry per step.
 func resolveInto(db *storage.Database, c *compiledComponent, srcs []stepSrc) {
 	for j := range c.steps {
-		srcs[j] = resolveStep(db, &c.steps[j])
+		srcs[j] = resolveStep(db.Relation(c.steps[j].pred), &c.steps[j])
 	}
 }
 
-// resolveStep binds one step to its relation in db: the tuple slice plus
-// the probe column's index when it is built. A missing predicate is the
+// resolveStep binds one step to its relation: the tuple slice plus the
+// probe column's index when it is built. A missing (nil) relation is the
 // empty relation.
-func resolveStep(db *storage.Database, s *compiledStep) stepSrc {
-	rel := db.Relation(s.pred)
+func resolveStep(rel *storage.Relation, s *compiledStep) stepSrc {
 	if rel == nil {
 		return stepSrc{}
 	}

@@ -184,6 +184,24 @@ func TestCompiledDontCareDedup(t *testing.T) {
 	}
 }
 
+// TestDontCareDedupKeepsCollidingBindings: the step dedup of a binding step
+// with a don't-care column tells apart two bindings whose values joined by
+// 0x1f coincide, ("a\x1fb","c") and ("a","b\x1fc"): both reach the answer.
+func TestDontCareDedupKeepsCollidingBindings(t *testing.T) {
+	db := storage.NewDatabase()
+	db.Insert("r", storage.Tuple{"a\x1fb", "c", "1"})
+	db.Insert("r", storage.Tuple{"a", "b\x1fc", "2"})
+	q := cq.MustParseQuery("q(X,Y) :- r(X,Y,Z)")
+	if plan := Compile(q, cost.NewCatalog(db)); !strings.Contains(plan.Describe(), "dedup") {
+		t.Fatalf("expected a dedup step for the don't-care column:\n%s", plan.Describe())
+	}
+	want := []storage.Tuple{{"a\x1fb", "c"}, {"a", "b\x1fc"}}
+	if got := EvalQuery(db, q); !storage.TuplesEqual(got, want) {
+		t.Fatalf("EvalQuery = %q, want %q", got, want)
+	}
+	checkAgreement(t, db, q, "colliding bindings")
+}
+
 // TestEvalParallelUnfrozenNeverMutates exercises the scan fallback under
 // the race detector: the database is never frozen, so any lazy index build
 // inside the executor would be a data race across these goroutines.

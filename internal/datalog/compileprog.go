@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/cq"
@@ -20,10 +21,11 @@ import (
 //   - each rule body becomes a sequence of compiledSteps — the same
 //     integer-slot frames, catalog-ordered joins, index-probe access paths
 //     and earliest-bound-depth comparisons the single-query compiler emits —
-//     followed by a head-emission step that writes the derived tuple's key —
-//     Skolem, constant and slot columns — into a scratch buffer and builds
-//     the tuple, in a chunk of a tuple arena the variant's execution
-//     owns, only when the key is accepted;
+//     followed by a head-emission step that builds the derived row in a
+//     scratch — slot and constant columns are the frame's strings, Skolem
+//     values are written into a reused buffer the row views in place — and
+//     keeps it, in the row set the variant's execution owns, only when the
+//     row is accepted;
 //   - rules are grouped into strata at compile time: the strongly connected
 //     components of the derived-predicate dependency graph, each one stratum
 //     above the highest component it reads. A run evaluates the strata in
@@ -38,8 +40,9 @@ import (
 //     of lower-stratum predicates get no delta variant in a plain program;
 //     maintenance programs (CompileProgramIVM) compile those too, because
 //     an update batch changes every stratum at once;
-//   - derived (IDB) relations are private to the Eval call and maintain
-//     their probe-column hash indexes incrementally as tuples are inserted,
+//   - derived (IDB) relations are private to the Eval call: each is a
+//     storage.Relation that adopts the rows its executions derived, and
+//     maintains its probe-column indexes incrementally as they arrive,
 //     instead of the interpreter's discard-and-rebuild on every insert;
 //   - within a round, rule-variant executions only read the relations
 //     (inserts are buffered and merged between rounds), so a run with
@@ -134,21 +137,10 @@ type CompiledProgram struct {
 	// ivm marks programs compiled with per-EDB-occurrence delta variants
 	// (CompileProgramIVM); only those support ApplyUpdates.
 	ivm bool
-	// flat marks IVM programs whose rule bodies reference no derived
-	// predicate (non-recursive, single-level view sets): deletions maintain
-	// exact per-derived-tuple multiplicity counts. Non-flat programs fall
-	// back to DRed (delete-and-rederive); see delete.go.
-	flat bool
-	// countFull / countDeltas are the counting plan variants of flat IVM
-	// programs: one full enumeration per rule and one delta variant per body
-	// occurrence, compiled with every body variable kept so each emission is
-	// one distinct derivation (see delete.go).
-	countFull   []countVariant
-	countDeltas [][]countVariant
-	// supports are the re-derivation variants of non-flat IVM programs: per
-	// rule, a plan rooted at the rule's own head (fed by over-deleted
-	// tuples), or the filtered full variant when the head contains Skolem
-	// terms (see delete.go).
+	// supports are the re-derivation variants of IVM programs: per rule, a
+	// plan rooted at the rule's own head (fed by over-deleted tuples), or
+	// the filtered full variant when the head contains Skolem terms (see
+	// delete.go).
 	supports []supportVariant
 }
 
@@ -192,7 +184,7 @@ func compileProgram(p *Program, cat *cost.Catalog, ivm bool) (*CompiledProgram, 
 	probeCols := make(map[string]map[int]bool)
 	for _, r := range rules {
 		cr := compiledRule{headPred: r.HeadPred, arity: len(r.Head), stratum: stratum[r.HeadPred], src: r}
-		cr.full, _ = compileRuleVariant(r, -1, cat, false)
+		cr.full = compileRuleVariant(r, -1, cat)
 		collectProbeCols(cp.idbArity, probeCols, cr.full.steps)
 		for pos, a := range r.Body {
 			s, idb := stratum[a.Pred]
@@ -200,7 +192,7 @@ func compileProgram(p *Program, cat *cost.Catalog, ivm bool) (*CompiledProgram, 
 			if !recursive && !ivm {
 				continue
 			}
-			v, _ := compileRuleVariant(r, pos, cat, false)
+			v := compileRuleVariant(r, pos, cat)
 			v.recursive = recursive
 			collectProbeCols(cp.idbArity, probeCols, v.steps)
 			if idb {
@@ -321,10 +313,7 @@ func collectProbeCols(idb map[string]int, out map[string]map[int]bool, steps []c
 // that body atom to the root of the join order (it will read the delta
 // relation at execution time); the remaining atoms are ordered by the same
 // bound-columns-first, catalog-estimated policy single-query plans use.
-// keepAll gives every body variable a slot — the counting form, where one
-// emission must be one distinct body assignment (delete.go). The variable →
-// slot assignment is returned alongside the variant.
-func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog, keepAll bool) (ruleVariant, map[string]int) {
+func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 	v := ruleVariant{deltaPos: deltaPos}
 	if deltaPos >= 0 {
 		v.deltaPred = r.Body[deltaPos].Pred
@@ -368,7 +357,7 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog, keepAll bool) (
 		}
 		return s
 	}
-	keep := func(t cq.Term) bool { return keepAll || needed[t.Lex] || occ[t.Lex] > 1 }
+	keep := func(t cq.Term) bool { return needed[t.Lex] || occ[t.Lex] > 1 }
 
 	var pending []cq.Comparison
 	for _, c := range r.Comparisons {
@@ -439,54 +428,7 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog, keepAll bool) (
 			v.head[i] = ruleHeadOp{slot: slots[h.Term.Lex]}
 		}
 	}
-	return v, slots
-}
-
-// idbRel is a per-Eval derived relation: a growing tuple set with column
-// indexes on the plan's probe columns, the same storage.ColIndex a
-// relation keeps, maintained incrementally on insert.
-type idbRel struct {
-	arity  int
-	tuples []storage.Tuple
-	seen   map[string]bool
-	idx    []*storage.ColIndex // by column, nil where no plan probes
-}
-
-func newIDBRel(arity int, probeCols []int) *idbRel {
-	r := &idbRel{arity: arity, seen: make(map[string]bool), idx: make([]*storage.ColIndex, arity)}
-	for _, col := range probeCols {
-		r.idx[col] = storage.NewColIndex(col)
-	}
-	return r
-}
-
-// insert adds the tuple and updates the maintained indexes, reporting
-// whether it was new. The tuple is not copied: callers pass fresh or
-// read-only tuples.
-func (r *idbRel) insert(t storage.Tuple) bool {
-	return r.insertKeyed(derivedTuple{t: t, key: t.Key()})
-}
-
-// derivedTuple is one buffered derivation: the tuple plus its dedup key,
-// computed once at emission and reused by the merge.
-type derivedTuple struct {
-	t   storage.Tuple
-	key string
-}
-
-// insertKeyed is insert with the key already computed.
-func (r *idbRel) insertKeyed(d derivedTuple) bool {
-	if r.seen[d.key] {
-		return false
-	}
-	r.seen[d.key] = true
-	r.tuples = append(r.tuples, d.t)
-	for _, x := range r.idx {
-		if x != nil {
-			x.Insert(r.tuples)
-		}
-	}
-	return true
+	return v
 }
 
 // variantTask is one rule-variant execution scheduled in a fixpoint or
@@ -535,12 +477,12 @@ func (cp *CompiledProgram) Eval(edb *storage.Database) (*storage.Database, error
 	if err != nil {
 		return nil, err
 	}
-	for pred, ir := range idb {
-		rel, err := db.Ensure(pred, ir.arity)
+	for pred, derived := range idb {
+		rel, err := db.Ensure(pred, derived.Arity())
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range ir.tuples {
+		for _, t := range derived.Tuples() {
 			rel.Insert(t)
 		}
 	}
@@ -565,8 +507,8 @@ func (cp *CompiledProgram) evalRelation(edb *storage.Database, pred string, work
 	if err != nil {
 		return nil, stats, err
 	}
-	if ir, ok := idb[pred]; ok {
-		return ir.tuples, stats, nil
+	if derived, ok := idb[pred]; ok {
+		return derived.Tuples(), stats, nil
 	}
 	if rel := edb.Relation(pred); rel != nil {
 		out := make([]storage.Tuple, len(rel.Tuples()))
@@ -591,23 +533,26 @@ func (cp *CompiledProgram) evalRelation(edb *storage.Database, pred string, work
 // barrier, stratum boundaries included, and the round/derivation budgets
 // are checked where the stats are consistent — so an aborted run returns
 // its partial stats with the error.
-func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardState, lim Limits) (map[string]*idbRel, FixpointStats, error) {
+func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardState, lim Limits) (map[string]*storage.Relation, FixpointStats, error) {
 	var stats FixpointStats
-	idb := make(map[string]*idbRel, len(cp.idbArity))
+	idb := make(map[string]*storage.Relation, len(cp.idbArity))
 	for pred, arity := range cp.idbArity {
-		ir := newIDBRel(arity, cp.idbProbeCols[pred])
+		derived := storage.NewRelation(pred, arity)
+		for _, col := range cp.idbProbeCols[pred] {
+			derived.BuildColumnIndex(col)
+		}
 		// A derived predicate may coincide with an EDB relation; its facts
 		// seed the accumulated set (the interpreter derives into a clone of
-		// that relation).
+		// that relation). The run only reads them, so they are adopted.
 		if rel := edb.Relation(pred); rel != nil {
 			if rel.Arity() != arity {
 				return nil, stats, fmt.Errorf("storage: relation %s has arity %d, requested %d", pred, rel.Arity(), arity)
 			}
 			for _, t := range rel.Tuples() {
-				ir.insert(t)
+				derived.Adopt(t)
 			}
 		}
-		idb[pred] = ir
+		idb[pred] = derived
 	}
 
 	var tasks []variantTask
@@ -631,24 +576,20 @@ func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardStat
 			// sets, and write nothing shared. round is captured by value;
 			// tasks, which the loop reassigns, would be moved to the heap.
 			round := tasks
-			bufs, err := runTaskSet(len(round), workers, func(i int) ([]derivedTuple, error) {
+			bufs, err := runTaskSet(len(round), workers, func(i int) (RowSet, error) {
 				t := round[i]
 				accum := idb[t.rule.headPred]
 				return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, edb, idb), gs.child(),
-					func(k []byte) bool { return !accum.seen[string(k)] })
+					func(h storage.Tuple) bool { return !accum.Contains(h) })
 			})
 			if err != nil {
 				return nil, stats, err
 			}
-			delta := make(map[string][]storage.Tuple)
-			for i, buf := range bufs {
-				ir := idb[tasks[i].rule.headPred]
-				for _, d := range buf {
-					if ir.insertKeyed(d) {
-						delta[tasks[i].rule.headPred] = append(delta[tasks[i].rule.headPred], d.t)
-						stats.Derived++
-					}
-				}
+			delta, _ := mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
+				return idb[r.headPred], nil
+			}, (*storage.Relation).Adopt)
+			for _, d := range delta {
+				stats.Derived += len(d)
 			}
 			tasks = deltaTasks(tasks[:0], rules, delta, false)
 		}
@@ -673,10 +614,9 @@ func checkFixpointBudget(stats FixpointStats, lim Limits) error {
 }
 
 // runTaskSet executes n independent task bodies across up to workers
-// goroutines, collecting each body's result (a derivation buffer, or a
-// counted-tuple map on the counting path). Bodies only read round-stable
-// state, so the fan-out needs no locks; the fixpoint rounds and the
-// maintenance rounds (ApplyUpdates) share it.
+// goroutines, collecting each body's result, a derivation buffer. Bodies
+// only read round-stable state, so the fan-out needs no locks; the fixpoint
+// rounds and the maintenance rounds (ApplyUpdates) share it.
 func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
 	bufs := make([]T, n)
 	if workers > n {
@@ -716,36 +656,60 @@ func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
 	return bufs, nil
 }
 
+// mergeRound adds a round's buffered rows to the relation target gives each
+// task's rule, through add — Adopt or Insert — and returns the tuples that
+// were new, per head predicate. Both only append, so a predicate's new
+// tuples are its relation's tail: the next round reads them as its delta
+// without a copy, and nothing removes from the relation while it runs.
+func mergeRound(tasks []variantTask, bufs []RowSet, target func(*compiledRule) (*storage.Relation, error), add func(*storage.Relation, storage.Tuple) bool) (map[string][]storage.Tuple, error) {
+	cur := make(map[string][]storage.Tuple)
+	for i := range bufs {
+		buf := &bufs[i]
+		if buf.Len() == 0 {
+			continue
+		}
+		rel, err := target(tasks[i].rule)
+		if err != nil {
+			return nil, err
+		}
+		before := rel.Len()
+		for k := 0; k < buf.Len(); k++ {
+			add(rel, buf.tuple(k))
+		}
+		if added := rel.Len() - before; added > 0 {
+			pred := tasks[i].rule.headPred
+			cur[pred] = rel.Tuples()[rel.Len()-len(cur[pred])-added:]
+		}
+	}
+	return cur, nil
+}
+
 // emitVariant enumerates one variant's body matches over srcs and buffers
-// the derived head tuples accept admits, deduplicated within the buffer. It
-// only reads — inserts happen at the caller's merge — and is the one
-// executor behind the fixpoint rounds and every set-semantics maintenance
-// round (propagation, over-deletion, re-derivation); what differs between
-// them is accept, the test of a head key against the state being maintained.
-// Each match's key is built in a scratch buffer and tested there, so only an
-// accepted derivation allocates: its key and its tuple.
-func emitVariant(v *ruleVariant, srcs []stepSrc, g *evalGuard, accept func(key []byte) bool) ([]derivedTuple, error) {
+// the derived head rows accept admits, deduplicated within the buffer by
+// their columns. It only reads — inserts happen at the caller's merge — and
+// is the one executor behind the fixpoint rounds and every maintenance round
+// (propagation, over-deletion, re-derivation); what differs between them is
+// accept, the test of a head row against the state being maintained. accept
+// must not retain the row: it is the scratch's, rebuilt for every match. So
+// a rejected match allocates nothing, and an accepted one only its Skolem
+// values and its place in the buffer's arena, which the merge reads back as
+// tuples (RowSet.tuple).
+func emitVariant(v *ruleVariant, srcs []stepSrc, g *evalGuard, accept func(storage.Tuple) bool) (RowSet, error) {
 	comp := compiledComponent{steps: v.steps}
 	frame := make([]string, v.numSlots)
-	var ks keyScratch
-	var buf []derivedTuple
-	var bufSeen map[string]bool
+	var hs headScratch
+	var buf RowSet
 	var evalErr error
 	joinSteps(&comp, srcs, 0, frame, g, func(frame []string) bool {
 		if v.unsafeVar != "" {
 			evalErr = fmt.Errorf("datalog: unbound head variable %s", v.unsafeVar)
 			return false
 		}
-		kb := ks.key(v.head, frame)
-		if bufSeen[string(kb)] || !accept(kb) {
+		row := hs.build(v.head, frame)
+		if _, dup := buf.find(row); dup || !accept(row) {
 			return true
 		}
-		if bufSeen == nil {
-			bufSeen = make(map[string]bool)
-		}
-		k := string(kb)
-		bufSeen[k] = true
-		buf = append(buf, derivedTuple{t: ks.tuple(v.head, frame, k), key: k})
+		buf.Add(hs.own(v.head))
 		// Intra-round backstop for the derivation budget: the authoritative
 		// check runs at the round barrier, but a single variant exploding
 		// past the whole budget stops here instead of finishing the round.
@@ -756,103 +720,84 @@ func emitVariant(v *ruleVariant, srcs []stepSrc, g *evalGuard, accept func(key [
 
 // resolveSteps binds a variant's steps to their candidate sources: the
 // delta slice for the delta-root step (scanned: it is the small side), the
-// per-call IDB relation (tuples plus maintained probe index) for predicates
-// in idb — nil on the maintenance paths, where derived relations live in db
-// — and the database relation otherwise.
-func resolveSteps(steps []compiledStep, delta []storage.Tuple, db *storage.Database, idb map[string]*idbRel) []stepSrc {
+// per-call derived relation for predicates in idb — nil on the maintenance
+// paths, where derived relations live in db — and the database relation
+// otherwise.
+func resolveSteps(steps []compiledStep, delta []storage.Tuple, db *storage.Database, idb map[string]*storage.Relation) []stepSrc {
 	srcs := make([]stepSrc, len(steps))
 	for j := range steps {
 		s := &steps[j]
 		if j == 0 && delta != nil {
 			srcs[j].tuples = delta
-		} else if ir := idb[s.pred]; ir != nil {
-			srcs[j].tuples = ir.tuples
-			if s.probeCol >= 0 {
-				srcs[j].idx = ir.idx[s.probeCol]
-			}
-		} else {
-			srcs[j] = resolveStep(db, s)
+			continue
 		}
+		rel := idb[s.pred]
+		if rel == nil {
+			rel = db.Relation(s.pred)
+		}
+		srcs[j] = resolveStep(rel, s)
 	}
 	return srcs
 }
 
-// keyScratch builds head keys without allocating: key writes the key of
-// the head tuple a complete frame derives — byte for byte its Tuple.Key,
-// Skolem values written inline by appendSkolem — into a reused buffer and
-// records where each column ends; tuple then builds the tuple of an
-// accepted key in the execution's tuple arena.
-type keyScratch struct {
+// headScratch builds the head row a complete frame derives without
+// allocating: slot and constant columns are the frame's strings, and the
+// Skolem values are written back to back into one reused buffer, which the
+// row's Skolem columns view in place. own copies those values into one
+// string, so only a row that is kept pays for them.
+type headScratch struct {
+	row  storage.Tuple
 	buf  []byte
-	ends []int    // ends[i] is the offset in buf just past column i
+	ends []int    // ends[k] is the offset in buf just past the k-th Skolem value
 	args []string // one Skolem application's argument values
-	// arena is the current chunk accepted tuples are carved from, as
-	// capacity-limited windows (appending to one tuple never writes into
-	// the next). A full chunk is left to the tuples already carved from it.
-	arena []string
 }
 
-// Tuple-arena chunk sizes, in rows: a variant execution's first chunk holds
-// minArenaRows tuples and each later one twice its predecessor, up to
-// maxArenaRows — a maintenance variant deriving a handful of tuples does
-// not pay for a large chunk, and a fixpoint deriving thousands pays one
-// allocation per maxArenaRows of them. A chunk stays reachable while any
-// tuple carved from it does; no database keeps one, because
-// storage.Relation.Insert clones what it stores.
-const (
-	minArenaRows = 8
-	maxArenaRows = 256
-)
-
-// key returns the head key of frame. The slice is valid until the next
-// call.
-func (ks *keyScratch) key(head []ruleHeadOp, frame []string) []byte {
-	ks.buf, ks.ends = ks.buf[:0], ks.ends[:0]
+// build returns the head row of frame. The row and its Skolem values are
+// valid until the next call.
+func (hs *headScratch) build(head []ruleHeadOp, frame []string) storage.Tuple {
+	hs.row = slices.Grow(hs.row[:0], len(head))[:len(head)]
+	hs.buf, hs.ends = hs.buf[:0], hs.ends[:0]
 	for i, h := range head {
-		if i > 0 {
-			ks.buf = append(ks.buf, 0x1f)
-		}
 		switch {
 		case h.skolem != nil:
-			ks.args = ks.args[:0]
+			hs.args = hs.args[:0]
 			for _, s := range h.skolem.argSlots {
-				ks.args = append(ks.args, frame[s])
+				hs.args = append(hs.args, frame[s])
 			}
-			ks.buf = appendSkolem(ks.buf, h.skolem.name, ks.args)
+			hs.buf = appendSkolem(hs.buf, h.skolem.name, hs.args)
+			hs.ends = append(hs.ends, len(hs.buf))
 		case h.slot >= 0:
-			ks.buf = append(ks.buf, frame[h.slot]...)
+			hs.row[i] = frame[h.slot]
 		default:
-			ks.buf = append(ks.buf, h.constVal...)
+			hs.row[i] = h.constVal
 		}
-		ks.ends = append(ks.ends, len(ks.buf))
 	}
-	return ks.buf
+	if len(hs.ends) > 0 {
+		hs.view(head, unsafe.String(unsafe.SliceData(hs.buf), len(hs.buf)))
+	}
+	return hs.row
 }
 
-// tuple builds the head tuple of the last key, given that key as the string
-// k: plain columns come from the frame, Skolem columns are sub-strings of k.
-func (ks *keyScratch) tuple(head []ruleHeadOp, frame []string, k string) storage.Tuple {
-	n := len(head)
-	if cap(ks.arena)-len(ks.arena) < n {
-		rows := min(max(2*cap(ks.arena)/n, minArenaRows), maxArenaRows)
-		ks.arena = make([]string, 0, rows*n)
+// own gives the last row's Skolem columns values of their own, copied out
+// of the buffer into one string, and returns the row.
+func (hs *headScratch) own(head []ruleHeadOp) storage.Tuple {
+	if len(hs.ends) > 0 {
+		hs.view(head, string(hs.buf))
 	}
-	at := len(ks.arena)
-	ks.arena = ks.arena[:at+n]
-	t := storage.Tuple(ks.arena[at : at+n : at+n])
-	start := 0
+	return hs.row
+}
+
+// view points the row's Skolem columns into vals, which holds their values
+// back to back.
+func (hs *headScratch) view(head []ruleHeadOp, vals string) {
+	start, k := 0, 0
 	for i, h := range head {
-		switch {
-		case h.skolem != nil:
-			t[i] = k[start:ks.ends[i]]
-		case h.slot >= 0:
-			t[i] = frame[h.slot]
-		default:
-			t[i] = h.constVal
+		if h.skolem != nil {
+			hs.row[i] = vals[start:hs.ends[k]]
+			start = hs.ends[k]
+			k++
 		}
-		start = ks.ends[i] + 1
 	}
-	return t
 }
 
 // freeze builds exactly the EDB column indexes the program's probes need, so

@@ -12,10 +12,10 @@ import (
 )
 
 // Differential property tests for non-monotone maintenance: on randomized
-// mixed insert/delete streams over the progdiff corpus — flat view sets
-// (counting) and recursive, mutually recursive, and Skolem-head programs
-// (DRed) — the maintained database must equal a full re-materialization
-// from the surviving base facts after every batch, relation by relation.
+// mixed insert/delete streams over the progdiff corpus — flat view sets and
+// recursive, mutually recursive, and Skolem-head programs, all maintained by
+// DRed — the maintained database must equal a full re-materialization from
+// the surviving base facts after every batch, relation by relation.
 
 // randomDeletes draws a batch of deletions: mostly tuples present in the
 // shadow EDB (so deletions actually bite), plus the occasional absent
@@ -44,18 +44,12 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 		streams = 60
 	}
 	rng := rand.New(rand.NewSource(0xDE1E7E))
-	flat, dred := 0, 0
 	for stream := 0; stream < streams; stream++ {
 		edb := randomProgDB(rng)
 		prog := randomProgram(rng, stream)
 		cp, err := CompileProgramIVM(prog, cost.NewRowCatalog(edb))
 		if err != nil {
 			t.Fatalf("stream %d: compile: %v\n%s", stream, err, prog)
-		}
-		if cp.flat {
-			flat++
-		} else {
-			dred++
 		}
 		st := cp.NewMaintState(edb)
 		maintained, err := cp.Eval(edb)
@@ -73,7 +67,7 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // delete-heavy
 				del = randomDeletes(rng, shadow)
-			case 1: // insert-only (exercises the lazy-counts boundary)
+			case 1: // insert-only
 				ins = randomUpdate(rng)
 			default: // mixed churn
 				del = randomDeletes(rng, shadow)
@@ -129,9 +123,6 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 			diffDatabases(t, fmt.Sprintf("stream %d batch %d (mixed update vs full)\n%s", stream, batch, prog), maintained, want)
 		}
 	}
-	if flat == 0 || dred == 0 {
-		t.Fatalf("corpus skew: %d flat / %d DRed streams — both paths must be exercised", flat, dred)
-	}
 }
 
 func containsTuple(ts []storage.Tuple, tup storage.Tuple) bool {
@@ -143,10 +134,11 @@ func containsTuple(ts []storage.Tuple, tup storage.Tuple) bool {
 	return false
 }
 
-// TestApplyUpdatesCounting pins the flat-program counting semantics that
-// randomized streams hit only by chance: cross-rule support, multiple
-// derivations within one rule, and a same-tuple delete+insert in one batch.
-func TestApplyUpdatesCounting(t *testing.T) {
+// TestApplyUpdatesFlatViews pins what DRed must get right on a flat view
+// set that randomized streams hit only by chance: cross-rule support,
+// multiple derivations within one rule, and a same-tuple delete+insert in
+// one batch.
+func TestApplyUpdatesFlatViews(t *testing.T) {
 	prog := NewProgram(
 		RuleFromQuery(mustQ("v(X) :- a(X)")),
 		RuleFromQuery(mustQ("v(X) :- b(X)")),
@@ -161,9 +153,6 @@ func TestApplyUpdatesCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cp.flat {
-		t.Fatal("view set should select the counting strategy")
-	}
 	st := cp.NewMaintState(base)
 	db, err := cp.Eval(base)
 	if err != nil {
@@ -177,9 +166,6 @@ func TestApplyUpdatesCounting(t *testing.T) {
 	}
 	if len(res.Retracted["v"]) != 0 || !db.Relation("v").Contains(storage.Tuple{"1"}) {
 		t.Fatalf("v(1) retracted with a surviving support: %+v", res.Retracted)
-	}
-	if !st.CountsReady() {
-		t.Fatal("first deletion should have built the derivation counts")
 	}
 	res, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"b": {{"1"}}}, 1)
 	if err != nil {
@@ -208,7 +194,7 @@ func TestApplyUpdatesCounting(t *testing.T) {
 	if !db.Relation("w").Contains(storage.Tuple{"1"}) || !db.Relation("r").Contains(storage.Tuple{"1", "q"}) {
 		t.Fatal("delete+insert of the same tuple must net to present")
 	}
-	// And the counts stayed exact: one more delete retracts.
+	// And w(1) kept exactly one derivation: one more delete retracts.
 	res, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +208,7 @@ func TestApplyUpdatesCounting(t *testing.T) {
 // base facts keep those facts forever — their support is the base relation
 // itself, not any rule derivation.
 func TestApplyUpdatesBaselineFacts(t *testing.T) {
-	// Flat (counting) shape.
+	// Flat shape.
 	base := storage.NewDatabase()
 	base.Insert("r", storage.Tuple{"a"})
 	base.Insert("v", storage.Tuple{"a"}) // also rule-derivable
@@ -246,7 +232,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 		}
 	}
 
-	// Recursive (DRed) shape.
+	// Recursive shape.
 	base2 := storage.NewDatabase()
 	base2.Insert("e", storage.Tuple{"a", "b"})
 	base2.Insert("tc", storage.Tuple{"x", "y"})
@@ -257,9 +243,6 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	cp2, err := CompileProgramIVM(prog2, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cp2.flat {
-		t.Fatal("recursive program should select DRed")
 	}
 	st2 := cp2.NewMaintState(base2)
 	db2, err := cp2.Eval(base2)
@@ -425,9 +408,9 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 		}
 		diffDatabases(t, "canceled batch", db, snapshot)
 
-		// A tripped budget mid-batch rolls everything back: in the DRed
-		// case the over-deletion fixpoint trips it mid-retraction, in the
-		// counting case the insert side derives past the cap.
+		// A tripped budget mid-batch rolls everything back: the
+		// over-deleted tuples alone pass the cap, so DRed trips it
+		// mid-retraction, before the insert side runs.
 		ins := map[string][]storage.Tuple{"e": {{"20", "21"}, {"21", "22"}}}
 		del := map[string][]storage.Tuple{"e": {{"0", "1"}, {"5", "6"}}}
 		_, err = cp.ApplyUpdatesCtx(context.Background(), db, st, ins, del, 2, Limits{MaxDerived: 1})
@@ -450,5 +433,62 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 		diffDatabases(t, fmt.Sprintf("post-rollback batch (recursive=%v)", recursive), db, want)
+	}
+}
+
+// TestApplyUpdatesKeyCollidingTuples: two base tuples whose Tuple.Key
+// strings coincide, ("a\x1fb","c") and ("a","b\x1fc"), are different
+// tuples to the fixpoint and to every maintenance pass, in a flat program
+// and in a recursive one. Each relation must equal the interpreter's after
+// materialization, after deleting one of the pair, and after a batch that
+// inserts it back while deleting the other.
+func TestApplyUpdatesKeyCollidingTuples(t *testing.T) {
+	a, b := storage.Tuple{"a\x1fb", "c"}, storage.Tuple{"a", "b\x1fc"}
+	progs := map[string]*Program{
+		"flat": NewProgram(RuleFromQuery(mustQ("v(X,Y) :- r(X,Y)"))),
+		"recursive": NewProgram(
+			RuleFromQuery(mustQ("tc(X,Y) :- r(X,Y)")),
+			RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), r(Y,Z)")),
+		),
+	}
+	for name, prog := range progs {
+		shadow := storage.NewDatabase()
+		for _, tup := range []storage.Tuple{a, b, {"c", "d"}, {"b\x1fc", "e"}} {
+			shadow.Insert("r", tup)
+		}
+		cp, err := CompileProgramIVM(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := cp.NewMaintState(shadow)
+		db, err := cp.Eval(shadow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(step string) {
+			t.Helper()
+			want, err := prog.EvalInterp(shadow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffDatabases(t, name+": "+step, db, want)
+		}
+		check("materialized")
+		if n := db.Relation(prog.Rules[0].HeadPred).Len(); n < 4 {
+			t.Fatalf("%s: %d derived tuples, want at least 4", name, n)
+		}
+
+		if _, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"r": {a}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		shadow.Remove("r", a)
+		check("one of the pair deleted")
+
+		if _, err := cp.ApplyUpdates(db, st, map[string][]storage.Tuple{"r": {a}}, map[string][]storage.Tuple{"r": {b}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		shadow.Remove("r", b)
+		shadow.Insert("r", a)
+		check("the pair swapped")
 	}
 }

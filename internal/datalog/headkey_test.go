@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 	"repro/internal/storage"
 )
 
-// buildHeadTuple is the reference head emitter keyScratch replaced: a fresh
-// tuple per frame, every Skolem value built by skolemValue.
+// buildHeadTuple is the reference head emitter headScratch replaced: a
+// fresh tuple per frame, every Skolem value built by skolemValue.
 func buildHeadTuple(head []ruleHeadOp, frame []string) storage.Tuple {
 	t := make(storage.Tuple, len(head))
 	for i, h := range head {
@@ -32,15 +33,18 @@ func buildHeadTuple(head []ruleHeadOp, frame []string) storage.Tuple {
 	return t
 }
 
-// TestHeadKeyMatchesTupleKey: on seeded random heads mixing Skolem, slot and
-// constant columns, the key scratch writes byte for byte
-// buildHeadTuple(...).Key() and rebuilds that tuple from the key, and
-// skolemValue is the tagged form "⟨name:arg1␟arg2…⟩" — so the compiled
-// emitter, the interpreter and storage agree on every derived value.
-func TestHeadKeyMatchesTupleKey(t *testing.T) {
+// TestHeadScratchMatchesReference: on seeded random heads mixing Skolem,
+// slot and constant columns, the head-row scratch builds exactly
+// buildHeadTuple's row, and skolemValue is the tagged form
+// "⟨name:arg1␟arg2…⟩" — so the compiled emitter, the interpreter and storage
+// agree on every derived value. Every owned row is kept, as emitVariant's
+// buffer keeps it, and must still read as built once the scratch has built
+// every later row over the same buffer.
+func TestHeadScratchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	values := []string{"", "a", "b7", "⟨g:x⟩", "x\x1fy", "a-much-longer-value-0123456789"}
-	var ks keyScratch // reused across trials, as within one emitter
+	var hs headScratch // reused across trials, as within one emitter
+	var kept, wants []storage.Tuple
 	for trial := 0; trial < 1000; trial++ {
 		frame := make([]string, 1+rng.Intn(5))
 		for i := range frame {
@@ -62,13 +66,11 @@ func TestHeadKeyMatchesTupleKey(t *testing.T) {
 			}
 		}
 		want := buildHeadTuple(head, frame)
-		k := string(ks.key(head, frame))
-		if k != want.Key() {
-			t.Fatalf("trial %d: key %q, want %q", trial, k, want.Key())
+		if got := hs.build(head, frame); got.Compare(want) != 0 {
+			t.Fatalf("trial %d: row %q, want %q", trial, got, want)
 		}
-		if got := ks.tuple(head, frame, k); got.Compare(want) != 0 {
-			t.Fatalf("trial %d: tuple %q, want %q", trial, got, want)
-		}
+		kept = append(kept, slices.Clone(hs.own(head)))
+		wants = append(wants, want)
 		for i, h := range head {
 			if h.skolem == nil {
 				continue
@@ -80,6 +82,11 @@ func TestHeadKeyMatchesTupleKey(t *testing.T) {
 			if tagged := "⟨" + h.skolem.name + ":" + strings.Join(parts, "\x1f") + "⟩"; want[i] != tagged {
 				t.Fatalf("trial %d: skolemValue = %q, want %q", trial, want[i], tagged)
 			}
+		}
+	}
+	for i := range kept {
+		if kept[i].Compare(wants[i]) != 0 {
+			t.Fatalf("trial %d: the kept row reads %q after later builds, want %q", i, kept[i], wants[i])
 		}
 	}
 }
@@ -98,7 +105,7 @@ func TestEmitVariantRejectsWithoutAllocating(t *testing.T) {
 		{HeadPred: "p", Head: []HeadTerm{{Term: cq.Var("A")}, {Skolem: skolem}}, Body: mustQ("p(A,B) :- v(A,B)").Body},
 	}
 	for _, r := range rules {
-		v, _ := compileRuleVariant(r, -1, &cost.Catalog{}, false)
+		v := compileRuleVariant(r, -1, &cost.Catalog{})
 		allocs := make(map[int]float64)
 		for _, n := range []int{100, 1000} {
 			db := storage.NewDatabase()
@@ -106,18 +113,18 @@ func TestEmitVariantRejectsWithoutAllocating(t *testing.T) {
 				db.Insert("v", storage.Tuple{fmt.Sprintf("a%05d", i), fmt.Sprintf("b%05d", i)})
 			}
 			srcs := resolveSteps(v.steps, nil, db, nil)
-			derived, err := emitVariant(&v, srcs, nil, func([]byte) bool { return true })
-			if err != nil || len(derived) != n {
-				t.Fatalf("%s: %d derived, err = %v", r, len(derived), err)
+			derived, err := emitVariant(&v, srcs, nil, func(storage.Tuple) bool { return true })
+			if err != nil || derived.Len() != n {
+				t.Fatalf("%s: %d derived, err = %v", r, derived.Len(), err)
 			}
 			held := storage.NewRelation("p", 2)
-			for _, d := range derived {
-				held.Insert(d.t)
+			for _, d := range derived.Rows() {
+				held.Insert(d)
 			}
 			allocs[n] = testing.AllocsPerRun(20, func() {
-				buf, err := emitVariant(&v, srcs, nil, func(k []byte) bool { return !held.ContainsKeyBytes(k) })
-				if err != nil || len(buf) != 0 {
-					t.Fatalf("%s: re-derived %d tuple(s), err = %v", r, len(buf), err)
+				buf, err := emitVariant(&v, srcs, nil, func(h storage.Tuple) bool { return !held.Contains(h) })
+				if err != nil || buf.Len() != 0 {
+					t.Fatalf("%s: re-derived %d tuple(s), err = %v", r, buf.Len(), err)
 				}
 			})
 		}

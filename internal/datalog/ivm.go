@@ -23,7 +23,7 @@ import (
 //     reading the post-batch database — any derivation that uses at least
 //     one new base tuple is found, and derivations that use none were
 //     already present (insertion is monotone; deletions take the
-//     non-monotone counting/DRed path in delete.go);
+//     non-monotone DRed path in delete.go);
 //   - subsequent rounds are ordinary semi-naive: the IDB delta variants
 //     fire on whatever the previous round newly derived, until quiescence;
 //   - within a round the database is only read (derivations are buffered
@@ -91,29 +91,24 @@ func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]st
 			return nil, stats, err
 		}
 		stats.Iterations++
-		bufs, err := runTaskSet(len(tasks), workers, func(i int) ([]derivedTuple, error) {
+		bufs, err := runTaskSet(len(tasks), workers, func(i int) (RowSet, error) {
 			t := tasks[i]
 			headRel := db.Relation(t.rule.headPred)
 			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(),
-				func(k []byte) bool { return headRel == nil || !headRel.ContainsKeyBytes(k) })
+				func(h storage.Tuple) bool { return headRel == nil || !headRel.Contains(h) })
 		})
 		if err != nil {
 			return nil, stats, err
 		}
-		cur = make(map[string][]storage.Tuple)
-		for i, buf := range bufs {
-			pred := tasks[i].rule.headPred
-			rel, err := db.Ensure(pred, tasks[i].rule.arity)
-			if err != nil {
-				return nil, stats, err
-			}
-			for _, d := range buf {
-				if rel.Insert(d.t) {
-					cur[pred] = append(cur[pred], d.t)
-					derived[pred] = append(derived[pred], d.t)
-					stats.Derived++
-				}
-			}
+		cur, err = mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
+			return db.Ensure(r.headPred, r.arity)
+		}, (*storage.Relation).Insert)
+		if err != nil {
+			return nil, stats, err
+		}
+		for pred, c := range cur {
+			derived[pred] = append(derived[pred], c...)
+			stats.Derived += len(c)
 		}
 	}
 }

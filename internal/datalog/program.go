@@ -44,7 +44,7 @@ func skolemValue(name string, parts []string) string {
 
 // appendSkolem appends the tagged data value of a Skolem application,
 // "⟨name:arg1␟arg2…⟩", to buf. It is the one encoder of Skolem values: the
-// interpreter and the compiled head-key appender (keyScratch) both call it,
+// interpreter and the compiled head-row scratch (headScratch) both call it,
 // so the two evaluators always construct identical values.
 func appendSkolem(buf []byte, name string, args []string) []byte {
 	buf = append(buf, "⟨"...)

@@ -19,8 +19,10 @@ import (
 //
 // Every answer path deduplicates through it: a plan run's emitted rows, the
 // merge of a sharded run, EvalUnion and the engine's union of contained
-// rewritings. The zero value is an empty set whose width the first Add
-// fixes.
+// rewritings. It is also the derivation buffer of every rule-variant
+// execution (emitVariant), whose merge reads the rows back as tuples that
+// share the arena (tuple). The zero value is an empty set whose width the
+// first Add fixes.
 type RowSet struct {
 	width int
 	n     int      // rows stored
@@ -94,32 +96,51 @@ func (s *RowSet) Rows() []storage.Tuple {
 // row is stored row i.
 func (s *RowSet) row(i int) []string { return s.vals[i*s.width : (i+1)*s.width] }
 
-// addTail decides whether the width values at the arena's tail, just
-// appended, form a new row: a new row is kept, a repeat is truncated away.
-func (s *RowSet) addTail() bool {
-	tail := s.vals[s.n*s.width:]
+// tuple is stored row i as a tuple: a capacity-limited window onto the
+// arena, so appending to it never writes into the next row. It shares the
+// arena, so a set that hands out tuples must not be reset (pooled) while
+// they are in use.
+func (s *RowSet) tuple(i int) storage.Tuple {
+	return s.vals[i*s.width : (i+1)*s.width : (i+1)*s.width]
+}
+
+// find reports whether a stored row equals row: by comparing against every
+// stored row while there are at most linearDedupRows of them, and through
+// the table, which it builds on first use, past that — returning row's hash
+// then, for the caller to place it.
+func (s *RowSet) find(row []string) (uint32, bool) {
 	if s.n < linearDedupRows {
 		for i := 0; i < s.n; i++ {
-			if slices.Equal(s.row(i), tail) {
-				s.vals = s.vals[:s.n*s.width]
-				return false
+			if slices.Equal(s.row(i), row) {
+				return 0, true
 			}
 		}
-		s.n++
-		return true
+		return 0, false
 	}
 	if s.table.Len() == 0 {
 		s.index()
 	}
-	h := hashRow(tail)
+	h := hashRow(row)
 	p := s.table.Probe(h)
 	for r := p.Next(); r >= 0; r = p.Next() {
-		if slices.Equal(s.row(r), tail) {
-			s.vals = s.vals[:s.n*s.width]
-			return false
+		if slices.Equal(s.row(r), row) {
+			return h, true
 		}
 	}
-	s.table.Place(h, s.n)
+	return h, false
+}
+
+// addTail decides whether the width values at the arena's tail, just
+// appended, form a new row: a new row is kept, a repeat is truncated away.
+func (s *RowSet) addTail() bool {
+	h, found := s.find(s.vals[s.n*s.width:])
+	if found {
+		s.vals = s.vals[:s.n*s.width]
+		return false
+	}
+	if s.n >= linearDedupRows {
+		s.table.Place(h, s.n)
+	}
 	s.n++
 	return true
 }

@@ -359,8 +359,8 @@ type Stats struct {
 // for concurrent use. Without Options.LiveUpdates the database it serves
 // from is frozen (indexed) at construction and must not be mutated
 // afterwards; with LiveUpdates, ApplyUpdate applies a batch of base-fact
-// inserts and deletes — every extent is incrementally maintained (counting
-// or DRed on the delete side) while answers keep flowing.
+// inserts and deletes — every extent is incrementally maintained (DRed on
+// the delete side) while answers keep flowing.
 type Engine struct {
 	views    *core.ViewSet
 	viewDefs []*cq.Query
@@ -633,13 +633,12 @@ func (e *Engine) snapshot() (*storage.Database, *sync.RWMutex) {
 // insertions, any number of predicates each, either side possibly nil — and
 // delta-maintains every view extent: one propagation per batch instead of a
 // full re-materialization, retracting every extent tuple that loses its
-// last derivation (counting for flat view sets, DRed for recursive programs
-// — see internal/datalog's ApplyUpdates). The batch is one atomic unit:
-// either every retraction and every insertion lands, left-right published
-// to both serving sides, or none do. Batches from concurrent callers are
-// serialized; answers keep flowing from the active serving snapshot
-// throughout, and every cached plan stays valid (rewritings depend only on
-// the view definitions). Deleting from (or inserting into) a view predicate
+// last derivation (DRed — see internal/datalog's ApplyUpdates). The batch
+// is one atomic unit: either every retraction and every insertion lands,
+// left-right published to both serving sides, or none do. Batches from
+// concurrent callers are serialized; answers keep flowing from the active
+// serving snapshot throughout, and every cached plan stays valid
+// (rewritings depend only on the view definitions). Deleting from (or inserting into) a view predicate
 // is an error, as is calling this on an engine built without
 // Options.LiveUpdates. Deleting a tuple that is not present, or inserting
 // one that is, is a no-op, not an error.
@@ -700,9 +699,9 @@ func replayBatch(db *storage.Database, j *storage.Journal, res *ivm.BatchResult,
 // undoBatch reverts a committed batch on the database the maintainer
 // applied it to — the base relations and the extents of the side it is
 // bound to — by replaying the inverse batch: its insertions removed, then
-// its removals re-inserted. Tuple sets are exactly the pre-batch ones; the
-// maintainer's derivation counts are not, so the caller must wedge
-// mutations.
+// its removals re-inserted. Tuple sets are exactly the pre-batch ones, and
+// the maintainer keeps no other state; the caller still wedges mutations,
+// because the log that refused the batch cannot be trusted with the next.
 func undoBatch(db *storage.Database, res *ivm.BatchResult) {
 	inv := &ivm.BatchResult{
 		BaseInserted:    res.BaseDeleted,

@@ -239,9 +239,8 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 					t.Fatalf("trial %d batch %d: %s diverges\n  rebuilt:  %s\n  original: %s", trial, batch, part.name, g, w)
 				}
 			}
-			// Rounds are path accounting (the original may already be on the
-			// counting path while the rebuilt one is still monotone); the
-			// derived-tuple count is part of the result.
+			// Rounds are path accounting, not part of the result; the
+			// derived-tuple count is.
 			if got.Stats.Derived != want.Stats.Derived {
 				t.Fatalf("trial %d batch %d: derived %d, original %d", trial, batch, got.Stats.Derived, want.Stats.Derived)
 			}

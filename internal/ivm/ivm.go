@@ -9,12 +9,12 @@
 //
 // There is one write verb, ApplyUpdate (ApplyUpdateCtx under a context and
 // limits), and it is datalog.ApplyUpdates over the maintainer's database:
-// inserts propagate monotonically; deletions are non-monotone and take the
-// counting machinery — view sets are flat, so the compiled program tracks
-// exact per-derived-tuple derivation counts, built lazily on the first
-// deletion, and retracts an extent tuple exactly when its count reaches
-// zero. A batch applies its deletions first and is atomic whatever it
-// holds.
+// inserts propagate monotonically; deletions are non-monotone and take
+// DRed (delete-and-rederive): the extent tuples a deletion might have
+// unsupported are removed, and those with a surviving derivation are put
+// back, so an extent tuple is retracted exactly when its last derivation
+// goes. No state is kept between batches beyond the deletion baseline. A
+// batch applies its deletions first and is atomic whatever it holds.
 //
 // The Maintainer is the engine's mutation path. The engine does not give it
 // extents of its own: before each batch it binds the maintained database to

@@ -8,8 +8,7 @@ import (
 
 // TestKeyCollidingTuplesBothKept: two tuples with the same canonical key —
 // a value may hold the 0x1f separator — are different tuples. The relation
-// keeps both and answers for each on its own through every operation; by
-// key it answers for either.
+// keeps both and answers for each on its own through every operation.
 func TestKeyCollidingTuplesBothKept(t *testing.T) {
 	a, b := Tuple{"a\x1fb", "c"}, Tuple{"a", "b\x1fc"}
 	if a.Key() != b.Key() {
@@ -23,8 +22,8 @@ func TestKeyCollidingTuplesBothKept(t *testing.T) {
 		t.Fatal("a repeat of either tuple reported new")
 	}
 	checkConsistent(t, r)
-	if !r.ContainsKey(a.Key()) || !r.ContainsKeyBytes([]byte(b.Key())) {
-		t.Fatal("the shared key is not contained")
+	if !r.Contains(a) || !r.Contains(b) {
+		t.Fatal("one of the pair is not contained")
 	}
 
 	cl := NewDatabase()
@@ -39,8 +38,8 @@ func TestKeyCollidingTuplesBothKept(t *testing.T) {
 		t.Fatal("removing one of the pair disturbed the other")
 	}
 	checkConsistent(t, r)
-	if !r.ContainsKey(b.Key()) {
-		t.Fatal("the remaining tuple's key is not contained")
+	if !r.Contains(b) {
+		t.Fatal("the remaining tuple is not contained")
 	}
 	r.Insert(a)
 	r.TruncateTo(1)
@@ -48,8 +47,8 @@ func TestKeyCollidingTuplesBothKept(t *testing.T) {
 		t.Fatal("truncating one of the pair disturbed the other")
 	}
 	checkConsistent(t, r)
-	if !r.Remove(b) || r.ContainsKey(b.Key()) {
-		t.Fatal("the key is still contained with both tuples gone")
+	if !r.Remove(b) || r.Contains(a) || r.Contains(b) || r.Len() != 0 {
+		t.Fatal("a tuple is still contained with both of the pair gone")
 	}
 	if !c.Contains(a) || !c.Contains(b) {
 		t.Fatal("the clone shares state with its source")
@@ -102,6 +101,24 @@ func TestSetIndexWrapsAround(t *testing.T) {
 // inside, so distinct tuples of equal canonical key are common.
 var fuzzValues = []string{"", "a", "b", "\x1f", "a\x1f", "\x1fb", "⟨f:a\x1fb⟩", "⟨f:a⟩"}
 
+// keyTwin returns a 2-column tuple with the same Tuple.Key as tu, split at
+// another separator when its key holds one (the choice driven by pick), and
+// tu itself otherwise.
+func keyTwin(tu Tuple, pick int) Tuple {
+	k := tu.Key()
+	var cuts []int
+	for i := 0; i < len(k); i++ {
+		if k[i] == 0x1f && i != len(tu[0]) {
+			cuts = append(cuts, i)
+		}
+	}
+	if len(cuts) == 0 {
+		return tu
+	}
+	i := cuts[pick%len(cuts)]
+	return Tuple{k[:i], k[i+1:]}
+}
+
 // FuzzRelationOps decodes its input into a stream of interleaved relation
 // operations over a 2-column relation and checks each step against a map
 // of tuples: the relation's invariants after every step and, through each
@@ -120,14 +137,6 @@ func FuzzRelationOps(f *testing.F) {
 			data = data[:3*maxFuzzOps]
 		}
 		model := make(map[[2]string]bool)
-		hasKey := func(k string) bool {
-			for m := range model {
-				if (Tuple{m[0], m[1]}).Key() == k {
-					return true
-				}
-			}
-			return false
-		}
 		for len(data) >= 3 {
 			op, x, y := data[0]%10, int(data[1]), int(data[2])
 			data = data[3:]
@@ -162,12 +171,14 @@ func FuzzRelationOps(f *testing.F) {
 					t.Fatalf("Contains(%q) = %v, want %v", tu, got, model[m])
 				}
 			case 6:
-				if got, want := r.ContainsKey(tu.Key()), hasKey(tu.Key()); got != want {
-					t.Fatalf("ContainsKey(%q) = %v, want %v", tu.Key(), got, want)
+				sw := Tuple{tu[1], tu[0]}
+				if got, want := r.Contains(sw), model[[2]string{sw[0], sw[1]}]; got != want {
+					t.Fatalf("Contains(%q) = %v, want %v", sw, got, want)
 				}
 			case 7:
-				if got, want := r.ContainsKeyBytes([]byte(tu.Key())), hasKey(tu.Key()); got != want {
-					t.Fatalf("ContainsKeyBytes(%q) = %v, want %v", tu.Key(), got, want)
+				tw := keyTwin(tu, x)
+				if got, want := r.Contains(tw), model[[2]string{tw[0], tw[1]}]; got != want {
+					t.Fatalf("Contains(%q), the key twin of %q, = %v, want %v", tw, tu, got, want)
 				}
 			case 8:
 				r.BuildColumnIndex(x % 2)
@@ -232,7 +243,7 @@ func TestRelationAllocs(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r.Insert(Tuple{fmt.Sprint("a", i%1000), fmt.Sprint("b", i/1000)})
 	}
-	long := Tuple{strings.Repeat("x", 40), strings.Repeat("y", 40)} // a key past any stack buffer
+	long := Tuple{strings.Repeat("x", 40), strings.Repeat("y", 40)} // values past any small stack buffer
 	r.Insert(long)
 	r.BuildIndexes()
 	victims := make([]Tuple, runs+1)
@@ -243,9 +254,8 @@ func TestRelationAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(runs, func() { r.Contains(present); r.Contains(absent) }); got != 0 {
 		t.Errorf("Contains: %.0f allocs, want 0", got)
 	}
-	key, keyBytes := long.Key(), []byte(long.Key())
-	if got := testing.AllocsPerRun(runs, func() { r.ContainsKey(key); r.ContainsKeyBytes(keyBytes) }); got != 0 {
-		t.Errorf("ContainsKey and ContainsKeyBytes: %.0f allocs, want 0", got)
+	if got := testing.AllocsPerRun(runs, func() { r.Contains(long) }); got != 0 {
+		t.Errorf("Contains of a long tuple: %.0f allocs, want 0", got)
 	}
 	next := 0
 	if got := testing.AllocsPerRun(runs, func() { r.Remove(victims[next]); next++ }); got != 0 {

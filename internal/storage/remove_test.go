@@ -32,8 +32,8 @@ func checkConsistent(t *testing.T, r *Relation) {
 		if r.find(hashTuple(tup), tup) != i {
 			t.Fatalf("tuple %q at position %d found at %d", tup, i, r.find(hashTuple(tup), tup))
 		}
-		if k := tup.Key(); !r.ContainsKey(k) || !r.ContainsKeyBytes([]byte(k)) {
-			t.Fatalf("stored tuple %q: its key %q is not contained", tup, k)
+		if !r.Contains(tup) {
+			t.Fatalf("stored tuple %q is not contained", tup)
 		}
 	}
 	if r.indexes != nil && len(r.indexes) != r.arity {

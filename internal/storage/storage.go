@@ -4,10 +4,10 @@
 // keyed by predicate name.
 //
 // A relation's indexes hold positions, not values. Its set index is a
-// PosTable of tuple positions hashed by the tuple's canonical key
-// (Tuple.Key), streamed from the columns so no key is ever built, and a
-// hash hit is confirmed by comparing columns; two tuples whose keys
-// coincide — a value may contain the separator — are both kept. Each built
+// PosTable of tuple positions hashed from the columns, and a hash hit is
+// confirmed by comparing columns: a tuple's identity is its columns, never
+// a joined string, so two tuples whose Tuple.Key strings coincide — a
+// value may contain the separator — are both kept. Each built
 // column has a ColIndex: a PosTable of one position per distinct value,
 // hashed by the value, from which a chain of positions links every tuple
 // holding it. Neither keeps a copy of a tuple or of a value, and a copy of
@@ -46,9 +46,9 @@ func (e *ArityError) Error() string {
 // Tuple is a row of constant values.
 type Tuple []string
 
-// Key returns a canonical encoding of the tuple: its columns joined by
-// 0x1f. Distinct tuples share a key when a value holds that byte, so a
-// relation confirms membership by comparing columns.
+// Key returns the tuple's columns joined by 0x1f. Distinct tuples share a
+// key when a value holds that byte, so nothing decides membership by it;
+// it survives as the persisted form of a program's deletion baseline.
 func (t Tuple) Key() string { return strings.Join(t, "\x1f") }
 
 // Clone returns a copy of the tuple.
@@ -88,9 +88,9 @@ func (t Tuple) Less(o Tuple) bool { return t.Compare(o) < 0 }
 // a cloned relation's table stays valid.
 var keySeed = maphash.MakeSeed()
 
-// hashTuple hashes t's canonical key to 32 bits, streaming the columns and
-// separators instead of building the key: hashTuple(t) equals
-// uint32(maphash.String(keySeed, t.Key())), the hash ContainsKey takes.
+// hashTuple hashes t's columns to 32 bits, writing a separator between
+// them; equal tuples hash alike, and a hit is confirmed by comparing
+// columns.
 func hashTuple(t Tuple) uint32 {
 	var h maphash.Hash
 	h.SetSeed(keySeed)
@@ -101,24 +101,6 @@ func hashTuple(t Tuple) uint32 {
 		h.WriteString(v)
 	}
 	return uint32(h.Sum64())
-}
-
-// hasKey reports whether t's canonical key is k, reading k column by
-// column. It never splits k on 0x1f: Skolem values contain that byte.
-func hasKey[K string | []byte](t Tuple, k K) bool {
-	for i, v := range t {
-		if i > 0 {
-			if len(k) == 0 || k[0] != 0x1f {
-				return false
-			}
-			k = k[1:]
-		}
-		if len(k) < len(v) || string(k[:len(v)]) != v {
-			return false
-		}
-		k = k[len(v):]
-	}
-	return len(k) == 0
 }
 
 // Relation is a named set of tuples of a fixed arity. Insertion order is
@@ -160,7 +142,15 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // amortised growth, and a frozen relation stays Frozen. Like every
 // mutation this carries the single-writer requirement — the live engine
 // serializes inserts behind its update lock.
-func (r *Relation) Insert(t Tuple) bool {
+func (r *Relation) Insert(t Tuple) bool { return r.add(t, true) }
+
+// Adopt is Insert without the clone: the relation stores t itself, so the
+// caller hands over a tuple nothing else will write — the fixpoint's
+// per-evaluation relations adopt the rows their executor derived.
+func (r *Relation) Adopt(t Tuple) bool { return r.add(t, false) }
+
+// add is Insert, storing a clone of t when clone is set and t otherwise.
+func (r *Relation) add(t Tuple, clone bool) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: relation %s/%d: inserting tuple of width %d", r.name, r.arity, len(t)))
 	}
@@ -168,8 +158,11 @@ func (r *Relation) Insert(t Tuple) bool {
 	if r.find(h, t) >= 0 {
 		return false
 	}
+	if clone {
+		t = t.Clone()
+	}
 	r.set.Place(h, len(r.tuples))
-	r.tuples = append(r.tuples, t.Clone())
+	r.tuples = append(r.tuples, t)
 	for _, x := range r.indexes {
 		if x != nil {
 			x.Insert(r.tuples)
@@ -282,33 +275,6 @@ func (r *Relation) find(h uint32, t Tuple) int {
 // nothing.
 func (r *Relation) Contains(t Tuple) bool {
 	return r.find(hashTuple(t), t) >= 0
-}
-
-// ContainsKey reports whether some stored tuple has the canonical key k
-// (Tuple.Key). Hot loops that already computed the key for their own dedup
-// avoid re-encoding the tuple. The key is hashed whole and compared
-// against each candidate's columns, never split; it allocates nothing.
-func (r *Relation) ContainsKey(k string) bool {
-	return containsKey(r, uint32(maphash.String(keySeed, k)), k)
-}
-
-// ContainsKeyBytes is ContainsKey for a key held in a byte buffer: the
-// lookup does not copy the key, so a loop testing keys it builds in a
-// reused buffer allocates nothing per test.
-func (r *Relation) ContainsKeyBytes(k []byte) bool {
-	return containsKey(r, uint32(maphash.Bytes(keySeed, k)), k)
-}
-
-// containsKey reports whether a stored tuple, probed under hash h, has the
-// canonical key k.
-func containsKey[K string | []byte](r *Relation, h uint32, k K) bool {
-	p := r.set.Probe(h)
-	for pos := p.Next(); pos >= 0; pos = p.Next() {
-		if hasKey(r.tuples[pos], k) {
-			return true
-		}
-	}
-	return false
 }
 
 // Tuples returns the tuples in insertion order. The slice is shared; do not

@@ -43,17 +43,6 @@ func TestRelationInsertDedup(t *testing.T) {
 	}
 }
 
-// TestContainsKeyBytes: the byte-buffer form answers exactly as ContainsKey.
-func TestContainsKeyBytes(t *testing.T) {
-	r := NewRelation("r", 2)
-	r.Insert(Tuple{"a", "b"})
-	for _, k := range []string{Tuple{"a", "b"}.Key(), Tuple{"b", "a"}.Key(), "a", ""} {
-		if got, want := r.ContainsKeyBytes([]byte(k)), r.ContainsKey(k); got != want {
-			t.Fatalf("ContainsKeyBytes(%q) = %v, ContainsKey = %v", k, got, want)
-		}
-	}
-}
-
 func TestRelationInsertArityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
