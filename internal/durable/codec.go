@@ -1,12 +1,14 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"regexp"
-	"sort"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -27,6 +29,13 @@ import (
 //	  group: u32 nPreds | per pred: str name | u32 arity | u32 nTuples |
 //	         nTuples × arity × str   (str = u32 len | bytes)
 //
+// This is manifestFormat 1, pinned byte for byte by TestEncodedBytesPinned
+// so data directories written by earlier builds keep opening. Writers
+// stream: a segment goes to its file through one fixed buffer while a
+// running CRC32C is kept of the bytes flushed, so no byte slice the size
+// of a relation is ever built; a WAL record is encoded once, into a frame
+// sized exactly from its batch.
+//
 // Decoders are hardened against arbitrary bytes (they feed the fuzz
 // targets): every length is bounds-checked against the remaining input
 // before any allocation sized from it, so malformed input errors out
@@ -45,6 +54,13 @@ const (
 	maxRecordBytes = 1 << 30
 
 	maxArity = 1 << 16
+
+	// segBufSize is the buffer every segment of a checkpoint is streamed
+	// through.
+	segBufSize = 64 << 10
+
+	// frameHeader is a WAL frame's u32 payloadLen and u32 CRC32C.
+	frameHeader = 8
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -118,12 +134,26 @@ func sortedPreds(m map[string][]storage.Tuple) []string {
 			preds = append(preds, p)
 		}
 	}
-	sort.Strings(preds)
+	slices.Sort(preds)
 	return preds
 }
 
-func appendGroup(dst []byte, m map[string][]storage.Tuple) []byte {
-	preds := sortedPreds(m)
+// groupSize is the encoded length of a group whose non-empty predicates,
+// sorted, are preds.
+func groupSize(m map[string][]storage.Tuple, preds []string) int {
+	n := 4
+	for _, p := range preds {
+		n += 4 + len(p) + 4 + 4
+		for _, t := range m[p] {
+			for _, v := range t {
+				n += 4 + len(v)
+			}
+		}
+	}
+	return n
+}
+
+func appendGroup(dst []byte, m map[string][]storage.Tuple, preds []string) []byte {
 	dst = appendU32(dst, uint32(len(preds)))
 	for _, p := range preds {
 		tuples := m[p]
@@ -140,13 +170,20 @@ func appendGroup(dst []byte, m map[string][]storage.Tuple) []byte {
 	return dst
 }
 
-// encodeRecordPayload serializes one update batch (the WAL record body,
-// excluding the frame header).
-func encodeRecordPayload(lsn uint64, deletes, inserts map[string][]storage.Tuple) []byte {
-	dst := appendU64(nil, lsn)
-	dst = appendGroup(dst, deletes)
-	dst = appendGroup(dst, inserts)
-	return dst
+// encodeRecordFrame serializes one update batch as a whole WAL frame —
+// header and payload — into one buffer sized exactly from the batch: it
+// reserves the header, appends the payload, then fills in the payload's
+// length and CRC32C.
+func encodeRecordFrame(lsn uint64, deletes, inserts map[string][]storage.Tuple) []byte {
+	dp, ip := sortedPreds(deletes), sortedPreds(inserts)
+	frame := make([]byte, frameHeader, frameHeader+8+groupSize(deletes, dp)+groupSize(inserts, ip))
+	frame = appendU64(frame, lsn)
+	frame = appendGroup(frame, deletes, dp)
+	frame = appendGroup(frame, inserts, ip)
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+	return frame
 }
 
 func decodeGroup(b *buf) (map[string][]storage.Tuple, error) {
@@ -228,22 +265,67 @@ func decodeRecordPayload(payload []byte) (Record, error) {
 	return Record{LSN: lsn, Deletes: deletes, Inserts: inserts}, nil
 }
 
-// encodeSegment serializes one relation's tuples column by column.
-func encodeSegment(tuples []storage.Tuple, arity int) []byte {
-	dst := append([]byte(nil), segMagic...)
-	dst = appendU32(dst, uint32(arity))
-	dst = appendU32(dst, uint32(len(tuples)))
+// crcWriter passes writes on to w, keeping the byte count and the running
+// CRC32C of everything w accepted.
+type crcWriter struct {
+	w   io.Writer
+	n   int64
+	crc uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	return n, err
+}
+
+// writeSegment streams one relation's tuples to w column by column,
+// through bw (reset onto w, so one buffer serves every segment of a
+// checkpoint). It returns the segment's length and the CRC32C of the whole
+// file, trailer included — what RelationMeta records. The body is flushed
+// before the trailer, so the running CRC at that point is the body CRC the
+// trailer carries.
+func writeSegment(w io.Writer, tuples []storage.Tuple, arity int, bw *bufio.Writer) (int64, uint32, error) {
+	sum := &crcWriter{w: w}
+	bw.Reset(sum)
+	bw.WriteString(segMagic)
+	putU32(bw, uint32(arity))
+	putU32(bw, uint32(len(tuples)))
 	for c := 0; c < arity; c++ {
 		colBytes := 0
 		for _, t := range tuples {
 			colBytes += 4 + len(t[c])
 		}
-		dst = appendU64(dst, uint64(colBytes))
+		putU64(bw, uint64(colBytes))
 		for _, t := range tuples {
-			dst = appendStr(dst, t[c])
+			putU32(bw, uint32(len(t[c])))
+			bw.WriteString(t[c])
 		}
 	}
-	return appendU32(dst, crc32.Checksum(dst, castagnoli))
+	// bufio.Writer errors are sticky: a failed write above surfaces here.
+	if err := bw.Flush(); err != nil {
+		return sum.n, sum.crc, err
+	}
+	putU32(bw, sum.crc)
+	err := bw.Flush()
+	return sum.n, sum.crc, err
+}
+
+// putU32 and putU64 encode into bw's free space, flushing first when it
+// holds too little, so a fixed-width header never allocates.
+func putU32(bw *bufio.Writer, v uint32) {
+	if bw.Available() < 4 {
+		bw.Flush()
+	}
+	bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), v))
+}
+
+func putU64(bw *bufio.Writer, v uint64) {
+	if bw.Available() < 8 {
+		bw.Flush()
+	}
+	bw.Write(binary.LittleEndian.AppendUint64(bw.AvailableBuffer(), v))
 }
 
 // decodeSegment parses and verifies one segment file. wantArity and

@@ -4,8 +4,9 @@
 //
 //   - A snapshot: one directory per checkpoint holding a columnar,
 //     checksummed segment file per relation (base relations and
-//     materialized extents alike) plus a JSON manifest recording the
-//     format version, the log position (LSN), the view-definition
+//     materialized extents alike, each streamed to its file through one
+//     fixed buffer, never built in memory) plus a JSON manifest recording
+//     the format version, the log position (LSN), the view-definition
 //     fingerprint, each relation's arity and row count, and the
 //     maintainer's deletion baseline. No planning statistic is stored:
 //     the engine reads them off the column indexes it rebuilds. Snapshots
@@ -259,7 +260,7 @@ func (s *Store) RecoverBaseFacts() (*storage.Database, error) {
 				return nil, fmt.Errorf("durable: %w", err)
 			}
 			for _, t := range tuples {
-				rel.Insert(t)
+				rel.Adopt(t)
 			}
 		}
 	}
@@ -285,10 +286,11 @@ func (s *Store) RecoverBaseFacts() (*storage.Database, error) {
 }
 
 // Append logs one update batch — the ApplyUpdate unit, deletes applied
-// before inserts — and syncs it, returning its LSN. Call it after the
-// maintainer accepted the batch and before publishing to readers. On an
-// IO failure the store wedges (fail-stop): the error is returned now and
-// by every later Append.
+// before inserts — and syncs it, returning its LSN. The batch is encoded
+// once, header included, into one frame sized exactly from it, and that
+// frame is what reaches the file. Call it after the maintainer accepted
+// the batch and before publishing to readers. On an IO failure the store
+// wedges (fail-stop): the error is returned now and by every later Append.
 func (s *Store) Append(deletes, inserts map[string][]storage.Tuple) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,7 +302,7 @@ func (s *Store) Append(deletes, inserts map[string][]storage.Tuple) (uint64, err
 	}
 	lsn := s.lsn + 1
 	start := time.Now()
-	if err := s.wal.append(encodeRecordPayload(lsn, deletes, inserts)); err != nil {
+	if err := s.wal.append(encodeRecordFrame(lsn, deletes, inserts)); err != nil {
 		s.failed = err
 		return 0, err
 	}

@@ -1,8 +1,11 @@
 package durable
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -476,5 +479,167 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.SnapshotBytes <= 0 || st.WALBytes <= int64(len(walMagic)) {
 		t.Fatalf("sizes not tracked: %+v", st)
+	}
+}
+
+// TestCheckpointAfterFailedPublish: a checkpoint whose directory is
+// renamed into place but whose CURRENT flip fails has taken its directory
+// name; later checkpoints must pick the next names instead of colliding
+// with it, and a reopen must load the newest snapshot.
+func TestCheckpointAfterFailedPublish(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	db := testDB(t)
+	if err := s.WriteSnapshot(db, testMeta()); err != nil {
+		t.Fatal(err)
+	}
+	// Stand a non-empty directory where CURRENT is, so the atomic rename
+	// of the new pointer over it fails after the snapshot directory has
+	// been renamed into place.
+	cur := filepath.Join(dir, currentFile)
+	saved := filepath.Join(dir, "CURRENT.saved")
+	if err := os.Rename(cur, saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(cur, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(nil, batch("r", "d,4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteSnapshot(db, testMeta()); err == nil {
+		t.Fatal("checkpoint published over a directory named CURRENT")
+	}
+	if err := os.RemoveAll(cur); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(saved, cur); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		f := storage.Tuple{"e", strconv.Itoa(i)}
+		if _, err := s.Append(nil, map[string][]storage.Tuple{"r": {f}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert("r", f); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteSnapshot(db, testMeta()); err != nil {
+			t.Fatalf("checkpoint %d after the failed publish: %v", i+1, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openStore(t, dir)
+	if man := s2.Manifest(); man == nil || man.LSN != 4 {
+		t.Fatalf("reopened manifest = %+v, want the snapshot at LSN 4", man)
+	}
+	if n := s2.PendingRecords(); n != 0 {
+		t.Fatalf("%d records pending past the newest snapshot", n)
+	}
+	loaded, err := s2.LoadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.Equal(loaded) {
+		t.Fatalf("newest snapshot lost data:\nwant %s\ngot  %s", db.Summary(), loaded.Summary())
+	}
+}
+
+// TestFailedSnapshotKeepsPreviousAndWAL: a checkpoint that fails before it
+// is published leaves the previous snapshot and every logged batch
+// authoritative.
+func TestFailedSnapshotKeepsPreviousAndWAL(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if err := s.WriteSnapshot(testDB(t), testMeta()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(batch("r", "a,1"), batch("r", "d,4")); err != nil {
+		t.Fatal(err)
+	}
+	// A foreign, non-empty directory squatting on the next snapshot's
+	// name makes the rename into place fail.
+	if err := os.MkdirAll(filepath.Join(dir, "snap-00000002", "squatter"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteSnapshot(testDB(t), testMeta()); err == nil {
+		t.Fatal("checkpoint renamed over a non-empty directory")
+	}
+	if st := s.Stats(); st.Failed || st.SnapshotLSN != 0 || st.WALBytes <= int64(len(walMagic)) {
+		t.Fatalf("stats after a failed checkpoint = %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openStore(t, dir)
+	if man := s2.Manifest(); man == nil || man.LSN != 0 {
+		t.Fatalf("reopened manifest = %+v, want the first snapshot", man)
+	}
+	if n := s2.PendingRecords(); n != 1 {
+		t.Fatalf("pending records = %d, want the logged batch", n)
+	}
+	db, err := s2.LoadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.Equal(testDB(t)) {
+		t.Fatalf("previous snapshot changed: %s", db.Summary())
+	}
+}
+
+// TestWriteSnapshotAllocs pins the streaming property: a checkpoint of a
+// 100 000-tuple relation (a 1.6 MB segment) allocates a bounded amount,
+// not a copy of the segment.
+func TestWriteSnapshotAllocs(t *testing.T) {
+	const budget = 256 << 10
+	db := storage.NewDatabase()
+	rel, err := db.Ensure("r", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100000; i++ {
+		rel.Insert(storage.Tuple{strconv.Itoa(i), strconv.Itoa(i % 977)})
+	}
+	s, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.WriteSnapshot(db, SnapshotMeta{ViewsFingerprint: "fp"}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("WriteSnapshot allocated %d bytes", got)
+	if got > budget {
+		t.Fatalf("WriteSnapshot of %d tuples (%d bytes on disk) allocated %d bytes, budget %d", rel.Len(), s.Stats().SnapshotBytes, got, budget)
+	}
+}
+
+// TestAppendAllocs: a batch is encoded once, into one exactly sized frame
+// that is written as it is.
+func TestAppendAllocs(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var vals []string
+	for i := 0; i < 64; i++ {
+		vals = append(vals, fmt.Sprintf("k%d,%d", i, i*7))
+	}
+	ins := batch("r", vals...)
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := s.Append(nil, ins); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Append: %.1f allocations", got)
+	if got > 4 {
+		t.Fatalf("Append of a 64-tuple batch: %.1f allocations, budget 4", got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // `go test -fuzz` explores from them.
 
 func FuzzDecodeRecord(f *testing.F) {
-	valid := encodeRecordPayload(7, batch("r", "a,1"), batch("s", "b,2", "c,3"))
+	valid := encodeRecordFrame(7, batch("r", "a,1"), batch("s", "b,2", "c,3"))[frameHeader:]
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{})
@@ -28,12 +28,12 @@ func FuzzDecodeRecord(f *testing.F) {
 			// produces (unsorted predicates, zero-tuple groups), so exact
 			// byte idempotence does not hold — but one encode round must
 			// reach a fixed point.
-			enc := encodeRecordPayload(rec.LSN, rec.Deletes, rec.Inserts)
+			enc := encodeRecordFrame(rec.LSN, rec.Deletes, rec.Inserts)[frameHeader:]
 			rec2, err2 := decodeRecordPayload(enc)
 			if err2 != nil {
 				t.Fatalf("re-encoded record fails to decode: %v", err2)
 			}
-			if got := encodeRecordPayload(rec2.LSN, rec2.Deletes, rec2.Inserts); string(got) != string(enc) {
+			if got := encodeRecordFrame(rec2.LSN, rec2.Deletes, rec2.Inserts)[frameHeader:]; string(got) != string(enc) {
 				t.Fatalf("encode not stable after one round:\nfirst  %x\nsecond %x", enc, got)
 			}
 		}
@@ -72,7 +72,7 @@ func FuzzDecodeManifest(f *testing.F) {
 }
 
 func FuzzDecodeSegment(f *testing.F) {
-	valid := encodeSegment(tuples("a,1", "b,2", "c,3"), 2)
+	valid := segmentBytes(f, tuples("a,1", "b,2", "c,3"), 2)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
 	f.Add([]byte("AQVSEG01"))
@@ -82,7 +82,7 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tuples, arity, err := decodeSegment(data, -1, -1)
 		if err == nil {
-			if got := encodeSegment(tuples, arity); string(got) != string(data) {
+			if got := segmentBytes(t, tuples, arity); string(got) != string(data) {
 				t.Fatalf("decode/encode not idempotent:\nin  %x\nout %x", data, got)
 			}
 		}

@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bufio"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,13 +33,17 @@ type SnapshotMeta struct {
 // CURRENT pointer, removes the superseded snapshot, and truncates the WAL
 // (every logged batch is now inside the snapshot). The caller must hold
 // the same serialization that guards Append, so no batch can commit while
-// the checkpoint is cut.
+// the checkpoint is cut. Each segment is streamed to its file through one
+// fixed buffer the whole checkpoint shares, so the memory a checkpoint
+// allocates does not grow with the relations it writes.
 //
 // The write is crash-safe at every step: segments and the manifest land in
 // a temporary directory that is fsynced and renamed into place, and the
 // CURRENT pointer flips atomically. A failure leaves the previous snapshot
 // (and the full WAL) authoritative; snapshot failure does not wedge the
-// store, since the log still covers everything.
+// store, since the log still covers everything. A snapshot directory that
+// was renamed into place but not published keeps its name until the next
+// Open sweeps it, and later checkpoints take the names after it.
 func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -66,12 +72,18 @@ func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 	}
 	preds := db.Predicates()
 	sort.Strings(preds)
+	bw := bufio.NewWriterSize(nil, segBufSize)
 	var total int64
 	for i, pred := range preds {
 		rel := db.Relation(pred)
-		data := encodeSegment(rel.Tuples(), rel.Arity())
 		file := fmt.Sprintf("seg-%04d.col", i)
-		if err := writeFileSync(filepath.Join(tmp, file), data, s.opt.NoSync); err != nil {
+		var n int64
+		var crc uint32
+		err := writeFileSync(filepath.Join(tmp, file), s.opt.NoSync, func(w io.Writer) (err error) {
+			n, crc, err = writeSegment(w, rel.Tuples(), rel.Arity(), bw)
+			return err
+		})
+		if err != nil {
 			os.RemoveAll(tmp)
 			return err
 		}
@@ -81,17 +93,21 @@ func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 			Rows:   rel.Len(),
 			Extent: meta.Extents[pred],
 			File:   file,
-			Bytes:  int64(len(data)),
-			CRC:    crc32.Checksum(data, castagnoli),
+			Bytes:  n,
+			CRC:    crc,
 		})
-		total += int64(len(data))
+		total += n
 	}
 	manData, err := encodeManifest(man)
 	if err != nil {
 		os.RemoveAll(tmp)
 		return err
 	}
-	if err := writeFileSync(filepath.Join(tmp, manifestFile), manData, s.opt.NoSync); err != nil {
+	err = writeFileSync(filepath.Join(tmp, manifestFile), s.opt.NoSync, func(w io.Writer) error {
+		_, err := w.Write(manData)
+		return err
+	})
+	if err != nil {
 		os.RemoveAll(tmp)
 		return err
 	}
@@ -107,6 +123,10 @@ func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 		os.RemoveAll(tmp)
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
+	// The name is taken on disk whether or not the directory is published
+	// below, so the next checkpoint must not reuse it. The directory is
+	// left in place on failure: CURRENT may already name it.
+	s.seq++
 	if !s.opt.NoSync {
 		if err := atomicfile.SyncDir(s.dir); err != nil {
 			return err
@@ -119,7 +139,7 @@ func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 	// failure the next Open repairs (superseded dirs are swept, log
 	// records at or below the snapshot LSN are skipped).
 	old := s.snapDir
-	s.man, s.snapDir, s.seq = man, name, s.seq+1
+	s.man, s.snapDir = man, name
 	if old != "" {
 		os.RemoveAll(filepath.Join(s.dir, old))
 	}
@@ -134,11 +154,13 @@ func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 }
 
 // LoadSnapshot reads the current snapshot back into a database: every
-// segment is checksum-verified, decoded, and bulk-inserted. Column hash
-// indexes are rebuilt by the caller (BuildIndexes), not persisted — the
-// rebuild is a linear scan, and re-deriving them keeps the on-disk format
-// independent of the index representation. The planner's distinct counts
-// are read off those indexes, so they are not persisted either.
+// segment is checksum-verified, decoded, and bulk-inserted. The relations
+// adopt the tuples the decoder built rather than cloning them: nothing
+// else holds them. Column hash indexes are rebuilt by the caller
+// (BuildIndexes), not persisted — the rebuild is a linear scan, and
+// re-deriving them keeps the on-disk format independent of the index
+// representation. The planner's distinct counts are read off those
+// indexes, so they are not persisted either.
 func (s *Store) LoadSnapshot() (*storage.Database, error) {
 	s.mu.Lock()
 	man, snapDir := s.man, s.snapDir
@@ -157,7 +179,7 @@ func (s *Store) LoadSnapshot() (*storage.Database, error) {
 			return nil, fmt.Errorf("durable: %w", err)
 		}
 		for _, t := range tuples {
-			rel.Insert(t)
+			rel.Adopt(t)
 		}
 	}
 	return db, nil
@@ -183,15 +205,15 @@ func (s *Store) loadSegment(snapDir string, rm RelationMeta) ([]storage.Tuple, e
 	return tuples, nil
 }
 
-// writeFileSync writes a file created inside a staging directory and (by
-// default) fsyncs it. No rename is needed: the whole directory is renamed
-// into place after every file in it is durable.
-func writeFileSync(path string, data []byte, noSync bool) error {
+// writeFileSync creates a file inside a staging directory, fills it
+// through write and (by default) fsyncs it. No rename is needed: the whole
+// directory is renamed into place after every file in it is durable.
+func writeFileSync(path string, noSync bool, write func(io.Writer) error) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}

@@ -141,15 +141,11 @@ func (w *wal) reset() error {
 	return nil
 }
 
-// append frames and writes one record payload, then syncs it to disk
-// (unless noSync). The frame is written in a single Write call, so a crash
-// leaves either nothing, a torn frame (truncated at next open), or the
-// whole record.
-func (w *wal) append(payload []byte) error {
-	frame := make([]byte, 0, 8+len(payload))
-	frame = appendU32(frame, uint32(len(payload)))
-	frame = appendU32(frame, crc32.Checksum(payload, castagnoli))
-	frame = append(frame, payload...)
+// append writes one record frame (encodeRecordFrame) as it is, then syncs
+// it to disk (unless noSync). The frame is written in a single Write call,
+// so a crash leaves either nothing, a torn frame (truncated at next open),
+// or the whole record.
+func (w *wal) append(frame []byte) error {
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("durable: wal append: %w", err)
 	}
