@@ -261,7 +261,7 @@ type FixpointStats = datalog.FixpointStats
 var CompileProgram = datalog.CompileProgram
 
 // CompileProgramIVM is CompileProgram plus one delta plan per EDB body
-// occurrence, enabling CompiledProgram.ApplyUpdates: base inserts and
+// occurrence, enabling CompiledProgram.ApplyUpdatesCtx: base inserts and
 // deletes propagate into already materialized derived relations without
 // re-running the fixpoint.
 var CompileProgramIVM = datalog.CompileProgramIVM

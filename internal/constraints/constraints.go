@@ -201,25 +201,6 @@ func (s *Set) Implies(c cq.Comparison) bool {
 	return !ext.Satisfiable()
 }
 
-// ImpliesAll reports whether the set implies every comparison in cs.
-func (s *Set) ImpliesAll(cs []cq.Comparison) bool {
-	for _, c := range cs {
-		if !s.Implies(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// EquivalentTo reports whether two sets have the same models over their
-// combined terms: each implies all comparisons of the other.
-func (s *Set) EquivalentTo(t *Set) bool {
-	if !s.Satisfiable() || !t.Satisfiable() {
-		return s.Satisfiable() == t.Satisfiable()
-	}
-	return s.ImpliesAll(t.comps) && t.ImpliesAll(s.comps)
-}
-
 // String renders the asserted comparisons deterministically.
 func (s *Set) String() string {
 	parts := make([]string, len(s.comps))

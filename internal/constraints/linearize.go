@@ -120,17 +120,6 @@ func EnumerateLinearizations(terms []cq.Term, base *Set, yield func(Linearizatio
 	rec(0, nil)
 }
 
-// CountLinearizations returns the number of linearizations of terms
-// consistent with base. Useful for tests and the T5 experiment.
-func CountLinearizations(terms []cq.Term, base *Set) int {
-	n := 0
-	EnumerateLinearizations(terms, base, func(Linearization) bool {
-		n++
-		return true
-	})
-	return n
-}
-
 func consistent(l Linearization, base *Set) bool {
 	var s *Set
 	if base == nil {

@@ -207,13 +207,6 @@ func Equivalent(q1, q2 *cq.Query) bool {
 	return s.Equivalent(Prepare(q1), Prepare(q2))
 }
 
-// EquivalentSound is the fast, sound-but-incomplete equivalence test for
-// queries with comparisons.
-func EquivalentSound(q1, q2 *cq.Query) bool {
-	var s Search
-	return s.containedSound(q1, Prepare(q2)) && s.containedSound(q2, Prepare(q1))
-}
-
 // Minimize returns an equivalent query with a minimal body (the core): no
 // body atom can be removed without changing the query's meaning, and no
 // comparison is implied by the remaining ones. The input is not modified.
@@ -263,12 +256,6 @@ func (s *Search) Minimize(q *cq.Query) *cq.Query {
 		i++
 	}
 	return cur
-}
-
-// IsMinimal reports whether no body atom of q can be removed while
-// preserving equivalence.
-func IsMinimal(q *cq.Query) bool {
-	return len(Minimize(q).Body) == len(q.Body)
 }
 
 // Freeze produces the canonical database of q: each variable is replaced by

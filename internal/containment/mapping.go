@@ -9,11 +9,7 @@
 // paper's lower bounds show the exponential cannot be avoided in general.
 package containment
 
-import (
-	"maps"
-
-	"repro/internal/cq"
-)
+import "repro/internal/cq"
 
 // Mapping is a containment mapping: a substitution over the source query's
 // variables. It maps the source head to the target head positionally and
@@ -303,18 +299,6 @@ func (s *Search) Mapping() Mapping {
 	return m
 }
 
-// FindMapping returns a containment mapping from `from` onto `to`, or
-// ok=false if none exists. Head predicate names are ignored; head arities
-// must agree and head arguments map positionally.
-func FindMapping(from, to *cq.Query) (Mapping, bool) {
-	var found Mapping
-	FindAllMappings(from, to, func(m Mapping) bool {
-		found = m.Clone()
-		return false
-	})
-	return found, found != nil
-}
-
 // FindAllMappings enumerates containment mappings from `from` onto `to`,
 // invoking yield for each. Enumeration stops early when yield returns
 // false. The substitution passed to yield is reused across calls; clone it
@@ -322,31 +306,4 @@ func FindMapping(from, to *cq.Query) (Mapping, bool) {
 func FindAllMappings(from, to *cq.Query, yield func(Mapping) bool) {
 	var s Search
 	s.mappings(Prepare(from), to, yield)
-}
-
-// FindBodyMappings enumerates substitutions over `from`'s variables that map
-// every body atom of `from` to some body atom of `to`, starting from the
-// given initial bindings (which may be nil). Heads are ignored entirely.
-// The substitution passed to yield is reused across calls.
-func FindBodyMappings(from, to *cq.Query, initial cq.Subst, yield func(Mapping) bool) {
-	var s Search
-	n := cq.Number(from)
-	m := cq.NewSubst()
-	s.BodyMappings(&n, to, initial, func() bool {
-		clear(m)
-		maps.Copy(m, initial) // bindings of variables from does not have are carried along
-		s.fill(m)
-		return yield(m)
-	})
-}
-
-// CountMappings returns the number of containment mappings from `from` onto
-// `to`. Intended for tests and diagnostics.
-func CountMappings(from, to *cq.Query) int {
-	n := 0
-	FindAllMappings(from, to, func(Mapping) bool {
-		n++
-		return true
-	})
-	return n
 }

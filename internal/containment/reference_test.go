@@ -193,17 +193,17 @@ func checkAgainstReference(t *testing.T, from, to *cq.Query) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("FindAllMappings\n from %s\n   to %s\n got %v\nwant %v", from, to, got, want)
 	}
-	first, ok := FindMapping(from, to)
+	first, ok := findMapping(from, to)
 	if ok != (len(want) > 0) || ok && first.String() != want[0] {
-		t.Fatalf("FindMapping from %s to %s = %v, %v; reference %v", from, to, first, ok, want)
+		t.Fatalf("findMapping from %s to %s = %v, %v; reference %v", from, to, first, ok, want)
 	}
 	// The body-only search, seeded with a binding for X0 when the reference
 	// admits one.
 	for _, initial := range []cq.Subst{nil, {"X0": cq.Const("a")}, {"Z": cq.Var("X1")}} {
 		want = collect(func(y func(Mapping) bool) { refFindBodyMappings(from, to, initial, y) })
-		got = collect(func(y func(Mapping) bool) { FindBodyMappings(from, to, initial, y) })
+		got = collect(func(y func(Mapping) bool) { findBodyMappings(from, to, initial, y) })
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("FindBodyMappings(%v)\n from %s\n   to %s\n got %v\nwant %v", initial, from, to, got, want)
+			t.Fatalf("findBodyMappings(%v)\n from %s\n   to %s\n got %v\nwant %v", initial, from, to, got, want)
 		}
 	}
 }

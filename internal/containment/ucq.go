@@ -103,11 +103,6 @@ func UnionContainedInUnion(u1, u2 *cq.Union) bool {
 	return true
 }
 
-// UnionEquivalent reports whether u ≡ q for a UCQ and a CQ.
-func UnionEquivalent(u *cq.Union, q *cq.Query) bool {
-	return UnionContained(u, q) && ContainedInUnion(q, u)
-}
-
 // MinimizeUnion removes members subsumed by other members and minimises
 // each surviving member. The result is equivalent to the input.
 func MinimizeUnion(u *cq.Union) *cq.Union {

@@ -18,6 +18,15 @@ func views(srcs ...string) *ViewSet {
 	return MustNewViewSet(vs...)
 }
 
+// mustExpand is Expand that panics on error.
+func mustExpand(q *cq.Query, vs *ViewSet) *cq.Query {
+	out, err := Expand(q, vs)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func TestViewSetValidation(t *testing.T) {
 	if _, err := NewViewSet(mustQ("v(X) :- r(X)"), mustQ("v(Y) :- s(Y)")); err == nil {
 		t.Fatal("duplicate view name accepted")
@@ -47,7 +56,7 @@ func TestViewSetValidation(t *testing.T) {
 func TestExpandBasic(t *testing.T) {
 	vs := views("v(A,B) :- r(A,C), s(C,B)")
 	q := mustQ("q(X,Y) :- v(X,Y)")
-	exp := MustExpand(q, vs)
+	exp := mustExpand(q, vs)
 	if len(exp.Body) != 2 || exp.Body[0].Pred != "r" || exp.Body[1].Pred != "s" {
 		t.Fatalf("expansion = %v", exp)
 	}
@@ -59,7 +68,7 @@ func TestExpandBasic(t *testing.T) {
 func TestExpandFreshensExistentials(t *testing.T) {
 	vs := views("v(A) :- r(A,C)")
 	q := mustQ("q(X,Y) :- v(X), v(Y)")
-	exp := MustExpand(q, vs)
+	exp := mustExpand(q, vs)
 	if len(exp.Body) != 2 {
 		t.Fatalf("expansion = %v", exp)
 	}
@@ -74,7 +83,7 @@ func TestExpandRepeatedHeadVar(t *testing.T) {
 	// X and Y throughout the query.
 	vs := views("v(A,A) :- r(A)")
 	q := mustQ("q(X,Y) :- v(X,Y), s(X), t(Y)")
-	exp := MustExpand(q, vs)
+	exp := mustExpand(q, vs)
 	if !containment.Equivalent(exp, mustQ("q(X,X) :- r(X), s(X), t(X)")) {
 		t.Fatalf("expansion = %v", exp)
 	}
@@ -83,7 +92,7 @@ func TestExpandRepeatedHeadVar(t *testing.T) {
 func TestExpandConstantPropagation(t *testing.T) {
 	vs := views("v(A) :- r(A,5)")
 	q := mustQ("q(X) :- v(X), s(X)")
-	exp := MustExpand(q, vs)
+	exp := mustExpand(q, vs)
 	if !containment.Equivalent(exp, mustQ("q(X) :- r(X,5), s(X)")) {
 		t.Fatalf("expansion = %v", exp)
 	}
@@ -107,7 +116,7 @@ func TestExpandArityMismatch(t *testing.T) {
 func TestExpandComparisonsCarried(t *testing.T) {
 	vs := views("v(A) :- r(A,B), B > 3")
 	q := mustQ("q(X) :- v(X), X < 7")
-	exp := MustExpand(q, vs)
+	exp := mustExpand(q, vs)
 	if len(exp.Comparisons) != 2 {
 		t.Fatalf("comparisons = %v", exp.Comparisons)
 	}
@@ -116,7 +125,7 @@ func TestExpandComparisonsCarried(t *testing.T) {
 func TestExpandLeavesBaseAtoms(t *testing.T) {
 	vs := views("v(A) :- r(A)")
 	q := mustQ("q(X) :- v(X), base(X,Y)")
-	exp := MustExpand(q, vs)
+	exp := mustExpand(q, vs)
 	found := false
 	for _, a := range exp.Body {
 		if a.Pred == "base" {
@@ -247,7 +256,7 @@ func TestRewriteNoneExists(t *testing.T) {
 	vs := views("v(A) :- r(A,C)", "w(B) :- s(C,B)")
 	r := NewRewriter(vs)
 	q := mustQ("q(X,Y) :- r(X,Z), s(Z,Y)")
-	if r.Exists(q) {
+	if r.RewriteOne(q) != nil {
 		t.Fatal("rewriting found where none exists")
 	}
 }
@@ -258,7 +267,7 @@ func TestRewriteRequiresEquivalenceNotJustContainment(t *testing.T) {
 	vs := views("v(A) :- r(A,A)")
 	r := NewRewriter(vs)
 	q := mustQ("q(X) :- r(X,Y)")
-	if r.Exists(q) {
+	if r.RewriteOne(q) != nil {
 		t.Fatal("non-equivalent rewriting accepted")
 	}
 }
@@ -313,7 +322,7 @@ func TestRewritePartial(t *testing.T) {
 	vs := views("v(A,C) :- r(A,C)")
 	q := mustQ("q(X,Y) :- r(X,Z), s(Z,Y)")
 	r := NewRewriter(vs)
-	if r.Exists(q) {
+	if r.RewriteOne(q) != nil {
 		t.Fatal("complete rewriting should not exist")
 	}
 	r.Opt.AllowPartial = true
@@ -371,7 +380,7 @@ func TestRewriteKeepComparisons(t *testing.T) {
 	vs := views("v(A) :- r(A,B)")
 	q := mustQ("q(X) :- r(X,Y), X > 3")
 	r := NewRewriter(vs)
-	if r.Exists(q) {
+	if r.RewriteOne(q) != nil {
 		t.Fatal("rewriting without comparisons should fail")
 	}
 	r.Opt.KeepComparisons = true
@@ -389,7 +398,7 @@ func TestRewriteViewWithStrongerComparisonRejected(t *testing.T) {
 	r := NewRewriter(vs)
 	r.Opt.KeepComparisons = true
 	q := mustQ("q(X) :- r(X), X > 3")
-	if r.Exists(q) {
+	if r.RewriteOne(q) != nil {
 		t.Fatal("view with stronger filter accepted as equivalent")
 	}
 }

@@ -98,15 +98,6 @@ func Expand(q *cq.Query, vs *ViewSet) (*cq.Query, error) {
 	return out, nil
 }
 
-// MustExpand is Expand that panics on error; for tests and examples.
-func MustExpand(q *cq.Query, vs *ViewSet) *cq.Query {
-	out, err := Expand(q, vs)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // ExpandUnion unfolds every member of a union.
 func ExpandUnion(u *cq.Union, vs *ViewSet) (*cq.Union, error) {
 	out := &cq.Union{}

@@ -107,21 +107,3 @@ func BestShortening(q *cq.Query, vs *ViewSet) Shortening {
 	}
 	return s
 }
-
-// RewriteUnion rewrites every member of a union of conjunctive queries,
-// returning a union of rewritings and the members that could not be
-// rewritten. A UCQ has an equivalent view-based rewriting iff every member
-// does (members subsumed by other members should be removed first with
-// containment.MinimizeUnion).
-func (r *Rewriter) RewriteUnion(u *cq.Union) (rewritten *cq.Union, failed []*cq.Query) {
-	rewritten = &cq.Union{}
-	for _, m := range u.Queries {
-		rw := r.RewriteOne(m)
-		if rw == nil {
-			failed = append(failed, m)
-			continue
-		}
-		rewritten.Add(rw.Query)
-	}
-	return rewritten, failed
-}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/cq"
-)
+import "testing"
 
 func TestMinimizeRewriting(t *testing.T) {
 	vs := views("v1(A,B) :- r(A,B)", "v2(A,B) :- r(A,B), t(A)")
@@ -76,22 +72,5 @@ func TestBestShorteningPartial(t *testing.T) {
 	s := BestShortening(q, vs)
 	if !s.Found || s.RewritingSubgoals != 2 {
 		t.Fatalf("shortening = %+v", s)
-	}
-}
-
-func TestRewriteUnion(t *testing.T) {
-	vs := views("v1(A,B) :- r(A,B)", "v2(A) :- s(A)")
-	r := NewRewriter(vs)
-	u := cq.NewUnion(
-		mustQ("q(X) :- r(X,Y)"),
-		mustQ("q(X) :- s(X)"),
-		mustQ("q(X) :- hidden(X)"),
-	)
-	rewritten, failed := r.RewriteUnion(u)
-	if rewritten.Len() != 2 || len(failed) != 1 {
-		t.Fatalf("rewritten=%v failed=%v", rewritten, failed)
-	}
-	if failed[0].Body[0].Pred != "hidden" {
-		t.Fatalf("wrong failure: %v", failed[0])
 	}
 }

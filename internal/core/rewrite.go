@@ -179,13 +179,6 @@ func (r *Rewriter) RewriteOne(q *cq.Query) *Rewriting {
 	return res[0]
 }
 
-// Exists reports whether an equivalent rewriting of q exists within the
-// configured search space. For pure conjunctive queries with complete
-// rewritings this decides the paper's NP-complete existence problem (R3).
-func (r *Rewriter) Exists(q *cq.Query) bool {
-	return r.RewriteOne(q) != nil
-}
-
 // collectApplications enumerates the valid applications of every view whose
 // body predicates all occur in qm; a view with a predicate qm lacks has no
 // homomorphism into it.

@@ -191,7 +191,7 @@ func TestQuickCanonicalStringOrderInsensitive(t *testing.T) {
 		for i, j := 0, len(rev.Body)-1; i < j; i, j = i+1, j-1 {
 			rev.Body[i], rev.Body[j] = rev.Body[j], rev.Body[i]
 		}
-		return q.CanonicalString() == rev.CanonicalString()
+		return canonicalString(q) == canonicalString(rev)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

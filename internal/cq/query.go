@@ -2,7 +2,6 @@ package cq
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -61,49 +60,6 @@ func (q *Query) Vars() []Term {
 	}
 	for _, t := range q.Head.Args {
 		add(t)
-	}
-	for _, a := range q.Body {
-		for _, t := range a.Args {
-			add(t)
-		}
-	}
-	for _, c := range q.Comparisons {
-		add(c.Left)
-		add(c.Right)
-	}
-	return out
-}
-
-// HeadVars returns the set of distinguished variables (head variables), in
-// first-occurrence order.
-func (q *Query) HeadVars() []Term {
-	seen := make(map[string]bool)
-	var out []Term
-	for _, t := range q.Head.Args {
-		if t.IsVar() && !seen[t.Lex] {
-			seen[t.Lex] = true
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// ExistentialVars returns the variables occurring in the body or comparisons
-// but not in the head, in first-occurrence order.
-func (q *Query) ExistentialVars() []Term {
-	head := make(map[string]bool)
-	for _, t := range q.Head.Args {
-		if t.IsVar() {
-			head[t.Lex] = true
-		}
-	}
-	seen := make(map[string]bool)
-	var out []Term
-	add := func(t Term) {
-		if t.IsVar() && !head[t.Lex] && !seen[t.Lex] {
-			seen[t.Lex] = true
-			out = append(out, t)
-		}
 	}
 	for _, a := range q.Body {
 		for _, t := range a.Args {
@@ -255,32 +211,6 @@ func (q *Query) String() string {
 		}
 		sb.WriteString(c.String())
 	}
-	sb.WriteByte('.')
-	return sb.String()
-}
-
-// CanonicalString renders the query with body atoms and comparisons sorted,
-// so that queries that differ only in subgoal order render identically.
-// Variable names are not canonicalised; use containment.Equivalent for a
-// semantic comparison. It is for display and tests only: no planning path
-// calls it, the rewriting searches deduplicate candidates with a QuerySet,
-// which decides the same identity without rendering.
-func (q *Query) CanonicalString() string {
-	body := make([]string, len(q.Body))
-	for i, a := range q.Body {
-		body[i] = a.String()
-	}
-	sort.Strings(body)
-	comps := make([]string, len(q.Comparisons))
-	for i, c := range q.Comparisons {
-		comps[i] = c.Normalize().String()
-	}
-	sort.Strings(comps)
-	var sb strings.Builder
-	sb.WriteString(q.Head.String())
-	sb.WriteString(" :- ")
-	conjuncts := append(body, comps...)
-	sb.WriteString(strings.Join(conjuncts, ", "))
 	sb.WriteByte('.')
 	return sb.String()
 }

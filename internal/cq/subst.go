@@ -9,8 +9,8 @@ import (
 
 // Subst maps variable names to terms. Applying a substitution replaces every
 // occurrence of a bound variable by its image; unbound variables are left in
-// place. Substitutions are applied in one pass (no chasing of chains), so
-// callers composing substitutions should use Compose.
+// place. Substitutions are applied in one pass: an image is not looked up
+// again, so a chain X->Y, Y->a maps X to Y.
 type Subst map[string]Term
 
 // NewSubst returns an empty substitution.
@@ -71,22 +71,6 @@ func (s Subst) ApplyQuery(q *Query) *Query {
 		comps[i] = s.ApplyComparison(c)
 	}
 	return &Query{Head: s.ApplyAtom(q.Head), Body: body, Comparisons: comps}
-}
-
-// Compose returns the substitution equivalent to applying s first and then
-// t: (s.Compose(t))(x) = t(s(x)). Bindings of t for variables not bound by s
-// are carried over.
-func (s Subst) Compose(t Subst) Subst {
-	out := make(Subst, len(s)+len(t))
-	for v, img := range s {
-		out[v] = t.ApplyTerm(img)
-	}
-	for v, img := range t {
-		if _, ok := out[v]; !ok {
-			out[v] = img
-		}
-	}
-	return out
 }
 
 // String renders the substitution deterministically, e.g. "{X->a, Y->Z}".
@@ -151,19 +135,6 @@ func (s Subst) UnifyTerms(a, b Term) bool {
 	default:
 		return false // distinct constants
 	}
-}
-
-// UnifyAtoms attempts to extend s so that atoms a and b become equal.
-func (s Subst) UnifyAtoms(a, b Atom) bool {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Args {
-		if !s.UnifyTerms(a.Args[i], b.Args[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // MatchAtom attempts to extend s so that s(pattern) == target, binding

@@ -186,7 +186,7 @@ func benchProgramRoutes(b *testing.B, db *storage.Database, p *Program, answerPr
 
 // tcProgram is the linear transitive closure.
 func tcProgram() *Program {
-	return NewProgram(
+	return newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -238,7 +238,7 @@ func BenchmarkProgramInverseRules(b *testing.B) {
 	f := &Skolem{Name: "f_v1_C", Args: []string{"A", "B"}}
 	v1body := []cq.Atom{cq.MustParseQuery("v(A,B) :- v1(A,B)").Body[0]}
 	v2body := []cq.Atom{cq.MustParseQuery("v(A,B) :- v2(A,B)").Body[0]}
-	p := NewProgram(
+	p := newProgram(
 		Rule{HeadPred: "r", Head: []HeadTerm{{Term: cq.Var("A")}, {Skolem: f}}, Body: v1body},
 		Rule{HeadPred: "s", Head: []HeadTerm{{Skolem: f}, {Term: cq.Var("B")}}, Body: v1body},
 		Rule{HeadPred: "r", Head: []HeadTerm{{Term: cq.Var("A")}, {Term: cq.Var("B")}}, Body: v2body},

@@ -627,24 +627,6 @@ func (p *CompiledPlan) baseFrame(args []string) []string {
 	return base
 }
 
-// count returns the number of distinct answers of a parameterless plan
-// without materialising them: the product of the components' distinct
-// projection counts (head tuples are injective in the head-variable
-// assignment).
-func (p *CompiledPlan) count(db *storage.Database) int {
-	parts, ok := p.componentRows(db, nil, 1, nil)
-	if !ok {
-		return 0
-	}
-	n := 1
-	for i := range p.components {
-		if len(p.components[i].headSlots) > 0 {
-			n *= len(parts[i])
-		}
-	}
-	return n
-}
-
 // resolve binds the component's steps to db: tuple slices plus, for steps
 // whose probe column is indexed, the resolved column index.
 func (p *CompiledPlan) resolve(db *storage.Database, c *compiledComponent) []stepSrc {
@@ -898,9 +880,6 @@ func (p *CompiledPlan) headTuple(frame []string) storage.Tuple {
 	}
 	return t
 }
-
-// NumSlots returns the register-frame width (distinct retained variables).
-func (p *CompiledPlan) NumSlots() int { return p.numSlots }
 
 // NumParams returns the number of parameter slots (CompileParams).
 func (p *CompiledPlan) NumParams() int { return len(p.paramSlots) }

@@ -29,9 +29,6 @@ func checkAgreement(t *testing.T, db *storage.Database, q *cq.Query, label strin
 	if got := EvalQuery(db, q); !storage.TuplesEqual(got, want) {
 		t.Fatalf("%s: EvalQuery disagrees with naive\nquery: %s\ngot %v\nwant %v", label, q, got, want)
 	}
-	if got := CountQuery(db, q); got != len(want) {
-		t.Fatalf("%s: CountQuery = %d, want %d\nquery: %s", label, got, len(want), q)
-	}
 }
 
 // TestCompiledMatchesNaiveRandom is the differential property test of the
@@ -253,20 +250,4 @@ func TestEvalParallelFrozenConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestCountQueryDisconnected pins the satellite fix: counting a
-// disconnected query must not enumerate the cross product. With two
-// components of 1000 rows each the product has 10^6 combinations; the
-// per-component count finishes immediately.
-func TestCountQueryDisconnected(t *testing.T) {
-	db := storage.NewDatabase()
-	for i := 0; i < 1000; i++ {
-		db.Insert("a", storage.Tuple{fmt.Sprintf("x%d", i)})
-		db.Insert("b", storage.Tuple{fmt.Sprintf("y%d", i)})
-	}
-	q := cq.MustParseQuery("q(X,Y) :- a(X), b(Y)")
-	if n := CountQuery(db, q); n != 1000*1000 {
-		t.Fatalf("CountQuery = %d, want 1000000", n)
-	}
 }

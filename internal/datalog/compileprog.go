@@ -135,7 +135,7 @@ type CompiledProgram struct {
 	// incrementally.
 	idbProbeCols map[string][]int
 	// ivm marks programs compiled with per-EDB-occurrence delta variants
-	// (CompileProgramIVM); only those support ApplyUpdates.
+	// (CompileProgramIVM); only those support ApplyUpdatesCtx.
 	ivm bool
 	// supports are the re-derivation variants of IVM programs: per rule, a
 	// plan rooted at the rule's own head (fed by over-deleted tuples), or
@@ -156,7 +156,7 @@ func CompileProgram(p *Program, cat *cost.Catalog) (*CompiledProgram, error) {
 // CompileProgramIVM is CompileProgram for incremental view maintenance: in
 // addition to the recursive delta variants it lowers one delta variant per
 // lower-stratum IDB body occurrence and one per EDB body occurrence, so
-// ApplyUpdates can seed a semi-naive propagation round directly from a
+// ApplyUpdatesCtx can seed a semi-naive propagation round directly from a
 // batch of base-relation changes, and carry it across strata, instead of
 // re-running the fixpoint from scratch.
 func CompileProgramIVM(p *Program, cat *cost.Catalog) (*CompiledProgram, error) {
@@ -616,7 +616,7 @@ func checkFixpointBudget(stats FixpointStats, lim Limits) error {
 // runTaskSet executes n independent task bodies across up to workers
 // goroutines, collecting each body's result, a derivation buffer. Bodies
 // only read round-stable state, so the fan-out needs no locks; the fixpoint
-// rounds and the maintenance rounds (ApplyUpdates) share it.
+// rounds and the maintenance rounds (ApplyUpdatesCtx) share it.
 func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
 	bufs := make([]T, n)
 	if workers > n {

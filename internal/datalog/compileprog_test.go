@@ -21,7 +21,7 @@ func mustCompileProgram(t *testing.T, p *Program, db *storage.Database) *Compile
 
 func TestCompiledProgramTransitiveClosure(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"c", "d"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -47,7 +47,7 @@ func TestCompiledProgramStats(t *testing.T) {
 	// Chain a->b->c->d: the linear rule needs one round per extra hop, so
 	// the loop runs round 0 plus delta rounds until a round derives nothing.
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"c", "d"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -74,7 +74,7 @@ func TestCompiledProgramMutualRecursion(t *testing.T) {
 	// even/odd distance reachability over a chain: mutually recursive IDB
 	// predicates exercise cross-rule deltas.
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"c", "d"}, [2]string{"d", "a"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("odd(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("even(X,Z) :- odd(X,Y), e(Y,Z)")),
 		RuleFromQuery(mustQ("odd(X,Z) :- even(X,Y), e(Y,Z)")),
@@ -120,7 +120,7 @@ func TestCompiledProgramSkolemHeads(t *testing.T) {
 		},
 		RuleFromQuery(mustQ("joined(X) :- r(X,W), s(W)")),
 	}
-	p := NewProgram(rules...)
+	p := newProgram(rules...)
 	cp := mustCompileProgram(t, p, db)
 	out, err := cp.Eval(db)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestCompiledProgramHeadConstantAndComparison(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Insert("n", storage.Tuple{"1"})
 	db.Insert("n", storage.Tuple{"5"})
-	p := NewProgram(RuleFromQuery(mustQ("big(X,tag) :- n(X), X > 3")))
+	p := newProgram(RuleFromQuery(mustQ("big(X,tag) :- n(X), X > 3")))
 	cp := mustCompileProgram(t, p, db)
 	out, err := cp.Eval(db)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestCompiledProgramGroundFalseComparison(t *testing.T) {
 	db.Insert("n", storage.Tuple{"1"})
 	q := mustQ("p(X) :- n(X)")
 	q.AddComparison(cq.NewComparison(cq.IntConst(1), cq.Gt, cq.IntConst(2)))
-	p := NewProgram(RuleFromQuery(q))
+	p := newProgram(RuleFromQuery(q))
 	cp := mustCompileProgram(t, p, db)
 	out, err := cp.Eval(db)
 	if err != nil {
@@ -177,7 +177,7 @@ func TestCompiledProgramUnsafeComparisonVarDerivesNothing(t *testing.T) {
 	db.Insert("n", storage.Tuple{"1"})
 	q := mustQ("p(X) :- n(X)")
 	q.AddComparison(cq.NewComparison(cq.Var("Zfree"), cq.Lt, cq.IntConst(9)))
-	p := NewProgram(RuleFromQuery(q))
+	p := newProgram(RuleFromQuery(q))
 	cp := mustCompileProgram(t, p, db)
 	out, err := cp.Eval(db)
 	if err != nil {
@@ -203,7 +203,7 @@ func TestCompiledProgramUnboundHeadVarErrors(t *testing.T) {
 		Head:     []HeadTerm{{Term: cq.Var("Z")}},
 		Body:     []cq.Atom{cq.NewAtom("v", cq.Var("X"))},
 	}
-	cp := mustCompileProgram(t, NewProgram(rule), db)
+	cp := mustCompileProgram(t, newProgram(rule), db)
 	if _, err := cp.Eval(db); err == nil {
 		t.Fatal("unsafe rule evaluated without error")
 	}
@@ -222,14 +222,14 @@ func TestCompiledProgramUnboundSkolemArgErrors(t *testing.T) {
 		Head:     []HeadTerm{{Skolem: &Skolem{Name: "f", Args: []string{"Missing"}}}},
 		Body:     []cq.Atom{cq.NewAtom("v", cq.Var("X"))},
 	}
-	cp := mustCompileProgram(t, NewProgram(rule), db)
+	cp := mustCompileProgram(t, newProgram(rule), db)
 	if _, err := cp.Eval(db); err == nil {
 		t.Fatal("unbound Skolem argument evaluated without error")
 	}
 }
 
 func TestCompileProgramArityConflict(t *testing.T) {
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("p(X) :- e(X,Y)")),
 		RuleFromQuery(mustQ("p(X,Y) :- e(X,Y)")),
 	)
@@ -243,7 +243,7 @@ func TestCompiledProgramEDBSeedsIDBRelation(t *testing.T) {
 	// fixpoint and survive into the result, as with the interpreter.
 	db := edgeDB([2]string{"a", "b"})
 	db.Insert("tc", storage.Tuple{"x", "y"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -269,7 +269,7 @@ func TestCompiledProgramEDBSeedsIDBRelation(t *testing.T) {
 
 func TestCompiledProgramEvalRelation(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -297,7 +297,7 @@ func TestCompiledProgramEvalRelation(t *testing.T) {
 
 func TestCompiledProgramDescribe(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -357,7 +357,7 @@ func TestCompiledProgramRoundsPerStratum(t *testing.T) {
 		db.Insert("v4", storage.Tuple{x, fmt.Sprintf("g%d", i%2)})
 	}
 	for _, c := range cases {
-		p := NewProgram(c.rules...)
+		p := newProgram(c.rules...)
 		cp := mustCompileProgram(t, p, db)
 		if d := cp.Describe(); strings.Contains(d, "Δ") {
 			t.Errorf("%s: non-recursive program compiled delta variants:\n%s", c.name, d)
@@ -384,7 +384,7 @@ func TestProgramEvalDoesNotMutateInput(t *testing.T) {
 	// neither relations nor column indexes, so concurrent Eval calls over
 	// one shared unfrozen database stay safe (as with EvalInterp).
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -403,7 +403,7 @@ func TestProgramEvalDoesNotMutateInput(t *testing.T) {
 
 func TestProgramEvalMatchesInterpOnCycle(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "a"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), tc(Y,Z)")),
 	)

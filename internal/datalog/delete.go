@@ -29,7 +29,7 @@ import (
 // predicates coincide with base relations, and it keeps no state between
 // batches beyond the baseline (MaintState).
 //
-// ApplyUpdates is the single entry point: a mixed batch (deletes applied
+// ApplyUpdatesCtx is the single entry point: a mixed batch (deletes applied
 // before inserts, either side possibly empty) that is atomic — every
 // mutation is covered by a storage.Journal and rolled back on error or
 // panic, so a canceled or budget-tripped batch leaves the database exactly
@@ -55,7 +55,7 @@ type UpdateResult struct {
 // same-named base relations at materialization, whose support is the
 // relation itself and can never be deleted. Build one with NewMaintState
 // over the *pre-materialization* base database and pass it to every
-// ApplyUpdates call against the same maintained database. A nil state is
+// ApplyUpdatesCtx call against the same maintained database. A nil state is
 // accepted (empty baseline). The baseline is kept as Tuple.Key strings, the
 // form the snapshot manifest persists, so two tuples whose keys coincide
 // share an entry.
@@ -179,24 +179,19 @@ func compileSupportVariant(r Rule, cat *cost.Catalog) supportVariant {
 
 // ---- mixed batch application ----
 
-// ApplyUpdates applies a mixed batch — deletions, then insertions, either
-// possibly nil — to a maintained database, keeping every derived extent
-// exact: the insert phase alone when nothing present is deleted, DRed
-// otherwise (see the comment above). db must hold the accumulated derived
-// relations alongside the base relations (the database CompiledProgram.Eval
-// returns, or one maintained by earlier calls). The batch is validated before anything is
-// mutated and is atomic: on any error the database is rolled back to its
-// pre-batch state (a panic rolls back, then re-panics). Predicates derived
-// by the program are rejected on both sides; deletions of absent tuples
-// and insertions of present ones are no-ops. st carries the deletion
-// baseline across batches (NewMaintState); nil is an empty baseline.
-func (cp *CompiledProgram) ApplyUpdates(db *storage.Database, st *MaintState, inserts, deletes map[string][]storage.Tuple, workers int) (*UpdateResult, error) {
-	return cp.applyUpdates(db, st, inserts, deletes, workers, nil, Limits{})
-}
-
-// ApplyUpdatesCtx is ApplyUpdates under a context and limits. Cancellation
-// or a tripped budget never leaves a partial state: the journal rolls the
-// batch back before the error returns.
+// ApplyUpdatesCtx applies a mixed batch — deletions, then insertions,
+// either possibly nil — to a maintained database, keeping every derived
+// extent exact: the insert phase alone when nothing present is deleted,
+// DRed otherwise (see the comment above). db must hold the accumulated
+// derived relations alongside the base relations (the database
+// CompiledProgram.Eval returns, or one maintained by earlier calls). The
+// batch is validated before anything is mutated and is atomic: on any
+// error — cancellation of ctx and a tripped budget in lim included — the
+// journal rolls the database back to its pre-batch state before the error
+// returns (a panic rolls back, then re-panics). Predicates derived by the
+// program are rejected on both sides; deletions of absent tuples and
+// insertions of present ones are no-ops. st carries the deletion baseline
+// across batches (NewMaintState); nil is an empty baseline.
 func (cp *CompiledProgram) ApplyUpdatesCtx(ctx context.Context, db *storage.Database, st *MaintState, inserts, deletes map[string][]storage.Tuple, workers int, lim Limits) (*UpdateResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ErrCanceled

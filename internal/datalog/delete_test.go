@@ -74,7 +74,7 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 				ins = randomUpdate(rng)
 			}
 			workers := 1 + rng.Intn(4)
-			res, err := cp.ApplyUpdates(maintained, st, ins, del, workers)
+			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, st, ins, del, workers, Limits{})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: update: %v\n%s", stream, batch, err, prog)
 			}
@@ -139,7 +139,7 @@ func containsTuple(ts []storage.Tuple, tup storage.Tuple) bool {
 // multiple derivations within one rule, and a same-tuple delete+insert in
 // one batch.
 func TestApplyUpdatesFlatViews(t *testing.T) {
-	prog := NewProgram(
+	prog := newProgram(
 		RuleFromQuery(mustQ("v(X) :- a(X)")),
 		RuleFromQuery(mustQ("v(X) :- b(X)")),
 		RuleFromQuery(mustQ("w(X) :- r(X,Y)")),
@@ -160,14 +160,14 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	}
 
 	// Cross-rule: v(1) has two supports; losing one must not retract it.
-	res, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"a": {{"1"}}}, 1)
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"a": {{"1"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Retracted["v"]) != 0 || !db.Relation("v").Contains(storage.Tuple{"1"}) {
 		t.Fatalf("v(1) retracted with a surviving support: %+v", res.Retracted)
 	}
-	res, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"b": {{"1"}}}, 1)
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"b": {{"1"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	}
 
 	// Within-rule multiplicity: w(1) has two r-derivations.
-	res, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"r": {{"1", "p"}}}, 1)
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {{"1", "p"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +185,9 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	}
 
 	// Same-tuple delete+insert in one batch nets to present.
-	res, err = cp.ApplyUpdates(db, st,
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, st,
 		map[string][]storage.Tuple{"r": {{"1", "q"}}},
-		map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1)
+		map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 		t.Fatal("delete+insert of the same tuple must net to present")
 	}
 	// And w(1) kept exactly one derivation: one more delete retracts.
-	res, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1)
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	base.Insert("r", storage.Tuple{"a"})
 	base.Insert("v", storage.Tuple{"a"}) // also rule-derivable
 	base.Insert("v", storage.Tuple{"s"}) // baseline only
-	prog := NewProgram(RuleFromQuery(mustQ("v(X) :- r(X)")))
+	prog := newProgram(RuleFromQuery(mustQ("v(X) :- r(X)")))
 	cp, err := CompileProgramIVM(prog, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"r": {{"a"}}}, 1); err != nil {
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {{"a"}}}, 1, Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tup := range []storage.Tuple{{"a"}, {"s"}} {
@@ -236,7 +236,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	base2 := storage.NewDatabase()
 	base2.Insert("e", storage.Tuple{"a", "b"})
 	base2.Insert("tc", storage.Tuple{"x", "y"})
-	prog2 := NewProgram(
+	prog2 := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -249,7 +249,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp2.ApplyUpdates(db2, st2, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 1)
+	res, err := cp2.ApplyUpdatesCtx(context.Background(), db2, st2, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 	base.Insert("e", storage.Tuple{"b", "c"})
 	base.Insert("e", storage.Tuple{"a", "c"})
 	base.Insert("e", storage.Tuple{"c", "d"})
-	prog := NewProgram(
+	prog := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -285,7 +285,7 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.BuildIndexes()
-	res, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"e": {{"a", "c"}}}, 2)
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"e": {{"a", "c"}}}, 2, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 	}
 
 	// Now cut the alternative path too: the downstream closure collapses.
-	_, err = cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 2)
+	_, err = cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 2, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,12 +320,12 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 // TestApplyUpdatesErrors covers the rejection and atomicity contract:
 // invalid batches fail before mutation, failing batches roll back fully.
 func TestApplyUpdatesErrors(t *testing.T) {
-	prog := NewProgram(RuleFromQuery(mustQ("v(X) :- r(X,Y)")))
+	prog := newProgram(RuleFromQuery(mustQ("v(X) :- r(X,Y)")))
 	plain, err := CompileProgram(prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.ApplyUpdates(storage.NewDatabase(), nil, nil, nil, 1); err != ErrNotMaintenance {
+	if _, err := plain.ApplyUpdatesCtx(context.Background(), storage.NewDatabase(), nil, nil, nil, 1, Limits{}); err != ErrNotMaintenance {
 		t.Fatalf("non-IVM program: err = %v, want ErrNotMaintenance", err)
 	}
 
@@ -341,13 +341,13 @@ func TestApplyUpdatesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deleting from the derived relation is rejected.
-	if _, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"v": {{"a"}}}, 1); err == nil {
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"v": {{"a"}}}, 1, Limits{}); err == nil {
 		t.Fatal("delete from derived relation accepted")
 	}
 	// Arity mismatch on the delete side fails before the insert side runs.
-	_, err = cp.ApplyUpdates(db, st,
+	_, err = cp.ApplyUpdatesCtx(context.Background(), db, st,
 		map[string][]storage.Tuple{"r": {{"c", "d"}}},
-		map[string][]storage.Tuple{"r": {{"oops"}}}, 1)
+		map[string][]storage.Tuple{"r": {{"oops"}}}, 1, Limits{})
 	if err == nil {
 		t.Fatal("wrong-arity delete accepted")
 	}
@@ -359,10 +359,10 @@ func TestApplyUpdatesErrors(t *testing.T) {
 		t.Fatal("failed batch mutated the database")
 	}
 	// Deleting absent tuples and from absent relations is a clean no-op.
-	res, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{
 		"r":       {{"z", "z"}},
 		"missing": {{"1"}},
-	}, 1)
+	}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,12 +382,12 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 		}
 		var prog *Program
 		if recursive {
-			prog = NewProgram(
+			prog = newProgram(
 				RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 				RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 			)
 		} else {
-			prog = NewProgram(RuleFromQuery(mustQ("v(X,Z) :- e(X,Y), e(Y,Z)")))
+			prog = newProgram(RuleFromQuery(mustQ("v(X,Z) :- e(X,Y), e(Y,Z)")))
 		}
 		cp, err := CompileProgramIVM(prog, nil)
 		if err != nil {
@@ -445,8 +445,8 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 func TestApplyUpdatesKeyCollidingTuples(t *testing.T) {
 	a, b := storage.Tuple{"a\x1fb", "c"}, storage.Tuple{"a", "b\x1fc"}
 	progs := map[string]*Program{
-		"flat": NewProgram(RuleFromQuery(mustQ("v(X,Y) :- r(X,Y)"))),
-		"recursive": NewProgram(
+		"flat": newProgram(RuleFromQuery(mustQ("v(X,Y) :- r(X,Y)"))),
+		"recursive": newProgram(
 			RuleFromQuery(mustQ("tc(X,Y) :- r(X,Y)")),
 			RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), r(Y,Z)")),
 		),
@@ -478,13 +478,13 @@ func TestApplyUpdatesKeyCollidingTuples(t *testing.T) {
 			t.Fatalf("%s: %d derived tuples, want at least 4", name, n)
 		}
 
-		if _, err := cp.ApplyUpdates(db, st, nil, map[string][]storage.Tuple{"r": {a}}, 1); err != nil {
+		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {a}}, 1, Limits{}); err != nil {
 			t.Fatal(err)
 		}
 		shadow.Remove("r", a)
 		check("one of the pair deleted")
 
-		if _, err := cp.ApplyUpdates(db, st, map[string][]storage.Tuple{"r": {a}}, map[string][]storage.Tuple{"r": {b}}, 1); err != nil {
+		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, map[string][]storage.Tuple{"r": {a}}, map[string][]storage.Tuple{"r": {b}}, 1, Limits{}); err != nil {
 			t.Fatal(err)
 		}
 		shadow.Remove("r", b)

@@ -237,17 +237,6 @@ func valueOf(t cq.Term, b Bindings) (string, bool) {
 	return v, ok
 }
 
-// CountQuery returns the number of distinct answers without materialising
-// them in sorted order. It evaluates through the compiled plan, so a
-// disconnected query is counted per connected component and combined as a
-// product of distinct projection counts — not by enumerating the full
-// cross product the way the old joinBody-based count did.
-func CountQuery(db *storage.Database, q *cq.Query) int {
-	p := Compile(q, cost.NewRowCatalog(db, q.Predicates()...))
-	p.freeze(db)
-	return p.count(db)
-}
-
 // MaterializeViews evaluates every view over base, one EvalQuery each, and
 // returns a database holding only the view extents (the data-integration
 // setting: the query processor sees view relations, not base relations).

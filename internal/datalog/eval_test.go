@@ -130,13 +130,6 @@ func TestEvalUnion(t *testing.T) {
 	}
 }
 
-func TestCountQuery(t *testing.T) {
-	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"})
-	if n := CountQuery(db, mustQ("q(X) :- e(X,Y)")); n != 2 {
-		t.Fatalf("CountQuery = %d", n)
-	}
-}
-
 func TestMaterializeViews(t *testing.T) {
 	base := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"})
 	views := []*cq.Query{

@@ -35,7 +35,7 @@ func crossDB(n int) *storage.Database {
 
 func tcClosureProgram(t *testing.T, db *storage.Database) *CompiledProgram {
 	t.Helper()
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -210,7 +210,7 @@ func TestFixpointCtxPreCanceled(t *testing.T) {
 func TestFixpointCtxStrataBarriers(t *testing.T) {
 	db := chainEdgeDB(4)
 	db.Insert("u", storage.Tuple{"n4"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("top(X) :- tc(X,Y), u(Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), a(Y,Z)")),
 		RuleFromQuery(mustQ("tc(X,Y) :- a(X,Y)")),
@@ -243,7 +243,7 @@ func TestFixpointCtxStrataBarriers(t *testing.T) {
 	slow := crossDB(n)
 	q := mustQ("same(X) :- r(X), s(Y)")
 	q.AddComparison(cq.NewComparison(cq.Var("X"), cq.Eq, cq.Var("Y")))
-	cp = mustCompileProgram(t, NewProgram(RuleFromQuery(q), RuleFromQuery(mustQ("out(X) :- same(X), r(X)"))), slow)
+	cp = mustCompileProgram(t, newProgram(RuleFromQuery(q), RuleFromQuery(mustQ("out(X) :- same(X), r(X)"))), slow)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	_, stats, err = cp.EvalRelationCtx(ctx, slow, "out", 1, Limits{})
@@ -260,7 +260,7 @@ func TestFixpointCtxStrataBarriers(t *testing.T) {
 
 func TestMaintainCtxBudgetsAndCancel(t *testing.T) {
 	db := chainEdgeDB(80)
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)

@@ -9,7 +9,7 @@ import (
 // Incremental view maintenance. A program compiled with CompileProgramIVM
 // carries one delta variant per body occurrence: EDB occurrences, and IDB
 // occurrences of lower strata as well as of the head's own (the stratified
-// fixpoint fires only the last kind). ApplyUpdates (delete.go) is the one
+// fixpoint fires only the last kind). ApplyUpdatesCtx (delete.go) is the one
 // write entry point; the insert side of every batch propagates here,
 // through those variants, without re-running the fixpoint:
 //
@@ -33,7 +33,7 @@ import (
 // Work per batch is therefore proportional to the consequences of the
 // delta, not to the size of the database.
 
-// ErrNotMaintenance reports an ApplyUpdates call on a program compiled
+// ErrNotMaintenance reports an ApplyUpdatesCtx call on a program compiled
 // without EDB delta variants.
 var ErrNotMaintenance = errors.New("datalog: program not compiled for maintenance (use CompileProgramIVM)")
 

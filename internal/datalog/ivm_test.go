@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -68,7 +69,7 @@ func TestMaintainDeltaDifferential(t *testing.T) {
 		for batch := 0; batch < batches; batch++ {
 			upd := randomUpdate(rng)
 			workers := 1 + rng.Intn(4)
-			res, err := cp.ApplyUpdates(maintained, nil, upd, nil, workers)
+			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, nil, upd, nil, workers, Limits{})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: maintain: %v\n%s", stream, batch, err, prog)
 			}
@@ -112,7 +113,7 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	base := storage.NewDatabase()
 	base.Insert("r", storage.Tuple{"a", "m"})
 	base.Insert("s", storage.Tuple{"m", "x"})
-	prog := NewProgram(RuleFromQuery(mustQ("v(X,Y) :- r(X,Z), s(Z,Y)")))
+	prog := newProgram(RuleFromQuery(mustQ("v(X,Y) :- r(X,Z), s(Z,Y)")))
 	cp, err := CompileProgramIVM(prog, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +128,7 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	}
 
 	// Batch 1: a new r tuple joining an existing s tuple.
-	res, err := cp.ApplyUpdates(db, nil, map[string][]storage.Tuple{"r": {{"b", "m"}}}, nil, 1)
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"b", "m"}}}, nil, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +141,10 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 
 	// Batch 2: both halves of a fresh join arrive in one batch, plus a
 	// duplicate base fact that must not derive anything.
-	res, err = cp.ApplyUpdates(db, nil, map[string][]storage.Tuple{
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{
 		"r": {{"c", "n"}, {"a", "m"}},
 		"s": {{"n", "y"}},
-	}, nil, 1)
+	}, nil, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestMaintainDeltaRecursive(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		base.Insert("e", storage.Tuple{fmt.Sprint(i), fmt.Sprint(i + 1)})
 	}
-	prog := NewProgram(
+	prog := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -178,7 +179,7 @@ func TestMaintainDeltaRecursive(t *testing.T) {
 	db.BuildIndexes()
 	before := db.Relation("tc").Len()
 
-	res, err := cp.ApplyUpdates(db, nil, map[string][]storage.Tuple{"e": {{"10", "11"}}}, nil, 2)
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"10", "11"}}}, nil, 2, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +201,13 @@ func TestMaintainDeltaRecursive(t *testing.T) {
 }
 
 func TestMaintainDeltaErrors(t *testing.T) {
-	prog := NewProgram(RuleFromQuery(mustQ("v(X) :- r(X,Y)")))
+	prog := newProgram(RuleFromQuery(mustQ("v(X) :- r(X,Y)")))
 	plain, err := CompileProgram(prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := storage.NewDatabase()
-	if _, err := plain.ApplyUpdates(db, nil, nil, nil, 1); err != ErrNotMaintenance {
+	if _, err := plain.ApplyUpdatesCtx(context.Background(), db, nil, nil, nil, 1, Limits{}); err != ErrNotMaintenance {
 		t.Fatalf("non-IVM program: err = %v, want ErrNotMaintenance", err)
 	}
 
@@ -220,21 +221,21 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inserting into the derived relation is rejected.
-	if _, err := cp.ApplyUpdates(mdb, nil, map[string][]storage.Tuple{"v": {{"z"}}}, nil, 1); err == nil {
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, map[string][]storage.Tuple{"v": {{"z"}}}, nil, 1, Limits{}); err == nil {
 		t.Fatal("insert into derived relation accepted")
 	}
 	// Arity mismatches are rejected before anything is mutated.
-	if _, err := cp.ApplyUpdates(mdb, nil, map[string][]storage.Tuple{
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, map[string][]storage.Tuple{
 		"r":     {{"c", "d"}},
 		"wrong": {{"1"}, {"1", "2"}},
-	}, nil, 1); err == nil {
+	}, nil, 1, Limits{}); err == nil {
 		t.Fatal("mixed-arity batch accepted")
 	}
 	if mdb.Relation("r").Len() != 1 || mdb.Relation("wrong") != nil {
 		t.Fatal("failed batch mutated the database")
 	}
 	// An empty batch is a no-op.
-	res, err := cp.ApplyUpdates(mdb, nil, nil, nil, 1)
+	res, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, nil, nil, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

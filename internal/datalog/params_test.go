@@ -163,8 +163,8 @@ func TestProgramEstimateCost(t *testing.T) {
 		db.Insert("e", storage.Tuple{fmt.Sprint(i), fmt.Sprint(i + 1)})
 	}
 	cat := cost.NewCatalog(db)
-	small := NewProgram(RuleFromQuery(cq.MustParseQuery("tc(X,Y) :- e(X,Y)")))
-	big := NewProgram(
+	small := newProgram(RuleFromQuery(cq.MustParseQuery("tc(X,Y) :- e(X,Y)")))
+	big := newProgram(
 		RuleFromQuery(cq.MustParseQuery("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(cq.MustParseQuery("tc(X,Z) :- e(X,Y), e(Y,Z)")),
 	)

@@ -145,7 +145,7 @@ func randomProgram(rng *rand.Rand, trial int) *Program {
 		rules = append(rules, tpl(rng, fmt.Sprintf("_%d_%d", trial, g))...)
 	}
 	rng.Shuffle(len(rules), func(i, j int) { rules[i], rules[j] = rules[j], rules[i] })
-	return NewProgram(rules...)
+	return newProgram(rules...)
 }
 
 // randomLayeredProgram builds a program of exactly three strata over the
@@ -197,7 +197,7 @@ func randomLayeredProgram(rng *rand.Rand) *Program {
 	}
 	rules = append(rules, RuleFromQuery(top))
 	rng.Shuffle(len(rules), func(i, j int) { rules[i], rules[j] = rules[j], rules[i] })
-	return NewProgram(rules...)
+	return newProgram(rules...)
 }
 
 // TestCompiledProgramLayeredDifferential runs random three-stratum programs

@@ -20,7 +20,7 @@ func raceProgram(t *testing.T) (*Program, *storage.Database) {
 		db.Insert("e", storage.Tuple{node40(i), node40(i + 1)})
 	}
 	db.Insert("e", storage.Tuple{node40(40), node40(0)}) // cycle
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)

@@ -181,9 +181,6 @@ type Program struct {
 	Rules []Rule
 }
 
-// NewProgram builds a program from rules.
-func NewProgram(rules ...Rule) *Program { return &Program{Rules: rules} }
-
 // String renders the program one rule per line.
 func (p *Program) String() string {
 	lines := make([]string, len(p.Rules))

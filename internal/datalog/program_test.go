@@ -8,9 +8,12 @@ import (
 	"repro/internal/storage"
 )
 
+// newProgram builds a program from rules.
+func newProgram(rules ...Rule) *Program { return &Program{Rules: rules} }
+
 func TestProgramNonRecursive(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"})
-	p := NewProgram(RuleFromQuery(mustQ("hop(X,Z) :- e(X,Y), e(Y,Z)")))
+	p := newProgram(RuleFromQuery(mustQ("hop(X,Z) :- e(X,Y), e(Y,Z)")))
 	out, err := p.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +28,7 @@ func TestProgramNonRecursive(t *testing.T) {
 
 func TestProgramTransitiveClosure(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"c", "d"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
@@ -46,7 +49,7 @@ func TestProgramTransitiveClosure(t *testing.T) {
 
 func TestProgramTransitiveClosureCycle(t *testing.T) {
 	db := edgeDB([2]string{"a", "b"}, [2]string{"b", "a"})
-	p := NewProgram(
+	p := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), tc(Y,Z)")),
 	)
@@ -100,7 +103,7 @@ func TestProgramWithSkolemHeads(t *testing.T) {
 		},
 		Body: []cq.Atom{cq.NewAtom("v", cq.Var("X"))},
 	}
-	out, err := NewProgram(rule).Eval(db)
+	out, err := newProgram(rule).Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestProgramWithSkolemHeads(t *testing.T) {
 	}
 	// Skolem joins: both rules produce the same skolem value for the same
 	// argument, so a join through the second column succeeds.
-	p2 := NewProgram(
+	p2 := newProgram(
 		rule,
 		Rule{
 			HeadPred: "s",
@@ -139,7 +142,7 @@ func TestProgramRuleWithComparisons(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Insert("n", storage.Tuple{"1"})
 	db.Insert("n", storage.Tuple{"5"})
-	p := NewProgram(RuleFromQuery(mustQ("big(X) :- n(X), X > 3")))
+	p := newProgram(RuleFromQuery(mustQ("big(X) :- n(X), X > 3")))
 	out, err := p.Eval(db)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +161,7 @@ func TestProgramString(t *testing.T) {
 		},
 		Body: []cq.Atom{cq.NewAtom("v", cq.Var("X"))},
 	}
-	p := NewProgram(rule, RuleFromQuery(mustQ("q(X) :- r(X,Y), X < 3")))
+	p := newProgram(rule, RuleFromQuery(mustQ("q(X) :- r(X,Y), X < 3")))
 	s := p.String()
 	if !strings.Contains(s, "r(X,f0(X)) :- v(X).") {
 		t.Fatalf("program string:\n%s", s)
@@ -176,7 +179,7 @@ func TestProgramHeadConstant(t *testing.T) {
 		Head:     []HeadTerm{{Term: cq.Var("X")}, {Term: cq.Const("k")}},
 		Body:     []cq.Atom{cq.NewAtom("v", cq.Var("X"))},
 	}
-	out, err := NewProgram(rule).Eval(db)
+	out, err := newProgram(rule).Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestProgramUnboundHeadVarErrors(t *testing.T) {
 		Head:     []HeadTerm{{Term: cq.Var("Z")}},
 		Body:     []cq.Atom{cq.NewAtom("v", cq.Var("X"))},
 	}
-	if _, err := NewProgram(rule).Eval(db); err == nil {
+	if _, err := newProgram(rule).Eval(db); err == nil {
 		t.Fatal("unsafe rule evaluated without error")
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -633,7 +632,7 @@ func (e *Engine) snapshot() (*storage.Database, *sync.RWMutex) {
 // insertions, any number of predicates each, either side possibly nil — and
 // delta-maintains every view extent: one propagation per batch instead of a
 // full re-materialization, retracting every extent tuple that loses its
-// last derivation (DRed — see internal/datalog's ApplyUpdates). The batch
+// last derivation (DRed — see internal/datalog's ApplyUpdatesCtx). The batch
 // is one atomic unit: either every retraction and every insertion lands,
 // left-right published to both serving sides, or none do. Batches from
 // concurrent callers are serialized; answers keep flowing from the active
@@ -884,43 +883,6 @@ func (e *Engine) Plan(q *cq.Query) (*Plan, error) {
 // extracted binding.
 func (e *Engine) Answer(q *cq.Query) ([]storage.Tuple, error) {
 	return e.AnswerCtx(context.Background(), q)
-}
-
-// AnswerBatch answers a batch of queries concurrently on up to GOMAXPROCS
-// goroutines, preserving input order in the result slice. Identical
-// (α-equivalent) queries in one batch coalesce into a single rewriting
-// search. The returned error joins all per-query failures; results of
-// failed queries are nil.
-func (e *Engine) AnswerBatch(qs []*cq.Query) ([][]storage.Tuple, error) {
-	results := make([][]storage.Tuple, len(qs))
-	if len(qs) == 0 {
-		return results, nil
-	}
-	errs := make([]error, len(qs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i], errs[i] = e.Answer(qs[i])
-				if errs[i] != nil {
-					errs[i] = fmt.Errorf("query %d (%s): %w", i, qs[i].Head.Pred, errs[i])
-				}
-			}
-		}()
-	}
-	for i := range qs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return results, errors.Join(errs...)
 }
 
 // Eval evaluates a parameterless plan over the engine's database; it

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -223,57 +222,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if st = e.Stats(); st.Hits != 1 {
 		t.Fatalf("hits = %d, want 1 (q3 still cached)", st.Hits)
-	}
-}
-
-func TestAnswerBatch(t *testing.T) {
-	base, views := testBase(t)
-	e, err := NewFromBase(base, views, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := []*cq.Query{
-		cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"),
-		cq.MustParseQuery("q(A,B) :- s(C,B), r(A,C)"),
-		cq.MustParseQuery("q2(X,Y) :- r(X,Y)"),
-		cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"),
-	}
-	results, err := e.AnswerBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(qs) {
-		t.Fatalf("got %d results", len(results))
-	}
-	if !storage.TuplesEqual(results[0], results[1]) || !storage.TuplesEqual(results[0], results[3]) {
-		t.Fatal("α-equivalent batch members disagree")
-	}
-	want := datalog.EvalQuery(base, qs[0])
-	if !storage.TuplesEqual(results[0], want) {
-		t.Fatalf("batch answers %v, want %v", results[0], want)
-	}
-	if st := e.Stats(); st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 distinct plans", st.Misses)
-	}
-}
-
-func TestAnswerBatchPartialFailure(t *testing.T) {
-	base, views := testBase(t)
-	e, err := NewFromBase(base, views, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &cq.Query{Head: cq.NewAtom("q", cq.Var("X"))} // empty body: invalid
-	qs := []*cq.Query{
-		cq.MustParseQuery("q2(X,Y) :- r(X,Y)"),
-		bad,
-	}
-	results, err := e.AnswerBatch(qs)
-	if err == nil || !strings.Contains(err.Error(), "query 1") {
-		t.Fatalf("err = %v, want failure naming query 1", err)
-	}
-	if results[0] == nil || results[1] != nil {
-		t.Fatalf("results = %v, want good answer and nil", results)
 	}
 }
 

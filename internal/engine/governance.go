@@ -577,7 +577,7 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 // commit maintains serving side i — the inactive one — in place and makes
 // it active. Under the side's write lock, held throughout, the maintainer's
 // database is bound to the side's relations, the maintainer applies the
-// batch (datalog.ApplyUpdates journals it and rolls it back on any error or
+// batch (datalog.ApplyUpdatesCtx journals it and rolls it back on any error or
 // panic, leaving the side untouched), the batch is fsynced to the WAL, and
 // the side is flipped active. A batch is therefore logged before any
 // reader sees it, and a canceled or budget-tripped batch is never logged.

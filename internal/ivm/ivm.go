@@ -8,7 +8,7 @@
 // of the batch, not to the size of the database.
 //
 // There is one write verb, ApplyUpdate (ApplyUpdateCtx under a context and
-// limits), and it is datalog.ApplyUpdates over the maintainer's database:
+// limits), and it is datalog.ApplyUpdatesCtx over the maintainer's database:
 // inserts propagate monotonically; deletions are non-monotone and take
 // DRed (delete-and-rederive): the extent tuples a deletion might have
 // unsupported are removed, and those with a surviving derivation are put
@@ -220,7 +220,7 @@ func (m *Maintainer) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) (*
 // ApplyUpdateCtx is ApplyUpdate under a cancellation context and evaluation
 // limits. The batch is atomic: on any error — validation, cancellation
 // (datalog.ErrCanceled), or a budget trip (datalog.ErrBudgetExceeded), even
-// mid-retraction — datalog.ApplyUpdates rolls its journal back and the
+// mid-retraction — datalog.ApplyUpdatesCtx rolls its journal back and the
 // maintained database is exactly its pre-batch state, so an aborted batch
 // can simply be retried. A panic during propagation also rolls back before
 // being re-raised to the caller's recover guard.

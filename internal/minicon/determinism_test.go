@@ -20,7 +20,7 @@ func TestEnumerationIsDeterministic(t *testing.T) {
 		"y(A,B,C) :- r(A,B), s(B,C), s(B,D)",
 	)
 	render := func() string {
-		out := fmt.Sprintln(FormMCDs(q, vs))
+		out := fmt.Sprintln(formMCDs(q, vs))
 		for _, opt := range []Options{{}, {SkipMinimizeUnion: true}, {VerifyCandidates: true}} {
 			u, st, err := Rewrite(q, vs, opt)
 			if err != nil {

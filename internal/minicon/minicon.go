@@ -37,7 +37,7 @@ type MCD struct {
 	// View is the view definition.
 	View *cq.Query
 	view *core.View
-	// f is what the MCDs of one FormMCDs call share.
+	// f is what the MCDs of one former.form call share.
 	f *former
 	// phi maps a query variable id to the view term it lands on.
 	phi []int32
@@ -335,15 +335,11 @@ func (f *former) constant(t cq.Term) int32 {
 	return ^int32(k)
 }
 
-// FormMCDs enumerates the minimal MCDs of every view against q. The order is
-// fixed — by seed subgoal, then view in insertion order, then view atom,
-// then, within one seed's closure, lowest unresolved query variable first —
-// so that the union Rewrite builds from them comes out member for member the
-// same on every call.
-func FormMCDs(q *cq.Query, vs *core.ViewSet) []*MCD {
-	return newFormer(q, vs).form()
-}
-
+// form enumerates the minimal MCDs of every view against the query. The
+// order is fixed — by seed subgoal, then view in insertion order, then view
+// atom, then, within one seed's closure, lowest unresolved query variable
+// first — so that the union Rewrite builds from them comes out member for
+// member the same on every call.
 func (f *former) form() []*MCD {
 	for gi, g := range f.q.Body {
 		for _, occ := range f.vs.Occurrences(g.Pred, len(g.Args)) {

@@ -21,10 +21,16 @@ func viewSet(srcs ...string) *core.ViewSet {
 	return core.MustNewViewSet(vs...)
 }
 
+// formMCDs enumerates the minimal MCDs of every view against q, in the
+// order Rewrite combines them.
+func formMCDs(q *cq.Query, vs *core.ViewSet) []*MCD {
+	return newFormer(q, vs).form()
+}
+
 func TestFormMCDsBasic(t *testing.T) {
 	q := mustQ("q(X,Y) :- r(X,Z), s(Z,Y)")
 	vs := viewSet("v1(A,B) :- r(A,B)", "v2(A,B) :- s(A,B)")
-	mcds := FormMCDs(q, vs)
+	mcds := formMCDs(q, vs)
 	if len(mcds) != 2 {
 		t.Fatalf("MCDs = %v", mcds)
 	}
@@ -41,7 +47,7 @@ func TestFormMCDsExtendsOverHiddenVar(t *testing.T) {
 	// the defining MiniCon behaviour.
 	q := mustQ("q(X) :- r(X,Z), s(Z)")
 	vs := viewSet("v(A) :- r(A,B), s(B)")
-	mcds := FormMCDs(q, vs)
+	mcds := formMCDs(q, vs)
 	if len(mcds) != 1 {
 		t.Fatalf("MCDs = %v", mcds)
 	}
@@ -54,7 +60,7 @@ func TestFormMCDsFailsWhenExtensionImpossible(t *testing.T) {
 	// The view hides B but has no s-atom to cover s(Z): no MCD.
 	q := mustQ("q(X) :- r(X,Z), s(Z)")
 	vs := viewSet("v(A) :- r(A,B)")
-	if mcds := FormMCDs(q, vs); len(mcds) != 0 {
+	if mcds := formMCDs(q, vs); len(mcds) != 0 {
 		t.Fatalf("MCDs = %v", mcds)
 	}
 }
@@ -62,7 +68,7 @@ func TestFormMCDsFailsWhenExtensionImpossible(t *testing.T) {
 func TestFormMCDsHeadVarOnExistentialFails(t *testing.T) {
 	q := mustQ("q(X,Y) :- r(X,Y)")
 	vs := viewSet("v(A) :- r(A,B)")
-	if mcds := FormMCDs(q, vs); len(mcds) != 0 {
+	if mcds := formMCDs(q, vs); len(mcds) != 0 {
 		t.Fatalf("MCDs = %v", mcds)
 	}
 }
@@ -71,23 +77,23 @@ func TestFormMCDsConstants(t *testing.T) {
 	// Constant in the query against a distinguished view variable: ok.
 	q := mustQ("q(X) :- r(X,5)")
 	vs := viewSet("v(A,B) :- r(A,B)")
-	mcds := FormMCDs(q, vs)
+	mcds := formMCDs(q, vs)
 	if len(mcds) != 1 {
 		t.Fatalf("MCDs = %v", mcds)
 	}
 	// Against an existential: no MCD.
 	vs2 := viewSet("w(A) :- r(A,B)")
-	if m := FormMCDs(q, vs2); len(m) != 0 {
+	if m := formMCDs(q, vs2); len(m) != 0 {
 		t.Fatalf("MCDs = %v", m)
 	}
 	// Against the same constant in the view: ok.
 	vs3 := viewSet("u(A) :- r(A,5)")
-	if m := FormMCDs(q, vs3); len(m) != 1 {
+	if m := formMCDs(q, vs3); len(m) != 1 {
 		t.Fatalf("MCDs = %v", m)
 	}
 	// Against a different constant: no MCD.
 	vs4 := viewSet("z(A) :- r(A,7)")
-	if m := FormMCDs(q, vs4); len(m) != 0 {
+	if m := formMCDs(q, vs4); len(m) != 0 {
 		t.Fatalf("MCDs = %v", m)
 	}
 }
@@ -98,7 +104,7 @@ func TestFormMCDsBranchingClosure(t *testing.T) {
 	// variants, since they combine differently.
 	q := mustQ("q(X) :- r(X,Z), s(Z,W), t(W)")
 	vs := viewSet("v(A) :- r(A,B), s(B,C), t(1), t(C)")
-	mcds := FormMCDs(q, vs)
+	mcds := formMCDs(q, vs)
 	if len(mcds) < 2 {
 		t.Fatalf("branching closure lost variants: %v", mcds)
 	}

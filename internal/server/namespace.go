@@ -216,7 +216,7 @@ const (
 	configFile = "config.json"
 )
 
-// DirOptions customizes LoadDir beyond what per-namespace config files
+// DirOptions customizes LoadDirWith beyond what per-namespace config files
 // express.
 type DirOptions struct {
 	// DataRoot roots durable storage: a namespace whose config.json does
@@ -228,13 +228,11 @@ type DirOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// LoadDir builds a registry from a config directory: every subdirectory
-// containing a views.dl becomes a namespace named after it. A directory
-// with no loadable namespace is an error — a server with nothing to serve
-// is a misconfiguration worth failing loudly on.
-func LoadDir(dir string) (*Registry, error) { return LoadDirWith(dir, DirOptions{}) }
-
-// LoadDirWith is LoadDir with daemon-injected options.
+// LoadDirWith builds a registry from a config directory: every
+// subdirectory containing a views.dl becomes a namespace named after it,
+// loaded under o. A directory with no loadable namespace is an error — a
+// server with nothing to serve is a misconfiguration worth failing loudly
+// on.
 func LoadDirWith(dir string, o DirOptions) (*Registry, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -536,7 +536,7 @@ func TestLoadDirRejectsRemovedShardsKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := LoadDir(dir)
+	_, err := LoadDirWith(dir, DirOptions{})
 	if err == nil {
 		t.Fatal(`config.json with "shards" accepted`)
 	}

@@ -24,9 +24,6 @@ type ColIndex struct {
 	next  []int32  // next[pos] is the next position with tuples[pos]'s value
 }
 
-// NewColIndex returns an empty index of column col.
-func NewColIndex(col int) *ColIndex { return &ColIndex{col: col} }
-
 // buildColIndex indexes column col of tuples.
 func buildColIndex(tuples []Tuple, col int) *ColIndex {
 	x := &ColIndex{col: col, next: make([]int32, len(tuples))}

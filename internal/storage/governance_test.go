@@ -6,28 +6,6 @@ import (
 	"testing"
 )
 
-func TestCheckedInsertArity(t *testing.T) {
-	r := NewRelation("r", 2)
-	ok, err := r.CheckedInsert(Tuple{"a", "b"})
-	if err != nil || !ok {
-		t.Fatalf("CheckedInsert = %v, %v", ok, err)
-	}
-	ok, err = r.CheckedInsert(Tuple{"a"})
-	if ok || err == nil {
-		t.Fatal("width mismatch should fail")
-	}
-	var ae *ArityError
-	if !errors.As(err, &ae) {
-		t.Fatalf("err = %T, want *ArityError", err)
-	}
-	if ae.Pred != "r" || ae.Want != 2 || ae.Got != 1 {
-		t.Fatalf("ArityError = %+v", ae)
-	}
-	if r.Len() != 1 {
-		t.Fatalf("failed insert mutated the relation: Len = %d", r.Len())
-	}
-}
-
 func TestEnsureReturnsArityError(t *testing.T) {
 	db := NewDatabase()
 	if _, err := db.Ensure("r", 2); err != nil {

@@ -1,7 +1,7 @@
 package storage
 
 // Journal is the rollback log of one atomic batch against a Database — the
-// single undo mechanism behind datalog.ApplyUpdates (the maintained
+// single undo mechanism behind datalog.ApplyUpdatesCtx (the maintained
 // database, which in a live engine holds the relations of the serving side
 // being written) and the engine's replay onto the other serving side.
 //

@@ -198,18 +198,6 @@ func TestRemoveStaleIndexInvalidates(t *testing.T) {
 	checkConsistent(t, r2)
 }
 
-func TestCheckedRemoveArity(t *testing.T) {
-	r := NewRelation("r", 2)
-	r.Insert(Tuple{"a", "1"})
-	if _, err := r.CheckedRemove(Tuple{"a"}); err == nil {
-		t.Fatal("CheckedRemove of wrong-width tuple should error")
-	}
-	ok, err := r.CheckedRemove(Tuple{"a", "1"})
-	if err != nil || !ok {
-		t.Fatalf("CheckedRemove = %v, %v", ok, err)
-	}
-}
-
 func TestTruncateToAfterRemove(t *testing.T) {
 	// After a swap-remove, chains are no longer in position order:
 	// TruncateTo must still unlink the truncated positions wherever they sit.

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -9,32 +8,6 @@ import (
 
 	"repro/internal/cq"
 )
-
-// WriteTo serialises the database as datalog facts, one per line, sorted by
-// predicate and tuple for determinism. Values that need quoting in the
-// surface syntax are quoted; the output round-trips through ReadDatabase.
-func (db *Database) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	for _, pred := range db.Predicates() {
-		rel := db.rels[pred]
-		tuples := make([]Tuple, len(rel.tuples))
-		copy(tuples, rel.tuples)
-		SortTuples(tuples)
-		for _, t := range tuples {
-			parts := make([]string, len(t))
-			for i, v := range t {
-				parts[i] = cq.Const(v).String()
-			}
-			n, err := fmt.Fprintf(bw, "%s(%s).\n", pred, strings.Join(parts, ","))
-			written += int64(n)
-			if err != nil {
-				return written, err
-			}
-		}
-	}
-	return written, bw.Flush()
-}
 
 // ReadDatabase parses datalog facts from r into a new database. Rules in
 // the input are rejected.

@@ -30,9 +30,9 @@ import (
 )
 
 // ArityError reports a tuple width (or declared arity) conflicting with a
-// relation's schema — the typed form of the errors the Ensure methods
-// return and the serving-path alternative to Insert's invariant panic
-// (CheckedInsert).
+// relation's schema — the typed error the Ensure methods return, so input
+// from outside the process is rejected before it can reach Insert's
+// invariant panic.
 type ArityError struct {
 	Pred string
 	Want int
@@ -80,9 +80,6 @@ func (t Tuple) Compare(o Tuple) int {
 		return 0
 	}
 }
-
-// Less reports t < o under Compare.
-func (t Tuple) Less(o Tuple) bool { return t.Compare(o) < 0 }
 
 // keySeed keys the tuple hash; it is fixed for the life of the process, so
 // a cloned relation's table stays valid.
@@ -171,17 +168,6 @@ func (r *Relation) add(t Tuple, clone bool) bool {
 	return true
 }
 
-// CheckedInsert is Insert returning a typed *ArityError instead of
-// panicking on a width mismatch — the serving-boundary variant for tuples
-// arriving from outside the process, where a malformed row is an input
-// error, not a programming error.
-func (r *Relation) CheckedInsert(t Tuple) (bool, error) {
-	if len(t) != r.arity {
-		return false, &ArityError{Pred: r.name, Want: r.arity, Got: len(t)}
-	}
-	return r.Insert(t), nil
-}
-
 // Remove deletes a tuple, reporting whether it was present. Like Insert it
 // panics on an arity mismatch — callers validate arity at the Database
 // boundary.
@@ -218,16 +204,6 @@ func (r *Relation) Remove(t Tuple) bool {
 	r.tuples[last] = nil
 	r.tuples = r.tuples[:last]
 	return true
-}
-
-// CheckedRemove is Remove returning a typed *ArityError instead of
-// panicking on a width mismatch — the serving-boundary variant for tuples
-// arriving from outside the process.
-func (r *Relation) CheckedRemove(t Tuple) (bool, error) {
-	if len(t) != r.arity {
-		return false, &ArityError{Pred: r.name, Want: r.arity, Got: len(t)}
-	}
-	return r.Remove(t), nil
 }
 
 // TruncateTo discards every tuple from position n onward, restoring the

@@ -4,7 +4,34 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cq"
 )
+
+// coloringInstance encodes the paper's NP-hardness reduction shape
+// directly: the view's body is the (symmetrised) input graph and the
+// query's body is the triangle K3, so the view is usable for the query iff
+// the graph is 3-colourable (a homomorphism G → K3 is exactly a proper
+// 3-colouring). All view variables are distinguished so the application
+// validity conditions never reject a homomorphism.
+func coloringInstance(edges [][2]int) (view, query *cq.Query) {
+	var body []cq.Atom
+	seen := make(map[string]bool)
+	var args []cq.Term
+	addVar := func(i int) cq.Term {
+		t := viewVar(i)
+		if !seen[t.Lex] {
+			seen[t.Lex] = true
+			args = append(args, t)
+		}
+		return t
+	}
+	for _, e := range edges {
+		a, b := addVar(e[0]), addVar(e[1])
+		body = append(body, cq.NewAtom("e", a, b), cq.NewAtom("e", b, a))
+	}
+	view = &cq.Query{Head: cq.NewAtom("v", args...), Body: body}
+	return view, GraphQuery(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
+}
 
 // 3-colourability via usability: the paper's NP-hardness reduction shape.
 func TestColoringUsability(t *testing.T) {
@@ -22,7 +49,7 @@ func TestColoringUsability(t *testing.T) {
 		{"bipartite K23", [][2]int{{0, 3}, {0, 4}, {1, 3}, {1, 4}, {2, 3}, {2, 4}}, true},
 	}
 	for _, c := range cases {
-		view, query := ColoringUsabilityInstance(c.edges)
+		view, query := coloringInstance(c.edges)
 		if err := view.Validate(); err != nil {
 			t.Fatalf("%s: invalid view: %v", c.name, err)
 		}
@@ -30,13 +57,4 @@ func TestColoringUsability(t *testing.T) {
 			t.Errorf("%s: usable=%v want 3-colorable=%v", c.name, got, c.colorable)
 		}
 	}
-}
-
-func TestColoringInstancePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ColoringUsabilityInstance(nil)
 }

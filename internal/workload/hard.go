@@ -84,36 +84,3 @@ func EasyUsabilityInstance(k, n int) (view, query *cq.Query) {
 	view = &cq.Query{Head: cq.NewAtom("v", args...), Body: body}
 	return view, ChainQuery(n, true)
 }
-
-// ColoringUsabilityInstance encodes the paper's NP-hardness reduction
-// shape directly: the view's body is the (symmetrised) input graph and the
-// query's body is the triangle K3, so the view is usable for the query iff
-// the graph is 3-colourable (a homomorphism G → K3 is exactly a proper
-// 3-colouring). All view variables are distinguished so the application
-// validity conditions never reject a homomorphism.
-func ColoringUsabilityInstance(edges [][2]int) (view, query *cq.Query) {
-	if len(edges) == 0 {
-		panic("workload: coloring instance needs at least one edge")
-	}
-	var body []cq.Atom
-	seen := make(map[string]bool)
-	var args []cq.Term
-	addVar := func(i int) cq.Term {
-		t := viewVar(i)
-		if !seen[t.Lex] {
-			seen[t.Lex] = true
-			args = append(args, t)
-		}
-		return t
-	}
-	for _, e := range edges {
-		a, b := addVar(e[0]), addVar(e[1])
-		body = append(body, cq.NewAtom("e", a, b))
-		body = append(body, cq.NewAtom("e", b, a))
-	}
-	view = &cq.Query{Head: cq.NewAtom("v", args...), Body: body}
-	// K3 with both orientations; expose one vertex so the query is a
-	// well-formed unary pattern.
-	query = GraphQuery(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	return view, query
-}
