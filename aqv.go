@@ -298,13 +298,13 @@ var ErrEngineNotLive = engine.ErrNotLive
 
 // Resource governance (see internal/engine and internal/datalog): typed
 // errors, per-request budgets and admission control for the serving
-// boundary. All are opt-in; an engine with zero Budget and MaxConcurrent 0
-// behaves exactly as before.
+// boundary. All are opt-in; a request passed no budget on an engine with
+// MaxConcurrent 0 behaves exactly as before.
 type (
 	// EngineBudget bounds one request: a wall-clock deadline plus caps on
-	// result rows, derived tuples and fixpoint rounds. Set a default in
-	// EngineOptions.Budget or pass one per call (AnswerBudget, ExecBudget,
-	// ApplyUpdateBudget).
+	// result rows, derived tuples and fixpoint rounds. Pass one per call
+	// (AnswerBudget, ExecBudget, ApplyUpdateBudget); the other entry points
+	// run unbudgeted.
 	EngineBudget = engine.Budget
 	// AdmissionStats counts admission-control outcomes (EngineStats.Admission).
 	AdmissionStats = engine.AdmissionStats
@@ -339,7 +339,7 @@ var (
 	// at the engine boundary.
 	ErrEngineInternal = engine.ErrInternal
 	// ErrArityMismatch reports a caller-supplied arity error at the serving
-	// boundary (wrong Exec argument count, parameterized plan in Eval).
+	// boundary (wrong Exec argument count).
 	ErrArityMismatch = engine.ErrArityMismatch
 	// ErrEngineDurability reports a write-ahead-log failure on a durable
 	// engine (EngineOptions.DataDir): the failed batch was not published,

@@ -469,8 +469,19 @@ func deltaTasks(tasks []variantTask, rules []compiledRule, cur map[string][]stor
 // Program.EvalInterp. It clones edb, builds on the clone exactly the column
 // indexes the compiled probes ask for (so an unindexed input is joined by
 // probes, not nested scans), runs the fixpoint over the clone and inserts
-// the derived relations into it. edb is only read.
+// the derived relations into it. edb is only read. A maintenance program
+// (CompileProgramIVM) refuses an edb relation named like a derived
+// predicate: deletions could not tell its facts from derived ones, so facts
+// given for a derived predicate reach it through a rule over a base
+// relation instead.
 func (cp *CompiledProgram) Eval(edb *storage.Database) (*storage.Database, error) {
+	if cp.ivm {
+		for pred := range cp.idbArity {
+			if edb.Relation(pred) != nil {
+				return nil, fmt.Errorf("datalog: base relation %s is named like a derived predicate of a maintenance program", pred)
+			}
+		}
+	}
 	db := edb.Clone()
 	cp.freeze(db)
 	idb, _, err := cp.run(db, 1, nil, Limits{})

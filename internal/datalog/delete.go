@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cost"
 	"repro/internal/cq"
@@ -25,9 +24,10 @@ import (
 // rule rooted at its own head (fed by the over-deleted set), later rounds
 // propagate re-insertions through the ordinary IDB delta variants until
 // quiescence. The same algorithm serves flat view sets, recursive programs,
-// multi-level rules such as inverse-rules output, and programs whose derived
-// predicates coincide with base relations, and it keeps no state between
-// batches beyond the baseline (MaintState).
+// and multi-level rules such as inverse-rules output, and it keeps no state
+// between batches. Facts given for a derived predicate directly are one
+// more rule over a base relation that holds them (ivm adds it per view), so
+// the re-derive pass keeps them like any other supported tuple.
 //
 // ApplyUpdatesCtx is the single entry point: a mixed batch (deletes applied
 // before inserts, either side possibly empty) that is atomic — every
@@ -48,93 +48,6 @@ type UpdateResult struct {
 	Derived   map[string][]storage.Tuple
 	Retracted map[string][]storage.Tuple
 	Stats     FixpointStats
-}
-
-// MaintState is the per-maintained-database deletion state of a compiled
-// program: the baseline fact keys — derived predicates seeded from
-// same-named base relations at materialization, whose support is the
-// relation itself and can never be deleted. Build one with NewMaintState
-// over the *pre-materialization* base database and pass it to every
-// ApplyUpdatesCtx call against the same maintained database. A nil state is
-// accepted (empty baseline). The baseline is kept as Tuple.Key strings, the
-// form the snapshot manifest persists, so two tuples whose keys coincide
-// share an entry.
-type MaintState struct {
-	baseline map[string]map[string]bool
-}
-
-// NewMaintState captures the deletion state of a database about to be
-// materialized: the facts of every derived predicate that already exist as
-// base facts. Call it on the base database before CompiledProgram.Eval.
-func (cp *CompiledProgram) NewMaintState(base *storage.Database) *MaintState {
-	st := &MaintState{}
-	for pred, arity := range cp.idbArity {
-		rel := base.Relation(pred)
-		if rel == nil || rel.Arity() != arity || rel.Len() == 0 {
-			continue
-		}
-		keys := make(map[string]bool, rel.Len())
-		for _, t := range rel.Tuples() {
-			keys[t.Key()] = true
-		}
-		if st.baseline == nil {
-			st.baseline = make(map[string]map[string]bool)
-		}
-		st.baseline[pred] = keys
-	}
-	return st
-}
-
-// BaselineKeys exports the deletion baseline for persistence: per derived
-// predicate, the keys (Tuple.Key form) of facts that pre-existed as base
-// facts when the program was materialized. It is the whole state, so a
-// state restored from these keys is exactly as capable as the original.
-func (st *MaintState) BaselineKeys() map[string][]string {
-	if st == nil || st.baseline == nil {
-		return nil
-	}
-	out := make(map[string][]string, len(st.baseline))
-	for pred, keys := range st.baseline {
-		ks := make([]string, 0, len(keys))
-		for k := range keys {
-			ks = append(ks, k)
-		}
-		sort.Strings(ks)
-		out[pred] = ks
-	}
-	return out
-}
-
-// RestoreMaintState rebuilds the deletion state a NewMaintState call
-// captured, from keys previously exported by BaselineKeys — the recovery
-// path, where the pre-materialization base database no longer exists but
-// its view-named facts were persisted. Keys naming predicates the program
-// does not derive are dropped.
-func (cp *CompiledProgram) RestoreMaintState(keys map[string][]string) *MaintState {
-	st := &MaintState{}
-	for pred, ks := range keys {
-		if _, ok := cp.idbArity[pred]; !ok || len(ks) == 0 {
-			continue
-		}
-		m := make(map[string]bool, len(ks))
-		for _, k := range ks {
-			m[k] = true
-		}
-		if st.baseline == nil {
-			st.baseline = make(map[string]map[string]bool)
-		}
-		st.baseline[pred] = m
-	}
-	return st
-}
-
-// baselineOf is the baseline key set of one derived predicate, nil when it
-// has none.
-func (st *MaintState) baselineOf(pred string) map[string]bool {
-	if st == nil {
-		return nil
-	}
-	return st.baseline[pred]
 }
 
 // supportVariant is a rule compiled for DRed re-derivation: the rule rooted
@@ -190,16 +103,15 @@ func compileSupportVariant(r Rule, cat *cost.Catalog) supportVariant {
 // journal rolls the database back to its pre-batch state before the error
 // returns (a panic rolls back, then re-panics). Predicates derived by the
 // program are rejected on both sides; deletions of absent tuples and
-// insertions of present ones are no-ops. st carries the deletion baseline
-// across batches (NewMaintState); nil is an empty baseline.
-func (cp *CompiledProgram) ApplyUpdatesCtx(ctx context.Context, db *storage.Database, st *MaintState, inserts, deletes map[string][]storage.Tuple, workers int, lim Limits) (*UpdateResult, error) {
+// insertions of present ones are no-ops.
+func (cp *CompiledProgram) ApplyUpdatesCtx(ctx context.Context, db *storage.Database, inserts, deletes map[string][]storage.Tuple, workers int, lim Limits) (*UpdateResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ErrCanceled
 	}
-	return cp.applyUpdates(db, st, inserts, deletes, workers, fixpointGuard(ctx, lim), lim)
+	return cp.applyUpdates(db, inserts, deletes, workers, fixpointGuard(ctx, lim), lim)
 }
 
-func (cp *CompiledProgram) applyUpdates(db *storage.Database, st *MaintState, inserts, deletes map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (res *UpdateResult, err error) {
+func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (res *UpdateResult, err error) {
 	if !cp.ivm {
 		return nil, ErrNotMaintenance
 	}
@@ -239,7 +151,7 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, st *MaintState, in
 		j.MarkInserts()
 		res.BaseInserted, res.Derived, res.Stats, err = cp.applyInserts(db, inserts, workers, gs, lim)
 	} else {
-		res, err = cp.applyDRed(db, st, j, inserts, delEff, workers, gs, lim)
+		res, err = cp.applyDRed(db, j, inserts, delEff, workers, gs, lim)
 	}
 	if err != nil {
 		j.Rollback()
@@ -297,9 +209,9 @@ func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[str
 // delta variants over the intact pre-delete database, remove, re-derive
 // survivors with a bounded semi-naive pass, then run the insert phase
 // (applyInserts).
-func (cp *CompiledProgram) applyDRed(db *storage.Database, st *MaintState, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (*UpdateResult, error) {
+func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (*UpdateResult, error) {
 	res := &UpdateResult{Retracted: make(map[string][]storage.Tuple)}
-	od, err := cp.overDelete(db, st, delEff, workers, gs, lim, &res.Stats)
+	od, err := cp.overDelete(db, delEff, workers, gs, lim, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -336,11 +248,9 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, st *MaintState, j *st
 // overDelete computes the over-deleted set: the fixpoint of "some
 // derivation of this present tuple uses a deleted or over-deleted tuple",
 // seeded by the effective base deletions and evaluated — like every DRed
-// over-approximation — against the still-intact pre-delete database.
-// Baseline facts are never over-deleted: their support is the base
-// relation itself, and deletions into derived predicates are rejected. Each
+// over-approximation — against the still-intact pre-delete database. Each
 // over-deleted set is a relation that adopts the rows its rounds derived.
-func (cp *CompiledProgram) overDelete(db *storage.Database, st *MaintState, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits, stats *FixpointStats) (map[string]*storage.Relation, error) {
+func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits, stats *FixpointStats) (map[string]*storage.Relation, error) {
 	od := make(map[string]*storage.Relation)
 	var tasks []variantTask
 	cur := delEff
@@ -358,16 +268,16 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, st *MaintState, delE
 		stats.Iterations++
 		// Matches feed from the round's delta and every other atom reads the
 		// intact database; an emitted head counts only if it is currently
-		// materialized, not yet over-deleted, and not a baseline fact.
+		// materialized and not yet over-deleted.
 		bufs, err := runTaskSet(len(tasks), workers, func(i int) (RowSet, error) {
 			t := tasks[i]
 			pred := t.rule.headPred
-			headRel, dead, baseline := db.Relation(pred), od[pred], st.baselineOf(pred)
+			headRel, dead := db.Relation(pred), od[pred]
 			if headRel == nil {
 				return RowSet{}, nil
 			}
 			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(), func(h storage.Tuple) bool {
-				return headRel.Contains(h) && (dead == nil || !dead.Contains(h)) && (baseline == nil || !baseline[h.Key()])
+				return headRel.Contains(h) && (dead == nil || !dead.Contains(h))
 			})
 		})
 		if err != nil {

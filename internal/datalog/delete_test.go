@@ -51,7 +51,6 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream %d: compile: %v\n%s", stream, err, prog)
 		}
-		st := cp.NewMaintState(edb)
 		maintained, err := cp.Eval(edb)
 		if err != nil {
 			t.Fatalf("stream %d: materialize: %v\n%s", stream, err, prog)
@@ -74,7 +73,7 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 				ins = randomUpdate(rng)
 			}
 			workers := 1 + rng.Intn(4)
-			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, st, ins, del, workers, Limits{})
+			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, ins, del, workers, Limits{})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: update: %v\n%s", stream, batch, err, prog)
 			}
@@ -153,21 +152,20 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cp.NewMaintState(base)
 	db, err := cp.Eval(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Cross-rule: v(1) has two supports; losing one must not retract it.
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"a": {{"1"}}}, 1, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"a": {{"1"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Retracted["v"]) != 0 || !db.Relation("v").Contains(storage.Tuple{"1"}) {
 		t.Fatalf("v(1) retracted with a surviving support: %+v", res.Retracted)
 	}
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"b": {{"1"}}}, 1, Limits{})
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"b": {{"1"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +174,7 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	}
 
 	// Within-rule multiplicity: w(1) has two r-derivations.
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {{"1", "p"}}}, 1, Limits{})
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"1", "p"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +183,7 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	}
 
 	// Same-tuple delete+insert in one batch nets to present.
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, st,
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db,
 		map[string][]storage.Tuple{"r": {{"1", "q"}}},
 		map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1, Limits{})
 	if err != nil {
@@ -195,7 +193,7 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 		t.Fatal("delete+insert of the same tuple must net to present")
 	}
 	// And w(1) kept exactly one derivation: one more delete retracts.
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1, Limits{})
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,52 +202,54 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	}
 }
 
-// TestApplyUpdatesBaselineFacts: derived predicates seeded from same-named
-// base facts keep those facts forever — their support is the base relation
-// itself, not any rule derivation.
+// TestApplyUpdatesBaselineFacts: facts given for a derived predicate are
+// one more rule over a base relation holding them (the form ivm gives a
+// view's given facts), so deleting a rule derivation of the same tuple
+// keeps it, and nothing else is kept.
 func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	// Flat shape.
 	base := storage.NewDatabase()
 	base.Insert("r", storage.Tuple{"a"})
-	base.Insert("v", storage.Tuple{"a"}) // also rule-derivable
-	base.Insert("v", storage.Tuple{"s"}) // baseline only
-	prog := newProgram(RuleFromQuery(mustQ("v(X) :- r(X)")))
+	base.Insert("vg", storage.Tuple{"a"}) // also rule-derivable
+	base.Insert("vg", storage.Tuple{"s"}) // given only
+	prog := newProgram(RuleFromQuery(mustQ("v(X) :- r(X)")), RuleFromQuery(mustQ("v(X) :- vg(X)")))
 	cp, err := CompileProgramIVM(prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cp.NewMaintState(base)
 	db, err := cp.Eval(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {{"a"}}}, 1, Limits{}); err != nil {
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"a"}}}, 1, Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tup := range []storage.Tuple{{"a"}, {"s"}} {
 		if !db.Relation("v").Contains(tup) {
-			t.Fatalf("baseline fact v%v lost to a rule-support deletion", tup)
+			t.Fatalf("given fact v%v lost to a rule-support deletion", tup)
 		}
 	}
 
-	// Recursive shape.
+	// Recursive shape: the given fact is kept, and the closure it seeds
+	// stays exact.
 	base2 := storage.NewDatabase()
 	base2.Insert("e", storage.Tuple{"a", "b"})
-	base2.Insert("tc", storage.Tuple{"x", "y"})
+	base2.Insert("e", storage.Tuple{"y", "z"})
+	base2.Insert("tcg", storage.Tuple{"x", "y"})
 	prog2 := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
+		RuleFromQuery(mustQ("tc(X,Y) :- tcg(X,Y)")),
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
 	cp2, err := CompileProgramIVM(prog2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := cp2.NewMaintState(base2)
 	db2, err := cp2.Eval(base2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp2.ApplyUpdatesCtx(context.Background(), db2, st2, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 1, Limits{})
+	res, err := cp2.ApplyUpdatesCtx(context.Background(), db2, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,46 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 		t.Fatal("tc(a,b) must be retracted with its only edge")
 	}
 	if !db2.Relation("tc").Contains(storage.Tuple{"x", "y"}) {
-		t.Fatalf("baseline fact tc(x,y) must survive: retracted=%v", res.Retracted)
+		t.Fatalf("given fact tc(x,y) must survive: retracted=%v", res.Retracted)
+	}
+	if _, err := cp2.ApplyUpdatesCtx(context.Background(), db2, nil, map[string][]storage.Tuple{"e": {{"y", "z"}}}, 1, Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	base2.Remove("e", storage.Tuple{"a", "b"})
+	base2.Remove("e", storage.Tuple{"y", "z"})
+	want, err := prog2.EvalInterp(base2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffDatabases(t, "given fact under recursion", db2, want)
+}
+
+// TestEvalRefusesBaseNamedLikeDerived: a maintenance program does not
+// seed a derived predicate from a same-named base relation — deletions
+// could not tell those facts from derived ones — while a plain program
+// still does.
+func TestEvalRefusesBaseNamedLikeDerived(t *testing.T) {
+	prog := newProgram(RuleFromQuery(mustQ("v(X) :- r(X)")))
+	base := storage.NewDatabase()
+	base.Insert("r", storage.Tuple{"a"})
+	base.Insert("v", storage.Tuple{"s"})
+	cp, err := CompileProgramIVM(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.Eval(base); err == nil {
+		t.Fatal("maintenance program accepted a base relation named like its derived predicate")
+	}
+	plain, err := CompileProgram(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := plain.Eval(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Relation("v").Len() != 2 {
+		t.Fatalf("plain program: v = %v, want the base fact and the derived one", db.Relation("v").Tuples())
 	}
 }
 
@@ -279,13 +318,12 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cp.NewMaintState(base)
 	db, err := cp.Eval(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.BuildIndexes()
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"e": {{"a", "c"}}}, 2, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"a", "c"}}}, 2, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +341,7 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 	}
 
 	// Now cut the alternative path too: the downstream closure collapses.
-	_, err = cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 2, Limits{})
+	_, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 2, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +363,7 @@ func TestApplyUpdatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.ApplyUpdatesCtx(context.Background(), storage.NewDatabase(), nil, nil, nil, 1, Limits{}); err != ErrNotMaintenance {
+	if _, err := plain.ApplyUpdatesCtx(context.Background(), storage.NewDatabase(), nil, nil, 1, Limits{}); err != ErrNotMaintenance {
 		t.Fatalf("non-IVM program: err = %v, want ErrNotMaintenance", err)
 	}
 
@@ -335,17 +373,16 @@ func TestApplyUpdatesErrors(t *testing.T) {
 	}
 	base := storage.NewDatabase()
 	base.Insert("r", storage.Tuple{"a", "b"})
-	st := cp.NewMaintState(base)
 	db, err := cp.Eval(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Deleting from the derived relation is rejected.
-	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"v": {{"a"}}}, 1, Limits{}); err == nil {
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"v": {{"a"}}}, 1, Limits{}); err == nil {
 		t.Fatal("delete from derived relation accepted")
 	}
 	// Arity mismatch on the delete side fails before the insert side runs.
-	_, err = cp.ApplyUpdatesCtx(context.Background(), db, st,
+	_, err = cp.ApplyUpdatesCtx(context.Background(), db,
 		map[string][]storage.Tuple{"r": {{"c", "d"}}},
 		map[string][]storage.Tuple{"r": {{"oops"}}}, 1, Limits{})
 	if err == nil {
@@ -359,7 +396,7 @@ func TestApplyUpdatesErrors(t *testing.T) {
 		t.Fatal("failed batch mutated the database")
 	}
 	// Deleting absent tuples and from absent relations is a clean no-op.
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{
 		"r":       {{"z", "z"}},
 		"missing": {{"1"}},
 	}, 1, Limits{})
@@ -393,7 +430,6 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := cp.NewMaintState(base)
 		db, err := cp.Eval(base)
 		if err != nil {
 			t.Fatal(err)
@@ -403,7 +439,7 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 		// Pre-canceled context: rejected before any work.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := cp.ApplyUpdatesCtx(ctx, db, st, nil, map[string][]storage.Tuple{"e": {{"0", "1"}}}, 1, Limits{}); !errors.Is(err, ErrCanceled) {
+		if _, err := cp.ApplyUpdatesCtx(ctx, db, nil, map[string][]storage.Tuple{"e": {{"0", "1"}}}, 1, Limits{}); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("recursive=%v: err = %v, want ErrCanceled", recursive, err)
 		}
 		diffDatabases(t, "canceled batch", db, snapshot)
@@ -413,14 +449,14 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 		// mid-retraction, before the insert side runs.
 		ins := map[string][]storage.Tuple{"e": {{"20", "21"}, {"21", "22"}}}
 		del := map[string][]storage.Tuple{"e": {{"0", "1"}, {"5", "6"}}}
-		_, err = cp.ApplyUpdatesCtx(context.Background(), db, st, ins, del, 2, Limits{MaxDerived: 1})
+		_, err = cp.ApplyUpdatesCtx(context.Background(), db, ins, del, 2, Limits{MaxDerived: 1})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("recursive=%v: err = %v, want ErrBudgetExceeded", recursive, err)
 		}
 		diffDatabases(t, fmt.Sprintf("budget-tripped batch (recursive=%v)", recursive), db, snapshot)
 
 		// The same batch with room succeeds and stays consistent.
-		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, ins, del, 2, Limits{}); err != nil {
+		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, ins, del, 2, Limits{}); err != nil {
 			t.Fatalf("recursive=%v: %v", recursive, err)
 		}
 		shadow := base.Clone()
@@ -460,7 +496,6 @@ func TestApplyUpdatesKeyCollidingTuples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := cp.NewMaintState(shadow)
 		db, err := cp.Eval(shadow)
 		if err != nil {
 			t.Fatal(err)
@@ -478,13 +513,13 @@ func TestApplyUpdatesKeyCollidingTuples(t *testing.T) {
 			t.Fatalf("%s: %d derived tuples, want at least 4", name, n)
 		}
 
-		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, nil, map[string][]storage.Tuple{"r": {a}}, 1, Limits{}); err != nil {
+		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {a}}, 1, Limits{}); err != nil {
 			t.Fatal(err)
 		}
 		shadow.Remove("r", a)
 		check("one of the pair deleted")
 
-		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, st, map[string][]storage.Tuple{"r": {a}}, map[string][]storage.Tuple{"r": {b}}, 1, Limits{}); err != nil {
+		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"r": {a}}, map[string][]storage.Tuple{"r": {b}}, 1, Limits{}); err != nil {
 			t.Fatal(err)
 		}
 		shadow.Remove("r", b)

@@ -276,7 +276,7 @@ func TestMaintainCtxBudgetsAndCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cp.ApplyUpdatesCtx(ctx, mat, nil, map[string][]storage.Tuple{"e": {{"n80", "n81"}}}, nil, 1, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, err := cp.ApplyUpdatesCtx(ctx, mat, map[string][]storage.Tuple{"e": {{"n80", "n81"}}}, nil, 1, Limits{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 
@@ -284,7 +284,7 @@ func TestMaintainCtxBudgetsAndCancel(t *testing.T) {
 	// a tiny round budget trips mid-propagation, and the batch — the base
 	// insert included — is rolled back.
 	before := mat.TotalTuples()
-	_, err = cp.ApplyUpdatesCtx(context.Background(), mat, nil,
+	_, err = cp.ApplyUpdatesCtx(context.Background(), mat,
 		map[string][]storage.Tuple{"e": {{"n81", "n0"}}}, nil, 1, Limits{MaxRounds: 2})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)

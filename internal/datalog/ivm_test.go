@@ -69,7 +69,7 @@ func TestMaintainDeltaDifferential(t *testing.T) {
 		for batch := 0; batch < batches; batch++ {
 			upd := randomUpdate(rng)
 			workers := 1 + rng.Intn(4)
-			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, nil, upd, nil, workers, Limits{})
+			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, upd, nil, workers, Limits{})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: maintain: %v\n%s", stream, batch, err, prog)
 			}
@@ -128,7 +128,7 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	}
 
 	// Batch 1: a new r tuple joining an existing s tuple.
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"b", "m"}}}, nil, 1, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"r": {{"b", "m"}}}, nil, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 
 	// Batch 2: both halves of a fresh join arrive in one batch, plus a
 	// duplicate base fact that must not derive anything.
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{
 		"r": {{"c", "n"}, {"a", "m"}},
 		"s": {{"n", "y"}},
 	}, nil, 1, Limits{})
@@ -179,7 +179,7 @@ func TestMaintainDeltaRecursive(t *testing.T) {
 	db.BuildIndexes()
 	before := db.Relation("tc").Len()
 
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"10", "11"}}}, nil, 2, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"e": {{"10", "11"}}}, nil, 2, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := storage.NewDatabase()
-	if _, err := plain.ApplyUpdatesCtx(context.Background(), db, nil, nil, nil, 1, Limits{}); err != ErrNotMaintenance {
+	if _, err := plain.ApplyUpdatesCtx(context.Background(), db, nil, nil, 1, Limits{}); err != ErrNotMaintenance {
 		t.Fatalf("non-IVM program: err = %v, want ErrNotMaintenance", err)
 	}
 
@@ -221,11 +221,11 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inserting into the derived relation is rejected.
-	if _, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, map[string][]storage.Tuple{"v": {{"z"}}}, nil, 1, Limits{}); err == nil {
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), mdb, map[string][]storage.Tuple{"v": {{"z"}}}, nil, 1, Limits{}); err == nil {
 		t.Fatal("insert into derived relation accepted")
 	}
 	// Arity mismatches are rejected before anything is mutated.
-	if _, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, map[string][]storage.Tuple{
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), mdb, map[string][]storage.Tuple{
 		"r":     {{"c", "d"}},
 		"wrong": {{"1"}, {"1", "2"}},
 	}, nil, 1, Limits{}); err == nil {
@@ -235,7 +235,7 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal("failed batch mutated the database")
 	}
 	// An empty batch is a no-op.
-	res, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, nil, nil, 1, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, nil, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -408,9 +408,10 @@ type Manifest struct {
 	ViewsFingerprint string         `json:"views_fingerprint"`
 	Layout           string         `json:"layout"`
 	Relations        []RelationMeta `json:"relations"`
-	// Baseline persists the maintainer's deletion baseline: per derived
-	// predicate, the keys of facts that existed as base facts before
-	// materialization (their support is the base relation itself).
+	// Baseline is read but never written. Manifests written while the
+	// maintainer kept facts given for a view as a set of Tuple.Key strings
+	// carry that set here, per view; recovery moves the extent tuples it
+	// names into the view's given relation.
 	Baseline map[string][]string `json:"baseline,omitempty"`
 }
 
@@ -474,14 +475,13 @@ func decodeManifest(data []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("durable: manifest relation %s: negative segment size", r.Name)
 		}
 	}
-	for pred, keys := range m.Baseline {
+	for pred := range m.Baseline {
 		if pred == "" {
 			return nil, fmt.Errorf("durable: manifest baseline has an empty predicate name")
 		}
 		if !seen[pred] {
 			return nil, fmt.Errorf("durable: manifest baseline names unknown relation %s", pred)
 		}
-		_ = keys
 	}
 	return &m, nil
 }

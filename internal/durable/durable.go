@@ -7,12 +7,15 @@
 //     materialized extents alike, each streamed to its file through one
 //     fixed buffer, never built in memory) plus a JSON manifest recording
 //     the format version, the log position (LSN), the view-definition
-//     fingerprint, each relation's arity and row count, and the
-//     maintainer's deletion baseline. No planning statistic is stored:
-//     the engine reads them off the column indexes it rebuilds. Snapshots
-//     are written to a temp directory, fsynced, renamed into place, and
-//     published by atomically rewriting a CURRENT pointer file — a crash
-//     at any instant leaves the previous snapshot intact.
+//     fingerprint, and each relation's arity, row count and whether it is
+//     a view extent. Facts given for a view directly sit in a base
+//     relation of the maintainer's, persisted like any other (older
+//     manifests named them in a baseline field, still read). No planning
+//     statistic is stored: the engine reads them off the column indexes
+//     it rebuilds. Snapshots are written to a temp directory, fsynced,
+//     renamed into place, and published by atomically rewriting a
+//     CURRENT pointer file — a crash at any instant leaves the previous
+//     snapshot intact.
 //
 //   - An append-only WAL whose record unit is exactly one ApplyUpdate
 //     batch (deletes + inserts). Records are length-prefixed and CRC32C

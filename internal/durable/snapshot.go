@@ -23,9 +23,6 @@ type SnapshotMeta struct {
 	// Extents marks which relations are materialized view extents; the
 	// rest are base relations.
 	Extents map[string]bool
-	// Baseline is the maintainer's deletion baseline (per derived
-	// predicate, the keys of facts that pre-existed as base facts).
-	Baseline map[string][]string
 }
 
 // WriteSnapshot checkpoints db — base relations and view extents alike —
@@ -68,7 +65,6 @@ func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 		CreatedUnixNs:    time.Now().UnixNano(),
 		ViewsFingerprint: meta.ViewsFingerprint,
 		Layout:           LayoutFull,
-		Baseline:         meta.Baseline,
 	}
 	preds := db.Predicates()
 	sort.Strings(preds)

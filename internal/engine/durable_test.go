@@ -258,6 +258,103 @@ func TestDurableStaleFingerprintRebuilds(t *testing.T) {
 	}
 }
 
+// TestDurableStaleRebuildKeepsGivenFacts: a fact given for a view (a base
+// fact named like it) is base data, so a stale-snapshot rebuild under
+// changed view definitions serves the same extent a fresh engine over the
+// same base does.
+func TestDurableStaleRebuildKeepsGivenFacts(t *testing.T) {
+	dir := t.TempDir()
+	base, views := testBase(t)
+	if err := base.Insert("v", storage.Tuple{"given", "fact"}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewFromBase(base, views, durOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	changed := append(views, cq.MustParseQuery("w(A) :- r(A,B)"))
+	re, err := NewFromBase(nil, changed, durOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if !re.Stats().Durable.StaleRebuild {
+		t.Fatal("changed view definitions did not rebuild")
+	}
+	fresh, err := NewFromBase(base, changed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := re.Database().Relation("v").Tuples(), fresh.Database().Relation("v").Tuples()
+	if !storage.TuplesEqual(got, want) {
+		t.Fatalf("rebuilt v = %v, fresh engine's v = %v", got, want)
+	}
+}
+
+// TestDurableLegacyBaseline opens a data directory written while the
+// maintainer kept the facts given for a view as a manifest baseline of
+// Tuple.Key strings: testdata/legacy-baseline holds the view v(X,Y) :-
+// r(X,Y) over r(a,b) and r(c,d) with given facts v(a,b) and v(g,h), and a
+// logged batch inserting r(e,f). Under the same views and under changed
+// ones (a stale rebuild), the facts the baseline names survive deleting
+// every r tuple, and still do once a checkpoint has rewritten the
+// directory without a baseline.
+func TestDurableLegacyBaseline(t *testing.T) {
+	views := []*cq.Query{cq.MustParseQuery("v(X,Y) :- r(X,Y)")}
+	changed := append(views, cq.MustParseQuery("w(A) :- r(A,B)"))
+	given := []storage.Tuple{{"a", "b"}, {"g", "h"}}
+	for _, vs := range [][]*cq.Query{views, changed} {
+		stale := len(vs) > 1
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS("testdata/legacy-baseline")); err != nil {
+			t.Fatal(err)
+		}
+		checkV := func(when string, want []storage.Tuple, e *Engine) {
+			t.Helper()
+			if got := e.Database().Relation("v").Tuples(); !storage.TuplesEqual(got, want) {
+				t.Fatalf("stale=%v, %s: v = %v, want %v", stale, when, got, want)
+			}
+		}
+		e, err := NewFromBase(nil, vs, durOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Stats().Durable.StaleRebuild; got != stale {
+			t.Fatalf("StaleRebuild = %v, want %v", got, stale)
+		}
+		checkV("booted", []storage.Tuple{{"a", "b"}, {"c", "d"}, {"e", "f"}, {"g", "h"}}, e)
+		if err := e.ApplyUpdate(nil, map[string][]storage.Tuple{"r": {{"a", "b"}, {"c", "d"}, {"e", "f"}}}); err != nil {
+			t.Fatal(err)
+		}
+		checkV("r deleted", given, e)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		re, err := NewFromBase(nil, vs, durOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man := re.dur.store.Manifest(); man.Baseline != nil {
+			t.Fatalf("stale=%v: checkpoint rewrote the legacy baseline %q", stale, man.Baseline)
+		}
+		checkV("rebooted", given, re)
+		for _, batch := range [][2]map[string][]storage.Tuple{
+			{{"r": {{"g", "h"}}}, nil},
+			{nil, {"r": {{"g", "h"}}}},
+		} {
+			if err := re.ApplyUpdate(batch[0], batch[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkV("a given fact derived, then not", given, re)
+		re.Close()
+	}
+}
+
 func TestDurableFailStop(t *testing.T) {
 	dir := t.TempDir()
 	base, views := testBase(t)

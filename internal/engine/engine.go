@@ -57,12 +57,6 @@ import (
 // Options.LiveUpdates.
 var ErrNotLive = errors.New("engine: built without Options.LiveUpdates; base facts are frozen")
 
-// ErrPlanNotCompiled reports the evaluation of a Plan that carries no
-// compiled form. Only the engine builds executable plans (Plan, Prepare):
-// the logical payloads are in planning form and are never evaluated
-// directly. Match with errors.Is.
-var ErrPlanNotCompiled = errors.New("engine: plan has no compiled form; obtain plans from Engine.Plan or Engine.Prepare")
-
 // Strategy selects the rewriting algorithm an Engine plans with.
 type Strategy string
 
@@ -152,11 +146,6 @@ type Options struct {
 	// Cached plans survive updates — rewritings depend only on the view
 	// definitions, never on extent contents.
 	LiveUpdates bool
-	// Budget is the default per-request resource budget (deadline, result
-	// rows, derived tuples, fixpoint rounds) applied to every Answer, Exec
-	// and ApplyUpdate. The zero value means unlimited; the *Budget entry
-	// points override it per call.
-	Budget Budget
 	// MaxConcurrent caps concurrently executing requests (admission
 	// control): queries weigh 1, update batches 2. Excess requests wait in
 	// a bounded FIFO queue and are shed with ErrOverloaded when it fills.
@@ -778,7 +767,7 @@ func (pq *PreparedQuery) Args() []string {
 // NumParams arguments; a mismatch returns an error matching
 // ErrArityMismatch.
 func (pq *PreparedQuery) Exec(args ...string) ([]storage.Tuple, error) {
-	return pq.ExecBudget(context.Background(), pq.eng.opt.Budget, args...)
+	return pq.ExecBudget(context.Background(), Budget{}, args...)
 }
 
 // Prepare canonicalises q to its template — constants abstracted to
@@ -866,9 +855,8 @@ func (e *Engine) template(q *cq.Query) *cq.Template {
 }
 
 // Plan returns the cached template plan for q, building it on first use.
-// Queries with constants yield parameterized plans; evaluate those through
-// Prepare/Exec (Eval rejects them, since the binding is not part of the
-// plan).
+// A plan is evaluated through Prepare/Exec, which binds the parameters of
+// a query with constants.
 func (e *Engine) Plan(q *cq.Query) (*Plan, error) {
 	pq, err := e.Prepare(q)
 	if err != nil {
@@ -883,28 +871,6 @@ func (e *Engine) Plan(q *cq.Query) (*Plan, error) {
 // extracted binding.
 func (e *Engine) Answer(q *cq.Query) ([]storage.Tuple, error) {
 	return e.AnswerCtx(context.Background(), q)
-}
-
-// Eval evaluates a parameterless plan over the engine's database; it
-// rejects parameterized plans, whose binding is not part of the plan — use
-// Prepare/Exec for those. Rewriting plans run through their compiled
-// physical form, and inverse-rules plans through the compiled semi-naive
-// fixpoint, with the configured EvalWorkers fan-out. Any number of
-// evaluations may run concurrently: the database is frozen at
-// construction, and on a live engine each evaluation pins one serving
-// snapshot, so it sees either the pre- or post-state of any concurrent
-// update batch, never a torn mix. Answers are sorted for deterministic
-// output. The engine-wide Options.Budget applies.
-func (e *Engine) Eval(p *Plan) ([]storage.Tuple, error) {
-	if len(p.Params) > 0 {
-		return nil, fmt.Errorf("engine: plan takes %d parameter(s); execute it through Prepare/Exec: %w",
-			len(p.Params), ErrArityMismatch)
-	}
-	ctx, cancel := e.opt.Budget.apply(context.Background())
-	if cancel != nil {
-		defer cancel()
-	}
-	return e.execBudget(ctx, p, nil, e.opt.Budget.limits())
 }
 
 // selectParams filters answer-relation tuples of arity+len(args) columns

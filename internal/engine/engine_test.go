@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -241,14 +240,14 @@ func TestEquivalentFirstFallsBackToMiniCon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.Plan(cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
+	pq, err := e.Prepare(cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != PlanMaxContained {
+	if p := pq.Plan(); p.Kind != PlanMaxContained {
 		t.Fatalf("plan kind = %v, want max-contained fallback", p.Kind)
 	}
-	ans, err := e.Eval(p)
+	ans, err := pq.Exec(pq.Args()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +292,8 @@ func TestServesExtentsOnly(t *testing.T) {
 	// One construction, one served state: for every strategy the static,
 	// live, durable (first boot) and durable (recovered from that boot's
 	// snapshot) engines serve the same database and the same answers. The
-	// rows add a view-named base fact, which the maintainer keeps as
-	// baseline of the view's extent, a view whose extent is empty, and
+	// rows add a view-named base fact, which the maintainer keeps as a
+	// fact given for the view's extent, a view whose extent is empty, and
 	// AllowPartial with a base relation u no view covers — held from the
 	// start, or first created by the batch, which must then land on both
 	// serving sides of the engines that serve the base.
@@ -566,31 +565,40 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
-// TestEvalHandBuiltPlan: only the engine compiles plans, so a Plan assembled
-// by a caller — whatever kind it claims, with or without its logical payload
-// — is refused with ErrPlanNotCompiled instead of being interpreted (or
-// dereferenced).
+// TestEvalHandBuiltPlan: a plan reaches evaluation only through Prepare,
+// so no hand-built plan can be evaluated, and every plan Prepare hands out
+// — of each kind, under each strategy — carries the compiled form its
+// kind is evaluated through, and executes.
 func TestEvalHandBuiltPlan(t *testing.T) {
 	base, views := testBase(t)
-	e, err := NewFromBase(base, views, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, err := e.Plan(cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*Plan{
-		{Kind: PlanEquivalent, Rewriting: built.Rewriting},
-		{Kind: PlanMaxContained},
-		{Kind: PlanInverseProgram, AnswerPred: "q"},
-	} {
-		if _, err := e.Eval(p); !errors.Is(err, ErrPlanNotCompiled) {
-			t.Fatalf("%s plan without a compiled form: err = %v, want ErrPlanNotCompiled", p.Kind, err)
+	kinds := make(map[PlanKind]bool)
+	for _, strat := range Strategies() {
+		e, err := NewFromBase(base, views, Options{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, text := range []string{"q(X,Y) :- r(X,Z), s(Z,Y)", "q(X) :- r(X,Z), s(Z,x), t(Z)", "q(X) :- s(X,Y), u(Y)"} {
+			pq, err := e.Prepare(cq.MustParseQuery(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := pq.Plan()
+			kinds[p.Kind] = true
+			compiled := map[PlanKind]bool{
+				PlanEquivalent:     p.Compiled != nil,
+				PlanMaxContained:   p.CompiledUnion != nil,
+				PlanInverseProgram: p.CompiledProgram != nil,
+			}[p.Kind]
+			if !compiled {
+				t.Fatalf("%s, %s: %s plan without its compiled form", strat, text, p.Kind)
+			}
+			if _, err := pq.Exec(pq.Args()...); err != nil {
+				t.Fatalf("%s, %s: %v", strat, text, err)
+			}
 		}
 	}
-	if _, err := e.Eval(built); err != nil {
-		t.Fatalf("engine-built plan: %v", err)
+	if len(kinds) != 3 {
+		t.Fatalf("plan kinds covered: %v, want all three", kinds)
 	}
 }
 

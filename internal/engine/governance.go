@@ -3,7 +3,7 @@ package engine
 // Resource governance at the serving boundary. Three mechanisms compose
 // here, all opt-in and all zero-cost when disabled:
 //
-//   - Budgets (Budget, Options.Budget, the *Budget entry points) bound one
+//   - Budgets (Budget, passed to the *Budget entry points) bound one
 //     request: a wall-clock deadline plus caps on result rows, derived
 //     tuples and fixpoint rounds, enforced inside the compiled executors by
 //     amortized guards (datalog.Limits). A tripped budget returns a typed
@@ -57,8 +57,8 @@ var ErrOverloaded = errors.New("engine: overloaded")
 var ErrInternal = errors.New("engine: internal error")
 
 // ErrArityMismatch reports a caller-supplied arity error at the serving
-// boundary: a prepared query executed with the wrong number of arguments,
-// or a parameterized plan passed to Eval. Match with errors.Is.
+// boundary: a prepared query executed with the wrong number of arguments.
+// Match with errors.Is.
 var ErrArityMismatch = errors.New("engine: arity mismatch")
 
 // ErrDurability reports a durable-storage write failure. The store is
@@ -118,8 +118,8 @@ func (e *QueryError) Error() string { return e.Err.Error() }
 func (e *QueryError) Unwrap() error { return e.Err }
 
 // Budget bounds one request. The zero value means unlimited; any subset of
-// fields may be set. Options.Budget applies a default budget to every
-// request; the *Budget entry points override it per call.
+// fields may be set. The *Budget entry points take one per call; the other
+// entry points run unbudgeted.
 type Budget struct {
 	// Deadline bounds the request's wall-clock time. The request's context
 	// is given a timeout of this duration at the entry point, so it covers
@@ -376,9 +376,8 @@ const (
 	// CodeInternal: an evaluation panicked and was converted to an error at
 	// the engine boundary (ErrInternal).
 	CodeInternal = "internal"
-	// CodeArityMismatch: wrong Exec argument count, parameterized plan in
-	// Eval, or a tuple of the wrong width (ErrArityMismatch,
-	// storage.ArityError).
+	// CodeArityMismatch: wrong Exec argument count or a tuple of the wrong
+	// width (ErrArityMismatch, storage.ArityError).
 	CodeArityMismatch = "arity_mismatch"
 	// CodeNotLive: a mutation on an engine built without
 	// Options.LiveUpdates (ErrNotLive).
@@ -432,14 +431,13 @@ func (e *Engine) recoverInternal(err *error) {
 // ---- Context- and budget-aware entry points ----
 
 // AnswerCtx is Answer under a context: evaluation observes cancellation
-// within one guard interval and returns ErrCanceled. The engine-wide
-// Options.Budget applies.
+// within one guard interval and returns ErrCanceled. It runs unbudgeted.
 func (e *Engine) AnswerCtx(ctx context.Context, q *cq.Query) ([]storage.Tuple, error) {
-	return e.AnswerBudget(ctx, q, e.opt.Budget)
+	return e.AnswerBudget(ctx, q, Budget{})
 }
 
-// AnswerBudget is Answer under a context and an explicit per-call budget
-// overriding Options.Budget. The deadline starts before planning.
+// AnswerBudget is Answer under a context and a per-call budget. The
+// deadline starts before planning.
 func (e *Engine) AnswerBudget(ctx context.Context, q *cq.Query, b Budget) ([]storage.Tuple, error) {
 	ctx, cancel := b.apply(ctx)
 	if cancel != nil {
@@ -452,12 +450,12 @@ func (e *Engine) AnswerBudget(ctx context.Context, q *cq.Query, b Budget) ([]sto
 	return e.execBudget(ctx, pq.plan, pq.args, b.limits())
 }
 
-// ExecCtx is Exec under a context; the engine-wide Options.Budget applies.
+// ExecCtx is Exec under a context. It runs unbudgeted.
 func (pq *PreparedQuery) ExecCtx(ctx context.Context, args ...string) ([]storage.Tuple, error) {
-	return pq.ExecBudget(ctx, pq.eng.opt.Budget, args...)
+	return pq.ExecBudget(ctx, Budget{}, args...)
 }
 
-// ExecBudget is Exec under a context and an explicit per-call budget.
+// ExecBudget is Exec under a context and a per-call budget.
 func (pq *PreparedQuery) ExecBudget(ctx context.Context, b Budget, args ...string) ([]storage.Tuple, error) {
 	if len(args) != len(pq.plan.Params) {
 		return nil, fmt.Errorf("engine: prepared query takes %d argument(s), got %d: %w",
@@ -501,15 +499,15 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, lim dat
 // or budget-tripped batch — even one caught mid-retraction — is atomic: the
 // maintainer rolls back the inactive serving side it was maintaining in
 // place before any reader can see it, so the engine keeps answering from
-// the exact pre-batch state and the batch can simply be retried. The
-// engine-wide Options.Budget applies (deadline, MaxDerivedTuples,
-// MaxFixpointRounds; MaxResultRows does not apply to updates).
+// the exact pre-batch state and the batch can simply be retried. It runs
+// unbudgeted.
 func (e *Engine) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string][]storage.Tuple) error {
-	return e.ApplyUpdateBudget(ctx, inserts, deletes, e.opt.Budget)
+	return e.ApplyUpdateBudget(ctx, inserts, deletes, Budget{})
 }
 
-// ApplyUpdateBudget is ApplyUpdate under a context and an explicit per-call
-// budget overriding Options.Budget — the execution path every mutation
+// ApplyUpdateBudget is ApplyUpdate under a context and a per-call budget
+// (deadline, MaxDerivedTuples, MaxFixpointRounds; MaxResultRows does not
+// apply to updates) — the execution path every mutation
 // funnels through: panic isolation, deadline attachment, admission (updates
 // weigh 2), the maintainer's atomic propagation onto the inactive serving
 // side, the WAL append, the flip, and the replay onto the other side. Once
@@ -623,9 +621,6 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan,
 	workers := e.opt.EvalWorkers
 	if workers <= 0 {
 		workers = 1
-	}
-	if p.Compiled == nil && p.CompiledUnion == nil && p.CompiledProgram == nil {
-		return nil, ErrPlanNotCompiled // plan built outside the engine
 	}
 	switch p.Kind {
 	case PlanEquivalent:

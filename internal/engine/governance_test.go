@@ -116,20 +116,13 @@ func TestAnswerBudgetMaxFixpointRounds(t *testing.T) {
 	if qe.Stats.Iterations != 1 {
 		t.Fatalf("partial stats Iterations = %d, want 1", qe.Stats.Iterations)
 	}
-	// The engine-wide default budget applies to plain Answer too.
-	e2, err := NewFromBase(base, views, Options{
-		Strategy: InverseRules,
-		Budget:   Budget{MaxFixpointRounds: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A budget is per call: the same query without one, or through the
+	// entry points that take none, runs to its fixpoint.
+	if _, err := e.AnswerBudget(context.Background(), q, Budget{}); err != nil {
+		t.Fatalf("unbudgeted AnswerBudget: %v", err)
 	}
-	if _, err := e2.Answer(q); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("Options.Budget not applied: err = %v", err)
-	}
-	// A per-call override relaxes it.
-	if _, err := e2.AnswerBudget(context.Background(), q, Budget{}); err != nil {
-		t.Fatalf("per-call override failed: %v", err)
+	if _, err := e.Answer(q); err != nil {
+		t.Fatalf("Answer: %v", err)
 	}
 }
 
@@ -149,10 +142,6 @@ func TestExecTypedArityError(t *testing.T) {
 	if _, err := pq.Exec("a", "b"); !errors.Is(err, ErrArityMismatch) {
 		t.Fatalf("surplus-arg err = %v, want ErrArityMismatch", err)
 	}
-	// Eval on a parameterized plan is the same typed error.
-	if _, err := e.Eval(pq.Plan()); !errors.Is(err, ErrArityMismatch) {
-		t.Fatalf("Eval err = %v, want ErrArityMismatch", err)
-	}
 }
 
 // TestPanicIsolation hand-crafts an inconsistent plan — a compiled form
@@ -169,9 +158,11 @@ func TestPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := *pq.Plan()
-	bad.Params = nil // lie about the arity: Eval admits it, evaluation panics
-	_, err = e.Eval(&bad)
+	plan := *pq.plan
+	plan.Params = nil // lie about the arity: Exec admits no argument, evaluation panics
+	bad := *pq
+	bad.plan = &plan
+	_, err = bad.Exec()
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}

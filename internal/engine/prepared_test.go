@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -114,21 +115,32 @@ func TestPrepareExec(t *testing.T) {
 	}
 }
 
+// TestEvalRejectsParameterizedPlan: a plan whose query has constants is
+// parameterized, and its binding is not part of the plan — Exec without
+// the arguments is refused, and with them it answers what Answer does.
 func TestEvalRejectsParameterizedPlan(t *testing.T) {
 	base, views := pointBase(t, 10)
 	e, err := NewFromBase(base, views, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.Plan(cq.MustParseQuery("q(Y) :- r(k1,Z), s(Z,Y)"))
+	q := cq.MustParseQuery("q(Y) :- r(k1,Z), s(Z,Y)")
+	pq, err := e.Prepare(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Params) != 1 {
+	if p := pq.Plan(); len(p.Params) != 1 {
 		t.Fatalf("plan params = %v, want one placeholder", p.Params)
 	}
-	if _, err := e.Eval(p); err == nil {
-		t.Fatal("Eval accepted a parameterized plan")
+	if _, err := pq.Exec(); !errors.Is(err, ErrArityMismatch) {
+		t.Fatalf("Exec without the binding: err = %v, want ErrArityMismatch", err)
+	}
+	got, err := pq.Exec(pq.Args()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustAnswer(t, e, q); len(want) == 0 || !storage.TuplesEqual(got, want) {
+		t.Fatalf("Exec with the binding = %v, Answer = %v", got, want)
 	}
 }
 

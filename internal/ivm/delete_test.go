@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cq"
 	"repro/internal/datalog"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -141,11 +142,10 @@ func TestMaintainerUpdateDifferential(t *testing.T) {
 // TestNewFromMaterializedDifferential: the recovery constructor must resume
 // exactly where the maintainer it was exported from stands. Build with New,
 // apply a seeded insert/delete stream, rebuild a second maintainer from a
-// clone of the first's database, its view list and its deletion baseline
-// (what a durable snapshot persists), then feed both the same further
-// stream: every batch must report the same deltas and leave the same
-// database. A view-named base fact rides along so the baseline is not
-// trivially empty.
+// clone of the first's database and its view list (what a durable snapshot
+// persists), then feed both the same further stream: every batch must
+// report the same deltas and leave the same database. A view-named base
+// fact rides along, so the rebuild must read its given relation back.
 func TestNewFromMaterializedDifferential(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -159,11 +159,11 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 		views := workload.RandomViewsForQuery(rng, q, workload.ViewSpec{
 			Count: 1 + rng.Intn(4), MinLen: 1, MaxLen: 3, ExposeProb: 0.6,
 		})
-		baselineFact := make(storage.Tuple, views[0].Arity())
-		for i := range baselineFact {
-			baselineFact[i] = "baseline"
+		givenFact := make(storage.Tuple, views[0].Arity())
+		for i := range givenFact {
+			givenFact[i] = "given"
 		}
-		base.Insert(views[0].Name(), baselineFact)
+		base.Insert(views[0].Name(), givenFact)
 		orig, err := New(base, views, Options{Workers: 1 + rng.Intn(3)})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -209,7 +209,7 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 				t.Fatalf("trial %d warm-up %d: %v", trial, batch, err)
 			}
 		}
-		rebuilt, err := NewFromMaterialized(orig.Database().Clone(), orig.Views(), orig.BaselineKeys(), Options{})
+		rebuilt, err := NewFromMaterialized(orig.Database().Clone(), orig.Views(), Options{})
 		if err != nil {
 			t.Fatalf("trial %d: rebuild: %v", trial, err)
 		}
@@ -248,8 +248,8 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 				t.Fatalf("trial %d batch %d: databases diverge\nrebuilt:\n%s\noriginal:\n%s", trial, batch, g, w)
 			}
 		}
-		if !rebuilt.Database().Relation(views[0].Name()).Contains(baselineFact) {
-			t.Fatalf("trial %d: baseline fact %v retracted after rebuild", trial, baselineFact)
+		if !rebuilt.Database().Relation(views[0].Name()).Contains(givenFact) {
+			t.Fatalf("trial %d: given fact %v retracted after rebuild", trial, givenFact)
 		}
 	}
 }
@@ -264,4 +264,65 @@ func deltaFingerprint(delta map[string][]storage.Tuple) string {
 		}
 	}
 	return dbFingerprint(db)
+}
+
+// TestGivenFactKeyCollision: a given fact and a derived tuple whose
+// Tuple.Key strings coincide are different tuples, so deleting the derived
+// tuple's last support retracts it and keeps the given fact alone.
+func TestGivenFactKeyCollision(t *testing.T) {
+	views, err := cq.ParseViews("v(X,Y) :- r(X,Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, given := storage.Tuple{"a", "b\x1fc"}, storage.Tuple{"a\x1fb", "c"}
+	base := storage.NewDatabase()
+	base.Insert("r", derived)
+	base.Insert("v", given)
+	m, err := New(base, views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ApplyUpdate(nil, map[string][]storage.Tuple{"r": {derived}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Database().Relation("v").Tuples(); !storage.TuplesEqual(got, []storage.Tuple{given}) {
+		t.Fatalf("v = %q, want only the given fact %q", got, given)
+	}
+}
+
+// TestGivenRelationGuarded: the relation holding a view's given facts is
+// the maintainer's own — a batch writing it is refused on either side and
+// changes nothing — and given facts of the wrong width are refused at
+// construction.
+func TestGivenRelationGuarded(t *testing.T) {
+	views, err := cq.ParseViews("v(X,Y) :- r(X,Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := storage.NewDatabase()
+	base.Insert("r", storage.Tuple{"a", "b"})
+	base.Insert("v", storage.Tuple{"g", "h"})
+	m, err := New(base, views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dbFingerprint(m.Database())
+	g := GivenRelation("v")
+	for _, batch := range [][2]map[string][]storage.Tuple{
+		{{g: {{"x", "y"}}}, nil},
+		{nil, {g: {{"g", "h"}}}},
+		{{"r": {{"c", "d"}}, g: {{"x", "y"}}}, nil},
+	} {
+		if _, err := m.ApplyUpdate(batch[0], batch[1]); err == nil {
+			t.Fatalf("batch writing %s accepted: %v", g, batch)
+		}
+	}
+	if dbFingerprint(m.Database()) != before {
+		t.Fatal("a refused batch changed the maintained database")
+	}
+	wide := storage.NewDatabase()
+	wide.Insert("v", storage.Tuple{"g", "h", "i"})
+	if _, err := New(wide, views, Options{}); err == nil {
+		t.Fatal("New accepted given facts wider than the view")
+	}
 }

@@ -13,8 +13,16 @@
 // DRed (delete-and-rederive): the extent tuples a deletion might have
 // unsupported are removed, and those with a surviving derivation are put
 // back, so an extent tuple is retracted exactly when its last derivation
-// goes. No state is kept between batches beyond the deletion baseline. A
-// batch applies its deletions first and is atomic whatever it holds.
+// goes. No state is kept between batches. A batch applies its deletions
+// first and is atomic whatever it holds.
+//
+// A view's extent may also hold facts given for it directly: a base
+// relation named like view v at New. Those facts move to a base relation
+// of the maintainer's own, GivenRelation(v), read by one more rule,
+// v(X̄) :- GivenRelation(v)(X̄), so a deletion keeps them the way it keeps
+// any tuple with a surviving derivation. Writes to that relation are
+// refused as writes to v are; it is persisted and recovered like any
+// other base relation.
 //
 // The Maintainer is the engine's mutation path. The engine does not give it
 // extents of its own: before each batch it binds the maintained database to
@@ -32,6 +40,7 @@ package ivm
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cost"
@@ -53,7 +62,6 @@ type Maintainer struct {
 	views     []*cq.Query
 	viewNames map[string]bool
 	cp        *datalog.CompiledProgram
-	st        *datalog.MaintState
 	db        *storage.Database // base relations + maintained extents; see Database
 	opt       Options
 
@@ -107,9 +115,20 @@ type Stats struct {
 	MaintainTime time.Duration
 }
 
-// viewProgram validates a view set and turns it into the datalog program —
-// one rule per view — the maintainer compiles, plus the set of view names.
-func viewProgram(views []*cq.Query) (*datalog.Program, map[string]bool, error) {
+// givenSuffix turns a view name into the name of the relation holding the
+// facts given for the view. '@' is outside cq's identifier grammar, so no
+// query, view or parsed fact can name the relation.
+const givenSuffix = "@given"
+
+// GivenRelation names the maintainer's base relation holding the facts
+// given for view directly.
+func GivenRelation(view string) string { return view + givenSuffix }
+
+// viewProgram validates a view set and turns it into the datalog program
+// the maintainer compiles — one rule per view, plus v(X̄) :- given(X̄) for
+// each view v whose given relation db holds facts — and the set of view
+// names.
+func viewProgram(views []*cq.Query, db *storage.Database) (*datalog.Program, map[string]bool, error) {
 	if len(views) == 0 {
 		return nil, nil, fmt.Errorf("ivm: empty view set")
 	}
@@ -121,8 +140,55 @@ func viewProgram(views []*cq.Query) (*datalog.Program, map[string]bool, error) {
 		}
 		names[v.Name()] = true
 		prog.Rules = append(prog.Rules, datalog.RuleFromQuery(v))
+		given := db.Relation(GivenRelation(v.Name()))
+		if given == nil || given.Len() == 0 {
+			continue
+		}
+		if given.Arity() != v.Arity() {
+			return nil, nil, fmt.Errorf("ivm: facts given for view %s: %w", v.Name(), &storage.ArityError{Pred: v.Name(), Want: v.Arity(), Got: given.Arity()})
+		}
+		vars := make([]cq.Term, v.Arity())
+		for i := range vars {
+			vars[i] = cq.Var(fmt.Sprintf("X%d", i))
+		}
+		prog.Rules = append(prog.Rules, datalog.Rule{
+			HeadPred: v.Name(),
+			Head:     datalog.PlainHead(cq.NewAtom(v.Name(), vars...)),
+			Body:     []cq.Atom{cq.NewAtom(given.Name(), vars...)},
+		})
 	}
 	return prog, names, nil
+}
+
+// withGiven is base as the maintainer materializes it: a relation named
+// like a view holds facts given for that view, and moves — joined with any
+// given relation base holds already, as a stale rebuild recovers it — to
+// the view's given relation. Every other relation is base's own; base is
+// not changed.
+func withGiven(base *storage.Database, views []*cq.Query) (*storage.Database, error) {
+	in := storage.NewDatabase()
+	in.Bind(base)
+	for _, v := range views {
+		rel := base.Relation(v.Name())
+		if rel == nil {
+			continue
+		}
+		in.Drop(v.Name())
+		g := GivenRelation(v.Name())
+		prior := base.Relation(g)
+		in.Drop(g)
+		for _, src := range []*storage.Relation{rel, prior} {
+			if src == nil {
+				continue
+			}
+			for _, t := range src.Tuples() {
+				if err := in.Insert(g, t); err != nil {
+					return nil, fmt.Errorf("ivm: facts given for view %s: %w", v.Name(), err)
+				}
+			}
+		}
+	}
+	return in, nil
 }
 
 // New builds a Maintainer: it materializes every view over base once (the
@@ -131,43 +197,44 @@ func viewProgram(views []*cq.Query) (*datalog.Program, map[string]bool, error) {
 // private copy of base that first gets the column indexes the compiled view
 // plans probe, so an unindexed base is joined by index probes, not nested
 // scans. base is not retained or mutated. It is the one way the engine
-// first builds served state.
+// first builds served state. A relation of base named like a view holds
+// facts given for it (see the package comment).
 func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, error) {
-	prog, names, err := viewProgram(views)
-	if err != nil {
-		return nil, err
-	}
 	if base == nil {
 		base = storage.NewDatabase()
 	}
-	cp, err := datalog.CompileProgramIVM(prog, cost.NewCatalog(base))
+	in, err := withGiven(base, views)
+	if err != nil {
+		return nil, err
+	}
+	prog, names, err := viewProgram(views, in)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := datalog.CompileProgramIVM(prog, cost.NewCatalog(in))
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
-	// Deletion state must see the pre-materialization base: view-named
-	// facts present there are baseline and survive every retraction.
-	st := cp.NewMaintState(base)
-	db, err := cp.Eval(base)
+	db, err := cp.Eval(in)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: materialize: %w", err)
 	}
 	db.BuildIndexes()
-	return &Maintainer{views: views, viewNames: names, cp: cp, st: st, db: db, opt: opt}, nil
+	return &Maintainer{views: views, viewNames: names, cp: cp, db: db, opt: opt}, nil
 }
 
 // NewFromMaterialized rebuilds a Maintainer around an already-materialized
 // database — base relations plus every view extent, as recovered from a
-// durable snapshot — skipping the full evaluation New pays. baseline is
-// the deletion baseline exported by BaselineKeys on the maintainer that
-// produced db (nil when no view-named base facts existed). db is adopted
-// as the maintenance state: the caller must not mutate it afterwards.
-func NewFromMaterialized(db *storage.Database, views []*cq.Query, baseline map[string][]string, opt Options) (*Maintainer, error) {
-	prog, names, err := viewProgram(views)
-	if err != nil {
-		return nil, err
-	}
+// durable snapshot — skipping the full evaluation New pays. The given
+// relations db holds are read as New reads them. db is adopted as the
+// maintenance state: the caller must not mutate it afterwards.
+func NewFromMaterialized(db *storage.Database, views []*cq.Query, opt Options) (*Maintainer, error) {
 	if db == nil {
 		db = storage.NewDatabase()
+	}
+	prog, names, err := viewProgram(views, db)
+	if err != nil {
+		return nil, err
 	}
 	// An extent that materialized empty may be absent from the snapshot
 	// reader's database; the maintainer needs the relation to exist so
@@ -184,13 +251,8 @@ func NewFromMaterialized(db *storage.Database, views []*cq.Query, baseline map[s
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
-	return &Maintainer{views: views, viewNames: names, cp: cp, st: cp.RestoreMaintState(baseline), db: db, opt: opt}, nil
+	return &Maintainer{views: views, viewNames: names, cp: cp, db: db, opt: opt}, nil
 }
-
-// BaselineKeys exports the maintainer's deletion baseline for persistence;
-// feed it back to NewFromMaterialized when rebuilding from a snapshot of
-// Database().
-func (m *Maintainer) BaselineKeys() map[string][]string { return m.st.BaselineKeys() }
 
 // Views returns the maintained view definitions.
 func (m *Maintainer) Views() []*cq.Query { return m.views }
@@ -210,9 +272,9 @@ func (m *Maintainer) Database() *storage.Database { return m.db }
 // each across any number of predicates, either possibly nil — and
 // delta-maintains every extent: deletes are removed (and their extent
 // consequences retracted) first, then inserts propagate. The batch is
-// validated before anything is mutated, and view predicates are rejected
-// on both sides. Deleting absent tuples and inserting present ones are
-// no-ops that propagate nothing.
+// validated before anything is mutated, and view predicates and their
+// given relations are rejected on both sides. Deleting absent tuples and
+// inserting present ones are no-ops that propagate nothing.
 func (m *Maintainer) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) (*BatchResult, error) {
 	return m.ApplyUpdateCtx(context.Background(), inserts, deletes, datalog.Limits{})
 }
@@ -226,7 +288,14 @@ func (m *Maintainer) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) (*
 // being re-raised to the caller's recover guard.
 func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
 	start := time.Now()
-	ures, err := m.cp.ApplyUpdatesCtx(ctx, m.db, m.st, inserts, deletes, m.opt.Workers, lim)
+	for _, batch := range []map[string][]storage.Tuple{inserts, deletes} {
+		for pred := range batch {
+			if view, ok := strings.CutSuffix(pred, givenSuffix); ok {
+				return nil, fmt.Errorf("ivm: cannot write relation %s: it holds the facts given for view %s", pred, view)
+			}
+		}
+	}
+	ures, err := m.cp.ApplyUpdatesCtx(ctx, m.db, inserts, deletes, m.opt.Workers, lim)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}

@@ -99,7 +99,7 @@ func TestConstructorsValidate(t *testing.T) {
 		if _, err := New(storage.NewDatabase(), views, Options{}); err == nil {
 			t.Errorf("New accepted the %s view set", name)
 		}
-		if _, err := NewFromMaterialized(storage.NewDatabase(), views, nil, Options{}); err == nil {
+		if _, err := NewFromMaterialized(storage.NewDatabase(), views, Options{}); err == nil {
 			t.Errorf("NewFromMaterialized accepted the %s view set", name)
 		}
 	}
@@ -109,7 +109,7 @@ func TestConstructorsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := NewFromMaterialized(nil, views, nil, Options{})
+	recovered, err := NewFromMaterialized(nil, views, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,6 @@ func (c Config) options() (engine.Options, error) {
 		CacheSize:     c.CacheSize,
 		EvalWorkers:   c.EvalWorkers,
 		LiveUpdates:   c.LiveUpdates,
-		Budget:        c.budget(),
 		MaxConcurrent: c.MaxConcurrent,
 		MaxQueue:      c.MaxQueue,
 		QueueTimeout:  time.Duration(c.QueueTimeoutMS) * time.Millisecond,

@@ -48,7 +48,8 @@ type Tuple []string
 
 // Key returns the tuple's columns joined by 0x1f. Distinct tuples share a
 // key when a value holds that byte, so nothing decides membership by it;
-// it survives as the persisted form of a program's deletion baseline.
+// it survives to read the legacy baseline older snapshot manifests carry
+// (durable.Manifest.Baseline), in the form they wrote it.
 func (t Tuple) Key() string { return strings.Join(t, "\x1f") }
 
 // Clone returns a copy of the tuple.
