@@ -202,7 +202,10 @@ var (
 
 // Storage and evaluation (see internal/storage, internal/datalog).
 type (
-	// Database is an in-memory relational database.
+	// Database is an in-memory relational database. A tuple it stores is
+	// never written: Insert stores a copy of the caller's tuple, a Clone
+	// shares the stored tuples, and the tuples Relation.Tuples returns may
+	// be kept but must not be modified.
 	Database = storage.Database
 	// Relation is a named set of tuples.
 	Relation = storage.Relation

@@ -598,7 +598,7 @@ func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardStat
 			}
 			delta, _ := mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
 				return idb[r.headPred], nil
-			}, (*storage.Relation).Adopt)
+			}, false)
 			for _, d := range delta {
 				stats.Derived += len(d)
 			}
@@ -668,11 +668,20 @@ func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
 }
 
 // mergeRound adds a round's buffered rows to the relation target gives each
-// task's rule, through add — Adopt or Insert — and returns the tuples that
-// were new, per head predicate. Both only append, so a predicate's new
-// tuples are its relation's tail: the next round reads them as its delta
-// without a copy, and nothing removes from the relation while it runs.
-func mergeRound(tasks []variantTask, bufs []RowSet, target func(*compiledRule) (*storage.Relation, error), add func(*storage.Relation, storage.Tuple) bool) (map[string][]storage.Tuple, error) {
+// task's rule and returns the tuples that were new, per head predicate. A
+// relation only appends here, so a predicate's new tuples are its
+// relation's tail: the next round reads them as its delta without a copy,
+// and nothing removes from the relation while it runs.
+//
+// Without own, a relation adopts windows onto the buffer's arena itself:
+// the per-evaluation relations of a fixpoint run and of over-deletion, which
+// are dropped with the arenas. With own — the maintained database, whose
+// relations outlive the batch — each buffer's accepted rows are first
+// copied into one exactly sized backing array and the relation adopts
+// capacity-limited windows onto it: one allocation per buffer, not one per
+// row, and a stored row keeps alive only the rows its own buffer added,
+// never the arena or the rows the relation already held.
+func mergeRound(tasks []variantTask, bufs []RowSet, target func(*compiledRule) (*storage.Relation, error), own bool) (map[string][]storage.Tuple, error) {
 	cur := make(map[string][]storage.Tuple)
 	for i := range bufs {
 		buf := &bufs[i]
@@ -684,8 +693,12 @@ func mergeRound(tasks []variantTask, bufs []RowSet, target func(*compiledRule) (
 			return nil, err
 		}
 		before := rel.Len()
-		for k := 0; k < buf.Len(); k++ {
-			add(rel, buf.tuple(k))
+		if own {
+			adoptCopies(rel, buf)
+		} else {
+			for k := 0; k < buf.Len(); k++ {
+				rel.Adopt(buf.tuple(k))
+			}
 		}
 		if added := rel.Len() - before; added > 0 {
 			pred := tasks[i].rule.headPred
@@ -693,6 +706,30 @@ func mergeRound(tasks []variantTask, bufs []RowSet, target func(*compiledRule) (
 		}
 	}
 	return cur, nil
+}
+
+// adoptCopies adds buf's rows that rel lacks to rel, copied into one
+// backing array of exactly their size. A buffer's rows are distinct, so a
+// row rel lacked before the first adoption is still missing when its turn
+// comes.
+func adoptCopies(rel *storage.Relation, buf *RowSet) {
+	n := 0
+	for k := 0; k < buf.Len(); k++ {
+		if !rel.Contains(buf.row(k)) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	w := buf.width
+	backing := make([]string, 0, n*w)
+	for k := 0; k < buf.Len(); k++ {
+		if row := buf.row(k); !rel.Contains(row) {
+			backing = append(backing, row...)
+			rel.Adopt(backing[len(backing)-w : len(backing) : len(backing)])
+		}
+	}
 }
 
 // emitVariant enumerates one variant's body matches over srcs and buffers

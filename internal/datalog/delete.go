@@ -122,8 +122,9 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 		return nil, err
 	}
 
-	// Effective deletions: present tuples only, deduplicated per predicate
-	// through a relation that only reads them.
+	// Effective deletions: the stored copies of present tuples, never the
+	// caller's, deduplicated per predicate through a relation that only
+	// reads them.
 	delEff := make(map[string][]storage.Tuple)
 	for pred, tuples := range deletes {
 		rel := db.Relation(pred)
@@ -132,8 +133,8 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 		}
 		seen := storage.NewRelation(pred, rel.Arity())
 		for _, t := range tuples {
-			if rel.Contains(t) && seen.Adopt(t) {
-				delEff[pred] = append(delEff[pred], t)
+			if st, ok := rel.Stored(t); ok && seen.Adopt(st) {
+				delEff[pred] = append(delEff[pred], st)
 			}
 		}
 	}
@@ -288,7 +289,7 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]
 				od[r.headPred] = storage.NewRelation(r.headPred, r.arity)
 			}
 			return od[r.headPred], nil
-		}, (*storage.Relation).Adopt)
+		}, false)
 		for _, c := range cur {
 			stats.Derived += len(c)
 		}
@@ -345,7 +346,7 @@ func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]*storage
 		}
 		cur, err := mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
 			return db.Ensure(r.headPred, r.arity)
-		}, (*storage.Relation).Insert)
+		}, true)
 		if err != nil {
 			return err
 		}

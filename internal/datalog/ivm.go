@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -15,9 +16,10 @@ import (
 //
 //   - the database itself is the maintenance state: it holds the base
 //     relations and the accumulated derived relations side by side (the
-//     shape CompiledProgram.Eval returns), and new derivations are inserted
-//     straight into it, incrementally maintaining its column indexes
-//     (storage.Relation.Insert appends to built indexes in O(arity));
+//     shape CompiledProgram.Eval returns), and new derivations are added
+//     straight into it, incrementally maintaining its column indexes (a
+//     relation appends to built indexes in O(arity)) — each round's
+//     accepted rows copied into one backing array per buffer (mergeRound);
 //   - the seed round fires exactly the EDB delta variants whose predicate
 //     gained tuples, with the batch at the join root and every other atom
 //     reading the post-batch database — any derivation that uses at least
@@ -51,7 +53,9 @@ func (cp *CompiledProgram) applyInserts(db *storage.Database, inserts map[string
 	return fresh, derived, stats, err
 }
 
-// insertBase inserts a batch's base facts, returning the ones that were new.
+// insertBase inserts a batch's base facts, returning the ones that were new
+// as the stored copies Insert made, never the caller's tuples: Insert only
+// appends, so they are the relation's tail, copied out in one slice.
 func insertBase(db *storage.Database, inserts map[string][]storage.Tuple) (map[string][]storage.Tuple, error) {
 	fresh := make(map[string][]storage.Tuple)
 	for pred, tuples := range inserts {
@@ -62,10 +66,12 @@ func insertBase(db *storage.Database, inserts map[string][]storage.Tuple) (map[s
 		if err != nil {
 			return nil, err
 		}
+		before := rel.Len()
 		for _, t := range tuples {
-			if rel.Insert(t) {
-				fresh[pred] = append(fresh[pred], t)
-			}
+			rel.Insert(t)
+		}
+		if rel.Len() > before {
+			fresh[pred] = slices.Clone(rel.Tuples()[before:])
 		}
 	}
 	return fresh, nil
@@ -102,7 +108,7 @@ func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]st
 		}
 		cur, err = mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
 			return db.Ensure(r.headPred, r.arity)
-		}, (*storage.Relation).Insert)
+		}, true)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/storage"
@@ -242,4 +243,75 @@ func TestMaintainDeltaErrors(t *testing.T) {
 	if len(res.BaseInserted) != 0 || len(res.Derived) != 0 || res.Stats.Iterations != 0 || res.Stats.Derived != 0 {
 		t.Fatalf("empty batch did work: %+v", res)
 	}
+}
+
+// TestApplyUpdatesReturnsStoredTuples: a batch's result carries the tuples
+// the database stores, never the caller's — the fresh base tuples are
+// Insert's copies, the effective deletions the copies that were removed, and
+// every derived tuple is the stored one, a capacity-limited window — so a
+// serving side may adopt them, and a caller that writes its tuples after
+// the batch changes nothing the database holds.
+func TestApplyUpdatesReturnsStoredTuples(t *testing.T) {
+	prog := newProgram(RuleFromQuery(mustQ("v(X,Z) :- r(X,Y), s(Y,Z)")))
+	cp, err := CompileProgramIVM(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := storage.NewDatabase()
+	for _, f := range []struct {
+		pred string
+		t    storage.Tuple
+	}{{"r", storage.Tuple{"a", "m"}}, {"r", storage.Tuple{"b", "n"}}, {"s", storage.Tuple{"m", "x"}}, {"s", storage.Tuple{"n", "y"}}} {
+		base.Insert(f.pred, f.t)
+	}
+	db, err := cp.Eval(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed := db.Relation("r").Tuples()[1] // r(b,n), stored
+	ins := map[string][]storage.Tuple{"r": {{"c", "m"}, {"c", "n"}, {"a", "m"}}, "s": {{"n", "z"}}}
+	del := map[string][]storage.Tuple{"r": {{"b", "n"}, {"b", "n"}}}
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, ins, del, 1, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isStored := func(what, pred string, tu storage.Tuple) {
+		t.Helper()
+		st, ok := db.Relation(pred).Stored(tu)
+		if !ok || unsafe.SliceData(st) != unsafe.SliceData(tu) || cap(tu) != len(tu) {
+			t.Fatalf("%s %s%q is not the stored tuple (present %v)", what, pred, tu, ok)
+		}
+	}
+	for pred, tuples := range res.BaseInserted {
+		for _, tu := range tuples {
+			isStored("inserted", pred, tu)
+		}
+	}
+	if got := res.BaseDeleted["r"]; len(got) != 1 || unsafe.SliceData(got[0]) != unsafe.SliceData(removed) {
+		t.Fatalf("deleted %q, want the one stored r(b,n)", got)
+	}
+	if len(res.Derived["v"]) != 3 {
+		t.Fatalf("derived %q, want three v tuples", res.Derived["v"])
+	}
+	for _, tu := range res.Derived["v"] {
+		isStored("derived", "v", tu)
+	}
+
+	for _, m := range []map[string][]storage.Tuple{ins, del} {
+		for _, tuples := range m {
+			for _, tu := range tuples {
+				tu[0], tu[1] = "clobbered", "clobbered"
+			}
+		}
+	}
+	shadow := base.Clone()
+	shadow.Remove("r", storage.Tuple{"b", "n"})
+	shadow.Insert("r", storage.Tuple{"c", "m"})
+	shadow.Insert("r", storage.Tuple{"c", "n"})
+	shadow.Insert("s", storage.Tuple{"n", "z"})
+	want, err := prog.EvalInterp(shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffDatabases(t, "after the caller overwrote its tuples", db, want)
 }

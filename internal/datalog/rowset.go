@@ -21,8 +21,9 @@ import (
 // merge of a sharded run, EvalUnion and the engine's union of contained
 // rewritings. It is also the derivation buffer of every rule-variant
 // execution (emitVariant), whose merge reads the rows back as tuples that
-// share the arena (tuple). The zero value is an empty set whose width the
-// first Add fixes.
+// share the arena (tuple), or copies the accepted ones out of it for a
+// relation that outlives the round (mergeRound). The zero value is an
+// empty set whose width the first Add fixes.
 type RowSet struct {
 	width int
 	n     int      // rows stored

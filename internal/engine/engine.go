@@ -401,9 +401,12 @@ type Engine struct {
 // liveState is the engine's mutation machinery: the incremental maintainer
 // and a left-right pair of serving databases giving readers torn-free
 // snapshots without blocking them behind maintenance. Every served relation
-// exists in exactly two physical copies, one per side; the maintainer keeps
-// privately only what no side serves — the base relations, unless
-// servesBase — and maintains the sides' own relations.
+// exists twice, once per side: two tuple arrays and two sets of indexes over
+// one set of rows, since a stored tuple is never written (package storage)
+// and the side a batch is replayed onto adopts the rows the maintainer
+// stored. The maintainer keeps privately only what no side serves — the
+// base relations, unless servesBase — and maintains the sides' own
+// relations.
 //
 // Readers snapshot the active side under its RLock. A writer (one at a
 // time, under updateMu) binds the maintainer's database to the inactive
@@ -563,8 +566,8 @@ func servesBase(opt Options) bool {
 // selection of the maintainer's own relations, not a copy: a static engine
 // serves it and drops the maintainer (and with it, the base relations it
 // does not serve); a live one keeps the maintainer, serves the selection as
-// side 0 and one clone of it as side 1, and from then on the maintainer
-// shares whichever side it maintains (liveState).
+// side 0 and one clone of it, which shares its tuples, as side 1, and from
+// then on the maintainer shares whichever side it maintains (liveState).
 func newFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, opt Options) (*Engine, error) {
 	withBase := servesBase(opt)
 	db, err := extentsOnly(m, views)
@@ -662,26 +665,34 @@ func (l *liveState) applySide(i int32, res *ivm.BatchResult) (err error) {
 		}
 		err = l.failed
 	}()
-	return replayBatch(db, j, res, l.servesBase)
+	return replayBatch(db, j, res, l.servesBase, (*storage.Relation).Adopt)
 }
 
 // replayBatch applies one batch's removals and then its insertions to db —
-// the base relations' too when withBase. Removals go first: a tuple deleted
-// and re-derived in the same batch appears in both BatchResult maps, and
-// the opposite order would retract it after re-inserting it. Removals go
-// through j, which the insertions extend, so j.Rollback undoes the replay.
-func replayBatch(db *storage.Database, j *storage.Journal, res *ivm.BatchResult, withBase bool) error {
+// the base relations' too when withBase — adding each inserted tuple
+// through add. Removals go first: a tuple deleted and re-derived in the same
+// batch appears in both BatchResult maps, and the opposite order would
+// retract it after re-inserting it. Removals go through j, which the
+// insertions extend, so j.Rollback undoes the replay.
+//
+// A committed batch's insertions are the tuples the maintainer stored
+// (datalog.ApplyUpdatesCtx returns stored copies, never the caller's), so
+// the standby side adopts them and both serving sides hold one physical row
+// (applySide). The inverse batch undoBatch replays inserts tuples that are
+// not all stored — over-deleted rows are windows onto a maintenance round's
+// buffer — so it clones them.
+func replayBatch(db *storage.Database, j *storage.Journal, res *ivm.BatchResult, withBase bool, add func(*storage.Relation, storage.Tuple) bool) error {
 	if withBase {
 		removeDelta(j, res.BaseDeleted)
 	}
 	removeDelta(j, res.ExtentRetracted)
 	j.MarkInserts()
 	if withBase {
-		if err := appendDelta(db, res.BaseInserted); err != nil {
+		if err := appendDelta(db, res.BaseInserted, add); err != nil {
 			return err
 		}
 	}
-	return appendDelta(db, res.ExtentDelta)
+	return appendDelta(db, res.ExtentDelta, add)
 }
 
 // undoBatch reverts a committed batch on the database the maintainer
@@ -698,7 +709,7 @@ func undoBatch(db *storage.Database, res *ivm.BatchResult) {
 		ExtentRetracted: res.ExtentDelta,
 	}
 	// Cannot fail: every relation it inserts into exists, at its arity.
-	_ = replayBatch(db, storage.NewJournal(db), inv, true)
+	_ = replayBatch(db, storage.NewJournal(db), inv, true, (*storage.Relation).Insert)
 }
 
 // removeDelta removes retracted tuples from a serving side through its
@@ -714,10 +725,10 @@ func removeDelta(j *storage.Journal, delta map[string][]storage.Tuple) {
 	}
 }
 
-// appendDelta inserts delta tuples, creating (and freezing) relations for
-// predicates the side has not seen; inserts into frozen relations maintain
-// the column indexes incrementally.
-func appendDelta(db *storage.Database, delta map[string][]storage.Tuple) error {
+// appendDelta adds delta tuples through add, creating (and freezing)
+// relations for predicates the side has not seen; inserts into frozen
+// relations maintain the column indexes incrementally.
+func appendDelta(db *storage.Database, delta map[string][]storage.Tuple, add func(*storage.Relation, storage.Tuple) bool) error {
 	for pred, tuples := range delta {
 		if len(tuples) == 0 {
 			continue
@@ -727,7 +738,7 @@ func appendDelta(db *storage.Database, delta map[string][]storage.Tuple) error {
 			return err // unreachable: the maintainer validated arities
 		}
 		for _, t := range tuples {
-			rel.Insert(t)
+			add(rel, t)
 		}
 		if !rel.Frozen() {
 			rel.BuildIndexes()

@@ -3,10 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"testing"
+
+	"repro/internal/cq"
+	"repro/internal/storage"
 )
 
 // memRecorder is a reusable in-memory ResponseWriter: the allocation tests
@@ -139,5 +143,112 @@ func BenchmarkHandleQueryHit(b *testing.B) {
 	}
 	if c.w.status != http.StatusOK {
 		b.Fatalf("status %d: %s", c.w.status, c.w.buf.Bytes())
+	}
+}
+
+// churnBed serves a live, durable namespace in the benchmark's churn shape
+// — v(K,Y) :- r(K,Z), s(Z,Y) and vg(K,G) :- reg(K,G) over 2 000 keys — and
+// returns batch bodies to send in turn, round and round. Body j inserts
+// facts(j): 8 s-tuples under fresh Z values, 8 r-tuples joining them and 16
+// r-tuples joining stable Z values, and deletes facts(j-1), which the base
+// holds for the first body, so every batch inserts 32 tuples and deletes 32
+// present ones. The WAL skips its fsync, which allocates nothing, and never
+// triggers a checkpoint, so a count is one batch's.
+func churnBed(t testing.TB) (*memClient, [][]byte) {
+	t.Helper()
+	const keys, nZ, cycle = 2000, 1000, 64
+	base := storage.NewDatabase()
+	for i := 0; i < keys; i++ {
+		base.Insert("r", storage.Tuple{fmt.Sprintf("k%d", i), fmt.Sprintf("z%d", i%nZ)})
+		base.Insert("reg", storage.Tuple{fmt.Sprintf("k%d", i), fmt.Sprintf("g%d", i%20)})
+	}
+	for j := 0; j < nZ; j++ {
+		base.Insert("s", storage.Tuple{fmt.Sprintf("z%d", j), fmt.Sprintf("y%d", j)})
+		base.Insert("s", storage.Tuple{fmt.Sprintf("z%d", j), fmt.Sprintf("y%d", j+1)})
+	}
+	facts := func(j int) map[string][][]string {
+		j %= cycle
+		m := make(map[string][][]string)
+		for i := 0; i < 8; i++ {
+			cz := fmt.Sprintf("cz%d_%d", j, i)
+			m["s"] = append(m["s"], []string{cz, fmt.Sprintf("y%d", (j*8+i)%nZ)})
+			m["r"] = append(m["r"], []string{fmt.Sprintf("c%d_%d", j, i), cz})
+		}
+		for i := 8; i < 24; i++ {
+			m["r"] = append(m["r"], []string{fmt.Sprintf("c%d_%d", j, i), fmt.Sprintf("z%d", (j*24+i)%nZ)})
+		}
+		return m
+	}
+	for pred, rows := range facts(cycle - 1) {
+		for _, row := range rows {
+			base.Insert(pred, row)
+		}
+	}
+	views, err := cq.ParseViews("v(K,Y) :- r(K,Z), s(Z,Y). vg(K,G) :- reg(K,G).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := NewNamespace(DefaultNamespace, base, views, Config{
+		Strategy: "auto", LiveUpdates: true, DataDir: t.TempDir(), MaxConcurrent: 4, MaxQueue: 64,
+		WALNoSync: true, SnapshotWALBytes: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ns.Engine.Close() })
+	reg := NewRegistry()
+	if err := reg.Add(ns); err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, cycle)
+	for j := range bodies {
+		bodies[j], _ = json.Marshal(map[string]any{"updates": facts(j), "deletes": facts(j + cycle - 1)})
+	}
+	return newMemClient(New(reg).Handler()), bodies
+}
+
+const wantBatchAck = `{"applied":true,"predicates":2,"tuples":32,"deleted":32}` + "\n"
+
+// TestHandleBatchAllocs is the allocation regression guard of the write
+// path: one 32-insert / 32-delete live batch through Handler().ServeHTTP —
+// wire decode, maintenance, WAL append and the replay onto the second
+// serving side — request construction included. It counted 461 while
+// stored tuples were copied (the decoder allocated a string per value and a
+// slice per row, and each stored row was cloned into the base, out of the
+// maintenance round and onto the second side) and counts 250 since they are
+// shared; the budget is the measured count plus about a seventh, the one
+// CI's "Batch-path allocation gate" holds BenchmarkHandleBatch to.
+func TestHandleBatchAllocs(t *testing.T) {
+	c, bodies := churnBed(t)
+	next := 0
+	post := func() {
+		c.post("/v1/batch", bodies[next%len(bodies)])
+		next++
+	}
+	post()
+	if got := c.w.buf.String(); got != wantBatchAck {
+		t.Fatalf("reply = %q, want %q", got, wantBatchAck)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const measured, budget = 250, 285
+	if n := testing.AllocsPerRun(200, post); n > budget {
+		t.Fatalf("/v1/batch 32+32 churn batch: %.0f allocs/op, budget %d (measured %d)", n, budget, measured)
+	}
+	if got := c.w.buf.String(); got != wantBatchAck {
+		t.Fatalf("reply = %q, want %q", got, wantBatchAck)
+	}
+}
+
+func BenchmarkHandleBatch(b *testing.B) {
+	c, bodies := churnBed(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.post("/v1/batch", bodies[i%len(bodies)])
+	}
+	if got := c.w.buf.String(); got != wantBatchAck {
+		b.Fatalf("status %d: %s", c.w.status, got)
 	}
 }

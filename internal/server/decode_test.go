@@ -276,6 +276,9 @@ var decodeCases = []struct {
 	{name: "b64 with line breaks", ep: epExec, input: `{"args":[{"b64":"QU\r\nJD"}]}`, want: decoded{Args: []string{"ABC"}}},
 	{name: "bad base64", ep: epExec, input: `{"args":[{"b64":"@@@@"}]}`, code: CodeBadRequest},
 	{name: "b64 of wrong type", ep: epExec, input: `{"args":[{"b64":5}]}`, code: CodeBadRequest},
+	{name: "row mixing escaped, b64 and plain columns", ep: epBatch,
+		input: `{"updates":{"r":[["a\u0062","\u00e9x",{"b64":"//4B"},"",{"b64":"Q\u0051=="},"plain"],["n"]]}}`,
+		want:  decoded{Updates: map[string]Rows{"r": {{"ab", "éx", "\xff\xfe\x01", "", "A", "plain"}, {"n"}}}}},
 	{name: "number column", ep: epExec, input: `{"args":[42]}`, code: CodeBadRequest},
 	{name: "null column", ep: epExec, input: `{"args":[null]}`, code: CodeBadRequest},
 	{name: "nested array column", ep: epExec, input: `{"args":[["a"]]}`, code: CodeBadRequest},
@@ -372,6 +375,23 @@ func TestDecodeRequestCases(t *testing.T) {
 			}
 			checkAgainstStdlib(t, tc.ep, []byte(tc.input))
 		})
+	}
+}
+
+// TestDecodedRowsAreIndependent: the rows of a decoded Rows value share one
+// backing array, and appending to one row must not write into the next.
+func TestDecodedRowsAreIndependent(t *testing.T) {
+	got, err := decodeWire(epBatch, []byte(`{"updates":{"r":[["a","b"],["c","d"],[],["e"]]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := got.Updates["r"]
+	for i := range rows {
+		rows[i] = append(rows[i], "appended")
+	}
+	want := Rows{{"a", "b", "appended"}, {"c", "d", "appended"}, {"appended"}, {"e", "appended"}}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows after appending to each = %q, want %q", rows, want)
 	}
 }
 

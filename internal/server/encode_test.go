@@ -166,11 +166,14 @@ func TestLargeBuffersLeaveThePool(t *testing.T) {
 	st.body = append(st.body[:0], big...)
 	st.writeAnswers(&memRecorder{hdr: make(http.Header)}, []storage.Tuple{{big}})
 	st.scan.cols = make([]string, maxPooledBytes)
-	st.scan.tuples = make([]storage.Tuple, maxPooledBytes)
+	st.scan.ends = make([]int, maxPooledBytes)
+	st.scan.widths = make([]int, maxPooledBytes)
 	st.scan.tmp = make([]byte, maxPooledBytes+1)
+	st.scan.row = make([]byte, maxPooledBytes+1)
 	st.release()
-	if st.body != nil || st.out != nil || st.scan.cols != nil || st.scan.tuples != nil || st.scan.tmp != nil {
-		t.Fatalf("released state keeps large buffers: body %d out %d cols %d tuples %d tmp %d",
-			cap(st.body), cap(st.out), cap(st.scan.cols), cap(st.scan.tuples), cap(st.scan.tmp))
+	sc := &st.scan
+	if st.body != nil || st.out != nil || sc.cols != nil || sc.ends != nil || sc.widths != nil || sc.tmp != nil || sc.row != nil {
+		t.Fatalf("released state keeps large buffers: body %d out %d cols %d ends %d widths %d tmp %d row %d",
+			cap(st.body), cap(st.out), cap(sc.cols), cap(sc.ends), cap(sc.widths), cap(sc.tmp), cap(sc.row))
 	}
 }

@@ -24,8 +24,9 @@ package server
 // Ownership: a wireState (request body, reply buffer, decode scratch) is
 // pooled and must not be referenced once the handler returns. A decoded
 // exec request's handle and argument slice alias it; every decoded string
-// and every Row/Rows handed to the engine is freshly allocated. Result
-// tuples are never pooled.
+// and every Row/Rows handed to the engine is freshly allocated: a row's
+// columns share one string, and a Rows value's rows are windows onto one
+// backing array. Result tuples are never pooled.
 
 import (
 	"encoding/base64"
@@ -224,14 +225,19 @@ func (st *wireState) release() {
 	if cap(s.tmp) > maxPooledBytes {
 		s.tmp = nil
 	}
-	const maxPooledSlots = maxPooledBytes / 16 // scratch entries are 16 and 24 bytes
+	if cap(s.row) > maxPooledBytes {
+		s.row = nil
+	}
+	const maxPooledSlots = maxPooledBytes / 16 // scratch entries are 8 and 16 bytes
 	clear(s.cols[:cap(s.cols)])
 	if cap(s.cols) > maxPooledSlots {
 		s.cols = nil
 	}
-	clear(s.tuples[:cap(s.tuples)])
-	if cap(s.tuples) > maxPooledSlots {
-		s.tuples = nil
+	if cap(s.ends) > maxPooledSlots {
+		s.ends = nil
+	}
+	if cap(s.widths) > maxPooledSlots {
+		s.widths = nil
 	}
 	wirePool.Put(st)
 }
@@ -305,9 +311,11 @@ type scanner struct {
 	// past it; finish reports it if nothing worse turned up.
 	soft error
 
-	tmp    []byte          // unescape scratch
-	cols   []string        // columns of the row being decoded
-	tuples []storage.Tuple // rows of the Rows being decoded
+	tmp    []byte   // unescape scratch
+	row    []byte   // the row being decoded: its values end to end
+	ends   []int    // where each of its values ends in row
+	cols   []string // columns decoded: of one row, or of every row of a Rows
+	widths []int    // columns per row of the Rows being decoded
 }
 
 func (s *scanner) reset(data []byte) {
@@ -631,63 +639,84 @@ func (s *scanner) skipValue() error {
 // columns decodes a row into the column scratch and returns it; the slice
 // is valid until the next call. null is the empty row.
 func (s *scanner) columns() ([]string, error) {
-	cols := s.cols[:0]
+	cols, err := s.appendColumns(s.cols[:0])
+	s.cols = cols
+	return cols, err
+}
+
+// appendColumns decodes a row and appends its columns to cols. The columns
+// share one freshly allocated string: each value's bytes go to the end of
+// the row scratch as they are decoded, and the row becomes one string when
+// its array closes, so a row costs one allocation however many columns it
+// has. null is the empty row.
+func (s *scanner) appendColumns(cols []string) ([]string, error) {
 	switch s.next() {
 	case 'n':
 		return cols, s.literal("null")
 	case '[':
 	default:
-		return nil, fmt.Errorf("offset %d: a row must be an array of columns", s.pos)
+		return cols, fmt.Errorf("offset %d: a row must be an array of columns", s.pos)
 	}
 	if err := s.enter(); err != nil {
-		return nil, err
+		return cols, err
 	}
+	row, ends := s.row[:0], s.ends[:0]
 	for first := true; ; {
 		ok, err := s.nextElem(&first)
 		if err != nil {
-			return nil, err
+			return cols, err
 		}
 		if !ok {
-			s.cols = cols
-			return cols, nil
+			break
 		}
-		var v string
 		switch s.next() {
 		case '"':
 			raw, plain, err := s.scanString()
 			if err != nil {
-				return nil, err
+				return cols, err
 			}
-			v = s.str(raw, plain)
+			if plain {
+				row = append(row, raw...)
+			} else {
+				row = unquote(row, raw)
+			}
 		case '{':
-			if v, err = s.b64Column(); err != nil {
-				return nil, fmt.Errorf("column %d: %w", len(cols), err)
+			if row, err = s.appendB64(row); err != nil {
+				return cols, fmt.Errorf("column %d: %w", len(ends), err)
 			}
 		default:
-			return nil, fmt.Errorf("column %d is neither a string nor a b64 object", len(cols))
+			return cols, fmt.Errorf("column %d is neither a string nor a b64 object", len(ends))
 		}
-		cols = append(cols, v)
+		ends = append(ends, len(row))
 	}
+	s.row, s.ends = row, ends
+	str, start := string(row), 0
+	for _, end := range ends {
+		cols = append(cols, str[start:end])
+		start = end
+	}
+	return cols, nil
 }
 
-// b64Column decodes {"b64": "<base64>"}. As before this scanner, other
-// members are ignored and an absent or null b64 is the empty string.
-func (s *scanner) b64Column() (string, error) {
+// appendB64 decodes {"b64": "<base64>"} and appends the value to dst. As
+// before this scanner, other members are ignored and an absent or null b64
+// is the empty string.
+func (s *scanner) appendB64(dst []byte) ([]byte, error) {
 	if err := s.enter(); err != nil {
-		return "", err
+		return dst, err
 	}
 	var enc []byte
 	for first := true; ; {
 		key, ok, err := s.nextKey(&first)
 		if err != nil {
-			return "", err
+			return dst, err
 		}
 		if !ok {
 			break
 		}
 		if len(key) != 3 || key[0]|0x20 != 'b' || key[1] != '6' || key[2] != '4' {
 			if err := s.skipValue(); err != nil {
-				return "", err
+				return dst, err
 			}
 			continue
 		}
@@ -695,27 +724,32 @@ func (s *scanner) b64Column() (string, error) {
 		case '"':
 			raw, plain, err := s.scanString()
 			if err != nil {
-				return "", err
+				return dst, err
 			}
 			if enc = raw; !plain {
-				enc = unquote(nil, raw)
+				s.tmp = unquote(s.tmp[:0], raw)
+				enc = s.tmp
 			}
 		case 'n':
 			if err := s.literal("null"); err != nil {
-				return "", err
+				return dst, err
 			}
 		default:
-			return "", errors.New("b64 is not a string")
+			return dst, errors.New("b64 is not a string")
 		}
 	}
-	val, err := base64.StdEncoding.AppendDecode(nil, enc)
+	out, err := base64.StdEncoding.AppendDecode(dst, enc)
 	if err != nil {
-		return "", fmt.Errorf("bad base64: %w", err)
+		return dst, fmt.Errorf("bad base64: %w", err)
 	}
-	return string(val), nil
+	return out, nil
 }
 
-// rows decodes an array of rows. null is the empty set.
+// rows decodes an array of rows. null is the empty set. The rows' columns
+// are gathered in the column scratch and copied into one backing array of
+// exactly their number, onto which each row is a capacity-limited window,
+// so appending to one row never writes into the next; a Rows value costs
+// two allocations and one string per row.
 func (s *scanner) rows() (Rows, error) {
 	switch s.next() {
 	case 'n':
@@ -727,22 +761,30 @@ func (s *scanner) rows() (Rows, error) {
 	if err := s.enter(); err != nil {
 		return nil, err
 	}
-	tuples := s.tuples[:0]
+	vals, widths := s.cols[:0], s.widths[:0]
 	for first := true; ; {
 		ok, err := s.nextElem(&first)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			s.tuples = tuples
-			return append(make(Rows, 0, len(tuples)), tuples...), nil
+			break
 		}
-		cols, err := s.columns()
-		if err != nil {
+		n := len(vals)
+		if vals, err = s.appendColumns(vals); err != nil {
 			return nil, err
 		}
-		tuples = append(tuples, append(make(storage.Tuple, 0, len(cols)), cols...))
+		widths = append(widths, len(vals)-n)
 	}
+	s.cols, s.widths = vals, widths
+	backing := make([]string, len(vals))
+	copy(backing, vals)
+	out := make(Rows, len(widths))
+	for i, w := range widths {
+		out[i] = backing[:w:w]
+		backing = backing[w:]
+	}
+	return out, nil
 }
 
 // ---- Requests ----

@@ -8,11 +8,14 @@ package storage
 // A batch has two phases. The delete phase removes tuples through Remove,
 // which records each successful removal: removals swap-fill positions, so
 // only an operation log can undo them. MarkInserts then opens the
-// insert-only tail, which plain Relation.Insert calls extend and one length
-// mark per relation covers. Rollback undoes both in reverse: truncate every
-// relation to its mark, drop the relations the batch created, re-insert the
-// removals last-first. The tuple sets and every maintained column index are
+// insert-only tail, which plain Relation.Insert and Adopt calls extend and
+// one length mark per relation covers. Rollback undoes both in reverse:
+// truncate every relation to its mark, drop the relations the batch
+// created, re-adopt the removals last-first. The tuple sets and every maintained column index are
 // exactly the pre-batch ones afterwards; intra-relation order may permute.
+// A removal is journaled as the stored tuple it took out, never as the
+// caller's, and Rollback re-adopts that tuple: rolling back allocates no
+// tuple and leaves no caller's memory in the database.
 //
 // A Journal carries the database's single-writer requirement and is good for
 // one batch.
@@ -39,11 +42,14 @@ func (j *Journal) Remove(pred string, t Tuple) bool {
 		panic("storage: Journal.Remove after MarkInserts")
 	}
 	rel := j.db.rels[pred]
-	if rel == nil || !rel.Remove(t) {
+	if rel == nil {
 		return false
 	}
-	j.removed = append(j.removed, journalRemoval{pred: pred, t: t})
-	return true
+	stored, ok := rel.take(t)
+	if ok {
+		j.removed = append(j.removed, journalRemoval{pred: pred, t: stored})
+	}
+	return ok
 }
 
 // MarkInserts records every relation's length: from here on the batch only
@@ -68,6 +74,6 @@ func (j *Journal) Rollback() {
 	}
 	for i := len(j.removed) - 1; i >= 0; i-- {
 		r := j.removed[i]
-		j.db.rels[r.pred].Insert(r.t)
+		j.db.rels[r.pred].Adopt(r.t)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // dbState captures what a rollback must restore: per relation, the sorted
@@ -117,4 +118,28 @@ func TestJournalRemoveAfterMarkPanics(t *testing.T) {
 		}
 	}()
 	j.Remove("r", Tuple{"a"})
+}
+
+// TestJournalRestoresStoredTuple: a rollback puts back the stored tuple the
+// removal took out, not the caller's tuple that named it, so a caller that
+// writes its tuple afterwards cannot reach the database, and the rollback
+// allocates no tuple.
+func TestJournalRestoresStoredTuple(t *testing.T) {
+	db := NewDatabase()
+	db.Insert("r", Tuple{"a", "b"})
+	stored := db.Relation("r").Tuples()[0]
+	caller := Tuple{"a", "b"}
+	j := NewJournal(db)
+	if !j.Remove("r", caller) {
+		t.Fatal("Remove of a present tuple reported absent")
+	}
+	caller[0], caller[1] = "x", "y"
+	j.Rollback()
+	got := db.Relation("r").Tuples()
+	if len(got) != 1 || !slices.Equal(got[0], Tuple{"a", "b"}) {
+		t.Fatalf("after rollback r = %q, want [[a b]]", got)
+	}
+	if unsafe.SliceData(got[0]) != unsafe.SliceData(stored) {
+		t.Fatal("rollback stored a copy, not the tuple it removed")
+	}
 }

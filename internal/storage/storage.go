@@ -13,6 +13,15 @@
 // holding it. Neither keeps a copy of a tuple or of a value, and a copy of
 // a relation copies both as they are, because positions do not change.
 //
+// A stored tuple is never written. Once a relation holds a tuple — Insert's
+// clone, or the tuple Adopt was handed — no code writes its columns, so
+// whoever reads a stored tuple may keep and share it without a copy: both
+// serving sides of a live engine hold one physical row, a database clone
+// copies only the array of tuples, and a rollback re-adopts the tuple it
+// removed. What a relation may not store is a tuple someone else may still
+// write — a caller's, or a window onto a buffer that is reused; Insert
+// clones those.
+//
 // Values are constant lexemes (see cq.Term); Skolem values produced by the
 // inverse-rules algorithm live in the same domain as tagged strings and
 // join by ordinary equality.
@@ -52,7 +61,9 @@ type Tuple []string
 // (durable.Manifest.Baseline), in the form they wrote it.
 func (t Tuple) Key() string { return strings.Join(t, "\x1f") }
 
-// Clone returns a copy of the tuple.
+// Clone returns a copy of the tuple: the one way a tuple its owner may
+// still write becomes one a relation can store (Relation.Insert). A stored
+// tuple needs no clone to be shared, since it is never written.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))
 	copy(out, t)
@@ -133,7 +144,9 @@ func (r *Relation) Len() int { return len(r.tuples) }
 // mismatch — callers validate arity at the Database boundary. Newness is
 // decided by hashing the tuple and comparing columns along the set index's
 // probe chain; the only allocation is the stored clone of t (plus growth
-// of the tuple slice and the tables).
+// of the tuple slice and the tables). The caller keeps t and may write it
+// afterwards; the stored copy is the relation's tail (Tuples) and, like
+// every stored tuple, is never written.
 //
 // Each built column index is maintained in place: the new position is
 // prepended to its value's chain, or starts one, allocating nothing beyond
@@ -143,8 +156,12 @@ func (r *Relation) Len() int { return len(r.tuples) }
 func (r *Relation) Insert(t Tuple) bool { return r.add(t, true) }
 
 // Adopt is Insert without the clone: the relation stores t itself, so the
-// caller hands over a tuple nothing else will write — the fixpoint's
-// per-evaluation relations adopt the rows their executor derived.
+// caller hands over a tuple nothing will write again — a tuple another
+// relation stores (a serving side adopts the maintained side's rows, a
+// rollback the tuple it removed), a decoded snapshot row, or a window onto
+// a backing array that outlives every write to it (the fixpoint's
+// per-evaluation relations adopt the rows their executor derived, a
+// maintenance merge the rows it copied out of its round's buffer).
 func (r *Relation) Adopt(t Tuple) bool { return r.add(t, false) }
 
 // add is Insert, storing a clone of t when clone is set and t otherwise.
@@ -182,14 +199,22 @@ func (r *Relation) add(t Tuple, clone bool) bool {
 // each — so a frozen relation stays Frozen. Single-writer, like every
 // mutation.
 func (r *Relation) Remove(t Tuple) bool {
+	_, ok := r.take(t)
+	return ok
+}
+
+// take is Remove, returning the stored tuple it removed — the one a
+// rollback re-adopts.
+func (r *Relation) take(t Tuple) (Tuple, bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: relation %s/%d: removing tuple of width %d", r.name, r.arity, len(t)))
 	}
 	h := hashTuple(t)
 	pos := r.find(h, t)
 	if pos < 0 {
-		return false
+		return nil, false
 	}
+	stored := r.tuples[pos]
 	for _, x := range r.indexes {
 		if x != nil {
 			x.remove(r.tuples, pos)
@@ -204,7 +229,7 @@ func (r *Relation) Remove(t Tuple) bool {
 	}
 	r.tuples[last] = nil
 	r.tuples = r.tuples[:last]
-	return true
+	return stored, true
 }
 
 // TruncateTo discards every tuple from position n onward, restoring the
@@ -254,8 +279,19 @@ func (r *Relation) Contains(t Tuple) bool {
 	return r.find(hashTuple(t), t) >= 0
 }
 
+// Stored returns the relation's own copy of t, reporting whether it holds
+// one. The copy is a stored tuple: it may be kept and shared, never
+// written. It allocates nothing.
+func (r *Relation) Stored(t Tuple) (Tuple, bool) {
+	if pos := r.find(hashTuple(t), t); pos >= 0 {
+		return r.tuples[pos], true
+	}
+	return nil, false
+}
+
 // Tuples returns the tuples in insertion order. The slice is shared; do not
-// modify.
+// modify it. Its tuples are stored tuples: a reader may keep and share them
+// — another relation may Adopt one — but never write them.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
 // BuildIndexes eagerly builds the hash index of every column. After it
@@ -454,18 +490,18 @@ func (db *Database) BuildIndexes() {
 	}
 }
 
-// Clone returns a deep copy of the database. Each relation's tuples are
-// copied at their positions, so its set index and every built column index
-// are copied as they are rather than rebuilt by re-hashing every tuple: a
-// frozen relation's copy is frozen, and cloning a serving database never
-// demotes indexed probes back to scans.
+// Clone returns a copy of the database that shares its stored tuples:
+// each relation's array of tuples is copied, not the tuples, which are
+// never written, so a write to either database — an insert, a removal, a
+// truncation — leaves the other as it was. The tuples stay at their
+// positions, so the set index and every built column index are copied as
+// they are rather than rebuilt by re-hashing every tuple: a frozen
+// relation's copy is frozen, and cloning a serving database never demotes
+// indexed probes back to scans.
 func (db *Database) Clone() *Database {
 	out := NewDatabase()
 	for p, r := range db.rels {
-		nr := &Relation{name: p, arity: r.arity, tuples: make([]Tuple, len(r.tuples)), set: r.set.Clone()}
-		for i, t := range r.tuples {
-			nr.tuples[i] = t.Clone()
-		}
+		nr := &Relation{name: p, arity: r.arity, tuples: slices.Clone(r.tuples), set: r.set.Clone()}
 		if r.indexes != nil {
 			nr.indexes = make([]*ColIndex, len(r.indexes))
 			for col, x := range r.indexes {
