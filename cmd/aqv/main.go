@@ -143,6 +143,8 @@ func run(args []string, out *os.File) error {
 		}
 		return evalUnionIfData(out, u, views, base)
 	case "minicon":
+		// Verified as the F-experiments and library callers run MiniCon,
+		// not because comparison-free MCDs need it.
 		u, st, err := aqv.MiniConRewrite(q, vs, aqv.MiniConOptions{VerifyCandidates: true, KeepComparisons: true})
 		if err != nil {
 			return err

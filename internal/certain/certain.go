@@ -28,6 +28,8 @@ func ViaMiniCon(q *cq.Query, views []*cq.Query, viewDB *storage.Database) ([]sto
 	if err != nil {
 		return nil, err
 	}
+	// Verified as the F-experiments and external callers run MiniCon, not
+	// because comparison-free MCDs need it.
 	u, _, err := minicon.Rewrite(q, vs, minicon.Options{VerifyCandidates: true})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -339,6 +340,30 @@ func TestRewritePartial(t *testing.T) {
 	}
 	if !preds["v"] || !preds["s"] {
 		t.Fatalf("partial rewriting shape wrong: %v", rw.Query)
+	}
+}
+
+func TestRewriteUncoverablePredicate(t *testing.T) {
+	// s occurs only in u, which also needs flag, a predicate q lacks: no
+	// view can cover s(Z,Y), so the search stops before it minimises q or
+	// applies v.
+	vs := views("v(A,C) :- r(A,C)", "u(A,B) :- s(A,B), flag(A)")
+	q := mustQ("q(X,Y) :- r(X,Z), s(Z,Y)")
+	r := NewRewriter(vs)
+	r.Opt.MaxResults = AllRewritings
+	res, st := r.Rewrite(q)
+	if len(res) != 0 || st != (Stats{}) {
+		t.Fatalf("rewritings %v, stats %+v; want none and no work", res, st)
+	}
+	r.Opt.AllowPartial = true
+	res, st = r.Rewrite(q)
+	if len(res) == 0 || st.Applications == 0 {
+		t.Fatalf("partial rewritings %v, stats %+v", res, st)
+	}
+	for _, rw := range res {
+		if rw.Complete || !slices.ContainsFunc(rw.Query.Body, func(a cq.Atom) bool { return a.Pred == "s" }) {
+			t.Fatalf("partial rewriting %v must keep s", rw.Query)
+		}
 	}
 }
 

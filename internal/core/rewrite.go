@@ -83,6 +83,10 @@ func (r *Rewriter) Rewrite(q *cq.Query) ([]*Rewriting, Stats) {
 		limit = 1
 	}
 
+	if !r.Opt.AllowPartial && !r.coverable(q) {
+		return nil, st
+	}
+
 	// One search serves the minimisation, every view's applications and
 	// every candidate's verification.
 	s := &containment.Search{Memo: r.Memo}
@@ -179,17 +183,38 @@ func (r *Rewriter) RewriteOne(q *cq.Query) *Rewriting {
 	return res[0]
 }
 
-// collectApplications enumerates the valid applications of every view whose
-// body predicates all occur in qm; a view with a predicate qm lacks has no
-// homomorphism into it.
-func (r *Rewriter) collectApplications(qm *cq.Query, s *containment.Search, st *Stats) []Application {
-	occurs := func(pred string) bool {
-		return slices.ContainsFunc(qm.Body, func(a cq.Atom) bool { return a.Pred == pred })
+// occurs reports whether pred is the predicate of an atom of q's body.
+func occurs(q *cq.Query, pred string) bool {
+	return slices.ContainsFunc(q.Body, func(a cq.Atom) bool { return a.Pred == pred })
+}
+
+// applicable reports whether every body predicate of v occurs in q; a view
+// with a predicate q lacks has no homomorphism into it.
+func applicable(v *View, q *cq.Query) bool {
+	return !slices.ContainsFunc(v.Preds, func(p string) bool { return !occurs(q, p) })
+}
+
+// coverable reports whether every body atom of q has the predicate and
+// arity of an atom of a view applicable to q. Minimisation keeps every
+// predicate, so when one atom has none, no complete rewriting of q exists.
+func (r *Rewriter) coverable(q *cq.Query) bool {
+	for _, a := range q.Body {
+		if !slices.ContainsFunc(r.Views.Occurrences(a.Pred, len(a.Args)), func(o Occurrence) bool {
+			return applicable(r.Views.View(o.View), q)
+		}) {
+			return false
+		}
 	}
+	return true
+}
+
+// collectApplications enumerates the valid applications of every view
+// applicable to qm.
+func (r *Rewriter) collectApplications(qm *cq.Query, s *containment.Search, st *Stats) []Application {
 	var apps []Application
 	for i := 0; i < r.Views.Len(); i++ {
 		v := r.Views.View(i)
-		if slices.ContainsFunc(v.Preds, func(p string) bool { return !occurs(p) }) {
+		if !applicable(v, qm) {
 			continue
 		}
 		for _, ap := range applications(v, qm, s) {

@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -365,6 +366,9 @@ type Engine struct {
 	// query constant matching a view's, so a constant-generic template
 	// plan could silently answer less than per-query planning would.
 	constViews bool
+	// compViews records whether any view definition has a comparison
+	// (planMiniCon then verifies its candidates).
+	compViews bool
 	// live is the update path (nil without Options.LiveUpdates).
 	live *liveState
 	// dur is the durable-storage state (nil without Options.DataDir).
@@ -477,6 +481,7 @@ func New(vs *core.ViewSet, db *storage.Database, opt Options) (*Engine, error) {
 		memo:        containment.NewMemo(),
 		catalog:     cost.NewCatalog(db),
 		constViews:  viewsHaveConstants(vs.Views()),
+		compViews:   slices.ContainsFunc(vs.Views(), func(v *cq.Query) bool { return len(v.Comparisons) > 0 }),
 		cache:       newLRU(opt.CacheSize),
 		inflight:    make(map[string]*flight),
 		perStrategy: make(map[Strategy]*StrategyStats),
@@ -1074,9 +1079,12 @@ func (e *Engine) planEquivalent(p *Plan, qc *cq.Query) bool {
 	return true
 }
 
-// planMiniCon builds the MiniCon maximally-contained rewriting of qc.
+// planMiniCon builds the MiniCon maximally-contained rewriting of qc. Its
+// candidates are verified only where comparisons make MCD formation
+// unsound: in qc or in a view.
 func (e *Engine) planMiniCon(p *Plan, qc *cq.Query) error {
-	u, _, err := minicon.Rewrite(qc, e.views, minicon.Options{VerifyCandidates: true, KeepComparisons: true})
+	verify := e.compViews || len(qc.Comparisons) > 0
+	u, _, err := minicon.Rewrite(qc, e.views, minicon.Options{VerifyCandidates: verify, KeepComparisons: true})
 	if err != nil {
 		return err
 	}

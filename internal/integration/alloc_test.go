@@ -17,7 +17,11 @@ var raceEnabled bool
 // id-indexed representation (PR 18) the counts were 3 310 for minicon.Rewrite
 // and 242 for core.Rewriter.Rewrite, and minicon.Rewrite made 210 while it
 // deduplicated candidates by rendered text; the budgets are the counts
-// measured since, plus a tenth.
+// measured since, plus a tenth. The engine verifies MiniCon's candidates
+// only when the query or a view has comparisons, so a comparison-free miss
+// pays the unverified count (116; 165 verified, the count it paid while
+// every candidate was verified). core.Rewriter.Rewrite made 42 here until
+// it stopped before minimising a query with a predicate no view can cover.
 func TestPlanMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -30,13 +34,22 @@ func TestPlanMissAllocs(t *testing.T) {
 	// the engine runs both searches on such a miss.
 	qc := cq.CanonicalizeTemplate(cq.MustParseQuery("q(X3) :- p7(c0,X1), p8(X1,X2), p1(X2,X3)")).PlanQuery()
 
-	u, _, err := minicon.Rewrite(qc, vs, minicon.Options{VerifyCandidates: true})
-	if err != nil || u.Len() == 0 {
-		t.Fatalf("minicon: union %v, err %v", u, err)
-	}
-	got := testing.AllocsPerRun(50, func() { minicon.Rewrite(qc, vs, minicon.Options{VerifyCandidates: true}) })
-	if budget := 181.0; got > budget { // measured 165
-		t.Errorf("minicon.Rewrite: %.0f allocs per run, budget %.0f", got, budget)
+	for _, c := range []struct {
+		verify bool
+		budget float64
+	}{
+		{false, 128}, // measured 116
+		{true, 181},  // measured 165
+	} {
+		opt := minicon.Options{VerifyCandidates: c.verify}
+		u, _, err := minicon.Rewrite(qc, vs, opt)
+		if err != nil || u.Len() == 0 {
+			t.Fatalf("minicon %+v: union %v, err %v", opt, u, err)
+		}
+		got := testing.AllocsPerRun(50, func() { minicon.Rewrite(qc, vs, opt) })
+		if got > c.budget {
+			t.Errorf("minicon.Rewrite %+v: %.0f allocs per run, budget %.0f", opt, got, c.budget)
+		}
 	}
 
 	r := core.NewRewriter(vs)
@@ -44,8 +57,8 @@ func TestPlanMissAllocs(t *testing.T) {
 	if rws, _ := r.Rewrite(qc); len(rws) != 0 {
 		t.Fatalf("core: unexpected equivalent rewriting %v", rws[0].Query)
 	}
-	got = testing.AllocsPerRun(50, func() { r.Rewrite(qc) })
-	if budget := 46.0; got > budget { // measured 42
+	got := testing.AllocsPerRun(50, func() { r.Rewrite(qc) })
+	if budget := 2.0; got > budget { // measured 0
 		t.Errorf("core.Rewriter.Rewrite: %.0f allocs per run, budget %.0f", got, budget)
 	}
 }

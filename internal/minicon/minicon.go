@@ -99,21 +99,23 @@ func (m *MCD) isExposed(t int32) bool {
 	return t < 0 || m.exposed[t] != 0
 }
 
-// equate merges two view terms, maintaining exposure marks. It fails on two
-// distinct constants.
+// equate merges two view terms. It fails on two distinct constants, and on
+// a class with an existential root: the head homomorphism maps only
+// distinguished variables, so an existential is equal to nothing but itself
+// — merged with another class or bound to a constant, the view's expansion
+// would lose the join or the constant.
 func (m *MCD) equate(a, b int32) bool {
 	a, b = m.find(a), m.find(b)
 	switch {
 	case a == b:
 		return true
-	case a >= 0:
+	case a >= 0 && m.exposed[a] == 0, b >= 0 && m.exposed[b] == 0:
+		return false
+	case a >= 0: // both exposed: the merged class stays exposed
 		m.parent[a] = b
-		if m.exposed[a] != 0 && b >= 0 {
-			m.exposed[b] = 1
-		}
 		return true
 	case b >= 0:
-		m.parent[b] = a // a is a constant: exposure preserved trivially
+		m.parent[b] = a
 		return true
 	default:
 		return false
@@ -186,9 +188,10 @@ type Stats struct {
 // Options configures the algorithm.
 type Options struct {
 	// VerifyCandidates re-checks each combined rewriting by unfolding and
-	// containment. The MiniCon property makes combinations sound by
-	// construction for pure conjunctive queries; verification is a safety
-	// net (and is what the F1–F3 benches toggle to measure its cost).
+	// containment. MCD formation makes every combination sound by
+	// construction for pure conjunctive queries, so verification is needed
+	// only when the query or a view has comparisons; the F1–F3 experiments
+	// toggle it to measure its cost.
 	VerifyCandidates bool
 	// SkipMinimizeUnion returns the raw union without subsumption pruning.
 	SkipMinimizeUnion bool
@@ -376,16 +379,8 @@ func (f *former) cover(m *MCD, gi, ai int) bool {
 		}
 		vimg := m.find(vt)
 		if x == cq.ConstArg {
-			c := f.constant(g.Args[i])
-			switch {
-			case vimg < 0:
-				if vimg != c {
-					return false
-				}
-			case m.exposed[vimg] != 0:
-				m.equate(vimg, c) // bind the distinguished variable to the constant
-			default:
-				return false // existential cannot enforce a constant
+			if !m.equate(vimg, f.constant(g.Args[i])) {
+				return false
 			}
 			continue
 		}

@@ -99,30 +99,47 @@ func TestFormMCDsConstants(t *testing.T) {
 }
 
 func TestFormMCDsBranchingClosure(t *testing.T) {
-	// Covering t(W) can use t(1) (binding W to the constant) or t(C)
-	// (keeping W existential): the exhaustive closure must produce both
-	// variants, since they combine differently.
-	q := mustQ("q(X) :- r(X,Z), s(Z,W), t(W)")
-	vs := viewSet("v(A) :- r(A,B), s(B,C), t(1), t(C)")
+	// Covering t(W,Y) can use t(C,D) (Y on D) or t(C,1) (Y bound to the
+	// constant): the exhaustive closure must produce both variants, since
+	// they combine differently.
+	q := mustQ("q(X) :- r(X,Z), s(Z,W), t(W,Y)")
+	vs := viewSet("v(A) :- r(A,B), s(B,C), t(C,D), t(C,1)")
 	mcds := formMCDs(q, vs)
-	if len(mcds) < 2 {
-		t.Fatalf("branching closure lost variants: %v", mcds)
-	}
-	// Among the full-coverage closures, both W variants must appear.
-	constVariant, existVariant := false, false
+	var ys []string
 	for _, m := range mcds {
-		if len(m.Covers()) != 3 {
-			continue // e.g. the standalone t-cover with W bound to 1
-		}
-		img, _ := m.image("W")
-		if img.IsConst() {
-			constVariant = true
-		} else {
-			existVariant = true
+		if len(m.Covers()) == 3 {
+			img, _ := m.image("Y")
+			ys = append(ys, img.String())
 		}
 	}
-	if !constVariant || !existVariant {
-		t.Fatalf("missing W variant: const=%v exist=%v (%v)", constVariant, existVariant, mcds)
+	if len(ys) != 2 || ys[0] != "D" || ys[1] != "1" {
+		t.Fatalf("full covers map Y to %v, want [D 1] (%v)", ys, mcds)
+	}
+
+	// The head homomorphism maps distinguished variables only: once W lands
+	// on the existential C, t(W) may not be covered by t(1), so the only
+	// full cover keeps W on C.
+	q = mustQ("q(X) :- r(X,Z), s(Z,W), t(W)")
+	vs = viewSet("v(A) :- r(A,B), s(B,C), t(1), t(C)")
+	for _, m := range formMCDs(q, vs) {
+		if img, _ := m.image("W"); len(m.Covers()) == 3 && img.IsConst() {
+			t.Fatalf("existential bound to a constant: %v", m)
+		}
+	}
+}
+
+// TestRandom174SoundWithoutVerification is the smallest theorem case (random,
+// seed 174) whose unverified union held an unsound member while MCD
+// formation could equate an existential: covering p3(X0,X0) with v0's
+// p3(A,B) merged the existential B into A, so q(X0) :- v0(X0), v3(X0,X2)
+// was formed, whose expansion has no p3(Y,Y) atom. No view can produce
+// one, so the maximally-contained rewriting is empty.
+func TestRandom174SoundWithoutVerification(t *testing.T) {
+	q := mustQ("q(X1) :- p3(X0,X0), p3(X1,X0), p1(X0,X2)")
+	vs := viewSet("v0(A) :- p3(A,B), p1(B,C)", "v3(A,B) :- p1(A,B)")
+	u, _, err := Rewrite(q, vs, Options{SkipMinimizeUnion: true})
+	if err != nil || u.Len() != 0 {
+		t.Fatalf("union %v, err %v; want none", u, err)
 	}
 }
 
