@@ -111,15 +111,17 @@ func (c *Catalog) distinctAt(pred string, col int) float64 {
 }
 
 // Estimate is the estimated evaluation of one query: the number of
-// intermediate tuples produced by a left-deep plan in the datalog
-// evaluator's greedy join order.
+// intermediate tuples produced by a left-deep plan in the greedy join order
+// of the datalog naive interpreter's planOrder, which ranks atoms by bound
+// arguments and then by rows alone (see EstimateQueryWith).
 type Estimate struct {
 	// Cost is the total intermediate-result size (the quantity a nested-
 	// loop evaluator is proportional to).
 	Cost float64
 	// Cardinality is the estimated output size before projection.
 	Cardinality float64
-	// Order is the join order used, as body indexes.
+	// Order is the join order used, as body indexes. A compiled plan may
+	// execute its steps in another order (see EstimateQueryWith).
 	Order []int
 }
 
@@ -134,6 +136,12 @@ func EstimateQuery(c *Catalog, q *cq.Query) Estimate {
 // their distinct counts exactly like constants, so point-lookup templates
 // cost like point lookups rather than full scans.
 func EstimateQueryWith(c *Catalog, q *cq.Query, boundVars []string) Estimate {
+	return estimate(c, q, boundVars, true)
+}
+
+// estimate is EstimateQueryWith, recording the join order in Order only
+// when order is set.
+func estimate(c *Catalog, q *cq.Query, boundVars []string, order bool) Estimate {
 	type state struct {
 		bound map[string]bool
 	}
@@ -146,9 +154,18 @@ func EstimateQueryWith(c *Catalog, q *cq.Query, boundVars []string) Estimate {
 		remaining = append(remaining, i)
 	}
 	est := Estimate{Cardinality: 1}
+	if order {
+		est.Order = make([]int, 0, len(q.Body))
+	}
 	for len(remaining) > 0 {
-		// Mirror datalog.planOrder: most bound arguments first, then
-		// smaller relation.
+		// Order like the naive interpreter's planOrder (datalog's
+		// EvalQueryNaive): most bound arguments first, then the smaller
+		// relation, by rows alone. A compiled plan (datalog's chooseNext)
+		// also divides rows by the distinct counts of the bound columns, so
+		// it can execute its steps in another order than Order: once X is
+		// bound, r(X,Y) (1 000 rows, 1 000 distinct X) estimates 1 row and
+		// s(X,Z) (100 rows, one distinct X) 100, so the compiled plan joins
+		// r first where Order puts s first.
 		best, bestScore, bestRows := -1, -1.0, 0.0
 		for _, idx := range remaining {
 			a := q.Body[idx]
@@ -175,7 +192,9 @@ func EstimateQueryWith(c *Catalog, q *cq.Query, boundVars []string) Estimate {
 		size = math.Max(size, 1.0/c.RowsSafe(a.Pred))
 		est.Cardinality *= size
 		est.Cost += est.Cardinality
-		est.Order = append(est.Order, best)
+		if order {
+			est.Order = append(est.Order, best)
+		}
 		for _, t := range a.Args {
 			if t.IsVar() {
 				st.bound[t.Lex] = true
@@ -206,7 +225,7 @@ func EstimateUnion(c *Catalog, u *cq.Union) Estimate {
 func EstimateUnionWith(c *Catalog, u *cq.Union, boundVars []string) Estimate {
 	var total Estimate
 	for _, m := range u.Queries {
-		e := EstimateQueryWith(c, m, boundVars)
+		e := estimate(c, m, boundVars, false)
 		total.Cost += e.Cost
 		total.Cardinality += e.Cardinality
 	}

@@ -122,6 +122,39 @@ func TestEstimateQueryWithBoundDrivesJoinOrder(t *testing.T) {
 	}
 }
 
+// TestEstimateOrdersByRowsAlone pins the documented gap between Order and a
+// compiled plan's step order: among atoms with as many bound columns, the
+// estimate takes the one with fewer rows, whatever its distinct counts.
+// With X bound, s(X,Z) (100 rows, one distinct X) goes before r(X,Y) (1 000
+// rows, 1 000 distinct X) here, though a compiled plan joins r first.
+func TestEstimateOrdersByRowsAlone(t *testing.T) {
+	c := NewCatalog(storage.NewDatabase())
+	c.SetRelation("r", 1000, []float64{1000, 1000})
+	c.SetRelation("s", 100, []float64{1, 100})
+	e := EstimateQueryWith(c, mustQ("q(Y,Z) :- r(X,Y), s(X,Z)"), []string{"X"})
+	if !reflect.DeepEqual(e.Order, []int{1, 0}) {
+		t.Fatalf("order = %v, want s before r", e.Order)
+	}
+}
+
+// TestEstimateUnionBuildsNoOrder: a union's estimate sums its members' costs
+// and has no join order of its own.
+func TestEstimateUnionBuildsNoOrder(t *testing.T) {
+	c := NewCatalog(sampleDB())
+	u := cq.NewUnion(mustQ("q(X) :- big(X,P), small(P)"), mustQ("q(X) :- small(X)"))
+	e := EstimateUnion(c, u)
+	if e.Order != nil {
+		t.Fatalf("union order = %v, want none", e.Order)
+	}
+	var cost float64
+	for _, m := range u.Queries {
+		cost += EstimateQuery(c, m).Cost
+	}
+	if e.Cost != cost {
+		t.Fatalf("union cost %v, want the members' sum %v", e.Cost, cost)
+	}
+}
+
 func TestChooseWithBoundParams(t *testing.T) {
 	// v_wide is cheaper scanned cold, but with the parameter bound the
 	// highly selective v_sel wins: ChooseWith must flip the decision.

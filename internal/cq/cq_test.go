@@ -235,6 +235,54 @@ func TestQueryCloneIndependence(t *testing.T) {
 	if q.Body[0].Args[0] != Var("X") || q.Comparisons[0].Op != Lt {
 		t.Fatal("Clone shares state with original")
 	}
+
+	// A clone's atoms are windows onto one array of terms: appending to one
+	// atom's arguments must leave its neighbours, the head and the original
+	// as they were.
+	const src = "q(X,Z) :- r(X,Y), s(Y,Z), t(Z,X)."
+	q = MustParseQuery(src)
+	c = q.Clone()
+	c.Body[0].Args = append(c.Body[0].Args, Const("extra"))
+	c.Body[1].Args = append(c.Body[1].Args, Const("extra"))
+	if got := c.String(); got != "q(X,Z) :- r(X,Y,extra), s(Y,Z,extra), t(Z,X)." {
+		t.Fatalf("appending to cloned atoms gave %s", got)
+	}
+	c.Body[2].Args = append(c.Body[2].Args, Const("extra"))
+	if c.Head.Args[0] != Var("X") || len(c.Head.Args) != 2 || q.String() != src {
+		t.Fatalf("appending to the last atom wrote into the head or the original: %s, original %s", c, q)
+	}
+
+	// PlanQuery appends the placeholders to a clone's head; appending to
+	// that head again must not reach the body or the template.
+	tmpl := CanonicalizeTemplate(MustParseQuery("q(X) :- r(X,Y), s(Y,c1)"))
+	want := tmpl.Query.String()
+	pq := tmpl.PlanQuery()
+	_, body, _ := strings.Cut(pq.String(), " :- ")
+	pq.Head.Args = append(pq.Head.Args, Const("extra"))
+	_, after, _ := strings.Cut(pq.String(), " :- ")
+	if tmpl.Query.String() != want || after != body {
+		t.Fatalf("appending to PlanQuery's head changed the template %s (was %s) or the body %s (was %s)", tmpl.Query, want, after, body)
+	}
+}
+
+// TestQueryCloneAllocs guards what a deep copy allocates: the query, its
+// body and one array of terms for every atom's and the head's arguments,
+// whatever the body length. Each atom and the head had its own array before,
+// 2 + atoms + head allocations (6 for three atoms).
+func TestQueryCloneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, src := range []string{
+		"q(X) :- r(X,Y)",
+		"q(X3) :- p1(c0,X1), p2(X1,X2), p3(X2,X3)",
+		"q(X0,X9) :- p0(X0,X1), p1(X1,X2), p2(X2,X3), p3(X3,X4), p4(X4,X5), p5(X5,X6), p6(X6,X7), p7(X7,X8), p8(X8,X9)",
+	} {
+		q := MustParseQuery(src)
+		if got := testing.AllocsPerRun(100, func() { q.Clone() }); got > 3 {
+			t.Errorf("%s: Clone made %.0f allocations, want at most 3", src, got)
+		}
+	}
 }
 
 func TestQueryString(t *testing.T) {

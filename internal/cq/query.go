@@ -36,15 +36,29 @@ func (q *Query) Name() string { return q.Head.Pred }
 // Arity returns the head arity.
 func (q *Query) Arity() int { return len(q.Head.Args) }
 
-// Clone returns a deep copy of the query.
+// Clone returns a deep copy of the query. The arguments of the head and of
+// every body atom are windows onto one []Term, each capped at its own
+// length, so appending to one atom's Args reallocates it and never writes
+// into a neighbour's: a clone costs three allocations whatever its length
+// (four with comparisons).
 func (q *Query) Clone() *Query {
+	n := len(q.Head.Args)
+	for _, a := range q.Body {
+		n += len(a.Args)
+	}
+	terms := make([]Term, 0, n)
+	window := func(args []Term) []Term {
+		start := len(terms)
+		terms = append(terms, args...)
+		return terms[start:len(terms):len(terms)]
+	}
 	body := make([]Atom, len(q.Body))
 	for i, a := range q.Body {
-		body[i] = a.Clone()
+		body[i] = Atom{Pred: a.Pred, Args: window(a.Args)}
 	}
 	comps := make([]Comparison, len(q.Comparisons))
 	copy(comps, q.Comparisons)
-	return &Query{Head: q.Head.Clone(), Body: body, Comparisons: comps}
+	return &Query{Head: Atom{Pred: q.Head.Pred, Args: window(q.Head.Args)}, Body: body, Comparisons: comps}
 }
 
 // Vars returns the set of variables occurring anywhere in the query, in

@@ -168,7 +168,6 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 	isParam := make(map[string]bool, len(params))
 	for _, v := range params {
 		isParam[v] = true
-		p.paramSlots = append(p.paramSlots, slotOf(v))
 	}
 	keep := func(t cq.Term) bool { return needed[t.Lex] || occ[t.Lex] > 1 || isParam[t.Lex] }
 
@@ -179,15 +178,35 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 		}
 	}
 
+	// The plan is a fixed set of arrays, each sized before it is filled:
+	// every step's column ops are windows onto one []colOp, every
+	// component's steps onto one []compiledStep, and the parameter and head
+	// slots onto one []int.
+	comps := splitComponents(q)
+	nslots := len(params)
+	for i := range comps {
+		nslots += len(comps[i].headVars)
+	}
+	slotBuf := make([]int, 0, nslots)
+	for _, v := range params {
+		slotBuf = append(slotBuf, slotOf(v))
+	}
+	p.paramSlots = slotBuf[:len(params):len(params)]
+	ops := make([]colOp, countOps(q.Body, keep))
+	steps := make([]compiledStep, 0, len(q.Body))
+	remaining := make([]int, 0, len(q.Body))
+	p.components = make([]compiledComponent, 0, len(comps))
+
 	bound := make(map[string]bool, len(params))
 	for _, v := range params {
 		bound[v] = true
 	}
-	for _, comp := range splitComponents(q) {
-		cc := compiledComponent{}
+	for _, comp := range comps {
+		firstSlot := len(slotBuf)
 		for _, v := range comp.headVars {
-			cc.headSlots = append(cc.headSlots, slotOf(v))
+			slotBuf = append(slotBuf, slotOf(v))
 		}
+		cc := compiledComponent{headSlots: slotBuf[firstSlot:len(slotBuf):len(slotBuf)]}
 		var pending []cq.Comparison
 		for _, c := range comp.comps {
 			if c.Left.IsConst() && c.Right.IsConst() {
@@ -196,18 +215,20 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 			pending = append(pending, c)
 		}
 
-		remaining := make([]int, len(comp.atoms))
-		for i := range remaining {
-			remaining[i] = i
+		remaining = remaining[:0]
+		for i := range comp.atoms {
+			remaining = append(remaining, i)
 		}
+		firstStep := len(steps)
 		for len(remaining) > 0 {
 			next := chooseNext(comp.atoms, remaining, bound, cat)
-			a := comp.atoms[next]
-			step := lowerAtom(a, bound, slotOf, keep, cat)
+			var step compiledStep
+			step, ops = lowerAtom(comp.atoms[next], bound, slotOf, keep, cat, ops)
 			pending = attachComparisons(&step, pending, bound, slots)
-			cc.steps = append(cc.steps, step)
+			steps = append(steps, step)
 			remaining = removeIdx(remaining, next)
 		}
+		cc.steps = steps[firstStep:len(steps):len(steps)]
 		if len(pending) > 0 {
 			// A comparison variable occurs in no relational subgoal of its
 			// component (an unsafe query): no binding can satisfy it.
@@ -216,11 +237,12 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 		p.components = append(p.components, cc)
 	}
 
-	for _, t := range q.Head.Args {
+	p.head = make([]headOp, len(q.Head.Args))
+	for i, t := range q.Head.Args {
 		if t.IsVar() {
-			p.head = append(p.head, headOp{slot: slotOf(t.Lex)})
+			p.head[i] = headOp{slot: slotOf(t.Lex)}
 		} else {
-			p.head = append(p.head, headOp{slot: -1, constVal: t.Lex})
+			p.head[i] = headOp{slot: -1, constVal: t.Lex}
 		}
 	}
 	return p
@@ -274,10 +296,27 @@ func chooseNext(atoms []cq.Atom, remaining []int, bound map[string]bool, cat *co
 	return best
 }
 
+// countOps is the number of column ops the atoms compile to: one per
+// constant and per kept variable (see lowerAtom).
+func countOps(atoms []cq.Atom, keep func(cq.Term) bool) int {
+	n := 0
+	for _, a := range atoms {
+		for _, t := range a.Args {
+			if t.IsConst() || keep(t) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // lowerAtom compiles one atom into a step, updating bound as it assigns
 // slots. Among the bound columns the probe targets the one with the most
-// distinct values (the most selective index).
-func lowerAtom(a cq.Atom, bound map[string]bool, slotOf func(string) int, keep func(cq.Term) bool, cat *cost.Catalog) compiledStep {
+// distinct values (the most selective index). The step's ops are written
+// to the front of backing, which must hold them (countOps); lowerAtom
+// returns the rest of it. A probing step's first op checks the probed
+// column, so its opsIndexed are its ops without the first.
+func lowerAtom(a cq.Atom, bound map[string]bool, slotOf func(string) int, keep func(cq.Term) bool, cat *cost.Catalog, backing []colOp) (compiledStep, []colOp) {
 	step := compiledStep{pred: a.Pred, probeCol: -1, probeSlot: -1}
 	bestDistinct := 0.0
 	for col, t := range a.Args {
@@ -292,15 +331,29 @@ func lowerAtom(a cq.Atom, bound map[string]bool, slotOf func(string) int, keep f
 			}
 		}
 	}
+	n := 0
+	if step.probeCol >= 0 {
+		// The probed column was constant or bound before this step, so its
+		// op is a check that can run first.
+		backing[0] = colOp{action: colCheckConst, col: step.probeCol, constVal: step.probeConst}
+		if step.probeSlot >= 0 {
+			backing[0] = colOp{action: colCheckSlot, col: step.probeCol, slot: step.probeSlot}
+		}
+		n = 1
+	}
 	binds, ignored := 0, false
 	for col, t := range a.Args {
 		switch {
+		case col == step.probeCol:
 		case t.IsConst():
-			step.ops = append(step.ops, colOp{action: colCheckConst, col: col, constVal: t.Lex})
+			backing[n] = colOp{action: colCheckConst, col: col, constVal: t.Lex}
+			n++
 		case bound[t.Lex]:
-			step.ops = append(step.ops, colOp{action: colCheckSlot, col: col, slot: slotOf(t.Lex)})
+			backing[n] = colOp{action: colCheckSlot, col: col, slot: slotOf(t.Lex)}
+			n++
 		case keep(t):
-			step.ops = append(step.ops, colOp{action: colBind, col: col, slot: slotOf(t.Lex)})
+			backing[n] = colOp{action: colBind, col: col, slot: slotOf(t.Lex)}
+			n++
 			bound[t.Lex] = true
 			binds++
 		default:
@@ -309,18 +362,12 @@ func lowerAtom(a cq.Atom, bound map[string]bool, slotOf func(string) int, keep f
 	}
 	step.existential = binds == 0
 	step.dedup = ignored && binds > 0
+	step.ops = backing[:n:n]
 	step.opsIndexed = step.ops
 	if step.probeCol >= 0 {
-		// The probed column is always a check (it was const or bound);
-		// drop it from the indexed op list.
-		step.opsIndexed = make([]colOp, 0, len(step.ops)-1)
-		for _, op := range step.ops {
-			if op.col != step.probeCol {
-				step.opsIndexed = append(step.opsIndexed, op)
-			}
-		}
+		step.opsIndexed = step.ops[1:]
 	}
-	return step
+	return step, backing[n:]
 }
 
 // attachComparisons moves every comparison whose operands are now bound

@@ -102,6 +102,21 @@ func TestCompiledMatchesNaiveRandom(t *testing.T) {
 	}
 }
 
+// TestCompiledOrderDiscountsBoundColumns is the compiled half of the gap
+// cost.Estimate's Order documents: with X bound, r(X,Y) (1 000 rows, 1 000
+// distinct X) estimates one candidate and s(X,Z) (100 rows, one distinct X)
+// a hundred, so the plan joins r first, where the estimate, by rows alone,
+// puts s first (cost's TestEstimateOrdersByRowsAlone).
+func TestCompiledOrderDiscountsBoundColumns(t *testing.T) {
+	cat := cost.NewCatalog(storage.NewDatabase())
+	cat.SetRelation("r", 1000, []float64{1000, 1000})
+	cat.SetRelation("s", 100, []float64{1, 100})
+	p := CompileParams(mustQ("q(Y,Z) :- r(X,Y), s(X,Z)"), []string{"X"}, cat)
+	if steps := p.components[0].steps; steps[0].pred != "r" || steps[1].pred != "s" {
+		t.Fatalf("compiled order:\n%s want r before s", p.Describe())
+	}
+}
+
 // TestCompiledDisconnected covers the decomposition shapes explicitly:
 // cross products, existence-only components, and constant-only heads.
 func TestCompiledDisconnected(t *testing.T) {

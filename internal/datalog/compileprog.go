@@ -377,8 +377,11 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 			remaining = append(remaining, i)
 		}
 	}
+	ops := make([]colOp, countOps(r.Body, keep))
+	v.steps = make([]compiledStep, 0, len(r.Body))
 	lower := func(idx int) {
-		step := lowerAtom(r.Body[idx], bound, slotOf, keep, cat)
+		var step compiledStep
+		step, ops = lowerAtom(r.Body[idx], bound, slotOf, keep, cat, ops)
 		pending = attachComparisons(&step, pending, bound, slots)
 		v.steps = append(v.steps, step)
 	}

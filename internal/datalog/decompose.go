@@ -1,6 +1,10 @@
 package datalog
 
-import "repro/internal/cq"
+import (
+	"slices"
+
+	"repro/internal/cq"
+)
 
 // Connected-component decomposition. A conjunctive query whose join graph
 // is disconnected would otherwise evaluate as a cross product of its
@@ -20,16 +24,19 @@ type component struct {
 }
 
 // splitComponents partitions the body atoms and comparisons of q into
-// connected components. Comparisons act as edges too: a comparison whose
-// variables span two components merges them.
+// connected components, numbered by their first atom. Comparisons act as
+// edges too: a comparison whose variables span two components merges them.
+// A connected body is its own one component's atoms.
 func splitComponents(q *cq.Query) []component {
 	n := len(q.Body)
-	parent := make([]int, n)
+	// parent is the union-find forest over the body atoms; num then numbers
+	// each root's component.
+	buf := make([]int, 2*n)
+	parent, num := buf[:n], buf[n:]
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -54,63 +61,58 @@ func splitComponents(q *cq.Query) []component {
 	}
 	// Comparisons connect the atoms owning their variables.
 	for _, c := range q.Comparisons {
-		var owners []int
-		for _, t := range []cq.Term{c.Left, c.Right} {
-			if t.IsVar() {
-				if j, ok := varFirst[t.Lex]; ok {
-					owners = append(owners, j)
-				}
-			}
-		}
-		for i := 1; i < len(owners); i++ {
-			union(owners[0], owners[i])
+		l, lok := varFirst[c.Left.Lex]
+		r, rok := varFirst[c.Right.Lex]
+		if lok && rok && c.Left.IsVar() && c.Right.IsVar() {
+			union(l, r)
 		}
 	}
 
-	groups := make(map[int]*component)
-	var order []int
-	for i, a := range q.Body {
-		root := find(i)
-		g, ok := groups[root]
-		if !ok {
-			g = &component{}
-			groups[root] = g
-			order = append(order, root)
+	// Number the components in order of their first atoms (num holds the
+	// number plus one, so zero means unnumbered).
+	k := 0
+	for i := range q.Body {
+		if r := find(i); num[r] == 0 {
+			k++
+			num[r] = k
 		}
-		g.atoms = append(g.atoms, a)
+	}
+	compOf := func(atom int) int { return num[find(atom)] - 1 }
+	out := make([]component, k)
+	if k == 1 {
+		out[0].atoms = q.Body
+		out[0].headVars = make([]string, 0, len(q.Head.Args))
+	} else {
+		for i, a := range q.Body {
+			c := compOf(i)
+			out[c].atoms = append(out[c].atoms, a)
+		}
 	}
 	for _, c := range q.Comparisons {
-		root := -1
-		for _, t := range []cq.Term{c.Left, c.Right} {
-			if t.IsVar() {
-				if j, ok := varFirst[t.Lex]; ok {
-					root = find(j)
-					break
-				}
+		// A comparison whose variables no atom binds (a constant-only one,
+		// say) attaches to the first component: it filters everything or
+		// nothing.
+		target := 0
+		for _, t := range [2]cq.Term{c.Left, c.Right} {
+			if j, ok := varFirst[t.Lex]; ok && t.IsVar() {
+				target = compOf(j)
+				break
 			}
 		}
-		if root >= 0 {
-			groups[root].comps = append(groups[root].comps, c)
-		} else if len(order) > 0 {
-			// Constant-only comparison: attach to the first component (it
-			// filters everything or nothing).
-			groups[order[0]].comps = append(groups[order[0]].comps, c)
+		if target < k {
+			out[target].comps = append(out[target].comps, c)
 		}
 	}
-	// Record which head variables each component provides.
-	seen := make(map[string]bool)
-	for _, t := range q.Head.Args {
-		if !t.IsVar() || seen[t.Lex] {
+	// Record which head variables each component provides, in
+	// first-occurrence order of the query head.
+	for i, t := range q.Head.Args {
+		if !t.IsVar() || slices.Contains(q.Head.Args[:i], t) {
 			continue
 		}
-		seen[t.Lex] = true
 		if j, ok := varFirst[t.Lex]; ok {
-			groups[find(j)].headVars = append(groups[find(j)].headVars, t.Lex)
+			c := compOf(j)
+			out[c].headVars = append(out[c].headVars, t.Lex)
 		}
-	}
-	out := make([]component, 0, len(order))
-	for _, root := range order {
-		out = append(out, *groups[root])
 	}
 	return out
 }

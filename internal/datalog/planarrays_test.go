@@ -1,0 +1,140 @@
+package datalog
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/cost"
+	"repro/internal/cq"
+	"repro/internal/storage"
+)
+
+// A compiled plan is a fixed set of arrays: every step's column ops are
+// windows onto one []colOp, the steps onto one []compiledStep, and the
+// parameter and head slots onto one []int. These tests pin what compiling
+// allocates and that the windows never overlap.
+
+// chainQuery is q(X0,Xn) :- p0(X0,X1), ..., p{n-1}(X{n-1},Xn).
+func chainQuery(n int) *cq.Query {
+	atoms := make([]string, n)
+	for i := range atoms {
+		atoms[i] = fmt.Sprintf("p%d(X%d,X%d)", i, i, i+1)
+	}
+	return mustQ(fmt.Sprintf("q(X0,X%d) :- %s", n, strings.Join(atoms, ", ")))
+}
+
+// TestCompileParamsAllocs guards what compiling one plan allocates. Before
+// the plan's ops, steps and slots were each allocated once, as exactly
+// sized arrays, the three queries measured 25, 61 and 23: an allocation per
+// atom and per column op, and a map of components. The budgets are the
+// counts measured since (10, 22 and 13) plus about a tenth.
+func TestCompileParamsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := storage.NewDatabase()
+	for i := 0; i < 9; i++ {
+		for k := 0; k < 4; k++ {
+			db.Insert(fmt.Sprintf("p%d", i), storage.Tuple{fmt.Sprint(k), fmt.Sprint(k + 1)})
+		}
+	}
+	db.BuildIndexes()
+	cat := cost.NewCatalog(db)
+	for _, c := range []struct {
+		name   string
+		q      *cq.Query
+		budget float64
+	}{
+		{"3-atom chain", mustQ("q(X3) :- p1(c0,X1), p2(X1,X2), p3(X2,X3)"), 12}, // measured 10
+		{"9-atom chain", chainQuery(9), 26},                                     // measured 22
+		{"two components", mustQ("q(X,Y) :- p0(X,A), p1(Y,B)"), 15},             // measured 13
+	} {
+		got := testing.AllocsPerRun(100, func() { CompileParams(c.q, nil, cat) })
+		if got > c.budget {
+			t.Errorf("%s: CompileParams made %.0f allocations, budget %.0f", c.name, got, c.budget)
+		}
+	}
+}
+
+// goldenRewritings reads every rewriting the integration golden plans list,
+// with the parameters its strategy line names.
+func goldenRewritings(t *testing.T) (qs []*cq.Query, params [][]string) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "integration", "testdata", "plans", "*.golden"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("golden plans: %v (%d files)", err, len(files))
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ps []string
+		for _, line := range strings.Split(string(src), "\n") {
+			if _, rest, ok := strings.Cut(line, "params=["); ok {
+				list, _, _ := strings.Cut(rest, "]")
+				ps = strings.Fields(list)
+			}
+			if strings.HasPrefix(line, "    q(") {
+				q, err := cq.ParseQuery(strings.TrimSpace(line))
+				if err != nil {
+					t.Fatalf("%s: %q: %v", f, line, err)
+				}
+				qs, params = append(qs, q), append(params, ps)
+			}
+		}
+	}
+	return qs, params
+}
+
+// TestCompiledPlanWindows compiles every golden rewriting, without and with
+// statistics: each step's ops and opsIndexed are capped at their lengths, so
+// no step can append into a neighbour's ops; a probing step checks its
+// probed column first and indexes the rest; and compiling the same query
+// twice gives equal plans.
+func TestCompiledPlanWindows(t *testing.T) {
+	qs, params := goldenRewritings(t)
+	if len(qs) < 100 {
+		t.Fatalf("only %d golden rewritings", len(qs))
+	}
+	stats := cost.NewRowCatalog(storage.NewDatabase())
+	for _, q := range qs {
+		for i, a := range q.Body {
+			distinct := make([]float64, len(a.Args))
+			for col := range distinct {
+				distinct[col] = float64(1 + (i+col)%4)
+			}
+			stats.SetRelation(a.Pred, float64(10*len(a.Pred)+i), distinct)
+		}
+	}
+	for i, q := range qs {
+		for _, cat := range []*cost.Catalog{nil, stats} {
+			p := CompileParams(q, params[i], cat)
+			for _, c := range p.components {
+				for _, s := range c.steps {
+					if cap(s.ops) != len(s.ops) || cap(s.opsIndexed) != len(s.opsIndexed) {
+						t.Fatalf("%s, step %s: ops len %d cap %d, opsIndexed len %d cap %d",
+							q, s.pred, len(s.ops), cap(s.ops), len(s.opsIndexed), cap(s.opsIndexed))
+					}
+					want := s.ops
+					if s.probeCol >= 0 {
+						if s.ops[0].col != s.probeCol {
+							t.Fatalf("%s, step %s: first op checks column %d, probe is %d", q, s.pred, s.ops[0].col, s.probeCol)
+						}
+						want = s.ops[1:]
+					}
+					if !reflect.DeepEqual(s.opsIndexed, want) {
+						t.Fatalf("%s, step %s: opsIndexed %+v, want %+v", q, s.pred, s.opsIndexed, want)
+					}
+				}
+			}
+			if again := CompileParams(q, params[i], cat); !reflect.DeepEqual(p, again) {
+				t.Fatalf("%s: two compiles differ:\n%s\n%s", q, p.Describe(), again.Describe())
+			}
+		}
+	}
+}

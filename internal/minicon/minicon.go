@@ -569,18 +569,22 @@ func (f *former) candidate(mcds []*MCD, opt Options) *cq.Query {
 		}
 		return term(id)
 	}
-	cand := &cq.Query{Head: cq.Atom{Pred: f.q.Head.Pred, Args: make([]cq.Term, len(f.q.Head.Args))}, Body: make([]cq.Atom, len(mcds))}
+	// The head and every body atom are windows onto one array of terms,
+	// each capped at its own length; the body's terms are f.codes in order.
+	nh := len(f.q.Head.Args)
+	terms := make([]cq.Term, nh+len(f.codes))
+	cand := &cq.Query{Head: cq.Atom{Pred: f.q.Head.Pred, Args: terms[:nh:nh]}, Body: make([]cq.Atom, len(mcds))}
 	for i, id := range f.nq.Head() {
 		cand.Head.Args[i] = resolved(id, f.q.Head.Args[i])
 	}
-	codes := f.codes
+	body := terms[nh:]
+	for k, code := range f.codes {
+		body[k] = term(code)
+	}
 	for i, m := range mcds {
-		args := make([]cq.Term, len(m.View.Head.Args))
-		for j := range args {
-			args[j] = term(codes[j])
-		}
-		codes = codes[len(args):]
-		cand.Body[i] = cq.Atom{Pred: m.View.Name(), Args: args}
+		n := len(m.View.Head.Args)
+		cand.Body[i] = cq.Atom{Pred: m.View.Name(), Args: body[:n:n]}
+		body = body[n:]
 	}
 	if opt.KeepComparisons {
 		// Keep only comparisons whose terms are exposed in the body.
