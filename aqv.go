@@ -165,8 +165,9 @@ var (
 	Expand = core.Expand
 	// VerifyRewriting checks a candidate rewriting from scratch.
 	VerifyRewriting = core.VerifyRewriting
-	// Usable reports whether a view can participate in an equivalent
-	// rewriting of the query.
+	// Usable reports whether a view has a valid application to the query,
+	// the test the equivalent-rewriting search builds candidates from; a
+	// view it rejects may still occur in an equivalent rewriting.
 	Usable = core.Usable
 )
 

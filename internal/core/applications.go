@@ -145,11 +145,16 @@ func checkApplication(v *View, q *cq.Query, s *containment.Search, covers []int)
 }
 
 // Usable reports whether view v has at least one valid application to
-// (minimised) q. This is the operational usability test of the paper: a
-// view with no valid application cannot occur in any equivalent complete
-// rewriting of a minimised query. Deciding usability is NP-complete in the
-// size of the view (R3); this implementation backtracks over body mappings
-// and stops at the first valid application.
+// (minimised) q — the test the rewriter's cover search applies, which
+// builds candidates from valid applications alone, so every view of a
+// rewriting it returns is usable. The converse does not hold: a view with
+// no valid application can still occur in an equivalent complete
+// rewriting, when each head term its existentials hide is exposed by
+// another view of the rewriting (TestUsableMissesEquivalentRewriting).
+// Validity judges one application as if it alone had to expose every
+// needed term of the atoms it covers. Deciding usability is NP-complete in
+// the size of the view (R3); this implementation backtracks over body
+// mappings and stops at the first valid application.
 func Usable(v, q *cq.Query) bool {
 	var s containment.Search
 	iv, qm := newView(v), s.Minimize(q)

@@ -216,6 +216,27 @@ func TestUsable(t *testing.T) {
 	}
 }
 
+// TestUsableMissesEquivalentRewriting: usability is not necessary for
+// occurring in an equivalent rewriting. v2's only homomorphism into q maps
+// its existential Y1 to the head variable X1, so v2 has no valid
+// application, yet q :- v0, v2, v3 is equivalent to q, because v0 exposes
+// X1.
+func TestUsableMissesEquivalentRewriting(t *testing.T) {
+	q := mustQ("q(X0,X1,X2,X3) :- p1(X0,X1), p2(X0,X2), p3(X0,X3)")
+	vs := views(
+		"v0(Y0,Y1) :- p1(Y0,Y1)",
+		"v2(Y0,Y2) :- p2(Y0,Y2), p1(Y0,Y1), p3(Y0,Y3)",
+		"v3(Y0,Y3) :- p1(Y0,Y1), p3(Y0,Y3), p2(Y0,Y2)",
+	)
+	ok, err := VerifyRewriting(q, mustQ("q(X0,X1,X2,X3) :- v0(X0,X1), v2(X0,X2), v3(X0,X3)"), vs)
+	if err != nil || !ok {
+		t.Fatalf("VerifyRewriting = %v, %v; want an equivalent rewriting", ok, err)
+	}
+	if Usable(vs.Lookup("v2"), q) {
+		t.Fatal("Usable(v2, q) = true; v2's only application hides the head variable X1")
+	}
+}
+
 func TestRewriteSingleViewExact(t *testing.T) {
 	vs := views("v(A,B) :- r(A,C), s(C,B)")
 	r := NewRewriter(vs)

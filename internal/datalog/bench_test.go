@@ -93,6 +93,14 @@ func BenchmarkEvalStar(b *testing.B) {
 // BenchmarkEvalDontCare is the projection-pushdown shape from the F7
 // ablation: wide tuples whose trailing columns are don't-care.
 func BenchmarkEvalDontCare(b *testing.B) {
+	db, q := dontCareShape()
+	benchEvalRoutes(b, db, q)
+}
+
+// dontCareShape is BenchmarkEvalDontCare's database and query: every step
+// of the plan binds a column and skips another, so each deduplicates the
+// bindings of its candidates.
+func dontCareShape() (*storage.Database, *cq.Query) {
 	rng := rand.New(rand.NewSource(53))
 	db := storage.NewDatabase()
 	for i := 0; i < 1500; i++ {
@@ -101,8 +109,7 @@ func BenchmarkEvalDontCare(b *testing.B) {
 			fmt.Sprint(rng.Intn(5)), fmt.Sprint(i),
 		})
 	}
-	q := cq.MustParseQuery("q(X0,X3) :- v(X0,X1,F0,F1), v(F2,X1,X2,F3), v(F4,F5,X2,X3)")
-	benchEvalRoutes(b, db, q)
+	return db, cq.MustParseQuery("q(X0,X3) :- v(X0,X1,F0,F1), v(F2,X1,X2,F3), v(F4,F5,X2,X3)")
 }
 
 // BenchmarkEvalDisconnected is the decomposition shape: a cross product of

@@ -1,8 +1,8 @@
 package datalog
 
 import (
-	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
@@ -447,19 +447,37 @@ func applyStep(step *compiledStep, ops []colOp, t storage.Tuple, frame []string)
 	return true
 }
 
-// appendBindKey appends the dedup key of a candidate tuple at a step — its
-// bound-column values — to buf. Checked columns are equal across all
-// candidates that reach this point, so binds alone determine the subtree.
-// Each value is prefixed by its length, so no value's bytes can be read as
-// a boundary and two keys are equal exactly when the bindings are.
-func appendBindKey(buf []byte, step *compiledStep, t storage.Tuple) []byte {
+// hashBinds hashes a candidate tuple's bound-column values at a step, in
+// column order. Checked columns are equal across all candidates that reach
+// this point, so binds alone determine the subtree.
+func hashBinds(step *compiledStep, t storage.Tuple) uint32 {
+	h := uint64(0)
 	for _, op := range step.ops {
 		if op.action == colBind {
-			buf = binary.AppendUvarint(buf, uint64(len(t[op.col])))
-			buf = append(buf, t[op.col]...)
+			h = (h ^ maphash.String(rowSeed, t[op.col])) * 0x9e3779b97f4a7c15
 		}
 	}
-	return buf
+	return uint32(h >> 32)
+}
+
+// bindsSeen reports whether seen holds the position of a candidate, in
+// tuples, whose bound-column values equal t's; h is t's hashBinds. A hash
+// hit is confirmed column by column, so no two bindings are confused.
+func bindsSeen(seen *storage.PosTable, h uint32, step *compiledStep, tuples []storage.Tuple, t storage.Tuple) bool {
+	p := seen.Probe(h)
+	for pos := p.Next(); pos >= 0; pos = p.Next() {
+		same := true
+		for _, op := range step.ops {
+			if op.action == colBind && tuples[pos][op.col] != t[op.col] {
+				same = false
+				break
+			}
+		}
+		if same {
+			return true
+		}
+	}
+	return false
 }
 
 // stepSrc is one step's per-call execution source: the relation's tuple
@@ -532,8 +550,9 @@ func (c *cursor) next() int {
 func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g *evalGuard, yield func([]string) bool, cur cursor) bool {
 	step := &c.steps[depth]
 	tuples := srcs[depth].tuples
-	var seen map[string]bool
-	var keyBuf []byte
+	// seen holds, for a dedup step, the position of the first candidate of
+	// each distinct binding.
+	var seen storage.PosTable
 	ops := step.ops
 	if cur.probed {
 		ops = step.opsIndexed
@@ -547,14 +566,11 @@ func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g
 			continue
 		}
 		if step.dedup {
-			keyBuf = appendBindKey(keyBuf[:0], step, t)
-			if seen == nil {
-				seen = make(map[string]bool)
-			}
-			if seen[string(keyBuf)] {
+			h := hashBinds(step, t)
+			if bindsSeen(&seen, h, step, tuples, t) {
 				continue
 			}
-			seen[string(keyBuf)] = true
+			seen.Place(h, pos)
 		}
 		if !joinSteps(c, srcs, depth+1, frame, g, yield) {
 			return false
@@ -786,6 +802,11 @@ func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledCompo
 // into, and the emit closure bound to it once. Between runs it lives in
 // scratchPool, emptied: it holds no reference into any database or plan.
 // The result rows are copied out of the set and never pooled.
+//
+// A rule-variant execution (emitVariant) runs on the same scratch: its
+// frame, sources and set are the derivation buffer, v, comp, accept and
+// hs its head emission, and derive the closure bound to it once. The
+// round's merge copies the set's rows out and releases the scratch.
 type runScratch struct {
 	p     *CompiledPlan
 	c     *compiledComponent
@@ -801,18 +822,26 @@ type runScratch struct {
 	probed    bool
 	set       RowSet
 	emit      func([]string) bool
+
+	v      *ruleVariant
+	comp   compiledComponent // v's steps, for joinSteps
+	accept func(storage.Tuple) bool
+	hs     headScratch
+	err    error // the variant's evaluation error
+	derive func([]string) bool
 }
 
 // maxPooledPositions bounds the root candidate buffer a pooled scratch
 // keeps, as maxPooledVals bounds a row set's arena.
 const maxPooledPositions = 1 << 13
 
-// scratchPool is shared by all plans — a scratch is resized to the plan it
-// serves — so the memory it holds follows the number of concurrent runs,
-// not the number of cached plans.
+// scratchPool is shared by all plans and programs — a scratch is resized
+// to the plan or variant it serves — so the memory it holds follows the
+// number of concurrent runs, not the number of cached plans.
 var scratchPool = sync.Pool{New: func() any {
 	sc := &runScratch{}
 	sc.emit = sc.emitRow
+	sc.derive = sc.deriveRow
 	return sc
 }}
 
@@ -866,11 +895,12 @@ func (sc *runScratch) release() {
 	clear(sc.frame)
 	clear(sc.srcs)
 	sc.set.reset()
+	sc.hs.reset()
 	positions := sc.positions[:0]
 	if cap(positions) > maxPooledPositions {
 		positions = nil
 	}
-	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], positions: positions, set: sc.set, emit: sc.emit}
+	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], positions: positions, set: sc.set, emit: sc.emit, hs: sc.hs, derive: sc.derive}
 	scratchPool.Put(sc)
 }
 

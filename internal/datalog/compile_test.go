@@ -214,6 +214,57 @@ func TestDontCareDedupKeepsCollidingBindings(t *testing.T) {
 	checkAgreement(t, db, q, "colliding bindings")
 }
 
+// TestStepDedupKeepsDistinctBindings: the step dedup, a table of candidate
+// positions hashed by the bound columns, tells apart bindings whose values
+// concatenate alike — ("a","bc") and ("ab","c") — empty values, and values
+// holding 0x1f, at the root and at an inner probed step, while candidates
+// that repeat a binding are still skipped; compiled equals naive.
+func TestStepDedupKeepsDistinctBindings(t *testing.T) {
+	db := storage.NewDatabase()
+	bindings := []storage.Tuple{
+		{"a", "bc"}, {"ab", "c"}, {"", ""}, {"", "a"}, {"a", ""},
+		{"a\x1f", "b"}, {"a", "\x1fb"}, {"\x1f", ""}, {"", "\x1f"},
+	}
+	for i, b := range bindings {
+		for j := 0; j < 3; j++ { // three candidates per binding
+			db.Insert("r", storage.Tuple{b[0], b[1], fmt.Sprint(i, "/", j)})
+		}
+		db.Insert("s", storage.Tuple{b[0]})
+	}
+	for _, src := range []string{
+		"q(X,Y) :- r(X,Y,Z)",
+		"q(X,Y) :- s(X), r(X,Y,Z)",
+		"q(X) :- r(X,Y,Z), s(Y)",
+	} {
+		q := cq.MustParseQuery(src)
+		plan := Compile(q, cost.NewCatalog(db))
+		if !strings.Contains(plan.Describe(), "dedup") {
+			t.Fatalf("%s: expected a dedup step:\n%s", src, plan.Describe())
+		}
+		checkAgreement(t, db, q, src)
+	}
+	if got := EvalQuery(db, cq.MustParseQuery("q(X,Y) :- r(X,Y,Z)")); !storage.TuplesEqual(got, bindings) {
+		t.Fatalf("EvalQuery = %q, want %q", got, bindings)
+	}
+}
+
+// TestStepDedupAllocs guards what BenchmarkEvalDontCare's compiled route
+// allocates: 66 783 objects while each deduplicating step loop kept a map
+// of its bindings' encoded strings, one string per distinct binding; 1 804
+// since it keeps a table of candidate positions, growing by doubling. The
+// budget leaves about a tenth of headroom.
+func TestStepDedupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db, q := dontCareShape()
+	db.BuildIndexes()
+	plan := Compile(q, cost.NewCatalog(db))
+	if n := testing.AllocsPerRun(3, func() { plan.EvalParallelUnsortedWith(db, nil, 1) }); n > 2000 {
+		t.Fatalf("don't-care plan: %.0f allocs/op, budget 2000", n)
+	}
+}
+
 // TestEvalParallelUnfrozenNeverMutates exercises the scan fallback under
 // the race detector: the database is never frozen, so any lazy index build
 // inside the executor would be a data race across these goroutines.

@@ -24,8 +24,9 @@ import (
 //     followed by a head-emission step that builds the derived row in a
 //     scratch — slot and constant columns are the frame's strings, Skolem
 //     values are written into a reused buffer the row views in place — and
-//     keeps it, in the row set the variant's execution owns, only when the
-//     row is accepted;
+//     keeps it, in the pooled row set the variant's execution derives
+//     into, only when the row is accepted; a kept row's Skolem values are
+//     copied into an append-only arena of byte chunks;
 //   - rules are grouped into strata at compile time: the strongly connected
 //     components of the derived-predicate dependency graph, each one stratum
 //     above the highest component it reads. A run evaluates the strata in
@@ -41,7 +42,8 @@ import (
 //     maintenance programs (CompileProgramIVM) compile those too, because
 //     an update batch changes every stratum at once;
 //   - derived (IDB) relations are private to the Eval call: each is a
-//     storage.Relation that adopts the rows its executions derived, and
+//     storage.Relation that adopts the rows its executions derived — each
+//     buffer copied once into one backing array (mergeRound) — and
 //     maintains its probe-column indexes incrementally as they arrive,
 //     instead of the interpreter's discard-and-rebuild on every insert;
 //   - within a round, rule-variant executions only read the relations
@@ -496,8 +498,11 @@ func (cp *CompiledProgram) Eval(edb *storage.Database) (*storage.Database, error
 		if err != nil {
 			return nil, err
 		}
+		// Derived tuples are windows onto the merge's backing arrays, which
+		// nothing writes again: stored tuples the database may share.
+		rel.Grow(derived.Len())
 		for _, t := range derived.Tuples() {
-			rel.Insert(t)
+			rel.Adopt(t)
 		}
 	}
 	return db, nil
@@ -590,18 +595,17 @@ func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardStat
 			// sets, and write nothing shared. round is captured by value;
 			// tasks, which the loop reassigns, would be moved to the heap.
 			round := tasks
-			bufs, err := runTaskSet(len(round), workers, func(i int) (RowSet, error) {
+			bufs, err := runTaskSet(len(round), workers, func(i int) (*runScratch, error) {
 				t := round[i]
 				accum := idb[t.rule.headPred]
-				return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, edb, idb), gs.child(),
-					func(h storage.Tuple) bool { return !accum.Contains(h) })
+				return emitVariant(t.v, t.delta, edb, idb, gs, func(h storage.Tuple) bool { return !accum.Contains(h) })
 			})
 			if err != nil {
 				return nil, stats, err
 			}
 			delta, _ := mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
 				return idb[r.headPred], nil
-			}, false)
+			})
 			for _, d := range delta {
 				stats.Derived += len(d)
 			}
@@ -671,115 +675,123 @@ func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
 }
 
 // mergeRound adds a round's buffered rows to the relation target gives each
-// task's rule and returns the tuples that were new, per head predicate. A
-// relation only appends here, so a predicate's new tuples are its
-// relation's tail: the next round reads them as its delta without a copy,
-// and nothing removes from the relation while it runs.
+// task's rule, releases every buffer, and returns the tuples that were new,
+// per head predicate. A relation only appends here, so a predicate's new
+// tuples are its relation's tail: the next round reads them as its delta
+// without a copy, and nothing removes from the relation while it runs.
 //
-// Without own, a relation adopts windows onto the buffer's arena itself:
-// the per-evaluation relations of a fixpoint run and of over-deletion, which
-// are dropped with the arenas. With own — the maintained database, whose
-// relations outlive the batch — each buffer's accepted rows are first
-// copied into one exactly sized backing array and the relation adopts
-// capacity-limited windows onto it: one allocation per buffer, not one per
-// row, and a stored row keeps alive only the rows its own buffer added,
-// never the arena or the rows the relation already held.
-func mergeRound(tasks []variantTask, bufs []RowSet, target func(*compiledRule) (*storage.Relation, error), own bool) (map[string][]storage.Tuple, error) {
+// It is the one merge of every round — fixpoint, propagation,
+// over-deletion and re-derivation alike: each buffer's rows are copied once
+// into a backing array of their own (adoptCopies), so a stored row keeps
+// alive only the rows its buffer added, never the pooled buffer or the rows
+// the relation already held. On an error the buffers not yet merged are
+// left to the collector.
+func mergeRound(tasks []variantTask, bufs []*runScratch, target func(*compiledRule) (*storage.Relation, error)) (map[string][]storage.Tuple, error) {
 	cur := make(map[string][]storage.Tuple)
-	for i := range bufs {
-		buf := &bufs[i]
-		if buf.Len() == 0 {
+	for i, sc := range bufs {
+		if sc == nil {
 			continue
 		}
-		rel, err := target(tasks[i].rule)
-		if err != nil {
-			return nil, err
-		}
-		before := rel.Len()
-		if own {
-			adoptCopies(rel, buf)
-		} else {
-			for k := 0; k < buf.Len(); k++ {
-				rel.Adopt(buf.tuple(k))
+		if sc.set.Len() > 0 {
+			rel, err := target(tasks[i].rule)
+			if err != nil {
+				return nil, err
+			}
+			before := rel.Len()
+			adoptCopies(rel, &sc.set)
+			if added := rel.Len() - before; added > 0 {
+				pred := tasks[i].rule.headPred
+				cur[pred] = rel.Tuples()[rel.Len()-len(cur[pred])-added:]
 			}
 		}
-		if added := rel.Len() - before; added > 0 {
-			pred := tasks[i].rule.headPred
-			cur[pred] = rel.Tuples()[rel.Len()-len(cur[pred])-added:]
-		}
+		sc.release()
 	}
 	return cur, nil
 }
 
-// adoptCopies adds buf's rows that rel lacks to rel, copied into one
-// backing array of exactly their size. A buffer's rows are distinct, so a
-// row rel lacked before the first adoption is still missing when its turn
-// comes.
+// adoptCopies adds buf's rows that rel lacks to rel, in one pass: rel is
+// grown for every row, and each row is copied into one backing array of
+// the buffer's size and adopted as a capacity-limited window onto it, so
+// appending to one row never writes into the next. A row rel already
+// holds — another task of the round derived it too — is truncated away and
+// overwritten by the next row; the slots past the last adopted row are
+// cleared, so the backing keeps no rejected value alive.
 func adoptCopies(rel *storage.Relation, buf *RowSet) {
-	n := 0
-	for k := 0; k < buf.Len(); k++ {
-		if !rel.Contains(buf.row(k)) {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	w := buf.width
+	w, n := buf.width, buf.Len()
+	rel.Grow(n)
 	backing := make([]string, 0, n*w)
-	for k := 0; k < buf.Len(); k++ {
-		if row := buf.row(k); !rel.Contains(row) {
-			backing = append(backing, row...)
-			rel.Adopt(backing[len(backing)-w : len(backing) : len(backing)])
+	for k := 0; k < n; k++ {
+		at := len(backing)
+		backing = append(backing, buf.row(k)...)
+		if !rel.Adopt(backing[at:len(backing):len(backing)]) {
+			backing = backing[:at]
 		}
 	}
+	clear(backing[len(backing):cap(backing)])
 }
 
-// emitVariant enumerates one variant's body matches over srcs and buffers
-// the derived head rows accept admits, deduplicated within the buffer by
-// their columns. It only reads — inserts happen at the caller's merge — and
-// is the one executor behind the fixpoint rounds and every maintenance round
-// (propagation, over-deletion, re-derivation); what differs between them is
-// accept, the test of a head row against the state being maintained. accept
-// must not retain the row: it is the scratch's, rebuilt for every match. So
-// a rejected match allocates nothing, and an accepted one only its Skolem
-// values and its place in the buffer's arena, which the merge reads back as
-// tuples (RowSet.tuple).
-func emitVariant(v *ruleVariant, srcs []stepSrc, g *evalGuard, accept func(storage.Tuple) bool) (RowSet, error) {
-	comp := compiledComponent{steps: v.steps}
-	frame := make([]string, v.numSlots)
-	var hs headScratch
-	var buf RowSet
-	var evalErr error
-	joinSteps(&comp, srcs, 0, frame, g, func(frame []string) bool {
-		if v.unsafeVar != "" {
-			evalErr = fmt.Errorf("datalog: unbound head variable %s", v.unsafeVar)
-			return false
-		}
-		row := hs.build(v.head, frame)
-		if _, dup := buf.find(row); dup || !accept(row) {
-			return true
-		}
-		buf.Add(hs.own(v.head))
-		// Intra-round backstop for the derivation budget: the authoritative
-		// check runs at the round barrier, but a single variant exploding
-		// past the whole budget stops here instead of finishing the round.
-		return !g.emitRow()
-	})
-	return buf, evalErr
+// emitVariant enumerates one variant's body matches, the step at the root
+// reading delta when it is not nil, and buffers the derived head rows
+// accept admits, deduplicated within the buffer by their columns. It only
+// reads — inserts happen at the caller's merge — and is the one executor
+// behind the fixpoint rounds and every maintenance round (propagation,
+// over-deletion, re-derivation); what differs between them is accept, the
+// test of a head row against the state being maintained. accept must not
+// retain the row: it is the scratch's, rebuilt for every match.
+//
+// The buffer is a pooled scratch (runScratch), returned with its set
+// holding the rows; mergeRound copies them out and releases it. So a
+// rejected match allocates nothing, and an accepted one only amortised
+// growth: its place in the pooled set, and its Skolem values in the
+// scratch's arena (headScratch.own).
+func emitVariant(v *ruleVariant, delta []storage.Tuple, db *storage.Database, idb map[string]*storage.Relation, gs *guardState, accept func(storage.Tuple) bool) (*runScratch, error) {
+	sc := scratchPool.Get().(*runScratch)
+	sc.v, sc.comp.steps, sc.accept = v, v.steps, accept
+	if gs != nil {
+		sc.guard = gs.guard()
+		sc.g = &sc.guard
+	}
+	sc.frame = slices.Grow(sc.frame, v.numSlots)[:v.numSlots]
+	sc.srcs = resolveSteps(sc.srcs, v.steps, delta, db, idb)
+	joinSteps(&sc.comp, sc.srcs, 0, sc.frame, sc.g, sc.derive)
+	if err := sc.err; err != nil {
+		sc.release()
+		return nil, err
+	}
+	return sc, nil
 }
 
-// resolveSteps binds a variant's steps to their candidate sources: the
-// delta slice for the delta-root step (scanned: it is the small side), the
-// per-call derived relation for predicates in idb — nil on the maintenance
-// paths, where derived relations live in db — and the database relation
-// otherwise.
-func resolveSteps(steps []compiledStep, delta []storage.Tuple, db *storage.Database, idb map[string]*storage.Relation) []stepSrc {
-	srcs := make([]stepSrc, len(steps))
+// deriveRow is emitVariant's yield: it builds the head row of a complete
+// frame and keeps it when it is new to the buffer and accepted. It reports
+// false when the variant is unsafe or the derivation budget says to stop.
+func (sc *runScratch) deriveRow(frame []string) bool {
+	v := sc.v
+	if v.unsafeVar != "" {
+		sc.err = fmt.Errorf("datalog: unbound head variable %s", v.unsafeVar)
+		return false
+	}
+	row := sc.hs.build(v.head, frame)
+	if _, dup := sc.set.find(row); dup || !sc.accept(row) {
+		return true
+	}
+	sc.set.Add(sc.hs.own(v.head))
+	// Intra-round backstop for the derivation budget: the authoritative
+	// check runs at the round barrier, but a single variant exploding past
+	// the whole budget stops here instead of finishing the round.
+	return !sc.g.emitRow()
+}
+
+// resolveSteps binds a variant's steps to their candidate sources, in srcs
+// resized: the delta slice for the delta-root step (scanned: it is the
+// small side), the per-call derived relation for predicates in idb — nil
+// on the maintenance paths, where derived relations live in db — and the
+// database relation otherwise.
+func resolveSteps(srcs []stepSrc, steps []compiledStep, delta []storage.Tuple, db *storage.Database, idb map[string]*storage.Relation) []stepSrc {
+	srcs = slices.Grow(srcs[:0], len(steps))[:len(steps)]
 	for j := range steps {
 		s := &steps[j]
 		if j == 0 && delta != nil {
-			srcs[j].tuples = delta
+			srcs[j] = stepSrc{tuples: delta}
 			continue
 		}
 		rel := idb[s.pred]
@@ -794,14 +806,27 @@ func resolveSteps(steps []compiledStep, delta []storage.Tuple, db *storage.Datab
 // headScratch builds the head row a complete frame derives without
 // allocating: slot and constant columns are the frame's strings, and the
 // Skolem values are written back to back into one reused buffer, which the
-// row's Skolem columns view in place. own copies those values into one
-// string, so only a row that is kept pays for them.
+// row's Skolem columns view in place. own copies those values into the
+// arena, so only a row that is kept pays for them, and a kept row costs no
+// allocation of its own.
 type headScratch struct {
 	row  storage.Tuple
 	buf  []byte
 	ends []int    // ends[k] is the offset in buf just past the k-th Skolem value
 	args []string // one Skolem application's argument values
+	// arena holds the kept rows' Skolem values back to back, viewed as
+	// strings. A chunk is only appended to: a full one is replaced by a
+	// larger new one, never copied or written again, since the values in
+	// it are stored tuples' columns. It is dropped, never pooled, at reset.
+	arena []byte
 }
+
+// The Skolem arena's chunks start at minSkolemChunk bytes and double up to
+// maxSkolemChunk; a longer value gets a chunk of its own size.
+const (
+	minSkolemChunk = 512
+	maxSkolemChunk = 16 << 10
+)
 
 // build returns the head row of frame. The row and its Skolem values are
 // valid until the next call.
@@ -830,12 +855,31 @@ func (hs *headScratch) build(head []ruleHeadOp, frame []string) storage.Tuple {
 }
 
 // own gives the last row's Skolem columns values of their own, copied out
-// of the buffer into one string, and returns the row.
+// of the buffer into the arena, and returns the row.
 func (hs *headScratch) own(head []ruleHeadOp) storage.Tuple {
 	if len(hs.ends) > 0 {
-		hs.view(head, string(hs.buf))
+		hs.view(head, hs.keep(hs.buf))
 	}
 	return hs.row
+}
+
+// keep appends b to the arena and returns the copy, viewed as a string.
+func (hs *headScratch) keep(b []byte) string {
+	if cap(hs.arena)-len(hs.arena) < len(b) {
+		size := min(max(2*cap(hs.arena), minSkolemChunk), maxSkolemChunk)
+		hs.arena = make([]byte, 0, max(size, len(b)))
+	}
+	start := len(hs.arena)
+	hs.arena = append(hs.arena, b...)
+	return unsafe.String(unsafe.SliceData(hs.arena[start:]), len(b))
+}
+
+// reset empties the scratch for the pool: the row and the arguments drop
+// every value they held, and the arena is dropped, since kept rows view it.
+func (hs *headScratch) reset() {
+	clear(hs.row[:cap(hs.row)])
+	clear(hs.args[:cap(hs.args)])
+	hs.row, hs.buf, hs.ends, hs.args, hs.arena = hs.row[:0], hs.buf[:0], hs.ends[:0], hs.args[:0], nil
 }
 
 // view points the row's Skolem columns into vals, which holds their values

@@ -270,14 +270,14 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]
 		// Matches feed from the round's delta and every other atom reads the
 		// intact database; an emitted head counts only if it is currently
 		// materialized and not yet over-deleted.
-		bufs, err := runTaskSet(len(tasks), workers, func(i int) (RowSet, error) {
+		bufs, err := runTaskSet(len(tasks), workers, func(i int) (*runScratch, error) {
 			t := tasks[i]
 			pred := t.rule.headPred
 			headRel, dead := db.Relation(pred), od[pred]
 			if headRel == nil {
-				return RowSet{}, nil
+				return nil, nil
 			}
-			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(), func(h storage.Tuple) bool {
+			return emitVariant(t.v, t.delta, db, nil, gs, func(h storage.Tuple) bool {
 				return headRel.Contains(h) && (dead == nil || !dead.Contains(h))
 			})
 		})
@@ -289,7 +289,7 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]
 				od[r.headPred] = storage.NewRelation(r.headPred, r.arity)
 			}
 			return od[r.headPred], nil
-		}, false)
+		})
 		for _, c := range cur {
 			stats.Derived += len(c)
 		}
@@ -335,10 +335,10 @@ func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]*storage
 			return err
 		}
 		stats.Iterations++
-		bufs, err := runTaskSet(len(tasks), workers, func(i int) (RowSet, error) {
+		bufs, err := runTaskSet(len(tasks), workers, func(i int) (*runScratch, error) {
 			t := tasks[i]
 			dead := od[t.rule.headPred]
-			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(),
+			return emitVariant(t.v, t.delta, db, nil, gs,
 				func(h storage.Tuple) bool { return dead.Contains(h) })
 		})
 		if err != nil {
@@ -346,7 +346,7 @@ func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]*storage
 		}
 		cur, err := mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
 			return db.Ensure(r.headPred, r.arity)
-		}, true)
+		})
 		if err != nil {
 			return err
 		}

@@ -112,20 +112,24 @@ func TestEmitVariantRejectsWithoutAllocating(t *testing.T) {
 			for i := 0; i < n; i++ {
 				db.Insert("v", storage.Tuple{fmt.Sprintf("a%05d", i), fmt.Sprintf("b%05d", i)})
 			}
-			srcs := resolveSteps(v.steps, nil, db, nil)
-			derived, err := emitVariant(&v, srcs, nil, func(storage.Tuple) bool { return true })
-			if err != nil || derived.Len() != n {
-				t.Fatalf("%s: %d derived, err = %v", r, derived.Len(), err)
+			derived, err := emitVariant(&v, nil, db, nil, nil, func(storage.Tuple) bool { return true })
+			if err != nil {
+				t.Fatalf("%s: %v", r, err)
+			}
+			if derived.set.Len() != n {
+				t.Fatalf("%s: %d derived, want %d", r, derived.set.Len(), n)
 			}
 			held := storage.NewRelation("p", 2)
-			for _, d := range derived.Rows() {
+			for _, d := range derived.set.Rows() {
 				held.Insert(d)
 			}
+			derived.release()
 			allocs[n] = testing.AllocsPerRun(20, func() {
-				buf, err := emitVariant(&v, srcs, nil, func(h storage.Tuple) bool { return !held.Contains(h) })
-				if err != nil || buf.Len() != 0 {
-					t.Fatalf("%s: re-derived %d tuple(s), err = %v", r, buf.Len(), err)
+				buf, err := emitVariant(&v, nil, db, nil, nil, func(h storage.Tuple) bool { return !held.Contains(h) })
+				if err != nil || buf.set.Len() != 0 {
+					t.Fatalf("%s: re-derived %d tuple(s), err = %v", r, buf.set.Len(), err)
 				}
+				buf.release()
 			})
 		}
 		if allocs[100] != allocs[1000] {

@@ -19,7 +19,8 @@ import (
 //     shape CompiledProgram.Eval returns), and new derivations are added
 //     straight into it, incrementally maintaining its column indexes (a
 //     relation appends to built indexes in O(arity)) — each round's
-//     accepted rows copied into one backing array per buffer (mergeRound);
+//     buffered rows copied into one backing array per buffer, after the
+//     relation is grown for them (mergeRound);
 //   - the seed round fires exactly the EDB delta variants whose predicate
 //     gained tuples, with the batch at the join root and every other atom
 //     reading the post-batch database — any derivation that uses at least
@@ -97,10 +98,10 @@ func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]st
 			return nil, stats, err
 		}
 		stats.Iterations++
-		bufs, err := runTaskSet(len(tasks), workers, func(i int) (RowSet, error) {
+		bufs, err := runTaskSet(len(tasks), workers, func(i int) (*runScratch, error) {
 			t := tasks[i]
 			headRel := db.Relation(t.rule.headPred)
-			return emitVariant(t.v, resolveSteps(t.v.steps, t.delta, db, nil), gs.child(),
+			return emitVariant(t.v, t.delta, db, nil, gs,
 				func(h storage.Tuple) bool { return headRel == nil || !headRel.Contains(h) })
 		})
 		if err != nil {
@@ -108,7 +109,7 @@ func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]st
 		}
 		cur, err = mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
 			return db.Ensure(r.headPred, r.arity)
-		}, true)
+		})
 		if err != nil {
 			return nil, stats, err
 		}

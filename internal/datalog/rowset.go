@@ -20,10 +20,10 @@ import (
 // Every answer path deduplicates through it: a plan run's emitted rows, the
 // merge of a sharded run, EvalUnion and the engine's union of contained
 // rewritings. It is also the derivation buffer of every rule-variant
-// execution (emitVariant), whose merge reads the rows back as tuples that
-// share the arena (tuple), or copies the accepted ones out of it for a
-// relation that outlives the round (mergeRound). The zero value is an
-// empty set whose width the first Add fixes.
+// execution (emitVariant), pooled with the run's scratch: the round's
+// merge copies its rows out (mergeRound), so no relation ever holds a
+// window onto the arena, and the set is reset for the next execution. The
+// zero value is an empty set whose width the first Add fixes.
 type RowSet struct {
 	width int
 	n     int      // rows stored
@@ -96,14 +96,6 @@ func (s *RowSet) Rows() []storage.Tuple {
 
 // row is stored row i.
 func (s *RowSet) row(i int) []string { return s.vals[i*s.width : (i+1)*s.width] }
-
-// tuple is stored row i as a tuple: a capacity-limited window onto the
-// arena, so appending to it never writes into the next row. It shares the
-// arena, so a set that hands out tuples must not be reset (pooled) while
-// they are in use.
-func (s *RowSet) tuple(i int) storage.Tuple {
-	return s.vals[i*s.width : (i+1)*s.width : (i+1)*s.width]
-}
 
 // find reports whether a stored row equals row: by comparing against every
 // stored row while there are at most linearDedupRows of them, and through

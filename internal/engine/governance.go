@@ -121,11 +121,16 @@ func (e *QueryError) Unwrap() error { return e.Err }
 // fields may be set. The *Budget entry points take one per call; the other
 // entry points run unbudgeted.
 type Budget struct {
-	// Deadline bounds the request's wall-clock time. The request's context
-	// is given a timeout of this duration at the entry point, so it covers
-	// planning, the admission wait and evaluation; evaluation observes
-	// expiry within one guard interval (~1k candidate rows) or one fixpoint
-	// round, and every stage returns ErrCanceled.
+	// Deadline bounds the request's wall-clock time from the entry point
+	// on: the request's context is given a timeout of this duration there.
+	// The admission wait and evaluation observe it — evaluation within one
+	// guard interval (~1k candidate rows) or one fixpoint round — and both
+	// return ErrCanceled. Planning does not: AnswerBudget's plan-cache miss
+	// (Prepare) takes no context, so the rewriting search, minimisation and
+	// compilation run to completion, outside admission control, and a
+	// deadline that expires during them is noticed only once evaluation
+	// starts. The ROADMAP's direction "Planning under the request's budget"
+	// takes the context into planning.
 	Deadline time.Duration
 	// MaxResultRows bounds the number of answer rows. Exceeding it returns
 	// ErrBudgetExceeded.

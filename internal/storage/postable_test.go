@@ -331,3 +331,39 @@ func TestRelationAllocs(t *testing.T) {
 		t.Errorf("Database.Clone: %.0f allocs, want at most %.0f", got, limit)
 	}
 }
+
+// TestRelationGrow: after Grow(n), adopting n tuples reallocates neither
+// the tuple slice, nor a built column index's links, nor the set index —
+// only a new distinct value may grow a column's heads — and growing one
+// tuple at a time still grows amortised, like append.
+func TestRelationGrow(t *testing.T) {
+	const n = 1000
+	r := NewRelation("r", 2)
+	for i := 0; i < 100; i++ {
+		r.Insert(Tuple{fmt.Sprint("a", i%10), fmt.Sprint("b", i)})
+	}
+	r.BuildColumnIndex(0)
+	batch := make([]Tuple, n)
+	for i := range batch {
+		batch[i] = Tuple{fmt.Sprint("a", i%10), fmt.Sprint("c", i)} // column 0 holds no new value
+	}
+	if got := testing.AllocsPerRun(1, func() {
+		r.Grow(n)
+		for _, tup := range batch {
+			r.Adopt(tup)
+		}
+	}); got > 3 {
+		t.Errorf("Grow(%d) then %d adoptions: %.0f allocs, want at most 3 (one per grown array)", n, n, got)
+	}
+	checkConsistent(t, r)
+	one := NewRelation("one", 2)
+	if got := testing.AllocsPerRun(1, func() {
+		for _, tup := range batch {
+			one.Grow(1)
+			one.Adopt(tup)
+		}
+	}); got > 40 {
+		t.Errorf("%d single-tuple grows: %.0f allocs, want amortised growth", n, got)
+	}
+	checkConsistent(t, one)
+}

@@ -159,10 +159,25 @@ func (r *Relation) Insert(t Tuple) bool { return r.add(t, true) }
 // caller hands over a tuple nothing will write again — a tuple another
 // relation stores (a serving side adopts the maintained side's rows, a
 // rollback the tuple it removed), a decoded snapshot row, or a window onto
-// a backing array that outlives every write to it (the fixpoint's
-// per-evaluation relations adopt the rows their executor derived, a
-// maintenance merge the rows it copied out of its round's buffer).
+// a backing array that outlives every write to it (every merge of derived
+// rows, in a fixpoint run and in maintenance alike, copies a round's
+// buffer into one such array and adopts windows onto it).
 func (r *Relation) Adopt(t Tuple) bool { return r.add(t, false) }
+
+// Grow makes room for n more tuples: the tuple slice, each built column
+// index's chain links and the set index take n more entries without
+// reallocating. Each grows the way append does, so a relation grown batch
+// after batch reallocates amortised, not every batch. Like every mutation
+// it carries the single-writer requirement.
+func (r *Relation) Grow(n int) {
+	r.tuples = slices.Grow(r.tuples, n)
+	for _, x := range r.indexes {
+		if x != nil {
+			x.next = slices.Grow(x.next, n)
+		}
+	}
+	r.set.Reserve(len(r.tuples) + n)
+}
 
 // add is Insert, storing a clone of t when clone is set and t otherwise.
 func (r *Relation) add(t Tuple, clone bool) bool {
