@@ -721,13 +721,23 @@ func adoptCopies(rel *storage.Relation, buf *RowSet) {
 	rel.Grow(n)
 	backing := make([]string, 0, n*w)
 	for k := 0; k < n; k++ {
-		at := len(backing)
-		backing = append(backing, buf.row(k)...)
-		if !rel.Adopt(backing[at:len(backing):len(backing)]) {
-			backing = backing[:at]
-		}
+		backing = adoptRow(rel, backing, buf.row(k))
 	}
 	clear(backing[len(backing):cap(backing)])
+}
+
+// adoptRow appends t's values to backing and adopts them into rel as a
+// capacity-limited window, so appending to one row never writes into the
+// next. When rel already holds the row the values are truncated away, to be
+// overwritten by the next row. Callers size backing for every row they
+// copy, so it never reallocates under the rows adopted before.
+func adoptRow(rel *storage.Relation, backing []string, t storage.Tuple) []string {
+	at := len(backing)
+	backing = append(backing, t...)
+	if !rel.Adopt(backing[at:len(backing):len(backing)]) {
+		backing = backing[:at]
+	}
+	return backing
 }
 
 // emitVariant enumerates one variant's body matches, the step at the root

@@ -124,18 +124,23 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 
 	// Effective deletions: the stored copies of present tuples, never the
 	// caller's, deduplicated per predicate through a relation that only
-	// reads them.
+	// reads them. Both are sized from the batch, so neither grows per row.
 	delEff := make(map[string][]storage.Tuple)
 	for pred, tuples := range deletes {
 		rel := db.Relation(pred)
-		if rel == nil {
+		if rel == nil || len(tuples) == 0 {
 			continue
 		}
 		seen := storage.NewRelation(pred, rel.Arity())
+		seen.Grow(len(tuples))
+		eff := make([]storage.Tuple, 0, len(tuples))
 		for _, t := range tuples {
 			if st, ok := rel.Stored(t); ok && seen.Adopt(st) {
-				delEff[pred] = append(delEff[pred], st)
+				eff = append(eff, st)
 			}
+		}
+		if len(eff) > 0 {
+			delEff[pred] = eff
 		}
 	}
 
@@ -217,14 +222,10 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, i
 		return nil, err
 	}
 	for pred, tuples := range delEff {
-		for _, t := range tuples {
-			j.Remove(pred, t)
-		}
+		j.RemoveAll(pred, tuples)
 	}
 	for pred, dead := range od {
-		for _, t := range dead.Tuples() {
-			j.Remove(pred, t)
-		}
+		j.RemoveAll(pred, dead.Tuples())
 	}
 	j.MarkInserts()
 	if err := cp.rederive(db, od, workers, gs, lim, &res.Stats); err != nil {

@@ -55,8 +55,15 @@ func (cp *CompiledProgram) applyInserts(db *storage.Database, inserts map[string
 }
 
 // insertBase inserts a batch's base facts, returning the ones that were new
-// as the stored copies Insert made, never the caller's tuples: Insert only
-// appends, so they are the relation's tail, copied out in one slice.
+// as the stored rows, never the caller's tuples. Each predicate's relation
+// is grown for its whole list, and the caller's values are copied into one
+// backing array per storage.ChunkRows rows, onto which each new row is
+// adopted as a capacity-limited window (adoptRow): a batch costs one copy
+// per chunk, not a clone per row, and a stored row pins at most its chunk.
+// A row already present, or repeated in the batch, is truncated away, and
+// the slots past a chunk's last adopted row are cleared, so its backing
+// keeps no rejected value alive. Rows are only appended, so the new ones are
+// the relation's tail, copied out in one slice.
 func insertBase(db *storage.Database, inserts map[string][]storage.Tuple) (map[string][]storage.Tuple, error) {
 	fresh := make(map[string][]storage.Tuple)
 	for pred, tuples := range inserts {
@@ -68,8 +75,13 @@ func insertBase(db *storage.Database, inserts map[string][]storage.Tuple) (map[s
 			return nil, err
 		}
 		before := rel.Len()
-		for _, t := range tuples {
-			rel.Insert(t)
+		rel.Grow(len(tuples))
+		for chunk := range slices.Chunk(tuples, storage.ChunkRows) {
+			backing := make([]string, 0, len(chunk)*rel.Arity())
+			for _, t := range chunk {
+				backing = adoptRow(rel, backing, t)
+			}
+			clear(backing[len(backing):cap(backing)])
 		}
 		if rel.Len() > before {
 			fresh[pred] = slices.Clone(rel.Tuples()[before:])

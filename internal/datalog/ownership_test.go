@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/cost"
@@ -219,5 +220,91 @@ func TestMergeClearsRejectedRows(t *testing.T) {
 		if backing[2] != "" || backing[3] != "" {
 			t.Fatalf("backing of %q keeps %q past its adopted row", row, backing[2:])
 		}
+	}
+}
+
+// TestInsertBaseClearsRejectedRows inserts a batch that repeats a row and
+// re-inserts one the relation holds: the caller's values are copied into
+// one backing array of the batch's size, the new rows are adopted as
+// windows onto it, the rejected ones are truncated away and the slots past
+// the last adopted row are empty, so the backing keeps no rejected value
+// alive. A caller writing its tuples afterwards reaches nothing stored.
+func TestInsertBaseClearsRejectedRows(t *testing.T) {
+	db := storage.NewDatabase()
+	if err := db.Insert("r", storage.Tuple{"present", "row"}); err != nil {
+		t.Fatal(err)
+	}
+	batch := []storage.Tuple{{"a", "1"}, {"present", "row"}, {"b", "2"}, {"a", "1"}}
+	fresh, err := insertBase(db, map[string][]storage.Tuple{"r": batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []storage.Tuple{{"a", "1"}, {"b", "2"}}
+	rows := db.Relation("r").Tuples()
+	if len(rows) != 3 || !storage.TuplesEqual(rows[1:], want) || !storage.TuplesEqual(fresh["r"], want) {
+		t.Fatalf("relation %q, fresh %q, want %q after [present row]", rows, fresh["r"], want)
+	}
+	backing := unsafe.Slice(unsafe.SliceData(rows[1]), 2*len(batch))
+	if unsafe.SliceData(rows[2]) != &backing[2] || cap(rows[1]) != 2 || cap(rows[2]) != 2 {
+		t.Fatalf("the new rows are not adjacent windows of 2 onto one backing")
+	}
+	if tail := backing[4:]; strings.Join(tail, "") != "" {
+		t.Fatalf("backing keeps %q past its adopted rows", tail)
+	}
+	for _, tu := range batch {
+		tu[0], tu[1] = "clobbered", "clobbered"
+	}
+	if got := db.Relation("r").Tuples(); !storage.TuplesEqual(got, append([]storage.Tuple{{"present", "row"}}, want...)) {
+		t.Fatalf("after the caller wrote its tuples the relation reads %q", got)
+	}
+}
+
+// TestInsertBaseBoundsRetention: a batch's inserts are copied into one
+// backing array per storage.ChunkRows rows, so a stored row pins its chunk
+// and never the rest of the batch. The rows of a chunk are adjacent windows
+// onto its array; once every row of the first chunk is removed, that array
+// is collected while the later chunks' rows are still stored.
+func TestInsertBaseBoundsRetention(t *testing.T) {
+	n := 3*storage.ChunkRows + 8
+	row := func(i int) storage.Tuple { return storage.Tuple{fmt.Sprint("k", i), "v"} }
+	batch := make([]storage.Tuple, n)
+	for i := range batch {
+		batch[i] = row(i)
+	}
+	db := storage.NewDatabase()
+	if _, err := insertBase(db, map[string][]storage.Tuple{"r": batch}); err != nil {
+		t.Fatal(err)
+	}
+	rel := db.Relation("r")
+	rows := rel.Tuples()
+	if len(rows) != n {
+		t.Fatalf("%d rows stored, want %d", len(rows), n)
+	}
+	for i := 1; i < n; i++ {
+		next := unsafe.Add(unsafe.Pointer(unsafe.SliceData(rows[i-1])), 2*unsafe.Sizeof(""))
+		if i%storage.ChunkRows != 0 && unsafe.Pointer(unsafe.SliceData(rows[i])) != next {
+			t.Fatalf("row %d does not follow row %d in its chunk's backing", i, i-1)
+		}
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(unsafe.SliceData(rows[0]), func(*string) { close(freed) })
+	for i := 0; i < storage.ChunkRows; i++ {
+		rel.Remove(row(i))
+	}
+	rows = nil
+	collected := false
+	for try := 0; try < 100 && !collected; try++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if got := rel.Len(); got != n-storage.ChunkRows {
+		t.Fatalf("%d rows left, want %d", got, n-storage.ChunkRows)
+	}
+	if !collected {
+		t.Fatalf("the first chunk's backing is still reachable with only later chunks' rows stored: a stored row pins more than %d rows", storage.ChunkRows)
 	}
 }

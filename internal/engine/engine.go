@@ -724,9 +724,7 @@ func undoBatch(db *storage.Database, res *ivm.BatchResult) {
 // widen.
 func removeDelta(j *storage.Journal, delta map[string][]storage.Tuple) {
 	for pred, tuples := range delta {
-		for _, t := range tuples {
-			j.Remove(pred, t)
-		}
+		j.RemoveAll(pred, tuples)
 	}
 }
 

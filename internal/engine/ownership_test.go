@@ -19,8 +19,11 @@ import (
 // relations and a checkpoint-and-reboot must still hold what the reference
 // evaluator derives from the facts as they were. A path that stored a
 // caller's tuple, by Adopt or by carrying it into the journal or the
-// replay, would serve the overwritten values. Both serving layouts run:
-// extents only, and extents beside the base relations (AllowPartial).
+// replay, would serve the overwritten values. The inserts span three
+// chunks of storage.ChunkRows rows of r, repeat a row of s and re-insert
+// one s holds, so the chunked copy of a batch is what is checked. Both
+// serving layouts run: extents only, and extents beside the base relations
+// (AllowPartial).
 func TestApplyUpdateKeepsNoCallerTuple(t *testing.T) {
 	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
 	for _, partial := range []bool{false, true} {
@@ -38,8 +41,11 @@ func TestApplyUpdateKeepsNoCallerTuple(t *testing.T) {
 				want := base.Clone()
 				ins := map[string][]storage.Tuple{
 					"r": {{"c", "m"}, {"c", "n"}, {"a", "m"}},
-					"s": {{"n", "z"}},
+					"s": {{"n", "z"}, {"n", "y"}, {"n", "z"}},
 					"t": {{"n"}},
+				}
+				for i := 0; i < 2*storage.ChunkRows+5; i++ {
+					ins["r"] = append(ins["r"], storage.Tuple{fmt.Sprint("g", i), "n"})
 				}
 				del := map[string][]storage.Tuple{
 					"r": {{"a", "m"}, {"b", "n"}, {"b", "n"}},

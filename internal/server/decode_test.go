@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/storage"
 )
@@ -392,6 +394,85 @@ func TestDecodedRowsAreIndependent(t *testing.T) {
 	want := Rows{{"a", "b", "appended"}, {"c", "d", "appended"}, {"appended"}, {"e", "appended"}}
 	if !reflect.DeepEqual(rows, want) {
 		t.Fatalf("rows after appending to each = %q, want %q", rows, want)
+	}
+}
+
+// TestDecodeRowsShareChunks: a rows array's columns are sliced out of one
+// string per storage.ChunkRows rows, so a stored row pins at most its chunk
+// of the request. An array of up to a chunk decodes in a fixed number of
+// allocations whatever its length, a longer one in one more per further
+// chunk, and the rows of a chunk lie end to end in its string. Rows decoded
+// from one body are unchanged after the same wireState decodes another.
+func TestDecodeRowsShareChunks(t *testing.T) {
+	array := func(tag string, k int) []byte {
+		var b bytes.Buffer
+		b.WriteByte('[')
+		for i := 0; i < k; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `["%s%d","\u00e9%d",{"b64":"/w=="}]`, tag, i, i)
+		}
+		b.WriteByte(']')
+		return b.Bytes()
+	}
+	wantRow := func(tag string, i int) storage.Tuple {
+		return storage.Tuple{fmt.Sprint(tag, i), fmt.Sprint("\u00e9", i), "\xff"}
+	}
+	var s scanner
+	decode := func(data []byte) Rows {
+		s.reset(data)
+		rows, err := s.rows()
+		if err = s.finish(err); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+
+	if !raceEnabled {
+		allocs := func(k int) float64 {
+			data := array("k", k)
+			return testing.AllocsPerRun(20, func() { decode(data) })
+		}
+		one := allocs(1)
+		for _, k := range []int{2, 17, storage.ChunkRows, storage.ChunkRows + 1, 200} {
+			want := one + float64((k-1)/storage.ChunkRows)
+			if got := allocs(k); got != want {
+				t.Errorf("%d rows: %v allocations, want %v (%v for one row, one more per further chunk of %d)", k, got, want, one, storage.ChunkRows)
+			}
+		}
+	}
+
+	rows := decode(array("k", 200))
+	for i, row := range rows {
+		if want := wantRow("k", i); !slices.Equal(row, want) {
+			t.Fatalf("row %d = %q, want %q", i, row, want)
+		}
+		if i%storage.ChunkRows == 0 {
+			continue
+		}
+		prev := rows[i-1]
+		if end := unsafe.Add(unsafe.Pointer(unsafe.StringData(prev[2])), len(prev[2])); end != unsafe.Pointer(unsafe.StringData(row[0])) {
+			t.Fatalf("row %d does not follow row %d in its chunk's string", i, i-1)
+		}
+	}
+
+	st := acquireWire()
+	defer st.release()
+	decodeBody := func(body []byte) Rows {
+		var updates map[string]Rows
+		r := &http.Request{Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body))}
+		if err := st.decode(r, members{updates: &updates}); err != nil {
+			t.Fatal(err)
+		}
+		return updates["r"]
+	}
+	first := decodeBody(append(append([]byte(`{"updates":{"r":`), array("a", 70)...), "}}"...))
+	decodeBody(append(append([]byte(`{"updates":{"r":`), array("b", 90)...), "}}"...))
+	for i, row := range first {
+		if want := wantRow("a", i); !slices.Equal(row, want) {
+			t.Fatalf("after a second decode, row %d of the first = %q, want %q", i, row, want)
+		}
 	}
 }
 

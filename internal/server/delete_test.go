@@ -116,3 +116,31 @@ func TestUnknownFieldRejected(t *testing.T) {
 	}
 	wantError(t, resp, http.StatusBadRequest, CodeBadRequest)
 }
+
+// TestBatchAckCountsEachPredicateOnce: the ack's predicates counts every
+// predicate the batch names once, whether it is inserted into, deleted
+// from, or both.
+func TestBatchAckCountsEachPredicateOnce(t *testing.T) {
+	ns := testNamespace(t, DefaultNamespace, 10, Config{LiveUpdates: true})
+	_, ts := testServer(t, ns)
+	for _, tc := range []struct {
+		req  batchRequest
+		want int
+	}{
+		{batchRequest{Updates: map[string]Rows{"r": {{"k0", "m0"}}}}, 1},
+		{batchRequest{Deletes: map[string]Rows{"s": {{"m0", "x0"}}}}, 1},
+		{batchRequest{Updates: map[string]Rows{"r": {{"k1", "m1"}}}, Deletes: map[string]Rows{"r": {{"k1", "m1"}}, "s": {{"m1", "x1"}}}}, 2},
+		{batchRequest{Updates: map[string]Rows{"r": {{"k2", "m2"}}, "s": {{"m2", "x2"}}}, Deletes: map[string]Rows{"s": {{"m3", "x3"}}}}, 2},
+		{batchRequest{Updates: map[string]Rows{"r": {{"k4", "m4"}}}, Deletes: map[string]Rows{"s": {{"m4", "x4"}}}}, 2},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/batch", tc.req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d (%s)", tc.req, resp.StatusCode, readBody(t, resp))
+		}
+		var br batchResponse
+		decodeInto(t, resp, &br)
+		if br.Predicates != tc.want {
+			t.Fatalf("%+v: ack %+v, want predicates %d", tc.req, br, tc.want)
+		}
+	}
+}

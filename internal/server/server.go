@@ -320,26 +320,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, "batch has no updates or deletes")
 		return
 	}
-	preds := make(map[string]bool)
+	// The ack counts each predicate the batch names once, on either side.
+	preds := len(req.Updates)
 	updates := make(map[string][]storage.Tuple, len(req.Updates))
 	tuples := 0
 	for pred, rows := range req.Updates {
 		updates[pred] = rows
 		tuples += len(rows)
-		preds[pred] = true
 	}
 	deletes := make(map[string][]storage.Tuple, len(req.Deletes))
 	deleted := 0
 	for pred, rows := range req.Deletes {
 		deletes[pred] = rows
 		deleted += len(rows)
-		preds[pred] = true
+		if _, ok := req.Updates[pred]; !ok {
+			preds++
+		}
 	}
 	if err := ns.Engine.ApplyUpdateBudget(r.Context(), updates, deletes, req.Budget.merge(ns.Budget)); err != nil {
 		writeEngineError(w, err, http.StatusBadRequest, CodeBadRequest)
 		return
 	}
-	st.writeBatchAck(w, batchResponse{Applied: true, Predicates: len(preds), Tuples: tuples, Deleted: deleted})
+	st.writeBatchAck(w, batchResponse{Applied: true, Predicates: preds, Tuples: tuples, Deleted: deleted})
 }
 
 // ---- /v1/stats ----

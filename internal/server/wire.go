@@ -24,9 +24,10 @@ package server
 // Ownership: a wireState (request body, reply buffer, decode scratch) is
 // pooled and must not be referenced once the handler returns. A decoded
 // exec request's handle and argument slice alias it; every decoded string
-// and every Row/Rows handed to the engine is freshly allocated: a row's
-// columns share one string, and a Rows value's rows are windows onto one
-// backing array. Result tuples are never pooled.
+// and every Row/Rows handed to the engine is freshly allocated: a Row's
+// columns share one string, a Rows value's columns one string per
+// storage.ChunkRows rows, and its rows are windows onto one backing array.
+// Result tuples are never pooled.
 
 import (
 	"encoding/base64"
@@ -312,8 +313,8 @@ type scanner struct {
 	soft error
 
 	tmp    []byte   // unescape scratch
-	row    []byte   // the row being decoded: its values end to end
-	ends   []int    // where each of its values ends in row
+	row    []byte   // the values of the row, or chunk of rows, being decoded, end to end
+	ends   []int    // where each of those values ends in row
 	cols   []string // columns decoded: of one row, or of every row of a Rows
 	widths []int    // columns per row of the Rows being decoded
 }
@@ -637,43 +638,45 @@ func (s *scanner) skipValue() error {
 // UnmarshalJSON, whose errors are not deferred like a struct member's).
 
 // columns decodes a row into the column scratch and returns it; the slice
-// is valid until the next call. null is the empty row.
+// is valid until the next call. The columns share one freshly allocated
+// string, so a row costs one allocation however many columns it has. null
+// is the empty row.
 func (s *scanner) columns() ([]string, error) {
-	cols, err := s.appendColumns(s.cols[:0])
-	s.cols = cols
-	return cols, err
+	row, ends, err := s.scanRow(s.row[:0], s.ends[:0])
+	s.row, s.ends = row, ends
+	if err != nil {
+		return s.cols[:0], err
+	}
+	s.cols = cutColumns(s.cols[:0], string(row), ends)
+	return s.cols, nil
 }
 
-// appendColumns decodes a row and appends its columns to cols. The columns
-// share one freshly allocated string: each value's bytes go to the end of
-// the row scratch as they are decoded, and the row becomes one string when
-// its array closes, so a row costs one allocation however many columns it
-// has. null is the empty row.
-func (s *scanner) appendColumns(cols []string) ([]string, error) {
+// scanRow decodes a row, appending its values' bytes end to end to row and
+// where each value ends to ends. null is the empty row.
+func (s *scanner) scanRow(row []byte, ends []int) ([]byte, []int, error) {
 	switch s.next() {
 	case 'n':
-		return cols, s.literal("null")
+		return row, ends, s.literal("null")
 	case '[':
 	default:
-		return cols, fmt.Errorf("offset %d: a row must be an array of columns", s.pos)
+		return row, ends, fmt.Errorf("offset %d: a row must be an array of columns", s.pos)
 	}
 	if err := s.enter(); err != nil {
-		return cols, err
+		return row, ends, err
 	}
-	row, ends := s.row[:0], s.ends[:0]
-	for first := true; ; {
+	for col, first := 0, true; ; col++ {
 		ok, err := s.nextElem(&first)
 		if err != nil {
-			return cols, err
+			return row, ends, err
 		}
 		if !ok {
-			break
+			return row, ends, nil
 		}
 		switch s.next() {
 		case '"':
 			raw, plain, err := s.scanString()
 			if err != nil {
-				return cols, err
+				return row, ends, err
 			}
 			if plain {
 				row = append(row, raw...)
@@ -682,20 +685,24 @@ func (s *scanner) appendColumns(cols []string) ([]string, error) {
 			}
 		case '{':
 			if row, err = s.appendB64(row); err != nil {
-				return cols, fmt.Errorf("column %d: %w", len(ends), err)
+				return row, ends, fmt.Errorf("column %d: %w", col, err)
 			}
 		default:
-			return cols, fmt.Errorf("column %d is neither a string nor a b64 object", len(ends))
+			return row, ends, fmt.Errorf("column %d is neither a string nor a b64 object", col)
 		}
 		ends = append(ends, len(row))
 	}
-	s.row, s.ends = row, ends
-	str, start := string(row), 0
+}
+
+// cutColumns appends to cols the values str holds end to end, the first
+// starting at 0 and each ending at the next of ends.
+func cutColumns(cols []string, str string, ends []int) []string {
+	start := 0
 	for _, end := range ends {
 		cols = append(cols, str[start:end])
 		start = end
 	}
-	return cols, nil
+	return cols
 }
 
 // appendB64 decodes {"b64": "<base64>"} and appends the value to dst. As
@@ -745,11 +752,14 @@ func (s *scanner) appendB64(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// rows decodes an array of rows. null is the empty set. The rows' columns
-// are gathered in the column scratch and copied into one backing array of
-// exactly their number, onto which each row is a capacity-limited window,
-// so appending to one row never writes into the next; a Rows value costs
-// two allocations and one string per row.
+// rows decodes an array of rows. null is the empty set. The rows' bytes are
+// scanned into the row scratch, and each run of up to storage.ChunkRows rows
+// becomes one string that their columns are sliced out of, so a stored row
+// pins at most its chunk of the request. The columns are gathered in the
+// column scratch and copied into one backing array of exactly their number,
+// onto which each row is a capacity-limited window, so appending to one row
+// never writes into the next: a Rows value of up to storage.ChunkRows rows
+// costs three allocations, whatever its size.
 func (s *scanner) rows() (Rows, error) {
 	switch s.next() {
 	case 'n':
@@ -762,6 +772,7 @@ func (s *scanner) rows() (Rows, error) {
 		return nil, err
 	}
 	vals, widths := s.cols[:0], s.widths[:0]
+	row, ends := s.row[:0], s.ends[:0]
 	for first := true; ; {
 		ok, err := s.nextElem(&first)
 		if err != nil {
@@ -770,13 +781,18 @@ func (s *scanner) rows() (Rows, error) {
 		if !ok {
 			break
 		}
-		n := len(vals)
-		if vals, err = s.appendColumns(vals); err != nil {
+		n := len(ends)
+		if row, ends, err = s.scanRow(row, ends); err != nil {
 			return nil, err
 		}
-		widths = append(widths, len(vals)-n)
+		widths = append(widths, len(ends)-n)
+		if len(widths)%storage.ChunkRows == 0 {
+			vals = cutColumns(vals, string(row), ends)
+			row, ends = row[:0], ends[:0]
+		}
 	}
-	s.cols, s.widths = vals, widths
+	vals = cutColumns(vals, string(row), ends)
+	s.cols, s.widths, s.row, s.ends = vals, widths, row, ends
 	backing := make([]string, len(vals))
 	copy(backing, vals)
 	out := make(Rows, len(widths))

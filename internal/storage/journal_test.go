@@ -9,6 +9,12 @@ import (
 	"unsafe"
 )
 
+// Remove is RemoveAll of one tuple, reporting whether it was present: the
+// single-tuple form the tests mix with lists.
+func (j *Journal) Remove(pred string, t Tuple) bool {
+	return j.RemoveAll(pred, []Tuple{t}) == 1
+}
+
 // dbState captures what a rollback must restore: per relation, the sorted
 // tuple keys and, for every built column index, the sorted keys Lookup
 // returns per stored value. checkConsistent pins that an index holds no
@@ -47,7 +53,8 @@ func dbState(db *Database) string {
 
 // TestJournalRollbackProperty drives random batches — journaled removals
 // (from the middle of a relation, so the tail swap-fills the hole, and of
-// absent tuples and missing relations), the insert mark, inserts into old
+// absent tuples and missing relations), one at a time (Remove) and by lists
+// that may repeat a tuple (RemoveAll), the insert mark, inserts into old
 // relations and into relations the batch creates — and checks that Rollback
 // restores every tuple set and every built column index.
 func TestJournalRollbackProperty(t *testing.T) {
@@ -73,13 +80,37 @@ func TestJournalRollbackProperty(t *testing.T) {
 		removed := 0
 		for i := rng.Intn(8); i > 0; i-- {
 			pred := []string{"a", "b", "c", "missing"}[rng.Intn(4)]
-			tup := Tuple{val(), val()}
-			if rel := db.Relation(pred); rel != nil && rel.Len() > 0 && rng.Intn(3) > 0 {
-				tup = rel.Tuples()[rng.Intn(rel.Len())] // present, usually not the tail
+			pick := func() Tuple {
+				if rel := db.Relation(pred); rel != nil && rel.Len() > 0 && rng.Intn(3) > 0 {
+					return rel.Tuples()[rng.Intn(rel.Len())] // present, usually not the tail
+				}
+				return Tuple{val(), val()}
 			}
-			if j.Remove(pred, tup) {
-				removed++
+			if rng.Intn(2) == 0 {
+				if j.Remove(pred, pick()) {
+					removed++
+				}
+				continue
 			}
+			// A list of up to five, possibly empty, that may name a tuple
+			// twice: the second removal finds it gone.
+			var ts []Tuple
+			for k := rng.Intn(6); k > 0; k-- {
+				if len(ts) > 0 && rng.Intn(4) == 0 {
+					ts = append(ts, ts[rng.Intn(len(ts))])
+				} else {
+					ts = append(ts, pick())
+				}
+			}
+			before := 0
+			if rel := db.Relation(pred); rel != nil {
+				before = rel.Len()
+			}
+			n := j.RemoveAll(pred, ts)
+			if rel := db.Relation(pred); rel != nil && rel.Len() != before-n {
+				t.Fatalf("trial %d: RemoveAll reported %d removal(s), relation %s went from %d to %d tuples", trial, n, pred, before, rel.Len())
+			}
+			removed += n
 		}
 		if rng.Intn(4) > 0 {
 			j.MarkInserts()
@@ -107,17 +138,27 @@ func TestJournalRollbackProperty(t *testing.T) {
 	}
 }
 
+// TestJournalRemoveAfterMarkPanics: removing after MarkInserts panics,
+// through Remove and through RemoveAll, even of nothing.
 func TestJournalRemoveAfterMarkPanics(t *testing.T) {
-	db := NewDatabase()
-	db.Insert("r", Tuple{"a"})
-	j := NewJournal(db)
-	j.MarkInserts()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Remove after MarkInserts did not panic")
-		}
-	}()
-	j.Remove("r", Tuple{"a"})
+	for name, remove := range map[string]func(*Journal){
+		"Remove":            func(j *Journal) { j.Remove("r", Tuple{"a"}) },
+		"RemoveAll":         func(j *Journal) { j.RemoveAll("r", []Tuple{{"a"}}) },
+		"RemoveAll nothing": func(j *Journal) { j.RemoveAll("r", nil) },
+	} {
+		db := NewDatabase()
+		db.Insert("r", Tuple{"a"})
+		j := NewJournal(db)
+		j.MarkInserts()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after MarkInserts did not panic", name)
+				}
+			}()
+			remove(j)
+		}()
+	}
 }
 
 // TestJournalRestoresStoredTuple: a rollback puts back the stored tuple the

@@ -20,7 +20,8 @@
 // copies only the array of tuples, and a rollback re-adopts the tuple it
 // removed. What a relation may not store is a tuple someone else may still
 // write — a caller's, or a window onto a buffer that is reused; Insert
-// clones those.
+// clones those, and a batch's inserts are copied into backing arrays of at
+// most ChunkRows rows.
 //
 // Values are constant lexemes (see cq.Term); Skolem values produced by the
 // inverse-rules algorithm live in the same domain as tagged strings and
@@ -54,6 +55,13 @@ func (e *ArityError) Error() string {
 
 // Tuple is a row of constant values.
 type Tuple []string
+
+// ChunkRows bounds how many rows of one write share an allocation a stored
+// row keeps alive. The wire decoder gives each run of up to ChunkRows rows
+// of an array one string, and a batch's inserts are copied into one backing
+// array per run of up to ChunkRows rows, so a stored row pins at most one
+// chunk of its request — whose body may be 64 MiB — and never the rest.
+const ChunkRows = 64
 
 // Key returns the tuple's columns joined by 0x1f. Distinct tuples share a
 // key when a value holds that byte, so nothing decides membership by it;
@@ -161,7 +169,8 @@ func (r *Relation) Insert(t Tuple) bool { return r.add(t, true) }
 // rollback the tuple it removed), a decoded snapshot row, or a window onto
 // a backing array that outlives every write to it (every merge of derived
 // rows, in a fixpoint run and in maintenance alike, copies a round's
-// buffer into one such array and adopts windows onto it).
+// buffer into one such array and adopts windows onto it, and a batch's
+// inserts are copied the same way, one array per ChunkRows rows).
 func (r *Relation) Adopt(t Tuple) bool { return r.add(t, false) }
 
 // Grow makes room for n more tuples: the tuple slice, each built column
