@@ -442,7 +442,9 @@ var (
 	NewContainmentMemo = containment.NewMemo
 )
 
-// Cost-based plan choice (see internal/cost).
+// Cost-based plan choice: statistics from internal/cost, priced by the
+// compiler in internal/datalog, so an estimate walks exactly the join
+// order CompileQueryParams gives the plan.
 type (
 	// Catalog holds relation statistics for cost estimation.
 	Catalog = cost.Catalog
@@ -457,16 +459,11 @@ var (
 	NewCatalog = cost.NewCatalog
 	// NewRowCatalog derives cardinalities only (cheap; no distinct counts).
 	NewRowCatalog = cost.NewRowCatalog
-	// EstimateQuery costs a conjunctive query.
-	EstimateQuery = cost.EstimateQuery
-	// EstimateQueryWith costs a conjunctive query with the named variables
-	// treated as pre-bound parameters.
-	EstimateQueryWith = cost.EstimateQueryWith
-	// EstimateUnion costs a union of conjunctive queries.
-	EstimateUnion = cost.EstimateUnion
-	// ChoosePlan returns the cheapest candidate under the catalog.
-	ChoosePlan = cost.Choose
-	// ChoosePlanWith is ChoosePlan with pre-bound parameter variables —
-	// the decision procedure for parameterized plan candidates.
-	ChoosePlanWith = cost.ChooseWith
+	// EstimateQuery costs a conjunctive query in the join order its
+	// compiled plan runs, with the named parameter variables (nil for
+	// none) bound before the first join step.
+	EstimateQuery = datalog.Estimate
+	// ChoosePlan returns the cheapest candidate under EstimateQuery, with
+	// every candidate's estimate.
+	ChoosePlan = datalog.Choose
 )

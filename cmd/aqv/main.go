@@ -228,13 +228,14 @@ func runEquivalent(out *os.File, q *aqv.Query, views []*aqv.Query, vs *aqv.ViewS
 		}
 		merged := m.Database()
 		// Choose the cheapest rewriting under the catalog statistics, then
-		// compile it once: Describe and Eval see the same physical plan.
+		// compile only the winner: its estimate walked the join order this
+		// compile gives it, and Describe and Eval see that one plan.
 		catalog := aqv.NewCatalog(merged)
 		candidates := make([]*aqv.Query, len(results))
 		for i, rw := range results {
 			candidates[i] = rw.Query
 		}
-		best, estimates := aqv.ChoosePlan(catalog, candidates)
+		best, estimates := aqv.ChoosePlan(candidates, nil, catalog)
 		if stats && len(candidates) > 1 {
 			fmt.Fprintf(out, "%% cost model chose plan %d (cost %.0f)\n", best, estimates[best].Cost)
 		}

@@ -85,7 +85,7 @@ func main() {
 
 	// Cost each candidate and pick the winner.
 	catalog := aqv.NewCatalog(db)
-	best, estimates := aqv.ChoosePlan(catalog, candidates)
+	best, estimates := aqv.ChoosePlan(candidates, nil, catalog)
 	fmt.Println("\ncost estimates (intermediate tuples):")
 	for i, e := range estimates {
 		marker := " "

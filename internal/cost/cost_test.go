@@ -5,11 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cq"
 	"repro/internal/storage"
 )
-
-func mustQ(src string) *cq.Query { return cq.MustParseQuery(src) }
 
 func sampleDB() *storage.Database {
 	db := storage.NewDatabase()
@@ -32,151 +29,11 @@ func TestCatalogStats(t *testing.T) {
 	if c.Rows("missing") != 1 {
 		t.Fatal("missing relation should default to 1")
 	}
-	if d := c.distinctAt("big", 1); d != 10 {
+	if c.Distinct("missing", 0) != 1 || c.Distinct("big", 2) != 1 {
+		t.Fatal("unknown column should default to 1 distinct value")
+	}
+	if d := c.Distinct("big", 1); d != 10 {
 		t.Fatalf("distinct(big,1) = %v", d)
-	}
-}
-
-func TestEstimateQueryPrefersSelectiveDriver(t *testing.T) {
-	c := NewCatalog(sampleDB())
-	q := mustQ("q(X) :- big(X,Y), small(X)")
-	e := EstimateQuery(c, q)
-	if len(e.Order) != 2 {
-		t.Fatalf("order = %v", e.Order)
-	}
-	// The evaluator starts with the smaller relation (index 1 = small).
-	if e.Order[0] != 1 {
-		t.Fatalf("driver should be small, order = %v", e.Order)
-	}
-	if e.Cost <= 0 || e.Cardinality <= 0 {
-		t.Fatalf("estimate = %+v", e)
-	}
-}
-
-func TestEstimateConstantsFilter(t *testing.T) {
-	c := NewCatalog(sampleDB())
-	all := EstimateQuery(c, mustQ("q(X,Y) :- big(X,Y)"))
-	filtered := EstimateQuery(c, mustQ("q(X) :- big(X,b3)"))
-	if filtered.Cardinality >= all.Cardinality {
-		t.Fatalf("constant filter did not reduce cardinality: %v vs %v", filtered.Cardinality, all.Cardinality)
-	}
-}
-
-func TestEstimateComparisonsReduce(t *testing.T) {
-	c := NewCatalog(sampleDB())
-	plain := EstimateQuery(c, mustQ("q(X,Y) :- big(X,Y)"))
-	comp := EstimateQuery(c, mustQ("q(X,Y) :- big(X,Y), X < Y"))
-	if comp.Cardinality >= plain.Cardinality {
-		t.Fatal("comparison did not reduce cardinality")
-	}
-}
-
-func TestChoosePrefersMaterializedJoin(t *testing.T) {
-	// Simulate a pre-joined view that is much smaller than the cross of
-	// its base relations.
-	c := NewCatalog(storage.NewDatabase())
-	c.SetRelation("r", 10000, []float64{1000, 500})
-	c.SetRelation("s", 10000, []float64{500, 1000})
-	c.SetRelation("v_joined", 800, []float64{600, 600})
-	direct := mustQ("q(X,Y) :- r(X,Z), s(Z,Y)")
-	viaView := mustQ("q(X,Y) :- v_joined(X,Y)")
-	best, ests := Choose(c, []*cq.Query{direct, viaView})
-	if best != 1 {
-		t.Fatalf("Choose picked %d (estimates %+v)", best, ests)
-	}
-}
-
-func TestEstimateUnion(t *testing.T) {
-	c := NewCatalog(sampleDB())
-	u := cq.NewUnion(mustQ("q(X) :- small(X)"), mustQ("q(X) :- big(X,Y)"))
-	e := EstimateUnion(c, u)
-	single := EstimateQuery(c, mustQ("q(X) :- small(X)"))
-	if e.Cost <= single.Cost {
-		t.Fatal("union cost should exceed a single member")
-	}
-}
-
-func TestEstimateQueryWithBoundParams(t *testing.T) {
-	c := NewCatalog(sampleDB())
-	q := mustQ("q(X) :- big(X,P)")
-	free := EstimateQuery(c, q)
-	bound := EstimateQueryWith(c, q, []string{"P"})
-	if bound.Cardinality >= free.Cardinality || bound.Cost >= free.Cost {
-		t.Fatalf("pre-bound parameter did not filter: bound=%+v free=%+v", bound, free)
-	}
-	// A bound parameter behaves like the equivalent constant selection.
-	asConst := EstimateQuery(c, mustQ("q(X) :- big(X,b3)"))
-	if bound.Cardinality != asConst.Cardinality {
-		t.Fatalf("bound param %v != constant %v", bound.Cardinality, asConst.Cardinality)
-	}
-}
-
-func TestEstimateQueryWithBoundDrivesJoinOrder(t *testing.T) {
-	c := NewCatalog(sampleDB())
-	q := mustQ("q(Y) :- big(P,Y), small(Z)")
-	e := EstimateQueryWith(c, q, []string{"P"})
-	// With P bound, big has a bound column and must drive despite being the
-	// larger relation.
-	if e.Order[0] != 0 {
-		t.Fatalf("order = %v, want the parameter-bound atom first", e.Order)
-	}
-}
-
-// TestEstimateOrdersByRowsAlone pins the documented gap between Order and a
-// compiled plan's step order: among atoms with as many bound columns, the
-// estimate takes the one with fewer rows, whatever its distinct counts.
-// With X bound, s(X,Z) (100 rows, one distinct X) goes before r(X,Y) (1 000
-// rows, 1 000 distinct X) here, though a compiled plan joins r first.
-func TestEstimateOrdersByRowsAlone(t *testing.T) {
-	c := NewCatalog(storage.NewDatabase())
-	c.SetRelation("r", 1000, []float64{1000, 1000})
-	c.SetRelation("s", 100, []float64{1, 100})
-	e := EstimateQueryWith(c, mustQ("q(Y,Z) :- r(X,Y), s(X,Z)"), []string{"X"})
-	if !reflect.DeepEqual(e.Order, []int{1, 0}) {
-		t.Fatalf("order = %v, want s before r", e.Order)
-	}
-}
-
-// TestEstimateUnionBuildsNoOrder: a union's estimate sums its members' costs
-// and has no join order of its own.
-func TestEstimateUnionBuildsNoOrder(t *testing.T) {
-	c := NewCatalog(sampleDB())
-	u := cq.NewUnion(mustQ("q(X) :- big(X,P), small(P)"), mustQ("q(X) :- small(X)"))
-	e := EstimateUnion(c, u)
-	if e.Order != nil {
-		t.Fatalf("union order = %v, want none", e.Order)
-	}
-	var cost float64
-	for _, m := range u.Queries {
-		cost += EstimateQuery(c, m).Cost
-	}
-	if e.Cost != cost {
-		t.Fatalf("union cost %v, want the members' sum %v", e.Cost, cost)
-	}
-}
-
-func TestChooseWithBoundParams(t *testing.T) {
-	// v_wide is cheaper scanned cold, but with the parameter bound the
-	// highly selective v_sel wins: ChooseWith must flip the decision.
-	c := NewCatalog(storage.NewDatabase())
-	c.SetRelation("v_wide", 1000, []float64{2, 2})
-	c.SetRelation("v_sel", 2000, []float64{2000, 2000})
-	a := mustQ("q(X) :- v_wide(X,P)")
-	b := mustQ("q(X) :- v_sel(X,P)")
-	cold, _ := Choose(c, []*cq.Query{a, b})
-	warm, ests := ChooseWith(c, []*cq.Query{a, b}, []string{"P"})
-	if cold != 0 || warm != 1 {
-		t.Fatalf("cold=%d warm=%d (estimates %+v), want 0 then 1", cold, warm, ests)
-	}
-}
-
-func TestEstimateUnionWith(t *testing.T) {
-	c := NewCatalog(sampleDB())
-	u := cq.NewUnion(mustQ("q(X) :- big(X,P)"), mustQ("q(X) :- small(X)"))
-	free := EstimateUnion(c, u)
-	bound := EstimateUnionWith(c, u, []string{"P"})
-	if bound.Cost >= free.Cost {
-		t.Fatalf("bound union cost %v, want below %v", bound.Cost, free.Cost)
 	}
 }
 
@@ -189,14 +46,6 @@ func TestCatalogClone(t *testing.T) {
 	}
 	if n.Rows("big") != 7 || n.Rows("small") != 5 {
 		t.Fatalf("clone stats wrong: big=%v small=%v", n.Rows("big"), n.Rows("small"))
-	}
-}
-
-func TestChooseEmpty(t *testing.T) {
-	c := NewCatalog(storage.NewDatabase())
-	best, ests := Choose(c, nil)
-	if best != -1 || len(ests) != 0 {
-		t.Fatalf("Choose on empty = %d, %v", best, ests)
 	}
 }
 
@@ -227,5 +76,26 @@ func TestNewCatalogReadsIndexes(t *testing.T) {
 	}
 	if _, built := plain.Relation("r").ColumnIndex(0); built {
 		t.Fatal("NewCatalog built an index on the relation it counted")
+	}
+}
+
+// TestNewRowCatalog: a rows-only catalog covers the predicates it is
+// given (all of them when none are), counts no distinct values, and skips
+// a predicate the database does not hold, which then reads as unknown.
+func TestNewRowCatalog(t *testing.T) {
+	db := sampleDB()
+	sub := NewRowCatalog(db, "small", "missing")
+	if sub.Rows("small") != 5 || sub.Rows("big") != 1 || sub.Rows("missing") != 1 {
+		t.Fatalf("subset rows: small=%v big=%v missing=%v", sub.Rows("small"), sub.Rows("big"), sub.Rows("missing"))
+	}
+	if _, ok := sub.rows["missing"]; ok {
+		t.Fatal("a predicate missing from the database got a cardinality")
+	}
+	all := NewRowCatalog(db)
+	if all.Rows("big") != 100 || all.Rows("small") != 5 || len(all.rows) != 2 {
+		t.Fatalf("whole-database rows: %v", all.rows)
+	}
+	if all.Distinct("big", 1) != 1 || len(all.distinct) != 0 {
+		t.Fatalf("rows-only catalog holds distinct counts: %v", all.distinct)
 	}
 }

@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"hash/maphash"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -221,7 +222,7 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 		}
 		firstStep := len(steps)
 		for len(remaining) > 0 {
-			next := chooseNext(comp.atoms, remaining, bound, cat)
+			next, _ := chooseNext(comp.atoms, remaining, bound, cat)
 			var step compiledStep
 			step, ops = lowerAtom(comp.atoms[next], bound, slotOf, keep, cat, ops)
 			pending = attachComparisons(&step, pending, bound, slots)
@@ -248,6 +249,74 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 	return p
 }
 
+// Estimate prices q as CompileParams(q, params, cat) runs it: atoms in the
+// compiler's own join order (chooseNext), each step yielding its rows
+// divided by the distinct counts of its bound columns, and Cost summing
+// the intermediate result after every step. A disconnected body's
+// components interleave here, but each is priced in its compiled order,
+// since the choice among one component's atoms never sees another's
+// variables. Params are bound before the first step; comparisons filter
+// the result at 1/3 each (the System R default). Candidates are ranked by
+// Estimate rather than compiled: an estimate allocates a fraction of a
+// compile.
+func Estimate(q *cq.Query, params []string, cat *cost.Catalog) cost.Estimate {
+	bound := make(map[string]bool, len(params))
+	for _, v := range params {
+		bound[v] = true
+	}
+	remaining := make([]int, len(q.Body))
+	for i := range remaining {
+		remaining[i] = i
+	}
+	est := cost.Estimate{Cardinality: 1}
+	for len(remaining) > 0 {
+		next, rows := chooseNext(q.Body, remaining, bound, cat)
+		a := q.Body[next]
+		// A step's estimate is floored at one tuple of its whole relation
+		// (1/rows, rows guarded against zero), so it never reaches zero.
+		est.Cardinality *= math.Max(rows, 1/math.Max(1, cat.Rows(a.Pred)))
+		est.Cost += est.Cardinality
+		for _, t := range a.Args {
+			if t.IsVar() {
+				bound[t.Lex] = true
+			}
+		}
+		remaining = removeIdx(remaining, next)
+	}
+	for range q.Comparisons {
+		est.Cardinality /= 3
+	}
+	return est
+}
+
+// Choose returns the index of the cheapest candidate under Estimate (-1
+// when there are none) with every candidate's estimate: the decision an
+// optimiser runs over the rewritings of one query.
+func Choose(candidates []*cq.Query, params []string, cat *cost.Catalog) (best int, estimates []cost.Estimate) {
+	best = -1
+	estimates = make([]cost.Estimate, len(candidates))
+	for i, q := range candidates {
+		estimates[i] = Estimate(q, params, cat)
+		if best == -1 || estimates[i].Cost < estimates[best].Cost {
+			best = i
+		}
+	}
+	return best, estimates
+}
+
+// EstimateUnion prices a union as the sum of its members' estimates, each
+// member in the join order its compiled plan runs (Estimate): a union has
+// no join order of its own.
+func EstimateUnion(u *cq.Union, params []string, cat *cost.Catalog) cost.Estimate {
+	var total cost.Estimate
+	for _, m := range u.Queries {
+		est := Estimate(m, params, cat)
+		total.Cost += est.Cost
+		total.Cardinality += est.Cardinality
+	}
+	return total
+}
+
 // neededVars collects the variables of the head and comparisons.
 func neededVars(q *cq.Query) map[string]bool {
 	needed := make(map[string]bool)
@@ -266,17 +335,18 @@ func neededVars(q *cq.Query) map[string]bool {
 	return needed
 }
 
-// chooseNext picks the next atom to join: most bound argument positions
-// first (each bound column is an index restriction), then the smallest
-// estimated candidate count under the catalog, then an atom with a bound
-// variable over one bound by constants alone, then body order. With a
-// rows-only catalog the estimate is the relation cardinality, reproducing
-// the interpreter's smaller-relation tie-break; with full statistics bound
-// columns are discounted by their distinct counts. Estimates tie where
-// statistics are missing, as for derived predicates; there, probing a
-// constant-bound atom before the atom that joins it to the bound ones
-// would enumerate a cross product.
-func chooseNext(atoms []cq.Atom, remaining []int, bound map[string]bool, cat *cost.Catalog) int {
+// chooseNext picks the next atom to join and returns it with its
+// estimated candidate count: most bound argument positions first (each
+// bound column is an index restriction), then the smallest estimate, the
+// relation's rows divided by the distinct counts of its bound columns,
+// then an atom with a bound variable over one bound by constants alone,
+// then body order. With a rows-only catalog the estimate is the relation
+// cardinality, reproducing the interpreter's smaller-relation tie-break.
+// Estimates tie where statistics are missing, as for derived predicates;
+// there, probing a constant-bound atom before the atom that joins it to
+// the bound ones would enumerate a cross product. It is the one join-order
+// rule of compiled plans, rule variants and Estimate.
+func chooseNext(atoms []cq.Atom, remaining []int, bound map[string]bool, cat *cost.Catalog) (int, float64) {
 	best, bestScore, bestEst, bestJoined := -1, -1, 0.0, false
 	for _, idx := range remaining {
 		a := atoms[idx]
@@ -293,7 +363,7 @@ func chooseNext(atoms []cq.Atom, remaining []int, bound map[string]bool, cat *co
 			best, bestScore, bestEst, bestJoined = idx, score, est, joined
 		}
 	}
-	return best
+	return best, bestEst
 }
 
 // countOps is the number of column ops the atoms compile to: one per

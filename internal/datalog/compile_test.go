@@ -102,18 +102,22 @@ func TestCompiledMatchesNaiveRandom(t *testing.T) {
 	}
 }
 
-// TestCompiledOrderDiscountsBoundColumns is the compiled half of the gap
-// cost.Estimate's Order documents: with X bound, r(X,Y) (1 000 rows, 1 000
-// distinct X) estimates one candidate and s(X,Z) (100 rows, one distinct X)
-// a hundred, so the plan joins r first, where the estimate, by rows alone,
-// puts s first (cost's TestEstimateOrdersByRowsAlone).
+// TestCompiledOrderDiscountsBoundColumns: with X bound, r(X,Y) (1 000
+// rows, 1 000 distinct X) yields one candidate and s(X,Z) (100 rows, one
+// distinct X) a hundred, so the plan joins r first, and Estimate prices
+// that order (1 + 100) rather than s first (100 + 100), the order by rows
+// alone.
 func TestCompiledOrderDiscountsBoundColumns(t *testing.T) {
 	cat := cost.NewCatalog(storage.NewDatabase())
 	cat.SetRelation("r", 1000, []float64{1000, 1000})
 	cat.SetRelation("s", 100, []float64{1, 100})
-	p := CompileParams(mustQ("q(Y,Z) :- r(X,Y), s(X,Z)"), []string{"X"}, cat)
+	q := mustQ("q(Y,Z) :- r(X,Y), s(X,Z)")
+	p := CompileParams(q, []string{"X"}, cat)
 	if steps := p.components[0].steps; steps[0].pred != "r" || steps[1].pred != "s" {
 		t.Fatalf("compiled order:\n%s want r before s", p.Describe())
+	}
+	if est := Estimate(q, []string{"X"}, cat); est.Cost != 101 || est.Cardinality != 100 {
+		t.Fatalf("estimate %+v, want cost 101 and cardinality 100 (r before s)", est)
 	}
 }
 

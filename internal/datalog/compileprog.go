@@ -391,7 +391,7 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 		lower(deltaPos)
 	}
 	for len(remaining) > 0 {
-		next := chooseNext(r.Body, remaining, bound, cat)
+		next, _ := chooseNext(r.Body, remaining, bound, cat)
 		lower(next)
 		remaining = removeIdx(remaining, next)
 	}

@@ -172,4 +172,9 @@ func TestProgramEstimateCost(t *testing.T) {
 	if es.Cost <= 0 || eb.Cost <= es.Cost {
 		t.Fatalf("estimates: small=%+v big=%+v", es, eb)
 	}
+	// One round's worth: the sum of every rule body's Estimate.
+	join := Estimate(cq.MustParseQuery("tc(X,Z) :- e(X,Y), e(Y,Z)"), nil, cat)
+	if eb.Cost != es.Cost+join.Cost || eb.Cardinality != es.Cardinality+join.Cardinality {
+		t.Fatalf("program estimate %+v, want %+v plus %+v", eb, es, join)
+	}
 }

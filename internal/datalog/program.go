@@ -191,7 +191,7 @@ func (p *Program) String() string {
 }
 
 // EstimateCost estimates the evaluation cost of the program under the
-// catalog: the sum of every rule body's join estimate (cost.EstimateQuery),
+// catalog: the sum of every rule body's join estimate (Estimate),
 // one round's worth of work. It ignores fixpoint iteration counts and
 // defaults derived predicates absent from the catalog to cardinality 1, so
 // it ranks a program against rewriting candidates rather than predicting
@@ -201,7 +201,7 @@ func (p *Program) EstimateCost(c *cost.Catalog) cost.Estimate {
 	var total cost.Estimate
 	for _, r := range p.Rules {
 		q := &cq.Query{Head: cq.NewAtom(r.HeadPred), Body: r.Body, Comparisons: r.Comparisons}
-		e := cost.EstimateQuery(c, q)
+		e := Estimate(q, nil, c)
 		total.Cost += e.Cost
 		total.Cardinality += e.Cardinality
 	}

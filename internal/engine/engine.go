@@ -986,7 +986,7 @@ func (e *Engine) buildPlan(tmpl *cq.Template, fp string) (*Plan, error) {
 		}
 		p.Kind = PlanMaxContained
 		p.Union = u
-		p.Estimate = cost.EstimateUnionWith(e.catalog, u, tmpl.Params)
+		p.Estimate = datalog.EstimateUnion(u, tmpl.Params, e.catalog)
 	case MiniCon:
 		if err := e.planMiniCon(p, qc); err != nil {
 			return nil, err
@@ -1069,7 +1069,7 @@ func (e *Engine) planEquivalent(p *Plan, qc *cq.Query) bool {
 	for i, rw := range results {
 		candidates[i] = rw.Query
 	}
-	best, ests := cost.ChooseWith(e.catalog, candidates, p.Params)
+	best, ests := datalog.Choose(candidates, p.Params, e.catalog)
 	p.Kind = PlanEquivalent
 	p.Rewriting = results[best]
 	p.Estimate = ests[best]
@@ -1088,7 +1088,7 @@ func (e *Engine) planMiniCon(p *Plan, qc *cq.Query) error {
 	}
 	p.Kind = PlanMaxContained
 	p.Union = u
-	p.Estimate = cost.EstimateUnionWith(e.catalog, u, p.Params)
+	p.Estimate = datalog.EstimateUnion(u, p.Params, e.catalog)
 	return nil
 }
 

@@ -330,8 +330,8 @@ func TestEquivalentFirstFallbackAttribution(t *testing.T) {
 
 // TestMaxResultsKeepsCheapest: with MaxResults > 1 the engine enumerates
 // equivalent rewritings and keeps the one the cost model ranks cheapest —
-// its recorded estimate must match an independent Choose over the same
-// candidate set.
+// its recorded estimate must match an independent datalog.Choose over the
+// same candidate set.
 func TestMaxResultsKeepsCheapest(t *testing.T) {
 	base, views := pointBase(t, 200)
 	e, err := NewFromBase(base, views, Options{MaxResults: core.AllRewritings})
@@ -359,7 +359,7 @@ func TestMaxResultsKeepsCheapest(t *testing.T) {
 	for i, rw := range results {
 		candidates[i] = rw.Query
 	}
-	best, ests := cost.ChooseWith(cost.NewCatalog(e.Database()), candidates, tmpl.Params)
+	best, ests := datalog.Choose(candidates, tmpl.Params, cost.NewCatalog(e.Database()))
 	if p.Estimate.Cost != ests[best].Cost {
 		t.Fatalf("plan estimate %v, independent cheapest %v", p.Estimate.Cost, ests[best].Cost)
 	}

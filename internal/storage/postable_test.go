@@ -332,10 +332,15 @@ func TestRelationAllocs(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
 // TestRelationGrow: after Grow(n), adopting n tuples reallocates neither
 // the tuple slice, nor a built column index's links, nor the set index —
 // only a new distinct value may grow a column's heads — and growing one
-// tuple at a time still grows amortised, like append.
+// tuple at a time still grows amortised, like append. The race detector's
+// instrumentation allocates, so under it only the relations' consistency
+// is checked.
 func TestRelationGrow(t *testing.T) {
 	const n = 1000
 	r := NewRelation("r", 2)
@@ -352,7 +357,7 @@ func TestRelationGrow(t *testing.T) {
 		for _, tup := range batch {
 			r.Adopt(tup)
 		}
-	}); got > 3 {
+	}); got > 3 && !raceEnabled {
 		t.Errorf("Grow(%d) then %d adoptions: %.0f allocs, want at most 3 (one per grown array)", n, n, got)
 	}
 	checkConsistent(t, r)
@@ -362,7 +367,7 @@ func TestRelationGrow(t *testing.T) {
 			one.Grow(1)
 			one.Adopt(tup)
 		}
-	}); got > 40 {
+	}); got > 40 && !raceEnabled {
 		t.Errorf("%d single-tuple grows: %.0f allocs, want amortised growth", n, got)
 	}
 	checkConsistent(t, one)
