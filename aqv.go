@@ -165,9 +165,9 @@ var (
 	Expand = core.Expand
 	// VerifyRewriting checks a candidate rewriting from scratch.
 	VerifyRewriting = core.VerifyRewriting
-	// Usable reports whether a view has a valid application to the query,
-	// the test the equivalent-rewriting search builds candidates from; a
-	// view it rejects may still occur in an equivalent rewriting.
+	// Usable reports whether a view has a valid application to the query
+	// (the paper's R3); a view it rejects may still occur in an
+	// equivalent rewriting, which the rewriter then finds.
 	Usable = core.Usable
 )
 

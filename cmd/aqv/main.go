@@ -215,8 +215,8 @@ func runEquivalent(out *os.File, q *aqv.Query, views []*aqv.Query, vs *aqv.ViewS
 		fmt.Fprintf(out, "%s  %% %s\n", rw.Query.String(), kind)
 	}
 	if stats {
-		fmt.Fprintf(out, "%% applications=%d valid=%d candidates=%d equivalence_checks=%d\n",
-			st.Applications, st.ValidApplications, st.CandidatesTried, st.EquivalenceChecks)
+		fmt.Fprintf(out, "%% applications=%d candidates=%d equivalence_checks=%d\n",
+			st.Applications, st.CandidatesTried, st.EquivalenceChecks)
 	}
 	if base != nil && len(results) > 0 {
 		// The execution database is the one an AllowPartial engine

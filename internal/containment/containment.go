@@ -43,7 +43,7 @@ func (s *Search) contained(q2 *cq.Query, p1 *Prepared) bool {
 	q1 := p1.q
 	if len(q1.Comparisons) == 0 {
 		if len(q2.Comparisons) == 0 {
-			return s.exists(p1, q2)
+			return s.Maps(p1, q2)
 		}
 		// q1 is comparison-free, so q2's comparisons matter only through
 		// the equalities they force and their satisfiability: merge
@@ -53,7 +53,7 @@ func (s *Search) contained(q2 *cq.Query, p1 *Prepared) bool {
 		if !sat {
 			return true
 		}
-		return s.exists(p1, norm)
+		return s.Maps(p1, norm)
 	}
 	if SemiInterval(q1) {
 		// Klug's tractable case: when the containing query's comparisons
@@ -166,7 +166,7 @@ func (s *Search) containedComplete(q2 *cq.Query, p1 *Prepared) bool {
 		return true
 	}
 	if len(q1.Comparisons) == 0 && len(q2.Comparisons) == 0 {
-		return s.exists(p1, q2)
+		return s.Maps(p1, q2)
 	}
 	// The linearisation domain: q2's variables and constants plus the
 	// constants of q1 (mappings send q1's comparison terms into this set).

@@ -25,7 +25,7 @@ func findMapping(from, to *cq.Query) (Mapping, bool) {
 }
 
 // findBodyMappings enumerates substitutions over `from`'s variables that map
-// every body atom of `from` to some body atom of `to`, starting from the
+// every body atom of `from` to some body atom of `to` and agree with the
 // given initial bindings (which may be nil), through Search.BodyMappings.
 // Heads are ignored entirely. The substitution passed to yield is reused
 // across calls.
@@ -33,7 +33,12 @@ func findBodyMappings(from, to *cq.Query, initial cq.Subst, yield func(Mapping) 
 	var s Search
 	n := cq.Number(from)
 	m := cq.NewSubst()
-	s.BodyMappings(&n, to, initial, func() bool {
+	s.BodyMappings(&n, to, func([]int32) bool {
+		for name, img := range initial {
+			if v := n.ID(name); v >= 0 && s.set[v] && s.sub[v] != img {
+				return true
+			}
+		}
 		clear(m)
 		maps.Copy(m, initial) // bindings of variables from does not have are carried along
 		s.fill(m)

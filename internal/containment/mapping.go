@@ -43,9 +43,11 @@ type Search struct {
 	sub   []cq.Term
 	set   []bool
 	trail []int32
-	// yield is called for each mapping found; nil stops at the first one,
-	// which found records.
-	yield func() bool
+	// at[i] is the target atom source atom i is mapped onto, while it is.
+	at []int32
+	// yield is called with at for each mapping found; nil stops at the
+	// first one, which found records.
+	yield func(at []int32) bool
 	found bool
 
 	used, bound []bool   // scratch of arrange
@@ -131,6 +133,7 @@ func (s *Search) arrange(src *cq.Numbered, dst *cq.Query) {
 	s.used = resize(s.used, n)
 	s.set = resize(s.set, nv)
 	s.bound = resize(s.bound, nv)
+	s.at = resize(s.at, n)
 	for len(s.order) < n {
 		best, bestBound, bestCand := -1, -1, int32(0)
 		for i := 0; i < n; i++ {
@@ -207,7 +210,7 @@ func (s *Search) step(k int) bool {
 			s.found = true
 			return false
 		}
-		return s.yield()
+		return s.yield(s.at)
 	}
 	i := s.order[k]
 	atom, ids := s.src.Query.Body[i], s.src.Atom(int(i))
@@ -216,6 +219,7 @@ func (s *Search) step(k int) bool {
 		if !s.match(atom, ids, s.dst.Body[j]) {
 			continue
 		}
+		s.at[i] = j
 		if !s.step(k + 1) {
 			return false
 		}
@@ -236,8 +240,9 @@ func (s *Search) begin(p *Prepared, dst *cq.Query) bool {
 	return s.match(cq.Atom{Args: from.Args}, s.src.Head(), cq.Atom{Args: to.Args})
 }
 
-// exists reports whether a containment mapping from p onto dst exists.
-func (s *Search) exists(p *Prepared, dst *cq.Query) bool {
+// Maps reports whether a containment mapping from p onto dst exists. It
+// never consults the memo.
+func (s *Search) Maps(p *Prepared, dst *cq.Query) bool {
 	if !s.begin(p, dst) {
 		return false
 	}
@@ -253,11 +258,23 @@ func (s *Search) mappings(p *Prepared, dst *cq.Query, yield func(Mapping) bool) 
 		return
 	}
 	m := cq.NewSubst()
-	s.yield = func() bool {
+	s.yield = func([]int32) bool {
 		clear(m)
 		s.fill(m)
 		return yield(m)
 	}
+	s.step(0)
+}
+
+// AtomMappings enumerates the containment mappings from p onto dst, handing
+// yield, for each, the index of the dst body atom that each body atom of p
+// lands on: at[i] for p's atom i. The slice is reused between calls.
+// Enumeration stops when yield returns false.
+func (s *Search) AtomMappings(p *Prepared, dst *cq.Query, yield func(at []int32) bool) {
+	if !s.begin(p, dst) {
+		return
+	}
+	s.yield = yield
 	s.step(0)
 }
 
@@ -269,35 +286,23 @@ func (s *Search) fill(m cq.Subst) {
 }
 
 // BodyMappings enumerates the substitutions over src's variables that map
-// every body atom of src onto some body atom of dst and extend the initial
-// bindings (which may be nil); heads are ignored. This is the primitive of
-// the rewriting search, where view bodies are mapped into query bodies.
-// Inside yield, Image and Mapping describe the current substitution;
+// every body atom of src onto some body atom of dst; heads are ignored.
+// This is the primitive of the rewriting search, where view bodies are
+// mapped into query bodies. Inside yield, Image describes the current
+// substitution, and at[i] is the dst body atom that src's atom i lands on;
 // enumeration stops when yield returns false.
-func (s *Search) BodyMappings(src *cq.Numbered, dst *cq.Query, initial cq.Subst, yield func() bool) {
+func (s *Search) BodyMappings(src *cq.Numbered, dst *cq.Query, yield func(at []int32) bool) {
 	if !s.candidates(src.Query, dst) {
 		return
 	}
 	s.arrange(src, dst)
-	for name, img := range initial {
-		if v := src.ID(name); v >= 0 {
-			s.bind(v, img)
-		}
-	}
 	s.yield = yield
 	s.step(0)
 }
 
 // Image returns the current image of source variable v. Valid inside a
 // BodyMappings yield, where every variable of the source body is bound.
-func (s *Search) Image(v int32) (cq.Term, bool) { return s.sub[v], s.set[v] }
-
-// Mapping returns the current substitution as a new cq.Subst.
-func (s *Search) Mapping() Mapping {
-	m := make(cq.Subst, len(s.trail))
-	s.fill(m)
-	return m
-}
+func (s *Search) Image(v int32) cq.Term { return s.sub[v] }
 
 // FindAllMappings enumerates containment mappings from `from` onto `to`,
 // invoking yield for each. Enumeration stops early when yield returns

@@ -197,6 +197,44 @@ func checkAgainstReference(t *testing.T, from, to *cq.Query) {
 	if ok != (len(want) > 0) || ok && first.String() != want[0] {
 		t.Fatalf("findMapping from %s to %s = %v, %v; reference %v", from, to, first, ok, want)
 	}
+	var s Search
+	if got := s.Maps(Prepare(from), to); got != (len(want) > 0) {
+		t.Fatalf("Maps from %s to %s = %v; reference %v", from, to, got, want)
+	}
+	// AtomMappings: the same mappings in the same order, each rendered as
+	// the target atom every source atom lands on.
+	var wantAt, gotAt []string
+	refFindAllMappings(from, to, func(m Mapping) bool {
+		var images []string
+		for _, a := range from.Body {
+			images = append(images, m.ApplyAtom(a).String())
+		}
+		wantAt = append(wantAt, fmt.Sprint(images))
+		return len(wantAt) < 64
+	})
+	s.AtomMappings(Prepare(from), to, func(at []int32) bool {
+		var images []string
+		for _, j := range at {
+			images = append(images, to.Body[j].String())
+		}
+		gotAt = append(gotAt, fmt.Sprint(images))
+		return len(gotAt) < 64
+	})
+	if fmt.Sprint(gotAt) != fmt.Sprint(wantAt) {
+		t.Fatalf("AtomMappings\n from %s\n   to %s\n got %v\nwant %v", from, to, gotAt, wantAt)
+	}
+	// BodyMappings: at names the atom each source atom's image is.
+	n := cq.Number(from)
+	s.BodyMappings(&n, to, func(at []int32) bool {
+		m := cq.NewSubst()
+		s.fill(m)
+		for i, a := range from.Body {
+			if img := m.ApplyAtom(a); !img.Equal(to.Body[at[i]]) {
+				t.Fatalf("BodyMappings from %s to %s: atom %d maps to %s, at names %s", from, to, i, img, to.Body[at[i]])
+			}
+		}
+		return true
+	})
 	// The body-only search, seeded with a binding for X0 when the reference
 	// admits one.
 	for _, initial := range []cq.Subst{nil, {"X0": cq.Const("a")}, {"Z": cq.Var("X1")}} {
@@ -209,7 +247,9 @@ func checkAgainstReference(t *testing.T, from, to *cq.Query) {
 }
 
 // FuzzFindMapping checks the slice-indexed search against the map-based
-// reference on random small queries with constants and repeated variables.
+// reference on random small queries with constants and repeated variables:
+// the mappings, the target atom AtomMappings reports for each source atom,
+// and existence as Maps decides it.
 func FuzzFindMapping(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 2, 0, 0, 1, 1, 1, 2}) // a chain
 	f.Add([]byte{0, 3, 0, 0, 0, 0, 5, 2, 6, 1, 0, 0, 0, 3, 0, 0, 5, 2, 1})

@@ -150,10 +150,49 @@ func TestExpandUnion(t *testing.T) {
 	}
 }
 
+// Application is one way of using a view in a rewriting of a query, as
+// Usable judges it: the rewriting subgoal Atom that a homomorphism of the
+// view's body into the query yields, the query atoms Covers it lands on, in
+// increasing order, and whether checkApplication finds it Valid (Reason
+// says why not).
+type Application struct {
+	Atom   cq.Atom
+	Covers []int
+	Valid  bool
+	Reason string
+}
+
+// applications enumerates the applications of view v to q, one per distinct
+// rewriting atom and covered set.
+func applications(v, q *cq.Query) []Application {
+	var s containment.Search
+	iv := newView(v)
+	var out []Application
+	s.BodyMappings(&iv.Numbered, q, func(at []int32) bool {
+		ap := Application{Atom: cq.Atom{Pred: v.Head.Pred}}
+		for pos, id := range iv.Head() {
+			ap.Atom.Args = append(ap.Atom.Args, image(&s, id, v.Head.Args[pos]))
+		}
+		for _, j := range at {
+			ap.Covers = append(ap.Covers, int(j))
+		}
+		slices.Sort(ap.Covers)
+		ap.Covers = slices.Compact(ap.Covers)
+		ap.Valid, ap.Reason = checkApplication(iv, q, &s, at)
+		if !slices.ContainsFunc(out, func(o Application) bool {
+			return o.Atom.Equal(ap.Atom) && slices.Equal(o.Covers, ap.Covers)
+		}) {
+			out = append(out, ap)
+		}
+		return true
+	})
+	return out
+}
+
 func TestApplicationsBasic(t *testing.T) {
 	q := mustQ("q(X,Y) :- r(X,Z), s(Z,Y)")
 	v := mustQ("v(A,B) :- r(A,C), s(C,B)")
-	apps := Applications(v, q)
+	apps := applications(v, q)
 	if len(apps) != 1 {
 		t.Fatalf("applications = %v", apps)
 	}
@@ -173,7 +212,7 @@ func TestApplicationsInvalidHiddenJoin(t *testing.T) {
 	// C is existential in the view but the query needs Z outside r's atom.
 	q := mustQ("q(X,Y) :- r(X,Z), s(Z,Y)")
 	v := mustQ("v(A) :- r(A,C)")
-	apps := Applications(v, q)
+	apps := applications(v, q)
 	if len(apps) != 1 {
 		t.Fatalf("applications = %v", apps)
 	}
@@ -188,7 +227,7 @@ func TestApplicationsInvalidHiddenJoin(t *testing.T) {
 func TestApplicationsInvalidConstant(t *testing.T) {
 	q := mustQ("q(X) :- r(X,5)")
 	v := mustQ("v(A) :- r(A,C)")
-	apps := Applications(v, q)
+	apps := applications(v, q)
 	if len(apps) != 1 || apps[0].Valid {
 		t.Fatalf("existential-on-constant should be invalid: %v", apps)
 	}
@@ -197,7 +236,7 @@ func TestApplicationsInvalidConstant(t *testing.T) {
 func TestApplicationsCollapseExistentials(t *testing.T) {
 	q := mustQ("q(X) :- r(X,Z,Z)")
 	v := mustQ("v(A) :- r(A,C,D)")
-	apps := Applications(v, q)
+	apps := applications(v, q)
 	if len(apps) != 1 || apps[0].Valid {
 		t.Fatalf("collapsed existentials should be invalid: %v", apps)
 	}
@@ -234,6 +273,13 @@ func TestUsableMissesEquivalentRewriting(t *testing.T) {
 	}
 	if Usable(vs.Lookup("v2"), q) {
 		t.Fatal("Usable(v2, q) = true; v2's only application hides the head variable X1")
+	}
+	rw := NewRewriter(vs).RewriteOne(q)
+	if rw == nil {
+		t.Fatal("Rewrite found no rewriting; q :- v0, v2, v3 is one")
+	}
+	if ok, err := VerifyRewriting(q, rw.Query, vs); err != nil || !ok {
+		t.Fatalf("Rewrite returned %s, which does not verify: %v, %v", rw.Query, ok, err)
 	}
 }
 
@@ -364,6 +410,19 @@ func TestRewritePartial(t *testing.T) {
 	}
 }
 
+// TestRewritePartialInQueryOrder: a partial rewriting lists its atoms in the
+// order of the query atoms they stand for, base atom first here, and is
+// still flagged partial.
+func TestRewritePartialInQueryOrder(t *testing.T) {
+	vs := views("v(C,B) :- s(C,B)")
+	r := NewRewriter(vs)
+	r.Opt.AllowPartial = true
+	rw := r.RewriteOne(mustQ("q(X,Y) :- r(X,Z), s(Z,Y)"))
+	if rw == nil || rw.Complete || rw.Query.String() != "q(X,Y) :- r(X,Z), v(Z,Y)." {
+		t.Fatalf("partial rewriting = %+v", rw)
+	}
+}
+
 func TestRewriteUncoverablePredicate(t *testing.T) {
 	// s occurs only in u, which also needs flag, a predicate q lacks: no
 	// view can cover s(Z,Y), so the search stops before it minimises q or
@@ -476,7 +535,7 @@ func TestRewriteStats(t *testing.T) {
 	r := NewRewriter(vs)
 	q := mustQ("q(X,Y) :- r(X,Z), s(Z,Y)")
 	_, st := r.Rewrite(q)
-	if st.Applications == 0 || st.ValidApplications == 0 || st.MinimizedBodyAtoms != 2 {
+	if st.Applications == 0 || st.CandidatesTried == 0 || st.MinimizedBodyAtoms != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

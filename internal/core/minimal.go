@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/containment"
-	"repro/internal/cq"
-)
+import "repro/internal/cq"
 
 // This file implements the paper's R4 material on minimal rewritings: a
 // rewriting is *locally minimal* if no proper subset of its subgoals is
@@ -16,42 +13,50 @@ import (
 // LocallyMinimal reports whether rw cannot lose any subgoal and stay an
 // equivalent rewriting of q.
 func LocallyMinimal(q *cq.Query, rw *cq.Query, vs *ViewSet) bool {
-	_, changed := shrinkOnce(q, rw, vs)
+	_, changed := shrinkOnce(all(len(rw.Body)), verifies(q, rw, vs))
 	return !changed
 }
 
-// MinimizeRewriting greedily removes redundant subgoals from a verified
-// rewriting until it is locally minimal. The result is equivalent to the
-// input rewriting (and therefore to q).
+// MinimizeRewriting removes redundant subgoals from a verified rewriting,
+// together with any comparison the remaining subgoals no longer expose,
+// until it is locally minimal. The result is equivalent to the input
+// rewriting (and therefore to q).
 func MinimizeRewriting(q *cq.Query, rw *cq.Query, vs *ViewSet) *cq.Query {
-	cur := rw.Clone()
-	for {
-		next, changed := shrinkOnce(q, cur, vs)
-		if !changed {
-			return cur
+	kept, _ := shrinkOnce(all(len(rw.Body)), verifies(q, rw, vs))
+	return subset(rw.Head, rw.Body, rw.Comparisons, kept).Clone()
+}
+
+// verifies returns the test that the subgoals kept of rw, with the
+// comparisons of rw they expose, still form an equivalent rewriting of q.
+func verifies(q, rw *cq.Query, vs *ViewSet) func(kept []int) bool {
+	return func(kept []int) bool {
+		cand := subset(rw.Head, rw.Body, rw.Comparisons, kept)
+		if !cand.Valid() {
+			return false
 		}
-		cur = next
+		ok, err := VerifyRewriting(q, cand, vs)
+		return err == nil && ok
 	}
 }
 
-// shrinkOnce tries to drop one subgoal of rw while preserving equivalence
-// with q; it reports whether it succeeded.
-func shrinkOnce(q, rw *cq.Query, vs *ViewSet) (*cq.Query, bool) {
-	if len(rw.Body) <= 1 {
-		return rw, false
-	}
-	for i := range rw.Body {
-		cand := rw.Clone()
-		cand.Body = append(cand.Body[:i], cand.Body[i+1:]...)
-		if cand.Validate() != nil {
-			continue
+// shrinkOnce is the package's one drop-while-equivalent step: it makes one
+// pass over kept, an equivalent set, dropping each member, last to first,
+// whose removal leaves ok true, and reports whether it dropped any. It
+// never drops the last member. One pass leaves no member that could go,
+// because ok is monotone: q is contained in the unfolding of every subset
+// of an equivalent rewriting, so a subset stays equivalent iff its
+// unfolding is contained in q, and dropping more can only break that.
+func shrinkOnce(kept []int, ok func(kept []int) bool) ([]int, bool) {
+	changed := false
+	trial := make([]int, 0, len(kept))
+	for i := len(kept) - 1; i >= 0 && len(kept) > 1; i-- {
+		trial = append(append(trial[:0], kept[:i]...), kept[i+1:]...)
+		if ok(trial) {
+			kept = append(kept[:i], kept[i+1:]...)
+			changed = true
 		}
-		ok, err := VerifyRewriting(q, cand, vs)
-		if err == nil && ok {
-			return cand, true
-		}
 	}
-	return rw, false
+	return kept, changed
 }
 
 // GloballyMinimal filters a result set down to the rewritings whose body
@@ -90,20 +95,18 @@ type Shortening struct {
 }
 
 // BestShortening searches for the shortest rewriting (allowing partial
-// rewritings) and reports the achieved reduction.
+// rewritings) and reports the achieved reduction. Every rewriting Rewrite
+// returns is already locally minimal, and for a query without comparisons
+// a globally minimal one is among them: its atoms are exactly the ones
+// some mapping touches.
 func BestShortening(q *cq.Query, vs *ViewSet) Shortening {
-	qm := containment.Minimize(q)
 	r := NewRewriter(vs)
 	r.Opt.AllowPartial = true
 	r.Opt.MaxResults = AllRewritings
-	results, _ := r.Rewrite(q)
-	s := Shortening{QuerySubgoals: len(qm.Body)}
-	for _, rw := range results {
-		min := MinimizeRewriting(q, rw.Query, vs)
-		if !s.Found || len(min.Body) < s.RewritingSubgoals {
-			s.Found = true
-			s.RewritingSubgoals = len(min.Body)
-		}
+	results, st := r.Rewrite(q)
+	s := Shortening{QuerySubgoals: st.MinimizedBodyAtoms}
+	if len(results) > 0 {
+		s.Found, s.RewritingSubgoals = true, len(results[0].Query.Body)
 	}
 	return s
 }

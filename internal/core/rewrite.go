@@ -3,7 +3,9 @@ package core
 import (
 	"slices"
 	"sort"
+	"strings"
 
+	"repro/internal/constraints"
 	"repro/internal/containment"
 	"repro/internal/cq"
 )
@@ -25,13 +27,13 @@ type Options struct {
 	// Use AllRewritings to enumerate exhaustively.
 	MaxResults int
 	// AllowPartial admits rewritings that keep some of the query's own
-	// base subgoals (the paper's partial rewritings, R4). Candidates
+	// base subgoals (the paper's partial rewritings, R4). Rewritings
 	// consisting solely of base atoms are never returned.
 	AllowPartial bool
-	// SkipMinimize disables the initial query minimisation. The search is
-	// then still sound but may miss rewritings (completeness of the cover
-	// enumeration relies on the query being a core); intended for the F6
-	// ablation experiment.
+	// SkipMinimize disables the initial query minimisation. The
+	// construction needs no minimised query, so no rewriting is lost; the
+	// redundant atoms only enlarge what it enumerates, which the F6
+	// ablation experiment measures.
 	SkipMinimize bool
 	// KeepComparisons attaches the query's comparison predicates to each
 	// candidate when all their terms are exposed by the candidate's
@@ -46,10 +48,9 @@ const AllRewritings = int(^uint(0) >> 1)
 
 // Stats reports work performed by one rewriting search.
 type Stats struct {
-	Applications       int // total applications enumerated
-	ValidApplications  int
-	CandidatesTried    int // covers generated
-	EquivalenceChecks  int
+	Applications       int // view atoms of the canonical rewriting
+	CandidatesTried    int // sets of its atoms shrunk
+	EquivalenceChecks  int // tests made while shrinking them
 	RewritingsFound    int
 	MinimizedBodyAtoms int // body size of the minimised query
 }
@@ -59,11 +60,11 @@ type Stats struct {
 type Rewriter struct {
 	Views *ViewSet
 	Opt   Options
-	// Memo, when non-nil, memoises the equivalence checks performed while
-	// verifying candidates, keyed by canonical query fingerprints. Sharing
-	// one memo across searches lets repeated or α-equivalent candidates
-	// skip the exponential containment test. The memo is safe for
-	// concurrent use, so rewriters running in parallel may share it.
+	// Memo, when non-nil, memoises the equivalence checks performed on
+	// queries with comparisons, keyed by canonical query fingerprints.
+	// Sharing one memo across searches lets repeated or α-equivalent
+	// candidates skip the exponential containment test. The memo is safe
+	// for concurrent use, so rewriters running in parallel may share it.
 	Memo *containment.Memo
 }
 
@@ -75,95 +76,28 @@ func NewRewriter(vs *ViewSet) *Rewriter {
 
 // Rewrite returns verified equivalent rewritings of q, best-first by body
 // length, together with search statistics. An empty slice means no
-// rewriting exists within the configured search space.
+// rewriting exists. It follows the proof of R2 (see canonical): the
+// rewritings are sets of atoms of the canonical rewriting of the minimised
+// query, each shrunk within R2's bound of as many subgoals as that query
+// has. Without comparisons, under AllRewritings, they include every
+// globally minimal rewriting.
 func (r *Rewriter) Rewrite(q *cq.Query) ([]*Rewriting, Stats) {
 	var st Stats
-	limit := r.Opt.MaxResults
-	if limit <= 0 {
-		limit = 1
-	}
-
 	if !r.Opt.AllowPartial && !r.coverable(q) {
 		return nil, st
 	}
-
-	// One search serves the minimisation, every view's applications and
-	// every candidate's verification.
+	// One search serves the minimisation, every view's homomorphisms and
+	// every test of the construction.
 	s := &containment.Search{Memo: r.Memo}
 	qm := q
 	if !r.Opt.SkipMinimize {
 		qm = s.Minimize(q)
 	}
 	st.MinimizedBodyAtoms = len(qm.Body)
-	pqm := containment.Prepare(qm)
-
-	apps := r.collectApplications(qm, s, &st)
-	if len(apps) == 0 {
-		return nil, st
-	}
-
-	// Index applications by lowest covered atom for the cover search.
-	n := len(qm.Body)
-	byAtom := make([][]*Application, n)
-	for i := range apps {
-		for _, c := range apps[i].Covers {
-			byAtom[c] = append(byAtom[c], &apps[i])
-		}
-	}
-
 	var results []*Rewriting
-	var seen cq.QuerySet
-	var selected []*Application
-
-	var newlyCovered []int // a stack: each level of the search undoes what it covered
-	var search func(nextUncovered int, covered []bool, coveredCount int) bool
-	search = func(nextUncovered int, covered []bool, coveredCount int) bool {
-		for nextUncovered < n && covered[nextUncovered] {
-			nextUncovered++
-		}
-		if nextUncovered == n {
-			cand := r.buildCandidate(qm, selected)
-			if cand == nil {
-				return true
-			}
-			if !seen.Add(cand) {
-				return true
-			}
-			st.CandidatesTried++
-			if rw := r.verify(pqm, cand, s, &st); rw != nil {
-				results = append(results, rw)
-				if len(results) >= limit {
-					return false
-				}
-			}
-			return true
-		}
-		if len(selected) >= n {
-			return true // R2 bound: no rewriting needs more than n subgoals
-		}
-		for _, ap := range byAtom[nextUncovered] {
-			mark := len(newlyCovered)
-			for _, c := range ap.Covers {
-				if !covered[c] {
-					covered[c] = true
-					newlyCovered = append(newlyCovered, c)
-				}
-			}
-			selected = append(selected, ap)
-			cont := search(nextUncovered+1, covered, coveredCount+len(newlyCovered)-mark)
-			selected = selected[:len(selected)-1]
-			for _, c := range newlyCovered[mark:] {
-				covered[c] = false
-			}
-			newlyCovered = newlyCovered[:mark]
-			if !cont {
-				return false
-			}
-		}
-		return true
+	if c := r.canonical(qm, s, &st); c != nil {
+		results = c.rewritings(max(r.Opt.MaxResults, 1))
 	}
-	search(0, make([]bool, n), 0)
-
 	sort.SliceStable(results, func(i, j int) bool {
 		return len(results[i].Query.Body) < len(results[j].Query.Body)
 	})
@@ -183,24 +117,15 @@ func (r *Rewriter) RewriteOne(q *cq.Query) *Rewriting {
 	return res[0]
 }
 
-// occurs reports whether pred is the predicate of an atom of q's body.
-func occurs(q *cq.Query, pred string) bool {
-	return slices.ContainsFunc(q.Body, func(a cq.Atom) bool { return a.Pred == pred })
-}
-
-// applicable reports whether every body predicate of v occurs in q; a view
-// with a predicate q lacks has no homomorphism into it.
-func applicable(v *View, q *cq.Query) bool {
-	return !slices.ContainsFunc(v.Preds, func(p string) bool { return !occurs(q, p) })
-}
-
 // coverable reports whether every body atom of q has the predicate and
-// arity of an atom of a view applicable to q. Minimisation keeps every
-// predicate, so when one atom has none, no complete rewriting of q exists.
+// arity of an atom of a view whose body predicates all occur in q. A view
+// with a predicate q lacks has no homomorphism into it, and minimisation
+// keeps every predicate, so otherwise no complete rewriting of q exists.
 func (r *Rewriter) coverable(q *cq.Query) bool {
+	occurs := func(p string) bool { return slices.ContainsFunc(q.Body, func(a cq.Atom) bool { return a.Pred == p }) }
 	for _, a := range q.Body {
 		if !slices.ContainsFunc(r.Views.Occurrences(a.Pred, len(a.Args)), func(o Occurrence) bool {
-			return applicable(r.Views.View(o.View), q)
+			return !slices.ContainsFunc(r.Views.View(o.View).Preds, func(p string) bool { return !occurs(p) })
 		}) {
 			return false
 		}
@@ -208,83 +133,234 @@ func (r *Rewriter) coverable(q *cq.Query) bool {
 	return true
 }
 
-// collectApplications enumerates the valid applications of every view
-// applicable to qm.
-func (r *Rewriter) collectApplications(qm *cq.Query, s *containment.Search, st *Stats) []Application {
-	var apps []Application
-	for i := 0; i < r.Views.Len(); i++ {
-		v := r.Views.View(i)
-		if !applicable(v, qm) {
-			continue
-		}
-		for _, ap := range applications(v, qm, s) {
-			st.Applications++
-			if ap.Valid {
-				st.ValidApplications++
-				apps = append(apps, ap)
-			}
-		}
+// canonical is the canonical rewriting of a query qm, unfolded once: qm's
+// head over every view atom that a homomorphism of a view body into qm
+// yields, and under AllowPartial qm's own atoms too. A rewriting exists iff
+// qm maps into the unfolding, and the atoms such a mapping touches form
+// one. With comparisons, a view atom is kept only when qm's comparisons
+// imply the view's under the homomorphism, and the whole canonical
+// rewriting, with the comparisons of qm it exposes under KeepComparisons,
+// is the one candidate.
+type canonical struct {
+	s  *containment.Search
+	st *Stats
+	qm *containment.Prepared
+	// body holds the view atoms, body[:views], then under AllowPartial
+	// qm's own atoms, the identity views of a partial rewriting. A set of
+	// them is a string with one byte per atom of body, 1 for a member.
+	body  []cq.Atom
+	views int
+	// exp unfolds qm's head over body: exp.Body[end[i]:end[i+1]] and
+	// exp.Comparisons[cend[i]:cend[i+1]] unfold body[i].
+	exp       *cq.Query
+	end, cend []int
+	comps     []cq.Comparison // qm's, under KeepComparisons
+	pure      bool            // no comparisons in qm or in exp
+	cut       cq.Query        // scratch of restrict
+	// first[i] is the first atom of qm that body[i] stands for; a
+	// rewriting lists its atoms in that order. v is the view add is given
+	// the homomorphisms of; args and implied (qm's comparisons, built on
+	// first need) are add's scratch.
+	v       *View
+	first   []int
+	args    []cq.Term
+	implied *constraints.Set
+}
+
+// canonical builds the canonical rewriting of qm, or returns nil when it
+// has no view atom.
+func (r *Rewriter) canonical(qm *cq.Query, s *containment.Search, st *Stats) *canonical {
+	c := &canonical{s: s, st: st, qm: containment.Prepare(qm)}
+	add := c.add // one closure serves every view
+	for i := range r.Views.Len() {
+		c.v = r.Views.View(i)
+		s.BodyMappings(&c.v.Numbered, qm, add)
+	}
+	if st.Applications, c.views = len(c.body), len(c.body); c.views == 0 {
+		return nil
 	}
 	if r.Opt.AllowPartial {
-		// A "self application" keeps base atom i in the rewriting.
-		for i, a := range qm.Body {
-			apps = append(apps, Application{Atom: a, Covers: []int{i}, Valid: true})
+		c.body, c.first = append(c.body, qm.Body...), append(c.first, all(len(qm.Body))...)
+	}
+	if r.Opt.KeepComparisons {
+		c.comps = qm.Comparisons
+	}
+	var err error
+	if c.exp, err = Expand(&cq.Query{Head: qm.Head, Body: c.body}, r.Views); err != nil {
+		return nil // unreachable: each view atom is an image of its view's head
+	}
+	c.pure = len(qm.Comparisons) == 0 && len(c.exp.Comparisons) == 0
+	ends := make([]int, 2*len(c.body)+2)
+	c.end, c.cend = ends[:len(c.body)+1], ends[len(c.body)+1:]
+	for i, a := range c.body {
+		c.end[i+1], c.cend[i+1] = c.end[i]+1, c.cend[i]
+		if v := r.Views.view(a.Pred); v != nil {
+			c.end[i+1], c.cend[i+1] = c.end[i]+len(v.Query.Body), c.cend[i]+len(v.Query.Comparisons)
 		}
 	}
-	return apps
+	return c
 }
 
-// buildCandidate assembles the rewriting query from selected applications.
-// It returns nil when the candidate is structurally hopeless (unsafe head,
-// or no view atom at all).
-func (r *Rewriter) buildCandidate(qm *cq.Query, selected []*Application) *cq.Query {
-	body := make([]cq.Atom, 0, len(selected))
-	usesView := false
-	for _, ap := range selected {
-		if slices.ContainsFunc(body, ap.Atom.Equal) {
+// add appends the image of v's head under the mapping s is yielding to
+// body, unless it is there already or qm's comparisons do not imply v's
+// under the mapping.
+func (c *canonical) add(at []int32) bool {
+	v, s := c.v, c.s
+	c.args = c.args[:0]
+	for pos, id := range v.Head() {
+		c.args = append(c.args, image(s, id, v.Query.Head.Args[pos]))
+	}
+	atom := cq.Atom{Pred: v.Query.Head.Pred, Args: c.args}
+	if slices.ContainsFunc(c.body, atom.Equal) {
+		return true
+	}
+	for j, cmp := range v.Query.Comparisons {
+		if c.implied == nil {
+			c.implied = constraints.NewSet(c.qm.Query().Comparisons)
+		}
+		left, right := v.Comparison(j)
+		if !c.implied.Implies(cq.Comparison{Left: image(s, left, cmp.Left), Op: cmp.Op, Right: image(s, right, cmp.Right)}) {
+			return true
+		}
+	}
+	atom.Args = slices.Clone(c.args)
+	c.body, c.first = append(c.body, atom), append(c.first, int(slices.Min(at)))
+	return true
+}
+
+// image is the term the mapping s is yielding gives to an argument t of a
+// view, numbered id.
+func image(s *containment.Search, id int32, t cq.Term) cq.Term {
+	if id == cq.ConstArg {
+		return t
+	}
+	return s.Image(id)
+}
+
+// rewritings returns up to limit rewritings, each a shrunk candidate set:
+// without comparisons the distinct sets of atoms that mappings of qm into
+// the unfolding touch, with comparisons the whole canonical rewriting if it
+// is equivalent. A set that holds a rewriting already found is passed over;
+// no globally minimal rewriting is lost that way, since each is a touched
+// set that holds no other rewriting.
+func (c *canonical) rewritings(limit int) []*Rewriting {
+	var candidates []string
+	if !c.pure {
+		if c.equivalent(all(len(c.body))) {
+			candidates = append(candidates, strings.Repeat("\x01", len(c.body)))
+		}
+	} else {
+		key, seen := make([]byte, len(c.body)), make(map[string]bool)
+		c.s.AtomMappings(c.qm, c.exp, func(at []int32) bool {
+			clear(key)
+			for _, j := range at {
+				key[sort.SearchInts(c.end, int(j)+1)-1] = 1
+			}
+			if !seen[string(key)] {
+				k := string(key)
+				seen[k] = true
+				if slices.Contains(key[:c.views], 1) {
+					candidates = append(candidates, k)
+				}
+			}
+			return len(candidates) < limit
+		})
+	}
+	var results []*Rewriting
+	var found [][]int // the atoms of each rewriting
+	for _, k := range candidates {
+		if slices.ContainsFunc(found, func(f []int) bool { return holds(k, f) }) {
 			continue
 		}
-		body = append(body, ap.Atom)
-		if ap.View != nil {
-			usesView = true
-		}
+		c.st.CandidatesTried++
+		kept, _ := shrinkOnce(members(k), c.equivalent)
+		found = append(found, kept)
+		slices.SortStableFunc(kept, func(a, b int) int { return c.first[a] - c.first[b] })
+		exp := c.restrict(kept)
+		results = append(results, &Rewriting{
+			Query:     subset(exp.Head, c.body, c.comps, kept),
+			Expansion: &cq.Query{Head: exp.Head, Body: slices.Clone(exp.Body), Comparisons: slices.Clone(exp.Comparisons)},
+			Complete:  slices.Max(kept) < c.views,
+		})
 	}
-	if !usesView {
-		return nil
-	}
-	cand := &cq.Query{Head: qm.Head, Body: body}
-	if r.Opt.KeepComparisons {
-		exposed := func(t cq.Term) bool { return t.IsConst() || cand.InBody(t) }
-		for _, c := range qm.Comparisons {
-			if exposed(c.Left) && exposed(c.Right) {
-				cand.Comparisons = append(cand.Comparisons, c)
-			}
-		}
-	}
-	if !cand.Valid() {
-		return nil
-	}
-	return cand
+	return results
 }
 
-// verify unfolds the candidate and checks equivalence with the query.
-func (r *Rewriter) verify(qm *containment.Prepared, cand *cq.Query, s *containment.Search, st *Stats) *Rewriting {
-	exp, err := Expand(cand, r.Views)
-	if err != nil {
-		return nil
+// equivalent reports whether the atoms kept, in increasing order, form a
+// rewriting of qm: one of them is a view atom and, with the comparisons of
+// qm they expose, their unfolding is equivalent to qm, which without
+// comparisons means that qm maps into it.
+func (c *canonical) equivalent(kept []int) bool {
+	if kept[0] >= c.views {
+		return false
 	}
-	st.EquivalenceChecks++
-	if !s.Equivalent(containment.Prepare(exp), qm) {
-		return nil
+	exp := c.restrict(kept)
+	c.st.EquivalenceChecks++
+	if c.pure {
+		return c.s.Maps(c.qm, exp)
 	}
-	complete := true
-	for _, a := range cand.Body {
-		if r.Views.Lookup(a.Pred) == nil {
-			complete = false
-			break
+	return exp.Valid() && c.s.Equivalent(containment.Prepare(exp), c.qm)
+}
+
+// restrict returns, in c's scratch, the unfolding of the atoms kept with
+// the comparisons of qm they expose.
+func (c *canonical) restrict(kept []int) *cq.Query {
+	cut := &c.cut
+	cut.Head, cut.Body, cut.Comparisons = c.exp.Head, cut.Body[:0], cut.Comparisons[:0]
+	for _, i := range kept {
+		cut.Body = append(cut.Body, c.exp.Body[c.end[i]:c.end[i+1]]...)
+		cut.Comparisons = append(cut.Comparisons, c.exp.Comparisons[c.cend[i]:c.cend[i+1]]...)
+	}
+	for _, cmp := range c.comps {
+		if exposes(cut, cmp) {
+			cut.Comparisons = append(cut.Comparisons, cmp)
 		}
 	}
-	return &Rewriting{Query: cand, Expansion: exp, Complete: complete}
+	return cut
+}
+
+// subset is the query head :- body[kept], with the comparisons of comps
+// whose terms the kept atoms expose.
+func subset(head cq.Atom, body []cq.Atom, comps []cq.Comparison, kept []int) *cq.Query {
+	q := &cq.Query{Head: head, Body: make([]cq.Atom, len(kept))}
+	for k, i := range kept {
+		q.Body[k] = body[i]
+	}
+	for _, cmp := range comps {
+		if exposes(q, cmp) {
+			q.Comparisons = append(q.Comparisons, cmp)
+		}
+	}
+	return q
+}
+
+// exposes reports whether every variable of cmp occurs in q's body.
+func exposes(q *cq.Query, cmp cq.Comparison) bool {
+	return (cmp.Left.IsConst() || q.InBody(cmp.Left)) && (cmp.Right.IsConst() || q.InBody(cmp.Right))
+}
+
+// all returns 0, …, n-1.
+func all(n int) []int { return members(strings.Repeat("\x01", n)) }
+
+// members lists the atoms a set holds, in increasing order.
+func members(set string) []int {
+	var out []int
+	for i := range len(set) {
+		if set[i] == 1 {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// holds reports whether set holds every atom of kept.
+func holds(set string, kept []int) bool {
+	for _, i := range kept {
+		if set[i] == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // VerifyRewriting checks, from scratch, that candidate is an equivalent

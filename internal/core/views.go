@@ -3,13 +3,14 @@
 // whether a conjunctive query can be rewritten to use a set of views, and
 // finding the rewritings.
 //
-// The engine enumerates view applications — homomorphisms from a view body
-// into the (minimised) query body — and searches covers of the query's
-// subgoals by applications. Every candidate is verified exactly by unfolding
-// it (Expand) and testing equivalence with the query, so the output is
-// always sound; for pure conjunctive queries the procedure is also complete,
-// and every rewriting it returns respects the paper's bound of at most n
-// subgoals for a query with n subgoals (Theorem R2 in DESIGN.md).
+// The rewriter runs the construction of the paper's proof of R2: the
+// canonical rewriting is the (minimised) query's head over the head image
+// of every homomorphism from a view body into the query body, and the query
+// has an equivalent rewriting iff it maps into the canonical rewriting's
+// expansion; the atoms such a mapping touches form one. Each is shrunk
+// while its expansion stays equivalent, so every rewriting returned is
+// verified, locally minimal and within the bound of at most n subgoals for
+// a query with n subgoals, and one is found whenever one exists.
 package core
 
 import (

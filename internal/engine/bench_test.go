@@ -29,7 +29,7 @@ func benchSetup(b *testing.B, n int) (*storage.Database, []*cq.Query, *cq.Query)
 	for i := 0; i+1 < n; i += 2 {
 		viewSrc += fmt.Sprintf("v%d(A,B) :- r%d(A,C), r%d(C,B).\n", i/2, i, i+1)
 	}
-	// Overlapping offset views enlarge the cover search space the cold
+	// Overlapping offset views enlarge the canonical rewriting the cold
 	// path must explore without changing the best (cached) plan.
 	for i := 1; i+1 < n; i += 2 {
 		viewSrc += fmt.Sprintf("w%d(A,B) :- r%d(A,C), r%d(C,B).\n", i/2, i, i+1)

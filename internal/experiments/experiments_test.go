@@ -116,7 +116,8 @@ func TestF4Agreement(t *testing.T) {
 // TestAblationSuite runs the ablation experiments (T6 semi-interval
 // dispatch, F6 minimisation, F7 evaluator optimisations) and checks the
 // claim each table's verdict column makes: the two containment tests of T6
-// and the two evaluators of F7 must agree on every row. Like the other
+// and the two evaluators of F7 must agree on every row, and F6 must find a
+// rewriting with and without minimisation. Like the other
 // slow experiment tables it is gated behind -short so the fast suite stays
 // fast while full runs keep coverage.
 func TestAblationSuite(t *testing.T) {
@@ -129,7 +130,7 @@ func TestAblationSuite(t *testing.T) {
 		verdict string // column that must read "true" on every row, if any
 	}{
 		{"T6", T6SemiInterval, "agree"},
-		{"F6", F6Minimization, ""},
+		{"F6", F6Minimization, "found_both"},
 		{"F7", F7EvaluatorAblation, "answers_equal"},
 	} {
 		tbl := tc.run()

@@ -57,15 +57,6 @@ type MCD struct {
 	sig []int32
 }
 
-// Covers returns the covered subgoal indices (sorted).
-func (m *MCD) Covers() []int {
-	out := make([]int, len(m.covers))
-	for i, c := range m.covers {
-		out[i] = int(c)
-	}
-	return out
-}
-
 // clone copies the MCD and its tables.
 func (m *MCD) clone() *MCD {
 	c := *m

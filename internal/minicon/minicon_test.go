@@ -27,6 +27,15 @@ func formMCDs(q *cq.Query, vs *core.ViewSet) []*MCD {
 	return newFormer(q, vs).form()
 }
 
+// Covers returns the covered subgoal indices (sorted).
+func (m *MCD) Covers() []int {
+	out := make([]int, len(m.covers))
+	for i, c := range m.covers {
+		out[i] = int(c)
+	}
+	return out
+}
+
 func TestFormMCDsBasic(t *testing.T) {
 	q := mustQ("q(X,Y) :- r(X,Z), s(Z,Y)")
 	vs := viewSet("v1(A,B) :- r(A,B)", "v2(A,B) :- s(A,B)")
