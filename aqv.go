@@ -283,8 +283,6 @@ type (
 	MaintainerOptions = ivm.Options
 	// MaintainerBatch reports one applied update batch.
 	MaintainerBatch = ivm.BatchResult
-	// MaintainerStats aggregates a Maintainer's lifetime work.
-	MaintainerStats = ivm.Stats
 )
 
 // NewMaintainer materializes the views over base once and returns a

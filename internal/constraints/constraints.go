@@ -60,13 +60,6 @@ func (s *Set) AddTerm(t cq.Term) {
 	s.addTerm(t)
 }
 
-// Comparisons returns the asserted comparisons (not the closure).
-func (s *Set) Comparisons() []cq.Comparison {
-	out := make([]cq.Comparison, len(s.comps))
-	copy(out, s.comps)
-	return out
-}
-
 // Terms returns all registered terms.
 func (s *Set) Terms() []cq.Term {
 	out := make([]cq.Term, len(s.terms))

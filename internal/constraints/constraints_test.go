@@ -125,7 +125,7 @@ func TestUnsatisfiableImpliesEverything(t *testing.T) {
 // their combined terms, when each implies every comparison of the other.
 func TestEquivalentTo(t *testing.T) {
 	impliesAll := func(s, u *Set) bool {
-		for _, c := range u.Comparisons() {
+		for _, c := range u.comps {
 			if !s.Implies(c) {
 				return false
 			}
@@ -158,8 +158,8 @@ func TestAddTermAndAccessors(t *testing.T) {
 	if len(s.Terms()) != 3 {
 		t.Fatal("AddTerm duplicated a term")
 	}
-	if len(s.Comparisons()) != 1 {
-		t.Fatalf("Comparisons = %v", s.Comparisons())
+	if len(s.comps) != 1 {
+		t.Fatalf("comparisons = %v", s.comps)
 	}
 	cl := s.Clone()
 	cl.Add(comp("Y", cq.Lt, "X"))

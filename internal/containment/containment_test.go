@@ -18,7 +18,7 @@ func mustQ(src string) *cq.Query { return cq.MustParseQuery(src) }
 func findMapping(from, to *cq.Query) (Mapping, bool) {
 	var found Mapping
 	FindAllMappings(from, to, func(m Mapping) bool {
-		found = m.Clone()
+		found = maps.Clone(m)
 		return false
 	})
 	return found, found != nil

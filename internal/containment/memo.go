@@ -1,10 +1,6 @@
 package containment
 
-import (
-	"sync"
-
-	"repro/internal/cq"
-)
+import "sync"
 
 // Memo caches containment decisions keyed by the canonical fingerprints of
 // the two queries (cq.Fingerprint), so that repeated checks over
@@ -13,8 +9,8 @@ import (
 // subgoal reordering, which is exactly the equivalence the fingerprint
 // quotients by, so a hit is always sound.
 //
-// A Memo is safe for concurrent use. A nil *Memo is valid and simply
-// delegates to the unmemoised functions.
+// A Search consults the Memo in its Memo field. A Memo is safe for
+// concurrent use, so Searches on several goroutines may share one.
 type Memo struct {
 	mu        sync.Mutex
 	contained map[memoKey]bool
@@ -29,18 +25,6 @@ type memoKey struct {
 // NewMemo returns an empty containment memo.
 func NewMemo() *Memo {
 	return &Memo{contained: make(map[memoKey]bool)}
-}
-
-// Contained reports q2 ⊑ q1, consulting and populating the memo.
-func (m *Memo) Contained(q2, q1 *cq.Query) bool {
-	s := Search{Memo: m}
-	return s.Contained(Prepare(q2), Prepare(q1))
-}
-
-// Equivalent reports q1 ≡ q2 via two memoised containment checks.
-func (m *Memo) Equivalent(q1, q2 *cq.Query) bool {
-	s := Search{Memo: m}
-	return s.Equivalent(Prepare(q1), Prepare(q2))
 }
 
 // lookup returns the cached decision for key, counting a hit when there is
@@ -72,14 +56,4 @@ func (m *Memo) Stats() (hits, misses uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.hits, m.misses
-}
-
-// Len returns the number of cached decisions.
-func (m *Memo) Len() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.contained)
 }

@@ -42,14 +42,14 @@ func TestViewSetValidation(t *testing.T) {
 		t.Fatal("invalid view accepted")
 	}
 	vs := views("v1(X) :- r(X)", "v2(Y) :- s(Y)")
-	if vs.Len() != 2 || vs.Lookup("v1") == nil || vs.Lookup("nope") != nil {
+	if vs.Len() != 2 || vs.view("v1") == nil || vs.view("nope") != nil {
 		t.Fatal("lookup/len wrong")
 	}
-	if names := vs.Names(); names[0] != "v1" || names[1] != "v2" {
-		t.Fatalf("Names = %v", names)
+	if v1, v2 := vs.View(0).Query.Name(), vs.View(1).Query.Name(); v1 != "v1" || v2 != "v2" {
+		t.Fatalf("views in order %s, %s", v1, v2)
 	}
 	var nilVS *ViewSet
-	if nilVS.Lookup("v1") != nil {
+	if nilVS.view("v1") != nil {
 		t.Fatal("nil ViewSet lookup should be nil")
 	}
 }
@@ -271,7 +271,7 @@ func TestUsableMissesEquivalentRewriting(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("VerifyRewriting = %v, %v; want an equivalent rewriting", ok, err)
 	}
-	if Usable(vs.Lookup("v2"), q) {
+	if Usable(vs.view("v2").Query, q) {
 		t.Fatal("Usable(v2, q) = true; v2's only application hides the head variable X1")
 	}
 	rw := NewRewriter(vs).RewriteOne(q)
@@ -457,7 +457,7 @@ func TestRewritePartialNeverAllBase(t *testing.T) {
 	for _, rw := range res {
 		hasView := false
 		for _, a := range rw.Query.Body {
-			if vs.Lookup(a.Pred) != nil {
+			if vs.view(a.Pred) != nil {
 				hasView = true
 			}
 		}

@@ -90,8 +90,8 @@ func TestQuickUsableNecessary(t *testing.T) {
 		res, _ := r.Rewrite(q)
 		for _, rw := range res {
 			for _, a := range rw.Query.Body {
-				v := vs.Lookup(a.Pred)
-				if v != nil && !Usable(v, q) {
+				v := vs.view(a.Pred)
+				if v != nil && !Usable(v.Query, q) {
 					return false
 				}
 			}

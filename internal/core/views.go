@@ -136,14 +136,7 @@ func newView(def *cq.Query) *View {
 	return v
 }
 
-// Lookup returns the view with the given name, or nil.
-func (vs *ViewSet) Lookup(name string) *cq.Query {
-	if v := vs.view(name); v != nil {
-		return v.Query
-	}
-	return nil
-}
-
+// view returns the view with the given name, or nil.
 func (vs *ViewSet) view(name string) *View {
 	if vs == nil {
 		return nil
@@ -172,13 +165,4 @@ func (vs *ViewSet) View(i int) *View { return vs.views[i] }
 // do not modify it.
 func (vs *ViewSet) Occurrences(pred string, arity int) []Occurrence {
 	return vs.byPred[predArity{pred, arity}]
-}
-
-// Names returns the view names in insertion order.
-func (vs *ViewSet) Names() []string {
-	out := make([]string, len(vs.views))
-	for i, v := range vs.views {
-		out[i] = v.Query.Name()
-	}
-	return out
 }

@@ -15,9 +15,6 @@ func NewAtom(pred string, args ...Term) Atom {
 	return Atom{Pred: pred, Args: args}
 }
 
-// Arity returns the number of arguments.
-func (a Atom) Arity() int { return len(a.Args) }
-
 // IsGround reports whether every argument is a constant.
 func (a Atom) IsGround() bool {
 	for _, t := range a.Args {
@@ -62,9 +59,6 @@ func (a Atom) String() string {
 	sb.WriteByte(')')
 	return sb.String()
 }
-
-// Key returns a canonical string key for the atom, usable for dedup maps.
-func (a Atom) Key() string { return a.String() }
 
 // CompOp enumerates the comparison operators over the densely ordered
 // constant domain.
@@ -193,10 +187,4 @@ func (c Comparison) Normalize() Comparison {
 		}
 	}
 	return c
-}
-
-// Equal reports whether two comparisons denote the same constraint after
-// normalisation.
-func (c Comparison) Equal(d Comparison) bool {
-	return c.Normalize() == d.Normalize()
 }

@@ -51,7 +51,7 @@ func TestParseZeroArity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Arity() != 0 || q.Body[0].Arity() != 0 {
+	if q.Arity() != 0 || len(q.Body[0].Args) != 0 {
 		t.Fatalf("zero-arity parse wrong: %v", q)
 	}
 }

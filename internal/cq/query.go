@@ -250,23 +250,6 @@ func (u *Union) Len() int {
 	return len(u.Queries)
 }
 
-// Validate checks every member and their head compatibility.
-func (u *Union) Validate() error {
-	if u == nil || len(u.Queries) == 0 {
-		return nil
-	}
-	name, arity := u.Queries[0].Name(), u.Queries[0].Arity()
-	for _, q := range u.Queries {
-		if err := q.Validate(); err != nil {
-			return err
-		}
-		if q.Name() != name || q.Arity() != arity {
-			return fmt.Errorf("cq: union mixes heads %s/%d and %s/%d", name, arity, q.Name(), q.Arity())
-		}
-	}
-	return nil
-}
-
 // String renders the union one member per line.
 func (u *Union) String() string {
 	if u.Len() == 0 {

@@ -16,15 +16,6 @@ type Subst map[string]Term
 // NewSubst returns an empty substitution.
 func NewSubst() Subst { return make(Subst) }
 
-// Clone returns a copy of the substitution.
-func (s Subst) Clone() Subst {
-	out := make(Subst, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 // Bind adds a binding and reports whether it is consistent with an existing
 // one (binding the same variable to a different term fails).
 func (s Subst) Bind(v string, t Term) bool {

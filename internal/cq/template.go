@@ -141,9 +141,6 @@ func (t *Template) Fingerprint() string {
 	return hexKey(b)
 }
 
-// NumParams returns the number of placeholders.
-func (t *Template) NumParams() int { return len(t.Params) }
-
 // PlanQuery returns the query a planner should rewrite: the template with
 // its placeholders appended to the head as extra distinguished variables.
 // Distinguishing them forces every rewriting to expose the parameter

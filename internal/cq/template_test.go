@@ -11,7 +11,7 @@ func TestTemplateSharedAcrossConstantValues(t *testing.T) {
 	if t1.Fingerprint() != t2.Fingerprint() {
 		t.Fatalf("templates differ:\n%s\n%s", t1.Query, t2.Query)
 	}
-	if t1.NumParams() != 1 || t2.NumParams() != 1 {
+	if len(t1.Params) != 1 || len(t2.Params) != 1 {
 		t.Fatalf("params = %v / %v, want one each", t1.Params, t2.Params)
 	}
 	if t1.Args[0] != "a" || t2.Args[0] != "b" {
@@ -44,7 +44,7 @@ func TestTemplateDistinguishesEqualityPatterns(t *testing.T) {
 	if t1.Fingerprint() == t2.Fingerprint() {
 		t.Fatal("equality pattern lost in template")
 	}
-	if t1.NumParams() != 1 || t2.NumParams() != 2 {
+	if len(t1.Params) != 1 || len(t2.Params) != 2 {
 		t.Fatalf("params = %v / %v, want 1 and 2", t1.Params, t2.Params)
 	}
 	// ...but two queries with the same pattern share, whatever the value.
@@ -72,7 +72,7 @@ func TestTemplateKeepsHeadOnlyConstants(t *testing.T) {
 	q1 := MustParseQuery("q(tag1,X) :- r(X,Y)")
 	q2 := MustParseQuery("q(tag2,X) :- r(X,Y)")
 	t1, t2 := CanonicalizeTemplate(q1), CanonicalizeTemplate(q2)
-	if t1.NumParams() != 0 {
+	if len(t1.Params) != 0 {
 		t.Fatalf("head-only constant abstracted: params=%v", t1.Params)
 	}
 	if t1.Fingerprint() == t2.Fingerprint() {
@@ -84,7 +84,7 @@ func TestTemplateKeepsComparisonOnlyConstants(t *testing.T) {
 	q1 := MustParseQuery("q(X) :- r(X,Y), Y < 5")
 	q2 := MustParseQuery("q(X) :- r(X,Y), Y < 9")
 	t1, t2 := CanonicalizeTemplate(q1), CanonicalizeTemplate(q2)
-	if t1.NumParams() != 0 {
+	if len(t1.Params) != 0 {
 		t.Fatalf("comparison threshold abstracted: params=%v", t1.Params)
 	}
 	if t1.Fingerprint() == t2.Fingerprint() {
@@ -99,7 +99,7 @@ func TestTemplateAbstractsHeadButNotComparisonOccurrences(t *testing.T) {
 	// must stay decidable at plan time).
 	q1 := MustParseQuery("q(c5,X) :- r(X,c5), X < c5")
 	t1 := CanonicalizeTemplate(q1)
-	if t1.NumParams() != 1 {
+	if len(t1.Params) != 1 {
 		t.Fatalf("params = %v, want exactly one placeholder", t1.Params)
 	}
 	for _, a := range t1.Query.Head.Args {
@@ -131,7 +131,7 @@ func TestTemplateAbstractsHeadButNotComparisonOccurrences(t *testing.T) {
 func TestTemplateWithoutConstantsIsCanonicalForm(t *testing.T) {
 	q := MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
 	tmpl := CanonicalizeTemplate(q)
-	if tmpl.NumParams() != 0 || len(tmpl.Args) != 0 {
+	if len(tmpl.Params) != 0 || len(tmpl.Args) != 0 {
 		t.Fatalf("params = %v args = %v, want none", tmpl.Params, tmpl.Args)
 	}
 	if tmpl.Query.String() != Canonicalize(q).String() {
@@ -146,8 +146,8 @@ func TestTemplatePlanQuery(t *testing.T) {
 	q := MustParseQuery("q(X) :- r(X,k1), s(k2,X)")
 	tmpl := CanonicalizeTemplate(q)
 	pq := tmpl.PlanQuery()
-	if len(pq.Head.Args) != 1+tmpl.NumParams() {
-		t.Fatalf("plan head %s, want original plus %d placeholders", pq.Head, tmpl.NumParams())
+	if len(pq.Head.Args) != 1+len(tmpl.Params) {
+		t.Fatalf("plan head %s, want original plus %d placeholders", pq.Head, len(tmpl.Params))
 	}
 	if err := pq.Validate(); err != nil {
 		t.Fatalf("plan query invalid: %v", err)

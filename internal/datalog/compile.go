@@ -1028,9 +1028,6 @@ func (p *CompiledPlan) headTuple(frame []string) storage.Tuple {
 	return t
 }
 
-// NumParams returns the number of parameter slots (CompileParams).
-func (p *CompiledPlan) NumParams() int { return len(p.paramSlots) }
-
 // Describe renders the physical plan for humans: one line per join step
 // with its access path, binding actions and attached comparisons.
 func (p *CompiledPlan) Describe() string {

@@ -33,8 +33,8 @@ func TestCompileParamsPointLookup(t *testing.T) {
 	// q(Y) :- r(P,Z), s(Z,Y) with P a parameter: one plan, many bindings.
 	q := cq.MustParseQuery("q(Y) :- r(P,Z), s(Z,Y)")
 	plan := CompileParams(q, []string{"P"}, cat)
-	if plan.NumParams() != 1 {
-		t.Fatalf("NumParams = %d", plan.NumParams())
+	if len(plan.paramSlots) != 1 {
+		t.Fatalf("%d parameter slots, want 1", len(plan.paramSlots))
 	}
 	for i := 0; i < 50; i++ {
 		arg := fmt.Sprintf("a%d", i)

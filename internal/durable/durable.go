@@ -336,13 +336,6 @@ func (s *Store) WALBytes() int64 {
 	return s.wal.size
 }
 
-// LSN returns the last durable log position.
-func (s *Store) LSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lsn
-}
-
 // Err returns the wedging write failure, or nil while the store is
 // healthy.
 func (s *Store) Err() error {

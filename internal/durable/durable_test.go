@@ -160,8 +160,8 @@ func TestWALAppendReplay(t *testing.T) {
 	if lsn, err := s.Append(batch("r", "a,1"), batch("s", "3,z")); err != nil || lsn != 2 {
 		t.Fatalf("append: lsn=%d err=%v", lsn, err)
 	}
-	if s.LSN() != 2 {
-		t.Fatalf("LSN = %d", s.LSN())
+	if s.Stats().LSN != 2 {
+		t.Fatalf("LSN = %d", s.Stats().LSN)
 	}
 	s.Close() // no checkpoint: simulates a crash with a populated log
 
@@ -170,8 +170,8 @@ func TestWALAppendReplay(t *testing.T) {
 	if n := s2.PendingRecords(); n != 2 {
 		t.Fatalf("pending records = %d", n)
 	}
-	if s2.LSN() != 2 {
-		t.Fatalf("LSN after reopen = %d", s2.LSN())
+	if s2.Stats().LSN != 2 {
+		t.Fatalf("LSN after reopen = %d", s2.Stats().LSN)
 	}
 	var got []Record
 	n, err := s2.Replay(func(r Record) error {
@@ -231,8 +231,8 @@ func TestTornTailTruncated(t *testing.T) {
 		if err != nil || n != 2 {
 			t.Fatalf("cut %d: replayed n=%d err=%v, want the 2 intact records", cut, n, err)
 		}
-		if s2.LSN() != 2 {
-			t.Fatalf("cut %d: LSN = %d", cut, s2.LSN())
+		if s2.Stats().LSN != 2 {
+			t.Fatalf("cut %d: LSN = %d", cut, s2.Stats().LSN)
 		}
 		s2.Close()
 		after, err := os.ReadFile(walPath)

@@ -56,24 +56,9 @@ type DurableStats struct {
 	// Enabled is false when the engine was built without Options.DataDir
 	// (every other field is then zero).
 	Enabled bool
-	// Failed reports the fail-stop state: a WAL write failed, mutations
-	// are refused, reads keep serving.
-	Failed bool
-	// LSN is the last durable log position; SnapshotLSN the position of
-	// the current snapshot (the WAL covers the difference).
-	LSN         uint64
-	SnapshotLSN uint64
-	// WALBytes is the current log size; WALAppends and WALAppendTime the
-	// records logged by this process and their cumulative wall time
-	// (including fsync).
-	WALBytes      int64
-	WALAppends    uint64
-	WALAppendTime time.Duration
-	// Snapshots, SnapshotTime and SnapshotBytes report checkpoints written
-	// by this process and the byte size of the most recent one.
-	Snapshots     uint64
-	SnapshotTime  time.Duration
-	SnapshotBytes int64
+	// Stats is the store's log position and write work. Under Failed a
+	// WAL write failed: mutations are refused, reads keep serving.
+	durable.Stats
 	// RecoveredTuples is the tuple count loaded from the snapshot at boot;
 	// RecoveredBatches the WAL records replayed on top of it, taking
 	// ReplayTime. StaleRebuild reports that the snapshot's view
@@ -88,18 +73,9 @@ type DurableStats struct {
 }
 
 func (ds *durableState) stats() DurableStats {
-	ss := ds.store.Stats()
 	return DurableStats{
 		Enabled:          true,
-		Failed:           ss.Failed,
-		LSN:              ss.LSN,
-		SnapshotLSN:      ss.SnapshotLSN,
-		WALBytes:         ss.WALBytes,
-		WALAppends:       ss.WALAppends,
-		WALAppendTime:    ss.WALAppendTime,
-		Snapshots:        ss.Snapshots,
-		SnapshotTime:     ss.SnapshotTime,
-		SnapshotBytes:    ss.SnapshotBytes,
+		Stats:            ds.store.Stats(),
 		RecoveredTuples:  ds.recoveredTuples,
 		RecoveredBatches: ds.recoveredBatches,
 		ReplayTime:       ds.replayTime,

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +57,20 @@ func TestDurableRecoveryAfterClose(t *testing.T) {
 	st := e.Stats().Durable
 	if !st.Enabled || st.LSN != 2 || st.Snapshots != 1 {
 		t.Fatalf("pre-close durable stats = %+v, want enabled, lsn 2, one boot snapshot", st)
+	}
+	// /v1/stats encodes these as one flat object: the store's counters sit
+	// beside the engine's own fields.
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	const keys = "ColdStart Enabled Failed LSN RecoveredBatches RecoveredTuples ReplayTime SnapshotBytes SnapshotLSN SnapshotTime Snapshots StaleRebuild WALAppendTime WALAppends WALBytes"
+	if got := strings.Join(slices.Sorted(maps.Keys(fields)), " "); got != keys {
+		t.Fatalf("durable stats encode the keys %s, want %s", got, keys)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,15 @@
 package integration
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -21,14 +26,10 @@ var unusedAllowed = map[string]string{
 	"core.ExpandUnion":                  "expands a union rewriting for the MiniCon ≡ Bucket equivalence check",
 	"containment.UnionContainedInUnion": "decides the MiniCon ≡ Bucket equivalence check on expanded unions",
 	"storage.Database.Summary":          "renders a database in failure messages of tests in three packages",
+	"storage.Database.Equal":            "compares databases in tests of three packages",
 	"cq.Query.AddComparison":            "builds queries with comparisons in tests of three packages",
 	"server.Server.Draining":            "drain state: kept as a gauge for a /metrics endpoint",
 	"durable.Store.PendingRecords":      "WAL depth: kept as a gauge for a /metrics endpoint",
-	"server.Row.MarshalJSON":            "json.Marshaler: encoding/json calls it",
-	"server.Row.UnmarshalJSON":          "json.Unmarshaler: encoding/json calls it",
-	"server.Rows.MarshalJSON":           "json.Marshaler: encoding/json calls it",
-	"server.Rows.UnmarshalJSON":         "json.Unmarshaler: encoding/json calls it",
-	"engine.QueryError.Unwrap":          "errors.Is and errors.As call it",
 }
 
 // TestNoUnusedExports fails, listing them, when an exported function or
@@ -36,74 +37,59 @@ var unusedAllowed = map[string]string{
 // from a non-test file of the root module or of bench/. Such code is kept
 // compiling, documented and covered for no caller.
 //
-// The scan is by name only (go/types would need the module loader of
-// x/tools): a reference to any identifier or selector spelled like the
-// function counts, wherever it resolves. A dead method that shares its
-// name with a live one, or with an interface method, is therefore missed.
-// References from inside the function's own declaration do not count, so
-// recursion does not keep a function alive.
+// The files are type-checked, so a reference counts only when it resolves
+// to the function itself: a dead method is found even when a live function
+// or method shares its name. Methods that the standard library calls
+// through an interface are counted as used (see libraryCalled).
 func TestNoUnusedExports(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	used := map[string]bool{}
-	type decl struct{ key, name string }
-	var decls []decl
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	pkgs := map[string][]*ast.File{}
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			if name := d.Name(); p != root && (strings.HasPrefix(name, ".") || name == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		dir, name := filepath.Split(p)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		rel, _ := filepath.Rel(root, filepath.Dir(path))
-		rel = filepath.ToSlash(rel)
-		pkg, internal := strings.CutPrefix(rel, "internal/")
-		for _, d := range f.Decls {
-			self := ""
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				self = fd.Name.Name
-				if internal && fd.Name.IsExported() {
-					key := pkg + "." + self
-					if fd.Recv != nil {
-						key = pkg + "." + recvName(fd.Recv.List[0].Type) + "." + self
-					}
-					decls = append(decls, decl{key, self})
-				}
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name != self {
-					used[id.Name] = true
-				}
-				return true
-			})
-		}
+		// bench/ is the module repro/bench, so every directory's import
+		// path is the root module's path joined with the directory.
+		rel, _ := filepath.Rel(root, dir)
+		pkg := path.Join("repro", filepath.ToSlash(rel))
+		pkgs[pkg] = append(pkgs[pkg], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decls) == 0 {
+	used, err := exportsUsed(fset, pkgs, "repro/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(used) == 0 {
 		t.Fatal("no exported functions found under internal/: the walk missed the module")
 	}
 	var unused []string
-	seen := map[string]bool{}
-	for _, d := range decls {
-		seen[d.key] = true
-		if !used[d.name] && unusedAllowed[d.key] == "" {
-			unused = append(unused, d.key)
+	for key, ok := range used {
+		if !ok && unusedAllowed[key] == "" {
+			unused = append(unused, key)
 		}
 	}
 	sort.Strings(unused)
@@ -112,29 +98,201 @@ func TestNoUnusedExports(t *testing.T) {
 			len(unused), strings.Join(unused, "\n\t"))
 	}
 	for key := range unusedAllowed {
-		if !seen[key] {
+		if ok, declared := used[key]; !declared {
 			t.Errorf("allowlisted %s is no longer declared: drop it from unusedAllowed", key)
-		} else if used[key[strings.LastIndexByte(key, '.')+1:]] {
+		} else if ok {
 			t.Errorf("allowlisted %s now has a caller: drop it from unusedAllowed", key)
 		}
 	}
 }
 
-// recvName is the type name of a method receiver: T for T, *T, T[P] and
-// *T[P].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
+// TestUnusedExportsByIdentity checks the guard on a package whose dead
+// methods A.Names and M.Contained share their names with the live B.Names
+// and Contained, so a scan by name counts them as called. G.Put and Rec
+// call only themselves; E's methods are called by the standard library.
+func TestUnusedExportsByIdentity(t *testing.T) {
+	const lib = `package lib
+
+type A struct{}
+type B struct{}
+type M struct{}
+type E struct{}
+type G[T any] struct{ v T }
+
+func (*A) Names() []string { return nil }
+func (*B) Names() []string { return nil }
+func (*M) Contained() bool { return false }
+func Contained() bool { return true }
+func (*E) Error() string { return "" }
+func (*E) Unwrap() error { return nil }
+func (*E) Is(error) bool { return false }
+func (g G[T]) Get() T { return g.v }
+func (g G[T]) Put(v T) G[T] { return G[T]{v}.Put(v) }
+func Rec(n int) int { return Rec(n - 1) }
+`
+	const main = `package main
+
+import "x/internal/lib"
+
+func main() {
+	_ = new(lib.B).Names()
+	_ = lib.Contained()
+	_ = lib.G[int]{}.Get()
+}
+`
+	fset := token.NewFileSet()
+	pkgs := map[string][]*ast.File{}
+	for p, src := range map[string]string{"x/internal/lib": lib, "x/cmd": main} {
+		f, err := parser.ParseFile(fset, p+"/x.go", src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs[p] = []*ast.File{f}
+	}
+	used, err := exportsUsed(fset, pkgs, "x/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unused []string
+	for key, ok := range used {
+		if !ok {
+			unused = append(unused, key)
 		}
 	}
+	sort.Strings(unused)
+	want := "lib.A.Names lib.G.Put lib.M.Contained lib.Rec"
+	if got := strings.Join(unused, " "); got != want {
+		t.Errorf("unused = %s, want %s", got, want)
+	}
+	if len(used) != 10 {
+		t.Errorf("%d exported functions declared, want 10: %v", len(used), used)
+	}
+}
+
+// libraryCalled declares the methods that the standard library calls
+// through an interface, so no identifier in the module resolves to them:
+// error's Error, fmt.Stringer, json.Marshaler and json.Unmarshaler,
+// io.Writer, and the Is and Unwrap that errors.Is and errors.As look for.
+const libraryCalled = `package p
+
+type I interface {
+	Error() string
+	String() string
+	MarshalJSON() ([]byte, error)
+	UnmarshalJSON([]byte) error
+	Write([]byte) (int, error)
+	Is(error) bool
+	Unwrap() error
+}
+`
+
+// exportsUsed type-checks pkgs (import path → the package's parsed
+// files) and reports, for each exported function and method declared in a
+// package whose path begins with declPrefix, whether an identifier outside
+// its own declaration resolves to it. The keys are the package path after
+// declPrefix, then the receiver's type name for a method, then the name.
+// A method whose name and signature are one of libraryCalled's counts as
+// used. Packages outside pkgs are imported from the standard library's
+// source.
+func exportsUsed(fset *token.FileSet, pkgs map[string][]*ast.File, declPrefix string) (map[string]bool, error) {
+	lf, err := parser.ParseFile(fset, "library.go", libraryCalled, 0)
+	if err != nil {
+		return nil, err
+	}
+	lp, err := new(types.Config).Check("p", fset, []*ast.File{lf}, nil)
+	if err != nil {
+		return nil, err
+	}
+	library := lp.Scope().Lookup("I").Type()
+
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	imp := &repoImporter{
+		fset: fset, pkgs: pkgs, info: info,
+		std:     importer.ForCompiler(fset, "source", nil),
+		checked: map[string]*types.Package{},
+	}
+	paths := make([]string, 0, len(pkgs))
+	for p := range pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if _, err := imp.Import(p); err != nil {
+			return nil, err
+		}
+	}
+
+	type decl struct {
+		key      string
+		pos, end token.Pos
+	}
+	decls := map[*types.Func]decl{}
+	used := map[string]bool{}
+	for _, p := range paths {
+		name, ok := strings.CutPrefix(p, declPrefix)
+		if !ok {
+			continue
+		}
+		for _, f := range pkgs[p] {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := info.Defs[fd.Name].(*types.Func)
+				key := name + "." + fd.Name.Name
+				sig := fn.Type().(*types.Signature)
+				if recv := sig.Recv(); recv != nil {
+					t := recv.Type()
+					if p, ok := t.(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					key = name + "." + t.(*types.Named).Obj().Name() + "." + fd.Name.Name
+					if m, _, _ := types.LookupFieldOrMethod(library, false, nil, fd.Name.Name); m != nil && types.Identical(sig, m.Type()) {
+						used[key] = true
+						continue
+					}
+				}
+				decls[fn] = decl{key, fd.Pos(), fd.End()}
+				used[key] = false
+			}
+		}
+	}
+	for id, obj := range info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		if d, ok := decls[fn.Origin()]; ok && (id.Pos() < d.pos || id.Pos() >= d.end) {
+			used[d.key] = true
+		}
+	}
+	return used, nil
+}
+
+// repoImporter type-checks the module's packages from their parsed files,
+// each once, recording into one types.Info, and imports every other
+// package from the standard library's source.
+type repoImporter struct {
+	fset    *token.FileSet
+	pkgs    map[string][]*ast.File
+	info    *types.Info
+	std     types.Importer
+	checked map[string]*types.Package
+}
+
+func (r *repoImporter) Import(p string) (*types.Package, error) {
+	if pkg := r.checked[p]; pkg != nil {
+		return pkg, nil
+	}
+	files, ok := r.pkgs[p]
+	if !ok {
+		return r.std.Import(p)
+	}
+	pkg, err := (&types.Config{Importer: r}).Check(p, r.fset, files, r.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", p, err)
+	}
+	r.checked[p] = pkg
+	return pkg, nil
 }

@@ -56,9 +56,8 @@ func TestMaintainerApplyUpdateBasics(t *testing.T) {
 		t.Fatal("delete from view extent accepted")
 	}
 
-	st := m.Stats()
-	if st.Batches != 2 || st.BaseDeleted != 2 || st.ExtentRetracted < 2 {
-		t.Fatalf("stats = %+v", st)
+	if len(res.BaseDeleted["s"]) != 1 || len(res.BaseInserted["r"]) != 1 {
+		t.Fatalf("mixed batch = %+v, want one s tuple deleted and one r tuple inserted", res)
 	}
 }
 
@@ -209,7 +208,7 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 				t.Fatalf("trial %d warm-up %d: %v", trial, batch, err)
 			}
 		}
-		rebuilt, err := NewFromMaterialized(orig.Database().Clone(), orig.Views(), Options{})
+		rebuilt, err := NewFromMaterialized(orig.Database().Clone(), orig.views, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: rebuild: %v", trial, err)
 		}

@@ -41,7 +41,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/cq"
@@ -64,14 +63,6 @@ type Maintainer struct {
 	cp        *datalog.CompiledProgram
 	db        *storage.Database // base relations + maintained extents; see Database
 	opt       Options
-
-	batches      uint64
-	baseInserted uint64
-	baseDeleted  uint64
-	derived      uint64
-	retracted    uint64
-	rounds       uint64
-	maintainTime time.Duration
 }
 
 // BatchResult reports one applied update batch.
@@ -93,26 +84,6 @@ type BatchResult struct {
 	ExtentRetracted map[string][]storage.Tuple
 	// Stats reports the propagation rounds and derived-tuple count.
 	Stats datalog.FixpointStats
-	// Duration is the wall time of the batch: inserts plus propagation.
-	Duration time.Duration
-}
-
-// Stats aggregates a Maintainer's lifetime work.
-type Stats struct {
-	// Batches is the number of ApplyUpdate calls that succeeded.
-	Batches uint64
-	// BaseInserted counts base tuples that were new across all batches.
-	BaseInserted uint64
-	// BaseDeleted counts base tuples removed across all batches.
-	BaseDeleted uint64
-	// ExtentDerived counts extent tuples derived across all batches.
-	ExtentDerived uint64
-	// ExtentRetracted counts extent tuples retracted across all batches.
-	ExtentRetracted uint64
-	// Rounds counts propagation rounds across all batches.
-	Rounds uint64
-	// MaintainTime is the cumulative wall time spent applying batches.
-	MaintainTime time.Duration
 }
 
 // givenSuffix turns a view name into the name of the relation holding the
@@ -254,9 +225,6 @@ func NewFromMaterialized(db *storage.Database, views []*cq.Query, opt Options) (
 	return &Maintainer{views: views, viewNames: names, cp: cp, db: db, opt: opt}, nil
 }
 
-// Views returns the maintained view definitions.
-func (m *Maintainer) Views() []*cq.Query { return m.views }
-
 // IsView reports whether pred names a maintained view extent.
 func (m *Maintainer) IsView(pred string) bool { return m.viewNames[pred] }
 
@@ -287,7 +255,6 @@ func (m *Maintainer) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) (*
 // can simply be retried. A panic during propagation also rolls back before
 // being re-raised to the caller's recover guard.
 func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*BatchResult, error) {
-	start := time.Now()
 	for _, batch := range []map[string][]storage.Tuple{inserts, deletes} {
 		for pred := range batch {
 			if view, ok := strings.CutSuffix(pred, givenSuffix); ok {
@@ -299,39 +266,11 @@ func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[st
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
-	res := &BatchResult{
+	return &BatchResult{
 		BaseInserted:    ures.BaseInserted,
 		BaseDeleted:     ures.BaseDeleted,
 		ExtentDelta:     ures.Derived,
 		ExtentRetracted: ures.Retracted,
 		Stats:           ures.Stats,
-		Duration:        time.Since(start),
-	}
-	m.batches++
-	for _, tuples := range res.BaseInserted {
-		m.baseInserted += uint64(len(tuples))
-	}
-	for _, tuples := range res.BaseDeleted {
-		m.baseDeleted += uint64(len(tuples))
-	}
-	for _, tuples := range res.ExtentRetracted {
-		m.retracted += uint64(len(tuples))
-	}
-	m.derived += uint64(res.Stats.Derived)
-	m.rounds += uint64(res.Stats.Iterations)
-	m.maintainTime += res.Duration
-	return res, nil
-}
-
-// Stats snapshots the maintainer's lifetime counters.
-func (m *Maintainer) Stats() Stats {
-	return Stats{
-		Batches:         m.batches,
-		BaseInserted:    m.baseInserted,
-		BaseDeleted:     m.baseDeleted,
-		ExtentDerived:   m.derived,
-		ExtentRetracted: m.retracted,
-		Rounds:          m.rounds,
-		MaintainTime:    m.maintainTime,
-	}
+	}, nil
 }

@@ -70,12 +70,8 @@ func TestMaintainerBasics(t *testing.T) {
 		t.Fatal("insert into view extent accepted")
 	}
 
-	st := m.Stats()
-	if st.Batches != 1 || st.BaseInserted != 1 || st.ExtentDerived != 2 || st.Rounds == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.MaintainTime <= 0 {
-		t.Fatalf("MaintainTime = %v", st.MaintainTime)
+	if res.Stats.Derived != 2 || res.Stats.Iterations == 0 {
+		t.Fatalf("Stats = %+v, want 2 tuples derived in at least one round", res.Stats)
 	}
 }
 

@@ -69,9 +69,6 @@ func New(reg *Registry) *Server {
 	return s
 }
 
-// Registry returns the server's namespace registry.
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Handler returns the root handler: the route mux behind the drain gate.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
