@@ -281,7 +281,10 @@ type (
 	Maintainer = ivm.Maintainer
 	// MaintainerOptions configures a Maintainer.
 	MaintainerOptions = ivm.Options
-	// MaintainerBatch reports one applied update batch.
+	// MaintainerBatch reports one applied update batch: the base tuples
+	// actually inserted and deleted, and the extent tuples derived
+	// (Derived) and retracted (Retracted) per view. It is the datalog
+	// layer's update result itself, not a copy.
 	MaintainerBatch = ivm.BatchResult
 )
 

@@ -1,7 +1,7 @@
 // Command aqvd is the answering-queries-using-views daemon: an HTTP/JSON
 // server over the view-serving engine. It loads one or more namespaces —
 // each an isolated engine with its own views, base facts and governance
-// config — and serves prepared-query sessions, one-shot queries, live
+// config — and serves prepared queries, one-shot queries, live
 // update batches and stats over a small JSON API.
 //
 // Usage:
@@ -12,7 +12,7 @@
 //
 // With -config, every subdirectory of DIR holding a views.dl becomes a
 // namespace named after the subdirectory (optional base.dl for ground
-// facts, optional config.json for engine and session options). With
+// facts, optional config.json for engine options). With
 // -views, a single "default" namespace is built inline from flags.
 //
 // With -data, every namespace persists its state (checksummed snapshot +

@@ -408,11 +408,6 @@ type Manifest struct {
 	ViewsFingerprint string         `json:"views_fingerprint"`
 	Layout           string         `json:"layout"`
 	Relations        []RelationMeta `json:"relations"`
-	// Baseline is read but never written. Manifests written while the
-	// maintainer kept facts given for a view as a set of Tuple.Key strings
-	// carry that set here, per view; recovery moves the extent tuples it
-	// names into the view's given relation.
-	Baseline map[string][]string `json:"baseline,omitempty"`
 }
 
 // LayoutFull marks a snapshot holding the base relations and every view
@@ -437,10 +432,21 @@ var segFileName = regexp.MustCompile(`^seg-\d{4}\.col$`)
 // decodeManifest parses and validates a snapshot manifest. It never
 // panics: malformed input returns an error.
 func decodeManifest(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	// Baseline is the one key refused rather than ignored: manifests written
+	// while the maintainer kept the facts given for a view as a set of
+	// Tuple.Key strings carry that set under it, and booting without them
+	// would silently lose those facts.
+	var legacy struct {
+		Manifest
+		Baseline json.RawMessage `json:"baseline"`
+	}
+	if err := json.Unmarshal(data, &legacy); err != nil {
 		return nil, fmt.Errorf("durable: manifest: %w", err)
 	}
+	if legacy.Baseline != nil {
+		return nil, fmt.Errorf(`durable: manifest carries a legacy "baseline" key (the facts given for views, as written before they were kept in a relation of their own); this build does not read such data directories`)
+	}
+	m := legacy.Manifest
 	if m.Format != manifestFormat {
 		return nil, fmt.Errorf("durable: manifest format %d, this build reads %d", m.Format, manifestFormat)
 	}
@@ -473,14 +479,6 @@ func decodeManifest(data []byte) (*Manifest, error) {
 		files[r.File] = true
 		if r.Bytes < 0 {
 			return nil, fmt.Errorf("durable: manifest relation %s: negative segment size", r.Name)
-		}
-	}
-	for pred := range m.Baseline {
-		if pred == "" {
-			return nil, fmt.Errorf("durable: manifest baseline has an empty predicate name")
-		}
-		if !seen[pred] {
-			return nil, fmt.Errorf("durable: manifest baseline names unknown relation %s", pred)
 		}
 	}
 	return &m, nil

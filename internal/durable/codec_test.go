@@ -38,12 +38,16 @@ func TestDecodeManifestRejects(t *testing.T) {
 		"bad file name":   `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 1, "file": "../escape"}]}`,
 		"duplicate file":  `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 1, "file": "seg-0000.col"}, {"name": "s", "arity": 1, "file": "seg-0000.col"}]}`,
 		"negative bytes":  `{"format": 1, "layout": "full", "relations": [{"name": "r", "arity": 1, "file": "seg-0000.col", "bytes": -1}]}`,
-		"orphan baseline": `{"format": 1, "layout": "full", "baseline": {"v": ["k"]}}`,
-		"empty baseline":  `{"format": 1, "layout": "full", "baseline": {"": ["k"]}}`,
+		"legacy baseline": `{"format": 1, "layout": "full", "relations": [{"name": "v", "arity": 1, "extent": true, "file": "seg-0000.col"}], "baseline": {"v": ["k"]}}`,
+		"empty baseline":  `{"format": 1, "layout": "full", "baseline": {}}`,
+		"null baseline":   `{"format": 1, "layout": "full", "baseline": null}`,
 	}
 	for name, in := range cases {
-		if _, err := decodeManifest([]byte(in)); err == nil {
+		_, err := decodeManifest([]byte(in))
+		if err == nil {
 			t.Errorf("%s: decodeManifest accepted %s", name, in)
+		} else if strings.Contains(name, "baseline") && !strings.Contains(err.Error(), `"baseline"`) {
+			t.Errorf("%s: error %v does not name the baseline key", name, err)
 		}
 	}
 }

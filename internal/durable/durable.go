@@ -9,8 +9,9 @@
 //     the format version, the log position (LSN), the view-definition
 //     fingerprint, and each relation's arity, row count and whether it is
 //     a view extent. Facts given for a view directly sit in a base
-//     relation of the maintainer's, persisted like any other (older
-//     manifests named them in a baseline field, still read). No planning
+//     relation of the maintainer's, persisted like any other (a manifest
+//     that names them in a "baseline" key, as older ones did, is
+//     refused at open). No planning
 //     statistic is stored: the engine reads them off the column indexes
 //     it rebuilds. Snapshots are written to a temp directory, fsynced,
 //     renamed into place, and published by atomically rewriting a

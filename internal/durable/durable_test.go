@@ -93,9 +93,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if vMeta == nil || !vMeta.Extent || vMeta.Rows != 2 || vMeta.Arity != 2 {
 		t.Fatalf("extent meta = %+v", vMeta)
 	}
-	if man.Baseline != nil {
-		t.Fatalf("written manifest carries a legacy baseline: %q", man.Baseline)
-	}
 	loaded, err := s2.LoadSnapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -137,9 +137,6 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 			for _, rm := range man.Relations {
 				ds.recoveredTuples += rm.Rows
 			}
-			if err := givenFromBaseline(db, db, man.Baseline); err != nil {
-				return nil, err
-			}
 			m, err = ivm.NewFromMaterialized(db, views, ivmOpt)
 			if err != nil {
 				return nil, err
@@ -157,20 +154,9 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 		} else {
 			logf("engine: snapshot in %s was materialized under different view definitions; re-materializing from its base facts", opt.DataDir)
 			ds.staleRebuild = true
-			recovered, err := store.RecoverBaseFacts()
-			if err != nil {
+			if base, err = store.RecoverBaseFacts(); err != nil {
 				return nil, err
 			}
-			if len(man.Baseline) > 0 {
-				snap, err := store.LoadSnapshot()
-				if err != nil {
-					return nil, err
-				}
-				if err := givenFromBaseline(recovered, snap, man.Baseline); err != nil {
-					return nil, err
-				}
-			}
-			base = recovered
 		}
 	}
 	fresh := m == nil
@@ -218,34 +204,6 @@ func (ds *durableState) checkpoint(m *ivm.Maintainer) error {
 		ViewsFingerprint: ds.fp,
 		Extents:          extents,
 	})
-}
-
-// givenFromBaseline reads a manifest's legacy baseline (durable.Manifest.
-// Baseline: per view, the Tuple.Key strings of facts given for it) into
-// db: every extent tuple of snap whose key the baseline names is inserted
-// into the view's given relation, where the maintainer reads given facts —
-// exactly the tuples the maintainer that wrote the manifest kept across
-// deletions.
-func givenFromBaseline(db, snap *storage.Database, baseline map[string][]string) error {
-	for view, keys := range baseline {
-		ext := snap.Relation(view)
-		if ext == nil {
-			continue
-		}
-		legacy := make(map[string]bool, len(keys))
-		for _, k := range keys {
-			legacy[k] = true
-		}
-		for _, t := range ext.Tuples() {
-			if !legacy[t.Key()] {
-				continue
-			}
-			if err := db.Insert(ivm.GivenRelation(view), t); err != nil {
-				return fmt.Errorf("engine: snapshot baseline of %s: %w", view, err)
-			}
-		}
-	}
-	return nil
 }
 
 // maybeCheckpoint spawns one background checkpoint when the WAL has

@@ -290,7 +290,8 @@ type StrategyStats struct {
 
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
-	// Hits counts Answer/Plan calls served from the plan cache.
+	// Hits counts Prepare/Answer/Plan calls served from the plan cache;
+	// handle lookups (Prepared) count as neither a hit nor a miss.
 	Hits uint64
 	// Misses counts calls that ran the rewriting search.
 	Misses uint64
@@ -690,14 +691,14 @@ func replayBatch(db *storage.Database, j *storage.Journal, res *ivm.BatchResult,
 	if withBase {
 		removeDelta(j, res.BaseDeleted)
 	}
-	removeDelta(j, res.ExtentRetracted)
+	removeDelta(j, res.Retracted)
 	j.MarkInserts()
 	if withBase {
 		if err := appendDelta(db, res.BaseInserted, add); err != nil {
 			return err
 		}
 	}
-	return appendDelta(db, res.ExtentDelta, add)
+	return appendDelta(db, res.Derived, add)
 }
 
 // undoBatch reverts a committed batch on the database the maintainer
@@ -708,10 +709,10 @@ func replayBatch(db *storage.Database, j *storage.Journal, res *ivm.BatchResult,
 // because the log that refused the batch cannot be trusted with the next.
 func undoBatch(db *storage.Database, res *ivm.BatchResult) {
 	inv := &ivm.BatchResult{
-		BaseInserted:    res.BaseDeleted,
-		BaseDeleted:     res.BaseInserted,
-		ExtentDelta:     res.ExtentRetracted,
-		ExtentRetracted: res.ExtentDelta,
+		BaseInserted: res.BaseDeleted,
+		BaseDeleted:  res.BaseInserted,
+		Derived:      res.Retracted,
+		Retracted:    res.Derived,
 	}
 	// Cannot fail: every relation it inserts into exists, at its arity.
 	_ = replayBatch(db, storage.NewJournal(db), inv, true, (*storage.Relation).Insert)
@@ -757,6 +758,7 @@ func appendDelta(db *storage.Database, delta map[string][]storage.Tuple, add fun
 // PreparedQuery is immutable and safe for concurrent use; it stays valid
 // for the engine's lifetime (the underlying plan may be evicted from the
 // cache and re-built for other callers, but this handle keeps its own).
+// Each cached plan carries one handle of its own, found by Prepared.
 type PreparedQuery struct {
 	eng  *Engine
 	plan *Plan
@@ -811,6 +813,17 @@ func (e *Engine) Prepare(q *cq.Query) (*PreparedQuery, error) {
 	return &PreparedQuery{eng: e, plan: plan, args: tmpl.Args}, nil
 }
 
+// Prepared returns the handle of the cached plan whose Plan.Fingerprint is
+// fingerprint, with empty Args, and marks the plan most recently used; ok
+// is false once the plan has been evicted (or was never built), and the
+// caller re-prepares. The lookup allocates nothing and is neither a cache
+// hit nor a miss: Stats.Hits and Stats.Misses count Prepare and Answer.
+func (e *Engine) Prepared(fingerprint []byte) (*PreparedQuery, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.cache.getBytes(fingerprint)
+}
+
 // cachedPlan returns the plan cached under fp, building it with build on a
 // miss; concurrent callers that miss on the same fp share one build.
 //
@@ -820,11 +833,11 @@ func (e *Engine) Prepare(q *cq.Query) (*PreparedQuery, error) {
 // request for the template forever.
 func (e *Engine) cachedPlan(fp string, build func() (*Plan, error)) (plan *Plan, err error) {
 	e.mu.Lock()
-	if p, ok := e.cache.get(fp); ok {
+	if pq, ok := e.cache.get(fp); ok {
 		e.hits++
-		e.strategyAggLocked(p.Chosen).Hits++
+		e.strategyAggLocked(pq.plan.Chosen).Hits++
 		e.mu.Unlock()
-		return p, nil
+		return pq.plan, nil
 	}
 	if fl, ok := e.inflight[fp]; ok {
 		e.coalesced++
@@ -840,7 +853,7 @@ func (e *Engine) cachedPlan(fp string, build func() (*Plan, error)) (plan *Plan,
 	defer func() {
 		e.mu.Lock()
 		if err == nil {
-			if e.cache.add(fp, plan) {
+			if e.cache.add(fp, PreparedQuery{eng: e, plan: plan}) {
 				e.evictions++
 			}
 		}

@@ -565,7 +565,7 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 	for _, tuples := range res.BaseDeleted {
 		baseGone += len(tuples)
 	}
-	for _, tuples := range res.ExtentRetracted {
+	for _, tuples := range res.Retracted {
 		retracted += len(tuples)
 	}
 	e.updBatches.Add(1)

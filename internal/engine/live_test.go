@@ -267,14 +267,14 @@ func TestReplayFailureWedges(t *testing.T) {
 		// One genuine retraction, then an insertion of the wrong arity.
 		{"error", func(v storage.Tuple) *ivm.BatchResult {
 			return &ivm.BatchResult{
-				ExtentRetracted: map[string][]storage.Tuple{"v": {v}},
-				ExtentDelta:     map[string][]storage.Tuple{"v": {{"only-one"}}},
+				Retracted: map[string][]storage.Tuple{"v": {v}},
+				Derived:   map[string][]storage.Tuple{"v": {{"only-one"}}},
 			}
 		}},
 		// A retraction of the wrong arity panics in storage.
 		{"panic", func(v storage.Tuple) *ivm.BatchResult {
 			return &ivm.BatchResult{
-				ExtentRetracted: map[string][]storage.Tuple{"v": {{"only-one"}}},
+				Retracted: map[string][]storage.Tuple{"v": {{"only-one"}}},
 			}
 		}},
 	} {

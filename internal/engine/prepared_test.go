@@ -557,3 +557,57 @@ func TestPreparedLiveUpdates(t *testing.T) {
 		t.Fatalf("misses = %d, want the prepared plan to survive the update", st.Misses)
 	}
 }
+
+// TestPreparedResolvesThroughPlanCache: Prepared finds the handle of a
+// cached plan by its fingerprint, with no arguments of its own, without
+// allocating and without counting a hit or a miss; once the plan is evicted
+// the fingerprint resolves to nothing until a Prepare of the template
+// caches it again.
+func TestPreparedResolvesThroughPlanCache(t *testing.T) {
+	base, views := pointBase(t, 100)
+	e, err := NewFromBase(base, views, Options{CacheSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := cq.MustParseQuery("q(Y) :- r(k3,Z), s(Z,Y)")
+	pq, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := []byte(pq.Plan().Fingerprint)
+	h, ok := e.Prepared(fp)
+	if !ok || h.Plan() != pq.Plan() || len(h.Args()) != 0 {
+		t.Fatalf("Prepared = %v, %v; want the plan of %v with no args", h, ok, pq.Plan())
+	}
+	got, err := h.Exec("k7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := datalog.EvalQuery(base, cq.MustParseQuery("q(Y) :- r(k7,Z), s(Z,Y)")); !storage.TuplesEqual(got, want) {
+		t.Fatalf("exec k7 = %v, want %v", got, want)
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { e.Prepared(fp) }); n != 0 {
+			t.Fatalf("Prepared allocates %.0f times per call", n)
+		}
+	}
+	if st := e.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("hits %d misses %d after handle lookups, want 0 1", st.Hits, st.Misses)
+	}
+
+	if _, err := e.Prepare(cq.MustParseQuery("q(X,Y) :- r(X,Y)")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.Prepared(fp); ok {
+		t.Fatal("Prepared found a plan the LRU evicted")
+	}
+	if _, err := e.Prepare(q); err != nil {
+		t.Fatal(err)
+	}
+	if h2, ok := e.Prepared(fp); !ok || h2.Plan().Fingerprint != string(fp) {
+		t.Fatalf("re-prepared template: Prepared = %v, %v", h2, ok)
+	}
+	if st := e.Stats(); st.Misses != 3 || st.Evictions != 2 {
+		t.Fatalf("misses %d evictions %d, want 3 2", st.Misses, st.Evictions)
+	}
+}

@@ -25,8 +25,8 @@ func TestMaintainerApplyUpdateBasics(t *testing.T) {
 	if len(res.BaseDeleted["r"]) != 1 {
 		t.Fatalf("BaseDeleted = %v", res.BaseDeleted)
 	}
-	if len(res.ExtentRetracted["v"]) != 1 || len(res.ExtentRetracted["vr"]) != 1 {
-		t.Fatalf("ExtentRetracted = %v, want one v and one vr tuple", res.ExtentRetracted)
+	if len(res.Retracted["v"]) != 1 || len(res.Retracted["vr"]) != 1 {
+		t.Fatalf("Retracted = %v, want one v and one vr tuple", res.Retracted)
 	}
 	if m.Database().Relation("v").Contains(storage.Tuple{"a", "x"}) {
 		t.Fatal("retracted extent tuple survives")
@@ -231,8 +231,8 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 			}{
 				{"BaseInserted", got.BaseInserted, want.BaseInserted},
 				{"BaseDeleted", got.BaseDeleted, want.BaseDeleted},
-				{"ExtentDelta", got.ExtentDelta, want.ExtentDelta},
-				{"ExtentRetracted", got.ExtentRetracted, want.ExtentRetracted},
+				{"Derived", got.Derived, want.Derived},
+				{"Retracted", got.Retracted, want.Retracted},
 			} {
 				if g, w := deltaFingerprint(part.got), deltaFingerprint(part.want); g != w {
 					t.Fatalf("trial %d batch %d: %s diverges\n  rebuilt:  %s\n  original: %s", trial, batch, part.name, g, w)

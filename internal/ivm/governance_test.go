@@ -54,7 +54,7 @@ func TestApplyBatchCtxCanceledRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.BaseInserted["s"]) != 1 || len(res.ExtentDelta["v"]) != 1 {
+	if len(res.BaseInserted["s"]) != 1 || len(res.Derived["v"]) != 1 {
 		t.Fatalf("retry result = %+v", res)
 	}
 }
@@ -206,7 +206,7 @@ func TestApplyUpdatePanicRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.BaseInserted["r"]) != 1 || len(res.BaseInserted["s"]) != 1 ||
-		len(res.ExtentDelta["v"]) != 1 || len(res.ExtentDelta["big"]) != 1 {
+		len(res.Derived["v"]) != 1 || len(res.Derived["big"]) != 1 {
 		t.Fatalf("retry result = %+v", res)
 	}
 }

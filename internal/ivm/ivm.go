@@ -65,26 +65,12 @@ type Maintainer struct {
 	opt       Options
 }
 
-// BatchResult reports one applied update batch.
-type BatchResult struct {
-	// BaseInserted maps each base predicate to the tuples that were
-	// actually new; duplicates of existing facts are dropped.
-	BaseInserted map[string][]storage.Tuple
-	// BaseDeleted maps each base predicate to the tuples that were
-	// actually present and removed; deletions of absent facts are dropped.
-	BaseDeleted map[string][]storage.Tuple
-	// ExtentDelta maps each view to the extent tuples the propagation
-	// derived.
-	ExtentDelta map[string][]storage.Tuple
-	// ExtentRetracted maps each view to the extent tuples the batch's
-	// deletions retracted (their last derivation is gone). A mixed batch
-	// must be replayed retractions-first: an insert in the same batch may
-	// re-derive a retracted tuple, in which case it also appears in
-	// ExtentDelta.
-	ExtentRetracted map[string][]storage.Tuple
-	// Stats reports the propagation rounds and derived-tuple count.
-	Stats datalog.FixpointStats
-}
+// BatchResult reports one applied update batch: the base tuples actually
+// inserted and deleted, and the extent tuples the batch derived (Derived)
+// and retracted (Retracted) per view. A mixed batch must be replayed
+// retractions-first: an insert in the same batch may re-derive a retracted
+// tuple, in which case it also appears in Derived.
+type BatchResult = datalog.UpdateResult
 
 // givenSuffix turns a view name into the name of the relation holding the
 // facts given for the view. '@' is outside cq's identifier grammar, so no
@@ -262,15 +248,9 @@ func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[st
 			}
 		}
 	}
-	ures, err := m.cp.ApplyUpdatesCtx(ctx, m.db, inserts, deletes, m.opt.Workers, lim)
+	res, err := m.cp.ApplyUpdatesCtx(ctx, m.db, inserts, deletes, m.opt.Workers, lim)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
-	return &BatchResult{
-		BaseInserted:    ures.BaseInserted,
-		BaseDeleted:     ures.BaseDeleted,
-		ExtentDelta:     ures.Derived,
-		ExtentRetracted: ures.Retracted,
-		Stats:           ures.Stats,
-	}, nil
+	return res, nil
 }

@@ -104,7 +104,9 @@ var raceEnabled bool
 
 // TestHandleExecAllocs is the allocation regression guard of the wire path: a
 // prepared point lookup through Handler().ServeHTTP, request construction
-// included. The budget is the measured count plus two.
+// included. The budget is the measured count itself: one more allocation per
+// exec is a seventh more, far past what the benchmark's point_exec bound lets
+// through.
 func TestHandleExecAllocs(t *testing.T) {
 	c, execBody, _ := pointLookupBed(t)
 	c.post("/v1/exec", execBody)
@@ -115,8 +117,8 @@ func TestHandleExecAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const measured = 7
-	if n := testing.AllocsPerRun(200, func() { c.post("/v1/exec", execBody) }); n > measured+2 {
-		t.Fatalf("/v1/exec point lookup: %.0f allocs/op, budget %d", n, measured+2)
+	if n := testing.AllocsPerRun(200, func() { c.post("/v1/exec", execBody) }); n > measured {
+		t.Fatalf("/v1/exec point lookup: %.0f allocs/op, budget %d", n, measured)
 	}
 }
 

@@ -42,8 +42,9 @@ const (
 	// CodeUnknownNamespace: the request addressed a namespace the registry
 	// does not hold.
 	CodeUnknownNamespace = "unknown_namespace"
-	// CodeUnknownHandle: the prepared-query handle is not (or no longer) in
-	// the namespace's session table; the client should re-prepare.
+	// CodeUnknownHandle: the prepared-query handle names no plan the
+	// namespace's engine caches — never prepared, or evicted from the plan
+	// LRU since; the client should re-prepare.
 	CodeUnknownHandle = "unknown_handle"
 	// CodeBadRequest: malformed JSON, a member of the wrong type, a missing
 	// required field, or a body over the size limit.

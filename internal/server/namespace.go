@@ -27,7 +27,7 @@ import (
 // DefaultNamespace is the namespace requests address when they name none.
 const DefaultNamespace = "default"
 
-// Config configures one namespace's engine and session table. The zero
+// Config configures one namespace's engine. The zero
 // value serves: equivalent-first strategy, frozen base, no admission
 // control, unlimited budget.
 type Config struct {
@@ -36,7 +36,8 @@ type Config struct {
 	Strategy string `json:"strategy,omitempty"`
 	// MaxResults bounds the equivalent rewritings enumerated per plan.
 	MaxResults int `json:"max_results,omitempty"`
-	// CacheSize bounds the engine plan LRU.
+	// CacheSize bounds the engine plan LRU (default 128), and with it the
+	// prepared handles /v1/exec resolves.
 	CacheSize int `json:"cache_size,omitempty"`
 	// EvalWorkers fans a single evaluation across goroutines.
 	EvalWorkers int `json:"eval_workers,omitempty"`
@@ -54,10 +55,6 @@ type Config struct {
 	MaxResultRows     int `json:"max_result_rows,omitempty"`
 	MaxDerivedTuples  int `json:"max_derived_tuples,omitempty"`
 	MaxFixpointRounds int `json:"max_fixpoint_rounds,omitempty"`
-	// MaxSessions caps the prepared-handle session table (default 1024);
-	// SessionTTLMS expires idle handles (default 15 minutes).
-	MaxSessions  int `json:"max_sessions,omitempty"`
-	SessionTTLMS int `json:"session_ttl_ms,omitempty"`
 	// DataDir enables durable storage (snapshot + WAL) rooted at the given
 	// directory; the engine recovers from it at startup and checkpoints on
 	// Close. Relative paths resolve against the daemon's working directory.
@@ -109,8 +106,7 @@ func (c Config) options() (engine.Options, error) {
 	return opt, nil
 }
 
-// Namespace is one tenant: an engine, its default budget, and the session
-// table of prepared handles.
+// Namespace is one tenant: an engine and its default budget.
 type Namespace struct {
 	// Name is the namespace's registry key and path segment.
 	Name string
@@ -121,8 +117,6 @@ type Namespace struct {
 	Budget engine.Budget
 	// Live reports whether /v1/batch is accepted.
 	Live bool
-
-	sessions *sessionTable
 }
 
 // NewNamespace materialises the views over base and builds a namespace
@@ -136,13 +130,7 @@ func NewNamespace(name string, base *storage.Database, views []*cq.Query, cfg Co
 	if err != nil {
 		return nil, fmt.Errorf("namespace %s: %w", name, err)
 	}
-	return &Namespace{
-		Name:     name,
-		Engine:   eng,
-		Budget:   cfg.budget(),
-		Live:     cfg.LiveUpdates,
-		sessions: newSessionTable(cfg.MaxSessions, time.Duration(cfg.SessionTTLMS)*time.Millisecond),
-	}, nil
+	return &Namespace{Name: name, Engine: eng, Budget: cfg.budget(), Live: cfg.LiveUpdates}, nil
 }
 
 // Registry holds the namespaces a server routes to. Shared-nothing: every

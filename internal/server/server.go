@@ -6,14 +6,14 @@
 // Endpoints (all request/response bodies JSON):
 //
 //	POST /v1/prepare   query text -> prepared handle (template fingerprint),
-//	                   cached in a per-namespace session table (TTL + LRU)
+//	                   valid while the engine's plan cache holds the plan
 //	POST /v1/exec      handle + args -> answers (the warm path: no parsing,
 //	                   no planning, one compiled-plan execution)
 //	POST /v1/query     one-shot query text -> answers
 //	POST /v1/batch     mixed insert/delete batches through the IVM path
 //	                   (live namespaces); deletions apply before insertions,
 //	                   the whole batch atomically
-//	GET  /v1/stats     engine + session counters, one or all namespaces
+//	GET  /v1/stats     engine counters, one or all namespaces
 //	GET  /healthz      liveness (503 while draining)
 //
 // Every endpoint is also addressable per namespace as /v1/ns/{ns}/...; the
@@ -158,7 +158,7 @@ type prepareRequest struct {
 	Query     string `json:"query"`
 }
 
-// prepareResponse returns the session handle plus the plan's identity. Args
+// prepareResponse returns the handle plus the plan's identity. Args
 // is the binding extracted from the submitted query's own constants — the
 // arguments under which exec reproduces the one-shot answer.
 type prepareResponse struct {
@@ -169,9 +169,6 @@ type prepareResponse struct {
 	Strategy    string `json:"strategy"`
 	Chosen      string `json:"chosen"`
 	Arity       int    `json:"arity"`
-	// Reused reports whether the handle already existed in the session
-	// table (another client, or an earlier request, prepared the template).
-	Reused bool `json:"reused"`
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -197,7 +194,6 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	plan := pq.Plan()
-	isNew := ns.sessions.put(plan.Fingerprint, pq)
 	writeJSON(w, http.StatusOK, prepareResponse{
 		Handle:      plan.Fingerprint,
 		NumParams:   pq.NumParams(),
@@ -206,7 +202,6 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		Strategy:    string(plan.Strategy),
 		Chosen:      string(plan.Chosen),
 		Arity:       plan.Arity,
-		Reused:      !isNew,
 	})
 }
 
@@ -214,7 +209,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 
 // handleExec takes {"namespace", "handle", "args", "budget"}. The body is
 // decoded into locals, not a struct: handle and args alias the pooled
-// wireState, so the session lookup costs no string.
+// wireState, so the handle lookup costs no string.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	st := acquireWire()
 	defer st.release()
@@ -232,10 +227,10 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	pq, ok := ns.sessions.get(handle)
+	pq, ok := ns.Engine.Prepared(handle)
 	if !ok {
 		writeErrorCode(w, http.StatusNotFound, CodeUnknownHandle,
-			fmt.Sprintf("unknown or expired handle %q; re-prepare", handle))
+			fmt.Sprintf("unknown or evicted handle %q; re-prepare", handle))
 		return
 	}
 	answers, err := pq.ExecBudget(r.Context(), budget.merge(ns.Budget), args...)
@@ -348,7 +343,6 @@ type namespaceStats struct {
 	Namespace string       `json:"namespace"`
 	Live      bool         `json:"live"`
 	Engine    engine.Stats `json:"engine"`
-	Sessions  SessionStats `json:"sessions"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -378,6 +372,5 @@ func statsOf(ns *Namespace) namespaceStats {
 		Namespace: ns.Name,
 		Live:      ns.Live,
 		Engine:    ns.Engine.Stats(),
-		Sessions:  ns.sessions.snapshot(),
 	}
 }

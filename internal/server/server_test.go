@@ -175,7 +175,7 @@ func TestQueryMatchesInProcess(t *testing.T) {
 
 // TestPrepareExecFlow: prepare returns a handle keyed by the template
 // fingerprint; exec with fresh args runs the compiled plan; re-prepare of the
-// same shape reports reuse.
+// same shape returns the same handle.
 func TestPrepareExecFlow(t *testing.T) {
 	ns := testNamespace(t, DefaultNamespace, 30, Config{})
 	_, ts := testServer(t, ns)
@@ -189,7 +189,7 @@ func TestPrepareExecFlow(t *testing.T) {
 	if prep.Handle == "" || prep.Handle != prep.Fingerprint {
 		t.Fatalf("prepare = %+v", prep)
 	}
-	if prep.NumParams != 1 || len(prep.Args) != 1 || prep.Args[0] != "k3" || prep.Reused {
+	if prep.NumParams != 1 || len(prep.Args) != 1 || prep.Args[0] != "k3" {
 		t.Fatalf("prepare = %+v", prep)
 	}
 
@@ -214,8 +214,8 @@ func TestPrepareExecFlow(t *testing.T) {
 	resp = postJSON(t, ts.URL+"/v1/prepare", prepareRequest{Query: "q(Y) :- r(k9,Z), s(Z,Y)."})
 	var prep2 prepareResponse
 	decodeInto(t, resp, &prep2)
-	if prep2.Handle != prep.Handle || !prep2.Reused {
-		t.Fatalf("re-prepare = %+v, want reused handle %s", prep2, prep.Handle)
+	if prep2.Handle != prep.Handle || len(prep2.Args) != 1 || prep2.Args[0] != "k9" {
+		t.Fatalf("re-prepare = %+v, want handle %s with args [k9]", prep2, prep.Handle)
 	}
 
 	// Wrong arg count is an arity_mismatch, not a 500.
@@ -459,7 +459,7 @@ func TestStatsEndpoint(t *testing.T) {
 	ns := testNamespace(t, DefaultNamespace, 10, Config{})
 	_, ts := testServer(t, ns)
 
-	// Warm the session table: one prepare, two execs.
+	// One prepare (a plan-cache miss), two execs (neither a hit nor a miss).
 	resp := postJSON(t, ts.URL+"/v1/prepare", prepareRequest{Query: "q(X) :- r(k1,X)."})
 	var prep prepareResponse
 	decodeInto(t, resp, &prep)
@@ -477,8 +477,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if one.Namespace != DefaultNamespace {
 		t.Fatalf("stats namespace = %q", one.Namespace)
 	}
-	if one.Sessions.Prepared != 1 || one.Sessions.Hits != 2 || one.Sessions.Live != 1 {
-		t.Fatalf("session stats = %+v", one.Sessions)
+	if e := one.Engine; e.Misses != 1 || e.Hits != 0 || e.CacheLen != 1 {
+		t.Fatalf("engine plan cache: misses %d hits %d len %d, want 1 0 1", e.Misses, e.Hits, e.CacheLen)
 	}
 	if one.Engine.ExecCount < 2 {
 		t.Fatalf("engine ExecCount = %d, want >= 2", one.Engine.ExecCount)
@@ -519,10 +519,9 @@ func TestDrainRefusesNewRequests(t *testing.T) {
 	wantError(t, resp, http.StatusServiceUnavailable, CodeShuttingDown)
 }
 
-// TestLoadDirRejectsRemovedShardsKey: the "shards" config key was removed
-// with the hash-partitioned layout (PR 22); a deployment that still sets it
-// must refuse to boot, naming the key and the file.
-func TestLoadDirRejectsRemovedShardsKey(t *testing.T) {
+// loadConfig boots a one-namespace directory whose config.json is config.
+func loadConfig(t *testing.T, config string) error {
+	t.Helper()
 	dir := t.TempDir()
 	nsDir := filepath.Join(dir, "alpha")
 	if err := os.Mkdir(nsDir, 0o755); err != nil {
@@ -530,19 +529,43 @@ func TestLoadDirRejectsRemovedShardsKey(t *testing.T) {
 	}
 	for name, content := range map[string]string{
 		"views.dl":    "v(A,B) :- r(A,C), s(C,B).\n",
-		"config.json": `{"live_updates": true, "shards": 4}`,
+		"config.json": config,
 	} {
 		if err := os.WriteFile(filepath.Join(nsDir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_, err := LoadDirWith(dir, DirOptions{})
+	return err
+}
+
+// wantRemovedKey asserts that a config.json setting key refuses to boot,
+// naming the key and the file.
+func wantRemovedKey(t *testing.T, key, config string) {
+	t.Helper()
+	err := loadConfig(t, config)
 	if err == nil {
-		t.Fatal(`config.json with "shards" accepted`)
+		t.Fatalf("config.json with %q accepted", key)
 	}
-	for _, want := range []string{`"shards"`, "config.json"} {
+	for _, want := range []string{`"` + key + `"`, "config.json"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("err = %v, want it to name %s", err, want)
 		}
 	}
+}
+
+// TestLoadDirRejectsRemovedShardsKey: the "shards" config key was removed
+// with the hash-partitioned layout; a deployment that still sets it
+// must refuse to boot, naming the key and the file.
+func TestLoadDirRejectsRemovedShardsKey(t *testing.T) {
+	wantRemovedKey(t, "shards", `{"live_updates": true, "shards": 4}`)
+}
+
+// TestLoadDirRejectsRemovedSessionKeys: "max_sessions" and "session_ttl_ms"
+// configured the session table that prepared handles once lived in; handles
+// now live in the engine's plan cache, bounded by "cache_size" alone, and a
+// config that still sets either key refuses to boot.
+func TestLoadDirRejectsRemovedSessionKeys(t *testing.T) {
+	wantRemovedKey(t, "max_sessions", `{"cache_size": 8, "max_sessions": 64}`)
+	wantRemovedKey(t, "session_ttl_ms", `{"session_ttl_ms": 60000}`)
 }

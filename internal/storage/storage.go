@@ -64,9 +64,8 @@ type Tuple []string
 const ChunkRows = 64
 
 // Key returns the tuple's columns joined by 0x1f. Distinct tuples share a
-// key when a value holds that byte, so nothing decides membership by it;
-// it survives to read the legacy baseline older snapshot manifests carry
-// (durable.Manifest.Baseline), in the form they wrote it.
+// key when a value holds that byte, so nothing in the module decides
+// membership by it; only bench/ calls it.
 func (t Tuple) Key() string { return strings.Join(t, "\x1f") }
 
 // Clone returns a copy of the tuple: the one way a tuple its owner may
