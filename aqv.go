@@ -32,8 +32,8 @@
 // Answer itself is a thin prepare-once-exec wrapper, so plain callers get
 // template caching for free. With EngineOptions.Strategy == StrategyAuto
 // the engine additionally picks the rewriting algorithm per template by
-// cost estimate, and with MaxResults > 1 it keeps the cheapest of several
-// equivalent rewritings instead of the first found.
+// cost estimate, keeping the cheapest of a few equivalent rewritings
+// instead of the first found.
 //
 // With EngineOptions.LiveUpdates the engine additionally accepts batches of
 // base-fact inserts and deletions (Engine.ApplyUpdate, either side nil),
@@ -424,15 +424,13 @@ const (
 )
 
 var (
-	// NewEngine builds an Engine over a view set and view-extent database.
-	NewEngine = engine.New
-	// NewEngineFromBase materialises the views over base data through
-	// NewMaintainer (or recovers them under EngineOptions.DataDir) and
-	// builds an Engine serving from the result; base is only read. Static,
-	// live and durable engines serve the same database, whatever the
-	// strategy: the view extents alone, or base plus extents under
-	// EngineOptions.AllowPartial with StrategyEquivalentFirst or
-	// StrategyAuto, the strategies that plan partial rewritings.
+	// NewEngineFromBase, the one Engine constructor, materialises the
+	// views over base data through NewMaintainer (or recovers them under
+	// EngineOptions.DataDir) and builds an Engine serving from the result;
+	// base is only read. Static, live and durable engines serve the same
+	// database, whatever the strategy: the view extents alone, or base plus
+	// extents under EngineOptions.AllowPartial with StrategyEquivalentFirst
+	// or StrategyAuto, the strategies that plan partial rewritings.
 	NewEngineFromBase = engine.NewFromBase
 	// ParseStrategy resolves a strategy name (CLI aliases accepted).
 	ParseStrategy = engine.ParseStrategy

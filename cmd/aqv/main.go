@@ -308,17 +308,14 @@ func printPlan(out *os.File, p *aqv.EnginePlan) {
 }
 
 // newEngine builds the plan-caching engine -algo auto, -queries and -stream
-// serve from; live engines accept the stream's update batches.
+// serve from; live engines accept the stream's update batches. The engine
+// resolves algo (ParseStrategy spellings).
 func newEngine(views []*aqv.Query, base *aqv.Database, algo string, partial, live bool) (*aqv.Engine, error) {
-	strategy, err := aqv.ParseStrategy(algo)
-	if err != nil {
-		return nil, err
-	}
 	if base == nil {
 		base = aqv.NewDatabase()
 	}
 	return aqv.NewEngineFromBase(base, views, aqv.EngineOptions{
-		Strategy:     strategy,
+		Strategy:     aqv.Strategy(algo),
 		AllowPartial: partial,
 		LiveUpdates:  live,
 	})

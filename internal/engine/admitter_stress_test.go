@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// TestAdmitterAcquireRaceStress hammers admitter.acquire's three-way race —
-// capacity grant vs context-fire vs queue-timeout — with hundreds of
+// TestAdmitterAcquireRaceStress hammers admitter.acquire's race — capacity
+// grant vs context-fire, by cancel or by deadline — with hundreds of
 // concurrent acquires and randomized cancels, under -race. Invariants:
 //
 //   - inUse never exceeds capacity and never goes negative, at any sampled
@@ -27,10 +27,9 @@ func TestAdmitterAcquireRaceStress(t *testing.T) {
 		perG     = 25 // 600 acquires total
 	)
 	a := &admitter{
-		capacity:     capacity,
-		maxQueue:     12,
-		queueTimeout: 500 * time.Microsecond,
-		retryHint:    func(queueLen int) time.Duration { return time.Millisecond },
+		capacity:  capacity,
+		maxQueue:  12,
+		retryHint: func(queueLen int) time.Duration { return time.Millisecond },
 	}
 
 	// Invariant poller: samples inUse while the storm runs.
@@ -72,7 +71,7 @@ func TestAdmitterAcquireRaceStress(t *testing.T) {
 				case 0: // pre-canceled: the context already fired
 					ctx, cancel = context.WithCancel(ctx)
 					cancel()
-				case 1: // fires mid-wait, racing the grant and the timeout
+				case 1: // deadline fires mid-wait, racing the grant
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(700))*time.Microsecond)
 				case 2: // fires late
 					ctx, cancel = context.WithTimeout(ctx, 5*time.Millisecond)

@@ -27,10 +27,10 @@
 //
 // Strategy selection can be cost-driven: under the Auto strategy the engine
 // plans each template with equivalent-first search, MiniCon or inverse
-// rules, choosing by internal/cost estimates over the catalog, and when the
-// equivalent search yields several rewritings (Options.MaxResults > 1) it
-// keeps the cheapest estimate rather than the first found. The chosen
-// strategy and estimate are recorded on the Plan and attributed in Stats.
+// rules, choosing by internal/cost estimates over the catalog; its
+// equivalent search enumerates a few rewritings (autoMaxResults) and keeps
+// the cheapest estimate rather than the first found. The chosen strategy and
+// estimate are recorded on the Plan and attributed in Stats.
 package engine
 
 import (
@@ -82,8 +82,8 @@ const (
 )
 
 // autoMaxResults is the equivalent-rewriting candidate budget the Auto
-// strategy enumerates when Options.MaxResults does not say otherwise: cost
-// selection needs alternatives to choose between, but exhaustive
+// strategy enumerates (EquivalentFirst takes the first rewriting found):
+// cost selection needs alternatives to choose between, but exhaustive
 // enumeration is exponential.
 const autoMaxResults = 4
 
@@ -113,14 +113,9 @@ func ParseStrategy(name string) (Strategy, error) {
 // Options configures an Engine.
 type Options struct {
 	// Strategy selects the planning algorithm; default EquivalentFirst.
-	// Auto picks per query template by cost estimate.
+	// Auto picks per query template by cost estimate. Any ParseStrategy
+	// spelling is accepted; construction stores the canonical one.
 	Strategy Strategy
-	// MaxResults bounds the number of equivalent rewritings the search
-	// enumerates per plan (core.Options.MaxResults). With MaxResults > 1
-	// the engine costs every candidate under the catalog and keeps the
-	// cheapest estimate instead of the first found. 0 means 1 for the
-	// fixed strategies and a small default budget for Auto.
-	MaxResults int
 	// CacheSize bounds the plan LRU; default 128. Minimum 1.
 	CacheSize int
 	// AllowPartial admits equivalent rewritings that keep base subgoals
@@ -142,10 +137,9 @@ type Options struct {
 	EvalWorkers int
 	// LiveUpdates enables the mutation path: ApplyUpdate applies base-fact
 	// inserts and deletes and delta-maintains every view extent instead of the
-	// database being frozen forever at construction. Requires NewFromBase
-	// (the engine must see the base relations to maintain extents).
-	// Cached plans survive updates — rewritings depend only on the view
-	// definitions, never on extent contents.
+	// database being frozen forever at construction. Cached plans survive
+	// updates — rewritings depend only on the view definitions, never on
+	// extent contents.
 	LiveUpdates bool
 	// MaxConcurrent caps concurrently executing requests (admission
 	// control): queries weigh 1, update batches 2. Excess requests wait in
@@ -156,13 +150,10 @@ type Options struct {
 	// MaxQueue bounds the admission wait queue; requests beyond it are
 	// shed immediately with an OverloadedError carrying a retry-after
 	// hint. 0 means 4×MaxConcurrent; negative means no queue (shed as
-	// soon as MaxConcurrent is reached).
+	// soon as MaxConcurrent is reached). A queued request waits until it
+	// is admitted or its context — Budget.Deadline — fires.
 	MaxQueue int
-	// QueueTimeout bounds how long a request may wait for admission before
-	// being shed with ErrOverloaded. 0 means wait until the request's own
-	// context fires.
-	QueueTimeout time.Duration
-	// DataDir enables durable storage (NewFromBase only): the directory
+	// DataDir enables durable storage: the directory
 	// holds a checksummed snapshot of the materialized state plus an
 	// append-only WAL of update batches. Construction opens it — a valid
 	// snapshot whose view fingerprint matches is loaded and the WAL
@@ -448,30 +439,12 @@ type flight struct {
 	err  error
 }
 
-// New builds an Engine over a view set and a database holding the view
-// extents, plus the base relations partial rewritings read when
-// Options.AllowPartial is set. Every plan reads the database as given: a
-// base relation held without AllowPartial is read by inverse-rules programs
-// as if the views exposed it. The database is indexed and frozen for
-// concurrent reads; do not insert into it afterwards.
-func New(vs *core.ViewSet, db *storage.Database, opt Options) (*Engine, error) {
-	if vs == nil || vs.Len() == 0 {
-		return nil, errors.New("engine: empty view set")
-	}
-	if opt.Strategy == "" {
-		opt.Strategy = EquivalentFirst
-	}
-	if _, err := ParseStrategy(string(opt.Strategy)); err != nil {
-		return nil, err
-	}
+// newEngine builds an Engine serving db, the layout newFromMaintainer
+// selected, under options NewFromBase resolved. Every plan reads db as
+// given. db is indexed and frozen for concurrent reads.
+func newEngine(vs *core.ViewSet, db *storage.Database, opt Options) *Engine {
 	if opt.CacheSize <= 0 {
 		opt.CacheSize = 128
-	}
-	if opt.LiveUpdates {
-		return nil, errors.New("engine: live updates require NewFromBase (extents are maintained from the base relations)")
-	}
-	if db == nil {
-		db = storage.NewDatabase()
 	}
 	db.BuildIndexes()
 	e := &Engine{
@@ -488,7 +461,7 @@ func New(vs *core.ViewSet, db *storage.Database, opt Options) (*Engine, error) {
 		perStrategy: make(map[Strategy]*StrategyStats),
 	}
 	e.admit = newAdmitter(opt, e.retryHint)
-	return e, nil
+	return e
 }
 
 // viewsHaveConstants reports whether any view definition mentions a
@@ -505,8 +478,21 @@ func viewsHaveConstants(views []*cq.Query) bool {
 // NewFromBase builds an Engine straight from base data: it materialises the
 // views over base with ivm.New (or, under Options.DataDir, recovers the
 // materialised state from disk) and serves the result as newFromMaintainer
-// lays it out. base is only read.
+// lays it out. base is only read. It is the one constructor: the options
+// are resolved here once — the strategy to its canonical name — so every
+// later switch on them sees one spelling.
 func NewFromBase(base *storage.Database, views []*cq.Query, opt Options) (*Engine, error) {
+	if len(views) == 0 {
+		return nil, errors.New("engine: empty view set")
+	}
+	if opt.Strategy == "" {
+		opt.Strategy = EquivalentFirst
+	}
+	s, err := ParseStrategy(string(opt.Strategy))
+	if err != nil {
+		return nil, err
+	}
+	opt.Strategy = s
 	vs, err := core.NewViewSet(views...)
 	if err != nil {
 		return nil, err
@@ -554,11 +540,7 @@ func servesBase(opt Options) bool {
 	if !opt.AllowPartial {
 		return false
 	}
-	switch opt.Strategy {
-	case "", EquivalentFirst, Auto:
-		return true
-	}
-	return false
+	return opt.Strategy == EquivalentFirst || opt.Strategy == Auto
 }
 
 // newFromMaintainer builds the engine around a maintainer — freshly
@@ -583,16 +565,10 @@ func newFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, o
 	if withBase {
 		db.Bind(m.Database())
 	}
-	inner := opt
-	inner.LiveUpdates = false
-	e, err := New(vs, db, inner) // indexes db
-	if err != nil {
-		return nil, err
-	}
+	e := newEngine(vs, db, opt) // indexes db
 	if !opt.LiveUpdates {
 		return e, nil
 	}
-	e.opt.LiveUpdates = true
 	e.live = &liveState{maint: m, servesBase: withBase, sides: [2]*storage.Database{db, db.Clone()}}
 	return e, nil
 }
@@ -1062,15 +1038,14 @@ func (e *Engine) execQuery(p *Plan, q *cq.Query) *cq.Query {
 	}
 }
 
-// planEquivalent searches for equivalent rewritings of qc, keeping the
-// cheapest estimate when the search yields several (Options.MaxResults).
-// It reports whether any rewriting was found.
+// planEquivalent searches for equivalent rewritings of qc — the first one
+// found, or under Auto up to autoMaxResults of them, keeping the cheapest
+// estimate. It reports whether any rewriting was found.
 func (e *Engine) planEquivalent(p *Plan, qc *cq.Query) bool {
 	r := core.NewRewriter(e.views)
 	r.Opt.AllowPartial = e.opt.AllowPartial
 	r.Opt.KeepComparisons = true
-	r.Opt.MaxResults = e.opt.MaxResults
-	if r.Opt.MaxResults <= 0 && e.opt.Strategy == Auto {
+	if e.opt.Strategy == Auto {
 		r.Opt.MaxResults = autoMaxResults
 	}
 	r.Memo = e.memo

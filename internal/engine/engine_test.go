@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/datalog"
 	"repro/internal/storage"
@@ -542,11 +541,10 @@ func TestNewFromBaseLeavesBaseUnindexed(t *testing.T) {
 
 func TestEngineErrors(t *testing.T) {
 	base, views := testBase(t)
-	if _, err := New(nil, nil, Options{}); err == nil {
-		t.Fatal("nil view set accepted")
+	if _, err := NewFromBase(base, nil, Options{}); err == nil {
+		t.Fatal("empty view set accepted")
 	}
-	vs := core.MustNewViewSet(views...)
-	if _, err := New(vs, nil, Options{Strategy: "nope"}); err == nil {
+	if _, err := NewFromBase(base, views, Options{Strategy: "nope"}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 	e, err := NewFromBase(base, views, Options{})
@@ -562,6 +560,56 @@ func TestEngineErrors(t *testing.T) {
 	}
 	if _, err := ParseStrategy("inverse"); err != nil {
 		t.Fatal("CLI alias 'inverse' rejected")
+	}
+}
+
+// TestStrategyAliasesResolve: an engine built under any ParseStrategy
+// spelling — the CLI aliases included — plans under the canonical strategy
+// and answers exactly as an engine built under the canonical name.
+func TestStrategyAliasesResolve(t *testing.T) {
+	base, views := testBase(t)
+	names := []string{"equivalent", "inverse"}
+	for _, s := range Strategies() {
+		names = append(names, string(s))
+	}
+	queries := []*cq.Query{
+		cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"),
+		cq.MustParseQuery("q(Y) :- r(a,Z), s(Z,Y)"),
+		cq.MustParseQuery("q(X) :- r(X,Z), t(Z)"),
+	}
+	for _, name := range names {
+		want, err := ParseStrategy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alias, err := NewFromBase(base, views, Options{Strategy: Strategy(name)})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		canon, err := NewFromBase(base, views, Options{Strategy: want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			got, err := alias.Answer(q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, q, err)
+			}
+			ref, err := canon.Answer(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !storage.TuplesEqual(got, ref) {
+				t.Fatalf("%s: %s answers %v, %s answers %v", name, q, got, want, ref)
+			}
+			p, err := alias.Plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Strategy != want {
+				t.Fatalf("%s: plan strategy %q, want %q", name, p.Strategy, want)
+			}
+		}
 	}
 }
 

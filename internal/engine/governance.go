@@ -12,9 +12,10 @@ package engine
 //
 //   - Admission control (Options.MaxConcurrent) bounds how many requests
 //     execute at once: a weighted semaphore with a bounded FIFO wait queue.
-//     Requests beyond the queue bound — or queued past Options.QueueTimeout
-//     — are shed with an OverloadedError carrying a retry-after hint, so
-//     overload turns into fast, typed refusals instead of goroutine pileup.
+//     Requests beyond the queue bound are shed with an OverloadedError
+//     carrying a retry-after hint, so overload turns into fast, typed
+//     refusals instead of goroutine pileup; a queued request waits until it
+//     is granted or its context (Budget.Deadline) fires.
 //
 //   - Panic isolation: every public execution entry point recovers panics
 //     from plan evaluation and maintenance into a typed InternalError
@@ -46,9 +47,9 @@ var ErrCanceled = datalog.ErrCanceled
 var ErrBudgetExceeded = datalog.ErrBudgetExceeded
 
 // ErrOverloaded reports that admission control shed the request: the
-// engine was at MaxConcurrent with a full wait queue, or the request
-// queued past QueueTimeout. Match with errors.Is; the concrete error is an
-// *OverloadedError carrying a retry-after hint.
+// engine was at MaxConcurrent with a full wait queue. Match with errors.Is;
+// the concrete error is an *OverloadedError carrying a retry-after hint.
+// A queued request whose context fires returns ErrCanceled instead.
 var ErrOverloaded = errors.New("engine: overloaded")
 
 // ErrInternal reports that an evaluation panicked and the engine boundary
@@ -172,9 +173,11 @@ type AdmissionStats struct {
 	// Shed counts requests refused immediately because the wait queue was
 	// full.
 	Shed uint64
-	// TimedOut counts queued requests that gave up after QueueTimeout.
+	// TimedOut counts queued requests whose context deadline
+	// (Budget.Deadline) expired while waiting.
 	TimedOut uint64
-	// Canceled counts queued requests whose context fired while waiting.
+	// Canceled counts queued requests whose context was canceled while
+	// waiting.
 	Canceled uint64
 }
 
@@ -189,9 +192,8 @@ type waiter struct {
 // Options.MaxConcurrent > 0, so ungoverned engines pay a single nil check
 // per request.
 type admitter struct {
-	capacity     int
-	maxQueue     int
-	queueTimeout time.Duration
+	capacity int
+	maxQueue int
 	// retryHint estimates time until capacity frees for a shed request,
 	// given the current queue length (wired to the engine's average
 	// execution time).
@@ -232,12 +234,6 @@ func (a *admitter) acquire(ctx context.Context, weight int) error {
 	a.stats.Queued++
 	a.mu.Unlock()
 
-	var timeoutC <-chan time.Time
-	if a.queueTimeout > 0 {
-		timer := time.NewTimer(a.queueTimeout)
-		defer timer.Stop()
-		timeoutC = timer.C
-	}
 	select {
 	case <-w.ready:
 		a.count(&a.stats.Admitted)
@@ -254,15 +250,6 @@ func (a *admitter) acquire(ctx context.Context, weight int) error {
 			a.count(&a.stats.Canceled)
 		}
 		return fmt.Errorf("engine: request context fired while queued for admission: %w", ErrCanceled)
-	case <-timeoutC:
-		if !a.abandon(w) {
-			a.release(w.weight)
-		}
-		a.count(&a.stats.TimedOut)
-		a.mu.Lock()
-		hint := a.retryHint(len(a.queue))
-		a.mu.Unlock()
-		return &OverloadedError{RetryAfter: hint}
 	}
 }
 
@@ -331,10 +318,9 @@ func newAdmitter(opt Options, retryHint func(int) time.Duration) *admitter {
 		maxQueue = 0
 	}
 	return &admitter{
-		capacity:     opt.MaxConcurrent,
-		maxQueue:     maxQueue,
-		queueTimeout: opt.QueueTimeout,
-		retryHint:    retryHint,
+		capacity:  opt.MaxConcurrent,
+		maxQueue:  maxQueue,
+		retryHint: retryHint,
 	}
 }
 

@@ -182,17 +182,16 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-func testAdmitter(capacity, maxQueue int, timeout time.Duration) *admitter {
+func testAdmitter(capacity, maxQueue int) *admitter {
 	return &admitter{
-		capacity:     capacity,
-		maxQueue:     maxQueue,
-		queueTimeout: timeout,
-		retryHint:    func(queueLen int) time.Duration { return time.Duration(queueLen+1) * time.Millisecond },
+		capacity:  capacity,
+		maxQueue:  maxQueue,
+		retryHint: func(queueLen int) time.Duration { return time.Duration(queueLen+1) * time.Millisecond },
 	}
 }
 
 func TestAdmitterImmediateAndShed(t *testing.T) {
-	a := testAdmitter(1, 0, 0)
+	a := testAdmitter(1, 0)
 	if err := a.acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestAdmitterImmediateAndShed(t *testing.T) {
 }
 
 func TestAdmitterQueueDrainsFIFO(t *testing.T) {
-	a := testAdmitter(1, 4, 0)
+	a := testAdmitter(1, 4)
 	if err := a.acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -274,27 +273,8 @@ func TestAdmitterQueueDrainsFIFO(t *testing.T) {
 	}
 }
 
-func TestAdmitterQueueTimeout(t *testing.T) {
-	a := testAdmitter(1, 4, 5*time.Millisecond)
-	if err := a.acquire(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	err := a.acquire(context.Background(), 1)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded after queue timeout", err)
-	}
-	if st := a.snapshot(); st.TimedOut != 1 {
-		t.Fatalf("stats = %+v, want 1 timed out", st)
-	}
-	// The timed-out waiter left the queue; capacity still drains cleanly.
-	a.release(1)
-	if err := a.acquire(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAdmitterCancelWhileQueued(t *testing.T) {
-	a := testAdmitter(1, 4, 0)
+	a := testAdmitter(1, 4)
 	if err := a.acquire(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +304,7 @@ func TestAdmitterCancelWhileQueued(t *testing.T) {
 }
 
 func TestAdmitterWeightClamped(t *testing.T) {
-	a := testAdmitter(1, 0, 0)
+	a := testAdmitter(1, 0)
 	// An update batch weighs 2 but must still run on a capacity-1 engine.
 	if err := a.acquire(context.Background(), 2); err != nil {
 		t.Fatalf("oversized acquire: %v", err)

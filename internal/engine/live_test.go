@@ -147,10 +147,6 @@ func TestLiveEngineErrors(t *testing.T) {
 	if err := static.ApplyUpdate(map[string][]storage.Tuple{"r": {{"z", "z"}}}, nil); err != ErrNotLive {
 		t.Fatalf("static insert err = %v, want ErrNotLive", err)
 	}
-	vs := static.Views()
-	if _, err := New(vs, nil, Options{LiveUpdates: true}); err == nil {
-		t.Fatal("New with LiveUpdates accepted (needs NewFromBase)")
-	}
 	live, err := NewFromBase(base, views, Options{LiveUpdates: true})
 	if err != nil {
 		t.Fatal(err)

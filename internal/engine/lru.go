@@ -39,15 +39,10 @@ func (c *lruCache) touch(el *list.Element) (*PreparedQuery, bool) {
 	return &el.Value.(*lruEntry).pq, true
 }
 
-// add inserts or refreshes a handle and reports whether an older entry was
-// evicted to make room. A refresh replaces the entry rather than writing
-// the cached handle.
+// add inserts a handle under a key the cache does not hold — cachedPlan
+// adds only after a miss, under the single flight for that key — and
+// reports whether the oldest entry was evicted to make room.
 func (c *lruCache) add(key string, pq PreparedQuery) bool {
-	if el, ok := c.items[key]; ok {
-		el.Value = &lruEntry{key: key, pq: pq}
-		c.order.MoveToFront(el)
-		return false
-	}
 	c.items[key] = c.order.PushFront(&lruEntry{key: key, pq: pq})
 	if c.order.Len() <= c.max {
 		return false

@@ -328,13 +328,13 @@ func TestEquivalentFirstFallbackAttribution(t *testing.T) {
 	}
 }
 
-// TestMaxResultsKeepsCheapest: with MaxResults > 1 the engine enumerates
-// equivalent rewritings and keeps the one the cost model ranks cheapest —
-// its recorded estimate must match an independent datalog.Choose over the
-// same candidate set.
-func TestMaxResultsKeepsCheapest(t *testing.T) {
+// TestAutoKeepsCheapest: under Auto the engine enumerates up to
+// autoMaxResults equivalent rewritings and keeps the one the cost model
+// ranks cheapest — its recorded estimate must match an independent
+// datalog.Choose over the same candidate set.
+func TestAutoKeepsCheapest(t *testing.T) {
 	base, views := pointBase(t, 200)
-	e, err := NewFromBase(base, views, Options{MaxResults: core.AllRewritings})
+	e, err := NewFromBase(base, views, Options{Strategy: Auto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestMaxResultsKeepsCheapest(t *testing.T) {
 	// the parameters bound, exactly like the engine.
 	tmpl := cq.CanonicalizeTemplate(q)
 	r := core.NewRewriter(e.Views())
-	r.Opt.MaxResults = core.AllRewritings
+	r.Opt.MaxResults = autoMaxResults
 	results, _ := r.Rewrite(tmpl.PlanQuery())
 	if len(results) < 2 {
 		t.Fatalf("want multiple equivalent rewritings, got %d", len(results))

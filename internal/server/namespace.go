@@ -34,8 +34,6 @@ type Config struct {
 	// Strategy is the engine planning strategy ("equivalent-first",
 	// "bucket", "minicon", "inverse-rules", "auto"; CLI aliases accepted).
 	Strategy string `json:"strategy,omitempty"`
-	// MaxResults bounds the equivalent rewritings enumerated per plan.
-	MaxResults int `json:"max_results,omitempty"`
 	// CacheSize bounds the engine plan LRU (default 128), and with it the
 	// prepared handles /v1/exec resolves.
 	CacheSize int `json:"cache_size,omitempty"`
@@ -44,11 +42,10 @@ type Config struct {
 	// LiveUpdates enables /v1/batch (insert batches with incremental view
 	// maintenance).
 	LiveUpdates bool `json:"live_updates,omitempty"`
-	// MaxConcurrent, MaxQueue and QueueTimeoutMS configure admission
-	// control (see engine.Options).
-	MaxConcurrent  int `json:"max_concurrent,omitempty"`
-	MaxQueue       int `json:"max_queue,omitempty"`
-	QueueTimeoutMS int `json:"queue_timeout_ms,omitempty"`
+	// MaxConcurrent and MaxQueue configure admission control (see
+	// engine.Options); DeadlineMS bounds a queued request's wait.
+	MaxConcurrent int `json:"max_concurrent,omitempty"`
+	MaxQueue      int `json:"max_queue,omitempty"`
 	// DeadlineMS, MaxResultRows, MaxDerivedTuples and MaxFixpointRounds are
 	// the default per-request budget; request budgets override per field.
 	DeadlineMS        int `json:"deadline_ms,omitempty"`
@@ -80,30 +77,22 @@ func (c Config) budget() engine.Budget {
 	}
 }
 
-// options assembles the engine options.
-func (c Config) options() (engine.Options, error) {
-	opt := engine.Options{
-		MaxResults:    c.MaxResults,
+// options assembles the engine options; engine.NewFromBase resolves the
+// strategy name.
+func (c Config) options() engine.Options {
+	return engine.Options{
+		Strategy:      engine.Strategy(c.Strategy),
 		CacheSize:     c.CacheSize,
 		EvalWorkers:   c.EvalWorkers,
 		LiveUpdates:   c.LiveUpdates,
 		MaxConcurrent: c.MaxConcurrent,
 		MaxQueue:      c.MaxQueue,
-		QueueTimeout:  time.Duration(c.QueueTimeoutMS) * time.Millisecond,
 
 		DataDir:          c.DataDir,
 		SnapshotWALBytes: c.SnapshotWALBytes,
 		WALNoSync:        c.WALNoSync,
 		Logf:             c.Logf,
 	}
-	if c.Strategy != "" {
-		s, err := engine.ParseStrategy(c.Strategy)
-		if err != nil {
-			return opt, err
-		}
-		opt.Strategy = s
-	}
-	return opt, nil
 }
 
 // Namespace is one tenant: an engine and its default budget.
@@ -122,11 +111,7 @@ type Namespace struct {
 // NewNamespace materialises the views over base and builds a namespace
 // serving them under the given config.
 func NewNamespace(name string, base *storage.Database, views []*cq.Query, cfg Config) (*Namespace, error) {
-	opt, err := cfg.options()
-	if err != nil {
-		return nil, fmt.Errorf("namespace %s: %w", name, err)
-	}
-	eng, err := engine.NewFromBase(base, views, opt)
+	eng, err := engine.NewFromBase(base, views, cfg.options())
 	if err != nil {
 		return nil, fmt.Errorf("namespace %s: %w", name, err)
 	}

@@ -158,17 +158,17 @@ type prepareRequest struct {
 	Query     string `json:"query"`
 }
 
-// prepareResponse returns the handle plus the plan's identity. Args
+// prepareResponse returns the handle — the plan's template fingerprint —
+// plus the plan's identity. Args
 // is the binding extracted from the submitted query's own constants — the
 // arguments under which exec reproduces the one-shot answer.
 type prepareResponse struct {
-	Handle      string `json:"handle"`
-	NumParams   int    `json:"num_params"`
-	Args        Row    `json:"args"`
-	Fingerprint string `json:"fingerprint"`
-	Strategy    string `json:"strategy"`
-	Chosen      string `json:"chosen"`
-	Arity       int    `json:"arity"`
+	Handle    string `json:"handle"`
+	NumParams int    `json:"num_params"`
+	Args      Row    `json:"args"`
+	Strategy  string `json:"strategy"`
+	Chosen    string `json:"chosen"`
+	Arity     int    `json:"arity"`
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -195,13 +195,12 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	plan := pq.Plan()
 	writeJSON(w, http.StatusOK, prepareResponse{
-		Handle:      plan.Fingerprint,
-		NumParams:   pq.NumParams(),
-		Args:        Row(pq.Args()),
-		Fingerprint: plan.Fingerprint,
-		Strategy:    string(plan.Strategy),
-		Chosen:      string(plan.Chosen),
-		Arity:       plan.Arity,
+		Handle:    plan.Fingerprint,
+		NumParams: pq.NumParams(),
+		Args:      Row(pq.Args()),
+		Strategy:  string(plan.Strategy),
+		Chosen:    string(plan.Chosen),
+		Arity:     plan.Arity,
 	})
 }
 

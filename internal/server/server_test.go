@@ -186,7 +186,7 @@ func TestPrepareExecFlow(t *testing.T) {
 	}
 	var prep prepareResponse
 	decodeInto(t, resp, &prep)
-	if prep.Handle == "" || prep.Handle != prep.Fingerprint {
+	if prep.Handle == "" {
 		t.Fatalf("prepare = %+v", prep)
 	}
 	if prep.NumParams != 1 || len(prep.Args) != 1 || prep.Args[0] != "k3" {
@@ -539,6 +539,19 @@ func loadConfig(t *testing.T, config string) error {
 	return err
 }
 
+// TestLoadDirStrategyNames: a config's strategy is resolved by the engine
+// constructor — an alias boots, an unknown name refuses to, naming it and
+// the namespace.
+func TestLoadDirStrategyNames(t *testing.T) {
+	if err := loadConfig(t, `{"strategy": "inverse"}`); err != nil {
+		t.Fatalf("alias refused: %v", err)
+	}
+	err := loadConfig(t, `{"strategy": "nope"}`)
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "alpha") {
+		t.Fatalf("err = %v, want an unknown-strategy error naming \"nope\" and the namespace", err)
+	}
+}
+
 // wantRemovedKey asserts that a config.json setting key refuses to boot,
 // naming the key and the file.
 func wantRemovedKey(t *testing.T, key, config string) {
@@ -554,18 +567,21 @@ func wantRemovedKey(t *testing.T, key, config string) {
 	}
 }
 
-// TestLoadDirRejectsRemovedShardsKey: the "shards" config key was removed
-// with the hash-partitioned layout; a deployment that still sets it
-// must refuse to boot, naming the key and the file.
-func TestLoadDirRejectsRemovedShardsKey(t *testing.T) {
-	wantRemovedKey(t, "shards", `{"live_updates": true, "shards": 4}`)
-}
-
-// TestLoadDirRejectsRemovedSessionKeys: "max_sessions" and "session_ttl_ms"
-// configured the session table that prepared handles once lived in; handles
-// now live in the engine's plan cache, bounded by "cache_size" alone, and a
-// config that still sets either key refuses to boot.
-func TestLoadDirRejectsRemovedSessionKeys(t *testing.T) {
-	wantRemovedKey(t, "max_sessions", `{"cache_size": 8, "max_sessions": 64}`)
-	wantRemovedKey(t, "session_ttl_ms", `{"session_ttl_ms": 60000}`)
+// TestLoadDirRejectsRemovedKeys: a deployment that still sets a removed
+// config key must refuse to boot, naming the key and the file.
+func TestLoadDirRejectsRemovedKeys(t *testing.T) {
+	for _, c := range []struct{ key, config string }{
+		// The hash-partitioned layout.
+		{"shards", `{"live_updates": true, "shards": 4}`},
+		// The session table prepared handles once lived in; handles now
+		// live in the engine's plan cache, bounded by "cache_size" alone.
+		{"max_sessions", `{"cache_size": 8, "max_sessions": 64}`},
+		{"session_ttl_ms", `{"session_ttl_ms": 60000}`},
+		// The equivalent-rewriting budget: Auto enumerates a fixed few.
+		{"max_results", `{"strategy": "auto", "max_results": 8}`},
+		// The admission wait bound: "deadline_ms" bounds the wait.
+		{"queue_timeout_ms", `{"max_concurrent": 2, "queue_timeout_ms": 50}`},
+	} {
+		t.Run(c.key, func(t *testing.T) { wantRemovedKey(t, c.key, c.config) })
+	}
 }
