@@ -246,9 +246,9 @@ var (
 
 // CompiledPlan is an immutable slot-based physical plan: compile a query
 // once with CompileQuery, then run it with EvalParallelUnsortedWith (or
-// EvalParallelUnsortedCtx) any number of times (concurrently, over a frozen
-// database) without re-planning; SortTuples orders the answers. The serving
-// engine caches one per query template.
+// EvalIntoCtx, which adds the answers into a row set) any number of times
+// (concurrently, over a frozen database) without re-planning; SortTuples
+// orders the answers. The serving engine caches one per query template.
 type CompiledPlan = datalog.CompiledPlan
 
 // CompiledProgram is the compiled semi-naive form of a datalog Program:

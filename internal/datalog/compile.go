@@ -130,7 +130,7 @@ func Compile(q *cq.Query, cat *cost.Catalog) *CompiledPlan {
 // become parameter slots, treated as bound before the first join step —
 // join ordering, index-probe selection and comparison placement all see
 // them as available values, exactly like constants whose value arrives at
-// execution time. Execute with EvalParallelUnsortedWith (or its Ctx form),
+// execution time. Execute with EvalParallelUnsortedWith (or EvalIntoCtx),
 // passing one argument per parameter in the order given here. Parameters
 // may occur anywhere a variable can (body atoms, comparisons, the head); a
 // prepared point lookup compiles to the same index-probe plan as its
@@ -664,22 +664,34 @@ func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g
 // frozen — unindexed columns degrade to scans — but only frozen relations
 // (BuildIndexes) give the probes their index candidates.
 func (p *CompiledPlan) EvalParallelUnsortedWith(db *storage.Database, args []string, workers int) []storage.Tuple {
-	return p.evalUnsorted(db, args, workers, nil)
+	into := AcquireRowSet()
+	p.evalInto(db, args, workers, nil, into)
+	rows := into.Rows()
+	into.Release()
+	return rows
 }
 
-// evalUnsorted is the shared executor behind the legacy (gs == nil) and
-// context-aware entry points. On a tripped guard the partial rows are
+// evalInto is the shared executor behind the legacy (gs == nil) and
+// context-aware entry points: it adds the distinct answers to into and
+// returns how many distinct answers the plan itself produced, before any
+// dedup against rows into already held. On a tripped guard the rows are
 // meaningless; callers must consult gs.failure() first.
-func (p *CompiledPlan) evalUnsorted(db *storage.Database, args []string, workers int, gs *guardState) []storage.Tuple {
+func (p *CompiledPlan) evalInto(db *storage.Database, args []string, workers int, gs *guardState, into *RowSet) int {
 	// Single-component fast path (the common case): emit head tuples
-	// straight from the frame into the run's row set, two allocations for
-	// the whole answer.
+	// straight from the frame into the run's row set, whose storage an
+	// empty into then takes over.
 	if !p.empty && len(p.components) == 1 && len(p.components[0].headSlots) > 0 {
-		return p.enumerateComponent(db, &p.components[0], args, true, workers, gs)
+		sc := p.enumerateComponent(db, &p.components[0], args, true, workers, gs)
+		n := sc.set.n
+		if gs.failure() == nil {
+			into.addAll(&sc.set)
+		}
+		sc.release()
+		return n
 	}
 	parts, ok := p.componentRows(db, args, workers, gs)
 	if !ok || gs.failure() != nil {
-		return nil
+		return 0
 	}
 	// Cross-component results multiply; bound the product before the
 	// combine materialises it.
@@ -690,32 +702,45 @@ func (p *CompiledPlan) evalUnsorted(db *storage.Database, args []string, workers
 				prod *= len(parts[i])
 				if prod > gs.maxRows {
 					gs.trip(fmt.Errorf("datalog: row budget of %d exceeded: %w", gs.maxRows, ErrBudgetExceeded))
-					return nil
+					return 0
 				}
 			}
 		}
 	}
-	return p.combineComponents(parts, p.baseFrame(args), gs)
+	return p.combineComponents(parts, p.baseFrame(args), gs, into)
 }
 
 // combineComponents combines the per-component distinct projections into
-// head tuples. Components bind disjoint head variables, so distinct row
-// combinations yield distinct head tuples — no cross-component dedup is
-// needed. The product can dwarf the component scans (it multiplies where
-// they add), so the combine loop carries its own guard: cancellation lands
-// within one guardInterval of output tuples, not after the full product.
-func (p *CompiledPlan) combineComponents(parts [][][]string, base []string, gs *guardState) []storage.Tuple {
-	var out []storage.Tuple
+// head tuples, adds them to into and returns how many it built. Components
+// bind disjoint head variables, so distinct row combinations yield
+// distinct head tuples: into an empty set they are appended without a
+// lookup, and only a set that already holds rows (an earlier union
+// member's) dedups them. The product can dwarf the component scans (it
+// multiplies where they add), so the combine loop carries its own guard:
+// cancellation lands within one guardInterval of output tuples, not after
+// the full product.
+func (p *CompiledPlan) combineComponents(parts [][][]string, base []string, gs *guardState, into *RowSet) int {
+	n := 0
+	distinct := into.Len() == 0
 	g := gs.child()
 	frame := make([]string, p.numSlots)
 	copy(frame, base) // head positions may read parameter slots
+	row := make([]string, len(p.head))
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(p.components) {
 			if g != nil && g.tick() {
 				return false
 			}
-			out = append(out, p.headTuple(frame))
+			for j, h := range p.head {
+				row[j] = h.value(frame)
+			}
+			if distinct {
+				into.appendNew(row)
+			} else {
+				into.Add(row)
+			}
+			n++
 			return true
 		}
 		c := &p.components[i]
@@ -733,7 +758,7 @@ func (p *CompiledPlan) combineComponents(parts [][][]string, base []string, gs *
 		return true
 	}
 	rec(0)
-	return out
+	return n
 }
 
 // checkArgs panics unless args binds every parameter of the plan: an arity
@@ -812,7 +837,9 @@ func (p *CompiledPlan) componentRows(db *storage.Database, args []string, worker
 			}
 			continue
 		}
-		rows := p.enumerateComponent(db, c, args, false, workers, gs)
+		sc := p.enumerateComponent(db, c, args, false, workers, gs)
+		rows := sc.set.Rows()
+		sc.release()
 		if len(rows) == 0 {
 			return nil, false
 		}
@@ -827,15 +854,14 @@ func (p *CompiledPlan) componentRows(db *storage.Database, args []string, worker
 // enumerateComponent collects the component's distinct rows — head tuples
 // of the plan when head is set (the plan's only component), else
 // projections onto the component's head slots — sharding the root candidate
-// loop across workers when profitable.
-func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledComponent, args []string, head bool, workers int, gs *guardState) []storage.Tuple {
+// loop across workers when profitable. The rows are in the set of the
+// scratch it returns, which the caller releases.
+func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledComponent, args []string, head bool, workers int, gs *guardState) *runScratch {
 	sc := p.newRun(db, c, args, head, gs)
 	stride := min(workers, sc.candidates())
 	if stride <= 1 || c.steps[0].existential {
 		sc.run(0, 1)
-		rows := sc.set.Rows()
-		sc.release()
-		return rows
+		return sc
 	}
 
 	// Shard the root loop round-robin; each worker runs on a scratch of its
@@ -861,9 +887,7 @@ func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledCompo
 		}
 		run.release()
 	}
-	rows := sc.set.Rows()
-	sc.release()
-	return rows
+	return sc
 }
 
 // runScratch is the state of one sequential run over a component's root
@@ -871,7 +895,8 @@ func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledCompo
 // resolved step sources, root candidate set, the row set the run emits
 // into, and the emit closure bound to it once. Between runs it lives in
 // scratchPool, emptied: it holds no reference into any database or plan.
-// The result rows are copied out of the set and never pooled.
+// A plan run's rows leave the set by trading storage with the caller's
+// pooled set (RowSet.addAll), or are copied out of it.
 //
 // A rule-variant execution (emitVariant) runs on the same scratch: its
 // frame, sources and set are the derivation buffer, v, comp, accept and
@@ -1017,15 +1042,6 @@ func (h headOp) value(frame []string) string {
 		return frame[h.slot]
 	}
 	return h.constVal
-}
-
-// headTuple builds the answer tuple for a complete frame.
-func (p *CompiledPlan) headTuple(frame []string) storage.Tuple {
-	t := make(storage.Tuple, len(p.head))
-	for i, h := range p.head {
-		t[i] = h.value(frame)
-	}
-	return t
 }
 
 // Describe renders the physical plan for humans: one line per join step

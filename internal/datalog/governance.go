@@ -194,27 +194,30 @@ func (g *evalGuard) tripRows() bool {
 
 // ---- Context-aware plan evaluation ----
 
-// EvalParallelUnsortedCtx is EvalParallelUnsortedWith under a context and
-// limits: evaluation stops within ~guardInterval candidate rows of ctx
+// EvalIntoCtx is EvalParallelUnsortedWith under a context and limits,
+// adding the distinct answers to into instead of returning them: a run
+// into an empty set hands over its own row set's storage, so no row is
+// copied. Evaluation stops within ~guardInterval candidate rows of ctx
 // firing, returning ErrCanceled, and returns an error wrapping
-// ErrBudgetExceeded when the answer set exceeds lim.MaxRows; on error the
-// partial rows are discarded. With a never-firing context and zero limits
-// it is exactly EvalParallelUnsortedWith.
-func (p *CompiledPlan) EvalParallelUnsortedCtx(ctx context.Context, db *storage.Database, args []string, workers int, lim Limits) ([]storage.Tuple, error) {
+// ErrBudgetExceeded when the plan's answers exceed lim.MaxRows; on error
+// into holds partial rows, which the caller discards. Several plans may
+// add into one set (the members of a union): each dedups against the rows
+// already there, and lim.MaxRows bounds each plan's own answers.
+func (p *CompiledPlan) EvalIntoCtx(ctx context.Context, db *storage.Database, args []string, workers int, lim Limits, into *RowSet) error {
 	if err := ctx.Err(); err != nil {
-		return nil, ErrCanceled
+		return ErrCanceled
 	}
 	gs := newGuardState(ctx, lim.MaxRows)
-	rows := p.evalUnsorted(db, args, workers, gs)
+	n := p.evalInto(db, args, workers, gs, into)
 	// A tripped guard wins, then the exact MaxRows check over the combined
 	// result.
 	if err := gs.failure(); err != nil {
-		return nil, err
+		return err
 	}
-	if lim.MaxRows > 0 && len(rows) > lim.MaxRows {
-		return nil, fmt.Errorf("datalog: result has %d row(s), budget is %d: %w", len(rows), lim.MaxRows, ErrBudgetExceeded)
+	if lim.MaxRows > 0 && n > lim.MaxRows {
+		return fmt.Errorf("datalog: result has %d row(s), budget is %d: %w", n, lim.MaxRows, ErrBudgetExceeded)
 	}
-	return rows, nil
+	return nil
 }
 
 // ---- Context-aware fixpoint and maintenance ----

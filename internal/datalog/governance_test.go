@@ -33,6 +33,17 @@ func crossDB(n int) *storage.Database {
 	return db
 }
 
+// evalCtx runs plan through EvalIntoCtx into a pooled set and returns the
+// rows copied out, in discovery order.
+func evalCtx(plan *CompiledPlan, ctx context.Context, db *storage.Database, args []string, workers int, lim Limits) ([]storage.Tuple, error) {
+	into := AcquireRowSet()
+	defer into.Release()
+	if err := plan.EvalIntoCtx(ctx, db, args, workers, lim, into); err != nil {
+		return nil, err
+	}
+	return into.Rows(), nil
+}
+
 func tcClosureProgram(t *testing.T, db *storage.Database) *CompiledProgram {
 	t.Helper()
 	p := newProgram(
@@ -47,12 +58,12 @@ func TestEvalCtxParity(t *testing.T) {
 	db.BuildIndexes()
 	plan := Compile(mustQ("q(X,Z) :- e(X,Y), e(Y,Z)"), cost.NewCatalog(db))
 	want := plan.EvalParallelUnsortedWith(db, nil, 1)
-	got, err := plan.EvalParallelUnsortedCtx(context.Background(), db, nil, 1, Limits{})
+	got, err := evalCtx(plan, context.Background(), db, nil, 1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !storage.TuplesEqual(got, want) {
-		t.Fatalf("EvalParallelUnsortedCtx = %v want %v", got, want)
+		t.Fatalf("EvalIntoCtx = %v want %v", got, want)
 	}
 }
 
@@ -62,7 +73,7 @@ func TestEvalCtxPreCanceled(t *testing.T) {
 	plan := Compile(mustQ("q(X,Y) :- e(X,Y)"), cost.NewCatalog(db))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := plan.EvalParallelUnsortedCtx(ctx, db, nil, 1, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, err := evalCtx(plan, ctx, db, nil, 1, Limits{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
@@ -82,7 +93,7 @@ func TestEvalCtxCancelMidEval(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		rows, err = plan.EvalParallelUnsortedCtx(ctx, db, nil, 2, Limits{})
+		rows, err = evalCtx(plan, ctx, db, nil, 2, Limits{})
 	}()
 	time.Sleep(2 * time.Millisecond)
 	cancel()
@@ -105,11 +116,11 @@ func TestEvalCtxRowBudget(t *testing.T) {
 	db := crossDB(100)
 	db.BuildIndexes()
 	plan := Compile(mustQ("q(X,Y) :- r(X), s(Y)"), cost.NewCatalog(db))
-	if _, err := plan.EvalParallelUnsortedCtx(context.Background(), db, nil, 2, Limits{MaxRows: 500}); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := evalCtx(plan, context.Background(), db, nil, 2, Limits{MaxRows: 500}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 	// Under the budget: full answer, no error.
-	rows, err := plan.EvalParallelUnsortedCtx(context.Background(), db, nil, 2, Limits{MaxRows: 100 * 100})
+	rows, err := evalCtx(plan, context.Background(), db, nil, 2, Limits{MaxRows: 100 * 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func BenchmarkGuardOverhead(b *testing.B) {
 		guardOverhead(b,
 			func() error { storage.SortTuples(plan.EvalParallelUnsortedWith(db, nil, workers)); return nil },
 			func() error {
-				rows, err := plan.EvalParallelUnsortedCtx(ctx, db, nil, workers, Limits{})
+				rows, err := evalCtx(plan, ctx, db, nil, workers, Limits{})
 				storage.SortTuples(rows)
 				return err
 			})

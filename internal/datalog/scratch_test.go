@@ -48,7 +48,7 @@ func TestProbeAllocs(t *testing.T) {
 		db := probeDB(100, tc.fan, false)
 		plan := CompileParams(cq.MustParseQuery("q(Y) :- v(K,Y)"), []string{"K"}, cost.NewCatalog(db))
 		args := []string{"k42"}
-		rows, err := plan.EvalParallelUnsortedCtx(context.Background(), db, args, tc.workers, Limits{})
+		rows, err := evalCtx(plan, context.Background(), db, args, tc.workers, Limits{})
 		if err != nil || len(rows) != tc.fan || storage.SortTuples(rows)[0][0] != "y42_0" {
 			t.Fatalf("rows = %v, err = %v", rows, err)
 		}
@@ -56,7 +56,7 @@ func TestProbeAllocs(t *testing.T) {
 			continue // allocation counts are not meaningful under the race detector
 		}
 		n := testing.AllocsPerRun(200, func() {
-			if _, err := plan.EvalParallelUnsortedCtx(context.Background(), db, args, tc.workers, Limits{}); err != nil {
+			if _, err := evalCtx(plan, context.Background(), db, args, tc.workers, Limits{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -71,7 +71,7 @@ func TestProbeAllocs(t *testing.T) {
 		db := joinDB(4, fan)
 		plan := CompileParams(cq.MustParseQuery("q(Y,W) :- v(K,Y), w(Y,W)"), []string{"K"}, cost.NewCatalog(db))
 		args := []string{"k2"}
-		rows, err := plan.EvalParallelUnsortedCtx(context.Background(), db, args, 1, Limits{})
+		rows, err := evalCtx(plan, context.Background(), db, args, 1, Limits{})
 		if err != nil || len(rows) != fan {
 			t.Fatalf("%d-row join: %d rows, err = %v", fan, len(rows), err)
 		}
@@ -79,7 +79,7 @@ func TestProbeAllocs(t *testing.T) {
 			continue
 		}
 		allocs[fan] = testing.AllocsPerRun(200, func() {
-			if _, err := plan.EvalParallelUnsortedCtx(context.Background(), db, args, 1, Limits{}); err != nil {
+			if _, err := evalCtx(plan, context.Background(), db, args, 1, Limits{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -134,16 +134,16 @@ func TestDedupAcrossTheLinearRange(t *testing.T) {
 func TestRowBudgetThroughPooledGuard(t *testing.T) {
 	db := probeDB(4, 6, false)
 	plan := CompileParams(cq.MustParseQuery("q(Y) :- v(K,Y)"), []string{"K"}, cost.NewCatalog(db))
-	if _, err := plan.EvalParallelUnsortedCtx(context.Background(), db, []string{"k2"}, 1, Limits{MaxRows: 5}); err == nil {
+	if _, err := evalCtx(plan, context.Background(), db, []string{"k2"}, 1, Limits{MaxRows: 5}); err == nil {
 		t.Fatal("6 rows under a budget of 5: no error")
 	}
-	rows, err := plan.EvalParallelUnsortedCtx(context.Background(), db, []string{"k3"}, 1, Limits{MaxRows: 6})
+	rows, err := evalCtx(plan, context.Background(), db, []string{"k3"}, 1, Limits{MaxRows: 6})
 	if err != nil || len(rows) != 6 {
 		t.Fatalf("rows = %v, err = %v", rows, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := plan.EvalParallelUnsortedCtx(ctx, db, []string{"k3"}, 1, Limits{}); err != ErrCanceled {
+	if _, err := evalCtx(plan, ctx, db, []string{"k3"}, 1, Limits{}); err != ErrCanceled {
 		t.Fatalf("canceled context: err = %v", err)
 	}
 }
@@ -187,7 +187,7 @@ func TestScratchPoolConcurrent(t *testing.T) {
 				if (g+it)%2 == 1 {
 					plan = join
 				}
-				rows, err := plan.EvalParallelUnsortedCtx(ctx, db, []string{key}, 1+3*(it/2%2), Limits{})
+				rows, err := evalCtx(plan, ctx, db, []string{key}, 1+3*(it/2%2), Limits{})
 				if err != nil {
 					t.Errorf("%s: %v", key, err)
 					return

@@ -759,7 +759,7 @@ func (pq *PreparedQuery) Args() []string {
 // NumParams arguments; a mismatch returns an error matching
 // ErrArityMismatch.
 func (pq *PreparedQuery) Exec(args ...string) ([]storage.Tuple, error) {
-	return pq.ExecBudget(context.Background(), Budget{}, args...)
+	return pq.ExecCtx(context.Background(), args...)
 }
 
 // Prepare canonicalises q to its template — constants abstracted to
@@ -988,8 +988,6 @@ func (e *Engine) buildPlan(tmpl *cq.Template, fp string) (*Plan, error) {
 		if err := e.planAuto(p, qc); err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("engine: unknown strategy %q", e.opt.Strategy)
 	}
 	p.BuildTime = time.Since(start)
 

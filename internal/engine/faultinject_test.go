@@ -108,7 +108,7 @@ func TestFaultInjectionDifferential(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				qb.Deadline = time.Duration(rng.Intn(200)) * time.Microsecond
 			}
-			gotRows, err := live.AnswerBudget(context.Background(), q, qb)
+			gotRows, err := copyRows(live.AnswerBudget(context.Background(), q, qb))
 			if err != nil {
 				if !errors.Is(err, ErrCanceled) {
 					t.Fatalf("trial %d (%s): query fault: %v", trial, strat, err)

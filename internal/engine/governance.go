@@ -424,12 +424,15 @@ func (e *Engine) recoverInternal(err *error) {
 // AnswerCtx is Answer under a context: evaluation observes cancellation
 // within one guard interval and returns ErrCanceled. It runs unbudgeted.
 func (e *Engine) AnswerCtx(ctx context.Context, q *cq.Query) ([]storage.Tuple, error) {
-	return e.AnswerBudget(ctx, q, Budget{})
+	return copyRows(e.AnswerBudget(ctx, q, Budget{}))
 }
 
 // AnswerBudget is Answer under a context and a per-call budget. The
-// deadline starts before planning.
-func (e *Engine) AnswerBudget(ctx context.Context, q *cq.Query, b Budget) ([]storage.Tuple, error) {
+// deadline starts before planning. The answers come in the executor's
+// pooled row set, sorted: read them with Len and Row (or copy them out
+// with Rows), then Release the set, after which no row read from it may be
+// used. On error the set is nil.
+func (e *Engine) AnswerBudget(ctx context.Context, q *cq.Query, b Budget) (*datalog.RowSet, error) {
 	ctx, cancel := b.apply(ctx)
 	if cancel != nil {
 		defer cancel()
@@ -443,11 +446,13 @@ func (e *Engine) AnswerBudget(ctx context.Context, q *cq.Query, b Budget) ([]sto
 
 // ExecCtx is Exec under a context. It runs unbudgeted.
 func (pq *PreparedQuery) ExecCtx(ctx context.Context, args ...string) ([]storage.Tuple, error) {
-	return pq.ExecBudget(ctx, Budget{}, args...)
+	return copyRows(pq.ExecBudget(ctx, Budget{}, args...))
 }
 
-// ExecBudget is Exec under a context and a per-call budget.
-func (pq *PreparedQuery) ExecBudget(ctx context.Context, b Budget, args ...string) ([]storage.Tuple, error) {
+// ExecBudget is Exec under a context and a per-call budget. Like
+// AnswerBudget it returns the sorted answers in a pooled row set, which
+// the caller releases once it has read them; on error the set is nil.
+func (pq *PreparedQuery) ExecBudget(ctx context.Context, b Budget, args ...string) (*datalog.RowSet, error) {
 	if len(args) != len(pq.plan.Params) {
 		return nil, fmt.Errorf("engine: prepared query takes %d argument(s), got %d: %w",
 			len(pq.plan.Params), len(args), ErrArityMismatch)
@@ -459,13 +464,27 @@ func (pq *PreparedQuery) ExecBudget(ctx context.Context, b Budget, args ...strin
 	return pq.eng.execBudget(ctx, pq.plan, args, b.limits())
 }
 
+// copyRows copies a returned set's rows out, in two allocations, and
+// releases the set: the answers of the entry points that return tuples.
+func copyRows(set *datalog.RowSet, err error) ([]storage.Tuple, error) {
+	if err != nil {
+		return nil, err
+	}
+	rows := set.Rows()
+	set.Release()
+	return rows, nil
+}
+
 // execBudget is the single execution path every query entry point funnels
 // through: panic isolation, admission, snapshot pin, limit-guarded
-// evaluation, counters. The entry point has already attached the budget's
-// deadline to ctx, so it bounds the admission wait too. With a background
-// context, zero limits and admission disabled it reduces to the ungoverned
-// fast path — nil guards all the way down.
-func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, lim datalog.Limits) (answers []storage.Tuple, err error) {
+// evaluation into a pooled row set, the sort, counters. The entry point
+// has already attached the budget's deadline to ctx, so it bounds the
+// admission wait too. With a background context, zero limits and
+// admission disabled it reduces to the ungoverned fast path — nil guards
+// all the way down. The set is returned only on success; a failed or
+// panicking evaluation's set is released or left to the collector, never
+// handed out.
+func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, lim datalog.Limits) (answers *datalog.RowSet, err error) {
 	defer e.recoverInternal(&err)
 	if err := e.admit.acquire(ctx, 1); err != nil {
 		return nil, err
@@ -476,13 +495,15 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, lim dat
 	if pinned != nil {
 		defer pinned.RUnlock()
 	}
-	answers, err = e.evalPlanCtx(ctx, db, p, args, lim)
-	if err != nil {
+	set := datalog.AcquireRowSet()
+	if err := e.evalPlanCtx(ctx, db, p, args, lim, set); err != nil {
+		set.Release()
 		return nil, err
 	}
+	set.Sort()
 	e.execCount.Add(1)
 	e.execTime.Add(int64(time.Since(start)))
-	return answers, nil
+	return set, nil
 }
 
 // ApplyUpdateCtx is ApplyUpdate under a context: the propagation observes
@@ -603,62 +624,60 @@ func (e *Engine) commit(ctx context.Context, i int32, inserts, deletes map[strin
 	return res, nil
 }
 
-// evalPlanCtx is evalPlan under a context and limits: the compiled
-// executors run with amortized cancellation guards, budget trips surface as
-// typed errors, and fixpoint failures carry their partial-progress stats in
-// a QueryError. With a never-firing context and zero limits the guards are
-// nil and the evaluation is bit-for-bit the ungoverned one.
-func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan, args []string, lim datalog.Limits) ([]storage.Tuple, error) {
+// evalPlanCtx is evalPlan under a context and limits, adding the answers
+// to into: the compiled executors run with amortized cancellation guards,
+// budget trips surface as typed errors, and fixpoint failures carry their
+// partial-progress stats in a QueryError. With a never-firing context and
+// zero limits the guards are nil and the evaluation is bit-for-bit the
+// ungoverned one. On error into holds partial rows.
+func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan, args []string, lim datalog.Limits, into *datalog.RowSet) error {
 	workers := e.opt.EvalWorkers
 	if workers <= 0 {
 		workers = 1
 	}
 	switch p.Kind {
 	case PlanEquivalent:
-		rows, err := p.Compiled.EvalParallelUnsortedCtx(ctx, db, args, workers, lim)
-		if err != nil {
-			return nil, err
-		}
-		return storage.SortTuples(rows), nil
+		return p.Compiled.EvalIntoCtx(ctx, db, args, workers, lim, into)
 	case PlanMaxContained:
-		var out datalog.RowSet
+		// Every member adds into the one set, deduplicating against the
+		// members before it.
 		for _, cp := range p.CompiledUnion {
-			tuples, err := cp.EvalParallelUnsortedCtx(ctx, db, args, workers, lim)
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range tuples {
-				out.Add(t)
+			if err := cp.EvalIntoCtx(ctx, db, args, workers, lim, into); err != nil {
+				return err
 			}
 			// Per-member guards bound each member; the union can still
 			// exceed the row budget across members, so re-check exactly.
-			if lim.MaxRows > 0 && out.Len() > lim.MaxRows {
-				return nil, fmt.Errorf("engine: union result has %d row(s), budget is %d: %w",
-					out.Len(), lim.MaxRows, ErrBudgetExceeded)
+			if lim.MaxRows > 0 && into.Len() > lim.MaxRows {
+				return fmt.Errorf("engine: union result has %d row(s), budget is %d: %w",
+					into.Len(), lim.MaxRows, ErrBudgetExceeded)
 			}
 		}
-		return storage.SortTuples(out.Rows()), nil
+		return nil
 	case PlanInverseProgram:
 		derived, fst, err := p.CompiledProgram.EvalRelationCtx(ctx, db, p.AnswerPred, workers, lim)
 		e.fixpointRuns.Add(1)
 		e.fixpointIters.Add(uint64(fst.Iterations))
 		e.fixpointDrvd.Add(uint64(fst.Derived))
 		if err != nil {
-			return nil, &QueryError{Err: err, Stats: fst}
+			return &QueryError{Err: err, Stats: fst}
 		}
 		// A parameterized program derives the answer relation with the
 		// placeholder columns appended to the head: select the rows
-		// matching the binding and project them away.
-		derived = selectParams(derived, p.Arity, args)
-		answers := datalog.CertainAnswers(derived)
+		// matching the binding and project them away. The certain answers
+		// are the rows free of Skolem values.
+		for _, t := range selectParams(derived, p.Arity, args) {
+			if !datalog.HasSkolem(t) {
+				into.Add(t)
+			}
+		}
 		// The fixpoint guard bounds derivations, not final answers: the
 		// result-row budget applies after selection and minimization.
-		if lim.MaxRows > 0 && len(answers) > lim.MaxRows {
-			return nil, fmt.Errorf("engine: result has %d row(s), budget is %d: %w",
-				len(answers), lim.MaxRows, ErrBudgetExceeded)
+		if lim.MaxRows > 0 && into.Len() > lim.MaxRows {
+			return fmt.Errorf("engine: result has %d row(s), budget is %d: %w",
+				into.Len(), lim.MaxRows, ErrBudgetExceeded)
 		}
-		return answers, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("engine: unknown plan kind %d", p.Kind)
+		return fmt.Errorf("engine: unknown plan kind %d", p.Kind)
 	}
 }

@@ -92,9 +92,10 @@ func TestAnswerBudgetMaxResultRows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: exact-budget query failed: %v", strat, err)
 		}
-		if len(got) != 2 {
-			t.Fatalf("%s: rows = %d, want 2", strat, len(got))
+		if got.Len() != 2 {
+			t.Fatalf("%s: rows = %d, want 2", strat, got.Len())
 		}
+		got.Release()
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"repro/internal/datalog"
 	"repro/internal/storage"
 )
 
@@ -55,27 +56,62 @@ func stdlibAnswers(t testing.TB, rows []storage.Tuple) []byte {
 	return buf.Bytes()
 }
 
-func wireAnswers(rows []storage.Tuple) (body []byte, contentType string) {
+// rowSetOf puts rows into a row set, in their order; ok is false when they
+// are not distinct rows of one width, which no set holds.
+func rowSetOf(rows []storage.Tuple) (set *datalog.RowSet, ok bool) {
+	set = datalog.AcquireRowSet()
+	for _, t := range rows {
+		if len(t) != len(rows[0]) || !set.Add(t) {
+			set.Release()
+			return nil, false
+		}
+	}
+	return set, true
+}
+
+func wireAnswers(set *datalog.RowSet) (body []byte, contentType string) {
 	st := acquireWire()
 	defer st.release()
 	w := memRecorder{hdr: make(http.Header)}
-	st.writeAnswers(&w, rows)
+	st.writeAnswers(&w, set)
 	return w.buf.Bytes(), w.hdr.Get("Content-Type")
 }
 
 func checkAnswersBytes(t *testing.T, rows []storage.Tuple) {
 	t.Helper()
-	got, contentType := wireAnswers(rows)
+	// The Marshaler wrappers, which the cold replies go through, take any
+	// rows.
+	want := stdlibAnswers(t, rows)
+	viaMarshal, err := json.Marshal(answersResponse{Answers: rows, Count: len(rows)})
+	if err != nil || !bytes.Equal(append(viaMarshal, '\n'), want) {
+		t.Fatalf("rows %q: json.Marshal(answersResponse) = %s (%v), encoding/json %s", rows, viaMarshal, err, want)
+	}
+	// The answers reply is written from a row set, which holds distinct
+	// rows of one width: rows that form one are checked together, any
+	// others one at a time.
+	set, ok := rowSetOf(rows)
+	if !ok {
+		for _, row := range rows {
+			checkWireAnswers(t, []storage.Tuple{row})
+		}
+		return
+	}
+	set.Release()
+	checkWireAnswers(t, rows)
+}
+
+// checkWireAnswers compares the reply written from a set of rows with
+// json.Encoder's.
+func checkWireAnswers(t *testing.T, rows []storage.Tuple) {
+	t.Helper()
+	set, _ := rowSetOf(rows)
+	got, contentType := wireAnswers(set)
+	set.Release()
 	if want := stdlibAnswers(t, rows); !bytes.Equal(got, want) {
 		t.Fatalf("rows %q:\nwire          %s\nencoding/json %s", rows, got, want)
 	}
 	if contentType != "application/json" {
 		t.Fatalf("Content-Type = %q", contentType)
-	}
-	// The Marshaler wrappers, which the cold replies go through, agree too.
-	viaMarshal, err := json.Marshal(answersResponse{Answers: rows, Count: len(rows)})
-	if err != nil || !bytes.Equal(append(viaMarshal, '\n'), got) {
-		t.Fatalf("rows %q: json.Marshal(answersResponse) = %s (%v), wire = %s", rows, viaMarshal, err, got)
 	}
 }
 
@@ -164,7 +200,9 @@ func TestLargeBuffersLeaveThePool(t *testing.T) {
 	st := acquireWire()
 	big := strings.Repeat("x", maxPooledBytes+1)
 	st.body = append(st.body[:0], big...)
-	st.writeAnswers(&memRecorder{hdr: make(http.Header)}, []storage.Tuple{{big}})
+	set, _ := rowSetOf([]storage.Tuple{{big}})
+	st.writeAnswers(&memRecorder{hdr: make(http.Header)}, set)
+	set.Release()
 	st.scan.cols = make([]string, maxPooledBytes)
 	st.scan.ends = make([]int, maxPooledBytes)
 	st.scan.widths = make([]int, maxPooledBytes)

@@ -238,6 +238,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.writeAnswers(w, answers)
+	answers.Release()
 }
 
 // ---- /v1/query ----
@@ -271,6 +272,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.writeAnswers(w, answers)
+	answers.Release()
 }
 
 // ---- /v1/batch ----

@@ -27,7 +27,9 @@ package server
 // and every Row/Rows handed to the engine is freshly allocated: a Row's
 // columns share one string, a Rows value's columns one string per
 // storage.ChunkRows rows, and its rows are windows onto one backing array.
-// Result tuples are never pooled.
+// The answers of an exec or a query come the other way in the engine's
+// pooled row set (datalog.RowSet), which the handler encodes in place and
+// releases once the reply has been written.
 
 import (
 	"encoding/base64"
@@ -41,6 +43,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"repro/internal/datalog"
 	"repro/internal/storage"
 )
 
@@ -166,12 +169,20 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body) // a failed write means the client went away
 }
 
-// writeAnswers sends the exec/query reply: {"answers": rows, "count": n}.
-func (st *wireState) writeAnswers(w http.ResponseWriter, answers []storage.Tuple) {
-	b := append(st.out[:0], `{"answers":`...)
-	b = appendRows(b, answers)
-	b = append(b, `,"count":`...)
-	b = strconv.AppendInt(b, int64(len(answers)), 10)
+// writeAnswers sends the exec/query reply: {"answers": rows, "count": n},
+// encoding the rows in place from the engine's row set, byte for byte what
+// appendRows writes for them. The reply is in st.out, and has been copied
+// to w, before it returns: the caller releases the set after it.
+func (st *wireState) writeAnswers(w http.ResponseWriter, answers *datalog.RowSet) {
+	b := append(st.out[:0], `{"answers":[`...)
+	for i := 0; i < answers.Len(); i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendRow(b, answers.Row(i))
+	}
+	b = append(b, `],"count":`...)
+	b = strconv.AppendInt(b, int64(answers.Len()), 10)
 	st.out = append(b, "}\n"...)
 	writeBody(w, http.StatusOK, st.out)
 }
