@@ -247,8 +247,9 @@ var (
 // CompiledPlan is an immutable slot-based physical plan: compile a query
 // once with CompileQuery, then run it with EvalParallelUnsortedWith (or
 // EvalIntoCtx, which adds the answers into a row set) any number of times
-// (concurrently, over a frozen database) without re-planning; SortTuples
-// orders the answers. The serving engine caches one per query template.
+// (concurrently, over a frozen database) without re-planning; each run
+// evaluates on its caller's goroutine, ignoring EvalParallelUnsortedWith's
+// workers argument. SortTuples orders the answers. The serving engine caches one per query template.
 type CompiledPlan = datalog.CompiledPlan
 
 // CompiledProgram is the compiled semi-naive form of a datalog Program:
@@ -279,7 +280,8 @@ var CompileProgramIVM = datalog.CompileProgramIVM
 type (
 	// Maintainer delta-maintains view extents over a base database.
 	Maintainer = ivm.Maintainer
-	// MaintainerOptions configures a Maintainer.
+	// MaintainerOptions is NewMaintainer's options struct. It has no
+	// fields: maintenance runs on the calling goroutine.
 	MaintainerOptions = ivm.Options
 	// MaintainerBatch reports one applied update batch: the base tuples
 	// actually inserted and deleted, and the extent tuples derived

@@ -3,7 +3,6 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/cost"
@@ -20,17 +19,10 @@ func benchEvalRoutes(b *testing.B, db *storage.Database, q *cq.Query) {
 	b.Helper()
 	db.BuildIndexes()
 	plan := Compile(q, cost.NewCatalog(db))
-	workers := runtime.GOMAXPROCS(0)
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			storage.SortTuples(plan.EvalParallelUnsortedWith(db, nil, 1))
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			storage.SortTuples(plan.EvalParallelUnsortedWith(db, nil, workers))
 		}
 	})
 	b.Run("cold_compile", func(b *testing.B) {
@@ -125,9 +117,8 @@ func BenchmarkEvalDisconnected(b *testing.B) {
 	benchEvalRoutes(b, db, cq.MustParseQuery("q(X) :- v1(X), v2(A), v3(B)"))
 }
 
-// BenchmarkServeJoin is the join-heavy serving workload with the root loop
-// split over two workers: the sharded executor and the merge of its
-// workers' row sets.
+// BenchmarkServeJoin is the join-heavy serving workload: three probing
+// steps whose answers are deduplicated in one pooled row set.
 func BenchmarkServeJoin(b *testing.B) {
 	db := serveJoinDB(40000, 15000, 200000)
 	db.BuildIndexes()
@@ -135,7 +126,7 @@ func BenchmarkServeJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		storage.SortTuples(plan.EvalParallelUnsortedWith(db, nil, 2))
+		storage.SortTuples(plan.EvalParallelUnsortedWith(db, nil, 1))
 	}
 }
 

@@ -34,8 +34,7 @@ import (
 // The executor never mutates the relations it reads: candidate sets come
 // from a column's storage.ColIndex (a walk along a chain of positions, no
 // []Tuple materialised) with a scan fallback when the column is not
-// indexed. A run may therefore shard the outermost candidate loop across
-// goroutines over a frozen database, merging per-worker results at the end.
+// indexed. Any number of runs may therefore share a frozen database.
 
 // colAction says how one column of a step's candidate tuple is used.
 type colAction uint8
@@ -576,43 +575,34 @@ func joinSteps(c *compiledComponent, srcs []stepSrc, depth int, frame []string, 
 		return yield(frame)
 	}
 	src := &srcs[depth]
-	cur := cursor{end: len(src.tuples), stride: 1}
+	cur := cursor{end: len(src.tuples)}
 	if src.idx != nil {
-		cur = cursor{chain: src.idx, at: src.idx.First(src.tuples, c.steps[depth].probeValue(frame)), probed: true}
+		cur = cursor{chain: src.idx, at: src.idx.First(src.tuples, c.steps[depth].probeValue(frame))}
 	}
 	return stepLoop(c, srcs, depth, frame, g, yield, cur)
 }
 
 // cursor walks one step's candidates, as positions into its tuples: a
-// probe's chain through a column index, whole, or — from offset at by
-// stride, below end — a root's copied probe positions or a scan. Inner
-// depths walk a chain or scan everything; parallel shards stride the root.
+// probe's chain through a column index, or a scan of everything.
 type cursor struct {
-	chain     *storage.ColIndex // walk the chain from position at
-	positions []int             // a probed root's candidates, read from index at
-	probed    bool              // every candidate holds the probed value
-	at, end   int
-	stride    int
+	chain   *storage.ColIndex // walk the chain from position at; nil scans
+	at, end int
 }
 
 // next returns the next candidate's position, or -1 when there is none.
 func (c *cursor) next() int {
+	pos := c.at
 	if c.chain != nil {
-		pos := c.at
 		if pos >= 0 {
 			c.at = c.chain.Next(pos)
 		}
 		return pos
 	}
-	i := c.at
-	if i >= c.end {
+	if pos >= c.end {
 		return -1
 	}
-	c.at += c.stride
-	if c.probed {
-		return c.positions[i]
-	}
-	return i
+	c.at++
+	return pos
 }
 
 // stepLoop runs one step's candidate loop over cur. It reports false iff
@@ -624,7 +614,7 @@ func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g
 	// each distinct binding.
 	var seen storage.PosTable
 	ops := step.ops
-	if cur.probed {
+	if cur.chain != nil {
 		ops = step.opsIndexed
 	}
 	for pos := cur.next(); pos >= 0; pos = cur.next() {
@@ -657,15 +647,14 @@ func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g
 // callers that want them sorted call storage.SortTuples once. args[i] is
 // the value of the i-th parameter passed to CompileParams (nil for a plan
 // without parameters); a count mismatch panics, like a call with the wrong
-// number of arguments. Each component's outermost candidate loop is sharded
-// round-robin across up to workers goroutines, each with its own frame and
-// dedup set; workers <= 1 runs sequentially. The executor never mutates
-// db, and db must not be mutated during the call; it does not need to be
-// frozen — unindexed columns degrade to scans — but only frozen relations
-// (BuildIndexes) give the probes their index candidates.
+// number of arguments. The plan runs on the calling goroutine; workers is
+// ignored, kept so that existing callers compile. The executor never
+// mutates db, and db must not be mutated during the call; it does not need
+// to be frozen — unindexed columns degrade to scans — but only frozen
+// relations (BuildIndexes) give the probes their index candidates.
 func (p *CompiledPlan) EvalParallelUnsortedWith(db *storage.Database, args []string, workers int) []storage.Tuple {
 	into := AcquireRowSet()
-	p.evalInto(db, args, workers, nil, into)
+	p.evalInto(db, args, nil, into)
 	rows := into.Rows()
 	into.Release()
 	return rows
@@ -676,12 +665,12 @@ func (p *CompiledPlan) EvalParallelUnsortedWith(db *storage.Database, args []str
 // returns how many distinct answers the plan itself produced, before any
 // dedup against rows into already held. On a tripped guard the rows are
 // meaningless; callers must consult gs.failure() first.
-func (p *CompiledPlan) evalInto(db *storage.Database, args []string, workers int, gs *guardState, into *RowSet) int {
+func (p *CompiledPlan) evalInto(db *storage.Database, args []string, gs *guardState, into *RowSet) int {
 	// Single-component fast path (the common case): emit head tuples
 	// straight from the frame into the run's row set, whose storage an
 	// empty into then takes over.
 	if !p.empty && len(p.components) == 1 && len(p.components[0].headSlots) > 0 {
-		sc := p.enumerateComponent(db, &p.components[0], args, true, workers, gs)
+		sc := p.enumerateComponent(db, &p.components[0], args, true, gs)
 		n := sc.set.n
 		if gs.failure() == nil {
 			into.addAll(&sc.set)
@@ -689,7 +678,7 @@ func (p *CompiledPlan) evalInto(db *storage.Database, args []string, workers int
 		sc.release()
 		return n
 	}
-	parts, ok := p.componentRows(db, args, workers, gs)
+	parts, ok := p.componentRows(db, args, gs)
 	if !ok || gs.failure() != nil {
 		return 0
 	}
@@ -818,7 +807,7 @@ func resolveStep(rel *storage.Relation, s *compiledStep) stepSrc {
 // projections onto its head slots (nil rows for existence-only
 // components). ok=false means some component has no match — the query has
 // no answers at all.
-func (p *CompiledPlan) componentRows(db *storage.Database, args []string, workers int, gs *guardState) ([][][]string, bool) {
+func (p *CompiledPlan) componentRows(db *storage.Database, args []string, gs *guardState) ([][][]string, bool) {
 	if p.empty {
 		return nil, false
 	}
@@ -837,7 +826,7 @@ func (p *CompiledPlan) componentRows(db *storage.Database, args []string, worker
 			}
 			continue
 		}
-		sc := p.enumerateComponent(db, c, args, false, workers, gs)
+		sc := p.enumerateComponent(db, c, args, false, gs)
 		rows := sc.set.Rows()
 		sc.release()
 		if len(rows) == 0 {
@@ -853,48 +842,31 @@ func (p *CompiledPlan) componentRows(db *storage.Database, args []string, worker
 
 // enumerateComponent collects the component's distinct rows — head tuples
 // of the plan when head is set (the plan's only component), else
-// projections onto the component's head slots — sharding the root candidate
-// loop across workers when profitable. The rows are in the set of the
-// scratch it returns, which the caller releases.
-func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledComponent, args []string, head bool, workers int, gs *guardState) *runScratch {
-	sc := p.newRun(db, c, args, head, gs)
-	stride := min(workers, sc.candidates())
-	if stride <= 1 || c.steps[0].existential {
-		sc.run(0, 1)
-		return sc
+// projections onto the component's head slots. It runs on a pooled
+// scratch, with parameter slots bound to args and steps resolved against
+// db; the rows are in the scratch's set, and the caller releases it.
+func (p *CompiledPlan) enumerateComponent(db *storage.Database, c *compiledComponent, args []string, head bool, gs *guardState) *runScratch {
+	p.checkArgs(args)
+	sc := scratchPool.Get().(*runScratch)
+	sc.p, sc.c, sc.head, sc.set.width = p, c, head, len(c.headSlots)
+	if head {
+		sc.set.width = len(p.head)
 	}
-
-	// Shard the root loop round-robin; each worker runs on a scratch of its
-	// own and dedups its own shard into its own row set, and the merge
-	// below adds the other workers' rows to the first worker's set.
-	runs := make([]*runScratch, stride)
-	runs[0] = sc
-	for w := 1; w < stride; w++ {
-		runs[w] = sc.fork(gs)
+	sc.arm(gs)
+	sc.frame = slices.Grow(sc.frame, p.numSlots)[:p.numSlots]
+	for i, s := range p.paramSlots {
+		sc.frame[s] = args[i]
 	}
-	var wg sync.WaitGroup
-	for w, run := range runs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run.run(w, stride)
-		}()
-	}
-	wg.Wait()
-	for _, run := range runs[1:] {
-		for i := 0; i < run.set.n; i++ {
-			sc.set.Add(run.set.row(i))
-		}
-		run.release()
-	}
+	sc.srcs = slices.Grow(sc.srcs, len(c.steps))[:len(c.steps)]
+	resolveInto(db, c, sc.srcs)
+	joinSteps(c, sc.srcs, 0, sc.frame, sc.g, sc.emit)
 	return sc
 }
 
-// runScratch is the state of one sequential run over a component's root
-// candidates (all of them, or one worker's stride): register frame,
-// resolved step sources, root candidate set, the row set the run emits
-// into, and the emit closure bound to it once. Between runs it lives in
-// scratchPool, emptied: it holds no reference into any database or plan.
+// runScratch is the state of one run over a component: register frame,
+// resolved step sources, the row set the run emits into, and the emit
+// closure bound to it once. Between runs it lives in scratchPool, emptied:
+// it holds no reference into any database or plan.
 // A plan run's rows leave the set by trading storage with the caller's
 // pooled set (RowSet.addAll), or are copied out of it.
 //
@@ -910,13 +882,8 @@ type runScratch struct {
 	g     *evalGuard // &guard, or nil when the run is unguarded
 	frame []string
 	srcs  []stepSrc
-	// positions holds a probed root's candidates, copied off the index's
-	// chain so that workers can stride them. Each scratch owns its buffer:
-	// a fork copies it, because both return theirs to the pool.
-	positions []int
-	probed    bool
-	set       RowSet
-	emit      func([]string) bool
+	set   RowSet
+	emit  func([]string) bool
 
 	v      *ruleVariant
 	comp   compiledComponent // v's steps, for joinSteps
@@ -925,10 +892,6 @@ type runScratch struct {
 	err    error // the variant's evaluation error
 	derive func([]string) bool
 }
-
-// maxPooledPositions bounds the root candidate buffer a pooled scratch
-// keeps, as maxPooledVals bounds a row set's arena.
-const maxPooledPositions = 1 << 13
 
 // scratchPool is shared by all plans and programs — a scratch is resized
 // to the plan or variant it serves — so the memory it holds follows the
@@ -940,45 +903,9 @@ var scratchPool = sync.Pool{New: func() any {
 	return sc
 }}
 
-// newRun takes a scratch for one execution of component c: parameter slots
-// bound to args, steps resolved against db, and the root candidate set
-// resolved once. At depth 0 the only bound slots are parameters, so a root
-// probe is fed by a constant or a parameter.
-func (p *CompiledPlan) newRun(db *storage.Database, c *compiledComponent, args []string, head bool, gs *guardState) *runScratch {
-	p.checkArgs(args)
-	sc := scratchPool.Get().(*runScratch)
-	sc.bind(p, c, head, gs)
-	sc.frame = slices.Grow(sc.frame, p.numSlots)[:p.numSlots]
-	for i, s := range p.paramSlots {
-		sc.frame[s] = args[i]
-	}
-	sc.srcs = slices.Grow(sc.srcs, len(c.steps))[:len(c.steps)]
-	resolveInto(db, c, sc.srcs)
-	if src := &sc.srcs[0]; src.idx != nil {
-		for pos := src.idx.First(src.tuples, c.steps[0].probeValue(sc.frame)); pos >= 0; pos = src.idx.Next(pos) {
-			sc.positions = append(sc.positions, pos)
-		}
-		sc.probed = true
-	}
-	return sc
-}
-
-// fork takes a second scratch on the same execution, for another worker.
-// It must not run concurrently with sc: it copies sc's frame.
-func (sc *runScratch) fork(gs *guardState) *runScratch {
-	f := scratchPool.Get().(*runScratch)
-	f.bind(sc.p, sc.c, sc.head, gs)
-	f.frame = append(f.frame, sc.frame...)
-	f.srcs = append(f.srcs, sc.srcs...)
-	f.positions, f.probed = append(f.positions, sc.positions...), sc.probed
-	return f
-}
-
-func (sc *runScratch) bind(p *CompiledPlan, c *compiledComponent, head bool, gs *guardState) {
-	sc.p, sc.c, sc.head, sc.set.width = p, c, head, len(c.headSlots)
-	if head {
-		sc.set.width = len(p.head)
-	}
+// arm gives the run a guard of its own over gs; a nil gs leaves it
+// unguarded.
+func (sc *runScratch) arm(gs *guardState) {
 	if gs != nil {
 		sc.guard = gs.guard()
 		sc.g = &sc.guard
@@ -991,26 +918,8 @@ func (sc *runScratch) release() {
 	clear(sc.srcs)
 	sc.set.reset()
 	sc.hs.reset()
-	positions := sc.positions[:0]
-	if cap(positions) > maxPooledPositions {
-		positions = nil
-	}
-	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], positions: positions, set: sc.set, emit: sc.emit, hs: sc.hs, derive: sc.derive}
+	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], set: sc.set, emit: sc.emit, hs: sc.hs, derive: sc.derive}
 	scratchPool.Put(sc)
-}
-
-// candidates is the size of the root candidate set.
-func (sc *runScratch) candidates() int {
-	if sc.probed {
-		return len(sc.positions)
-	}
-	return len(sc.srcs[0].tuples)
-}
-
-// run enumerates root candidates offset, offset+stride, ... through the
-// shared stepLoop, collecting the distinct rows found below them in sc.set.
-func (sc *runScratch) run(offset, stride int) {
-	stepLoop(sc.c, sc.srcs, 0, sc.frame, sc.g, sc.emit, cursor{positions: sc.positions, probed: sc.probed, at: offset, end: sc.candidates(), stride: stride})
 }
 
 // column is column i of the row a complete frame yields.

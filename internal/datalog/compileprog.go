@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"unsafe"
 
 	"repro/internal/cost"
@@ -46,10 +45,8 @@ import (
 //     buffer copied once into one backing array (mergeRound) — and
 //     maintains its probe-column indexes incrementally as they arrive,
 //     instead of the interpreter's discard-and-rebuild on every insert;
-//   - within a round, rule-variant executions only read the relations
-//     (inserts are buffered and merged between rounds), so a run with
-//     several workers spreads a round's variants across goroutines without
-//     locks, with results identical to the sequential run.
+//   - within a round, rule-variant executions only read the relations:
+//     inserts are buffered and merged between rounds.
 //
 // The executor never mutates the EDB it reads: base candidates come from
 // frozen column indexes when available and degrade to scans otherwise,
@@ -489,7 +486,7 @@ func (cp *CompiledProgram) Eval(edb *storage.Database) (*storage.Database, error
 	}
 	db := edb.Clone()
 	cp.freeze(db)
-	idb, _, err := cp.run(db, 1, nil, Limits{})
+	idb, _, err := cp.run(db, nil, Limits{})
 	if err != nil {
 		return nil, err
 	}
@@ -510,19 +507,19 @@ func (cp *CompiledProgram) Eval(edb *storage.Database) (*storage.Database, error
 
 // EvalRelation runs the fixpoint and returns just one relation's tuples —
 // the serving path: the engine asks for the answer predicate and skips the
-// full-database clone Eval pays for API compatibility. Each round's
-// rule-variant executions fan out across up to workers goroutines; the
-// result is identical to the sequential run. The returned slice is fresh;
-// callers may sort or filter it in place.
+// full-database clone Eval pays for API compatibility. The fixpoint runs
+// on the calling goroutine; workers is ignored, kept so that existing
+// callers compile. The returned slice is fresh; callers may sort or filter
+// it in place.
 func (cp *CompiledProgram) EvalRelation(edb *storage.Database, pred string, workers int) ([]storage.Tuple, FixpointStats, error) {
-	return cp.evalRelation(edb, pred, workers, nil, Limits{})
+	return cp.evalRelation(edb, pred, nil, Limits{})
 }
 
 // evalRelation is the shared implementation behind EvalRelation and
 // EvalRelationCtx. On a guard or budget failure the partial stats are
 // returned with the error so callers can report progress.
-func (cp *CompiledProgram) evalRelation(edb *storage.Database, pred string, workers int, gs *guardState, lim Limits) ([]storage.Tuple, FixpointStats, error) {
-	idb, stats, err := cp.run(edb, workers, gs, lim)
+func (cp *CompiledProgram) evalRelation(edb *storage.Database, pred string, gs *guardState, lim Limits) ([]storage.Tuple, FixpointStats, error) {
+	idb, stats, err := cp.run(edb, gs, lim)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -552,7 +549,7 @@ func (cp *CompiledProgram) evalRelation(edb *storage.Database, pred string, work
 // barrier, stratum boundaries included, and the round/derivation budgets
 // are checked where the stats are consistent — so an aborted run returns
 // its partial stats with the error.
-func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardState, lim Limits) (map[string]*storage.Relation, FixpointStats, error) {
+func (cp *CompiledProgram) run(edb *storage.Database, gs *guardState, lim Limits) (map[string]*storage.Relation, FixpointStats, error) {
 	var stats FixpointStats
 	idb := make(map[string]*storage.Relation, len(cp.idbArity))
 	for pred, arity := range cp.idbArity {
@@ -590,12 +587,10 @@ func (cp *CompiledProgram) run(edb *storage.Database, workers int, gs *guardStat
 				return nil, stats, err
 			}
 			stats.Iterations++
-			// With workers > 1 the tasks run concurrently: they read the
-			// round-stable relations and the (read-only until merge) dedup
-			// sets, and write nothing shared. round is captured by value;
-			// tasks, which the loop reassigns, would be moved to the heap.
+			// round is captured by value; tasks, which the loop reassigns,
+			// would be moved to the heap.
 			round := tasks
-			bufs, err := runTaskSet(len(round), workers, func(i int) (*runScratch, error) {
+			bufs, err := runTaskSet(len(round), func(i int) (*runScratch, error) {
 				t := round[i]
 				accum := idb[t.rule.headPred]
 				return emitVariant(t.v, t.delta, edb, idb, gs, func(h storage.Tuple) bool { return !accum.Contains(h) })
@@ -631,43 +626,14 @@ func checkFixpointBudget(stats FixpointStats, lim Limits) error {
 	return nil
 }
 
-// runTaskSet executes n independent task bodies across up to workers
-// goroutines, collecting each body's result, a derivation buffer. Bodies
-// only read round-stable state, so the fan-out needs no locks; the fixpoint
-// rounds and the maintenance rounds (ApplyUpdatesCtx) share it.
-func runTaskSet[T any](n, workers int, run func(int) (T, error)) ([]T, error) {
-	bufs := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			var err error
-			if bufs[i], err = run(i); err != nil {
-				return nil, err
-			}
-		}
-		return bufs, nil
-	}
-	errs := make([]error, n)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				bufs[i], errs[i] = run(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+// runTaskSet executes a round's n task bodies in order, collecting each
+// body's derivation buffer; the fixpoint rounds and the maintenance rounds
+// (ApplyUpdatesCtx) share it. Bodies only read round-stable state.
+func runTaskSet(n int, run func(int) (*runScratch, error)) ([]*runScratch, error) {
+	bufs := make([]*runScratch, n)
+	for i := range bufs {
+		var err error
+		if bufs[i], err = run(i); err != nil {
 			return nil, err
 		}
 	}
@@ -757,10 +723,7 @@ func adoptRow(rel *storage.Relation, backing []string, t storage.Tuple) []string
 func emitVariant(v *ruleVariant, delta []storage.Tuple, db *storage.Database, idb map[string]*storage.Relation, gs *guardState, accept func(storage.Tuple) bool) (*runScratch, error) {
 	sc := scratchPool.Get().(*runScratch)
 	sc.v, sc.comp.steps, sc.accept = v, v.steps, accept
-	if gs != nil {
-		sc.guard = gs.guard()
-		sc.g = &sc.guard
-	}
+	sc.arm(gs)
 	sc.frame = slices.Grow(sc.frame, v.numSlots)[:v.numSlots]
 	sc.srcs = resolveSteps(sc.srcs, v.steps, delta, db, idb)
 	joinSteps(&sc.comp, sc.srcs, 0, sc.frame, sc.g, sc.derive)

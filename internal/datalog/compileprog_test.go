@@ -274,7 +274,7 @@ func TestCompiledProgramEvalRelation(t *testing.T) {
 		RuleFromQuery(mustQ("tc(X,Z) :- tc(X,Y), e(Y,Z)")),
 	)
 	cp := mustCompileProgram(t, p, db)
-	tuples, _, err := cp.EvalRelation(db, "tc", 2)
+	tuples, _, err := cp.EvalRelation(db, "tc", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

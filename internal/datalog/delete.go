@@ -104,14 +104,14 @@ func compileSupportVariant(r Rule, cat *cost.Catalog) supportVariant {
 // returns (a panic rolls back, then re-panics). Predicates derived by the
 // program are rejected on both sides; deletions of absent tuples and
 // insertions of present ones are no-ops.
-func (cp *CompiledProgram) ApplyUpdatesCtx(ctx context.Context, db *storage.Database, inserts, deletes map[string][]storage.Tuple, workers int, lim Limits) (*UpdateResult, error) {
+func (cp *CompiledProgram) ApplyUpdatesCtx(ctx context.Context, db *storage.Database, inserts, deletes map[string][]storage.Tuple, lim Limits) (*UpdateResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ErrCanceled
 	}
-	return cp.applyUpdates(db, inserts, deletes, workers, fixpointGuard(ctx, lim), lim)
+	return cp.applyUpdates(db, inserts, deletes, fixpointGuard(ctx, lim), lim)
 }
 
-func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (res *UpdateResult, err error) {
+func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes map[string][]storage.Tuple, gs *guardState, lim Limits) (res *UpdateResult, err error) {
 	if !cp.ivm {
 		return nil, ErrNotMaintenance
 	}
@@ -155,9 +155,9 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 		// Nothing to retract: the batch is its insert phase.
 		res = &UpdateResult{}
 		j.MarkInserts()
-		res.BaseInserted, res.Derived, res.Stats, err = cp.applyInserts(db, inserts, workers, gs, lim)
+		res.BaseInserted, res.Derived, res.Stats, err = cp.applyInserts(db, inserts, gs, lim)
 	} else {
-		res, err = cp.applyDRed(db, j, inserts, delEff, workers, gs, lim)
+		res, err = cp.applyDRed(db, j, inserts, delEff, gs, lim)
 	}
 	if err != nil {
 		j.Rollback()
@@ -215,9 +215,9 @@ func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[str
 // delta variants over the intact pre-delete database, remove, re-derive
 // survivors with a bounded semi-naive pass, then run the insert phase
 // (applyInserts).
-func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (*UpdateResult, error) {
+func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, gs *guardState, lim Limits) (*UpdateResult, error) {
 	res := &UpdateResult{Retracted: make(map[string][]storage.Tuple)}
-	od, err := cp.overDelete(db, delEff, workers, gs, lim, &res.Stats)
+	od, err := cp.overDelete(db, delEff, gs, lim, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +228,7 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, i
 		j.RemoveAll(pred, dead.Tuples())
 	}
 	j.MarkInserts()
-	if err := cp.rederive(db, od, workers, gs, lim, &res.Stats); err != nil {
+	if err := cp.rederive(db, od, gs, lim, &res.Stats); err != nil {
 		return nil, err
 	}
 	for pred, dead := range od {
@@ -236,7 +236,7 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, i
 			res.Retracted[pred] = append(res.Retracted[pred], dead.Tuples()...)
 		}
 	}
-	fresh, derived, istats, err := cp.applyInserts(db, inserts, workers, gs, lim)
+	fresh, derived, istats, err := cp.applyInserts(db, inserts, gs, lim)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +252,7 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, i
 // seeded by the effective base deletions and evaluated — like every DRed
 // over-approximation — against the still-intact pre-delete database. Each
 // over-deleted set is a relation that adopts the rows its rounds derived.
-func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]storage.Tuple, workers int, gs *guardState, lim Limits, stats *FixpointStats) (map[string]*storage.Relation, error) {
+func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]storage.Tuple, gs *guardState, lim Limits, stats *FixpointStats) (map[string]*storage.Relation, error) {
 	od := make(map[string]*storage.Relation)
 	var tasks []variantTask
 	cur := delEff
@@ -271,7 +271,7 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]
 		// Matches feed from the round's delta and every other atom reads the
 		// intact database; an emitted head counts only if it is currently
 		// materialized and not yet over-deleted.
-		bufs, err := runTaskSet(len(tasks), workers, func(i int) (*runScratch, error) {
+		bufs, err := runTaskSet(len(tasks), func(i int) (*runScratch, error) {
 			t := tasks[i]
 			pred := t.rule.headPred
 			headRel, dead := db.Relation(pred), od[pred]
@@ -308,7 +308,7 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]
 // through the ordinary IDB delta variants, accepting only heads still
 // missing — re-inserted tuples cannot derive anything genuinely new,
 // because the pre-batch database was already a fixpoint over a superset.
-func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]*storage.Relation, workers int, gs *guardState, lim Limits, stats *FixpointStats) error {
+func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]*storage.Relation, gs *guardState, lim Limits, stats *FixpointStats) error {
 	missing := func(pred string) bool { return od[pred] != nil && od[pred].Len() > 0 }
 	var tasks []variantTask
 	for i := range cp.rules {
@@ -336,7 +336,7 @@ func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]*storage
 			return err
 		}
 		stats.Iterations++
-		bufs, err := runTaskSet(len(tasks), workers, func(i int) (*runScratch, error) {
+		bufs, err := runTaskSet(len(tasks), func(i int) (*runScratch, error) {
 			t := tasks[i]
 			dead := od[t.rule.headPred]
 			return emitVariant(t.v, t.delta, db, nil, gs,

@@ -72,8 +72,7 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 				del = randomDeletes(rng, shadow)
 				ins = randomUpdate(rng)
 			}
-			workers := 1 + rng.Intn(4)
-			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, ins, del, workers, Limits{})
+			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, ins, del, Limits{})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: update: %v\n%s", stream, batch, err, prog)
 			}
@@ -158,14 +157,14 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	}
 
 	// Cross-rule: v(1) has two supports; losing one must not retract it.
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"a": {{"1"}}}, 1, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"a": {{"1"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Retracted["v"]) != 0 || !db.Relation("v").Contains(storage.Tuple{"1"}) {
 		t.Fatalf("v(1) retracted with a surviving support: %+v", res.Retracted)
 	}
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"b": {{"1"}}}, 1, Limits{})
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"b": {{"1"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	}
 
 	// Within-rule multiplicity: w(1) has two r-derivations.
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"1", "p"}}}, 1, Limits{})
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"1", "p"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 	// Same-tuple delete+insert in one batch nets to present.
 	res, err = cp.ApplyUpdatesCtx(context.Background(), db,
 		map[string][]storage.Tuple{"r": {{"1", "q"}}},
-		map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1, Limits{})
+		map[string][]storage.Tuple{"r": {{"1", "q"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 		t.Fatal("delete+insert of the same tuple must net to present")
 	}
 	// And w(1) kept exactly one derivation: one more delete retracts.
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, 1, Limits{})
+	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +220,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"a"}}}, 1, Limits{}); err != nil {
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"a"}}}, Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tup := range []storage.Tuple{{"a"}, {"s"}} {
@@ -249,7 +248,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp2.ApplyUpdatesCtx(context.Background(), db2, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 1, Limits{})
+	res, err := cp2.ApplyUpdatesCtx(context.Background(), db2, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +258,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	if !db2.Relation("tc").Contains(storage.Tuple{"x", "y"}) {
 		t.Fatalf("given fact tc(x,y) must survive: retracted=%v", res.Retracted)
 	}
-	if _, err := cp2.ApplyUpdatesCtx(context.Background(), db2, nil, map[string][]storage.Tuple{"e": {{"y", "z"}}}, 1, Limits{}); err != nil {
+	if _, err := cp2.ApplyUpdatesCtx(context.Background(), db2, nil, map[string][]storage.Tuple{"e": {{"y", "z"}}}, Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	base2.Remove("e", storage.Tuple{"a", "b"})
@@ -323,7 +322,7 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.BuildIndexes()
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"a", "c"}}}, 2, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"a", "c"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +340,7 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 	}
 
 	// Now cut the alternative path too: the downstream closure collapses.
-	_, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, 2, Limits{})
+	_, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +362,7 @@ func TestApplyUpdatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.ApplyUpdatesCtx(context.Background(), storage.NewDatabase(), nil, nil, 1, Limits{}); err != ErrNotMaintenance {
+	if _, err := plain.ApplyUpdatesCtx(context.Background(), storage.NewDatabase(), nil, nil, Limits{}); err != ErrNotMaintenance {
 		t.Fatalf("non-IVM program: err = %v, want ErrNotMaintenance", err)
 	}
 
@@ -378,13 +377,13 @@ func TestApplyUpdatesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deleting from the derived relation is rejected.
-	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"v": {{"a"}}}, 1, Limits{}); err == nil {
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"v": {{"a"}}}, Limits{}); err == nil {
 		t.Fatal("delete from derived relation accepted")
 	}
 	// Arity mismatch on the delete side fails before the insert side runs.
 	_, err = cp.ApplyUpdatesCtx(context.Background(), db,
 		map[string][]storage.Tuple{"r": {{"c", "d"}}},
-		map[string][]storage.Tuple{"r": {{"oops"}}}, 1, Limits{})
+		map[string][]storage.Tuple{"r": {{"oops"}}}, Limits{})
 	if err == nil {
 		t.Fatal("wrong-arity delete accepted")
 	}
@@ -399,7 +398,7 @@ func TestApplyUpdatesErrors(t *testing.T) {
 	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{
 		"r":       {{"z", "z"}},
 		"missing": {{"1"}},
-	}, 1, Limits{})
+	}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +438,7 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 		// Pre-canceled context: rejected before any work.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := cp.ApplyUpdatesCtx(ctx, db, nil, map[string][]storage.Tuple{"e": {{"0", "1"}}}, 1, Limits{}); !errors.Is(err, ErrCanceled) {
+		if _, err := cp.ApplyUpdatesCtx(ctx, db, nil, map[string][]storage.Tuple{"e": {{"0", "1"}}}, Limits{}); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("recursive=%v: err = %v, want ErrCanceled", recursive, err)
 		}
 		diffDatabases(t, "canceled batch", db, snapshot)
@@ -449,14 +448,14 @@ func TestApplyUpdatesCancelRollback(t *testing.T) {
 		// mid-retraction, before the insert side runs.
 		ins := map[string][]storage.Tuple{"e": {{"20", "21"}, {"21", "22"}}}
 		del := map[string][]storage.Tuple{"e": {{"0", "1"}, {"5", "6"}}}
-		_, err = cp.ApplyUpdatesCtx(context.Background(), db, ins, del, 2, Limits{MaxDerived: 1})
+		_, err = cp.ApplyUpdatesCtx(context.Background(), db, ins, del, Limits{MaxDerived: 1})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("recursive=%v: err = %v, want ErrBudgetExceeded", recursive, err)
 		}
 		diffDatabases(t, fmt.Sprintf("budget-tripped batch (recursive=%v)", recursive), db, snapshot)
 
 		// The same batch with room succeeds and stays consistent.
-		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, ins, del, 2, Limits{}); err != nil {
+		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, ins, del, Limits{}); err != nil {
 			t.Fatalf("recursive=%v: %v", recursive, err)
 		}
 		shadow := base.Clone()
@@ -513,13 +512,13 @@ func TestApplyUpdatesKeyCollidingTuples(t *testing.T) {
 			t.Fatalf("%s: %d derived tuples, want at least 4", name, n)
 		}
 
-		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {a}}, 1, Limits{}); err != nil {
+		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {a}}, Limits{}); err != nil {
 			t.Fatal(err)
 		}
 		shadow.Remove("r", a)
 		check("one of the pair deleted")
 
-		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"r": {a}}, map[string][]storage.Tuple{"r": {b}}, 1, Limits{}); err != nil {
+		if _, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"r": {a}}, map[string][]storage.Tuple{"r": {b}}, Limits{}); err != nil {
 			t.Fatal(err)
 		}
 		shadow.Remove("r", b)

@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math"
 
 	"repro/internal/storage"
 )
@@ -13,12 +12,14 @@ import (
 // Resource governance for the compiled executors. Every hot loop in this
 // package — the plan candidate loops (compile.go), the semi-naive fixpoint
 // rounds (compileprog.go) and the IVM maintenance rounds (ivm.go, delete.go)
-// — can run under an evalGuard: a per-goroutine view of a shared guardState
-// that amortizes cancellation checks to one atomic load every guardInterval
-// candidate rows, so a context-aware execution costs the same as a plain
-// one to within noise. Budgets (Limits) bound result rows, derived tuples
-// and fixpoint rounds; fixpoint budgets are checked at round barriers,
-// where partial-progress stats are already consistent.
+// — can run under an evalGuard: one run's view of its evaluation's
+// guardState that amortizes cancellation checks to one poll every
+// guardInterval candidate rows, so a context-aware execution costs the same
+// as a plain one to within noise. An evaluation runs on the calling
+// goroutine, so neither is ever shared across goroutines. Budgets (Limits)
+// bound result rows, derived tuples and fixpoint rounds; fixpoint budgets
+// are checked at round barriers, where partial-progress stats are already
+// consistent.
 //
 // The context-free entry points pass a nil guard everywhere, which compiles
 // to a single pointer test per candidate row — the pre-governance fast path
@@ -36,9 +37,9 @@ var ErrBudgetExceeded = errors.New("datalog: evaluation budget exceeded")
 // Limits bounds one evaluation. The zero value means unlimited.
 type Limits struct {
 	// MaxRows bounds the number of answer rows a plan evaluation may
-	// produce. Enumeration aborts as soon as any single worker has emitted
-	// more than MaxRows distinct rows, and the final result is checked
-	// exactly.
+	// produce. Enumeration aborts as soon as one component's run has
+	// emitted more than MaxRows distinct rows, and the final result is
+	// checked exactly.
 	MaxRows int
 	// MaxDerived bounds the total derived-tuple count of a fixpoint or
 	// maintenance run, checked at every round barrier (the run may
@@ -52,23 +53,21 @@ type Limits struct {
 	MaxRounds int
 }
 
-// guardInterval is how many candidate rows each worker visits between
+// guardInterval is how many candidate rows a run visits between
 // cancellation polls. 1<<10 keeps the poll cost well under 1% of loop time
 // while bounding detection latency to microseconds.
 const guardInterval = 1 << 10
 
-// guardState is the per-evaluation cancellation state shared by all
-// workers. A nil *guardState disables all checks.
+// guardState is one evaluation's cancellation state, read by the guards of
+// all its runs. A nil *guardState disables all checks.
 type guardState struct {
 	done    <-chan struct{} // context's done channel; nil when ctx can't fire
-	maxRows int             // per-worker emitted-row budget; 0 = unlimited
-	stopped atomic.Bool     // set once any worker trips; others stop within guardInterval rows
-	mu      sync.Mutex
-	err     error // first failure; guarded by mu
+	maxRows int             // per-run emitted-row budget; 0 = unlimited
+	err     error           // first failure; every run stops at its next poll
 }
 
-// newGuardState builds the shared state for one evaluation, or nil when
-// neither the context nor the limits can ever fire — the legacy fast path.
+// newGuardState builds the state for one evaluation, or nil when neither
+// the context nor the limits can ever fire — the legacy fast path.
 func newGuardState(ctx context.Context, maxRows int) *guardState {
 	done := ctx.Done()
 	if done == nil && maxRows <= 0 {
@@ -77,24 +76,18 @@ func newGuardState(ctx context.Context, maxRows int) *guardState {
 	return &guardState{done: done, maxRows: maxRows}
 }
 
-// trip records the first failure and tells every worker to stop.
+// trip records the first failure.
 func (gs *guardState) trip(err error) {
-	gs.mu.Lock()
 	if gs.err == nil {
 		gs.err = err
 	}
-	gs.mu.Unlock()
-	gs.stopped.Store(true)
 }
 
-// failure returns the first recorded failure, if any. Callers read it only
-// after the workers of the current stage have joined.
+// failure returns the first recorded failure, if any.
 func (gs *guardState) failure() error {
 	if gs == nil {
 		return nil
 	}
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
 	return gs.err
 }
 
@@ -118,8 +111,7 @@ func (gs *guardState) barrier() error {
 	return nil
 }
 
-// child creates one worker's guard over the shared state. Guards are not
-// goroutine-safe; every worker gets its own.
+// child creates a guard of its own for one run over gs.
 func (gs *guardState) child() *evalGuard {
 	if gs == nil {
 		return nil
@@ -130,18 +122,21 @@ func (gs *guardState) child() *evalGuard {
 
 // guard is child by value, for callers that own the storage (gs != nil).
 func (gs *guardState) guard() evalGuard {
-	return evalGuard{s: gs, n: guardInterval, maxRows: gs.maxRows}
+	left := math.MaxInt
+	if gs.maxRows > 0 {
+		left = gs.maxRows
+	}
+	return evalGuard{s: gs, n: guardInterval, left: left}
 }
 
-// evalGuard is one worker's amortized cancellation checker.
+// evalGuard is one run's amortized cancellation checker.
 type evalGuard struct {
-	s       *guardState
-	n       int // rows until the next poll
-	rows    int // rows emitted by this worker (MaxRows budget)
-	maxRows int // copy of s.maxRows, keeping emitRow's fast path inlinable
+	s    *guardState
+	n    int // rows until the next poll
+	left int // distinct rows this run may still emit (MaxRows budget)
 }
 
-// tick is called once per candidate row; it reports true when the worker
+// tick is called once per candidate row; it reports true when the run
 // must stop. All but one call in guardInterval is a decrement and compare —
 // kept small enough to inline into the candidate loops, so a live guard
 // costs about one branch per row.
@@ -153,11 +148,11 @@ func (g *evalGuard) tick() bool {
 	return g.poll()
 }
 
-// poll is the once-per-guardInterval slow path of tick: one atomic load,
-// and a non-blocking context check.
+// poll is the once-per-guardInterval slow path of tick: a recorded failure
+// stops the run, and so does a fired context.
 func (g *evalGuard) poll() bool {
 	g.n = guardInterval
-	if g.s.stopped.Load() {
+	if g.s.err != nil {
 		return true
 	}
 	if g.s.done != nil {
@@ -171,22 +166,20 @@ func (g *evalGuard) poll() bool {
 	return false
 }
 
-// emitRow records one distinct row produced by this worker and reports true
-// when the row budget is exhausted. A single worker's distinct count is a
+// emitRow records one distinct row produced by this run and reports true
+// when the row budget is exhausted. A single run's distinct count is a
 // lower bound on the evaluation's distinct total, so tripping here is never
 // a false positive; the entry points re-check the combined result exactly.
+// It stays small enough to inline into the emit paths.
 func (g *evalGuard) emitRow() bool {
-	if g == nil || g.maxRows <= 0 {
+	if g == nil {
 		return false
 	}
-	g.rows++
-	if g.rows <= g.maxRows {
-		return false
-	}
-	return g.tripRows()
+	g.left--
+	return g.left < 0 && g.tripRows()
 }
 
-// tripRows is emitRow's slow path: record the budget failure once.
+// tripRows is emitRow's slow path: record the budget failure.
 func (g *evalGuard) tripRows() bool {
 	g.s.trip(fmt.Errorf("datalog: row budget of %d exceeded: %w", g.s.maxRows, ErrBudgetExceeded))
 	return true
@@ -203,12 +196,12 @@ func (g *evalGuard) tripRows() bool {
 // into holds partial rows, which the caller discards. Several plans may
 // add into one set (the members of a union): each dedups against the rows
 // already there, and lim.MaxRows bounds each plan's own answers.
-func (p *CompiledPlan) EvalIntoCtx(ctx context.Context, db *storage.Database, args []string, workers int, lim Limits, into *RowSet) error {
+func (p *CompiledPlan) EvalIntoCtx(ctx context.Context, db *storage.Database, args []string, lim Limits, into *RowSet) error {
 	if err := ctx.Err(); err != nil {
 		return ErrCanceled
 	}
 	gs := newGuardState(ctx, lim.MaxRows)
-	n := p.evalInto(db, args, workers, gs, into)
+	n := p.evalInto(db, args, gs, into)
 	// A tripped guard wins, then the exact MaxRows check over the combined
 	// result.
 	if err := gs.failure(); err != nil {
@@ -223,7 +216,7 @@ func (p *CompiledPlan) EvalIntoCtx(ctx context.Context, db *storage.Database, ar
 // ---- Context-aware fixpoint and maintenance ----
 
 // fixpointGuard builds the guard for a fixpoint-shaped run: cancellation
-// from ctx, with the per-worker emit backstop wired to the derivation
+// from ctx, with the per-run emit backstop wired to the derivation
 // budget (the authoritative MaxDerived/MaxRounds checks run at the round
 // barriers).
 func fixpointGuard(ctx context.Context, lim Limits) *guardState {
@@ -233,9 +226,9 @@ func fixpointGuard(ctx context.Context, lim Limits) *guardState {
 // EvalRelationCtx is EvalRelation under a context and limits. On error the
 // returned FixpointStats carry the partial progress (rounds executed,
 // tuples derived) at the moment the run stopped.
-func (cp *CompiledProgram) EvalRelationCtx(ctx context.Context, edb *storage.Database, pred string, workers int, lim Limits) ([]storage.Tuple, FixpointStats, error) {
+func (cp *CompiledProgram) EvalRelationCtx(ctx context.Context, edb *storage.Database, pred string, lim Limits) ([]storage.Tuple, FixpointStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, FixpointStats{}, ErrCanceled
 	}
-	return cp.evalRelation(edb, pred, workers, fixpointGuard(ctx, lim), lim)
+	return cp.evalRelation(edb, pred, fixpointGuard(ctx, lim), lim)
 }

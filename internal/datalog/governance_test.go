@@ -35,10 +35,10 @@ func crossDB(n int) *storage.Database {
 
 // evalCtx runs plan through EvalIntoCtx into a pooled set and returns the
 // rows copied out, in discovery order.
-func evalCtx(plan *CompiledPlan, ctx context.Context, db *storage.Database, args []string, workers int, lim Limits) ([]storage.Tuple, error) {
+func evalCtx(plan *CompiledPlan, ctx context.Context, db *storage.Database, args []string, lim Limits) ([]storage.Tuple, error) {
 	into := AcquireRowSet()
 	defer into.Release()
-	if err := plan.EvalIntoCtx(ctx, db, args, workers, lim, into); err != nil {
+	if err := plan.EvalIntoCtx(ctx, db, args, lim, into); err != nil {
 		return nil, err
 	}
 	return into.Rows(), nil
@@ -58,7 +58,7 @@ func TestEvalCtxParity(t *testing.T) {
 	db.BuildIndexes()
 	plan := Compile(mustQ("q(X,Z) :- e(X,Y), e(Y,Z)"), cost.NewCatalog(db))
 	want := plan.EvalParallelUnsortedWith(db, nil, 1)
-	got, err := evalCtx(plan, context.Background(), db, nil, 1, Limits{})
+	got, err := evalCtx(plan, context.Background(), db, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestEvalCtxPreCanceled(t *testing.T) {
 	plan := Compile(mustQ("q(X,Y) :- e(X,Y)"), cost.NewCatalog(db))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := evalCtx(plan, ctx, db, nil, 1, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, err := evalCtx(plan, ctx, db, nil, Limits{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
@@ -93,7 +93,7 @@ func TestEvalCtxCancelMidEval(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		rows, err = evalCtx(plan, ctx, db, nil, 2, Limits{})
+		rows, err = evalCtx(plan, ctx, db, nil, Limits{})
 	}()
 	time.Sleep(2 * time.Millisecond)
 	cancel()
@@ -116,11 +116,11 @@ func TestEvalCtxRowBudget(t *testing.T) {
 	db := crossDB(100)
 	db.BuildIndexes()
 	plan := Compile(mustQ("q(X,Y) :- r(X), s(Y)"), cost.NewCatalog(db))
-	if _, err := evalCtx(plan, context.Background(), db, nil, 2, Limits{MaxRows: 500}); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := evalCtx(plan, context.Background(), db, nil, Limits{MaxRows: 500}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 	// Under the budget: full answer, no error.
-	rows, err := evalCtx(plan, context.Background(), db, nil, 2, Limits{MaxRows: 100 * 100})
+	rows, err := evalCtx(plan, context.Background(), db, nil, Limits{MaxRows: 100 * 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFixpointCtxRoundAndDerivationBudgets(t *testing.T) {
 	db.BuildIndexes()
 	cp := tcClosureProgram(t, db)
 
-	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "tc", 1, Limits{MaxRounds: 5})
+	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "tc", Limits{MaxRounds: 5})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("MaxRounds err = %v, want ErrBudgetExceeded", err)
 	}
@@ -145,7 +145,7 @@ func TestFixpointCtxRoundAndDerivationBudgets(t *testing.T) {
 		t.Fatal("partial stats should report derived tuples")
 	}
 
-	_, stats, err = cp.EvalRelationCtx(context.Background(), db, "tc", 1, Limits{MaxDerived: 100})
+	_, stats, err = cp.EvalRelationCtx(context.Background(), db, "tc", Limits{MaxDerived: 100})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("MaxDerived err = %v, want ErrBudgetExceeded", err)
 	}
@@ -158,7 +158,7 @@ func TestFixpointCtxRoundAndDerivationBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := cp.EvalRelationCtx(context.Background(), db, "tc", 1, Limits{MaxRounds: 1000, MaxDerived: 1 << 30})
+	got, _, err := cp.EvalRelationCtx(context.Background(), db, "tc", Limits{MaxRounds: 1000, MaxDerived: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFixpointCtxCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, stats, err := cp.EvalRelationCtx(ctx, db, "tc", 2, Limits{})
+	_, stats, err := cp.EvalRelationCtx(ctx, db, "tc", Limits{})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Skip("machine finished the fixpoint before the deadline")
@@ -200,11 +200,11 @@ func TestFixpointCtxPreCanceled(t *testing.T) {
 	cp := tcClosureProgram(t, db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := cp.EvalRelationCtx(ctx, db, "tc", 2, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, _, err := cp.EvalRelationCtx(ctx, db, "tc", Limits{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	// Budget path with two workers.
-	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "tc", 2, Limits{MaxRounds: 3})
+	// Budget path.
+	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "tc", Limits{MaxRounds: 3})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -228,14 +228,14 @@ func TestFixpointCtxStrataBarriers(t *testing.T) {
 		RuleFromQuery(mustQ("a(X,Y) :- e(X,Y)")),
 	)
 	cp := mustCompileProgram(t, p, db)
-	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "top", 1, Limits{})
+	_, stats, err := cp.EvalRelationCtx(context.Background(), db, "top", Limits{})
 	if err != nil || stats.Iterations != 7 || stats.Derived != 4+10+4 {
 		t.Fatalf("unbounded run: stats %+v, err %v; want 7 rounds deriving 18", stats, err)
 	}
 	// MaxRounds: k trips at the barrier before round k+1 — here the
 	// barriers that open the second and the third stratum.
 	for _, c := range []struct{ rounds, derived int }{{1, 4}, {6, 14}} {
-		_, stats, err := cp.EvalRelationCtx(context.Background(), db, "top", 1, Limits{MaxRounds: c.rounds})
+		_, stats, err := cp.EvalRelationCtx(context.Background(), db, "top", Limits{MaxRounds: c.rounds})
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("MaxRounds %d: err = %v, want ErrBudgetExceeded", c.rounds, err)
 		}
@@ -257,7 +257,7 @@ func TestFixpointCtxStrataBarriers(t *testing.T) {
 	cp = mustCompileProgram(t, newProgram(RuleFromQuery(q), RuleFromQuery(mustQ("out(X) :- same(X), r(X)"))), slow)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	_, stats, err = cp.EvalRelationCtx(ctx, slow, "out", 1, Limits{})
+	_, stats, err = cp.EvalRelationCtx(ctx, slow, "out", Limits{})
 	if err == nil {
 		t.Skip("machine finished the first stratum before the deadline")
 	}
@@ -287,7 +287,7 @@ func TestMaintainCtxBudgetsAndCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cp.ApplyUpdatesCtx(ctx, mat, map[string][]storage.Tuple{"e": {{"n80", "n81"}}}, nil, 1, Limits{}); !errors.Is(err, ErrCanceled) {
+	if _, err := cp.ApplyUpdatesCtx(ctx, mat, map[string][]storage.Tuple{"e": {{"n80", "n81"}}}, nil, Limits{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 
@@ -296,7 +296,7 @@ func TestMaintainCtxBudgetsAndCancel(t *testing.T) {
 	// insert included — is rolled back.
 	before := mat.TotalTuples()
 	_, err = cp.ApplyUpdatesCtx(context.Background(), mat,
-		map[string][]storage.Tuple{"e": {{"n81", "n0"}}}, nil, 1, Limits{MaxRounds: 2})
+		map[string][]storage.Tuple{"e": {{"n81", "n0"}}}, nil, Limits{MaxRounds: 2})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}

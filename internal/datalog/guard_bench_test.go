@@ -16,7 +16,9 @@ import (
 // BenchmarkGuardOverhead measures what the cancellation guard costs: each
 // workload's legacy (guard-free) entry point against its Ctx twin carrying
 // a live guard, reported as overhead_pct. CI gates it at 3 % with
-// -benchtime=13x; one iteration is one legacy/governed pair, so the
+// -benchtime=39x: on a shared 2-core host the median of 13 pairs still
+// swung past 10 % now and then, the median of 39 stayed within about a
+// point of the bound. One iteration is one legacy/governed pair, so the
 // -benchtime=1x smoke costs a single pair per workload.
 func BenchmarkGuardOverhead(b *testing.B) {
 	// ctx is cancelable but never canceled: newGuardState sees ctx.Done()
@@ -24,7 +26,6 @@ func BenchmarkGuardOverhead(b *testing.B) {
 	// check — the honest serving-path cost of a request with a deadline.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	workers := runtime.GOMAXPROCS(0)
 
 	// serve_join: the guard cost lands on the per-candidate-row tick in the
 	// innermost probe loop.
@@ -33,9 +34,9 @@ func BenchmarkGuardOverhead(b *testing.B) {
 	plan := Compile(mustQ("q(Y,Z) :- p1(W,X), p2(X,Y), p3(Y,Z)"), cost.NewCatalog(db))
 	b.Run("serve_join", func(b *testing.B) {
 		guardOverhead(b,
-			func() error { storage.SortTuples(plan.EvalParallelUnsortedWith(db, nil, workers)); return nil },
+			func() error { storage.SortTuples(plan.EvalParallelUnsortedWith(db, nil, 1)); return nil },
 			func() error {
-				rows, err := evalCtx(plan, ctx, db, nil, workers, Limits{})
+				rows, err := evalCtx(plan, ctx, db, nil, Limits{})
 				storage.SortTuples(rows)
 				return err
 			})
@@ -51,8 +52,8 @@ func BenchmarkGuardOverhead(b *testing.B) {
 	}
 	b.Run("tc_chain", func(b *testing.B) {
 		guardOverhead(b,
-			func() error { _, _, err := cp.EvalRelation(edges, "tc", workers); return err },
-			func() error { _, _, err := cp.EvalRelationCtx(ctx, edges, "tc", workers, Limits{}); return err })
+			func() error { _, _, err := cp.EvalRelation(edges, "tc", 1); return err },
+			func() error { _, _, err := cp.EvalRelationCtx(ctx, edges, "tc", Limits{}); return err })
 	})
 }
 

@@ -46,11 +46,11 @@ var ErrNotMaintenance = errors.New("datalog: program not compiled for maintenanc
 // base tuples that were actually new and the newly derived tuples per
 // predicate, in derivation order. A failure leaves db partially updated;
 // applyUpdates rolls it back through the journal's insert mark.
-func (cp *CompiledProgram) applyInserts(db *storage.Database, inserts map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
+func (cp *CompiledProgram) applyInserts(db *storage.Database, inserts map[string][]storage.Tuple, gs *guardState, lim Limits) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
 	if fresh, err = insertBase(db, inserts); err != nil {
 		return nil, nil, stats, err
 	}
-	derived, stats, err = cp.propagate(db, fresh, workers, gs, lim)
+	derived, stats, err = cp.propagate(db, fresh, gs, lim)
 	return fresh, derived, stats, err
 }
 
@@ -93,7 +93,7 @@ func insertBase(db *storage.Database, inserts map[string][]storage.Tuple) (map[s
 // propagate runs the semi-naive insert propagation: delta, already inserted
 // into db, seeds the EDB delta variants; every round's new derivations are
 // merged into db and feed the next round.
-func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]storage.Tuple, workers int, gs *guardState, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {
+func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]storage.Tuple, gs *guardState, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {
 	var stats FixpointStats
 	derived := make(map[string][]storage.Tuple)
 	var tasks []variantTask
@@ -110,7 +110,7 @@ func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]st
 			return nil, stats, err
 		}
 		stats.Iterations++
-		bufs, err := runTaskSet(len(tasks), workers, func(i int) (*runScratch, error) {
+		bufs, err := runTaskSet(len(tasks), func(i int) (*runScratch, error) {
 			t := tasks[i]
 			headRel := db.Relation(t.rule.headPred)
 			return emitVariant(t.v, t.delta, db, nil, gs,

@@ -69,8 +69,7 @@ func TestMaintainDeltaDifferential(t *testing.T) {
 		batches := 1 + rng.Intn(4)
 		for batch := 0; batch < batches; batch++ {
 			upd := randomUpdate(rng)
-			workers := 1 + rng.Intn(4)
-			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, upd, nil, workers, Limits{})
+			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, upd, nil, Limits{})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: maintain: %v\n%s", stream, batch, err, prog)
 			}
@@ -129,7 +128,7 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	}
 
 	// Batch 1: a new r tuple joining an existing s tuple.
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"r": {{"b", "m"}}}, nil, 1, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"r": {{"b", "m"}}}, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	res, err = cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{
 		"r": {{"c", "n"}, {"a", "m"}},
 		"s": {{"n", "y"}},
-	}, nil, 1, Limits{})
+	}, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +179,7 @@ func TestMaintainDeltaRecursive(t *testing.T) {
 	db.BuildIndexes()
 	before := db.Relation("tc").Len()
 
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"e": {{"10", "11"}}}, nil, 2, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"e": {{"10", "11"}}}, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +207,7 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := storage.NewDatabase()
-	if _, err := plain.ApplyUpdatesCtx(context.Background(), db, nil, nil, 1, Limits{}); err != ErrNotMaintenance {
+	if _, err := plain.ApplyUpdatesCtx(context.Background(), db, nil, nil, Limits{}); err != ErrNotMaintenance {
 		t.Fatalf("non-IVM program: err = %v, want ErrNotMaintenance", err)
 	}
 
@@ -222,21 +221,21 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inserting into the derived relation is rejected.
-	if _, err := cp.ApplyUpdatesCtx(context.Background(), mdb, map[string][]storage.Tuple{"v": {{"z"}}}, nil, 1, Limits{}); err == nil {
+	if _, err := cp.ApplyUpdatesCtx(context.Background(), mdb, map[string][]storage.Tuple{"v": {{"z"}}}, nil, Limits{}); err == nil {
 		t.Fatal("insert into derived relation accepted")
 	}
 	// Arity mismatches are rejected before anything is mutated.
 	if _, err := cp.ApplyUpdatesCtx(context.Background(), mdb, map[string][]storage.Tuple{
 		"r":     {{"c", "d"}},
 		"wrong": {{"1"}, {"1", "2"}},
-	}, nil, 1, Limits{}); err == nil {
+	}, nil, Limits{}); err == nil {
 		t.Fatal("mixed-arity batch accepted")
 	}
 	if mdb.Relation("r").Len() != 1 || mdb.Relation("wrong") != nil {
 		t.Fatal("failed batch mutated the database")
 	}
 	// An empty batch is a no-op.
-	res, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, nil, 1, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +270,7 @@ func TestApplyUpdatesReturnsStoredTuples(t *testing.T) {
 	removed := db.Relation("r").Tuples()[1] // r(b,n), stored
 	ins := map[string][]storage.Tuple{"r": {{"c", "m"}, {"c", "n"}, {"a", "m"}}, "s": {{"n", "z"}}}
 	del := map[string][]storage.Tuple{"r": {{"b", "n"}, {"b", "n"}}}
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, ins, del, 1, Limits{})
+	res, err := cp.ApplyUpdatesCtx(context.Background(), db, ins, del, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

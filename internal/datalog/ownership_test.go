@@ -47,9 +47,9 @@ func deepCopy(rows []storage.Tuple) []storage.Tuple {
 
 // TestDerivedRowsOutliveLaterRuns: the rows of an inverse-rules run —
 // derived relations whose Skolem values fill several arena chunks — read
-// the same after 20 more runs of the same program, on one worker and on
-// two, over databases of other values, and a collection: no later run
-// writes into a buffer or a chunk an earlier result still views.
+// the same after 20 more runs of the same program, over databases of other
+// values, and a collection: no later run writes into a buffer or a chunk an
+// earlier result still views.
 func TestDerivedRowsOutliveLaterRuns(t *testing.T) {
 	views := func(tag string) *storage.Database {
 		db := storage.NewDatabase()
@@ -65,7 +65,7 @@ func TestDerivedRowsOutliveLaterRuns(t *testing.T) {
 	}
 	first, want := map[string][]storage.Tuple{}, map[string][]storage.Tuple{}
 	for _, pred := range []string{"r", "s", "q"} {
-		if first[pred], _, err = cp.EvalRelation(edb, pred, 2); err != nil {
+		if first[pred], _, err = cp.EvalRelation(edb, pred, 1); err != nil {
 			t.Fatal(err)
 		}
 		want[pred] = deepCopy(first[pred])
@@ -81,7 +81,7 @@ func TestDerivedRowsOutliveLaterRuns(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		other := views(fmt.Sprint(run))
 		for _, pred := range []string{"r", "s", "q"} {
-			if _, _, err := cp.EvalRelation(other, pred, 1+run%2); err != nil {
+			if _, _, err := cp.EvalRelation(other, pred, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -96,10 +96,10 @@ func TestDerivedRowsOutliveLaterRuns(t *testing.T) {
 	}
 }
 
-// TestMaintainedRelationsMatchNaive: after each of several mixed batches
-// applied on two workers, with a collection between them, every maintained
-// view equals EvalQueryNaive over the base facts as they stand, and the
-// rows the first batch derived read as they did when it returned.
+// TestMaintainedRelationsMatchNaive: after each of several mixed batches,
+// with a collection between them, every maintained view equals
+// EvalQueryNaive over the base facts as they stand, and the rows the first
+// batch derived read as they did when it returned.
 func TestMaintainedRelationsMatchNaive(t *testing.T) {
 	views := []*cq.Query{
 		mustQ("v1(X,Y) :- r(X,Z), s(Z,Y)"),
@@ -142,7 +142,7 @@ func TestMaintainedRelationsMatchNaive(t *testing.T) {
 				}
 			}
 		}
-		res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, inserts, deletes, 2, Limits{})
+		res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, inserts, deletes, Limits{})
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}

@@ -14,9 +14,9 @@ import (
 // Differential property test for the compiled semi-naive fixpoint: on
 // randomized recursive programs — transitive closures (linear and
 // nonlinear), cycles, mutually recursive predicates, Skolem heads, head
-// constants, comparisons, don't-care columns — the compiled evaluator
-// (sequential and parallel) must produce exactly the same relation sets as
-// the interpretive baseline, relation by relation.
+// constants, comparisons, don't-care columns — the compiled evaluator must
+// produce exactly the same relation sets as the interpretive baseline,
+// relation by relation.
 
 // randomProgDB builds a random EDB over a small domain: a binary edge
 // relation (cyclic with probability ~1/2), a unary node set, a node→number
@@ -201,8 +201,8 @@ func randomLayeredProgram(rng *rand.Rand) *Program {
 }
 
 // TestCompiledProgramLayeredDifferential runs random three-stratum programs
-// through the stratified executor — plain and maintenance compilations,
-// one worker and four — and requires every derived relation and the
+// through the stratified executor — plain and maintenance compilations —
+// and requires every derived relation and the
 // Derived count to equal the interpreter's unstratified semi-naive run.
 func TestCompiledProgramLayeredDifferential(t *testing.T) {
 	trials := 200
@@ -236,18 +236,16 @@ func TestCompiledProgramLayeredDifferential(t *testing.T) {
 			if d := cp.Describe(); !strings.Contains(d, "(stratum 2)") || strings.Contains(d, "(stratum 3)") {
 				t.Fatalf("trial %d: want three strata:\n%s", trial, d)
 			}
-			for _, workers := range []int{1, 4} {
-				for pred := range idb {
-					got, stats, err := cp.EvalRelation(db, pred, workers)
-					if err != nil {
-						t.Fatalf("trial %d: eval: %v\n%s", trial, err, prog)
-					}
-					if wt := want.Relation(pred).Tuples(); !storage.TuplesEqual(got, wt) {
-						t.Fatalf("trial %d (workers %d, ivm %v): relation %s diverges:\n  compiled: %v\n  interp:   %v\n%s", trial, workers, cp.ivm, pred, got, wt, prog)
-					}
-					if stats.Derived != wantDerived {
-						t.Fatalf("trial %d (workers %d, ivm %v): Derived = %d, interp derived %d\n%s", trial, workers, cp.ivm, stats.Derived, wantDerived, prog)
-					}
+			for pred := range idb {
+				got, stats, err := cp.EvalRelation(db, pred, 1)
+				if err != nil {
+					t.Fatalf("trial %d: eval: %v\n%s", trial, err, prog)
+				}
+				if wt := want.Relation(pred).Tuples(); !storage.TuplesEqual(got, wt) {
+					t.Fatalf("trial %d (ivm %v): relation %s diverges:\n  compiled: %v\n  interp:   %v\n%s", trial, cp.ivm, pred, got, wt, prog)
+				}
+				if stats.Derived != wantDerived {
+					t.Fatalf("trial %d (ivm %v): Derived = %d, interp derived %d\n%s", trial, cp.ivm, stats.Derived, wantDerived, prog)
 				}
 			}
 		}
@@ -302,17 +300,6 @@ func TestCompiledProgramDifferential(t *testing.T) {
 			t.Fatalf("trial %d: compiled eval: %v\n%s", trial, err, prog)
 		}
 		diffDatabases(t, fmt.Sprintf("trial %d (seq)\n%s", trial, prog), got, want)
-
-		workers := 1 + rng.Intn(4)
-		for _, pred := range want.Predicates() {
-			gotPar, _, err := cp.EvalRelation(db, pred, workers)
-			if err != nil {
-				t.Fatalf("trial %d: parallel eval: %v\n%s", trial, err, prog)
-			}
-			if wt := want.Relation(pred).Tuples(); !storage.TuplesEqual(gotPar, wt) {
-				t.Fatalf("trial %d (parallel): relation %s diverges:\n  compiled: %v\n  interp:   %v\n%s", trial, pred, gotPar, wt, prog)
-			}
-		}
 
 		// The catalog only steers join order; a full-statistics catalog
 		// must give identical answers.

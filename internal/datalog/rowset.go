@@ -18,9 +18,8 @@ import (
 // row numbers keyed by a maphash of the columns — a hash collision costs a
 // compare, never an answer.
 //
-// Every answer path deduplicates through it: a plan run's emitted rows, the
-// merge of a sharded run, EvalUnion and the engine's union of contained
-// rewritings. It is also the derivation buffer of every rule-variant
+// Every answer path deduplicates through it: a plan run's emitted rows,
+// EvalUnion and the engine's union of contained rewritings. It is also the derivation buffer of every rule-variant
 // execution (emitVariant), pooled with the run's scratch: the round's
 // merge copies its rows out (mergeRound), so no relation ever holds a
 // window onto the arena, and the set is reset for the next execution. The

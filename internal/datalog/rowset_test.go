@@ -204,7 +204,7 @@ func TestEvalIntoUnion(t *testing.T) {
 		var queries []*cq.Query
 		for _, m := range members {
 			queries = append(queries, mustQ(m))
-			if err := Compile(mustQ(m), cat).EvalIntoCtx(ctx, db, nil, 1, Limits{MaxRows: 12}, into); err != nil {
+			if err := Compile(mustQ(m), cat).EvalIntoCtx(ctx, db, nil, Limits{MaxRows: 12}, into); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -218,7 +218,7 @@ func TestEvalIntoUnion(t *testing.T) {
 	second := Compile(mustQ("q(X,Z) :- e(X,Y), e(Y,Z)"), cat)
 	over := AcquireRowSet()
 	defer over.Release()
-	if err := second.EvalIntoCtx(ctx, db, nil, 1, Limits{MaxRows: 3}, over); !errors.Is(err, ErrBudgetExceeded) {
+	if err := second.EvalIntoCtx(ctx, db, nil, Limits{MaxRows: 3}, over); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("4-row plan under a 3-row budget: err = %v", err)
 	}
 }

@@ -39,39 +39,38 @@ var raceEnabled bool
 // TestProbeAllocs is the allocation guard of the executor under the serving
 // path: a run returns its rows in two exact-size allocations — one backing
 // array of values, one slice of tuples — and pays nothing per run for
-// frame, step sources, row set or the emit closure, and nothing per row. A
-// worker count the root candidates clamp back to one takes the same path.
+// frame, step sources, row set or the emit closure, and nothing per row.
 // The budgets are the measured counts plus two; a two-step join returning
 // 200 rows costs exactly what one returning 20 rows costs.
 func TestProbeAllocs(t *testing.T) {
-	for _, tc := range []struct{ fan, workers, measured int }{{2, 1, 2}, {1, 4, 2}} {
-		db := probeDB(100, tc.fan, false)
+	const measured = 2
+	for _, fan := range []int{2, 1} {
+		db := probeDB(100, fan, false)
 		plan := CompileParams(cq.MustParseQuery("q(Y) :- v(K,Y)"), []string{"K"}, cost.NewCatalog(db))
 		args := []string{"k42"}
-		rows, err := evalCtx(plan, context.Background(), db, args, tc.workers, Limits{})
-		if err != nil || len(rows) != tc.fan || storage.SortTuples(rows)[0][0] != "y42_0" {
+		rows, err := evalCtx(plan, context.Background(), db, args, Limits{})
+		if err != nil || len(rows) != fan || storage.SortTuples(rows)[0][0] != "y42_0" {
 			t.Fatalf("rows = %v, err = %v", rows, err)
 		}
 		if raceEnabled {
 			continue // allocation counts are not meaningful under the race detector
 		}
 		n := testing.AllocsPerRun(200, func() {
-			if _, err := evalCtx(plan, context.Background(), db, args, tc.workers, Limits{}); err != nil {
+			if _, err := evalCtx(plan, context.Background(), db, args, Limits{}); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if n > float64(tc.measured+2) {
-			t.Fatalf("%d-row probe, %d worker(s): %.0f allocs/op, budget %d", tc.fan, tc.workers, n, tc.measured+2)
+		if n > measured+2 {
+			t.Fatalf("%d-row probe: %.0f allocs/op, budget %d", fan, n, measured+2)
 		}
 	}
 
-	const measured = 2
 	allocs := make(map[int]float64)
 	for _, fan := range []int{20, 200} {
 		db := joinDB(4, fan)
 		plan := CompileParams(cq.MustParseQuery("q(Y,W) :- v(K,Y), w(Y,W)"), []string{"K"}, cost.NewCatalog(db))
 		args := []string{"k2"}
-		rows, err := evalCtx(plan, context.Background(), db, args, 1, Limits{})
+		rows, err := evalCtx(plan, context.Background(), db, args, Limits{})
 		if err != nil || len(rows) != fan {
 			t.Fatalf("%d-row join: %d rows, err = %v", fan, len(rows), err)
 		}
@@ -79,7 +78,7 @@ func TestProbeAllocs(t *testing.T) {
 			continue
 		}
 		allocs[fan] = testing.AllocsPerRun(200, func() {
-			if _, err := evalCtx(plan, context.Background(), db, args, 1, Limits{}); err != nil {
+			if _, err := evalCtx(plan, context.Background(), db, args, Limits{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -134,25 +133,24 @@ func TestDedupAcrossTheLinearRange(t *testing.T) {
 func TestRowBudgetThroughPooledGuard(t *testing.T) {
 	db := probeDB(4, 6, false)
 	plan := CompileParams(cq.MustParseQuery("q(Y) :- v(K,Y)"), []string{"K"}, cost.NewCatalog(db))
-	if _, err := evalCtx(plan, context.Background(), db, []string{"k2"}, 1, Limits{MaxRows: 5}); err == nil {
+	if _, err := evalCtx(plan, context.Background(), db, []string{"k2"}, Limits{MaxRows: 5}); err == nil {
 		t.Fatal("6 rows under a budget of 5: no error")
 	}
-	rows, err := evalCtx(plan, context.Background(), db, []string{"k3"}, 1, Limits{MaxRows: 6})
+	rows, err := evalCtx(plan, context.Background(), db, []string{"k3"}, Limits{MaxRows: 6})
 	if err != nil || len(rows) != 6 {
 		t.Fatalf("rows = %v, err = %v", rows, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := evalCtx(plan, ctx, db, []string{"k3"}, 1, Limits{}); err != ErrCanceled {
+	if _, err := evalCtx(plan, ctx, db, []string{"k3"}, Limits{}); err != ErrCanceled {
 		t.Fatalf("canceled context: err = %v", err)
 	}
 }
 
 // TestScratchPoolConcurrent hammers the scratch pool from 8 goroutines with
 // differing arguments over two plans of different frame widths and step
-// counts, sequentially and with the root loop sharded over forked scratches
-// (run under -race): every run must see its own binding and return rows no
-// other run touches.
+// counts (run under -race): every run must see its own binding and return
+// rows no other run touches.
 func TestScratchPoolConcurrent(t *testing.T) {
 	const keys, goroutines = 64, 8
 	fanOf := func(i int) int { return 1 + i%(2*linearDedupRows) } // both dedup modes
@@ -187,7 +185,7 @@ func TestScratchPoolConcurrent(t *testing.T) {
 				if (g+it)%2 == 1 {
 					plan = join
 				}
-				rows, err := evalCtx(plan, ctx, db, []string{key}, 1+3*(it/2%2), Limits{})
+				rows, err := evalCtx(plan, ctx, db, []string{key}, Limits{})
 				if err != nil {
 					t.Errorf("%s: %v", key, err)
 					return

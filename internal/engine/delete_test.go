@@ -114,11 +114,7 @@ func TestEngineUpdateDifferential(t *testing.T) {
 			base.Insert("s", storage.Tuple{fmt.Sprintf("m%d", rng.Intn(8)), fmt.Sprintf("x%d", rng.Intn(8))})
 		}
 		strat := strategies[trial%len(strategies)]
-		live, err := NewFromBase(base, views, Options{
-			Strategy:    strat,
-			LiveUpdates: true,
-			EvalWorkers: 1 + rng.Intn(3),
-		})
+		live, err := NewFromBase(base, views, Options{Strategy: strat, LiveUpdates: true})
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, strat, err)
 		}
@@ -247,7 +243,7 @@ func TestEngineDeleteSnapshotRace(t *testing.T) {
 		return -1
 	}
 
-	e, err := NewFromBase(base, views, Options{LiveUpdates: true, EvalWorkers: 4})
+	e, err := NewFromBase(base, views, Options{LiveUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +331,7 @@ func TestEngineDeleteFaultInjection(t *testing.T) {
 			base.Insert("s", storage.Tuple{fmt.Sprintf("m%d", rng.Intn(8)), fmt.Sprintf("x%d", rng.Intn(8))})
 		}
 		strat := strategies[trial%len(strategies)]
-		live, err := NewFromBase(base, views, Options{
-			Strategy:    strat,
-			LiveUpdates: true,
-			EvalWorkers: 1 + rng.Intn(3),
-		})
+		live, err := NewFromBase(base, views, Options{Strategy: strat, LiveUpdates: true})
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, strat, err)
 		}

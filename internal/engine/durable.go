@@ -126,7 +126,6 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 		ds.threshold = defaultSnapshotWALBytes
 	}
 	start := time.Now()
-	ivmOpt := ivm.Options{Workers: evalWorkers(opt)}
 	var m *ivm.Maintainer
 	if man := store.Manifest(); man != nil {
 		if man.ViewsFingerprint == ds.fp {
@@ -137,7 +136,7 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 			for _, rm := range man.Relations {
 				ds.recoveredTuples += rm.Rows
 			}
-			m, err = ivm.NewFromMaterialized(db, views, ivmOpt)
+			m, err = ivm.NewFromMaterialized(db, views)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +160,7 @@ func newDurable(vs *core.ViewSet, base *storage.Database, views []*cq.Query, opt
 	}
 	fresh := m == nil
 	if fresh {
-		if m, err = ivm.New(base, views, ivmOpt); err != nil {
+		if m, err = ivm.New(base, views, ivm.Options{}); err != nil {
 			return nil, err
 		}
 	}

@@ -128,13 +128,6 @@ type Options struct {
 	// rules, whose program would read the served base facts alongside the
 	// ones it reconstructs; it takes MiniCon's union instead.
 	AllowPartial bool
-	// EvalWorkers is the number of goroutines a single evaluation fans
-	// its outermost join loop (or a fixpoint round's rule variants)
-	// across. 0 or 1 evaluates sequentially — the default, since
-	// request-level concurrency (many callers) usually saturates the
-	// cores already; set it explicitly (e.g. to GOMAXPROCS) when single
-	// large queries should use idle cores.
-	EvalWorkers int
 	// LiveUpdates enables the mutation path: ApplyUpdate applies base-fact
 	// inserts and deletes and delta-maintains every view extent instead of the
 	// database being frozen forever at construction. Cached plans survive
@@ -500,19 +493,11 @@ func NewFromBase(base *storage.Database, views []*cq.Query, opt Options) (*Engin
 	if opt.DataDir != "" {
 		return newDurable(vs, base, views, opt)
 	}
-	m, err := ivm.New(base, views, ivm.Options{Workers: evalWorkers(opt)})
+	m, err := ivm.New(base, views, ivm.Options{})
 	if err != nil {
 		return nil, err
 	}
 	return newFromMaintainer(vs, m, views, opt)
-}
-
-// evalWorkers normalizes Options.EvalWorkers for the maintainer.
-func evalWorkers(opt Options) int {
-	if opt.EvalWorkers <= 0 {
-		return 1
-	}
-	return opt.EvalWorkers
 }
 
 // extentsOnly selects the view extents of a maintainer's database without

@@ -651,43 +651,41 @@ func TestEvalHandBuiltPlan(t *testing.T) {
 }
 
 // TestCompiledPlansInCache asserts the LRU holds physical plans alongside
-// the rewriting, that EvalWorkers answers agree with sequential answers
-// across strategies, and that compile/exec timings surface in Stats.
+// the rewriting, that the answers agree with direct evaluation across
+// strategies, and that compile/exec timings surface in Stats.
 func TestCompiledPlansInCache(t *testing.T) {
 	base, views := testBase(t)
 	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
 	want := datalog.EvalQuery(base, q)
 	for _, strat := range []Strategy{EquivalentFirst, Bucket, MiniCon} {
-		for _, workers := range []int{1, 4} {
-			e, err := NewFromBase(base, views, Options{Strategy: strat, EvalWorkers: workers})
-			if err != nil {
-				t.Fatalf("%s: %v", strat, err)
+		e, err := NewFromBase(base, views, Options{Strategy: strat})
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		p, err := e.Plan(q)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		switch p.Kind {
+		case PlanEquivalent:
+			if p.Compiled == nil {
+				t.Fatalf("%s: cached plan has no compiled form", strat)
 			}
-			p, err := e.Plan(q)
-			if err != nil {
-				t.Fatalf("%s: %v", strat, err)
+		case PlanMaxContained:
+			if len(p.CompiledUnion) != p.Union.Len() {
+				t.Fatalf("%s: %d compiled members for %d-member union", strat, len(p.CompiledUnion), p.Union.Len())
 			}
-			switch p.Kind {
-			case PlanEquivalent:
-				if p.Compiled == nil {
-					t.Fatalf("%s: cached plan has no compiled form", strat)
-				}
-			case PlanMaxContained:
-				if len(p.CompiledUnion) != p.Union.Len() {
-					t.Fatalf("%s: %d compiled members for %d-member union", strat, len(p.CompiledUnion), p.Union.Len())
-				}
-			}
-			got, err := e.Answer(q)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", strat, workers, err)
-			}
-			if !storage.TuplesEqual(got, want) {
-				t.Fatalf("%s workers=%d: got %v want %v", strat, workers, got, want)
-			}
-			st := e.Stats()
-			if st.ExecCount == 0 {
-				t.Fatalf("%s: ExecCount not recorded", strat)
-			}
+		}
+		got, err := e.Answer(q)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		if !storage.TuplesEqual(got, want) {
+			t.Fatalf("%s: got %v want %v", strat, got, want)
+		}
+		st := e.Stats()
+		if st.ExecCount == 0 {
+			t.Fatalf("%s: ExecCount not recorded", strat)
 		}
 	}
 }
@@ -738,11 +736,11 @@ func TestCompiledProgramInCache(t *testing.T) {
 }
 
 // TestConcurrentInverseRulesRace hammers one inverse-rules engine from many
-// goroutines with EvalWorkers > 1: the compiled fixpoint executor must never
-// mutate the shared frozen database (run under -race in CI).
+// goroutines: the compiled fixpoint executor must never mutate the shared
+// frozen database (run under -race in CI).
 func TestConcurrentInverseRulesRace(t *testing.T) {
 	base, views := testBase(t)
-	e, err := NewFromBase(base, views, Options{Strategy: InverseRules, EvalWorkers: 4})
+	e, err := NewFromBase(base, views, Options{Strategy: InverseRules})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,7 @@ func TestFaultInjectionDifferential(t *testing.T) {
 			base.Insert("s", storage.Tuple{fmt.Sprintf("m%d", rng.Intn(8)), fmt.Sprintf("x%d", rng.Intn(8))})
 		}
 		strat := strategies[trial%len(strategies)]
-		live, err := NewFromBase(base, views, Options{
-			Strategy:    strat,
-			LiveUpdates: true,
-			EvalWorkers: 1 + rng.Intn(3),
-		})
+		live, err := NewFromBase(base, views, Options{Strategy: strat, LiveUpdates: true})
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, strat, err)
 		}

@@ -126,7 +126,10 @@ type Budget struct {
 	// on: the request's context is given a timeout of this duration there.
 	// The admission wait and evaluation observe it — evaluation within one
 	// guard interval (~1k candidate rows) or one fixpoint round — and both
-	// return ErrCanceled. Planning does not: AnswerBudget's plan-cache miss
+	// return ErrCanceled. The sort of the answers is not interrupted, but
+	// a deadline that expired during evaluation or the sort still fails
+	// the request with ErrCanceled: the context is checked once evaluation
+	// returns and again after the sort. Planning does not observe it: AnswerBudget's plan-cache miss
 	// (Prepare) takes no context, so the rewriting search, minimisation and
 	// compilation run to completion, outside admission control, and a
 	// deadline that expires during them is noticed only once evaluation
@@ -500,7 +503,15 @@ func (e *Engine) execBudget(ctx context.Context, p *Plan, args []string, lim dat
 		set.Release()
 		return nil, err
 	}
-	set.Sort()
+	// The sort is not interrupted, so the context is checked before and
+	// after it: a request answers only within its deadline.
+	if ctx.Err() == nil {
+		set.Sort()
+	}
+	if ctx.Err() != nil {
+		set.Release()
+		return nil, ErrCanceled
+	}
 	e.execCount.Add(1)
 	e.execTime.Add(int64(time.Since(start)))
 	return set, nil
@@ -631,18 +642,14 @@ func (e *Engine) commit(ctx context.Context, i int32, inserts, deletes map[strin
 // zero limits the guards are nil and the evaluation is bit-for-bit the
 // ungoverned one. On error into holds partial rows.
 func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan, args []string, lim datalog.Limits, into *datalog.RowSet) error {
-	workers := e.opt.EvalWorkers
-	if workers <= 0 {
-		workers = 1
-	}
 	switch p.Kind {
 	case PlanEquivalent:
-		return p.Compiled.EvalIntoCtx(ctx, db, args, workers, lim, into)
+		return p.Compiled.EvalIntoCtx(ctx, db, args, lim, into)
 	case PlanMaxContained:
 		// Every member adds into the one set, deduplicating against the
 		// members before it.
 		for _, cp := range p.CompiledUnion {
-			if err := cp.EvalIntoCtx(ctx, db, args, workers, lim, into); err != nil {
+			if err := cp.EvalIntoCtx(ctx, db, args, lim, into); err != nil {
 				return err
 			}
 			// Per-member guards bound each member; the union can still
@@ -654,7 +661,7 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan,
 		}
 		return nil
 	case PlanInverseProgram:
-		derived, fst, err := p.CompiledProgram.EvalRelationCtx(ctx, db, p.AnswerPred, workers, lim)
+		derived, fst, err := p.CompiledProgram.EvalRelationCtx(ctx, db, p.AnswerPred, lim)
 		e.fixpointRuns.Add(1)
 		e.fixpointIters.Add(uint64(fst.Iterations))
 		e.fixpointDrvd.Add(uint64(fst.Derived))

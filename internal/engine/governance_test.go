@@ -451,7 +451,7 @@ func TestApplyBatchCtxAtomicOnLiveEngine(t *testing.T) {
 // pre-batch or post-batch result — and no goroutines may leak.
 func TestCancelUnderConcurrentReaders(t *testing.T) {
 	base, views := testBase(t)
-	e, err := NewFromBase(base, views, Options{LiveUpdates: true, EvalWorkers: 4})
+	e, err := NewFromBase(base, views, Options{LiveUpdates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,5 +549,70 @@ func TestCancelUnderConcurrentReaders(t *testing.T) {
 	}
 	if !storage.TuplesEqual(got, want) {
 		t.Fatalf("live answers diverge from rebuilt engine: %v vs %v", got, want)
+	}
+}
+
+// expiringCtx is a context whose deadline passes on its n-th Err call:
+// from then on Err reports context.DeadlineExceeded and Done is closed, as
+// the context contract asks. It expires a request at an exact point of its
+// execution path, whatever the speed of the machine.
+type expiringCtx struct {
+	context.Context
+	n, calls int
+	done     chan struct{}
+}
+
+func newExpiringCtx(n int) *expiringCtx {
+	return &expiringCtx{Context: context.Background(), n: n, done: make(chan struct{})}
+}
+
+func (c *expiringCtx) Done() <-chan struct{} { return c.done }
+
+func (c *expiringCtx) Err() error {
+	c.calls++
+	if c.calls < c.n {
+		return nil
+	}
+	select {
+	case <-c.done:
+	default:
+		close(c.done)
+	}
+	return context.DeadlineExceeded
+}
+
+// TestDeadlineAfterEvaluationCancels: a deadline that passes while the
+// evaluation or the sort runs fails the request, even when the executor's
+// guard never polls — the plan visits fewer candidate rows than one guard
+// interval. Err call 1 is the executor's entry check, call 2 the one after
+// evaluation returns, call 3 the one after the sort.
+func TestDeadlineAfterEvaluationCancels(t *testing.T) {
+	base, views := testBase(t)
+	e, err := NewFromBase(base, views, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
+	want, err := e.Answer(q)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("answers = %v, err = %v", want, err)
+	}
+	for _, n := range []int{2, 3} {
+		set, err := e.AnswerBudget(newExpiringCtx(n), q, Budget{})
+		if set != nil {
+			set.Release()
+		}
+		if !errors.Is(err, ErrCanceled) || set != nil {
+			t.Fatalf("deadline at Err call %d: answered %v, err = %v, want ErrCanceled", n, set != nil, err)
+		}
+	}
+	set, err := e.AnswerBudget(newExpiringCtx(1<<30), q, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := set.Rows()
+	set.Release()
+	if !storage.TuplesEqual(got, want) {
+		t.Fatalf("unexpired context: got %v want %v", got, want)
 	}
 }

@@ -176,11 +176,7 @@ func TestLiveEngineDifferential(t *testing.T) {
 		base := workload.ChainDatabase(rng, chainLen, true, 30+rng.Intn(60), 25)
 		views := workload.ChainViews(rng, chainLen, true, workload.DefaultViewSpec(3+rng.Intn(3)))
 		strat := strategies[trial%len(strategies)]
-		live, err := NewFromBase(base, views, Options{
-			Strategy:    strat,
-			LiveUpdates: true,
-			EvalWorkers: 1 + rng.Intn(3),
-		})
+		live, err := NewFromBase(base, views, Options{Strategy: strat, LiveUpdates: true})
 		if err != nil {
 			t.Fatalf("trial %d (%s): %v", trial, strat, err)
 		}
@@ -313,8 +309,7 @@ func TestReplayFailureWedges(t *testing.T) {
 	}
 }
 
-// TestLiveEngineSnapshotRace runs concurrent Answer calls (EvalWorkers=4)
-// against a stream of insert-only ApplyUpdate batches. The query is disconnected —
+// TestLiveEngineSnapshotRace runs concurrent Answer calls against a stream of insert-only ApplyUpdate batches. The query is disconnected —
 // its answer is the cross product of two separately updated relations —
 // so a torn read (one relation pre-batch, the other post-batch) would
 // produce an answer set matching no consistent state. A durable engine,
@@ -374,7 +369,7 @@ func TestLiveEngineSnapshotRace(t *testing.T) {
 		if opt.DataDir != "" {
 			strat += "/durable"
 		}
-		opt.LiveUpdates, opt.EvalWorkers = true, 4
+		opt.LiveUpdates = true
 		e, err := NewFromBase(base, views, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)

@@ -78,7 +78,7 @@ func TestMaintainerUpdateDifferential(t *testing.T) {
 		views := workload.RandomViewsForQuery(rng, q, workload.ViewSpec{
 			Count: 1 + rng.Intn(4), MinLen: 1, MaxLen: 3, ExposeProb: 0.6,
 		})
-		m, err := New(base, views, Options{Workers: 1 + rng.Intn(3)})
+		m, err := New(base, views, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -163,7 +163,7 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 			givenFact[i] = "given"
 		}
 		base.Insert(views[0].Name(), givenFact)
-		orig, err := New(base, views, Options{Workers: 1 + rng.Intn(3)})
+		orig, err := New(base, views, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -208,7 +208,7 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 				t.Fatalf("trial %d warm-up %d: %v", trial, batch, err)
 			}
 		}
-		rebuilt, err := NewFromMaterialized(orig.Database().Clone(), orig.views, Options{})
+		rebuilt, err := NewFromMaterialized(orig.Database().Clone(), orig.views)
 		if err != nil {
 			t.Fatalf("trial %d: rebuild: %v", trial, err)
 		}

@@ -48,12 +48,10 @@ import (
 	"repro/internal/storage"
 )
 
-// Options configures a Maintainer.
-type Options struct {
-	// Workers fans each propagation round's delta-plan executions across
-	// goroutines; 0 or 1 propagates sequentially.
-	Workers int
-}
+// Options configures a Maintainer. It has no fields: propagation runs on
+// the calling goroutine. New keeps taking it so that existing callers
+// compile.
+type Options struct{}
 
 // Maintainer delta-maintains the extents of a view set over a base
 // database.
@@ -62,7 +60,6 @@ type Maintainer struct {
 	viewNames map[string]bool
 	cp        *datalog.CompiledProgram
 	db        *storage.Database // base relations + maintained extents; see Database
-	opt       Options
 }
 
 // BatchResult reports one applied update batch: the base tuples actually
@@ -177,7 +174,7 @@ func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, e
 		return nil, fmt.Errorf("ivm: materialize: %w", err)
 	}
 	db.BuildIndexes()
-	return &Maintainer{views: views, viewNames: names, cp: cp, db: db, opt: opt}, nil
+	return &Maintainer{views: views, viewNames: names, cp: cp, db: db}, nil
 }
 
 // NewFromMaterialized rebuilds a Maintainer around an already-materialized
@@ -185,7 +182,7 @@ func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, e
 // durable snapshot — skipping the full evaluation New pays. The given
 // relations db holds are read as New reads them. db is adopted as the
 // maintenance state: the caller must not mutate it afterwards.
-func NewFromMaterialized(db *storage.Database, views []*cq.Query, opt Options) (*Maintainer, error) {
+func NewFromMaterialized(db *storage.Database, views []*cq.Query) (*Maintainer, error) {
 	if db == nil {
 		db = storage.NewDatabase()
 	}
@@ -208,7 +205,7 @@ func NewFromMaterialized(db *storage.Database, views []*cq.Query, opt Options) (
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
-	return &Maintainer{views: views, viewNames: names, cp: cp, db: db, opt: opt}, nil
+	return &Maintainer{views: views, viewNames: names, cp: cp, db: db}, nil
 }
 
 // IsView reports whether pred names a maintained view extent.
@@ -248,7 +245,7 @@ func (m *Maintainer) ApplyUpdateCtx(ctx context.Context, inserts, deletes map[st
 			}
 		}
 	}
-	res, err := m.cp.ApplyUpdatesCtx(ctx, m.db, inserts, deletes, m.opt.Workers, lim)
+	res, err := m.cp.ApplyUpdatesCtx(ctx, m.db, inserts, deletes, lim)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}

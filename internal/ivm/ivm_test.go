@@ -95,7 +95,7 @@ func TestConstructorsValidate(t *testing.T) {
 		if _, err := New(storage.NewDatabase(), views, Options{}); err == nil {
 			t.Errorf("New accepted the %s view set", name)
 		}
-		if _, err := NewFromMaterialized(storage.NewDatabase(), views, Options{}); err == nil {
+		if _, err := NewFromMaterialized(storage.NewDatabase(), views); err == nil {
 			t.Errorf("NewFromMaterialized accepted the %s view set", name)
 		}
 	}
@@ -105,7 +105,7 @@ func TestConstructorsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := NewFromMaterialized(nil, views, Options{})
+	recovered, err := NewFromMaterialized(nil, views)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestMaintainerDifferential(t *testing.T) {
 		views := workload.RandomViewsForQuery(rng, q, workload.ViewSpec{
 			Count: 1 + rng.Intn(4), MinLen: 1, MaxLen: 3, ExposeProb: 0.6,
 		})
-		m, err := New(base, views, Options{Workers: 1 + rng.Intn(3)})
+		m, err := New(base, views, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

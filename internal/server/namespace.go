@@ -37,8 +37,6 @@ type Config struct {
 	// CacheSize bounds the engine plan LRU (default 128), and with it the
 	// prepared handles /v1/exec resolves.
 	CacheSize int `json:"cache_size,omitempty"`
-	// EvalWorkers fans a single evaluation across goroutines.
-	EvalWorkers int `json:"eval_workers,omitempty"`
 	// LiveUpdates enables /v1/batch (insert batches with incremental view
 	// maintenance).
 	LiveUpdates bool `json:"live_updates,omitempty"`
@@ -83,7 +81,6 @@ func (c Config) options() engine.Options {
 	return engine.Options{
 		Strategy:      engine.Strategy(c.Strategy),
 		CacheSize:     c.CacheSize,
-		EvalWorkers:   c.EvalWorkers,
 		LiveUpdates:   c.LiveUpdates,
 		MaxConcurrent: c.MaxConcurrent,
 		MaxQueue:      c.MaxQueue,

@@ -59,7 +59,7 @@ func pooledBed(t testing.TB) (http.Handler, *storage.Database, [][]byte) {
 		t.Fatal(err)
 	}
 	ns, err := NewNamespace(DefaultNamespace, base.Clone(), views, Config{
-		Strategy: "auto", LiveUpdates: true, EvalWorkers: 2, MaxConcurrent: 4, MaxQueue: 64,
+		Strategy: "auto", LiveUpdates: true, MaxConcurrent: 4, MaxQueue: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

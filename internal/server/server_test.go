@@ -373,6 +373,14 @@ func TestOverload429RetryAfter(t *testing.T) {
 	}()
 	defer wg.Wait()
 
+	// Probe only once the heavy query holds the slot: a probe that held it
+	// first would shed the heavy query itself, and nothing would then hold
+	// the slot for the probes to be shed by.
+	for wait := time.Now().Add(3 * time.Second); ns.Engine.Stats().Admission.Admitted == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatal("the heavy query was never admitted")
+		}
+	}
 	admitted := uint64(1) // the heavy query holds the slot whenever a probe is shed
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
@@ -581,6 +589,9 @@ func TestLoadDirRejectsRemovedKeys(t *testing.T) {
 		{"max_results", `{"strategy": "auto", "max_results": 8}`},
 		// The admission wait bound: "deadline_ms" bounds the wait.
 		{"queue_timeout_ms", `{"max_concurrent": 2, "queue_timeout_ms": 50}`},
+		// The per-evaluation goroutine fan-out: evaluation runs on the
+		// request's goroutine.
+		{"eval_workers", `{"strategy": "inverse-rules", "eval_workers": 4}`},
 	} {
 		t.Run(c.key, func(t *testing.T) { wantRemovedKey(t, c.key, c.config) })
 	}
