@@ -590,7 +590,7 @@ func (cp *CompiledProgram) run(edb *storage.Database, gs *guardState, lim Limits
 			// round is captured by value; tasks, which the loop reassigns,
 			// would be moved to the heap.
 			round := tasks
-			bufs, err := runTaskSet(len(round), func(i int) (*runScratch, error) {
+			bufs, err := runTaskSet(nil, len(round), func(i int) (*runScratch, error) {
 				t := round[i]
 				accum := idb[t.rule.headPred]
 				return emitVariant(t.v, t.delta, edb, idb, gs, func(h storage.Tuple) bool { return !accum.Contains(h) })
@@ -598,7 +598,7 @@ func (cp *CompiledProgram) run(edb *storage.Database, gs *guardState, lim Limits
 			if err != nil {
 				return nil, stats, err
 			}
-			delta, _ := mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
+			delta, _ := mergeRound(nil, tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
 				return idb[r.headPred], nil
 			})
 			for _, d := range delta {
@@ -627,24 +627,26 @@ func checkFixpointBudget(stats FixpointStats, lim Limits) error {
 }
 
 // runTaskSet executes a round's n task bodies in order, collecting each
-// body's derivation buffer; the fixpoint rounds and the maintenance rounds
-// (ApplyUpdatesCtx) share it. Bodies only read round-stable state.
-func runTaskSet(n int, run func(int) (*runScratch, error)) ([]*runScratch, error) {
-	bufs := make([]*runScratch, n)
+// body's derivation buffer into bufs, resized; the fixpoint rounds and the
+// maintenance rounds (ApplyUpdatesCtx, which passes its scratch's slice)
+// share it. Bodies only read round-stable state.
+func runTaskSet(bufs []*runScratch, n int, run func(int) (*runScratch, error)) ([]*runScratch, error) {
+	bufs = slices.Grow(bufs[:0], n)[:n]
 	for i := range bufs {
 		var err error
 		if bufs[i], err = run(i); err != nil {
-			return nil, err
+			return bufs, err
 		}
 	}
 	return bufs, nil
 }
 
 // mergeRound adds a round's buffered rows to the relation target gives each
-// task's rule, releases every buffer, and returns the tuples that were new,
-// per head predicate. A relation only appends here, so a predicate's new
-// tuples are its relation's tail: the next round reads them as its delta
-// without a copy, and nothing removes from the relation while it runs.
+// task's rule, releases every buffer, and returns, in cur emptied — a new
+// map when cur is nil — the tuples that were new, per head predicate. A
+// relation only appends here, so a predicate's new tuples are its
+// relation's tail: the next round reads them as its delta without a copy,
+// and nothing removes from the relation while it runs.
 //
 // It is the one merge of every round — fixpoint, propagation,
 // over-deletion and re-derivation alike: each buffer's rows are copied once
@@ -652,8 +654,12 @@ func runTaskSet(n int, run func(int) (*runScratch, error)) ([]*runScratch, error
 // alive only the rows its buffer added, never the pooled buffer or the rows
 // the relation already held. On an error the buffers not yet merged are
 // left to the collector.
-func mergeRound(tasks []variantTask, bufs []*runScratch, target func(*compiledRule) (*storage.Relation, error)) (map[string][]storage.Tuple, error) {
-	cur := make(map[string][]storage.Tuple)
+func mergeRound(cur map[string][]storage.Tuple, tasks []variantTask, bufs []*runScratch, target func(*compiledRule) (*storage.Relation, error)) (map[string][]storage.Tuple, error) {
+	if cur == nil {
+		cur = make(map[string][]storage.Tuple)
+	} else {
+		clear(cur)
+	}
 	for i, sc := range bufs {
 		if sc == nil {
 			continue

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/cq"
@@ -122,20 +123,22 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 		return nil, err
 	}
 
+	ms := maintPool.Get().(*maintScratch)
+	defer ms.release()
+
 	// Effective deletions: the stored copies of present tuples, never the
-	// caller's, deduplicated per predicate through a relation that only
-	// reads them. Both are sized from the batch, so neither grows per row.
+	// caller's, deduplicated per predicate through the scratch's set. Each
+	// list is sized from the batch, so none grows per row.
 	delEff := make(map[string][]storage.Tuple)
 	for pred, tuples := range deletes {
 		rel := db.Relation(pred)
 		if rel == nil || len(tuples) == 0 {
 			continue
 		}
-		seen := storage.NewRelation(pred, rel.Arity())
-		seen.Grow(len(tuples))
+		ms.seen.reset()
 		eff := make([]storage.Tuple, 0, len(tuples))
 		for _, t := range tuples {
-			if st, ok := rel.Stored(t); ok && seen.Adopt(st) {
+			if st, ok := rel.Stored(t); ok && ms.seen.Add(st) {
 				eff = append(eff, st)
 			}
 		}
@@ -155,9 +158,9 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 		// Nothing to retract: the batch is its insert phase.
 		res = &UpdateResult{}
 		j.MarkInserts()
-		res.BaseInserted, res.Derived, res.Stats, err = cp.applyInserts(db, inserts, gs, lim)
+		res.BaseInserted, res.Derived, res.Stats, err = cp.applyInserts(db, ms, inserts, gs, lim)
 	} else {
-		res, err = cp.applyDRed(db, j, inserts, delEff, gs, lim)
+		res, err = cp.applyDRed(db, ms, j, inserts, delEff, gs, lim)
 	}
 	if err != nil {
 		j.Rollback()
@@ -165,6 +168,54 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 	}
 	res.BaseDeleted = delEff
 	return res, nil
+}
+
+// maintScratch is the bookkeeping of one batch's maintenance rounds: the
+// round's task list and derivation buffers, the map of tuples each merge
+// found new, the set that deduplicates a delete list, and the accept tests
+// of the three round kinds, each bound once to the relations it reads for
+// the task being run (head, dead) — one pair serves a whole round because
+// runTaskSet runs its tasks in order. applyUpdates takes one from maintPool
+// and gives it back emptied, as emitVariant does with scratchPool, so a
+// batch allocates its tuples, not its rounds. What it keeps is bounded by
+// the program — one task per delta variant, one map key per derived
+// predicate — and the set by the pooling bounds of RowSet.reset.
+type maintScratch struct {
+	tasks []variantTask
+	bufs  []*runScratch
+	cur   map[string][]storage.Tuple
+	seen  RowSet
+
+	// head and dead are the running task's head relation and over-deleted
+	// set: the relations the accept tests below read.
+	head, dead *storage.Relation
+	// absent admits a head head lacks (propagation), live one head holds
+	// and dead does not yet (over-deletion), overDeleted one dead holds
+	// (re-derivation).
+	absent, live, overDeleted func(storage.Tuple) bool
+}
+
+// maintPool holds the scratches of the batches in flight: one per
+// database being maintained at a time.
+var maintPool = sync.Pool{New: func() any {
+	ms := &maintScratch{cur: make(map[string][]storage.Tuple)}
+	ms.absent = func(h storage.Tuple) bool { return ms.head == nil || !ms.head.Contains(h) }
+	ms.live = func(h storage.Tuple) bool { return ms.head.Contains(h) && (ms.dead == nil || !ms.dead.Contains(h)) }
+	ms.overDeleted = func(h storage.Tuple) bool { return ms.dead.Contains(h) }
+	return ms
+}}
+
+// release empties the scratch — no task, buffer, tuple or relation of the
+// batch stays reachable from it — and returns it to the pool.
+func (ms *maintScratch) release() {
+	clear(ms.tasks)
+	ms.tasks = ms.tasks[:0]
+	clear(ms.bufs)
+	ms.bufs = ms.bufs[:0]
+	clear(ms.cur)
+	ms.seen.reset()
+	ms.head, ms.dead = nil, nil
+	maintPool.Put(ms)
 }
 
 // validateDeletes rejects deletions into derived relations and tuples of
@@ -215,9 +266,9 @@ func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[str
 // delta variants over the intact pre-delete database, remove, re-derive
 // survivors with a bounded semi-naive pass, then run the insert phase
 // (applyInserts).
-func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, gs *guardState, lim Limits) (*UpdateResult, error) {
+func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, gs *guardState, lim Limits) (*UpdateResult, error) {
 	res := &UpdateResult{Retracted: make(map[string][]storage.Tuple)}
-	od, err := cp.overDelete(db, delEff, gs, lim, &res.Stats)
+	od, err := cp.overDelete(db, ms, delEff, gs, lim, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +279,7 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, i
 		j.RemoveAll(pred, dead.Tuples())
 	}
 	j.MarkInserts()
-	if err := cp.rederive(db, od, gs, lim, &res.Stats); err != nil {
+	if err := cp.rederive(db, ms, od, gs, lim, &res.Stats); err != nil {
 		return nil, err
 	}
 	for pred, dead := range od {
@@ -236,7 +287,7 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, i
 			res.Retracted[pred] = append(res.Retracted[pred], dead.Tuples()...)
 		}
 	}
-	fresh, derived, istats, err := cp.applyInserts(db, inserts, gs, lim)
+	fresh, derived, istats, err := cp.applyInserts(db, ms, inserts, gs, lim)
 	if err != nil {
 		return nil, err
 	}
@@ -252,13 +303,12 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, j *storage.Journal, i
 // seeded by the effective base deletions and evaluated — like every DRed
 // over-approximation — against the still-intact pre-delete database. Each
 // over-deleted set is a relation that adopts the rows its rounds derived.
-func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]storage.Tuple, gs *guardState, lim Limits, stats *FixpointStats) (map[string]*storage.Relation, error) {
+func (cp *CompiledProgram) overDelete(db *storage.Database, ms *maintScratch, delEff map[string][]storage.Tuple, gs *guardState, lim Limits, stats *FixpointStats) (map[string]*storage.Relation, error) {
 	od := make(map[string]*storage.Relation)
-	var tasks []variantTask
 	cur := delEff
 	for len(cur) > 0 {
-		tasks = deltaTasks(tasks[:0], cp.rules, cur, true)
-		if len(tasks) == 0 {
+		ms.tasks = deltaTasks(ms.tasks[:0], cp.rules, cur, true)
+		if len(ms.tasks) == 0 {
 			break
 		}
 		if err := gs.barrier(); err != nil {
@@ -271,26 +321,25 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]
 		// Matches feed from the round's delta and every other atom reads the
 		// intact database; an emitted head counts only if it is currently
 		// materialized and not yet over-deleted.
-		bufs, err := runTaskSet(len(tasks), func(i int) (*runScratch, error) {
-			t := tasks[i]
+		var err error
+		ms.bufs, err = runTaskSet(ms.bufs, len(ms.tasks), func(i int) (*runScratch, error) {
+			t := ms.tasks[i]
 			pred := t.rule.headPred
-			headRel, dead := db.Relation(pred), od[pred]
-			if headRel == nil {
+			if ms.head, ms.dead = db.Relation(pred), od[pred]; ms.head == nil {
 				return nil, nil
 			}
-			return emitVariant(t.v, t.delta, db, nil, gs, func(h storage.Tuple) bool {
-				return headRel.Contains(h) && (dead == nil || !dead.Contains(h))
-			})
+			return emitVariant(t.v, t.delta, db, nil, gs, ms.live)
 		})
 		if err != nil {
 			return nil, err
 		}
-		cur, _ = mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
+		ms.cur, _ = mergeRound(ms.cur, ms.tasks, ms.bufs, func(r *compiledRule) (*storage.Relation, error) {
 			if od[r.headPred] == nil {
 				od[r.headPred] = storage.NewRelation(r.headPred, r.arity)
 			}
 			return od[r.headPred], nil
 		})
+		cur = ms.cur
 		for _, c := range cur {
 			stats.Derived += len(c)
 		}
@@ -308,9 +357,9 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, delEff map[string][]
 // through the ordinary IDB delta variants, accepting only heads still
 // missing — re-inserted tuples cannot derive anything genuinely new,
 // because the pre-batch database was already a fixpoint over a superset.
-func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]*storage.Relation, gs *guardState, lim Limits, stats *FixpointStats) error {
+func (cp *CompiledProgram) rederive(db *storage.Database, ms *maintScratch, od map[string]*storage.Relation, gs *guardState, lim Limits, stats *FixpointStats) error {
 	missing := func(pred string) bool { return od[pred] != nil && od[pred].Len() > 0 }
-	var tasks []variantTask
+	ms.tasks = ms.tasks[:0]
 	for i := range cp.rules {
 		r := &cp.rules[i]
 		if !missing(r.headPred) {
@@ -323,12 +372,12 @@ func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]*storage
 			}
 			// Round 0 only reads the over-deleted tuples; the merge after it
 			// is the first to remove any.
-			tasks = append(tasks, variantTask{rule: r, v: &sv.v, delta: od[r.headPred].Tuples()})
+			ms.tasks = append(ms.tasks, variantTask{rule: r, v: &sv.v, delta: od[r.headPred].Tuples()})
 		} else if !r.full.empty {
-			tasks = append(tasks, variantTask{rule: r, v: &r.full})
+			ms.tasks = append(ms.tasks, variantTask{rule: r, v: &r.full})
 		}
 	}
-	for len(tasks) > 0 {
+	for len(ms.tasks) > 0 {
 		if err := gs.barrier(); err != nil {
 			return err
 		}
@@ -336,27 +385,27 @@ func (cp *CompiledProgram) rederive(db *storage.Database, od map[string]*storage
 			return err
 		}
 		stats.Iterations++
-		bufs, err := runTaskSet(len(tasks), func(i int) (*runScratch, error) {
-			t := tasks[i]
-			dead := od[t.rule.headPred]
-			return emitVariant(t.v, t.delta, db, nil, gs,
-				func(h storage.Tuple) bool { return dead.Contains(h) })
+		var err error
+		ms.bufs, err = runTaskSet(ms.bufs, len(ms.tasks), func(i int) (*runScratch, error) {
+			t := ms.tasks[i]
+			ms.dead = od[t.rule.headPred]
+			return emitVariant(t.v, t.delta, db, nil, gs, ms.overDeleted)
 		})
 		if err != nil {
 			return err
 		}
-		cur, err := mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
+		ms.cur, err = mergeRound(ms.cur, ms.tasks, ms.bufs, func(r *compiledRule) (*storage.Relation, error) {
 			return db.Ensure(r.headPred, r.arity)
 		})
 		if err != nil {
 			return err
 		}
-		for pred, c := range cur {
+		for pred, c := range ms.cur {
 			for _, t := range c {
 				od[pred].Remove(t)
 			}
 		}
-		tasks = slices.DeleteFunc(deltaTasks(tasks[:0], cp.rules, cur, false), func(t variantTask) bool {
+		ms.tasks = slices.DeleteFunc(deltaTasks(ms.tasks[:0], cp.rules, ms.cur, false), func(t variantTask) bool {
 			return !missing(t.rule.headPred)
 		})
 	}

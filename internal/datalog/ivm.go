@@ -30,8 +30,8 @@ import (
 //   - subsequent rounds are ordinary semi-naive: the IDB delta variants
 //     fire on whatever the previous round newly derived, until quiescence;
 //   - within a round the database is only read (derivations are buffered
-//     per task and merged between rounds), so rounds fan out across
-//     goroutines exactly like fixpoint rounds.
+//     per task and merged between rounds), exactly like fixpoint rounds;
+//     the round's bookkeeping comes from the batch's pooled maintScratch.
 //
 // Work per batch is therefore proportional to the consequences of the
 // delta, not to the size of the database.
@@ -46,11 +46,11 @@ var ErrNotMaintenance = errors.New("datalog: program not compiled for maintenanc
 // base tuples that were actually new and the newly derived tuples per
 // predicate, in derivation order. A failure leaves db partially updated;
 // applyUpdates rolls it back through the journal's insert mark.
-func (cp *CompiledProgram) applyInserts(db *storage.Database, inserts map[string][]storage.Tuple, gs *guardState, lim Limits) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
+func (cp *CompiledProgram) applyInserts(db *storage.Database, ms *maintScratch, inserts map[string][]storage.Tuple, gs *guardState, lim Limits) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
 	if fresh, err = insertBase(db, inserts); err != nil {
 		return nil, nil, stats, err
 	}
-	derived, stats, err = cp.propagate(db, fresh, gs, lim)
+	derived, stats, err = cp.propagate(db, ms, fresh, gs, lim)
 	return fresh, derived, stats, err
 }
 
@@ -93,14 +93,13 @@ func insertBase(db *storage.Database, inserts map[string][]storage.Tuple) (map[s
 // propagate runs the semi-naive insert propagation: delta, already inserted
 // into db, seeds the EDB delta variants; every round's new derivations are
 // merged into db and feed the next round.
-func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]storage.Tuple, gs *guardState, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {
+func (cp *CompiledProgram) propagate(db *storage.Database, ms *maintScratch, delta map[string][]storage.Tuple, gs *guardState, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {
 	var stats FixpointStats
 	derived := make(map[string][]storage.Tuple)
-	var tasks []variantTask
 	cur := delta
 	for {
-		tasks = deltaTasks(tasks[:0], cp.rules, cur, true)
-		if len(tasks) == 0 {
+		ms.tasks = deltaTasks(ms.tasks[:0], cp.rules, cur, true)
+		if len(ms.tasks) == 0 {
 			return derived, stats, gs.failure()
 		}
 		if err := gs.barrier(); err != nil {
@@ -110,21 +109,23 @@ func (cp *CompiledProgram) propagate(db *storage.Database, delta map[string][]st
 			return nil, stats, err
 		}
 		stats.Iterations++
-		bufs, err := runTaskSet(len(tasks), func(i int) (*runScratch, error) {
-			t := tasks[i]
-			headRel := db.Relation(t.rule.headPred)
-			return emitVariant(t.v, t.delta, db, nil, gs,
-				func(h storage.Tuple) bool { return headRel == nil || !headRel.Contains(h) })
+		var err error
+		ms.bufs, err = runTaskSet(ms.bufs, len(ms.tasks), func(i int) (*runScratch, error) {
+			t := ms.tasks[i]
+			ms.head = db.Relation(t.rule.headPred)
+			return emitVariant(t.v, t.delta, db, nil, gs, ms.absent)
 		})
 		if err != nil {
 			return nil, stats, err
 		}
-		cur, err = mergeRound(tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
+		// delta, the batch's fresh base tuples, is the caller's result: the
+		// merges fill the scratch's map instead.
+		if ms.cur, err = mergeRound(ms.cur, ms.tasks, ms.bufs, func(r *compiledRule) (*storage.Relation, error) {
 			return db.Ensure(r.headPred, r.arity)
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, stats, err
 		}
+		cur = ms.cur
 		for pred, c := range cur {
 			derived[pred] = append(derived[pred], c...)
 			stats.Derived += len(c)

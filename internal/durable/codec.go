@@ -33,8 +33,9 @@ import (
 // so data directories written by earlier builds keep opening. Writers
 // stream: a segment goes to its file through one fixed buffer while a
 // running CRC32C is kept of the bytes flushed, so no byte slice the size
-// of a relation is ever built; a WAL record is encoded once, into a frame
-// sized exactly from its batch.
+// of a relation is ever built; a WAL record is encoded once, into the
+// store's kept frame buffer or, when that is too small, a frame sized
+// exactly from its batch.
 //
 // Decoders are hardened against arbitrary bytes (they feed the fuzz
 // targets): every length is bounds-checked against the remaining input
@@ -125,17 +126,18 @@ func appendStr(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// sortedPreds returns the map's predicates in deterministic order so the
-// encoded bytes of a batch are reproducible.
-func sortedPreds(m map[string][]storage.Tuple) []string {
-	preds := make([]string, 0, len(m))
+// appendSortedPreds appends the map's predicates that have tuples to dst,
+// sorting the appended ones so the encoded bytes of a batch are
+// reproducible.
+func appendSortedPreds(dst []string, m map[string][]storage.Tuple) []string {
+	n := len(dst)
 	for p := range m {
 		if len(m[p]) > 0 {
-			preds = append(preds, p)
+			dst = append(dst, p)
 		}
 	}
-	slices.Sort(preds)
-	return preds
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // groupSize is the encoded length of a group whose non-empty predicates,
@@ -170,19 +172,52 @@ func appendGroup(dst []byte, m map[string][]storage.Tuple, preds []string) []byt
 	return dst
 }
 
-// encodeRecordFrame serializes one update batch as a whole WAL frame —
-// header and payload — into one buffer sized exactly from the batch: it
-// reserves the header, appends the payload, then fills in the payload's
-// length and CRC32C.
+// frameEncoder encodes WAL record frames, keeping its frame buffer and
+// predicate scratch between records: a Store holds one under its mutex, so
+// a batch allocates no frame once one as large has been encoded. A buffer
+// grown past maxKeptFrame is not kept, so one huge batch does not hold its
+// frame for the life of the store, and the predicate scratch is cleared
+// after each frame, so it holds no batch's names.
+type frameEncoder struct {
+	frame []byte
+	preds []string
+}
+
+// maxKeptFrame bounds the frame buffer a frameEncoder keeps between records.
+const maxKeptFrame = 1 << 18
+
+// encodeRecordFrame serializes one update batch as a whole WAL frame into a
+// buffer of its own, sized exactly from the batch (frameEncoder.encode).
 func encodeRecordFrame(lsn uint64, deletes, inserts map[string][]storage.Tuple) []byte {
-	dp, ip := sortedPreds(deletes), sortedPreds(inserts)
-	frame := make([]byte, frameHeader, frameHeader+8+groupSize(deletes, dp)+groupSize(inserts, ip))
+	var e frameEncoder
+	return e.encode(lsn, deletes, inserts)
+}
+
+// encode serializes one update batch as a whole WAL frame — header and
+// payload — into the kept buffer, or, when that is too small, into one
+// sized exactly from the batch: it reserves the header, appends the
+// payload, then fills in the payload's length and CRC32C. The frame is
+// valid until the next encode.
+func (e *frameEncoder) encode(lsn uint64, deletes, inserts map[string][]storage.Tuple) []byte {
+	e.preds = appendSortedPreds(e.preds[:0], deletes)
+	nd := len(e.preds)
+	e.preds = appendSortedPreds(e.preds, inserts)
+	dp, ip := e.preds[:nd], e.preds[nd:]
+	size := frameHeader + 8 + groupSize(deletes, dp) + groupSize(inserts, ip)
+	if cap(e.frame) < size {
+		e.frame = make([]byte, 0, size)
+	}
+	frame := e.frame[:frameHeader]
 	frame = appendU64(frame, lsn)
 	frame = appendGroup(frame, deletes, dp)
 	frame = appendGroup(frame, inserts, ip)
 	payload := frame[frameHeader:]
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+	clear(e.preds)
+	if cap(e.frame) > maxKeptFrame {
+		e.frame = nil
+	}
 	return frame
 }
 

@@ -82,10 +82,11 @@ type Store struct {
 	mu      sync.Mutex
 	wal     *wal
 	man     *Manifest
-	snapDir string // directory name of the current snapshot ("" if none)
-	seq     uint64 // sequence number of the current snapshot
-	lsn     uint64 // last durable LSN (snapshot or WAL record)
-	failed  error  // first write failure; wedges all later writes
+	snapDir string       // directory name of the current snapshot ("" if none)
+	seq     uint64       // sequence number of the current snapshot
+	lsn     uint64       // last durable LSN (snapshot or WAL record)
+	failed  error        // first write failure; wedges all later writes
+	enc     frameEncoder // Append's frame buffer, kept between batches
 
 	walAppends    uint64
 	walAppendTime time.Duration
@@ -291,9 +292,9 @@ func (s *Store) RecoverBaseFacts() (*storage.Database, error) {
 
 // Append logs one update batch — the ApplyUpdate unit, deletes applied
 // before inserts — and syncs it, returning its LSN. The batch is encoded
-// once, header included, into one frame sized exactly from it, and that
-// frame is what reaches the file. Call it after the maintainer accepted
-// the batch and before publishing to readers. On an IO failure the store
+// once, header included, into the store's kept frame buffer
+// (frameEncoder), and that frame is what reaches the file. Call it after
+// the maintainer accepted the batch and before publishing to readers. On an IO failure the store
 // wedges (fail-stop): the error is returned now and by every later Append.
 func (s *Store) Append(deletes, inserts map[string][]storage.Tuple) (uint64, error) {
 	s.mu.Lock()
@@ -306,7 +307,7 @@ func (s *Store) Append(deletes, inserts map[string][]storage.Tuple) (uint64, err
 	}
 	lsn := s.lsn + 1
 	start := time.Now()
-	if err := s.wal.append(encodeRecordFrame(lsn, deletes, inserts)); err != nil {
+	if err := s.wal.append(s.enc.encode(lsn, deletes, inserts)); err != nil {
 		s.failed = err
 		return 0, err
 	}

@@ -616,8 +616,11 @@ func TestWriteSnapshotAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendAllocs: a batch is encoded once, into one exactly sized frame
-// that is written as it is.
+// TestAppendAllocs: a batch is encoded once, into the store's kept frame
+// buffer, which is written as it is, so an Append after one of a batch as
+// large allocates nothing — no frame, no predicate list (it took 2
+// allocations while every Append encoded into a frame of its own). A frame
+// grown past maxKeptFrame is not kept.
 func TestAppendAllocs(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{NoSync: true})
 	if err != nil {
@@ -635,7 +638,33 @@ func TestAppendAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("Append: %.1f allocations", got)
-	if got > 4 {
-		t.Fatalf("Append of a 64-tuple batch: %.1f allocations, budget 4", got)
+	if got != 0 {
+		t.Fatalf("Append of a 64-tuple batch after one as large: %.1f allocations, want 0", got)
+	}
+	for _, p := range s.enc.preds {
+		if p != "" {
+			t.Fatalf("the kept predicate scratch still names %q of the last batch", p)
+		}
+	}
+
+	huge := storage.Tuple{strings.Repeat("x", maxKeptFrame), "1"}
+	if _, err := s.Append(nil, map[string][]storage.Tuple{"r": {huge}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.enc.frame != nil {
+		t.Fatalf("the store kept a %d-byte frame past the bound %d", cap(s.enc.frame), maxKeptFrame)
+	}
+	// Every frame, kept buffer or not, reached the log intact: the warm-up
+	// Append, the 100 measured and the large one.
+	data, err := os.ReadFile(filepath.Join(s.dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := scanWAL(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(recs), 102; got != want {
+		t.Fatalf("reopened log holds %d intact records, want %d", got, want)
 	}
 }

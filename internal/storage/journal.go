@@ -21,12 +21,22 @@ import "slices"
 // caller's, and Rollback re-adopts that tuple: rolling back allocates no
 // tuple and leaves no caller's memory in the database.
 //
-// A Journal carries the database's single-writer requirement and is good for
-// one batch.
+// A database owns one journal (Database.journal): a database has exactly one
+// writer, so it runs at most one batch at a time — the maintainer's
+// database and each serving side each have their own. NewJournal resets
+// that journal for the next batch and returns it, so a batch allocates
+// its tuples, not its log: the reset clears the removal log's entries, so
+// no tuple of the earlier batch stays pinned through it, and empties the
+// insert marks, so no relation of the earlier batch stays a key. Between
+// batches the log still holds the last batch's removed tuples, until the
+// next reset. A log or mark map grown past maxKeptRemovals or
+// maxKeptMarks is dropped at the reset rather than kept, so one huge batch
+// does not hold its bookkeeping for the life of the database.
 type Journal struct {
 	db      *Database
 	removed []journalRemoval
-	marks   map[*Relation]int // nil until MarkInserts
+	marks   map[*Relation]int
+	marked  bool // MarkInserts ran: marks holds the batch's relation lengths
 }
 
 type journalRemoval struct {
@@ -34,8 +44,32 @@ type journalRemoval struct {
 	t    Tuple
 }
 
-// NewJournal starts the rollback log of one batch against db.
-func NewJournal(db *Database) *Journal { return &Journal{db: db} }
+// Beyond these a journal's removal log (entries) and insert marks
+// (relations) are dropped at a reset instead of kept for the next batch.
+const (
+	maxKeptRemovals = 4096
+	maxKeptMarks    = 256
+)
+
+// NewJournal resets db's journal and returns it: the rollback log of one
+// batch against db, which replaces the log of the batch before.
+func NewJournal(db *Database) *Journal {
+	j := &db.journal
+	j.db = db
+	if cap(j.removed) > maxKeptRemovals {
+		j.removed = nil
+	} else {
+		clear(j.removed)
+		j.removed = j.removed[:0]
+	}
+	if len(j.marks) > maxKeptMarks {
+		j.marks = nil
+	} else {
+		clear(j.marks)
+	}
+	j.marked = false
+	return j
+}
 
 // RemoveAll deletes every tuple of ts from pred's relation and journals each
 // removal, returning how many were present (a missing relation holds
@@ -45,7 +79,7 @@ func NewJournal(db *Database) *Journal { return &Journal{db: db} }
 // MarkInserts is a bug: the length marks could no longer identify the
 // batch's inserts.
 func (j *Journal) RemoveAll(pred string, ts []Tuple) int {
-	if j.marks != nil {
+	if j.marked {
 		panic("storage: Journal.RemoveAll after MarkInserts")
 	}
 	rel := j.db.rels[pred]
@@ -66,7 +100,10 @@ func (j *Journal) RemoveAll(pred string, ts []Tuple) int {
 // MarkInserts records every relation's length: from here on the batch only
 // inserts, into these relations or into ones it creates.
 func (j *Journal) MarkInserts() {
-	j.marks = make(map[*Relation]int, len(j.db.rels))
+	if j.marks == nil {
+		j.marks = make(map[*Relation]int, len(j.db.rels))
+	}
+	j.marked = true
 	for _, rel := range j.db.rels {
 		j.marks[rel] = len(rel.tuples)
 	}
@@ -74,7 +111,7 @@ func (j *Journal) MarkInserts() {
 
 // Rollback restores the database to its state at NewJournal.
 func (j *Journal) Rollback() {
-	if j.marks != nil {
+	if j.marked {
 		for pred, rel := range j.db.rels {
 			if n, ok := j.marks[rel]; ok {
 				rel.TruncateTo(n)

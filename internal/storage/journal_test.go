@@ -184,3 +184,126 @@ func TestJournalRestoresStoredTuple(t *testing.T) {
 		t.Fatal("rollback stored a copy, not the tuple it removed")
 	}
 }
+
+// checkReset: a journal NewJournal just returned refers to nothing of the
+// batch before — no entry of its kept removal log, no key of its marks map —
+// and is not marked.
+func checkReset(t *testing.T, db *Database, j *Journal) {
+	t.Helper()
+	if j != &db.journal {
+		t.Fatal("NewJournal returned a journal other than the database's own")
+	}
+	if j.marked {
+		t.Fatal("reset journal is still marked")
+	}
+	if len(j.removed) != 0 || len(j.marks) != 0 {
+		t.Fatalf("reset journal holds %d removal(s) and %d mark(s)", len(j.removed), len(j.marks))
+	}
+	for i, r := range j.removed[:cap(j.removed)] {
+		if r.pred != "" || r.t != nil {
+			t.Fatalf("kept removal log slot %d still holds %s%q of an earlier batch", i, r.pred, r.t)
+		}
+	}
+}
+
+// TestJournalReusedAcrossBatches applies random batches through one
+// database's journal, rolling one of them back: every batch starts from a
+// journal that refers to nothing of the batch before, and the rolled-back
+// batch leaves exactly the state it started from — the same relations and
+// tuples (Database.Equal) and the same column indexes (dbState) — however
+// many batches the journal served before it and after it.
+func TestJournalReusedAcrossBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7E5E))
+	val := func() string { return fmt.Sprintf("v%d", rng.Intn(8)) }
+	for trial := 0; trial < 200; trial++ {
+		db := NewDatabase()
+		for _, pred := range []string{"a", "b", "c"} {
+			rel, _ := db.Ensure(pred, 2)
+			for i := rng.Intn(16); i > 0; i-- {
+				rel.Insert(Tuple{val(), val()})
+			}
+			if rng.Intn(2) == 0 {
+				rel.BuildIndexes()
+			}
+		}
+		n := 2 + rng.Intn(5)
+		k := rng.Intn(n)
+		for batch := 0; batch < n; batch++ {
+			before, snap := dbState(db), db.Clone()
+			j := NewJournal(db)
+			checkReset(t, db, j)
+			for i := 1 + rng.Intn(4); i > 0; i-- {
+				pred := []string{"a", "b", "c", fmt.Sprintf("new%d", batch-1)}[rng.Intn(4)]
+				var ts []Tuple
+				if rel := db.Relation(pred); rel != nil {
+					for m := rng.Intn(4); m > 0 && rel.Len() > 0; m-- {
+						ts = append(ts, rel.Tuples()[rng.Intn(rel.Len())])
+					}
+				}
+				j.RemoveAll(pred, ts)
+			}
+			j.MarkInserts()
+			for i := rng.Intn(6); i > 0; i-- {
+				pred := []string{"a", "b", "c", fmt.Sprintf("new%d", batch)}[rng.Intn(4)]
+				rel, _ := db.Ensure(pred, 2)
+				rel.Insert(Tuple{val(), val()})
+			}
+			if batch != k {
+				continue
+			}
+			j.Rollback()
+			if !db.Equal(snap) || dbState(db) != before {
+				t.Fatalf("trial %d: rolling back batch %d of %d did not restore the database\nbefore: %s\nafter:  %s", trial, batch, n, before, dbState(db))
+			}
+			for _, pred := range db.Predicates() {
+				checkConsistent(t, db.Relation(pred))
+			}
+		}
+		checkReset(t, db, NewJournal(db))
+	}
+}
+
+// TestJournalKeepsOnlyBoundedLog: a reset keeps a removal log and a marks
+// map within maxKeptRemovals and maxKeptMarks for the next batch, which
+// then journals without allocating, and drops ones grown past them.
+func TestJournalKeepsOnlyBoundedLog(t *testing.T) {
+	db := NewDatabase()
+	rel, _ := db.Ensure("r", 1)
+	for i := 0; i <= maxKeptRemovals; i++ {
+		rel.Insert(Tuple{fmt.Sprint(i)})
+	}
+	small := slices.Clone(rel.Tuples()[:64])
+	batch := func() {
+		j := NewJournal(db)
+		j.RemoveAll("r", small)
+		j.MarkInserts()
+		j.Rollback()
+	}
+	batch()
+	if raceEnabled {
+		t.Log("allocation count not checked under the race detector")
+	} else if n := testing.AllocsPerRun(20, batch); n != 0 {
+		t.Errorf("a batch through a kept journal allocated %.0f objects", n)
+	}
+	if j := NewJournal(db); cap(j.removed) == 0 || j.marks == nil {
+		t.Fatal("reset dropped a log and marks within the bounds")
+	}
+
+	j := NewJournal(db)
+	j.RemoveAll("r", slices.Clone(rel.Tuples()))
+	j.Rollback()
+	if j = NewJournal(db); j.removed != nil {
+		t.Fatalf("reset kept a removal log of capacity %d past the bound %d", cap(j.removed), maxKeptRemovals)
+	}
+	for i := 0; i <= maxKeptMarks; i++ {
+		db.Ensure(fmt.Sprintf("m%d", i), 1)
+	}
+	j.MarkInserts()
+	j.Rollback()
+	if j = NewJournal(db); j.marks != nil {
+		t.Fatalf("reset kept a marks map past the bound %d", maxKeptMarks)
+	}
+	if rel.Len() != maxKeptRemovals+1 {
+		t.Fatalf("r holds %d tuples after rolling back, want %d", rel.Len(), maxKeptRemovals+1)
+	}
+}

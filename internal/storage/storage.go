@@ -405,7 +405,8 @@ func (r *Relation) Lookup(col int, val string) []Tuple {
 
 // Database is a collection of relations keyed by predicate name.
 type Database struct {
-	rels map[string]*Relation
+	rels    map[string]*Relation
+	journal Journal // the one batch log of the database's single writer (NewJournal)
 }
 
 // NewDatabase creates an empty database.
