@@ -598,8 +598,8 @@ func (cp *CompiledProgram) run(edb *storage.Database, gs *guardState, lim Limits
 			if err != nil {
 				return nil, stats, err
 			}
-			delta, _ := mergeRound(nil, tasks, bufs, func(r *compiledRule) (*storage.Relation, error) {
-				return idb[r.headPred], nil
+			delta, _ := mergeRound(nil, tasks, bufs, func(r *compiledRule) (*storage.Relation, *storage.Relation, error) {
+				return idb[r.headPred], nil, nil
 			})
 			for _, d := range delta {
 				stats.Derived += len(d)
@@ -649,12 +649,15 @@ func runTaskSet(bufs []*runScratch, n int, run func(int) (*runScratch, error)) (
 // and nothing removes from the relation while it runs.
 //
 // It is the one merge of every round — fixpoint, propagation,
-// over-deletion and re-derivation alike: each buffer's rows are copied once
-// into a backing array of their own (adoptCopies), so a stored row keeps
-// alive only the rows its buffer added, never the pooled buffer or the rows
-// the relation already held. On an error the buffers not yet merged are
-// left to the collector.
-func mergeRound(cur map[string][]storage.Tuple, tasks []variantTask, bufs []*runScratch, target func(*compiledRule) (*storage.Relation, error)) (map[string][]storage.Tuple, error) {
+// over-deletion and re-derivation alike. When target returns from, every
+// buffered row is one from stores — over-deletion accepts only rows the
+// head relation holds, re-derivation only over-deleted ones — and the merge
+// adopts from's rows (adoptStored). Otherwise each buffer's rows are copied
+// once into a backing array of their own (adoptCopies), so a stored row
+// keeps alive only the rows its buffer added, never the pooled buffer or
+// the rows the relation already held. On an error the buffers not yet
+// merged are left to the collector.
+func mergeRound(cur map[string][]storage.Tuple, tasks []variantTask, bufs []*runScratch, target func(*compiledRule) (rel, from *storage.Relation, err error)) (map[string][]storage.Tuple, error) {
 	if cur == nil {
 		cur = make(map[string][]storage.Tuple)
 	} else {
@@ -665,12 +668,16 @@ func mergeRound(cur map[string][]storage.Tuple, tasks []variantTask, bufs []*run
 			continue
 		}
 		if sc.set.Len() > 0 {
-			rel, err := target(tasks[i].rule)
+			rel, from, err := target(tasks[i].rule)
 			if err != nil {
 				return nil, err
 			}
 			before := rel.Len()
-			adoptCopies(rel, &sc.set)
+			if from != nil {
+				adoptStored(rel, from, &sc.set)
+			} else {
+				adoptCopies(rel, &sc.set)
+			}
 			if added := rel.Len() - before; added > 0 {
 				pred := tasks[i].rule.headPred
 				cur[pred] = rel.Tuples()[rel.Len()-len(cur[pred])-added:]
@@ -698,6 +705,20 @@ func adoptCopies(rel *storage.Relation, buf *RowSet) {
 	clear(backing[len(backing):cap(backing)])
 }
 
+// adoptStored adds buf's rows that rel lacks to rel as from's stored rows,
+// which every row of buf is, so it allocates no row.
+func adoptStored(rel, from *storage.Relation, buf *RowSet) {
+	n := buf.Len()
+	rel.Grow(n)
+	for k := 0; k < n; k++ {
+		t, ok := from.Stored(buf.row(k))
+		if !ok {
+			panic("datalog: a merged row is missing from the relation its round accepted it from")
+		}
+		rel.Adopt(t)
+	}
+}
+
 // adoptRow appends t's values to backing and adopts them into rel as a
 // capacity-limited window, so appending to one row never writes into the
 // next. When rel already holds the row the values are truncated away, to be
@@ -722,7 +743,8 @@ func adoptRow(rel *storage.Relation, backing []string, t storage.Tuple) []string
 // retain the row: it is the scratch's, rebuilt for every match.
 //
 // The buffer is a pooled scratch (runScratch), returned with its set
-// holding the rows; mergeRound copies them out and releases it. So a
+// holding the rows; mergeRound copies them out, or adopts the stored rows
+// they equal, and releases it. So a
 // rejected match allocates nothing, and an accepted one only amortised
 // growth: its place in the pooled set, and its Skolem values in the
 // scratch's arena (headScratch.own).

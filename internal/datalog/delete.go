@@ -172,19 +172,24 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 
 // maintScratch is the bookkeeping of one batch's maintenance rounds: the
 // round's task list and derivation buffers, the map of tuples each merge
-// found new, the set that deduplicates a delete list, and the accept tests
-// of the three round kinds, each bound once to the relations it reads for
-// the task being run (head, dead) — one pair serves a whole round because
-// runTaskSet runs its tasks in order. applyUpdates takes one from maintPool
-// and gives it back emptied, as emitVariant does with scratchPool, so a
-// batch allocates its tuples, not its rounds. What it keeps is bounded by
-// the program — one task per delta variant, one map key per derived
-// predicate — and the set by the pooling bounds of RowSet.reset.
+// found new, the set that deduplicates a delete list, the over-deleted
+// sets, and the accept tests of the three round kinds, each bound once to
+// the relations it reads for the task being run (head, dead) — one pair
+// serves a whole round because runTaskSet runs its tasks in order.
+// applyUpdates takes one from maintPool and gives it back emptied, as
+// emitVariant does with scratchPool, so a batch allocates what it stores,
+// not its rounds. What it keeps is bounded by the program — one task per
+// delta variant, one map key per derived predicate — the dedup set by the
+// pooling bounds of RowSet.reset, and the over-deleted sets by
+// maxKeptDeadRows and maxKeptDeadSets.
 type maintScratch struct {
 	tasks []variantTask
 	bufs  []*runScratch
 	cur   map[string][]storage.Tuple
 	seen  RowSet
+	// od holds each derived predicate's over-deleted set (overDelete). The
+	// pool serves every program, so a set may be of another arity.
+	od map[string]*storage.Relation
 
 	// head and dead are the running task's head relation and over-deleted
 	// set: the relations the accept tests below read.
@@ -198,15 +203,23 @@ type maintScratch struct {
 // maintPool holds the scratches of the batches in flight: one per
 // database being maintained at a time.
 var maintPool = sync.Pool{New: func() any {
-	ms := &maintScratch{cur: make(map[string][]storage.Tuple)}
+	ms := &maintScratch{cur: make(map[string][]storage.Tuple), od: make(map[string]*storage.Relation)}
 	ms.absent = func(h storage.Tuple) bool { return ms.head == nil || !ms.head.Contains(h) }
 	ms.live = func(h storage.Tuple) bool { return ms.head.Contains(h) && (ms.dead == nil || !ms.dead.Contains(h)) }
 	ms.overDeleted = func(h storage.Tuple) bool { return ms.dead.Contains(h) }
 	return ms
 }}
 
+// Beyond these an over-deleted set (rows of room) or the map of them
+// (predicates) is dropped at release instead of kept for the next batch.
+const (
+	maxKeptDeadRows = 4096
+	maxKeptDeadSets = 256
+)
+
 // release empties the scratch — no task, buffer, tuple or relation of the
-// batch stays reachable from it — and returns it to the pool.
+// batch stays reachable from it — and returns it to the pool. Each kept
+// over-deleted set is emptied by TruncateTo(0), which keeps its room.
 func (ms *maintScratch) release() {
 	clear(ms.tasks)
 	ms.tasks = ms.tasks[:0]
@@ -214,6 +227,16 @@ func (ms *maintScratch) release() {
 	ms.bufs = ms.bufs[:0]
 	clear(ms.cur)
 	ms.seen.reset()
+	if len(ms.od) > maxKeptDeadSets {
+		ms.od = make(map[string]*storage.Relation)
+	}
+	for pred, dead := range ms.od {
+		if cap(dead.Tuples()) > maxKeptDeadRows {
+			delete(ms.od, pred)
+		} else {
+			dead.TruncateTo(0)
+		}
+	}
 	ms.head, ms.dead = nil, nil
 	maintPool.Put(ms)
 }
@@ -268,10 +291,10 @@ func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[str
 // (applyInserts).
 func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, gs *guardState, lim Limits) (*UpdateResult, error) {
 	res := &UpdateResult{Retracted: make(map[string][]storage.Tuple)}
-	od, err := cp.overDelete(db, ms, delEff, gs, lim, &res.Stats)
-	if err != nil {
+	if err := cp.overDelete(db, ms, delEff, gs, lim, &res.Stats); err != nil {
 		return nil, err
 	}
+	od := ms.od
 	for pred, tuples := range delEff {
 		j.RemoveAll(pred, tuples)
 	}
@@ -282,9 +305,11 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *
 	if err := cp.rederive(db, ms, od, gs, lim, &res.Stats); err != nil {
 		return nil, err
 	}
+	// The sets go back to the pool; their rows, the database's own until
+	// this batch, are the result's.
 	for pred, dead := range od {
 		if dead.Len() > 0 {
-			res.Retracted[pred] = append(res.Retracted[pred], dead.Tuples()...)
+			res.Retracted[pred] = slices.Clone(dead.Tuples())
 		}
 	}
 	fresh, derived, istats, err := cp.applyInserts(db, ms, inserts, gs, lim)
@@ -301,10 +326,11 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *
 // overDelete computes the over-deleted set: the fixpoint of "some
 // derivation of this present tuple uses a deleted or over-deleted tuple",
 // seeded by the effective base deletions and evaluated — like every DRed
-// over-approximation — against the still-intact pre-delete database. Each
-// over-deleted set is a relation that adopts the rows its rounds derived.
-func (cp *CompiledProgram) overDelete(db *storage.Database, ms *maintScratch, delEff map[string][]storage.Tuple, gs *guardState, lim Limits, stats *FixpointStats) (map[string]*storage.Relation, error) {
-	od := make(map[string]*storage.Relation)
+// over-approximation — against the still-intact pre-delete database. It
+// fills ms.od: every row a round accepts is one the head relation holds, so
+// each over-deleted set adopts the database's stored row, not a copy.
+func (cp *CompiledProgram) overDelete(db *storage.Database, ms *maintScratch, delEff map[string][]storage.Tuple, gs *guardState, lim Limits, stats *FixpointStats) error {
+	od := ms.od
 	cur := delEff
 	for len(cur) > 0 {
 		ms.tasks = deltaTasks(ms.tasks[:0], cp.rules, cur, true)
@@ -312,10 +338,10 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, ms *maintScratch, de
 			break
 		}
 		if err := gs.barrier(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := checkFixpointBudget(*stats, lim); err != nil {
-			return nil, err
+			return err
 		}
 		stats.Iterations++
 		// Matches feed from the round's delta and every other atom reads the
@@ -331,28 +357,28 @@ func (cp *CompiledProgram) overDelete(db *storage.Database, ms *maintScratch, de
 			return emitVariant(t.v, t.delta, db, nil, gs, ms.live)
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ms.cur, _ = mergeRound(ms.cur, ms.tasks, ms.bufs, func(r *compiledRule) (*storage.Relation, error) {
-			if od[r.headPred] == nil {
-				od[r.headPred] = storage.NewRelation(r.headPred, r.arity)
+		ms.cur, _ = mergeRound(ms.cur, ms.tasks, ms.bufs, func(r *compiledRule) (*storage.Relation, *storage.Relation, error) {
+			dead := od[r.headPred]
+			if dead == nil || dead.Arity() != r.arity {
+				dead = storage.NewRelation(r.headPred, r.arity)
+				od[r.headPred] = dead
 			}
-			return od[r.headPred], nil
+			return dead, db.Relation(r.headPred), nil
 		})
 		cur = ms.cur
 		for _, c := range cur {
 			stats.Derived += len(c)
 		}
 	}
-	if err := gs.failure(); err != nil {
-		return nil, err
-	}
-	return od, nil
+	return gs.failure()
 }
 
 // rederive restores the over-deleted tuples that still have a derivation in
 // the post-removal database, removing each survivor from od as it is
-// re-inserted. Round 0 runs the head-rooted support variants (or filtered
+// re-inserted — as the very row the batch removed, which the merge adopts
+// from od. Round 0 runs the head-rooted support variants (or filtered
 // full variants for Skolem heads); later rounds propagate re-insertions
 // through the ordinary IDB delta variants, accepting only heads still
 // missing — re-inserted tuples cannot derive anything genuinely new,
@@ -394,8 +420,9 @@ func (cp *CompiledProgram) rederive(db *storage.Database, ms *maintScratch, od m
 		if err != nil {
 			return err
 		}
-		ms.cur, err = mergeRound(ms.cur, ms.tasks, ms.bufs, func(r *compiledRule) (*storage.Relation, error) {
-			return db.Ensure(r.headPred, r.arity)
+		ms.cur, err = mergeRound(ms.cur, ms.tasks, ms.bufs, func(r *compiledRule) (*storage.Relation, *storage.Relation, error) {
+			rel, err := db.Ensure(r.headPred, r.arity)
+			return rel, od[r.headPred], err
 		})
 		if err != nil {
 			return err

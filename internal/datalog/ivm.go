@@ -120,8 +120,9 @@ func (cp *CompiledProgram) propagate(db *storage.Database, ms *maintScratch, del
 		}
 		// delta, the batch's fresh base tuples, is the caller's result: the
 		// merges fill the scratch's map instead.
-		if ms.cur, err = mergeRound(ms.cur, ms.tasks, ms.bufs, func(r *compiledRule) (*storage.Relation, error) {
-			return db.Ensure(r.headPred, r.arity)
+		if ms.cur, err = mergeRound(ms.cur, ms.tasks, ms.bufs, func(r *compiledRule) (*storage.Relation, *storage.Relation, error) {
+			rel, err := db.Ensure(r.headPred, r.arity)
+			return rel, nil, err
 		}); err != nil {
 			return nil, stats, err
 		}

@@ -202,7 +202,7 @@ func TestMergeClearsRejectedRows(t *testing.T) {
 		buffer(shared, storage.Tuple{"c", "3"}),
 	}
 	tasks := []variantTask{{rule: rule}, {rule: rule}, {rule: rule}}
-	cur, err := mergeRound(nil, tasks, bufs, func(*compiledRule) (*storage.Relation, error) { return rel, nil })
+	cur, err := mergeRound(nil, tasks, bufs, func(*compiledRule) (*storage.Relation, *storage.Relation, error) { return rel, nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,10 @@ import (
 // Every answer path deduplicates through it: a plan run's emitted rows,
 // EvalUnion and the engine's union of contained rewritings. It is also the derivation buffer of every rule-variant
 // execution (emitVariant), pooled with the run's scratch: the round's
-// merge copies its rows out (mergeRound), so no relation ever holds a
-// window onto the arena, and the set is reset for the next execution. The
-// zero value is an empty set whose width the first Add fixes.
+// merge copies its rows out or adopts the stored rows they equal
+// (mergeRound), so no relation ever holds a window onto the arena, and the
+// set is reset for the next execution. The zero value is an empty set whose
+// width the first Add fixes.
 //
 // A set taken with AcquireRowSet carries one request's answers from the
 // executor to the caller (EvalIntoCtx, then Sort): the caller reads the

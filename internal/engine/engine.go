@@ -632,40 +632,41 @@ func (l *liveState) applySide(i int32, res *ivm.BatchResult) (err error) {
 		}
 		err = l.failed
 	}()
-	return replayBatch(db, j, res, l.servesBase, (*storage.Relation).Adopt)
+	return replayBatch(db, j, res, l.servesBase)
 }
 
 // replayBatch applies one batch's removals and then its insertions to db —
-// the base relations' too when withBase — adding each inserted tuple
-// through add. Removals go first: a tuple deleted and re-derived in the same
-// batch appears in both BatchResult maps, and the opposite order would
-// retract it after re-inserting it. Removals go through j, which the
-// insertions extend, so j.Rollback undoes the replay.
+// the base relations' too when withBase — adopting each inserted tuple.
+// Removals go first: a tuple deleted and re-derived in the same batch
+// appears in both BatchResult maps, and the opposite order would retract it
+// after re-inserting it. Removals go through j, which the insertions
+// extend, so j.Rollback undoes the replay.
 //
-// A committed batch's insertions are the tuples the maintainer stored
-// (datalog.ApplyUpdatesCtx returns stored copies, never the caller's), so
-// the standby side adopts them and both serving sides hold one physical row
-// (applySide). The inverse batch undoBatch replays inserts tuples that are
-// not all stored — over-deleted rows are windows onto a maintenance round's
-// buffer — so it clones them.
-func replayBatch(db *storage.Database, j *storage.Journal, res *ivm.BatchResult, withBase bool, add func(*storage.Relation, storage.Tuple) bool) error {
+// Every tuple of a BatchResult is a stored row — datalog.ApplyUpdatesCtx
+// reports the rows the maintainer stored or removed, never the caller's —
+// so both directions adopt: the standby side the rows the batch stored, and
+// both serving sides hold one physical row (applySide); the inverse batch
+// (undoBatch) the rows the batch removed.
+func replayBatch(db *storage.Database, j *storage.Journal, res *ivm.BatchResult, withBase bool) error {
 	if withBase {
 		removeDelta(j, res.BaseDeleted)
 	}
 	removeDelta(j, res.Retracted)
 	j.MarkInserts()
 	if withBase {
-		if err := appendDelta(db, res.BaseInserted, add); err != nil {
+		if err := appendDelta(db, res.BaseInserted); err != nil {
 			return err
 		}
 	}
-	return appendDelta(db, res.Derived, add)
+	return appendDelta(db, res.Derived)
 }
 
 // undoBatch reverts a committed batch on the database the maintainer
 // applied it to — the base relations and the extents of the side it is
 // bound to — by replaying the inverse batch: its insertions removed, then
-// its removals re-inserted. Tuple sets are exactly the pre-batch ones, and
+// its removals re-inserted, as the very rows the batch removed (the base
+// rows it deleted and the over-deleted rows it retracted, each the row the
+// database stored). Tuple sets are exactly the pre-batch ones, and
 // the maintainer keeps no other state; the caller still wedges mutations,
 // because the log that refused the batch cannot be trusted with the next.
 func undoBatch(db *storage.Database, res *ivm.BatchResult) {
@@ -676,7 +677,7 @@ func undoBatch(db *storage.Database, res *ivm.BatchResult) {
 		Retracted:    res.Derived,
 	}
 	// Cannot fail: every relation it inserts into exists, at its arity.
-	_ = replayBatch(db, storage.NewJournal(db), inv, true, (*storage.Relation).Insert)
+	_ = replayBatch(db, storage.NewJournal(db), inv, true)
 }
 
 // removeDelta removes retracted tuples from a serving side through its
@@ -690,10 +691,10 @@ func removeDelta(j *storage.Journal, delta map[string][]storage.Tuple) {
 	}
 }
 
-// appendDelta adds delta tuples through add, creating (and freezing)
-// relations for predicates the side has not seen; inserts into frozen
-// relations maintain the column indexes incrementally.
-func appendDelta(db *storage.Database, delta map[string][]storage.Tuple, add func(*storage.Relation, storage.Tuple) bool) error {
+// appendDelta adopts delta tuples, creating (and freezing) relations for
+// predicates the side has not seen; inserts into frozen relations maintain
+// the column indexes incrementally.
+func appendDelta(db *storage.Database, delta map[string][]storage.Tuple) error {
 	for pred, tuples := range delta {
 		if len(tuples) == 0 {
 			continue
@@ -703,7 +704,7 @@ func appendDelta(db *storage.Database, delta map[string][]storage.Tuple, add fun
 			return err // unreachable: the maintainer validated arities
 		}
 		for _, t := range tuples {
-			add(rel, t)
+			rel.Adopt(t)
 		}
 		if !rel.Frozen() {
 			rel.BuildIndexes()

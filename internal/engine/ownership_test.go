@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cq"
@@ -144,6 +145,76 @@ func TestApplyUpdateKeepsNoCallerTuple(t *testing.T) {
 					t.Fatalf("rebooted answers %v, want %v", got, wantRows.Relation("q").Tuples())
 				}
 			})
+		}
+	}
+}
+
+// TestApplyUpdateReusedCallerRows: a caller may write its batch's tuples
+// again as soon as ApplyUpdate returns, as the server does — it decodes
+// every batch into a request-lifetime arena that the next request reuses.
+// Here each batch is written into one backing array the caller reuses,
+// inserts and deletes alike, and every column of it is overwritten after
+// the call. After each batch both serving sides agree, and every view
+// extent and a join query's answers equal datalog.EvalQueryNaive over a
+// shadow base that applied the batches as they were.
+func TestApplyUpdateReusedCallerRows(t *testing.T) {
+	base, views := testBase(t)
+	e, err := NewFromBase(base, views, Options{LiveUpdates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
+	shadow := base.Clone()
+	rng := rand.New(rand.NewSource(62))
+	arena := make([]string, 0, 64)
+	pick := func(prefix string, n int) string { return fmt.Sprint(prefix, rng.Intn(n)) }
+	for batch := 0; batch < 40; batch++ {
+		arena = arena[:0]
+		row := func(vals ...string) storage.Tuple {
+			at := len(arena)
+			arena = append(arena, vals...)
+			return arena[at:len(arena):len(arena)]
+		}
+		ins, del := make(map[string][]storage.Tuple), make(map[string][]storage.Tuple)
+		for i := 0; i < 3; i++ {
+			ins["r"] = append(ins["r"], row(pick("k", 5), pick("m", 3)))
+			ins["s"] = append(ins["s"], row(pick("m", 3), pick("x", 4)))
+			del["r"] = append(del["r"], row(pick("k", 5), pick("m", 3)))
+		}
+		ins["t"] = append(ins["t"], row(pick("m", 3)))
+		del["s"] = append(del["s"], row(pick("m", 3), pick("x", 4)))
+		if cap(arena) != 64 {
+			t.Fatal("the batch outgrew its arena")
+		}
+		if err := e.ApplyUpdate(ins, del); err != nil {
+			t.Fatal(err)
+		}
+		for pred, tuples := range del {
+			for _, tu := range tuples {
+				shadow.Remove(pred, tu)
+			}
+		}
+		for pred, tuples := range ins {
+			for _, tu := range tuples {
+				if err := shadow.Insert(pred, tu); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := range arena {
+			arena[i] = fmt.Sprint("clobbered", batch)
+		}
+
+		checkSides(t, e)
+		label := fmt.Sprint("batch ", batch)
+		for _, v := range views {
+			if got, want := e.Database().Relation(v.Name()).Tuples(), datalog.EvalQueryNaive(shadow, v); !storage.TuplesEqual(got, want) {
+				t.Fatalf("%s: extent %s = %v, want %v", label, v.Name(), got, want)
+			}
+		}
+		if got, want := mustAnswer(t, e, q), datalog.EvalQueryNaive(shadow, q); !storage.TuplesEqual(got, want) {
+			t.Fatalf("%s: answers %v, want %v", label, got, want)
 		}
 	}
 }

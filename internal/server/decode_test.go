@@ -55,7 +55,8 @@ func comparable(ns, handle, query string, args Row, b *budgetSpec) decoded {
 }
 
 // decodeWire runs the server's decoder over body, asking for the members
-// the endpoint's handler asks for.
+// the endpoint's handler asks for. A batch's rows live in the wire state
+// until its release, so they are copied out before it.
 func decodeWire(ep endpoint, body []byte) (decoded, error) {
 	st := acquireWire()
 	defer st.release()
@@ -64,7 +65,7 @@ func decodeWire(ep endpoint, body []byte) (decoded, error) {
 		handle           []byte
 		args             Row
 		budget           *budgetSpec
-		updates, deletes map[string]Rows
+		updates, deletes map[string][]storage.Tuple
 	)
 	m := [numEndpoints]members{
 		epPrepare: {namespace: &ns, query: &query},
@@ -75,8 +76,25 @@ func decodeWire(ep endpoint, body []byte) (decoded, error) {
 	r := &http.Request{Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body))}
 	err := st.decode(r, m)
 	d := comparable(ns, string(handle), query, args, budget)
-	d.Updates, d.Deletes = updates, deletes
+	d.Updates, d.Deletes = ownRows(updates), ownRows(deletes)
 	return d, err
+}
+
+// ownRows copies a decoded batch map, rows and columns, out of the wire
+// state that holds it.
+func ownRows(m map[string][]storage.Tuple) map[string]Rows {
+	if m == nil {
+		return nil
+	}
+	out := make(map[string]Rows, len(m))
+	for pred, rows := range m {
+		own := make(Rows, len(rows))
+		for i, row := range rows {
+			own[i] = slices.Clone(row)
+		}
+		out[pred] = own
+	}
+	return out
 }
 
 // execRequest is the exec body as a client writes it. The handler decodes
@@ -88,6 +106,17 @@ type execRequest struct {
 	Handle    string      `json:"handle"`
 	Args      Row         `json:"args"`
 	Budget    *budgetSpec `json:"budget,omitempty"`
+}
+
+// batchRequest is the batch body as a client writes it: inserts under
+// "updates", deletions under "deletes", either or both. The handler decodes
+// into its wireState's maps, so like execRequest the struct exists for the
+// tests only.
+type batchRequest struct {
+	Namespace string          `json:"namespace,omitempty"`
+	Updates   map[string]Rows `json:"updates"`
+	Deletes   map[string]Rows `json:"deletes,omitempty"`
+	Budget    *budgetSpec     `json:"budget,omitempty"`
 }
 
 // decodeStdlib is the decoder this package used before: encoding/json with
@@ -381,19 +410,63 @@ func TestDecodeRequestCases(t *testing.T) {
 }
 
 // TestDecodedRowsAreIndependent: the rows of a decoded Rows value share one
-// backing array, and appending to one row must not write into the next.
+// backing array — a handler's the wire state's row arena, Rows.UnmarshalJSON's
+// one of its own — and appending to one row must not write into the next,
+// nor appending to one Rows value into the next value's rows.
 func TestDecodedRowsAreIndependent(t *testing.T) {
-	got, err := decodeWire(epBatch, []byte(`{"updates":{"r":[["a","b"],["c","d"],[],["e"]]}}`))
-	if err != nil {
+	const body = `{"updates":{"r":[["a","b"],["c","d"],[],["e"]]},"deletes":{"s":[["f"]]}}`
+	want := Rows{{"a", "b", "appended"}, {"c", "d", "appended"}, {"appended"}, {"e", "appended"}}
+	appendEach := func(rows Rows) Rows {
+		for i := range rows {
+			rows[i] = append(rows[i], "appended")
+		}
+		return rows
+	}
+
+	st := acquireWire()
+	defer st.release()
+	var updates, deletes map[string][]storage.Tuple
+	r := &http.Request{Body: io.NopCloser(bytes.NewReader([]byte(body))), ContentLength: int64(len(body))}
+	if err := st.decode(r, members{updates: &updates, deletes: &deletes}); err != nil {
 		t.Fatal(err)
 	}
-	rows := got.Updates["r"]
-	for i := range rows {
-		rows[i] = append(rows[i], "appended")
-	}
-	want := Rows{{"a", "b", "appended"}, {"c", "d", "appended"}, {"appended"}, {"e", "appended"}}
-	if !reflect.DeepEqual(rows, want) {
+	if rows := appendEach(updates["r"]); !reflect.DeepEqual(rows, want) {
 		t.Fatalf("rows after appending to each = %q, want %q", rows, want)
+	}
+	_ = append(updates["r"], storage.Tuple{"x"})
+	if got := deletes["s"]; !reflect.DeepEqual(got, []storage.Tuple{{"f"}}) {
+		t.Fatalf("deletes after appending to the updates = %q, want [[f]]", got)
+	}
+
+	var rows Rows
+	if err := json.Unmarshal([]byte(`[["a","b"],["c","d"],[],["e"]]`), &rows); err != nil {
+		t.Fatal(err)
+	}
+	if rows = appendEach(rows); !reflect.DeepEqual(rows, want) {
+		t.Fatalf("unmarshalled rows after appending to each = %q, want %q", rows, want)
+	}
+}
+
+// TestEmptyRowsDecodeAsCopied: a handler's rows, which live in its wire
+// state's arena, decode exactly as Rows.UnmarshalJSON's copies do — an
+// empty row as [], not nil — also into an arena that holds nothing yet.
+func TestEmptyRowsDecodeAsCopied(t *testing.T) {
+	st := new(wireState)
+	defer st.release()
+	for i, rows := range []string{`[[],null]`, `[["a"],[],null]`} {
+		var want Rows
+		if err := json.Unmarshal([]byte(rows), &want); err != nil {
+			t.Fatal(err)
+		}
+		body := `{"updates":{"r":` + rows + `}}`
+		var updates map[string][]storage.Tuple
+		r := &http.Request{Body: io.NopCloser(bytes.NewReader([]byte(body))), ContentLength: int64(len(body))}
+		if err := st.decode(r, members{updates: &updates}); err != nil {
+			t.Fatal(err)
+		}
+		if got := Rows(updates["r"]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode %d: rows = %#v, want %#v", i, got, want)
+		}
 	}
 }
 
@@ -460,7 +533,7 @@ func TestDecodeRowsShareChunks(t *testing.T) {
 	st := acquireWire()
 	defer st.release()
 	decodeBody := func(body []byte) Rows {
-		var updates map[string]Rows
+		var updates map[string][]storage.Tuple
 		r := &http.Request{Body: io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body))}
 		if err := st.decode(r, members{updates: &updates}); err != nil {
 			t.Fatal(err)
@@ -621,9 +694,9 @@ func TestReadBufferFollowsBytesReceived(t *testing.T) {
 	if err != nil || len(big) <= 2*maxPooledBytes {
 		t.Fatalf("batch body: %d bytes, %v", len(big), err)
 	}
-	var updates map[string]Rows
+	var updates map[string][]storage.Tuple
 	r = &http.Request{Body: io.NopCloser(bytes.NewReader(big)), ContentLength: int64(len(big))}
-	if err := st.decode(r, members{updates: &updates}); err != nil || !reflect.DeepEqual(updates["r"], rows) {
+	if err := st.decode(r, members{updates: &updates}); err != nil || !reflect.DeepEqual(Rows(updates["r"]), rows) {
 		t.Fatalf("decode of a %d-byte body: %d rows, %v", len(big), len(updates["r"]), err)
 	}
 }

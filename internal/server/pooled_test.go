@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 
@@ -201,5 +202,100 @@ func TestPooledReplyStress(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestBatchRowsOutliveWireState: a batch's decoded rows live in the pooled
+// wire state only until its handler returns, and nothing the engine keeps
+// may live there: after one batch, many later batches of other values are
+// decoded into the reused state, and the rows the first batch stored — held
+// here as the served extents' own tuples — and the answers derived from
+// them read unchanged. A last batch deletes the first batch's base rows,
+// which it finds only if the maintainer's copies read as they were sent.
+func TestBatchRowsOutliveWireState(t *testing.T) {
+	ns := testNamespace(t, DefaultNamespace, 40, Config{LiveUpdates: true})
+	reg := NewRegistry()
+	if err := reg.Add(ns); err != nil {
+		t.Fatal(err)
+	}
+	c := newMemClient(New(reg).Handler())
+	batch := func(updates, deletes map[string][][]string) {
+		t.Helper()
+		body, _ := json.Marshal(map[string]any{"updates": updates, "deletes": deletes})
+		c.post("/v1/batch", body)
+		if c.w.status != http.StatusOK {
+			t.Fatalf("batch: status %d: %s", c.w.status, c.w.buf.Bytes())
+		}
+	}
+	query := func(key string) string {
+		body, _ := json.Marshal(map[string]string{"query": fmt.Sprintf("q(Y) :- r(%s,Z), s(Z,Y).", key)})
+		c.post("/v1/query", body)
+		if c.w.status != http.StatusOK {
+			t.Fatalf("query: status %d: %s", c.w.status, c.w.buf.Bytes())
+		}
+		return c.w.buf.String()
+	}
+
+	first := map[string][][]string{"s": {{"mfirst", "xfirst"}}}
+	for i := 0; i < 10; i++ {
+		first["r"] = append(first["r"], []string{fmt.Sprint("first", i), "mfirst"}, []string{fmt.Sprint("first", i), fmt.Sprint("m", i)})
+	}
+	batch(first, map[string][][]string{"r": {{"k0", "m0"}}})
+	// vr and vs copy r and s: the served extents hold the batch's rows.
+	held := make(map[string][]storage.Tuple)
+	for pred, rows := range first {
+		for _, row := range rows {
+			st, ok := ns.Engine.Database().Relation("v" + pred).Stored(row)
+			if !ok {
+				t.Fatalf("v%s%q was not stored", pred, row)
+			}
+			held[pred] = append(held[pred], st)
+		}
+	}
+	answers := make([]string, 10)
+	for i := range answers {
+		answers[i] = query(fmt.Sprint("first", i))
+	}
+
+	var prev map[string][][]string
+	for b := 0; b < 200; b++ {
+		next := make(map[string][][]string)
+		for i := 0; i < 12; i++ {
+			z := fmt.Sprintf("mother%d_%d", b, i)
+			next["r"] = append(next["r"], []string{fmt.Sprintf("other%d_%d", b, i), z})
+			next["s"] = append(next["s"], []string{z, fmt.Sprintf("xother%d_%d", b, i)})
+		}
+		batch(next, prev)
+		prev = next
+	}
+
+	for pred, rows := range first {
+		for i, row := range rows {
+			if got := held[pred][i]; !slices.Equal(got, row) {
+				t.Fatalf("stored %s row %d reads %q after later batches, want %q", pred, i, got, row)
+			}
+			if !ns.Engine.Database().Relation("v" + pred).Contains(row) {
+				t.Fatalf("v%s%q is no longer served", pred, row)
+			}
+		}
+	}
+	for i, want := range answers {
+		if got := query(fmt.Sprint("first", i)); got != want {
+			t.Fatalf("answers for first%d = %s after later batches, want %s", i, got, want)
+		}
+	}
+
+	batch(nil, first)
+	for pred, rows := range first {
+		for _, row := range rows {
+			if ns.Engine.Database().Relation("v" + pred).Contains(row) {
+				t.Fatalf("v%s%q is still served after its base row was deleted", pred, row)
+			}
+		}
+	}
+	for i := range answers {
+		if got, want := query(fmt.Sprint("first", i)), `{"answers":[],"count":0}`+"\n"; got != want {
+			t.Fatalf("answers for first%d = %s after deleting its rows, want %s", i, got, want)
+		}
 	}
 }

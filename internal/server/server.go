@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/engine"
-	"repro/internal/storage"
 )
 
 // maxBodyBytes bounds request bodies (batches included); a longer body is
@@ -277,16 +276,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // ---- /v1/batch ----
 
-// batchRequest is one mutation batch: inserts under "updates", deletions
-// under "deletes", either or both. The engine applies them as a single
-// atomic unit — deletions first, then insertions.
-type batchRequest struct {
-	Namespace string          `json:"namespace,omitempty"`
-	Updates   map[string]Rows `json:"updates"`
-	Deletes   map[string]Rows `json:"deletes,omitempty"`
-	Budget    *budgetSpec     `json:"budget,omitempty"`
-}
-
 type batchResponse struct {
 	Applied    bool `json:"applied"`
 	Predicates int  `json:"predicates"`
@@ -297,40 +286,43 @@ type batchResponse struct {
 	Deleted int `json:"deleted,omitempty"`
 }
 
+// handleBatch takes {"namespace", "updates", "deletes", "budget"}: inserts
+// under "updates", deletions under "deletes", either or both, which the
+// engine applies as a single atomic unit — deletions first, then
+// insertions. The maps and their rows live in the pooled wireState: the
+// engine keeps none of them past the call.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	st := acquireWire()
 	defer st.release()
-	var req batchRequest
-	if err := st.decode(r, members{namespace: &req.Namespace, updates: &req.Updates, deletes: &req.Deletes, budget: &req.Budget}); err != nil {
+	var (
+		namespace string
+		budget    *budgetSpec
+	)
+	if err := st.decode(r, members{namespace: &namespace, updates: &st.updates, deletes: &st.deletes, budget: &budget}); err != nil {
 		writeRequestError(w, err)
 		return
 	}
-	ns, ok := s.resolve(w, r, req.Namespace)
+	ns, ok := s.resolve(w, r, namespace)
 	if !ok {
 		return
 	}
-	if len(req.Updates) == 0 && len(req.Deletes) == 0 {
+	updates, deletes := st.updates, st.deletes
+	if len(updates) == 0 && len(deletes) == 0 {
 		writeErrorCode(w, http.StatusBadRequest, CodeBadRequest, "batch has no updates or deletes")
 		return
 	}
 	// The ack counts each predicate the batch names once, on either side.
-	preds := len(req.Updates)
-	updates := make(map[string][]storage.Tuple, len(req.Updates))
-	tuples := 0
-	for pred, rows := range req.Updates {
-		updates[pred] = rows
+	preds, tuples, deleted := len(updates), 0, 0
+	for _, rows := range updates {
 		tuples += len(rows)
 	}
-	deletes := make(map[string][]storage.Tuple, len(req.Deletes))
-	deleted := 0
-	for pred, rows := range req.Deletes {
-		deletes[pred] = rows
+	for pred, rows := range deletes {
 		deleted += len(rows)
-		if _, ok := req.Updates[pred]; !ok {
+		if _, ok := updates[pred]; !ok {
 			preds++
 		}
 	}
-	if err := ns.Engine.ApplyUpdateBudget(r.Context(), updates, deletes, req.Budget.merge(ns.Budget)); err != nil {
+	if err := ns.Engine.ApplyUpdateBudget(r.Context(), updates, deletes, budget.merge(ns.Budget)); err != nil {
 		writeEngineError(w, err, http.StatusBadRequest, CodeBadRequest)
 		return
 	}

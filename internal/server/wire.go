@@ -21,12 +21,15 @@ package server
 // and every byte string round-trips unchanged. Rows are arrays of columns,
 // answer sets arrays of rows.
 //
-// Ownership: a wireState (request body, reply buffer, decode scratch) is
-// pooled and must not be referenced once the handler returns. A decoded
-// exec request's handle and argument slice alias it; every decoded string
-// and every Row/Rows handed to the engine is freshly allocated: a Row's
-// columns share one string, a Rows value's columns one string per
-// storage.ChunkRows rows, and its rows are windows onto one backing array.
+// Ownership: a wireState (request body, reply buffer, decode scratch, row
+// arena) is pooled and must not be referenced once the handler returns. A
+// decoded exec request's handle and argument slice alias it, and so do the
+// columns and row headers of a decoded batch's Rows values, which live in
+// its row arena until release; only their strings are freshly allocated,
+// one per storage.ChunkRows rows. Nothing keeps a batch's rows past the
+// call: the engine copies the values it inserts and resolves deletions to
+// its own stored rows. Row and Rows decoded by UnmarshalJSON have no state
+// to outlive and are fresh throughout.
 // The answers of an exec or a query come the other way in the engine's
 // pooled row set (datalog.RowSet), which the handler encodes in place and
 // releases once the reply has been written.
@@ -217,6 +220,41 @@ type wireState struct {
 	body   []byte     // request body as read
 	out    []byte     // reply under construction
 	budget budgetSpec // storage behind a decoded request's Budget pointer
+	rows   rowArena   // the decoded batch's columns and row headers
+	// updates and deletes are a decoded batch's maps, emptied at release.
+	updates, deletes map[string][]storage.Tuple
+}
+
+// rowArena holds the columns and row headers of every Rows value decoded
+// for one request (wireState.decode), valid until the state's release
+// clears it for the next request.
+type rowArena struct {
+	cols []string
+	rows []storage.Tuple
+}
+
+// keep appends rows of the given widths, whose columns lie end to end in
+// vals, to the arena and returns them: each row a capacity-limited window
+// onto the column arena and the Rows value one onto the row arena, so
+// appending to a row, or to the value, never writes into the next. An
+// arena that grows leaves the rows it returned before on the array they
+// were made on, which nothing writes again.
+func (a *rowArena) keep(vals []string, widths []int) Rows {
+	if len(widths) == 0 {
+		return Rows{}
+	}
+	at := len(a.cols)
+	a.cols = append(a.cols, vals...)
+	cols := a.cols[at:]
+	if cols == nil {
+		cols = []string{} // an empty row decodes as [], never as nil
+	}
+	at = len(a.rows)
+	for _, w := range widths {
+		a.rows = append(a.rows, cols[:w:w])
+		cols = cols[w:]
+	}
+	return a.rows[at:len(a.rows):len(a.rows)]
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireState) }}
@@ -224,7 +262,8 @@ var wirePool = sync.Pool{New: func() any { return new(wireState) }}
 func acquireWire() *wireState { return wirePool.Get().(*wireState) }
 
 // release returns the state to the pool holding no reference to request
-// data.
+// data: the decode scratch, the row arena and the batch maps are cleared,
+// and each is dropped instead when it grew past its bound.
 func (st *wireState) release() {
 	s := &st.scan
 	s.data, s.soft = nil, nil
@@ -251,7 +290,32 @@ func (st *wireState) release() {
 	if cap(s.widths) > maxPooledSlots {
 		s.widths = nil
 	}
+	a := &st.rows
+	clear(a.cols)
+	clear(a.rows)
+	a.cols, a.rows = a.cols[:0], a.rows[:0]
+	if cap(a.cols) > maxPooledSlots {
+		a.cols = nil
+	}
+	if cap(a.rows) > maxPooledSlots {
+		a.rows = nil
+	}
+	st.updates, st.deletes = emptied(st.updates), emptied(st.deletes)
 	wirePool.Put(st)
+}
+
+// maxPooledPreds is the number of predicates above which a batch map is
+// dropped on release instead of kept for the next request.
+const maxPooledPreds = 64
+
+// emptied returns m cleared for reuse, or nil when it grew past
+// maxPooledPreds.
+func emptied(m map[string][]storage.Tuple) map[string][]storage.Tuple {
+	if len(m) > maxPooledPreds {
+		return nil
+	}
+	clear(m)
+	return m
 }
 
 // read loads the request body into st.body. A body longer than
@@ -323,11 +387,12 @@ type scanner struct {
 	// past it; finish reports it if nothing worse turned up.
 	soft error
 
-	tmp    []byte   // unescape scratch
-	row    []byte   // the values of the row, or chunk of rows, being decoded, end to end
-	ends   []int    // where each of those values ends in row
-	cols   []string // columns decoded: of one row, or of every row of a Rows
-	widths []int    // columns per row of the Rows being decoded
+	keep   *rowArena // where decoded rows live, nil to allocate them
+	tmp    []byte    // unescape scratch
+	row    []byte    // the values of the row, or chunk of rows, being decoded, end to end
+	ends   []int     // where each of those values ends in row
+	cols   []string  // columns decoded: of one row, or of every row of a Rows
+	widths []int     // columns per row of the Rows being decoded
 }
 
 func (s *scanner) reset(data []byte) {
@@ -767,7 +832,9 @@ func (s *scanner) appendB64(dst []byte) ([]byte, error) {
 // scanned into the row scratch, and each run of up to storage.ChunkRows rows
 // becomes one string that their columns are sliced out of, so a stored row
 // pins at most its chunk of the request. The columns are gathered in the
-// column scratch and copied into one backing array of exactly their number,
+// column scratch. Decoding for a handler (keep set) they go to the
+// request's row arena, and the string is the one allocation per chunk.
+// Otherwise they are copied into one backing array of exactly their number,
 // onto which each row is a capacity-limited window, so appending to one row
 // never writes into the next: a Rows value of up to storage.ChunkRows rows
 // costs three allocations, whatever its size.
@@ -804,6 +871,9 @@ func (s *scanner) rows() (Rows, error) {
 	}
 	vals = cutColumns(vals, string(row), ends)
 	s.cols, s.widths, s.row, s.ends = vals, widths, row, ends
+	if s.keep != nil {
+		return s.keep.keep(vals, widths), nil
+	}
 	backing := make([]string, len(vals))
 	copy(backing, vals)
 	out := make(Rows, len(widths))
@@ -942,7 +1012,7 @@ func (s *scanner) budgetMember(dst **budgetSpec, store *budgetSpec) error {
 
 // rowsMapMember decodes a predicate -> rows object. As with encoding/json,
 // a repeated member adds to the first and null clears it.
-func (s *scanner) rowsMapMember(name string, dst *map[string]Rows) error {
+func (s *scanner) rowsMapMember(name string, dst *map[string][]storage.Tuple) error {
 	switch s.next() {
 	case '{':
 	case 'n':
@@ -956,7 +1026,7 @@ func (s *scanner) rowsMapMember(name string, dst *map[string]Rows) error {
 		return err
 	}
 	if *dst == nil {
-		*dst = make(map[string]Rows)
+		*dst = make(map[string][]storage.Tuple)
 	}
 	for first := true; ; {
 		key, ok, err := s.nextKey(&first)
@@ -977,7 +1047,7 @@ type members struct {
 	handle           *[]byte // aliases the wireState
 	args             *Row    // aliases the wireState
 	budget           **budgetSpec
-	updates, deletes *map[string]Rows
+	updates, deletes *map[string][]storage.Tuple
 }
 
 // decode reads the request body and decodes it.
@@ -986,6 +1056,7 @@ func (st *wireState) decode(r *http.Request, m members) error {
 		return err
 	}
 	s := &st.scan
+	s.keep = &st.rows
 	more, err := s.open()
 	for first := true; more && err == nil; {
 		var key []byte

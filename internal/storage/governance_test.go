@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -109,5 +110,91 @@ func TestTruncateToReleasesTail(t *testing.T) {
 		if tu != nil {
 			t.Fatalf("position %d still references truncated tuple %q", 4+i, tu)
 		}
+	}
+}
+
+// TestTruncateToZero: TruncateTo(0), which clears the tables instead of
+// unlinking tuple by tuple, leaves a relation equal to a fresh one with the
+// same columns built — no tuple, no head, no link, every Distinct 0 — and
+// refilled, it probes like a fresh relation holding the same tuples. A
+// truncate-and-refill cycle to the earlier size allocates nothing.
+func TestTruncateToZero(t *testing.T) {
+	fill := func(r *Relation, tag string, n int) []Tuple {
+		ts := make([]Tuple, n)
+		for i := range ts {
+			ts[i] = Tuple{fmt.Sprintf("%s%d", tag, i%7), fmt.Sprintf("%s%d", tag, i), "c"}
+			r.Adopt(ts[i])
+		}
+		return ts
+	}
+	r := NewRelation("r", 3)
+	old := fill(r, "a", 50)
+	r.BuildColumnIndex(0)
+	r.BuildColumnIndex(2) // column 1 stays unbuilt
+	r.TruncateTo(0)
+
+	checkConsistent(t, r)
+	if r.Len() != 0 || len(r.Tuples()) != 0 {
+		t.Fatalf("truncated relation holds %d tuples", r.Len())
+	}
+	for i, x := range r.indexes {
+		if built := x != nil; built != (i != 1) {
+			t.Fatalf("column %d built = %v after TruncateTo(0), want %v", i, built, i != 1)
+		}
+		if x != nil && (x.heads.Len() != 0 || len(x.next) != 0) {
+			t.Fatalf("column %d keeps %d heads and %d links", i, x.heads.Len(), len(x.next))
+		}
+	}
+	for col := range 3 {
+		if d := r.Distinct(col); d != 0 {
+			t.Fatalf("Distinct(%d) = %d after TruncateTo(0)", col, d)
+		}
+	}
+	for _, tu := range old {
+		if r.Contains(tu) {
+			t.Fatalf("truncated relation still contains %q", tu)
+		}
+	}
+	for i, tu := range r.tuples[:cap(r.tuples)] {
+		if tu != nil {
+			t.Fatalf("slot %d still references %q", i, tu)
+		}
+	}
+
+	fresh := NewRelation("r", 3)
+	fresh.BuildColumnIndex(0)
+	fresh.BuildColumnIndex(2)
+	for _, tu := range fill(r, "b", 40) {
+		fresh.Adopt(tu)
+	}
+	checkConsistent(t, r)
+	if got, want := (&Database{rels: map[string]*Relation{"r": r}}), (&Database{rels: map[string]*Relation{"r": fresh}}); !got.Equal(want) {
+		t.Fatal("refilled relation differs from a fresh one with the same tuples")
+	}
+	for _, col := range []int{0, 2} {
+		for _, v := range []string{"b0", "b3", "b39", "c", "a0", "absent"} {
+			got, _ := probe(r, col, v)
+			want, _ := probe(fresh, col, v)
+			if !slices.Equal(got, want) {
+				t.Fatalf("column %d probe %q = %v, fresh relation %v", col, v, got, want)
+			}
+		}
+		if r.Distinct(col) != fresh.Distinct(col) {
+			t.Fatalf("Distinct(%d) = %d, fresh relation %d", col, r.Distinct(col), fresh.Distinct(col))
+		}
+	}
+
+	if raceEnabled {
+		return
+	}
+	again := r.Tuples()[:0:0]
+	again = append(again, r.Tuples()...)
+	if n := testing.AllocsPerRun(20, func() {
+		r.TruncateTo(0)
+		for _, tu := range again {
+			r.Adopt(tu)
+		}
+	}); n != 0 {
+		t.Fatalf("truncate and refill to the earlier size: %v allocations, want 0", n)
 	}
 }

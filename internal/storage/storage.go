@@ -164,12 +164,14 @@ func (r *Relation) Insert(t Tuple) bool { return r.add(t, true) }
 
 // Adopt is Insert without the clone: the relation stores t itself, so the
 // caller hands over a tuple nothing will write again — a tuple another
-// relation stores (a serving side adopts the maintained side's rows, a
-// rollback the tuple it removed), a decoded snapshot row, or a window onto
-// a backing array that outlives every write to it (every merge of derived
-// rows, in a fixpoint run and in maintenance alike, copies a round's
-// buffer into one such array and adopts windows onto it, and a batch's
-// inserts are copied the same way, one array per ChunkRows rows).
+// relation stores or stored (a serving side adopts the maintained side's
+// rows, an over-deleted set the database's rows, a re-derivation and a
+// rollback the rows the batch removed, an undone batch the rows it
+// replays), a decoded snapshot row, or a window onto a backing array that
+// outlives every write to it (a merge of newly derived rows, in a fixpoint
+// run and in maintenance alike, copies a round's buffer into one such array
+// and adopts windows onto it, and a batch's inserts are copied the same
+// way, one array per ChunkRows rows).
 func (r *Relation) Adopt(t Tuple) bool { return r.add(t, false) }
 
 // Grow makes room for n more tuples: the tuple slice, each built column
@@ -263,13 +265,28 @@ func (r *Relation) take(t Tuple) (Tuple, bool) {
 // The removed tuples' slots in the set index are emptied, each built
 // column index unlinks the removed positions from their chains, and the
 // vacated tail of the tuple slice is cleared so it keeps none of the
-// removed tuples alive. It carries the same single-writer requirement as
-// Insert.
+// removed tuples alive. TruncateTo(0) empties the relation without
+// visiting a tuple: the set index and each built column index's heads are
+// cleared and its links cut to none, keeping every table's room, so a
+// relation reused as a per-batch set allocates nothing when refilled to its
+// earlier size. It carries the same single-writer requirement as Insert.
 func (r *Relation) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
 	}
 	if n >= len(r.tuples) {
+		return
+	}
+	if n == 0 {
+		for _, x := range r.indexes {
+			if x != nil {
+				x.heads.Clear()
+				x.next = x.next[:0]
+			}
+		}
+		r.set.Clear()
+		clear(r.tuples)
+		r.tuples = r.tuples[:0]
 		return
 	}
 	for _, x := range r.indexes {
