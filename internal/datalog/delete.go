@@ -181,7 +181,7 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 // not its rounds. What it keeps is bounded by the program — one task per
 // delta variant, one map key per derived predicate — the dedup set by the
 // pooling bounds of RowSet.reset, and the over-deleted sets by
-// maxKeptDeadRows and maxKeptDeadSets.
+// maxKeptDeadRows.
 type maintScratch struct {
 	tasks []variantTask
 	bufs  []*runScratch
@@ -210,12 +210,10 @@ var maintPool = sync.Pool{New: func() any {
 	return ms
 }}
 
-// Beyond these an over-deleted set (rows of room) or the map of them
-// (predicates) is dropped at release instead of kept for the next batch.
-const (
-	maxKeptDeadRows = 4096
-	maxKeptDeadSets = 256
-)
+// maxKeptDeadRows bounds the rows of room the over-deleted sets of one
+// scratch keep between batches, all sets together: release drops each set
+// that would take the total past it.
+const maxKeptDeadRows = 4096
 
 // release empties the scratch — no task, buffer, tuple or relation of the
 // batch stays reachable from it — and returns it to the pool. Each kept
@@ -227,13 +225,12 @@ func (ms *maintScratch) release() {
 	ms.bufs = ms.bufs[:0]
 	clear(ms.cur)
 	ms.seen.reset()
-	if len(ms.od) > maxKeptDeadSets {
-		ms.od = make(map[string]*storage.Relation)
-	}
+	kept := 0
 	for pred, dead := range ms.od {
-		if cap(dead.Tuples()) > maxKeptDeadRows {
+		if n := cap(dead.Tuples()); kept+n > maxKeptDeadRows {
 			delete(ms.od, pred)
 		} else {
+			kept += n
 			dead.TruncateTo(0)
 		}
 	}

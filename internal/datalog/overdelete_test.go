@@ -175,3 +175,29 @@ func TestMaintPoolAcrossArities(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseBoundsKeptDeadRoom: the over-deleted sets a maintenance
+// scratch keeps for the next batch hold at most maxKeptDeadRows rows of
+// room all together, however many predicates one batch over-deleted, and
+// every set kept is empty.
+func TestReleaseBoundsKeptDeadRoom(t *testing.T) {
+	ms := maintPool.Get().(*maintScratch)
+	for p := 0; p < 8; p++ {
+		dead := storage.NewRelation(fmt.Sprint("v", p), 1)
+		for i := 0; i < maxKeptDeadRows/3; i++ {
+			dead.Adopt(storage.Tuple{fmt.Sprint(i)})
+		}
+		ms.od[dead.Name()] = dead
+	}
+	ms.release()
+	kept := 0
+	for pred, dead := range ms.od {
+		if dead.Len() != 0 {
+			t.Fatalf("kept set %s holds %d rows", pred, dead.Len())
+		}
+		kept += cap(dead.Tuples())
+	}
+	if kept > maxKeptDeadRows || len(ms.od) == 0 {
+		t.Fatalf("release kept %d sets with %d rows of room, want at least one and at most %d rows", len(ms.od), kept, maxKeptDeadRows)
+	}
+}

@@ -270,23 +270,14 @@ const wantBatchAck = `{"applied":true,"predicates":2,"tuples":32,"deleted":32}` 
 // TestHandleBatchAllocs is the allocation regression guard of the write
 // path: one 32-insert / 32-delete live batch through Handler().ServeHTTP —
 // wire decode, maintenance, WAL append and the replay onto the second
-// serving side — request construction included. It counted 461 while
-// stored tuples were copied (the decoder allocated a string per value and a
-// slice per row, and each stored row was cloned into the base, out of the
-// maintenance round and onto the second side), 250 once they were shared,
-// 207 once the maintenance rounds derived into pooled buffers and merged
-// each into a relation grown for it, 87 once a rows array decoded into one
-// string per chunk, the inserts were copied into one backing per chunk and
-// the delete and journal lists were sized from the batch, and 80 objects
-// and about 33 KiB before the batch's bookkeeping was kept across batches
-// (each database's own journal, the store's WAL frame and the pooled
-// maintenance scratch), 47 objects and about 20 KiB after. It is 27
-// objects and about 9 KiB since a batch allocates only what it stores:
-// over-deleted sets adopt the database's rows in pooled relations, and the
-// decoded rows and batch maps live in the request's wire state. The
-// budgets are the measured figures; one more
-// allocation per batch is the size of a whole derived row's copy, and the
-// byte budget has room for a collection emptying the pools once.
+// serving side — request construction included. A batch allocates what it
+// stores and what it reports: the inserted rows (one backing per chunk),
+// the rows maintenance derives, the result lists the maintainer hands the
+// serving side, and the request itself. Its decoded rows, journal, WAL
+// frame, maintenance scratch and over-deleted sets are kept across
+// batches. The budgets are the measured figures; one more allocation per
+// batch is the size of a whole derived row's copy, and the byte budget has
+// room for a collection emptying the pools once.
 func TestHandleBatchAllocs(t *testing.T) {
 	c, bodies := churnBed(t)
 	next := 0

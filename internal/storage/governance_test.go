@@ -113,11 +113,10 @@ func TestTruncateToReleasesTail(t *testing.T) {
 	}
 }
 
-// TestTruncateToZero: TruncateTo(0), which clears the tables instead of
-// unlinking tuple by tuple, leaves a relation equal to a fresh one with the
-// same columns built — no tuple, no head, no link, every Distinct 0 — and
-// refilled, it probes like a fresh relation holding the same tuples. A
-// truncate-and-refill cycle to the earlier size allocates nothing.
+// TestTruncateToZero: TruncateTo(0) leaves a relation equal to a fresh one
+// with the same columns built — no tuple, no head, no link, every Distinct
+// 0 — and refilled, it probes like a fresh relation holding the same
+// tuples. A truncate-and-refill cycle to the earlier size allocates nothing.
 func TestTruncateToZero(t *testing.T) {
 	fill := func(r *Relation, tag string, n int) []Tuple {
 		ts := make([]Tuple, n)

@@ -265,28 +265,14 @@ func (r *Relation) take(t Tuple) (Tuple, bool) {
 // The removed tuples' slots in the set index are emptied, each built
 // column index unlinks the removed positions from their chains, and the
 // vacated tail of the tuple slice is cleared so it keeps none of the
-// removed tuples alive. TruncateTo(0) empties the relation without
-// visiting a tuple: the set index and each built column index's heads are
-// cleared and its links cut to none, keeping every table's room, so a
-// relation reused as a per-batch set allocates nothing when refilled to its
-// earlier size. It carries the same single-writer requirement as Insert.
+// removed tuples alive. Every table keeps its room, so a relation
+// truncated and refilled to its earlier size allocates nothing. It carries
+// the same single-writer requirement as Insert.
 func (r *Relation) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
 	}
 	if n >= len(r.tuples) {
-		return
-	}
-	if n == 0 {
-		for _, x := range r.indexes {
-			if x != nil {
-				x.heads.Clear()
-				x.next = x.next[:0]
-			}
-		}
-		r.set.Clear()
-		clear(r.tuples)
-		r.tuples = r.tuples[:0]
 		return
 	}
 	for _, x := range r.indexes {
