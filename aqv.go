@@ -284,9 +284,9 @@ type (
 	// fields: maintenance runs on the calling goroutine.
 	MaintainerOptions = ivm.Options
 	// MaintainerBatch reports one applied update batch: the base tuples
-	// actually inserted and deleted, and the extent tuples derived
-	// (Derived) and retracted (Retracted) per view. It is the datalog
-	// layer's update result itself, not a copy.
+	// actually inserted and deleted, and the number of extent tuples
+	// retracted for good. It is the datalog layer's update result itself,
+	// not a copy.
 	MaintainerBatch = ivm.BatchResult
 )
 

@@ -37,18 +37,24 @@ import (
 // as it was.
 
 // UpdateResult reports one applied mixed batch: what actually changed in
-// the base relations and in the derived extents. Replaying the result into
-// a mirror must apply retractions before derivations (an insert in the same
-// batch may legitimately re-derive a tuple the delete phase retracted).
+// the base relations, and the batch's journal, which records every change
+// to the database, derived extents included.
 type UpdateResult struct {
 	// BaseInserted / BaseDeleted are the base tuples that were actually
 	// fresh / actually present, per predicate.
 	BaseInserted map[string][]storage.Tuple
 	BaseDeleted  map[string][]storage.Tuple
-	// Derived / Retracted are the net derived-extent changes.
-	Derived   map[string][]storage.Tuple
-	Retracted map[string][]storage.Tuple
-	Stats     FixpointStats
+	// Journal is the database's journal, holding the batch: its removals
+	// (base deletions and over-deleted rows) and, past its insert marks,
+	// every row it stored (fresh base rows, DRed survivors, new
+	// derivations). Journal.Replay mirrors the batch onto another database
+	// and Journal.Rollback undoes it. It is the batch's record until the
+	// database's next batch resets it.
+	Journal *storage.Journal
+	// NetRetracted counts the derived rows the batch over-deleted and did
+	// not re-derive as DRed survivors.
+	NetRetracted int
+	Stats        FixpointStats
 }
 
 // supportVariant is a rule compiled for DRed re-derivation: the rule rooted
@@ -158,7 +164,7 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 		// Nothing to retract: the batch is its insert phase.
 		res = &UpdateResult{}
 		j.MarkInserts()
-		res.BaseInserted, res.Derived, res.Stats, err = cp.applyInserts(db, ms, inserts, gs, lim)
+		res.BaseInserted, res.Stats, err = cp.applyInserts(db, ms, inserts, gs, lim)
 	} else {
 		res, err = cp.applyDRed(db, ms, j, inserts, delEff, gs, lim)
 	}
@@ -167,6 +173,7 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 		return nil, err
 	}
 	res.BaseDeleted = delEff
+	res.Journal = j
 	return res, nil
 }
 
@@ -287,7 +294,7 @@ func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[str
 // survivors with a bounded semi-naive pass, then run the insert phase
 // (applyInserts).
 func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, gs *guardState, lim Limits) (*UpdateResult, error) {
-	res := &UpdateResult{Retracted: make(map[string][]storage.Tuple)}
+	res := &UpdateResult{}
 	if err := cp.overDelete(db, ms, delEff, gs, lim, &res.Stats); err != nil {
 		return nil, err
 	}
@@ -302,19 +309,14 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *
 	if err := cp.rederive(db, ms, od, gs, lim, &res.Stats); err != nil {
 		return nil, err
 	}
-	// The sets go back to the pool; their rows, the database's own until
-	// this batch, are the result's.
-	for pred, dead := range od {
-		if dead.Len() > 0 {
-			res.Retracted[pred] = slices.Clone(dead.Tuples())
-		}
+	for _, dead := range od {
+		res.NetRetracted += dead.Len()
 	}
-	fresh, derived, istats, err := cp.applyInserts(db, ms, inserts, gs, lim)
+	fresh, istats, err := cp.applyInserts(db, ms, inserts, gs, lim)
 	if err != nil {
 		return nil, err
 	}
 	res.BaseInserted = fresh
-	res.Derived = derived
 	res.Stats.Iterations += istats.Iterations
 	res.Stats.Derived += istats.Derived
 	return res, nil

@@ -72,10 +72,12 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 				del = randomDeletes(rng, shadow)
 				ins = randomUpdate(rng)
 			}
+			before := maintained.Clone()
 			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, ins, del, Limits{})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: update: %v\n%s", stream, batch, err, prog)
 			}
+			rec := batchRecord(t, res, before, maintained)
 			// Shadow semantics: deletions first, then insertions.
 			for pred, tuples := range del {
 				for _, tup := range tuples {
@@ -99,16 +101,16 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 					}
 				}
 			}
-			for pred, tuples := range res.Derived {
+			for pred, tuples := range rec.stored {
 				for _, tup := range tuples {
 					if !maintained.Relation(pred).Contains(tup) {
 						t.Fatalf("stream %d batch %d: derived tuple %s%v missing", stream, batch, pred, tup)
 					}
 				}
 			}
-			for pred, tuples := range res.Retracted {
+			for pred, tuples := range rec.removed {
 				for _, tup := range tuples {
-					if maintained.Relation(pred).Contains(tup) && !containsTuple(res.Derived[pred], tup) {
+					if maintained.Relation(pred).Contains(tup) && !containsTuple(rec.stored[pred], tup) {
 						t.Fatalf("stream %d batch %d: retracted tuple %s%v survives", stream, batch, pred, tup)
 					}
 				}
@@ -121,6 +123,57 @@ func TestApplyUpdatesDifferential(t *testing.T) {
 			diffDatabases(t, fmt.Sprintf("stream %d batch %d (mixed update vs full)\n%s", stream, batch, prog), maintained, want)
 		}
 	}
+}
+
+// batchRows is an applied batch read back from its journal (batchRecord).
+type batchRows struct {
+	// stored are the rows past the journal's insert marks, per predicate:
+	// the fresh base rows, the DRed survivors and the new derivations.
+	stored map[string][]storage.Tuple
+	// removed are the rows the journal removed, per predicate: the
+	// pre-batch rows the batch lost, and those it stored again — a row
+	// past the insert marks was absent when it was stored, so a pre-batch
+	// row there was removed first.
+	removed map[string][]storage.Tuple
+	// lost are the removed rows the database no longer holds.
+	lost map[string][]storage.Tuple
+}
+
+// batchRecord reads res's journal back against before, a clone of the
+// database taken before the batch, and after, the database itself. It
+// fails t unless the journal replayed onto another clone of before gives
+// after, relation for relation, and returns the rows the journal recorded.
+func batchRecord(t *testing.T, res *UpdateResult, before, after *storage.Database) batchRows {
+	t.Helper()
+	all := func(string) bool { return true }
+	mirror := before.Clone()
+	if err := res.Journal.Replay(storage.NewJournal(mirror), all); err != nil {
+		t.Fatalf("replaying the batch's journal: %v", err)
+	}
+	diffDatabases(t, "journal replayed onto the pre-batch database", mirror, after)
+	tail := storage.NewDatabase()
+	if err := res.Journal.Replay(storage.NewJournal(tail), all); err != nil {
+		t.Fatalf("replaying the batch's journal: %v", err)
+	}
+	rec := batchRows{stored: map[string][]storage.Tuple{}, removed: map[string][]storage.Tuple{}, lost: map[string][]storage.Tuple{}}
+	for _, pred := range tail.Predicates() {
+		if rows := tail.Relation(pred).Tuples(); len(rows) > 0 {
+			rec.stored[pred] = rows
+		}
+	}
+	for _, pred := range before.Predicates() {
+		now, again := after.Relation(pred), tail.Relation(pred)
+		for _, row := range before.Relation(pred).Tuples() {
+			switch {
+			case now == nil || !now.Contains(row):
+				rec.lost[pred] = append(rec.lost[pred], row)
+				rec.removed[pred] = append(rec.removed[pred], row)
+			case again != nil && again.Contains(row):
+				rec.removed[pred] = append(rec.removed[pred], row)
+			}
+		}
+	}
+	return rec
 }
 
 func containsTuple(ts []storage.Tuple, tup storage.Tuple) bool {
@@ -156,33 +209,35 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// apply runs one batch and reads it back from its journal.
+	apply := func(ins, del map[string][]storage.Tuple) (*UpdateResult, batchRows) {
+		t.Helper()
+		before := db.Clone()
+		res, err := cp.ApplyUpdatesCtx(context.Background(), db, ins, del, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, batchRecord(t, res, before, db)
+	}
+
 	// Cross-rule: v(1) has two supports; losing one must not retract it.
-	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"a": {{"1"}}}, Limits{})
-	if err != nil {
-		t.Fatal(err)
+	res, rec := apply(nil, map[string][]storage.Tuple{"a": {{"1"}}})
+	if len(rec.lost["v"]) != 0 || res.NetRetracted != 0 || !db.Relation("v").Contains(storage.Tuple{"1"}) {
+		t.Fatalf("v(1) retracted with a surviving support: %v (%d net)", rec.lost, res.NetRetracted)
 	}
-	if len(res.Retracted["v"]) != 0 || !db.Relation("v").Contains(storage.Tuple{"1"}) {
-		t.Fatalf("v(1) retracted with a surviving support: %+v", res.Retracted)
-	}
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"b": {{"1"}}}, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Retracted["v"]) != 1 || db.Relation("v").Contains(storage.Tuple{"1"}) {
-		t.Fatalf("v(1) must go when its last support does: %+v", res.Retracted)
+	res, rec = apply(nil, map[string][]storage.Tuple{"b": {{"1"}}})
+	if len(rec.lost["v"]) != 1 || res.NetRetracted != 1 || db.Relation("v").Contains(storage.Tuple{"1"}) {
+		t.Fatalf("v(1) must go when its last support does: %v (%d net)", rec.lost, res.NetRetracted)
 	}
 
 	// Within-rule multiplicity: w(1) has two r-derivations.
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"1", "p"}}}, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Retracted["w"]) != 0 || !db.Relation("w").Contains(storage.Tuple{"1"}) {
+	res, rec = apply(nil, map[string][]storage.Tuple{"r": {{"1", "p"}}})
+	if len(rec.lost["w"]) != 0 || res.NetRetracted != 0 || !db.Relation("w").Contains(storage.Tuple{"1"}) {
 		t.Fatal("w(1) retracted while r(1,q) still derives it")
 	}
 
 	// Same-tuple delete+insert in one batch nets to present.
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db,
+	_, err = cp.ApplyUpdatesCtx(context.Background(), db,
 		map[string][]storage.Tuple{"r": {{"1", "q"}}},
 		map[string][]storage.Tuple{"r": {{"1", "q"}}}, Limits{})
 	if err != nil {
@@ -192,12 +247,9 @@ func TestApplyUpdatesFlatViews(t *testing.T) {
 		t.Fatal("delete+insert of the same tuple must net to present")
 	}
 	// And w(1) kept exactly one derivation: one more delete retracts.
-	res, err = cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"r": {{"1", "q"}}}, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Retracted["w"]) != 1 || db.Relation("w").Contains(storage.Tuple{"1"}) {
-		t.Fatalf("w(1) must go with its last derivation: %+v", res.Retracted)
+	res, rec = apply(nil, map[string][]storage.Tuple{"r": {{"1", "q"}}})
+	if len(rec.lost["w"]) != 1 || res.NetRetracted != 1 || db.Relation("w").Contains(storage.Tuple{"1"}) {
+		t.Fatalf("w(1) must go with its last derivation: %v (%d net)", rec.lost, res.NetRetracted)
 	}
 }
 
@@ -248,6 +300,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before2 := db2.Clone()
 	res, err := cp2.ApplyUpdatesCtx(context.Background(), db2, nil, map[string][]storage.Tuple{"e": {{"a", "b"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +309,7 @@ func TestApplyUpdatesBaselineFacts(t *testing.T) {
 		t.Fatal("tc(a,b) must be retracted with its only edge")
 	}
 	if !db2.Relation("tc").Contains(storage.Tuple{"x", "y"}) {
-		t.Fatalf("given fact tc(x,y) must survive: retracted=%v", res.Retracted)
+		t.Fatalf("given fact tc(x,y) must survive: retracted=%v", batchRecord(t, res, before2, db2).lost)
 	}
 	if _, err := cp2.ApplyUpdatesCtx(context.Background(), db2, nil, map[string][]storage.Tuple{"e": {{"y", "z"}}}, Limits{}); err != nil {
 		t.Fatal(err)
@@ -322,18 +375,26 @@ func TestApplyUpdatesDRedRederive(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.BuildIndexes()
+	before := db.Clone()
 	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{"e": {{"a", "c"}}}, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := batchRecord(t, res, before, db)
 	// tc(a,c) and tc(a,d) survive via b; nothing else is lost.
 	for _, tup := range []storage.Tuple{{"a", "c"}, {"a", "d"}, {"a", "b"}, {"b", "c"}, {"c", "d"}, {"b", "d"}} {
 		if !db.Relation("tc").Contains(tup) {
-			t.Fatalf("tc%v lost despite a surviving derivation; retracted=%v", tup, res.Retracted)
+			t.Fatalf("tc%v lost despite a surviving derivation; retracted=%v", tup, rec.lost)
 		}
 	}
-	if len(res.Retracted["tc"]) != 0 {
-		t.Fatalf("no tc tuple should be retracted, got %v", res.Retracted["tc"])
+	if len(rec.lost["tc"]) != 0 || res.NetRetracted != 0 {
+		t.Fatalf("no tc tuple should be retracted, got %v (%d net)", rec.lost["tc"], res.NetRetracted)
+	}
+	// The journal holds both survivors as over-deleted and stored again.
+	for _, tup := range []storage.Tuple{{"a", "c"}, {"a", "d"}} {
+		if !containsTuple(rec.removed["tc"], tup) || !containsTuple(rec.stored["tc"], tup) {
+			t.Fatalf("survivor tc%v is not journaled as removed and stored again: removed %v, stored %v", tup, rec.removed["tc"], rec.stored["tc"])
+		}
 	}
 	if !db.Relation("tc").Frozen() {
 		t.Fatal("maintained extent lost its indexes across a DRed batch")
@@ -395,6 +456,7 @@ func TestApplyUpdatesErrors(t *testing.T) {
 		t.Fatal("failed batch mutated the database")
 	}
 	// Deleting absent tuples and from absent relations is a clean no-op.
+	before := db.Clone()
 	res, err := cp.ApplyUpdatesCtx(context.Background(), db, nil, map[string][]storage.Tuple{
 		"r":       {{"z", "z"}},
 		"missing": {{"1"}},
@@ -402,8 +464,8 @@ func TestApplyUpdatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.BaseDeleted) != 0 || len(res.Retracted) != 0 {
-		t.Fatalf("no-op delete batch reported changes: %+v", res)
+	if rec := batchRecord(t, res, before, db); len(res.BaseDeleted) != 0 || len(rec.removed) != 0 || len(rec.stored) != 0 || res.NetRetracted != 0 {
+		t.Fatalf("no-op delete batch reported changes: %+v, journaled %+v", res, rec)
 	}
 }
 

@@ -43,15 +43,15 @@ var ErrNotMaintenance = errors.New("datalog: program not compiled for maintenanc
 // applyInserts is the insert phase of a batch: it inserts the (already
 // validated) facts, creating missing relations, and propagates the ones
 // that were new through the delta variants. It returns the per-predicate
-// base tuples that were actually new and the newly derived tuples per
-// predicate, in derivation order. A failure leaves db partially updated;
-// applyUpdates rolls it back through the journal's insert mark.
-func (cp *CompiledProgram) applyInserts(db *storage.Database, ms *maintScratch, inserts map[string][]storage.Tuple, gs *guardState, lim Limits) (fresh, derived map[string][]storage.Tuple, stats FixpointStats, err error) {
+// base tuples that were actually new; the derived ones are the tail of
+// their relations past the journal's insert mark. A failure leaves db
+// partially updated; applyUpdates rolls it back through that mark.
+func (cp *CompiledProgram) applyInserts(db *storage.Database, ms *maintScratch, inserts map[string][]storage.Tuple, gs *guardState, lim Limits) (fresh map[string][]storage.Tuple, stats FixpointStats, err error) {
 	if fresh, err = insertBase(db, inserts); err != nil {
-		return nil, nil, stats, err
+		return nil, stats, err
 	}
-	derived, stats, err = cp.propagate(db, ms, fresh, gs, lim)
-	return fresh, derived, stats, err
+	stats, err = cp.propagate(db, ms, fresh, gs, lim)
+	return fresh, stats, err
 }
 
 // insertBase inserts a batch's base facts, returning the ones that were new
@@ -93,20 +93,19 @@ func insertBase(db *storage.Database, inserts map[string][]storage.Tuple) (map[s
 // propagate runs the semi-naive insert propagation: delta, already inserted
 // into db, seeds the EDB delta variants; every round's new derivations are
 // merged into db and feed the next round.
-func (cp *CompiledProgram) propagate(db *storage.Database, ms *maintScratch, delta map[string][]storage.Tuple, gs *guardState, lim Limits) (map[string][]storage.Tuple, FixpointStats, error) {
+func (cp *CompiledProgram) propagate(db *storage.Database, ms *maintScratch, delta map[string][]storage.Tuple, gs *guardState, lim Limits) (FixpointStats, error) {
 	var stats FixpointStats
-	derived := make(map[string][]storage.Tuple)
 	cur := delta
 	for {
 		ms.tasks = deltaTasks(ms.tasks[:0], cp.rules, cur, true)
 		if len(ms.tasks) == 0 {
-			return derived, stats, gs.failure()
+			return stats, gs.failure()
 		}
 		if err := gs.barrier(); err != nil {
-			return nil, stats, err
+			return stats, err
 		}
 		if err := checkFixpointBudget(stats, lim); err != nil {
-			return nil, stats, err
+			return stats, err
 		}
 		stats.Iterations++
 		var err error
@@ -116,7 +115,7 @@ func (cp *CompiledProgram) propagate(db *storage.Database, ms *maintScratch, del
 			return emitVariant(t.v, t.delta, db, nil, gs, ms.absent)
 		})
 		if err != nil {
-			return nil, stats, err
+			return stats, err
 		}
 		// delta, the batch's fresh base tuples, is the caller's result: the
 		// merges fill the scratch's map instead.
@@ -124,11 +123,10 @@ func (cp *CompiledProgram) propagate(db *storage.Database, ms *maintScratch, del
 			rel, err := db.Ensure(r.headPred, r.arity)
 			return rel, nil, err
 		}); err != nil {
-			return nil, stats, err
+			return stats, err
 		}
 		cur = ms.cur
-		for pred, c := range cur {
-			derived[pred] = append(derived[pred], c...)
+		for _, c := range cur {
 			stats.Derived += len(c)
 		}
 	}

@@ -69,11 +69,12 @@ func TestMaintainDeltaDifferential(t *testing.T) {
 		batches := 1 + rng.Intn(4)
 		for batch := 0; batch < batches; batch++ {
 			upd := randomUpdate(rng)
+			before := maintained.Clone()
 			res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, upd, nil, Limits{})
 			if err != nil {
 				t.Fatalf("stream %d batch %d: maintain: %v\n%s", stream, batch, err, prog)
 			}
-			fresh, derived, stats := res.BaseInserted, res.Derived, res.Stats
+			fresh, stored, stats := res.BaseInserted, batchRecord(t, res, before, maintained).stored, res.Stats
 			for pred, tuples := range upd {
 				for _, tup := range tuples {
 					if err := shadow.Insert(pred, tup); err != nil {
@@ -82,11 +83,13 @@ func TestMaintainDeltaDifferential(t *testing.T) {
 				}
 			}
 			total := 0
-			for _, d := range derived {
-				total += len(d)
+			for pred, d := range stored {
+				if _, idb := cp.idbArity[pred]; idb {
+					total += len(d)
+				}
 			}
 			if total != stats.Derived {
-				t.Fatalf("stream %d batch %d: derived map has %d tuples, stats report %d", stream, batch, total, stats.Derived)
+				t.Fatalf("stream %d batch %d: journal stored %d derived tuples, stats report %d", stream, batch, total, stats.Derived)
 			}
 			for pred, tuples := range fresh {
 				for _, tup := range tuples {
@@ -128,11 +131,12 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	}
 
 	// Batch 1: a new r tuple joining an existing s tuple.
+	before := db.Clone()
 	res, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"r": {{"b", "m"}}}, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if derived := res.Derived; len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"b", "x"}).Key() {
+	if derived := batchRecord(t, res, before, db).stored; len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"b", "x"}).Key() {
 		t.Fatalf("batch 1 derived %v, want v(b,x)", derived)
 	}
 	if res.Stats.Iterations != 1 {
@@ -141,6 +145,7 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 
 	// Batch 2: both halves of a fresh join arrive in one batch, plus a
 	// duplicate base fact that must not derive anything.
+	before = db.Clone()
 	res, err = cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{
 		"r": {{"c", "n"}, {"a", "m"}},
 		"s": {{"n", "y"}},
@@ -148,7 +153,7 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if derived := res.Derived; len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"c", "y"}).Key() {
+	if derived := batchRecord(t, res, before, db).stored; len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"c", "y"}).Key() {
 		t.Fatalf("batch 2 derived %v, want exactly v(c,y)", derived)
 	}
 	if !db.Relation("v").Frozen() {
@@ -177,13 +182,14 @@ func TestMaintainDeltaRecursive(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.BuildIndexes()
+	pre := db.Clone()
 	before := db.Relation("tc").Len()
 
 	res, err := cp.ApplyUpdatesCtx(context.Background(), db, map[string][]storage.Tuple{"e": {{"10", "11"}}}, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived := res.Derived
+	derived := batchRecord(t, res, pre, db).stored
 	// The new edge closes 0..10 → 11: eleven new tc tuples.
 	if len(derived["tc"]) != 11 {
 		t.Fatalf("derived %d tc tuples, want 11: %v", len(derived["tc"]), derived["tc"])
@@ -235,11 +241,12 @@ func TestMaintainDeltaErrors(t *testing.T) {
 		t.Fatal("failed batch mutated the database")
 	}
 	// An empty batch is a no-op.
+	before := mdb.Clone()
 	res, err := cp.ApplyUpdatesCtx(context.Background(), mdb, nil, nil, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.BaseInserted) != 0 || len(res.Derived) != 0 || res.Stats.Iterations != 0 || res.Stats.Derived != 0 {
+	if len(res.BaseInserted) != 0 || len(batchRecord(t, res, before, mdb).stored) != 0 || res.Stats.Iterations != 0 || res.Stats.Derived != 0 {
 		t.Fatalf("empty batch did work: %+v", res)
 	}
 }
@@ -270,10 +277,12 @@ func TestApplyUpdatesReturnsStoredTuples(t *testing.T) {
 	removed := db.Relation("r").Tuples()[1] // r(b,n), stored
 	ins := map[string][]storage.Tuple{"r": {{"c", "m"}, {"c", "n"}, {"a", "m"}}, "s": {{"n", "z"}}}
 	del := map[string][]storage.Tuple{"r": {{"b", "n"}, {"b", "n"}}}
+	before := db.Clone()
 	res, err := cp.ApplyUpdatesCtx(context.Background(), db, ins, del, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	derived := batchRecord(t, res, before, db).stored["v"]
 	isStored := func(what, pred string, tu storage.Tuple) {
 		t.Helper()
 		st, ok := db.Relation(pred).Stored(tu)
@@ -289,10 +298,10 @@ func TestApplyUpdatesReturnsStoredTuples(t *testing.T) {
 	if got := res.BaseDeleted["r"]; len(got) != 1 || unsafe.SliceData(got[0]) != unsafe.SliceData(removed) {
 		t.Fatalf("deleted %q, want the one stored r(b,n)", got)
 	}
-	if len(res.Derived["v"]) != 3 {
-		t.Fatalf("derived %q, want three v tuples", res.Derived["v"])
+	if len(derived) != 3 {
+		t.Fatalf("derived %q, want three v tuples", derived)
 	}
-	for _, tu := range res.Derived["v"] {
+	for _, tu := range derived {
 		isStored("derived", "v", tu)
 	}
 

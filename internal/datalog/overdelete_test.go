@@ -14,13 +14,15 @@ import (
 // sameRow reports whether a and b are one physical row, not merely equal.
 func sameRow(a, b storage.Tuple) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
 
-// TestRetractedRowsAreStoredRows: the rows a DRed batch reports retracted,
-// and the survivors it re-derives, are the very rows the database stored
-// before the batch — over-deletion adopts them rather than copying — and a
-// batch rolled back by its budget leaves the database equal to its
-// pre-batch state, row for row. Batches run back to back through the
-// pooled maintenance scratch, so an over-deleted set kept from the batch
-// before would surface as a retraction that did not happen.
+// TestRetractedRowsAreStoredRows: the rows a DRed batch journals as
+// removed, and the survivors it re-derives, are the very rows the database
+// stored before the batch — over-deletion adopts them rather than copying,
+// so a survivor is stored again as the row it was, while a row the insert
+// phase derives again is a new one — and a batch rolled back by its budget
+// leaves the database equal to its pre-batch state, row for row. Batches
+// run back to back through the pooled maintenance scratch, so an
+// over-deleted set kept from the batch before would surface as a
+// retraction that did not happen.
 func TestRetractedRowsAreStoredRows(t *testing.T) {
 	prog := newProgram(
 		RuleFromQuery(mustQ("tc(X,Y) :- e(X,Y)")),
@@ -48,15 +50,15 @@ func TestRetractedRowsAreStoredRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	ctx := context.Background()
 	// checkSameRows: every row db held before the batch and holds after it
-	// is the same physical row, unless the batch removed it (res) and its
-	// insert phase added it back.
-	checkSameRows := func(label string, before *storage.Database, res *UpdateResult) {
+	// is the same physical row, unless the batch removed it (removed) and
+	// stored it again.
+	checkSameRows := func(label string, before *storage.Database, removed map[string][]storage.Tuple) {
 		t.Helper()
 		for _, pred := range db.Predicates() {
 			old := before.Relation(pred)
 			for _, row := range db.Relation(pred).Tuples() {
 				st, ok := old.Stored(row)
-				if res != nil && (containsTuple(res.Retracted[pred], row) || containsTuple(res.BaseDeleted[pred], row)) {
+				if containsTuple(removed[pred], row) {
 					continue
 				}
 				if ok && !sameRow(st, row) {
@@ -84,7 +86,8 @@ func TestRetractedRowsAreStoredRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range []map[string][]storage.Tuple{res.Retracted, res.BaseDeleted} {
+		rec := batchRecord(t, res, before, db)
+		for _, m := range []map[string][]storage.Tuple{rec.removed, res.BaseDeleted} {
 			for pred, rows := range m {
 				for _, row := range rows {
 					if st, ok := before.Relation(pred).Stored(row); !ok || !sameRow(st, row) {
@@ -93,27 +96,32 @@ func TestRetractedRowsAreStoredRows(t *testing.T) {
 				}
 			}
 		}
+		retracted := 0
 		for _, pred := range []string{"tc", "two"} {
 			lost := 0
 			for _, row := range before.Relation(pred).Tuples() {
 				if !db.Relation(pred).Contains(row) {
 					lost++
-					if !containsTuple(res.Retracted[pred], row) {
-						t.Fatalf("%s: %s%q was lost but not reported retracted", label, pred, row)
+					if !containsTuple(rec.removed[pred], row) {
+						t.Fatalf("%s: %s%q was lost but not journaled as removed", label, pred, row)
 					}
 				}
 			}
+			// A pre-batch row stored again as a new row was retracted, then
+			// derived again by the insert phase; one stored again as the
+			// very row is a DRed survivor.
 			gained := 0
-			for _, row := range res.Retracted[pred] {
-				if db.Relation(pred).Contains(row) {
-					gained++ // retracted, then derived again by the insert phase
+			for _, row := range rec.stored[pred] {
+				if st, ok := before.Relation(pred).Stored(row); ok && !sameRow(st, row) {
+					gained++
 				}
 			}
-			if len(res.Retracted[pred]) != lost+gained {
-				t.Fatalf("%s: %d %s rows reported retracted, %d lost and %d derived again", label, len(res.Retracted[pred]), pred, lost, gained)
-			}
+			retracted += lost + gained
 		}
-		checkSameRows(label, before, res)
+		if res.NetRetracted != retracted {
+			t.Fatalf("%s: %d rows reported retracted, %d lost or derived again", label, res.NetRetracted, retracted)
+		}
+		checkSameRows(label, before, rec.removed)
 
 		for _, tu := range del["e"] {
 			shadow.Remove("e", tu)

@@ -142,15 +142,19 @@ func TestMaintainedRelationsMatchNaive(t *testing.T) {
 				}
 			}
 		}
+		before := maintained.Clone()
 		res, err := cp.ApplyUpdatesCtx(context.Background(), maintained, inserts, deletes, Limits{})
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
 		if batch == 0 {
-			firstDerived = res.Derived
+			firstDerived = map[string][]storage.Tuple{}
 			firstCopy = map[string][]storage.Tuple{}
-			for pred, rows := range res.Derived {
-				firstCopy[pred] = deepCopy(rows)
+			for pred, rows := range batchRecord(t, res, before, maintained).stored {
+				if _, idb := cp.idbArity[pred]; idb {
+					firstDerived[pred] = rows
+					firstCopy[pred] = deepCopy(rows)
+				}
 			}
 		}
 		for pred, tuples := range deletes {

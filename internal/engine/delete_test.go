@@ -79,9 +79,37 @@ func TestEngineDeleteBasics(t *testing.T) {
 	if st.UpdateDeleted != 2 { // r(a,m), s(n,y); the no-op does not count
 		t.Fatalf("UpdateDeleted = %d, want 2", st.UpdateDeleted)
 	}
-	if st.DeltaRetracted < 4 { // v+vr for the delete, vs+v for the mixed batch
-		t.Fatalf("DeltaRetracted = %d, want >= 4", st.DeltaRetracted)
+	// DeltaDerived counts every row DRed's rounds derive, the over-deleted
+	// ones included: v+vr over-deleted by the delete, vs+v over-deleted by
+	// the mixed batch and vr+v derived by its insert phase.
+	if st.DeltaRetracted != 4 || st.DeltaDerived != 6 { // v+vr for the delete, vs+v for the mixed batch
+		t.Fatalf("DeltaRetracted = %d and DeltaDerived = %d, want 4 and 6", st.DeltaRetracted, st.DeltaDerived)
 	}
+
+	// A DRed survivor: r(c,m) and r(c,k) both join into v(c,x), so deleting
+	// s(k,x) over-deletes vs(k,x) and v(c,x), and re-derives v(c,x) through
+	// r(c,m), s(m,x). Only vs(k,x) is retracted.
+	if err := e.ApplyUpdate(map[string][]storage.Tuple{"r": {{"c", "m"}, {"c", "k"}}, "s": {{"k", "x"}}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	mid := e.Stats()
+	if got := mid.DeltaDerived - st.DeltaDerived; got != 4 { // vr(c,m), vr(c,k), vs(k,x), v(c,x)
+		t.Fatalf("insert batch derived %d extent rows, want 4", got)
+	}
+	if err := e.ApplyUpdate(nil, map[string][]storage.Tuple{"s": {{"k", "x"}}}); err != nil {
+		t.Fatal(err)
+	}
+	end := e.Stats()
+	if got := end.DeltaRetracted - mid.DeltaRetracted; got != 1 {
+		t.Fatalf("survivor batch retracted %d extent rows, want 1 (vs(k,x))", got)
+	}
+	if got := end.DeltaDerived - mid.DeltaDerived; got != 2 { // vs(k,x) and v(c,x) over-deleted
+		t.Fatalf("survivor batch derived %d extent rows, want 2", got)
+	}
+	if !e.Database().Relation("v").Contains(storage.Tuple{"c", "x"}) || e.Database().Relation("vs").Contains(storage.Tuple{"k", "x"}) {
+		t.Fatal("survivor batch: v(c,x) must survive and vs(k,x) go")
+	}
+	checkSides(t, e)
 
 	// A static engine rejects deletes like it rejects inserts.
 	static, err := NewFromBase(base, views, Options{})

@@ -365,55 +365,103 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 	return files
 }
 
+// TestDurableFailStop: a batch whose WAL append fails surfaces as
+// ErrDurability, is undone by its journal on the side the maintainer wrote
+// — the maintainer's whole database, base relations included, is equal to
+// its pre-batch state — and wedges the engine, while reads keep serving
+// the last published state. Under AllowPartial the sides serve the base
+// relations too, and the failed batch creates a base relation and
+// re-derives a DRed survivor.
 func TestDurableFailStop(t *testing.T) {
-	dir := t.TempDir()
-	base, views := testBase(t)
-	e, err := NewFromBase(base, views, durOpts(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustAnswer(t, e, cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
-	sides := [2]*storage.Database{e.live.sides[0].Clone(), e.live.sides[1].Clone()}
+	for _, tc := range []struct {
+		name    string
+		partial bool
+		// setup is a logged batch before the sabotage; ins and del the
+		// batch whose append fails.
+		setup    map[string][]storage.Tuple
+		ins, del map[string][]storage.Tuple
+	}{
+		// The batch retracts r(a,m)'s extent tuples and derives r(zz,m)'s.
+		{
+			name: "extents",
+			ins:  map[string][]storage.Tuple{"r": {{"zz", "m"}}},
+			del:  map[string][]storage.Tuple{"r": {{"a", "m"}}},
+		},
+		// r(a,k), s(k,x) give v(a,x) a second derivation, so deleting
+		// s(k,x) over-deletes v(a,x) and re-derives it through r(a,m),
+		// s(m,x); u is a base relation the batch creates.
+		{
+			name:    "partial",
+			partial: true,
+			setup:   map[string][]storage.Tuple{"r": {{"a", "k"}}, "s": {{"k", "x"}}},
+			ins:     map[string][]storage.Tuple{"r": {{"zz", "m"}}, "u": {{"new"}}},
+			del:     map[string][]storage.Tuple{"s": {{"k", "x"}}, "r": {{"b", "n"}}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base, views := testBase(t)
+			opt := durOpts(dir)
+			opt.AllowPartial = tc.partial
+			e, err := NewFromBase(base, views, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.setup != nil {
+				if err := e.ApplyUpdate(tc.setup, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if (e.live.sides[0].Relation("r") != nil) != tc.partial {
+				t.Fatalf("AllowPartial %v: the sides serve r: %v", tc.partial, !tc.partial)
+			}
+			want := mustAnswer(t, e, cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
+			sides := [2]*storage.Database{e.live.sides[0].Clone(), e.live.sides[1].Clone()}
+			maint := e.live.maint.Database().Clone()
 
-	// Sabotage the log: closing the store underneath the engine makes every
-	// later append fail, which must surface as ErrDurability and leave the
-	// read path serving the last published state. The batch retracts
-	// r(a,m)'s extent tuples and derives r(zz,m)'s on the side it
-	// maintains; the failed append must undo both there.
-	if err := e.dur.store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	batch := map[string][]storage.Tuple{"r": {{"zz", "m"}}}
-	del := map[string][]storage.Tuple{"r": {{"a", "m"}}}
-	uerr := e.ApplyUpdate(batch, del)
-	if !errors.Is(uerr, ErrDurability) {
-		t.Fatalf("update after WAL failure returned %v, want ErrDurability", uerr)
-	}
-	if code := ErrorCode(uerr); code != CodeDurability {
-		t.Fatalf("ErrorCode = %q, want %q", code, CodeDurability)
-	}
-	for i, side := range e.live.sides {
-		if !side.Equal(sides[i]) {
-			t.Fatalf("side %d changed by an unlogged batch:\n%s\nvs\n%s", i, side.Summary(), sides[i].Summary())
-		}
-	}
-	if r := e.live.maint.Database().Relation("r"); r.Contains(storage.Tuple{"zz", "m"}) || !r.Contains(storage.Tuple{"a", "m"}) {
-		t.Fatal("maintainer kept the base changes of an unlogged batch")
-	}
-	got := mustAnswer(t, e, cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
-	if !storage.TuplesEqual(got, want) {
-		t.Fatalf("reads changed after failed update: %v vs %v", got, want)
-	}
-	// The engine is wedged: the next batch is refused without touching
-	// either side.
-	if err := e.ApplyUpdate(batch, del); !errors.Is(err, ErrDurability) {
-		t.Fatalf("batch after a WAL failure returned %v, want ErrDurability", err)
-	}
-	checkSides(t, e)
-	for i, side := range e.live.sides {
-		if !side.Equal(sides[i]) {
-			t.Fatalf("side %d changed by a refused batch", i)
-		}
+			// Sabotage the log: closing the store underneath the engine
+			// makes every later append fail.
+			if err := e.dur.store.Close(); err != nil {
+				t.Fatal(err)
+			}
+			uerr := e.ApplyUpdate(tc.ins, tc.del)
+			if !errors.Is(uerr, ErrDurability) {
+				t.Fatalf("update after WAL failure returned %v, want ErrDurability", uerr)
+			}
+			if code := ErrorCode(uerr); code != CodeDurability {
+				t.Fatalf("ErrorCode = %q, want %q", code, CodeDurability)
+			}
+			for i, side := range e.live.sides {
+				if !side.Equal(sides[i]) {
+					t.Fatalf("side %d changed by an unlogged batch:\n%s\nvs\n%s", i, side.Summary(), sides[i].Summary())
+				}
+			}
+			m := e.live.maint.Database()
+			if r := m.Relation("r"); r.Contains(storage.Tuple{"zz", "m"}) || !r.Contains(storage.Tuple{"a", "m"}) {
+				t.Fatal("maintainer kept the base changes of an unlogged batch")
+			}
+			if !m.Equal(maint) {
+				t.Fatalf("maintainer's database changed by an unlogged batch:\n%s\nvs\n%s", m.Summary(), maint.Summary())
+			}
+			got := mustAnswer(t, e, cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
+			if !storage.TuplesEqual(got, want) {
+				t.Fatalf("reads changed after failed update: %v vs %v", got, want)
+			}
+			// The engine is wedged: the next batch is refused without
+			// touching either side.
+			if err := e.ApplyUpdate(tc.ins, tc.del); !errors.Is(err, ErrDurability) {
+				t.Fatalf("batch after a WAL failure returned %v, want ErrDurability", err)
+			}
+			checkSides(t, e)
+			for i, side := range e.live.sides {
+				if !side.Equal(sides[i]) {
+					t.Fatalf("side %d changed by a refused batch", i)
+				}
+			}
+			if !m.Equal(maint) {
+				t.Fatal("maintainer's database changed by a refused batch")
+			}
+		})
 	}
 }
 

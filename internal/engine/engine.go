@@ -403,7 +403,8 @@ type Engine struct {
 // which it holds through the WAL append and the flip that makes the side
 // active: no reader, not even a straggler that loaded the inactive index
 // before the previous flip, sees a batch that is not logged. The writer then
-// replays the batch onto the formerly active side once its readers drain.
+// replays the batch's journal onto the formerly active side once its
+// readers drain.
 // Every mutation of a serving side happens under that side's write lock, so
 // a reader sees either the pre-batch or the post-batch database — never a
 // torn mix — while reads on the active side proceed during maintenance.
@@ -605,13 +606,16 @@ func (e *Engine) ApplyUpdate(inserts, deletes map[string][]storage.Tuple) error 
 }
 
 // applySide replays a batch the maintainer committed on the other side onto
-// serving side i, under the side's write lock and through a journal. On an
-// error or panic the side is rolled back to its pre-batch state before the
-// lock is released, so a straggler reading it never sees a torn mix, and
-// mutations are wedged: the side missed a committed batch and must never
-// be maintained again. A panic is re-raised after that. Called under
-// updateMu.
-func (l *liveState) applySide(i int32, res *ivm.BatchResult) (err error) {
+// serving side i, under the side's write lock, from the batch's journal
+// (storage.Journal.Replay) through the side's own: the removals, then the
+// rows the batch stored, of the relations the side serves — every one when
+// it serves the base relations, else the extents it holds — each adopted,
+// so both serving sides hold one physical row. On an error or panic the
+// side is rolled back to its pre-batch state before the lock is released,
+// so a straggler reading it never sees a torn mix, and mutations are
+// wedged: the side missed a committed batch and must never be maintained
+// again. A panic is re-raised after that. Called under updateMu.
+func (l *liveState) applySide(i int32, batch *storage.Journal) (err error) {
 	l.locks[i].Lock()
 	defer l.locks[i].Unlock()
 	db := l.sides[i]
@@ -632,85 +636,7 @@ func (l *liveState) applySide(i int32, res *ivm.BatchResult) (err error) {
 		}
 		err = l.failed
 	}()
-	return replayBatch(db, j, res, l.servesBase)
-}
-
-// replayBatch applies one batch's removals and then its insertions to db —
-// the base relations' too when withBase — adopting each inserted tuple.
-// Removals go first: a tuple deleted and re-derived in the same batch
-// appears in both BatchResult maps, and the opposite order would retract it
-// after re-inserting it. Removals go through j, which the insertions
-// extend, so j.Rollback undoes the replay.
-//
-// Every tuple of a BatchResult is a stored row — datalog.ApplyUpdatesCtx
-// reports the rows the maintainer stored or removed, never the caller's —
-// so both directions adopt: the standby side the rows the batch stored, and
-// both serving sides hold one physical row (applySide); the inverse batch
-// (undoBatch) the rows the batch removed.
-func replayBatch(db *storage.Database, j *storage.Journal, res *ivm.BatchResult, withBase bool) error {
-	if withBase {
-		removeDelta(j, res.BaseDeleted)
-	}
-	removeDelta(j, res.Retracted)
-	j.MarkInserts()
-	if withBase {
-		if err := appendDelta(db, res.BaseInserted); err != nil {
-			return err
-		}
-	}
-	return appendDelta(db, res.Derived)
-}
-
-// undoBatch reverts a committed batch on the database the maintainer
-// applied it to — the base relations and the extents of the side it is
-// bound to — by replaying the inverse batch: its insertions removed, then
-// its removals re-inserted, as the very rows the batch removed (the base
-// rows it deleted and the over-deleted rows it retracted, each the row the
-// database stored). Tuple sets are exactly the pre-batch ones, and
-// the maintainer keeps no other state; the caller still wedges mutations,
-// because the log that refused the batch cannot be trusted with the next.
-func undoBatch(db *storage.Database, res *ivm.BatchResult) {
-	inv := &ivm.BatchResult{
-		BaseInserted: res.BaseDeleted,
-		BaseDeleted:  res.BaseInserted,
-		Derived:      res.Retracted,
-		Retracted:    res.Derived,
-	}
-	// Cannot fail: every relation it inserts into exists, at its arity.
-	_ = replayBatch(db, storage.NewJournal(db), inv, true)
-}
-
-// removeDelta removes retracted tuples from a serving side through its
-// journal. Missing relations and absent tuples are skipped: the maintainer
-// only reports removals that were present in its database, which the sides
-// mirror, so a miss here would mean a divergence this function must not
-// widen.
-func removeDelta(j *storage.Journal, delta map[string][]storage.Tuple) {
-	for pred, tuples := range delta {
-		j.RemoveAll(pred, tuples)
-	}
-}
-
-// appendDelta adopts delta tuples, creating (and freezing) relations for
-// predicates the side has not seen; inserts into frozen relations maintain
-// the column indexes incrementally.
-func appendDelta(db *storage.Database, delta map[string][]storage.Tuple) error {
-	for pred, tuples := range delta {
-		if len(tuples) == 0 {
-			continue
-		}
-		rel, err := db.Ensure(pred, len(tuples[0]))
-		if err != nil {
-			return err // unreachable: the maintainer validated arities
-		}
-		for _, t := range tuples {
-			rel.Adopt(t)
-		}
-		if !rel.Frozen() {
-			rel.BuildIndexes()
-		}
-	}
-	return nil
+	return batch.Replay(j, func(pred string) bool { return l.servesBase || db.Relation(pred) != nil })
 }
 
 // PreparedQuery is the reusable handle Prepare returns: a cached plan for

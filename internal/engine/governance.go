@@ -570,27 +570,24 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 	}
 	// The batch is logged and served. Replaying it onto the formerly active
 	// side is not a cancellation point; a failed replay wedges mutations.
-	if err := l.applySide(active, res); err != nil {
+	if err := l.applySide(active, res.Journal); err != nil {
 		return err
 	}
 	if e.dur != nil {
 		e.dur.maybeCheckpoint(e)
 	}
-	baseNew, baseGone, retracted := 0, 0, 0
+	baseNew, baseGone := 0, 0
 	for _, tuples := range res.BaseInserted {
 		baseNew += len(tuples)
 	}
 	for _, tuples := range res.BaseDeleted {
 		baseGone += len(tuples)
 	}
-	for _, tuples := range res.Retracted {
-		retracted += len(tuples)
-	}
 	e.updBatches.Add(1)
 	e.updTuples.Add(uint64(baseNew))
 	e.updDeleted.Add(uint64(baseGone))
 	e.updDerived.Add(uint64(res.Stats.Derived))
-	e.updRetracted.Add(uint64(retracted))
+	e.updRetracted.Add(uint64(res.NetRetracted))
 	e.maintainTime.Add(int64(time.Since(start)))
 	return nil
 }
@@ -602,8 +599,10 @@ func (e *Engine) ApplyUpdateBudget(ctx context.Context, inserts, deletes map[str
 // panic, leaving the side untouched), the batch is fsynced to the WAL, and
 // the side is flipped active. A batch is therefore logged before any
 // reader sees it, and a canceled or budget-tripped batch is never logged.
-// If the append fails, the batch is undone on the side before the lock is
-// released and mutations are wedged. Called under updateMu.
+// If the append fails, the batch's journal rolls the maintained database —
+// the side and the maintainer's private relations — back before the lock
+// is released, and mutations are wedged: the log that refused the batch
+// cannot be trusted with the next. Called under updateMu.
 func (e *Engine) commit(ctx context.Context, i int32, inserts, deletes map[string][]storage.Tuple, lim datalog.Limits) (*ivm.BatchResult, error) {
 	l := e.live
 	side, db := l.sides[i], l.maint.Database()
@@ -616,7 +615,7 @@ func (e *Engine) commit(ctx context.Context, i int32, inserts, deletes map[strin
 	}
 	if e.dur != nil {
 		if err := e.dur.logBatch(res); err != nil {
-			undoBatch(db, res)
+			res.Journal.Rollback()
 			l.failed = err
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cq"
-	"repro/internal/ivm"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -254,20 +253,30 @@ func TestReplayFailureWedges(t *testing.T) {
 	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
 	for _, tc := range []struct {
 		name string
-		bad  func(v storage.Tuple) *ivm.BatchResult
+		// bad journals a batch over a database of its own that the standby
+		// side cannot take; v is a row the side holds.
+		bad func(v storage.Tuple) *storage.Journal
 	}{
-		// One genuine retraction, then an insertion of the wrong arity.
-		{"error", func(v storage.Tuple) *ivm.BatchResult {
-			return &ivm.BatchResult{
-				Retracted: map[string][]storage.Tuple{"v": {v}},
-				Derived:   map[string][]storage.Tuple{"v": {{"only-one"}}},
-			}
+		// One genuine retraction, then an insertion of the wrong arity: v
+		// is removed, and the batch creates v anew, one column wide.
+		{"error", func(v storage.Tuple) *storage.Journal {
+			src := storage.NewDatabase()
+			src.Insert("v", v)
+			j := storage.NewJournal(src)
+			j.RemoveAll("v", []storage.Tuple{v})
+			src.Drop("v")
+			j.MarkInserts()
+			src.Insert("v", storage.Tuple{"only-one"})
+			return j
 		}},
 		// A retraction of the wrong arity panics in storage.
-		{"panic", func(v storage.Tuple) *ivm.BatchResult {
-			return &ivm.BatchResult{
-				Retracted: map[string][]storage.Tuple{"v": {{"only-one"}}},
-			}
+		{"panic", func(storage.Tuple) *storage.Journal {
+			src := storage.NewDatabase()
+			src.Insert("v", storage.Tuple{"only-one"})
+			j := storage.NewJournal(src)
+			j.RemoveAll("v", []storage.Tuple{{"only-one"}})
+			j.MarkInserts()
+			return j
 		}},
 	} {
 		base, views := testBase(t)

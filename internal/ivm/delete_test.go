@@ -18,6 +18,7 @@ func TestMaintainerApplyUpdateBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delete r(a,m): v(a,x) loses its only derivation, vr(a,m) too.
+	before := m.Database().Clone()
 	res, err := m.ApplyUpdate(nil, map[string][]storage.Tuple{"r": {{"a", "m"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -25,8 +26,12 @@ func TestMaintainerApplyUpdateBasics(t *testing.T) {
 	if len(res.BaseDeleted["r"]) != 1 {
 		t.Fatalf("BaseDeleted = %v", res.BaseDeleted)
 	}
-	if len(res.Retracted["v"]) != 1 || len(res.Retracted["vr"]) != 1 {
-		t.Fatalf("Retracted = %v, want one v and one vr tuple", res.Retracted)
+	lostV, lostVR := lostRows(before, m.Database(), "v"), lostRows(before, m.Database(), "vr")
+	if len(lostV) != 1 || len(lostVR) != 1 || res.NetRetracted != 2 {
+		t.Fatalf("retracted v %v and vr %v (%d net), want one v and one vr tuple", lostV, lostVR, res.NetRetracted)
+	}
+	if stored := storedRows(t, res); len(stored) != 0 {
+		t.Fatalf("a delete without survivors journaled stored rows %v", stored)
 	}
 	if m.Database().Relation("v").Contains(storage.Tuple{"a", "x"}) {
 		t.Fatal("retracted extent tuple survives")
@@ -231,12 +236,17 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 			}{
 				{"BaseInserted", got.BaseInserted, want.BaseInserted},
 				{"BaseDeleted", got.BaseDeleted, want.BaseDeleted},
-				{"Derived", got.Derived, want.Derived},
-				{"Retracted", got.Retracted, want.Retracted},
+				{"journaled stored rows", storedRows(t, got), storedRows(t, want)},
 			} {
 				if g, w := deltaFingerprint(part.got), deltaFingerprint(part.want); g != w {
 					t.Fatalf("trial %d batch %d: %s diverges\n  rebuilt:  %s\n  original: %s", trial, batch, part.name, g, w)
 				}
+			}
+			// The databases agree before and after the batch, so with the
+			// stored rows they agree on the rows it removed; the net
+			// retraction count must agree too.
+			if got.NetRetracted != want.NetRetracted {
+				t.Fatalf("trial %d batch %d: retracted %d, original %d", trial, batch, got.NetRetracted, want.NetRetracted)
 			}
 			// Rounds are path accounting, not part of the result; the
 			// derived-tuple count is.
@@ -251,6 +261,36 @@ func TestNewFromMaterializedDifferential(t *testing.T) {
 			t.Fatalf("trial %d: given fact %v retracted after rebuild", trial, givenFact)
 		}
 	}
+}
+
+// storedRows reads the rows a batch stored back from its journal: replayed
+// onto an empty database, the journal leaves exactly the rows past its
+// insert marks, per predicate — the fresh base rows, the DRed survivors
+// and the new derivations.
+func storedRows(t *testing.T, res *BatchResult) map[string][]storage.Tuple {
+	t.Helper()
+	tail := storage.NewDatabase()
+	if err := res.Journal.Replay(storage.NewJournal(tail), func(string) bool { return true }); err != nil {
+		t.Fatalf("replaying the batch's journal: %v", err)
+	}
+	out := make(map[string][]storage.Tuple)
+	for _, pred := range tail.Predicates() {
+		if rows := tail.Relation(pred).Tuples(); len(rows) > 0 {
+			out[pred] = rows
+		}
+	}
+	return out
+}
+
+// lostRows returns the rows of pred before holds and after does not.
+func lostRows(before, after *storage.Database, pred string) []storage.Tuple {
+	var out []storage.Tuple
+	for _, row := range before.Relation(pred).Tuples() {
+		if !after.Relation(pred).Contains(row) {
+			out = append(out, row)
+		}
+	}
+	return out
 }
 
 // deltaFingerprint renders a per-predicate tuple map order-independently,

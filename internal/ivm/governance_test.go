@@ -54,8 +54,8 @@ func TestApplyBatchCtxCanceledRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.BaseInserted["s"]) != 1 || len(res.Derived["v"]) != 1 {
-		t.Fatalf("retry result = %+v", res)
+	if stored := storedRows(t, res); len(res.BaseInserted["s"]) != 1 || len(stored["v"]) != 1 {
+		t.Fatalf("retry result = %+v, stored %v", res, stored)
 	}
 }
 
@@ -205,8 +205,8 @@ func TestApplyUpdatePanicRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.BaseInserted["r"]) != 1 || len(res.BaseInserted["s"]) != 1 ||
-		len(res.Derived["v"]) != 1 || len(res.Derived["big"]) != 1 {
-		t.Fatalf("retry result = %+v", res)
+	if stored := storedRows(t, res); len(res.BaseInserted["r"]) != 1 || len(res.BaseInserted["s"]) != 1 ||
+		len(stored["v"]) != 1 || len(stored["big"]) != 1 {
+		t.Fatalf("retry result = %+v, stored %v", res, stored)
 	}
 }

@@ -27,8 +27,8 @@
 // The Maintainer is the engine's mutation path. The engine does not give it
 // extents of its own: before each batch it binds the maintained database to
 // the relations of its inactive serving side (storage.Database.Bind), so
-// Engine.ApplyUpdate maintains that side in place, and forwards the
-// returned deltas to the other side only. The maintainer keeps privately
+// Engine.ApplyUpdate maintains that side in place, and replays the
+// returned batch's journal onto the other side only. The maintainer keeps privately
 // just the relations no side serves. It is equally usable standalone for
 // applications that keep extents fresh without the serving layer.
 //
@@ -63,10 +63,10 @@ type Maintainer struct {
 }
 
 // BatchResult reports one applied update batch: the base tuples actually
-// inserted and deleted, and the extent tuples the batch derived (Derived)
-// and retracted (Retracted) per view. A mixed batch must be replayed
-// retractions-first: an insert in the same batch may re-derive a retracted
-// tuple, in which case it also appears in Derived.
+// inserted and deleted, the number of extent tuples retracted for good,
+// and the batch's journal, which records every change to the maintained
+// database, extents included, until the next batch (storage.Journal.Replay
+// mirrors it onto another database, removals first).
 type BatchResult = datalog.UpdateResult
 
 // givenSuffix turns a view name into the name of the relation holding the

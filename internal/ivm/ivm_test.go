@@ -55,8 +55,8 @@ func TestMaintainerBasics(t *testing.T) {
 		t.Fatalf("BaseInserted = %v, want one new s tuple", res.BaseInserted)
 	}
 	// s(n,9) joins r(b,n) into v, and 9 > 5 enters big.
-	if len(res.Derived["v"]) != 1 || len(res.Derived["big"]) != 1 {
-		t.Fatalf("Derived = %v, want one v and one big tuple", res.Derived)
+	if stored := storedRows(t, res); len(stored["v"]) != 1 || len(stored["big"]) != 1 {
+		t.Fatalf("stored %v, want one v and one big tuple", stored)
 	}
 	if !m.Database().Relation("v").Contains(storage.Tuple{"b", "9"}) {
 		t.Fatal("v extent missing maintained tuple")
@@ -115,8 +115,8 @@ func TestConstructorsValidate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s over a nil database: %v", name, err)
 		}
-		if len(res.Derived["v"]) != 1 || len(res.Derived["vr"]) != 1 || len(res.Derived["big"]) != 1 {
-			t.Fatalf("%s over a nil database derived %v", name, res.Derived)
+		if stored := storedRows(t, res); len(stored["v"]) != 1 || len(stored["vr"]) != 1 || len(stored["big"]) != 1 {
+			t.Fatalf("%s over a nil database derived %v", name, stored)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package storage
 
 import "slices"
 
-// Journal is the rollback log of one atomic batch against a Database — the
-// single undo mechanism behind datalog.ApplyUpdatesCtx (the maintained
-// database, which in a live engine holds the relations of the serving side
-// being written) and the engine's replay onto the other serving side.
+// Journal is the record of one atomic batch against a Database, and the
+// single undo mechanism: datalog.ApplyUpdatesCtx journals the maintained
+// database (in a live engine, the relations of the serving side being
+// written) and returns the journal as the batch's record, which the engine
+// replays onto the other serving side (Replay) or, when the WAL refuses
+// the batch, rolls back (Rollback).
 //
 // A batch has two phases. The delete phase removes tuples through
 // RemoveAll, a predicate's list at a time, which records each successful
@@ -27,11 +29,11 @@ import "slices"
 // that journal for the next batch and returns it, so a batch allocates
 // its tuples, not its log: the reset clears the removal log's entries, so
 // no tuple of the earlier batch stays pinned through it, and empties the
-// insert marks, so no relation of the earlier batch stays a key. Between
-// batches the log still holds the last batch's removed tuples, until the
-// next reset. A log or mark map grown past maxKeptRemovals or
-// maxKeptMarks is dropped at the reset rather than kept, so one huge batch
-// does not hold its bookkeeping for the life of the database.
+// insert marks, so no relation of the earlier batch stays a key. Until
+// that reset the journal is the last batch's record. A log or mark map
+// grown past maxKeptRemovals or maxKeptMarks is dropped at the reset
+// rather than kept, so one huge batch does not hold its bookkeeping for
+// the life of the database.
 type Journal struct {
 	db      *Database
 	removed []journalRemoval
@@ -124,4 +126,42 @@ func (j *Journal) Rollback() {
 		r := j.removed[i]
 		j.db.rels[r.pred].Adopt(r.t)
 	}
+}
+
+// Replay applies the committed batch j records onto another database,
+// through that database's just-reset journal dst: j's removals first, then
+// dst.MarkInserts, then every row past a relation's insert mark, or every
+// row of a relation the batch created (frozen on dst if frozen here). A row
+// both removed and stored again — a DRed survivor — is why removals go
+// first. Only predicates keep accepts are replayed; rows are adopted, so
+// both databases hold one physical row; a removal dst lacks is skipped. On
+// an error (an arity dst disagrees with) or a panic, dst.Rollback undoes
+// the replay.
+func (j *Journal) Replay(dst *Journal, keep func(pred string) bool) error {
+	dst.removed = slices.Grow(dst.removed, len(j.removed))
+	for _, r := range j.removed {
+		if rel := dst.db.rels[r.pred]; rel != nil && keep(r.pred) {
+			if stored, ok := rel.take(r.t); ok {
+				dst.removed = append(dst.removed, journalRemoval{pred: r.pred, t: stored})
+			}
+		}
+	}
+	dst.MarkInserts()
+	for pred, rel := range j.db.rels {
+		n, marked := j.marks[rel]
+		if (marked && n == len(rel.tuples)) || !keep(pred) {
+			continue
+		}
+		to, err := dst.db.Ensure(pred, rel.arity)
+		if err != nil {
+			return err
+		}
+		for _, t := range rel.tuples[n:] {
+			to.Adopt(t)
+		}
+		if !marked && rel.Frozen() {
+			to.BuildIndexes()
+		}
+	}
+	return nil
 }

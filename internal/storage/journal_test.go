@@ -212,9 +212,18 @@ func checkReset(t *testing.T, db *Database, j *Journal) {
 // batch leaves exactly the state it started from — the same relations and
 // tuples (Database.Equal) and the same column indexes (dbState) — however
 // many batches the journal served before it and after it.
+//
+// After every batch its journal is also replayed onto a clone of the
+// pre-batch database, through the clone's own journal: that gives the
+// post-batch database, column indexes included, and the clone's journal
+// rolls the replay back. A second replay refuses one predicate, which
+// then keeps its pre-batch relation on the clone. The batches cover a
+// relation the batch created (built, sometimes), a row removed and put
+// back by the same batch, and a refused predicate the batch changed.
 func TestJournalReusedAcrossBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x7E5E))
 	val := func() string { return fmt.Sprintf("v%d", rng.Intn(8)) }
+	var created, readopted, refused int
 	for trial := 0; trial < 200; trial++ {
 		db := NewDatabase()
 		for _, pred := range []string{"a", "b", "c"} {
@@ -232,6 +241,7 @@ func TestJournalReusedAcrossBatches(t *testing.T) {
 			before, snap := dbState(db), db.Clone()
 			j := NewJournal(db)
 			checkReset(t, db, j)
+			var gone []Tuple
 			for i := 1 + rng.Intn(4); i > 0; i-- {
 				pred := []string{"a", "b", "c", fmt.Sprintf("new%d", batch-1)}[rng.Intn(4)]
 				var ts []Tuple
@@ -240,14 +250,60 @@ func TestJournalReusedAcrossBatches(t *testing.T) {
 						ts = append(ts, rel.Tuples()[rng.Intn(rel.Len())])
 					}
 				}
-				j.RemoveAll(pred, ts)
+				if j.RemoveAll(pred, ts) > 0 && pred == "a" {
+					gone = append(gone, ts...)
+				}
 			}
 			j.MarkInserts()
+			newPred := fmt.Sprintf("new%d", batch)
 			for i := rng.Intn(6); i > 0; i-- {
-				pred := []string{"a", "b", "c", fmt.Sprintf("new%d", batch)}[rng.Intn(4)]
+				pred := []string{"a", "b", "c", newPred}[rng.Intn(4)]
 				rel, _ := db.Ensure(pred, 2)
 				rel.Insert(Tuple{val(), val()})
 			}
+			if len(gone) > 0 && rng.Intn(2) == 0 {
+				if db.Relation("a").Adopt(gone[0]) {
+					readopted++
+				}
+			}
+			if rel := db.Relation(newPred); rel != nil {
+				created++
+				if rng.Intn(2) == 0 {
+					rel.BuildIndexes()
+				}
+			}
+
+			mirror := snap.Clone()
+			mj := NewJournal(mirror)
+			if err := j.Replay(mj, func(string) bool { return true }); err != nil {
+				t.Fatalf("trial %d batch %d: replay: %v", trial, batch, err)
+			}
+			if !mirror.Equal(db) || dbState(mirror) != dbState(db) {
+				t.Fatalf("trial %d batch %d: replay onto the pre-batch clone differs from the batch's result\nwant: %s\ngot:  %s", trial, batch, dbState(db), dbState(mirror))
+			}
+			for _, pred := range mirror.Predicates() {
+				checkConsistent(t, mirror.Relation(pred))
+			}
+			mj.Rollback()
+			if !mirror.Equal(snap) || dbState(mirror) != before {
+				t.Fatalf("trial %d batch %d: the mirror's journal did not roll the replay back\nbefore: %s\nafter:  %s", trial, batch, before, dbState(mirror))
+			}
+
+			skip := []string{"a", "b", "c", newPred}[rng.Intn(4)]
+			want := db.Clone()
+			want.Drop(skip)
+			want.Bind(snap, skip)
+			if dbState(want) != dbState(db) {
+				refused++
+			}
+			partial := snap.Clone()
+			if err := j.Replay(NewJournal(partial), func(pred string) bool { return pred != skip }); err != nil {
+				t.Fatalf("trial %d batch %d: filtered replay: %v", trial, batch, err)
+			}
+			if !partial.Equal(want) || dbState(partial) != dbState(want) {
+				t.Fatalf("trial %d batch %d: replay refusing %s\nwant: %s\ngot:  %s", trial, batch, skip, dbState(want), dbState(partial))
+			}
+
 			if batch != k {
 				continue
 			}
@@ -260,6 +316,9 @@ func TestJournalReusedAcrossBatches(t *testing.T) {
 			}
 		}
 		checkReset(t, db, NewJournal(db))
+	}
+	if created == 0 || readopted == 0 || refused == 0 {
+		t.Fatalf("batches created %d relation(s), put back %d removed row(s), changed %d refused predicate(s): each must happen", created, readopted, refused)
 	}
 }
 
