@@ -429,10 +429,12 @@ var (
 	// NewEngineFromBase, the one Engine constructor, materialises the
 	// views over base data through NewMaintainer (or recovers them under
 	// EngineOptions.DataDir) and builds an Engine serving from the result;
-	// base is only read. Static, live and durable engines serve the same
-	// database, whatever the strategy: the view extents alone, or base plus
-	// extents under EngineOptions.AllowPartial with StrategyEquivalentFirst
-	// or StrategyAuto, the strategies that plan partial rewritings.
+	// base is only read, and the engine shares its tables until either side
+	// writes one, so the caller may go on writing base without changing an
+	// answer. Static, live and durable engines serve the same database,
+	// whatever the strategy: the view extents alone, or base plus extents
+	// under EngineOptions.AllowPartial with StrategyEquivalentFirst or
+	// StrategyAuto, the strategies that plan partial rewritings.
 	NewEngineFromBase = engine.NewFromBase
 	// ParseStrategy resolves a strategy name (CLI aliases accepted).
 	ParseStrategy = engine.ParseStrategy

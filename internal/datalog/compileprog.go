@@ -468,14 +468,16 @@ func deltaTasks(tasks []variantTask, rules []compiledRule, cur map[string][]stor
 
 // Eval runs the compiled fixpoint over edb and returns a database containing
 // the EDB relations plus all derived (IDB) relations, exactly like
-// Program.EvalInterp. It clones edb, builds on the clone exactly the column
-// indexes the compiled probes ask for (so an unindexed input is joined by
-// probes, not nested scans), runs the fixpoint over the clone and inserts
-// the derived relations into it. edb is only read. A maintenance program
-// (CompileProgramIVM) refuses an edb relation named like a derived
-// predicate: deletions could not tell its facts from derived ones, so facts
-// given for a derived predicate reach it through a rule over a base
-// relation instead.
+// Program.EvalInterp. It clones edb — a clone that shares edb's tables until
+// one of the two writes them (storage.Database.Clone) — builds on the clone
+// exactly the column indexes the compiled probes ask for (so an unindexed
+// input is joined by probes, not nested scans; an index built on the clone
+// is the clone's alone), runs the fixpoint over the clone and inserts the
+// derived relations into it. edb is only read, and copied only where the
+// result is written. A maintenance program (CompileProgramIVM) refuses an
+// edb relation named like a derived predicate: deletions could not tell
+// its facts from derived ones, so facts given for a derived predicate
+// reach it through a rule over a base relation instead.
 func (cp *CompiledProgram) Eval(edb *storage.Database) (*storage.Database, error) {
 	if cp.ivm {
 		for pred := range cp.idbArity {
@@ -898,9 +900,10 @@ func (hs *headScratch) view(head []ruleHeadOp, vals string) {
 
 // freeze builds exactly the EDB column indexes the program's probes need, so
 // a whole-database fixpoint gets index candidates instead of scan fallbacks.
-// It mutates edb, so Eval calls it only on its private clone — the clone
-// ivm.New materializes served state on, whatever indexes the caller's base
-// carries.
+// It mutates edb, so Eval calls it only on its clone — the clone ivm.New
+// materializes served state on, whatever indexes the caller's base carries.
+// An index built on a relation the clone shares with the caller is the
+// clone's alone; the tuples and the set index stay shared.
 func (cp *CompiledProgram) freeze(edb *storage.Database) {
 	for i := range cp.rules {
 		r := &cp.rules[i]

@@ -54,7 +54,10 @@ type UpdateResult struct {
 	// NetRetracted counts the derived rows the batch over-deleted and did
 	// not re-derive as DRed survivors.
 	NetRetracted int
-	Stats        FixpointStats
+	// Stats counts the batch's rounds and, as Derived, the rows it adds to
+	// the extents, mirroring NetRetracted: an over-deleted row is not an
+	// addition, nor is a DRed survivor, removed and put back.
+	Stats FixpointStats
 }
 
 // supportVariant is a rule compiled for DRed re-derivation: the rule rooted
@@ -295,7 +298,11 @@ func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[str
 // (applyInserts).
 func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, gs *guardState, lim Limits) (*UpdateResult, error) {
 	res := &UpdateResult{}
-	if err := cp.overDelete(db, ms, delEff, gs, lim, &res.Stats); err != nil {
+	// work counts what the DRed passes derive, the over-deleted rows
+	// included, against the batch's budgets; it is not what the batch adds
+	// to the extents, which is only the insert phase's derivations.
+	var work FixpointStats
+	if err := cp.overDelete(db, ms, delEff, gs, lim, &work); err != nil {
 		return nil, err
 	}
 	od := ms.od
@@ -306,7 +313,7 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *
 		j.RemoveAll(pred, dead.Tuples())
 	}
 	j.MarkInserts()
-	if err := cp.rederive(db, ms, od, gs, lim, &res.Stats); err != nil {
+	if err := cp.rederive(db, ms, od, gs, lim, &work); err != nil {
 		return nil, err
 	}
 	for _, dead := range od {
@@ -317,8 +324,8 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *
 		return nil, err
 	}
 	res.BaseInserted = fresh
-	res.Stats.Iterations += istats.Iterations
-	res.Stats.Derived += istats.Derived
+	res.Stats.Iterations = work.Iterations + istats.Iterations
+	res.Stats.Derived = istats.Derived
 	return res, nil
 }
 

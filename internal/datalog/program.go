@@ -211,7 +211,8 @@ func (p *Program) EstimateCost(c *cost.Catalog) cost.Estimate {
 // EvalInterp computes the fixpoint of the program over the EDB semi-naively
 // with the tuple-at-a-time interpreter (map-based bindings, per-call greedy
 // join ordering) and returns a database containing the EDB relations plus
-// all derived (IDB) relations. The input database is not modified.
+// all derived (IDB) relations. The input database is not modified: the
+// result is a clone of it, which shares its tables until written.
 //
 // It computes the same relations as the compiled Eval and serves as the
 // baseline the compiled fixpoint executor is benchmarked and differentially

@@ -305,8 +305,9 @@ type Stats struct {
 	// UpdateBatches counts applied live-update batches (LiveUpdates
 	// engines); UpdateTuples the base tuples that were new across them,
 	// UpdateDeleted the base tuples retracted, DeltaDerived the extent
-	// tuples delta-maintenance derived, and DeltaRetracted the extent
-	// tuples retracted because a deletion removed their last derivation.
+	// tuples delta-maintenance added (not the ones DRed over-deletes), and
+	// DeltaRetracted the extent tuples retracted because a deletion removed
+	// their last derivation.
 	UpdateBatches  uint64
 	UpdateTuples   uint64
 	UpdateDeleted  uint64
@@ -472,9 +473,11 @@ func viewsHaveConstants(views []*cq.Query) bool {
 // NewFromBase builds an Engine straight from base data: it materialises the
 // views over base with ivm.New (or, under Options.DataDir, recovers the
 // materialised state from disk) and serves the result as newFromMaintainer
-// lays it out. base is only read. It is the one constructor: the options
-// are resolved here once — the strategy to its canonical name — so every
-// later switch on them sees one spelling.
+// lays it out. base is only read: the maintainer's base relations share
+// base's tables until either side writes one (storage.Database.Clone), so
+// a write the caller makes to base afterwards reaches no answer. It is the
+// one constructor: the options are resolved here once — the strategy to its
+// canonical name — so every later switch on them sees one spelling.
 func NewFromBase(base *storage.Database, views []*cq.Query, opt Options) (*Engine, error) {
 	if len(views) == 0 {
 		return nil, errors.New("engine: empty view set")
@@ -540,8 +543,10 @@ func servesBase(opt Options) bool {
 // selection of the maintainer's own relations, not a copy: a static engine
 // serves it and drops the maintainer (and with it, the base relations it
 // does not serve); a live one keeps the maintainer, serves the selection as
-// side 0 and one clone of it, which shares its tuples, as side 1, and from
-// then on the maintainer shares whichever side it maintains (liveState).
+// side 0 and one clone of it as side 1 — a clone that shares side 0's
+// tables until a batch first writes a relation, so until then the served
+// state is held once — and from then on the maintainer shares whichever
+// side it maintains (liveState).
 func newFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, opt Options) (*Engine, error) {
 	withBase := servesBase(opt)
 	db, err := extentsOnly(m, views)

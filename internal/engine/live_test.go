@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cq"
+	"repro/internal/datalog"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -223,7 +224,8 @@ func TestLiveEngineDifferential(t *testing.T) {
 // batches, committed or rolled back: both serving sides hold equal tuple
 // sets for every relation, they share no relation, and every relation a
 // side serves is, in the maintainer's database, one of the two sides' own
-// relations — the served state exists in two physical copies, not three.
+// relations — the served state exists in at most two physical copies, not
+// three (one until a batch writes it: TestSidesShareUntilFirstBatch).
 func checkSides(t *testing.T, e *Engine) {
 	t.Helper()
 	l := e.live
@@ -241,6 +243,85 @@ func checkSides(t *testing.T, e *Engine) {
 		if m := maint.Relation(pred); m != s0 && m != s1 {
 			t.Fatalf("maintainer's relation %s is neither side's: a third copy", pred)
 		}
+	}
+}
+
+// TestSidesShareUntilFirstBatch: the standby serving side is a
+// copy-on-write clone of the active one, so until the first batch the two
+// hold one set of tables — each relation's column indexes are the same
+// objects — and the maintainer shares the caller's base without writing
+// it: the base stays equal to what it held before construction, and a
+// write the caller makes to it afterwards changes no answer. The first
+// batch gives every relation it writes tables of its own on each side, and
+// both sides then hold what the reference evaluator derives. Both serving
+// layouts run: extents only, and extents beside the base relations.
+func TestSidesShareUntilFirstBatch(t *testing.T) {
+	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
+	for _, partial := range []bool{false, true} {
+		t.Run(fmt.Sprint("partial=", partial), func(t *testing.T) {
+			base, views := testBase(t)
+			shadow, _ := testBase(t) // what base holds, sharing nothing with it
+			e, err := NewFromBase(base, views, Options{LiveUpdates: true, AllowPartial: partial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := e.live
+			shared := func(pred string) bool {
+				s0, s1 := l.sides[0].Relation(pred), l.sides[1].Relation(pred)
+				x0, ok0 := s0.ColumnIndex(0)
+				x1, ok1 := s1.ColumnIndex(0)
+				return ok0 && ok1 && x0 == x1
+			}
+			for _, pred := range l.sides[0].Predicates() {
+				if !shared(pred) {
+					t.Fatalf("before any batch the serving sides hold two copies of %s", pred)
+				}
+			}
+			if l.sides[0].Relation("r") == nil == partial {
+				t.Fatalf("partial=%v: side 0 serves r: %v", partial, l.sides[0].Relation("r") != nil)
+			}
+			if !base.Equal(shadow) {
+				t.Fatal("construction changed the caller's base")
+			}
+			answers := mustAnswer(t, e, q)
+			base.Insert("r", storage.Tuple{"zz", "m"})
+			base.Remove("s", storage.Tuple{"n", "y"})
+			if got := mustAnswer(t, e, q); !storage.TuplesEqual(got, answers) {
+				t.Fatalf("a write to the caller's base changed the answers: %v, was %v", got, answers)
+			}
+
+			ins := map[string][]storage.Tuple{"r": {{"c", "n"}}, "s": {{"m", "w"}}}
+			del := map[string][]storage.Tuple{"r": {{"a", "m"}}}
+			if err := e.ApplyUpdate(ins, del); err != nil {
+				t.Fatal(err)
+			}
+			for pred, tuples := range del {
+				for _, tu := range tuples {
+					shadow.Remove(pred, tu)
+				}
+			}
+			for pred, tuples := range ins {
+				for _, tu := range tuples {
+					shadow.Insert(pred, tu)
+				}
+			}
+			checkSides(t, e)
+			for _, pred := range []string{"v", "vr", "vs"} {
+				if shared(pred) {
+					t.Fatalf("after a batch that wrote %s the serving sides still share its tables", pred)
+				}
+			}
+			for i, side := range l.sides {
+				for _, v := range views {
+					if got, want := side.Relation(v.Name()).Tuples(), datalog.EvalQueryNaive(shadow, v); !storage.TuplesEqual(got, want) {
+						t.Fatalf("side %d: extent %s = %v, want %v", i, v.Name(), got, want)
+					}
+				}
+			}
+			if got, want := mustAnswer(t, e, q), datalog.EvalQueryNaive(shadow, q); !storage.TuplesEqual(got, want) {
+				t.Fatalf("answers %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -148,9 +148,11 @@ func withGiven(base *storage.Database, views []*cq.Query) (*storage.Database, er
 // New builds a Maintainer: it materializes every view over base once (the
 // last full evaluation the system ever pays for these views) and freezes
 // the result for indexed delta propagation. The materialization runs on a
-// private copy of base that first gets the column indexes the compiled view
-// plans probe, so an unindexed base is joined by index probes, not nested
-// scans. base is not retained or mutated. It is the one way the engine
+// clone of base (storage.Database.Clone) that first gets the column indexes
+// the compiled view plans probe, so an unindexed base is joined by index
+// probes, not nested scans; those indexes are the clone's alone. base is
+// not mutated: the maintainer's base relations share its tables until
+// either side writes one, when that relation is copied. It is the one way the engine
 // first builds served state. A relation of base named like a view holds
 // facts given for it (see the package comment).
 func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, error) {

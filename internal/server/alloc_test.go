@@ -304,11 +304,17 @@ func TestHandleBatchAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkHandleBatch measures one churn batch, as TestHandleBatchAllocs
+// does: a batch is posted before the timer starts, because the engine's
+// standby side and its maintainer share tables with the active side and the
+// base until a batch first writes them, and that first batch's one-time
+// copy of r, s and both sides of v is not what a batch costs.
 func BenchmarkHandleBatch(b *testing.B) {
 	c, bodies := churnBed(b)
+	c.post("/v1/batch", bodies[0])
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 1; i <= b.N; i++ {
 		c.post("/v1/batch", bodies[i%len(bodies)])
 	}
 	if got := c.w.buf.String(); got != wantBatchAck {

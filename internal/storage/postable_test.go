@@ -2,7 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"slices"
+	"maps"
 	"strings"
 	"testing"
 	"unsafe"
@@ -122,160 +122,193 @@ func keyTwin(tu Tuple, pick int) Tuple {
 }
 
 // FuzzRelationOps decodes its input into a stream of interleaved relation
-// operations over a 2-column relation and checks each step against a map
-// of tuples: the relation's invariants after every step and, through each
-// built column index, Lookup of every alphabet value. The relation never
-// holds more than 64 tuples, so an input is cut at maxFuzzOps operations:
-// longer ones only slow the search down.
+// operations over 2-column relations and checks each step against a map of
+// tuples: the relation's invariants after every step and, through each
+// built column index, Lookup of every alphabet value. A clone op adds a
+// copy of the relation it targets (Database.Clone), which shares that
+// relation's tables until one of the two is written; every operation
+// targets one of the copies, chosen by the input, and each copy is checked
+// against a model of its own after every step. A write to one copy must
+// leave every table another copy reads as it was — the same arrays, of the
+// same lengths, and the same contents — so a writer that writes a shared
+// table instead of copying it first fails here. The relations never hold
+// more than 64 tuples, so an input is cut at maxFuzzOps operations: longer
+// ones only slow the search down.
 func FuzzRelationOps(f *testing.F) {
-	const maxFuzzOps = 128
+	const maxFuzzOps, maxFuzzCopies, fuzzOps = 128, 4, 11
 	f.Add([]byte{0, 1, 4, 0, 2, 5, 0, 4, 2, 3, 0, 0, 0, 1, 4, 2, 5, 2, 4, 1, 2, 5, 6, 1, 4})
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 3, 0, 3, 3, 1, 0, 0, 4, 0, 2, 2, 1, 0, 0, 7, 6, 6})
 	f.Add([]byte{0, 4, 1, 0, 0, 5, 3, 0, 6, 7, 0, 7, 6, 2, 1, 1, 4, 1, 0, 5, 5, 4, 6, 6, 5, 0, 2})
+	// Clone, then write the clone and the source in turn with each writer.
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 3, 0, 0, 4, 0, 0, 11, 5, 6, 0, 5, 7, 1, 1, 2, 13, 2, 1, 4, 0, 0, 21, 0, 0, 2, 3, 0, 8, 1, 0, 4, 0, 0, 19, 0, 0, 10, 7, 0, 21, 2, 0, 11, 1, 0})
+	f.Add([]byte{0, 2, 2, 0, 3, 3, 8, 0, 0, 4, 0, 0, 19, 1, 0, 10, 6, 0, 0, 7, 7, 9, 0, 0, 20, 0, 0, 12, 2, 2, 33, 9, 0, 1, 3, 3, 24, 3, 3, 2, 0, 0, 23, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db := NewDatabase()
-		r, _ := db.Ensure("r", 2)
 		if len(data) > 3*maxFuzzOps {
 			data = data[:3*maxFuzzOps]
 		}
-		model := make(map[[2]string]bool)
-		// Every relation a clone was taken from, with its contents at the
-		// time: the clone shares its stored tuples, so no later operation
-		// on the clone may change them.
-		var originals []clonedFrom
-		cloned := func(old *Relation) {
-			checkConsistent(t, old)
-			checkSharesTuples(t, old, r)
-			originals = append(originals, clonedFrom{old, snapshotTuples(old)})
-		}
+		copies := []*fuzzCopy{{rel: NewRelation("r", 2), model: make(map[[2]string]bool)}}
 		for len(data) >= 3 {
-			op, x, y := data[0]%10, int(data[1]), int(data[2])
+			op, x, y := data[0]%fuzzOps, int(data[1]), int(data[2])
+			c := copies[int(data[0]/fuzzOps)%len(copies)]
 			data = data[3:]
+			r := c.rel
 			tu := Tuple{fuzzValues[x%len(fuzzValues)], fuzzValues[y%len(fuzzValues)]}
 			m := [2]string{tu[0], tu[1]}
+			others := make(map[*fuzzCopy]string, len(copies))
+			for _, o := range copies {
+				if o != c {
+					others[o] = tablesOf(o.rel)
+				}
+			}
 			switch op {
 			case 0:
-				if got := r.Insert(tu); got == model[m] {
-					t.Fatalf("Insert(%q) = %v with the tuple present=%v", tu, got, model[m])
+				if got := r.Insert(tu); got == c.model[m] {
+					t.Fatalf("Insert(%q) = %v with the tuple present=%v", tu, got, c.model[m])
 				}
-				model[m] = true
+				c.model[m] = true
 			case 1:
-				if got := r.Remove(tu); got != model[m] {
-					t.Fatalf("Remove(%q) = %v with the tuple present=%v", tu, got, model[m])
+				if got := r.Remove(tu); got != c.model[m] {
+					t.Fatalf("Remove(%q) = %v with the tuple present=%v", tu, got, c.model[m])
 				}
-				delete(model, m)
+				delete(c.model, m)
 			case 2:
 				n := x % (r.Len() + 1)
 				for _, s := range r.Tuples()[n:] {
-					delete(model, [2]string{s[0], s[1]})
+					delete(c.model, [2]string{s[0], s[1]})
 				}
 				r.TruncateTo(n)
 			case 3:
 				r.BuildIndexes()
-			case 4:
-				old := r
-				db = db.Clone()
-				r = db.Relation("r")
-				cloned(old)
+				c.built = [2]bool{true, true}
+			case 4, 9:
+				if op == 9 {
+					r.BuildIndexes()
+					c.built = [2]bool{true, true}
+				}
+				others[c] = tablesOf(r) // cloning writes no table
+				cl := (&Database{rels: map[string]*Relation{"r": r}}).Clone().Relation("r")
+				if op == 9 && !cl.Frozen() {
+					t.Fatal("the clone of a frozen relation is not frozen")
+				}
+				checkSharesTables(t, r, cl)
+				if len(copies) == maxFuzzCopies {
+					copies = copies[1:]
+				}
+				copies = append(copies, &fuzzCopy{rel: cl, model: maps.Clone(c.model), built: c.built})
 			case 5:
-				if got := r.Contains(tu); got != model[m] {
-					t.Fatalf("Contains(%q) = %v, want %v", tu, got, model[m])
+				if got := r.Contains(tu); got != c.model[m] {
+					t.Fatalf("Contains(%q) = %v, want %v", tu, got, c.model[m])
 				}
 			case 6:
 				sw := Tuple{tu[1], tu[0]}
-				if got, want := r.Contains(sw), model[[2]string{sw[0], sw[1]}]; got != want {
+				if got, want := r.Contains(sw), c.model[[2]string{sw[0], sw[1]}]; got != want {
 					t.Fatalf("Contains(%q) = %v, want %v", sw, got, want)
 				}
 			case 7:
 				tw := keyTwin(tu, x)
-				if got, want := r.Contains(tw), model[[2]string{tw[0], tw[1]}]; got != want {
+				if got, want := r.Contains(tw), c.model[[2]string{tw[0], tw[1]}]; got != want {
 					t.Fatalf("Contains(%q), the key twin of %q, = %v, want %v", tw, tu, got, want)
 				}
 			case 8:
 				r.BuildColumnIndex(x % 2)
-			case 9:
-				r.BuildIndexes()
-				old := r
-				db = db.Clone()
-				r = db.Relation("r")
-				if !r.Frozen() {
-					t.Fatal("the clone of a frozen relation is not frozen")
-				}
-				cloned(old)
+				c.built[x%2] = true
+			case 10:
+				r.Grow(1 + x%8)
 			}
-			for _, o := range originals {
-				if got := snapshotTuples(o.rel); !slices.Equal(got, o.snap) {
-					t.Fatalf("after op %d: a relation cloned earlier changed: %q, was %q", op, got, o.snap)
+			for o, before := range others {
+				if after := tablesOf(o.rel); after != before {
+					t.Fatalf("op %d on one copy changed another's tables:\nbefore %s\nafter  %s", op, before, after)
 				}
 			}
-			if r.Len() != len(model) {
-				t.Fatalf("after op %d: Len = %d, model holds %d", op, r.Len(), len(model))
-			}
-			checkConsistent(t, r)
-			for col := 0; col < 2; col++ {
-				vals := make(map[string]bool)
-				for m := range model {
-					vals[m[col]] = true
-				}
-				if got := r.Distinct(col); got != len(vals) {
-					t.Fatalf("after op %d: Distinct(%d) = %d, model holds %d values", op, col, got, len(vals))
-				}
-				if _, ok := r.ColumnIndex(col); !ok {
-					continue // Lookup would build it
-				}
-				for _, v := range fuzzValues {
-					want := 0
-					for m := range model {
-						if m[col] == v {
-							want++
-						}
-					}
-					got := r.Lookup(col, v)
-					for _, s := range got {
-						if s[col] != v || !model[[2]string{s[0], s[1]}] {
-							t.Fatalf("after op %d: Lookup(%d, %q) returned %q", op, col, v, s)
-						}
-					}
-					if len(got) != want {
-						t.Fatalf("after op %d: Lookup(%d, %q) returned %d tuples, model holds %d", op, col, v, len(got), want)
-					}
-				}
+			for _, o := range copies {
+				o.check(t, op)
 			}
 		}
 	})
 }
 
-// clonedFrom is a relation a clone was taken from and its contents then.
-type clonedFrom struct {
-	rel  *Relation
-	snap [][2]string
+// fuzzCopy is one copy of FuzzRelationOps's relation — the first, or a
+// clone — with the model of what it holds and which columns it has built.
+type fuzzCopy struct {
+	rel   *Relation
+	model map[[2]string]bool
+	built [2]bool
 }
 
-// snapshotTuples copies a binary relation's tuples, in order, into values
-// that share nothing with it.
-func snapshotTuples(r *Relation) [][2]string {
-	out := make([][2]string, r.Len())
-	for i, t := range r.Tuples() {
-		out[i] = [2]string{t[0], t[1]}
-	}
-	return out
-}
-
-// checkSharesTuples asserts that a clone holds its original's stored tuples
-// themselves, position by position — the same backing arrays, not copies —
-// in tuple arrays of its own.
-func checkSharesTuples(t *testing.T, orig, clone *Relation) {
+// check compares the copy with its model: its invariants, its length, every
+// column's distinct count and, on each built column, Lookup of every
+// alphabet value.
+func (c *fuzzCopy) check(t *testing.T, op byte) {
 	t.Helper()
-	a, b := orig.Tuples(), clone.Tuples()
-	if len(a) != len(b) {
-		t.Fatalf("clone holds %d tuples, original %d", len(b), len(a))
+	r := c.rel
+	if r.Len() != len(c.model) {
+		t.Fatalf("after op %d: Len = %d, model holds %d", op, r.Len(), len(c.model))
 	}
-	if len(a) > 0 && &a[0] == &b[0] {
-		t.Fatal("clone shares the original's tuple array")
+	checkConsistent(t, r)
+	for col := 0; col < 2; col++ {
+		vals := make(map[string]bool)
+		for m := range c.model {
+			vals[m[col]] = true
+		}
+		if got := r.Distinct(col); got != len(vals) {
+			t.Fatalf("after op %d: Distinct(%d) = %d, model holds %d values", op, col, got, len(vals))
+		}
+		if _, ok := r.ColumnIndex(col); ok != c.built[col] {
+			t.Fatalf("after op %d: column %d built = %v, the copy built it: %v", op, col, ok, c.built[col])
+		}
+		if !c.built[col] {
+			continue // Lookup would build it
+		}
+		for _, v := range fuzzValues {
+			want := 0
+			for m := range c.model {
+				if m[col] == v {
+					want++
+				}
+			}
+			got := r.Lookup(col, v)
+			for _, s := range got {
+				if s[col] != v || !c.model[[2]string{s[0], s[1]}] {
+					t.Fatalf("after op %d: Lookup(%d, %q) returned %q", op, col, v, s)
+				}
+			}
+			if len(got) != want {
+				t.Fatalf("after op %d: Lookup(%d, %q) returned %d tuples, model holds %d", op, col, v, len(got), want)
+			}
+		}
 	}
-	for i := range a {
-		if unsafe.SliceData(a[i]) != unsafe.SliceData(b[i]) {
-			t.Fatalf("clone's tuple %d %q is a copy of the original's, not the stored tuple", i, b[i])
+}
+
+// tablesOf describes the tables a relation reads — the tuple array, the
+// set index's slots and each column index object with its heads and chain
+// links — by address, length and capacity: what a write to another relation
+// sharing them would change.
+func tablesOf(r *Relation) string {
+	s := fmt.Sprintf("tuples %p/%d/%d set %p/%d/%d", unsafe.SliceData(r.tuples), len(r.tuples), cap(r.tuples),
+		unsafe.SliceData(r.set.slots), len(r.set.slots), r.set.n)
+	for col, x := range r.indexes {
+		if x != nil {
+			s += fmt.Sprintf(" col%d %p heads %p/%d/%d next %p/%d/%d", col, x, unsafe.SliceData(x.heads.slots), len(x.heads.slots), x.heads.n,
+				unsafe.SliceData(x.next), len(x.next), cap(x.next))
+		}
+	}
+	return s
+}
+
+// checkSharesTables asserts that a fresh clone holds its original's tables
+// themselves — the tuple array, the set index and every column index — and
+// so its stored tuples, and that both are marked to copy on a write.
+func checkSharesTables(t *testing.T, orig, clone *Relation) {
+	t.Helper()
+	if tablesOf(orig) != tablesOf(clone) || len(orig.indexes) != len(clone.indexes) {
+		t.Fatalf("clone holds other tables than its original:\n%s\n%s", tablesOf(clone), tablesOf(orig))
+	}
+	if !orig.shared.Load() || !clone.shared.Load() {
+		t.Fatalf("clone and original marked shared: %v and %v", clone.shared.Load(), orig.shared.Load())
+	}
+	for i := range orig.tuples {
+		if unsafe.SliceData(orig.tuples[i]) != unsafe.SliceData(clone.tuples[i]) {
+			t.Fatalf("clone's tuple %d %q is a copy of the original's, not the stored tuple", i, clone.tuples[i])
 		}
 	}
 }
@@ -283,10 +316,11 @@ func checkSharesTuples(t *testing.T, orig, clone *Relation) {
 // TestRelationAllocs pins what the indexes cost on a frozen relation of
 // 100 000 tuples: membership tests and removals allocate nothing, and an
 // insert allocates only the stored clone of its tuple, also when both its
-// values are new to the column indexes. A database clone allocates a
-// constant number: it copies the array of tuples, not the tuples, which it
-// shares, and every index as it is (one copy per tuple, 100 001 more, while
-// it cloned each tuple). With
+// values are new to the column indexes. A database clone allocates the
+// database, its map and one relation header, 4 in all, sharing every table
+// until one is written (TestCloneAllocs); its budget was 16 while it copied
+// the array of tuples and every index, and one more per tuple while it
+// cloned each tuple. With
 // the set index keyed by Tuple.Key strings the first three counts were 1,
 // 2 and 2; with per-value posting lists a new-valued insert and removal
 // cost 3, and a clone, which rebuilt them, 290 800.
@@ -327,7 +361,7 @@ func TestRelationAllocs(t *testing.T) {
 	}
 	checkConsistent(t, r)
 	db := &Database{rels: map[string]*Relation{"r": r}}
-	if got, limit := testing.AllocsPerRun(1, func() { db.Clone() }), 16.0; got > limit {
+	if got, limit := testing.AllocsPerRun(1, func() { db.Clone() }), 4.0; got > limit {
 		t.Errorf("Database.Clone: %.0f allocs, want at most %.0f", got, limit)
 	}
 }

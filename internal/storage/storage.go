@@ -13,15 +13,21 @@
 // holding it. Neither keeps a copy of a tuple or of a value, and a copy of
 // a relation copies both as they are, because positions do not change.
 //
+// A clone shares until it is written. Database.Clone hands each relation of
+// the copy the source relation's tables themselves and marks both shared;
+// the first write to either copies that relation's tables, so what nobody
+// writes — a serving side before its first batch, the base a maintainer
+// materialised from — is held once.
+//
 // A stored tuple is never written. Once a relation holds a tuple — Insert's
 // clone, or the tuple Adopt was handed — no code writes its columns, so
 // whoever reads a stored tuple may keep and share it without a copy: both
-// serving sides of a live engine hold one physical row, a database clone
-// copies only the array of tuples, and a rollback re-adopts the tuple it
-// removed. What a relation may not store is a tuple someone else may still
-// write — a caller's, or a window onto a buffer that is reused; Insert
-// clones those, and a batch's inserts are copied into backing arrays of at
-// most ChunkRows rows.
+// serving sides of a live engine hold one physical row, a relation that
+// copies its shared tables copies only the array of tuples, and a rollback
+// re-adopts the tuple it removed. What a relation may not store is a tuple
+// someone else may still write — a caller's, or a window onto a buffer that
+// is reused; Insert clones those, and a batch's inserts are copied into
+// backing arrays of at most ChunkRows rows.
 //
 // Values are constant lexemes (see cq.Term); Skolem values produced by the
 // inverse-rules algorithm live in the same domain as tagged strings and
@@ -35,6 +41,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cq"
 )
@@ -125,12 +132,22 @@ func hashTuple(t Tuple) uint32 {
 // column — are ignored. A column's index, once built, is maintained by
 // every mutation until the relation is dropped, and is the one source of
 // the column's distinct count (Distinct).
+//
+// A relation's tables — the tuple array, the set index and the list of
+// column indexes — may be shared with a clone (Database.Clone) until one of
+// the two is written: shared marks them so, and every write first gives
+// the relation tables of its own (own), so no write reaches a table
+// another relation reads.
 type Relation struct {
 	name    string
 	arity   int
 	tuples  []Tuple
 	set     PosTable    // hashTuple -> position in tuples
 	indexes []*ColIndex // by column; nil where a column is not built, and nil until one is
+	// shared is set while the tables above may be another relation's too.
+	// It is atomic because Clone sets it on its source, which other
+	// goroutines may be reading or cloning at the same time.
+	shared atomic.Bool
 }
 
 // NewRelation creates an empty relation.
@@ -180,6 +197,7 @@ func (r *Relation) Adopt(t Tuple) bool { return r.add(t, false) }
 // after batch reallocates amortised, not every batch. Like every mutation
 // it carries the single-writer requirement.
 func (r *Relation) Grow(n int) {
+	r.own()
 	r.tuples = slices.Grow(r.tuples, n)
 	for _, x := range r.indexes {
 		if x != nil {
@@ -198,6 +216,7 @@ func (r *Relation) add(t Tuple, clone bool) bool {
 	if r.find(h, t) >= 0 {
 		return false
 	}
+	r.own()
 	if clone {
 		t = t.Clone()
 	}
@@ -239,6 +258,7 @@ func (r *Relation) take(t Tuple) (Tuple, bool) {
 	if pos < 0 {
 		return nil, false
 	}
+	r.own()
 	stored := r.tuples[pos]
 	for _, x := range r.indexes {
 		if x != nil {
@@ -275,6 +295,7 @@ func (r *Relation) TruncateTo(n int) {
 	if n >= len(r.tuples) {
 		return
 	}
+	r.own()
 	for _, x := range r.indexes {
 		if x != nil {
 			x.truncate(r.tuples, n)
@@ -285,6 +306,30 @@ func (r *Relation) TruncateTo(n int) {
 	}
 	clear(r.tuples[n:])
 	r.tuples = r.tuples[:n]
+}
+
+// own gives the relation tables of its own before a write when a clone may
+// share them: the tuple array, the set index and every built column index
+// are copied as they are, since positions do not change, and the mark is
+// cleared. The relation they were shared with keeps its mark and copies on
+// its own first write, so a shared table is never written. Only a write
+// copies: a relation that is only read keeps sharing for good.
+func (r *Relation) own() {
+	if !r.shared.Load() {
+		return
+	}
+	r.tuples = slices.Clone(r.tuples)
+	r.set = r.set.Clone()
+	if r.indexes != nil {
+		indexes := make([]*ColIndex, len(r.indexes))
+		for col, x := range r.indexes {
+			if x != nil {
+				indexes[col] = x.clone()
+			}
+		}
+		r.indexes = indexes
+	}
+	r.shared.Store(false)
 }
 
 // find returns the position of t, whose hash is h, or -1 when the
@@ -336,17 +381,23 @@ func (r *Relation) BuildIndexes() {
 // BuildColumnIndex builds the hash index of a single column, unless it is
 // built already. Like Lookup's lazy build it mutates the relation, so it
 // carries the same single-writer requirement; one-shot evaluation uses it
-// to index only the columns a plan probes.
+// to index only the columns a plan probes. On a relation that shares its
+// tables with a clone it copies only the list of column indexes: the new
+// index is built over the shared tuples and belongs to this relation
+// alone, while the tuple array and the set index stay shared.
 func (r *Relation) BuildColumnIndex(col int) {
 	if col < 0 || col >= r.arity {
 		return
 	}
-	if r.indexes == nil {
+	switch {
+	case r.indexes == nil:
 		r.indexes = make([]*ColIndex, r.arity)
+	case r.indexes[col] != nil:
+		return
+	case r.shared.Load():
+		r.indexes = slices.Clone(r.indexes)
 	}
-	if r.indexes[col] == nil {
-		r.indexes[col] = buildColIndex(r.tuples, col)
-	}
+	r.indexes[col] = buildColIndex(r.tuples, col)
 }
 
 // Frozen reports whether every column index is built. A frozen relation is
@@ -517,26 +568,25 @@ func (db *Database) BuildIndexes() {
 	}
 }
 
-// Clone returns a copy of the database that shares its stored tuples:
-// each relation's array of tuples is copied, not the tuples, which are
-// never written, so a write to either database — an insert, a removal, a
-// truncation — leaves the other as it was. The tuples stay at their
-// positions, so the set index and every built column index are copied as
-// they are rather than rebuilt by re-hashing every tuple: a frozen
-// relation's copy is frozen, and cloning a serving database never demotes
-// indexed probes back to scans.
+// Clone returns a copy of the database that shares every relation's
+// tables until one of the two relations is written. It costs one relation
+// header per relation, whatever the relations hold: each relation of the
+// copy holds the source relation's tuple array, set index and column
+// indexes themselves, and both are marked shared. The first write to
+// either — an insert, a removal, a truncation, a Grow — copies that
+// relation's tables as they are (the tuples stay at their positions, so no
+// index is rebuilt) and leaves the other as it was; building a column
+// index copies only the list of indexes. A frozen relation's copy is
+// frozen, and a relation nobody writes is held once, however often it is
+// cloned. The stored tuples themselves are never copied, written or not.
+// Clone only reads db's tables, so it may run while other goroutines read
+// or clone db; like any read it may not run beside a write to db.
 func (db *Database) Clone() *Database {
-	out := NewDatabase()
+	out := &Database{rels: make(map[string]*Relation, len(db.rels))}
 	for p, r := range db.rels {
-		nr := &Relation{name: p, arity: r.arity, tuples: slices.Clone(r.tuples), set: r.set.Clone()}
-		if r.indexes != nil {
-			nr.indexes = make([]*ColIndex, len(r.indexes))
-			for col, x := range r.indexes {
-				if x != nil {
-					nr.indexes[col] = x.clone()
-				}
-			}
-		}
+		r.shared.Store(true)
+		nr := &Relation{name: p, arity: r.arity, tuples: r.tuples, set: r.set, indexes: r.indexes}
+		nr.shared.Store(true)
 		out.rels[p] = nr
 	}
 	return out
