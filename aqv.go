@@ -31,9 +31,9 @@
 //
 // Answer itself is a thin prepare-once-exec wrapper, so plain callers get
 // template caching for free. With EngineOptions.Strategy == StrategyAuto
-// the engine additionally picks the rewriting algorithm per template by
-// cost estimate, keeping the cheapest of a few equivalent rewritings
-// instead of the first found.
+// the engine plans like StrategyEquivalentFirst but keeps the cheapest of a
+// few equivalent rewritings by cost estimate instead of the first found,
+// falling back to MiniCon when none exists.
 //
 // With EngineOptions.LiveUpdates the engine additionally accepts batches of
 // base-fact inserts and deletions (Engine.ApplyUpdate, either side nil),
@@ -419,9 +419,9 @@ const (
 	StrategyMiniCon = engine.MiniCon
 	// StrategyInverseRules compiles an inverse-rules program.
 	StrategyInverseRules = engine.InverseRules
-	// StrategyAuto picks the algorithm per query template by cost
-	// estimate, recording the choice in EnginePlan.Chosen and
-	// EngineStats.PerStrategy.
+	// StrategyAuto takes the equivalent rewriting the cost model estimates
+	// cheapest, else the MiniCon rewriting, recording the choice in
+	// EnginePlan.Chosen and EngineStats.PerStrategy.
 	StrategyAuto = engine.Auto
 )
 

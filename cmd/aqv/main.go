@@ -15,9 +15,9 @@
 // control and request budgets belong to the daemon, cmd/aqvd.
 //
 // -algo auto plans through the serving engine's cost-driven strategy: per
-// query it searches for the cheapest equivalent rewriting and otherwise
-// picks MiniCon or inverse rules by cost estimate over the data's catalog,
-// reporting which algorithm was chosen.
+// query it takes the equivalent rewriting the cost model estimates cheapest
+// over the data's catalog and otherwise MiniCon's maximally-contained
+// rewriting, reporting which algorithm was chosen.
 //
 // Batch/serve mode (-queries) answers a stream of query rules — one rule
 // per query, "-" reads stdin — through a single plan-caching engine. Plans
@@ -75,7 +75,7 @@ func run(args []string, out *os.File) error {
 	streamPath := fs.String("stream", "", "live mode: file interleaving ground facts (inserts), \"-\"-prefixed facts (deletes) and query rules ('-' = stdin), served by one live engine that incrementally maintains the view extents")
 	viewsPath := fs.String("views", "", "file containing view definitions")
 	dataPath := fs.String("data", "", "optional file of ground base facts; evaluates the rewriting")
-	algo := fs.String("algo", "equivalent", "algorithm: equivalent, bucket, minicon, inverse, auto (cost-driven per query)")
+	algo := fs.String("algo", "equivalent", "algorithm: equivalent, bucket, minicon, inverse, auto (the cheapest equivalent rewriting, else minicon)")
 	all := fs.Bool("all", false, "enumerate all equivalent rewritings (equivalent only)")
 	partial := fs.Bool("partial", false, "allow partial rewritings mixing views and base atoms")
 	prepare := fs.Bool("prepare", false, "batch mode: report each query's prepared form (template parameters, chosen strategy, cost estimate)")
@@ -249,7 +249,7 @@ func runEquivalent(out *os.File, q *aqv.Query, views []*aqv.Query, vs *aqv.ViewS
 }
 
 // runAuto answers one query through the engine's cost-driven strategy,
-// reporting which algorithm the cost model chose.
+// reporting which algorithm produced the plan.
 func runAuto(out *os.File, q *aqv.Query, views []*aqv.Query, base *aqv.Database, partial, stats, explain bool) error {
 	eng, err := newEngine(views, base, string(aqv.StrategyAuto), partial, false)
 	if err != nil {
@@ -270,8 +270,6 @@ func runAuto(out *os.File, q *aqv.Query, views []*aqv.Query, base *aqv.Database,
 			for i, cp := range p.CompiledUnion {
 				fmt.Fprintf(out, "%% plan (member %d):\n%s", i+1, cp.Describe())
 			}
-		case p.CompiledProgram != nil:
-			fmt.Fprintf(out, "%% compiled program:\n%s", p.CompiledProgram.Describe())
 		}
 	}
 	if base != nil {

@@ -100,6 +100,12 @@ func TestRunInverse(t *testing.T) {
 	if !strings.Contains(out, "r(A,B) :- v(A,B).") || !strings.Contains(out, "q(a).") {
 		t.Fatalf("output:\n%s", out)
 	}
+	// Only a Skolem value stands for the hidden Y: the comparison is refused.
+	hf := writeFile(t, dir, "h.dl", "v(A) :- r(A,B).")
+	cf := writeFile(t, dir, "c.dl", "q(X) :- r(X,Y), Y > 5.")
+	if err := run([]string{"-query", cf, "-views", hf, "-data", df, "-algo", "inverse"}, os.Stdout); err == nil || !strings.Contains(err.Error(), "Skolem") {
+		t.Fatalf("comparison on a hidden column: err = %v, want it refused", err)
+	}
 }
 
 func TestRunPartial(t *testing.T) {

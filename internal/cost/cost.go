@@ -69,22 +69,6 @@ func (c *Catalog) SetRelation(pred string, rows float64, distinct []float64) {
 	c.distinct[pred] = distinct
 }
 
-// Clone returns an independent copy of the catalog, so what-if overrides
-// (SetRelation) never leak into a shared instance.
-func (c *Catalog) Clone() *Catalog {
-	n := &Catalog{
-		rows:     make(map[string]float64, len(c.rows)),
-		distinct: make(map[string][]float64, len(c.distinct)),
-	}
-	for pred, r := range c.rows {
-		n.rows[pred] = r
-	}
-	for pred, d := range c.distinct {
-		n.distinct[pred] = append([]float64(nil), d...)
-	}
-	return n
-}
-
 // Rows returns the cardinality of a relation (1 if unknown — a missing
 // relation joins like a singleton so unknown predicates do not dominate).
 func (c *Catalog) Rows(pred string) float64 {

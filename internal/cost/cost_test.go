@@ -37,18 +37,6 @@ func TestCatalogStats(t *testing.T) {
 	}
 }
 
-func TestCatalogClone(t *testing.T) {
-	c := NewCatalog(sampleDB())
-	n := c.Clone()
-	n.SetRelation("big", 7, []float64{7, 7})
-	if c.Rows("big") != 100 || c.Distinct("big", 1) != 10 {
-		t.Fatalf("Clone leaked overrides into the original: rows=%v", c.Rows("big"))
-	}
-	if n.Rows("big") != 7 || n.Rows("small") != 5 {
-		t.Fatalf("clone stats wrong: big=%v small=%v", n.Rows("big"), n.Rows("small"))
-	}
-}
-
 // TestNewCatalogReadsIndexes pins that NewCatalog reads distinct counts off
 // built column indexes instead of scanning: over a frozen 100 000-tuple
 // relation it allocates a constant few times (7; a per-column set of seen

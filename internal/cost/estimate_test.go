@@ -42,7 +42,7 @@ func TestEstimateOrdersByRowsAlone(t *testing.T) {
 	if e := datalog.Estimate(q, []string{"X"}, rowsOnly); e.Cost != 100100 || e.Cardinality != 100000 {
 		t.Fatalf("rows-only estimate %+v, want cost 100100 and cardinality 100000 (s before r)", e)
 	}
-	full := rowsOnly.Clone()
+	full := cost.NewCatalog(storage.NewDatabase())
 	full.SetRelation("r", 1000, []float64{1000, 1000})
 	full.SetRelation("s", 100, []float64{1, 100})
 	if e := datalog.Estimate(q, []string{"X"}, full); e.Cost != 101 || e.Cardinality != 100 {

@@ -153,25 +153,3 @@ func TestCompileParamsDifferential(t *testing.T) {
 		}
 	}
 }
-
-func TestProgramEstimateCost(t *testing.T) {
-	db := storage.NewDatabase()
-	for i := 0; i < 100; i++ {
-		db.Insert("e", storage.Tuple{fmt.Sprint(i), fmt.Sprint(i + 1)})
-	}
-	cat := cost.NewCatalog(db)
-	small := newProgram(RuleFromQuery(cq.MustParseQuery("tc(X,Y) :- e(X,Y)")))
-	big := newProgram(
-		RuleFromQuery(cq.MustParseQuery("tc(X,Y) :- e(X,Y)")),
-		RuleFromQuery(cq.MustParseQuery("tc(X,Z) :- e(X,Y), e(Y,Z)")),
-	)
-	es, eb := small.EstimateCost(cat), big.EstimateCost(cat)
-	if es.Cost <= 0 || eb.Cost <= es.Cost {
-		t.Fatalf("estimates: small=%+v big=%+v", es, eb)
-	}
-	// One round's worth: the sum of every rule body's Estimate.
-	join := Estimate(cq.MustParseQuery("tc(X,Z) :- e(X,Y), e(Y,Z)"), nil, cat)
-	if eb.Cost != es.Cost+join.Cost || eb.Cardinality != es.Cardinality+join.Cardinality {
-		t.Fatalf("program estimate %+v, want %+v plus %+v", eb, es, join)
-	}
-}

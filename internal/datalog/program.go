@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cost"
 	"repro/internal/cq"
 	"repro/internal/storage"
 )
@@ -188,24 +187,6 @@ func (p *Program) String() string {
 		lines[i] = r.String()
 	}
 	return strings.Join(lines, "\n")
-}
-
-// EstimateCost estimates the evaluation cost of the program under the
-// catalog: the sum of every rule body's join estimate (Estimate),
-// one round's worth of work. It ignores fixpoint iteration counts and
-// defaults derived predicates absent from the catalog to cardinality 1, so
-// it ranks a program against rewriting candidates rather than predicting
-// wall-clock time; callers with better guesses for the derived relations
-// can register them on a cloned catalog first.
-func (p *Program) EstimateCost(c *cost.Catalog) cost.Estimate {
-	var total cost.Estimate
-	for _, r := range p.Rules {
-		q := &cq.Query{Head: cq.NewAtom(r.HeadPred), Body: r.Body, Comparisons: r.Comparisons}
-		e := Estimate(q, nil, c)
-		total.Cost += e.Cost
-		total.Cardinality += e.Cardinality
-	}
-	return total
 }
 
 // EvalInterp computes the fixpoint of the program over the EDB semi-naively

@@ -25,12 +25,12 @@
 // most once per distinct query *shape*; the steady-state cost of Answer is
 // one template-cache hit plus the evaluation of the cached plan.
 //
-// Strategy selection can be cost-driven: under the Auto strategy the engine
-// plans each template with equivalent-first search, MiniCon or inverse
-// rules, choosing by internal/cost estimates over the catalog; its
-// equivalent search enumerates a few rewritings (autoMaxResults) and keeps
-// the cheapest estimate rather than the first found. The chosen strategy and
-// estimate are recorded on the Plan and attributed in Stats.
+// Strategy selection can be cost-driven: the Auto strategy plans each
+// template like EquivalentFirst — an equivalent rewriting, else MiniCon's
+// union — but its equivalent search enumerates a few rewritings
+// (autoMaxResults) and keeps the one internal/cost estimates cheapest over
+// the catalog rather than the first found. The chosen strategy and estimate
+// are recorded on the Plan and attributed in Stats.
 package engine
 
 import (
@@ -73,18 +73,17 @@ const (
 	// InverseRules compiles the query and views into an inverse-rules
 	// datalog program; all search cost shifts to evaluation time.
 	InverseRules Strategy = "inverse-rules"
-	// Auto picks a strategy per query template with the cost model: the
-	// cheapest equivalent rewriting when one exists, otherwise MiniCon or
-	// inverse rules, whichever internal/cost estimates cheaper under the
-	// catalog. The choice is recorded in Plan.Chosen and attributed per
-	// strategy in Stats.
+	// Auto plans like EquivalentFirst but ranks several equivalent
+	// rewritings with the cost model: the cheapest one when any exists,
+	// otherwise the MiniCon maximally-contained rewriting. The choice is
+	// recorded in Plan.Chosen and attributed per strategy in Stats.
 	Auto Strategy = "auto"
 )
 
 // autoMaxResults is the equivalent-rewriting candidate budget the Auto
-// strategy enumerates (EquivalentFirst takes the first rewriting found):
-// cost selection needs alternatives to choose between, but exhaustive
-// enumeration is exponential.
+// strategy enumerates and ranks by estimate (EquivalentFirst takes the
+// first rewriting found): cost selection needs alternatives to choose
+// between, but exhaustive enumeration is exponential.
 const autoMaxResults = 4
 
 // Strategies lists the supported strategies.
@@ -113,7 +112,7 @@ func ParseStrategy(name string) (Strategy, error) {
 // Options configures an Engine.
 type Options struct {
 	// Strategy selects the planning algorithm; default EquivalentFirst.
-	// Auto picks per query template by cost estimate. Any ParseStrategy
+	// Auto ranks equivalent rewritings by cost estimate. Any ParseStrategy
 	// spelling is accepted; construction stores the canonical one.
 	Strategy Strategy
 	// CacheSize bounds the plan LRU; default 128. Minimum 1.
@@ -124,9 +123,7 @@ type Options struct {
 	// alongside the view extents, and NewFromBase serves them under those
 	// two strategies. Every other engine built by NewFromBase serves the
 	// view extents alone: Bucket, MiniCon and InverseRules ignore
-	// AllowPartial. Auto under AllowPartial never falls back to inverse
-	// rules, whose program would read the served base facts alongside the
-	// ones it reconstructs; it takes MiniCon's union instead.
+	// AllowPartial.
 	AllowPartial bool
 	// LiveUpdates enables the mutation path: ApplyUpdate applies base-fact
 	// inserts and deletes and delta-maintains every view extent instead of the
@@ -210,12 +207,13 @@ type Plan struct {
 	// Strategy the engine was configured with when the plan was built.
 	Strategy Strategy
 	// Chosen is the algorithm that actually produced the plan: equal to
-	// Strategy for the fixed algorithms, the cost model's pick under Auto,
-	// and MiniCon when EquivalentFirst fell back to the MCR.
+	// Strategy for the fixed algorithms, and MiniCon when EquivalentFirst
+	// or Auto fell back to the MCR.
 	Chosen Strategy
-	// Estimate is the cost model's estimate of the chosen plan under the
-	// construction-time catalog, with the parameter slots treated as
-	// bound. It ranks candidates; it does not predict wall-clock time.
+	// Estimate is the cost model's estimate of the chosen rewriting under
+	// the construction-time catalog, with the parameter slots treated as
+	// bound. It ranks candidates; it does not predict wall-clock time. It
+	// is zero for an inverse-rules program, which no strategy ranks.
 	Estimate cost.Estimate
 	// Params lists the template's placeholder variables in binding order;
 	// executions supply one argument per entry. Empty for plans of
@@ -537,16 +535,16 @@ func servesBase(opt Options) bool {
 // where the serving layout (servesBase) is applied. A rewriting is a query
 // over the views, so by default the engine serves the view extents alone,
 // for every strategy: serving the base relations too would let an
-// inverse-rules program (under InverseRules or Auto) read base facts
-// directly, answering more than the views expose. Only an engine that can
-// plan partial rewritings serves the base relations too. The layout is a
-// selection of the maintainer's own relations, not a copy: a static engine
-// serves it and drops the maintainer (and with it, the base relations it
-// does not serve); a live one keeps the maintainer, serves the selection as
-// side 0 and one clone of it as side 1 — a clone that shares side 0's
-// tables until a batch first writes a relation, so until then the served
-// state is held once — and from then on the maintainer shares whichever
-// side it maintains (liveState).
+// inverse-rules program read base facts directly, answering more than the
+// views expose. Only an engine that can plan partial rewritings serves the
+// base relations too. The layout is a selection of the maintainer's own
+// relations, not a copy: a static engine serves it and drops the
+// maintainer (and with it, the base relations it does not serve); a live
+// one keeps the maintainer, serves the selection as side 0 and one clone
+// of it as side 1 — a clone that shares side 0's tables until a batch
+// first writes a relation, so until then the served state is held once —
+// and from then on the maintainer shares whichever side it maintains
+// (liveState).
 func newFromMaintainer(vs *core.ViewSet, m *ivm.Maintainer, views []*cq.Query, opt Options) (*Engine, error) {
 	withBase := servesBase(opt)
 	db, err := extentsOnly(m, views)
@@ -878,7 +876,7 @@ func (e *Engine) buildPlan(tmpl *cq.Template, fp string) (*Plan, error) {
 		AnswerPred:  qc.Name(),
 	}
 	switch e.opt.Strategy {
-	case EquivalentFirst:
+	case EquivalentFirst, Auto:
 		if !e.planEquivalent(p, qc) {
 			if err := e.planMiniCon(p, qc); err != nil {
 				return nil, err
@@ -898,13 +896,12 @@ func (e *Engine) buildPlan(tmpl *cq.Template, fp string) (*Plan, error) {
 			return nil, err
 		}
 	case InverseRules:
-		if err := e.planInverse(p, qc); err != nil {
+		prog, err := inverserules.Program(qc, e.viewDefs)
+		if err != nil {
 			return nil, err
 		}
-	case Auto:
-		if err := e.planAuto(p, qc); err != nil {
-			return nil, err
-		}
+		p.Kind = PlanInverseProgram
+		p.Program = prog
 	}
 	p.BuildTime = time.Since(start)
 
@@ -954,8 +951,8 @@ func (e *Engine) execQuery(p *Plan, q *cq.Query) *cq.Query {
 }
 
 // planEquivalent searches for equivalent rewritings of qc — the first one
-// found, or under Auto up to autoMaxResults of them, keeping the cheapest
-// estimate. It reports whether any rewriting was found.
+// found, or under Auto up to autoMaxResults of them — and keeps the
+// cheapest estimate. It reports whether any rewriting was found.
 func (e *Engine) planEquivalent(p *Plan, qc *cq.Query) bool {
 	r := core.NewRewriter(e.views)
 	r.Opt.AllowPartial = e.opt.AllowPartial
@@ -993,86 +990,6 @@ func (e *Engine) planMiniCon(p *Plan, qc *cq.Query) error {
 	p.Union = u
 	p.Estimate = datalog.EstimateUnion(u, p.Params, e.catalog)
 	return nil
-}
-
-// planInverse builds the inverse-rules program of qc.
-func (e *Engine) planInverse(p *Plan, qc *cq.Query) error {
-	prog, err := inverserules.Program(qc, e.viewDefs)
-	if err != nil {
-		return err
-	}
-	p.Kind = PlanInverseProgram
-	p.Program = prog
-	p.Estimate = prog.EstimateCost(e.programCatalog())
-	return nil
-}
-
-// planAuto is the cost-driven strategy: the cheapest equivalent rewriting
-// when one exists (equivalent rewritings are exact, so they always beat
-// the maximally-contained routes on answer quality); otherwise MiniCon or
-// inverse rules, whichever the cost model estimates cheaper under the
-// catalog. The winning algorithm lands in p.Chosen.
-//
-// For parameterized templates the inverse route is a last resort, taken
-// only when the MCR is empty: a parameterized program derives the answer
-// relation for every binding and filters per execution, so whenever
-// MiniCon can answer at all it wins regardless of the one-round estimate.
-// Under AllowPartial, where the engine serves the base, the inverse route
-// is never taken.
-func (e *Engine) planAuto(p *Plan, qc *cq.Query) error {
-	if e.planEquivalent(p, qc) {
-		return nil
-	}
-	var mc Plan
-	mc.Params, mc.Arity = p.Params, p.Arity
-	if err := e.planMiniCon(&mc, qc); err != nil {
-		return err
-	}
-	// MiniCon wins outright — don't build a program just to discard it —
-	// for a parameterized template it can answer, and whenever the engine
-	// serves the base: a program there would read the base facts alongside
-	// the ones it reconstructs, answering more than the views expose.
-	if (mc.Union.Len() > 0 && len(p.Params) > 0) || servesBase(e.opt) {
-		p.Kind, p.Union, p.Estimate = mc.Kind, mc.Union, mc.Estimate
-		p.Chosen = MiniCon
-		return nil
-	}
-	var inv Plan
-	inv.Params, inv.Arity = p.Params, p.Arity
-	if err := e.planInverse(&inv, qc); err != nil {
-		return err
-	}
-	if mc.Union.Len() > 0 && mc.Estimate.Cost <= inv.Estimate.Cost {
-		p.Kind, p.Union, p.Estimate = mc.Kind, mc.Union, mc.Estimate
-		p.Chosen = MiniCon
-		return nil
-	}
-	p.Kind, p.Program, p.Estimate = inv.Kind, inv.Program, inv.Estimate
-	p.Chosen = InverseRules
-	return nil
-}
-
-// programCatalog clones the engine catalog and seeds cardinality guesses
-// for the relations an inverse-rules program reconstructs: each base
-// predicate's rows default to the total rows of the view extents that
-// mention it (every view tuple yields at most one inverse tuple per
-// occurrence), so program estimates compare against rewriting estimates on
-// roughly honest terms instead of the unknown-relation default of 1.
-func (e *Engine) programCatalog() *cost.Catalog {
-	c := e.catalog.Clone()
-	guess := make(map[string]float64)
-	for _, v := range e.viewDefs {
-		rows := c.Rows(v.Name())
-		for _, a := range v.Body {
-			guess[a.Pred] += rows
-		}
-	}
-	for pred, rows := range guess {
-		if c.Rows(pred) <= 1 {
-			c.SetRelation(pred, rows, nil)
-		}
-	}
-	return c
 }
 
 // strategyAggLocked returns the per-strategy aggregate for s, creating it

@@ -240,8 +240,8 @@ func TestAutoAccounting(t *testing.T) {
 }
 
 // TestAutoPicksMiniConOverInverse: no equivalent rewriting exists but the
-// MCR is non-empty and cheaper than the inverse-rules fixpoint, so Auto
-// must choose MiniCon — and attribute the plan to it.
+// MCR is non-empty, so Auto must choose MiniCon — and attribute the plan
+// to it.
 func TestAutoPicksMiniConOverInverse(t *testing.T) {
 	base := storage.NewDatabase()
 	for i := 0; i < 30; i++ {
@@ -272,9 +272,10 @@ func TestAutoPicksMiniConOverInverse(t *testing.T) {
 	}
 }
 
-// TestAutoFallsBackToInverseOnEmptyMCR: when the MCR is empty the inverse
-// program is the only route that could still derive certain answers.
-func TestAutoFallsBackToInverseOnEmptyMCR(t *testing.T) {
+// TestAutoTakesEmptyMCR: when no equivalent rewriting exists and the MCR
+// is empty, Auto plans MiniCon's empty union — the certain answers are
+// empty too — and runs no fixpoint.
+func TestAutoTakesEmptyMCR(t *testing.T) {
 	base := storage.NewDatabase()
 	base.Insert("r", storage.Tuple{"a", "b"})
 	views, err := cq.ParseViews("vr(A,B) :- r(A,B).")
@@ -286,15 +287,34 @@ func TestAutoFallsBackToInverseOnEmptyMCR(t *testing.T) {
 		t.Fatal(err)
 	}
 	// s is covered by no view: the MCR is empty.
-	p, err := e.Plan(cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)"))
+	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
+	p, err := e.Plan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Chosen != InverseRules || p.Kind != PlanInverseProgram {
-		t.Fatalf("chosen=%s kind=%s, want inverse program", p.Chosen, p.Kind)
+	assertEmptyMiniConPlan(t, e, p)
+	if got := mustAnswer(t, e, q); len(got) != 0 {
+		t.Fatalf("answered %v, want no certain answers", got)
 	}
-	if st := e.Stats(); st.PerStrategy[InverseRules].Plans != 1 {
-		t.Fatalf("per-strategy = %+v", st.PerStrategy)
+}
+
+// assertEmptyMiniConPlan checks that p is MiniCon's empty union, booked
+// under minicon, and that e built no inverse-rules plan and ran no
+// fixpoint.
+func assertEmptyMiniConPlan(t *testing.T, e *Engine, p *Plan) {
+	t.Helper()
+	if p.Chosen != MiniCon || p.Kind != PlanMaxContained || p.Union.Len() != 0 {
+		t.Fatalf("chosen=%s kind=%s union=%d, want minicon's empty union", p.Chosen, p.Kind, p.Union.Len())
+	}
+	st := e.Stats()
+	if st.PerStrategy[MiniCon].Plans != 1 {
+		t.Fatalf("per-strategy = %+v, want the plan booked under minicon", st.PerStrategy)
+	}
+	if _, ok := st.PerStrategy[InverseRules]; ok {
+		t.Fatalf("per-strategy = %+v, want no inverse-rules entry", st.PerStrategy)
+	}
+	if st.FixpointRuns != 0 {
+		t.Fatalf("fixpoint runs = %d, want 0", st.FixpointRuns)
 	}
 }
 
@@ -505,10 +525,10 @@ func TestInverseRulesKeepsConstantsInProgram(t *testing.T) {
 	}
 }
 
-// TestAutoParameterizedInverseLastResort: under Auto a parameterized
-// template takes the inverse route only when the MCR is empty; the plan
-// carries the placeholders and Exec filters the derived relation.
-func TestAutoParameterizedInverseLastResort(t *testing.T) {
+// TestAutoParameterizedEmptyMCR: a parameterized template whose MCR is
+// empty plans MiniCon's empty union with the placeholders, and every
+// binding answers nothing without error.
+func TestAutoParameterizedEmptyMCR(t *testing.T) {
 	base := storage.NewDatabase()
 	base.Insert("r", storage.Tuple{"a", "m"})
 	views, err := cq.ParseViews("vr(A,B) :- r(A,B).")
@@ -524,11 +544,11 @@ func TestAutoParameterizedInverseLastResort(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pq.Plan()
-	if p.Chosen != InverseRules || len(p.Params) != 1 {
-		t.Fatalf("chosen=%s params=%v, want parameterized inverse fallback", p.Chosen, p.Params)
+	if len(p.Params) != 1 {
+		t.Fatalf("params=%v, want one placeholder", p.Params)
 	}
 	// s is underivable from the views: certain answers are empty for any
-	// binding, and the parameter filter must not error.
+	// binding.
 	for _, arg := range []string{"a", "zz"} {
 		got, err := pq.Exec(arg)
 		if err != nil {
@@ -538,6 +558,7 @@ func TestAutoParameterizedInverseLastResort(t *testing.T) {
 			t.Fatalf("Exec(%s) = %v, want no certain answers", arg, got)
 		}
 	}
+	assertEmptyMiniConPlan(t, e, p)
 }
 
 func TestSelectParams(t *testing.T) {

@@ -85,6 +85,13 @@ func Invert(view *cq.Query) ([]datalog.Rule, error) {
 // Program builds the full inverse-rules program for a query and a view set:
 // the inverse rules of every view plus the query itself as a rule deriving
 // the answer predicate.
+//
+// It refuses a query comparison on a variable that only Skolem values may
+// bind: one whose every body occurrence sits at a position where some
+// inverse rule has a Skolem head term. A Skolem value stands for an unknown
+// constant, so no comparison on it is certain, yet the evaluator would
+// compare its name; a variable with one occurrence at a Skolem-free
+// position is joined to view values only.
 func Program(q *cq.Query, views []*cq.Query) (*datalog.Program, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("inverserules: %w", err)
@@ -97,8 +104,49 @@ func Program(q *cq.Query, views []*cq.Query) (*datalog.Program, error) {
 		}
 		p.Rules = append(p.Rules, rules...)
 	}
+	if err := checkComparisons(q, p.Rules); err != nil {
+		return nil, err
+	}
 	p.Rules = append(p.Rules, datalog.RuleFromQuery(q))
 	return p, nil
+}
+
+// checkComparisons refuses a comparison of q on a variable that the inverse
+// rules can bind only where they may put a Skolem value (see Program).
+func checkComparisons(q *cq.Query, rules []datalog.Rule) error {
+	if len(q.Comparisons) == 0 {
+		return nil
+	}
+	type position struct {
+		pred string
+		i    int
+	}
+	skolem := make(map[position]bool) // positions some rule Skolemises
+	for _, r := range rules {
+		for i, h := range r.Head {
+			if h.Skolem != nil {
+				skolem[position{r.HeadPred, i}] = true
+			}
+		}
+	}
+	onlySkolem := func(v string) bool {
+		for _, a := range q.Body {
+			for i, t := range a.Args {
+				if t.IsVar() && t.Lex == v && !skolem[position{a.Pred, i}] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, c := range q.Comparisons {
+		for _, t := range []cq.Term{c.Left, c.Right} {
+			if t.IsVar() && onlySkolem(t.Lex) {
+				return fmt.Errorf("inverserules: comparison %s of %s is on %s, which the inverse rules bind only where a Skolem value may stand", c, q.Name(), t.Lex)
+			}
+		}
+	}
+	return nil
 }
 
 // Compile builds the inverse-rules program for q over views and lowers it to

@@ -176,6 +176,49 @@ func TestProgramInvalidInputs(t *testing.T) {
 	}
 }
 
+// TestProgramRefusesSkolemComparisons: a query comparison on a variable
+// that only Skolem values may bind is refused, because its Skolem value
+// would be compared by name; a variable with one occurrence the views
+// expose is compared on view values only, and is accepted.
+func TestProgramRefusesSkolemComparisons(t *testing.T) {
+	hidden := mustQ("v(A) :- r(A,C)")
+	exposed := mustQ("w(A,C) :- r(A,C)")
+	joined := mustQ("u(A,B) :- r(A,C), s(C,B)")
+	seen := mustQ("vt(C) :- t(C)")
+	for _, tc := range []struct {
+		query   string
+		views   []*cq.Query
+		refused bool
+	}{
+		// r's second column is hidden: f_v_C(a) would pass Y > 5.
+		{"q(X) :- r(X,Y), Y > 5", []*cq.Query{hidden}, true},
+		// Another view exposing the column does not help: the Skolem
+		// tuple is still derived beside the real one.
+		{"q(X) :- r(X,Y), Y > 5", []*cq.Query{hidden, exposed}, true},
+		{"q(X) :- r(X,Y), 5 < Y", []*cq.Query{exposed}, false},
+		{"q(X) :- r(X,Y), X > 5", []*cq.Query{hidden}, false},
+		// Both occurrences of Z are Skolemised by u; Y's s occurrence is not.
+		{"q(X,Y) :- r(X,Z), s(Z,Y), Z < m", []*cq.Query{joined}, true},
+		{"q(X,Y) :- r(X,Z), s(Z,Y), Y < m", []*cq.Query{joined}, false},
+		// t exposes Z, so Z joins view values only.
+		{"q(X) :- r(X,Z), t(Z), Z < m", []*cq.Query{joined, seen}, false},
+		// A predicate no view mentions derives nothing to compare.
+		{"q(X) :- p(X,Y), Y > 5", []*cq.Query{hidden}, false},
+	} {
+		_, err := Program(mustQ(tc.query), tc.views)
+		if (err != nil) != tc.refused {
+			t.Errorf("%s over %v: err = %v, want refused=%v", tc.query, tc.views, err, tc.refused)
+		}
+	}
+	// The refusal reaches Answer: without it the Skolem value would answer a.
+	base := storage.NewDatabase()
+	base.Insert("r", storage.Tuple{"a", "1"})
+	viewDB, _ := datalog.MaterializeViews(base, []*cq.Query{hidden})
+	if got, err := Answer(mustQ("q(X) :- r(X,Y), Y > 5"), []*cq.Query{hidden}, viewDB); err == nil {
+		t.Fatalf("answered %v, want the query refused", got)
+	}
+}
+
 func TestAnswerEmptyViewDB(t *testing.T) {
 	got, err := Answer(mustQ("q(X) :- r(X)"), []*cq.Query{mustQ("v(A) :- r(A)")}, storage.NewDatabase())
 	if err != nil {
