@@ -25,9 +25,9 @@
 // so not only repeated or α-equivalent queries but whole point-lookup
 // streams differing only in their constants are planned once and served
 // from the cache. With -prepare each query additionally reports its
-// prepared form: parameter count, chosen strategy and cost estimate. With
-// -stats the engine's hit/miss/coalescing counters are printed after the
-// stream.
+// prepared form: parameter count, chosen strategy and, for an equivalent
+// plan, its cost estimate. With -stats the engine's hit/miss/coalescing
+// counters are printed after the stream.
 //
 // Update-stream mode (-stream) serves a live workload that interleaves
 // base-fact inserts, deletions and queries, one statement per line ("-"
@@ -78,7 +78,7 @@ func run(args []string, out *os.File) error {
 	algo := fs.String("algo", "equivalent", "algorithm: equivalent, bucket, minicon, inverse, auto (the cheapest equivalent rewriting, else minicon)")
 	all := fs.Bool("all", false, "enumerate all equivalent rewritings (equivalent only)")
 	partial := fs.Bool("partial", false, "allow partial rewritings mixing views and base atoms")
-	prepare := fs.Bool("prepare", false, "batch mode: report each query's prepared form (template parameters, chosen strategy, cost estimate)")
+	prepare := fs.Bool("prepare", false, "batch mode: report each query's prepared form (template parameters, chosen strategy, an equivalent plan's cost estimate)")
 	stats := fs.Bool("stats", false, "print search statistics (engine cache counters in batch mode)")
 	explain := fs.Bool("explain", false, "print the compiled execution plan (equivalent: the chosen rewriting, needs -data; inverse: the compiled program)")
 	if err := fs.Parse(args); err != nil {
@@ -260,7 +260,7 @@ func runAuto(out *os.File, q *aqv.Query, views []*aqv.Query, base *aqv.Database,
 		return err
 	}
 	p := pq.Plan()
-	fmt.Fprintf(out, "%% auto chose %s (estimated cost %.0f)\n", p.Chosen, p.Estimate.Cost)
+	fmt.Fprintf(out, "%% auto chose %s%s\n", p.Chosen, estimateNote(p, " (estimated cost %.0f)"))
 	printPlan(out, p)
 	if explain {
 		switch {
@@ -303,6 +303,15 @@ func printPlan(out *os.File, p *aqv.EnginePlan) {
 	case p.Program != nil:
 		fmt.Fprintf(out, "%% plan (%s%s): %d rule(s)\n", p.Kind, note, len(p.Program.Rules))
 	}
+}
+
+// estimateNote renders the estimated cost of an equivalent plan under
+// format, the one kind of plan a strategy ranks; other plans carry none.
+func estimateNote(p *aqv.EnginePlan, format string) string {
+	if p.Rewriting == nil {
+		return ""
+	}
+	return fmt.Sprintf(format, p.Estimate.Cost)
 }
 
 // newEngine builds the plan-caching engine -algo auto, -queries and -stream
@@ -364,8 +373,8 @@ func runBatch(out *os.File, path string, views []*aqv.Query, base *aqv.Database,
 		fmt.Fprintf(out, "%% [%d] %s\n", i+1, q)
 		printPlan(out, p)
 		if prepare {
-			fmt.Fprintf(out, "%% prepared: params=%d args=%v chosen=%s est=%.0f template=%s\n",
-				pq.NumParams(), pq.Args(), p.Chosen, p.Estimate.Cost, p.Fingerprint)
+			fmt.Fprintf(out, "%% prepared: params=%d args=%v chosen=%s%s template=%s\n",
+				pq.NumParams(), pq.Args(), p.Chosen, estimateNote(p, " est=%.0f"), p.Fingerprint)
 		}
 		if base != nil {
 			answers, err := pq.Exec(pq.Args()...)

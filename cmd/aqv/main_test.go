@@ -171,8 +171,8 @@ func TestRunAuto(t *testing.T) {
 	vf := writeFile(t, dir, "v.dl", "v(A,B) :- r(A,C), s(C,B).")
 	df := writeFile(t, dir, "d.dl", "r(a,m). s(m,x).")
 	out := capture(t, []string{"-query", qf, "-views", vf, "-data", df, "-algo", "auto"})
-	if !strings.Contains(out, "auto chose equivalent-first") {
-		t.Fatalf("auto choice not reported:\n%s", out)
+	if !strings.Contains(out, "auto chose equivalent-first (estimated cost ") {
+		t.Fatalf("auto choice not reported with its estimate:\n%s", out)
 	}
 	if !strings.Contains(out, "q(a,x).") {
 		t.Fatalf("answers missing:\n%s", out)
@@ -182,6 +182,20 @@ func TestRunAuto(t *testing.T) {
 	out = capture(t, []string{"-queries", qs, "-views", vf, "-data", df, "-algo", "auto", "-stats"})
 	if !strings.Contains(out, "strategy=equivalent-first plans=1") {
 		t.Fatalf("auto per-strategy attribution missing:\n%s", out)
+	}
+	// A union carries no estimate: only equivalent rewritings are ranked.
+	uf := writeFile(t, dir, "u.dl", "q(X) :- r(X,Z).")
+	out = capture(t, []string{"-query", uf, "-views", vf, "-data", df, "-algo", "auto"})
+	if !strings.Contains(out, "auto chose minicon\n") {
+		t.Fatalf("union plan reported with an estimate:\n%s", out)
+	}
+	out = capture(t, []string{"-queries", uf, "-views", vf, "-data", df, "-algo", "auto", "-prepare"})
+	if !strings.Contains(out, "chosen=minicon template=") {
+		t.Fatalf("prepared union plan reported with an estimate:\n%s", out)
+	}
+	out = capture(t, []string{"-queries", qs, "-views", vf, "-data", df, "-algo", "auto", "-prepare"})
+	if !strings.Contains(out, "chosen=equivalent-first est=") {
+		t.Fatalf("prepared equivalent plan reported without its estimate:\n%s", out)
 	}
 }
 

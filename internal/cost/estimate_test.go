@@ -49,42 +49,3 @@ func TestEstimateOrdersByRowsAlone(t *testing.T) {
 		t.Fatalf("estimate with distinct counts %+v, want cost 101 and cardinality 100 (r before s)", e)
 	}
 }
-
-func TestEstimateUnion(t *testing.T) {
-	c := sampleCatalog()
-	u := cq.NewUnion(mustQ("q(X) :- small(X)"), mustQ("q(X) :- big(X,Y)"))
-	e := datalog.EstimateUnion(u, nil, c)
-	single := datalog.Estimate(mustQ("q(X) :- small(X)"), nil, c)
-	if e.Cost <= single.Cost {
-		t.Fatal("union cost should exceed a single member")
-	}
-}
-
-// TestEstimateUnionBuildsNoOrder: a union's estimate sums its members'
-// estimates, each member priced in its own join order, with and without a
-// bound parameter.
-func TestEstimateUnionBuildsNoOrder(t *testing.T) {
-	c := sampleCatalog()
-	u := cq.NewUnion(mustQ("q(X) :- big(X,P), small(P)"), mustQ("q(X) :- small(X)"))
-	for _, params := range [][]string{nil, {"P"}} {
-		var want cost.Estimate
-		for _, m := range u.Queries {
-			e := datalog.Estimate(m, params, c)
-			want.Cost += e.Cost
-			want.Cardinality += e.Cardinality
-		}
-		if got := datalog.EstimateUnion(u, params, c); got != want {
-			t.Fatalf("params %v: union estimate %+v, want the members' sum %+v", params, got, want)
-		}
-	}
-}
-
-func TestEstimateUnionWith(t *testing.T) {
-	c := sampleCatalog()
-	u := cq.NewUnion(mustQ("q(X) :- big(X,P)"), mustQ("q(X) :- small(X)"))
-	free := datalog.EstimateUnion(u, nil, c)
-	bound := datalog.EstimateUnion(u, []string{"P"}, c)
-	if bound.Cost >= free.Cost {
-		t.Fatalf("bound union cost %v, want below %v", bound.Cost, free.Cost)
-	}
-}

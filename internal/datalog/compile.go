@@ -135,53 +135,19 @@ func Compile(q *cq.Query, cat *cost.Catalog) *CompiledPlan {
 // prepared point lookup compiles to the same index-probe plan as its
 // constant-bound original.
 func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPlan {
-	if cat == nil {
-		cat = &cost.Catalog{}
-	}
-	p := &CompiledPlan{}
-
-	// Slot assignment: head and comparison variables always get slots, as
-	// does any variable with two or more occurrences (join variables, and
-	// repeated variables within an atom, which compile to bind-then-check).
-	// Remaining singletons are don't-care positions and never enter the
-	// frame. Parameters always get slots — the execution binding must have
-	// somewhere to land — and are assigned first, in declaration order.
-	needed := neededVars(q)
-	occ := make(map[string]int)
-	for _, a := range q.Body {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				occ[t.Lex]++
-			}
+	l := newLowering(cat)
+	for _, t := range q.Head.Args {
+		if t.IsVar() {
+			l.need(t.Lex)
 		}
 	}
-	slots := make(map[string]int)
-	slotOf := func(name string) int {
-		s, ok := slots[name]
-		if !ok {
-			s = p.numSlots
-			slots[name] = s
-			p.numSlots++
-		}
-		return s
-	}
-	isParam := make(map[string]bool, len(params))
-	for _, v := range params {
-		isParam[v] = true
-	}
-	keep := func(t cq.Term) bool { return needed[t.Lex] || occ[t.Lex] > 1 || isParam[t.Lex] }
-
-	// Ground comparisons are decided now; the rest attach to join depths.
-	for _, c := range q.Comparisons {
-		if c.Left.IsConst() && c.Right.IsConst() && !c.Op.EvalConst(c.Left, c.Right) {
-			p.empty = true
-		}
-	}
+	l.begin(q.Body, q.Comparisons, params)
 
 	// The plan is a fixed set of arrays, each sized before it is filled:
 	// every step's column ops are windows onto one []colOp, every
-	// component's steps onto one []compiledStep, and the parameter and head
-	// slots onto one []int.
+	// component's steps onto one []compiledStep (both the lowering's), and
+	// the parameter and head slots onto one []int. Each component's head
+	// slots are assigned before its atoms are lowered.
 	comps := splitComponents(q)
 	nslots := len(params)
 	for i := range comps {
@@ -189,62 +155,30 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 	}
 	slotBuf := make([]int, 0, nslots)
 	for _, v := range params {
-		slotBuf = append(slotBuf, slotOf(v))
+		slotBuf = append(slotBuf, l.slotOf(v))
 	}
-	p.paramSlots = slotBuf[:len(params):len(params)]
-	ops := make([]colOp, countOps(q.Body, keep))
-	steps := make([]compiledStep, 0, len(q.Body))
-	remaining := make([]int, 0, len(q.Body))
-	p.components = make([]compiledComponent, 0, len(comps))
-
-	bound := make(map[string]bool, len(params))
-	for _, v := range params {
-		bound[v] = true
+	p := &CompiledPlan{
+		paramSlots: slotBuf[:len(params):len(params)],
+		components: make([]compiledComponent, 0, len(comps)),
 	}
 	for _, comp := range comps {
-		firstSlot := len(slotBuf)
+		first := len(slotBuf)
 		for _, v := range comp.headVars {
-			slotBuf = append(slotBuf, slotOf(v))
+			slotBuf = append(slotBuf, l.slotOf(v))
 		}
-		cc := compiledComponent{headSlots: slotBuf[firstSlot:len(slotBuf):len(slotBuf)]}
-		var pending []cq.Comparison
-		for _, c := range comp.comps {
-			if c.Left.IsConst() && c.Right.IsConst() {
-				continue // handled above
-			}
-			pending = append(pending, c)
-		}
-
-		remaining = remaining[:0]
-		for i := range comp.atoms {
-			remaining = append(remaining, i)
-		}
-		firstStep := len(steps)
-		for len(remaining) > 0 {
-			next, _ := chooseNext(comp.atoms, remaining, bound, cat)
-			var step compiledStep
-			step, ops = lowerAtom(comp.atoms[next], bound, slotOf, keep, cat, ops)
-			pending = attachComparisons(&step, pending, bound, slots)
-			steps = append(steps, step)
-			remaining = removeIdx(remaining, next)
-		}
-		cc.steps = steps[firstStep:len(steps):len(steps)]
-		if len(pending) > 0 {
-			// A comparison variable occurs in no relational subgoal of its
-			// component (an unsafe query): no binding can satisfy it.
-			p.empty = true
-		}
-		p.components = append(p.components, cc)
+		headSlots := slotBuf[first:len(slotBuf):len(slotBuf)]
+		p.components = append(p.components, compiledComponent{steps: l.join(comp.atoms, comp.comps, -1), headSlots: headSlots})
 	}
 
 	p.head = make([]headOp, len(q.Head.Args))
 	for i, t := range q.Head.Args {
 		if t.IsVar() {
-			p.head[i] = headOp{slot: slotOf(t.Lex)}
+			p.head[i] = headOp{slot: l.slotOf(t.Lex)}
 		} else {
 			p.head[i] = headOp{slot: -1, constVal: t.Lex}
 		}
 	}
+	p.numSlots, p.empty = l.numSlots, l.empty
 	return p
 }
 
@@ -263,13 +197,8 @@ func Estimate(q *cq.Query, params []string, cat *cost.Catalog) cost.Estimate {
 	for _, v := range params {
 		bound[v] = true
 	}
-	remaining := make([]int, len(q.Body))
-	for i := range remaining {
-		remaining[i] = i
-	}
 	est := cost.Estimate{Cardinality: 1}
-	for len(remaining) > 0 {
-		next, rows := chooseNext(q.Body, remaining, bound, cat)
+	joinOrder(q.Body, -1, bound, cat, make([]int, 0, len(q.Body)), func(next int, rows float64) {
 		a := q.Body[next]
 		// A step's estimate is floored at one tuple of its whole relation
 		// (1/rows, rows guarded against zero), so it never reaches zero.
@@ -280,8 +209,7 @@ func Estimate(q *cq.Query, params []string, cat *cost.Catalog) cost.Estimate {
 				bound[t.Lex] = true
 			}
 		}
-		remaining = removeIdx(remaining, next)
-	}
+	})
 	for range q.Comparisons {
 		est.Cardinality /= 3
 	}
@@ -301,37 +229,6 @@ func Choose(candidates []*cq.Query, params []string, cat *cost.Catalog) (best in
 		}
 	}
 	return best, estimates
-}
-
-// EstimateUnion prices a union as the sum of its members' estimates, each
-// member in the join order its compiled plan runs (Estimate): a union has
-// no join order of its own.
-func EstimateUnion(u *cq.Union, params []string, cat *cost.Catalog) cost.Estimate {
-	var total cost.Estimate
-	for _, m := range u.Queries {
-		est := Estimate(m, params, cat)
-		total.Cost += est.Cost
-		total.Cardinality += est.Cardinality
-	}
-	return total
-}
-
-// neededVars collects the variables of the head and comparisons.
-func neededVars(q *cq.Query) map[string]bool {
-	needed := make(map[string]bool)
-	for _, t := range q.Head.Args {
-		if t.IsVar() {
-			needed[t.Lex] = true
-		}
-	}
-	for _, c := range q.Comparisons {
-		for _, t := range []cq.Term{c.Left, c.Right} {
-			if t.IsVar() {
-				needed[t.Lex] = true
-			}
-		}
-	}
-	return needed
 }
 
 // chooseNext picks the next atom to join and returns it with its
@@ -365,42 +262,180 @@ func chooseNext(atoms []cq.Atom, remaining []int, bound map[string]bool, cat *co
 	return best, bestEst
 }
 
-// countOps is the number of column ops the atoms compile to: one per
-// constant and per kept variable (see lowerAtom).
-func countOps(atoms []cq.Atom, keep func(cq.Term) bool) int {
-	n := 0
-	for _, a := range atoms {
+// lowering compiles the body of one plan or rule variant into join steps.
+// It is the one place that decides which variables keep a frame slot,
+// which comparisons are decided at compile time, the join order, where
+// each comparison is checked, and that a body no binding can satisfy
+// compiles empty. A plan joins each connected component of its body in
+// turn, a rule variant its whole body at once; the slots, the bound
+// variables and the backing arrays span every join of one lowering.
+type lowering struct {
+	cat *cost.Catalog
+	// uses counts each variable's body occurrences, plus two for one that
+	// the head, a Skolem argument, a comparison or a parameter reads: a
+	// variable keeps a frame slot iff its count exceeds one (join
+	// variables, and repeated variables within an atom, which compile to
+	// bind-then-check). The rest are don't-care positions and never enter
+	// the frame.
+	uses     map[string]int
+	slots    map[string]int
+	numSlots int
+	bound    map[string]bool // variables bound before the next step
+	// empty marks a body no binding satisfies: a ground comparison failed,
+	// or a comparison variable occurs in no atom of its join.
+	empty bool
+	// arrays sit behind a pointer: the compiled plan keeps windows onto
+	// them, and escape analysis, which does not tell a struct's fields
+	// apart, would otherwise move the maps to the heap with them.
+	arrays *loweredArrays
+}
+
+// loweredArrays are the backing arrays begin sizes: the steps' column ops
+// are windows onto ops, each join's steps a window onto steps, and
+// remaining is join-order scratch.
+type loweredArrays struct {
+	ops       []colOp
+	steps     []compiledStep
+	remaining []int
+}
+
+// newLowering returns a lowering over cat's statistics, none when cat is
+// nil (bound-columns-first ordering with stable tie-breaks). It inlines,
+// so the maps live in the caller's frame.
+func newLowering(cat *cost.Catalog) lowering {
+	if cat == nil {
+		cat = &cost.Catalog{}
+	}
+	return lowering{cat: cat, uses: make(map[string]int), slots: make(map[string]int), bound: make(map[string]bool), arrays: &loweredArrays{}}
+}
+
+// need keeps name in the frame whatever its occurrences. Callers need the
+// head's variables before begin.
+func (l *lowering) need(name string) { l.uses[name] += 2 }
+
+// keep reports whether a variable gets a frame slot.
+func (l *lowering) keep(name string) bool { return l.uses[name] > 1 }
+
+// slotOf returns name's frame slot, assigning the next one on first use.
+func (l *lowering) slotOf(name string) int {
+	s, ok := l.slots[name]
+	if !ok {
+		s = l.numSlots
+		l.slots[name] = s
+		l.numSlots++
+	}
+	return s
+}
+
+// begin prepares the lowering of body under comps and params: it counts
+// the variables' uses, decides the ground comparisons, gives the
+// parameters the first slots, in declaration order, bound before the first
+// step, and sizes the backing arrays: one op per constant and per kept
+// variable, one step per atom.
+func (l *lowering) begin(body []cq.Atom, comps []cq.Comparison, params []string) {
+	for _, a := range body {
 		for _, t := range a.Args {
-			if t.IsConst() || keep(t) {
+			if t.IsVar() {
+				l.uses[t.Lex]++
+			}
+		}
+	}
+	for _, c := range comps {
+		if c.Left.IsConst() && c.Right.IsConst() && !c.Op.EvalConst(c.Left, c.Right) {
+			l.empty = true
+		}
+		for _, t := range [2]cq.Term{c.Left, c.Right} {
+			if t.IsVar() {
+				l.need(t.Lex)
+			}
+		}
+	}
+	for _, v := range params {
+		l.need(v)
+		l.slotOf(v)
+		l.bound[v] = true
+	}
+	n := 0
+	for _, a := range body {
+		for _, t := range a.Args {
+			if t.IsConst() || l.keep(t.Lex) {
 				n++
 			}
 		}
 	}
-	return n
+	l.arrays.ops = make([]colOp, n)
+	l.arrays.steps = make([]compiledStep, 0, len(body))
+	l.arrays.remaining = make([]int, 0, len(body))
 }
 
-// lowerAtom compiles one atom into a step, updating bound as it assigns
-// slots. Among the bound columns the probe targets the one with the most
-// distinct values (the most selective index). The step's ops are written
-// to the front of backing, which must hold them (countOps); lowerAtom
-// returns the rest of it. A probing step's first op checks the probed
-// column, so its opsIndexed are its ops without the first.
-func lowerAtom(a cq.Atom, bound map[string]bool, slotOf func(string) int, keep func(cq.Term) bool, cat *cost.Catalog, backing []colOp) (compiledStep, []colOp) {
+// join lowers one connected body under its comparisons, the ground ones
+// already decided by begin: atoms[root] first when root >= 0, then the
+// rest in join order, each comparison checked at the first step that binds
+// its operands. A comparison no step binds marks the lowering empty. It
+// returns the steps, a window onto the lowering's backing array.
+func (l *lowering) join(atoms []cq.Atom, comps []cq.Comparison, root int) []compiledStep {
+	var pending []cq.Comparison
+	for _, c := range comps {
+		if !c.Left.IsConst() || !c.Right.IsConst() {
+			pending = append(pending, c)
+		}
+	}
+	arr := l.arrays
+	first := len(arr.steps)
+	joinOrder(atoms, root, l.bound, l.cat, arr.remaining, func(next int, _ float64) {
+		step := l.lowerAtom(atoms[next])
+		pending = l.attachComparisons(&step, pending)
+		arr.steps = append(arr.steps, step)
+	})
+	if len(pending) > 0 {
+		l.empty = true
+	}
+	return arr.steps[first:len(arr.steps):len(arr.steps)]
+}
+
+// joinOrder calls visit with each atom's index in the one join order of
+// plans, rule variants and Estimate: atoms[root] first when root >= 0,
+// then repeatedly the atom chooseNext picks under bound, with its
+// estimated rows. visit must add the variables its atom binds to bound.
+// remaining is scratch with room for every atom.
+func joinOrder(atoms []cq.Atom, root int, bound map[string]bool, cat *cost.Catalog, remaining []int, visit func(next int, rows float64)) {
+	remaining = remaining[:0]
+	for i := range atoms {
+		remaining = append(remaining, i)
+	}
+	for len(remaining) > 0 {
+		next, rows := root, 0.0
+		if root < 0 {
+			next, rows = chooseNext(atoms, remaining, bound, cat)
+		}
+		root = -1
+		visit(next, rows)
+		remaining = slices.DeleteFunc(remaining, func(i int) bool { return i == next })
+	}
+}
+
+// lowerAtom compiles one atom into a step, binding its kept variables.
+// Among the bound columns the probe targets the one with the most distinct
+// values (the most selective index). The step's ops are the front of the
+// lowering's ops array, which it advances past them. A probing step's
+// first op checks the probed column, so its opsIndexed are its ops without
+// the first.
+func (l *lowering) lowerAtom(a cq.Atom) compiledStep {
 	step := compiledStep{pred: a.Pred, probeCol: -1, probeSlot: -1}
 	bestDistinct := 0.0
 	for col, t := range a.Args {
-		if t.IsConst() || t.IsVar() && bound[t.Lex] {
-			if d := cat.Distinct(a.Pred, col); step.probeCol < 0 || d > bestDistinct {
+		if t.IsConst() || t.IsVar() && l.bound[t.Lex] {
+			if d := l.cat.Distinct(a.Pred, col); step.probeCol < 0 || d > bestDistinct {
 				step.probeCol, bestDistinct = col, d
 				if t.IsConst() {
 					step.probeSlot, step.probeConst = -1, t.Lex
 				} else {
-					step.probeSlot, step.probeConst = slotOf(t.Lex), ""
+					step.probeSlot, step.probeConst = l.slotOf(t.Lex), ""
 				}
 			}
 		}
 	}
-	n := 0
+	backing, n := l.arrays.ops, 0
 	if step.probeCol >= 0 {
 		// The probed column was constant or bound before this step, so its
 		// op is a check that can run first.
@@ -417,13 +452,13 @@ func lowerAtom(a cq.Atom, bound map[string]bool, slotOf func(string) int, keep f
 		case t.IsConst():
 			backing[n] = colOp{action: colCheckConst, col: col, constVal: t.Lex}
 			n++
-		case bound[t.Lex]:
-			backing[n] = colOp{action: colCheckSlot, col: col, slot: slotOf(t.Lex)}
+		case l.bound[t.Lex]:
+			backing[n] = colOp{action: colCheckSlot, col: col, slot: l.slotOf(t.Lex)}
 			n++
-		case keep(t):
-			backing[n] = colOp{action: colBind, col: col, slot: slotOf(t.Lex)}
+		case l.keep(t.Lex):
+			backing[n] = colOp{action: colBind, col: col, slot: l.slotOf(t.Lex)}
 			n++
-			bound[t.Lex] = true
+			l.bound[t.Lex] = true
 			binds++
 		default:
 			ignored = true
@@ -436,47 +471,33 @@ func lowerAtom(a cq.Atom, bound map[string]bool, slotOf func(string) int, keep f
 	if step.probeCol >= 0 {
 		step.opsIndexed = step.ops[1:]
 	}
-	return step, backing[n:]
+	l.arrays.ops = backing[n:]
+	return step
 }
 
 // attachComparisons moves every comparison whose operands are now bound
 // onto the step, returning the ones still waiting for bindings.
-func attachComparisons(step *compiledStep, pending []cq.Comparison, bound map[string]bool, slots map[string]int) []cq.Comparison {
+func (l *lowering) attachComparisons(step *compiledStep, pending []cq.Comparison) []cq.Comparison {
 	var still []cq.Comparison
 	for _, c := range pending {
-		ready := true
-		for _, t := range []cq.Term{c.Left, c.Right} {
-			if t.IsVar() && !bound[t.Lex] {
-				ready = false
-			}
-		}
-		if !ready {
+		if c.Left.IsVar() && !l.bound[c.Left.Lex] || c.Right.IsVar() && !l.bound[c.Right.Lex] {
 			still = append(still, c)
 			continue
 		}
 		cc := compiledComp{op: c.Op, leftSlot: -1, rightSlot: -1}
 		if c.Left.IsVar() {
-			cc.leftSlot = slots[c.Left.Lex]
+			cc.leftSlot = l.slots[c.Left.Lex]
 		} else {
 			cc.leftConst = c.Left
 		}
 		if c.Right.IsVar() {
-			cc.rightSlot = slots[c.Right.Lex]
+			cc.rightSlot = l.slots[c.Right.Lex]
 		} else {
 			cc.rightConst = c.Right
 		}
 		step.comps = append(step.comps, cc)
 	}
 	return still
-}
-
-func removeIdx(s []int, v int) []int {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
 
 // applyStep matches one candidate tuple against the step under the given

@@ -8,7 +8,6 @@ import (
 	"unsafe"
 
 	"repro/internal/cost"
-	"repro/internal/cq"
 	"repro/internal/storage"
 )
 
@@ -17,15 +16,16 @@ import (
 // semi-naive fixpoint over the compiled rules with none of the interpretive
 // overhead of Program.EvalInterp:
 //
-//   - each rule body becomes a sequence of compiledSteps — the same
+//   - each rule body becomes a sequence of compiledSteps, lowered by the
+//     one body compiler single-query plans use (lowering): the same
 //     integer-slot frames, catalog-ordered joins, index-probe access paths
-//     and earliest-bound-depth comparisons the single-query compiler emits —
-//     followed by a head-emission step that builds the derived row in a
-//     scratch — slot and constant columns are the frame's strings, Skolem
-//     values are written into a reused buffer the row views in place — and
-//     keeps it, in the pooled row set the variant's execution derives
-//     into, only when the row is accepted; a kept row's Skolem values are
-//     copied into an append-only arena of byte chunks;
+//     and earliest-bound-depth comparisons. A head-emission step follows
+//     that builds the derived row in a scratch — slot and constant columns
+//     are the frame's strings, Skolem values are written into a reused
+//     buffer the row views in place — and keeps it, in the pooled row set
+//     the variant's execution derives into, only when the row is accepted;
+//     a kept row's Skolem values are copied into an append-only arena of
+//     byte chunks;
 //   - rules are grouped into strata at compile time: the strongly connected
 //     components of the derived-predicate dependency graph, each one stratum
 //     above the highest component it reads. A run evaluates the strata in
@@ -163,9 +163,6 @@ func CompileProgramIVM(p *Program, cat *cost.Catalog) (*CompiledProgram, error) 
 }
 
 func compileProgram(p *Program, cat *cost.Catalog, ivm bool) (*CompiledProgram, error) {
-	if cat == nil {
-		cat = &cost.Catalog{}
-	}
 	cp := &CompiledProgram{
 		idbArity:     make(map[string]int),
 		idbProbeCols: make(map[string][]int),
@@ -317,86 +314,19 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 	if deltaPos >= 0 {
 		v.deltaPred = r.Body[deltaPos].Pred
 	}
-
-	// Variables that must survive into the frame: head variables, Skolem
-	// arguments, comparison variables, and any variable with two or more
-	// body occurrences. The rest are don't-care positions.
-	needed := make(map[string]bool)
+	l := newLowering(cat)
 	for _, h := range r.Head {
 		if h.Skolem != nil {
 			for _, a := range h.Skolem.Args {
-				needed[a] = true
+				l.need(a)
 			}
 		} else if h.Term.IsVar() {
-			needed[h.Term.Lex] = true
+			l.need(h.Term.Lex)
 		}
 	}
-	for _, c := range r.Comparisons {
-		for _, t := range []cq.Term{c.Left, c.Right} {
-			if t.IsVar() {
-				needed[t.Lex] = true
-			}
-		}
-	}
-	occ := make(map[string]int)
-	for _, a := range r.Body {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				occ[t.Lex]++
-			}
-		}
-	}
-	slots := make(map[string]int)
-	slotOf := func(name string) int {
-		s, ok := slots[name]
-		if !ok {
-			s = v.numSlots
-			slots[name] = s
-			v.numSlots++
-		}
-		return s
-	}
-	keep := func(t cq.Term) bool { return needed[t.Lex] || occ[t.Lex] > 1 }
-
-	var pending []cq.Comparison
-	for _, c := range r.Comparisons {
-		if c.Left.IsConst() && c.Right.IsConst() {
-			if !c.Op.EvalConst(c.Left, c.Right) {
-				v.empty = true
-			}
-			continue
-		}
-		pending = append(pending, c)
-	}
-
-	bound := make(map[string]bool)
-	remaining := make([]int, 0, len(r.Body))
-	for i := range r.Body {
-		if i != deltaPos {
-			remaining = append(remaining, i)
-		}
-	}
-	ops := make([]colOp, countOps(r.Body, keep))
-	v.steps = make([]compiledStep, 0, len(r.Body))
-	lower := func(idx int) {
-		var step compiledStep
-		step, ops = lowerAtom(r.Body[idx], bound, slotOf, keep, cat, ops)
-		pending = attachComparisons(&step, pending, bound, slots)
-		v.steps = append(v.steps, step)
-	}
-	if deltaPos >= 0 {
-		lower(deltaPos)
-	}
-	for len(remaining) > 0 {
-		next, _ := chooseNext(r.Body, remaining, bound, cat)
-		lower(next)
-		remaining = removeIdx(remaining, next)
-	}
-	if len(pending) > 0 {
-		// A comparison variable occurs in no body atom: the interpreter
-		// filters every binding, so the variant derives nothing.
-		v.empty = true
-	}
+	l.begin(r.Body, r.Comparisons, nil)
+	v.steps = l.join(r.Body, r.Comparisons, deltaPos)
+	v.numSlots, v.empty = l.numSlots, l.empty
 
 	// Head emission. Unbound head or Skolem-argument variables make the
 	// rule unsafe; the error is raised on the first body match, matching
@@ -412,22 +342,22 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 		case h.Skolem != nil:
 			cs := &compiledSkolem{name: h.Skolem.Name, argSlots: make([]int, len(h.Skolem.Args))}
 			for j, a := range h.Skolem.Args {
-				if !bound[a] {
+				if !l.bound[a] {
 					markUnsafe(a)
 					continue
 				}
-				cs.argSlots[j] = slots[a]
+				cs.argSlots[j] = l.slots[a]
 			}
 			v.head[i] = ruleHeadOp{skolem: cs, slot: -1}
 		case h.Term.IsConst():
 			v.head[i] = ruleHeadOp{slot: -1, constVal: h.Term.Lex}
 		default:
-			if !bound[h.Term.Lex] {
+			if !l.bound[h.Term.Lex] {
 				markUnsafe(h.Term.Lex)
 				v.head[i] = ruleHeadOp{slot: -1}
 				continue
 			}
-			v.head[i] = ruleHeadOp{slot: slots[h.Term.Lex]}
+			v.head[i] = ruleHeadOp{slot: l.slots[h.Term.Lex]}
 		}
 	}
 	return v
@@ -907,23 +837,9 @@ func (hs *headScratch) view(head []ruleHeadOp, vals string) {
 func (cp *CompiledProgram) freeze(edb *storage.Database) {
 	for i := range cp.rules {
 		r := &cp.rules[i]
-		variants := []*ruleVariant{&r.full}
+		freezeSteps(edb, r.full.steps, cp.idbArity)
 		for j := range r.deltas {
-			variants = append(variants, &r.deltas[j])
-		}
-		for _, v := range variants {
-			for j := range v.steps {
-				s := &v.steps[j]
-				if s.probeCol < 0 {
-					continue
-				}
-				if _, idbPred := cp.idbArity[s.pred]; idbPred {
-					continue
-				}
-				if rel := edb.Relation(s.pred); rel != nil {
-					rel.BuildColumnIndex(s.probeCol)
-				}
-			}
+			freezeSteps(edb, r.deltas[j].steps, cp.idbArity)
 		}
 	}
 }

@@ -46,14 +46,21 @@ func EvalQuery(db *storage.Database, q *cq.Query) []storage.Tuple {
 // itself never mutates relations.
 func (p *CompiledPlan) freeze(db *storage.Database) {
 	for i := range p.components {
-		for j := range p.components[i].steps {
-			s := &p.components[i].steps[j]
-			if s.probeCol < 0 {
-				continue
-			}
-			if r := db.Relation(s.pred); r != nil {
-				r.BuildColumnIndex(s.probeCol)
-			}
+		freezeSteps(db, p.components[i].steps, nil)
+	}
+}
+
+// freezeSteps builds on db the column index each probing step reads,
+// skipping the derived predicates, which a fixpoint indexes itself. It is
+// the one index walk of plans and programs.
+func freezeSteps(db *storage.Database, steps []compiledStep, derived map[string]int) {
+	for i := range steps {
+		s := &steps[i]
+		if _, idb := derived[s.pred]; s.probeCol < 0 || idb {
+			continue
+		}
+		if r := db.Relation(s.pred); r != nil {
+			r.BuildColumnIndex(s.probeCol)
 		}
 	}
 }

@@ -16,10 +16,11 @@ import (
 // BenchmarkGuardOverhead measures what the cancellation guard costs: each
 // workload's legacy (guard-free) entry point against its Ctx twin carrying
 // a live guard, reported as overhead_pct. CI gates it at 3 % with
-// -benchtime=39x: on a shared 2-core host the median of 13 pairs still
-// swung past 10 % now and then, the median of 39 stayed within about a
-// point of the bound. One iteration is one legacy/governed pair, so the
-// -benchtime=1x smoke costs a single pair per workload.
+// -benchtime=39x -count=5, on each workload's median of the five runs: on
+// a shared 2-core host the median of 13 pairs still swung past 10 % now
+// and then, and one run's median of 39 still read 6.53 % where the runs
+// beside it read -0.16 and -3.79 %. One iteration is one legacy/governed
+// pair, so the -benchtime=1x smoke costs a single pair per workload.
 func BenchmarkGuardOverhead(b *testing.B) {
 	// ctx is cancelable but never canceled: newGuardState sees ctx.Done()
 	// non-nil and arms the guard, so every row pays the real amortized

@@ -27,11 +27,12 @@ func chainQuery(n int) *cq.Query {
 	return mustQ(fmt.Sprintf("q(X0,X%d) :- %s", n, strings.Join(atoms, ", ")))
 }
 
-// TestCompileParamsAllocs guards what compiling one plan allocates. Before
-// the plan's ops, steps and slots were each allocated once, as exactly
-// sized arrays, the three queries measured 25, 61 and 23: an allocation per
-// atom and per column op, and a map of components. The budgets are the
-// counts measured since (10, 22 and 13) plus about a tenth.
+// TestCompileParamsAllocs guards what compiling one plan or rule variant
+// allocates. Before the plan's ops, steps and slots were each allocated
+// once, as exactly sized arrays, the three queries measured 25, 61 and 23:
+// an allocation per atom and per column op, and a map of components. The
+// budgets are the counts measured since (10, 22 and 13; 4 and 13 for the
+// chains' full rule variants) plus about a tenth.
 func TestCompileParamsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -44,18 +45,22 @@ func TestCompileParamsAllocs(t *testing.T) {
 	}
 	db.BuildIndexes()
 	cat := cost.NewCatalog(db)
+	chain3, chain9 := mustQ("q(X3) :- p1(c0,X1), p2(X1,X2), p3(X2,X3)"), chainQuery(9)
+	twoComps := mustQ("q(X,Y) :- p0(X,A), p1(Y,B)")
+	rule3, rule9 := RuleFromQuery(chain3), RuleFromQuery(chain9)
 	for _, c := range []struct {
-		name   string
-		q      *cq.Query
-		budget float64
+		name    string
+		compile func()
+		budget  float64
 	}{
-		{"3-atom chain", mustQ("q(X3) :- p1(c0,X1), p2(X1,X2), p3(X2,X3)"), 12}, // measured 10
-		{"9-atom chain", chainQuery(9), 26},                                     // measured 22
-		{"two components", mustQ("q(X,Y) :- p0(X,A), p1(Y,B)"), 15},             // measured 13
+		{"3-atom chain", func() { CompileParams(chain3, nil, cat) }, 12},                   // measured 10
+		{"9-atom chain", func() { CompileParams(chain9, nil, cat) }, 26},                   // measured 22
+		{"two components", func() { CompileParams(twoComps, nil, cat) }, 15},               // measured 13
+		{"3-atom chain's full variant", func() { compileRuleVariant(rule3, -1, cat) }, 5},  // measured 4
+		{"9-atom chain's full variant", func() { compileRuleVariant(rule9, -1, cat) }, 15}, // measured 13
 	} {
-		got := testing.AllocsPerRun(100, func() { CompileParams(c.q, nil, cat) })
-		if got > c.budget {
-			t.Errorf("%s: CompileParams made %.0f allocations, budget %.0f", c.name, got, c.budget)
+		if got := testing.AllocsPerRun(100, c.compile); got > c.budget {
+			t.Errorf("%s: compiling made %.0f allocations, budget %.0f", c.name, got, c.budget)
 		}
 	}
 }
@@ -94,8 +99,9 @@ func goldenRewritings(t *testing.T) (qs []*cq.Query, params [][]string) {
 // TestCompiledPlanWindows compiles every golden rewriting, without and with
 // statistics: each step's ops and opsIndexed are capped at their lengths, so
 // no step can append into a neighbour's ops; a probing step checks its
-// probed column first and indexes the rest; and compiling the same query
-// twice gives equal plans.
+// probed column first and indexes the rest; compiling the same query
+// twice gives equal plans; and a connected body lowers to the same join as
+// a plan and as a rule's full variant.
 func TestCompiledPlanWindows(t *testing.T) {
 	qs, params := goldenRewritings(t)
 	if len(qs) < 100 {
@@ -134,6 +140,55 @@ func TestCompiledPlanWindows(t *testing.T) {
 			}
 			if again := CompileParams(q, params[i], cat); !reflect.DeepEqual(p, again) {
 				t.Fatalf("%s: two compiles differ:\n%s\n%s", q, p.Describe(), again.Describe())
+			}
+			if p := CompileParams(q, nil, cat); len(p.components) == 1 {
+				sameJoin(t, q, p.components[0].steps, compileRuleVariant(RuleFromQuery(q), -1, cat).steps)
+			}
+		}
+	}
+}
+
+// sameJoin fails unless a plan's steps and a rule variant's are the same
+// join: the same atoms in the same order, each with the same access path
+// (scan, index column fed from a slot, or constant probe), the same column
+// ops and the same number of comparisons. Slot numbers may differ — a plan
+// numbers its head slots first, a variant in binding order — so the slots
+// must correspond one to one.
+func sameJoin(t *testing.T, q *cq.Query, plan, variant []compiledStep) {
+	t.Helper()
+	if len(plan) != len(variant) {
+		t.Fatalf("%s: plan has %d steps, variant %d", q, len(plan), len(variant))
+	}
+	slots := make(map[int]int)   // plan slot -> variant slot
+	inverse := make(map[int]int) // variant slot -> plan slot
+	sameSlot := func(ps, vs int) bool {
+		if ps < 0 || vs < 0 {
+			return ps == vs
+		}
+		if v, ok := slots[ps]; ok {
+			return v == vs
+		}
+		if _, ok := inverse[vs]; ok {
+			return false
+		}
+		slots[ps], inverse[vs] = vs, ps
+		return true
+	}
+	for j := range plan {
+		p, v := &plan[j], &variant[j]
+		if p.pred != v.pred || p.probeCol != v.probeCol || p.probeConst != v.probeConst || !sameSlot(p.probeSlot, v.probeSlot) {
+			t.Fatalf("%s, step %d: plan %s probes col %d (slot %d, %q), variant %s col %d (slot %d, %q)",
+				q, j+1, p.pred, p.probeCol, p.probeSlot, p.probeConst, v.pred, v.probeCol, v.probeSlot, v.probeConst)
+		}
+		if len(p.ops) != len(v.ops) || len(p.comps) != len(v.comps) {
+			t.Fatalf("%s, step %d (%s): plan has %d ops and %d comparisons, variant %d and %d",
+				q, j+1, p.pred, len(p.ops), len(p.comps), len(v.ops), len(v.comps))
+		}
+		for k, op := range p.ops {
+			vop := v.ops[k]
+			slotted := op.action != colCheckConst
+			if op.action != vop.action || op.col != vop.col || op.constVal != vop.constVal || slotted && !sameSlot(op.slot, vop.slot) {
+				t.Fatalf("%s, step %d (%s), op %d: plan %+v, variant %+v", q, j+1, p.pred, k, op, vop)
 			}
 		}
 	}

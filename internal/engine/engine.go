@@ -210,10 +210,11 @@ type Plan struct {
 	// Strategy for the fixed algorithms, and MiniCon when EquivalentFirst
 	// or Auto fell back to the MCR.
 	Chosen Strategy
-	// Estimate is the cost model's estimate of the chosen rewriting under
-	// the construction-time catalog, with the parameter slots treated as
-	// bound. It ranks candidates; it does not predict wall-clock time. It
-	// is zero for an inverse-rules program, which no strategy ranks.
+	// Estimate is the cost model's estimate of the chosen equivalent
+	// rewriting under the construction-time catalog, with the parameter
+	// slots treated as bound. It ranks candidates; it does not predict
+	// wall-clock time. It is zero for a union or an inverse-rules program,
+	// which no strategy ranks.
 	Estimate cost.Estimate
 	// Params lists the template's placeholder variables in binding order;
 	// executions supply one argument per entry. Empty for plans of
@@ -791,32 +792,6 @@ func (e *Engine) Answer(q *cq.Query) ([]storage.Tuple, error) {
 	return e.AnswerCtx(context.Background(), q)
 }
 
-// selectParams filters answer-relation tuples of arity+len(args) columns
-// down to those whose trailing columns equal args, projected to the first
-// arity columns. With no args it returns tuples unchanged.
-func selectParams(tuples []storage.Tuple, arity int, args []string) []storage.Tuple {
-	if len(args) == 0 {
-		return tuples
-	}
-	var out []storage.Tuple
-	for _, t := range tuples {
-		if len(t) != arity+len(args) {
-			continue // foreign-arity tuple: not this plan's (defensive)
-		}
-		match := true
-		for i, a := range args {
-			if t[arity+i] != a {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, t[:arity:arity])
-		}
-	}
-	return out
-}
-
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	memoHits, memoMisses := e.memo.Stats()
@@ -890,7 +865,6 @@ func (e *Engine) buildPlan(tmpl *cq.Template, fp string) (*Plan, error) {
 		}
 		p.Kind = PlanMaxContained
 		p.Union = u
-		p.Estimate = datalog.EstimateUnion(u, tmpl.Params, e.catalog)
 	case MiniCon:
 		if err := e.planMiniCon(p, qc); err != nil {
 			return nil, err
@@ -988,7 +962,6 @@ func (e *Engine) planMiniCon(p *Plan, qc *cq.Query) error {
 	}
 	p.Kind = PlanMaxContained
 	p.Union = u
-	p.Estimate = datalog.EstimateUnion(u, p.Params, e.catalog)
 	return nil
 }
 

@@ -667,17 +667,15 @@ func (e *Engine) evalPlanCtx(ctx context.Context, db *storage.Database, p *Plan,
 		if err != nil {
 			return &QueryError{Err: err, Stats: fst}
 		}
-		// A parameterized program derives the answer relation with the
-		// placeholder columns appended to the head: select the rows
-		// matching the binding and project them away. The certain answers
-		// are the rows free of Skolem values.
-		for _, t := range selectParams(derived, p.Arity, args) {
+		// A program plan takes no arguments (its template is the concrete
+		// query); the certain answers are the rows free of Skolem values.
+		for _, t := range derived {
 			if !datalog.HasSkolem(t) {
 				into.Add(t)
 			}
 		}
 		// The fixpoint guard bounds derivations, not final answers: the
-		// result-row budget applies after selection and minimization.
+		// result-row budget applies after the Skolem filter.
 		if lim.MaxRows > 0 && into.Len() > lim.MaxRows {
 			return fmt.Errorf("engine: result has %d row(s), budget is %d: %w",
 				into.Len(), lim.MaxRows, ErrBudgetExceeded)

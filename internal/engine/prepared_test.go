@@ -561,23 +561,6 @@ func TestAutoParameterizedEmptyMCR(t *testing.T) {
 	assertEmptyMiniConPlan(t, e, p)
 }
 
-func TestSelectParams(t *testing.T) {
-	rows := []storage.Tuple{
-		{"x1", "k1"}, {"x2", "k1"}, {"x3", "k2"}, {"x1"}, // short row ignored
-	}
-	got := selectParams(rows, 1, []string{"k1"})
-	want := []storage.Tuple{{"x1"}, {"x2"}}
-	if !storage.TuplesEqual(storage.SortTuples(got), want) {
-		t.Fatalf("selectParams = %v, want %v", got, want)
-	}
-	if out := selectParams(rows, 1, nil); len(out) != len(rows) {
-		t.Fatalf("no-arg selectParams filtered: %v", out)
-	}
-	if out := selectParams(rows, 1, []string{"k9"}); len(out) != 0 {
-		t.Fatalf("unmatched binding returned %v", out)
-	}
-}
-
 // TestPreparedLiveUpdates: a prepared handle keeps answering correctly as
 // live batches maintain the extents.
 func TestPreparedLiveUpdates(t *testing.T) {
