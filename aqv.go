@@ -286,7 +286,8 @@ type (
 	// MaintainerBatch reports one applied update batch: the base tuples
 	// actually inserted and deleted, and the number of extent tuples
 	// retracted for good. It is the datalog layer's update result itself,
-	// not a copy.
+	// not a copy, and is valid until the maintainer's next batch, like the
+	// journal it carries.
 	MaintainerBatch = ivm.BatchResult
 )
 

@@ -2,6 +2,8 @@ package aqv
 
 import (
 	"testing"
+
+	"repro/internal/datalog"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as README documents
@@ -209,5 +211,36 @@ func TestFacadeTermConstructors(t *testing.T) {
 	}
 	if q.String() != "q(X) :- r(X,c)." {
 		t.Fatalf("q = %v", q)
+	}
+}
+
+// TestNilCatalogMeansNoStatistics: a nil catalog is "no statistics"
+// everywhere a catalog is taken, as it is for CompileQueryParams: the
+// facade's EstimateQuery and ChoosePlan and the datalog functions they
+// are price every relation as unknown, exactly as an empty catalog does,
+// instead of dereferencing nil.
+func TestNilCatalogMeansNoStatistics(t *testing.T) {
+	a := MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y), X < Y")
+	b := MustParseQuery("q(X,Y) :- t(X,Y)")
+	empty := NewCatalog(NewDatabase())
+	want := EstimateQuery(a, []string{"X"}, empty)
+	for name, est := range map[string]func(*Query, []string, *Catalog) CostEstimate{
+		"EstimateQuery": EstimateQuery, "datalog.Estimate": datalog.Estimate,
+	} {
+		if got := est(a, []string{"X"}, nil); got != want {
+			t.Errorf("%s with a nil catalog = %+v, want the empty catalog's %+v", name, got, want)
+		}
+	}
+	wantBest, wantEst := ChoosePlan([]*Query{a, b}, nil, empty)
+	for name, choose := range map[string]func([]*Query, []string, *Catalog) (int, []CostEstimate){
+		"ChoosePlan": ChoosePlan, "datalog.Choose": datalog.Choose,
+	} {
+		best, est := choose([]*Query{a, b}, nil, nil)
+		if best != wantBest || len(est) != 2 || est[0] != wantEst[0] || est[1] != wantEst[1] {
+			t.Errorf("%s with a nil catalog = %d %+v, want the empty catalog's %d %+v", name, best, est, wantBest, wantEst)
+		}
+	}
+	if c := (*Catalog)(nil); c.Rows("r") != 1 || c.Distinct("r", 0) != 1 {
+		t.Errorf("a nil catalog reads %v rows and %v distinct values, want 1 and 1", c.Rows("r"), c.Distinct("r", 0))
 	}
 }

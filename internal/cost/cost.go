@@ -12,7 +12,8 @@ import (
 	"repro/internal/storage"
 )
 
-// Catalog holds per-relation statistics used by the estimator.
+// Catalog holds per-relation statistics used by the estimator. A nil
+// *Catalog means "no statistics": every relation reads as unknown.
 type Catalog struct {
 	rows     map[string]float64
 	distinct map[string][]float64 // per column
@@ -72,6 +73,9 @@ func (c *Catalog) SetRelation(pred string, rows float64, distinct []float64) {
 // Rows returns the cardinality of a relation (1 if unknown — a missing
 // relation joins like a singleton so unknown predicates do not dominate).
 func (c *Catalog) Rows(pred string) float64 {
+	if c == nil {
+		return 1
+	}
 	if r, ok := c.rows[pred]; ok {
 		return r
 	}
@@ -82,6 +86,9 @@ func (c *Catalog) Rows(pred string) float64 {
 // unknown). The physical-plan compiler uses it to order joins, to pick the
 // most selective index probe column and to price a plan.
 func (c *Catalog) Distinct(pred string, col int) float64 {
+	if c == nil {
+		return 1
+	}
 	if d, ok := c.distinct[pred]; ok && col < len(d) {
 		return d[col]
 	}

@@ -303,9 +303,6 @@ type loweredArrays struct {
 // nil (bound-columns-first ordering with stable tie-breaks). It inlines,
 // so the maps live in the caller's frame.
 func newLowering(cat *cost.Catalog) lowering {
-	if cat == nil {
-		cat = &cost.Catalog{}
-	}
 	return lowering{cat: cat, uses: make(map[string]int), slots: make(map[string]int), bound: make(map[string]bool), arrays: &loweredArrays{}}
 }
 

@@ -38,10 +38,15 @@ import (
 
 // UpdateResult reports one applied mixed batch: what actually changed in
 // the base relations, and the batch's journal, which records every change
-// to the database, derived extents included.
+// to the database, derived extents included. It is valid until the
+// database's next batch, like its journal: the base lists are kept by the
+// journal, which the next batch resets.
 type UpdateResult struct {
 	// BaseInserted / BaseDeleted are the base tuples that were actually
-	// fresh / actually present, per predicate.
+	// fresh / actually present, per predicate, as the stored rows. The maps
+	// are the journal's (Journal.BaseLists); an inserted list is a
+	// capacity-limited window onto its relation's new tail, a deleted list
+	// one onto the journal's arena of the batch's effective deletions.
 	BaseInserted map[string][]storage.Tuple
 	BaseDeleted  map[string][]storage.Tuple
 	// Journal is the database's journal, holding the batch: its removals
@@ -135,27 +140,6 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 	ms := maintPool.Get().(*maintScratch)
 	defer ms.release()
 
-	// Effective deletions: the stored copies of present tuples, never the
-	// caller's, deduplicated per predicate through the scratch's set. Each
-	// list is sized from the batch, so none grows per row.
-	delEff := make(map[string][]storage.Tuple)
-	for pred, tuples := range deletes {
-		rel := db.Relation(pred)
-		if rel == nil || len(tuples) == 0 {
-			continue
-		}
-		ms.seen.reset()
-		eff := make([]storage.Tuple, 0, len(tuples))
-		for _, t := range tuples {
-			if st, ok := rel.Stored(t); ok && ms.seen.Add(st) {
-				eff = append(eff, st)
-			}
-		}
-		if len(eff) > 0 {
-			delEff[pred] = eff
-		}
-	}
-
 	j := storage.NewJournal(db)
 	defer func() {
 		if r := recover(); r != nil {
@@ -163,19 +147,47 @@ func (cp *CompiledProgram) applyUpdates(db *storage.Database, inserts, deletes m
 			panic(r)
 		}
 	}()
+	// Effective deletions: the stored copies of present tuples, never the
+	// caller's, deduplicated per predicate through the scratch's set. They
+	// are gathered before anything is removed, because overDelete seeds from
+	// them, into the journal's kept arena, sized for the whole batch so it
+	// never grows; each predicate's list is a capacity-limited window onto
+	// it, kept in the journal's map like the insert lists.
+	n := 0
+	for _, tuples := range deletes {
+		n += len(tuples)
+	}
+	fresh, delEff, arena := j.BaseLists(n)
+	for pred, tuples := range deletes {
+		rel := db.Relation(pred)
+		if rel == nil || len(tuples) == 0 {
+			continue
+		}
+		ms.seen.reset()
+		start := len(arena)
+		for _, t := range tuples {
+			if st, ok := rel.Stored(t); ok && ms.seen.Add(st) {
+				arena = append(arena, st)
+			}
+		}
+		if len(arena) > start {
+			delEff[pred] = arena[start:len(arena):len(arena)]
+		}
+	}
+
 	if len(delEff) == 0 {
 		// Nothing to retract: the batch is its insert phase.
 		res = &UpdateResult{}
 		j.MarkInserts()
-		res.BaseInserted, res.Stats, err = cp.applyInserts(db, ms, inserts, gs, lim)
+		res.Stats, err = cp.applyInserts(db, ms, inserts, fresh, gs, lim)
 	} else {
-		res, err = cp.applyDRed(db, ms, j, inserts, delEff, gs, lim)
+		res, err = cp.applyDRed(db, ms, j, inserts, fresh, delEff, gs, lim)
 	}
 	if err != nil {
 		j.Rollback()
 		return nil, err
 	}
-	res.BaseDeleted = delEff
+	res.BaseInserted, res.BaseDeleted = fresh, delEff
 	res.Journal = j
 	return res, nil
 }
@@ -296,7 +308,7 @@ func (cp *CompiledProgram) validateInserts(db *storage.Database, updates map[str
 // delta variants over the intact pre-delete database, remove, re-derive
 // survivors with a bounded semi-naive pass, then run the insert phase
 // (applyInserts).
-func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *storage.Journal, inserts, delEff map[string][]storage.Tuple, gs *guardState, lim Limits) (*UpdateResult, error) {
+func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *storage.Journal, inserts, fresh, delEff map[string][]storage.Tuple, gs *guardState, lim Limits) (*UpdateResult, error) {
 	res := &UpdateResult{}
 	// work counts what the DRed passes derive, the over-deleted rows
 	// included, against the batch's budgets; it is not what the batch adds
@@ -319,11 +331,10 @@ func (cp *CompiledProgram) applyDRed(db *storage.Database, ms *maintScratch, j *
 	for _, dead := range od {
 		res.NetRetracted += dead.Len()
 	}
-	fresh, istats, err := cp.applyInserts(db, ms, inserts, gs, lim)
+	istats, err := cp.applyInserts(db, ms, inserts, fresh, gs, lim)
 	if err != nil {
 		return nil, err
 	}
-	res.BaseInserted = fresh
 	res.Stats.Iterations = work.Iterations + istats.Iterations
 	res.Stats.Derived = istats.Derived
 	return res, nil

@@ -42,37 +42,39 @@ var ErrNotMaintenance = errors.New("datalog: program not compiled for maintenanc
 
 // applyInserts is the insert phase of a batch: it inserts the (already
 // validated) facts, creating missing relations, and propagates the ones
-// that were new through the delta variants. It returns the per-predicate
-// base tuples that were actually new; the derived ones are the tail of
-// their relations past the journal's insert mark. A failure leaves db
-// partially updated; applyUpdates rolls it back through that mark.
-func (cp *CompiledProgram) applyInserts(db *storage.Database, ms *maintScratch, inserts map[string][]storage.Tuple, gs *guardState, lim Limits) (fresh map[string][]storage.Tuple, stats FixpointStats, err error) {
-	if fresh, err = insertBase(db, inserts); err != nil {
-		return nil, stats, err
+// that were new through the delta variants. It fills fresh, the journal's
+// kept map, with the per-predicate base tuples that were actually new; the
+// derived ones are the tail of their relations past the journal's insert
+// mark. A failure leaves db partially updated; applyUpdates rolls it back
+// through that mark.
+func (cp *CompiledProgram) applyInserts(db *storage.Database, ms *maintScratch, inserts, fresh map[string][]storage.Tuple, gs *guardState, lim Limits) (FixpointStats, error) {
+	if err := insertBase(db, inserts, fresh); err != nil {
+		return FixpointStats{}, err
 	}
-	stats, err = cp.propagate(db, ms, fresh, gs, lim)
-	return fresh, stats, err
+	return cp.propagate(db, ms, fresh, gs, lim)
 }
 
-// insertBase inserts a batch's base facts, returning the ones that were new
-// as the stored rows, never the caller's tuples. Each predicate's relation
-// is grown for its whole list, and the caller's values are copied into one
-// backing array per storage.ChunkRows rows, onto which each new row is
-// adopted as a capacity-limited window (adoptRow): a batch costs one copy
+// insertBase inserts a batch's base facts, recording in fresh the ones that
+// were new as the stored rows, never the caller's tuples. Each predicate's
+// relation is grown for its whole list, and the caller's values are copied
+// into one backing array per storage.ChunkRows rows, onto which each new row
+// is adopted as a capacity-limited window (adoptRow): a batch costs one copy
 // per chunk, not a clone per row, and a stored row pins at most its chunk.
 // A row already present, or repeated in the batch, is truncated away, and
 // the slots past a chunk's last adopted row are cleared, so its backing
 // keeps no rejected value alive. Rows are only appended, so the new ones are
-// the relation's tail, copied out in one slice.
-func insertBase(db *storage.Database, inserts map[string][]storage.Tuple) (map[string][]storage.Tuple, error) {
-	fresh := make(map[string][]storage.Tuple)
+// the relation's tail, and fresh holds that tail itself as a
+// capacity-limited window onto the relation's rows, not a copy: it reads
+// the batch's rows until the relation is next written, by the database's
+// next batch.
+func insertBase(db *storage.Database, inserts, fresh map[string][]storage.Tuple) error {
 	for pred, tuples := range inserts {
 		if len(tuples) == 0 {
 			continue
 		}
 		rel, err := db.Ensure(pred, len(tuples[0]))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		before := rel.Len()
 		rel.Grow(len(tuples))
@@ -83,11 +85,11 @@ func insertBase(db *storage.Database, inserts map[string][]storage.Tuple) (map[s
 			}
 			clear(backing[len(backing):cap(backing)])
 		}
-		if rel.Len() > before {
-			fresh[pred] = slices.Clone(rel.Tuples()[before:])
+		if n := rel.Len(); n > before {
+			fresh[pred] = rel.Tuples()[before:n:n]
 		}
 	}
-	return fresh, nil
+	return nil
 }
 
 // propagate runs the semi-naive insert propagation: delta, already inserted

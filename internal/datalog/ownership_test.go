@@ -232,21 +232,26 @@ func TestMergeClearsRejectedRows(t *testing.T) {
 // one backing array of the batch's size, the new rows are adopted as
 // windows onto it, the rejected ones are truncated away and the slots past
 // the last adopted row are empty, so the backing keeps no rejected value
-// alive. A caller writing its tuples afterwards reaches nothing stored.
+// alive. The fresh list is the relation's tail itself, a window of capacity
+// 2 onto its rows. A caller writing its tuples afterwards reaches nothing
+// stored.
 func TestInsertBaseClearsRejectedRows(t *testing.T) {
 	db := storage.NewDatabase()
 	if err := db.Insert("r", storage.Tuple{"present", "row"}); err != nil {
 		t.Fatal(err)
 	}
 	batch := []storage.Tuple{{"a", "1"}, {"present", "row"}, {"b", "2"}, {"a", "1"}}
-	fresh, err := insertBase(db, map[string][]storage.Tuple{"r": batch})
-	if err != nil {
+	fresh := make(map[string][]storage.Tuple)
+	if err := insertBase(db, map[string][]storage.Tuple{"r": batch}, fresh); err != nil {
 		t.Fatal(err)
 	}
 	want := []storage.Tuple{{"a", "1"}, {"b", "2"}}
 	rows := db.Relation("r").Tuples()
 	if len(rows) != 3 || !storage.TuplesEqual(rows[1:], want) || !storage.TuplesEqual(fresh["r"], want) {
 		t.Fatalf("relation %q, fresh %q, want %q after [present row]", rows, fresh["r"], want)
+	}
+	if unsafe.SliceData(fresh["r"]) != &rows[1] || cap(fresh["r"]) != 2 {
+		t.Fatal("fresh is not a capacity-limited window onto the relation's tail")
 	}
 	backing := unsafe.Slice(unsafe.SliceData(rows[1]), 2*len(batch))
 	if unsafe.SliceData(rows[2]) != &backing[2] || cap(rows[1]) != 2 || cap(rows[2]) != 2 {
@@ -276,7 +281,7 @@ func TestInsertBaseBoundsRetention(t *testing.T) {
 		batch[i] = row(i)
 	}
 	db := storage.NewDatabase()
-	if _, err := insertBase(db, map[string][]storage.Tuple{"r": batch}); err != nil {
+	if err := insertBase(db, map[string][]storage.Tuple{"r": batch}, make(map[string][]storage.Tuple)); err != nil {
 		t.Fatal(err)
 	}
 	rel := db.Relation("r")

@@ -65,8 +65,9 @@ type Maintainer struct {
 // BatchResult reports one applied update batch: the base tuples actually
 // inserted and deleted, the number of extent tuples retracted for good,
 // and the batch's journal, which records every change to the maintained
-// database, extents included, until the next batch (storage.Journal.Replay
-// mirrors it onto another database, removals first).
+// database, extents included (storage.Journal.Replay mirrors it onto
+// another database, removals first). It is valid until the database's
+// next batch, like its journal, which keeps the base lists.
 type BatchResult = datalog.UpdateResult
 
 // givenSuffix turns a view name into the name of the relation holding the

@@ -34,11 +34,20 @@ import "slices"
 // grown past maxKeptRemovals or maxKeptMarks is dropped at the reset
 // rather than kept, so one huge batch does not hold its bookkeeping for
 // the life of the database.
+//
+// The journal also keeps the batch's base lists (BaseLists), the maps a
+// batch reports its effective base inserts and deletions in and the arena
+// the deletion lists are windows onto: the reset empties them, clearing the
+// arena's used part, and drops an arena past maxKeptRemovals rows or maps
+// past maxKeptMarks keys like the log and the marks.
 type Journal struct {
 	db      *Database
 	removed []journalRemoval
 	marks   map[*Relation]int
 	marked  bool // MarkInserts ran: marks holds the batch's relation lengths
+
+	inserted, deleted map[string][]Tuple
+	deletedRows       []Tuple // the arena deleted's lists are windows onto
 }
 
 type journalRemoval struct {
@@ -70,7 +79,35 @@ func NewJournal(db *Database) *Journal {
 		clear(j.marks)
 	}
 	j.marked = false
+	if cap(j.deletedRows) > maxKeptRemovals {
+		j.deletedRows = nil
+	} else {
+		for _, w := range j.deleted {
+			clear(w) // the windows cover the arena's used part
+		}
+	}
+	if len(j.inserted)+len(j.deleted) > maxKeptMarks {
+		j.inserted, j.deleted = nil, nil
+	} else {
+		clear(j.inserted)
+		clear(j.deleted)
+	}
 	return j
+}
+
+// BaseLists returns the batch's base lists, kept by the journal: the maps
+// of effective inserts and deletions per predicate, empty since the reset,
+// and the arena of deleted rows, empty with room for n rows, onto which the
+// deletion lists are to be windows. Appending at most n rows to the arena
+// keeps it the journal's own. The lists are the batch's until the reset.
+func (j *Journal) BaseLists(n int) (inserted, deleted map[string][]Tuple, arena []Tuple) {
+	if j.inserted == nil {
+		j.inserted, j.deleted = make(map[string][]Tuple), make(map[string][]Tuple)
+	}
+	if cap(j.deletedRows) < n {
+		j.deletedRows = make([]Tuple, 0, n)
+	}
+	return j.inserted, j.deleted, j.deletedRows[:0]
 }
 
 // RemoveAll deletes every tuple of ts from pred's relation and journals each

@@ -186,8 +186,8 @@ func TestJournalRestoresStoredTuple(t *testing.T) {
 }
 
 // checkReset: a journal NewJournal just returned refers to nothing of the
-// batch before — no entry of its kept removal log, no key of its marks map —
-// and is not marked.
+// batch before — no entry of its kept removal log, no key of its marks map
+// or its base lists' maps, no row of its kept arena — and is not marked.
 func checkReset(t *testing.T, db *Database, j *Journal) {
 	t.Helper()
 	if j != &db.journal {
@@ -202,6 +202,14 @@ func checkReset(t *testing.T, db *Database, j *Journal) {
 	for i, r := range j.removed[:cap(j.removed)] {
 		if r.pred != "" || r.t != nil {
 			t.Fatalf("kept removal log slot %d still holds %s%q of an earlier batch", i, r.pred, r.t)
+		}
+	}
+	if len(j.inserted) != 0 || len(j.deleted) != 0 {
+		t.Fatalf("reset journal lists %d inserted and %d deleted predicate(s)", len(j.inserted), len(j.deleted))
+	}
+	for i, r := range j.deletedRows[:cap(j.deletedRows)] {
+		if r != nil {
+			t.Fatalf("kept arena slot %d still holds %q of an earlier batch", i, r)
 		}
 	}
 }
@@ -254,6 +262,13 @@ func TestJournalReusedAcrossBatches(t *testing.T) {
 					gone = append(gone, ts...)
 				}
 			}
+			// The base lists, as a batch fills them: its deletions of a as a
+			// window onto the arena, its inserts of a as the relation's tail.
+			inserted, deleted, arena := j.BaseLists(len(gone))
+			if len(gone) > 0 {
+				deleted["a"] = append(arena, gone...)
+			}
+			mark := db.Relation("a").Len()
 			j.MarkInserts()
 			newPred := fmt.Sprintf("new%d", batch)
 			for i := rng.Intn(6); i > 0; i-- {
@@ -265,6 +280,9 @@ func TestJournalReusedAcrossBatches(t *testing.T) {
 				if db.Relation("a").Adopt(gone[0]) {
 					readopted++
 				}
+			}
+			if n := db.Relation("a").Len(); n > mark {
+				inserted["a"] = db.Relation("a").Tuples()[mark:n:n]
 			}
 			if rel := db.Relation(newPred); rel != nil {
 				created++
@@ -322,9 +340,10 @@ func TestJournalReusedAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestJournalKeepsOnlyBoundedLog: a reset keeps a removal log and a marks
-// map within maxKeptRemovals and maxKeptMarks for the next batch, which
-// then journals without allocating, and drops ones grown past them.
+// TestJournalKeepsOnlyBoundedLog: a reset keeps a removal log, a marks
+// map and a base lists' arena within maxKeptRemovals and maxKeptMarks for
+// the next batch, which then journals without allocating, and drops ones
+// grown past them.
 func TestJournalKeepsOnlyBoundedLog(t *testing.T) {
 	db := NewDatabase()
 	rel, _ := db.Ensure("r", 1)
@@ -361,6 +380,14 @@ func TestJournalKeepsOnlyBoundedLog(t *testing.T) {
 	j.Rollback()
 	if j = NewJournal(db); j.marks != nil {
 		t.Fatalf("reset kept a marks map past the bound %d", maxKeptMarks)
+	}
+	j.BaseLists(64)
+	if j = NewJournal(db); cap(j.deletedRows) != 64 || j.deleted == nil {
+		t.Fatal("reset dropped base lists within the bounds")
+	}
+	j.BaseLists(maxKeptRemovals + 1)
+	if j = NewJournal(db); j.deletedRows != nil {
+		t.Fatalf("reset kept an arena of capacity %d past the bound %d", cap(j.deletedRows), maxKeptRemovals)
 	}
 	if rel.Len() != maxKeptRemovals+1 {
 		t.Fatalf("r holds %d tuples after rolling back, want %d", rel.Len(), maxKeptRemovals+1)
