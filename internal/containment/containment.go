@@ -1,6 +1,8 @@
 package containment
 
 import (
+	"slices"
+
 	"repro/internal/constraints"
 	"repro/internal/cq"
 )
@@ -209,25 +211,29 @@ func Equivalent(q1, q2 *cq.Query) bool {
 
 // Minimize returns an equivalent query with a minimal body (the core): no
 // body atom can be removed without changing the query's meaning, and no
-// comparison is implied by the remaining ones. The input is not modified.
-// By Chandra–Merlin the result is unique up to variable renaming for pure
-// conjunctive queries.
+// comparison is implied by the remaining ones. By Chandra–Merlin the result
+// is unique up to variable renaming for pure conjunctive queries. The input
+// is never written. When nothing is dropped the result is the input itself,
+// and otherwise a new query that shares the input's atoms and terms; either
+// way it must not be written.
 func Minimize(q *cq.Query) *cq.Query {
 	var s Search
 	return s.Minimize(q)
 }
 
-// Minimize is the package-level Minimize on s's scratch. It never consults
-// the memo.
+// Minimize is the package-level Minimize on s's scratch, returning q itself
+// when q is minimal already; the result is never s's scratch. It never
+// consults the memo.
 func (s *Search) Minimize(q *cq.Query) *cq.Query {
-	cur := q.Clone()
+	cur := q // copied on the first drop
 	// Drop redundant body atoms one at a time. Removing an atom weakens
 	// the query (cur ⊑ candidate always holds), so the atom is redundant
-	// iff candidate ⊑ cur. The candidate is assembled in s.cut, so an atom
-	// that has to stay costs no allocation.
+	// iff candidate ⊑ cur. The candidate is assembled in s.cut and the
+	// container numbered in s.min, so an atom that has to stay costs no
+	// allocation.
 	for changed := true; changed; {
 		changed = false
-		p := Prepared{q: cur}
+		s.min.reset(cur)
 		for i := range cur.Body {
 			if len(cur.Body) == 1 {
 				break // keep safety: at least one subgoal
@@ -237,8 +243,12 @@ func (s *Search) Minimize(q *cq.Query) *cq.Query {
 			if !s.cut.Valid() {
 				continue // removal would make the query unsafe
 			}
-			if s.contained(&s.cut, &p) {
-				cur.Body = append(cur.Body[:i], cur.Body[i+1:]...)
+			if s.contained(&s.cut, &s.min) {
+				if cur == q {
+					cur = &cq.Query{Head: q.Head, Body: slices.Clone(s.cut.Body), Comparisons: q.Comparisons}
+				} else {
+					cur.Body = append(cur.Body[:i], cur.Body[i+1:]...)
+				}
 				changed = true
 				break
 			}
@@ -246,15 +256,17 @@ func (s *Search) Minimize(q *cq.Query) *cq.Query {
 	}
 	// Drop comparisons implied by the rest.
 	for i := 0; i < len(cur.Comparisons); {
-		rest := make([]cq.Comparison, 0, len(cur.Comparisons)-1)
-		rest = append(rest, cur.Comparisons[:i]...)
-		rest = append(rest, cur.Comparisons[i+1:]...)
-		if constraints.NewSet(rest).Implies(cur.Comparisons[i]) {
-			cur.Comparisons = rest
+		s.rest = append(append(s.rest[:0], cur.Comparisons[:i]...), cur.Comparisons[i+1:]...)
+		if !constraints.NewSet(s.rest).Implies(cur.Comparisons[i]) {
+			i++
 			continue
 		}
-		i++
+		if cur == q {
+			cur = &cq.Query{Head: q.Head, Body: q.Body}
+		}
+		cur.Comparisons = slices.Clone(s.rest)
 	}
+	s.min.reset(nil)
 	return cur
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -319,6 +321,85 @@ func TestMinimizeKeepsNonRedundant(t *testing.T) {
 	if r := mustQ("q(X) :- r(X,Y), r(X,Z)"); len(Minimize(r).Body) == len(r.Body) {
 		t.Fatal("redundant atom kept")
 	}
+}
+
+// TestMinimizeContract pins what Minimize and MinimizeUnion hand back: the
+// argument itself when it is minimal already, a fresh query when an atom or
+// a comparison is dropped, and never a write to the argument. It runs them
+// on a zero Search and on a pooled one that earlier minimisations used, so
+// that scratch a search keeps cannot leak into a result.
+func TestMinimizeContract(t *testing.T) {
+	cases := []struct {
+		src   string
+		drops bool
+	}{
+		{"q(X) :- r(X,Y), s(Y,Z)", false},
+		{"q(X) :- r(X,Y), X < 5", false},
+		{"q(X,Y) :- r(X,Y), r(Y,X)", false},
+		{"q(X) :- r(X,Y), r(X,Z)", true},               // an atom
+		{"q(X) :- r(X,Y), X < Y, X <= Y", true},        // a comparison
+		{"q(X) :- r(X,Y), r(X,Z), X < 5, X < 7", true}, // both
+		{"q(X) :- e(X,Y), e(Y,Z), e(X,X)", true},       // two atoms
+	}
+	pooled := AcquireSearch(nil)
+	defer pooled.Release()
+	for _, s := range []*Search{{}, pooled} {
+		var results []*cq.Query
+		for _, c := range cases {
+			q := mustQ(c.src)
+			before := deepCopy(q)
+			m := s.Minimize(q)
+			if !reflect.DeepEqual(q, before) {
+				t.Errorf("Minimize(%s) wrote its argument: now %s", c.src, q)
+			}
+			if fresh := m != q; fresh != c.drops {
+				t.Errorf("Minimize(%s) = %s: fresh %v, want %v", c.src, m, fresh, c.drops)
+			}
+			if c.drops && len(m.Body)+len(m.Comparisons) >= len(q.Body)+len(q.Comparisons) {
+				t.Errorf("Minimize(%s) = %s dropped nothing", c.src, m)
+			}
+			results = append(results, m)
+		}
+		// The results are still what they were after later calls on s.
+		for i, c := range cases {
+			if got := s.Minimize(mustQ(c.src)); got.String() != results[i].String() {
+				t.Errorf("Minimize(%s): %s, then %s", c.src, results[i], got)
+			}
+		}
+
+		// The members share no predicate, so none subsumes another and the
+		// union keeps each one, minimised.
+		u := &cq.Union{}
+		for _, src := range []string{"q(X) :- a(X,Y)", "q(X) :- b(X,Y), b(X,Z)", "q(X) :- c(X,Y), X < 3, X < 4", "q(X) :- d(X,Y), d(Y,X)"} {
+			u.Add(mustQ(src))
+		}
+		before := make([]*cq.Query, u.Len())
+		for i, m := range u.Queries {
+			before[i] = deepCopy(m)
+		}
+		out := s.MinimizeUnion(u)
+		if out.Len() != u.Len() {
+			t.Fatalf("MinimizeUnion kept %d of %d members: %s", out.Len(), u.Len(), out)
+		}
+		for i, m := range u.Queries {
+			if !reflect.DeepEqual(m, before[i]) {
+				t.Errorf("MinimizeUnion wrote member %s: now %s", before[i], m)
+			}
+			if fresh, drops := out.Queries[i] != m, i == 1 || i == 2; fresh != drops {
+				t.Errorf("MinimizeUnion member %s = %s: fresh %v, want %v", m, out.Queries[i], fresh, drops)
+			}
+		}
+	}
+}
+
+// deepCopy copies q array by array, keeping nil slices nil, for
+// reflect.DeepEqual.
+func deepCopy(q *cq.Query) *cq.Query {
+	c := &cq.Query{Head: cq.Atom{Pred: q.Head.Pred, Args: slices.Clone(q.Head.Args)}, Comparisons: slices.Clone(q.Comparisons)}
+	for _, a := range q.Body {
+		c.Body = append(c.Body, cq.Atom{Pred: a.Pred, Args: slices.Clone(a.Args)})
+	}
+	return c
 }
 
 func TestFreeze(t *testing.T) {

@@ -9,7 +9,11 @@
 // paper's lower bounds show the exponential cannot be avoided in general.
 package containment
 
-import "repro/internal/cq"
+import (
+	"sync"
+
+	"repro/internal/cq"
+)
 
 // Mapping is a containment mapping: a substitution over the source query's
 // variables. It maps the source head to the target head positionally and
@@ -19,7 +23,8 @@ type Mapping = cq.Subst
 // Search is the one mapping search every test of this package runs on. A
 // rewriting call owns one and reuses it for all its containment tests, so
 // the substitution, the trail and the candidate lists are allocated once per
-// call and not once per test. The substitution is a slice indexed by the
+// call and not once per test; a search taken from AcquireSearch keeps them
+// from one call to the next. The substitution is a slice indexed by the
 // source query's variable ids (cq.Numbered); a cq.Subst is built only for a
 // mapping handed to a caller.
 //
@@ -50,9 +55,54 @@ type Search struct {
 	yield func(at []int32) bool
 	found bool
 
-	used, bound []bool   // scratch of arrange
-	cut         cq.Query // scratch of Minimize: the query less one body atom
+	// allow, while AtomMappings runs with a filter, is the source atom each
+	// target atom may receive: target j is a candidate for source atom i
+	// only where allow[j] == i.
+	allow []int32
+	// steps counts the calls of step since the search was acquired.
+	steps int
+
+	used, bound []bool          // scratch of arrange
+	cut         cq.Query        // scratch of Minimize: the query less one body atom
+	rest        []cq.Comparison // scratch of Minimize: the comparisons less one
+	min         Prepared        // Minimize's container, renumbered every round
+	held        Prepared        // what Prepare hands out
+	kept        []Prepared      // MinimizeUnion's members
 }
+
+// searches holds released searches with their scratch.
+var searches = sync.Pool{New: func() any { return new(Search) }}
+
+// AcquireSearch returns a search from a pool shared by every goroutine, with
+// the arrays an earlier call grew, consulting memo (which may be nil). The
+// caller owns it until it calls Release; a plan build that runs one search
+// after another on its goroutine gets the same search back each time.
+func AcquireSearch(memo *Memo) *Search {
+	s := searches.Get().(*Search)
+	s.Memo = memo
+	return s
+}
+
+// Release empties s of every query it was given and returns it to the pool.
+// Nothing s handed out — a Prepared of s.Prepare, a yielded slice — may be
+// used after it. A query Minimize or MinimizeUnion returned is never s's
+// scratch and stays valid.
+func (s *Search) Release() {
+	s.Memo, s.src, s.dst, s.yield, s.allow, s.steps = nil, nil, nil, nil, nil, 0
+	s.cut = cq.Query{Body: s.cut.Body[:0]}
+	s.rest = s.rest[:0]
+	s.min.reset(nil)
+	s.held.reset(nil)
+	for i := range s.kept {
+		s.kept[i].reset(nil)
+	}
+	searches.Put(s)
+}
+
+// Steps returns how many nodes the backtracking mapping search has visited
+// since s was acquired: a measure of a search's work that does not depend on
+// the clock.
+func (s *Search) Steps() int { return s.steps }
 
 // Prepared is a query readied for repeated tests by one Search: its
 // numbering and its memo fingerprint are computed at most once, on first
@@ -67,12 +117,24 @@ type Prepared struct {
 // result is in use.
 func Prepare(q *cq.Query) *Prepared { return &Prepared{q: q} }
 
+// Prepare is the package-level Prepare in s's scratch, for a query tested
+// once or twice: the result, and the numbering it makes, reuse what the
+// previous call's held, so it is valid only until the next call of
+// s.Prepare or s.Release.
+func (s *Search) Prepare(q *cq.Query) *Prepared {
+	s.held.reset(q)
+	return &s.held
+}
+
+// reset makes p stand for q, keeping the arrays of its numbering.
+func (p *Prepared) reset(q *cq.Query) { p.q, p.n.Query, p.fp = q, nil, "" }
+
 // Query returns the query p was made from.
 func (p *Prepared) Query() *cq.Query { return p.q }
 
 func (p *Prepared) num() *cq.Numbered {
 	if p.n.Query == nil {
-		p.n = cq.Number(p.q)
+		p.n.Renumber(p.q)
 	}
 	return &p.n
 }
@@ -104,7 +166,7 @@ func (s *Search) candidates(from, to *cq.Query) bool {
 	for i, a := range from.Body {
 		s.candOff[i] = int32(len(s.cand))
 		for j, b := range to.Body {
-			if a.Pred == b.Pred {
+			if a.Pred == b.Pred && (s.allow == nil || s.allow[j] == int32(i)) {
 				s.cand = append(s.cand, int32(j))
 			}
 		}
@@ -205,6 +267,7 @@ func (s *Search) match(pattern cq.Atom, ids []int32, target cq.Atom) bool {
 // step backtracks over the source atoms from position k of the order. It
 // reports false when the enumeration was stopped.
 func (s *Search) step(k int) bool {
+	s.steps++
 	if k == len(s.order) {
 		if s.yield == nil {
 			s.found = true
@@ -269,13 +332,16 @@ func (s *Search) mappings(p *Prepared, dst *cq.Query, yield func(Mapping) bool) 
 // AtomMappings enumerates the containment mappings from p onto dst, handing
 // yield, for each, the index of the dst body atom that each body atom of p
 // lands on: at[i] for p's atom i. The slice is reused between calls.
-// Enumeration stops when yield returns false.
-func (s *Search) AtomMappings(p *Prepared, dst *cq.Query, yield func(at []int32) bool) {
-	if !s.begin(p, dst) {
-		return
+// Enumeration stops when yield returns false. When allow is non-nil, holding
+// an entry per body atom of dst, only the mappings that send each atom i of
+// p onto atoms b with allow[b] == i are enumerated.
+func (s *Search) AtomMappings(p *Prepared, dst *cq.Query, allow []int32, yield func(at []int32) bool) {
+	s.allow = allow
+	if s.begin(p, dst) {
+		s.yield = yield
+		s.step(0)
 	}
-	s.yield = yield
-	s.step(0)
+	s.allow = nil
 }
 
 // fill adds the current bindings to m.

@@ -212,7 +212,7 @@ func checkAgainstReference(t *testing.T, from, to *cq.Query) {
 		wantAt = append(wantAt, fmt.Sprint(images))
 		return len(wantAt) < 64
 	})
-	s.AtomMappings(Prepare(from), to, func(at []int32) bool {
+	s.AtomMappings(Prepare(from), to, nil, func(at []int32) bool {
 		var images []string
 		for _, j := range at {
 			images = append(images, to.Body[j].String())
@@ -222,6 +222,31 @@ func checkAgainstReference(t *testing.T, from, to *cq.Query) {
 	})
 	if fmt.Sprint(gotAt) != fmt.Sprint(wantAt) {
 		t.Fatalf("AtomMappings\n from %s\n   to %s\n got %v\nwant %v", from, to, gotAt, wantAt)
+	}
+	// AtomMappings under a filter: exactly the unfiltered mappings that send
+	// every source atom i onto targets b with allow[b] == i, in order.
+	if len(from.Body) > 0 {
+		allow := make([]int32, len(to.Body))
+		for j := range allow {
+			allow[j] = int32(j % len(from.Body))
+		}
+		var all, filtered []string
+		s.AtomMappings(Prepare(from), to, nil, func(at []int32) bool {
+			for i, j := range at {
+				if allow[j] != int32(i) {
+					return true
+				}
+			}
+			all = append(all, fmt.Sprint(at))
+			return true
+		})
+		s.AtomMappings(Prepare(from), to, allow, func(at []int32) bool {
+			filtered = append(filtered, fmt.Sprint(at))
+			return true
+		})
+		if fmt.Sprint(filtered) != fmt.Sprint(all) {
+			t.Fatalf("AtomMappings filtered by %v\n from %s\n   to %s\n got %v\nwant %v", allow, from, to, filtered, all)
+		}
 	}
 	// BodyMappings: at names the atom each source atom's image is.
 	n := cq.Number(from)

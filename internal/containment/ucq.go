@@ -1,6 +1,8 @@
 package containment
 
 import (
+	"slices"
+
 	"repro/internal/constraints"
 	"repro/internal/cq"
 )
@@ -104,21 +106,24 @@ func UnionContainedInUnion(u1, u2 *cq.Union) bool {
 }
 
 // MinimizeUnion removes members subsumed by other members and minimises
-// each surviving member. The result is equivalent to the input.
+// each surviving member. The result is equivalent to the input. The input is
+// never written; a member that is minimal already is kept as it is, so the
+// result's members, like Minimize's result, must not be written.
 func MinimizeUnion(u *cq.Union) *cq.Union {
 	var s Search
 	return s.MinimizeUnion(u)
 }
 
 // MinimizeUnion is the package-level MinimizeUnion on s's scratch: every
-// member is numbered at most once however many pairs it is tested in, and a
-// pair whose members share no predicate is rejected before anything is set
-// up. It never consults the memo.
+// member is numbered at most once however many pairs it is tested in, into
+// arrays s keeps, and a pair whose members share no predicate is rejected
+// before anything is set up. It never consults the memo.
 func (s *Search) MinimizeUnion(u *cq.Union) *cq.Union {
 	out := &cq.Union{}
-	kept := make([]Prepared, u.Len())
+	s.kept = slices.Grow(s.kept[:0], u.Len())[:u.Len()]
+	kept := s.kept
 	for i, m := range u.Queries {
-		kept[i].q = s.Minimize(m)
+		kept[i].reset(s.Minimize(m))
 	}
 	for i := range kept {
 		subsumed := false
@@ -138,6 +143,9 @@ func (s *Search) MinimizeUnion(u *cq.Union) *cq.Union {
 		if !subsumed {
 			out.Add(kept[i].q)
 		}
+	}
+	for i := range kept {
+		kept[i].reset(nil)
 	}
 	return out
 }

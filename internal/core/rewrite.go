@@ -53,6 +53,7 @@ type Stats struct {
 	EquivalenceChecks  int // tests made while shrinking them
 	RewritingsFound    int
 	MinimizedBodyAtoms int // body size of the minimised query
+	Steps              int // nodes the mapping search visited (containment.Search.Steps)
 }
 
 // Rewriter searches for equivalent rewritings of conjunctive queries using
@@ -87,17 +88,20 @@ func (r *Rewriter) Rewrite(q *cq.Query) ([]*Rewriting, Stats) {
 		return nil, st
 	}
 	// One search serves the minimisation, every view's homomorphisms and
-	// every test of the construction.
-	s := &containment.Search{Memo: r.Memo}
+	// every test of the construction; it comes from the pool with the
+	// arrays earlier searches grew.
+	s := containment.AcquireSearch(r.Memo)
+	defer s.Release()
 	qm := q
 	if !r.Opt.SkipMinimize {
 		qm = s.Minimize(q)
 	}
-	st.MinimizedBodyAtoms = len(qm.Body)
 	var results []*Rewriting
-	if c := r.canonical(qm, s, &st); c != nil {
+	if c := r.canonical(qm, s); c != nil {
 		results = c.rewritings(max(r.Opt.MaxResults, 1))
+		st = c.st
 	}
+	st.MinimizedBodyAtoms, st.Steps = len(qm.Body), s.Steps()
 	sort.SliceStable(results, func(i, j int) bool {
 		return len(results[i].Query.Body) < len(results[j].Query.Body)
 	})
@@ -143,7 +147,7 @@ func (r *Rewriter) coverable(q *cq.Query) bool {
 // is the one candidate.
 type canonical struct {
 	s  *containment.Search
-	st *Stats
+	st Stats // the counts of the shrinking
 	qm *containment.Prepared
 	// body holds the view atoms, body[:views], then under AllowPartial
 	// qm's own atoms, the identity views of a partial rewriting. A set of
@@ -154,13 +158,21 @@ type canonical struct {
 	// exp.Comparisons[cend[i]:cend[i+1]] unfold body[i].
 	exp       *cq.Query
 	end, cend []int
-	comps     []cq.Comparison // qm's, under KeepComparisons
-	pure      bool            // no comparisons in qm or in exp
-	cut       cq.Query        // scratch of restrict
+	// h[b] is the atom of qm that the unfolded atom exp.Body[b] maps back
+	// onto: where the homomorphism that yielded its view atom sent the view
+	// atom it unfolds, and under AllowPartial qm's own atom itself. When qm
+	// is minimised, the mappings of qm into exp are searched only among
+	// those that send each atom i of qm onto atoms b with h[b] == i (see
+	// rewritings); nil turns that filter off.
+	h     []int32
+	comps []cq.Comparison // qm's, under KeepComparisons
+	pure  bool            // no comparisons in qm or in exp
+	cut   cq.Query        // scratch of restrict
 	// first[i] is the first atom of qm that body[i] stands for; a
 	// rewriting lists its atoms in that order. v is the view add is given
 	// the homomorphisms of; args and implied (qm's comparisons, built on
-	// first need) are add's scratch.
+	// first need) are add's scratch, and add appends the homomorphism of
+	// each view atom it keeps to h.
 	v       *View
 	first   []int
 	args    []cq.Term
@@ -169,18 +181,24 @@ type canonical struct {
 
 // canonical builds the canonical rewriting of qm, or returns nil when it
 // has no view atom.
-func (r *Rewriter) canonical(qm *cq.Query, s *containment.Search, st *Stats) *canonical {
-	c := &canonical{s: s, st: st, qm: containment.Prepare(qm)}
+func (r *Rewriter) canonical(qm *cq.Query, s *containment.Search) *canonical {
+	c := &canonical{s: s, qm: containment.Prepare(qm)}
 	add := c.add // one closure serves every view
 	for i := range r.Views.Len() {
 		c.v = r.Views.View(i)
 		s.BodyMappings(&c.v.Numbered, qm, add)
 	}
-	if st.Applications, c.views = len(c.body), len(c.body); c.views == 0 {
+	if c.st.Applications, c.views = len(c.body), len(c.body); c.views == 0 {
 		return nil
 	}
 	if r.Opt.AllowPartial {
 		c.body, c.first = append(c.body, qm.Body...), append(c.first, all(len(qm.Body))...)
+		for i := range qm.Body {
+			c.h = append(c.h, int32(i))
+		}
+	}
+	if r.Opt.SkipMinimize {
+		c.h = nil // qm need not be minimal, so the filter could lose a mapping
 	}
 	if r.Opt.KeepComparisons {
 		c.comps = qm.Comparisons
@@ -224,7 +242,7 @@ func (c *canonical) add(at []int32) bool {
 		}
 	}
 	atom.Args = slices.Clone(c.args)
-	c.body, c.first = append(c.body, atom), append(c.first, int(slices.Min(at)))
+	c.body, c.first, c.h = append(c.body, atom), append(c.first, int(slices.Min(at))), append(c.h, at...)
 	return true
 }
 
@@ -243,6 +261,14 @@ func image(s *containment.Search, id int32, t cq.Term) cq.Term {
 // is equivalent. A set that holds a rewriting already found is passed over;
 // no globally minimal rewriting is lost that way, since each is a touched
 // set that holds no other rewriting.
+//
+// A minimised qm is mapped only onto atoms that map back onto the atom they
+// receive (h), which loses nothing: h is a homomorphism of the unfolding
+// into qm that fixes the head, so for a mapping g of qm into the unfolding
+// σ = h∘g maps qm into itself, and is an automorphism since qm is minimal.
+// g∘σ⁻¹ is then a mapping that h sends back to the identity, and it touches
+// a subset of the atoms g touches. So a rewriting is found whenever one
+// exists, and every globally minimal one still is.
 func (c *canonical) rewritings(limit int) []*Rewriting {
 	var candidates []string
 	if !c.pure {
@@ -251,7 +277,7 @@ func (c *canonical) rewritings(limit int) []*Rewriting {
 		}
 	} else {
 		key, seen := make([]byte, len(c.body)), make(map[string]bool)
-		c.s.AtomMappings(c.qm, c.exp, func(at []int32) bool {
+		c.s.AtomMappings(c.qm, c.exp, c.h, func(at []int32) bool {
 			clear(key)
 			for _, j := range at {
 				key[sort.SearchInts(c.end, int(j)+1)-1] = 1
@@ -299,7 +325,7 @@ func (c *canonical) equivalent(kept []int) bool {
 	if c.pure {
 		return c.s.Maps(c.qm, exp)
 	}
-	return exp.Valid() && c.s.Equivalent(containment.Prepare(exp), c.qm)
+	return exp.Valid() && c.s.Equivalent(c.s.Prepare(exp), c.qm)
 }
 
 // restrict returns, in c's scratch, the unfolding of the atoms kept with

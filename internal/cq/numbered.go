@@ -28,16 +28,31 @@ type Numbered struct {
 
 // Number numbers the variables of q.
 func Number(q *Query) Numbered {
+	var n Numbered
+	n.Renumber(q)
+	return n
+}
+
+// Renumber makes n the numbering of q, reusing the arrays n holds when they
+// are large enough: a Numbered that a single owner renumbers for one query
+// after another allocates only while its arrays grow. Only the owner may
+// renumber; a Numbered shared by readers never is.
+func (n *Numbered) Renumber(q *Query) {
 	total := len(q.Head.Args) + 2*len(q.Comparisons)
 	for _, a := range q.Body {
 		total += len(a.Args)
 	}
-	n := Numbered{
-		Query: q,
-		Names: make([]string, 0, 8),
-		args:  make([]int32, 0, total),
-		off:   make([]int32, len(q.Body)+1),
+	if n.Names == nil {
+		n.Names = make([]string, 0, 8)
 	}
+	n.Query, n.Names, n.args = q, n.Names[:0], n.args[:0]
+	if cap(n.args) < total {
+		n.args = make([]int32, 0, total)
+	}
+	if cap(n.off) < len(q.Body)+1 {
+		n.off = make([]int32, len(q.Body)+1)
+	}
+	n.off = n.off[:len(q.Body)+1]
 	for _, t := range q.Head.Args {
 		n.add(t)
 	}
@@ -52,7 +67,6 @@ func Number(q *Query) Numbered {
 		n.add(c.Left)
 		n.add(c.Right)
 	}
-	return n
 }
 
 func (n *Numbered) add(t Term) {

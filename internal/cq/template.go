@@ -147,16 +147,20 @@ func (t *Template) Fingerprint() string {
 // positions, so a cached plan can filter on any binding at execution time;
 // callers compile the resulting rewriting back at the original arity with
 // the placeholders as parameter slots. Without placeholders it returns the
-// template query itself.
+// template query itself. Only the head is new: the body and the comparisons
+// are the template's, so the result, like the template, must not be
+// written.
 func (t *Template) PlanQuery() *Query {
 	if len(t.Params) == 0 {
 		return t.Query
 	}
-	pq := t.Query.Clone()
+	h := t.Query.Head
+	args := make([]Term, len(h.Args), len(h.Args)+len(t.Params))
+	copy(args, h.Args)
 	for _, p := range t.Params {
-		pq.Head.Args = append(pq.Head.Args, Var(p))
+		args = append(args, Var(p))
 	}
-	return pq
+	return &Query{Head: Atom{Pred: h.Pred, Args: args}, Body: t.Query.Body, Comparisons: t.Query.Comparisons}
 }
 
 // TemplateFingerprint returns the template cache key of q directly:

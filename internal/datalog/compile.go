@@ -136,6 +136,8 @@ func Compile(q *cq.Query, cat *cost.Catalog) *CompiledPlan {
 // constant-bound original.
 func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPlan {
 	l := newLowering(cat)
+	sc := compileScratchPool.Get().(*compileScratch)
+	defer sc.release()
 	for _, t := range q.Head.Args {
 		if t.IsVar() {
 			l.need(t.Lex)
@@ -147,8 +149,9 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 	// every step's column ops are windows onto one []colOp, every
 	// component's steps onto one []compiledStep (both the lowering's), and
 	// the parameter and head slots onto one []int. Each component's head
-	// slots are assigned before its atoms are lowered.
-	comps := splitComponents(q)
+	// slots are assigned before its atoms are lowered. The components and
+	// the join order's list live in sc, which the plan does not keep.
+	comps := splitComponents(q, sc)
 	nslots := len(params)
 	for i := range comps {
 		nslots += len(comps[i].headVars)
@@ -167,7 +170,7 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 			slotBuf = append(slotBuf, l.slotOf(v))
 		}
 		headSlots := slotBuf[first:len(slotBuf):len(slotBuf)]
-		p.components = append(p.components, compiledComponent{steps: l.join(comp.atoms, comp.comps, -1), headSlots: headSlots})
+		p.components = append(p.components, compiledComponent{steps: l.join(comp.atoms, comp.comps, -1, &sc.remaining), headSlots: headSlots})
 	}
 
 	p.head = make([]headOp, len(q.Head.Args))
@@ -198,7 +201,9 @@ func Estimate(q *cq.Query, params []string, cat *cost.Catalog) cost.Estimate {
 		bound[v] = true
 	}
 	est := cost.Estimate{Cardinality: 1}
-	joinOrder(q.Body, -1, bound, cat, make([]int, 0, len(q.Body)), func(next int, rows float64) {
+	sc := compileScratchPool.Get().(*compileScratch)
+	defer sc.release()
+	joinOrder(q.Body, -1, bound, cat, &sc.remaining, func(next int, rows float64) {
 		a := q.Body[next]
 		// A step's estimate is floored at one tuple of its whole relation
 		// (1/rows, rows guarded against zero), so it never reaches zero.
@@ -286,17 +291,17 @@ type lowering struct {
 	empty bool
 	// arrays sit behind a pointer: the compiled plan keeps windows onto
 	// them, and escape analysis, which does not tell a struct's fields
-	// apart, would otherwise move the maps to the heap with them.
+	// apart, would otherwise move the maps to the heap with them. For the
+	// same reason the pooled scratch a lowering's caller holds is not a
+	// field.
 	arrays *loweredArrays
 }
 
 // loweredArrays are the backing arrays begin sizes: the steps' column ops
-// are windows onto ops, each join's steps a window onto steps, and
-// remaining is join-order scratch.
+// are windows onto ops, each join's steps a window onto steps.
 type loweredArrays struct {
-	ops       []colOp
-	steps     []compiledStep
-	remaining []int
+	ops   []colOp
+	steps []compiledStep
 }
 
 // newLowering returns a lowering over cat's statistics, none when cat is
@@ -362,15 +367,15 @@ func (l *lowering) begin(body []cq.Atom, comps []cq.Comparison, params []string)
 	}
 	l.arrays.ops = make([]colOp, n)
 	l.arrays.steps = make([]compiledStep, 0, len(body))
-	l.arrays.remaining = make([]int, 0, len(body))
 }
 
 // join lowers one connected body under its comparisons, the ground ones
 // already decided by begin: atoms[root] first when root >= 0, then the
 // rest in join order, each comparison checked at the first step that binds
 // its operands. A comparison no step binds marks the lowering empty. It
-// returns the steps, a window onto the lowering's backing array.
-func (l *lowering) join(atoms []cq.Atom, comps []cq.Comparison, root int) []compiledStep {
+// returns the steps, a window onto the lowering's backing array; remaining
+// is joinOrder's scratch.
+func (l *lowering) join(atoms []cq.Atom, comps []cq.Comparison, root int, remaining *[]int) []compiledStep {
 	var pending []cq.Comparison
 	for _, c := range comps {
 		if !c.Left.IsConst() || !c.Right.IsConst() {
@@ -379,7 +384,7 @@ func (l *lowering) join(atoms []cq.Atom, comps []cq.Comparison, root int) []comp
 	}
 	arr := l.arrays
 	first := len(arr.steps)
-	joinOrder(atoms, root, l.bound, l.cat, arr.remaining, func(next int, _ float64) {
+	joinOrder(atoms, root, l.bound, l.cat, remaining, func(next int, _ float64) {
 		step := l.lowerAtom(atoms[next])
 		pending = l.attachComparisons(&step, pending)
 		arr.steps = append(arr.steps, step)
@@ -394,12 +399,13 @@ func (l *lowering) join(atoms []cq.Atom, comps []cq.Comparison, root int) []comp
 // plans, rule variants and Estimate: atoms[root] first when root >= 0,
 // then repeatedly the atom chooseNext picks under bound, with its
 // estimated rows. visit must add the variables its atom binds to bound.
-// remaining is scratch with room for every atom.
-func joinOrder(atoms []cq.Atom, root int, bound map[string]bool, cat *cost.Catalog, remaining []int, visit func(next int, rows float64)) {
-	remaining = remaining[:0]
+// *scratch is the list of the atoms not yet joined, grown as it needs.
+func joinOrder(atoms []cq.Atom, root int, bound map[string]bool, cat *cost.Catalog, scratch *[]int, visit func(next int, rows float64)) {
+	remaining := (*scratch)[:0]
 	for i := range atoms {
 		remaining = append(remaining, i)
 	}
+	*scratch = remaining
 	for len(remaining) > 0 {
 		next, rows := root, 0.0
 		if root < 0 {

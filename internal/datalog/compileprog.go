@@ -325,7 +325,9 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 		}
 	}
 	l.begin(r.Body, r.Comparisons, nil)
-	v.steps = l.join(r.Body, r.Comparisons, deltaPos)
+	sc := compileScratchPool.Get().(*compileScratch)
+	v.steps = l.join(r.Body, r.Comparisons, deltaPos, &sc.remaining)
+	sc.release()
 	v.numSlots, v.empty = l.numSlots, l.empty
 
 	// Head emission. Unbound head or Skolem-argument variables make the

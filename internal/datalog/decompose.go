@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/cq"
 )
@@ -23,16 +24,46 @@ type component struct {
 	headVars []string
 }
 
+// compileScratch is the short-lived state of one compile, kept between
+// compiles in compileScratchPool: splitComponents' union-find, variable map
+// and components, whose atoms, comparisons and head variables are windows
+// onto three arrays, and joinOrder's list of the atoms not yet joined.
+// Nothing a compile returns refers to it.
+type compileScratch struct {
+	nodes     []int // union-find parents, then component numbers
+	varFirst  map[string]int
+	comps     []component
+	atoms     []cq.Atom
+	cmps      []cq.Comparison
+	headVars  []string
+	remaining []int
+}
+
+var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
+
+// release empties the scratch of the query it was given and returns it to
+// the pool.
+func (sc *compileScratch) release() {
+	clear(sc.varFirst)
+	clear(sc.comps)
+	clear(sc.atoms)
+	clear(sc.cmps)
+	clear(sc.headVars)
+	compileScratchPool.Put(sc)
+}
+
 // splitComponents partitions the body atoms and comparisons of q into
-// connected components, numbered by their first atom. Comparisons act as
-// edges too: a comparison whose variables span two components merges them.
-// A connected body is its own one component's atoms.
-func splitComponents(q *cq.Query) []component {
+// connected components, numbered by their first atom, in sc. Comparisons
+// act as edges too: a comparison whose variables span two components merges
+// them. A connected body is its own one component's atoms. The components
+// are valid until sc is next used.
+func splitComponents(q *cq.Query, sc *compileScratch) []component {
 	n := len(q.Body)
 	// parent is the union-find forest over the body atoms; num then numbers
 	// each root's component.
-	buf := make([]int, 2*n)
-	parent, num := buf[:n], buf[n:]
+	sc.nodes = slices.Grow(sc.nodes[:0], 2*n)[:2*n]
+	parent, num := sc.nodes[:n], sc.nodes[n:]
+	clear(num)
 	for i := range parent {
 		parent[i] = i
 	}
@@ -46,7 +77,11 @@ func splitComponents(q *cq.Query) []component {
 	union := func(a, b int) { parent[find(a)] = find(b) }
 
 	// Atoms sharing a variable are connected.
-	varFirst := make(map[string]int)
+	if sc.varFirst == nil {
+		sc.varFirst = make(map[string]int)
+	}
+	varFirst := sc.varFirst
+	clear(varFirst)
 	for i, a := range q.Body {
 		for _, t := range a.Args {
 			if !t.IsVar() {
@@ -78,41 +113,53 @@ func splitComponents(q *cq.Query) []component {
 		}
 	}
 	compOf := func(atom int) int { return num[find(atom)] - 1 }
-	out := make([]component, k)
-	if k == 1 {
-		out[0].atoms = q.Body
-		out[0].headVars = make([]string, 0, len(q.Head.Args))
-	} else {
-		for i, a := range q.Body {
-			c := compOf(i)
-			out[c].atoms = append(out[c].atoms, a)
-		}
-	}
-	for _, c := range q.Comparisons {
-		// A comparison whose variables no atom binds (a constant-only one,
-		// say) attaches to the first component: it filters everything or
-		// nothing.
-		target := 0
+	// A comparison whose variables no atom binds (a constant-only one, say)
+	// attaches to the first component: it filters everything or nothing.
+	compOfComparison := func(c cq.Comparison) int {
 		for _, t := range [2]cq.Term{c.Left, c.Right} {
 			if j, ok := varFirst[t.Lex]; ok && t.IsVar() {
-				target = compOf(j)
-				break
+				return compOf(j)
 			}
 		}
-		if target < k {
-			out[target].comps = append(out[target].comps, c)
-		}
+		return 0
 	}
-	// Record which head variables each component provides, in
-	// first-occurrence order of the query head.
-	for i, t := range q.Head.Args {
-		if !t.IsVar() || slices.Contains(q.Head.Args[:i], t) {
-			continue
+	sc.comps = slices.Grow(sc.comps[:0], k)[:k]
+	out := sc.comps
+	clear(out)
+	sc.atoms = slices.Grow(sc.atoms[:0], n)
+	sc.cmps = slices.Grow(sc.cmps[:0], len(q.Comparisons))
+	sc.headVars = slices.Grow(sc.headVars[:0], len(q.Head.Args))
+	for c := range out {
+		if k == 1 {
+			out[c].atoms = q.Body
+		} else {
+			start := len(sc.atoms)
+			for i, a := range q.Body {
+				if compOf(i) == c {
+					sc.atoms = append(sc.atoms, a)
+				}
+			}
+			out[c].atoms = sc.atoms[start:len(sc.atoms):len(sc.atoms)]
 		}
-		if j, ok := varFirst[t.Lex]; ok {
-			c := compOf(j)
-			out[c].headVars = append(out[c].headVars, t.Lex)
+		start := len(sc.cmps)
+		for _, cmp := range q.Comparisons {
+			if compOfComparison(cmp) == c {
+				sc.cmps = append(sc.cmps, cmp)
+			}
 		}
+		out[c].comps = sc.cmps[start:len(sc.cmps):len(sc.cmps)]
+		// The head variables the component provides, in first-occurrence
+		// order of the query head.
+		start = len(sc.headVars)
+		for i, t := range q.Head.Args {
+			if !t.IsVar() || slices.Contains(q.Head.Args[:i], t) {
+				continue
+			}
+			if j, ok := varFirst[t.Lex]; ok && compOf(j) == c {
+				sc.headVars = append(sc.headVars, t.Lex)
+			}
+		}
+		out[c].headVars = sc.headVars[start:len(sc.headVars):len(sc.headVars)]
 	}
 	return out
 }

@@ -10,7 +10,7 @@ import (
 
 func TestSplitComponentsBasic(t *testing.T) {
 	q := mustQ("q(X,A) :- r(X,Y), s(Y), t(A,B), u(C)")
-	comps := splitComponents(q)
+	comps := splitComponents(q, &compileScratch{})
 	if len(comps) != 3 {
 		t.Fatalf("components = %d", len(comps))
 	}
@@ -28,7 +28,7 @@ func TestSplitComponentsComparisonsMerge(t *testing.T) {
 	// A and X live in different atom components but the comparison joins
 	// them.
 	q := mustQ("q(X,A) :- r(X), t(A), X < A")
-	comps := splitComponents(q)
+	comps := splitComponents(q, &compileScratch{})
 	if len(comps) != 1 {
 		t.Fatalf("comparison should merge components: %d", len(comps))
 	}
@@ -36,7 +36,7 @@ func TestSplitComponentsComparisonsMerge(t *testing.T) {
 
 func TestSplitComponentsConstantComparison(t *testing.T) {
 	q := mustQ("q(X,A) :- r(X), t(A), 1 < 2")
-	comps := splitComponents(q)
+	comps := splitComponents(q, &compileScratch{})
 	if len(comps) != 2 {
 		t.Fatalf("components = %d", len(comps))
 	}

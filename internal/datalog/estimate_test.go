@@ -164,7 +164,7 @@ func TestEstimatePricesCompiledOrder(t *testing.T) {
 		if trial%2 == 1 {
 			params = []string{vars[0].Lex}
 		}
-		if k := len(splitComponents(q)); k != 1 {
+		if k := len(splitComponents(q, &compileScratch{})); k != 1 {
 			t.Fatalf("trial %d: %s has %d components", trial, q, k)
 		}
 		p := CompileParams(q, params, cat)

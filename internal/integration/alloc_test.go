@@ -23,7 +23,11 @@ var raceEnabled bool
 // every candidate was verified). The two counts were 116 and 165 while a
 // candidate allocated each of its atoms' arguments and every Query.Clone
 // each atom's. core.Rewriter.Rewrite made 42 here until it stopped before
-// minimising a query with a predicate no view can cover.
+// minimising a query with a predicate no view can cover. The two MiniCon
+// counts were 92 and 141 until a minimal union member was kept as it is
+// instead of cloned, the containment search came from a pool with its
+// scratch, and the expansion each verified candidate is tested as was
+// numbered in that scratch.
 func TestPlanMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -40,8 +44,8 @@ func TestPlanMissAllocs(t *testing.T) {
 		verify bool
 		budget float64
 	}{
-		{false, 101}, // measured 92 (116 before, budget 128)
-		{true, 155},  // measured 141 (165 before, budget 181)
+		{false, 78}, // measured 71 (92 before, budget 101; 116, budget 128)
+		{true, 122}, // measured 111 (141 before, budget 155; 165, budget 181)
 	} {
 		opt := minicon.Options{VerifyCandidates: c.verify}
 		u, _, err := minicon.Rewrite(qc, vs, opt)

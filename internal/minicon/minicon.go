@@ -205,8 +205,10 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 	st.MCDs = len(mcds)
 
 	// One search serves every candidate's verification and the union's
-	// minimisation; q is the containing query of every test.
-	var search containment.Search
+	// minimisation; q is the containing query of every test. It comes from
+	// the pool with the arrays earlier searches grew.
+	search := containment.AcquireSearch(nil)
+	defer search.Release()
 	pq := containment.Prepare(q)
 
 	result := &cq.Union{}
@@ -239,7 +241,7 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 			if opt.VerifyCandidates {
 				exp, err := core.Expand(cand, vs)
 				st.ContainmentTests++
-				if err != nil || !search.Contained(containment.Prepare(exp), pq) {
+				if err != nil || !search.Contained(search.Prepare(exp), pq) {
 					return true
 				}
 			}

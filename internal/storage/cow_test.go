@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // cowBase is the database the copy-on-write tests clone: r frozen, s with
@@ -149,6 +150,52 @@ func TestCloneSharesUntilWritten(t *testing.T) {
 	cr.Insert(Tuple{"a1", "fresh"})
 	if &cr.tuples[0] == &r.tuples[0] || cr.indexes[0] == r.indexes[0] {
 		t.Fatal("an insert into a shared relation did not copy its tables")
+	}
+}
+
+// TestLastHolderWritesInPlace: tables are copied by every holder that
+// writes them but the last, which writes them in place. Of two relations
+// sharing tables the first to be written copies and the second does not;
+// of three, the first two copy. Each write leaves the others' contents as
+// they were.
+func TestLastHolderWritesInPlace(t *testing.T) {
+	// addrs names the arrays a relation writes, by address only: an in-place
+	// write changes lengths, never addresses.
+	addrs := func(r *Relation) string {
+		s := fmt.Sprintf("%p %p", unsafe.SliceData(r.tuples), unsafe.SliceData(r.set.slots))
+		for _, x := range r.indexes {
+			s += fmt.Sprintf(" %p", x)
+		}
+		return s
+	}
+	for holders := 2; holders <= 3; holders++ {
+		src := cowBase()
+		dbs := []*Database{src}
+		for len(dbs) < holders {
+			dbs = append(dbs, src.Clone())
+		}
+		shared := addrs(src.Relation("r"))
+		for i, db := range dbs {
+			r := db.Relation("r")
+			if addrs(r) != shared {
+				t.Fatalf("%d holders: holder %d no longer holds the shared tables before its write", holders, i+1)
+			}
+			others := make([]string, len(dbs))
+			for j, o := range dbs {
+				others[j] = dbState(o)
+			}
+			if !r.Remove(Tuple{"a4", "b4"}) {
+				t.Fatalf("%d holders, holder %d: r(a4,b4) was not removed", holders, i+1)
+			}
+			if copied, last := addrs(r) != shared, i == len(dbs)-1; copied == last {
+				t.Fatalf("%d holders: holder %d of %d copied %v", holders, i+1, holders, copied)
+			}
+			for j, o := range dbs {
+				if j != i && dbState(o) != others[j] {
+					t.Fatalf("%d holders: writing holder %d changed holder %d", holders, i+1, j+1)
+				}
+			}
+		}
 	}
 }
 

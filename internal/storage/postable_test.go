@@ -303,8 +303,8 @@ func checkSharesTables(t *testing.T, orig, clone *Relation) {
 	if tablesOf(orig) != tablesOf(clone) || len(orig.indexes) != len(clone.indexes) {
 		t.Fatalf("clone holds other tables than its original:\n%s\n%s", tablesOf(clone), tablesOf(orig))
 	}
-	if !orig.shared.Load() || !clone.shared.Load() {
-		t.Fatalf("clone and original marked shared: %v and %v", clone.shared.Load(), orig.shared.Load())
+	if !orig.shares() || !clone.shares() {
+		t.Fatalf("clone and original count other holders: %v and %v", clone.shares(), orig.shares())
 	}
 	for i := range orig.tuples {
 		if unsafe.SliceData(orig.tuples[i]) != unsafe.SliceData(clone.tuples[i]) {

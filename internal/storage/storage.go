@@ -14,10 +14,11 @@
 // a relation copies both as they are, because positions do not change.
 //
 // A clone shares until it is written. Database.Clone hands each relation of
-// the copy the source relation's tables themselves and marks both shared;
-// the first write to either copies that relation's tables, so what nobody
-// writes — a serving side before its first batch, the base a maintainer
-// materialised from — is held once.
+// the copy the source relation's tables themselves and counts both among
+// the tables' holders; the first write to a relation that does not hold its
+// tables alone copies them, so what nobody writes — a serving side before
+// its first batch, the base a maintainer materialised from — is held once,
+// and the last holder writes them in place.
 //
 // A stored tuple is never written. Once a relation holds a tuple — Insert's
 // clone, or the tuple Adopt was handed — no code writes its columns, so
@@ -134,20 +135,44 @@ func hashTuple(t Tuple) uint32 {
 // the column's distinct count (Distinct).
 //
 // A relation's tables — the tuple array, the set index and the list of
-// column indexes — may be shared with a clone (Database.Clone) until one of
-// the two is written: shared marks them so, and every write first gives
-// the relation tables of its own (own), so no write reaches a table
-// another relation reads.
+// column indexes — may be shared with clones (Database.Clone) until they
+// are written: holders counts the relations holding them, and every write
+// by one of several holders first gives the relation tables of its own
+// (own), so no write reaches a table another relation reads.
 type Relation struct {
 	name    string
 	arity   int
 	tuples  []Tuple
 	set     PosTable    // hashTuple -> position in tuples
 	indexes []*ColIndex // by column; nil where a column is not built, and nil until one is
-	// shared is set while the tables above may be another relation's too.
-	// It is atomic because Clone sets it on its source, which other
-	// goroutines may be reading or cloning at the same time.
-	shared atomic.Bool
+	// holders, while the tables above may be another relation's too,
+	// counts the relations holding them, this one included; nil when they
+	// were never shared or this relation copied them. The count is shared
+	// by those relations and may only overstate: a holder that is dropped
+	// unwritten is never taken off it. The pointer is atomic because Clone
+	// sets it on its source, which other goroutines may be reading or
+	// cloning at the same time.
+	holders atomic.Pointer[atomic.Int32]
+}
+
+// shares reports whether a relation other than r may hold r's tables.
+func (r *Relation) shares() bool {
+	h := r.holders.Load()
+	return h != nil && h.Load() > 1
+}
+
+// holderCount returns the count of the relations holding r's tables,
+// starting it at one, r, if there is none yet.
+func (r *Relation) holderCount() *atomic.Int32 {
+	if h := r.holders.Load(); h != nil {
+		return h
+	}
+	h := new(atomic.Int32)
+	h.Store(1)
+	if r.holders.CompareAndSwap(nil, h) {
+		return h
+	}
+	return r.holders.Load()
 }
 
 // NewRelation creates an empty relation.
@@ -308,16 +333,23 @@ func (r *Relation) TruncateTo(n int) {
 	r.tuples = r.tuples[:n]
 }
 
-// own gives the relation tables of its own before a write when a clone may
-// share them: the tuple array, the set index and every built column index
-// are copied as they are, since positions do not change, and the mark is
-// cleared. The relation they were shared with keeps its mark and copies on
-// its own first write, so a shared table is never written. Only a write
-// copies: a relation that is only read keeps sharing for good.
+// own gives the relation tables of its own before a write when another
+// relation may hold them: the tuple array, the set index and every built
+// column index are copied as they are, since positions do not change, and
+// the relation leaves the count of their holders, only once it has
+// finished reading them. The last holder left writes them in place, so a
+// shared table is never written and each holder but one copies once. Only
+// a write copies: a relation that is only read keeps sharing for good.
 func (r *Relation) own() {
-	if !r.shared.Load() {
+	h := r.holders.Load()
+	if h == nil {
 		return
 	}
+	r.holders.Store(nil)
+	if h.Load() == 1 {
+		return // the last holder: the tables are its own
+	}
+	defer h.Add(-1)
 	r.tuples = slices.Clone(r.tuples)
 	r.set = r.set.Clone()
 	if r.indexes != nil {
@@ -329,7 +361,6 @@ func (r *Relation) own() {
 		}
 		r.indexes = indexes
 	}
-	r.shared.Store(false)
 }
 
 // find returns the position of t, whose hash is h, or -1 when the
@@ -394,7 +425,7 @@ func (r *Relation) BuildColumnIndex(col int) {
 		r.indexes = make([]*ColIndex, r.arity)
 	case r.indexes[col] != nil:
 		return
-	case r.shared.Load():
+	case r.shares():
 		r.indexes = slices.Clone(r.indexes)
 	}
 	r.indexes[col] = buildColIndex(r.tuples, col)
@@ -570,13 +601,15 @@ func (db *Database) BuildIndexes() {
 
 // Clone returns a copy of the database that shares every relation's
 // tables until one of the two relations is written. It costs one relation
-// header per relation, whatever the relations hold: each relation of the
+// header per relation, whatever the relations hold, and the first clone of
+// a relation's tables one count of their holders: each relation of the
 // copy holds the source relation's tuple array, set index and column
-// indexes themselves, and both are marked shared. The first write to
-// either — an insert, a removal, a truncation, a Grow — copies that
-// relation's tables as they are (the tuples stay at their positions, so no
-// index is rebuilt) and leaves the other as it was; building a column
-// index copies only the list of indexes. A frozen relation's copy is
+// indexes themselves, and both count among the tables' holders. The first
+// write to a holder that is not the last — an insert, a removal, a
+// truncation, a Grow — copies that relation's tables as they are (the
+// tuples stay at their positions, so no index is rebuilt) and leaves the
+// others as they were; building a column index copies only the list of
+// indexes. The last holder writes in place. A frozen relation's copy is
 // frozen, and a relation nobody writes is held once, however often it is
 // cloned. The stored tuples themselves are never copied, written or not.
 // Clone only reads db's tables, so it may run while other goroutines read
@@ -584,9 +617,10 @@ func (db *Database) BuildIndexes() {
 func (db *Database) Clone() *Database {
 	out := &Database{rels: make(map[string]*Relation, len(db.rels))}
 	for p, r := range db.rels {
-		r.shared.Store(true)
+		h := r.holderCount()
+		h.Add(1)
 		nr := &Relation{name: p, arity: r.arity, tuples: r.tuples, set: r.set, indexes: r.indexes}
-		nr.shared.Store(true)
+		nr.holders.Store(h)
 		out.rels[p] = nr
 	}
 	return out
