@@ -21,6 +21,7 @@ func Contained(q2, q1 *cq.Query) bool {
 // Contained reports q2 ⊑ q1 like the package-level Contained, consulting and
 // populating s.Memo when there is one.
 func (s *Search) Contained(q2, q1 *Prepared) bool {
+	s.live()
 	m := s.Memo
 	if m == nil {
 		return s.contained(q2.q, q1)
@@ -225,6 +226,7 @@ func Minimize(q *cq.Query) *cq.Query {
 // when q is minimal already; the result is never s's scratch. It never
 // consults the memo.
 func (s *Search) Minimize(q *cq.Query) *cq.Query {
+	s.live()
 	cur := q // copied on the first drop
 	// Drop redundant body atoms one at a time. Removing an atom weakens
 	// the query (cur ⊑ candidate always holds), so the atom is redundant

@@ -68,10 +68,23 @@ type Search struct {
 	min         Prepared        // Minimize's container, renumbered every round
 	held        Prepared        // what Prepare hands out
 	kept        []Prepared      // MinimizeUnion's members
+	released    bool            // set by Release under the race detector
 }
 
 // searches holds released searches with their scratch.
 var searches = sync.Pool{New: func() any { return new(Search) }}
+
+// raceChecks is set under the race detector (race.go): a released search
+// is then marked and dropped instead of pooled, so that a use after
+// release panics instead of finding a search the pool handed on.
+var raceChecks bool
+
+// live panics when s has been released.
+func (s *Search) live() {
+	if s.released {
+		panic("containment: search used after release")
+	}
+}
 
 // AcquireSearch returns a search from a pool shared by every goroutine, with
 // the arrays an earlier call grew, consulting memo (which may be nil). The
@@ -88,6 +101,7 @@ func AcquireSearch(memo *Memo) *Search {
 // used after it. A query Minimize or MinimizeUnion returned is never s's
 // scratch and stays valid.
 func (s *Search) Release() {
+	s.live()
 	s.Memo, s.src, s.dst, s.yield, s.allow, s.steps = nil, nil, nil, nil, nil, 0
 	s.cut = cq.Query{Body: s.cut.Body[:0]}
 	s.rest = s.rest[:0]
@@ -95,6 +109,10 @@ func (s *Search) Release() {
 	s.held.reset(nil)
 	for i := range s.kept {
 		s.kept[i].reset(nil)
+	}
+	if raceChecks {
+		s.released = true // dropped, so a use after release finds it marked
+		return
 	}
 	searches.Put(s)
 }
@@ -122,6 +140,7 @@ func Prepare(q *cq.Query) *Prepared { return &Prepared{q: q} }
 // previous call's held, so it is valid only until the next call of
 // s.Prepare or s.Release.
 func (s *Search) Prepare(q *cq.Query) *Prepared {
+	s.live()
 	s.held.reset(q)
 	return &s.held
 }
@@ -295,6 +314,7 @@ func (s *Search) step(k int) bool {
 // onto head positionally, every body atom onto some body atom — and reports
 // whether any can exist.
 func (s *Search) begin(p *Prepared, dst *cq.Query) bool {
+	s.live()
 	if len(p.q.Head.Args) != len(dst.Head.Args) || !s.candidates(p.q, dst) {
 		return false
 	}
@@ -358,6 +378,7 @@ func (s *Search) fill(m cq.Subst) {
 // substitution, and at[i] is the dst body atom that src's atom i lands on;
 // enumeration stops when yield returns false.
 func (s *Search) BodyMappings(src *cq.Numbered, dst *cq.Query, yield func(at []int32) bool) {
+	s.live()
 	if !s.candidates(src.Query, dst) {
 		return
 	}

@@ -119,7 +119,8 @@ func MinimizeUnion(u *cq.Union) *cq.Union {
 // arrays s keeps, and a pair whose members share no predicate is rejected
 // before anything is set up. It never consults the memo.
 func (s *Search) MinimizeUnion(u *cq.Union) *cq.Union {
-	out := &cq.Union{}
+	s.live()
+	out := &cq.Union{Queries: make([]*cq.Query, 0, u.Len())}
 	s.kept = slices.Grow(s.kept[:0], u.Len())[:u.Len()]
 	kept := s.kept
 	for i, m := range u.Queries {

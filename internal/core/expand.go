@@ -18,6 +18,44 @@ import (
 // unification fails on conflicting constants (such a rewriting is
 // unsatisfiable).
 func Expand(q *cq.Query, vs *ViewSet) (*cq.Query, error) {
+	var x expander
+	out, err := x.expand(q, vs)
+	if err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// expander holds the arrays an unfolding is written into: the body, the
+// terms every unfolded atom's arguments are windows onto, the comparisons,
+// and the names of one view's existentials. A zero expander sizes them
+// exactly; canonical reuses one, so its unfoldings allocate only while the
+// arrays grow.
+type expander struct {
+	body  []cq.Atom
+	terms []cq.Term
+	comps []cq.Comparison
+	names []cq.Term
+}
+
+// expand is Expand into x's arrays: the result is valid until the next
+// call.
+func (x *expander) expand(q *cq.Query, vs *ViewSet) (cq.Query, error) {
+	nb, nt, nc := 0, 0, len(q.Comparisons)
+	for _, a := range q.Body {
+		v := vs.view(a.Pred)
+		if v == nil {
+			nb++
+			continue
+		}
+		nb, nc = nb+len(v.Query.Body), nc+len(v.Query.Comparisons)
+		for _, va := range v.Query.Body {
+			nt += len(va.Args)
+		}
+	}
+	body, terms := slices.Grow(x.body[:0], nb), slices.Grow(x.terms[:0], nt)
+	comps := append(slices.Grow(x.comps[:0], nc), q.Comparisons...)
+	names := x.names // names[id]: this unfolding's name for existential id
 	fresh := cq.NewFreshener("E")
 	fresh.Reserve(q)
 	// theta binds terms of q itself. A view's distinguished variable is
@@ -34,9 +72,6 @@ func Expand(q *cq.Query, vs *ViewSet) (*cq.Query, error) {
 		}
 		return theta.UnifyTerms(a, b)
 	}
-	var names []cq.Term // names[id]: this unfolding's name for existential id
-	body := make([]cq.Atom, 0, len(q.Body))
-	comps := append(make([]cq.Comparison, 0, len(q.Comparisons)), q.Comparisons...)
 
 	for _, a := range q.Body {
 		v := vs.view(a.Pred)
@@ -45,7 +80,7 @@ func Expand(q *cq.Query, vs *ViewSet) (*cq.Query, error) {
 			continue
 		}
 		if len(v.Query.Head.Args) != len(a.Args) {
-			return nil, fmt.Errorf("core: view %s has arity %d but is used with %d arguments", v.Query.Name(), v.Query.Arity(), len(a.Args))
+			return cq.Query{}, fmt.Errorf("core: view %s has arity %d but is used with %d arguments", v.Query.Name(), v.Query.Arity(), len(a.Args))
 		}
 		for pos, id := range v.Head() {
 			ok := true
@@ -56,7 +91,7 @@ func Expand(q *cq.Query, vs *ViewSet) (*cq.Query, error) {
 				ok = unify(a.Args[v.HeadPos[id]], a.Args[pos])
 			}
 			if !ok {
-				return nil, fmt.Errorf("core: cannot unify %s with head of view %s (conflicting constants)", a, v.Query.Name())
+				return cq.Query{}, fmt.Errorf("core: cannot unify %s with head of view %s (conflicting constants)", a, v.Query.Name())
 			}
 		}
 		// Every variable of the view uses up one fresh number, as renaming
@@ -80,20 +115,21 @@ func Expand(q *cq.Query, vs *ViewSet) (*cq.Query, error) {
 			}
 		}
 		for i, va := range v.Query.Body {
-			args := make([]cq.Term, len(va.Args))
+			start := len(terms)
 			for j, id := range v.Atom(i) {
-				args[j] = image(id, va.Args[j])
+				terms = append(terms, image(id, va.Args[j]))
 			}
-			body = append(body, cq.Atom{Pred: va.Pred, Args: args})
+			body = append(body, cq.Atom{Pred: va.Pred, Args: terms[start:len(terms):len(terms)]})
 		}
 		for i, c := range v.Query.Comparisons {
 			l, r := v.Comparison(i)
 			comps = append(comps, cq.Comparison{Left: image(l, c.Left), Op: c.Op, Right: image(r, c.Right)})
 		}
 	}
-	out := &cq.Query{Head: q.Head, Body: body, Comparisons: comps}
+	x.body, x.terms, x.comps, x.names = body, terms, comps, names
+	out := cq.Query{Head: q.Head, Body: body, Comparisons: comps}
 	if len(theta) > 0 {
-		out = theta.Resolved().ApplyQuery(out)
+		out = *theta.Resolved().ApplyQuery(&out)
 	}
 	return out, nil
 }

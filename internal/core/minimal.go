@@ -13,7 +13,7 @@ import "repro/internal/cq"
 // LocallyMinimal reports whether rw cannot lose any subgoal and stay an
 // equivalent rewriting of q.
 func LocallyMinimal(q *cq.Query, rw *cq.Query, vs *ViewSet) bool {
-	_, changed := shrinkOnce(all(len(rw.Body)), verifies(q, rw, vs))
+	_, changed := shrinkOnce(all(len(rw.Body)), nil, verifies(q, rw, vs))
 	return !changed
 }
 
@@ -22,7 +22,7 @@ func LocallyMinimal(q *cq.Query, rw *cq.Query, vs *ViewSet) bool {
 // until it is locally minimal. The result is equivalent to the input
 // rewriting (and therefore to q).
 func MinimizeRewriting(q *cq.Query, rw *cq.Query, vs *ViewSet) *cq.Query {
-	kept, _ := shrinkOnce(all(len(rw.Body)), verifies(q, rw, vs))
+	kept, _ := shrinkOnce(all(len(rw.Body)), nil, verifies(q, rw, vs))
 	return subset(rw.Head, rw.Body, rw.Comparisons, kept).Clone()
 }
 
@@ -41,14 +41,14 @@ func verifies(q, rw *cq.Query, vs *ViewSet) func(kept []int) bool {
 
 // shrinkOnce is the package's one drop-while-equivalent step: it makes one
 // pass over kept, an equivalent set, dropping each member, last to first,
-// whose removal leaves ok true, and reports whether it dropped any. It
+// whose removal leaves ok true, and reports whether it dropped any. The
+// sets it tries are built in trial's array. It
 // never drops the last member. One pass leaves no member that could go,
 // because ok is monotone: q is contained in the unfolding of every subset
 // of an equivalent rewriting, so a subset stays equivalent iff its
 // unfolding is contained in q, and dropping more can only break that.
-func shrinkOnce(kept []int, ok func(kept []int) bool) ([]int, bool) {
+func shrinkOnce(kept, trial []int, ok func(kept []int) bool) ([]int, bool) {
 	changed := false
-	trial := make([]int, 0, len(kept))
 	for i := len(kept) - 1; i >= 0 && len(kept) > 1; i-- {
 		trial = append(append(trial[:0], kept[:i]...), kept[i+1:]...)
 		if ok(trial) {

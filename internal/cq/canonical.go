@@ -31,7 +31,9 @@ const canonBudget = 4096
 func Canonicalize(q *Query) *Query {
 	s := canonicalise(q, false)
 	defer s.release()
-	return s.query()
+	out := new(Query)
+	s.fill(out)
+	return out
 }
 
 // CanonicalizeUnion canonicalises every member and sorts them by rendered
@@ -499,8 +501,9 @@ func (s *canonState) appendQuery(b []byte) []byte {
 	return append(b, '.')
 }
 
-// query builds the canonical query: one array holds every argument.
-func (s *canonState) query() *Query {
+// fill writes the canonical query into out: one array holds every
+// argument.
+func (s *canonState) fill(out *Query) {
 	q := s.q
 	terms := make([]Term, len(s.head)+len(s.body))
 	term := func(id int32, t Term) Term {
@@ -532,5 +535,5 @@ func (s *canonState) query() *Query {
 	for i, c := range s.sorted {
 		comps[i] = Comparison{Left: term(c.l, c.lt), Op: c.op, Right: term(c.r, c.rt)}
 	}
-	return &Query{Head: head, Body: body, Comparisons: comps}
+	*out = Query{Head: head, Body: body, Comparisons: comps}
 }

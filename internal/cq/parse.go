@@ -3,6 +3,7 @@ package cq
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -22,6 +23,7 @@ type Program struct {
 // strings ('like this').
 func ParseQuery(src string) (*Query, error) {
 	p := newParser(src)
+	defer p.release()
 	q, err := p.rule()
 	if err != nil {
 		return nil, err
@@ -50,6 +52,7 @@ func MustParseQuery(src string) *Query {
 // Lines starting with '%' or '#' are comments.
 func ParseProgram(src string) (*Program, error) {
 	p := newParser(src)
+	defer p.release()
 	prog := &Program{}
 	for p.cur.kind != tokEOF {
 		q, err := p.rule()
@@ -108,12 +111,57 @@ type parser struct {
 	pos      int
 	cur      token
 	lastFact Atom
+	// A rule is collected here and copied out exactly (emit): terms holds
+	// its atoms' arguments one after another, atoms each atom's predicate
+	// and where its arguments end in terms, the head first, and comps its
+	// comparisons.
+	terms    []Term
+	atoms    []parsedAtom
+	comps    []Comparison
+	released bool
 }
 
+// parsedAtom is an atom of the rule being parsed: its arguments end at
+// terms[end].
+type parsedAtom struct {
+	pred string
+	end  int
+}
+
+// parsers holds released parsers with the arrays earlier rules grew.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// raceChecks is set under the race detector (race.go): a released parser
+// is then marked and dropped instead of pooled, so that a use after release
+// panics instead of finding a parser the pool handed on.
+var raceChecks bool
+
 func newParser(src string) *parser {
-	p := &parser{src: src}
+	p := parsers.Get().(*parser)
+	p.src, p.pos = src, 0
 	p.next()
 	return p
+}
+
+// live panics when p has been released.
+func (p *parser) live() {
+	if p.released {
+		panic("cq: parser used after release")
+	}
+}
+
+// release returns p to the pool, keeping none of the text it parsed.
+func (p *parser) release() {
+	p.live()
+	clear(p.terms)
+	clear(p.atoms)
+	clear(p.comps)
+	p.src, p.cur, p.lastFact = "", token{}, Atom{}
+	if raceChecks {
+		p.released = true // dropped, so a use after release finds it marked
+		return
+	}
+	parsers.Put(p)
 }
 
 func (p *parser) errorf(format string, args ...any) error {
@@ -231,38 +279,68 @@ func (p *parser) expect(k tokKind, what string) (token, error) {
 // rule parses "head :- body" or a ground fact "pred(consts)". For a fact it
 // returns (nil, nil) and stores the atom in p.lastFact.
 func (p *parser) rule() (*Query, error) {
-	head, err := p.atom()
-	if err != nil {
+	p.live()
+	p.terms, p.atoms, p.comps = p.terms[:0], p.atoms[:0], p.comps[:0]
+	if err := p.atom(); err != nil {
 		return nil, err
 	}
 	if p.cur.kind != tokImplies {
+		head := Atom{Pred: p.atoms[0].pred, Args: p.terms}
 		if !head.IsGround() {
 			return nil, p.errorf("fact %s contains variables; did you forget ':-'?", head)
+		}
+		head.Args = nil
+		if len(p.terms) > 0 {
+			head.Args = make([]Term, len(p.terms))
+			copy(head.Args, p.terms)
 		}
 		p.lastFact = head
 		return nil, nil
 	}
 	p.next() // consume :-
-	q := &Query{Head: head}
 	for {
-		item, comp, isComp, err := p.bodyItem()
-		if err != nil {
+		if err := p.bodyItem(); err != nil {
 			return nil, err
-		}
-		if isComp {
-			q.Comparisons = append(q.Comparisons, comp)
-		} else {
-			q.Body = append(q.Body, item)
 		}
 		if !p.accept(tokComma) {
 			break
 		}
 	}
-	return q, nil
+	return p.emit(), nil
 }
 
-// bodyItem parses either a relational atom or a comparison.
-func (p *parser) bodyItem() (Atom, Comparison, bool, error) {
+// emit copies the rule collected in p's scratch out into one array of
+// terms, each atom's arguments a window onto it capped at its own length,
+// one array of body atoms, one of comparisons when there are any, and the
+// query.
+func (p *parser) emit() *Query {
+	terms := make([]Term, len(p.terms))
+	copy(terms, p.terms)
+	window := func(i int) Atom {
+		start := 0
+		if i > 0 {
+			start = p.atoms[i-1].end
+		}
+		end := p.atoms[i].end
+		return Atom{Pred: p.atoms[i].pred, Args: terms[start:end:end]}
+	}
+	q := &Query{Head: window(0)}
+	if n := len(p.atoms) - 1; n > 0 {
+		q.Body = make([]Atom, n)
+		for i := range q.Body {
+			q.Body[i] = window(i + 1)
+		}
+	}
+	if len(p.comps) > 0 {
+		q.Comparisons = make([]Comparison, len(p.comps))
+		copy(q.Comparisons, p.comps)
+	}
+	return q
+}
+
+// bodyItem parses either a relational atom or a comparison into p's
+// scratch.
+func (p *parser) bodyItem() error {
 	// A comparison starts with a term followed by an operator; an atom
 	// starts with an identifier followed by '('.
 	if p.cur.kind == tokIdent || p.cur.kind == tokVar || p.cur.kind == tokNumber || p.cur.kind == tokString {
@@ -270,29 +348,26 @@ func (p *parser) bodyItem() (Atom, Comparison, bool, error) {
 		savePos, saveCur := p.pos, p.cur
 		left, err := p.term()
 		if err != nil {
-			return Atom{}, Comparison{}, false, err
+			return err
 		}
 		if p.cur.kind == tokOp {
 			opTok := p.cur
 			p.next()
 			right, err := p.term()
 			if err != nil {
-				return Atom{}, Comparison{}, false, err
+				return err
 			}
 			op, err := parseOp(opTok.text)
 			if err != nil {
-				return Atom{}, Comparison{}, false, p.errorf("%v", err)
+				return p.errorf("%v", err)
 			}
-			return Atom{}, Comparison{Left: left, Op: op, Right: right}, true, nil
+			p.comps = append(p.comps, Comparison{Left: left, Op: op, Right: right})
+			return nil
 		}
 		// Not a comparison: rewind and parse an atom.
 		p.pos, p.cur = savePos, saveCur
 	}
-	a, err := p.atom()
-	if err != nil {
-		return Atom{}, Comparison{}, false, err
-	}
-	return a, Comparison{}, false, nil
+	return p.atom()
 }
 
 func parseOp(s string) (CompOp, error) {
@@ -314,31 +389,33 @@ func parseOp(s string) (CompOp, error) {
 	}
 }
 
-func (p *parser) atom() (Atom, error) {
+// atom parses an atom into p's scratch: its arguments onto terms, its
+// predicate onto atoms.
+func (p *parser) atom() error {
 	name, err := p.expect(tokIdent, "predicate name")
 	if err != nil {
-		return Atom{}, err
+		return err
 	}
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
-		return Atom{}, err
+		return err
 	}
-	var args []Term
 	if p.cur.kind != tokRParen {
 		for {
 			t, err := p.term()
 			if err != nil {
-				return Atom{}, err
+				return err
 			}
-			args = append(args, t)
+			p.terms = append(p.terms, t)
 			if !p.accept(tokComma) {
 				break
 			}
 		}
 	}
 	if _, err := p.expect(tokRParen, "')'"); err != nil {
-		return Atom{}, err
+		return err
 	}
-	return Atom{Pred: name.text, Args: args}, nil
+	p.atoms = append(p.atoms, parsedAtom{pred: name.text, end: len(p.terms)})
+	return nil
 }
 
 func (p *parser) term() (Term, error) {

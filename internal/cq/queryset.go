@@ -53,6 +53,9 @@ func (s *QuerySet) add(q *Query, h uint64) bool {
 			}
 		}
 	}
+	if s.members == nil {
+		s.members = make([]setMember, 0, setScan) // grown once while scanned
+	}
 	s.members = append(s.members, setMember{q: q, hash: h, prev: prev})
 	switch {
 	case s.index != nil:

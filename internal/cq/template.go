@@ -59,7 +59,7 @@ type Template struct {
 func CanonicalizeTemplate(q *Query) *Template {
 	s := canonicalise(q, true)
 	defer s.release()
-	t := &Template{Query: s.query()}
+	t := newTemplate(s)
 	// Binding order: ascending canonical variable index, which is the order
 	// of the naming trail. The canonical form is α-invariant, so every
 	// α-variant of every instantiation of the template derives the same
@@ -94,7 +94,21 @@ func CanonicalizeTemplate(q *Query) *Template {
 func ConcreteTemplate(q *Query) *Template {
 	s := canonicalise(q, false)
 	defer s.release()
-	return &Template{Query: s.query(), fp: s.templateKey()}
+	t := newTemplate(s)
+	t.fp = s.templateKey()
+	return t
+}
+
+// newTemplate returns a template of the canonical query s built, the two
+// in one allocation.
+func newTemplate(s *canonState) *Template {
+	b := new(struct {
+		t Template
+		q Query
+	})
+	s.fill(&b.q)
+	b.t.Query = &b.q
+	return &b.t
 }
 
 // placeholder reports whether id stands for an abstracted constant.

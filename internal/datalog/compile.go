@@ -160,17 +160,27 @@ func CompileParams(q *cq.Query, params []string, cat *cost.Catalog) *CompiledPla
 	for _, v := range params {
 		slotBuf = append(slotBuf, l.slotOf(v))
 	}
-	p := &CompiledPlan{
-		paramSlots: slotBuf[:len(params):len(params)],
-		components: make([]compiledComponent, 0, len(comps)),
+	// A one-component plan, the common case, holds its component in the
+	// plan's own allocation.
+	var p *CompiledPlan
+	if len(comps) == 1 {
+		b := new(struct {
+			p CompiledPlan
+			c [1]compiledComponent
+		})
+		p = &b.p
+		p.components = b.c[:0]
+	} else {
+		p = &CompiledPlan{components: make([]compiledComponent, 0, len(comps))}
 	}
+	p.paramSlots = slotBuf[:len(params):len(params)]
 	for _, comp := range comps {
 		first := len(slotBuf)
 		for _, v := range comp.headVars {
 			slotBuf = append(slotBuf, l.slotOf(v))
 		}
 		headSlots := slotBuf[first:len(slotBuf):len(slotBuf)]
-		p.components = append(p.components, compiledComponent{steps: l.join(comp.atoms, comp.comps, -1, &sc.remaining), headSlots: headSlots})
+		p.components = append(p.components, compiledComponent{steps: l.join(comp.atoms, comp.comps, -1, sc.unjoined()), headSlots: headSlots})
 	}
 
 	p.head = make([]headOp, len(q.Head.Args))
@@ -203,7 +213,7 @@ func Estimate(q *cq.Query, params []string, cat *cost.Catalog) cost.Estimate {
 	est := cost.Estimate{Cardinality: 1}
 	sc := compileScratchPool.Get().(*compileScratch)
 	defer sc.release()
-	joinOrder(q.Body, -1, bound, cat, &sc.remaining, func(next int, rows float64) {
+	joinOrder(q.Body, -1, bound, cat, sc.unjoined(), func(next int, rows float64) {
 		a := q.Body[next]
 		// A step's estimate is floored at one tuple of its whole relation
 		// (1/rows, rows guarded against zero), so it never reaches zero.
@@ -942,7 +952,11 @@ func (sc *runScratch) release() {
 	clear(sc.srcs)
 	sc.set.reset()
 	sc.hs.reset()
-	*sc = runScratch{frame: sc.frame[:0], srcs: sc.srcs[:0], set: sc.set, emit: sc.emit, hs: sc.hs, derive: sc.derive}
+	// Only the fields that hold references or a run's state are written:
+	// the set, the head scratch and the closures stay as they are.
+	sc.p, sc.c, sc.head, sc.guard, sc.g = nil, nil, false, evalGuard{}, nil
+	sc.frame, sc.srcs = sc.frame[:0], sc.srcs[:0]
+	sc.v, sc.comp, sc.accept, sc.err = nil, compiledComponent{}, nil, nil
 	scratchPool.Put(sc)
 }
 

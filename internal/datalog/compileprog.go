@@ -326,7 +326,7 @@ func compileRuleVariant(r Rule, deltaPos int, cat *cost.Catalog) ruleVariant {
 	}
 	l.begin(r.Body, r.Comparisons, nil)
 	sc := compileScratchPool.Get().(*compileScratch)
-	v.steps = l.join(r.Body, r.Comparisons, deltaPos, &sc.remaining)
+	v.steps = l.join(r.Body, r.Comparisons, deltaPos, sc.unjoined())
 	sc.release()
 	v.numSlots, v.empty = l.numSlots, l.empty
 

@@ -37,19 +37,43 @@ type compileScratch struct {
 	cmps      []cq.Comparison
 	headVars  []string
 	remaining []int
+	released  bool // set by release under the race detector
 }
 
 var compileScratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
 
+// raceChecks is set under the race detector (race.go): a released compile
+// scratch is then marked and dropped instead of pooled, so that a use after
+// release panics instead of finding scratch the pool handed on.
+var raceChecks bool
+
 // release empties the scratch of the query it was given and returns it to
 // the pool.
 func (sc *compileScratch) release() {
+	sc.live()
 	clear(sc.varFirst)
 	clear(sc.comps)
 	clear(sc.atoms)
 	clear(sc.cmps)
 	clear(sc.headVars)
+	if raceChecks {
+		sc.released = true // dropped, so a use after release finds it marked
+		return
+	}
 	compileScratchPool.Put(sc)
+}
+
+// live panics when sc has been released.
+func (sc *compileScratch) live() {
+	if sc.released {
+		panic("datalog: compile scratch used after release")
+	}
+}
+
+// unjoined returns joinOrder's list of the atoms not yet joined.
+func (sc *compileScratch) unjoined() *[]int {
+	sc.live()
+	return &sc.remaining
 }
 
 // splitComponents partitions the body atoms and comparisons of q into
@@ -58,6 +82,7 @@ func (sc *compileScratch) release() {
 // them. A connected body is its own one component's atoms. The components
 // are valid until sc is next used.
 func splitComponents(q *cq.Query, sc *compileScratch) []component {
+	sc.live()
 	n := len(q.Body)
 	// parent is the union-find forest over the body atoms; num then numbers
 	// each root's component.

@@ -33,10 +33,12 @@ func chainQuery(n int) *cq.Query {
 // an allocation per atom and per column op, and a map of components. Then
 // they measured 10, 22 and 13 (4 and 13 for the chains' full rule
 // variants), until the components and the join order's list moved into
-// pooled scratch: a 3-atom plan now allocates its six arrays and nothing
-// else (the 9-atom chain's maps outgrow the caller's frame). The budgets
-// are the counts measured since (6, 15 and 6; 3 and 12) plus about a
-// tenth.
+// pooled scratch: a 3-atom plan then allocated its six arrays and nothing
+// else (the 9-atom chain's maps outgrow the caller's frame), measuring 6,
+// 15 and 6 (3 and 12 for the variants), budgets 7, 17 and 7. A
+// one-component plan now holds its component in its own allocation, so
+// the two chains measure 5 and 14. The budgets are the counts measured
+// since (5, 14 and 6; 3 and 12) plus about a tenth.
 func TestCompileParamsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -57,8 +59,8 @@ func TestCompileParamsAllocs(t *testing.T) {
 		compile func()
 		budget  float64
 	}{
-		{"3-atom chain", func() { CompileParams(chain3, nil, cat) }, 7},                    // measured 6
-		{"9-atom chain", func() { CompileParams(chain9, nil, cat) }, 17},                   // measured 15
+		{"3-atom chain", func() { CompileParams(chain3, nil, cat) }, 6},                    // measured 5
+		{"9-atom chain", func() { CompileParams(chain9, nil, cat) }, 16},                   // measured 14
 		{"two components", func() { CompileParams(twoComps, nil, cat) }, 7},                // measured 6
 		{"3-atom chain's full variant", func() { compileRuleVariant(rule3, -1, cat) }, 4},  // measured 3
 		{"9-atom chain's full variant", func() { compileRuleVariant(rule9, -1, cat) }, 14}, // measured 12

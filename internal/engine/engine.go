@@ -255,6 +255,9 @@ type Plan struct {
 	BuildTime time.Duration
 	// CompileTime is the wall time physical-plan compilation took.
 	CompileTime time.Duration
+	// handle is the plan's handle in the plan cache, args empty, set
+	// before the plan is cached and never written after.
+	handle PreparedQuery
 }
 
 // StrategyStats aggregates planning work per strategy. Entries are keyed
@@ -428,7 +431,7 @@ type liveState struct {
 
 // flight is one in-progress plan construction other callers can wait on.
 type flight struct {
-	done chan struct{}
+	wg   sync.WaitGroup // done once plan and err are set
 	plan *Plan
 	err  error
 }
@@ -693,16 +696,26 @@ func (pq *PreparedQuery) Exec(args ...string) ([]storage.Tuple, error) {
 // want the constants compiled into the query rule's join rather than
 // filtered after the fixpoint.
 func (e *Engine) Prepare(q *cq.Query) (*PreparedQuery, error) {
+	plan, args, err := e.prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return &PreparedQuery{eng: e, plan: plan, args: args}, nil
+}
+
+// prepare is Prepare without the handle: the template's plan and the
+// binding extracted from q.
+func (e *Engine) prepare(q *cq.Query) (*Plan, []string, error) {
 	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		return nil, nil, fmt.Errorf("engine: %w", err)
 	}
 	tmpl := e.template(q)
 	fp := tmpl.Fingerprint()
 	plan, err := e.cachedPlan(fp, func() (*Plan, error) { return e.buildPlan(tmpl, fp) })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &PreparedQuery{eng: e, plan: plan, args: tmpl.Args}, nil
+	return plan, tmpl.Args, nil
 }
 
 // Prepared returns the handle of the cached plan whose Plan.Fingerprint is
@@ -734,10 +747,11 @@ func (e *Engine) cachedPlan(fp string, build func() (*Plan, error)) (plan *Plan,
 	if fl, ok := e.inflight[fp]; ok {
 		e.coalesced++
 		e.mu.Unlock()
-		<-fl.done
+		fl.wg.Wait()
 		return fl.plan, fl.err
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl := new(flight)
+	fl.wg.Add(1)
 	e.inflight[fp] = fl
 	e.misses++
 	e.mu.Unlock()
@@ -745,14 +759,15 @@ func (e *Engine) cachedPlan(fp string, build func() (*Plan, error)) (plan *Plan,
 	defer func() {
 		e.mu.Lock()
 		if err == nil {
-			if e.cache.add(fp, PreparedQuery{eng: e, plan: plan}) {
+			plan.handle = PreparedQuery{eng: e, plan: plan}
+			if e.cache.add(fp, plan) {
 				e.evictions++
 			}
 		}
 		delete(e.inflight, fp)
 		e.mu.Unlock()
 		fl.plan, fl.err = plan, err
-		close(fl.done)
+		fl.wg.Done()
 	}()
 	defer e.recoverInternal(&err) // runs first: the block above sees its err
 	return build()

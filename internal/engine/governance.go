@@ -440,11 +440,11 @@ func (e *Engine) AnswerBudget(ctx context.Context, q *cq.Query, b Budget) (*data
 	if cancel != nil {
 		defer cancel()
 	}
-	pq, err := e.Prepare(q)
+	plan, args, err := e.prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	return e.execBudget(ctx, pq.plan, pq.args, b.limits())
+	return e.execBudget(ctx, plan, args, b.limits())
 }
 
 // ExecCtx is Exec under a context. It runs unbudgeted.

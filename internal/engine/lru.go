@@ -1,56 +1,103 @@
 package engine
 
-import "container/list"
-
 // lruCache is a bounded least-recently-used map from template fingerprint
 // to the plan's handle. It is not self-locking; the Engine serialises
 // access under its mutex.
+//
+// The entries are one array of max slots threaded on an intrusive list
+// by index, so an insertion allocates nothing: until the array is full it
+// takes the next slot, and after that it reuses the evicted one. A slot
+// holds the plan, not its handle: the handle a lookup hands out is the
+// plan's own (Plan.handle), which a concurrent Exec may still hold when
+// the slot is reused for another plan.
 type lruCache struct {
-	max   int
-	order *list.List // front = most recent
-	items map[string]*list.Element
+	slots []lruSlot
+	items map[string]int32 // key → slot
+	// head is the most recently used slot and tail the least; -1 while
+	// the cache is empty.
+	head, tail int32
 }
 
-// lruEntry holds its handle by value, so a lookup hands out a pointer into
-// the entry without allocating. The handle is never written once cached: a
-// concurrent Exec may hold that pointer.
-type lruEntry struct {
-	key string
-	pq  PreparedQuery // args empty
+type lruSlot struct {
+	key        string
+	plan       *Plan
+	prev, next int32 // towards head and tail, -1 at the ends
 }
 
 func newLRU(max int) *lruCache {
-	return &lruCache{max: max, order: list.New(), items: make(map[string]*list.Element, max)}
+	return &lruCache{slots: make([]lruSlot, 0, max), items: make(map[string]int32, max), head: -1, tail: -1}
 }
 
-func (c *lruCache) get(key string) (*PreparedQuery, bool) { return c.touch(c.items[key]) }
+func (c *lruCache) get(key string) (*PreparedQuery, bool) {
+	i, ok := c.items[key]
+	return c.touch(i, ok)
+}
 
 // getBytes is get for a key held in bytes: indexing the map with
 // string(key) does not allocate.
 func (c *lruCache) getBytes(key []byte) (*PreparedQuery, bool) {
-	return c.touch(c.items[string(key)])
+	i, ok := c.items[string(key)]
+	return c.touch(i, ok)
 }
 
-func (c *lruCache) touch(el *list.Element) (*PreparedQuery, bool) {
-	if el == nil {
+func (c *lruCache) touch(i int32, ok bool) (*PreparedQuery, bool) {
+	if !ok {
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	return &el.Value.(*lruEntry).pq, true
+	c.unlink(i)
+	c.pushFront(i)
+	return &c.slots[i].plan.handle, true
 }
 
-// add inserts a handle under a key the cache does not hold — cachedPlan
-// adds only after a miss, under the single flight for that key — and
-// reports whether the oldest entry was evicted to make room.
-func (c *lruCache) add(key string, pq PreparedQuery) bool {
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, pq: pq})
-	if c.order.Len() <= c.max {
-		return false
+// add inserts plan under a key the cache does not hold — cachedPlan adds
+// only after a miss, under the single flight for that key — and reports
+// whether the oldest entry was evicted to make room. plan.handle must be
+// set.
+func (c *lruCache) add(key string, plan *Plan) bool {
+	if cap(c.slots) == 0 {
+		return true
 	}
-	oldest := c.order.Back()
-	c.order.Remove(oldest)
-	delete(c.items, oldest.Value.(*lruEntry).key)
-	return true
+	evicted := len(c.slots) == cap(c.slots)
+	var i int32
+	if evicted {
+		i = c.tail
+		c.unlink(i)
+		delete(c.items, c.slots[i].key)
+	} else {
+		i = int32(len(c.slots))
+		c.slots = c.slots[:i+1]
+	}
+	c.slots[i].key, c.slots[i].plan = key, plan
+	c.items[key] = i
+	c.pushFront(i)
+	return evicted
 }
 
-func (c *lruCache) len() int { return c.order.Len() }
+// unlink takes slot i off the list.
+func (c *lruCache) unlink(i int32) {
+	s := &c.slots[i]
+	if s.prev >= 0 {
+		c.slots[s.prev].next = s.next
+	} else {
+		c.head = s.next
+	}
+	if s.next >= 0 {
+		c.slots[s.next].prev = s.prev
+	} else {
+		c.tail = s.prev
+	}
+}
+
+// pushFront puts slot i, off the list, at its head.
+func (c *lruCache) pushFront(i int32) {
+	s := &c.slots[i]
+	s.prev, s.next = -1, c.head
+	if c.head >= 0 {
+		c.slots[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *lruCache) len() int { return len(c.items) }

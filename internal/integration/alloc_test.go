@@ -27,7 +27,17 @@ var raceEnabled bool
 // counts were 92 and 141 until a minimal union member was kept as it is
 // instead of cloned, the containment search came from a pool with its
 // scratch, and the expansion each verified candidate is tested as was
-// numbered in that scratch.
+// numbered in that scratch. They were 71 and 111 until the MCDs, the
+// candidates and the union were carved from a pooled former and only the
+// members the union keeps copied out, in one backing.
+//
+// The template above finds no equivalent rewriting, so core allocates
+// nothing on it. A template that finds two, searched for as many as the
+// engine's Auto strategy asks (autoMaxResults, 4), pays for what core
+// returns: the rewritings and their unfoldings, copied out of a pooled
+// canonical rewriting. That count is 8, and was 82 while the canonical
+// rewriting, its candidate sets and every result were allocated per
+// search.
 func TestPlanMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -44,8 +54,8 @@ func TestPlanMissAllocs(t *testing.T) {
 		verify bool
 		budget float64
 	}{
-		{false, 78}, // measured 71 (92 before, budget 101; 116, budget 128)
-		{true, 122}, // measured 111 (141 before, budget 155; 165, budget 181)
+		{false, 11}, // measured 10 (71 before, budget 78; 92, budget 101; 116, budget 128)
+		{true, 34},  // measured 31 (111 before, budget 122; 141, budget 155; 165, budget 181)
 	} {
 		opt := minicon.Options{VerifyCandidates: c.verify}
 		u, _, err := minicon.Rewrite(qc, vs, opt)
@@ -66,5 +76,15 @@ func TestPlanMissAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(50, func() { r.Rewrite(qc) })
 	if budget := 2.0; got > budget { // measured 0
 		t.Errorf("core.Rewriter.Rewrite: %.0f allocs per run, budget %.0f", got, budget)
+	}
+
+	qe := cq.CanonicalizeTemplate(cq.MustParseQuery("q(X4) :- p2(c0,X1), p3(X1,X2), p4(X2,X3), p5(X3,X4)")).PlanQuery()
+	r.Opt.MaxResults, r.Opt.KeepComparisons = 4, true // the engine's Auto search
+	if rws, _ := r.Rewrite(qe); len(rws) != 2 {
+		t.Fatalf("core: %d equivalent rewritings, want 2", len(rws))
+	}
+	got = testing.AllocsPerRun(50, func() { r.Rewrite(qe) })
+	if budget := 9.0; got > budget { // measured 8 (82 before)
+		t.Errorf("core.Rewriter.Rewrite, two rewritings: %.0f allocs per run, budget %.0f", got, budget)
 	}
 }

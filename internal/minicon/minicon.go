@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/containment"
 	"repro/internal/core"
@@ -57,11 +58,14 @@ type MCD struct {
 	sig []int32
 }
 
-// clone copies the MCD and its tables.
+// clone copies the MCD and its tables into the former's scratch.
 func (m *MCD) clone() *MCD {
-	c := *m
-	c.carve(slices.Clone(m.table), len(m.covers))
-	return &c
+	c := &grab(&m.f.mcds, 1)[0]
+	*c = *m
+	table := grab(&m.f.ints, len(m.table))
+	copy(table, m.table)
+	c.carve(table, len(m.covers))
+	return c
 }
 
 // carve cuts the MCD's tables from one array of nq + 2*nv + len(q.Body)
@@ -151,7 +155,7 @@ func (m *MCD) String() string {
 
 // sign computes sig.
 func (m *MCD) sign() {
-	m.sig = make([]int32, len(m.phi))
+	m.sig = grab(&m.f.ints, len(m.phi))
 	for x, t := range m.phi {
 		if t == unmapped {
 			m.sig[x] = unmapped
@@ -200,7 +204,8 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 	if err := q.Validate(); err != nil {
 		return nil, st, err
 	}
-	f := newFormer(q, vs)
+	f := acquireFormer(q, vs)
+	defer f.release()
 	mcds := f.form()
 	st.MCDs = len(mcds)
 
@@ -209,18 +214,23 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 	// the pool with the arrays earlier searches grew.
 	search := containment.AcquireSearch(nil)
 	defer search.Release()
-	pq := containment.Prepare(q)
+	var pq *containment.Prepared
+	if opt.VerifyCandidates {
+		pq = containment.Prepare(q)
+	}
 
-	result := &cq.Union{}
+	// The candidates, the union they form and the lists below are the
+	// former's scratch; keep copies out what the union keeps.
+	result := &f.result
 	var seen cq.QuerySet
 	n := len(q.Body)
-	byFirst := make([][]*MCD, n)
+	byFirst := f.byFirst(n)
 	for _, m := range mcds {
 		byFirst[m.covers[0]] = append(byFirst[m.covers[0]], m)
 	}
 
-	var selected []*MCD
-	covered := make([]bool, n)
+	selected := f.selected[:0]
+	covered := resize(&f.covered, n)
 	var combine func(next int) bool
 	combine = func(next int) bool {
 		for next < n && covered[next] {
@@ -231,11 +241,10 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 			if opt.MaxCombinations > 0 && st.Combinations > opt.MaxCombinations {
 				return false
 			}
+			m := f.mark()
 			cand := f.candidate(selected, opt)
-			if cand == nil {
-				return true
-			}
-			if !seen.Add(cand) {
+			if cand == nil || !seen.Add(cand) {
+				f.undo(m) // dropped: its arrays are taken back
 				return true
 			}
 			if opt.VerifyCandidates {
@@ -279,16 +288,59 @@ func Rewrite(q *cq.Query, vs *core.ViewSet, opt Options) (*cq.Union, Stats, erro
 		return true
 	}
 	combine(0)
+	f.selected = selected
 
 	if !opt.SkipMinimizeUnion {
 		result = search.MinimizeUnion(result)
 	}
-	return result, st, nil
+	return keep(result), st, nil
+}
+
+// keep copies u's members out of the former's scratch into one exact
+// backing: one array each of queries, atoms, terms and comparisons, all
+// kept by the union and by nothing else.
+func keep(u *cq.Union) *cq.Union {
+	var atoms, terms, comps int
+	for _, q := range u.Queries {
+		atoms, terms, comps = atoms+len(q.Body), terms+len(q.Head.Args), comps+len(q.Comparisons)
+		for _, a := range q.Body {
+			terms += len(a.Args)
+		}
+	}
+	out := &cq.Union{Queries: make([]*cq.Query, len(u.Queries))}
+	qs := make([]cq.Query, len(u.Queries))
+	as, ts := make([]cq.Atom, 0, atoms), make([]cq.Term, 0, terms)
+	var cs []cq.Comparison
+	if comps > 0 {
+		cs = make([]cq.Comparison, 0, comps)
+	}
+	window := func(args []cq.Term) []cq.Term {
+		start := len(ts)
+		ts = append(ts, args...)
+		return ts[start:len(ts):len(ts)]
+	}
+	for i, q := range u.Queries {
+		start := len(as)
+		for _, a := range q.Body {
+			as = append(as, cq.Atom{Pred: a.Pred, Args: window(a.Args)})
+		}
+		qs[i] = cq.Query{Head: cq.Atom{Pred: q.Head.Pred, Args: window(q.Head.Args)}, Body: as[start:len(as):len(as)]}
+		if len(q.Comparisons) > 0 {
+			start := len(cs)
+			cs = append(cs, q.Comparisons...)
+			qs[i].Comparisons = cs[start:len(cs):len(cs)]
+		}
+		out.Queries[i] = &qs[i]
+	}
+	return out
 }
 
 // former holds what the MCDs of one query share: the numbered query, the
 // constants their tables refer to, and the scratch candidates are assembled
-// in.
+// in. It comes from a pool with the arrays earlier calls grew
+// (acquireFormer), and everything it hands out — the MCDs, their tables,
+// the candidates and the union they form — is its scratch, valid until
+// release; Rewrite copies out what its union keeps.
 type former struct {
 	q  *cq.Query
 	vs *core.ViewSet
@@ -299,6 +351,23 @@ type former struct {
 	consts []cq.Term
 	out    []*MCD
 
+	// The MCDs, and their tables and signatures, are cut from mcds and
+	// ints; a candidate's query, atoms, terms and comparisons from
+	// queries, atoms, terms and comps (see grab). result is the union of
+	// the candidates kept, first lists Rewrite's MCDs by first covered
+	// subgoal, and selected and covered are its combination's state.
+	mcds     []MCD
+	ints     []int32
+	queries  []cq.Query
+	atoms    []cq.Atom
+	terms    []cq.Term
+	comps    []cq.Comparison
+	result   cq.Union
+	first    [][]*MCD
+	selected []*MCD
+	covered  []bool
+	released bool
+
 	// Scratch of candidate. eq is a union-find over the query's variables:
 	// eq[x] is x while x is free, another variable once merged, ^k once
 	// bound to a constant. codes holds the candidate's atoms flattened, an
@@ -306,19 +375,143 @@ type former struct {
 	eq    []int32
 	codes []int32
 	group []int32
-	names *cq.Freshener
+	names cq.Freshener
+	named bool // names has reserved q's variables
 	fresh []cq.Term
 }
 
-func newFormer(q *cq.Query, vs *core.ViewSet) *former {
-	f := &former{q: q, vs: vs, nq: cq.Number(q)}
-	f.head = make([]bool, f.nq.NumVars())
+// raceChecks is set under the race detector (race.go): a released former
+// is then marked and dropped instead of pooled, so that a use after release
+// panics instead of finding a former the pool handed on.
+var raceChecks bool
+
+// formers holds released formers with their scratch.
+var formers = sync.Pool{New: func() any { return new(former) }}
+
+// acquireFormer returns a former for q over vs from the pool.
+func acquireFormer(q *cq.Query, vs *core.ViewSet) *former {
+	f := formers.Get().(*former)
+	f.q, f.vs = q, vs
+	f.nq.Renumber(q)
+	head := resize(&f.head, f.nq.NumVars())
 	for _, x := range f.nq.Head() {
 		if x != cq.ConstArg {
-			f.head[x] = true
+			head[x] = true
 		}
 	}
+	f.consts, f.out, f.fresh, f.named = f.consts[:0], f.out[:0], f.fresh[:0], false
 	return f
+}
+
+// release empties f of the queries it was given and of everything it
+// handed out, and returns it to the pool; none of that may be used after
+// it.
+func (f *former) release() {
+	f.live()
+	f.q, f.vs, f.nq.Query = nil, nil, nil
+	clear(f.out)
+	clear(f.selected)
+	clear(f.result.Queries)
+	for i := range f.first {
+		clear(f.first[i])
+	}
+	// Cleared up to what this call used, so that a pooled former refers to
+	// no array but its own.
+	clear(f.mcds)
+	clear(f.queries)
+	clear(f.atoms)
+	clear(f.terms)
+	clear(f.comps)
+	f.mcds, f.ints, f.queries, f.atoms, f.terms, f.comps = f.mcds[:0], f.ints[:0], f.queries[:0], f.atoms[:0], f.terms[:0], f.comps[:0]
+	f.result.Queries = f.result.Queries[:0]
+	if raceChecks {
+		f.released = true // dropped, so a use after release finds it marked
+		return
+	}
+	formers.Put(f)
+}
+
+// live panics when f has been released.
+func (f *former) live() {
+	if f.released {
+		panic("minicon: former used after release")
+	}
+}
+
+// byFirst returns n empty lists, one per query subgoal.
+func (f *former) byFirst(n int) [][]*MCD {
+	for len(f.first) < n {
+		f.first = append(f.first, nil)
+	}
+	for i := range n {
+		f.first[i] = f.first[i][:0]
+	}
+	return f.first[:n]
+}
+
+// scratchMark records how much of the candidates' arrays was in use
+// before a candidate was built.
+type scratchMark struct {
+	queries, atoms, terms, comps window
+}
+
+// window is the length and capacity of a scratch array.
+type window struct{ len, cap int }
+
+func (f *former) mark() scratchMark {
+	return scratchMark{
+		window{len(f.queries), cap(f.queries)},
+		window{len(f.atoms), cap(f.atoms)},
+		window{len(f.terms), cap(f.terms)},
+		window{len(f.comps), cap(f.comps)},
+	}
+}
+
+// undo takes back what candidates were given since m.
+func (f *former) undo(m scratchMark) {
+	cutBack(&f.queries, m.queries)
+	cutBack(&f.atoms, m.atoms)
+	cutBack(&f.terms, m.terms)
+	cutBack(&f.comps, m.comps)
+}
+
+// cutBack returns *buf to the length w recorded. A candidate takes at most
+// one window of each array, so when grab has moved *buf to a new array
+// since, everything in the new one is the candidate's.
+func cutBack[T any](buf *[]T, w window) {
+	b := *buf
+	n := w.len
+	if cap(b) != w.cap {
+		n = 0
+	}
+	clear(b[n:])
+	*buf = b[:n]
+}
+
+// resize sets *s to n zero elements, reusing its array when it is large
+// enough, and returns it.
+func resize[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
+		clear(*s)
+	}
+	return *s
+}
+
+// grab returns a window of n elements at the end of *buf and extends *buf
+// over it. When the array is full it continues in a new one of twice the
+// size, so a window handed out earlier is never moved or overwritten until
+// *buf is cut back to empty. A window keeps whatever an earlier use of the
+// array left in it: the caller writes every element.
+func grab[T any](buf *[]T, n int) []T {
+	b := *buf
+	if len(b)+n > cap(b) {
+		b = make([]T, 0, max(2*cap(b), n, 16))
+	}
+	*buf = b[:len(b)+n]
+	return b[len(b) : len(b)+n : len(b)+n]
 }
 
 // constant interns t and returns its view-term code.
@@ -337,16 +530,18 @@ func (f *former) constant(t cq.Term) int32 {
 // first — so that the union Rewrite builds from them comes out member for
 // member the same on every call.
 func (f *former) form() []*MCD {
+	f.live()
 	for gi, g := range f.q.Body {
 		for _, occ := range f.vs.Occurrences(g.Pred, len(g.Args)) {
 			v := f.vs.View(occ.View)
-			m := &MCD{View: v.Query, view: v, f: f}
-			m.carve(make([]int32, f.nq.NumVars()+2*v.NumVars()+len(f.q.Body)), 0)
+			m := &grab(&f.mcds, 1)[0]
+			*m = MCD{View: v.Query, view: v, f: f}
+			m.carve(grab(&f.ints, f.nq.NumVars()+2*v.NumVars()+len(f.q.Body)), 0)
 			for x := range m.phi {
 				m.phi[x] = unmapped
 			}
 			for id := range m.parent {
-				m.parent[id] = int32(id)
+				m.parent[id], m.exposed[id] = int32(id), 0
 				if !v.Existential(int32(id)) {
 					m.exposed[id] = 1
 				}
@@ -475,8 +670,8 @@ func (f *former) unify(x, y int32) bool {
 // freshName returns the j-th name of the sequence F0, F1, ... less the names
 // the query uses. Every candidate counts from the start of it.
 func (f *former) freshName(j int) cq.Term {
-	if f.names == nil {
-		f.names = cq.NewFreshener("F")
+	if !f.named {
+		f.names, f.named = *cq.NewFreshener("F"), true
 		f.names.Reserve(f.q)
 	}
 	for len(f.fresh) <= j {
@@ -488,6 +683,7 @@ func (f *former) freshName(j int) cq.Term {
 // candidate assembles a rewriting from a set of disjoint MCDs, or returns nil
 // when their bindings conflict or the result would not be a safe query.
 func (f *former) candidate(mcds []*MCD, opt Options) *cq.Query {
+	f.live()
 	nq := int32(f.nq.NumVars())
 	// eq accumulates equalities forced on query variables (shared view
 	// images and constant bindings).
@@ -564,9 +760,11 @@ func (f *former) candidate(mcds []*MCD, opt Options) *cq.Query {
 	}
 	// The head and every body atom are windows onto one array of terms,
 	// each capped at its own length; the body's terms are f.codes in order.
+	// The query, its atoms and terms are the former's scratch.
 	nh := len(f.q.Head.Args)
-	terms := make([]cq.Term, nh+len(f.codes))
-	cand := &cq.Query{Head: cq.Atom{Pred: f.q.Head.Pred, Args: terms[:nh:nh]}, Body: make([]cq.Atom, len(mcds))}
+	terms := grab(&f.terms, nh+len(f.codes))
+	cand := &grab(&f.queries, 1)[0]
+	*cand = cq.Query{Head: cq.Atom{Pred: f.q.Head.Pred, Args: terms[:nh:nh]}, Body: grab(&f.atoms, len(mcds))}
 	for i, id := range f.nq.Head() {
 		cand.Head.Args[i] = resolved(id, f.q.Head.Args[i])
 	}
@@ -582,12 +780,16 @@ func (f *former) candidate(mcds []*MCD, opt Options) *cq.Query {
 	if opt.KeepComparisons {
 		// Keep only comparisons whose terms are exposed in the body.
 		exposed := func(t cq.Term) bool { return t.IsConst() || cand.InBody(t) }
+		comps := grab(&f.comps, len(f.q.Comparisons))[:0]
 		for i, c := range f.q.Comparisons {
 			l, r := f.nq.Comparison(i)
 			c.Left, c.Right = resolved(l, c.Left), resolved(r, c.Right)
 			if exposed(c.Left) && exposed(c.Right) {
-				cand.Comparisons = append(cand.Comparisons, c)
+				comps = append(comps, c)
 			}
+		}
+		if len(comps) > 0 {
+			cand.Comparisons = comps[:len(comps):len(comps)]
 		}
 	}
 	if !cand.Valid() {

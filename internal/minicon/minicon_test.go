@@ -24,7 +24,7 @@ func viewSet(srcs ...string) *core.ViewSet {
 // formMCDs enumerates the minimal MCDs of every view against q, in the
 // order Rewrite combines them.
 func formMCDs(q *cq.Query, vs *core.ViewSet) []*MCD {
-	return newFormer(q, vs).form()
+	return acquireFormer(q, vs).form() // never released: the MCDs stay valid
 }
 
 // Covers returns the covered subgoal indices (sorted).
