@@ -247,9 +247,9 @@ var (
 // CompiledPlan is an immutable slot-based physical plan: compile a query
 // once with CompileQuery, then run it with EvalParallelUnsortedWith (or
 // EvalIntoCtx, which adds the answers into a row set) any number of times
-// (concurrently, over a frozen database) without re-planning; each run
-// evaluates on its caller's goroutine, ignoring EvalParallelUnsortedWith's
-// workers argument. SortTuples orders the answers. The serving engine caches one per query template.
+// (concurrently, over a served database: Database.BuildIndexes) without
+// re-planning; each run evaluates on its caller's goroutine, ignoring
+// EvalParallelUnsortedWith's workers argument. SortTuples orders the answers. The serving engine caches one per query template.
 type CompiledPlan = datalog.CompiledPlan
 
 // CompiledProgram is the compiled semi-naive form of a datalog Program:
@@ -456,11 +456,12 @@ type (
 	CostEstimate = cost.Estimate
 )
 
+// NewCatalog derives statistics from a database: row counts, and distinct
+// counts read off its built column indexes, or counted by a throwaway
+// index, which is kept nowhere, for a column that has none.
+func NewCatalog(db *Database) *Catalog { return cost.NewCatalog(db) }
+
 var (
-	// NewCatalog derives statistics from a database: row counts, and
-	// distinct counts read off its column indexes (built once per column
-	// that has none, so index the database first to make it cheap).
-	NewCatalog = cost.NewCatalog
 	// NewRowCatalog derives cardinalities only (cheap; no distinct counts).
 	NewRowCatalog = cost.NewRowCatalog
 	// EstimateQuery costs a conjunctive query in the join order its

@@ -56,7 +56,7 @@ func main() {
 
 	// Stand up the serving engine: one call materialises the views (the
 	// warehouse maintenance step), keeps the base tables for partial
-	// rewritings, freezes the database for concurrent reads, and wires up
+	// rewritings, serves the database for concurrent reads, and wires up
 	// the plan cache.
 	matStart := time.Now()
 	eng, err := aqv.NewEngineFromBase(base, views, aqv.EngineOptions{AllowPartial: true})

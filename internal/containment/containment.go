@@ -228,33 +228,28 @@ func Minimize(q *cq.Query) *cq.Query {
 func (s *Search) Minimize(q *cq.Query) *cq.Query {
 	s.live()
 	cur := q // copied on the first drop
-	// Drop redundant body atoms one at a time. Removing an atom weakens
-	// the query (cur ⊑ candidate always holds), so the atom is redundant
-	// iff candidate ⊑ cur. The candidate is assembled in s.cut and the
-	// container numbered in s.min, so an atom that has to stay costs no
-	// allocation.
-	for changed := true; changed; {
-		changed = false
-		s.min.reset(cur)
-		for i := range cur.Body {
-			if len(cur.Body) == 1 {
-				break // keep safety: at least one subgoal
-			}
-			s.cut.Head, s.cut.Comparisons = cur.Head, cur.Comparisons
-			s.cut.Body = append(append(s.cut.Body[:0], cur.Body[:i]...), cur.Body[i+1:]...)
-			if !s.cut.Valid() {
-				continue // removal would make the query unsafe
-			}
-			if s.contained(&s.cut, &s.min) {
-				if cur == q {
-					cur = &cq.Query{Head: q.Head, Body: slices.Clone(s.cut.Body), Comparisons: q.Comparisons}
-				} else {
-					cur.Body = append(cur.Body[:i], cur.Body[i+1:]...)
-				}
-				changed = true
-				break
-			}
+	// Drop redundant body atoms in one pass. Removing an atom weakens the
+	// query (cur ⊑ candidate always holds), so the atom is redundant iff
+	// candidate ⊑ cur. An atom found needed stays needed in every
+	// equivalent subquery of cur — atoms only weaken a query — and one
+	// whose removal is unsafe stays unsafe to remove, so the scan goes on
+	// after a drop and tests no atom twice. The candidate is assembled in
+	// s.cut and the container numbered in s.min, so an atom that has to
+	// stay costs no allocation.
+	s.min.reset(cur)
+	for i := 0; i < len(cur.Body) && len(cur.Body) > 1; { // keep safety: at least one subgoal
+		s.cut.Head, s.cut.Comparisons = cur.Head, cur.Comparisons
+		s.cut.Body = append(append(s.cut.Body[:0], cur.Body[:i]...), cur.Body[i+1:]...)
+		if !s.cut.Valid() || !s.contained(&s.cut, &s.min) {
+			i++ // needed, or its removal would make the query unsafe
+			continue
 		}
+		if cur == q {
+			cur = &cq.Query{Head: q.Head, Body: slices.Clone(s.cut.Body), Comparisons: q.Comparisons}
+		} else {
+			cur.Body = append(cur.Body[:i], cur.Body[i+1:]...)
+		}
+		s.min.reset(cur) // the next atom now sits at i
 	}
 	// Drop comparisons implied by the rest.
 	for i := 0; i < len(cur.Comparisons); {

@@ -20,17 +20,27 @@ type Catalog struct {
 }
 
 // NewCatalog builds statistics from a database: relation cardinalities and
-// per-column distinct-value counts. The counts are read off the relations'
-// column indexes (Relation.Distinct), so over a database whose indexes are
-// built (BuildIndexes) it costs O(relations × columns) and scans nothing;
-// a column without an index is indexed once, on the side, to be counted.
-func NewCatalog(db *storage.Database) *Catalog {
+// per-column distinct-value counts. With preds given it covers only those
+// predicates — what the compiles priced by it read — and with none the
+// whole database. A count is read off the column's index when one is built
+// (Relation.Distinct), at O(1); a column without one, served or not, is
+// counted by a throwaway index, a scan of the relation, and keeps none,
+// so counting never makes a relation hold an index nothing probes.
+// Restricting preds to what is read is what keeps that scan off the
+// relations no compile asks about.
+func NewCatalog(db *storage.Database, preds ...string) *Catalog {
 	c := &Catalog{
 		rows:     make(map[string]float64),
 		distinct: make(map[string][]float64),
 	}
-	for _, pred := range db.Predicates() {
+	if len(preds) == 0 {
+		preds = db.Predicates()
+	}
+	for _, pred := range preds {
 		rel := db.Relation(pred)
+		if rel == nil {
+			continue
+		}
 		c.rows[pred] = float64(rel.Len())
 		d := make([]float64, rel.Arity())
 		for col := range d {

@@ -38,10 +38,12 @@ func TestCatalogStats(t *testing.T) {
 }
 
 // TestNewCatalogReadsIndexes pins that NewCatalog reads distinct counts off
-// built column indexes instead of scanning: over a frozen 100 000-tuple
-// relation it allocates a constant few times (7; a per-column set of seen
-// values cost 557), and it agrees with the catalog of an unindexed copy,
-// whose columns are counted by throwaway indexes.
+// built column indexes instead of scanning: over a served 100 000-tuple
+// relation whose columns have been probed it allocates a constant few
+// times (7; a per-column set of seen values cost 557), and it agrees with
+// the catalog of an unindexed copy and of a served copy nothing has
+// probed, whose columns are counted by a scan that keeps no index. Given
+// predicates, it covers only those.
 func TestNewCatalogReadsIndexes(t *testing.T) {
 	const n = 100000
 	db := storage.NewDatabase()
@@ -51,19 +53,34 @@ func TestNewCatalogReadsIndexes(t *testing.T) {
 		db.Insert("r", tu)
 		plain.Insert("r", tu)
 	}
+	lazy := plain.Clone()
+	lazy.BuildIndexes()
 	db.BuildIndexes()
+	for col := range 2 {
+		db.Relation("r").ProbeIndex(col)
+	}
 	if allocs := testing.AllocsPerRun(10, func() { NewCatalog(db) }); allocs > 16 {
-		t.Fatalf("NewCatalog over a frozen relation: %.0f allocs, want <= 16", allocs)
+		t.Fatalf("NewCatalog over a probed relation: %.0f allocs, want <= 16", allocs)
 	}
 	c := NewCatalog(db)
 	if c.Rows("r") != n || c.Distinct("r", 0) != n || c.Distinct("r", 1) != 1000 {
 		t.Fatalf("rows %v, distinct %v, %v", c.Rows("r"), c.Distinct("r", 0), c.Distinct("r", 1))
 	}
-	if u := NewCatalog(plain); !reflect.DeepEqual(c, u) {
-		t.Fatalf("indexed catalog %+v, unindexed %+v", c, u)
+	for name, other := range map[string]*storage.Database{"unindexed": plain, "unprobed served": lazy} {
+		if u := NewCatalog(other); !reflect.DeepEqual(c, u) {
+			t.Fatalf("indexed catalog %+v, %s %+v", c, name, u)
+		}
+		for col := range 2 {
+			if _, built := other.Relation("r").ColumnIndex(col); built {
+				t.Fatalf("NewCatalog built an index on column %d of the %s relation it counted", col, name)
+			}
+		}
 	}
-	if _, built := plain.Relation("r").ColumnIndex(0); built {
-		t.Fatal("NewCatalog built an index on the relation it counted")
+	if sub := NewCatalog(db, "r", "missing"); !reflect.DeepEqual(c, sub) {
+		t.Fatalf("catalog of r %+v, of the whole database %+v", sub, c)
+	}
+	if none := NewCatalog(db, "missing"); len(none.rows) != 0 || len(none.distinct) != 0 {
+		t.Fatalf("catalog of a missing predicate holds %v, %v", none.rows, none.distinct)
 	}
 }
 

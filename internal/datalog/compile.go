@@ -34,7 +34,9 @@ import (
 // The executor never mutates the relations it reads: candidate sets come
 // from a column's storage.ColIndex (a walk along a chain of positions, no
 // []Tuple materialised) with a scan fallback when the column is not
-// indexed. Any number of runs may therefore share a frozen database.
+// indexed and the relation not served; a served relation builds the
+// column's index at its first probe, once, race-free. Any number of runs
+// may therefore share a served database.
 
 // colAction says how one column of a step's candidate tuple is used.
 type colAction uint8
@@ -684,8 +686,9 @@ func stepLoop(c *compiledComponent, srcs []stepSrc, depth int, frame []string, g
 // number of arguments. The plan runs on the calling goroutine; workers is
 // ignored, kept so that existing callers compile. The executor never
 // mutates db, and db must not be mutated during the call; it does not need
-// to be frozen — unindexed columns degrade to scans — but only frozen
-// relations (BuildIndexes) give the probes their index candidates.
+// to be served — an unbuilt column of a relation that is not served
+// degrades to a scan — but a served relation (BuildIndexes) gives every
+// probe its index, built at the column's first probe.
 func (p *CompiledPlan) EvalParallelUnsortedWith(db *storage.Database, args []string, workers int) []storage.Tuple {
 	into := AcquireRowSet()
 	p.evalInto(db, args, nil, into)
@@ -824,7 +827,9 @@ func resolveInto(db *storage.Database, c *compiledComponent, srcs []stepSrc) {
 }
 
 // resolveStep binds one step to its relation: the tuple slice plus the
-// probe column's index when it is built. A missing (nil) relation is the
+// probe column's index — on a served relation always, built at the
+// column's first probe (storage.Relation.ProbeIndex), on any other when it
+// is built; without one the step scans. A missing (nil) relation is the
 // empty relation.
 func resolveStep(rel *storage.Relation, s *compiledStep) stepSrc {
 	if rel == nil {
@@ -832,7 +837,7 @@ func resolveStep(rel *storage.Relation, s *compiledStep) stepSrc {
 	}
 	src := stepSrc{tuples: rel.Tuples()}
 	if s.probeCol >= 0 {
-		src.idx, _ = rel.ColumnIndex(s.probeCol)
+		src.idx, _ = rel.ProbeIndex(s.probeCol)
 	}
 	return src
 }

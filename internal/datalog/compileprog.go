@@ -48,10 +48,11 @@ import (
 //   - within a round, rule-variant executions only read the relations:
 //     inserts are buffered and merged between rounds.
 //
-// The executor never mutates the EDB it reads: base candidates come from
-// frozen column indexes when available and degrade to scans otherwise,
-// exactly like CompiledPlan. Any number of Evals may therefore run
-// concurrently over one shared (even unfrozen) database.
+// The executor never mutates an EDB relation that is not served: base
+// candidates come from column indexes when built, or from a served
+// relation's index built at the column's first probe, and degrade to scans
+// otherwise, exactly like CompiledPlan. Any number of Evals may therefore
+// run concurrently over one shared (even unserved) database.
 
 // ruleHeadOp builds one head-tuple column: from a Skolem application over
 // frame slots, from a frame slot, or from a constant.
@@ -401,12 +402,16 @@ func deltaTasks(tasks []variantTask, rules []compiledRule, cur map[string][]stor
 // Eval runs the compiled fixpoint over edb and returns a database containing
 // the EDB relations plus all derived (IDB) relations, exactly like
 // Program.EvalInterp. It clones edb — a clone that shares edb's tables until
-// one of the two writes them (storage.Database.Clone) — builds on the clone
-// exactly the column indexes the compiled probes ask for (so an unindexed
-// input is joined by probes, not nested scans; an index built on the clone
-// is the clone's alone), runs the fixpoint over the clone and inserts the
-// derived relations into it. edb is only read, and copied only where the
-// result is written. A maintenance program (CompileProgramIVM) refuses an
+// one of the two writes them (storage.Database.Clone) — serves the clone
+// (storage.Database.BuildIndexes), so each column the fixpoint probes is
+// indexed at its first probe and an unindexed input is joined by probes,
+// not nested scans, runs the fixpoint over the clone and inserts the
+// derived relations into it. The result is served, the ivm.New
+// materialization the engine serves from. edb is only read, and copied
+// only where the result is written: a relation of edb that is not served
+// gains no index, since the served clone indexes a list of its own, while
+// one that is served shares what the clone's probes build. A maintenance
+// program (CompileProgramIVM) refuses an
 // edb relation named like a derived predicate: deletions could not tell
 // its facts from derived ones, so facts given for a derived predicate
 // reach it through a rule over a base relation instead.
@@ -419,7 +424,7 @@ func (cp *CompiledProgram) Eval(edb *storage.Database) (*storage.Database, error
 		}
 	}
 	db := edb.Clone()
-	cp.freeze(db)
+	db.BuildIndexes()
 	idb, _, err := cp.run(db, nil, Limits{})
 	if err != nil {
 		return nil, err
@@ -826,22 +831,6 @@ func (hs *headScratch) view(head []ruleHeadOp, vals string) {
 			hs.row[i] = vals[start:hs.ends[k]]
 			start = hs.ends[k]
 			k++
-		}
-	}
-}
-
-// freeze builds exactly the EDB column indexes the program's probes need, so
-// a whole-database fixpoint gets index candidates instead of scan fallbacks.
-// It mutates edb, so Eval calls it only on its clone — the clone ivm.New
-// materializes served state on, whatever indexes the caller's base carries.
-// An index built on a relation the clone shares with the caller is the
-// clone's alone; the tuples and the set index stay shared.
-func (cp *CompiledProgram) freeze(edb *storage.Database) {
-	for i := range cp.rules {
-		r := &cp.rules[i]
-		freezeSteps(edb, r.full.steps, cp.idbArity)
-		for j := range r.deltas {
-			freezeSteps(edb, r.deltas[j].steps, cp.idbArity)
 		}
 	}
 }

@@ -30,9 +30,10 @@ type Bindings map[string]string
 // the same query repeatedly should Compile once and reuse the plan — the
 // serving engine does exactly that through its LRU.
 //
-// Like the lazy index builds it replaces, the freeze below mutates db, so
-// concurrent callers over one database must BuildIndexes first (the engine
-// freezes at construction).
+// Like the lazy index builds it replaces, the freeze below mutates a
+// relation that is not served, so concurrent callers over one database
+// must serve it first (BuildIndexes; the engine serves at construction),
+// after which each probed column is built once, at its first probe.
 func EvalQuery(db *storage.Database, q *cq.Query) []storage.Tuple {
 	p := Compile(q, cost.NewRowCatalog(db, q.Predicates()...))
 	p.freeze(db)
@@ -43,24 +44,14 @@ func EvalQuery(db *storage.Database, q *cq.Query) []storage.Tuple {
 // executor gets index candidates instead of scan fallbacks. This
 // preserves the previous lazy-indexing behaviour (one column per probed
 // atom, single-writer requirement) for one-shot callers; the executor
-// itself never mutates relations.
+// itself never mutates a relation that is not served.
 func (p *CompiledPlan) freeze(db *storage.Database) {
 	for i := range p.components {
-		freezeSteps(db, p.components[i].steps, nil)
-	}
-}
-
-// freezeSteps builds on db the column index each probing step reads,
-// skipping the derived predicates, which a fixpoint indexes itself. It is
-// the one index walk of plans and programs.
-func freezeSteps(db *storage.Database, steps []compiledStep, derived map[string]int) {
-	for i := range steps {
-		s := &steps[i]
-		if _, idb := derived[s.pred]; s.probeCol < 0 || idb {
-			continue
-		}
-		if r := db.Relation(s.pred); r != nil {
-			r.BuildColumnIndex(s.probeCol)
+		steps := p.components[i].steps
+		for j := range steps {
+			if r := db.Relation(steps[j].pred); r != nil && steps[j].probeCol >= 0 {
+				r.BuildColumnIndex(steps[j].probeCol)
+			}
 		}
 	}
 }

@@ -125,10 +125,17 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.BuildIndexes()
 	if db.Relation("v").Len() != 1 {
 		t.Fatalf("initial extent = %v", db.Relation("v").Tuples())
 	}
+	// Eval's result is served: nothing is indexed before a probe asks,
+	// and the caller's base, which is not served, gains no index at all.
+	assertUnindexed(t, db.Relation("v"), "the materialized extent before any probe")
+	for _, pred := range base.Predicates() {
+		assertUnindexed(t, base.Relation(pred), "the caller's base after Eval")
+	}
+	probeColumns(db.Relation("v"))
+	assertServed(t, db.Relation("v"))
 
 	// Batch 1: a new r tuple joining an existing s tuple.
 	before := db.Clone()
@@ -156,8 +163,9 @@ func TestMaintainDeltaConjunctiveView(t *testing.T) {
 	if derived := batchRecord(t, res, before, db).stored; len(derived["v"]) != 1 || derived["v"][0].Key() != (storage.Tuple{"c", "y"}).Key() {
 		t.Fatalf("batch 2 derived %v, want exactly v(c,y)", derived)
 	}
-	if !db.Relation("v").Frozen() {
-		t.Fatal("maintained extent lost its indexes")
+	assertServed(t, db.Relation("v"))
+	for _, pred := range base.Predicates() {
+		assertUnindexed(t, base.Relation(pred), "the caller's base after maintenance")
 	}
 }
 
@@ -322,4 +330,50 @@ func TestApplyUpdatesReturnsStoredTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffDatabases(t, "after the caller overwrote its tuples", db, want)
+}
+
+// probeColumns probes every column of rel; a served relation builds each
+// column's index at its first probe.
+func probeColumns(rel *storage.Relation) {
+	for col := range rel.Arity() {
+		rel.ProbeIndex(col)
+	}
+}
+
+// assertServed fails unless every column of rel has an index built that
+// finds exactly the tuples a scan finds. It reads ColumnIndex, which builds
+// none, so an index that maintenance dropped is not rebuilt here.
+func assertServed(t *testing.T, rel *storage.Relation) {
+	t.Helper()
+	tuples := rel.Tuples()
+	for col := 0; col < rel.Arity(); col++ {
+		x, ok := rel.ColumnIndex(col)
+		if !ok {
+			t.Fatalf("%s: column %d has no index built", rel.Name(), col)
+		}
+		for _, tu := range tuples {
+			n, want := 0, 0
+			for pos := x.First(tuples, tu[col]); pos >= 0; pos = x.Next(pos) {
+				n++
+			}
+			for _, s := range tuples {
+				if s[col] == tu[col] {
+					want++
+				}
+			}
+			if n != want {
+				t.Fatalf("%s: column %d's index finds %d tuples holding %q, a scan %d", rel.Name(), col, n, tu[col], want)
+			}
+		}
+	}
+}
+
+// assertUnindexed fails if any column of rel has an index built.
+func assertUnindexed(t *testing.T, rel *storage.Relation, what string) {
+	t.Helper()
+	for col := 0; col < rel.Arity(); col++ {
+		if _, ok := rel.ColumnIndex(col); ok {
+			t.Fatalf("%s: column %d of %s is indexed", what, col, rel.Name())
+		}
+	}
 }

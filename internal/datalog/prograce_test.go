@@ -91,7 +91,5 @@ func TestCompiledProgramConcurrentUnfrozen(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if db.Relation("e").Frozen() {
-		t.Fatal("executor built indexes on the shared database")
-	}
+	assertUnindexed(t, db.Relation("e"), "the executor over a shared database")
 }

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cq"
@@ -178,6 +179,20 @@ func (r Rule) headTupleOf(b Bindings) (storage.Tuple, error) {
 // Program is a set of datalog rules evaluated to fixpoint.
 type Program struct {
 	Rules []Rule
+}
+
+// Predicates returns the predicates the program's rules name, heads and
+// bodies, sorted: every relation a compile of it may ask statistics of.
+func (p *Program) Predicates() []string {
+	var out []string
+	for _, r := range p.Rules {
+		out = append(out, r.HeadPred)
+		for _, a := range r.Body {
+			out = append(out, a.Pred)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // String renders the program one rule per line.

@@ -152,11 +152,12 @@ func (s *Store) WriteSnapshot(db *storage.Database, meta SnapshotMeta) error {
 // LoadSnapshot reads the current snapshot back into a database: every
 // segment is checksum-verified, decoded, and bulk-inserted. The relations
 // adopt the tuples the decoder built rather than cloning them: nothing
-// else holds them. Column hash indexes are rebuilt by the caller
-// (BuildIndexes), not persisted — the rebuild is a linear scan, and
-// re-deriving them keeps the on-disk format independent of the index
-// representation. The planner's distinct counts are read off those
-// indexes, so they are not persisted either.
+// else holds them. Column hash indexes are not persisted: the caller
+// serves the database (BuildIndexes), and each column is rebuilt at its
+// first probe — a linear scan, and re-deriving them keeps the on-disk
+// format independent of the index representation. The planner's distinct
+// counts are read off those indexes, or counted without one, so they are
+// not persisted either.
 func (s *Store) LoadSnapshot() (*storage.Database, error) {
 	s.mu.Lock()
 	man, snapDir := s.man, s.snapDir

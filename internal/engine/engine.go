@@ -334,7 +334,8 @@ type Stats struct {
 
 // Engine answers conjunctive queries over materialised views. It is safe
 // for concurrent use. Without Options.LiveUpdates the database it serves
-// from is frozen (indexed) at construction and must not be mutated
+// from is served (indexed at each column's first probe) from construction
+// on and must not be mutated
 // afterwards; with LiveUpdates, ApplyUpdate applies a batch of base-fact
 // inserts and deletes — every extent is incrementally maintained (DRed on
 // the delete side) while answers keep flowing.
@@ -438,7 +439,10 @@ type flight struct {
 
 // newEngine builds an Engine serving db, the layout newFromMaintainer
 // selected, under options NewFromBase resolved. Every plan reads db as
-// given. db is indexed and frozen for concurrent reads.
+// given. db is served for concurrent reads: each column is indexed at its
+// first probe (storage.Database.BuildIndexes), and nothing is built here.
+// db holds exactly what plans read — the extents, and the base relations
+// under servesBase — so the catalog counts all of it.
 func newEngine(vs *core.ViewSet, db *storage.Database, opt Options) *Engine {
 	if opt.CacheSize <= 0 {
 		opt.CacheSize = 128

@@ -568,28 +568,56 @@ func TestAutoInverseReadsOnlyExtents(t *testing.T) {
 // TestNewFromBaseLeavesBaseUnindexed: construction only reads the caller's
 // base, so engines built concurrently from one base never write the same
 // index maps. An unindexed base stays unindexed whatever the mode and the
-// serving layout.
+// serving layout — through construction, an answer and, on a live engine,
+// a batch whose maintenance probes the base relations — while every
+// relation the engine probes is served, so none of its probes scans: each
+// column of every relation of the maintainer's database and of each
+// serving side finds an index, also the base relation a batch creates.
 func TestNewFromBaseLeavesBaseUnindexed(t *testing.T) {
+	q := cq.MustParseQuery("q(X,Y) :- r(X,Z), s(Z,Y)")
 	for _, mode := range []string{"static", "live", "durable"} {
 		for _, strat := range []Strategy{EquivalentFirst, InverseRules} {
-			base, views := testBase(t)
-			opt := Options{Strategy: strat, LiveUpdates: mode != "static"}
-			if mode == "durable" {
-				opt.DataDir, opt.WALNoSync = t.TempDir(), true
-			}
-			e, err := NewFromBase(base, views, opt)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", mode, strat, err)
-			}
-			if err := e.Close(); err != nil {
-				t.Fatalf("%s/%s: close: %v", mode, strat, err)
-			}
-			for _, pred := range base.Predicates() {
-				rel := base.Relation(pred)
-				for c := 0; c < rel.Arity(); c++ {
-					if _, ok := rel.ColumnIndex(c); ok {
-						t.Errorf("%s/%s: construction indexed column %d of the caller's %s", mode, strat, c, pred)
+			for _, partial := range []bool{false, true} {
+				base, views := testBase(t)
+				opt := Options{Strategy: strat, LiveUpdates: mode != "static", AllowPartial: partial}
+				if mode == "durable" {
+					opt.DataDir, opt.WALNoSync = t.TempDir(), true
+				}
+				e, err := NewFromBase(base, views, opt)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", mode, strat, err)
+				}
+				mustAnswer(t, e, q)
+				served := []*storage.Database{e.db}
+				if e.live != nil {
+					ins := map[string][]storage.Tuple{"r": {{"c", "n"}}, "fresh": {{"f"}}}
+					del := map[string][]storage.Tuple{"s": {{"m", "x"}}}
+					if err := e.ApplyUpdate(ins, del); err != nil {
+						t.Fatalf("%s/%s: %v", mode, strat, err)
 					}
+					mustAnswer(t, e, q)
+					served = []*storage.Database{e.live.maint.Database(), e.live.sides[0], e.live.sides[1]}
+				}
+				for _, pred := range base.Predicates() {
+					rel := base.Relation(pred)
+					for c := 0; c < rel.Arity(); c++ {
+						if _, ok := rel.ColumnIndex(c); ok {
+							t.Errorf("%s/%s partial=%v: the engine indexed column %d of the caller's %s", mode, strat, partial, c, pred)
+						}
+					}
+				}
+				for i, db := range served {
+					for _, pred := range db.Predicates() {
+						rel := db.Relation(pred)
+						for c := 0; c < rel.Arity(); c++ {
+							if _, ok := rel.ProbeIndex(c); !ok {
+								t.Errorf("%s/%s partial=%v: a probe of column %d of %s in served database %d would scan", mode, strat, partial, c, pred, i)
+							}
+						}
+					}
+				}
+				if err := e.Close(); err != nil {
+					t.Fatalf("%s/%s: close: %v", mode, strat, err)
 				}
 			}
 		}

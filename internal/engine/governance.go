@@ -622,12 +622,8 @@ func (e *Engine) commit(ctx context.Context, i int32, inserts, deletes map[strin
 	}
 	if l.servesBase {
 		// A base relation the batch created lands on the side it was
-		// written for, frozen like every served relation.
-		for pred := range res.BaseInserted {
-			if rel := db.Relation(pred); !rel.Frozen() {
-				rel.BuildIndexes()
-			}
-		}
+		// written for, served like every relation of the maintainer's
+		// database (storage.Database.Ensure).
 		side.Bind(db)
 	}
 	l.active.Store(i)

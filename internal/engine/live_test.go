@@ -248,8 +248,9 @@ func checkSides(t *testing.T, e *Engine) {
 
 // TestSidesShareUntilFirstBatch: the standby serving side is a
 // copy-on-write clone of the active one, so until the first batch the two
-// hold one set of tables — each relation's column indexes are the same
-// objects — and the maintainer shares the caller's base without writing
+// hold one set of tables — one tuple array, and one list of column indexes,
+// so a column either side probes first is indexed once, for both — and the
+// maintainer shares the caller's base without writing
 // it: the base stays equal to what it held before construction, and a
 // write the caller makes to it afterwards changes no answer. The first
 // batch gives every relation it writes tables of its own on each side, and
@@ -266,13 +267,20 @@ func TestSidesShareUntilFirstBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			l := e.live
+			// Side 0's first probe of a column builds its index once for
+			// both sides, which hold one set of tables. Nothing has probed
+			// an extent yet; the materialization probed the base relations'
+			// join columns.
 			shared := func(pred string) bool {
 				s0, s1 := l.sides[0].Relation(pred), l.sides[1].Relation(pred)
-				x0, ok0 := s0.ColumnIndex(0)
+				x0, ok0 := s0.ProbeIndex(0)
 				x1, ok1 := s1.ColumnIndex(0)
-				return ok0 && ok1 && x0 == x1
+				return ok0 && ok1 && x0 == x1 && (s0.Len() == 0 || &s0.Tuples()[0] == &s1.Tuples()[0])
 			}
 			for _, pred := range l.sides[0].Predicates() {
+				if _, built := l.sides[1].Relation(pred).ColumnIndex(0); built && l.maint.IsView(pred) {
+					t.Fatalf("the extent %s was indexed before any probe", pred)
+				}
 				if !shared(pred) {
 					t.Fatalf("before any batch the serving sides hold two copies of %s", pred)
 				}

@@ -147,15 +147,18 @@ func withGiven(base *storage.Database, views []*cq.Query) (*storage.Database, er
 }
 
 // New builds a Maintainer: it materializes every view over base once (the
-// last full evaluation the system ever pays for these views) and freezes
-// the result for indexed delta propagation. The materialization runs on a
-// clone of base (storage.Database.Clone) that first gets the column indexes
-// the compiled view plans probe, so an unindexed base is joined by index
-// probes, not nested scans; those indexes are the clone's alone. base is
-// not mutated: the maintainer's base relations share its tables until
-// either side writes one, when that relation is copied. It is the one way the engine
-// first builds served state. A relation of base named like a view holds
-// facts given for it (see the package comment).
+// last full evaluation the system ever pays for these views) into a served
+// database (storage.Database.BuildIndexes), whose columns are indexed at
+// their first probe, for indexed delta propagation and serving. The
+// materialization runs on a served clone of base (CompiledProgram.Eval),
+// so an unindexed base is joined by index probes, not nested scans, and
+// only the columns something probes are ever indexed. base is not mutated:
+// the maintainer's base relations share its tables until either side
+// writes one, when that relation is copied, and a relation of base that is
+// not served gains no index. It is the one way the engine first builds
+// served state. A relation of base named like a view holds facts given for
+// it (see the package comment). The planner's statistics count only the
+// predicates the view program reads.
 func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, error) {
 	if base == nil {
 		base = storage.NewDatabase()
@@ -168,7 +171,7 @@ func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, e
 	if err != nil {
 		return nil, err
 	}
-	cp, err := datalog.CompileProgramIVM(prog, cost.NewCatalog(in))
+	cp, err := datalog.CompileProgramIVM(prog, cost.NewCatalog(in, prog.Predicates()...))
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
@@ -176,7 +179,6 @@ func New(base *storage.Database, views []*cq.Query, opt Options) (*Maintainer, e
 	if err != nil {
 		return nil, fmt.Errorf("ivm: materialize: %w", err)
 	}
-	db.BuildIndexes()
 	return &Maintainer{views: views, viewNames: names, cp: cp, db: db}, nil
 }
 
@@ -204,7 +206,7 @@ func NewFromMaterialized(db *storage.Database, views []*cq.Query) (*Maintainer, 
 		}
 	}
 	db.BuildIndexes()
-	cp, err := datalog.CompileProgramIVM(prog, cost.NewCatalog(db))
+	cp, err := datalog.CompileProgramIVM(prog, cost.NewCatalog(db, prog.Predicates()...))
 	if err != nil {
 		return nil, fmt.Errorf("ivm: %w", err)
 	}
@@ -215,9 +217,9 @@ func NewFromMaterialized(db *storage.Database, views []*cq.Query) (*Maintainer, 
 func (m *Maintainer) IsView(pred string) bool { return m.viewNames[pred] }
 
 // Database returns the maintained database: base relations plus every view
-// extent, frozen, with indexes maintained across batches. It is the live
-// maintenance state — callers must not read it concurrently with
-// ApplyUpdate, and may change it only by binding relations of equal
+// extent, served, with the indexes probes built maintained across batches.
+// It is the live maintenance state — callers must not read it concurrently
+// with ApplyUpdate, and may change it only by binding relations of equal
 // contents into it (storage.Database.Bind), which the next batch then
 // maintains in place: the engine binds it to a serving side that way.
 func (m *Maintainer) Database() *storage.Database { return m.db }

@@ -28,7 +28,7 @@ func TestColIndexChainsWrapAround(t *testing.T) {
 			}
 		}
 		r.BuildIndexes()
-		x, _ := r.ColumnIndex(0)
+		x, _ := r.ProbeIndex(0)
 		if x.heads.Cap() != slots || x.heads.slots[0] == 0 {
 			t.Fatalf("heads have %d slots, slot 0 empty=%v: want %d slots and a wrapped run", x.heads.Cap(), x.heads.slots[0] == 0, slots)
 		}

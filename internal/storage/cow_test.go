@@ -2,13 +2,14 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
 )
 
-// cowBase is the database the copy-on-write tests clone: r frozen, s with
-// only column 0 built, t with no index.
+// cowBase is the database the copy-on-write tests clone: r served with
+// both columns probed, s with only column 0 built, t with no index.
 func cowBase() *Database {
 	db := NewDatabase()
 	for i := 0; i < 200; i++ {
@@ -17,12 +18,15 @@ func cowBase() *Database {
 		db.Insert("t", Tuple{fmt.Sprint("c", i%5)})
 	}
 	db.Relation("r").BuildIndexes()
+	db.Relation("r").ProbeIndex(0)
+	db.Relation("r").ProbeIndex(1)
 	db.Relation("s").BuildColumnIndex(0)
 	return db
 }
 
 // rebuild copies db tuple by tuple into a database that shares nothing with
-// it — every tuple cloned, in the same order, the same columns built.
+// it — every tuple cloned, in the same order, the same relations served and
+// the same columns built.
 func rebuild(db *Database) *Database {
 	out := NewDatabase()
 	for _, pred := range db.Predicates() {
@@ -30,6 +34,9 @@ func rebuild(db *Database) *Database {
 		nr, _ := out.Ensure(pred, rel.Arity())
 		for _, t := range rel.Tuples() {
 			nr.Insert(t)
+		}
+		if rel.served {
+			nr.BuildIndexes()
 		}
 		for col := 0; col < rel.Arity(); col++ {
 			if _, ok := rel.ColumnIndex(col); ok {
@@ -141,14 +148,14 @@ func TestCloneSharesUntilWritten(t *testing.T) {
 	}
 	s, cs := src.Relation("s"), cl.Relation("s")
 	cs.BuildColumnIndex(1)
-	if &cs.tuples[0] != &s.tuples[0] || &cs.set.slots[0] != &s.set.slots[0] || cs.indexes[0] != s.indexes[0] {
+	if &cs.tuples[0] != &s.tuples[0] || &cs.set.slots[0] != &s.set.slots[0] || cs.index(0) != s.index(0) {
 		t.Fatal("building a column index copied more than the list of indexes")
 	}
 	if _, ok := s.ColumnIndex(1); ok {
 		t.Fatal("building a column index on the clone built it on the source")
 	}
 	cr.Insert(Tuple{"a1", "fresh"})
-	if &cr.tuples[0] == &r.tuples[0] || cr.indexes[0] == r.indexes[0] {
+	if &cr.tuples[0] == &r.tuples[0] || cr.index(0) == r.index(0) {
 		t.Fatal("an insert into a shared relation did not copy its tables")
 	}
 }
@@ -163,7 +170,8 @@ func TestLastHolderWritesInPlace(t *testing.T) {
 	// write changes lengths, never addresses.
 	addrs := func(r *Relation) string {
 		s := fmt.Sprintf("%p %p", unsafe.SliceData(r.tuples), unsafe.SliceData(r.set.slots))
-		for _, x := range r.indexes {
+		for col := range r.indexes {
+			x := r.index(col)
 			s += fmt.Sprintf(" %p", x)
 		}
 		return s
@@ -258,7 +266,7 @@ func TestCloneWriteRace(t *testing.T) {
 func probeCowBase(db *Database) error {
 	for _, pred := range []string{"r", "s"} {
 		rel := db.Relation(pred)
-		x, _ := rel.ColumnIndex(0)
+		x, _ := rel.ProbeIndex(0)
 		tuples := rel.Tuples()
 		for i := 0; i < 17; i++ {
 			n, val := 0, fmt.Sprint("a", i)
@@ -291,5 +299,71 @@ func TestCloneAllocs(t *testing.T) {
 	db.BuildIndexes()
 	if got, limit := testing.AllocsPerRun(10, func() { db.Clone() }), float64(3+rels); got > limit {
 		t.Errorf("Database.Clone of %d relations, %d tuples: %.0f allocs, want at most %.0f", rels, n, got, limit)
+	}
+}
+
+// TestFirstProbeRace: eight goroutines first-probe the same unbuilt column
+// of a served relation through two clones that share its tables, while a
+// third clone's first write copies those tables (own). Under the race
+// detector nothing races; the column is built once — a second build would
+// hand some goroutine an index of its own — every probe gets that one
+// index, both sharing clones hold it, and it answers like a scan.
+func TestFirstProbeRace(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		src := cowBase()
+		src.Relation("s").BuildIndexes() // served, column 0 built, column 1 not
+		a, b, w := src.Clone(), src.Clone(), src.Clone()
+		got := make([]*ColIndex, 8)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				db := []*Database{a, b}[g%2]
+				got[g], _ = db.Relation("s").ProbeIndex(1)
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			w.Relation("s").Insert(Tuple{"fresh", "c1"})
+		}()
+		close(start)
+		wg.Wait()
+		for g, x := range got {
+			if x == nil || x != got[0] {
+				t.Fatalf("trial %d: goroutine %d probed index %p, goroutine 0 %p", trial, g, x, got[0])
+			}
+		}
+		for _, db := range []*Database{src, a, b} {
+			if x, _ := db.Relation("s").ColumnIndex(1); x != got[0] {
+				t.Fatalf("trial %d: a clone sharing the tables holds index %p, the probes built %p", trial, x, got[0])
+			}
+		}
+		rel := a.Relation("s")
+		tuples := rel.Tuples()
+		for c := 0; c < 5; c++ {
+			val := fmt.Sprint("c", c)
+			var byIndex, byScan []int
+			for pos := got[0].First(tuples, val); pos >= 0; pos = got[0].Next(pos) {
+				byIndex = append(byIndex, pos)
+			}
+			for pos, tu := range tuples {
+				if tu[1] == val {
+					byScan = append(byScan, pos)
+				}
+			}
+			slices.Sort(byIndex)
+			if !slices.Equal(byIndex, byScan) {
+				t.Fatalf("trial %d: s(_, %s) by index %v, by scan %v", trial, val, byIndex, byScan)
+			}
+		}
+		if !w.Relation("s").Contains(Tuple{"fresh", "c1"}) || rel.Contains(Tuple{"fresh", "c1"}) {
+			t.Fatalf("trial %d: the writing clone's insert is missing or reached a reader", trial)
+		}
+		checkConsistent(t, w.Relation("s"))
 	}
 }

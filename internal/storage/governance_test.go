@@ -55,16 +55,16 @@ func TestTruncateToMaintainedIndexes(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.Insert(Tuple{fmt.Sprintf("k%d", i%3), fmt.Sprintf("v%d", i)})
 	}
-	r.BuildIndexes()
+	probeAll(r)
 	// Maintained inserts extend the built indexes.
 	r.Insert(Tuple{"k0", "v6"})
 	r.Insert(Tuple{"k9", "v7"})
-	if !r.Frozen() {
-		t.Fatal("relation should stay frozen across maintained inserts")
+	if !allBuilt(r) {
+		t.Fatal("every column index should survive maintained inserts")
 	}
 	r.TruncateTo(6)
-	if !r.Frozen() {
-		t.Fatal("relation should stay frozen across TruncateTo")
+	if !allBuilt(r) {
+		t.Fatal("every column index should survive TruncateTo")
 	}
 	if got := r.Lookup(0, "k9"); len(got) != 0 {
 		t.Fatalf("index still finds truncated tuple: %v", got)
@@ -85,9 +85,9 @@ func TestTruncateToMaintainedIndexes(t *testing.T) {
 func TestTruncateToNoop(t *testing.T) {
 	r := NewRelation("r", 1)
 	r.Insert(Tuple{"a"})
-	r.BuildIndexes()
+	probeAll(r)
 	r.TruncateTo(1) // n == Len: nothing to do
-	if r.Len() != 1 || !r.Frozen() {
+	if r.Len() != 1 || !allBuilt(r) {
 		t.Fatal("no-op truncate changed the relation")
 	}
 	r.TruncateTo(5) // n > Len: nothing to do
@@ -104,7 +104,7 @@ func TestTruncateToReleasesTail(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Insert(Tuple{fmt.Sprintf("v%d", i)})
 	}
-	r.BuildIndexes()
+	probeAll(r)
 	r.TruncateTo(4)
 	for i, tu := range r.tuples[4:10] {
 		if tu != nil {
@@ -136,7 +136,8 @@ func TestTruncateToZero(t *testing.T) {
 	if r.Len() != 0 || len(r.Tuples()) != 0 {
 		t.Fatalf("truncated relation holds %d tuples", r.Len())
 	}
-	for i, x := range r.indexes {
+	for i := range r.indexes {
+		x := r.index(i)
 		if built := x != nil; built != (i != 1) {
 			t.Fatalf("column %d built = %v after TruncateTo(0), want %v", i, built, i != 1)
 		}

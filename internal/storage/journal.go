@@ -168,7 +168,8 @@ func (j *Journal) Rollback() {
 // Replay applies the committed batch j records onto another database,
 // through that database's just-reset journal dst: j's removals first, then
 // dst.MarkInserts, then every row past a relation's insert mark, or every
-// row of a relation the batch created (frozen on dst if frozen here). A row
+// row of a relation the batch created (served on dst if dst's database is,
+// Database.Ensure). A row
 // both removed and stored again — a DRed survivor — is why removals go
 // first. Only predicates keep accepts are replayed; rows are adopted, so
 // both databases hold one physical row; a removal dst lacks is skipped. On
@@ -195,9 +196,6 @@ func (j *Journal) Replay(dst *Journal, keep func(pred string) bool) error {
 		}
 		for _, t := range rel.tuples[n:] {
 			to.Adopt(t)
-		}
-		if !marked && rel.Frozen() {
-			to.BuildIndexes()
 		}
 	}
 	return nil

@@ -28,7 +28,7 @@ func dbState(db *Database) string {
 			keys = append(keys, t.Key())
 		}
 		sort.Strings(keys)
-		out = append(out, fmt.Sprintf("%s/%d frozen=%v %q", pred, rel.Arity(), rel.Frozen(), keys))
+		out = append(out, fmt.Sprintf("%s/%d served=%v %q", pred, rel.Arity(), rel.served, keys))
 		for col := 0; col < rel.Arity(); col++ {
 			if _, ok := rel.ColumnIndex(col); !ok {
 				continue
@@ -69,7 +69,7 @@ func TestJournalRollbackProperty(t *testing.T) {
 			}
 			switch rng.Intn(3) {
 			case 0:
-				rel.BuildIndexes()
+				probeAll(rel)
 			case 1:
 				rel.BuildColumnIndex(rng.Intn(2))
 			}
@@ -226,7 +226,7 @@ func checkReset(t *testing.T, db *Database, j *Journal) {
 // post-batch database, column indexes included, and the clone's journal
 // rolls the replay back. A second replay refuses one predicate, which
 // then keeps its pre-batch relation on the clone. The batches cover a
-// relation the batch created (built, sometimes), a row removed and put
+// relation the batch created (served when the database is), a row removed and put
 // back by the same batch, and a refused predicate the batch changed.
 func TestJournalReusedAcrossBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x7E5E))
@@ -240,8 +240,11 @@ func TestJournalReusedAcrossBatches(t *testing.T) {
 				rel.Insert(Tuple{val(), val()})
 			}
 			if rng.Intn(2) == 0 {
-				rel.BuildIndexes()
+				probeAll(rel)
 			}
+		}
+		if rng.Intn(3) == 0 {
+			db.BuildIndexes() // the serving sides: what a batch creates is served too
 		}
 		n := 2 + rng.Intn(5)
 		k := rng.Intn(n)
@@ -284,11 +287,8 @@ func TestJournalReusedAcrossBatches(t *testing.T) {
 			if n := db.Relation("a").Len(); n > mark {
 				inserted["a"] = db.Relation("a").Tuples()[mark:n:n]
 			}
-			if rel := db.Relation(newPred); rel != nil {
+			if db.Relation(newPred) != nil {
 				created++
-				if rng.Intn(2) == 0 {
-					rel.BuildIndexes()
-				}
 			}
 
 			mirror := snap.Clone()

@@ -124,7 +124,11 @@ func keyTwin(tu Tuple, pick int) Tuple {
 // FuzzRelationOps decodes its input into a stream of interleaved relation
 // operations over 2-column relations and checks each step against a map of
 // tuples: the relation's invariants after every step and, through each
-// built column index, Lookup of every alphabet value. A clone op adds a
+// built column index, Lookup of every alphabet value. First probes of
+// columns nothing has built (ProbeIndex) interleave with the writers: on a
+// served copy a probe builds the column for every copy sharing its list of
+// indexes and must answer like a scan, and on any other copy it builds
+// nothing. A clone op adds a
 // copy of the relation it targets (Database.Clone), which shares that
 // relation's tables until one of the two is written; every operation
 // targets one of the copies, chosen by the input, and each copy is checked
@@ -135,13 +139,16 @@ func keyTwin(tu Tuple, pick int) Tuple {
 // more than 64 tuples, so an input is cut at maxFuzzOps operations: longer
 // ones only slow the search down.
 func FuzzRelationOps(f *testing.F) {
-	const maxFuzzOps, maxFuzzCopies, fuzzOps = 128, 4, 11
+	const maxFuzzOps, maxFuzzCopies, fuzzOps = 128, 4, 12
 	f.Add([]byte{0, 1, 4, 0, 2, 5, 0, 4, 2, 3, 0, 0, 0, 1, 4, 2, 5, 2, 4, 1, 2, 5, 6, 1, 4})
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 3, 0, 3, 3, 1, 0, 0, 4, 0, 2, 2, 1, 0, 0, 7, 6, 6})
 	f.Add([]byte{0, 4, 1, 0, 0, 5, 3, 0, 6, 7, 0, 7, 6, 2, 1, 1, 4, 1, 0, 5, 5, 4, 6, 6, 5, 0, 2})
 	// Clone, then write the clone and the source in turn with each writer.
-	f.Add([]byte{0, 1, 2, 0, 3, 4, 3, 0, 0, 4, 0, 0, 11, 5, 6, 0, 5, 7, 1, 1, 2, 13, 2, 1, 4, 0, 0, 21, 0, 0, 2, 3, 0, 8, 1, 0, 4, 0, 0, 19, 0, 0, 10, 7, 0, 21, 2, 0, 11, 1, 0})
-	f.Add([]byte{0, 2, 2, 0, 3, 3, 8, 0, 0, 4, 0, 0, 19, 1, 0, 10, 6, 0, 0, 7, 7, 9, 0, 0, 20, 0, 0, 12, 2, 2, 33, 9, 0, 1, 3, 3, 24, 3, 3, 2, 0, 0, 23, 1, 0})
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 3, 0, 0, 4, 0, 0, 12, 5, 6, 0, 5, 7, 1, 1, 2, 14, 2, 1, 4, 0, 0, 22, 0, 0, 2, 3, 0, 8, 1, 0, 4, 0, 0, 20, 0, 0, 10, 7, 0, 22, 2, 0, 12, 1, 0})
+	f.Add([]byte{0, 2, 2, 0, 3, 3, 8, 0, 0, 4, 0, 0, 20, 1, 0, 10, 6, 0, 0, 7, 7, 9, 0, 0, 21, 0, 0, 13, 2, 2, 36, 9, 0, 1, 3, 3, 26, 3, 3, 2, 0, 0, 25, 1, 0})
+	// Serve, clone, and probe each copy's unbuilt columns between inserts,
+	// removals, truncations, grows and further clones.
+	f.Add([]byte{0, 0, 1, 0, 1, 2, 0, 2, 2, 0, 3, 1, 0, 4, 4, 3, 0, 0, 4, 0, 0, 23, 0, 0, 0, 6, 6, 11, 1, 0, 13, 1, 0, 4, 0, 0, 35, 1, 0, 26, 1, 0, 25, 4, 0, 22, 5, 0, 16, 3, 0, 23, 0, 0, 11, 0, 0, 9, 0, 0, 23, 1, 0, 8, 1, 0, 14, 2, 0, 12, 5, 5, 11, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*maxFuzzOps {
 			data = data[:3*maxFuzzOps]
@@ -154,10 +161,23 @@ func FuzzRelationOps(f *testing.F) {
 			r := c.rel
 			tu := Tuple{fuzzValues[x%len(fuzzValues)], fuzzValues[y%len(fuzzValues)]}
 			m := [2]string{tu[0], tu[1]}
+			// A first probe of a served copy's column — or its explicit
+			// build, the same thing — fills that column's slot in a list of
+			// indexes other copies may share: they may gain that column,
+			// and nothing else may change.
+			probed := -1
+			if (op == 8 || op == 11) && r.served {
+				probed = x % 2
+			}
 			others := make(map[*fuzzCopy]string, len(copies))
+			skips := make(map[*fuzzCopy]int, len(copies)) // the column a copy may gain, or -1
 			for _, o := range copies {
+				skips[o] = -1
 				if o != c {
-					others[o] = tablesOf(o.rel)
+					if probed >= 0 && unsafe.SliceData(o.rel.indexes) == unsafe.SliceData(r.indexes) {
+						skips[o] = probed
+					}
+					others[o] = tablesBut(o.rel, skips[o])
 				}
 			}
 			switch op {
@@ -179,22 +199,22 @@ func FuzzRelationOps(f *testing.F) {
 				r.TruncateTo(n)
 			case 3:
 				r.BuildIndexes()
-				c.built = [2]bool{true, true}
+				c.served = true
 			case 4, 9:
 				if op == 9 {
 					r.BuildIndexes()
-					c.built = [2]bool{true, true}
+					c.served = true
 				}
 				others[c] = tablesOf(r) // cloning writes no table
 				cl := (&Database{rels: map[string]*Relation{"r": r}}).Clone().Relation("r")
-				if op == 9 && !cl.Frozen() {
-					t.Fatal("the clone of a frozen relation is not frozen")
+				if op == 9 && !cl.served {
+					t.Fatal("the clone of a served relation is not served")
 				}
 				checkSharesTables(t, r, cl)
 				if len(copies) == maxFuzzCopies {
 					copies = copies[1:]
 				}
-				copies = append(copies, &fuzzCopy{rel: cl, model: maps.Clone(c.model), built: c.built})
+				copies = append(copies, &fuzzCopy{rel: cl, model: maps.Clone(c.model), built: c.built, served: c.served})
 			case 5:
 				if got := r.Contains(tu); got != c.model[m] {
 					t.Fatalf("Contains(%q) = %v, want %v", tu, got, c.model[m])
@@ -214,10 +234,26 @@ func FuzzRelationOps(f *testing.F) {
 				c.built[x%2] = true
 			case 10:
 				r.Grow(1 + x%8)
+			case 11:
+				col := x % 2
+				idx, ok := r.ProbeIndex(col)
+				if ok != (c.served || c.built[col]) {
+					t.Fatalf("ProbeIndex(%d) ok = %v on a copy served %v, built %v", col, ok, c.served, c.built[col])
+				}
+				if ok {
+					c.built[col] = true
+					if got, _ := r.ColumnIndex(col); got != idx {
+						t.Fatalf("ProbeIndex(%d) returned an index the relation does not hold", col)
+					}
+				}
 			}
 			for o, before := range others {
-				if after := tablesOf(o.rel); after != before {
+				skip := skips[o]
+				if after := tablesBut(o.rel, skip); after != before {
 					t.Fatalf("op %d on one copy changed another's tables:\nbefore %s\nafter  %s", op, before, after)
+				}
+				if x, _ := r.ColumnIndex(skip); skip >= 0 && o.rel.index(skip) != x {
+					t.Fatalf("op %d built column %d on one copy but not on another sharing its indexes", op, skip)
 				}
 			}
 			for _, o := range copies {
@@ -228,16 +264,20 @@ func FuzzRelationOps(f *testing.F) {
 }
 
 // fuzzCopy is one copy of FuzzRelationOps's relation — the first, or a
-// clone — with the model of what it holds and which columns it has built.
+// clone — with the model of what it holds, whether it is served and which
+// columns it has built or probed. A served copy may hold more built
+// columns than that: a copy sharing its list of indexes may have probed
+// them.
 type fuzzCopy struct {
-	rel   *Relation
-	model map[[2]string]bool
-	built [2]bool
+	rel    *Relation
+	model  map[[2]string]bool
+	built  [2]bool
+	served bool
 }
 
 // check compares the copy with its model: its invariants, its length, every
 // column's distinct count and, on each built column, Lookup of every
-// alphabet value.
+// alphabet value, which is the built index against a scan of the model.
 func (c *fuzzCopy) check(t *testing.T, op byte) {
 	t.Helper()
 	r := c.rel
@@ -253,10 +293,14 @@ func (c *fuzzCopy) check(t *testing.T, op byte) {
 		if got := r.Distinct(col); got != len(vals) {
 			t.Fatalf("after op %d: Distinct(%d) = %d, model holds %d values", op, col, got, len(vals))
 		}
-		if _, ok := r.ColumnIndex(col); ok != c.built[col] {
-			t.Fatalf("after op %d: column %d built = %v, the copy built it: %v", op, col, ok, c.built[col])
+		_, ok := r.ColumnIndex(col)
+		if r.served != c.served {
+			t.Fatalf("after op %d: served = %v, the copy was served: %v", op, r.served, c.served)
 		}
-		if !c.built[col] {
+		if c.built[col] && !ok || !c.served && ok != c.built[col] {
+			t.Fatalf("after op %d: column %d built = %v, the copy built it: %v (served %v)", op, col, ok, c.built[col], c.served)
+		}
+		if !ok {
 			continue // Lookup would build it
 		}
 		for _, v := range fuzzValues {
@@ -283,11 +327,15 @@ func (c *fuzzCopy) check(t *testing.T, op byte) {
 // set index's slots and each column index object with its heads and chain
 // links — by address, length and capacity: what a write to another relation
 // sharing them would change.
-func tablesOf(r *Relation) string {
+func tablesOf(r *Relation) string { return tablesBut(r, -1) }
+
+// tablesBut is tablesOf without column skip's index.
+func tablesBut(r *Relation, skip int) string {
 	s := fmt.Sprintf("tuples %p/%d/%d set %p/%d/%d", unsafe.SliceData(r.tuples), len(r.tuples), cap(r.tuples),
 		unsafe.SliceData(r.set.slots), len(r.set.slots), r.set.n)
-	for col, x := range r.indexes {
-		if x != nil {
+	for col := range r.indexes {
+		x := r.index(col)
+		if x != nil && col != skip {
 			s += fmt.Sprintf(" col%d %p heads %p/%d/%d next %p/%d/%d", col, x, unsafe.SliceData(x.heads.slots), len(x.heads.slots), x.heads.n,
 				unsafe.SliceData(x.next), len(x.next), cap(x.next))
 		}
@@ -313,7 +361,7 @@ func checkSharesTables(t *testing.T, orig, clone *Relation) {
 	}
 }
 
-// TestRelationAllocs pins what the indexes cost on a frozen relation of
+// TestRelationAllocs pins what the indexes cost on a served relation of
 // 100 000 tuples: membership tests and removals allocate nothing, and an
 // insert allocates only the stored clone of its tuple, also when both its
 // values are new to the column indexes. A database clone allocates the
@@ -332,7 +380,7 @@ func TestRelationAllocs(t *testing.T) {
 	}
 	long := Tuple{strings.Repeat("x", 40), strings.Repeat("y", 40)} // values past any small stack buffer
 	r.Insert(long)
-	r.BuildIndexes()
+	probeAll(r)
 	victims := make([]Tuple, runs+1)
 	for i := range victims {
 		victims[i] = r.Tuples()[i*(n/len(victims))].Clone()
@@ -352,8 +400,8 @@ func TestRelationAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(runs, func() { r.Insert(victims[next]); next++ }); got != 1 {
 		t.Errorf("Insert: %.0f allocs, want 1", got)
 	}
-	if r.Len() != n+1 || !r.Frozen() {
-		t.Fatalf("Len = %d, Frozen = %v after re-inserting every removed tuple", r.Len(), r.Frozen())
+	if r.Len() != n+1 || !allBuilt(r) {
+		t.Fatalf("Len = %d, every column built = %v after re-inserting every removed tuple", r.Len(), allBuilt(r))
 	}
 	fresh := Tuple{"a-new", "b-new"}
 	if got := testing.AllocsPerRun(runs, func() { r.Insert(fresh); r.Remove(fresh) }); got != 1 {

@@ -52,7 +52,8 @@ func checkConsistent(t *testing.T, r *Relation) {
 			t.Fatalf("col %d: Distinct changed whether the column is built (%v -> %v)", col, built, after)
 		}
 	}
-	for col, x := range r.indexes {
+	for col := range r.indexes {
+		x := r.index(col)
 		if x == nil {
 			continue
 		}
@@ -105,15 +106,15 @@ func TestRemoveFrozenMaintainsIndexes(t *testing.T) {
 	for _, tu := range rows {
 		r.Insert(tu)
 	}
-	r.BuildIndexes()
-	if !r.Frozen() {
-		t.Fatal("expected frozen after BuildIndexes")
+	probeAll(r)
+	if !allBuilt(r) {
+		t.Fatal("expected every column built after probing each")
 	}
 	if !r.Remove(Tuple{"b", "2"}) {
 		t.Fatal("Remove of present tuple reported absent")
 	}
-	if !r.Frozen() {
-		t.Fatal("relation should stay frozen across a maintained Remove")
+	if !allBuilt(r) {
+		t.Fatal("every column index should survive a maintained Remove")
 	}
 	if r.Contains(Tuple{"b", "2"}) {
 		t.Fatal("removed tuple still Contains")
@@ -138,8 +139,8 @@ func TestRemoveFrozenMaintainsIndexes(t *testing.T) {
 		}
 		checkConsistent(t, r)
 	}
-	if r.Len() != 0 || !r.Frozen() {
-		t.Fatalf("drained relation: Len=%d Frozen=%v", r.Len(), r.Frozen())
+	if r.Len() != 0 || !allBuilt(r) {
+		t.Fatalf("drained relation: Len=%d every column built=%v", r.Len(), allBuilt(r))
 	}
 }
 
@@ -174,23 +175,23 @@ func TestRemoveUnindexed(t *testing.T) {
 	}
 	checkConsistent(t, r)
 	// A later index build over the mutated store must be correct.
-	r.BuildIndexes()
+	probeAll(r)
 	checkConsistent(t, r)
 }
 
 func TestRemoveStaleIndexInvalidates(t *testing.T) {
 	r := NewRelation("r", 2)
 	r.Insert(Tuple{"a", "1"})
-	r.BuildIndexes()
+	probeAll(r)
 	// No mutation path leaves a built index stale: an insert after
 	// BuildIndexes is maintained, and a Remove after it repairs the
 	// maintained indexes.
 	r2 := NewRelation("s", 2)
 	r2.Insert(Tuple{"a", "1"})
-	r2.BuildIndexes()
-	r2.Insert(Tuple{"b", "2"}) // maintained: stays frozen
-	if !r2.Frozen() {
-		t.Fatal("maintained insert should keep relation frozen")
+	probeAll(r2)
+	r2.Insert(Tuple{"b", "2"}) // maintained: every index stays built
+	if !allBuilt(r2) {
+		t.Fatal("maintained insert should keep every column index")
 	}
 	if !r2.Remove(Tuple{"a", "1"}) {
 		t.Fatal("Remove reported absent")
@@ -205,7 +206,7 @@ func TestTruncateToAfterRemove(t *testing.T) {
 	for _, tu := range []Tuple{{"a", "1"}, {"b", "1"}, {"c", "1"}, {"d", "1"}} {
 		r.Insert(tu)
 	}
-	r.BuildIndexes()
+	probeAll(r)
 	r.Remove(Tuple{"a", "1"}) // d swaps into position 0
 	n := r.Len()
 	r.Insert(Tuple{"e", "1"})
@@ -214,7 +215,7 @@ func TestTruncateToAfterRemove(t *testing.T) {
 	if r.Len() != n || r.Contains(Tuple{"e", "1"}) || r.Contains(Tuple{"f", "1"}) {
 		t.Fatal("TruncateTo after Remove left wrong contents")
 	}
-	if !r.Frozen() {
+	if !allBuilt(r) {
 		t.Fatal("TruncateTo over maintained indexes should keep them")
 	}
 	checkConsistent(t, r)

@@ -3,6 +3,19 @@
 // set semantics, lazily built per-column hash indexes, and a database
 // keyed by predicate name.
 //
+// A served relation indexes the columns something probes, and only those.
+// BuildIndexes marks a relation served; nothing is built then. The first
+// probe of a column (ProbeIndex, Lookup) builds its index under that
+// column's build lock and publishes it with one atomic store, so any
+// number of goroutines may probe a served relation at once: each sees no
+// index or a complete one, and the column is built once. The list of
+// column indexes is one of the tables clones share (below), so an index
+// built through one holder serves every holder, and a build is never
+// repeated for a copy nobody has written. A relation that is not served —
+// a caller's, a fixpoint's scratch — is never indexed by a probe: the
+// executor scans it, and only an explicit build (BuildColumnIndex, Lookup)
+// indexes it, a write under the single-writer rule.
+//
 // A relation's indexes hold positions, not values. Its set index is a
 // PosTable of tuple positions hashed from the columns, and a hash hit is
 // confirmed by comparing columns: a tuple's identity is its columns, never
@@ -42,6 +55,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cq"
@@ -131,20 +145,28 @@ func hashTuple(t Tuple) uint32 {
 // preserved for deterministic iteration until the first Remove, which
 // swap-fills the vacated position; duplicates — tuples equal column by
 // column — are ignored. A column's index, once built, is maintained by
-// every mutation until the relation is dropped, and is the one source of
-// the column's distinct count (Distinct).
+// every mutation until the relation is dropped; a served relation builds
+// a column's index at its first probe (ProbeIndex).
 //
 // A relation's tables — the tuple array, the set index and the list of
 // column indexes — may be shared with clones (Database.Clone) until they
 // are written: holders counts the relations holding them, and every write
 // by one of several holders first gives the relation tables of its own
-// (own), so no write reaches a table another relation reads.
+// (own), so no write reaches a table another relation reads. A first
+// probe is not a write: it fills an empty slot of the shared list, which
+// every holder then reads.
 type Relation struct {
-	name    string
-	arity   int
-	tuples  []Tuple
-	set     PosTable    // hashTuple -> position in tuples
-	indexes []*ColIndex // by column; nil where a column is not built, and nil until one is
+	name   string
+	arity  int
+	served bool // BuildIndexes: a probe builds the column's index; copied by Clone
+	tuples []Tuple
+	set    PosTable // hashTuple -> position in tuples
+	// indexes holds a slot per column, nil until a column is built or the
+	// relation is served. Clones share the slots as they share the other
+	// tables; a served relation's slots are held by served relations
+	// alone, so an index a probe publishes is never seen by a relation
+	// that is not served.
+	indexes []colSlot
 	// holders, while the tables above may be another relation's too,
 	// counts the relations holding them, this one included; nil when they
 	// were never shared or this relation copied them. The count is shared
@@ -153,6 +175,24 @@ type Relation struct {
 	// sets it on its source, which other goroutines may be reading or
 	// cloning at the same time.
 	holders atomic.Pointer[atomic.Int32]
+}
+
+// colSlot is one column's place in a relation's list of column indexes:
+// the index once built, and the lock a served relation's first probe of
+// the column builds it under. A slot is published once, by an atomic
+// store, and read by atomic loads, so a concurrent probe sees either no
+// index or a complete one.
+type colSlot struct {
+	built atomic.Pointer[ColIndex]
+	build sync.Mutex
+}
+
+// index returns column col's built index, or nil when there is none.
+func (r *Relation) index(col int) *ColIndex {
+	if col < 0 || col >= len(r.indexes) {
+		return nil
+	}
+	return r.indexes[col].built.Load()
 }
 
 // shares reports whether a relation other than r may hold r's tables.
@@ -199,7 +239,7 @@ func (r *Relation) Len() int { return len(r.tuples) }
 //
 // Each built column index is maintained in place: the new position is
 // prepended to its value's chain, or starts one, allocating nothing beyond
-// amortised growth, and a frozen relation stays Frozen. Like every
+// amortised growth, and a served relation stays served. Like every
 // mutation this carries the single-writer requirement — the live engine
 // serializes inserts behind its update lock.
 func (r *Relation) Insert(t Tuple) bool { return r.add(t, true) }
@@ -224,8 +264,8 @@ func (r *Relation) Adopt(t Tuple) bool { return r.add(t, false) }
 func (r *Relation) Grow(n int) {
 	r.own()
 	r.tuples = slices.Grow(r.tuples, n)
-	for _, x := range r.indexes {
-		if x != nil {
+	for col := range r.indexes {
+		if x := r.index(col); x != nil {
 			x.next = slices.Grow(x.next, n)
 		}
 	}
@@ -247,8 +287,8 @@ func (r *Relation) add(t Tuple, clone bool) bool {
 	}
 	r.set.Place(h, len(r.tuples))
 	r.tuples = append(r.tuples, t)
-	for _, x := range r.indexes {
-		if x != nil {
+	for col := range r.indexes {
+		if x := r.index(col); x != nil {
 			x.Insert(r.tuples)
 		}
 	}
@@ -265,7 +305,7 @@ func (r *Relation) add(t Tuple, clone bool) bool {
 // the swapped tuple's slot. Each built column index unlinks the removed
 // position from its value's chain and puts the swapped tuple's new
 // position where its old one was on its own chain — a walk of one chain
-// each — so a frozen relation stays Frozen. Single-writer, like every
+// each — so a served relation stays served. Single-writer, like every
 // mutation.
 func (r *Relation) Remove(t Tuple) bool {
 	_, ok := r.take(t)
@@ -285,8 +325,8 @@ func (r *Relation) take(t Tuple) (Tuple, bool) {
 	}
 	r.own()
 	stored := r.tuples[pos]
-	for _, x := range r.indexes {
-		if x != nil {
+	for col := range r.indexes {
+		if x := r.index(col); x != nil {
 			x.remove(r.tuples, pos)
 		}
 	}
@@ -321,8 +361,8 @@ func (r *Relation) TruncateTo(n int) {
 		return
 	}
 	r.own()
-	for _, x := range r.indexes {
-		if x != nil {
+	for col := range r.indexes {
+		if x := r.index(col); x != nil {
 			x.truncate(r.tuples, n)
 		}
 	}
@@ -339,7 +379,9 @@ func (r *Relation) TruncateTo(n int) {
 // the relation leaves the count of their holders, only once it has
 // finished reading them. The last holder left writes them in place, so a
 // shared table is never written and each holder but one copies once. Only
-// a write copies: a relation that is only read keeps sharing for good.
+// a write copies: a relation that is only read keeps sharing for good. A
+// column another holder's probe is building meanwhile is not copied; the
+// copy builds it at its own first probe.
 func (r *Relation) own() {
 	h := r.holders.Load()
 	if h == nil {
@@ -353,10 +395,10 @@ func (r *Relation) own() {
 	r.tuples = slices.Clone(r.tuples)
 	r.set = r.set.Clone()
 	if r.indexes != nil {
-		indexes := make([]*ColIndex, len(r.indexes))
-		for col, x := range r.indexes {
-			if x != nil {
-				indexes[col] = x.clone()
+		indexes := make([]colSlot, len(r.indexes))
+		for col := range r.indexes {
+			if x := r.index(col); x != nil {
+				indexes[col].built.Store(x.clone())
 			}
 		}
 		r.indexes = indexes
@@ -396,69 +438,111 @@ func (r *Relation) Stored(t Tuple) (Tuple, bool) {
 // — another relation may Adopt one — but never write them.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
 
-// BuildIndexes eagerly builds the hash index of every column. After it
-// returns Lookup never mutates the relation, so any number of goroutines
-// may read it concurrently. The serving engine calls this once at
-// construction to freeze its database for parallel evaluation. Every
-// mutation after BuildIndexes maintains the indexes in place (see Insert),
-// so the relation stays frozen across live updates; a mutation still
-// writes, so updates and reads must be externally serialized.
+// BuildIndexes serves the relation: from now on each probe of a column
+// (ProbeIndex, Lookup) finds its index, built at the column's first probe
+// and maintained in place by every mutation after it, so the executor never
+// scans a served relation and a column nothing probes costs nothing. It
+// builds no index itself. Any number of goroutines may probe a served
+// relation concurrently — a first probe builds under the column's lock and
+// publishes atomically — but a mutation still writes, so updates and reads
+// must be externally serialized. A relation that shares its list of column
+// indexes with one that is not served takes a copy of the list first, so a
+// probe of it never indexes the other's. Serving is for good: clones of a
+// served relation are served.
 func (r *Relation) BuildIndexes() {
-	for col := 0; col < r.arity; col++ {
-		r.BuildColumnIndex(col)
+	if r.served {
+		return
+	}
+	r.ownSlots()
+	r.served = true
+}
+
+// ownSlots gives the relation a list of column index slots that no other
+// relation holds: a fresh one when it has none, a copy of the shared one,
+// holding the same built indexes, when it may share it.
+func (r *Relation) ownSlots() {
+	switch {
+	case r.indexes == nil:
+		r.indexes = make([]colSlot, r.arity)
+	case r.shares():
+		indexes := make([]colSlot, len(r.indexes))
+		for col := range r.indexes {
+			indexes[col].built.Store(r.index(col))
+		}
+		r.indexes = indexes
 	}
 }
 
 // BuildColumnIndex builds the hash index of a single column, unless it is
-// built already. Like Lookup's lazy build it mutates the relation, so it
-// carries the same single-writer requirement; one-shot evaluation uses it
-// to index only the columns a plan probes. On a relation that shares its
-// tables with a clone it copies only the list of column indexes: the new
-// index is built over the shared tuples and belongs to this relation
-// alone, while the tuple array and the set index stay shared.
+// built already. On a served relation it is the first probe's build
+// (ProbeIndex), safe beside concurrent probes. On any other relation it
+// mutates the relation, so it carries the single-writer requirement;
+// one-shot evaluation uses it to index only the columns a plan probes, and
+// a fixpoint the columns its rules probe of what it derives. On a relation
+// that shares its tables with a clone it copies only the list of column
+// indexes: the new index is built over the shared tuples and belongs to
+// this relation alone, while the tuple array and the set index stay
+// shared.
 func (r *Relation) BuildColumnIndex(col int) {
-	if col < 0 || col >= r.arity {
+	if col < 0 || col >= r.arity || r.index(col) != nil {
 		return
 	}
-	switch {
-	case r.indexes == nil:
-		r.indexes = make([]*ColIndex, r.arity)
-	case r.indexes[col] != nil:
+	if r.served {
+		r.buildShared(col)
 		return
-	case r.shares():
-		r.indexes = slices.Clone(r.indexes)
 	}
-	r.indexes[col] = buildColIndex(r.tuples, col)
+	r.ownSlots()
+	r.indexes[col].built.Store(buildColIndex(r.tuples, col))
 }
 
-// Frozen reports whether every column index is built. A frozen relation is
-// safe for concurrent readers: Lookup never mutates it, and every mutation
-// maintains the indexes in place, so a relation stays frozen until it is
-// dropped.
-func (r *Relation) Frozen() bool {
-	return r.indexes != nil && !slices.Contains(r.indexes, nil)
+// buildShared returns served column col's index, building it under the
+// column's lock when no probe has yet: a probe that waited on the lock
+// finds the index the first one published.
+func (r *Relation) buildShared(col int) *ColIndex {
+	slot := &r.indexes[col]
+	slot.build.Lock()
+	defer slot.build.Unlock()
+	x := slot.built.Load()
+	if x == nil {
+		x = buildColIndex(r.tuples, col)
+		slot.built.Store(x)
+	}
+	return x
 }
 
-// ColumnIndex returns the hash index of one column when it is built,
-// without ever building it, so it never mutates the relation and is safe
-// from any number of goroutines once the relation is frozen. Probe it with
-// the relation's tuples:
+// ProbeIndex returns the hash index a probe of column col reads. On a
+// served relation (BuildIndexes) there always is one: the column's first
+// probe builds it, once for every relation sharing the tables, and
+// publishes it atomically, so any number of goroutines may call ProbeIndex
+// at once. On any other relation it is the built index, if there is one,
+// and ok=false otherwise — nothing is built, and the caller scans. Probe it
+// with the relation's tuples:
 //
 //	tuples := r.Tuples()
 //	for pos := idx.First(tuples, val); pos >= 0; pos = idx.Next(pos) { ... }
 //
 // The index is shared; it stays valid until the relation is next mutated.
-func (r *Relation) ColumnIndex(col int) (*ColIndex, bool) {
-	if col < 0 || col >= r.arity || r.indexes == nil {
-		return nil, false
+func (r *Relation) ProbeIndex(col int) (*ColIndex, bool) {
+	if x := r.index(col); x != nil || !r.served || col < 0 || col >= r.arity {
+		return x, x != nil
 	}
-	x := r.indexes[col]
+	return r.buildShared(col), true
+}
+
+// ColumnIndex returns the hash index of one column when it is built,
+// without ever building it, also on a served relation, whose unprobed
+// columns it reports as not built. It never mutates the relation and is
+// safe beside concurrent probes. Probes read ProbeIndex, which builds a
+// served relation's column; ColumnIndex is what is built so far.
+func (r *Relation) ColumnIndex(col int) (*ColIndex, bool) {
+	x := r.index(col)
 	return x, x != nil
 }
 
 // Distinct returns the number of distinct values in column col. It reads
 // the column's built index, or builds a throwaway one for a column that has
-// none, leaving the relation as it was; either way the count is the
+// none, leaving the relation as it was — also a served one, so counting a
+// column that nothing probes keeps no index; either way the count is the
 // index's, so there is no second way of counting.
 func (r *Relation) Distinct(col int) int {
 	if x, ok := r.ColumnIndex(col); ok {
@@ -470,17 +554,18 @@ func (r *Relation) Distinct(col int) int {
 	return buildColIndex(r.tuples, col).Distinct()
 }
 
-// Lookup returns the tuples whose column col equals val, using a lazily
-// built hash index. Building the index mutates the relation, so concurrent
-// readers must freeze it first (BuildIndexes); race-sensitive callers
-// should probe ColumnIndex instead, which reports ok=false rather than
-// mutating, and allocates nothing.
+// Lookup returns the tuples whose column col equals val, through the
+// column's index. A served relation's index is built at the first probe,
+// safely beside concurrent probes (ProbeIndex); any other relation builds
+// it here (BuildColumnIndex), which mutates the relation, so race-sensitive
+// callers should probe ProbeIndex instead, which never mutates an unserved
+// relation, and allocates nothing.
 func (r *Relation) Lookup(col int, val string) []Tuple {
 	if col < 0 || col >= r.arity {
 		return nil
 	}
 	r.BuildColumnIndex(col)
-	x := r.indexes[col]
+	x := r.index(col)
 	var out []Tuple
 	for pos := x.First(r.tuples, val); pos >= 0; pos = x.Next(pos) {
 		out = append(out, r.tuples[pos])
@@ -491,6 +576,7 @@ func (r *Relation) Lookup(col int, val string) []Tuple {
 // Database is a collection of relations keyed by predicate name.
 type Database struct {
 	rels    map[string]*Relation
+	served  bool    // BuildIndexes: every relation, also one Ensure creates later, is served
 	journal Journal // the one batch log of the database's single writer (NewJournal)
 }
 
@@ -503,8 +589,8 @@ func NewDatabase() *Database {
 func (db *Database) Relation(pred string) *Relation { return db.rels[pred] }
 
 // Ensure returns the relation for pred, creating it with the given arity if
-// absent. It returns a typed *ArityError if the relation exists with
-// another arity.
+// absent — served when the database is (BuildIndexes). It returns a typed
+// *ArityError if the relation exists with another arity.
 func (db *Database) Ensure(pred string, arity int) (*Relation, error) {
 	if r, ok := db.rels[pred]; ok {
 		if r.arity != arity {
@@ -513,6 +599,9 @@ func (db *Database) Ensure(pred string, arity int) (*Relation, error) {
 		return r, nil
 	}
 	r := NewRelation(pred, arity)
+	if db.served {
+		r.BuildIndexes()
+	}
 	db.rels[pred] = r
 	return r, nil
 }
@@ -591,9 +680,13 @@ func (db *Database) Predicates() []string {
 	return out
 }
 
-// BuildIndexes freezes every relation for concurrent reads; see
-// Relation.BuildIndexes.
+// BuildIndexes serves the database: every relation it holds, and every one
+// Ensure creates in it afterwards, builds a column's index at the column's
+// first probe (Relation.BuildIndexes), so it may be probed concurrently.
+// It builds no index itself. A relation Bind brings in later keeps its own
+// serving state.
 func (db *Database) BuildIndexes() {
+	db.served = true
 	for _, r := range db.rels {
 		r.BuildIndexes()
 	}
@@ -603,23 +696,25 @@ func (db *Database) BuildIndexes() {
 // tables until one of the two relations is written. It costs one relation
 // header per relation, whatever the relations hold, and the first clone of
 // a relation's tables one count of their holders: each relation of the
-// copy holds the source relation's tuple array, set index and column
-// indexes themselves, and both count among the tables' holders. The first
-// write to a holder that is not the last — an insert, a removal, a
+// copy holds the source relation's tuple array, set index and list of
+// column indexes themselves, and both count among the tables' holders. The
+// first write to a holder that is not the last — an insert, a removal, a
 // truncation, a Grow — copies that relation's tables as they are (the
 // tuples stay at their positions, so no index is rebuilt) and leaves the
-// others as they were; building a column index copies only the list of
-// indexes. The last holder writes in place. A frozen relation's copy is
-// frozen, and a relation nobody writes is held once, however often it is
+// others as they were; explicitly building a column index of a relation
+// that is not served copies only the list of indexes. The last holder
+// writes in place. A served relation's copy is served and shares its list
+// of column indexes, so a column one of them probes first is built once,
+// for both; a relation nobody writes is held once, however often it is
 // cloned. The stored tuples themselves are never copied, written or not.
-// Clone only reads db's tables, so it may run while other goroutines read
-// or clone db; like any read it may not run beside a write to db.
+// Clone only reads db's tables, so it may run while other goroutines read,
+// probe or clone db; like any read it may not run beside a write to db.
 func (db *Database) Clone() *Database {
-	out := &Database{rels: make(map[string]*Relation, len(db.rels))}
+	out := &Database{rels: make(map[string]*Relation, len(db.rels)), served: db.served}
 	for p, r := range db.rels {
 		h := r.holderCount()
 		h.Add(1)
-		nr := &Relation{name: p, arity: r.arity, tuples: r.tuples, set: r.set, indexes: r.indexes}
+		nr := &Relation{name: p, arity: r.arity, served: r.served, tuples: r.tuples, set: r.set, indexes: r.indexes}
 		nr.holders.Store(h)
 		out.rels[p] = nr
 	}

@@ -218,27 +218,42 @@ func TestQuickInsertLookupConsistent(t *testing.T) {
 }
 
 // TestInsertMaintainsFrozenIndexes is the live-update regression test: an
-// insert after BuildIndexes must append to the existing column indexes
-// instead of invalidating them (previously the version bump silently marked
-// every index stale, forcing a full O(n) per-column rebuild on the next
-// lookup), and the relation must stay Frozen across maintained inserts.
+// insert into a served relation must append to the column indexes its
+// probes built instead of invalidating them (previously the version bump
+// silently marked every index stale, forcing a full O(n) per-column rebuild
+// on the next lookup), and the relation must stay served across maintained
+// inserts. BuildIndexes itself builds nothing: the first probe of a column
+// does.
 func TestInsertMaintainsFrozenIndexes(t *testing.T) {
 	r := NewRelation("r", 2)
 	r.Insert(Tuple{"a", "1"})
 	r.Insert(Tuple{"b", "2"})
 	r.BuildIndexes()
-	if !r.Frozen() {
-		t.Fatal("not frozen after BuildIndexes")
+	if !r.served {
+		t.Fatal("not served after BuildIndexes")
 	}
+	for col := range 2 {
+		if _, ok := r.ColumnIndex(col); ok {
+			t.Fatalf("BuildIndexes built column %d before any probe", col)
+		}
+	}
+	x0, _ := r.ProbeIndex(0)
+	x1, _ := r.ProbeIndex(1)
 
 	if !r.Insert(Tuple{"a", "3"}) {
 		t.Fatal("insert not new")
 	}
-	if !r.Frozen() {
-		t.Fatal("maintained insert unfroze the relation")
+	if !r.served || !allBuilt(r) {
+		t.Fatal("a maintained insert unserved the relation or dropped a column index")
 	}
 	// Both old and new tuples must be reachable through the maintained
 	// index, without any rebuild.
+	if y0, _ := r.ColumnIndex(0); y0 != x0 {
+		t.Fatal("an insert replaced column 0's index")
+	}
+	if y1, _ := r.ColumnIndex(1); y1 != x1 {
+		t.Fatal("an insert replaced column 1's index")
+	}
 	pos, ok := probe(r, 0, "a")
 	if !ok || len(pos) != 2 {
 		t.Fatalf("probe(0,a) = %v, %v; want 2 positions", pos, ok)
@@ -263,8 +278,8 @@ func TestInsertMaintainsPartialIndexes(t *testing.T) {
 	r := NewRelation("r", 2)
 	r.Insert(Tuple{"a", "1"})
 	r.BuildColumnIndex(0)
-	if r.Frozen() {
-		t.Fatal("partially indexed relation reported frozen")
+	if r.served || allBuilt(r) {
+		t.Fatal("partially indexed relation reported served or fully built")
 	}
 	r.Insert(Tuple{"b", "2"})
 	if pos, ok := probe(r, 0, "b"); !ok || len(pos) != 1 {
@@ -275,8 +290,11 @@ func TestInsertMaintainsPartialIndexes(t *testing.T) {
 	if pos, ok := probe(r, 1, "1"); !ok || len(pos) != 1 {
 		t.Fatalf("late-built index incomplete: %v, %v", pos, ok)
 	}
-	if !r.Frozen() {
-		t.Fatal("all columns built, still not frozen")
+	if !allBuilt(r) {
+		t.Fatal("all columns built, allBuilt still false")
+	}
+	if r.served {
+		t.Fatal("explicit builds of every column served the relation")
 	}
 }
 
@@ -290,8 +308,8 @@ func TestInsertUnindexedStaysUnindexed(t *testing.T) {
 		t.Fatal("unindexed relation reported positions")
 	}
 	r.Insert(Tuple{"y"})
-	if r.Frozen() {
-		t.Fatal("insert froze an unindexed relation")
+	if r.served || allBuilt(r) {
+		t.Fatal("insert served or indexed an unindexed relation")
 	}
 	if got := r.Lookup(0, "y"); len(got) != 1 {
 		t.Fatalf("Lookup after lazy build = %v", got)
@@ -302,22 +320,47 @@ func TestCloneKeepsFrozenState(t *testing.T) {
 	db := NewDatabase()
 	db.Insert("r", Tuple{"a", "b"})
 	db.Insert("s", Tuple{"c"})
-	db.Relation("r").BuildIndexes()
+	probeAll(db.Relation("r"))
 	clone := db.Clone()
-	if !clone.Relation("r").Frozen() {
-		t.Fatal("clone of frozen relation must be frozen")
+	if !clone.Relation("r").served || !allBuilt(clone.Relation("r")) {
+		t.Fatal("clone of a served relation must be served and hold its built indexes")
 	}
-	if clone.Relation("s").Frozen() {
-		t.Fatal("clone of unfrozen relation must stay unfrozen")
+	if clone.Relation("s").served || allBuilt(clone.Relation("s")) {
+		t.Fatal("clone of an unserved, unindexed relation must stay so")
 	}
 	// The clone is independent: inserting into it leaves the source alone.
 	clone.Insert("r", Tuple{"x", "y"})
 	if db.Relation("r").Len() != 1 {
 		t.Fatal("clone shares storage with source")
 	}
+	// The insert copied the built indexes (own) and maintained the copies.
 	if pos, ok := probe(clone.Relation("r"), 0, "x"); !ok || len(pos) != 1 {
-		t.Fatal("cloned frozen relation must serve maintained index probes")
+		t.Fatal("cloned served relation must serve maintained index probes")
 	}
+	if pos, ok := probe(db.Relation("r"), 0, "x"); !ok || len(pos) != 0 {
+		t.Fatal("the clone's insert reached the source's index")
+	}
+}
+
+// probeAll serves r and probes every column: the state a served relation
+// is in once each of its columns has had its first probe.
+func probeAll(r *Relation) {
+	r.BuildIndexes()
+	for col := range r.arity {
+		r.ProbeIndex(col)
+	}
+}
+
+// allBuilt reports whether every column of r has its index built. It reads
+// ColumnIndex, so it builds nothing, also on a served relation: a mutation
+// that dropped a built index fails it rather than being rebuilt.
+func allBuilt(r *Relation) bool {
+	for col := range r.arity {
+		if _, ok := r.ColumnIndex(col); !ok {
+			return false
+		}
+	}
+	return r.arity > 0
 }
 
 // probe returns the positions column col's index chains for val, and
